@@ -295,15 +295,8 @@ impl Dsm {
     // ------------------------------------------------------------
 
     pub(crate) fn handle_crash(&mut self) {
-        let crash_instant = self.node.inner.ctx.now();
         let delay = std::mem::replace(&mut self.pending_detection, SimDuration::ZERO);
-        // The cluster sits in the crash-detection timeout: blocked, not
-        // computing.
-        self.node.inner.ctx.charge_wait(delay);
-        self.node.crash_and_reset();
-        // The crash happened before the detection delay; recovery time
-        // (exit - crashed_at) therefore includes detection.
-        self.node.inner.ctx.crashed_at = Some(crash_instant);
+        self.node.crash_and_reset(delay);
         self.restored = self.node.ft.restored_app_state();
         self.alloc_cursor = 0;
         self.barriers_done = 0;

@@ -65,6 +65,10 @@ pub struct NodeOutput<R> {
     pub crashed_at: Option<SimTime>,
     /// When log replay ended and the node resumed live operation.
     pub recovery_exit: Option<SimTime>,
+    /// Where the recovery window went: compute, wait and disk time
+    /// between `crashed_at` and `recovery_exit`, summing to the window
+    /// exactly (`hidden` is zero).
+    pub recovery_phases: Option<PhaseBreakdown>,
 }
 
 /// Whole-cluster outcome.
@@ -196,7 +200,7 @@ impl<R> RunOutput<R> {
             let _ = write!(
                 s,
                 "{{\"node\":{},\"finish_ns\":{},\"compute_ns\":{},\"wait_ns\":{},\
-                 \"disk_ns\":{},\"hidden_ns\":{},\"events\":{}}}",
+                 \"disk_ns\":{},\"hidden_ns\":{},\"events\":{}",
                 n.node,
                 n.finish.as_nanos(),
                 p.compute.as_nanos(),
@@ -205,6 +209,16 @@ impl<R> RunOutput<R> {
                 p.hidden.as_nanos(),
                 n.trace.len()
             );
+            if let Some(r) = n.recovery_phases {
+                let _ = write!(
+                    s,
+                    ",\"recovery_phases\":{{\"compute_ns\":{},\"wait_ns\":{},\"disk_ns\":{}}}",
+                    r.compute.as_nanos(),
+                    r.wait.as_nanos(),
+                    r.disk.as_nanos(),
+                );
+            }
+            s.push('}');
         }
         // Cluster-wide per-variant traffic: one entry per wire tag, in
         // tag order, plus the prefetch/migration effectiveness counters.
@@ -401,6 +415,7 @@ where
             metrics: inner.ctx.metrics.clone(),
             crashed_at: inner.ctx.crashed_at,
             recovery_exit: inner.ctx.recovery_exit,
+            recovery_phases: inner.ctx.recovery_phases,
         }
     });
     RunOutput {

@@ -14,14 +14,35 @@
 //! residual (if the disk is slower than the network) lands on the
 //! critical path.
 //!
-//! Recovery replays sync events from the (small) local log: at the
+//! Recovery opens with a one-round-trip *handshake*: the recovering
+//! node sends [`Msg::RecoveryHello`] to every peer before it even scans
+//! its own log. Each peer answers with the pages homed there that this
+//! node ever fetched (homes keep a per-page copyset, see
+//! [`hlrc::PageTable::held_by`]) and starts reading its own log back
+//! into memory, so the logged-diff requests that follow find it warm.
+//! Replay is deterministic, so the *held* pages are exactly the remote
+//! pages this node will touch again.
+//!
+//! Replay then walks the sync events of the (small) local log: at the
 //! beginning of each interval it re-applies the recorded incoming
 //! updates to its home copies (fetching the diffs from the writers'
-//! stable logs) and *prefetches* every remote copy named by the logged
-//! notices — reconstructing from the home's checkpoint base plus logged
-//! diffs whenever the live home copy has already advanced past the
-//! interval being replayed. Page faults during replay are thereby
-//! (almost entirely) eliminated.
+//! stable logs) and *prefetches* the held remote copies named by the
+//! logged notices — reconstructing from the home's checkpoint base plus
+//! logged diffs whenever the live home copy has already advanced past
+//! the interval being replayed. Page faults during replay are thereby
+//! (almost entirely) eliminated, and pages this node never held are
+//! never requested, never resident and never patched: recovery moves
+//! the replayed working set, not the cluster's write set. The filter is
+//! an optimization only — a fault on a page it skipped reconstructs on
+//! demand ([`FaultTolerance::recovery_fault`]) — so a home whose
+//! copysets were wiped by its own crash or bypassed by a migration
+//! simply answers "incomplete" and all its pages count as held.
+//!
+//! Recovery fetches stay one message per page (and per writer): every
+//! message is priced on its own link, so a wave of parallel requests
+//! already costs one round trip, while merging the replies would
+//! serialize their bytes into one long transfer. The cost that matters
+//! is volume, which the held-set filter cuts.
 
 use std::collections::HashMap;
 
@@ -47,6 +68,22 @@ struct CclReplay {
     notices_seen: Vec<WriteNotice>,
     /// Own logged diffs passed by the cursor: (page, interval seq) → diff.
     own_diffs: HashMap<(PageId, u32), PageDiff>,
+}
+
+/// Victim side of the recovery handshake: which remote pages the
+/// surviving homes say this node held before the crash.
+#[derive(Default)]
+struct HeldPages {
+    /// Hello replies not yet received. Carried across crashes: a reply
+    /// to an earlier recovery's hello is consumed like any other (its
+    /// list is at worst short, and the filter it feeds cannot affect
+    /// correctness), so none is ever left in flight at recovery exit.
+    pending: usize,
+    /// Indexed by page: some home listed it as fetched by this node.
+    pages: Vec<bool>,
+    /// Indexed by node: that home's record is incomplete (or the home
+    /// already stopped), so every page homed there counts as held.
+    whole_homes: Vec<bool>,
 }
 
 /// Coherence-centric logging.
@@ -75,9 +112,14 @@ pub struct CclLogger {
     replay: Option<CclReplay>,
     restored_app: Option<Vec<u8>>,
     /// Survivor-side in-memory image of the logged diffs, loaded with a
-    /// single sequential log read the first time a recovering peer asks
-    /// for one; later requests are served at memory speed.
+    /// single sequential log read when a recovering peer says hello;
+    /// its requests are then served at memory speed.
     serve_cache: Option<HashMap<(PageId, u32), PageDiff>>,
+    /// When the log read that filled `serve_cache` completes: no logged
+    /// diff leaves this node earlier.
+    serve_ready_at: SimTime,
+    /// What the recovery handshake told this (recovering) node.
+    held: HeldPages,
     /// Also log home-write diffs (as ordinary `Diffs` records). Single-
     /// failure CCL keeps them volatile — a peer's recovery implies this
     /// node survived — but under a multi-failure spec that assumption
@@ -122,6 +164,8 @@ impl CclLogger {
             replay: None,
             restored_app: None,
             serve_cache: None,
+            serve_ready_at: SimTime::ZERO,
+            held: HeldPages::default(),
             durable_home_diffs: false,
             degraded: false,
             epoch: 0,
@@ -275,9 +319,79 @@ impl CclLogger {
                     let done = inner.ctx.service_time(&env);
                     inner.serve_release_history(&env, done);
                 }
+                Msg::RecoveryHello => {
+                    let done = inner.ctx.service_time(&env);
+                    inner.serve_recovery_hello(&env, done);
+                    self.warm_serve_cache(inner, done);
+                }
+                Msg::RecoveryHelloReply { .. } => self.note_hello_reply(inner, &env),
                 _ => inner.ctx.defer(env),
             }
         }
+    }
+
+    /// Record one peer's answer to this node's [`Msg::RecoveryHello`].
+    fn note_hello_reply(&mut self, inner: &mut NodeInner, env: &Envelope<Msg>) {
+        let Msg::RecoveryHelloReply { held, complete } = &env.payload else {
+            return;
+        };
+        self.held.pending = self.held.pending.saturating_sub(1);
+        inner.ctx.charge_copy(4 * held.len());
+        for &p in held {
+            self.held.pages[p as usize] = true;
+        }
+        if !complete {
+            self.held.whole_homes[env.src] = true;
+        }
+    }
+
+    /// Block until every hello reply still on its way has arrived.
+    fn await_hello_replies(&mut self, inner: &mut NodeInner) {
+        while self.held.pending > 0 {
+            let env = self.recovery_wait(inner, |m| matches!(m, Msg::RecoveryHelloReply { .. }));
+            self.note_hello_reply(inner, &env);
+        }
+    }
+
+    /// Did this node hold a copy of (remote) `page` before the crash, as
+    /// far as the surviving homes can tell?
+    fn is_held(&self, inner: &NodeInner, page: PageId) -> bool {
+        self.held.pages[page as usize] || self.held.whole_homes[inner.pages.entry(page).home]
+    }
+
+    /// Survivor side: read the whole log back into memory with one
+    /// sequential scan starting at `at`, unless it already is there.
+    /// Logged diffs are served from the image once the read completes.
+    fn warm_serve_cache(&mut self, inner: &mut NodeInner, at: SimTime) {
+        if self.serve_cache.is_some() {
+            return;
+        }
+        let mut cache: HashMap<(PageId, u32), PageDiff> = HashMap::new();
+        let mut total = 0usize;
+        // The survivor's own log can carry latent bit rot too: the
+        // scan serves only the verified prefix — a miss falls back
+        // to the volatile caches, and a diff lost to rot is treated
+        // like a silently empty one (the recovering peer's digest
+        // check remains the arbiter).
+        let s = frame::salvage(inner.ctx.disk.peek_stream(CCL_STREAM));
+        if !s.is_clean() {
+            inner
+                .ctx
+                .trace(TraceKind::CrcMismatch { stream: CCL_STREAM });
+        }
+        for payload in &s.payloads {
+            total += frame::framed_size(payload.len());
+            let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
+            if let CclRecord::Diffs { interval, diffs } = rec {
+                for d in diffs {
+                    cache.insert((d.page, interval.seq), d);
+                }
+            }
+        }
+        let model = inner.ctx.disk.model();
+        self.serve_ready_at = at + model.access_latency + model.drain_time(total);
+        let _ = inner.ctx.disk.read_cost(total); // counters
+        self.serve_cache = Some(cache);
     }
 
     /// Fetch logged diffs for every `(page, intervals)` entry — from the
@@ -546,7 +660,6 @@ impl CclLogger {
     /// notices and prefetch the named pages.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncTag) -> RecoveryStep {
         // Phase 1: scan records for this step (one sequential disk read).
-        let start = self.replay.as_ref().map_or(0, |r| r.cursor);
         let mut batch_bytes = 0usize;
         let mut updates: Vec<(IntervalId, Vec<PageId>)> = Vec::new();
         let mut sync: Option<(Vec<WriteNotice>, VClock)> = None;
@@ -607,7 +720,6 @@ impl CclLogger {
             // Log exhausted: pre-crash state reached. (The cursor can
             // only run out at a step boundary because flushes cover
             // whole intervals.)
-            let _ = start;
             self.replay = None;
             return RecoveryStep::LogExhausted;
         };
@@ -696,9 +808,16 @@ impl CclLogger {
             // Pages named by notices but not yet resident are
             // reconstructed now, in parallel — the paper's prefetch
             // "according to the future shared memory access patterns".
+            // The pattern is known: replay touches exactly the pages
+            // this node held before the crash, so only those are
+            // fetched (the first wave waits out the handshake).
             first_touch.sort_unstable();
             first_touch.dedup();
             first_touch.retain(|p| inner.pages.entry(*p).frame.is_none());
+            if !first_touch.is_empty() {
+                self.await_hello_replies(inner);
+                first_touch.retain(|p| self.is_held(inner, *p));
+            }
             self.prefetch_pages(inner, &first_touch);
         } else {
             // Ablation A2: apply the home updates, then fall back to
@@ -912,6 +1031,25 @@ impl FaultTolerance for CclLogger {
 
     fn begin_recovery(&mut self, inner: &mut NodeInner) {
         inner.ctx.trace(TraceKind::RecoveryBegin);
+        // Handshake first: the round trip, and the survivors' log
+        // reads it triggers, overlap this node's own salvage scan. The
+        // replies are collected by `recovery_wait` as they arrive.
+        let me = inner.me();
+        self.held.pages = vec![false; inner.pages.len()];
+        self.held.whole_homes = vec![false; inner.cfg.n_nodes];
+        for peer in (0..inner.cfg.n_nodes).filter(|&p| p != me) {
+            let stopped = inner.ctx.stats.sends_to_stopped;
+            inner
+                .ctx
+                .send(peer, Msg::RecoveryHello)
+                .expect("send recovery hello");
+            if inner.ctx.stats.sends_to_stopped > stopped {
+                // A finished peer answers nothing: assume the worst.
+                self.held.whole_homes[peer] = true;
+            } else {
+                self.held.pending += 1;
+            }
+        }
         self.staged.clear();
         self.staged_bytes = 0;
         self.diff_index.clear();
@@ -1106,9 +1244,16 @@ impl FaultTolerance for CclLogger {
     }
 
     fn finish_recovery(&mut self, inner: &mut NodeInner) {
+        // A replay that never needed the handshake (nothing to fetch)
+        // still consumes its replies before going live.
+        self.await_hello_replies(inner);
         if std::mem::take(&mut self.needs_repair) {
             self.repair_home_pages(inner);
         }
+    }
+
+    fn on_recovery_hello(&mut self, inner: &mut NodeInner, at: SimTime) {
+        self.warm_serve_cache(inner, at);
     }
 
     fn serve_logged_diffs(&mut self, inner: &mut NodeInner, env: &Envelope<Msg>) {
@@ -1116,39 +1261,11 @@ impl FaultTolerance for CclLogger {
             return;
         };
         let me = inner.me() as u32;
-        // First request from a recovering peer: read the whole log back
-        // into memory with one sequential scan; everything after that is
-        // served at memory speed.
-        let mut disk_cost = SimDuration::ZERO;
-        if self.serve_cache.is_none() {
-            let mut cache: HashMap<(PageId, u32), PageDiff> = HashMap::new();
-            let mut total = 0usize;
-            // The survivor's own log can carry latent bit rot too: the
-            // scan serves only the verified prefix — a miss falls back
-            // to the volatile caches, and a diff lost to rot is treated
-            // like a silently empty one (the recovering peer's digest
-            // check remains the arbiter).
-            let s = frame::salvage(inner.ctx.disk.peek_stream(CCL_STREAM));
-            if !s.is_clean() {
-                inner
-                    .ctx
-                    .trace(TraceKind::CrcMismatch { stream: CCL_STREAM });
-            }
-            for payload in &s.payloads {
-                total += frame::framed_size(payload.len());
-                let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
-                if let CclRecord::Diffs { interval, diffs } = rec {
-                    for d in diffs {
-                        cache.insert((d.page, interval.seq), d);
-                    }
-                }
-            }
-            disk_cost =
-                inner.ctx.disk.model().access_latency + inner.ctx.disk.model().drain_time(total);
-            let _ = inner.ctx.disk.read_cost(total); // counters
-            self.serve_cache = Some(cache);
-        }
-        let cache = self.serve_cache.as_ref().expect("just built");
+        // The requester's hello normally warmed the cache long ago; if
+        // a checkpoint dropped it since, this request starts the read.
+        let arrived = inner.ctx.service_time(env);
+        self.warm_serve_cache(inner, arrived);
+        let cache = self.serve_cache.as_ref().expect("just warmed");
         let mut out: Vec<(IntervalId, PageDiff)> = Vec::new();
         for &seq in seqs {
             // Remote-write diffs come from the (cached) stable log;
@@ -1161,7 +1278,7 @@ impl FaultTolerance for CclLogger {
             }
         }
         let payload: usize = out.iter().map(|(_, d)| d.encoded_size()).sum();
-        let done = inner.ctx.service_time(env) + disk_cost + inner.ctx.cost.cpu.copy(payload);
+        let done = arrived.max(self.serve_ready_at) + inner.ctx.cost.cpu.copy(payload);
         inner
             .ctx
             .send_from(

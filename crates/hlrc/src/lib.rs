@@ -33,6 +33,6 @@ pub use msg::{
     kind_label, EpochRelease, HomeMigration, Msg, PageCopy, WriteNotice, HEADER_BYTES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, PrefetchState};
-pub use page_table::{PageEntry, PageTable};
+pub use page_table::{NodeSet, PageEntry, PageTable};
 pub use simnet::CoherenceProtocol;
 pub use sync::{BarrierMgr, LockState, LockTable, PendingAcquire};

@@ -20,7 +20,7 @@ pub const HEADER_BYTES: usize = 32;
 
 /// Number of distinct [`Msg`] variants (wire tags `0..MSG_KINDS`).
 /// Per-variant traffic counters are indexed by the wire tag.
-pub const MSG_KINDS: usize = 18;
+pub const MSG_KINDS: usize = 20;
 
 /// Short label for a [`Msg`] wire tag, for traffic tables.
 pub fn kind_label(ordinal: usize) -> &'static str {
@@ -43,6 +43,8 @@ pub fn kind_label(ordinal: usize) -> &'static str {
         "PageRequestBatch",
         "PageReplyBatch",
         "HomeMigrate",
+        "RecoveryHello",
+        "RecoveryHelloReply",
     ];
     LABELS.get(ordinal).copied().unwrap_or("?")
 }
@@ -315,6 +317,22 @@ pub enum Msg {
         /// Its version (per-writer applied interval counts).
         version: VClock,
     },
+    /// Recovery handshake, sent by a node to every peer the moment it
+    /// starts recovering: "tell me which of your pages I held, and get
+    /// your log ready — my logged-diff requests are coming".
+    RecoveryHello,
+    /// Reply to [`Msg::RecoveryHello`]: the pages homed at the replier
+    /// that the recovering node ever fetched. Replay is deterministic,
+    /// so these are exactly the remote pages it will touch again.
+    RecoveryHelloReply {
+        /// Pages homed at the replier that the sender fetched, ascending.
+        held: Vec<PageId>,
+        /// False when the replier's fetch records were wiped (its own
+        /// crash) or bypassed (an adopted migration): `held` may then
+        /// miss pages, and the sender must treat every page homed at
+        /// the replier as held.
+        complete: bool,
+    },
 }
 
 impl Msg {
@@ -339,6 +357,8 @@ impl Msg {
             Msg::PageRequestBatch { .. } => "PageRequestBatch",
             Msg::PageReplyBatch { .. } => "PageReplyBatch",
             Msg::HomeMigrate { .. } => "HomeMigrate",
+            Msg::RecoveryHello => "RecoveryHello",
+            Msg::RecoveryHelloReply { .. } => "RecoveryHelloReply",
         }
     }
 
@@ -363,6 +383,8 @@ impl Msg {
             Msg::PageRequestBatch { .. } => 15,
             Msg::PageReplyBatch { .. } => 16,
             Msg::HomeMigrate { .. } => 17,
+            Msg::RecoveryHello => 18,
+            Msg::RecoveryHelloReply { .. } => 19,
         }
     }
 }
@@ -509,6 +531,17 @@ impl Encode for Msg {
                 w.put_bytes(data);
                 version.encode(w);
             }
+            Msg::RecoveryHello => {
+                w.put_u8(18);
+            }
+            Msg::RecoveryHelloReply { held, complete } => {
+                w.put_u8(19);
+                w.put_u8(u8::from(*complete));
+                w.put_u32(held.len() as u32);
+                for p in held {
+                    w.put_u32(*p);
+                }
+            }
         }
     }
 
@@ -578,6 +611,8 @@ impl Encode for Msg {
             Msg::HomeMigrate { data, version, .. } => {
                 1 + 4 + 4 + data.len() + version.encoded_size()
             }
+            Msg::RecoveryHello => 1,
+            Msg::RecoveryHelloReply { held, .. } => 1 + 1 + 4 + 4 * held.len(),
         }
     }
 }
@@ -693,6 +728,16 @@ impl Decode for Msg {
                 data: r.get_bytes()?.into(),
                 version: VClock::decode(r)?,
             },
+            18 => Msg::RecoveryHello,
+            19 => {
+                let complete = r.get_u8()? != 0;
+                let n = r.get_u32()? as usize;
+                let mut held = Vec::with_capacity(n);
+                for _ in 0..n {
+                    held.push(r.get_u32()?);
+                }
+                Msg::RecoveryHelloReply { held, complete }
+            }
             t => {
                 return Err(CodecError::BadTag {
                     context: "Msg",
@@ -836,6 +881,15 @@ mod tests {
             data: vec![5; 64].into(),
             version: vc.clone(),
         });
+        roundtrip(Msg::RecoveryHello);
+        roundtrip(Msg::RecoveryHelloReply {
+            held: vec![2, 3, 17],
+            complete: true,
+        });
+        roundtrip(Msg::RecoveryHelloReply {
+            held: vec![],
+            complete: false,
+        });
     }
 
     #[test]
@@ -873,6 +927,11 @@ mod tests {
                 page: 0,
                 data: vec![0; 8].into(),
                 version: vc,
+            },
+            Msg::RecoveryHello,
+            Msg::RecoveryHelloReply {
+                held: vec![1],
+                complete: true,
             },
         ];
         for m in msgs {

@@ -263,7 +263,7 @@ impl HlrcNode {
                 self.inner.ctx.stats.write_faults += 1;
                 self.inner.ctx.trace(TraceKind::WriteFault { page });
                 if self.ft.needs_home_write_twins()
-                    && (self.inner.pages.entry(page).remote_fetched
+                    && (self.inner.pages.entry(page).remote_fetched()
                         || self.ft.logs_home_diffs_durably())
                 {
                     // CCL: snapshot the home copy so the end-of-interval
@@ -1176,7 +1176,7 @@ impl NodeInner {
             (e.dirty, e.twin.is_some())
         };
         self.pages
-            .note_remote_fetch(page, home_write_twins, stable_base);
+            .note_remote_fetch(page, env.src, home_write_twins, stable_base);
         let e = self.pages.entry(page);
         let version = e.version.clone().expect("home version");
         // The live frame equals the state named by `version` only while
@@ -1219,6 +1219,22 @@ impl NodeInner {
             .expect("send recovery page reply");
     }
 
+    /// Answer a [`Msg::RecoveryHello`], finishing service at `done`:
+    /// tell the recovering peer which pages homed here it ever fetched
+    /// (its replay will touch exactly those again), and whether that
+    /// record is complete. Read-only on volatile directory state, so a
+    /// home that is itself replaying can answer.
+    pub fn serve_recovery_hello(&mut self, env: &Envelope<Msg>, done: SimTime) {
+        let reply = Msg::RecoveryHelloReply {
+            held: self.pages.held_by(env.src),
+            complete: self.pages.copysets_complete(),
+        };
+        let copy_cost = self.ctx.cost.cpu.copy(reply.encoded_size());
+        self.ctx
+            .send_from(done + copy_cost, env.src, reply)
+            .expect("send recovery hello reply");
+    }
+
     /// Answer a [`Msg::ReleaseHistoryRequest`] from the barrier
     /// manager's retained per-epoch releases, finishing service at
     /// `done`. A freshly crashed manager answers with an empty history
@@ -1256,10 +1272,11 @@ impl CoherenceProtocol<Msg> for HlrcNode {
     }
 
     /// Recovery-class requests are exempt from deferral: they are
-    /// answered from stable state (the base image and the stable log),
-    /// never from the half-restored frames, so a replaying node can
-    /// still serve them. Without this, two nodes recovering at once
-    /// would defer each other's requests and deadlock.
+    /// answered from stable state (the base image and the stable log)
+    /// or from directory state (the copysets), never from the
+    /// half-restored frames, so a replaying node can still serve them.
+    /// Without this, two nodes recovering at once would defer each
+    /// other's requests and deadlock.
     fn must_defer(&self, payload: &Msg) -> bool {
         self.ft.in_recovery()
             && !matches!(
@@ -1267,6 +1284,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
                 Msg::RecoveryPageRequest { .. }
                     | Msg::LoggedDiffRequest { .. }
                     | Msg::ReleaseHistoryRequest
+                    | Msg::RecoveryHello
             )
     }
 
@@ -1346,6 +1364,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
                 debug_assert!(self.inner.pages.is_home(page), "page request at non-home");
                 self.inner.pages.note_remote_fetch(
                     page,
+                    env.src,
                     self.ft.needs_home_write_twins(),
                     self.ft.logs_home_diffs_durably(),
                 );
@@ -1381,6 +1400,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
                 // grows with the prediction depth.
                 self.inner.pages.note_remote_fetch(
                     page,
+                    env.src,
                     self.ft.needs_home_write_twins(),
                     self.ft.logs_home_diffs_durably(),
                 );
@@ -1407,6 +1427,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
                     for p in extras {
                         self.inner.pages.note_remote_fetch(
                             p,
+                            env.src,
                             self.ft.needs_home_write_twins(),
                             self.ft.logs_home_diffs_durably(),
                         );
@@ -1577,6 +1598,10 @@ impl CoherenceProtocol<Msg> for HlrcNode {
             Msg::ReleaseHistoryRequest => {
                 self.inner.serve_release_history(&env, done);
             }
+            Msg::RecoveryHello => {
+                self.inner.serve_recovery_hello(&env, done);
+                self.ft.on_recovery_hello(&mut self.inner, done);
+            }
             other => unreachable!(
                 "unexpected asynchronous message {} at node {}",
                 other.kind(),
@@ -1591,14 +1616,14 @@ impl HlrcNode {
     // Crash / recovery entry
     // ---------------------------------------------------------------
 
-    /// Simulate a crash of this node: volatile state (page frames,
-    /// clocks, manager tables) reverts to the last checkpoint image;
-    /// stable storage survives. The fault-tolerance layer then prepares
-    /// replay. The caller restarts the application program.
-    pub fn crash_and_reset(&mut self) {
+    /// Simulate a crash of this node, noticed by the cluster after
+    /// `detection`: volatile state (page frames, clocks, manager
+    /// tables) reverts to the last checkpoint image; stable storage
+    /// survives. The fault-tolerance layer then prepares replay. The
+    /// caller restarts the application program.
+    pub fn crash_and_reset(&mut self, detection: SimDuration) {
         let n = self.inner.cfg.n_nodes;
-        self.inner.ctx.mark_crashed();
-        self.inner.ctx.recovery_exit = None;
+        self.inner.ctx.mark_crashed(detection);
         self.inner.pages.reset_to_base();
         self.inner.vc = VClock::new(n);
         self.inner.next_interval = 0;

@@ -5,6 +5,39 @@ use simnet::NodeId;
 
 use crate::config::DsmConfig;
 
+/// A set of node ids, one bit each. Empty sets allocate nothing, so
+/// carrying one per page-table entry costs a `Vec` header.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// Add `node` to the set.
+    pub fn insert(&mut self, node: NodeId) {
+        let word = node / 64;
+        if self.0.len() <= word {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (node % 64);
+    }
+
+    /// Is `node` in the set?
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.0
+            .get(node / 64)
+            .is_some_and(|w| w & (1 << (node % 64)) != 0)
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Remove every node.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// One shared page as seen by one node.
 #[derive(Debug, Clone)]
 pub struct PageEntry {
@@ -28,14 +61,15 @@ pub struct PageEntry {
     pub base_version: Option<VClock>,
     /// Written during the current interval?
     pub dirty: bool,
-    /// Home-side: has any remote node ever fetched this page? Only such
-    /// pages can need recovery reconstruction, so only they pay the
-    /// home-write twin/diff cost under CCL.
-    pub remote_fetched: bool,
-    /// Non-home side: was a copy ever installed here? Recovery prefetch
-    /// restores only pages the (deterministically replayed) execution
-    /// actually caches.
-    pub was_cached: bool,
+    /// Home-side: the nodes that ever fetched this page (demand fetch,
+    /// batched prediction or recovery fetch). Volatile directory state
+    /// kept *outside* the fetching node, so that node's crash does not
+    /// orphan it: replay is deterministic, so a recovering node touches
+    /// exactly the pages it fetched before, and its homes can tell it
+    /// which (see [`PageTable::held_by`]). Never cleared at a checkpoint
+    /// — a copy cached before the checkpoint is re-touched after it
+    /// without a new fetch.
+    pub copyset: NodeSet,
     /// Non-home side: this copy arrived as a prefetch prediction and has
     /// not been touched yet. Cleared (and counted as a hit) on first
     /// access; a prefetched copy invalidated while still flagged was a
@@ -48,6 +82,15 @@ pub struct PageEntry {
     pub migrated: bool,
 }
 
+impl PageEntry {
+    /// Home-side: has any remote node ever fetched this page? Only such
+    /// pages can need recovery reconstruction, so only they pay the
+    /// home-write twin/diff cost under CCL.
+    pub fn remote_fetched(&self) -> bool {
+        !self.copyset.is_empty()
+    }
+}
+
 /// The full table for one node.
 #[derive(Debug)]
 pub struct PageTable {
@@ -55,6 +98,10 @@ pub struct PageTable {
     page_size: usize,
     me: NodeId,
     n_nodes: usize,
+    /// Do the copysets record every fetch the cluster ever made of the
+    /// pages homed here? False once a crash of this node or an adopted
+    /// migration wiped or bypassed them.
+    copysets_complete: bool,
 }
 
 impl PageTable {
@@ -75,8 +122,7 @@ impl PageTable {
                         base: Some(PageFrame::zeroed(page_size)),
                         base_version: Some(VClock::new(cfg.n_nodes)),
                         dirty: false,
-                        remote_fetched: false,
-                        was_cached: false,
+                        copyset: NodeSet::default(),
                         prefetched: false,
                         migrated: false,
                     }
@@ -90,8 +136,7 @@ impl PageTable {
                         base: None,
                         base_version: None,
                         dirty: false,
-                        remote_fetched: false,
-                        was_cached: false,
+                        copyset: NodeSet::default(),
                         prefetched: false,
                         migrated: false,
                     }
@@ -103,6 +148,7 @@ impl PageTable {
             page_size,
             me,
             n_nodes: cfg.n_nodes,
+            copysets_complete: true,
         }
     }
 
@@ -181,7 +227,6 @@ impl PageTable {
         debug_assert_ne!(e.home, self.me, "installing a copy of a home page");
         e.frame = Some(frame);
         e.state = state;
-        e.was_cached = true;
         e.prefetched = false;
     }
 
@@ -223,11 +268,13 @@ impl PageTable {
     /// revert to their checkpoint base, remote copies are dropped.
     /// Stable storage (the disk) is *not* touched — that is the point.
     pub fn reset_to_base(&mut self) {
+        // The copysets were volatile: what the cluster fetched from
+        // this home before the crash is no longer known.
+        self.copysets_complete = false;
         for e in &mut self.entries {
             e.twin = None;
             e.dirty = false;
-            e.remote_fetched = false;
-            e.was_cached = false;
+            e.copyset.clear();
             e.prefetched = false;
             if e.home == self.me {
                 let base = e.base.as_ref().expect("home base missing").clone();
@@ -281,8 +328,7 @@ impl PageTable {
         }
         e.twin = None;
         e.dirty = false;
-        e.remote_fetched = false;
-        e.was_cached = false;
+        e.copyset.clear();
         e.prefetched = false;
     }
 
@@ -301,20 +347,21 @@ impl PageTable {
         e.base_version = None;
         e.twin = None;
         e.dirty = false;
-        e.remote_fetched = false;
+        e.copyset.clear();
         e.prefetched = false;
         // The retained frame is now a plain cached copy.
         e.state = PageState::ReadOnly;
-        e.was_cached = e.frame.is_some();
     }
 
     /// New home's side of a migration: adopt the transferred home copy
     /// and version. The checkpoint base is reset to the adopted image
     /// with a distinct `base_version`, so the checkpoint taken at this
     /// same barrier force-includes the page even if nobody writes it in
-    /// between.
+    /// between. The old home's copyset does not travel with the page,
+    /// so this home's copysets stop being complete.
     pub fn adopt_home(&mut self, page: PageId, data: &[u8], version: VClock) {
         let n = self.n_nodes;
+        self.copysets_complete = false;
         let e = &mut self.entries[page as usize];
         debug_assert_ne!(e.home, self.me, "adopting a page already homed here");
         e.home = self.me;
@@ -326,8 +373,7 @@ impl PageTable {
         e.state = PageState::ReadOnly;
         e.twin = None;
         e.dirty = false;
-        e.remote_fetched = false;
-        e.was_cached = false;
+        e.copyset.clear();
         e.prefetched = false;
     }
 
@@ -355,9 +401,9 @@ impl PageTable {
         e.migrated = true;
     }
 
-    /// Mark a home page as remotely fetched, promoting its current
-    /// contents to be the reconstruction base if this is the first
-    /// fetch and `track_home_writes` (CCL) is on: from here on the
+    /// Record that `by` fetched a home page, promoting its current
+    /// contents to be the reconstruction base if this is the page's
+    /// first fetch and `track_home_writes` (CCL) is on: from here on the
     /// home's own writes are captured as diffs, so "base + logged
     /// diffs" can rebuild any later state of the page.
     ///
@@ -368,13 +414,20 @@ impl PageTable {
     /// own crash (a re-promotion after `reset_to_base` would pin the
     /// base at a late state that an earlier-replaying peer cannot
     /// unwind).
-    pub fn note_remote_fetch(&mut self, page: PageId, track_home_writes: bool, stable_base: bool) {
+    pub fn note_remote_fetch(
+        &mut self,
+        page: PageId,
+        by: NodeId,
+        track_home_writes: bool,
+        stable_base: bool,
+    ) {
         let e = &mut self.entries[page as usize];
         debug_assert_eq!(e.home, self.me);
-        if e.remote_fetched {
+        let first = e.copyset.is_empty();
+        e.copyset.insert(by);
+        if !first {
             return;
         }
-        e.remote_fetched = true;
         if track_home_writes && !stable_base {
             e.base = e.frame.clone();
             e.base_version = e.version.clone();
@@ -384,6 +437,23 @@ impl PageTable {
                 e.twin = Some(Twin::of(e.frame.as_ref().expect("home frame")));
             }
         }
+    }
+
+    /// The pages homed here that `node` ever fetched, ascending — the
+    /// home's half of the recovery handshake. Fetches made before a
+    /// wipe are missing from it when [`PageTable::copysets_complete`]
+    /// is false.
+    pub fn held_by(&self, node: NodeId) -> Vec<PageId> {
+        self.iter()
+            .filter(|(_, e)| e.home == self.me && e.copyset.contains(node))
+            .map(|(p, _)| p)
+            .collect()
+    }
+
+    /// Whether the copysets of the pages homed here record every fetch
+    /// since the run began (see [`PageTable::held_by`]).
+    pub fn copysets_complete(&self) -> bool {
+        self.copysets_complete
     }
 
     /// Iterate all entries with their page ids.
@@ -501,6 +571,67 @@ mod tests {
         bys.note_migrated(0, 1);
         assert_eq!(bys.entry(0).home, 1);
         assert!(bys.entry(0).migrated);
+    }
+
+    #[test]
+    fn node_set_spans_words() {
+        let mut s = NodeSet::default();
+        assert!(s.is_empty() && !s.contains(0) && !s.contains(127));
+        s.insert(3);
+        s.insert(127);
+        assert!(s.contains(3) && s.contains(127));
+        assert!(!s.contains(2) && !s.contains(64) && !s.contains(128));
+        s.clear();
+        assert!(s.is_empty() && !s.contains(3));
+    }
+
+    #[test]
+    fn copyset_records_who_fetched_what() {
+        let mut t = PageTable::new(&DsmConfig::new(4, 8).with_page_size(64), 0);
+        assert!(t.copysets_complete());
+        assert!(!t.entry(0).remote_fetched());
+        t.note_remote_fetch(0, 2, true, false);
+        t.note_remote_fetch(1, 2, true, false);
+        t.note_remote_fetch(1, 3, true, false);
+        assert!(t.entry(0).remote_fetched() && t.entry(1).remote_fetched());
+        assert_eq!(t.held_by(2), vec![0, 1]);
+        assert_eq!(t.held_by(3), vec![1]);
+        assert!(t.held_by(1).is_empty());
+        // A checkpoint does not forget: a copy cached before it is
+        // re-touched after it without a new fetch.
+        t.promote_base();
+        assert_eq!(t.held_by(2), vec![0, 1]);
+        assert!(t.copysets_complete());
+    }
+
+    #[test]
+    fn first_fetch_promotes_the_base_once() {
+        let mut t = PageTable::new(&cfg(), 0);
+        t.frame_mut(0).write_u64(0, 5);
+        t.note_remote_fetch(0, 1, true, false);
+        t.frame_mut(0).write_u64(0, 6);
+        // A later fetch joins the copyset without re-promoting.
+        t.note_remote_fetch(0, 1, true, false);
+        assert_eq!(t.entry(0).base.as_ref().unwrap().read_u64(0), 5);
+    }
+
+    #[test]
+    fn a_crash_or_an_adoption_makes_the_copysets_unknown() {
+        let mut t = PageTable::new(&cfg(), 0);
+        t.note_remote_fetch(0, 1, false, false);
+        t.reset_to_base();
+        assert!(!t.copysets_complete());
+        assert!(t.held_by(1).is_empty() && !t.entry(0).remote_fetched());
+        // Fetches after the wipe are recorded again.
+        t.note_remote_fetch(1, 1, false, false);
+        assert_eq!(t.held_by(1), vec![1]);
+        assert!(!t.copysets_complete());
+
+        let mut new = PageTable::new(&cfg(), 1);
+        assert!(new.copysets_complete());
+        new.adopt_home(1, &[0u8; 64], VClock::new(2));
+        assert!(!new.copysets_complete());
+        assert!(new.held_by(0).is_empty());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! reported wire size must be exact (the traffic/log statistics depend
 //! on it).
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use hlrc::{Msg, WriteNotice, HEADER_BYTES};
+use hlrc::{kind_label, Msg, WriteNotice, HEADER_BYTES, MSG_KINDS};
 use minicheck::{check, Rng};
 use pagemem::{Decode, DiffRun, Encode, IntervalId, PageDiff, VClock};
 use simnet::WireSized;
@@ -72,7 +73,7 @@ fn arb_page_copies(rng: &mut Rng) -> Vec<hlrc::PageCopy> {
 }
 
 fn arb_msg(rng: &mut Rng) -> Msg {
-    match rng.u32_in(0, 17) {
+    match rng.u32_in(0, MSG_KINDS as u32) {
         0 => Msg::PageRequest {
             page: rng.u32_in(0, 1024),
         },
@@ -165,7 +166,7 @@ fn arb_msg(rng: &mut Rng) -> Msg {
             after: rng.u32_in(0, 1024),
             pages: arb_page_copies(rng),
         },
-        _ => {
+        17 => {
             let len = rng.usize_in(0, 256);
             Msg::HomeMigrate {
                 page: rng.u32_in(0, 1024),
@@ -173,6 +174,24 @@ fn arb_msg(rng: &mut Rng) -> Msg {
                 version: arb_vclock(rng),
             }
         }
+        18 => Msg::RecoveryHello,
+        _ => Msg::RecoveryHelloReply {
+            held: (0..rng.usize_in(0, 16))
+                .map(|_| rng.u32_in(0, 1024))
+                .collect(),
+            complete: rng.bool(),
+        },
+    }
+}
+
+#[test]
+fn generator_reaches_every_wire_tag() {
+    let seen: [Cell<bool>; MSG_KINDS] = Default::default();
+    check("generator_reaches_every_wire_tag", CASES, |rng| {
+        seen[arb_msg(rng).ordinal()].set(true);
+    });
+    for (tag, hit) in seen.iter().enumerate() {
+        assert!(hit.get(), "arb_msg never produced {}", kind_label(tag));
     }
 }
 
@@ -203,7 +222,7 @@ fn truncated_messages_never_panic() {
 fn corrupted_tag_is_rejected() {
     check("corrupted_tag_is_rejected", CASES, |rng| {
         let msg = arb_msg(rng);
-        let tag = rng.u32_in(18, 256) as u8;
+        let tag = rng.u32_in(MSG_KINDS as u32, 256) as u8;
         let mut bytes = msg.encode_to_vec();
         bytes[0] = tag;
         assert!(Msg::decode_from_slice(&bytes).is_err());

@@ -2,8 +2,9 @@
 //! cluster: these exercise the actual message exchanges (fetches, diff
 //! flushes, notices) across real threads.
 
-use hlrc::{DsmConfig, HlrcNode, NoLogging};
-use simnet::{run_cluster, SimTime};
+use hlrc::{CoherenceProtocol, DsmConfig, HlrcNode, Msg, NoLogging};
+use pagemem::IntervalId;
+use simnet::{run_cluster, SimDuration, SimTime};
 
 fn spawn<F, R>(cfg: DsmConfig, f: F) -> Vec<R>
 where
@@ -362,4 +363,62 @@ fn empty_intervals_produce_no_notices() {
             assert_eq!(extra_fetches, 0, "node {i} refetched despite no writes");
         }
     }
+}
+
+#[test]
+fn homes_remember_who_fetched_what_until_they_crash() {
+    // Node 1 fetches pages homed at node 0 in every way the protocol
+    // offers — demand request, batched demand page plus a predicted
+    // extra, recovery fetch — and then says hello as a recovering node
+    // would: node 0 must list all four pages. After node 0 itself
+    // crashes, its copysets are gone and it must say so.
+    let cfg = small_cfg(2, 8); // pages 0..4 homed at node 0
+    let go = Msg::DiffAck {
+        writer: IntervalId { node: 1, seq: 0 },
+    };
+    let got = spawn(cfg, move |mut node| {
+        if node.inner.me() == 0 {
+            node.barrier(); // serves node 1's requests while gathering
+            let held = node.inner.pages.held_by(1);
+            let complete = node.inner.pages.copysets_complete();
+            node.crash_and_reset(SimDuration::ZERO);
+            // Serve the post-crash hello until node 1 releases us.
+            node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
+            vec![(held, complete)]
+        } else {
+            let ask = |node: &mut HlrcNode, m: Msg| node.inner.ctx.send(0, m).expect("send");
+            ask(&mut node, Msg::PageRequest { page: 0 });
+            node.wait_for(|m| matches!(m, Msg::PageReply { page: 0, .. }));
+            ask(
+                &mut node,
+                Msg::PageRequestBatch {
+                    page: 1,
+                    extras: vec![2],
+                },
+            );
+            node.wait_for(|m| matches!(m, Msg::PageReply { page: 1, .. }));
+            node.wait_for(|m| matches!(m, Msg::PageReplyBatch { after: 1, .. }));
+            let required = node.inner.vc.clone();
+            ask(&mut node, Msg::RecoveryPageRequest { page: 3, required });
+            node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { page: 3, .. }));
+            let mut replies = Vec::new();
+            let mut hello = |node: &mut HlrcNode| {
+                ask(node, Msg::RecoveryHello);
+                let env = node.wait_for(|m| matches!(m, Msg::RecoveryHelloReply { .. }));
+                let Msg::RecoveryHelloReply { held, complete } = env.payload else {
+                    unreachable!()
+                };
+                replies.push((held, complete));
+            };
+            hello(&mut node);
+            node.barrier();
+            hello(&mut node);
+            ask(&mut node, go.clone());
+            replies
+        }
+    });
+    let all = vec![0, 1, 2, 3];
+    assert_eq!(got[0], vec![(all.clone(), true)], "home's own view");
+    assert_eq!(got[1][0], (all, true), "hello reply before the crash");
+    assert_eq!(got[1][1], (vec![], false), "hello reply after the crash");
 }

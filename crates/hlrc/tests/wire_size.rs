@@ -159,6 +159,23 @@ fn msg_home_migrate() {
 }
 
 #[test]
+fn msg_recovery_hello() {
+    check(&Msg::RecoveryHello);
+}
+
+#[test]
+fn msg_recovery_hello_reply() {
+    check(&Msg::RecoveryHelloReply {
+        held: vec![3, 4, 296],
+        complete: true,
+    });
+    check(&Msg::RecoveryHelloReply {
+        held: vec![],
+        complete: false,
+    });
+}
+
+#[test]
 fn msg_recovery_page_request() {
     check(&Msg::RecoveryPageRequest {
         page: 11,

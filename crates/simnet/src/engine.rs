@@ -699,11 +699,7 @@ pub trait CoherenceProtocol<M: WireSized> {
     /// telemetry event, and service everything deferred while replaying
     /// (in arrival order, timed from "now").
     fn resume_live(&mut self) {
-        let ctx = self.ctx();
-        if ctx.recovery_exit.is_none() {
-            ctx.recovery_exit = Some(ctx.now());
-            ctx.trace(TraceKind::RecoveryEnd);
-        }
+        self.ctx().mark_recovered();
         for env in self.ctx().take_deferred() {
             self.service(env, true);
         }

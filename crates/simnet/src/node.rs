@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::thread;
 
 use crate::disk::SimDisk;
-use crate::engine::{TraceEvent, TraceKind};
+use crate::engine::{PhaseBreakdown, TraceEvent, TraceKind};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::NodeMetrics;
@@ -52,6 +52,13 @@ pub struct NodeCtx<M> {
     /// Virtual time at which log replay finished and the node resumed
     /// live operation (recovery time = `recovery_exit - crashed_at`).
     pub recovery_exit: Option<SimTime>,
+    /// The time counters (compute, wait, disk) as they stood at
+    /// `crashed_at`; [`NodeCtx::mark_recovered`] subtracts them.
+    crash_counters: [SimDuration; 3],
+    /// Where the recovery window `[crashed_at, recovery_exit]` went:
+    /// its compute, wait and disk time sum to the window exactly
+    /// (`hidden` is zero — the wait is reported whole).
+    pub recovery_phases: Option<PhaseBreakdown>,
     /// Fault-injection state: the plan plus per-link PRNG streams and
     /// sequence counters. Lives in the transport layer, so it survives
     /// a simulated crash of the DSM process above it.
@@ -81,6 +88,8 @@ impl<M: WireSized> NodeCtx<M> {
             trace: TraceSink::default(),
             crashed_at: None,
             recovery_exit: None,
+            crash_counters: [SimDuration::ZERO; 3],
+            recovery_phases: None,
             last_rank: (SimTime::ZERO, 0, 0),
         }
     }
@@ -332,11 +341,44 @@ impl<M: WireSized> NodeCtx<M> {
         self.trace.set_capacity(capacity);
     }
 
-    /// Record a crash at the current virtual time. The telemetry
-    /// survives (it models an external observer, not node memory).
-    pub fn mark_crashed(&mut self) {
+    fn time_counters(&self) -> [SimDuration; 3] {
+        [
+            self.stats.compute_time,
+            self.stats.wait_time,
+            self.stats.disk_time,
+        ]
+    }
+
+    /// Record a crash at the current virtual time, then sit out the
+    /// cluster's crash-detection timeout (blocked, not computing): the
+    /// recovery window opens at the crash, so it includes `detection`.
+    /// The telemetry survives (it models an external observer, not node
+    /// memory).
+    pub fn mark_crashed(&mut self, detection: SimDuration) {
         self.crashed_at = Some(self.clock);
+        self.recovery_exit = None;
+        self.recovery_phases = None;
+        self.crash_counters = self.time_counters();
+        self.charge_wait(detection);
         self.trace(TraceKind::Crash);
+    }
+
+    /// Log replay has finished: close the recovery window at the
+    /// current virtual time. No-op if it is already closed.
+    pub fn mark_recovered(&mut self) {
+        if self.recovery_exit.is_some() {
+            return;
+        }
+        self.recovery_exit = Some(self.clock);
+        let [compute, wait, disk] = self.time_counters();
+        let [compute0, wait0, disk0] = self.crash_counters;
+        self.recovery_phases = Some(PhaseBreakdown {
+            compute: compute.saturating_sub(compute0),
+            wait: wait.saturating_sub(wait0),
+            disk: disk.saturating_sub(disk0),
+            hidden: SimDuration::ZERO,
+        });
+        self.trace(TraceKind::RecoveryEnd);
     }
 }
 

@@ -3,7 +3,9 @@
 //! failure-free result — the correctness gate of DESIGN.md.
 
 use ccl_apps::App;
-use ccl_core::{run_program, ClusterSpec, CrashPlan, Protocol, SimDuration, TraceKind};
+use ccl_core::{
+    kind_label, run_program, ClusterSpec, CrashPlan, Protocol, SimDuration, TraceKind, MSG_KINDS,
+};
 
 fn spec(app: App, nodes: usize, protocol: Protocol) -> ClusterSpec {
     let page = 256;
@@ -196,4 +198,182 @@ fn recovery_steps_are_traced_between_crash_and_exit() {
         assert!(replays > 0, "{protocol:?}: no replay steps traced");
         assert_eq!(ends, 1, "{protocol:?}: RecoveryEnd missing from window");
     }
+}
+
+// ------------------------------------------------------------
+// Recovery handshake: held-set filter and warm survivor logs
+// ------------------------------------------------------------
+
+/// Wire tag of a message kind, by its label.
+fn tag(label: &str) -> usize {
+    (0..MSG_KINDS)
+        .find(|&k| kind_label(k) == label)
+        .expect("known message kind")
+}
+
+#[test]
+fn ccl_recovery_fetches_no_more_than_the_victim_held() {
+    // Replay is deterministic, so the victim re-touches exactly what it
+    // fetched before the crash; its homes told it what that was. The
+    // recovery fetches are therefore bounded by the pre-crash fetches
+    // (demand pages plus predicted extras), however many pages the
+    // cluster wrote meanwhile.
+    let app = App::Shallow;
+    let s = spec(app, 4, Protocol::Ccl).with_crash(CrashPlan::new(1, 5));
+    let out = run_program(s, move |dsm| app.run_tiny(dsm));
+    assert!(out.nodes.iter().all(|n| n.result == app.tiny_reference()));
+    let victim = &out.nodes[1];
+    let crashed = victim.crashed_at.expect("crash was not injected");
+    let mut demand = std::collections::BTreeSet::new();
+    let mut predicted = 0u64;
+    for ev in victim.trace.iter().filter(|ev| ev.at <= crashed) {
+        match ev.kind {
+            TraceKind::PageFetch { page, .. } => {
+                demand.insert(page);
+            }
+            TraceKind::PrefetchIssued { count, .. } => predicted += u64::from(count),
+            _ => {}
+        }
+    }
+    let fetched = victim.stats.msgs_by_kind[tag("RecoveryPageRequest")];
+    assert!(fetched > 0, "recovery prefetched nothing");
+    assert!(
+        fetched <= demand.len() as u64 + predicted,
+        "{fetched} recovery fetches for {} demand + {predicted} predicted pre-crash fetches",
+        demand.len()
+    );
+    // Every peer was greeted once and answered once.
+    assert_eq!(victim.stats.msgs_by_kind[tag("RecoveryHello")], 3);
+    assert_eq!(out.total_stats().msgs_by_kind[tag("RecoveryHelloReply")], 3);
+    // Each survivor read its log back once, however many logged-diff
+    // requests it then served from memory.
+    for n in out.nodes.iter().filter(|n| n.node != 1) {
+        assert_eq!(n.disk.reads, 1, "node {} log scans", n.node);
+    }
+}
+
+#[test]
+fn a_page_the_victim_never_held_is_left_alone_until_it_faults_live() {
+    // Page X (page 0) is written every round but the victim first reads
+    // it *after* its crash point; page Y (page 1) it reads every round.
+    // Recovery must restore Y and never touch X; the later read of X is
+    // an ordinary live fetch. (Prefetch is off: a speculative extra
+    // would fetch X alongside Y, and a fetched page is a held page.)
+    const X: u32 = 0;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let xs = dsm.alloc_at::<u64>(words, 0);
+        let ys = dsm.alloc_at::<u64>(words, 0);
+        let mut sum = 0u64;
+        for round in 0..6u64 {
+            if dsm.me() == 0 {
+                dsm.write(&xs, 0, round + 1);
+                dsm.write(&ys, 0, 10 * (round + 1));
+            }
+            dsm.barrier();
+            match dsm.me() {
+                1 => {
+                    sum += dsm.read(&ys, 0);
+                    if round >= 4 {
+                        sum += dsm.read(&xs, 0);
+                    }
+                }
+                2 => sum += dsm.read(&xs, 0),
+                _ => {}
+            }
+            dsm.barrier();
+        }
+        sum
+    };
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_prefetch_depth(0)
+        .with_protocol(Protocol::Ccl);
+    let clean = run_program(base.clone(), program);
+    let out = run_program(base.with_crash(CrashPlan::new(1, 6)), program);
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    let victim = &out.nodes[1];
+    let exit = victim.recovery_exit.expect("recovery never completed");
+    assert_eq!(
+        victim.stats.msgs_by_kind[tag("RecoveryPageRequest")],
+        1,
+        "recovery should restore Y and nothing else"
+    );
+    let x_fetches: Vec<_> = victim
+        .trace
+        .iter()
+        .filter(|ev| matches!(ev.kind, TraceKind::PageFetch { page: X, .. }))
+        .collect();
+    assert!(!x_fetches.is_empty(), "X was never fetched at all");
+    assert!(
+        x_fetches.iter().all(|ev| ev.at > exit),
+        "X was fetched before recovery ended"
+    );
+}
+
+#[test]
+fn survivor_log_is_read_once_and_never_served_before_it_is_in_memory() {
+    // Node 0 logs one diff; node 1 plays a recovering peer. Its first
+    // logged-diff request lands while the log read its hello started is
+    // still in progress and must wait for it; a later one is answered
+    // at memory speed. The log is read exactly once.
+    use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
+    use pagemem::{IntervalId, PageDiff, PageFrame, Twin};
+    let cfg = DsmConfig::new(2, 4).with_page_size(256);
+    let disk = cfg.cost.disk;
+    let times = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+        let me = ctx.id();
+        let mut inner = NodeInner::new(ctx, cfg);
+        if me == 0 {
+            let mut ccl = ftlog::CclLogger::new();
+            let base = PageFrame::zeroed(256);
+            let mut written = base.clone();
+            written.write_u64(8, 7);
+            let diff = PageDiff::create(2, &Twin::of(&base), &written);
+            ccl.on_diffs_created(&mut inner, IntervalId { node: 0, seq: 0 }, &[diff]);
+            ccl.flush_after_send(&mut inner);
+            let hello = inner.ctx.recv().expect("hello");
+            assert_eq!(hello.payload, Msg::RecoveryHello);
+            let at = inner.ctx.service_time(&hello);
+            inner.serve_recovery_hello(&hello, at);
+            ccl.on_recovery_hello(&mut inner, at);
+            for _ in 0..2 {
+                let req = inner.ctx.recv().expect("logged diff request");
+                ccl.serve_logged_diffs(&mut inner, &req);
+            }
+            assert_eq!(inner.ctx.disk.counters().reads, 1, "one log scan");
+            let log_bytes = inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM);
+            let ready = at + disk.access_latency + disk.drain_time(log_bytes);
+            vec![ready]
+        } else {
+            let ask = Msg::LoggedDiffRequest {
+                page: 2,
+                seqs: vec![0],
+            };
+            inner.ctx.send(0, Msg::RecoveryHello).expect("send");
+            inner.ctx.send(0, ask.clone()).expect("send");
+            let is_diffs =
+                |m: &Msg| matches!(m, Msg::LoggedDiffReply { diffs, .. } if diffs.len() == 1);
+            let first = inner.ctx.wait_for_deferring(is_diffs);
+            // Long after the read completed:
+            inner.ctx.charge_wait(SimDuration::from_millis(50));
+            let asked = inner.ctx.now();
+            inner.ctx.send(0, ask).expect("send");
+            let second = inner.ctx.wait_for_deferring(is_diffs);
+            vec![first.arrive_at, asked, second.arrive_at]
+        }
+    });
+    let ready = times[0][0];
+    let (first, asked, second) = (times[1][0], times[1][1], times[1][2]);
+    assert!(
+        first >= ready,
+        "diff served at {first:?}, before the log was in memory at {ready:?}"
+    );
+    assert!(
+        second.saturating_since(asked) < disk.access_latency,
+        "a warm request paid a disk access: {:?}",
+        second.saturating_since(asked)
+    );
 }
