@@ -11,7 +11,7 @@
 //! Run with: `cargo bench -p ccl-bench --bench ablation`
 
 use ccl_apps::App;
-use ccl_bench::{mb, median_recovery_secs, run_paper, secs, NODES};
+use ccl_bench::{crash_point, mb, run_paper, run_paper_with_crash, secs, NODES};
 use ccl_core::{run_program, ClusterSpec, Protocol};
 
 fn a1_overlap() {
@@ -49,8 +49,18 @@ fn a2_prefetch() {
     );
     println!("{:-<78}", "");
     for app in App::ALL {
-        let t_with = median_recovery_secs(app, Protocol::Ccl, 0.75, 3);
-        let t_without = median_recovery_secs(app, Protocol::CclNoPrefetch, 0.75, 3);
+        // One failure-free probe per app fixes the crash point; recovery
+        // time is a pure function of the spec, so one crash run per cell.
+        let barriers = run_paper(app, Protocol::None).nodes[1].stats.barriers;
+        let at = crash_point(barriers, 0.75);
+        let recovery_secs = |protocol| {
+            run_paper_with_crash(app, protocol, at)
+                .recovery_time()
+                .expect("recovery completed")
+                .as_secs_f64()
+        };
+        let t_with = recovery_secs(Protocol::Ccl);
+        let t_without = recovery_secs(Protocol::CclNoPrefetch);
         println!(
             "{:<10} {:>19.3}s {:>23.3}s {:>18.2}",
             app.name(),

@@ -1,14 +1,15 @@
-//! # ccl-bench — experiment harness
+//! # ccl-bench — paper-scale run helpers
 //!
-//! Shared plumbing for the bench targets that regenerate every table and
-//! figure of the paper's evaluation section (run `cargo bench`):
+//! The paper's 8-node configuration as code ([`paper_spec`],
+//! [`run_paper`], [`run_paper_with_crash`]), shared by the `report`
+//! pipeline in `obsv` — which regenerates Tables 1–2 and Figures 4–5 —
+//! and by the bench targets that go beyond the paper's own evaluation
+//! (run `cargo bench -p ccl-bench`):
 //!
-//! * `table1` — application characteristics,
-//! * `table2` — overhead details per logging protocol,
-//! * `fig4`   — normalized failure-free execution time,
-//! * `fig5`   — normalized crash-recovery time,
 //! * `ablation` — design-choice ablations (overlap, prefetch, page size),
-//! * `micro`  — Criterion micro-benchmarks of the substrate operations.
+//! * `homeless` — home-based vs homeless LRC,
+//! * `related_work` — records-only and RSL logging on the home-based DSM,
+//! * `micro`  — host-time micro-benchmarks of the substrate operations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,30 +30,19 @@ pub fn run_paper(app: App, protocol: Protocol) -> RunOutput<u64> {
     run_program(paper_spec(app, protocol), move |dsm| app.run_paper(dsm))
 }
 
-/// Run the paper-scale workload with a crash of node 1 at roughly
-/// `fraction` of its barriers (e.g. 0.75 for the late-crash scenario).
-pub fn run_paper_with_crash(app: App, protocol: Protocol, fraction: f64) -> RunOutput<u64> {
-    let probe = run_paper(app, Protocol::None);
-    let barriers = probe.nodes[1].stats.barriers;
-    let at = ((barriers as f64 * fraction) as u64).clamp(1, barriers.saturating_sub(1).max(1));
-    let spec = paper_spec(app, protocol).with_crash(CrashPlan::new(1, at));
-    run_program(spec, move |dsm| app.run_paper(dsm))
+/// The barrier after which a node that completes `barriers` of them
+/// fails, for a crash at roughly `fraction` of its run (0.75 is the
+/// paper's late-crash scenario): never before the first barrier, never
+/// at the last.
+pub fn crash_point(barriers: u64, fraction: f64) -> u64 {
+    ((barriers as f64 * fraction) as u64).clamp(1, barriers.saturating_sub(1).max(1))
 }
 
-/// Median recovery time (seconds) over `trials` crash runs: recovery
-/// timing depends on how far the survivors happened to run ahead before
-/// blocking, which varies between (real-time) executions.
-pub fn median_recovery_secs(app: App, protocol: Protocol, fraction: f64, trials: usize) -> f64 {
-    let mut times: Vec<f64> = (0..trials)
-        .map(|_| {
-            run_paper_with_crash(app, protocol, fraction)
-                .recovery_time()
-                .expect("recovery completed")
-                .as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+/// Run the paper-scale workload with node 1 crashing after its
+/// `after_barriers`-th barrier (see [`crash_point`]).
+pub fn run_paper_with_crash(app: App, protocol: Protocol, after_barriers: u64) -> RunOutput<u64> {
+    let spec = paper_spec(app, protocol).with_crash(CrashPlan::new(1, after_barriers));
+    run_program(spec, move |dsm| app.run_paper(dsm))
 }
 
 /// Seconds with three decimals.
@@ -70,12 +60,6 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Render one horizontal bar for the normalized-time figures.
-pub fn bar(percent: f64) -> String {
-    let ticks = (percent / 2.0).round().max(0.0) as usize;
-    "#".repeat(ticks.min(80))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,7 +68,14 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(kb(2048.0), "2.0");
         assert_eq!(mb(3 * 1024 * 1024), "3.00");
-        assert_eq!(bar(100.0).len(), 50);
-        assert_eq!(bar(0.0), "");
+    }
+
+    #[test]
+    fn crash_point_stays_strictly_inside_the_run() {
+        assert_eq!(crash_point(40, 0.75), 30);
+        assert_eq!(crash_point(18, 0.75), 13);
+        assert_eq!(crash_point(1, 0.75), 1);
+        assert_eq!(crash_point(2, 0.99), 1);
+        assert_eq!(crash_point(8, 0.0), 1);
     }
 }

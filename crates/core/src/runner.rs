@@ -148,8 +148,8 @@ impl<R> RunOutput<R> {
 
     /// Machine-readable run telemetry: per-node phase breakdown (all
     /// times in nanoseconds), trace-event counts, and the fault-
-    /// injection knobs and counters, as a JSON string. The bench
-    /// harness prints this for downstream tooling.
+    /// injection knobs and counters, as a JSON string. Byte-stable
+    /// across same-spec runs; `detcheck` compares it.
     pub fn phases_json(&self, label: &str) -> String {
         use std::fmt::Write;
         let total = self.total_stats();
@@ -271,9 +271,9 @@ impl<R> RunOutput<R> {
     /// summaries from the conservative virtual-time scheduler. Kept out
     /// of [`phases_json`](Self::phases_json) on purpose — stalls and
     /// park times depend on real thread interleaving, so two
-    /// bit-identical runs may differ here. The bench harness prints
-    /// this separately so overhead is recorded without breaking the
-    /// byte-for-byte determinism contract on the main telemetry.
+    /// bit-identical runs may differ here; keeping it separate records
+    /// the overhead without breaking the byte-for-byte determinism
+    /// contract on the main telemetry.
     pub fn sched_json(&self, label: &str) -> String {
         use std::fmt::Write;
         let mut s = String::new();

@@ -18,8 +18,18 @@
 //! dirty-page lists: the diff contents are gone, because home-based
 //! HLRC discards diffs once the home acks them. Their `begin_recovery`
 //! therefore reports the gap loudly rather than silently producing a
-//! wrong memory image. They exist so the log-volume comparison of the
-//! related-work discussion is measurable (`--bench related_work`).
+//! wrong memory image.
+//!
+//! **Contract: reference code, not a product path.** No table or figure
+//! of the paper runs under these protocols; `ccl-core` exposes them
+//! (`Protocol::RecordsOnly`, `Protocol::Rsl`) only as the comparison
+//! points that `tests/integration_logging.rs` holds CCL and
+//! ML against — `related_work_protocols_log_but_cannot_recover` (same
+//! digests, logs smaller than ML's) and
+//! `related_work_recovery_is_rejected` (a crash under either is a loud
+//! error) — which is the paper's §5 argument as two executable checks.
+//! (`cargo bench -p ccl-bench --bench related_work` prints the
+//! log-volume comparison itself.)
 
 use hlrc::{FaultTolerance, Msg, NodeInner, SyncKind, WriteNotice};
 use pagemem::{ByteWriter, Encode, VClock};

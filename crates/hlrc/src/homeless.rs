@@ -18,8 +18,22 @@
 //! optimization of the same protocol), no garbage collection (the paper
 //! notes home-based needs none; here the archive growth is exactly the
 //! cost we want to measure), and full-page seeding from the page's
-//! initial owner. It exists for the home-based-vs-homeless comparison
-//! bench and shares the substrate (`simnet`, `pagemem`) with HLRC.
+//! initial owner. It shares the substrate (`simnet`, `pagemem`) with
+//! HLRC and nothing else.
+//!
+//! **Contract: reference code, not a product path.** Nothing in
+//! `ccl-core`, the logging protocols or the applications runs on it.
+//! Its job is to be the *differential oracle* for the home-based
+//! protocol: `crates/hlrc/tests/engine.rs`
+//! (`hlrc_and_homeless_agree_on_random_schedules`) drives `HlrcNode` and
+//! [`HomelessNode`] through the same random data-race-free schedules
+//! and requires identical digests on every node — two independently
+//! written coherence protocols that must agree on what release
+//! consistency means. (`cargo bench -p ccl-bench --bench homeless`
+//! additionally prints the message-count and diff-retention comparison
+//! of the paper's §2.) A simplification pass may shrink it but must not
+//! merge it into `node.rs`: an oracle that shares logic with what it
+//! checks checks nothing.
 
 use std::collections::HashMap;
 

@@ -2,7 +2,7 @@
 //!
 //! ```console
 //! $ cargo run --release -p obsv --bin blame               # paper scale
-//! $ cargo run --release -p obsv --bin blame -- --smoke    # verify.sh
+//! $ cargo run --release -p obsv --bin blame -- --smoke    # tiny matrix
 //! ```
 //!
 //! Runs every application under every Table 2 protocol at the chosen
@@ -14,33 +14,33 @@
 //!
 //! Flags:
 //!
-//! * `--smoke`        the 4-node tiny matrix (seconds); byte-compares
-//!   the full document against `crates/obsv/blame_baseline.json`.
-//! * `--bless`        (re)write that baseline from this run.
+//! * `--smoke`        the 4-node tiny matrix instead of the paper's.
 //! * `--out PATH`     write the full blame JSON document to `PATH`.
 //! * `--chrome PATH`  export the Water/CCL run as a Chrome trace with
 //!   the blame path highlighted (open at <https://ui.perfetto.dev>).
 //!
-//! Every run is hard-checked on the spot: blame-path segment durations
-//! must sum to exactly `exec_ns`, per-object log attribution must sum
-//! to exactly the run's total log bytes, and no trace event may have
-//! been dropped. Any violation is a non-zero exit.
+//! This is a diagnostic printer, not a gate: the `report` goldens pin
+//! a hash of each of these documents (`blame_fp`), and when one moves
+//! this command shows the document behind it (`--out` at the parent and
+//! at the change, then diff). Every run still goes through
+//! `checked_analysis`: blame-path segment durations must sum to exactly
+//! `exec_ns`, per-object log attribution must sum to exactly the run's
+//! total log bytes, and no trace event may have been dropped.
 //!
-//! Exit status: 0 on success, 1 on an invariant or baseline mismatch,
-//! 2 on usage or I/O errors.
+//! Exit status: 0 on success, 2 on a broken invariant, usage or I/O
+//! error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ccl_apps::App;
-use ccl_core::{Protocol, RunOutput};
-use obsv::blame::{analyze, blame_json, Blame, SCHEMA};
+use ccl_core::Protocol;
+use obsv::blame::{blame_json, checked_analysis, Blame, SCHEMA};
 use obsv::json::Json;
-use obsv::report::Scale;
+use obsv::report::{Scale, CRASH_FRACTION};
 
 struct Args {
     scale: Scale,
-    bless: bool,
     out: Option<PathBuf>,
     chrome: Option<PathBuf>,
 }
@@ -48,7 +48,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scale: Scale::Paper,
-        bless: false,
         out: None,
         chrome: None,
     };
@@ -56,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.scale = Scale::Smoke,
-            "--bless" => args.bless = true,
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
             "--chrome" => {
                 args.chrome = Some(PathBuf::from(it.next().ok_or("--chrome needs a path")?))
@@ -67,48 +65,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."))
-}
-
-fn baseline_path() -> PathBuf {
-    repo_root().join("crates/obsv/blame_baseline.json")
-}
-
 fn write(path: &Path, content: &str) -> Result<(), String> {
     std::fs::write(path, content).map_err(|e| format!("writing {}: {e}", path.display()))
-}
-
-/// Analyze one run, hard-checking the blame engine's exactness
-/// invariants — a violation means the attribution lies and the whole
-/// document is untrustworthy.
-fn checked_analysis(label: &str, out: &RunOutput<u64>) -> Result<Blame, String> {
-    let dropped: u64 = out.nodes.iter().map(|n| n.trace_dropped).sum();
-    if dropped > 0 {
-        return Err(format!(
-            "{label}: {dropped} trace event(s) dropped — blame needs the full trace"
-        ));
-    }
-    let blame = analyze(out);
-    if blame.cp_sum_ns() != blame.exec_ns {
-        return Err(format!(
-            "{label}: blame path sums to {} ns but the run took {} ns",
-            blame.cp_sum_ns(),
-            blame.exec_ns
-        ));
-    }
-    let logged = out.total_stats().log_bytes;
-    if blame.log_total_bytes() != logged {
-        return Err(format!(
-            "{label}: attributed {} log bytes but the run flushed {}",
-            blame.log_total_bytes(),
-            logged
-        ));
-    }
-    Ok(blame)
 }
 
 fn summarize(label: &str, blame: &Blame) {
@@ -129,7 +87,7 @@ fn summarize(label: &str, blame: &Blame) {
     );
 }
 
-fn run() -> Result<ExitCode, String> {
+fn run() -> Result<(), String> {
     let args = parse_args()?;
     let scale = args.scale;
     eprintln!(
@@ -160,7 +118,7 @@ fn run() -> Result<ExitCode, String> {
         }
         // One mid-run crash per logging protocol: the recovery
         // window's share of the makespan is part of the blame story.
-        let at = ((barriers as f64 * 0.75) as u64).clamp(1, barriers.saturating_sub(1).max(1));
+        let at = ccl_bench::crash_point(barriers, CRASH_FRACTION);
         for protocol in [Protocol::Ml, Protocol::Ccl] {
             let label = format!("{}/{}/crash", app.name(), protocol.label());
             let out = scale.run_with_crash(app, protocol, at);
@@ -191,39 +149,12 @@ fn run() -> Result<ExitCode, String> {
         );
     }
 
-    // The committed baseline pins the smoke-scale document to the
-    // byte: blame is a pure function of the deterministic trace, so
-    // any drift is a real behavior change to be inspected (and then
-    // re-blessed).
-    if scale == Scale::Smoke {
-        let path = baseline_path();
-        if args.bless {
-            write(&path, &text)?;
-            eprintln!("baseline blessed: {}", path.display());
-            return Ok(ExitCode::SUCCESS);
-        }
-        let baseline = std::fs::read_to_string(&path).map_err(|e| {
-            format!(
-                "no baseline at {} ({e}); run with --bless to create one",
-                path.display()
-            )
-        })?;
-        if baseline != text {
-            eprintln!(
-                "blame gate FAILED: document differs from {} — inspect the \
-                 drift and re-bless with --bless if intended",
-                path.display()
-            );
-            return Ok(ExitCode::from(1));
-        }
-        eprintln!("blame gate passed: document is byte-identical to the baseline");
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("blame: {msg}");
             ExitCode::from(2)

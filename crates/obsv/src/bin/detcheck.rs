@@ -4,7 +4,7 @@
 //! identical specs** and requires the two runs to be bit-identical:
 //! byte-for-byte equal `phases_json`, equal full trace fingerprints
 //! (`MsgSend`/`MsgRecv` causal edges included), equal digests, virtual
-//! execution times, and total log bytes — no tolerance bands anywhere.
+//! execution times, and total log bytes, all compared exactly.
 //! The fault-free matrix is then repeated under fixed chaos schedules
 //! (lossy network, a partition window, and — for the logging
 //! protocols — a mid-run crash) to show that determinism survives the
@@ -12,8 +12,8 @@
 //!
 //! Usage: `detcheck [--paper] [--chaos N]`
 //!
-//! * default scale is the 4-node smoke matrix (seconds); `--paper`
-//!   runs the paper's 8-node workloads (minutes),
+//! * default scale is the 4-node smoke matrix (under a second in
+//!   release); `--paper` runs the paper's 8-node workloads (about 20 s),
 //! * `--chaos N` selects how many of the fixed chaos schedules to
 //!   replay (default 2).
 //!
@@ -158,10 +158,7 @@ fn main() {
                     if protocol != Protocol::None {
                         spec = spec.with_crash(CrashPlan::new(1, 3));
                     }
-                    match scale {
-                        Scale::Paper => ccl_core::run_program(spec, move |dsm| app.run_paper(dsm)),
-                        Scale::Smoke => ccl_core::run_program(spec, move |dsm| app.run_tiny(dsm)),
-                    }
+                    scale.run_spec(app, spec)
                 });
             }
         }
@@ -185,10 +182,7 @@ fn main() {
                     CrashPlan::new(1, 3).with_garbled_tail(torn_seed)
                 };
                 let spec = scale.spec(app, protocol).with_crash(crash);
-                match scale {
-                    Scale::Paper => ccl_core::run_program(spec, move |dsm| app.run_paper(dsm)),
-                    Scale::Smoke => ccl_core::run_program(spec, move |dsm| app.run_tiny(dsm)),
-                }
+                scale.run_spec(app, spec)
             });
             let rot_seed = seed.rotate_left(17);
             let label = format!("{}/{}/rot", app.name(), protocol.label());
@@ -197,10 +191,7 @@ fn main() {
                     .spec(app, protocol)
                     .with_disk_fault(1, DiskFaultPlan::bit_rot(rot_seed, 350))
                     .with_crash(CrashPlan::new(1, 3));
-                match scale {
-                    Scale::Paper => ccl_core::run_program(spec, move |dsm| app.run_paper(dsm)),
-                    Scale::Smoke => ccl_core::run_program(spec, move |dsm| app.run_tiny(dsm)),
-                }
+                scale.run_spec(app, spec)
             });
         }
     }

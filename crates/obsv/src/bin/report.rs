@@ -1,42 +1,38 @@
 //! The paper-artifact report pipeline, as a command.
 //!
 //! ```console
-//! $ cargo run --release -p obsv --bin report              # paper scale
-//! $ cargo run --release -p obsv --bin report -- --smoke   # verify.sh
+//! $ cargo run --release -p obsv --bin report              # check
+//! $ cargo run --release -p obsv --bin report -- --bless   # after an intended change
 //! ```
+//!
+//! Runs the smoke matrix (4 nodes, ~0.1 s) and the paper matrix
+//! (8 nodes, ~4 s) and checks each against its committed golden —
+//! `crates/obsv/smoke_baseline.json` and `REPORT_paper.json` — field by
+//! field, exactly; then checks that the tables in `EXPERIMENTS.md`
+//! between the `<!-- report:* -->` markers are the ones the paper
+//! matrix renders. Without flags it writes nothing.
 //!
 //! Flags:
 //!
-//! * `--smoke`        run the 4-node tiny matrix (seconds) instead of
-//!   the paper-scale one (minutes); gates against
-//!   `crates/obsv/smoke_baseline.json` and never touches the paper
-//!   artifacts.
-//! * `--bless`        (re)write the baseline for the chosen scale with
-//!   this run's values and the default tolerance annotations.
-//! * `--out PATH`     also write the report JSON document to `PATH`.
-//! * `--trace PATH`   also export the 3D-FFT/CCL run as a Chrome-trace
-//!   file loadable at <https://ui.perfetto.dev>.
+//! * `--bless`        rewrite both goldens and the `EXPERIMENTS.md`
+//!   tables from this run instead of checking them.
+//! * `--out PATH`     also write the paper-scale report document to
+//!   `PATH`.
+//! * `--trace PATH`   also export the paper-scale 3D-FFT/CCL run as a
+//!   Chrome-trace file loadable at <https://ui.perfetto.dev>.
 //!
-//! At paper scale (gate pass or `--bless`) the Table 2 / Figure 4 /
-//! Figure 5 tables in `EXPERIMENTS.md` are regenerated in place between
-//! their `<!-- report:* -->` markers.
-//!
-//! Exit status: 0 on success, 1 on a gate violation, 2 on usage or I/O
-//! errors (including a missing baseline — bless one first).
+//! Exit status: 0 on success; 1 if a number, a key or a table differs
+//! (the first line names the first differing JSON path), a trace was
+//! truncated or a blame invariant broke; 2 on usage or I/O errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ccl_apps::App;
 use ccl_core::Protocol;
-use obsv::json;
-use obsv::report::{
-    baseline_json, blame_markdown, compare, fig4_markdown, fig5_markdown, parse_tolerances,
-    report_json, splice, table2_markdown, traffic_markdown, Report, Scale,
-};
+use obsv::report::{compare, report_json, splice_tables, Report, Scale};
 
 struct Args {
-    scale: Scale,
     bless: bool,
     out: Option<PathBuf>,
     trace: Option<PathBuf>,
@@ -44,7 +40,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        scale: Scale::Paper,
         bless: false,
         out: None,
         trace: None,
@@ -52,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" => args.scale = Scale::Smoke,
             "--bless" => args.bless = true,
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
             "--trace" => args.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a path")?)),
@@ -62,154 +56,105 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The repository root, resolved from this crate's manifest directory
-/// (`crates/obsv` → two levels up).
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."))
-}
-
-fn baseline_path(scale: Scale) -> PathBuf {
-    match scale {
-        Scale::Paper => repo_root().join("REPORT_paper.json"),
-        Scale::Smoke => repo_root().join("crates/obsv/smoke_baseline.json"),
-    }
-}
-
 fn write(path: &Path, content: &str) -> Result<(), String> {
     std::fs::write(path, content).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
-fn regenerate_experiments(report: &Report) -> Result<(), String> {
-    let path = repo_root().join("EXPERIMENTS.md");
-    let doc =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let doc = splice(&doc, "table2", &table2_markdown(report))?;
-    let doc = splice(&doc, "fig4", &fig4_markdown(report))?;
-    let doc = splice(&doc, "fig5", &fig5_markdown(report))?;
-    let doc = splice(&doc, "blame", &blame_markdown(report))?;
-    let doc = splice(&doc, "traffic", &traffic_markdown(report))?;
-    write(&path, &doc)?;
-    eprintln!("regenerated tables in {}", path.display());
-    Ok(())
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    let scale = args.scale;
+/// Run the matrix at `scale` and check (or, with `bless`, rewrite) its
+/// golden. `None` if a run broke a blame invariant.
+fn gate_scale(
+    scale: Scale,
+    bless: bool,
+    failures: &mut Vec<String>,
+) -> Result<Option<Report>, String> {
     eprintln!(
-        "collecting the {} matrix ({} nodes, {} apps x {} protocols + recovery)...",
+        "collecting the {} matrix ({} nodes, {} apps x {} protocols + crash runs)...",
         scale.label(),
         scale.nodes(),
         App::ALL.len(),
         Protocol::TABLE2.len(),
     );
-    let report = obsv::collect(scale);
+    let report = match obsv::collect(scale) {
+        Ok(report) => report,
+        Err(broken) => {
+            failures.push(broken);
+            return Ok(None);
+        }
+    };
+    let path = scale.golden_path();
+    let file = path.file_name().unwrap_or_default().to_string_lossy();
     let doc = report_json(&report);
-
-    // A truncated trace silently falsifies every trace-derived column
-    // (fingerprints, blame attribution), so dropped events are a loud
-    // warning here and a hard failure in detcheck.
-    let dropped: u64 = report
-        .apps
-        .iter()
-        .flat_map(|a| &a.runs)
-        .map(|r| r.trace_dropped)
-        .sum();
-    if dropped > 0 {
-        eprintln!(
-            "WARNING: {dropped} trace event(s) dropped by bounded sinks — \
-             trace fingerprints and blame attribution in this report are \
-             incomplete; size the workload or the trace bound so nothing drops"
-        );
+    if bless {
+        write(&path, &doc.pretty())?;
+        eprintln!("blessed {file}");
+    } else {
+        let violations = compare(&doc, &scale.load_golden()?);
+        if violations.is_empty() {
+            eprintln!("the {} matrix matches {file}", scale.label());
+        }
+        failures.extend(violations.into_iter().map(|v| format!("{file}: {v}")));
     }
+    Ok(Some(report))
+}
 
-    // Human-readable summary on stdout.
-    println!("## Table 2\n\n{}", table2_markdown(&report));
-    println!("## Figure 4 (None = 100)\n\n{}", fig4_markdown(&report));
-    println!(
-        "## Figure 5 (re-execution = 100)\n\n{}",
-        fig5_markdown(&report)
-    );
-    println!(
-        "## Blame (blame path, % of exec)\n\n{}",
-        blame_markdown(&report)
-    );
-    println!(
-        "## Traffic (per-kind, send-side)\n\n{}",
-        traffic_markdown(&report)
-    );
+/// Check (or, with `bless`, rewrite) the report tables in
+/// `EXPERIMENTS.md` against the paper-scale `report`.
+fn gate_tables(report: &Report, bless: bool, failures: &mut Vec<String>) -> Result<(), String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let (spliced, changed) = splice_tables(&text, report)?;
+    if changed.is_empty() {
+        eprintln!("the EXPERIMENTS.md tables match the paper matrix");
+    } else if bless {
+        write(&path, &spliced)?;
+        eprintln!("regenerated {changed:?} in EXPERIMENTS.md");
+    } else {
+        failures.extend(changed.iter().map(|name| {
+            format!("EXPERIMENTS.md: the table between the report:{name} markers is stale")
+        }));
+    }
+    Ok(())
+}
 
+fn run() -> Result<Vec<String>, String> {
+    let args = parse_args()?;
+    let mut failures = Vec::new();
+    gate_scale(Scale::Smoke, args.bless, &mut failures)?;
+    let Some(report) = gate_scale(Scale::Paper, args.bless, &mut failures)? else {
+        return Ok(failures);
+    };
+    gate_tables(&report, args.bless, &mut failures)?;
     if let Some(out) = &args.out {
-        write(out, &doc.pretty())?;
+        write(out, &report_json(&report).pretty())?;
         eprintln!("report written to {}", out.display());
     }
     if let Some(trace_path) = &args.trace {
-        eprintln!("exporting 3D-FFT/CCL chrome trace...");
-        let run = scale.run(App::Fft3d, Protocol::Ccl);
-        let label = format!("3D-FFT/ccl ({})", scale.label());
+        let run = Scale::Paper.run(App::Fft3d, Protocol::Ccl);
         let blame = obsv::analyze(&run);
         write(
             trace_path,
-            &obsv::chrome::chrome_trace_blamed(&run, &label, &blame),
+            &obsv::chrome::chrome_trace_blamed(&run, "3D-FFT/ccl (paper)", &blame),
         )?;
         eprintln!(
             "trace written to {} (open at https://ui.perfetto.dev)",
             trace_path.display()
         );
     }
-
-    let baseline_file = baseline_path(scale);
-    if args.bless {
-        let rules = obsv::report::default_tolerances();
-        write(&baseline_file, &baseline_json(&report, &rules).pretty())?;
-        eprintln!("baseline blessed: {}", baseline_file.display());
-        if scale == Scale::Paper {
-            regenerate_experiments(&report)?;
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let baseline_text = std::fs::read_to_string(&baseline_file).map_err(|e| {
-        format!(
-            "no baseline at {} ({e}); run with --bless to create one",
-            baseline_file.display()
-        )
-    })?;
-    let baseline = json::parse(&baseline_text)
-        .map_err(|e| format!("parsing {}: {e}", baseline_file.display()))?;
-    let rules = parse_tolerances(&baseline);
-    let result = compare(&doc, &baseline, &rules);
-    if result.passed() {
-        eprintln!(
-            "gate passed: {} fields compared against {}, {} ignored under annotations",
-            result.compared,
-            baseline_file.display(),
-            result.ignored,
-        );
-        if scale == Scale::Paper {
-            regenerate_experiments(&report)?;
-        }
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!(
-            "gate FAILED against {} ({} violations):",
-            baseline_file.display(),
-            result.violations.len()
-        );
-        for v in &result.violations {
-            eprintln!("  {v}");
-        }
-        eprintln!("(if the change is intended, re-bless with --bless)");
-        Ok(ExitCode::from(1))
-    }
+    Ok(failures)
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(code) => code,
+        Ok(failures) if failures.is_empty() => ExitCode::SUCCESS,
+        Ok(failures) => {
+            eprintln!("report FAILED ({} difference(s)):", failures.len());
+            for f in &failures {
+                eprintln!("  {f}");
+            }
+            eprintln!("(if the change is intended, rerun with --bless and commit the result)");
+            ExitCode::from(1)
+        }
         Err(msg) => {
             eprintln!("report: {msg}");
             ExitCode::from(2)

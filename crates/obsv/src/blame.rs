@@ -39,8 +39,8 @@
 //! continues there. Time the causer spent computing in parallel with
 //! the wait is charged to the wait (that is the point: the waiter lost
 //! that time *to* the cause). Segment durations therefore sum to
-//! **exactly** `exec_ns` — asserted by [`Blame::cp_sum_ns`] consumers
-//! and by the `blame` binary on every run.
+//! **exactly** `exec_ns` — [`checked_analysis`] refuses a run where
+//! they do not, and `report` and `blame` go through it for every run.
 //!
 //! Segments on a crashed node that fall inside its recovery window
 //! `[crashed_at, recovery_exit]` are split out as `recovery` segments,
@@ -62,8 +62,9 @@
 //!
 //! Everything here is a pure function of the trace, and the trace is a
 //! pure function of the deterministic virtual-time schedule — so
-//! [`blame_json`] is byte-stable across runs and goldenable
-//! (`detcheck` compares it).
+//! [`blame_json`] is byte-stable across runs: `detcheck` byte-compares
+//! it between same-spec runs, and the report goldens pin its hash per
+//! run (`blame_fp`).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -650,6 +651,38 @@ pub fn analyze<R>(run: &RunOutput<R>) -> Blame {
     }
 }
 
+/// [`analyze`] `run`, hard-checking what makes the analysis worth
+/// reading: the trace is complete (a truncated trace silently falsifies
+/// every trace-derived number), the blame path partitions `[0, exec_ns]`
+/// exactly, and the per-object log attribution sums to the bytes the
+/// run flushed. A violation means the attribution lies.
+pub fn checked_analysis<R>(label: &str, run: &RunOutput<R>) -> Result<Blame, String> {
+    let dropped: u64 = run.nodes.iter().map(|n| n.trace_dropped).sum();
+    if dropped > 0 {
+        return Err(format!(
+            "{label}: {dropped} trace event(s) dropped by the bounded sinks — trace \
+             fingerprints and blame need the full trace; size the workload or the \
+             trace bound so nothing drops"
+        ));
+    }
+    let blame = analyze(run);
+    if blame.cp_sum_ns() != blame.exec_ns {
+        return Err(format!(
+            "{label}: blame path sums to {} ns but the run took {} ns",
+            blame.cp_sum_ns(),
+            blame.exec_ns
+        ));
+    }
+    let logged = run.total_stats().log_bytes;
+    if blame.log_total_bytes() != logged {
+        return Err(format!(
+            "{label}: attributed {} log bytes but the run flushed {logged}",
+            blame.log_total_bytes(),
+        ));
+    }
+    Ok(blame)
+}
+
 /// Render one blame analysis as a deterministic JSON document.
 pub fn blame_json(blame: &Blame, label: &str) -> Json {
     let mut doc = Json::obj();
@@ -913,6 +946,20 @@ mod tests {
             blame.log_total_bytes(),
             out.total_stats().log_bytes,
             "attribution stays exact across a crash"
+        );
+    }
+
+    /// What makes `report` and `blame` exit 1: a run whose sinks
+    /// dropped events is refused before any number is derived from it.
+    #[test]
+    fn checked_analysis_refuses_a_truncated_trace() {
+        let mut out = run(Protocol::Ccl);
+        assert_eq!(checked_analysis("tiny/ccl", &out), Ok(analyze(&out)));
+        out.nodes[2].trace_dropped = 3;
+        let err = checked_analysis("tiny/ccl", &out).unwrap_err();
+        assert!(
+            err.starts_with("tiny/ccl: 3 trace event(s) dropped"),
+            "{err}"
         );
     }
 

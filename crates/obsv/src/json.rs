@@ -3,7 +3,7 @@
 //! The container has no registry access, so the report pipeline cannot
 //! use serde; this module is the small, dependency-free subset it needs:
 //! an ordered object model (so emitted files diff stably), a pretty
-//! writer, and a recursive-descent parser for reading baselines back.
+//! writer, and a recursive-descent parser for reading goldens back.
 //!
 //! Precision rule: every number is carried as `f64`, which is exact for
 //! integers below 2^53 — all counters in the report fit. Fields that do

@@ -11,14 +11,16 @@
 //! * [`json`] — the dependency-free JSON model, writer, and parser the
 //!   pipeline is built on (the container has no registry access, so no
 //!   serde).
+//! * [`blame`] — the causal blame engine: an exact partition of a
+//!   run's makespan, and of its logged bytes, by coherence object.
 //! * [`report`] — the paper-artifact pipeline: run the full evaluation
-//!   matrix, emit the Table 2 / Figure 4 / Figure 5 Markdown (spliced
-//!   into `EXPERIMENTS.md`), and gate the machine-readable report
-//!   against a committed baseline with explicit, reasoned tolerance
-//!   annotations for the few legitimately nondeterministic fields.
+//!   matrix, render the Table 1–2 / Figure 4–5 / blame / traffic
+//!   Markdown for `EXPERIMENTS.md`, and compare the machine-readable
+//!   report with a committed golden, exactly.
 //!
 //! The `report` binary (`cargo run --release -p obsv --bin report`)
-//! drives all three.
+//! checks both goldens and the tables; `blame` and `detcheck` are the
+//! diagnostic printer and the run-twice determinism check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +30,7 @@ pub mod chrome;
 pub mod json;
 pub mod report;
 
-pub use blame::{analyze, blame_json, Blame, BlameObj};
+pub use blame::{analyze, blame_json, checked_analysis, Blame, BlameObj};
 pub use chrome::chrome_trace;
 pub use json::Json;
 pub use report::{collect, compare, report_json, trace_fingerprint, Report, Scale};

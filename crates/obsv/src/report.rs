@@ -4,22 +4,26 @@
 //! under every Table 2 protocol, plus the Figure 5 crash-recovery
 //! scenario — and turns the results into three artifacts:
 //!
-//! 1. a machine-readable report document ([`report_json`]) whose
-//!    deterministic fields (digests, log bytes, flush counts, message
-//!    counts, trace fingerprints) are bit-stable run to run,
-//! 2. Markdown tables for the paper's Table 2 / Figure 4 / Figure 5,
-//!    spliced into `EXPERIMENTS.md` between `<!-- report:* -->` markers,
-//! 3. a regression verdict ([`compare`]) against a committed baseline:
-//!    every field must match exactly. The conservative virtual-time
-//!    scheduler (DESIGN.md §12) makes the whole matrix — Water's
-//!    lock-heavy schedule and crash-recovery timing included — a pure
-//!    function of the spec, so the tolerance annotations the baseline
-//!    used to carry are gone; the annotation machinery remains for any
-//!    future genuinely wall-clock measurement.
+//! 1. a machine-readable report document ([`report_json`]): digests,
+//!    times, log bytes, message counts, trace fingerprints, the blame
+//!    summary and a hash of the full blame document of every run,
+//!    crash runs included,
+//! 2. Markdown tables for the paper's Table 1 / Table 2 / Figure 4 /
+//!    Figure 5 plus the blame and traffic tables, spliced into
+//!    `EXPERIMENTS.md` between `<!-- report:* -->` markers
+//!    ([`splice_tables`]),
+//! 3. a regression verdict ([`compare`]) against a committed golden
+//!    document ([`Scale::golden_path`]): every field must match
+//!    exactly. The conservative virtual-time scheduler (DESIGN.md §12)
+//!    makes the whole matrix — Water's lock-heavy schedule and
+//!    crash-recovery timing included — a pure function of the spec.
+
+use std::path::{Path, PathBuf};
 
 use ccl_apps::App;
 use ccl_core::{run_program, ClusterSpec, CrashPlan, NodeMetrics, Protocol, RunOutput};
 
+use crate::blame::{blame_json, checked_analysis, Blame};
 use crate::json::Json;
 
 /// The paper's late-crash scenario: node 1 fails at ~75% of its
@@ -32,11 +36,12 @@ pub const SCHEMA: &str = "ccl-report/v1";
 /// Which size the matrix runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The paper's 8-node configuration and workload sizes; minutes of
-    /// wall clock. Baseline: `REPORT_paper.json` at the repo root.
+    /// The paper's 8-node configuration and workload sizes; the matrix
+    /// takes about 4 s of wall clock in release. Golden:
+    /// `REPORT_paper.json` at the repo root.
     Paper,
-    /// 4 nodes, tiny workloads, 256-byte pages; seconds of wall clock.
-    /// Baseline: `crates/obsv/smoke_baseline.json`. Used by `verify.sh`.
+    /// 4 nodes, tiny workloads, 256-byte pages; about 0.1 s in release.
+    /// Golden: `crates/obsv/smoke_baseline.json`.
     Smoke,
 }
 
@@ -57,12 +62,21 @@ impl Scale {
         }
     }
 
-    /// Crash-recovery trials. One at either scale: the conservative
-    /// virtual-time scheduler makes recovery timing a pure function of
-    /// the spec, so repeated trials return the same number (detcheck
-    /// verifies exactly that) and a median would be waste.
-    pub fn trials(self) -> usize {
-        1
+    /// The committed golden document for this scale.
+    pub fn golden_path(self) -> PathBuf {
+        let obsv = Path::new(env!("CARGO_MANIFEST_DIR"));
+        match self {
+            Scale::Paper => obsv.join("../../REPORT_paper.json"),
+            Scale::Smoke => obsv.join("smoke_baseline.json"),
+        }
+    }
+
+    /// Read and parse the committed golden document for this scale.
+    pub fn load_golden(self) -> Result<Json, String> {
+        let path = self.golden_path();
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        crate::json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
     }
 
     /// The cluster spec for `app` under `protocol` at this scale
@@ -76,13 +90,18 @@ impl Scale {
         }
     }
 
-    /// Run `app` under `protocol` failure-free at this scale.
-    pub fn run(self, app: App, protocol: Protocol) -> RunOutput<u64> {
-        let spec = self.spec(app, protocol);
+    /// Run `app`'s instance for this scale under `spec` — a
+    /// [`Scale::spec`], plus whatever faults the caller stacked on it.
+    pub fn run_spec(self, app: App, spec: ClusterSpec) -> RunOutput<u64> {
         match self {
             Scale::Paper => run_program(spec, move |dsm| app.run_paper(dsm)),
             Scale::Smoke => run_program(spec, move |dsm| app.run_tiny(dsm)),
         }
+    }
+
+    /// Run `app` under `protocol` failure-free at this scale.
+    pub fn run(self, app: App, protocol: Protocol) -> RunOutput<u64> {
+        self.run_spec(app, self.spec(app, protocol))
     }
 
     /// Run `app` under `protocol` with node 1 crashing after its
@@ -93,34 +112,41 @@ impl Scale {
         protocol: Protocol,
         after_barriers: u64,
     ) -> RunOutput<u64> {
-        let spec = self
-            .spec(app, protocol)
-            .with_crash(CrashPlan::new(1, after_barriers));
-        match self {
-            Scale::Paper => run_program(spec, move |dsm| app.run_paper(dsm)),
-            Scale::Smoke => run_program(spec, move |dsm| app.run_tiny(dsm)),
-        }
+        let crash = CrashPlan::new(1, after_barriers);
+        self.run_spec(app, self.spec(app, protocol).with_crash(crash))
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }
 
 /// FNV-1a over every node's trace event kinds, in node order —
 /// including the `MsgSend`/`MsgRecv` causal edges. The conservative
 /// virtual-time scheduler delivers messages in `(arrival, src, seq)`
 /// order, so the full causal schedule is deterministic and the
-/// fingerprint pins it. (The same coverage the determinism goldens
-/// use.)
+/// fingerprint pins it. Virtual times are excluded on purpose: this
+/// pins the *order* of events, `exec_ns` pins the times.
 pub fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = FNV_OFFSET;
     for n in &out.nodes {
         for ev in &n.trace {
-            let tag = format!("{:?}", ev.kind);
-            for b in tag.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
+            h = fnv1a(h, format!("{:?}", ev.kind).as_bytes());
         }
     }
     h
+}
+
+/// FNV-1a over the rendered blame document of one run: pins the whole
+/// analysis — blame path, per-object costs, straggler table, log split,
+/// recovery windows — in one golden field. `blame` prints the document
+/// itself when a hash moves.
+fn blame_fingerprint(blame: &Blame, label: &str) -> u64 {
+    fnv1a(FNV_OFFSET, blame_json(blame, label).pretty().as_bytes())
 }
 
 /// Everything the report keeps from one failure-free run.
@@ -152,6 +178,8 @@ pub struct RunRecord {
     pub metrics: NodeMetrics,
     /// Compact blame-engine summary (see [`crate::blame`]).
     pub blame: BlameSummary,
+    /// Hash of the full blame document this summary condenses.
+    pub blame_fp: u64,
     /// Per-wire-tag cluster traffic, `(msgs, bytes)` indexed by wire
     /// tag (see [`ccl_core::kind_label`]).
     pub traffic: Vec<(u64, u64)>,
@@ -223,8 +251,6 @@ pub fn blame_summary(blame: &crate::blame::Blame) -> BlameSummary {
 pub struct RecoveryRecord {
     /// Node 1's crash point, in completed barriers.
     pub crash_after_barriers: u64,
-    /// Crash runs per protocol (see [`Scale::trials`]).
-    pub trials: usize,
     /// Re-execution baseline: the clean run scaled to the crash point.
     pub reexec_ns: u64,
     /// ML recovery time (ns).
@@ -234,6 +260,8 @@ pub struct RecoveryRecord {
     /// Where the CCL recovery window went, `[compute, wait, disk]` ns
     /// at the failed node; sums to `ccl_ns`.
     pub ccl_phases_ns: [u64; 3],
+    /// Hashes of the `[ml, ccl]` crash runs' full blame documents.
+    pub blame_fp: [u64; 2],
 }
 
 /// One application's slice of the report.
@@ -256,15 +284,15 @@ pub struct Report {
     pub apps: Vec<AppReport>,
 }
 
-fn record(scale: Scale, app: App, protocol: Protocol) -> RunRecord {
+fn record(scale: Scale, app: App, protocol: Protocol) -> Result<RunRecord, String> {
     let out = scale.run(app, protocol);
+    let label = format!("{}/{}", app.name(), protocol.label());
+    let analysis = checked_analysis(&label, &out)?;
     let total = out.total_stats();
-    let analysis = crate::blame::analyze(&out);
-    let blame = blame_summary(&analysis);
     let traffic = (0..ccl_core::MSG_KINDS)
         .map(|k| (total.msgs_by_kind[k], total.bytes_by_kind[k]))
         .collect();
-    RunRecord {
+    Ok(RunRecord {
         protocol,
         digest: out.nodes[0].result,
         exec_ns: out.exec_time().as_nanos(),
@@ -277,49 +305,60 @@ fn record(scale: Scale, app: App, protocol: Protocol) -> RunRecord {
         trace_dropped: out.nodes.iter().map(|n| n.trace_dropped).sum(),
         trace_fp: trace_fingerprint(&out),
         metrics: out.total_metrics(),
-        blame,
+        blame: blame_summary(&analysis),
+        blame_fp: blame_fingerprint(&analysis, &label),
         traffic,
         prefetch: analysis.prefetch,
-    }
+    })
 }
 
-/// Recovery time and its `[compute, wait, disk]` split at the failed
-/// node, from one crash run (see [`Scale::trials`]).
-fn recovery_ns(scale: Scale, app: App, protocol: Protocol, at: u64) -> (u64, [u64; 3]) {
+/// What the report keeps from one crash run: recovery time, its
+/// `[compute, wait, disk]` split at the failed node, and the hash of
+/// the run's blame document.
+fn crash_record(
+    scale: Scale,
+    app: App,
+    protocol: Protocol,
+    at: u64,
+) -> Result<(u64, [u64; 3], u64), String> {
     let out = scale.run_with_crash(app, protocol, at);
+    let label = format!("{}/{}/crash", app.name(), protocol.label());
+    let analysis = checked_analysis(&label, &out)?;
     let total = out.recovery_time().expect("crash run completed recovery");
     let p = out
         .nodes
         .iter()
         .find_map(|n| n.recovery_phases)
         .expect("crash run recorded its recovery phases");
-    (
+    Ok((
         total.as_nanos(),
         [p.compute.as_nanos(), p.wait.as_nanos(), p.disk.as_nanos()],
-    )
+        blame_fingerprint(&analysis, &label),
+    ))
 }
 
-/// Run the full matrix at `scale`.
-pub fn collect(scale: Scale) -> Report {
+/// Run the full matrix at `scale`: every application under every
+/// Table 2 protocol, then one crash of node 1 per logging protocol.
+/// Every run's blame analysis is hard-checked for exactness
+/// ([`checked_analysis`]); the first violation is the error.
+pub fn collect(scale: Scale) -> Result<Report, String> {
     let mut apps = Vec::new();
     for app in App::ALL {
-        let runs: Vec<RunRecord> = Protocol::TABLE2
+        let runs = Protocol::TABLE2
             .iter()
             .map(|p| record(scale, app, *p))
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         let none = &runs[0];
-        let barriers = none.barriers_node1;
-        let at =
-            ((barriers as f64 * CRASH_FRACTION) as u64).clamp(1, barriers.saturating_sub(1).max(1));
-        let (ml_ns, _) = recovery_ns(scale, app, Protocol::Ml, at);
-        let (ccl_ns, ccl_phases_ns) = recovery_ns(scale, app, Protocol::Ccl, at);
+        let at = ccl_bench::crash_point(none.barriers_node1, CRASH_FRACTION);
+        let (ml_ns, _, ml_fp) = crash_record(scale, app, Protocol::Ml, at)?;
+        let (ccl_ns, ccl_phases_ns, ccl_fp) = crash_record(scale, app, Protocol::Ccl, at)?;
         let recovery = RecoveryRecord {
             crash_after_barriers: at,
-            trials: scale.trials(),
             reexec_ns: (none.exec_ns as f64 * CRASH_FRACTION) as u64,
             ml_ns,
             ccl_ns,
             ccl_phases_ns,
+            blame_fp: [ml_fp, ccl_fp],
         };
         apps.push(AppReport {
             app,
@@ -327,7 +366,7 @@ pub fn collect(scale: Scale) -> Report {
             recovery,
         });
     }
-    Report { scale, apps }
+    Ok(Report { scale, apps })
 }
 
 fn hist_json(metrics: &NodeMetrics) -> Json {
@@ -346,7 +385,7 @@ fn hist_json(metrics: &NodeMetrics) -> Json {
 }
 
 /// Render the report as its JSON document. Object keys are semantic
-/// (application names, protocol labels) so baseline-diff paths like
+/// (application names, protocol labels) so golden-diff paths like
 /// `apps.Water.runs.ccl.exec_ns` stay stable as the matrix grows.
 pub fn report_json(report: &Report) -> Json {
     let mut doc = Json::obj();
@@ -384,6 +423,7 @@ pub fn report_json(report: &Report) -> Json {
             bj.set("log_meta_bytes", Json::from_u64(b.log_meta_bytes));
             bj.set("unflushed_bytes", Json::from_u64(b.unflushed_bytes));
             j.set("blame", bj);
+            j.set("blame_fp", Json::from_hex(r.blame_fp));
             let mut tr = Json::obj();
             for (k, &(msgs, bytes)) in r.traffic.iter().enumerate() {
                 if msgs == 0 && bytes == 0 {
@@ -412,7 +452,6 @@ pub fn report_json(report: &Report) -> Json {
             "crash_after_barriers",
             Json::from_u64(a.recovery.crash_after_barriers),
         );
-        rec.set("trials", Json::from_u64(a.recovery.trials as u64));
         rec.set("reexec_ns", Json::from_u64(a.recovery.reexec_ns));
         rec.set("ml_ns", Json::from_u64(a.recovery.ml_ns));
         rec.set("ccl_ns", Json::from_u64(a.recovery.ccl_ns));
@@ -420,6 +459,11 @@ pub fn report_json(report: &Report) -> Json {
         rec.set("ccl_compute_ns", Json::from_u64(compute));
         rec.set("ccl_wait_ns", Json::from_u64(wait));
         rec.set("ccl_disk_ns", Json::from_u64(disk));
+        let [ml_fp, ccl_fp] = a.recovery.blame_fp;
+        let mut fps = Json::obj();
+        fps.set("ml", Json::from_hex(ml_fp));
+        fps.set("ccl", Json::from_hex(ccl_fp));
+        rec.set("blame_fp", fps);
         let mut entry = Json::obj();
         entry.set("runs", runs);
         entry.set("recovery", rec);
@@ -466,6 +510,30 @@ fn protocol_display(p: Protocol) -> &'static str {
         Protocol::Ccl => "CCL",
         other => other.label(),
     }
+}
+
+/// The Table 1 Markdown table: each application's paper-scale data
+/// set and synchronization type, with the barrier and lock-acquire
+/// counts measured in the failure-free None run (per node and
+/// cluster-wide respectively).
+pub fn table1_markdown(report: &Report) -> String {
+    let mut s = String::new();
+    s.push_str(
+        "| Program | Data set (harness scale) | Synchronization | Barriers | Lock acquires |\n",
+    );
+    s.push_str("|---|---|---|---|---|\n");
+    for a in &report.apps {
+        let none = &a.runs[0];
+        s.push_str(&format!(
+            "| {} | {} | {} | {} | {} |\n",
+            a.app.name(),
+            a.app.data_set(),
+            a.app.sync_kind(),
+            none.barriers_node1,
+            none.metrics.lock_wait_ns.count(),
+        ));
+    }
+    s
 }
 
 /// The Table 2 Markdown table (all apps, Table 2 columns).
@@ -665,213 +733,72 @@ pub fn splice(doc: &str, name: &str, replacement: &str) -> Result<String, String
     Ok(out)
 }
 
+/// Splice every report table into `doc` (the text of `EXPERIMENTS.md`)
+/// between its `<!-- report:* -->` markers. Returns the new text and
+/// the names of the blocks that changed: empty means the document
+/// already shows exactly what `report` measured.
+pub fn splice_tables(doc: &str, report: &Report) -> Result<(String, Vec<&'static str>), String> {
+    let tables = [
+        ("table1", table1_markdown(report)),
+        ("table2", table2_markdown(report)),
+        ("fig4", fig4_markdown(report)),
+        ("fig5", fig5_markdown(report)),
+        ("blame", blame_markdown(report)),
+        ("traffic", traffic_markdown(report)),
+    ];
+    let mut text = doc.to_string();
+    let mut changed = Vec::new();
+    for (name, table) in tables {
+        let spliced = splice(&text, name, &table)?;
+        if spliced != text {
+            changed.push(name);
+            text = spliced;
+        }
+    }
+    Ok((text, changed))
+}
+
 // ---------------------------------------------------------------------------
 // Regression gate
 // ---------------------------------------------------------------------------
 
-/// How a baseline field may differ from the current run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Band {
-    /// Relative tolerance in percent of the baseline value.
-    Pct(f64),
-    /// Not compared at all (value varies run to run).
-    Ignore,
+/// Compare `current` against the committed `golden`, exactly: every
+/// number, string and key. Returns one human-readable violation per
+/// differing field, in the golden's document order and prefixed with
+/// the field's dotted path (`apps.Water.runs.ccl.exec_ns: ...`); empty
+/// means the documents agree.
+pub fn compare(current: &Json, golden: &Json) -> Vec<String> {
+    let mut violations = Vec::new();
+    walk(current, golden, "", &mut violations);
+    violations
 }
 
-/// One tolerance annotation: which field(s), how much slack, and the
-/// recorded reason. Fields with no matching annotation must match the
-/// baseline exactly.
-#[derive(Debug, Clone)]
-pub struct Tolerance {
-    /// Dotted path pattern: `*` matches one segment, a trailing `**`
-    /// matches any remainder (`apps.Water.runs.ccl.hist.**`).
-    pub path: String,
-    /// The allowed deviation.
-    pub band: Band,
-    /// Why this field is allowed to vary (recorded in the baseline).
-    pub why: String,
-}
-
-/// The tolerance set a freshly blessed baseline is annotated with:
-/// **empty** — every field compares exactly.
-///
-/// The annotations this set used to carry (Water's ~20–30% `exec_ns`
-/// swing from physical lock-arrival order, MG's ±0.01% ack-timing
-/// nudge from physical flush arrival, and crash-recovery timing that
-/// depended on how far survivors ran ahead) all rooted in the router
-/// delivering messages in physical arrival order. The conservative
-/// virtual-time scheduler delivers in `(arrival, src, seq)` order
-/// (DESIGN.md §12), which makes lock grants, flush service, and
-/// recovery progress pure functions of virtual time — so the bands are
-/// gone, not widened. The `Band`/path machinery stays: a future
-/// genuinely physical measurement (e.g. wall-clock overhead) can
-/// re-annotate itself, with a recorded reason, without rebuilding it.
-pub fn default_tolerances() -> Vec<Tolerance> {
-    Vec::new()
-}
-
-/// Serialize tolerances for embedding in a baseline document.
-pub fn tolerances_json(rules: &[Tolerance]) -> Json {
-    Json::Arr(
-        rules
-            .iter()
-            .map(|t| {
-                let mut j = Json::obj();
-                j.set("path", Json::Str(t.path.clone()));
-                match t.band {
-                    Band::Pct(p) => {
-                        j.set("kind", Json::Str("pct".to_string()));
-                        j.set("pct", Json::Num(p));
-                    }
-                    Band::Ignore => {
-                        j.set("kind", Json::Str("ignore".to_string()));
-                    }
-                }
-                j.set("why", Json::Str(t.why.clone()));
-                j
-            })
-            .collect(),
-    )
-}
-
-/// Read the tolerance annotations out of a baseline document; falls
-/// back to [`default_tolerances`] when the baseline has none.
-pub fn parse_tolerances(baseline: &Json) -> Vec<Tolerance> {
-    let Some(items) = baseline.get("tolerances").and_then(|t| t.as_arr()) else {
-        return default_tolerances();
-    };
-    items
-        .iter()
-        .filter_map(|item| {
-            let path = item.get("path")?.as_str()?.to_string();
-            let band = match item.get("kind")?.as_str()? {
-                "ignore" => Band::Ignore,
-                "pct" => Band::Pct(item.get("pct")?.as_f64()?),
-                _ => return None,
-            };
-            let why = item
-                .get("why")
-                .and_then(|w| w.as_str())
-                .unwrap_or("")
-                .to_string();
-            Some(Tolerance { path, band, why })
-        })
-        .collect()
-}
-
-fn path_matches(pattern: &str, path: &str) -> bool {
-    let pat: Vec<&str> = pattern.split('.').collect();
-    let segs: Vec<&str> = path.split('.').collect();
-    fn rec(pat: &[&str], segs: &[&str]) -> bool {
-        match (pat.first(), segs.first()) {
-            (None, None) => true,
-            (Some(&"**"), _) => true,
-            (Some(&p), Some(&s)) if p == "*" || p == s => rec(&pat[1..], &segs[1..]),
-            _ => false,
+fn walk(current: &Json, golden: &Json, path: &str, violations: &mut Vec<String>) {
+    let child = |k: &str| {
+        if path.is_empty() {
+            k.to_string()
+        } else {
+            format!("{path}.{k}")
         }
-    }
-    rec(&pat, &segs)
-}
-
-fn find_band<'a>(rules: &'a [Tolerance], path: &str) -> Option<&'a Band> {
-    rules
-        .iter()
-        .find(|t| path_matches(&t.path, path))
-        .map(|t| &t.band)
-}
-
-/// Outcome of one gate run.
-#[derive(Debug, Default)]
-pub struct GateResult {
-    /// Fields compared (exactly or within a band).
-    pub compared: usize,
-    /// Fields skipped under an `ignore` annotation.
-    pub ignored: usize,
-    /// Human-readable violations; empty means the gate passed.
-    pub violations: Vec<String>,
-}
-
-impl GateResult {
-    /// Did the gate pass?
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Compare `current` against `baseline` under `rules`. The baseline's
-/// top-level `tolerances` member is metadata, not data, and is skipped.
-pub fn compare(current: &Json, baseline: &Json, rules: &[Tolerance]) -> GateResult {
-    let mut result = GateResult::default();
-    walk(current, baseline, rules, "", &mut result);
-    result
-}
-
-fn note(result: &mut GateResult, path: &str, msg: String) {
-    result.violations.push(format!("{path}: {msg}"));
-}
-
-fn walk(current: &Json, baseline: &Json, rules: &[Tolerance], path: &str, result: &mut GateResult) {
-    if let Some(Band::Ignore) = find_band(rules, path) {
-        result.ignored += 1;
-        return;
-    }
-    match (current, baseline) {
-        (Json::Obj(cur), Json::Obj(base)) => {
-            for (k, bv) in base {
-                if path.is_empty() && k == "tolerances" {
-                    continue;
-                }
-                let child = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                match cur.iter().find(|(ck, _)| ck == k) {
-                    Some((_, cv)) => walk(cv, bv, rules, &child, result),
-                    None => note(result, &child, "missing from current report".to_string()),
+    };
+    match (current, golden) {
+        (Json::Obj(cur), Json::Obj(gold)) => {
+            for (k, gv) in gold {
+                match current.get(k) {
+                    Some(cv) => walk(cv, gv, &child(k), violations),
+                    None => violations.push(format!("{}: missing from current report", child(k))),
                 }
             }
             for (k, _) in cur {
-                if base.iter().all(|(bk, _)| bk != k) {
-                    let child = if path.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{path}.{k}")
-                    };
-                    note(result, &child, "not present in baseline".to_string());
+                if golden.get(k).is_none() {
+                    violations.push(format!("{}: not present in the golden", child(k)));
                 }
             }
         }
-        (Json::Num(c), Json::Num(b)) => {
-            result.compared += 1;
-            match find_band(rules, path) {
-                Some(Band::Pct(pct)) => {
-                    let slack = (b.abs() * pct / 100.0).max(1.0);
-                    if (c - b).abs() > slack {
-                        note(
-                            result,
-                            path,
-                            format!("{c} vs baseline {b} (±{pct}% allowed)"),
-                        );
-                    }
-                }
-                _ => {
-                    if c != b {
-                        note(result, path, format!("{c} vs baseline {b} (exact)"));
-                    }
-                }
-            }
+        (c, g) if c != g => {
+            violations.push(format!("{path}: {} vs golden {}", brief(c), brief(g)));
         }
-        (c, b) => {
-            result.compared += 1;
-            if c != b {
-                note(
-                    result,
-                    path,
-                    format!("{} vs baseline {} (exact)", brief(c), brief(b)),
-                );
-            }
-        }
+        _ => {}
     }
 }
 
@@ -879,25 +806,16 @@ fn brief(j: &Json) -> String {
     match j {
         Json::Str(s) => format!("{s:?}"),
         other => {
-            let mut s = other.pretty();
+            let mut s = other.pretty().trim_end().to_string();
             s.truncate(40);
             s
         }
     }
 }
 
-/// Build the committed baseline document: the report plus its
-/// tolerance annotations.
-pub fn baseline_json(report: &Report, rules: &[Tolerance]) -> Json {
-    let mut doc = report_json(report);
-    doc.set("tolerances", tolerances_json(rules));
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use simnet::NodeMetrics;
 
     fn fake_report() -> Report {
@@ -921,6 +839,7 @@ mod tests {
                 log_page_bytes: log_bytes,
                 ..BlameSummary::default()
             },
+            blame_fp: 0x0fed_cba9_8765_4321,
             traffic: {
                 let mut t = vec![(0u64, 0u64); ccl_core::MSG_KINDS];
                 t[1] = (40, 40 * 4096); // PageReply
@@ -945,11 +864,11 @@ mod tests {
                 ],
                 recovery: RecoveryRecord {
                     crash_after_barriers: 6,
-                    trials: 1,
                     reexec_ns: 750_000,
                     ml_ns: 500_000,
                     ccl_ns: 400_000,
                     ccl_phases_ns: [300_000, 90_000, 10_000],
+                    blame_fp: [0x1111, 0x2222],
                 },
             })
             .collect();
@@ -959,180 +878,70 @@ mod tests {
         }
     }
 
-    fn tol(path: &str, band: Band, why: &str) -> Tolerance {
-        Tolerance {
-            path: path.to_string(),
-            band,
-            why: why.to_string(),
-        }
+    fn committed(scale: Scale) -> Json {
+        scale.load_golden().expect("committed golden")
+    }
+
+    fn member<'a>(j: &'a Json, path: &[&str]) -> &'a Json {
+        path.iter()
+            .try_fold(j, |j, k| j.get(k))
+            .unwrap_or_else(|| panic!("nothing at {}", path.join(".")))
+    }
+
+    fn num(j: &Json, path: &[&str]) -> f64 {
+        member(j, path)
+            .as_f64()
+            .unwrap_or_else(|| panic!("no number at {}", path.join(".")))
     }
 
     #[test]
     fn identical_reports_pass_the_gate() {
         let doc = report_json(&fake_report());
-        let base = baseline_json(&fake_report(), &default_tolerances());
-        let rules = parse_tolerances(&base);
-        let res = compare(&doc, &base, &rules);
-        assert!(res.passed(), "{:?}", res.violations);
-        assert!(res.compared > 50);
-        assert_eq!(
-            res.ignored, 0,
-            "the default tolerance set is empty: every field compares"
-        );
+        assert_eq!(compare(&doc, &doc), Vec::<String>::new());
     }
 
+    /// Every field compares exactly — a one-byte log drift and a 2 ns
+    /// recovery drift are both violations — and violations come in
+    /// document order, so the first one names the first differing path.
     #[test]
-    fn exact_field_drift_is_a_violation() {
+    fn exact_field_drift_is_a_violation_naming_its_path() {
         let doc = report_json(&fake_report());
         let mut drifted = fake_report();
         drifted.apps[0].runs[2].log_bytes += 1;
-        let base = baseline_json(&drifted, &default_tolerances());
-        let rules = parse_tolerances(&base);
-        let res = compare(&doc, &base, &rules);
-        assert!(!res.passed());
-        assert!(
-            res.violations
-                .iter()
-                .any(|v| v.starts_with("apps.3D-FFT.runs.ccl.log_bytes")),
-            "{:?}",
-            res.violations
-        );
-    }
-
-    /// With the empty default set, even a one-count drift on a field
-    /// that used to carry a wide band (recovery timing) is a violation.
-    #[test]
-    fn recovery_timing_now_compares_exactly() {
-        let doc = report_json(&fake_report());
-        let mut drifted = fake_report();
         drifted.apps[3].recovery.ml_ns += 2;
-        let base = baseline_json(&drifted, &default_tolerances());
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(!res.passed());
+        let violations = compare(&doc, &report_json(&drifted));
+        assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(
-            res.violations
-                .iter()
-                .any(|v| v.starts_with("apps.Water.recovery.ml_ns")),
-            "{:?}",
-            res.violations
+            violations[0].starts_with("apps.3D-FFT.runs.ccl.log_bytes: 9000 vs golden 9001"),
+            "{violations:?}"
         );
-    }
-
-    /// The band machinery itself still works for baselines that carry
-    /// explicit annotations (none do today, but the escape hatch stays
-    /// tested): drift inside a `pct` band passes, outside fails.
-    #[test]
-    fn banded_fields_absorb_drift_within_tolerance() {
-        let rules = vec![tol(
-            "apps.*.recovery.ml_ns",
-            Band::Pct(60.0),
-            "synthetic band for the gate test",
-        )];
-        let doc = report_json(&fake_report());
-        let mut drifted = fake_report();
-        for a in &mut drifted.apps {
-            a.recovery.ml_ns = (a.recovery.ml_ns as f64 * 1.4) as u64; // +40% < 60%
-        }
-        let base = baseline_json(&drifted, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(res.passed(), "{:?}", res.violations);
-
-        let mut way_off = fake_report();
-        way_off.apps[0].recovery.ml_ns *= 3;
-        let base = baseline_json(&way_off, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(!res.passed());
-    }
-
-    /// `ignore` annotations skip exactly the matching fields and count
-    /// them, leaving every other path exact.
-    #[test]
-    fn ignore_band_skips_only_matching_fields() {
-        let rules = vec![tol(
-            "apps.Water.runs.*.trace_fp",
-            Band::Ignore,
-            "synthetic ignore for the gate test",
-        )];
-        let doc = report_json(&fake_report());
-        let mut drifted = fake_report();
-        drifted.apps[3].runs[2].trace_fp ^= 1; // Water: ignored
-        let base = baseline_json(&drifted, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(res.passed(), "{:?}", res.violations);
-        assert!(res.ignored > 0);
-
-        let mut drifted = fake_report();
-        drifted.apps[0].runs[2].trace_fp ^= 1; // 3D-FFT: exact
-        let base = baseline_json(&drifted, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(!res.passed());
+        assert!(
+            violations[1].starts_with("apps.Water.recovery.ml_ns"),
+            "{violations:?}"
+        );
     }
 
     #[test]
     fn missing_and_extra_fields_are_violations() {
         let doc = report_json(&fake_report());
-        let mut base = baseline_json(&fake_report(), &default_tolerances());
-        base.set("extra_baseline_field", Json::Num(1.0));
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(res
-            .violations
-            .iter()
-            .any(|v| v.contains("missing from current report")));
-
-        let mut doc2 = report_json(&fake_report());
-        doc2.set("novel_field", Json::Num(1.0));
-        let base = baseline_json(&fake_report(), &default_tolerances());
-        let res = compare(&doc2, &base, &parse_tolerances(&base));
-        assert!(res
-            .violations
-            .iter()
-            .any(|v| v.contains("not present in baseline")));
-    }
-
-    #[test]
-    fn path_patterns() {
-        assert!(path_matches(
-            "apps.*.recovery.ml_ns",
-            "apps.Water.recovery.ml_ns"
-        ));
-        assert!(!path_matches(
-            "apps.*.recovery.ml_ns",
-            "apps.Water.recovery.ccl_ns"
-        ));
-        assert!(path_matches(
-            "apps.Water.runs.*.hist.**",
-            "apps.Water.runs.ccl.hist.flush_bytes.p99"
-        ));
-        assert!(!path_matches(
-            "apps.Water.runs.*.hist.**",
-            "apps.MG.runs.ccl.hist.p99"
-        ));
-        assert!(!path_matches(
-            "apps.Water.runs.*.hist.**",
-            "apps.Water.runs.ccl.exec_ns"
-        ));
-    }
-
-    #[test]
-    fn tolerances_round_trip_through_json() {
-        let rules = vec![
-            tol("apps.*.recovery.ml_ns", Band::Pct(60.0), "round trip"),
-            tol("apps.Water.runs.*.hist.**", Band::Ignore, "round trip"),
-        ];
-        let mut doc = Json::obj();
-        doc.set("tolerances", tolerances_json(&rules));
-        let text = doc.pretty();
-        let back = parse_tolerances(&json::parse(&text).unwrap());
-        assert_eq!(back.len(), rules.len());
-        for (a, b) in back.iter().zip(&rules) {
-            assert_eq!(a.path, b.path);
-            assert_eq!(a.band, b.band);
-        }
+        let mut golden = doc.clone();
+        golden.set("extra_golden_field", Json::Num(1.0));
+        assert_eq!(
+            compare(&doc, &golden),
+            ["extra_golden_field: missing from current report"]
+        );
+        assert_eq!(
+            compare(&golden, &doc),
+            ["extra_golden_field: not present in the golden"]
+        );
     }
 
     #[test]
     fn markdown_tables_have_one_row_per_cell() {
         let report = fake_report();
+        let t1 = table1_markdown(&report);
+        assert_eq!(t1.lines().count(), 2 + 4);
+        assert!(t1.contains("| Water | 512 molecules, 4 timesteps | locks and barriers | 8 | 0 |"));
         let t2 = table2_markdown(&report);
         assert_eq!(t2.lines().count(), 2 + 4 * 3);
         assert!(t2.contains("| 3D-FFT | CCL |"));
@@ -1180,6 +989,15 @@ mod tests {
             blame.get("log_page_bytes").unwrap().as_f64(),
             Some(90_000.0)
         );
+        let water = doc.get("apps").unwrap().get("Water").unwrap();
+        let ml = water.get("runs").unwrap().get("ml").unwrap();
+        assert_eq!(
+            ml.get("blame_fp"),
+            Some(&Json::from_hex(0x0fed_cba9_8765_4321))
+        );
+        let crash_fps = water.get("recovery").unwrap().get("blame_fp").unwrap();
+        assert_eq!(crash_fps.get("ml"), Some(&Json::from_hex(0x1111)));
+        assert_eq!(crash_fps.get("ccl"), Some(&Json::from_hex(0x2222)));
     }
 
     /// The paper's headline, gated on the committed paper-scale report:
@@ -1189,8 +1007,7 @@ mod tests {
     /// residual is printed, not gated.
     #[test]
     fn committed_report_keeps_the_figure_5_ordering() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../REPORT_paper.json");
-        let doc = json::parse(&std::fs::read_to_string(path).expect("REPORT_paper.json")).unwrap();
+        let doc = committed(Scale::Paper);
         let apps = doc.get("apps").expect("apps");
         for app in App::ALL {
             let rec = apps.get(app.name()).and_then(|a| a.get("recovery"));
@@ -1221,6 +1038,119 @@ mod tests {
             let parts = ns("ccl_compute_ns") + ns("ccl_wait_ns") + ns("ccl_disk_ns");
             assert_eq!(parts, ccl, "{}: CCL recovery phases leak", app.name());
         }
+    }
+
+    /// The structural facts the paper's argument rests on, checked on
+    /// both committed goldens: the full matrix is there, protocols agree
+    /// on every digest, None logs nothing, CCL logs less than ML, no
+    /// trace was truncated, histograms are ordered, both recoveries
+    /// happened, and the blame summaries are exact partitions.
+    #[test]
+    fn committed_goldens_keep_their_shape() {
+        for scale in [Scale::Smoke, Scale::Paper] {
+            let doc = committed(scale);
+            assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+            assert_eq!(doc.get("scale").and_then(Json::as_str), Some(scale.label()));
+            let apps = doc.get("apps").and_then(Json::as_obj).expect("apps");
+            let names: Vec<&str> = apps.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(names, App::ALL.map(App::name), "{}", scale.label());
+            for (name, app) in apps {
+                let at = format!("{}/{name}", scale.label());
+                let runs = app.get("runs").and_then(Json::as_obj).expect("runs");
+                let protocols: Vec<&str> = runs.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(protocols, Protocol::TABLE2.map(Protocol::label), "{at}");
+                let run = |p| member(app, &["runs", p]);
+                for (p, r) in runs {
+                    let at = format!("{at}/{p}");
+                    assert_eq!(r.get("digest"), run("none").get("digest"), "{at}: digest");
+                    assert_eq!(num(r, &["trace_dropped"]), 0.0, "{at}: truncated trace");
+                    for (metric, h) in r.get("hist").and_then(Json::as_obj).expect("hist") {
+                        let q = |k| num(h, &[k]);
+                        assert!(
+                            q("min") <= q("p50") && q("p50") <= q("p99") && q("p99") <= q("max"),
+                            "{at}: {metric} quantiles out of order"
+                        );
+                    }
+                    let blame = |k| num(r, &["blame", k]);
+                    let path = blame("cp_compute_ns")
+                        + blame("cp_recovery_ns")
+                        + blame("cp_wait_page_ns")
+                        + blame("cp_wait_lock_ns")
+                        + blame("cp_wait_barrier_ns")
+                        + blame("cp_wait_flush_ns");
+                    assert_eq!(path, num(r, &["exec_ns"]), "{at}: blame path leaks time");
+                    let logged = blame("log_page_bytes")
+                        + blame("log_lock_bytes")
+                        + blame("log_barrier_bytes")
+                        + blame("log_meta_bytes");
+                    assert_eq!(
+                        logged,
+                        num(r, &["log_bytes"]),
+                        "{at}: log split leaks bytes"
+                    );
+                    assert!(r.get("blame_fp").and_then(Json::as_str).is_some(), "{at}");
+                }
+                let log = |p| num(run(p), &["log_bytes"]);
+                assert_eq!(log("none"), 0.0, "{at}: None logged bytes");
+                assert!(0.0 < log("ccl") && log("ccl") < log("ml"), "{at}: CCL log");
+                let rec = app.get("recovery").expect("recovery");
+                assert!(
+                    num(rec, &["ml_ns"]) > 0.0 && num(rec, &["ccl_ns"]) > 0.0,
+                    "{at}"
+                );
+                for p in ["ml", "ccl"] {
+                    let fp = rec.get("blame_fp").and_then(|f| f.get(p));
+                    assert!(
+                        fp.and_then(Json::as_str).is_some(),
+                        "{at}: crash blame_fp.{p}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Before the batched-prefetch path (DESIGN.md §15) 3D-FFT — the
+    /// most remote-data-bound application — spent 58.3 % (None) and
+    /// 56.8 % (CCL) of its blame path waiting on page fetches. A
+    /// predictor or batching regression pushes the committed share back
+    /// toward those stop-and-wait levels and fails here.
+    #[test]
+    fn committed_fft_page_wait_share_stays_below_its_pre_prefetch_level() {
+        let doc = committed(Scale::Paper);
+        for (protocol, before) in [("none", 0.583), ("ccl", 0.568)] {
+            let run = member(&doc, &["apps", "3D-FFT", "runs", protocol]);
+            let share = num(run, &["blame", "cp_wait_page_ns"]) / num(run, &["exec_ns"]);
+            assert!(
+                share < before,
+                "3D-FFT/{protocol}: page-wait share {share:.3} not below {before}"
+            );
+        }
+    }
+
+    /// `report` fails on table drift instead of rewriting: a document
+    /// whose tables were spliced from this report is clean, and one
+    /// doctored number is reported under its table's name.
+    #[test]
+    fn doctored_experiments_table_is_reported_as_drift() {
+        let mut doc = String::new();
+        for name in ["table1", "table2", "fig4", "fig5", "blame", "traffic"] {
+            doc.push_str(&format!(
+                "<!-- report:{name} -->\n<!-- /report:{name} -->\nprose\n"
+            ));
+        }
+        let report = fake_report();
+        let (spliced, changed) = splice_tables(&doc, &report).unwrap();
+        assert_eq!(changed.len(), 6);
+        assert_eq!(
+            splice_tables(&spliced, &report).unwrap(),
+            (spliced.clone(), vec![])
+        );
+        let doctored = spliced.replace("| 120.0 | 105.0 |", "| 124.0 | 105.0 |");
+        assert_ne!(doctored, spliced);
+        let (restored, changed) = splice_tables(&doctored, &report).unwrap();
+        assert_eq!(changed, ["fig4"]);
+        assert_eq!(restored, spliced);
+        assert!(splice_tables("no markers", &report).is_err());
     }
 
     #[test]

@@ -1,238 +1,93 @@
-//! Golden determinism contract: fault-free runs are bit-reproducible.
+//! Golden determinism contract: runs are bit-reproducible, and the
+//! committed goldens are what they reproduce.
 //!
 //! The simulator is deterministic by construction, which is what makes
-//! every reported number (Table 1/2, the figures) reviewable. These
-//! goldens pin the *observable* outputs of two tiny fault-free runs —
-//! application digest, virtual execution time, total log bytes, and the
-//! trace event *order* — so any change to the hot path (diff kernel,
-//! buffer pooling, shared payloads, codec sizing) that accidentally
-//! alters protocol behavior fails loudly instead of silently shifting
-//! the paper's tables.
-//!
-//! The digests were captured before the zero-copy overhaul and have
-//! survived every optimization since unchanged — physical changes
-//! (allocation, copies) and latency-hiding changes (batched prefetch,
-//! adaptive homes) alike must never be logical ones. The execution
-//! times, log bytes, and trace fingerprints were recaptured when the
-//! fetch-hiding machinery landed (DESIGN.md §15): prefetch-enabled
-//! defaults shorten the schedules (tiny 3D-FFT/None by 46 %), and the
-//! barrier envelopes grew two length fields for migration proposals,
-//! which nudges even the ML rows (whose default prefetch depth is 0)
-//! by a few microseconds and log bytes.
+//! every reported number (Tables 1–2, the figures) reviewable. These
+//! tests hold tier-1 (`cargo test`) to the same two golden documents
+//! the `report` binary checks — `crates/obsv/smoke_baseline.json` and
+//! `REPORT_paper.json` — so any change to the hot path (diff kernel,
+//! buffer pooling, shared payloads, codec sizing, fetch hiding) that
+//! accidentally alters protocol behavior fails loudly instead of
+//! silently shifting the paper's tables. There is no second copy of
+//! any number here: an intended change is re-blessed once, with
+//! `report --bless`.
 
 use ccl_apps::App;
-use ccl_core::{run_program, ClusterSpec, Protocol, RunOutput};
+use ccl_core::Protocol;
+use obsv::report::{collect, compare, report_json, trace_fingerprint, Scale};
+use obsv::Json;
 
-/// FNV-1a over every node's trace event-kind debug representation, in
-/// node order. Virtual times are excluded on purpose: the fingerprint
-/// pins the *order* of protocol events, which together with `exec_ns`
-/// (which does depend on times) pins the full observable schedule.
-///
-/// The `MsgSend`/`MsgRecv` causal edges are **included**: the
-/// conservative virtual-time scheduler (DESIGN.md §12) delivers
-/// messages in `(arrival, src, seq)` order, so the full causal
-/// schedule — not just the coherence-event order — is deterministic
-/// and pinned here.
-fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for n in &out.nodes {
-        for ev in &n.trace {
-            let tag = format!("{:?}", ev.kind);
-            for b in tag.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
-    h
+fn golden(scale: Scale) -> Json {
+    scale.load_golden().expect("committed golden")
 }
 
-struct Golden {
-    app: App,
-    protocol: Protocol,
-    digest: u64,
-    exec_ns: u64,
-    log_bytes: u64,
-    trace_fp: u64,
-}
-
-const PAGE: usize = 256;
-const NODES: usize = 4;
-
-fn goldens() -> Vec<Golden> {
-    use Protocol::*;
-    let g = |app, protocol, digest, exec_ns, log_bytes, trace_fp| Golden {
-        app,
-        protocol,
-        digest,
-        exec_ns,
-        log_bytes,
-        trace_fp,
-    };
-    vec![
-        g(
-            App::Fft3d,
-            None,
-            0x360c9ba06b0461e6,
-            17_399_160,
-            0,
-            0x8e4705d6b31e2992,
-        ),
-        g(
-            App::Fft3d,
-            Ml,
-            0x360c9ba06b0461e6,
-            32_997_222,
-            99_204,
-            0xf860bf1b0726542d,
-        ),
-        g(
-            App::Fft3d,
-            Ccl,
-            0x360c9ba06b0461e6,
-            17_545_518,
-            9_684,
-            0x8bbe24cfc3946d70,
-        ),
-        g(
-            App::Shallow,
-            None,
-            0xe13d122136fea4e6,
-            18_311_904,
-            0,
-            0xd8ed8ecc063ac97,
-        ),
-        g(
-            App::Shallow,
-            Ml,
-            0xe13d122136fea4e6,
-            25_178_772,
-            70_200,
-            0x6dccf40693ee3924,
-        ),
-        g(
-            App::Shallow,
-            Ccl,
-            0xe13d122136fea4e6,
-            18_524_376,
-            15_120,
-            0x77fd4bfc8cc0693b,
-        ),
-    ]
-}
-
-/// Paper-scale goldens for the two applications the tolerance bands
-/// used to cover: lock-heavy Water (previously ~20% `exec_ns` swing
-/// from physical lock-arrival order) and MG (±0.01% ack-timing nudge
-/// from physical flush arrival). Under the conservative virtual-time
-/// scheduler both pin exactly, trace fingerprint included.
-fn paper_goldens() -> Vec<Golden> {
-    use Protocol::*;
-    let g = |app, protocol, digest, exec_ns, log_bytes, trace_fp| Golden {
-        app,
-        protocol,
-        digest,
-        exec_ns,
-        log_bytes,
-        trace_fp,
-    };
-    vec![
-        g(
-            App::Mg,
-            None,
-            0x75aeac31809fd6dd,
-            388_979_056,
-            0,
-            0xf1323143988acee0,
-        ),
-        g(
-            App::Mg,
-            Ml,
-            0x75aeac31809fd6dd,
-            469_310_162,
-            8_261_316,
-            0x26ce23fa74f67b0e,
-        ),
-        g(
-            App::Mg,
-            Ccl,
-            0x75aeac31809fd6dd,
-            403_537_858,
-            609_784,
-            0x699e1c4c7a4a5f6e,
-        ),
-        g(
-            App::Water,
-            None,
-            0xb0c39b2ef95f7bdb,
-            1_620_203_708,
-            0,
-            0xa490717ebc280ba3,
-        ),
-        g(
-            App::Water,
-            Ml,
-            0xb0c39b2ef95f7bdb,
-            1_633_819_956,
-            1_991_903,
-            0x114a5a4bbf0eefa4,
-        ),
-        g(
-            App::Water,
-            Ccl,
-            0xb0c39b2ef95f7bdb,
-            1_623_019_412,
-            412_872,
-            0x61bfeb9cc2b08213,
-        ),
-    ]
-}
-
-fn check_golden(gold: &Golden, out: &RunOutput<u64>) {
-    let label = format!("{:?}/{:?}", gold.app, gold.protocol);
-    assert_eq!(
-        out.nodes[0].result, gold.digest,
-        "{label}: application digest drifted"
-    );
-    assert_eq!(
-        out.exec_time().as_nanos(),
-        gold.exec_ns,
-        "{label}: virtual execution time drifted"
-    );
-    assert_eq!(
-        out.total_log_bytes(),
-        gold.log_bytes,
-        "{label}: total log bytes drifted (Table 2 would change)"
-    );
-    assert_eq!(
-        trace_fingerprint(out),
-        gold.trace_fp,
-        "{label}: trace event order drifted"
-    );
-}
-
+/// The whole smoke matrix — 12 failure-free runs, 8 crash runs, every
+/// field `report` emits — matches its golden exactly; and `report`'s
+/// verdict on a golden with one perturbed number names that number's
+/// path first.
 #[test]
 fn fault_free_runs_match_goldens() {
-    for gold in goldens() {
-        let app = gold.app;
-        let spec = ClusterSpec::new(NODES, app.tiny_pages(PAGE) + 4)
-            .with_page_size(PAGE)
-            .with_protocol(gold.protocol);
-        let out = run_program(spec, move |dsm| app.run_tiny(dsm));
-        check_golden(&gold, &out);
+    let doc = report_json(&collect(Scale::Smoke).expect("blame invariants hold"));
+    let golden = golden(Scale::Smoke);
+    assert_eq!(compare(&doc, &golden), Vec::<String>::new());
+
+    let mut perturbed = golden.clone();
+    bump(
+        &mut perturbed,
+        &["apps", "3D-FFT", "runs", "ccl", "exec_ns"],
+    );
+    let violations = compare(&doc, &perturbed);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(
+        violations[0].starts_with("apps.3D-FFT.runs.ccl.exec_ns: "),
+        "{violations:?}"
+    );
+}
+
+/// Add one to the number at `path` — a temporary, doctored copy of a
+/// golden.
+fn bump(j: &mut Json, path: &[&str]) {
+    match (j, path) {
+        (Json::Num(n), []) => *n += 1.0,
+        (Json::Obj(members), [key, rest @ ..]) => {
+            let (_, child) = members
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("no member {key}"));
+            bump(child, rest)
+        }
+        (other, _) => panic!("cannot descend into {other:?}"),
     }
 }
 
-/// The paper-scale (8-node, 4 KiB pages) runs of Water and MG match
-/// their goldens exactly — the workloads the ROADMAP's open item said
-/// could never be pinned.
+/// The paper-scale (8-node, 4 KiB pages) runs of lock-heavy Water and
+/// of MG match the committed report exactly, trace fingerprint
+/// included — the two workloads whose timing depended on physical
+/// arrival order before the conservative virtual-time scheduler
+/// (DESIGN.md §12).
 #[test]
 fn paper_scale_water_and_mg_match_goldens() {
-    for gold in paper_goldens() {
-        let app = gold.app;
-        let spec = ClusterSpec::new(8, app.paper_pages(4096) + 8).with_protocol(gold.protocol);
-        let out = run_program(spec, move |dsm| app.run_paper(dsm));
-        check_golden(&gold, &out);
+    let golden = golden(Scale::Paper);
+    for app in [App::Mg, App::Water] {
+        for protocol in Protocol::TABLE2 {
+            let label = format!("{}/{}", app.name(), protocol.label());
+            let want = golden
+                .get("apps")
+                .and_then(|a| a.get(app.name()))
+                .and_then(|a| a.get("runs"))
+                .and_then(|r| r.get(protocol.label()))
+                .unwrap_or_else(|| panic!("{label}: not in REPORT_paper.json"));
+            let out = Scale::Paper.run(app, protocol);
+            let got = [
+                ("digest", Json::from_hex(out.nodes[0].result)),
+                ("exec_ns", Json::from_u64(out.exec_time().as_nanos())),
+                ("log_bytes", Json::from_u64(out.total_log_bytes())),
+                ("trace_fp", Json::from_hex(trace_fingerprint(&out))),
+            ];
+            for (key, value) in got {
+                assert_eq!(Some(&value), want.get(key), "{label}: {key} drifted");
+            }
+        }
     }
 }
 
@@ -240,12 +95,7 @@ fn paper_scale_water_and_mg_match_goldens() {
 /// determinism, independent of the golden capture).
 #[test]
 fn repeated_runs_are_identical() {
-    let run = || {
-        let spec = ClusterSpec::new(NODES, App::Fft3d.tiny_pages(PAGE) + 4)
-            .with_page_size(PAGE)
-            .with_protocol(Protocol::Ccl);
-        run_program(spec, |dsm| App::Fft3d.run_tiny(dsm))
-    };
+    let run = || Scale::Smoke.run(App::Fft3d, Protocol::Ccl);
     let (a, b) = (run(), run());
     assert_eq!(a.nodes[0].result, b.nodes[0].result);
     assert_eq!(a.exec_time(), b.exec_time());

@@ -96,7 +96,7 @@ fn ccl_recovery_reads_less_log_than_ml_recovery() {
     // The mechanism behind the paper's Figure 5: ML-recovery reads its
     // (large) log back record by record, CCL-recovery reads its (small)
     // log once per interval. The wall-clock win shows at paper scale
-    // (see `cargo bench --bench fig5`); at test scale we assert the
+    // (the Figure 5 table `report` renders); at test scale we assert the
     // scale-independent invariants: both recoveries succeed and CCL's
     // replay pulls far fewer bytes off stable storage.
     let app = App::Shallow;
