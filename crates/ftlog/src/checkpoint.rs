@@ -77,7 +77,7 @@ impl Decode for CheckpointMeta {
         let last_barrier_vc = VClock::decode(r)?;
         let app_state = r.get_bytes()?;
         let n = r.get_u32()? as usize;
-        let mut home_overrides = Vec::with_capacity(n);
+        let mut home_overrides = Vec::with_capacity(r.capacity_for(n, 8));
         for _ in 0..n {
             let page = r.get_u32()?;
             let home = r.get_u32()?;

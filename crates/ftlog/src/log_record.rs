@@ -13,7 +13,7 @@
 //! Traditional ML needs no record type of its own: it logs the raw
 //! encoded bytes of every incoming coherence message.
 
-use hlrc::WriteNotice;
+use hlrc::{decode_notices, encode_notices, notices_size, WriteNotice};
 use pagemem::{
     ByteReader, ByteWriter, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, VClock,
 };
@@ -31,6 +31,13 @@ pub enum SyncTag {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CclRecord {
     /// Notices + timestamp accepted at one synchronization operation.
+    ///
+    /// Byte layout: `tag(0 acquire | 1 barrier) u32(lock | epoch)`, the
+    /// notice list as interval records ([`hlrc::encode_notices`]:
+    /// `var(n)`, then per interval `var(node) var(seq) var(n_runs)` and
+    /// per run of consecutive pages `var(start) var(len)`), then the
+    /// clock (`var(len)`, `var(count)` per process) — the same bytes the
+    /// grant or release carried them in.
     Sync {
         /// Which operation.
         tag: SyncTag,
@@ -69,10 +76,7 @@ impl Encode for CclRecord {
                         w.put_u32(*e);
                     }
                 }
-                w.put_u32(notices.len() as u32);
-                for n in notices {
-                    n.encode(w);
-                }
+                encode_notices(w, notices);
                 vc.encode(w);
             }
             CclRecord::Updates { writer, pages } => {
@@ -99,7 +103,7 @@ impl Encode for CclRecord {
     fn encoded_size(&self) -> usize {
         match self {
             CclRecord::Sync { notices, vc, .. } => {
-                1 + 4 + 4 + 12 * notices.len() + vc.encoded_size()
+                1 + 4 + notices_size(notices) + vc.encoded_size()
             }
             CclRecord::Updates { pages, .. } => 1 + 8 + 4 + 4 * pages.len(),
             CclRecord::Diffs { diffs, .. } => {
@@ -120,11 +124,7 @@ impl Decode for CclRecord {
                 } else {
                     SyncTag::Barrier(id)
                 };
-                let n = r.get_u32()? as usize;
-                let mut notices = Vec::with_capacity(n);
-                for _ in 0..n {
-                    notices.push(WriteNotice::decode(r)?);
-                }
+                let notices = decode_notices(r)?;
                 let vc = VClock::decode(r)?;
                 CclRecord::Sync {
                     tag: sync_tag,
@@ -135,7 +135,7 @@ impl Decode for CclRecord {
             2 => {
                 let writer = IntervalId::decode(r)?;
                 let n = r.get_u32()? as usize;
-                let mut pages = Vec::with_capacity(n);
+                let mut pages = Vec::with_capacity(r.capacity_for(n, 4));
                 for _ in 0..n {
                     pages.push(r.get_u32()?);
                 }
@@ -144,7 +144,8 @@ impl Decode for CclRecord {
             3 => {
                 let interval = IntervalId::decode(r)?;
                 let n = r.get_u32()? as usize;
-                let mut diffs = Vec::with_capacity(n);
+                // A diff is at least its page id and run count.
+                let mut diffs = Vec::with_capacity(r.capacity_for(n, 4 + 2));
                 for _ in 0..n {
                     diffs.push(PageDiff::decode(r)?);
                 }

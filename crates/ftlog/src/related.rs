@@ -208,10 +208,7 @@ impl FaultTolerance for RslLogger {
             }
             SyncKind::Release(_) => return,
         }
-        w.put_u32(notices.len() as u32);
-        for n in notices {
-            n.encode(&mut w);
-        }
+        hlrc::encode_notices(&mut w, notices);
         vc.encode(&mut w);
         self.staged.push(w.into_bytes());
     }

@@ -11,7 +11,7 @@ const CASES: u64 = 192;
 fn arb_interval(rng: &mut Rng) -> IntervalId {
     IntervalId {
         node: rng.u32_in(0, 8),
-        seq: rng.u32_in(0, 10_000),
+        seq: rng.u32_any_width(),
     }
 }
 
@@ -19,9 +19,30 @@ fn arb_vclock(rng: &mut Rng) -> VClock {
     let n = rng.usize_in(1, 9);
     let mut c = VClock::new(n);
     for i in 0..n {
-        c.set(i as u32, rng.u32_in(0, 10_000));
+        c.set(i as u32, rng.u32_any_width());
     }
     c
+}
+
+/// Strips of consecutive pages and scattered pages, over a few
+/// intervals that recur (`A B A`), duplicates included.
+fn arb_notices(rng: &mut Rng) -> Vec<WriteNotice> {
+    let intervals: Vec<IntervalId> = (0..rng.usize_in(1, 4)).map(|_| arb_interval(rng)).collect();
+    let mut out = Vec::new();
+    for _ in 0..rng.usize_in(0, 5) {
+        let interval = *rng.pick(&intervals);
+        let start = rng.u32_any_width();
+        let strip = rng.bool();
+        for i in 0..rng.u32_in(1, 10) {
+            let page = if strip {
+                start.saturating_add(i)
+            } else {
+                rng.u32_any_width()
+            };
+            out.push(WriteNotice { page, interval });
+        }
+    }
+    out
 }
 
 fn arb_diff(rng: &mut Rng) -> PageDiff {
@@ -50,15 +71,9 @@ fn arb_record(rng: &mut Rng) -> CclRecord {
             } else {
                 SyncTag::Barrier(rng.u32_in(0, 1000))
             };
-            let notices = (0..rng.usize_in(0, 16))
-                .map(|_| WriteNotice {
-                    page: rng.u32_in(0, 1024),
-                    interval: arb_interval(rng),
-                })
-                .collect();
             CclRecord::Sync {
                 tag,
-                notices,
+                notices: arb_notices(rng),
                 vc: arb_vclock(rng),
             }
         }
@@ -80,8 +95,60 @@ fn records_roundtrip() {
     check("records_roundtrip", CASES, |rng| {
         let rec = arb_record(rng);
         let bytes = rec.encode_to_vec();
+        assert_eq!(bytes.len(), rec.encoded_size(), "direct size drifted");
         assert_eq!(CclRecord::decode_from_slice(&bytes).unwrap(), rec);
     });
+}
+
+/// What Table 2 hinges on for the barrier-only applications: the `Sync`
+/// record of a barrier at which every node dirtied its contiguous home
+/// strip costs a few bytes per *interval*, not twelve per page.
+#[test]
+fn a_barrier_of_home_strips_logs_in_a_few_bytes_per_interval() {
+    let notices: Vec<WriteNotice> = (0..8u32)
+        .flat_map(|node| {
+            (0..66).map(move |p| WriteNotice {
+                page: node * 66 + p,
+                interval: IntervalId { node, seq: 30 },
+            })
+        })
+        .collect();
+    let mut vc = VClock::new(8);
+    for node in 0..8 {
+        vc.set(node, 31);
+    }
+    let rec = CclRecord::Sync {
+        tag: SyncTag::Barrier(30),
+        notices,
+        vc,
+    };
+    // tag + epoch, count, 8 x (node seq n_runs start len), clock.
+    assert!(
+        rec.encoded_size() <= 5 + 2 + 8 * 7 + 9,
+        "{} bytes",
+        rec.encoded_size()
+    );
+}
+
+/// Every counted field of every record, set to `u32::MAX` with nothing
+/// behind it, is an error, not an allocation of that size.
+#[test]
+fn hostile_counts_return_errors() {
+    const HUGE_VAR: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+    const HUGE_U32: [u8; 4] = [0xFF; 4];
+    let id = [3u8, 0, 0, 0];
+    let cases: Vec<(&str, Vec<&[u8]>)> = vec![
+        ("Sync notices", vec![&[1], &id, &HUGE_VAR]),
+        ("Sync clock", vec![&[1], &id, &[0], &HUGE_VAR]),
+        ("Updates pages", vec![&[2], &id, &id, &HUGE_U32]),
+        ("Diffs diffs", vec![&[3], &id, &id, &HUGE_U32]),
+    ];
+    for (what, parts) in cases {
+        assert!(
+            CclRecord::decode_from_slice(&parts.concat()).is_err(),
+            "{what}"
+        );
+    }
 }
 
 /// The economy claim underlying Table 2: an Updates record costs a
@@ -154,6 +221,19 @@ fn salvage_is_full_decode_or_clean_prefix_cut() {
                 assert_eq!(s.torn + s.crc_mismatches, 1);
             }
         }
+    });
+}
+
+/// A record that reaches the decoder has passed its frame's CRC, but
+/// the decoder does not lean on that: one flipped bit yields a record
+/// or an error, never a panic.
+#[test]
+fn bit_flipped_records_never_panic() {
+    check("bit_flipped_records_never_panic", 4 * CASES, |rng| {
+        let mut bytes = arb_record(rng).encode_to_vec();
+        let bit = rng.usize_in(0, bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let _ = CclRecord::decode_from_slice(&bytes);
     });
 }
 

@@ -44,7 +44,7 @@ use pagemem::{
 use simnet::{CoherenceProtocol, Envelope, NodeCtx, NodeId, TraceKind, WireSized};
 
 use crate::config::DsmConfig;
-use crate::msg::WriteNotice;
+use crate::msg::{decode_ids, decode_notices, encode_notices, notices_size, WriteNotice};
 use crate::sync::{BarrierMgr, LockTable, PendingAcquire};
 
 /// Messages of the homeless protocol.
@@ -125,18 +125,6 @@ pub enum HMsg {
     },
 }
 
-fn put_notices(w: &mut ByteWriter, notices: &[WriteNotice]) {
-    w.put_u32(notices.len() as u32);
-    for n in notices {
-        n.encode(w);
-    }
-}
-
-fn get_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecError> {
-    let n = r.get_u32()? as usize;
-    (0..n).map(|_| WriteNotice::decode(r)).collect()
-}
-
 impl Encode for HMsg {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
@@ -180,25 +168,25 @@ impl Encode for HMsg {
                 w.put_u8(5);
                 w.put_u32(*lock);
                 vc.encode(w);
-                put_notices(w, notices);
+                encode_notices(w, notices);
             }
             HMsg::LockRelease { lock, vc, notices } => {
                 w.put_u8(6);
                 w.put_u32(*lock);
                 vc.encode(w);
-                put_notices(w, notices);
+                encode_notices(w, notices);
             }
             HMsg::BarrierArrive { epoch, vc, notices } => {
                 w.put_u8(7);
                 w.put_u32(*epoch);
                 vc.encode(w);
-                put_notices(w, notices);
+                encode_notices(w, notices);
             }
             HMsg::BarrierRelease { epoch, vc, notices } => {
                 w.put_u8(8);
                 w.put_u32(*epoch);
                 vc.encode(w);
-                put_notices(w, notices);
+                encode_notices(w, notices);
             }
         }
     }
@@ -206,9 +194,6 @@ impl Encode for HMsg {
     /// Direct arithmetic mirror of `encode` — `wire_size` runs on every
     /// send and receive, so sizing must not serialize.
     fn encoded_size(&self) -> usize {
-        fn notices(n: &[WriteNotice]) -> usize {
-            4 + 12 * n.len()
-        }
         match self {
             HMsg::CopyRequest { .. } => 1 + 4,
             HMsg::CopyReply { data, applied, .. } => {
@@ -227,7 +212,9 @@ impl Encode for HMsg {
             HMsg::LockGrant { vc, notices: n, .. }
             | HMsg::LockRelease { vc, notices: n, .. }
             | HMsg::BarrierArrive { vc, notices: n, .. }
-            | HMsg::BarrierRelease { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices(n),
+            | HMsg::BarrierRelease { vc, notices: n, .. } => {
+                1 + 4 + vc.encoded_size() + notices_size(n)
+            }
         }
     }
 }
@@ -241,16 +228,15 @@ impl Decode for HMsg {
                 data: r.get_bytes()?.into(),
                 applied: VClock::decode(r)?,
             },
-            2 => {
-                let page = r.get_u32()?;
-                let n = r.get_u32()? as usize;
-                let seqs = (0..n).map(|_| r.get_u32()).collect::<Result<_, _>>()?;
-                HMsg::DiffRequest { page, seqs }
-            }
+            2 => HMsg::DiffRequest {
+                page: r.get_u32()?,
+                seqs: decode_ids(r)?,
+            },
             3 => {
                 let page = r.get_u32()?;
                 let n = r.get_u32()? as usize;
-                let mut diffs = Vec::with_capacity(n);
+                // Interval id, then a diff's page id and run count.
+                let mut diffs = Vec::with_capacity(r.capacity_for(n, 8 + 4 + 2));
                 for _ in 0..n {
                     diffs.push((IntervalId::decode(r)?, PageDiff::decode(r)?));
                 }
@@ -263,22 +249,22 @@ impl Decode for HMsg {
             5 => HMsg::LockGrant {
                 lock: r.get_u32()?,
                 vc: VClock::decode(r)?,
-                notices: get_notices(r)?,
+                notices: decode_notices(r)?,
             },
             6 => HMsg::LockRelease {
                 lock: r.get_u32()?,
                 vc: VClock::decode(r)?,
-                notices: get_notices(r)?,
+                notices: decode_notices(r)?,
             },
             7 => HMsg::BarrierArrive {
                 epoch: r.get_u32()?,
                 vc: VClock::decode(r)?,
-                notices: get_notices(r)?,
+                notices: decode_notices(r)?,
             },
             8 => HMsg::BarrierRelease {
                 epoch: r.get_u32()?,
                 vc: VClock::decode(r)?,
-                notices: get_notices(r)?,
+                notices: decode_notices(r)?,
             },
             t => {
                 return Err(CodecError::BadTag {

@@ -30,7 +30,8 @@ pub use config::{DsmConfig, HomePolicy};
 pub use fault_tolerance::{FaultTolerance, NoLogging, RecoveryStep, SyncKind};
 pub use homeless::{HMsg, HomelessNode};
 pub use msg::{
-    kind_label, EpochRelease, HomeMigration, Msg, PageCopy, WriteNotice, HEADER_BYTES, MSG_KINDS,
+    decode_notices, encode_notices, kind_label, notices_size, EpochRelease, HomeMigration, Msg,
+    PageCopy, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, PrefetchState};
 pub use page_table::{NodeSet, PageEntry, PageTable};

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use pagemem::codec::var_size;
 use pagemem::{
     ByteReader, ByteWriter, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, SharedBytes,
     VClock,
@@ -70,38 +71,148 @@ pub struct WriteNotice {
     pub interval: IntervalId,
 }
 
-impl Encode for WriteNotice {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.page);
-        self.interval.encode(w);
-    }
+/// Longest notice list a decoder accepts. Run-length coding lets a
+/// dozen bytes name four billion notices, so the count is the one thing
+/// the remaining input cannot bound; beyond this it is damage, not data
+/// (2^20 pages dirtied between two synchronizations is 4 GiB of 4 KiB
+/// pages). [`encode_notices`] refuses to produce a longer list.
+pub const MAX_NOTICES: usize = 1 << 20;
 
-    fn encoded_size(&self) -> usize {
-        4 + 8
+/// Where the interval walk of a notice list puts its integers: into a
+/// buffer ([`encode_notices`]) or onto a byte count ([`notices_size`]).
+/// One walk feeding both is what keeps the size an exact mirror.
+trait VarSink {
+    fn var(&mut self, v: u32);
+}
+
+impl VarSink for ByteWriter {
+    fn var(&mut self, v: u32) {
+        self.put_var(v);
     }
 }
 
-impl Decode for WriteNotice {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(WriteNotice {
-            page: r.get_u32()?,
-            interval: IntervalId::decode(r)?,
-        })
+/// Counts the bytes [`ByteWriter::put_var`] would write.
+struct VarCount(usize);
+
+impl VarSink for VarCount {
+    fn var(&mut self, v: u32) {
+        self.0 += var_size(v);
     }
 }
 
-fn encode_notices(w: &mut ByteWriter, notices: &[WriteNotice]) {
-    w.put_u32(notices.len() as u32);
-    for n in notices {
-        n.encode(w);
+/// Does a run of consecutive pages end between these two neighbours?
+fn run_breaks(pair: &[WriteNotice]) -> bool {
+    pair[0].page.checked_add(1) != Some(pair[1].page)
+}
+
+/// The one walk behind [`encode_notices`] and [`notices_size`]; see the
+/// former for the layout.
+fn put_intervals(out: &mut impl VarSink, notices: &[WriteNotice]) {
+    assert!(
+        notices.len() <= MAX_NOTICES,
+        "notice list of {} exceeds the codec limit",
+        notices.len()
+    );
+    out.var(notices.len() as u32);
+    let mut rest = notices;
+    while let Some(first) = rest.first() {
+        let interval = first.interval;
+        let len = rest.iter().take_while(|n| n.interval == interval).count();
+        let (group, tail) = rest.split_at(len);
+        rest = tail;
+        out.var(interval.node);
+        out.var(interval.seq);
+        out.var(1 + group.windows(2).filter(|w| run_breaks(w)).count() as u32);
+        let mut start = 0;
+        for (k, w) in group.windows(2).enumerate() {
+            if run_breaks(w) {
+                out.var(group[start].page);
+                out.var((k + 1 - start) as u32);
+                start = k + 1;
+            }
+        }
+        out.var(group[start].page);
+        out.var((len - start) as u32);
     }
 }
 
-fn decode_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecError> {
+/// Encode a write-notice list as interval records, all integers
+/// variable-length ([`ByteWriter::put_var`]):
+///
+/// ```text
+/// var(n_notices)
+/// per group — a maximal span of consecutive notices of one interval:
+///     var(node) var(seq) var(n_runs)
+///     per run — a maximal span of pages ascending by exactly 1:
+///         var(start_page) var(len)
+/// ```
+///
+/// The list is walked in its given order and [`decode_notices`]
+/// reproduces it exactly, duplicates and unsorted pages included: the
+/// order of a merged list is the manager's causal merge order, which
+/// `ReleaseHistoryReply` consumers replay. An interval that dirtied one
+/// contiguous strip costs a handful of bytes however long the strip;
+/// the worst case, every notice its own group, is 5–8 bytes a notice at
+/// the id ranges any committed run reaches (12 fixed-width).
+pub fn encode_notices(w: &mut ByteWriter, notices: &[WriteNotice]) {
+    put_intervals(w, notices);
+}
+
+/// Exact encoded size of [`encode_notices`]`(notices)`, by the same
+/// walk, without allocating.
+pub fn notices_size(notices: &[WriteNotice]) -> usize {
+    let mut count = VarCount(0);
+    put_intervals(&mut count, notices);
+    count.0
+}
+
+/// Decode a list written by [`encode_notices`]. Counts are not trusted:
+/// a list longer than [`MAX_NOTICES`], an empty group, a zero-length
+/// run, a run past the last page id and runs that overshoot
+/// `n_notices` are all [`CodecError::Invalid`].
+pub fn decode_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecError> {
+    let invalid = |reason| CodecError::Invalid {
+        context: "notice list",
+        reason,
+    };
+    let n = r.get_var()? as usize;
+    if n > MAX_NOTICES {
+        return Err(invalid("more notices than any list holds"));
+    }
+    let mut out = Vec::with_capacity(r.capacity_for(n, 1));
+    while out.len() < n {
+        let interval = IntervalId {
+            node: r.get_var()?,
+            seq: r.get_var()?,
+        };
+        let n_runs = r.get_var()?;
+        if n_runs == 0 {
+            return Err(invalid("empty interval group"));
+        }
+        for _ in 0..n_runs {
+            let start = r.get_var()?;
+            let len = r.get_var()?;
+            if len == 0 {
+                return Err(invalid("zero-length page run"));
+            }
+            if len as usize > n - out.len() {
+                return Err(invalid("runs overshoot the notice count"));
+            }
+            let Some(last) = start.checked_add(len - 1) else {
+                return Err(invalid("page run passes the last page id"));
+            };
+            out.extend((start..=last).map(|page| WriteNotice { page, interval }));
+        }
+    }
+    Ok(out)
+}
+
+/// A `u32`-counted list of `u32` ids (interval seqs, page ids).
+pub(crate) fn decode_ids(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError> {
     let n = r.get_u32()? as usize;
-    let mut v = Vec::with_capacity(n);
+    let mut v = Vec::with_capacity(r.capacity_for(n, 4));
     for _ in 0..n {
-        v.push(WriteNotice::decode(r)?);
+        v.push(r.get_u32()?);
     }
     Ok(v)
 }
@@ -116,7 +227,7 @@ fn encode_migrations(w: &mut ByteWriter, migrations: &[HomeMigration]) {
 
 fn decode_migrations(r: &mut ByteReader<'_>) -> Result<Vec<HomeMigration>, CodecError> {
     let n = r.get_u32()? as usize;
-    let mut v = Vec::with_capacity(n);
+    let mut v = Vec::with_capacity(r.capacity_for(n, 8));
     for _ in 0..n {
         let page = r.get_u32()?;
         let to = r.get_u32()?;
@@ -136,9 +247,12 @@ fn encode_diffs(w: &mut ByteWriter, diffs: &[PageDiff]) {
     }
 }
 
+/// Smallest encoded [`PageDiff`]: page id and run count, no runs.
+const MIN_DIFF_BYTES: usize = 4 + 2;
+
 fn decode_diffs(r: &mut ByteReader<'_>) -> Result<Vec<PageDiff>, CodecError> {
     let n = r.get_u32()? as usize;
-    let mut v = Vec::with_capacity(n);
+    let mut v = Vec::with_capacity(r.capacity_for(n, MIN_DIFF_BYTES));
     for _ in 0..n {
         v.push(PageDiff::decode(r)?);
     }
@@ -177,9 +291,16 @@ pub enum Msg {
         writer: IntervalId,
     },
     /// Ask the lock manager for ownership of `lock`.
+    ///
+    /// Wire layout: `tag(4) u32(lock) var(epoch) vc`.
     LockRequest {
         /// The lock.
         lock: u32,
+        /// Barriers the acquirer has completed. The epoch fence: a
+        /// manager that has completed fewer is still inside `barrier()`
+        /// and holds the request until it has consumed its own release,
+        /// so a crash aligned with that barrier finds no grant to lose.
+        epoch: u32,
         /// Acquirer's vector clock (lets the manager filter notices).
         vc: VClock,
     },
@@ -415,9 +536,10 @@ impl Encode for Msg {
                 w.put_u8(3);
                 writer.encode(w);
             }
-            Msg::LockRequest { lock, vc } => {
+            Msg::LockRequest { lock, epoch, vc } => {
                 w.put_u8(4);
                 w.put_u32(*lock);
+                w.put_var(*epoch);
                 vc.encode(w);
             }
             Msg::LockGrant { lock, vc, notices } => {
@@ -550,9 +672,6 @@ impl Encode for Msg {
     /// sizing must not cost an encode; the per-variant wire-size tests
     /// pin this arithmetic to the actual encoding.
     fn encoded_size(&self) -> usize {
-        fn notices(n: &[WriteNotice]) -> usize {
-            4 + 12 * n.len()
-        }
         fn diffs(d: &[PageDiff]) -> usize {
             4 + d.iter().map(Encode::encoded_size).sum::<usize>()
         }
@@ -561,21 +680,21 @@ impl Encode for Msg {
             Msg::PageReply { data, version, .. } => 1 + 4 + 4 + data.len() + version.encoded_size(),
             Msg::DiffFlush { diffs: d, .. } => 1 + 8 + diffs(d),
             Msg::DiffAck { .. } => 1 + 8,
-            Msg::LockRequest { vc, .. } => 1 + 4 + vc.encoded_size(),
-            Msg::LockGrant { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices(n),
-            Msg::LockRelease { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices(n),
+            Msg::LockRequest { epoch, vc, .. } => 1 + 4 + var_size(*epoch) + vc.encoded_size(),
+            Msg::LockGrant { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices_size(n),
+            Msg::LockRelease { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices_size(n),
             Msg::BarrierArrive {
                 vc,
                 notices: n,
                 proposals,
                 ..
-            } => 1 + 4 + vc.encoded_size() + notices(n) + migrations_size(proposals),
+            } => 1 + 4 + vc.encoded_size() + notices_size(n) + migrations_size(proposals),
             Msg::BarrierRelease {
                 vc,
                 notices: n,
                 migrations,
                 ..
-            } => 1 + 4 + vc.encoded_size() + notices(n) + migrations_size(migrations),
+            } => 1 + 4 + vc.encoded_size() + notices_size(n) + migrations_size(migrations),
             Msg::RecoveryPageRequest { required, .. } => 1 + 4 + required.encoded_size(),
             Msg::RecoveryPageReply { data, version, .. } => {
                 1 + 4 + 1 + 4 + data.len() + version.encoded_size()
@@ -595,7 +714,7 @@ impl Encode for Msg {
                     + releases
                         .iter()
                         .map(|(_, vc, n, m)| {
-                            4 + vc.encoded_size() + notices(n) + migrations_size(m)
+                            4 + vc.encoded_size() + notices_size(n) + migrations_size(m)
                         })
                         .sum::<usize>()
             }
@@ -636,6 +755,7 @@ impl Decode for Msg {
             },
             4 => Msg::LockRequest {
                 lock: r.get_u32()?,
+                epoch: r.get_var()?,
                 vc: VClock::decode(r)?,
             },
             5 => Msg::LockGrant {
@@ -670,19 +790,14 @@ impl Decode for Msg {
                 data: r.get_bytes()?.into(),
                 version: VClock::decode(r)?,
             },
-            11 => {
-                let page = r.get_u32()?;
-                let n = r.get_u32()? as usize;
-                let mut seqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    seqs.push(r.get_u32()?);
-                }
-                Msg::LoggedDiffRequest { page, seqs }
-            }
+            11 => Msg::LoggedDiffRequest {
+                page: r.get_u32()?,
+                seqs: decode_ids(r)?,
+            },
             12 => {
                 let page = r.get_u32()?;
                 let n = r.get_u32()? as usize;
-                let mut diffs = Vec::with_capacity(n);
+                let mut diffs = Vec::with_capacity(r.capacity_for(n, 8 + MIN_DIFF_BYTES));
                 for _ in 0..n {
                     let iv = IntervalId::decode(r)?;
                     let d = PageDiff::decode(r)?;
@@ -693,7 +808,8 @@ impl Decode for Msg {
             13 => Msg::ReleaseHistoryRequest,
             14 => {
                 let n = r.get_u32()? as usize;
-                let mut releases = Vec::with_capacity(n);
+                // Epoch, clock length, notice count, migration count.
+                let mut releases = Vec::with_capacity(r.capacity_for(n, 4 + 1 + 1 + 4));
                 for _ in 0..n {
                     let epoch = r.get_u32()?;
                     let vc = VClock::decode(r)?;
@@ -702,19 +818,15 @@ impl Decode for Msg {
                 }
                 Msg::ReleaseHistoryReply { releases }
             }
-            15 => {
-                let page = r.get_u32()?;
-                let n = r.get_u32()? as usize;
-                let mut extras = Vec::with_capacity(n);
-                for _ in 0..n {
-                    extras.push(r.get_u32()?);
-                }
-                Msg::PageRequestBatch { page, extras }
-            }
+            15 => Msg::PageRequestBatch {
+                page: r.get_u32()?,
+                extras: decode_ids(r)?,
+            },
             16 => {
                 let after = r.get_u32()?;
                 let n = r.get_u32()? as usize;
-                let mut pages = Vec::with_capacity(n);
+                // Page id, contents length, clock length.
+                let mut pages = Vec::with_capacity(r.capacity_for(n, 4 + 4 + 1));
                 for _ in 0..n {
                     let page = r.get_u32()?;
                     let data: SharedBytes = r.get_bytes()?.into();
@@ -731,11 +843,7 @@ impl Decode for Msg {
             18 => Msg::RecoveryHello,
             19 => {
                 let complete = r.get_u8()? != 0;
-                let n = r.get_u32()? as usize;
-                let mut held = Vec::with_capacity(n);
-                for _ in 0..n {
-                    held.push(r.get_u32()?);
-                }
+                let held = decode_ids(r)?;
                 Msg::RecoveryHelloReply { held, complete }
             }
             t => {
@@ -816,6 +924,7 @@ mod tests {
         roundtrip(Msg::DiffAck { writer: iv });
         roundtrip(Msg::LockRequest {
             lock: 2,
+            epoch: 300,
             vc: vc.clone(),
         });
         roundtrip(Msg::LockGrant {

@@ -143,7 +143,14 @@ pub struct NodeInner {
     /// Page requests for them are stalled and re-serviced after the
     /// adoption completes.
     pending_migrations: BTreeSet<PageId>,
-    /// Requests stalled on `pending_migrations`, in arrival order.
+    /// Inside a live `barrier()`: this episode is entered
+    /// (`barrier_epoch` already counts it) but its release is not yet
+    /// consumed.
+    in_barrier: bool,
+    /// Requests this node may not consume yet, in arrival order: page
+    /// traffic stalled on `pending_migrations`, and lock requests from
+    /// an epoch this node has not reached (see
+    /// [`NodeInner::completed_barriers`]).
     stalled_requests: Vec<Envelope<Msg>>,
     /// The next barrier is a migration window (set by the cluster
     /// driver at checkpoint barriers); consumed at barrier arrival.
@@ -171,6 +178,7 @@ impl NodeInner {
             prefetch: PrefetchState::default(),
             diff_traffic: BTreeMap::new(),
             pending_migrations: BTreeSet::new(),
+            in_barrier: false,
             stalled_requests: Vec::new(),
             migration_window: false,
             cfg,
@@ -186,6 +194,15 @@ impl NodeInner {
     /// This node's id.
     pub fn me(&self) -> NodeId {
         self.ctx.id()
+    }
+
+    /// Barriers this node has left — the epoch its lock requests carry
+    /// and the epoch up to which it consumes others'. The epoch fence: a
+    /// node consumes no lock request from epoch `e + 1` before it has
+    /// left barrier `e`, so a crash right after a barrier wipes a lock
+    /// table in which every lock is free and every queue empty.
+    pub fn completed_barriers(&self) -> u32 {
+        self.barrier_epoch - u32::from(self.in_barrier)
     }
 
     /// The interval id this node's *current* (open) interval will get.
@@ -389,6 +406,7 @@ impl HlrcNode {
     }
 
     fn fetch_page(&mut self, page: PageId) {
+        self.drain_stalled(self.inner.ctx.now());
         if self.inner.cfg.prefetch_depth == 0 {
             self.fetch_page_single(page);
             return;
@@ -600,14 +618,16 @@ impl HlrcNode {
                 RecoveryStep::LogExhausted => self.exit_recovery(),
             }
         }
+        self.drain_stalled(self.inner.ctx.now());
         // LRC: an acquire delimits the current interval.
         self.end_interval();
         let mgr = self.inner.cfg.lock_manager(lock);
+        let epoch = self.inner.completed_barriers();
         let vc = self.inner.vc.clone();
         let asked_at = self.inner.ctx.now();
         self.inner
             .ctx
-            .send(mgr, Msg::LockRequest { lock, vc })
+            .send(mgr, Msg::LockRequest { lock, epoch, vc })
             .expect("send lock request");
         let env = self.wait_for(|m| matches!(m, Msg::LockGrant { lock: l, .. } if *l == lock));
         self.ft.on_incoming(&mut self.inner, &env.payload);
@@ -637,6 +657,7 @@ impl HlrcNode {
             self.inner.replay_close_interval();
             return;
         }
+        self.drain_stalled(self.inner.ctx.now());
         self.end_interval();
         let grant_vc = self
             .inner
@@ -676,9 +697,11 @@ impl HlrcNode {
                 RecoveryStep::LogExhausted => self.exit_recovery(),
             }
         }
+        self.drain_stalled(self.inner.ctx.now());
         self.end_interval();
         self.inner.ctx.trace(TraceKind::BarrierEnter { epoch });
         self.inner.barrier_epoch += 1;
+        self.inner.in_barrier = true;
         let notices: Vec<WriteNotice> = self
             .inner
             .history
@@ -788,6 +811,11 @@ impl HlrcNode {
         self.inner.history.retain(|n| !lb.covers(n.interval));
         self.inner.ctx.stats.barriers += 1;
         self.inner.ctx.trace(TraceKind::BarrierExit { epoch });
+        // The fence opens, but the lock requests it held back are not
+        // serviced here: the caller may inject a crash the moment this
+        // returns, and a grant made now would die with the lock table.
+        // They go out at the next protocol entry (`drain_stalled`).
+        self.inner.in_barrier = false;
     }
 
     // ---------------------------------------------------------------
@@ -1102,7 +1130,7 @@ impl HlrcNode {
             self.inner.pending_migrations.is_empty(),
             "unadopted migrations left at node {me}"
         );
-        self.drain_stalled();
+        self.drain_stalled(self.inner.ctx.now());
     }
 
     /// Absorb one [`Msg::HomeMigrate`]: log it (ML replays adoptions
@@ -1127,14 +1155,22 @@ impl HlrcNode {
         self.inner.pending_migrations.remove(&page);
     }
 
-    /// Re-service the requests stalled on a now-completed adoption, in
-    /// arrival order, timed from "now" (their arrival is in the past).
-    fn drain_stalled(&mut self) {
+    /// Re-service the stalled requests in arrival order — after an
+    /// adoption completes, and at every protocol entry (`acquire`,
+    /// `release`, `barrier`, a page fetch, the next serviced message)
+    /// for the lock requests the epoch fence held back. Whatever still
+    /// may not be consumed stalls again. Replies depart no earlier than
+    /// this node's clock and `not_before` (the arrival of the message
+    /// whose service triggered the drain): the stalled envelopes left
+    /// the inbox long ago, so only those two bound what the scheduler
+    /// has been promised.
+    fn drain_stalled(&mut self, not_before: SimTime) {
         if self.inner.stalled_requests.is_empty() {
             return;
         }
         let stalled = std::mem::take(&mut self.inner.stalled_requests);
-        for env in stalled {
+        for mut env in stalled {
+            env.arrive_at = env.arrive_at.max(not_before);
             self.service(env, true);
         }
     }
@@ -1292,10 +1328,17 @@ impl CoherenceProtocol<Msg> for HlrcNode {
     /// messages replayed after recovery, whose service time is "now"
     /// rather than their (long past) arrival time.
     fn service(&mut self, env: Envelope<Msg>, deferred: bool) {
+        if !self.inner.in_barrier {
+            // Out of the barrier: what the epoch fence held back goes
+            // first, it arrived first.
+            self.drain_stalled(env.arrive_at);
+        }
         // Traffic touching a page whose adoption this node has announced
         // but not completed must wait: the old copy is stale and the new
-        // home has nothing to serve yet. Stalled envelopes are
-        // re-serviced right after the adoption (see `drain_stalled`).
+        // home has nothing to serve yet. So must a lock request from a
+        // node that already left a barrier this node is still inside
+        // (the epoch fence, see `NodeInner::completed_barriers`).
+        // Stalled envelopes are re-serviced by `drain_stalled`.
         let stall = match &env.payload {
             Msg::PageRequest { page } => self.inner.pending_migration(*page),
             Msg::PageRequestBatch { page, extras } => {
@@ -1305,6 +1348,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
             Msg::DiffFlush { diffs, .. } => {
                 diffs.iter().any(|d| self.inner.pending_migration(d.page))
             }
+            Msg::LockRequest { epoch, .. } => *epoch > self.inner.completed_barriers(),
             _ => false,
         };
         if stall {
@@ -1465,7 +1509,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
                 );
                 self.adopt_migrated(env);
             }
-            Msg::LockRequest { lock, vc } => {
+            Msg::LockRequest { lock, vc, .. } => {
                 let lock = *lock;
                 debug_assert_eq!(
                     self.inner.cfg.lock_manager(lock),
@@ -1639,7 +1683,12 @@ impl HlrcNode {
         self.inner.prefetch = PrefetchState::default();
         self.inner.diff_traffic.clear();
         self.inner.pending_migrations.clear();
-        self.inner.stalled_requests.clear();
+        self.inner.in_barrier = false;
+        // Stalled requests are the senders' only copy: they wait out
+        // the replay with the rest of the deferred traffic.
+        for env in std::mem::take(&mut self.inner.stalled_requests) {
+            self.inner.ctx.defer(env);
+        }
         self.inner.migration_window = false;
         self.ft.begin_recovery(&mut self.inner);
         if !self.ft.in_recovery() {

@@ -6,17 +6,26 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use hlrc::{kind_label, Msg, WriteNotice, HEADER_BYTES, MSG_KINDS};
+use hlrc::{
+    decode_notices, encode_notices, kind_label, notices_size, Msg, WriteNotice, HEADER_BYTES,
+    MAX_NOTICES, MSG_KINDS,
+};
 use minicheck::{check, Rng};
-use pagemem::{Decode, DiffRun, Encode, IntervalId, PageDiff, VClock};
+use pagemem::{
+    ByteReader, ByteWriter, CodecError, Decode, DiffRun, Encode, IntervalId, PageDiff, VClock,
+};
 use simnet::WireSized;
 
 const CASES: u64 = 192;
 
 fn arb_interval(rng: &mut Rng) -> IntervalId {
     IntervalId {
-        node: rng.u32_in(0, 8),
-        seq: rng.u32_in(0, 10_000),
+        node: if rng.bool() {
+            rng.u32_in(0, 8)
+        } else {
+            rng.u32_any_width()
+        },
+        seq: rng.u32_any_width(),
     }
 }
 
@@ -24,18 +33,37 @@ fn arb_vclock(rng: &mut Rng) -> VClock {
     let n = rng.usize_in(1, 9);
     let mut c = VClock::new(n);
     for i in 0..n {
-        c.set(i as u32, rng.u32_in(0, 10_000));
+        c.set(i as u32, rng.u32_any_width());
     }
     c
 }
 
+/// A notice list built from the shapes the run-length form must carry
+/// through unchanged: ascending strips, descending strips, one page
+/// repeated, scattered pages, page ids up against `u32::MAX`, and a few
+/// intervals drawn again and again (so `A B A` interleavings occur).
 fn arb_notices(rng: &mut Rng) -> Vec<WriteNotice> {
-    (0..rng.usize_in(0, 20))
-        .map(|_| WriteNotice {
-            page: rng.u32_in(0, 1024),
-            interval: arb_interval(rng),
-        })
-        .collect()
+    let intervals: Vec<IntervalId> = (0..rng.usize_in(1, 4)).map(|_| arb_interval(rng)).collect();
+    let mut out = Vec::new();
+    for _ in 0..rng.usize_in(0, 6) {
+        let interval = *rng.pick(&intervals);
+        let start = match rng.u32_in(0, 3) {
+            0 => u32::MAX - rng.u32_in(0, 12),
+            1 => rng.u32_in(0, 128),
+            _ => rng.u32_any_width(),
+        };
+        let shape = rng.u32_in(0, 4);
+        for i in 0..rng.u32_in(1, 12) {
+            let page = match shape {
+                0 => start.saturating_add(i),
+                1 => start.saturating_sub(i),
+                2 => start,
+                _ => rng.u32_any_width(),
+            };
+            out.push(WriteNotice { page, interval });
+        }
+    }
+    out
 }
 
 fn arb_diff(rng: &mut Rng) -> PageDiff {
@@ -94,6 +122,7 @@ fn arb_msg(rng: &mut Rng) -> Msg {
         },
         4 => Msg::LockRequest {
             lock: rng.u32_in(0, 64),
+            epoch: rng.u32_any_width(),
             vc: arb_vclock(rng),
         },
         5 => Msg::LockGrant {
@@ -226,5 +255,189 @@ fn corrupted_tag_is_rejected() {
         let mut bytes = msg.encode_to_vec();
         bytes[0] = tag;
         assert!(Msg::decode_from_slice(&bytes).is_err());
+    });
+}
+
+// ------------------------------------------------ coherence metadata
+
+fn notice(page: u32, node: u32, seq: u32) -> WriteNotice {
+    WriteNotice {
+        page,
+        interval: IntervalId { node, seq },
+    }
+}
+
+fn encoded(notices: &[WriteNotice]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    encode_notices(&mut w, notices);
+    w.into_bytes()
+}
+
+fn decoded(bytes: &[u8]) -> Result<Vec<WriteNotice>, CodecError> {
+    decode_notices(&mut ByteReader::new(bytes))
+}
+
+/// The decoder reproduces the list exactly — order and duplicates
+/// included — and the size pass is the encoder's byte count.
+#[test]
+fn notice_lists_roundtrip_exactly() {
+    check("notice_lists_roundtrip_exactly", 4 * CASES, |rng| {
+        let list = arb_notices(rng);
+        let bytes = encoded(&list);
+        assert_eq!(notices_size(&list), bytes.len());
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(decode_notices(&mut r).unwrap(), list);
+        assert!(r.is_exhausted());
+    });
+    for list in [
+        vec![],
+        vec![notice(0, 0, 0)],
+        vec![notice(u32::MAX, u32::MAX, u32::MAX)],
+        // A B A: the second A must not be merged into the first.
+        vec![notice(1, 0, 0), notice(2, 1, 0), notice(3, 0, 0)],
+        // u32::MAX then 0 is not a run.
+        vec![
+            notice(u32::MAX - 1, 0, 0),
+            notice(u32::MAX, 0, 0),
+            notice(0, 0, 0),
+        ],
+    ] {
+        assert_eq!(decoded(&encoded(&list)).unwrap(), list);
+    }
+}
+
+/// Byte budgets, in the spirit of `update_records_are_small`.
+#[test]
+fn coherence_metadata_is_small() {
+    // A Shallow-shaped barrier release: 8 nodes, one interval each,
+    // 66 pages of its home strip in a few runs. 6 340 bytes fixed-width.
+    let mut release = Vec::new();
+    for node in 0..8u32 {
+        let strip = node * 80;
+        for (first, len) in [(0, 30), (31, 20), (52, 10), (63, 5), (70, 1)] {
+            release.extend((first..first + len).map(|p| notice(strip + p, node, 27)));
+        }
+    }
+    assert_eq!(release.len(), 8 * 66);
+    let size = notices_size(&release);
+    assert!(size <= 200, "Shallow-shaped release takes {size} bytes");
+
+    // An interval that dirtied one contiguous strip: count, group, run.
+    let strip: Vec<_> = (100..166).map(|p| notice(p, 3, 9)).collect();
+    assert_eq!(notices_size(&strip), 1 + 3 + 2);
+
+    // An 8-node clock early in a run: one byte per entry.
+    let mut vc = VClock::new(8);
+    for node in 0..8 {
+        vc.set(node, 100 + node);
+    }
+    assert_eq!(vc.encoded_size(), 9);
+
+    // The worst case, every notice its own group, at the id ranges a
+    // committed run reaches.
+    check("isolated_notices_stay_under_8_bytes", CASES, |rng| {
+        let n = rng.usize_in(0, 300);
+        let list: Vec<_> = (0..n as u32)
+            .map(|i| notice(rng.u32_in(0, 16_384), i % 128, rng.u32_in(0, 16_384)))
+            .collect();
+        assert!(notices_size(&list) <= 8 * n + 3);
+    });
+}
+
+#[test]
+fn malformed_notice_lists_are_rejected() {
+    let invalid = |bytes: &[u8]| matches!(decoded(bytes), Err(CodecError::Invalid { .. }));
+    // n = 1, group (node 0, seq 0) with no runs.
+    assert!(invalid(&[1, 0, 0, 0]), "empty group");
+    // n = 1, one run of length 0.
+    assert!(invalid(&[1, 0, 0, 1, 5, 0]), "zero-length run");
+    // n = 2, one run of length 3.
+    assert!(invalid(&[2, 0, 0, 1, 5, 3]), "run overshoots the count");
+    // n = 2, a run of 2 starting at u32::MAX.
+    assert!(
+        invalid(&[2, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 2]),
+        "run passes the last page id"
+    );
+    // More notices than any list holds, with a run to match: rejected
+    // at the count, before anything is expanded.
+    let mut w = ByteWriter::new();
+    w.put_var(MAX_NOTICES as u32 + 1);
+    for v in [0, 0, 1, 0, MAX_NOTICES as u32 + 1] {
+        w.put_var(v);
+    }
+    assert!(invalid(&w.into_bytes()), "list over the limit");
+    // n = 2 but the input ends after one notice.
+    assert!(matches!(
+        decoded(&[2, 0, 0, 1, 5, 1]),
+        Err(CodecError::Truncated { .. })
+    ));
+}
+
+/// Every counted field of every message, set to `u32::MAX` with nothing
+/// behind it, is an error — not an allocation of that size. (The first
+/// case is the input that aborted the fixed-width decoder with "memory
+/// allocation of 51539607540 bytes failed".)
+#[test]
+fn hostile_counts_return_errors() {
+    const HUGE_VAR: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+    const HUGE_U32: [u8; 4] = [0xFF; 4];
+    let epoch = [7, 0, 0, 0];
+    let empty_vc = [0u8];
+    let cases: Vec<(&str, Vec<&[u8]>)> = vec![
+        (
+            "BarrierRelease notices",
+            vec![&[8], &epoch, &empty_vc, &HUGE_VAR],
+        ),
+        ("BarrierRelease clock", vec![&[8], &epoch, &HUGE_VAR]),
+        (
+            "BarrierRelease migrations",
+            vec![&[8], &epoch, &empty_vc, &[0], &HUGE_U32],
+        ),
+        (
+            "BarrierArrive proposals",
+            vec![&[7], &epoch, &empty_vc, &[0], &HUGE_U32],
+        ),
+        (
+            "LockGrant notices",
+            vec![&[5], &epoch, &empty_vc, &HUGE_VAR],
+        ),
+        (
+            "LockRelease notices",
+            vec![&[6], &epoch, &empty_vc, &HUGE_VAR],
+        ),
+        ("LockRequest clock", vec![&[4], &epoch, &[0], &HUGE_VAR]),
+        ("PageReply data", vec![&[1], &epoch, &HUGE_U32]),
+        ("DiffFlush diffs", vec![&[2], &epoch, &epoch, &HUGE_U32]),
+        ("LoggedDiffRequest seqs", vec![&[11], &epoch, &HUGE_U32]),
+        ("LoggedDiffReply diffs", vec![&[12], &epoch, &HUGE_U32]),
+        ("ReleaseHistoryReply releases", vec![&[14], &HUGE_U32]),
+        ("PageRequestBatch extras", vec![&[15], &epoch, &HUGE_U32]),
+        ("PageReplyBatch pages", vec![&[16], &epoch, &HUGE_U32]),
+        ("RecoveryHelloReply held", vec![&[19], &[1], &HUGE_U32]),
+    ];
+    for (what, parts) in cases {
+        let bytes = parts.concat();
+        assert!(Msg::decode_from_slice(&bytes).is_err(), "{what}");
+    }
+}
+
+/// Decoding never trusts its input: random buffers and valid messages
+/// with one flipped bit yield a value or an error, never a panic, an
+/// abort or an allocation the input cannot justify.
+#[test]
+fn random_and_bit_flipped_buffers_never_panic() {
+    check("random_buffers_never_panic", 8 * CASES, |rng| {
+        let len = rng.usize_in(1, 96);
+        let mut bytes = rng.bytes(len);
+        bytes[0] %= MSG_KINDS as u8;
+        let _ = Msg::decode_from_slice(&bytes);
+        let _ = decoded(&bytes[1..]);
+        let _ = VClock::decode_from_slice(&bytes[1..]);
+    });
+    check("bit_flipped_messages_never_panic", 8 * CASES, |rng| {
+        let mut bytes = arb_msg(rng).encode_to_vec();
+        let bit = rng.usize_in(0, bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let _ = Msg::decode_from_slice(&bytes);
     });
 }

@@ -3,7 +3,7 @@
 //! flushes, notices) across real threads.
 
 use hlrc::{CoherenceProtocol, DsmConfig, HlrcNode, Msg, NoLogging};
-use pagemem::IntervalId;
+use pagemem::{IntervalId, VClock};
 use simnet::{run_cluster, SimDuration, SimTime};
 
 fn spawn<F, R>(cfg: DsmConfig, f: F) -> Vec<R>
@@ -421,4 +421,77 @@ fn homes_remember_who_fetched_what_until_they_crash() {
     assert_eq!(got[0], vec![(all.clone(), true)], "home's own view");
     assert_eq!(got[1][0], (all, true), "hello reply before the crash");
     assert_eq!(got[1][1], (vec![], false), "hello reply after the crash");
+}
+
+/// The epoch fence. Node 1 sends node 2 (manager of lock 2) a request
+/// stamped with epoch 1 while node 2 is still parked in barrier 0 — as a
+/// node that left the barrier one release transfer earlier would. Node
+/// 2 must not answer from inside the barrier: the grant leaves only
+/// after it has consumed its own release, at its next protocol entry.
+/// If node 2 crashes at that barrier instead, the request survives the
+/// crash and is answered once node 2 is back at epoch 1.
+fn early_lock_request_waits_out_the_barrier(crash: bool) {
+    const LOCK_GRANT: usize = 5;
+    assert_eq!(hlrc::kind_label(LOCK_GRANT), "LockGrant");
+    let grants = |node: &HlrcNode| node.inner.ctx.stats.msgs_by_kind[LOCK_GRANT];
+    let cfg = small_cfg(3, 3);
+    let times = spawn(cfg, move |mut node| match node.inner.me() {
+        1 => {
+            let early = Msg::LockRequest {
+                lock: 2,
+                epoch: 1,
+                vc: VClock::new(3),
+            };
+            node.inner.ctx.send(2, early).expect("send");
+            // Arrive late, so the request sits at node 2 for a while.
+            node.inner.ctx.charge_flops(100_000);
+            node.barrier();
+            let grant = node.wait_for(|m| matches!(m, Msg::LockGrant { lock: 2, .. }));
+            let release = Msg::LockRelease {
+                lock: 2,
+                vc: VClock::new(3),
+                notices: vec![],
+            };
+            node.inner.ctx.send(2, release).expect("send");
+            node.barrier();
+            (grant.sent_at, grant.sent_at)
+        }
+        2 => {
+            node.barrier();
+            let left = node.inner.ctx.now();
+            assert_eq!(grants(&node), 0, "granted from inside the barrier");
+            if crash {
+                // No log: the restart re-executes barrier 0, which the
+                // manager answers from its release history.
+                node.crash_and_reset(SimDuration::ZERO);
+                assert_eq!(grants(&node), 0, "granted at epoch 0 after the crash");
+                node.barrier();
+            }
+            let back = node.inner.ctx.now();
+            node.barrier(); // the next protocol entry: the grant goes out
+            assert_eq!(grants(&node), 1, "one grant");
+            (left, back)
+        }
+        _ => {
+            node.barrier();
+            node.barrier();
+            (SimTime::ZERO, SimTime::ZERO)
+        }
+    });
+    let granted_at = times[1].0;
+    let (left, back) = times[2];
+    assert!(
+        granted_at >= left && granted_at >= back,
+        "granted at {granted_at:?}: node 2 left the barrier at {left:?} and was back at {back:?}"
+    );
+}
+
+#[test]
+fn a_lock_request_from_the_next_epoch_is_answered_after_the_release() {
+    early_lock_request_waits_out_the_barrier(false);
+}
+
+#[test]
+fn a_lock_request_from_the_next_epoch_survives_a_crash_at_the_barrier() {
+    early_lock_request_waits_out_the_barrier(true);
 }

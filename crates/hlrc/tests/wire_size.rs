@@ -17,24 +17,40 @@ fn check<M: WireSized + Encode>(m: &M) {
     assert_eq!(m.header_len(), HEADER_BYTES, "header_len mismatch");
 }
 
+/// Entries in every size class of the variable-length clock encoding.
 fn vc() -> VClock {
     let mut v = VClock::new(4);
     v.observe(IntervalId { node: 1, seq: 3 });
-    v.observe(IntervalId { node: 2, seq: 1 });
+    v.observe(IntervalId { node: 2, seq: 200 });
+    v.observe(IntervalId {
+        node: 3,
+        seq: 70_000,
+    });
     v
 }
 
+/// A list with everything the interval-record encoding distinguishes: a
+/// strip of consecutive pages, an isolated page, a second interval, a
+/// return to the first one, a duplicate, and multi-byte ids.
 fn notices() -> Vec<WriteNotice> {
-    vec![
-        WriteNotice {
-            page: 5,
-            interval: IntervalId { node: 1, seq: 3 },
-        },
-        WriteNotice {
-            page: 9,
-            interval: IntervalId { node: 2, seq: 1 },
-        },
+    let a = IntervalId { node: 1, seq: 3 };
+    let b = IntervalId {
+        node: 2,
+        seq: 70_000,
+    };
+    [
+        (5, a),
+        (6, a),
+        (7, a),
+        (8, a),
+        (40, a),
+        (20_000, a),
+        (9, b),
+        (4, a),
+        (4, a),
     ]
+    .map(|(page, interval)| WriteNotice { page, interval })
+    .to_vec()
 }
 
 fn diff() -> PageDiff {
@@ -79,7 +95,29 @@ fn msg_diff_ack() {
 
 #[test]
 fn msg_lock_request() {
-    check(&Msg::LockRequest { lock: 3, vc: vc() });
+    for epoch in [0, 127, 128, 1 << 30] {
+        check(&Msg::LockRequest {
+            lock: 3,
+            epoch,
+            vc: vc(),
+        });
+    }
+}
+
+#[test]
+fn msg_lock_request_on_128_nodes() {
+    // What rides every hop of `scale-128`: 514 bytes of clock before.
+    let mut wide = VClock::new(128);
+    for node in 0..128 {
+        wide.set(node, node % 5);
+    }
+    let m = Msg::LockRequest {
+        lock: 3,
+        epoch: 4,
+        vc: wide,
+    };
+    check(&m);
+    assert_eq!(m.wire_size(), HEADER_BYTES + 1 + 4 + 1 + (2 + 128));
 }
 
 #[test]

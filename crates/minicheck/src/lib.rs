@@ -59,6 +59,16 @@ impl Rng {
         self.u64_in(u64::from(lo), u64::from(hi)) as u32
     }
 
+    /// A `u32` of uniformly chosen bit width (0 to 32 significant
+    /// bits): small and huge values are equally likely, so every size
+    /// class of a variable-length encoding is exercised.
+    pub fn u32_any_width(&mut self) -> u32 {
+        match self.u32_in(0, 33) {
+            0 => 0,
+            bits => (self.next_u64() >> (64 - bits)) as u32,
+        }
+    }
+
     /// Uniform `usize` in `[lo, hi)`.
     pub fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
         self.u64_in(lo as u64, hi as u64) as usize
@@ -153,6 +163,15 @@ mod tests {
             let v = r.usize_in(3, 8);
             assert!((3..8).contains(&v));
         }
+    }
+
+    #[test]
+    fn any_width_reaches_small_and_large_values() {
+        let mut r = Rng::new(3);
+        let vs: Vec<u32> = (0..2000).map(|_| r.u32_any_width()).collect();
+        assert!(vs.iter().any(|&v| v < 128));
+        assert!(vs.iter().any(|&v| (128..16_384).contains(&v)));
+        assert!(vs.iter().any(|&v| v >= 1 << 28));
     }
 
     #[test]

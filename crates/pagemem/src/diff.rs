@@ -363,7 +363,8 @@ impl Decode for PageDiff {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let page = r.get_u32()?;
         let n = r.get_u16()? as usize;
-        let mut runs = Vec::with_capacity(n);
+        // A run is an offset, a length and at least one word.
+        let mut runs = Vec::with_capacity(r.capacity_for(n, 4 + 4 + DIFF_WORD));
         let mut prev_end = 0u64;
         for i in 0..n {
             let offset = r.get_u32()?;

@@ -377,3 +377,55 @@ fn survivor_log_is_read_once_and_never_served_before_it_is_in_memory() {
         second.saturating_since(asked)
     );
 }
+
+// ------------------------------------------------------------
+// Lock-manager crash: the epoch fence
+// ------------------------------------------------------------
+
+/// Three rounds of: every node dirties `w` of its own blocked-home
+/// pages (which sizes the barrier release, and so how long the other
+/// nodes' releases trail the barrier manager's own exit), barrier, one
+/// lock-protected increment. Node 1 manages lock 1 and fails right
+/// after barrier 2 — the barrier inside which, without the fence, it
+/// grants lock 1 to a node that left the barrier before it did, and
+/// then forgets the grant.
+fn lock_manager_crash_counter(protocol: Protocol, w: usize) -> Vec<u64> {
+    const PER_NODE: usize = 64;
+    let spec = ClusterSpec::new(4, 4 * PER_NODE as u32 + 24)
+        .with_page_size(256)
+        .with_protocol(protocol)
+        .with_crash(CrashPlan::new(1, 2));
+    let out = run_program(spec, move |dsm| {
+        let words = dsm.page_size() / 8;
+        let c = dsm.alloc_at::<u64>(512, 0);
+        let grid = dsm.alloc_blocked::<u64>(4 * PER_NODE * words);
+        for r in 0..3u64 {
+            let mine = dsm.me() * PER_NODE;
+            for p in 0..w {
+                dsm.write(&grid, (mine + p) * words, r + 1);
+            }
+            dsm.barrier();
+            dsm.acquire(1);
+            let v = dsm.read(&c, 0);
+            dsm.write(&c, 0, v + 1);
+            dsm.release(1);
+        }
+        dsm.barrier();
+        dsm.read(&c, 0)
+    });
+    assert!(out.recovery_time().is_some(), "crash was not injected");
+    out.nodes.iter().map(|n| n.result).collect()
+}
+
+#[test]
+fn a_crashed_lock_manager_loses_no_grant() {
+    for protocol in [Protocol::Ml, Protocol::Ccl] {
+        for w in [0, 8, 56] {
+            assert_eq!(
+                lock_manager_crash_counter(protocol, w),
+                vec![12; 4],
+                "{protocol:?}, {w} pages dirtied per node and round: lost updates"
+            );
+        }
+    }
+}
