@@ -213,7 +213,7 @@ impl Dsm {
         // checkpoint atomic with respect to crashes (which fire last).
         if let Some(n) = self.checkpoint_every {
             if (self.barriers_done + 1).is_multiple_of(n) && !self.node.ft.in_recovery() {
-                self.node.inner.migration_window = true;
+                self.node.inner.migration.window = true;
             }
         }
         self.node.barrier();

@@ -38,7 +38,7 @@ pub use shared::{ArrayHandle, SharedVal, ELEM_BYTES};
 pub use spec::{ClusterSpec, CrashPlan, FailureSpec, Protocol};
 
 // Re-export the protocol-layer types the report pipeline needs.
-pub use hlrc::{kind_label, HomePolicy, MSG_KINDS};
+pub use hlrc::{kind_label, MSG_KINDS};
 
 // Re-export the substrate types reports and benches need.
 pub use simnet::{

@@ -1,6 +1,6 @@
 //! Cluster run specification: protocol selection and failure injection.
 
-use hlrc::{DsmConfig, HomePolicy};
+use hlrc::DsmConfig;
 use simnet::{CostModel, DiskFaultPlan, FaultPlan, NodeId, SimDuration};
 
 /// Which fault-tolerance protocol a run uses (the paper's three, plus
@@ -156,8 +156,6 @@ pub struct ClusterSpec {
     pub page_size: usize,
     /// Size of the shared address space, in pages.
     pub shared_pages: u32,
-    /// Number of global locks.
-    pub locks: u32,
     /// Fault-tolerance protocol.
     pub protocol: Protocol,
     /// Hardware cost model.
@@ -172,20 +170,6 @@ pub struct ClusterSpec {
     /// checkpoint page stream. `None` means the application checkpoints
     /// explicitly (or never).
     pub checkpoint_every_barriers: Option<u64>,
-    /// Initial home-assignment policy for shared pages.
-    pub home_policy: HomePolicy,
-    /// Maximum extra same-home pages a demand fetch may pull in (0
-    /// disables prefetching and restores the single-page fetch path).
-    /// `None` resolves per protocol: message logging defaults to 0,
-    /// because it must synchronously log the *contents* of every
-    /// installed page — speculative copies inflate its stable log far
-    /// past what the hidden fetch latency repays (measured: 3D-FFT at
-    /// paper scale runs ~40 % slower). Coherence-centric logging keeps
-    /// no page contents on the fetch path, so it prefetches at the
-    /// full default depth, like the no-logging baseline.
-    pub prefetch_depth: Option<u32>,
-    /// Profile-guided home migration at checkpoint barriers.
-    pub adaptive_migration: bool,
 }
 
 impl ClusterSpec {
@@ -195,15 +179,11 @@ impl ClusterSpec {
             nodes,
             page_size: 4096,
             shared_pages,
-            locks: 256,
             protocol: Protocol::None,
             cost: CostModel::ULTRA5_CLUSTER,
             failures: FailureSpec::none(),
             faults: FaultPlan::none(),
             checkpoint_every_barriers: None,
-            home_policy: HomePolicy::Block,
-            prefetch_depth: None,
-            adaptive_migration: true,
         }
     }
 
@@ -222,12 +202,6 @@ impl ClusterSpec {
     /// Add a crash event to the failure schedule.
     pub fn with_crash(mut self, plan: CrashPlan) -> ClusterSpec {
         self.failures.crashes.push(plan);
-        self
-    }
-
-    /// Replace the whole failure schedule.
-    pub fn with_failures(mut self, failures: FailureSpec) -> ClusterSpec {
-        self.failures = failures;
         self
     }
 
@@ -252,44 +226,11 @@ impl ClusterSpec {
         self
     }
 
-    /// Select the initial home-assignment policy.
-    pub fn with_home_policy(mut self, p: HomePolicy) -> ClusterSpec {
-        self.home_policy = p;
-        self
-    }
-
-    /// Set the prefetch depth explicitly (0 disables batched
-    /// prefetching), overriding the per-protocol default.
-    pub fn with_prefetch_depth(mut self, depth: u32) -> ClusterSpec {
-        self.prefetch_depth = Some(depth);
-        self
-    }
-
-    /// The prefetch depth this spec runs with: the explicit setting if
-    /// any, else the per-protocol default (see
-    /// [`ClusterSpec::prefetch_depth`] for why ML resolves to zero).
-    pub fn effective_prefetch_depth(&self) -> u32 {
-        self.prefetch_depth.unwrap_or(match self.protocol {
-            Protocol::Ml => 0,
-            _ => DsmConfig::DEFAULT_PREFETCH_DEPTH,
-        })
-    }
-
-    /// Enable or disable adaptive home migration.
-    pub fn with_adaptive_migration(mut self, on: bool) -> ClusterSpec {
-        self.adaptive_migration = on;
-        self
-    }
-
     /// The derived HLRC configuration.
     pub fn dsm_config(&self) -> DsmConfig {
         DsmConfig::new(self.nodes, self.shared_pages)
             .with_page_size(self.page_size)
-            .with_locks(self.locks)
             .with_cost(self.cost)
-            .with_home_policy(self.home_policy)
-            .with_prefetch_depth(self.effective_prefetch_depth())
-            .with_adaptive_migration(self.adaptive_migration)
     }
 }
 

@@ -44,7 +44,7 @@
 //! serialize their bytes into one long transfer. The cost that matters
 //! is volume, which the held-set filter cuts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind, WriteNotice};
 use pagemem::{Decode, Encode, IntervalId, PageDiff, PageId, PageState, VClock};
@@ -52,9 +52,15 @@ use simnet::{Envelope, LogObj, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
 use crate::log_record::{CclRecord, SyncTag};
+use crate::recovery::fetch_release_history;
+use crate::stable_log::{lost_releases, trace_append_by_page, StableLog, Written};
 
 /// Stable-storage stream holding the coherence-centric log.
 pub const CCL_STREAM: &str = "ccl.log";
+
+/// The logged diffs one fetch wave asks for, per page. Ordered: the
+/// wave's requests go out in `(page, writer)` order.
+type Wants = BTreeMap<PageId, Vec<IntervalId>>;
 
 /// In-memory replay state (rebuilt from the stable log after a crash).
 struct CclReplay {
@@ -95,16 +101,11 @@ pub struct CclLogger {
     /// recovery optimization). `false` leaves faults to reconstruct
     /// on demand (ablation A2).
     prefetch: bool,
-    /// When the disk finishes the most recently issued asynchronous
-    /// flush. CCL issues flushes and lets them drain in the background
-    /// (the paper's latency-tolerance technique); a later flush queues
-    /// behind an unfinished one.
-    disk_free_at: SimTime,
+    /// The stable stream and its device state. CCL issues flushes and
+    /// lets them drain in the background (the paper's latency-tolerance
+    /// technique); a later flush queues behind an unfinished one.
+    log: StableLog,
     staged: Vec<CclRecord>,
-    staged_bytes: usize,
-    /// (page, own interval seq) → record index in the stable log, used
-    /// to serve recovering peers' `LoggedDiffRequest`s.
-    diff_index: HashMap<(PageId, u32), usize>,
     /// Volatile cache of this node's home-write diffs, keyed by
     /// (page, own interval seq). Served to recovering peers; never
     /// flushed (a peer's recovery implies this node survived).
@@ -126,17 +127,6 @@ pub struct CclLogger {
     /// breaks, so the runner enables this mode when more than one crash
     /// is scheduled.
     durable_home_diffs: bool,
-    /// The log device failed permanently: logging has stopped and a
-    /// later crash replays only the persisted prefix, re-executing the
-    /// rest live (degraded recovery).
-    degraded: bool,
-    /// Stream epoch stamped into every frame; bumped at each log
-    /// truncation so stale records can never join the new log.
-    epoch: u32,
-    /// The device is at capacity: the last flush was refused and
-    /// logging is paused until a checkpoint truncates the log. A crash
-    /// meanwhile replays the persisted prefix, then re-executes live.
-    paused_full: bool,
     /// Set by [`CclLogger::begin_recovery`] when the salvage scan found
     /// the log damaged (or gone): replay could not reconstruct every
     /// update the cluster saw this node apply, so
@@ -156,10 +146,8 @@ impl CclLogger {
         CclLogger {
             overlap: true,
             prefetch: true,
-            disk_free_at: SimTime::ZERO,
+            log: StableLog::new(CCL_STREAM),
             staged: Vec::new(),
-            staged_bytes: 0,
-            diff_index: HashMap::new(),
             home_diff_cache: HashMap::new(),
             replay: None,
             restored_app: None,
@@ -167,9 +155,6 @@ impl CclLogger {
             serve_ready_at: SimTime::ZERO,
             held: HeldPages::default(),
             durable_home_diffs: false,
-            degraded: false,
-            epoch: 0,
-            paused_full: false,
             needs_repair: false,
             saved_releases: None,
         }
@@ -193,104 +178,56 @@ impl CclLogger {
         }
     }
 
-    /// Multi-failure variant: home-write diffs go to the stable log too
-    /// (see [`durable_home_diffs`](field@CclLogger::durable_home_diffs)).
+    /// Multi-failure variant: home-write diffs go to the stable log
+    /// too, as ordinary `Diffs` records.
     pub fn with_durable_home_diffs(mut self) -> CclLogger {
         self.durable_home_diffs = true;
         self
     }
 
-    /// True once the log device has failed permanently.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     fn stage(&mut self, inner: &mut NodeInner, rec: CclRecord) {
-        if self.degraded || self.paused_full {
+        if !self.log.accepting() {
             return;
         }
-        // Staged-byte accounting uses the exact framed size mirror so
-        // Table 2 log bytes include the on-disk header overhead without
-        // a second encode pass.
+        // The exact framed size mirror: Table 2 log bytes include the
+        // on-disk header overhead without a second encode pass.
         let bytes = frame::framed_size(rec.encoded_size());
         trace_ccl_append(inner, &rec, bytes as u64);
-        self.staged_bytes += bytes;
         self.staged.push(rec);
     }
 
     /// Encode and write the staged records through the OS cache,
-    /// returning `(cpu_copy_cost, device_drain_time)`.
+    /// returning `(cpu_copy_cost, device_drain_time)` of a successful
+    /// flush. The futile access that discovers a dead or full device
+    /// is charged here; callers account only for successful flushes.
     fn flush_staged(&mut self, inner: &mut NodeInner) -> (SimDuration, SimDuration) {
-        if self.degraded || self.paused_full {
-            // The device is gone (or full); drop anything staged.
-            self.staged.clear();
-            self.staged_bytes = 0;
-            return (SimDuration::ZERO, SimDuration::ZERO);
-        }
-        if self.staged.is_empty() {
-            return (SimDuration::ZERO, SimDuration::ZERO);
-        }
-        let bytes = self.staged_bytes;
-        let base_pos = inner.ctx.disk.record_count(CCL_STREAM);
-        let mut encoded = Vec::with_capacity(self.staged.len());
-        let mut indexed: Vec<((PageId, u32), usize, PageDiff)> = Vec::new();
-        for (pos, rec) in (base_pos..).zip(self.staged.drain(..)) {
+        let mut records = Vec::with_capacity(self.staged.len());
+        let mut served: Vec<((PageId, u32), PageDiff)> = Vec::new();
+        let serving = self.serve_cache.is_some();
+        for rec in self.staged.drain(..) {
             if let CclRecord::Diffs { interval, diffs } = &rec {
-                for d in diffs {
-                    // Indexed only once the write is known durable.
-                    indexed.push(((d.page, interval.seq), pos, d.clone()));
+                if serving {
+                    served.extend(diffs.iter().map(|d| ((d.page, interval.seq), d.clone())));
                 }
             }
-            let payload = rec.encode_to_sized_vec();
-            encoded.push(frame::frame_record(self.epoch, pos as u32, &payload));
+            records.push(self.log.frame(&rec.encode_to_sized_vec()));
         }
-        self.staged_bytes = 0;
-        let retries_before = inner.ctx.disk.counters().write_retries;
-        let _ = inner.ctx.disk.flush_records(CCL_STREAM, encoded);
-        if inner.ctx.disk.has_failed() {
-            // Permanent device failure: the batch (and its would-be
-            // index entries) is lost and logging stops for good. The
-            // futile access that discovered the failure is charged
-            // here; callers account only for successful flushes.
-            self.degraded = true;
-            inner.ctx.trace(TraceKind::LogDeviceFailed);
-            let futile = inner.ctx.disk.model().write_time(0);
-            inner.ctx.charge_disk(futile);
-            return (SimDuration::ZERO, SimDuration::ZERO);
-        }
-        if inner.ctx.disk.is_full() {
-            // ENOSPC: the batch (and its would-be index entries) was
-            // refused whole. Logging pauses — appending a later batch
-            // over the gap would poison replay — until a coordinated
-            // checkpoint truncates the log. A crash meanwhile degrades
-            // gracefully to prefix replay + live re-execution.
-            self.paused_full = true;
-            inner.ctx.trace(TraceKind::LogDeviceFull);
-            let futile = inner.ctx.disk.model().write_time(0);
-            inner.ctx.charge_disk(futile);
-            return (SimDuration::ZERO, SimDuration::ZERO);
-        }
-        for (key, pos, d) in indexed {
-            self.diff_index.insert(key, pos);
-            // Keep the survivor-side serve cache coherent incrementally
-            // instead of rebuilding it from disk.
-            if let Some(cache) = self.serve_cache.as_mut() {
-                cache.insert(key, d);
+        match self.log.write(inner, records, self.overlap) {
+            Written::Nothing => (SimDuration::ZERO, SimDuration::ZERO),
+            Written::Refused { futile } => {
+                inner.ctx.charge_disk(futile);
+                (SimDuration::ZERO, SimDuration::ZERO)
+            }
+            Written::Persisted { cpu, drain } => {
+                // Now that the write is known durable, keep the
+                // survivor-side serve cache coherent incrementally
+                // instead of rebuilding it from disk.
+                if let Some(cache) = self.serve_cache.as_mut() {
+                    cache.extend(served);
+                }
+                (cpu, drain)
             }
         }
-        let mut drain = inner.ctx.disk.model().drain_time(bytes);
-        if inner.ctx.disk.counters().write_retries > retries_before {
-            // A transient write fault: the device wrote the batch twice.
-            drain = drain + drain;
-        }
-        inner.ctx.stats.log_flushes += 1;
-        inner.ctx.stats.log_bytes += bytes as u64;
-        inner.ctx.metrics.flush_bytes.record(bytes as u64);
-        inner.ctx.trace(TraceKind::LogFlush {
-            bytes: bytes as u64,
-            overlapped: self.overlap,
-        });
-        (inner.ctx.disk.model().buffered_write_cost(bytes), drain)
     }
 
     /// Block until a message matching `pred` arrives, deferring other
@@ -309,23 +246,16 @@ impl CclLogger {
                 inner.ctx.absorb(&env);
                 return env;
             }
-            match &env.payload {
-                Msg::LoggedDiffRequest { .. } => self.serve_logged_diffs(inner, &env),
-                Msg::RecoveryPageRequest { .. } => {
-                    let done = inner.ctx.service_time(&env);
-                    inner.serve_recovery_page(&env, done, true, true, self.durable_home_diffs);
-                }
-                Msg::ReleaseHistoryRequest => {
-                    let done = inner.ctx.service_time(&env);
-                    inner.serve_release_history(&env, done);
-                }
-                Msg::RecoveryHello => {
-                    let done = inner.ctx.service_time(&env);
-                    inner.serve_recovery_hello(&env, done);
-                    self.warm_serve_cache(inner, done);
-                }
-                Msg::RecoveryHelloReply { .. } => self.note_hello_reply(inner, &env),
-                _ => inner.ctx.defer(env),
+            if env.payload.is_recovery_request() {
+                // Whatever this node's own replay has reached, its
+                // frames are not a state a peer may be handed: serve
+                // as mid-replay, from the base.
+                let done = inner.ctx.service_time(&env);
+                inner.serve_recovery_request(self, &env, done, true);
+            } else if let Msg::RecoveryHelloReply { .. } = &env.payload {
+                self.note_hello_reply(inner, &env);
+            } else {
+                inner.ctx.defer(env);
             }
         }
     }
@@ -400,31 +330,25 @@ impl CclLogger {
     fn fetch_logged_diffs(
         &mut self,
         inner: &mut NodeInner,
-        wants: &HashMap<PageId, Vec<IntervalId>>,
+        wants: &Wants,
     ) -> HashMap<(PageId, IntervalId), PageDiff> {
         let me = inner.me() as u32;
-        let replay = self.replay.as_ref().expect("fetch outside recovery");
+        let own_diffs = self.replay.as_ref().map(|r| &r.own_diffs);
         let mut found: HashMap<(PageId, IntervalId), PageDiff> = HashMap::new();
         let mut outstanding = 0usize;
-        // Request in (page, writer) order: these iterations feed sends,
-        // so they must not inherit HashMap iteration order.
-        let mut pages: Vec<_> = wants.iter().collect();
-        pages.sort_unstable_by_key(|(page, _)| **page);
-        for (page, ivs) in pages {
-            let mut per_writer: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (page, ivs) in wants {
+            let mut per_writer: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for iv in ivs {
                 if iv.node == me {
                     // Own diffs come from the local log (already read
                     // while the replay cursor passed them).
-                    if let Some(d) = replay.own_diffs.get(&(*page, iv.seq)) {
+                    if let Some(d) = own_diffs.and_then(|own| own.get(&(*page, iv.seq))) {
                         found.insert((*page, *iv), d.clone());
                     }
                 } else {
                     per_writer.entry(iv.node).or_default().push(iv.seq);
                 }
             }
-            let mut per_writer: Vec<_> = per_writer.into_iter().collect();
-            per_writer.sort_unstable_by_key(|(writer, _)| *writer);
             for (writer, seqs) in per_writer {
                 inner
                     .ctx
@@ -448,36 +372,6 @@ impl CclLogger {
         found
     }
 
-    /// The barrier manager's retained release history: read locally when
-    /// this node *is* the manager, fetched over the network otherwise —
-    /// but at most once per recovery ([`CclLogger::begin_recovery`]
-    /// caches it in `saved_releases` for the repair wave to take). A
-    /// crashed manager lost its history and answers with an empty list;
-    /// every consumer degrades gracefully on that.
-    fn fetch_release_history(&mut self, inner: &mut NodeInner) -> Vec<hlrc::EpochRelease> {
-        if let Some(releases) = self.saved_releases.take() {
-            return releases;
-        }
-        let mgr = inner.cfg.barrier_manager();
-        if mgr == inner.me() {
-            inner
-                .barrier_mgr
-                .as_ref()
-                .map(|m| m.release_history())
-                .unwrap_or_default()
-        } else {
-            inner
-                .ctx
-                .send(mgr, Msg::ReleaseHistoryRequest)
-                .expect("send release history request");
-            let env = self.recovery_wait(inner, |m| matches!(m, Msg::ReleaseHistoryReply { .. }));
-            let Msg::ReleaseHistoryReply { releases } = env.payload else {
-                unreachable!("waited for a release history reply");
-            };
-            releases
-        }
-    }
-
     /// Home-repair wave, run once at recovery exit when the salvage
     /// scan found the log damaged. A torn or rotten tail may have taken
     /// `Updates` records with it — updates this home *applied and
@@ -495,7 +389,10 @@ impl CclLogger {
     /// like the rest of the recovery path.
     fn repair_home_pages(&mut self, inner: &mut NodeInner) {
         let me = inner.me();
-        let releases = self.fetch_release_history(inner);
+        // `begin_recovery` usually fetched the history already.
+        let releases = self.saved_releases.take().unwrap_or_else(|| {
+            fetch_release_history(inner, |inner, is_reply| self.recovery_wait(inner, is_reply))
+        });
         // Foreign-interval notices naming pages homed here that the
         // restored home version does not cover: exactly the updates the
         // damaged log lost.
@@ -523,34 +420,12 @@ impl CclLogger {
         if missing.is_empty() {
             return;
         }
-        // Refetch from the writers' stable logs, all requests in
-        // parallel, in deterministic (page, writer) order.
-        let mut per_writer: HashMap<(PageId, u32), Vec<u32>> = HashMap::new();
+        // Refetch from the writers' stable logs in one parallel wave.
+        let mut wants = Wants::new();
         for n in &missing {
-            per_writer
-                .entry((n.page, n.interval.node))
-                .or_default()
-                .push(n.interval.seq);
+            wants.entry(n.page).or_default().push(n.interval);
         }
-        let mut per_writer: Vec<_> = per_writer.into_iter().collect();
-        per_writer.sort_unstable_by_key(|((page, writer), _)| (*page, *writer));
-        let outstanding = per_writer.len();
-        for ((page, writer), seqs) in per_writer {
-            inner
-                .ctx
-                .send(writer as usize, Msg::LoggedDiffRequest { page, seqs })
-                .expect("send logged diff request");
-        }
-        let mut fetched: HashMap<(PageId, IntervalId), PageDiff> = HashMap::new();
-        for _ in 0..outstanding {
-            let env = self.recovery_wait(inner, |m| matches!(m, Msg::LoggedDiffReply { .. }));
-            if let Msg::LoggedDiffReply { page, diffs } = env.payload {
-                for (iv, d) in diffs {
-                    inner.ctx.charge_copy(d.encoded_size());
-                    fetched.insert((page, iv), d);
-                }
-            }
-        }
+        let fetched = self.fetch_logged_diffs(inner, &wants);
         let mut applied = 0u32;
         for n in &missing {
             if let Some(d) = fetched.get(&(n.page, n.interval)) {
@@ -627,7 +502,7 @@ impl CclLogger {
         if advanced.is_empty() {
             return;
         }
-        let mut wants: HashMap<PageId, Vec<IntervalId>> = HashMap::new();
+        let mut wants = Wants::new();
         {
             let replay = self.replay.as_ref().expect("reconstruct outside recovery");
             for (page, _, base_version) in &advanced {
@@ -659,9 +534,12 @@ impl CclLogger {
     /// and indexing own diffs along the way; then apply the sync's
     /// notices and prefetch the named pages.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncTag) -> RecoveryStep {
-        // Phase 1: scan records for this step (one sequential disk read).
+        // Phase 1: scan records for this step (one sequential disk read),
+        // collecting the recorded home-copy updates of the interval;
+        // they are fetched together with the remote-copy patches below,
+        // in a single parallel wave.
         let mut batch_bytes = 0usize;
-        let mut updates: Vec<(IntervalId, Vec<PageId>)> = Vec::new();
+        let mut home_wants = Wants::new();
         let mut sync: Option<(Vec<WriteNotice>, VClock)> = None;
         let mut drift = false;
         {
@@ -672,7 +550,9 @@ impl CclLogger {
                 replay.cursor += 1;
                 match rec {
                     CclRecord::Updates { writer, pages } => {
-                        updates.push((*writer, pages.clone()));
+                        for p in pages {
+                            home_wants.entry(*p).or_default().push(*writer);
+                        }
                     }
                     CclRecord::Diffs { interval, diffs } => {
                         debug_assert_eq!(interval.node, me, "foreign diffs in own log");
@@ -724,73 +604,56 @@ impl CclLogger {
             return RecoveryStep::LogExhausted;
         };
 
-        // Phase 2: collect the recorded home-copy updates for this
-        // interval; they are fetched together with the remote-copy
-        // patches below, in a single parallel wave.
-        let mut home_wants: HashMap<PageId, Vec<IntervalId>> = HashMap::new();
-        for (writer, pages) in &updates {
-            for p in pages {
-                home_wants.entry(*p).or_default().push(*writer);
-            }
-        }
-
-        // Phase 3: close the re-executed interval and apply the logged
+        // Phase 2: close the re-executed interval and apply the logged
         // notices. During recovery no copy is invalidated (the paper:
         // the scheme "obviates the need of memory invalidation"):
         // instead, every *cached* copy named by a notice is patched in
         // place with that interval's logged diff, fetched from the
         // writer's log — incremental and issued in parallel, so each
         // diff crosses the network exactly once over the whole replay.
-        inner.replay_close_interval();
+        inner.close_interval();
         let me = inner.me() as u32;
-        let vc_before = inner.vc.clone();
-        let mut fresh: Vec<hlrc::WriteNotice> = Vec::new();
-        for n in &notices {
-            if vc_before.covers(n.interval) || fresh.contains(n) {
-                continue;
-            }
-            fresh.push(*n);
-            inner.vc.observe(n.interval);
-            inner.history.push(*n);
-        }
-        inner.vc.join(&vc);
+        let fresh = inner.admit_notices(&notices, &vc);
         {
             let replay = self.replay.as_mut().expect("not in recovery");
             replay.notices_seen.extend(fresh.iter().copied());
         }
         if let SyncTag::Barrier(_) = expected {
-            inner.last_barrier_vc = inner.vc.clone();
-            let lb = inner.last_barrier_vc.clone();
-            inner.history.retain(|n| !lb.covers(n.interval));
+            inner.close_barrier_epoch();
         }
+        // The notices naming a remote page: with prefetch, patches for
+        // the copies already resident and reconstructions for the rest.
+        let remote: Vec<&WriteNotice> = fresh
+            .iter()
+            .filter(|n| n.interval.node != me && !inner.pages.is_home(n.page))
+            .collect();
+        let mut wants = Wants::new();
+        let mut first_touch: Vec<PageId> = Vec::new();
         if self.prefetch {
-            // One combined fetch wave: this interval's home-copy updates
-            // plus the patches for every resident remote copy.
-            let mut wants: HashMap<PageId, Vec<IntervalId>> = HashMap::new();
-            let mut first_touch: Vec<PageId> = Vec::new();
-            for n in &fresh {
-                if n.interval.node == me || inner.pages.is_home(n.page) {
-                    continue;
-                }
+            for n in &remote {
                 if inner.pages.entry(n.page).frame.is_some() {
                     wants.entry(n.page).or_default().push(n.interval);
                 } else {
                     first_touch.push(n.page);
                 }
             }
-            let mut combined = home_wants.clone();
-            for (p, ivs) in &wants {
-                combined.entry(*p).or_default().extend(ivs.iter().copied());
-            }
-            let diffs = self.fetch_logged_diffs(inner, &combined);
-            for (page, writers) in &home_wants {
-                for iv in writers {
-                    if let Some(d) = diffs.get(&(*page, *iv)) {
-                        inner.ctx.charge_copy(d.payload_bytes());
-                        inner.pages.apply_home_diff(d, *iv);
-                    }
+        }
+        // One combined fetch wave: this interval's home-copy updates
+        // plus the patches for every resident remote copy.
+        let mut combined = home_wants.clone();
+        for (p, ivs) in &wants {
+            combined.entry(*p).or_default().extend(ivs.iter().copied());
+        }
+        let diffs = self.fetch_logged_diffs(inner, &combined);
+        for (page, writers) in &home_wants {
+            for iv in writers {
+                if let Some(d) = diffs.get(&(*page, *iv)) {
+                    inner.ctx.charge_copy(d.payload_bytes());
+                    inner.pages.apply_home_diff(d, *iv);
                 }
             }
+        }
+        if self.prefetch {
             for (page, ivs) in &wants {
                 for iv in ivs {
                     if let Some(d) = diffs.get(&(*page, *iv)) {
@@ -820,23 +683,10 @@ impl CclLogger {
             }
             self.prefetch_pages(inner, &first_touch);
         } else {
-            // Ablation A2: apply the home updates, then fall back to
-            // invalidation + on-demand reconstruction at the next fault.
-            if !home_wants.is_empty() {
-                let diffs = self.fetch_logged_diffs(inner, &home_wants);
-                for (page, writers) in &home_wants {
-                    for iv in writers {
-                        if let Some(d) = diffs.get(&(*page, *iv)) {
-                            inner.ctx.charge_copy(d.payload_bytes());
-                            inner.pages.apply_home_diff(d, *iv);
-                        }
-                    }
-                }
-            }
-            for n in &fresh {
-                if n.interval.node != me && !inner.pages.is_home(n.page) {
-                    inner.pages.invalidate(n.page, &mut inner.pool);
-                }
+            // Ablation A2: fall back to invalidation + on-demand
+            // reconstruction at the next fault.
+            for n in remote {
+                inner.pages.invalidate(n.page, &mut inner.pool);
             }
         }
 
@@ -856,40 +706,28 @@ impl CclLogger {
 }
 
 /// Emit the `LogAppend` telemetry for one staged CCL record, tagged
-/// with the coherence object(s) it is about. Multi-page records
-/// (`Updates`, `Diffs`) emit one event per page, bytes split by each
-/// page's encoded share with the frame/record overhead assigned to the
-/// first, so the events sum exactly to the record's framed size (the
-/// blame engine's per-object attribution leans on that exactness).
+/// with the coherence object(s) it is about (`Updates` and `Diffs`
+/// carry several pages, see [`trace_append_by_page`]).
 fn trace_ccl_append(inner: &mut NodeInner, rec: &CclRecord, record_bytes: u64) {
-    let mut emit = |bytes: u64, obj: LogObj| inner.ctx.trace(TraceKind::LogAppend { bytes, obj });
-    match rec {
-        CclRecord::Sync {
-            tag: SyncTag::Acquire(lock),
-            ..
-        } => emit(record_bytes, LogObj::Lock { lock: *lock }),
-        CclRecord::Sync {
-            tag: SyncTag::Barrier(epoch),
-            ..
-        } => emit(record_bytes, LogObj::Barrier { epoch: *epoch }),
-        CclRecord::Updates { pages, .. } if !pages.is_empty() => {
+    let obj = match rec {
+        CclRecord::Sync { tag, .. } => match *tag {
+            SyncTag::Acquire(lock) => LogObj::Lock { lock },
+            SyncTag::Barrier(epoch) => LogObj::Barrier { epoch },
+        },
+        CclRecord::Updates { pages, .. } => {
             // 4 encoded bytes per page id; the rest is record framing.
-            let overhead = record_bytes - 4 * pages.len() as u64;
-            for (i, &page) in pages.iter().enumerate() {
-                let bytes = 4 + if i == 0 { overhead } else { 0 };
-                emit(bytes, LogObj::Page { page });
-            }
+            let shares = pages.iter().map(|&page| (page, 4));
+            return trace_append_by_page(inner, record_bytes, shares);
         }
-        CclRecord::Diffs { diffs, .. } if !diffs.is_empty() => {
-            let shares: Vec<u64> = diffs.iter().map(|d| d.encoded_size() as u64).collect();
-            let overhead = record_bytes - shares.iter().sum::<u64>();
-            for (i, d) in diffs.iter().enumerate() {
-                let bytes = shares[i] + if i == 0 { overhead } else { 0 };
-                emit(bytes, LogObj::Page { page: d.page });
-            }
+        CclRecord::Diffs { diffs, .. } => {
+            let shares = diffs.iter().map(|d| (d.page, d.encoded_size() as u64));
+            return trace_append_by_page(inner, record_bytes, shares);
         }
-        CclRecord::Updates { .. } | CclRecord::Diffs { .. } => emit(record_bytes, LogObj::Meta),
-    }
+    };
+    inner.ctx.trace(TraceKind::LogAppend {
+        bytes: record_bytes,
+        obj,
+    });
 }
 
 impl Default for CclLogger {
@@ -944,10 +782,11 @@ impl FaultTolerance for CclLogger {
             let (cpu, drain) = self.flush_staged(inner);
             if drain > SimDuration::ZERO {
                 if self.overlap {
+                    // Only the write() copy is paid here: the batch
+                    // joins the device queue and no backpressure is
+                    // charged at a barrier.
                     inner.ctx.charge_disk(cpu);
-                    let start = inner.ctx.now().max(self.disk_free_at);
-                    self.disk_free_at = start + drain;
-                    inner.ctx.stats.disk_time_overlapped += drain;
+                    let _ = self.log.write_behind(inner, drain);
                 } else {
                     // Ablation A1: no latency tolerance anywhere —
                     // write-through with the full access cost.
@@ -1009,18 +848,13 @@ impl FaultTolerance for CclLogger {
         if drain == SimDuration::ZERO {
             return (SimDuration::ZERO, self.overlap);
         }
-        let now = inner.ctx.now();
         if self.overlap {
             // Asynchronous write-behind: the device drains the flush
             // while the node waits for its diff acks and computes on
             // (the paper's latency-tolerance technique). The visible
             // cost is the write() copy plus backpressure when the
             // previous flush has not finished draining.
-            let backpressure = self.disk_free_at.saturating_since(now);
-            let start = now.max(self.disk_free_at);
-            self.disk_free_at = start + drain;
-            inner.ctx.stats.disk_time_overlapped += drain;
-            (cpu + backpressure, false)
+            (cpu + self.log.write_behind(inner, drain), false)
         } else {
             // Ablation A1: write-through — the flush seeks and drains
             // synchronously on the critical path before the node may
@@ -1051,97 +885,35 @@ impl FaultTolerance for CclLogger {
             }
         }
         self.staged.clear();
-        self.staged_bytes = 0;
-        self.diff_index.clear();
         self.home_diff_cache.clear();
-        if self.degraded || inner.ctx.disk.has_failed() || self.paused_full {
-            // The log device died (or filled) before the crash. Replay
-            // whatever prefix made it to stable storage; the tail of
-            // the pre-crash execution is simply re-executed live.
-            self.degraded = self.degraded || inner.ctx.disk.has_failed();
-            inner.ctx.trace(TraceKind::RecoveryDegraded);
-        }
-        // Salvage scan: verify every frame, adopt the longest valid
-        // prefix, and cut the torn/corrupt tail off the stable stream
-        // so later appends stay contiguous.
-        let s = frame::salvage(inner.ctx.disk.peek_stream(CCL_STREAM));
-        let damaged = !s.is_clean();
+        let s = self.log.salvage(inner);
+        self.restored_app = s.app;
         // Any lost record may be an `Updates` the cluster already saw
         // this home apply (the writer's ack released nothing — its own
         // stable log still has the diff). Schedule the home-repair wave
         // that refetches those updates before going live.
-        self.needs_repair = damaged || self.degraded || self.paused_full;
-        let mut payloads = s.payloads;
-        if damaged {
-            if s.crc_mismatches > 0 {
-                inner
-                    .ctx
-                    .trace(TraceKind::CrcMismatch { stream: CCL_STREAM });
-            }
-            inner.ctx.trace(TraceKind::TornTailDetected {
-                stream: CCL_STREAM,
-                salvaged: payloads.len() as u32,
-                discarded: s.discarded,
-            });
-            inner.ctx.disk.truncate_records(CCL_STREAM, payloads.len());
-            inner.ctx.trace(TraceKind::LogTruncated {
-                stream: CCL_STREAM,
-                records: payloads.len() as u32,
-            });
-        }
-        self.epoch = s.epoch;
-        let mut meta_rot = false;
-        match crate::checkpoint::restore_meta(inner) {
-            Ok(app) => self.restored_app = app,
-            Err(_) => {
-                // The persisted checkpoint metadata is rotten. The log
-                // begins at a checkpoint whose protocol state we cannot
-                // restore, so neither is usable: discard both and
-                // re-execute from scratch instead of panicking.
-                inner.ctx.trace(TraceKind::CrcMismatch {
-                    stream: crate::checkpoint::CKPT_META,
-                });
-                inner.ctx.trace(TraceKind::RecoveryDegraded);
-                inner.ctx.disk.truncate(crate::checkpoint::CKPT_META);
-                inner.ctx.disk.truncate(CCL_STREAM);
-                payloads.clear();
-                self.epoch += 1;
-                self.restored_app = None;
-                self.needs_repair = true;
-                meta_rot = true;
-            }
-        }
-        let mut records = Vec::with_capacity(payloads.len());
-        for (pos, payload) in payloads.iter().enumerate() {
-            // The salvage scan CRC-verified every surviving payload, so
-            // a decode failure here would be a logic bug, not damage.
-            let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
-            // Rebuild the survivor-service index as a side effect.
-            if let CclRecord::Diffs { interval, diffs } = &rec {
-                for d in diffs {
-                    self.diff_index.insert((d.page, interval.seq), pos);
-                }
-            }
-            // Replay read charging covers what the device transfers:
-            // the framed record, header included.
-            records.push((rec, frame::framed_size(payload.len())));
-        }
-        // A damaged log may have lost the final barrier `Sync` records
-        // with its tail. Replaying only the salvaged prefix would end
-        // recovery *before* the cluster-visible horizon: deferred peer
-        // requests would then be served from home copies the live
-        // re-execution has not rewritten yet — and those writes are this
-        // node's own, refetchable from nobody. The barrier manager's
-        // retained release history holds exactly the lost records'
-        // content (epoch, merged clock, merged notices — the very
-        // snapshot `on_notices` logged), so synthesize the missing
-        // barrier records and replay to the true horizon. Synthesized
-        // records carry size 0: nothing is read from disk for them. A
-        // crashed manager answers with an empty history and synthesis
-        // degrades to a no-op (single-failure best effort).
+        self.needs_repair = s.lost_tail || s.meta_rot;
+        // The salvage scan CRC-verified every surviving payload, so a
+        // decode failure here would be a logic bug, not damage. Replay
+        // read charging covers what the device transfers: the framed
+        // record, header included.
+        let mut records: Vec<(CclRecord, usize)> = s
+            .payloads
+            .iter()
+            .map(|payload| {
+                let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
+                (rec, frame::framed_size(payload.len()))
+            })
+            .collect();
+        // Replay to the cluster-visible horizon, not just to the end of
+        // a prefix that lost its tail (see `lost_releases`): the writes
+        // the live re-execution would redo are this node's own,
+        // refetchable from nobody. Synthesized records carry size 0:
+        // nothing is read from disk for them.
         self.saved_releases = None;
-        if self.needs_repair && !meta_rot {
-            let releases = self.fetch_release_history(inner);
+        if s.lost_tail && !s.meta_rot {
+            let releases =
+                fetch_release_history(inner, |inner, is_reply| self.recovery_wait(inner, is_reply));
             let last_logged = records
                 .iter()
                 .filter_map(|(rec, _)| match rec {
@@ -1152,32 +924,18 @@ impl FaultTolerance for CclLogger {
                     _ => None,
                 })
                 .max();
-            let mut synthesized = 0u32;
             // Migrations in the history are deliberately dropped here:
             // the home mapping is checkpoint state (restored by
             // `restore_meta`, never replayed from the log), so the
             // synthesized records — like real `Sync` records — carry
             // only notices and the clock.
-            for (epoch, vc, notices, _migrations) in &releases {
-                // Skip epochs the restored checkpoint already covers and
-                // epochs the salvaged prefix still has real records for.
-                if *epoch < inner.barrier_epoch || last_logged.is_some_and(|e| *epoch <= e) {
-                    continue;
-                }
-                records.push((
-                    CclRecord::Sync {
-                        tag: SyncTag::Barrier(*epoch),
-                        notices: notices.clone(),
-                        vc: vc.clone(),
-                    },
-                    0,
-                ));
-                synthesized += 1;
-            }
-            if synthesized > 0 {
-                inner.ctx.trace(TraceKind::SyncSynthesized {
-                    records: synthesized,
-                });
+            for (epoch, vc, notices, _migrations) in lost_releases(inner, &releases, last_logged) {
+                let sync = CclRecord::Sync {
+                    tag: SyncTag::Barrier(*epoch),
+                    notices: notices.clone(),
+                    vc: vc.clone(),
+                };
+                records.push((sync, 0));
             }
             self.saved_releases = Some(releases);
         }
@@ -1198,24 +956,10 @@ impl FaultTolerance for CclLogger {
     }
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
-        if inner.ctx.disk.has_failed() {
-            // The checkpoint could not be persisted: the existing log
-            // prefix is still the only recovery data and must be kept.
-            return;
-        }
-        self.staged.clear();
-        self.staged_bytes = 0;
-        self.diff_index.clear();
-        self.home_diff_cache.clear();
-        self.serve_cache = None;
-        inner.ctx.disk.truncate(CCL_STREAM);
-        // New epoch: stale records from before the truncation can never
-        // be mistaken for the new log's.
-        self.epoch += 1;
-        if self.paused_full && !inner.ctx.disk.is_full() {
-            // The truncation freed space: logging resumes cleanly from
-            // this checkpoint.
-            self.paused_full = false;
+        if self.log.truncate_at_checkpoint(inner) {
+            self.staged.clear();
+            self.home_diff_cache.clear();
+            self.serve_cache = None;
         }
     }
 

@@ -21,7 +21,7 @@
 //! back to re-execution) instead of panicking — [`restore_meta`] returns
 //! a typed [`RestoreError`] on damage.
 
-use crate::frame::{self, FrameError, FRAME_HEADER_BYTES};
+use crate::frame::{self, FrameError};
 use hlrc::NodeInner;
 use pagemem::{ByteReader, ByteWriter, CodecError, Decode, Encode, VClock};
 use simnet::{SimDuration, TraceKind};
@@ -267,12 +267,6 @@ pub fn restore_meta(inner: &mut NodeInner) -> Result<Option<Vec<u8>>, RestoreErr
         inner.pages.note_migrated(page, to);
     }
     Ok(Some(meta.app_state))
-}
-
-/// Exact framed size of a checkpoint-page record carrying `payload_len`
-/// payload bytes (used by tests asserting boundedness).
-pub fn framed_page_record_size(payload_len: usize) -> usize {
-    payload_len + FRAME_HEADER_BYTES
 }
 
 #[cfg(test)]

@@ -14,6 +14,11 @@
 //!   rebuilds home copies from writers' logs and reconstructs remote
 //!   copies from checkpoint bases plus logged diffs, eliminating page
 //!   faults. `CclLogger::without_overlap()` is the serial-flush ablation.
+//! * [`StableLog`] — the one owner of a log stream's device state
+//!   machine (refused and lost flushes, the write-behind queue, the
+//!   salvage scan, checkpoint truncation). The protocols above differ
+//!   only in what they record, when they flush and how they replay;
+//!   what a device can do to a flush is the same under all of them.
 //! * [`checkpoint`] — coordinated incremental checkpoints with log
 //!   truncation.
 //!
@@ -29,6 +34,7 @@ mod log_record;
 mod ml;
 mod recovery;
 pub mod related;
+mod stable_log;
 
 pub use ccl::{CclLogger, CCL_STREAM};
 pub use checkpoint::{
@@ -42,3 +48,4 @@ pub use log_record::{CclRecord, SyncTag};
 pub use ml::{MlLogger, ML_STREAM};
 pub use recovery::replay_apply_notices;
 pub use related::{RecordOnlyLogger, RslLogger, RECORDS_STREAM, RSL_STREAM};
+pub use stable_log::{lost_releases, Salvaged, StableLog, Written};

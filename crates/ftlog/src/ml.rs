@@ -16,8 +16,8 @@
 //! latency" of §4.3), with no network traffic at all.
 
 use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind};
-use pagemem::{Decode, Encode, PageState, VClock};
-use simnet::{LogObj, SimDuration, SimTime, TraceKind};
+use pagemem::{Decode, Encode, PageId, PageState, VClock};
+use simnet::{LogObj, SimDuration, TraceKind};
 
 /// A record handed to replay: from the verified on-disk prefix, or
 /// synthesized from the barrier manager's release history when the log
@@ -33,32 +33,31 @@ struct ReplayRecord {
 }
 
 use crate::frame;
-use crate::recovery::replay_apply_notices;
+use crate::recovery::{fetch_release_history, replay_apply_notices};
+use crate::stable_log::{lost_releases, trace_append_by_page, StableLog, Written};
 
 /// Stable-storage stream holding the ML log.
 pub const ML_STREAM: &str = "ml.log";
 
+/// The operation replay is looking for the record of.
+#[derive(Debug, Clone, Copy)]
+enum Want {
+    /// The grant of this lock.
+    Acquire(u32),
+    /// The release of this barrier epoch.
+    Barrier(u32),
+    /// The reply that satisfied a fault on this page.
+    Fault(PageId),
+}
+
 /// Traditional message logging.
 pub struct MlLogger {
+    /// The stable stream and its device state.
+    log: StableLog,
+    /// Framed records not yet flushed.
     staged: Vec<Vec<u8>>,
-    staged_bytes: usize,
     cursor: Option<usize>,
     restored_app: Option<Vec<u8>>,
-    /// When the device finishes draining the OS write cache.
-    disk_free_at: SimTime,
-    /// The log device failed permanently: logging has stopped and a
-    /// later crash replays only the persisted prefix, re-executing the
-    /// rest live (degraded recovery).
-    degraded: bool,
-    /// Stream epoch stamped into every frame; bumped at each log
-    /// truncation so stale records can never join the new log.
-    epoch: u32,
-    /// Frame sequence number of the next staged record.
-    next_seq: u32,
-    /// The device is at capacity: the last flush was refused and
-    /// logging is paused until a checkpoint truncates the log. A crash
-    /// meanwhile replays the persisted prefix, then re-executes live.
-    paused_full: bool,
     /// Verified-prefix length established by the last recovery scan
     /// (replay never reads past it, even if a failed device refused
     /// the repair truncation).
@@ -72,83 +71,27 @@ impl MlLogger {
     /// A fresh ML protocol instance.
     pub fn new() -> MlLogger {
         MlLogger {
+            log: StableLog::new(ML_STREAM),
             staged: Vec::new(),
-            staged_bytes: 0,
             cursor: None,
             restored_app: None,
-            disk_free_at: SimTime::ZERO,
-            degraded: false,
-            epoch: 0,
-            next_seq: 0,
-            paused_full: false,
             log_valid: 0,
             synthesized: Vec::new(),
         }
     }
 
-    /// True once the log device has failed permanently.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Write the staged log through the OS cache. Returns the critical-
     /// path cost: the buffered-write copy plus any stall while the
-    /// device is still draining earlier flushes. The device drain itself
-    /// proceeds in the background (tracked by `disk_free_at`).
+    /// device is still draining earlier flushes (the drain itself
+    /// proceeds in the background), or the one futile access that
+    /// discovered a dead or full device.
     fn flush_staged(&mut self, inner: &mut NodeInner) -> SimDuration {
-        if self.degraded || self.paused_full {
-            // The device is gone (or full); drop anything staged.
-            self.staged.clear();
-            self.staged_bytes = 0;
-            return SimDuration::ZERO;
+        let staged = std::mem::take(&mut self.staged);
+        match self.log.write(inner, staged, false) {
+            Written::Nothing => SimDuration::ZERO,
+            Written::Refused { futile } => futile,
+            Written::Persisted { cpu, drain } => cpu + self.log.write_behind(inner, drain),
         }
-        if self.staged.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let bytes = self.staged_bytes;
-        let retries_before = inner.ctx.disk.counters().write_retries;
-        let _ = inner
-            .ctx
-            .disk
-            .flush_records(ML_STREAM, std::mem::take(&mut self.staged));
-        self.staged_bytes = 0;
-        if inner.ctx.disk.has_failed() {
-            // Permanent device failure: the batch is lost and logging
-            // stops for good. The node keeps computing; the cost here
-            // is the one futile access that discovered the failure.
-            self.degraded = true;
-            inner.ctx.trace(TraceKind::LogDeviceFailed);
-            return inner.ctx.disk.model().write_time(0);
-        }
-        if inner.ctx.disk.is_full() {
-            // ENOSPC: the batch was refused whole. Pause logging —
-            // appending a later batch over the gap would poison replay
-            // — until a coordinated checkpoint truncates the log and
-            // frees the space. A crash meanwhile degrades gracefully:
-            // the persisted prefix replays, the rest re-executes live.
-            self.paused_full = true;
-            inner.ctx.trace(TraceKind::LogDeviceFull);
-            return inner.ctx.disk.model().write_time(0);
-        }
-        let mut drain = inner.ctx.disk.model().drain_time(bytes);
-        if inner.ctx.disk.counters().write_retries > retries_before {
-            // A transient write fault: the device wrote the batch twice.
-            drain = drain + drain;
-        }
-        inner.ctx.stats.log_flushes += 1;
-        inner.ctx.stats.log_bytes += bytes as u64;
-        inner.ctx.metrics.flush_bytes.record(bytes as u64);
-        inner.ctx.trace(TraceKind::LogFlush {
-            bytes: bytes as u64,
-            overlapped: false,
-        });
-        let cpu = inner.ctx.disk.model().buffered_write_cost(bytes);
-        let now = inner.ctx.now();
-        let backpressure = self.disk_free_at.saturating_since(now);
-        let start = now.max(self.disk_free_at);
-        self.disk_free_at = start + drain;
-        inner.ctx.stats.disk_time_overlapped += drain;
-        cpu + backpressure
     }
 
     /// Read and charge the next logged message, if any. Replay scans
@@ -204,142 +147,134 @@ impl MlLogger {
         RecoveryStep::LogExhausted
     }
 
-    /// The barrier manager's retained release history: read locally when
-    /// this node *is* the manager, fetched over the network otherwise.
-    /// A crashed manager lost its history and answers with an empty
-    /// list; synthesis then degrades to a no-op (single-failure best
-    /// effort). ML replay is otherwise purely local, so every other
-    /// message class is safe to defer until recovery ends.
-    fn fetch_release_history(&mut self, inner: &mut NodeInner) -> Vec<hlrc::EpochRelease> {
-        let mgr = inner.cfg.barrier_manager();
-        if mgr == inner.me() {
-            return inner
-                .barrier_mgr
-                .as_ref()
-                .map(|m| m.release_history())
-                .unwrap_or_default();
-        }
-        inner
-            .ctx
-            .send(mgr, Msg::ReleaseHistoryRequest)
-            .expect("send release history request");
+    /// The one replay loop: read records in receipt order, applying
+    /// the asynchronous ones (diff flushes, in-migrations) as they come,
+    /// until the record that satisfied `want` live — the lock grant, the
+    /// barrier release or the page reply — and re-apply it.
+    fn replay_to(&mut self, inner: &mut NodeInner, want: Want) -> RecoveryStep {
         loop {
-            let env = inner.ctx.recv().expect("cluster channel closed");
-            if let Msg::ReleaseHistoryReply { .. } = &env.payload {
-                inner.ctx.absorb(&env);
-                let Msg::ReleaseHistoryReply { releases } = env.payload else {
-                    unreachable!("matched above");
-                };
-                return releases;
-            }
-            inner.ctx.defer(env);
-        }
-    }
-
-    fn apply_logged_diff_flush(inner: &mut NodeInner, msg: &Msg) {
-        if let Msg::DiffFlush { writer, diffs } = msg {
-            let payload: usize = diffs.iter().map(|d| d.encoded_size()).sum();
-            inner.ctx.charge_copy(payload);
-            for d in diffs {
-                inner.pages.apply_home_diff(d, *writer);
-            }
-        }
-    }
-
-    /// A logged in-migration. Home mappings and checkpoint bases
-    /// survive a crash (the checkpoint taken at the migration's own
-    /// barrier covered the adopted page), so replay normally finds the
-    /// adoption already reflected in the restored page table and only
-    /// consumes the record; a still-premigration mapping adopts now.
-    fn apply_logged_migration(inner: &mut NodeInner, msg: &Msg) {
-        if let Msg::HomeMigrate {
-            page,
-            data,
-            version,
-        } = msg
-        {
-            if !inner.pages.is_home(*page) {
-                inner.ctx.charge_copy(data.len());
-                inner.pages.adopt_home(*page, data, version.clone());
-            }
-        }
-    }
-
-    /// A logged trailing prefetch batch: reinstall exactly the copies
-    /// live execution installed (the record was trimmed to the installed
-    /// subset before staging). Absorbed non-blocking at any replay
-    /// point — live, the batch was serviced at whatever inbox drain the
-    /// node happened to block in.
-    fn apply_logged_batch(inner: &mut NodeInner, msg: &Msg) {
-        if let Msg::PageReplyBatch { pages, .. } = msg {
-            for (p, data, _version) in pages.iter() {
-                inner.ctx.charge_copy(data.len());
-                inner
-                    .pages
-                    .install_copy(*p, data, PageState::ReadOnly, &mut inner.pool);
-                inner.pages.entry_mut(*p).prefetched = true;
-            }
+            let Some(rec) = self.next_record(inner) else {
+                self.cursor = None;
+                return RecoveryStep::LogExhausted;
+            };
+            let notices = match (&rec.msg, want) {
+                (Msg::DiffFlush { writer, diffs }, _) => {
+                    let payload: usize = diffs.iter().map(|d| d.encoded_size()).sum();
+                    inner.ctx.charge_copy(payload);
+                    for d in diffs {
+                        inner.pages.apply_home_diff(d, *writer);
+                    }
+                    continue;
+                }
+                // A logged in-migration. Home mappings and checkpoint
+                // bases survive a crash (the checkpoint taken at the
+                // migration's own barrier covered the adopted page), so
+                // replay normally finds the adoption already reflected
+                // in the restored page table and only consumes the
+                // record; a still-premigration mapping adopts now.
+                (
+                    Msg::HomeMigrate {
+                        page,
+                        data,
+                        version,
+                    },
+                    _,
+                ) => {
+                    if !inner.pages.is_home(*page) {
+                        inner.ctx.charge_copy(data.len());
+                        inner.pages.adopt_home(*page, data, version.clone());
+                    }
+                    continue;
+                }
+                (
+                    Msg::LockGrant {
+                        lock: l,
+                        vc,
+                        notices,
+                    },
+                    Want::Acquire(lock),
+                ) => {
+                    assert_eq!(*l, lock, "ML replay drift: wrong lock grant");
+                    inner.close_interval();
+                    replay_apply_notices(inner, notices, vc);
+                    inner.lock_grant_vcs.insert(lock, vc.clone());
+                    notices.len()
+                }
+                (
+                    Msg::BarrierRelease {
+                        epoch: e,
+                        vc,
+                        notices,
+                        migrations,
+                    },
+                    Want::Barrier(epoch),
+                ) => {
+                    if *e != epoch && rec.synthesized {
+                        return self.abandon_replay();
+                    }
+                    assert_eq!(*e, epoch, "ML replay drift: wrong barrier epoch");
+                    // Close the interval locally (diffs are already at
+                    // their homes from before the crash).
+                    inner.close_interval();
+                    // Migrations before notices, as live execution does.
+                    // Mappings survive the crash, so these are normally
+                    // no-ops; in-migrations are absorbed from their own
+                    // `HomeMigrate` records as replay reaches them.
+                    let me = inner.me();
+                    for &(page, to) in migrations.iter() {
+                        let to = to as usize;
+                        if to != me && inner.pages.entry(page).home != to {
+                            inner.pages.note_migrated(page, to);
+                        }
+                    }
+                    replay_apply_notices(inner, notices, vc);
+                    inner.close_barrier_epoch();
+                    notices.len()
+                }
+                (Msg::PageReply { page: p, data, .. }, Want::Fault(page)) => {
+                    assert_eq!(*p, page, "ML replay drift: wrong page reply");
+                    inner.ctx.charge_copy(data.len());
+                    inner
+                        .pages
+                        .install_copy(page, data, PageState::ReadOnly, &mut inner.pool);
+                    0
+                }
+                (other, _) => {
+                    // A synthesized record may legitimately disagree
+                    // with the re-executed sequence; a real one may not.
+                    if rec.synthesized {
+                        return self.abandon_replay();
+                    }
+                    panic!("ML replay drift at {want:?}: unexpected {}", other.kind())
+                }
+            };
+            inner.ctx.trace(TraceKind::RecoveryReplay {
+                notices: notices as u32,
+            });
+            self.maybe_finish(inner);
+            return RecoveryStep::Replayed;
         }
     }
 }
 
 /// Emit the `LogAppend` telemetry for one framed ML record, tagged with
-/// the coherence object(s) it is about. A `DiffFlush` record carries
-/// several pages: it emits one event per page, bytes split by each
-/// diff's encoded size with the frame/header overhead assigned to the
-/// first, so the events sum exactly to the record's framed size (the
-/// blame engine's per-object attribution leans on that exactness).
+/// the coherence object(s) it is about (a `DiffFlush` carries several
+/// pages, see [`trace_append_by_page`]).
 fn trace_ml_append(inner: &mut NodeInner, msg: &Msg, record_bytes: u64) {
-    match msg {
-        Msg::PageReply { page, .. } => inner.ctx.trace(TraceKind::LogAppend {
-            bytes: record_bytes,
-            obj: LogObj::Page { page: *page },
-        }),
-        Msg::LockGrant { lock, .. } => inner.ctx.trace(TraceKind::LogAppend {
-            bytes: record_bytes,
-            obj: LogObj::Lock { lock: *lock },
-        }),
-        Msg::BarrierRelease { epoch, .. } => inner.ctx.trace(TraceKind::LogAppend {
-            bytes: record_bytes,
-            obj: LogObj::Barrier { epoch: *epoch },
-        }),
-        Msg::DiffFlush { diffs, .. } if !diffs.is_empty() => {
-            let shares: Vec<u64> = diffs.iter().map(|d| d.encoded_size() as u64).collect();
-            let overhead = record_bytes - shares.iter().sum::<u64>();
-            for (i, d) in diffs.iter().enumerate() {
-                let bytes = shares[i] + if i == 0 { overhead } else { 0 };
-                inner.ctx.trace(TraceKind::LogAppend {
-                    bytes,
-                    obj: LogObj::Page { page: d.page },
-                });
-            }
+    let obj = match msg {
+        Msg::PageReply { page, .. } | Msg::HomeMigrate { page, .. } => LogObj::Page { page: *page },
+        Msg::LockGrant { lock, .. } => LogObj::Lock { lock: *lock },
+        Msg::BarrierRelease { epoch, .. } => LogObj::Barrier { epoch: *epoch },
+        Msg::DiffFlush { diffs, .. } => {
+            let shares = diffs.iter().map(|d| (d.page, d.encoded_size() as u64));
+            return trace_append_by_page(inner, record_bytes, shares);
         }
-        Msg::PageReplyBatch { pages, .. } if !pages.is_empty() => {
-            // One event per carried page, bytes split by each copy's
-            // encoded share with the frame overhead on the first, so
-            // the events sum exactly to the record's framed size.
-            let shares: Vec<u64> = pages
-                .iter()
-                .map(|(_, data, vc)| (4 + 4 + data.len() + vc.encoded_size()) as u64)
-                .collect();
-            let overhead = record_bytes - shares.iter().sum::<u64>();
-            for (i, (page, ..)) in pages.iter().enumerate() {
-                let bytes = shares[i] + if i == 0 { overhead } else { 0 };
-                inner.ctx.trace(TraceKind::LogAppend {
-                    bytes,
-                    obj: LogObj::Page { page: *page },
-                });
-            }
-        }
-        Msg::HomeMigrate { page, .. } => inner.ctx.trace(TraceKind::LogAppend {
-            bytes: record_bytes,
-            obj: LogObj::Page { page: *page },
-        }),
-        _ => inner.ctx.trace(TraceKind::LogAppend {
-            bytes: record_bytes,
-            obj: LogObj::Meta,
-        }),
-    }
+        _ => LogObj::Meta,
+    };
+    inner.ctx.trace(TraceKind::LogAppend {
+        bytes: record_bytes,
+        obj,
+    });
 }
 
 impl Default for MlLogger {
@@ -353,14 +288,20 @@ impl FaultTolerance for MlLogger {
         "ml"
     }
 
+    /// ML's log is the content of every page copy this node installs,
+    /// written synchronously: a speculative copy costs it a page of
+    /// stable log whether or not it is ever read.
+    fn logs_page_contents(&self) -> bool {
+        true
+    }
+
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
-        if self.degraded || self.paused_full {
+        if !self.log.accepting() {
             return;
         }
         let log_it = matches!(
             msg,
             Msg::PageReply { .. }
-                | Msg::PageReplyBatch { .. }
                 | Msg::DiffFlush { .. }
                 | Msg::LockGrant { .. }
                 | Msg::BarrierRelease { .. }
@@ -370,11 +311,8 @@ impl FaultTolerance for MlLogger {
             // Sized encode: one exact allocation per record (`Msg` sizes
             // itself by arithmetic, so this costs no pre-pass encode),
             // wrapped in the checksummed frame it will persist under.
-            let payload = msg.encode_to_sized_vec();
-            let record = frame::frame_record(self.epoch, self.next_seq, &payload);
-            self.next_seq += 1;
+            let record = self.log.frame(&msg.encode_to_sized_vec());
             trace_ml_append(inner, msg, record.len() as u64);
-            self.staged_bytes += record.len();
             self.staged.push(record);
         }
     }
@@ -418,72 +356,13 @@ impl FaultTolerance for MlLogger {
     fn begin_recovery(&mut self, inner: &mut NodeInner) {
         inner.ctx.trace(TraceKind::RecoveryBegin);
         self.staged.clear();
-        self.staged_bytes = 0;
         self.synthesized.clear();
-        if self.degraded || inner.ctx.disk.has_failed() || self.paused_full {
-            // The log device died (or filled) before the crash. Replay
-            // whatever prefix made it to stable storage; the tail of
-            // the pre-crash execution is simply re-executed live.
-            self.degraded = self.degraded || inner.ctx.disk.has_failed();
-            inner.ctx.trace(TraceKind::RecoveryDegraded);
-        }
-        // Salvage scan: verify every frame, adopt the longest valid
-        // prefix, and cut the torn/corrupt tail off the stable stream
-        // so later appends stay contiguous.
-        let s = frame::salvage(inner.ctx.disk.peek_stream(ML_STREAM));
-        let valid = s.payloads.len();
-        if !s.is_clean() {
-            if s.crc_mismatches > 0 {
-                inner
-                    .ctx
-                    .trace(TraceKind::CrcMismatch { stream: ML_STREAM });
-            }
-            inner.ctx.trace(TraceKind::TornTailDetected {
-                stream: ML_STREAM,
-                salvaged: valid as u32,
-                discarded: s.discarded,
-            });
-            inner.ctx.disk.truncate_records(ML_STREAM, valid);
-            inner.ctx.trace(TraceKind::LogTruncated {
-                stream: ML_STREAM,
-                records: valid as u32,
-            });
-        }
-        self.log_valid = valid;
-        self.epoch = s.epoch;
-        self.next_seq = valid as u32;
-        let mut meta_rot = false;
-        match crate::checkpoint::restore_meta(inner) {
-            Ok(app) => self.restored_app = app,
-            Err(_) => {
-                // The persisted checkpoint metadata is rotten. The log
-                // begins at a checkpoint whose protocol state we cannot
-                // restore, so neither is usable: discard both and
-                // re-execute from scratch instead of panicking.
-                inner.ctx.trace(TraceKind::CrcMismatch {
-                    stream: crate::checkpoint::CKPT_META,
-                });
-                inner.ctx.trace(TraceKind::RecoveryDegraded);
-                inner.ctx.disk.truncate(crate::checkpoint::CKPT_META);
-                inner.ctx.disk.truncate(ML_STREAM);
-                self.log_valid = 0;
-                self.epoch += 1;
-                self.next_seq = 0;
-                self.restored_app = None;
-                meta_rot = true;
-            }
-        }
-        // A damaged log may have lost the final barrier-release records
-        // with its tail (the completion flush is the only batch whose
-        // durability no ack gates). Replaying only the salvaged prefix
-        // would end recovery *before* the cluster-visible horizon:
-        // deferred peer requests would be served from home copies the
-        // live catch-up has not rewritten yet, and the catch-up itself
-        // would re-send diffs the homes already applied. The barrier
-        // manager's release history holds exactly the lost releases'
-        // content (epoch, merged clock, merged notices), so synthesize
-        // them and replay to the true horizon instead.
-        if !meta_rot && (!s.is_clean() || self.degraded || self.paused_full) {
+        let s = self.log.salvage(inner);
+        self.log_valid = s.payloads.len();
+        self.restored_app = s.app;
+        // Replay to the cluster-visible horizon, not just to the end of
+        // a prefix that lost its tail (see `lost_releases`).
+        if s.lost_tail && !s.meta_rot {
             let last_logged = s
                 .payloads
                 .iter()
@@ -492,25 +371,20 @@ impl FaultTolerance for MlLogger {
                     _ => None,
                 })
                 .max();
-            let releases = self.fetch_release_history(inner);
-            for (epoch, vc, notices, migrations) in releases {
-                // Skip epochs the restored checkpoint already covers and
-                // epochs the salvaged prefix still has real records for.
-                if epoch < inner.barrier_epoch || last_logged.is_some_and(|e| epoch <= e) {
-                    continue;
-                }
-                self.synthesized.push(Msg::BarrierRelease {
-                    epoch,
-                    vc: vc.into(),
-                    notices: notices.into(),
-                    migrations: migrations.into(),
-                });
-            }
-            if !self.synthesized.is_empty() {
-                inner.ctx.trace(TraceKind::SyncSynthesized {
-                    records: self.synthesized.len() as u32,
-                });
-            }
+            // ML replay is purely local, so everything but the reply
+            // is safe to defer until recovery ends.
+            let releases = fetch_release_history(inner, |inner, is_reply| {
+                inner.ctx.wait_for_deferring(is_reply)
+            });
+            let lost = lost_releases(inner, &releases, last_logged);
+            let synthesize =
+                |(epoch, vc, notices, migrations): &hlrc::EpochRelease| Msg::BarrierRelease {
+                    epoch: *epoch,
+                    vc: vc.clone().into(),
+                    notices: notices.as_slice().into(),
+                    migrations: migrations.as_slice().into(),
+                };
+            self.synthesized = lost.into_iter().map(synthesize).collect();
         }
         self.cursor = Some(0);
         self.maybe_finish(inner);
@@ -521,23 +395,8 @@ impl FaultTolerance for MlLogger {
     }
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
-        if inner.ctx.disk.has_failed() {
-            // The checkpoint could not be persisted: the existing log
-            // prefix is still the only recovery data and must be kept.
-            return;
-        }
-        // Everything before the checkpoint is no longer needed for
-        // replay: truncate the log and open a fresh stream epoch so
-        // stale records can never be mistaken for the new log's.
-        self.staged.clear();
-        self.staged_bytes = 0;
-        inner.ctx.disk.truncate(ML_STREAM);
-        self.epoch += 1;
-        self.next_seq = 0;
-        if self.paused_full && !inner.ctx.disk.is_full() {
-            // The truncation freed space: logging resumes cleanly from
-            // this checkpoint.
-            self.paused_full = false;
+        if self.log.truncate_at_checkpoint(inner) {
+            self.staged.clear();
         }
     }
 
@@ -546,145 +405,14 @@ impl FaultTolerance for MlLogger {
     }
 
     fn recovery_acquire(&mut self, inner: &mut NodeInner, lock: u32) -> RecoveryStep {
-        loop {
-            let Some(rec) = self.next_record(inner) else {
-                self.cursor = None;
-                return RecoveryStep::LogExhausted;
-            };
-            match &rec.msg {
-                Msg::DiffFlush { .. } => Self::apply_logged_diff_flush(inner, &rec.msg),
-                Msg::HomeMigrate { .. } => Self::apply_logged_migration(inner, &rec.msg),
-                Msg::PageReplyBatch { .. } => Self::apply_logged_batch(inner, &rec.msg),
-                Msg::LockGrant {
-                    lock: l,
-                    vc,
-                    notices,
-                } => {
-                    assert_eq!(*l, lock, "ML replay drift: wrong lock grant");
-                    inner.replay_close_interval();
-                    replay_apply_notices(inner, notices, vc);
-                    inner.lock_grant_vcs.insert(lock, vc.clone());
-                    inner.ctx.trace(TraceKind::RecoveryReplay {
-                        notices: notices.len() as u32,
-                    });
-                    self.maybe_finish(inner);
-                    return RecoveryStep::Replayed;
-                }
-                other => {
-                    if rec.synthesized {
-                        return self.abandon_replay();
-                    }
-                    panic!(
-                        "ML replay drift at acquire({lock}): unexpected {}",
-                        other.kind()
-                    )
-                }
-            }
-        }
+        self.replay_to(inner, Want::Acquire(lock))
     }
 
     fn recovery_barrier(&mut self, inner: &mut NodeInner, epoch: u32) -> RecoveryStep {
-        loop {
-            let Some(rec) = self.next_record(inner) else {
-                self.cursor = None;
-                return RecoveryStep::LogExhausted;
-            };
-            match &rec.msg {
-                Msg::DiffFlush { .. } => Self::apply_logged_diff_flush(inner, &rec.msg),
-                Msg::HomeMigrate { .. } => Self::apply_logged_migration(inner, &rec.msg),
-                Msg::PageReplyBatch { .. } => Self::apply_logged_batch(inner, &rec.msg),
-                Msg::BarrierRelease {
-                    epoch: e,
-                    vc,
-                    notices,
-                    migrations,
-                } => {
-                    if *e != epoch && rec.synthesized {
-                        return self.abandon_replay();
-                    }
-                    assert_eq!(*e, epoch, "ML replay drift: wrong barrier epoch");
-                    // Close the interval locally (diffs are already at
-                    // their homes from before the crash).
-                    inner.replay_close_interval();
-                    // Migrations before notices, as live execution does.
-                    // Mappings survive the crash, so these are normally
-                    // no-ops; in-migrations are absorbed from their own
-                    // `HomeMigrate` records as replay reaches them.
-                    let me = inner.me();
-                    for &(page, to) in migrations.iter() {
-                        let to = to as usize;
-                        if to != me && inner.pages.entry(page).home != to {
-                            inner.pages.note_migrated(page, to);
-                        }
-                    }
-                    replay_apply_notices(inner, notices, vc);
-                    inner.last_barrier_vc = inner.vc.clone();
-                    let lb = inner.last_barrier_vc.clone();
-                    inner.history.retain(|n| !lb.covers(n.interval));
-                    inner.ctx.trace(TraceKind::RecoveryReplay {
-                        notices: notices.len() as u32,
-                    });
-                    self.maybe_finish(inner);
-                    return RecoveryStep::Replayed;
-                }
-                other => {
-                    if rec.synthesized {
-                        return self.abandon_replay();
-                    }
-                    panic!(
-                        "ML replay drift at barrier({epoch}): unexpected {}",
-                        other.kind()
-                    )
-                }
-            }
-        }
+        self.replay_to(inner, Want::Barrier(epoch))
     }
 
     fn recovery_fault(&mut self, inner: &mut NodeInner, page: u32, _write: bool) -> RecoveryStep {
-        loop {
-            let Some(rec) = self.next_record(inner) else {
-                self.cursor = None;
-                return RecoveryStep::LogExhausted;
-            };
-            match &rec.msg {
-                Msg::DiffFlush { .. } => Self::apply_logged_diff_flush(inner, &rec.msg),
-                Msg::HomeMigrate { .. } => Self::apply_logged_migration(inner, &rec.msg),
-                Msg::PageReply { page: p, data, .. } => {
-                    assert_eq!(*p, page, "ML replay drift: wrong page reply");
-                    inner.ctx.charge_copy(data.len());
-                    inner
-                        .pages
-                        .install_copy(page, data, PageState::ReadOnly, &mut inner.pool);
-                    inner.ctx.trace(TraceKind::RecoveryReplay { notices: 0 });
-                    self.maybe_finish(inner);
-                    return RecoveryStep::Replayed;
-                }
-                Msg::PageReplyBatch { pages, .. } => {
-                    // A trailing prefetch batch: absorb it. If it covers
-                    // the faulting page the fault is satisfied (live,
-                    // the install beat the access); otherwise keep
-                    // scanning for the fault's own reply record.
-                    let covers = pages.iter().any(|(p, ..)| *p == page);
-                    Self::apply_logged_batch(inner, &rec.msg);
-                    if covers {
-                        // The replayed fault consumes the predicted
-                        // copy, as the live access (a prefetch hit) did.
-                        inner.pages.entry_mut(page).prefetched = false;
-                        inner.ctx.trace(TraceKind::RecoveryReplay { notices: 0 });
-                        self.maybe_finish(inner);
-                        return RecoveryStep::Replayed;
-                    }
-                }
-                other => {
-                    if rec.synthesized {
-                        return self.abandon_replay();
-                    }
-                    panic!(
-                        "ML replay drift at fault({page}): unexpected {}",
-                        other.kind()
-                    )
-                }
-            }
-        }
+        self.replay_to(inner, Want::Fault(page))
     }
 }

@@ -1,12 +1,14 @@
 //! Shared replay helpers used by both ML- and CCL-recovery.
 
-use hlrc::{NodeInner, WriteNotice};
+use hlrc::{EpochRelease, Msg, NodeInner, WriteNotice};
 use pagemem::VClock;
+use simnet::Envelope;
 
-/// Re-apply a synchronization operation's notices during replay:
-/// extend the history, observe the intervals, invalidate named remote
-/// copies, and merge the piggybacked clock — the recovery-mode twin of
-/// the driver's failure-free notice processing (without logging hooks).
+/// Re-apply a synchronization operation's notices during replay: admit
+/// them ([`NodeInner::admit_notices`], the rule live execution uses) and
+/// invalidate the remote copies the fresh ones name — the recovery-mode
+/// twin of the driver's failure-free notice processing, without
+/// logging hooks or prefetch accounting.
 ///
 /// Returns the notices that were fresh (not yet covered).
 pub fn replay_apply_notices(
@@ -15,23 +17,38 @@ pub fn replay_apply_notices(
     vc_in: &VClock,
 ) -> Vec<WriteNotice> {
     let me = inner.me() as u32;
-    // Judge freshness against the pre-batch clock: notices of the same
-    // interval (one per written page) must all be applied.
-    let vc_before = inner.vc.clone();
-    let mut fresh: Vec<WriteNotice> = Vec::new();
-    for n in notices {
-        if vc_before.covers(n.interval) || fresh.contains(n) {
-            continue;
-        }
-        fresh.push(*n);
-        inner.vc.observe(n.interval);
-        inner.history.push(*n);
+    let fresh = inner.admit_notices(notices, vc_in);
+    for n in &fresh {
         if n.interval.node != me && !inner.pages.is_home(n.page) {
             inner.pages.invalidate(n.page, &mut inner.pool);
         }
     }
-    inner.vc.join(vc_in);
     fresh
+}
+
+/// The barrier manager's retained release history: read locally when
+/// this node *is* the manager, requested over the network otherwise,
+/// `wait`ing for the reply the caller's way (ML defers everything else,
+/// CCL keeps serving recovering peers). A crashed manager lost its
+/// history and answers with an empty list; every consumer degrades
+/// gracefully on that (single-failure best effort).
+pub(crate) fn fetch_release_history(
+    inner: &mut NodeInner,
+    wait: impl FnOnce(&mut NodeInner, fn(&Msg) -> bool) -> Envelope<Msg>,
+) -> Vec<EpochRelease> {
+    let mgr = inner.cfg.barrier_manager();
+    if mgr == inner.me() {
+        return inner.release_history();
+    }
+    inner
+        .ctx
+        .send(mgr, Msg::ReleaseHistoryRequest)
+        .expect("send release history request");
+    let reply = wait(inner, |m| matches!(m, Msg::ReleaseHistoryReply { .. }));
+    let Msg::ReleaseHistoryReply { releases } = reply.payload else {
+        unreachable!("waited for a release history reply");
+    };
+    releases
 }
 
 #[cfg(test)]

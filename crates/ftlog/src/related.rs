@@ -33,45 +33,40 @@
 
 use hlrc::{FaultTolerance, Msg, NodeInner, SyncKind, WriteNotice};
 use pagemem::{ByteWriter, Encode, VClock};
-use simnet::{SimDuration, TraceKind};
+use simnet::SimDuration;
+
+use crate::stable_log::{StableLog, Written};
 
 /// Flush staging shared by the two record-style loggers.
-#[derive(Default)]
 struct Staged {
+    log: StableLog,
     records: Vec<Vec<u8>>,
-    bytes: usize,
 }
 
 impl Staged {
+    fn new(stream: &'static str) -> Staged {
+        Staged {
+            log: StableLog::new(stream),
+            records: Vec::new(),
+        }
+    }
+
     fn push(&mut self, rec: Vec<u8>) {
-        self.bytes += rec.len();
         self.records.push(rec);
     }
 
-    fn flush(&mut self, inner: &mut NodeInner, stream: &str) -> SimDuration {
-        if self.records.is_empty() {
-            return SimDuration::ZERO;
+    /// Written and drained synchronously — these protocols predate
+    /// write-behind tricks — so the whole access, or the futile one
+    /// that finds the device gone, is the cost.
+    fn flush(&mut self, inner: &mut NodeInner) -> SimDuration {
+        match self
+            .log
+            .write(inner, std::mem::take(&mut self.records), false)
+        {
+            Written::Nothing => SimDuration::ZERO,
+            Written::Refused { futile } => futile,
+            Written::Persisted { cpu, drain } => cpu + drain,
         }
-        let bytes = self.bytes;
-        let _ = inner
-            .ctx
-            .disk
-            .flush_records(stream, std::mem::take(&mut self.records));
-        self.bytes = 0;
-        inner.ctx.stats.log_flushes += 1;
-        inner.ctx.stats.log_bytes += bytes as u64;
-        inner.ctx.metrics.flush_bytes.record(bytes as u64);
-        inner.ctx.trace(TraceKind::LogFlush {
-            bytes: bytes as u64,
-            overlapped: false,
-        });
-        inner.ctx.disk.model().buffered_write_cost(bytes)
-            + inner
-                .ctx
-                .disk
-                .model()
-                .drain_time(bytes)
-                .saturating_sub(SimDuration::ZERO) // drained synchronously: these protocols predate write-behind tricks
     }
 }
 
@@ -88,7 +83,7 @@ impl RecordOnlyLogger {
     /// Fresh instance.
     pub fn new() -> RecordOnlyLogger {
         RecordOnlyLogger {
-            staged: Staged::default(),
+            staged: Staged::new(RECORDS_STREAM),
         }
     }
 
@@ -147,7 +142,7 @@ impl FaultTolerance for RecordOnlyLogger {
     fn flush_before_send(&mut self, inner: &mut NodeInner) -> SimDuration {
         // "Flushing them to stable storage before communicating with
         // another process" — fully synchronous, like ML.
-        self.staged.flush(inner, RECORDS_STREAM)
+        self.staged.flush(inner)
     }
 
     fn begin_recovery(&mut self, _inner: &mut NodeInner) {
@@ -173,7 +168,7 @@ impl RslLogger {
     /// Fresh instance.
     pub fn new() -> RslLogger {
         RslLogger {
-            staged: Staged::default(),
+            staged: Staged::new(RSL_STREAM),
         }
     }
 }
@@ -214,7 +209,7 @@ impl FaultTolerance for RslLogger {
     }
 
     fn flush_before_send(&mut self, inner: &mut NodeInner) -> SimDuration {
-        self.staged.flush(inner, RSL_STREAM)
+        self.staged.flush(inner)
     }
 
     fn begin_recovery(&mut self, _inner: &mut NodeInner) {

@@ -1,0 +1,555 @@
+//! One stable log stream and the state machine of the device under it.
+//!
+//! ML, CCL and the related-work comparators log different things at
+//! different moments, but what can happen to a flush — and what a
+//! recovery scan may find where the flush went — is a property of the
+//! device, so it lives here once. [`StableLog`] owns the stream name,
+//! the frame epoch and sequence, the two ways logging stops
+//! (`degraded`, `paused_full`) and the write-behind queue, and keeps
+//! the invariants every recovery argument leans on:
+//!
+//! * **a refused batch is dropped whole and logging pauses** — until
+//!   [`StableLog::truncate_at_checkpoint`] reopens a full device (a
+//!   failed one never reopens);
+//! * **a salvaged prefix is contiguous in `(epoch, seq)`** — recovery
+//!   adopts the longest prefix whose frames verify and cuts the stream
+//!   there;
+//! * **nothing is appended after a gap** — frames are numbered from the
+//!   adopted prefix on, and a truncation opens a new epoch.
+//!
+//! Where the protocols *behave* differently the difference is the
+//! caller's: who pays for the futile access that discovered a dead
+//! device ([`Written::Refused`] hands the cost back), and whether a
+//! persisted batch drains behind the node's back
+//! ([`StableLog::write_behind`]) or is waited for.
+
+use hlrc::{EpochRelease, NodeInner};
+use pagemem::PageId;
+use simnet::{LogObj, SimDuration, SimTime, TraceKind};
+
+use crate::checkpoint::{self, CKPT_META};
+use crate::frame;
+
+/// What became of one [`StableLog::write`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Written {
+    /// Nothing reached the device: the batch was empty, or logging has
+    /// stopped and the batch was dropped.
+    Nothing,
+    /// The device lost (permanent failure) or refused (`ENOSPC`) the
+    /// batch, whole. `futile` is the one access that found out.
+    Refused {
+        /// Cost of the access that discovered the condition.
+        futile: SimDuration,
+    },
+    /// The batch is in the OS cache and on its way to the platter.
+    Persisted {
+        /// The buffered `write()` copy — always on the critical path.
+        cpu: SimDuration,
+        /// Device time to drain the batch (doubled by a transient
+        /// write fault: the device wrote it twice).
+        drain: SimDuration,
+    },
+}
+
+/// What [`StableLog::salvage`] recovered.
+#[derive(Debug)]
+pub struct Salvaged {
+    /// Verified payloads of the adopted prefix, in order.
+    pub payloads: Vec<Vec<u8>>,
+    /// Application blob of the restored checkpoint, if there is one.
+    pub app: Option<Vec<u8>>,
+    /// The stream may be missing records the node logged before the
+    /// crash: the scan cut a damaged tail, or the device had already
+    /// failed or filled.
+    pub lost_tail: bool,
+    /// The persisted checkpoint metadata was rotten: log and checkpoint
+    /// were both discarded (`payloads` is empty) and the node
+    /// re-executes from scratch.
+    pub meta_rot: bool,
+}
+
+/// One append-only stable stream of a node's disk.
+#[derive(Debug)]
+pub struct StableLog {
+    stream: &'static str,
+    /// Stream epoch stamped into every frame; bumped at each
+    /// truncation so stale records can never join the new log.
+    epoch: u32,
+    /// Frame sequence number of the next record.
+    next_seq: u32,
+    /// The device failed permanently: logging has stopped for good.
+    degraded: bool,
+    /// The device is at capacity: the last flush was refused and
+    /// logging is paused until a checkpoint truncates the log. In both
+    /// states a crash replays the persisted prefix, then re-executes
+    /// live (degraded recovery).
+    paused_full: bool,
+    /// When the device finishes draining the batches queued so far.
+    disk_free_at: SimTime,
+}
+
+impl StableLog {
+    /// An empty log on `stream`.
+    pub fn new(stream: &'static str) -> StableLog {
+        StableLog {
+            stream,
+            epoch: 0,
+            next_seq: 0,
+            degraded: false,
+            paused_full: false,
+            disk_free_at: SimTime::ZERO,
+        }
+    }
+
+    /// Is the log still taking records? False once the device failed
+    /// or while it is full; callers stop staging.
+    pub fn accepting(&self) -> bool {
+        !self.degraded && !self.paused_full
+    }
+
+    /// Wrap `payload` in the checksummed frame it will persist under,
+    /// taking the next sequence number.
+    pub fn frame(&mut self, payload: &[u8]) -> Vec<u8> {
+        let record = frame::frame_record(self.epoch, self.next_seq, payload);
+        self.next_seq += 1;
+        record
+    }
+
+    /// Write one batch through the OS cache in a single access.
+    /// `overlapped` only labels the `LogFlush` event. Time is reported,
+    /// not charged: see [`Written`].
+    pub fn write(
+        &mut self,
+        inner: &mut NodeInner,
+        records: Vec<Vec<u8>>,
+        overlapped: bool,
+    ) -> Written {
+        if !self.accepting() || records.is_empty() {
+            return Written::Nothing;
+        }
+        let bytes: usize = records.iter().map(Vec::len).sum();
+        let retries_before = inner.ctx.disk.counters().write_retries;
+        let _ = inner.ctx.disk.flush_records(self.stream, records);
+        let futile = inner.ctx.disk.model().write_time(0);
+        if inner.ctx.disk.has_failed() {
+            // Permanent device failure: the batch is lost and logging
+            // stops for good. The node keeps computing.
+            self.degraded = true;
+            inner.ctx.trace(TraceKind::LogDeviceFailed);
+            return Written::Refused { futile };
+        }
+        if inner.ctx.disk.is_full() {
+            // ENOSPC: the batch was refused whole. Pause logging —
+            // appending a later batch over the gap would poison replay
+            // — until a coordinated checkpoint truncates the log and
+            // frees the space.
+            self.paused_full = true;
+            inner.ctx.trace(TraceKind::LogDeviceFull);
+            return Written::Refused { futile };
+        }
+        let mut drain = inner.ctx.disk.model().drain_time(bytes);
+        if inner.ctx.disk.counters().write_retries > retries_before {
+            drain = drain + drain;
+        }
+        inner.ctx.stats.log_flushes += 1;
+        inner.ctx.stats.log_bytes += bytes as u64;
+        inner.ctx.metrics.flush_bytes.record(bytes as u64);
+        inner.ctx.trace(TraceKind::LogFlush {
+            bytes: bytes as u64,
+            overlapped,
+        });
+        Written::Persisted {
+            cpu: inner.ctx.disk.model().buffered_write_cost(bytes),
+            drain,
+        }
+    }
+
+    /// Queue a persisted batch's `drain` behind whatever the device is
+    /// still draining and let it proceed in the background. Returns the
+    /// backpressure: how long the node would have to stall for the
+    /// device to take the batch now.
+    pub fn write_behind(&mut self, inner: &mut NodeInner, drain: SimDuration) -> SimDuration {
+        let now = inner.ctx.now();
+        let backpressure = self.disk_free_at.saturating_since(now);
+        self.disk_free_at = now.max(self.disk_free_at) + drain;
+        inner.ctx.stats.disk_time_overlapped += drain;
+        backpressure
+    }
+
+    /// Recovery scan, run once after a crash: verify every frame, adopt
+    /// the longest valid prefix (and its epoch), cut the torn or rotten
+    /// tail off the stable stream so later appends stay contiguous,
+    /// then restore the checkpoint the log begins at.
+    pub fn salvage(&mut self, inner: &mut NodeInner) -> Salvaged {
+        if !self.accepting() || inner.ctx.disk.has_failed() {
+            // The log device died (or filled) before the crash. Replay
+            // whatever prefix made it to stable storage; the tail of
+            // the pre-crash execution is simply re-executed live.
+            self.degraded = self.degraded || inner.ctx.disk.has_failed();
+            inner.ctx.trace(TraceKind::RecoveryDegraded);
+        }
+        let stream = self.stream;
+        let s = frame::salvage(inner.ctx.disk.peek_stream(stream));
+        let damaged = !s.is_clean();
+        let lost_tail = damaged || !self.accepting();
+        let mut payloads = s.payloads;
+        let valid = payloads.len() as u32;
+        if damaged {
+            if s.crc_mismatches > 0 {
+                inner.ctx.trace(TraceKind::CrcMismatch { stream });
+            }
+            inner.ctx.trace(TraceKind::TornTailDetected {
+                stream,
+                salvaged: valid,
+                discarded: s.discarded,
+            });
+            inner.ctx.disk.truncate_records(stream, payloads.len());
+            inner.ctx.trace(TraceKind::LogTruncated {
+                stream,
+                records: valid,
+            });
+        }
+        self.epoch = s.epoch;
+        self.next_seq = valid;
+        let restored = checkpoint::restore_meta(inner);
+        let meta_rot = restored.is_err();
+        if meta_rot {
+            // The persisted checkpoint metadata is rotten. The log
+            // begins at a checkpoint whose protocol state we cannot
+            // restore, so neither is usable: discard both and
+            // re-execute from scratch instead of panicking.
+            inner
+                .ctx
+                .trace(TraceKind::CrcMismatch { stream: CKPT_META });
+            inner.ctx.trace(TraceKind::RecoveryDegraded);
+            inner.ctx.disk.truncate(CKPT_META);
+            inner.ctx.disk.truncate(stream);
+            payloads.clear();
+            self.epoch += 1;
+            self.next_seq = 0;
+        }
+        Salvaged {
+            payloads,
+            app: restored.unwrap_or(None),
+            lost_tail,
+            meta_rot,
+        }
+    }
+
+    /// A checkpoint was taken: everything before it is no longer needed
+    /// for replay. Truncate the stream and open a fresh epoch, which
+    /// also resumes a log the full device had paused. Returns false,
+    /// touching nothing, when the device has failed — the checkpoint
+    /// could not be persisted either, and the existing prefix is still
+    /// the only recovery data.
+    pub fn truncate_at_checkpoint(&mut self, inner: &mut NodeInner) -> bool {
+        if inner.ctx.disk.has_failed() {
+            return false;
+        }
+        inner.ctx.disk.truncate(self.stream);
+        self.epoch += 1;
+        self.next_seq = 0;
+        if self.paused_full && !inner.ctx.disk.is_full() {
+            self.paused_full = false;
+        }
+        true
+    }
+}
+
+/// The barrier releases a damaged log lost, out of the barrier
+/// manager's retained history: every release the restored checkpoint
+/// does not already cover and the salvaged prefix has no real record
+/// for (`last_logged` is the newest barrier epoch it still holds).
+///
+/// A damaged log may have lost its final barrier records with its tail
+/// (the completion flush is the only batch whose durability no ack
+/// gates). Replaying only the salvaged prefix would end recovery
+/// *before* the cluster-visible horizon: deferred peer requests would
+/// be served from home copies the live catch-up has not rewritten yet.
+/// The history holds exactly the lost records' content (epoch, merged
+/// clock, merged notices), so each protocol synthesizes its own record
+/// type from these and replays to the true horizon. A crashed manager
+/// answers with an empty history and synthesis degrades to a no-op
+/// (single-failure best effort).
+pub fn lost_releases<'a>(
+    inner: &mut NodeInner,
+    releases: &'a [EpochRelease],
+    last_logged: Option<u32>,
+) -> Vec<&'a EpochRelease> {
+    let lost: Vec<&EpochRelease> = releases
+        .iter()
+        .filter(|(epoch, ..)| {
+            *epoch >= inner.barrier_epoch && last_logged.is_none_or(|e| *epoch > e)
+        })
+        .collect();
+    if !lost.is_empty() {
+        inner.ctx.trace(TraceKind::SyncSynthesized {
+            records: lost.len() as u32,
+        });
+    }
+    lost
+}
+
+/// Emit the `LogAppend` telemetry of a `record_bytes`-byte record that
+/// carries several pages: one event per page, each with its own encoded
+/// share, the frame and record overhead assigned to the first — so the
+/// events sum exactly to the record's framed size (the blame engine's
+/// per-object attribution leans on that exactness). A record naming no
+/// page at all is protocol bookkeeping.
+pub(crate) fn trace_append_by_page(
+    inner: &mut NodeInner,
+    record_bytes: u64,
+    shares: impl Iterator<Item = (PageId, u64)>,
+) {
+    let shares: Vec<(PageId, u64)> = shares.collect();
+    let mut overhead = record_bytes - shares.iter().map(|(_, bytes)| bytes).sum::<u64>();
+    if shares.is_empty() {
+        inner.ctx.trace(TraceKind::LogAppend {
+            bytes: record_bytes,
+            obj: LogObj::Meta,
+        });
+    }
+    for (page, bytes) in shares {
+        inner.ctx.trace(TraceKind::LogAppend {
+            bytes: bytes + std::mem::take(&mut overhead),
+            obj: LogObj::Page { page },
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CclLogger, CclRecord, MlLogger, CCL_STREAM, ML_STREAM};
+    use hlrc::{DsmConfig, FaultTolerance, Msg};
+    use pagemem::{Encode, IntervalId};
+    use simnet::{run_cluster, CostModel, DiskFaultPlan};
+
+    const STREAM: &str = "test.log";
+    /// Framed size of one test record (32 payload bytes).
+    const REC: usize = 32 + frame::FRAME_HEADER_BYTES;
+
+    /// Run `body` on the one node of a one-node cluster.
+    fn on_node(body: impl Fn(&mut NodeInner) + Send + Sync) {
+        let cfg = DsmConfig::new(1, 2).with_page_size(64);
+        run_cluster::<Msg, _, _>(1, CostModel::default(), move |ctx| {
+            body(&mut NodeInner::new(ctx, cfg));
+        });
+    }
+
+    /// `n` framed records, the `i`-th carrying 32 bytes of `i`.
+    fn batch(log: &mut StableLog, n: u8) -> Vec<Vec<u8>> {
+        (0..n).map(|i| log.frame(&[i; 32])).collect()
+    }
+
+    /// Frame and write `n` records in one flush.
+    fn flush(log: &mut StableLog, inner: &mut NodeInner, n: u8) -> Written {
+        let records = batch(log, n);
+        log.write(inner, records, false)
+    }
+
+    /// The trace emitted since the last call.
+    fn kinds(inner: &mut NodeInner) -> Vec<TraceKind> {
+        inner.ctx.take_trace().iter().map(|ev| ev.kind).collect()
+    }
+
+    /// What a flush of `n` records returns when the device takes it
+    /// (twice over, if a transient fault made it `retry`).
+    fn persisted(inner: &NodeInner, n: usize, retry: bool) -> Written {
+        let model = inner.ctx.disk.model();
+        let once = model.drain_time(n * REC);
+        let drain = if retry { once + once } else { once };
+        let cpu = model.buffered_write_cost(n * REC);
+        Written::Persisted { cpu, drain }
+    }
+
+    /// The `LogFlush` event of a flush of `records` records.
+    fn flushed(records: usize) -> TraceKind {
+        TraceKind::LogFlush {
+            bytes: (records * REC) as u64,
+            overlapped: false,
+        }
+    }
+
+    /// A flush the device takes, at once or at the second attempt:
+    /// returned cost, counters and trace.
+    fn check_persisted(plan: DiskFaultPlan, retry: bool) {
+        on_node(move |inner| {
+            inner.ctx.disk.set_faults(plan);
+            let mut log = StableLog::new(STREAM);
+            assert_eq!(flush(&mut log, inner, 2), persisted(inner, 2, retry));
+            assert_eq!(inner.ctx.now(), SimTime::ZERO, "the caller charges");
+            assert_eq!(inner.ctx.disk.record_count(STREAM), 2, "persisted once");
+            assert_eq!(inner.ctx.disk.counters().write_retries, u64::from(retry));
+            assert_eq!(inner.ctx.stats.log_flushes, 1);
+            assert_eq!(inner.ctx.stats.log_bytes, 2 * REC as u64);
+            assert!(log.accepting());
+            assert_eq!(kinds(inner), [flushed(2)]);
+            // An empty batch is no access at all.
+            assert_eq!(flush(&mut log, inner, 0), Written::Nothing);
+            assert_eq!(inner.ctx.disk.counters().writes, 1);
+            // Write-behind: the first batch drains in the background,
+            // the next one queues behind it.
+            let drain = inner.ctx.disk.model().drain_time(2 * REC);
+            assert_eq!(log.write_behind(inner, drain), SimDuration::ZERO);
+            assert_eq!(log.write_behind(inner, drain), drain);
+            assert_eq!(inner.ctx.stats.disk_time_overlapped, drain + drain);
+        });
+    }
+
+    #[test]
+    fn clean_write_reports_its_cost_and_charges_nothing() {
+        check_persisted(DiskFaultPlan::none(), false);
+    }
+
+    #[test]
+    fn transient_fault_doubles_the_drain() {
+        check_persisted(DiskFaultPlan::transient(1, 1000), true);
+    }
+
+    /// A device that takes one flush and refuses the next with
+    /// `refusal`: the batch is dropped whole, logging stops, and a
+    /// checkpoint `reopens` the log or does not.
+    fn check_refused(plan: DiskFaultPlan, refusal: TraceKind, reopens: bool) {
+        on_node(move |inner| {
+            inner.ctx.disk.set_faults(plan);
+            let mut log = StableLog::new(STREAM);
+            let futile = inner.ctx.disk.model().write_time(0);
+            assert_eq!(flush(&mut log, inner, 2), persisted(inner, 2, false));
+            assert_eq!(flush(&mut log, inner, 2), Written::Refused { futile });
+            assert!(!log.accepting());
+            assert_eq!(inner.ctx.disk.record_count(STREAM), 2, "refused whole");
+            assert_eq!(inner.ctx.stats.log_flushes, 1);
+            assert_eq!(kinds(inner), [flushed(2), refusal]);
+            // Stopped: a later batch is dropped without touching the
+            // device, so nothing lands after the gap.
+            assert_eq!(flush(&mut log, inner, 1), Written::Nothing);
+            let counters = inner.ctx.disk.counters();
+            assert_eq!(counters.full_writes + counters.failed_writes, 1);
+            assert_eq!(log.truncate_at_checkpoint(inner), reopens);
+            assert_eq!(log.accepting(), reopens);
+            if reopens {
+                // The truncation freed the space: logging resumes in a
+                // new epoch, numbered from zero.
+                assert_eq!(flush(&mut log, inner, 1), persisted(inner, 1, false));
+                let resumed = frame::salvage(inner.ctx.disk.peek_stream(STREAM));
+                assert_eq!((resumed.epoch, resumed.payloads.len()), (1, 1));
+            } else {
+                // The persisted prefix, the only recovery data left,
+                // survives the attempt.
+                assert_eq!(inner.ctx.disk.record_count(STREAM), 2);
+                assert_eq!(flush(&mut log, inner, 1), Written::Nothing);
+            }
+        });
+    }
+
+    #[test]
+    fn full_device_refuses_whole_pauses_and_a_checkpoint_resumes() {
+        let plan = DiskFaultPlan::none().with_capacity(3 * REC as u64);
+        check_refused(plan, TraceKind::LogDeviceFull, true);
+    }
+
+    #[test]
+    fn failed_device_degrades_for_good() {
+        let plan = DiskFaultPlan::permanent_at(2);
+        check_refused(plan, TraceKind::LogDeviceFailed, false);
+    }
+
+    /// Salvage a stream of five records in epoch 1 whose fourth was
+    /// rewritten by `damage`, with a log that knows nothing yet: expect
+    /// `kept` records adopted, `trace` emitted, and the next frame
+    /// stamped `(1, kept)`.
+    fn check_salvage(damage: fn(&mut Vec<u8>), kept: usize, trace: &[TraceKind]) {
+        let trace = trace.to_vec();
+        on_node(move |inner| {
+            let mut writer = StableLog::new(STREAM);
+            assert!(writer.truncate_at_checkpoint(inner));
+            let mut records = batch(&mut writer, 5);
+            damage(&mut records[3]);
+            writer.write(inner, records, false);
+            inner.ctx.take_trace();
+            let mut log = StableLog::new(STREAM);
+            let s = log.salvage(inner);
+            assert_eq!(kinds(inner), trace);
+            assert_eq!(s.lost_tail, kept < 5);
+            assert!(!s.meta_rot && s.app.is_none());
+            assert_eq!(inner.ctx.disk.record_count(STREAM), kept);
+            for (i, payload) in s.payloads.iter().enumerate() {
+                assert_eq!(payload[..], [i as u8; 32], "prefix is contiguous");
+            }
+            let next = frame::decode_frame(&log.frame(b"next")).expect("own frame");
+            assert_eq!((next.epoch, next.seq as usize), (1, kept));
+        });
+    }
+
+    /// What a scan that kept 3 of 5 records must report, in order.
+    const CUT_AT_3: [TraceKind; 3] = [
+        TraceKind::CrcMismatch { stream: STREAM },
+        TraceKind::TornTailDetected {
+            stream: STREAM,
+            salvaged: 3,
+            discarded: 2,
+        },
+        TraceKind::LogTruncated {
+            stream: STREAM,
+            records: 3,
+        },
+    ];
+
+    #[test]
+    fn salvage_adopts_a_clean_stream_whole() {
+        check_salvage(|_| {}, 5, &[]);
+    }
+
+    #[test]
+    fn salvage_cuts_a_torn_record_and_everything_after_it() {
+        check_salvage(|rec| rec.truncate(20), 3, &CUT_AT_3[1..]);
+    }
+
+    #[test]
+    fn salvage_reports_a_flipped_bit_before_it_cuts() {
+        check_salvage(|rec| rec[25] ^= 0x04, 3, &CUT_AT_3);
+    }
+
+    /// The two recovery protocols sit on one device state machine: fed
+    /// the same damaged byte stream, they adopt the same prefix.
+    #[test]
+    fn ml_and_ccl_adopt_the_same_prefix_of_the_same_damaged_stream() {
+        // A record both logs can hold: ML's logged `DiffFlush` and
+        // CCL's `Updates`, each naming a writer and nothing else,
+        // encode to the same bytes.
+        let writer = IntervalId { node: 0, seq: 7 };
+        let diffs = Vec::new();
+        let payload = Msg::DiffFlush { writer, diffs }.encode_to_vec();
+        let pages = Vec::new();
+        assert_eq!(
+            payload,
+            CclRecord::Updates { writer, pages }.encode_to_vec()
+        );
+        for garble in [false, true] {
+            let payload = payload.clone();
+            on_node(move |inner| {
+                for stream in [ML_STREAM, CCL_STREAM] {
+                    let mut log = StableLog::new(stream);
+                    let records = (0..6).map(|_| log.frame(&payload)).collect();
+                    log.write(inner, records, false);
+                    assert!(inner.ctx.disk.tear_last_flush(0xC0FFEE, garble));
+                }
+                MlLogger::new().begin_recovery(inner);
+                CclLogger::new().begin_recovery(inner);
+                let adopted = inner.ctx.disk.record_count(ML_STREAM);
+                assert_eq!(adopted, inner.ctx.disk.record_count(CCL_STREAM));
+                assert!(adopted < 6, "the stream was not damaged");
+                let cuts: Vec<u32> = kinds(inner)
+                    .iter()
+                    .filter_map(|k| match k {
+                        TraceKind::LogTruncated { records, .. } => Some(*records),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(cuts, [adopted as u32; 2], "garble={garble}");
+            });
+        }
+    }
+}

@@ -3,21 +3,6 @@
 use pagemem::{PageId, PageLayout};
 use simnet::{CostModel, NodeId};
 
-/// How shared pages are assigned to home nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HomePolicy {
-    /// Contiguous blocks of pages per node (default; matches how the
-    /// paper's regular grid applications distribute their data).
-    Block,
-    /// Page `p` lives at node `p mod n`.
-    RoundRobin,
-    /// Pages start block-distributed, then migrate to the node that
-    /// first writes them, committed deterministically at the first
-    /// barrier from the write notices gathered there (so the initial
-    /// touch pattern, not an allocation-time race, decides ownership).
-    FirstTouch,
-}
-
 /// Static configuration of one DSM cluster run.
 #[derive(Debug, Clone, Copy)]
 pub struct DsmConfig {
@@ -27,19 +12,6 @@ pub struct DsmConfig {
     pub layout: PageLayout,
     /// Size of the shared address space, in pages.
     pub n_pages: u32,
-    /// Number of global locks available to the application.
-    pub n_locks: u32,
-    /// Home assignment policy.
-    pub home_policy: HomePolicy,
-    /// Maximum number of *extra* pages a fault's batch request may
-    /// carry as history-predicted prefetch candidates. `0` disables
-    /// batching and prefetch entirely (byte-exact legacy single
-    /// request/reply fetch path).
-    pub prefetch_depth: u32,
-    /// Migrate a home page to the writer dominating its diff traffic,
-    /// decided at checkpoint barriers (no effect without a checkpoint
-    /// cadence). Each page migrates at most once.
-    pub adaptive_migration: bool,
     /// Hardware cost model.
     pub cost: CostModel,
 }
@@ -51,45 +23,13 @@ impl DsmConfig {
             n_nodes,
             layout: PageLayout::OS_4K,
             n_pages,
-            n_locks: 64,
-            home_policy: HomePolicy::Block,
-            prefetch_depth: DsmConfig::DEFAULT_PREFETCH_DEPTH,
-            adaptive_migration: true,
             cost: CostModel::ULTRA5_CLUSTER,
         }
-    }
-
-    /// Default [`DsmConfig::prefetch_depth`]: up to eight predicted
-    /// pages ride along with each demand fetch.
-    pub const DEFAULT_PREFETCH_DEPTH: u32 = 8;
-
-    /// Override the prefetch depth (`0` = stop-and-wait legacy fetch).
-    pub fn with_prefetch_depth(mut self, depth: u32) -> DsmConfig {
-        self.prefetch_depth = depth;
-        self
-    }
-
-    /// Enable/disable adaptive home migration at checkpoint barriers.
-    pub fn with_adaptive_migration(mut self, on: bool) -> DsmConfig {
-        self.adaptive_migration = on;
-        self
     }
 
     /// Override the page size (tests use small pages).
     pub fn with_page_size(mut self, bytes: usize) -> DsmConfig {
         self.layout = PageLayout::new(bytes);
-        self
-    }
-
-    /// Override the home policy.
-    pub fn with_home_policy(mut self, policy: HomePolicy) -> DsmConfig {
-        self.home_policy = policy;
-        self
-    }
-
-    /// Override the number of locks.
-    pub fn with_locks(mut self, n: u32) -> DsmConfig {
-        self.n_locks = n;
         self
     }
 
@@ -99,18 +39,15 @@ impl DsmConfig {
         self
     }
 
-    /// Home node of page `p`.
+    /// Home node of page `p` before any allocation says otherwise:
+    /// contiguous blocks of pages per node, matching how the paper's
+    /// regular grid applications distribute their data. Applications
+    /// choose homes per allocation (`alloc_blocked` / `alloc_at` in
+    /// `ccl-core`), so this is only the layout of unallocated space.
     pub fn home_of(&self, p: PageId) -> NodeId {
         debug_assert!(p < self.n_pages, "page {p} out of range");
-        match self.home_policy {
-            HomePolicy::RoundRobin => p as usize % self.n_nodes,
-            // First-touch starts from the block layout; the real owner
-            // is committed by migration at the first barrier.
-            HomePolicy::Block | HomePolicy::FirstTouch => {
-                let per = (self.n_pages as usize).div_ceil(self.n_nodes);
-                (p as usize / per).min(self.n_nodes - 1)
-            }
-        }
+        let per = (self.n_pages as usize).div_ceil(self.n_nodes);
+        (p as usize / per).min(self.n_nodes - 1)
     }
 
     /// Manager node of lock `l` (static assignment, as in TreadMarks).
@@ -155,38 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_homes() {
-        let cfg = DsmConfig::new(4, 16).with_home_policy(HomePolicy::RoundRobin);
-        assert_eq!(cfg.home_of(0), 0);
-        assert_eq!(cfg.home_of(5), 1);
-        assert_eq!(cfg.home_of(15), 3);
-    }
-
-    #[test]
     fn managers() {
         let cfg = DsmConfig::new(4, 8);
         assert_eq!(cfg.lock_manager(0), 0);
         assert_eq!(cfg.lock_manager(6), 2);
         assert_eq!(cfg.barrier_manager(), 0);
-    }
-
-    #[test]
-    fn first_touch_starts_from_block_layout() {
-        let blk = DsmConfig::new(4, 16);
-        let ft = DsmConfig::new(4, 16).with_home_policy(HomePolicy::FirstTouch);
-        for p in 0..16 {
-            assert_eq!(ft.home_of(p), blk.home_of(p));
-        }
-    }
-
-    #[test]
-    fn prefetch_defaults_and_overrides() {
-        let cfg = DsmConfig::new(4, 16);
-        assert_eq!(cfg.prefetch_depth, 8);
-        assert!(cfg.adaptive_migration);
-        let off = cfg.with_prefetch_depth(0).with_adaptive_migration(false);
-        assert_eq!(off.prefetch_depth, 0);
-        assert!(!off.adaptive_migration);
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! three protocols the paper compares — no logging, traditional message
 //! logging (ML), and coherence-centric logging (CCL) — plug into the
 //! *same* coherence code, differing only in what they record, when they
-//! flush, and how they drive recovery. Implementations live in the
-//! `ftlog` crate; [`NoLogging`] (the paper's "None" baseline) lives here.
+//! flush, and how they drive recovery. The coherence code has no
+//! per-protocol branch and no knob that stands in for one: where a
+//! protocol needs the substrate to behave differently (twin home
+//! writes, keep the checkpoint base pinned, fetch without speculating)
+//! it says so through a hook here, next to the reason. Implementations
+//! live in the `ftlog` crate; [`NoLogging`] (the paper's "None"
+//! baseline) lives here.
 
 use pagemem::{IntervalId, PageDiff, PageId, VClock};
 use simnet::{Envelope, SimDuration, SimTime};
@@ -65,6 +70,17 @@ pub trait FaultTolerance: Send {
     /// scheme (promote the base at first fetch, keep later diffs in
     /// memory) is safe, so this defaults to off.
     fn logs_home_diffs_durably(&self) -> bool {
+        false
+    }
+
+    /// Whether this protocol logs the *contents* of every page copy the
+    /// node installs. Such a node fetches without speculating: a
+    /// predicted copy would be written to its stable log whether or not
+    /// it is ever read, which costs more than the hidden round trip
+    /// repays (ML on 3D-FFT at paper scale ran ~40 % slower with
+    /// prediction on). True only for ML; a protocol that keeps page
+    /// contents out of its log gets the predictors of `fetch.rs`.
+    fn logs_page_contents(&self) -> bool {
         false
     }
 

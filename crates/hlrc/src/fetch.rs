@@ -1,0 +1,309 @@
+//! The page-fetch exchange, both ends: the faulting node's request,
+//! with its deterministic predictors, and the home's reply.
+//!
+//! There is one fetch path. A fault sends the home one request naming
+//! the faulting page plus up to [`MAX_EXTRAS`] predicted same-home
+//! pages; the home answers the demand page with an ordinary
+//! [`Msg::PageReply`] and ships the predicted copies in one trailing
+//! [`Msg::PageReplyBatch`] that installs asynchronously at the next
+//! inbox drain. A wrong prediction costs bytes on the wire, never an
+//! extra stall. A node whose logging protocol records page contents
+//! ([`crate::FaultTolerance::logs_page_contents`]) never predicts: it
+//! sends the bare [`Msg::PageRequest`], served as a batch of none.
+
+use std::collections::BTreeSet;
+
+use pagemem::{PageId, PageState, SharedBytes};
+use simnet::{CoherenceProtocol, Envelope, NodeId, SimTime, TraceKind};
+
+use crate::msg::{Msg, PageCopy};
+use crate::node::{HlrcNode, NodeInner};
+
+/// Most predicted pages one demand fetch may pull along.
+pub const MAX_EXTRAS: usize = 8;
+
+/// Deterministic fetch-prediction state. Every input is a virtual-time
+/// protocol event (fault page ids, invalidation notices), so prediction
+/// is a pure function of the deterministic execution and `detcheck`'s
+/// bit-reproducibility proof covers prefetch-enabled runs.
+#[derive(Debug, Default)]
+pub struct PrefetchState {
+    /// Page of the previous demand fault.
+    last_fault: Option<PageId>,
+    /// Candidate stride between the last two demand faults, in pages.
+    stride: i64,
+    /// Two consecutive faults agreed on `stride` (two-miss confirmation
+    /// before any stride prediction is issued).
+    confirmed: bool,
+    /// Pages invalidated by the most recent notice batch that
+    /// invalidated anything: the write-notice sets already carried by
+    /// lock grants and barrier releases are a free predictor of what
+    /// will fault next (the invalidated copies are what this node was
+    /// actively reading).
+    recent_invalidated: BTreeSet<PageId>,
+    /// Trailing prefetch batches not yet arrived, keyed by the demand
+    /// page whose request issued them: `(demand page, sync_events at
+    /// issue, predicted pages)`. The stamp gates the asynchronous
+    /// install — extras are only as fresh as the acquire they were
+    /// requested under, so a batch that crosses a synchronization
+    /// operation is dropped, never installed stale.
+    in_flight: Vec<(PageId, u64, Vec<PageId>)>,
+    /// The page a demand fetch is currently blocked on, if any: an
+    /// in-flight batch that carries it counts it as wasted instead of
+    /// installing it mid-wait. No protocol needs this any more (it
+    /// protected ML's one-reply-record-per-fault log when ML still
+    /// speculated); it stays only because dropping it moves a golden —
+    /// Shallow/CCL `prefetch.wasted` 5 725 → 5 637. The next PR that
+    /// re-blesses anyway may delete it.
+    demand: Option<PageId>,
+}
+
+impl PrefetchState {
+    /// Record a demand fault at `page`, updating stride detection.
+    fn note_fault(&mut self, page: PageId) {
+        if let Some(prev) = self.last_fault {
+            let s = i64::from(page) - i64::from(prev);
+            if s != 0 && s == self.stride {
+                self.confirmed = true;
+            } else {
+                self.stride = s;
+                self.confirmed = false;
+            }
+        }
+        self.last_fault = Some(page);
+    }
+
+    /// A confirmed stride, if any.
+    fn stride(&self) -> Option<i64> {
+        (self.confirmed && self.stride != 0).then_some(self.stride)
+    }
+
+    /// Is `page` predicted by a batch still in flight?
+    fn in_flight(&self, page: PageId) -> bool {
+        self.in_flight.iter().any(|(_, _, ps)| ps.contains(&page))
+    }
+
+    /// Remove the in-flight entry trailing demand page `after`, if any,
+    /// and return its issue stamp.
+    fn take_in_flight(&mut self, after: PageId) -> Option<u64> {
+        let i = self.in_flight.iter().position(|(a, _, _)| *a == after)?;
+        Some(self.in_flight.remove(i).1)
+    }
+
+    /// A notice batch invalidated `pages` (non-empty): the freshest
+    /// invalidation set replaces the previous one as the notice-driven
+    /// refetch predictor.
+    pub(crate) fn note_invalidated(&mut self, pages: BTreeSet<PageId>) {
+        self.recent_invalidated = pages;
+    }
+}
+
+impl HlrcNode {
+    /// Fetch `page` from its home, blocking for one round trip.
+    pub(crate) fn fetch_page(&mut self, page: PageId) {
+        self.drain_stalled(self.inner.ctx.now());
+        let home = self.inner.pages.entry(page).home;
+        self.inner.ctx.stats.page_fetches += 1;
+        let speculate = !self.ft.logs_page_contents();
+        let extras = if speculate {
+            self.predict(page, home)
+        } else {
+            Vec::new()
+        };
+        let asked_at = self.inner.ctx.now();
+        if !extras.is_empty() {
+            self.inner.ctx.stats.prefetch_issued += extras.len() as u64;
+            self.inner.ctx.trace(TraceKind::PrefetchIssued {
+                page,
+                count: extras.len() as u32,
+            });
+            self.inner
+                .prefetch
+                .in_flight
+                .push((page, self.inner.sync_events, extras.clone()));
+        }
+        // A speculating node always speaks the batch dialect, extras or
+        // not; the two requests differ in size, hence in arrival time.
+        let request = if speculate {
+            Msg::PageRequestBatch { page, extras }
+        } else {
+            Msg::PageRequest { page }
+        };
+        self.inner
+            .ctx
+            .send(home, request)
+            .expect("send page request");
+        self.inner.prefetch.demand = Some(page);
+        let env = self.wait_for(|m| matches!(m, Msg::PageReply { page: p, .. } if *p == page));
+        self.inner.prefetch.demand = None;
+        let page_size = self.inner.pages.page_size();
+        self.inner.ctx.charge_copy(page_size);
+        let waited = self.inner.ctx.now() - asked_at;
+        self.inner
+            .ctx
+            .metrics
+            .fetch_latency_ns
+            .record(waited.as_nanos());
+        self.inner.ctx.trace(TraceKind::PageFetch {
+            page,
+            from: home,
+            wait_ns: waited.as_nanos(),
+        });
+        self.ft.on_incoming(&mut self.inner, &env.payload);
+        if let Msg::PageReply { data, .. } = env.payload {
+            self.inner
+                .pages
+                .install_copy(page, &data, PageState::ReadOnly, &mut self.inner.pool);
+        }
+    }
+
+    /// Note the demand fault at `page` and return the predicted pages
+    /// worth piggybacking on its request, all homed at `home` and
+    /// currently invalid here: confirmed-stride projections first, then
+    /// pages recently invalidated by write notices (likely to fault
+    /// again). Ascending and deduplicated — a pure function of
+    /// deterministic protocol state.
+    fn predict(&mut self, page: PageId, home: NodeId) -> Vec<PageId> {
+        self.inner.prefetch.note_fault(page);
+        // A fault on a page already predicted by an in-flight batch
+        // still pays one demand round trip (waiting out the batch could
+        // stall longer than a fresh fetch), but issues no new
+        // predictions — the in-flight batch already covers the window.
+        if self.inner.prefetch.in_flight(page) {
+            return Vec::new();
+        }
+        let n_pages = self.inner.pages.len() as i64;
+        let mut out: Vec<PageId> = Vec::new();
+        let want = |p: PageId, out: &mut Vec<PageId>| {
+            if p == page || out.contains(&p) || out.len() >= MAX_EXTRAS {
+                return;
+            }
+            let e = self.inner.pages.entry(p);
+            if e.home == home
+                && e.state == PageState::Invalid
+                && !self.inner.pending_migration(p)
+                && !self.inner.prefetch.in_flight(p)
+            {
+                out.push(p);
+            }
+        };
+        if let Some(stride) = self.inner.prefetch.stride() {
+            let mut p = i64::from(page);
+            for _ in 0..MAX_EXTRAS {
+                p += stride;
+                if p < 0 || p >= n_pages {
+                    break;
+                }
+                want(p as PageId, &mut out);
+            }
+        }
+        if out.len() < MAX_EXTRAS {
+            for &p in &self.inner.prefetch.recent_invalidated {
+                want(p, &mut out);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Install a trailing prefetch batch (see [`Msg::PageReplyBatch`]):
+    /// gate on the issue-time synchronization stamp, then install every
+    /// carried page that is still invalid, valid-until-invalidated.
+    /// Called from the asynchronous service path, so nothing here may
+    /// block. Pages that went stale (a sync operation completed since
+    /// the request) or valid (demand-fetched while the batch was in
+    /// flight) count as wasted predictions.
+    pub(crate) fn install_prefetch_batch(&mut self, env: Envelope<Msg>) {
+        let Msg::PageReplyBatch { after, pages } = env.payload else {
+            unreachable!()
+        };
+        let stale = match self.inner.prefetch.take_in_flight(after) {
+            // A batch from a pre-crash incarnation (the map resets with
+            // the node) or one that crossed a synchronization operation
+            // can no longer prove its copies fresh enough.
+            None => true,
+            Some(stamp) => stamp != self.inner.sync_events,
+        };
+        let mut install: Vec<PageCopy> = Vec::new();
+        for (p, data, version) in pages {
+            let e = self.inner.pages.entry(p);
+            if stale
+                || e.state != PageState::Invalid
+                || self.inner.pending_migration(p)
+                || self.inner.prefetch.demand == Some(p)
+            {
+                self.inner.ctx.stats.prefetch_wasted += 1;
+                self.inner.ctx.trace(TraceKind::PrefetchWasted { page: p });
+                continue;
+            }
+            install.push((p, data, version));
+        }
+        if install.is_empty() {
+            return;
+        }
+        // Tell the logging layer before installing (write-ahead, like
+        // every other incoming that mutates page state), with exactly
+        // the installed subset.
+        let logged = Msg::PageReplyBatch {
+            after,
+            pages: install.clone(),
+        };
+        self.ft.on_incoming(&mut self.inner, &logged);
+        for (p, data, _version) in install {
+            self.inner
+                .pages
+                .install_copy(p, &data, PageState::ReadOnly, &mut self.inner.pool);
+            self.inner.pages.entry_mut(p).prefetched = true;
+        }
+    }
+
+    /// Home side, behind both request tags: answer `src`'s fetch of
+    /// `page`, finishing service at `done`. The demand reply's timing
+    /// never depends on how many `extras` ride along: their copies are
+    /// made once it is on the wire.
+    pub(crate) fn serve_pages(
+        &mut self,
+        src: NodeId,
+        page: PageId,
+        extras: &[PageId],
+        done: SimTime,
+    ) {
+        let twins = self.ft.needs_home_write_twins();
+        let stable = self.ft.logs_home_diffs_durably();
+        let copy_of = |inner: &mut NodeInner, p: PageId| -> PageCopy {
+            debug_assert!(inner.pages.is_home(p), "page request at non-home");
+            inner.pages.note_remote_fetch(p, src, twins, stable);
+            let e = inner.pages.entry(p);
+            let data = SharedBytes::copy_of(e.frame.as_ref().expect("home frame").bytes());
+            (p, data, e.version.clone().expect("home version"))
+        };
+        let (_, data, version) = copy_of(&mut self.inner, page);
+        let demand_cost = self.inner.ctx.cost.cpu.copy(data.len());
+        let reply = Msg::PageReply {
+            page,
+            data,
+            version,
+        };
+        self.inner
+            .ctx
+            .send_from(done + demand_cost, src, reply)
+            .expect("send page reply");
+        if extras.is_empty() {
+            return;
+        }
+        let pages: Vec<PageCopy> = extras
+            .iter()
+            .map(|&p| copy_of(&mut self.inner, p))
+            .collect();
+        let total: usize = pages.iter().map(|(_, data, _)| data.len()).sum();
+        let extras_cost = self.inner.ctx.cost.cpu.copy(total);
+        self.inner
+            .ctx
+            .send_from(
+                done + demand_cost + extras_cost,
+                src,
+                Msg::PageReplyBatch { after: page, pages },
+            )
+            .expect("send page reply batch");
+    }
+}

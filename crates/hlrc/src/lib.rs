@@ -20,20 +20,24 @@
 
 mod config;
 mod fault_tolerance;
+mod fetch;
 pub mod homeless;
+mod migrate;
 mod msg;
 mod node;
 mod page_table;
 mod sync;
 
-pub use config::{DsmConfig, HomePolicy};
+pub use config::DsmConfig;
 pub use fault_tolerance::{FaultTolerance, NoLogging, RecoveryStep, SyncKind};
+pub use fetch::{PrefetchState, MAX_EXTRAS};
 pub use homeless::{HMsg, HomelessNode};
+pub use migrate::MigrationState;
 pub use msg::{
     decode_notices, encode_notices, kind_label, notices_size, EpochRelease, HomeMigration, Msg,
     PageCopy, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
-pub use node::{HlrcNode, NodeInner, PrefetchState};
+pub use node::{HlrcNode, NodeInner, OpenTwins};
 pub use page_table::{NodeSet, PageEntry, PageTable};
 pub use simnet::CoherenceProtocol;
 pub use sync::{BarrierMgr, LockState, LockTable, PendingAcquire};

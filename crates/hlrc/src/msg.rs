@@ -483,6 +483,22 @@ impl Msg {
         }
     }
 
+    /// A recovering peer's request — the one class a node must keep
+    /// answering while it replays its own log. Each is served from
+    /// stable state (the checkpoint base, the stable log, the barrier
+    /// manager's release history) or from directory state (the
+    /// copysets), never from half-restored frames; deferring them
+    /// would deadlock two nodes recovering at once.
+    pub fn is_recovery_request(&self) -> bool {
+        matches!(
+            self,
+            Msg::RecoveryPageRequest { .. }
+                | Msg::LoggedDiffRequest { .. }
+                | Msg::ReleaseHistoryRequest
+                | Msg::RecoveryHello
+        )
+    }
+
     /// The wire tag, used to index per-variant traffic counters.
     pub fn ordinal(&self) -> usize {
         match self {

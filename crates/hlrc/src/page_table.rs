@@ -75,8 +75,8 @@ pub struct PageEntry {
     /// access; a prefetched copy invalidated while still flagged was a
     /// wasted prediction.
     pub prefetched: bool,
-    /// This page's home moved at a barrier (first-touch or adaptive
-    /// migration). A migrated page never migrates again (ping-pong
+    /// This page's home moved at a barrier (adaptive migration). A
+    /// migrated page never migrates again (ping-pong
     /// damping), and a post-crash re-execution of the allocation phase
     /// must not clobber the migrated mapping.
     pub migrated: bool,
@@ -375,19 +375,6 @@ impl PageTable {
         e.dirty = false;
         e.copyset.clear();
         e.prefetched = false;
-    }
-
-    /// First-touch (epoch-0) adoption: the page's pre-checkpoint truth
-    /// is the all-zero initial state, not the transferred image — a
-    /// crash before the first checkpoint must re-execute from state
-    /// zero, exactly as if this node had been the home all along.
-    pub fn zero_base(&mut self, page: PageId) {
-        let n = self.n_nodes;
-        let size = self.page_size;
-        let e = &mut self.entries[page as usize];
-        debug_assert_eq!(e.home, self.me, "zeroing the base of a non-home page");
-        e.base = Some(PageFrame::zeroed(size));
-        e.base_version = Some(VClock::new(n));
     }
 
     /// Bystander's side of a migration: update the mapping only. A

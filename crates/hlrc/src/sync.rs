@@ -134,9 +134,9 @@ pub struct BarrierMgr {
     pub merged_vc: VClock,
     /// Union of all arrivals' notices.
     pub merged_notices: Vec<WriteNotice>,
-    /// Union of all arrivals' home-migration proposals. Conflicting
-    /// proposals for one page resolve to the lowest proposed home, so
-    /// the decided set is independent of arrival order.
+    /// Union of all arrivals' home-migration proposals. Only a page's
+    /// current home proposes to move it, so no two arrivals name the
+    /// same page.
     pub merged_proposals: Vec<HomeMigration>,
     /// Snapshot of every completed episode's release, by epoch. A node
     /// re-executing after a degraded recovery (no usable log)
@@ -234,14 +234,7 @@ impl BarrierMgr {
                 self.merged_notices.push(*n);
             }
         }
-        for &(page, to) in proposals {
-            match self.merged_proposals.iter_mut().find(|(p, _)| *p == page) {
-                // Arrival-order independence: ties resolve to the
-                // lowest proposed home.
-                Some(entry) => entry.1 = entry.1.min(to),
-                None => self.merged_proposals.push((page, to)),
-            }
-        }
+        self.merged_proposals.extend_from_slice(proposals);
         self.arrived_count == self.n_nodes
     }
 
@@ -373,12 +366,12 @@ mod tests {
     fn migration_proposals_merge_deterministically() {
         let mut b = BarrierMgr::new(3);
         let vc = VClock::new(3);
-        // Conflicting first-touch claims for page 4: lowest home wins,
-        // regardless of arrival order.
-        b.arrive(2, &vc, &[], &[(4, 2), (9, 2)], SimTime(5));
-        b.arrive(1, &vc, &[], &[(4, 1)], SimTime(6));
+        // Each home proposes its own pages; the decided list is sorted
+        // by page whatever order the arrivals came in.
+        b.arrive(2, &vc, &[], &[(9, 0), (11, 1)], SimTime(5));
+        b.arrive(1, &vc, &[], &[(4, 2)], SimTime(6));
         b.arrive(0, &vc, &[], &[], SimTime(7));
-        assert_eq!(b.decided_migrations(), vec![(4, 1), (9, 2)]);
+        assert_eq!(b.decided_migrations(), vec![(4, 2), (9, 0), (11, 1)]);
         b.reset();
         assert!(b.decided_migrations().is_empty());
     }

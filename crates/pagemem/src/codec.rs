@@ -104,14 +104,6 @@ impl ByteWriter {
         }
     }
 
-    /// Create a writer reusing a recycled buffer: contents are cleared,
-    /// the allocation is kept. The hot-path counterpart of
-    /// [`ByteWriter::new`].
-    pub fn from_recycled(mut buf: Vec<u8>) -> ByteWriter {
-        buf.clear();
-        ByteWriter { buf }
-    }
-
     /// Reserve room for at least `additional` more bytes (pre-sizing
     /// from a direct [`Encode::encoded_size`] turns an encode into a
     /// single allocation).

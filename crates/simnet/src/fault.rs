@@ -254,10 +254,6 @@ impl FaultState {
         }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Allocate the next sequence number for a send to `dst`.
     pub(crate) fn next_seq(&mut self, dst: NodeId) -> u64 {
         let s = self.next_seq[dst];

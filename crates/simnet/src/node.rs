@@ -100,11 +100,6 @@ impl<M: WireSized> NodeCtx<M> {
         self.faults = FaultState::new(self.id, self.n_nodes, plan);
     }
 
-    /// The armed network-fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
     /// This node's id in the cluster.
     pub fn id(&self) -> NodeId {
         self.id
@@ -333,12 +328,6 @@ impl<M: WireSized> NodeCtx<M> {
     /// is a prefix and the run output says so).
     pub fn trace_dropped(&self) -> u64 {
         self.trace.dropped()
-    }
-
-    /// Bound the telemetry stream to at most `capacity` events
-    /// (defaults to [`crate::DEFAULT_TRACE_CAPACITY`]).
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace.set_capacity(capacity);
     }
 
     fn time_counters(&self) -> [SimDuration; 3] {

@@ -722,7 +722,7 @@ impl<M> Endpoint<M> {
 
     /// Block until the earliest-ranked envelope in this node's inbox is
     /// safe to deliver, then deliver it. While parked the node
-    /// publishes [`Watermark::Idle`]; on delivery it publishes the
+    /// publishes `Watermark::Idle`; on delivery it publishes the
     /// arrival time (asynchronous service replies depart relative to
     /// request arrival, which may lag the node's own clock).
     ///
@@ -990,7 +990,7 @@ pub fn make_endpoints_with_lookahead<M>(n: usize, lookahead: SimDuration) -> Vec
 /// always clears and delivery degenerates to pure rank order over
 /// whatever is queued — the right semantics for raw envelopes with
 /// hand-stamped times and no cost model. Engine clusters go through
-/// [`make_endpoints_with_lookahead`] with the real network latency.
+/// `make_endpoints_with_lookahead` with the real network latency.
 pub fn make_endpoints<M>(n: usize) -> Vec<Endpoint<M>> {
     make_endpoints_with_lookahead(n, SimDuration::from_secs(1 << 20))
 }

@@ -99,12 +99,6 @@ impl TraceSink {
         self.dropped
     }
 
-    /// Change the bound. Events already past a smaller bound stay; only
-    /// future pushes are judged against the new capacity.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-    }
-
     /// Take ownership of the recorded events (the sink keeps counting
     /// drops against its capacity but starts from an empty, unpooled
     /// buffer).

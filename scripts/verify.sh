@@ -31,4 +31,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc (a dangling intra-doc link is invisible to build, test and clippy)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "verify: OK"

@@ -257,13 +257,14 @@ fn a_page_the_victim_never_held_is_left_alone_until_it_faults_live() {
     // Page X (page 0) is written every round but the victim first reads
     // it *after* its crash point; page Y (page 1) it reads every round.
     // Recovery must restore Y and never touch X; the later read of X is
-    // an ordinary live fetch. (Prefetch is off: a speculative extra
-    // would fetch X alongside Y, and a fetched page is a held page.)
+    // an ordinary live fetch. (X and Y live at different homes: a
+    // speculative extra is a same-home page, so a fault on Y cannot
+    // fetch X alongside it — and a fetched page is a held page.)
     const X: u32 = 0;
     let program = |dsm: &mut ccl_core::Dsm| {
         let words = dsm.page_size() / 8;
         let xs = dsm.alloc_at::<u64>(words, 0);
-        let ys = dsm.alloc_at::<u64>(words, 0);
+        let ys = dsm.alloc_at::<u64>(words, 2);
         let mut sum = 0u64;
         for round in 0..6u64 {
             if dsm.me() == 0 {
@@ -287,7 +288,6 @@ fn a_page_the_victim_never_held_is_left_alone_until_it_faults_live() {
     };
     let base = ClusterSpec::new(3, 8)
         .with_page_size(256)
-        .with_prefetch_depth(0)
         .with_protocol(Protocol::Ccl);
     let clean = run_program(base.clone(), program);
     let out = run_program(base.with_crash(CrashPlan::new(1, 6)), program);
