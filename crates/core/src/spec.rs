@@ -128,23 +128,6 @@ impl FailureSpec {
     pub fn none() -> FailureSpec {
         FailureSpec::default()
     }
-
-    /// True when nothing is scheduled to fail.
-    pub fn is_none(&self) -> bool {
-        self.crashes.is_empty() && self.disk_faults.is_empty()
-    }
-
-    /// Add a crash event.
-    pub fn with_crash(mut self, plan: CrashPlan) -> FailureSpec {
-        self.crashes.push(plan);
-        self
-    }
-
-    /// Add a disk write-fault schedule at `node`.
-    pub fn with_disk_fault(mut self, node: NodeId, plan: DiskFaultPlan) -> FailureSpec {
-        self.disk_faults.push((node, plan));
-        self
-    }
 }
 
 /// Everything needed to launch one cluster run.
@@ -264,13 +247,11 @@ mod tests {
 
     #[test]
     fn failure_spec_none_is_empty() {
-        assert!(FailureSpec::none().is_none());
-        assert!(!FailureSpec::none()
-            .with_crash(CrashPlan::new(0, 1))
-            .is_none());
-        assert!(!FailureSpec::none()
-            .with_disk_fault(1, DiskFaultPlan::transient(1, 10))
-            .is_none());
+        let none = FailureSpec::none();
+        assert!(none.crashes.is_empty() && none.disk_faults.is_empty());
+        assert_eq!(ClusterSpec::new(2, 4).failures, none);
+        let spec = ClusterSpec::new(2, 4).with_disk_fault(1, DiskFaultPlan::transient(1, 10));
+        assert_ne!(spec.failures, none);
     }
 
     #[test]

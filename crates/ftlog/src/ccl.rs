@@ -23,20 +23,34 @@
 //! Replay is deterministic, so the *held* pages are exactly the remote
 //! pages this node will touch again.
 //!
-//! Replay then walks the sync events of the (small) local log: at the
-//! beginning of each interval it re-applies the recorded incoming
-//! updates to its home copies (fetching the diffs from the writers'
-//! stable logs) and *prefetches* the held remote copies named by the
-//! logged notices — reconstructing from the home's checkpoint base plus
-//! logged diffs whenever the live home copy has already advanced past
-//! the interval being replayed. Page faults during replay are thereby
-//! (almost entirely) eliminated, and pages this node never held are
-//! never requested, never resident and never patched: recovery moves
-//! the replayed working set, not the cluster's write set. The filter is
-//! an optimization only — a fault on a page it skipped reconstructs on
-//! demand ([`FaultTolerance::recovery_fault`]) — so a home whose
-//! copysets were wiped by its own crash or bypassed by a migration
-//! simply answers "incomplete" and all its pages count as held.
+//! Replay then walks the sync events of the (small) local log. At the
+//! beginning of each interval it sends **one** wave of requests: for
+//! its home copies, the diffs named by the recorded incoming updates,
+//! fetched from the writers' stable logs (the paper's mechanism); for
+//! every held remote copy a logged notice names, a
+//! [`Msg::RecoveryPageRequest`] to the page's home, which answers from
+//! its *served-image log* — the reply buffers it retained, one per
+//! version it ever served ([`hlrc::ServedLog`]) — with the earliest
+//! image that shows everything the replayed clock covers: whole, or as
+//! a diff against the image this node's copy was last restored from
+//! when that is smaller (the node keeps that image: a copy it has
+//! written since is no base for such a diff). The page reply is the
+//! one message CCL does not log at the receiver; it is logged at the
+//! sender instead, in volatile memory, which a peer's recovery implies
+//! survived. Page faults during replay are thereby (almost entirely)
+//! eliminated, and pages this node never held are never requested,
+//! never resident and never patched: recovery moves the replayed
+//! working set, not the cluster's write set. The held-set filter is an
+//! optimization only — a fault on a page it skipped restores on demand
+//! ([`FaultTolerance::recovery_fault`]) — so a home whose copysets were
+//! wiped by its own crash or bypassed by a migration simply answers
+//! "incomplete" and all its pages count as held.
+//!
+//! Under a multi-failure spec ([`CclLogger::with_durable_home_diffs`])
+//! a home may not survive, so nothing volatile is relied on: homes
+//! twin and log their own writes too, resident copies are patched with
+//! each interval's logged diffs, and a copy whose home has advanced is
+//! rebuilt from the home's checkpoint base plus logged diffs.
 //!
 //! Recovery fetches stay one message per page (and per writer): every
 //! message is priced on its own link, so a wave of parallel requests
@@ -46,8 +60,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind, WriteNotice};
-use pagemem::{Decode, Encode, IntervalId, PageDiff, PageId, PageState, VClock};
+use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryImage, RecoveryStep, SyncKind, WriteNotice};
+use pagemem::{
+    Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
+};
 use simnet::{Envelope, LogObj, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
@@ -62,18 +78,33 @@ pub const CCL_STREAM: &str = "ccl.log";
 /// wave's requests go out in `(page, writer)` order.
 type Wants = BTreeMap<PageId, Vec<IntervalId>>;
 
+/// The logged diffs a fetch wave brought back.
+type Found = HashMap<(PageId, IntervalId), PageDiff>;
+
 /// In-memory replay state (rebuilt from the stable log after a crash).
 struct CclReplay {
     /// Decoded records with their encoded sizes (for per-interval read
     /// charging).
     records: Vec<(CclRecord, usize)>,
     cursor: usize,
-    /// Every write notice encountered so far, in replay order — received
-    /// ones from `Sync` records and this node's own (derived from its
-    /// `Diffs` records). Reconstruction applies diffs in this order.
+    /// Multi-failure mode: every write notice encountered so far, in
+    /// replay order — received ones from `Sync` records and this node's
+    /// own (derived from its `Diffs` records). Reconstruction from a
+    /// checkpoint base applies diffs in this order.
     notices_seen: Vec<WriteNotice>,
-    /// Own logged diffs passed by the cursor: (page, interval seq) → diff.
+    /// Multi-failure mode: own logged diffs passed by the cursor,
+    /// (page, interval seq) → diff.
     own_diffs: HashMap<(PageId, u32), PageDiff>,
+    /// Single-failure mode: the served image each resident remote copy
+    /// was last restored from and its position in the home's log (an
+    /// entry goes when its copy does). The position is what the next
+    /// request for the page names, so the home can answer with a diff;
+    /// the image — the reply buffer, kept instead of freed — is what
+    /// that diff is applied to. The copy itself will not do once this
+    /// node has written it: it then also holds re-executed writes, and
+    /// a word one of them changed and a later writer changed back is
+    /// in no diff between two images.
+    restored: HashMap<PageId, (u32, SharedBytes)>,
 }
 
 /// Victim side of the recovery handshake: which remote pages the
@@ -106,9 +137,10 @@ pub struct CclLogger {
     /// technique); a later flush queues behind an unfinished one.
     log: StableLog,
     staged: Vec<CclRecord>,
-    /// Volatile cache of this node's home-write diffs, keyed by
-    /// (page, own interval seq). Served to recovering peers; never
-    /// flushed (a peer's recovery implies this node survived).
+    /// Multi-failure mode: volatile copy of this node's home-write
+    /// diffs, keyed by (page, own interval seq), for the ones a peer
+    /// asks for before they are in the log image (or that a refused
+    /// flush kept out of it).
     home_diff_cache: HashMap<(PageId, u32), PageDiff>,
     replay: Option<CclReplay>,
     restored_app: Option<Vec<u8>>,
@@ -121,11 +153,12 @@ pub struct CclLogger {
     serve_ready_at: SimTime,
     /// What the recovery handshake told this (recovering) node.
     held: HeldPages,
-    /// Also log home-write diffs (as ordinary `Diffs` records). Single-
-    /// failure CCL keeps them volatile — a peer's recovery implies this
-    /// node survived — but under a multi-failure spec that assumption
-    /// breaks, so the runner enables this mode when more than one crash
-    /// is scheduled.
+    /// Twin home writes and log their diffs (as ordinary `Diffs`
+    /// records) instead of retaining served pages. Single-failure CCL
+    /// restores a peer's copies from what this home served — a peer's
+    /// recovery implies this node survived — but under a multi-failure
+    /// spec that assumption breaks, so the runner enables this mode
+    /// when more than one crash is scheduled.
     durable_home_diffs: bool,
     /// Set by [`CclLogger::begin_recovery`] when the salvage scan found
     /// the log damaged (or gone): replay could not reconstruct every
@@ -179,7 +212,8 @@ impl CclLogger {
     }
 
     /// Multi-failure variant: home-write diffs go to the stable log
-    /// too, as ordinary `Diffs` records.
+    /// too, as ordinary `Diffs` records, and recovery relies on no
+    /// peer's volatile memory.
     pub fn with_durable_home_diffs(mut self) -> CclLogger {
         self.durable_home_diffs = true;
         self
@@ -324,24 +358,24 @@ impl CclLogger {
         self.serve_cache = Some(cache);
     }
 
-    /// Fetch logged diffs for every `(page, intervals)` entry — from the
-    /// writers' stable logs over the network and from this node's own
-    /// log locally — with all remote requests issued in parallel.
-    fn fetch_logged_diffs(
+    /// Ask for the logged diffs of every `(page, intervals)` entry of
+    /// `wants`: one request per page and remote writer, all in flight
+    /// at once. This node's own diffs come from the local log (already
+    /// read while the replay cursor passed them) straight into `found`.
+    /// Returns how many replies to expect.
+    fn request_logged_diffs(
         &mut self,
         inner: &mut NodeInner,
         wants: &Wants,
-    ) -> HashMap<(PageId, IntervalId), PageDiff> {
+        found: &mut Found,
+    ) -> usize {
         let me = inner.me() as u32;
         let own_diffs = self.replay.as_ref().map(|r| &r.own_diffs);
-        let mut found: HashMap<(PageId, IntervalId), PageDiff> = HashMap::new();
         let mut outstanding = 0usize;
         for (page, ivs) in wants {
             let mut per_writer: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for iv in ivs {
                 if iv.node == me {
-                    // Own diffs come from the local log (already read
-                    // while the replay cursor passed them).
                     if let Some(d) = own_diffs.and_then(|own| own.get(&(*page, iv.seq))) {
                         found.insert((*page, *iv), d.clone());
                     }
@@ -360,16 +394,138 @@ impl CclLogger {
                 outstanding += 1;
             }
         }
+        outstanding
+    }
+
+    /// Fetch logged diffs for every `(page, intervals)` entry — from the
+    /// writers' stable logs over the network and from this node's own
+    /// log locally — with all remote requests issued in parallel.
+    fn fetch_logged_diffs(&mut self, inner: &mut NodeInner, wants: &Wants) -> Found {
+        let mut found = Found::new();
+        let outstanding = self.request_logged_diffs(inner, wants, &mut found);
         for _ in 0..outstanding {
             let env = self.recovery_wait(inner, |m| matches!(m, Msg::LoggedDiffReply { .. }));
-            if let Msg::LoggedDiffReply { page, diffs } = env.payload {
-                for (iv, d) in diffs {
-                    inner.ctx.charge_copy(d.encoded_size());
-                    found.insert((page, iv), d);
-                }
-            }
+            absorb_logged_diffs(inner, env.payload, &mut found);
         }
         found
+    }
+
+    /// Ask the home of each of `pages` for the page as the interval now
+    /// being replayed must see it, all requests in flight at once.
+    fn request_pages(&mut self, inner: &mut NodeInner, pages: &[PageId]) {
+        let restored = &self.replay.as_ref().expect("not in recovery").restored;
+        for &page in pages {
+            let request = Msg::RecoveryPageRequest {
+                page,
+                required: inner.vc.clone(),
+                held: restored.get(&page).map(|(pos, _)| *pos),
+            };
+            inner
+                .ctx
+                .send(inner.pages.entry(page).home, request)
+                .expect("send recovery page request");
+        }
+    }
+
+    /// Keep of `pages` those this node has resident or held before the
+    /// crash — replay touches no other — waiting out the handshake
+    /// first if any of them is not resident.
+    fn retain_held(&mut self, inner: &mut NodeInner, pages: &mut Vec<PageId>) {
+        let resident = |inner: &NodeInner, p: PageId| inner.pages.entry(p).frame.is_some();
+        if pages.iter().any(|p| !resident(inner, *p)) {
+            self.await_hello_replies(inner);
+            pages.retain(|p| resident(inner, *p) || self.is_held(inner, *p));
+        }
+    }
+
+    /// Take in one home's answer about `page`: install the image,
+    /// rebuild it from the held one and the delta, or drop the copy no
+    /// image covers. A multi-failure home that has advanced answers
+    /// with its checkpoint base instead, which is handed back for the
+    /// caller to patch with logged diffs.
+    fn absorb_page_reply(
+        &mut self,
+        inner: &mut NodeInner,
+        page: PageId,
+        image: RecoveryImage,
+    ) -> Option<(SharedBytes, VClock)> {
+        let restored = &mut self.replay.as_mut().expect("not in recovery").restored;
+        let install = |inner: &mut NodeInner, data: &[u8]| {
+            inner.ctx.charge_copy(data.len());
+            inner
+                .pages
+                .install_copy(page, data, PageState::ReadOnly, &mut inner.pool);
+        };
+        match image {
+            RecoveryImage::Current { data, .. } => install(inner, &data),
+            RecoveryImage::Base { data, version } => {
+                inner.ctx.charge_copy(data.len());
+                return Some((data, version));
+            }
+            RecoveryImage::Image { pos, data } => {
+                install(inner, &data);
+                restored.insert(page, (pos, data));
+            }
+            RecoveryImage::Delta { pos, diff } => {
+                let (at, held) = restored.get(&page).expect("delta against no held image");
+                if *at == pos {
+                    // Still the image this node holds, so it has not
+                    // written the page since either: the copy stands.
+                    debug_assert!(diff.is_empty());
+                    return None;
+                }
+                inner.ctx.charge_copy(diff.encoded_size());
+                inner.ctx.charge_copy(diff.payload_bytes());
+                let mut image = PageFrame::from_bytes(held);
+                diff.apply_checked(&mut image)
+                    .expect("delta does not fit the page");
+                // A copy this node has not written since is the held
+                // image, and patching it in place was all of the work.
+                // One it has written is replaced by the rebuilt image:
+                // a page copy more. (A node knows which from its write
+                // detection; the bytes say the same and need no flag.)
+                let copy = inner.pages.frame(page).bytes();
+                if copy != &held[..] {
+                    inner.ctx.charge_copy(image.bytes().len());
+                }
+                inner
+                    .pages
+                    .install_copy(page, image.bytes(), PageState::ReadOnly, &mut inner.pool);
+                restored.insert(page, (pos, SharedBytes::copy_of(image.bytes())));
+            }
+            RecoveryImage::Absent => {
+                inner.pages.invalidate(page, &mut inner.pool);
+                restored.remove(&page);
+            }
+        }
+        None
+    }
+
+    /// Single-failure mode, one wave per replayed interval: the logged
+    /// diffs of `home_wants` (the recorded updates of this node's home
+    /// copies) from their writers' logs and the images of the remote
+    /// `pages` from their homes' served logs, all requests in flight at
+    /// once; then the home-copy updates are applied in record order.
+    fn restore_wave(&mut self, inner: &mut NodeInner, home_wants: &Wants, pages: &[PageId]) {
+        let mut found = Found::new();
+        let diffs = self.request_logged_diffs(inner, home_wants, &mut found);
+        self.request_pages(inner, pages);
+        for _ in 0..diffs + pages.len() {
+            let env = self.recovery_wait(inner, |m| {
+                matches!(
+                    m,
+                    Msg::LoggedDiffReply { .. } | Msg::RecoveryPageReply { .. }
+                )
+            });
+            match env.payload {
+                Msg::RecoveryPageReply { page, image } => {
+                    let base = self.absorb_page_reply(inner, page, image);
+                    debug_assert!(base.is_none(), "a home that retains pages sent its base");
+                }
+                reply => absorb_logged_diffs(inner, reply, &mut found),
+            }
+        }
+        apply_home_updates(inner, home_wants, &found);
     }
 
     /// Home-repair wave, run once at recovery exit when the salvage
@@ -451,48 +607,25 @@ impl CclLogger {
         });
     }
 
-    /// Reconstruct remote copies of `pages` (paper: "prefetching data
-    /// according to the future shared memory access patterns"): one
-    /// recovery-page round trip per page, issued in parallel, plus
-    /// logged-diff fetches for the copies whose home has advanced.
+    /// Multi-failure mode: reconstruct remote copies of `pages` (paper:
+    /// "prefetching data according to the future shared memory access
+    /// patterns"): one recovery-page round trip per page, issued in
+    /// parallel, plus logged-diff fetches for the copies whose home has
+    /// advanced.
     fn prefetch_pages(&mut self, inner: &mut NodeInner, pages: &[PageId]) {
         if pages.is_empty() {
             return;
         }
-        let required = inner.vc.clone();
-        for &p in pages {
-            let home = inner.pages.entry(p).home;
-            inner
-                .ctx
-                .send(
-                    home,
-                    Msg::RecoveryPageRequest {
-                        page: p,
-                        required: required.clone(),
-                    },
-                )
-                .expect("send recovery page request");
-        }
-        let mut advanced: Vec<(PageId, pagemem::SharedBytes, VClock)> = Vec::new();
+        self.request_pages(inner, pages);
+        let mut advanced: Vec<(PageId, SharedBytes, VClock)> = Vec::new();
         for _ in 0..pages.len() {
             let env = self.recovery_wait(
                 inner,
                 |m| matches!(m, Msg::RecoveryPageReply { page, .. } if pages.contains(page)),
             );
-            if let Msg::RecoveryPageReply {
-                page,
-                advanced: adv,
-                data,
-                version,
-            } = env.payload
-            {
-                inner.ctx.charge_copy(data.len());
-                if adv {
-                    advanced.push((page, data, version));
-                } else {
-                    inner
-                        .pages
-                        .install_copy(page, &data, PageState::ReadOnly, &mut inner.pool);
+            if let Msg::RecoveryPageReply { page, image } = env.payload {
+                if let Some((base, version)) = self.absorb_page_reply(inner, page, image) {
+                    advanced.push((page, base, version));
                 }
             }
         }
@@ -517,7 +650,7 @@ impl CclLogger {
         }
         let diffs = self.fetch_logged_diffs(inner, &wants);
         for (page, base, _) in advanced {
-            let mut frame = pagemem::PageFrame::from_bytes(&base);
+            let mut frame = PageFrame::from_bytes(&base);
             for iv in &wants[&page] {
                 if let Some(d) = diffs.get(&(page, *iv)) {
                     inner.ctx.charge_copy(d.payload_bytes());
@@ -530,18 +663,93 @@ impl CclLogger {
         }
     }
 
+    /// Multi-failure mode, the remote half of a replayed sync. During
+    /// recovery no copy is invalidated (the paper: the scheme "obviates
+    /// the need of memory invalidation"): instead, every *cached* copy
+    /// named by a notice is patched in place with that interval's
+    /// logged diff, fetched from the writer's log together with the
+    /// interval's home-copy updates — incremental and issued in
+    /// parallel, so each diff crosses the network exactly once over the
+    /// whole replay. Held pages named by notices but not yet resident
+    /// are then reconstructed, in a second wave.
+    fn patch_and_reconstruct(
+        &mut self,
+        inner: &mut NodeInner,
+        home_wants: &Wants,
+        remote: &[WriteNotice],
+    ) {
+        let mut wants = Wants::new();
+        let mut first_touch: Vec<PageId> = Vec::new();
+        for n in remote {
+            if inner.pages.entry(n.page).frame.is_some() {
+                wants.entry(n.page).or_default().push(n.interval);
+            } else {
+                first_touch.push(n.page);
+            }
+        }
+        // One combined fetch wave: this interval's home-copy updates
+        // plus the patches for every resident remote copy.
+        let mut combined = home_wants.clone();
+        for (p, ivs) in &wants {
+            combined.entry(*p).or_default().extend(ivs.iter().copied());
+        }
+        let diffs = self.fetch_logged_diffs(inner, &combined);
+        apply_home_updates(inner, home_wants, &diffs);
+        for (page, ivs) in &wants {
+            for iv in ivs {
+                if let Some(d) = diffs.get(&(*page, *iv)) {
+                    inner.ctx.charge_copy(d.payload_bytes());
+                    let frame = inner
+                        .pages
+                        .entry_mut(*page)
+                        .frame
+                        .as_mut()
+                        .expect("patched page lost its frame");
+                    d.apply(frame);
+                }
+            }
+        }
+        // The access pattern is known: replay touches exactly the pages
+        // this node held before the crash, so only those are fetched.
+        first_touch.sort_unstable();
+        first_touch.dedup();
+        first_touch.retain(|p| inner.pages.entry(*p).frame.is_none());
+        self.retain_held(inner, &mut first_touch);
+        self.prefetch_pages(inner, &first_touch);
+    }
+
+    /// Single-failure mode, both halves of a replayed sync in one wave
+    /// ([`CclLogger::restore_wave`]): the home-copy updates, and the
+    /// image of every held remote page a notice names — resident or
+    /// not, since an image is what the resident copy is brought up to
+    /// date from as well. A page the homes do not list as held was not
+    /// cached before the crash and is not restored now.
+    fn restore_noticed(
+        &mut self,
+        inner: &mut NodeInner,
+        home_wants: &Wants,
+        remote: &[WriteNotice],
+    ) {
+        let mut pages: Vec<PageId> = remote.iter().map(|n| n.page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        self.retain_held(inner, &mut pages);
+        self.restore_wave(inner, home_wants, &pages);
+    }
+
     /// Walk the log to the next `Sync` record, applying update records
     /// and indexing own diffs along the way; then apply the sync's
     /// notices and prefetch the named pages.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncTag) -> RecoveryStep {
         // Phase 1: scan records for this step (one sequential disk read),
         // collecting the recorded home-copy updates of the interval;
-        // they are fetched together with the remote-copy patches below,
-        // in a single parallel wave.
+        // they are fetched together with what the remote copies need
+        // below, in a single parallel wave.
         let mut batch_bytes = 0usize;
         let mut home_wants = Wants::new();
         let mut sync: Option<(Vec<WriteNotice>, VClock)> = None;
         let mut drift = false;
+        let durable = self.durable_home_diffs;
         {
             let replay = self.replay.as_mut().expect("not in recovery");
             let me = inner.me() as u32;
@@ -554,6 +762,9 @@ impl CclLogger {
                             home_wants.entry(*p).or_default().push(*writer);
                         }
                     }
+                    // Only reconstruction from a checkpoint base needs
+                    // this node's own diffs again.
+                    CclRecord::Diffs { .. } if !durable => {}
                     CclRecord::Diffs { interval, diffs } => {
                         debug_assert_eq!(interval.node, me, "foreign diffs in own log");
                         for d in diffs {
@@ -604,90 +815,37 @@ impl CclLogger {
             return RecoveryStep::LogExhausted;
         };
 
-        // Phase 2: close the re-executed interval and apply the logged
-        // notices. During recovery no copy is invalidated (the paper:
-        // the scheme "obviates the need of memory invalidation"):
-        // instead, every *cached* copy named by a notice is patched in
-        // place with that interval's logged diff, fetched from the
-        // writer's log — incremental and issued in parallel, so each
-        // diff crosses the network exactly once over the whole replay.
+        // Phase 2: close the re-executed interval, admit the logged
+        // notices, and bring this node's copies — home and remote — to
+        // the state the next interval saw.
         inner.close_interval();
         let me = inner.me() as u32;
         let fresh = inner.admit_notices(&notices, &vc);
-        {
+        if durable {
             let replay = self.replay.as_mut().expect("not in recovery");
             replay.notices_seen.extend(fresh.iter().copied());
         }
         if let SyncTag::Barrier(_) = expected {
             inner.close_barrier_epoch();
         }
-        // The notices naming a remote page: with prefetch, patches for
-        // the copies already resident and reconstructions for the rest.
-        let remote: Vec<&WriteNotice> = fresh
+        let mut remote: Vec<WriteNotice> = fresh
             .iter()
             .filter(|n| n.interval.node != me && !inner.pages.is_home(n.page))
+            .copied()
             .collect();
-        let mut wants = Wants::new();
-        let mut first_touch: Vec<PageId> = Vec::new();
-        if self.prefetch {
-            for n in &remote {
-                if inner.pages.entry(n.page).frame.is_some() {
-                    wants.entry(n.page).or_default().push(n.interval);
-                } else {
-                    first_touch.push(n.page);
-                }
-            }
-        }
-        // One combined fetch wave: this interval's home-copy updates
-        // plus the patches for every resident remote copy.
-        let mut combined = home_wants.clone();
-        for (p, ivs) in &wants {
-            combined.entry(*p).or_default().extend(ivs.iter().copied());
-        }
-        let diffs = self.fetch_logged_diffs(inner, &combined);
-        for (page, writers) in &home_wants {
-            for iv in writers {
-                if let Some(d) = diffs.get(&(*page, *iv)) {
-                    inner.ctx.charge_copy(d.payload_bytes());
-                    inner.pages.apply_home_diff(d, *iv);
-                }
-            }
-        }
-        if self.prefetch {
-            for (page, ivs) in &wants {
-                for iv in ivs {
-                    if let Some(d) = diffs.get(&(*page, *iv)) {
-                        inner.ctx.charge_copy(d.payload_bytes());
-                        let frame = inner
-                            .pages
-                            .entry_mut(*page)
-                            .frame
-                            .as_mut()
-                            .expect("patched page lost its frame");
-                        d.apply(frame);
-                    }
-                }
-            }
-            // Pages named by notices but not yet resident are
-            // reconstructed now, in parallel — the paper's prefetch
-            // "according to the future shared memory access patterns".
-            // The pattern is known: replay touches exactly the pages
-            // this node held before the crash, so only those are
-            // fetched (the first wave waits out the handshake).
-            first_touch.sort_unstable();
-            first_touch.dedup();
-            first_touch.retain(|p| inner.pages.entry(*p).frame.is_none());
-            if !first_touch.is_empty() {
-                self.await_hello_replies(inner);
-                first_touch.retain(|p| self.is_held(inner, *p));
-            }
-            self.prefetch_pages(inner, &first_touch);
-        } else {
+        if !self.prefetch {
             // Ablation A2: fall back to invalidation + on-demand
-            // reconstruction at the next fault.
-            for n in remote {
+            // restoration at the next fault.
+            let restored = &mut self.replay.as_mut().expect("not in recovery").restored;
+            for n in remote.drain(..) {
                 inner.pages.invalidate(n.page, &mut inner.pool);
+                restored.remove(&n.page);
             }
+        }
+        if durable {
+            self.patch_and_reconstruct(inner, &home_wants, &remote);
+        } else {
+            self.restore_noticed(inner, &home_wants, &remote);
         }
 
         inner.ctx.trace(TraceKind::RecoveryReplay {
@@ -702,6 +860,31 @@ impl CclLogger {
             self.replay = None;
         }
         RecoveryStep::Replayed
+    }
+}
+
+/// Take one [`Msg::LoggedDiffReply`] into `found`, charging the receive
+/// copy of each diff.
+fn absorb_logged_diffs(inner: &mut NodeInner, reply: Msg, found: &mut Found) {
+    let Msg::LoggedDiffReply { page, diffs } = reply else {
+        unreachable!("waited for a logged diff reply, got {}", reply.kind())
+    };
+    for (iv, d) in diffs {
+        inner.ctx.charge_copy(d.encoded_size());
+        found.insert((page, iv), d);
+    }
+}
+
+/// Re-apply the recorded incoming updates of one replayed interval to
+/// this node's home copies, in record order.
+fn apply_home_updates(inner: &mut NodeInner, home_wants: &Wants, found: &Found) {
+    for (page, writers) in home_wants {
+        for iv in writers {
+            if let Some(d) = found.get(&(*page, *iv)) {
+                inner.ctx.charge_copy(d.payload_bytes());
+                inner.pages.apply_home_diff(d, *iv);
+            }
+        }
     }
 }
 
@@ -745,8 +928,8 @@ impl FaultTolerance for CclLogger {
         }
     }
 
-    fn needs_home_write_twins(&self) -> bool {
-        true
+    fn retains_served_pages(&self) -> bool {
+        !self.durable_home_diffs
     }
 
     fn logs_home_diffs_durably(&self) -> bool {
@@ -763,7 +946,6 @@ impl FaultTolerance for CclLogger {
         let tag = match kind {
             SyncKind::Acquire(l) => SyncTag::Acquire(l),
             SyncKind::Barrier(e) => SyncTag::Barrier(e),
-            SyncKind::Release(_) => unreachable!("notices never arrive at a release"),
         };
         self.stage(
             inner,
@@ -825,14 +1007,15 @@ impl FaultTolerance for CclLogger {
     }
 
     fn on_home_diffs(&mut self, inner: &mut NodeInner, interval: IntervalId, diffs: &[PageDiff]) {
+        debug_assert!(self.durable_home_diffs, "home writes twinned for nothing");
         for d in diffs {
             self.home_diff_cache
                 .insert((d.page, interval.seq), d.clone());
         }
-        if self.durable_home_diffs && !diffs.is_empty() {
-            // Multi-failure mode: a recovering peer can no longer
-            // assume this writer survived, so its home-write diffs must
-            // reach stable storage like remote-write diffs do.
+        if !diffs.is_empty() {
+            // A recovering peer cannot assume this writer survived, so
+            // its home-write diffs must reach stable storage like
+            // remote-write diffs do.
             self.stage(
                 inner,
                 CclRecord::Diffs {
@@ -843,10 +1026,10 @@ impl FaultTolerance for CclLogger {
         }
     }
 
-    fn flush_after_send(&mut self, inner: &mut NodeInner) -> (SimDuration, bool) {
+    fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
         let (cpu, drain) = self.flush_staged(inner);
         if drain == SimDuration::ZERO {
-            return (SimDuration::ZERO, self.overlap);
+            return SimDuration::ZERO;
         }
         if self.overlap {
             // Asynchronous write-behind: the device drains the flush
@@ -854,12 +1037,12 @@ impl FaultTolerance for CclLogger {
             // (the paper's latency-tolerance technique). The visible
             // cost is the write() copy plus backpressure when the
             // previous flush has not finished draining.
-            (cpu + self.log.write_behind(inner, drain), false)
+            cpu + self.log.write_behind(inner, drain)
         } else {
             // Ablation A1: write-through — the flush seeks and drains
             // synchronously on the critical path before the node may
             // proceed (no write-behind, no overlap).
-            (cpu + inner.ctx.disk.model().access_latency + drain, false)
+            cpu + inner.ctx.disk.model().access_latency + drain
         }
     }
 
@@ -944,6 +1127,7 @@ impl FaultTolerance for CclLogger {
             cursor: 0,
             notices_seen: Vec::new(),
             own_diffs: HashMap::new(),
+            restored: HashMap::new(),
         });
         if self.replay.as_ref().is_some_and(|r| r.records.is_empty()) {
             // Nothing was ever logged (crash before the first flush).
@@ -982,8 +1166,22 @@ impl FaultTolerance for CclLogger {
         _write: bool,
     ) -> RecoveryStep {
         // First-touch pages have no notice and therefore were not
-        // prefetched; reconstruct on demand.
-        self.prefetch_pages(inner, &[page]);
+        // prefetched; restore on demand.
+        if self.durable_home_diffs {
+            self.prefetch_pages(inner, &[page]);
+        } else {
+            self.restore_wave(inner, &Wants::new(), &[page]);
+            // Replay is deterministic: a page it touches here was
+            // fetched here before the crash, and that fetch left an
+            // image at its home. None means replay left the logged run.
+            assert!(
+                inner.pages.entry(page).frame.is_some(),
+                "CCL replay drift: node {} touched page {page} at {:?}, \
+                 where its home retains no image of it",
+                inner.me(),
+                inner.vc
+            );
+        }
         RecoveryStep::Replayed
     }
 
@@ -1012,9 +1210,10 @@ impl FaultTolerance for CclLogger {
         let cache = self.serve_cache.as_ref().expect("just warmed");
         let mut out: Vec<(IntervalId, PageDiff)> = Vec::new();
         for &seq in seqs {
-            // Remote-write diffs come from the (cached) stable log;
-            // home-write diffs from the volatile home cache. A miss in
-            // both means a silent write whose diff was empty.
+            // Diffs come from the (cached) stable log; multi-failure
+            // home-write diffs not yet in that image from the volatile
+            // home cache. A miss in both means a silent write whose
+            // diff was empty.
             if let Some(d) = cache.get(&(*page, seq)) {
                 out.push((IntervalId { node: me, seq }, d.clone()));
             } else if let Some(d) = self.home_diff_cache.get(&(*page, seq)) {

@@ -201,7 +201,6 @@ impl FaultTolerance for RslLogger {
                 w.put_u8(1);
                 w.put_u32(e);
             }
-            SyncKind::Release(_) => return,
         }
         hlrc::encode_notices(&mut w, notices);
         vc.encode(&mut w);

@@ -6,9 +6,9 @@
 //! *same* coherence code, differing only in what they record, when they
 //! flush, and how they drive recovery. The coherence code has no
 //! per-protocol branch and no knob that stands in for one: where a
-//! protocol needs the substrate to behave differently (twin home
-//! writes, keep the checkpoint base pinned, fetch without speculating)
-//! it says so through a hook here, next to the reason. Implementations
+//! protocol needs the substrate to behave differently (retain the pages
+//! it serves, twin and log home writes, fetch without speculating) it
+//! says so through a hook here, next to the reason. Implementations
 //! live in the `ftlog` crate; [`NoLogging`] (the paper's "None"
 //! baseline) lives here.
 
@@ -23,8 +23,6 @@ use crate::node::NodeInner;
 pub enum SyncKind {
     /// A lock acquire (carrying the lock id).
     Acquire(u32),
-    /// A lock release (carrying the lock id).
-    Release(u32),
     /// A barrier episode (carrying the epoch).
     Barrier(u32),
 }
@@ -50,25 +48,29 @@ pub trait FaultTolerance: Send {
     /// Protocol name for reports ("none", "ml", "ccl", ...).
     fn name(&self) -> &'static str;
 
-    /// Whether the home node must twin (and later diff) its *own* writes
-    /// to home pages. CCL needs this: a peer reconstructing a remote
-    /// copy from the home's checkpoint base patches it with logged
-    /// diffs, and the home's in-place writes would otherwise be
-    /// unreconstructible. ML replays fetched page contents verbatim and
-    /// does not need it.
-    fn needs_home_write_twins(&self) -> bool {
+    /// Whether a home keeps, in volatile memory, the reply buffer of
+    /// every page copy it serves (one per distinct version served, see
+    /// [`crate::ServedLog`]) so that a recovering peer's remote copies
+    /// can be restored from them. CCL under the single-failure model
+    /// needs this: it does not log the page replies a node receives,
+    /// and a home's own writes to its pages produce no diffs in HLRC,
+    /// so the states a peer fetched are reconstructible from nowhere
+    /// else — and a peer's recovery implies this home survived, so
+    /// volatile is enough. Costs nothing on any clock: the buffer was
+    /// built for the reply anyway. ML replays the page contents it
+    /// logged itself and does not need it.
+    fn retains_served_pages(&self) -> bool {
         false
     }
 
-    /// Whether home-write diffs reach stable storage from the very
-    /// first interval (multi-failure mode). The reconstruction base of
-    /// a home page then stays pinned at the checkpoint image — it is
-    /// never promoted at a remote fetch — so "base + logged diffs" can
-    /// rebuild *any* state a recovering peer may request, even after
-    /// the home itself crashed, replayed, and lost its volatile diff
-    /// cache. Under the single-failure model the cheaper volatile
-    /// scheme (promote the base at first fetch, keep later diffs in
-    /// memory) is safe, so this defaults to off.
+    /// Whether the home twins its *own* writes to home pages and logs
+    /// the resulting diffs to stable storage, from the very first
+    /// interval (multi-failure CCL). With more than one failure a
+    /// recovering peer can no longer assume the home survived with its
+    /// volatile served pages, so every state of a home page must be
+    /// rebuildable as "checkpoint base + logged diffs", the home's own
+    /// writes included — at the price of a twin and a diff per home
+    /// write, which the single-failure protocol does not pay.
     fn logs_home_diffs_durably(&self) -> bool {
         false
     }
@@ -115,11 +117,8 @@ pub trait FaultTolerance: Send {
     }
 
     /// Diffs of this node's *own writes to its own home pages* (only
-    /// produced when [`FaultTolerance::needs_home_write_twins`] is
-    /// true). Under the single-failure model these are needed only by a
-    /// *peer's* recovery — and then this node is alive — so they are
-    /// retained in volatile memory, never flushed: CCL's log keeps its
-    /// coherence-centric economy.
+    /// produced when [`FaultTolerance::logs_home_diffs_durably`] is
+    /// true), to be logged like the diffs it flushes to other homes.
     fn on_home_diffs(&mut self, inner: &mut NodeInner, interval: IntervalId, diffs: &[PageDiff]) {}
 
     /// Stable-storage flush charged *before* the node sends its
@@ -130,10 +129,11 @@ pub trait FaultTolerance: Send {
     }
 
     /// Stable-storage flush issued *right after* the diffs are sent
-    /// (CCL flushes here). Returns the disk time and whether it may be
-    /// overlapped with the diff-ack round trip.
-    fn flush_after_send(&mut self, inner: &mut NodeInner) -> (SimDuration, bool) {
-        (SimDuration::ZERO, true)
+    /// (CCL flushes here, so the device drains while the diff acks are
+    /// in flight). Returns what remains visible on the critical path,
+    /// charged once the acks are in.
+    fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
+        SimDuration::ZERO
     }
 
     /// Write-ahead gate before the home acknowledges an applied diff

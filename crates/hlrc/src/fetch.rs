@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use pagemem::{PageId, PageState, SharedBytes};
+use pagemem::{PageId, PageState};
 use simnet::{CoherenceProtocol, Envelope, NodeId, SimTime, TraceKind};
 
 use crate::msg::{Msg, PageCopy};
@@ -260,7 +260,11 @@ impl HlrcNode {
     /// Home side, behind both request tags: answer `src`'s fetch of
     /// `page`, finishing service at `done`. The demand reply's timing
     /// never depends on how many `extras` ride along: their copies are
-    /// made once it is on the wire.
+    /// made once it is on the wire. Nor does any timing depend on
+    /// whether a copy is made afresh or is the buffer the home retained
+    /// from an earlier fetch of the same version
+    /// ([`crate::PageTable::serve_copy`]): the copy is priced either
+    /// way.
     pub(crate) fn serve_pages(
         &mut self,
         src: NodeId,
@@ -268,14 +272,10 @@ impl HlrcNode {
         extras: &[PageId],
         done: SimTime,
     ) {
-        let twins = self.ft.needs_home_write_twins();
-        let stable = self.ft.logs_home_diffs_durably();
         let copy_of = |inner: &mut NodeInner, p: PageId| -> PageCopy {
             debug_assert!(inner.pages.is_home(p), "page request at non-home");
-            inner.pages.note_remote_fetch(p, src, twins, stable);
-            let e = inner.pages.entry(p);
-            let data = SharedBytes::copy_of(e.frame.as_ref().expect("home frame").bytes());
-            (p, data, e.version.clone().expect("home version"))
+            let (data, version) = inner.pages.serve_copy(p, src);
+            (p, data, version)
         };
         let (_, data, version) = copy_of(&mut self.inner, page);
         let demand_cost = self.inner.ctx.cost.cpu.copy(data.len());

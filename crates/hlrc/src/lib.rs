@@ -26,6 +26,7 @@ mod migrate;
 mod msg;
 mod node;
 mod page_table;
+mod served;
 mod sync;
 
 pub use config::DsmConfig;
@@ -35,9 +36,10 @@ pub use homeless::{HMsg, HomelessNode};
 pub use migrate::MigrationState;
 pub use msg::{
     decode_notices, encode_notices, kind_label, notices_size, EpochRelease, HomeMigration, Msg,
-    PageCopy, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
+    PageCopy, RecoveryImage, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, OpenTwins};
 pub use page_table::{NodeSet, PageEntry, PageTable};
+pub use served::ServedLog;
 pub use simnet::CoherenceProtocol;
 pub use sync::{BarrierMgr, LockState, LockTable, PendingAcquire};

@@ -60,6 +60,125 @@ pub type PageCopy = (PageId, SharedBytes, VClock);
 /// home migrations committed at that release)`.
 pub type EpochRelease = (u32, VClock, Vec<WriteNotice>, Vec<HomeMigration>);
 
+/// What a [`Msg::RecoveryPageReply`] carries. Two families, selected by
+/// what the home keeps: `Current`/`Base` from a home whose protocol
+/// logs home-write diffs durably (multi-failure CCL, which rebuilds
+/// from the checkpoint base plus logged diffs), `Image`/`Delta`/`Absent`
+/// from a home that retains the pages it served.
+///
+/// Wire layout, after the one-byte kind (`0..=4` in declaration order;
+/// `Current` and `Base` are the `false`/`true` of the flag byte this
+/// field used to be, so those replies keep their bytes):
+/// `Current`/`Base`: `bytes(data) vc(version)`; `Image`: `var(pos)
+/// bytes(data)`; `Delta`: `var(pos) diff`; `Absent`: nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecoveryImage {
+    /// The home copy has not advanced past the requested clock: its
+    /// committed contents and their version.
+    Current {
+        /// Page contents.
+        data: SharedBytes,
+        /// Version of `data`.
+        version: VClock,
+    },
+    /// The home copy has advanced: the checkpoint base, which the
+    /// requester patches with logged diffs.
+    Base {
+        /// Checkpoint base contents.
+        data: SharedBytes,
+        /// Version of the base.
+        version: VClock,
+    },
+    /// The retained image at position `pos` of the page's served log
+    /// (see [`crate::ServedLog`]), whole.
+    Image {
+        /// Position of the image.
+        pos: u32,
+        /// Its contents.
+        data: SharedBytes,
+    },
+    /// The retained image at `pos` as a diff against the image the
+    /// request said the requester still holds — sent when that is
+    /// smaller than the page; empty when they are the same image (`pos`
+    /// is the held position). To be applied to that image, which the
+    /// requester keeps for the purpose, not to its copy.
+    Delta {
+        /// Position of the image the diff leads to.
+        pos: u32,
+        /// `diff(held image, image at pos)`.
+        diff: PageDiff,
+    },
+    /// No image shows the page as of the requested clock: nothing was
+    /// fetched at or after it and the home has moved on. The requester
+    /// held no copy there before its crash either, and drops its own.
+    Absent,
+}
+
+impl Encode for RecoveryImage {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            RecoveryImage::Current { data, version } | RecoveryImage::Base { data, version } => {
+                w.put_u8(u8::from(matches!(self, RecoveryImage::Base { .. })));
+                w.put_bytes(data);
+                version.encode(w);
+            }
+            RecoveryImage::Image { pos, data } => {
+                w.put_u8(2);
+                w.put_var(*pos);
+                w.put_bytes(data);
+            }
+            RecoveryImage::Delta { pos, diff } => {
+                w.put_u8(3);
+                w.put_var(*pos);
+                diff.encode(w);
+            }
+            RecoveryImage::Absent => w.put_u8(4),
+        }
+    }
+
+    fn encoded_size(&self) -> usize {
+        1 + match self {
+            RecoveryImage::Current { data, version } | RecoveryImage::Base { data, version } => {
+                4 + data.len() + version.encoded_size()
+            }
+            RecoveryImage::Image { pos, data } => var_size(*pos) + 4 + data.len(),
+            RecoveryImage::Delta { pos, diff } => var_size(*pos) + diff.encoded_size(),
+            RecoveryImage::Absent => 0,
+        }
+    }
+}
+
+impl Decode for RecoveryImage {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.get_u8()? {
+            kind @ (0 | 1) => {
+                let data = r.get_bytes()?.into();
+                let version = VClock::decode(r)?;
+                if kind == 0 {
+                    RecoveryImage::Current { data, version }
+                } else {
+                    RecoveryImage::Base { data, version }
+                }
+            }
+            2 => RecoveryImage::Image {
+                pos: r.get_var()?,
+                data: r.get_bytes()?.into(),
+            },
+            3 => RecoveryImage::Delta {
+                pos: r.get_var()?,
+                diff: PageDiff::decode(r)?,
+            },
+            4 => RecoveryImage::Absent,
+            tag => {
+                return Err(CodecError::BadTag {
+                    context: "RecoveryImage",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
 /// A write-invalidation notice: "`interval.node` modified `page` during
 /// `interval`". Piggybacked on lock grants and barrier releases; the
 /// receiver invalidates its non-home copy of `page`.
@@ -354,25 +473,28 @@ pub enum Msg {
         /// page-to-home mapping stays cluster-consistent.
         migrations: Arc<[HomeMigration]>,
     },
-    /// Recovery: fetch `page` if the home copy has not advanced past
-    /// `required`; otherwise the home returns its checkpoint base copy.
+    /// Recovery: fetch `page` as a replayed interval at clock
+    /// `required` must see it.
+    ///
+    /// Wire layout: `tag(9) u32(page) vc(required) [var(held)]` — the
+    /// held position trails the clock only when there is one (a message
+    /// is a datagram, so its end delimits the optional tail).
     RecoveryPageRequest {
         /// Requested page.
         page: PageId,
         /// The vector timestamp the replayed interval must observe.
         required: VClock,
+        /// Position of the served image the requester's copy was last
+        /// restored from, if it still has that copy: lets the home
+        /// answer with a diff against it.
+        held: Option<u32>,
     },
     /// Reply to [`Msg::RecoveryPageRequest`].
     RecoveryPageReply {
         /// The page.
         page: PageId,
-        /// True if the home copy had advanced and `data` is the
-        /// checkpoint base copy that must be patched with logged diffs.
-        advanced: bool,
-        /// Page contents (current home copy, or checkpoint base).
-        data: SharedBytes,
-        /// Version of `data`.
-        version: VClock,
+        /// What the home could serve of it.
+        image: RecoveryImage,
     },
     /// Recovery: ask a surviving writer for its logged diffs of `page`
     /// from the given interval sequence numbers.
@@ -487,8 +609,9 @@ impl Msg {
     /// answering while it replays its own log. Each is served from
     /// stable state (the checkpoint base, the stable log, the barrier
     /// manager's release history) or from directory state (the
-    /// copysets), never from half-restored frames; deferring them
-    /// would deadlock two nodes recovering at once.
+    /// copysets; a wiped served log answers "absent"), never from
+    /// half-restored frames; deferring them would deadlock two nodes
+    /// recovering at once.
     pub fn is_recovery_request(&self) -> bool {
         matches!(
             self,
@@ -594,22 +717,22 @@ impl Encode for Msg {
                 encode_notices(w, notices);
                 encode_migrations(w, migrations);
             }
-            Msg::RecoveryPageRequest { page, required } => {
+            Msg::RecoveryPageRequest {
+                page,
+                required,
+                held,
+            } => {
                 w.put_u8(9);
                 w.put_u32(*page);
                 required.encode(w);
+                if let Some(pos) = held {
+                    w.put_var(*pos);
+                }
             }
-            Msg::RecoveryPageReply {
-                page,
-                advanced,
-                data,
-                version,
-            } => {
+            Msg::RecoveryPageReply { page, image } => {
                 w.put_u8(10);
                 w.put_u32(*page);
-                w.put_u8(u8::from(*advanced));
-                w.put_bytes(data);
-                version.encode(w);
+                image.encode(w);
             }
             Msg::LoggedDiffRequest { page, seqs } => {
                 w.put_u8(11);
@@ -711,10 +834,10 @@ impl Encode for Msg {
                 migrations,
                 ..
             } => 1 + 4 + vc.encoded_size() + notices_size(n) + migrations_size(migrations),
-            Msg::RecoveryPageRequest { required, .. } => 1 + 4 + required.encoded_size(),
-            Msg::RecoveryPageReply { data, version, .. } => {
-                1 + 4 + 1 + 4 + data.len() + version.encoded_size()
+            Msg::RecoveryPageRequest { required, held, .. } => {
+                1 + 4 + required.encoded_size() + held.map_or(0, var_size)
             }
+            Msg::RecoveryPageReply { image, .. } => 1 + 4 + image.encoded_size(),
             Msg::LoggedDiffRequest { seqs, .. } => 1 + 4 + 4 + 4 * seqs.len(),
             Msg::LoggedDiffReply { diffs, .. } => {
                 1 + 4
@@ -799,12 +922,15 @@ impl Decode for Msg {
             9 => Msg::RecoveryPageRequest {
                 page: r.get_u32()?,
                 required: VClock::decode(r)?,
+                held: if r.is_exhausted() {
+                    None
+                } else {
+                    Some(r.get_var()?)
+                },
             },
             10 => Msg::RecoveryPageReply {
                 page: r.get_u32()?,
-                advanced: r.get_u8()? != 0,
-                data: r.get_bytes()?.into(),
-                version: VClock::decode(r)?,
+                image: RecoveryImage::decode(r)?,
             },
             11 => Msg::LoggedDiffRequest {
                 page: r.get_u32()?,
@@ -965,16 +1091,34 @@ mod tests {
             notices: vec![notice].into(),
             migrations: vec![(7, 2), (9, 0)].into(),
         });
-        roundtrip(Msg::RecoveryPageRequest {
-            page: 9,
-            required: vc.clone(),
-        });
-        roundtrip(Msg::RecoveryPageReply {
-            page: 9,
-            advanced: true,
-            data: vec![2; 64].into(),
-            version: vc.clone(),
-        });
+        for held in [None, Some(0), Some(300)] {
+            roundtrip(Msg::RecoveryPageRequest {
+                page: 9,
+                required: vc.clone(),
+                held,
+            });
+        }
+        for image in [
+            RecoveryImage::Current {
+                data: vec![2; 64].into(),
+                version: vc.clone(),
+            },
+            RecoveryImage::Base {
+                data: vec![2; 64].into(),
+                version: vc.clone(),
+            },
+            RecoveryImage::Image {
+                pos: 300,
+                data: vec![2; 64].into(),
+            },
+            RecoveryImage::Delta {
+                pos: 3,
+                diff: sample_diff(),
+            },
+            RecoveryImage::Absent,
+        ] {
+            roundtrip(Msg::RecoveryPageReply { page: 9, image });
+        }
         roundtrip(Msg::LoggedDiffRequest {
             page: 9,
             seqs: vec![1, 2, 3],

@@ -26,7 +26,7 @@ use crate::config::DsmConfig;
 use crate::fault_tolerance::{FaultTolerance, RecoveryStep, SyncKind};
 use crate::fetch::PrefetchState;
 use crate::migrate::MigrationState;
-use crate::msg::{EpochRelease, HomeMigration, Msg, WriteNotice};
+use crate::msg::{EpochRelease, HomeMigration, Msg, RecoveryImage, WriteNotice};
 use crate::page_table::PageTable;
 use crate::sync::{BarrierMgr, LockTable, PendingAcquire};
 
@@ -197,12 +197,12 @@ impl NodeInner {
             self.history.push(WriteNotice { page, interval: iv });
             let e = self.pages.entry_mut(page);
             e.dirty = false;
+            twins.push((page, e.twin.take()));
             if e.home == me {
-                e.version.as_mut().expect("home version").observe(iv);
+                self.pages.note_home_write(page, iv);
             } else {
                 e.state = PageState::ReadOnly;
             }
-            twins.push((page, e.twin.take()));
         }
         Some((iv, twins))
     }
@@ -219,10 +219,11 @@ pub struct HlrcNode {
 impl HlrcNode {
     /// Create the node with the given fault-tolerance protocol.
     pub fn new(ctx: NodeCtx<Msg>, cfg: DsmConfig, ft: Box<dyn FaultTolerance>) -> HlrcNode {
-        HlrcNode {
-            inner: NodeInner::new(ctx, cfg),
-            ft,
+        let mut inner = NodeInner::new(ctx, cfg);
+        if ft.retains_served_pages() {
+            inner.pages.retain_served_pages();
         }
+        HlrcNode { inner, ft }
     }
 
     // ---------------------------------------------------------------
@@ -242,16 +243,11 @@ impl HlrcNode {
                 self.inner.ctx.charge_overhead(trap);
                 self.inner.ctx.stats.write_faults += 1;
                 self.inner.ctx.trace(TraceKind::WriteFault { page });
-                if self.ft.needs_home_write_twins()
-                    && (self.inner.pages.entry(page).remote_fetched()
-                        || self.ft.logs_home_diffs_durably())
-                {
-                    // CCL: snapshot the home copy so the end-of-interval
-                    // diff of the home's own writes can be logged for
-                    // peers' recovery reconstruction. In multi-failure
-                    // mode every interval is captured (the base stays at
-                    // the checkpoint image); otherwise capture starts at
-                    // the first remote fetch.
+                if self.ft.logs_home_diffs_durably() {
+                    // Multi-failure CCL: snapshot the home copy so the
+                    // end-of-interval diff of the home's own writes can
+                    // be logged, and "checkpoint base + logged diffs"
+                    // rebuilds every state of the page.
                     self.inner.open_twin(page);
                 }
                 self.inner.pages.entry_mut(page).dirty = true;
@@ -578,9 +574,9 @@ impl HlrcNode {
             let inner = &mut self.inner;
             let e = inner.pages.entry(p);
             let home = e.home;
-            // A home page has a twin only under a logging protocol that
-            // wants the home's own writes diffed (into the log set,
-            // never onto the wire); any other dirty page must have one.
+            // A home page has a twin only under a protocol that logs
+            // the home's own writes as diffs (into the log set, never
+            // onto the wire); any other dirty page must have one.
             let Some(twin) = twin else {
                 assert_eq!(home, me, "dirty non-home page {p} without twin");
                 continue;
@@ -627,7 +623,7 @@ impl HlrcNode {
         }
         // CCL issues its log flush here so the disk access proceeds in
         // parallel with the diff round-trips.
-        let (post, overlappable) = self.ft.flush_after_send(&mut self.inner);
+        let post = self.ft.flush_after_send(&mut self.inner);
         let t0 = self.inner.ctx.now();
         let mut pending = n_flushes;
         // Acks are absorbed in virtual arrival order, so the last one is
@@ -646,16 +642,7 @@ impl HlrcNode {
             });
         }
         if post > SimDuration::ZERO {
-            if overlappable {
-                let hidden = post.as_nanos().min(waited.as_nanos());
-                self.inner.ctx.stats.disk_time_overlapped += SimDuration(hidden);
-                let residual = post.saturating_sub(waited);
-                if residual > SimDuration::ZERO {
-                    self.inner.ctx.charge_disk(residual);
-                }
-            } else {
-                self.inner.ctx.charge_disk(post);
-            }
+            self.inner.ctx.charge_disk(post);
         }
     }
 
@@ -732,11 +719,7 @@ impl NodeInner {
         mid_replay: bool,
     ) {
         match &env.payload {
-            Msg::RecoveryPageRequest { .. } => {
-                let twins = ft.needs_home_write_twins();
-                let stable = ft.logs_home_diffs_durably();
-                self.serve_recovery_page(env, done, mid_replay, twins, stable);
-            }
+            Msg::RecoveryPageRequest { .. } => self.serve_recovery_page(env, done, mid_replay),
             Msg::LoggedDiffRequest { .. } => ft.serve_logged_diffs(self, env),
             Msg::ReleaseHistoryRequest => self.serve_release_history(env, done),
             Msg::RecoveryHello => {
@@ -748,41 +731,76 @@ impl NodeInner {
     }
 
     /// Answer a [`Msg::RecoveryPageRequest`] for a page homed here,
-    /// finishing service at `done`.
+    /// finishing service at `done`: from the served-image log when this
+    /// home retains the pages it serves, else from the committed home
+    /// copy or the checkpoint base.
     ///
-    /// `mid_replay` says whether this home is itself replaying its log:
-    /// then it must not hand out its live frame (which may still be
-    /// behind `required`, missing intervals the requester already
-    /// replayed) and serves the checkpoint base as "advanced" instead,
-    /// making the requester reconstruct the page from the writers'
-    /// stable logs — correct at any replay point. Callable both from
-    /// the live service loop and from a recovering node's own fetch
-    /// waits (concurrently recovering nodes must keep serving each
-    /// other or they deadlock).
-    pub fn serve_recovery_page(
-        &mut self,
-        env: &Envelope<Msg>,
-        done: SimTime,
-        mid_replay: bool,
-        home_write_twins: bool,
-        stable_base: bool,
-    ) {
-        let Msg::RecoveryPageRequest { page, required } = &env.payload else {
+    /// `mid_replay` says whether this home is itself replaying its log
+    /// (concurrently recovering nodes must keep serving each other or
+    /// they deadlock, so this runs from a recovering node's own fetch
+    /// waits as well as from the live service loop).
+    pub fn serve_recovery_page(&mut self, env: &Envelope<Msg>, done: SimTime, mid_replay: bool) {
+        let Msg::RecoveryPageRequest {
+            page,
+            required,
+            held,
+        } = &env.payload
+        else {
             return;
         };
         let page = *page;
         debug_assert!(self.pages.is_home(page));
-        // Inspect the open-interval state *before* the fetch
-        // bookkeeping: a first fetch landing mid-interval promotes the
-        // live frame (open writes included) into the base and twins
-        // it, and neither of those images may be handed to a replaying
-        // peer as the state at `version`.
-        let (was_dirty, had_twin) = {
-            let e = self.pages.entry(page);
-            (e.dirty, e.twin.is_some())
+        self.pages.note_remote_fetch(page, env.src);
+        let (image, cost) = if self.pages.retains_served_pages() {
+            self.served_image(page, required, *held)
+        } else {
+            self.committed_or_base(page, required, mid_replay)
         };
-        self.pages
-            .note_remote_fetch(page, env.src, home_write_twins, stable_base);
+        let reply = Msg::RecoveryPageReply { page, image };
+        self.ctx
+            .send_from(done + cost, env.src, reply)
+            .expect("send recovery page reply");
+    }
+
+    /// The served-log answer to a recovery fetch
+    /// ([`PageTable::recovery_answer`]) and what preparing it costs: a
+    /// word-compare of two images plus encoding where a diff was taken,
+    /// as for any diff, and the copy of a page sent whole (a delta is
+    /// encoded straight into the reply).
+    fn served_image(
+        &mut self,
+        page: PageId,
+        required: &VClock,
+        held: Option<u32>,
+    ) -> (RecoveryImage, SimDuration) {
+        let (image, compared) = self.pages.recovery_answer(page, required, held);
+        let cpu = self.ctx.cost.cpu;
+        let mut cost = SimDuration::ZERO;
+        if compared {
+            cost += cpu.copy(2 * self.pages.page_size());
+        }
+        if let RecoveryImage::Image { data, .. } = &image {
+            cost += cpu.copy(data.len());
+        }
+        (image, cost)
+    }
+
+    /// The answer of a home that retains nothing: its committed copy
+    /// while that has not advanced past `required`, else the checkpoint
+    /// base for the requester to patch with logged diffs (which exist
+    /// for every write only under
+    /// [`FaultTolerance::logs_home_diffs_durably`]).
+    ///
+    /// A home that is itself `mid_replay` must not hand out its live
+    /// frame (which may still be behind `required`, missing intervals
+    /// the requester already replayed) and serves the base — correct at
+    /// any replay point.
+    fn committed_or_base(
+        &self,
+        page: PageId,
+        required: &VClock,
+        mid_replay: bool,
+    ) -> (RecoveryImage, SimDuration) {
         let e = self.pages.entry(page);
         let version = e.version.clone().expect("home version");
         // The live frame equals the state named by `version` only while
@@ -793,36 +811,25 @@ impl NodeInner {
         // happens to reach). Serving them would leak a survivor's
         // in-progress writes into the peer's replay. A dirty page is
         // served from its interval-open twin — exactly the state at
-        // `version` — and without one the stable-base path below makes
-        // the peer reconstruct from logged diffs instead.
-        let (advanced, data, version) =
-            if !mid_replay && version.dominated_by(required) && (!was_dirty || had_twin) {
-                let image = if was_dirty {
-                    e.twin.as_ref().expect("interval-open twin").frame()
-                } else {
-                    e.frame.as_ref().expect("home frame")
+        // `version` — and without one the peer reconstructs from the
+        // base instead.
+        let image =
+            if !mid_replay && version.dominated_by(required) && (!e.dirty || e.twin.is_some()) {
+                let committed = match &e.twin {
+                    Some(twin) if e.dirty => twin.frame(),
+                    _ => e.frame.as_ref().expect("home frame"),
                 };
-                (false, SharedBytes::copy_of(image.bytes()), version)
-            } else {
-                (
-                    true,
-                    SharedBytes::copy_of(e.base.as_ref().expect("home base").bytes()),
-                    e.base_version.clone().expect("base version"),
-                )
-            };
-        let copy_cost = self.ctx.cost.cpu.copy(data.len());
-        self.ctx
-            .send_from(
-                done + copy_cost,
-                env.src,
-                Msg::RecoveryPageReply {
-                    page,
-                    advanced,
-                    data,
+                RecoveryImage::Current {
+                    data: SharedBytes::copy_of(committed.bytes()),
                     version,
-                },
-            )
-            .expect("send recovery page reply");
+                }
+            } else {
+                RecoveryImage::Base {
+                    data: SharedBytes::copy_of(e.base.as_ref().expect("home base").bytes()),
+                    version: e.base_version.clone().expect("base version"),
+                }
+            };
+        (image, self.ctx.cost.cpu.copy(self.pages.page_size()))
     }
 
     /// Answer a [`Msg::RecoveryHello`], finishing service at `done`:
@@ -1152,33 +1159,45 @@ mod tests {
     use super::*;
     use simnet::run_cluster;
 
-    /// A logger stub that wants home-write twins (like CCL) but logs
-    /// nothing; enough to exercise the recovery-page serving paths.
+    /// A logger stub that twins home writes (like multi-failure CCL)
+    /// but logs nothing; enough to exercise the committed-copy path.
     struct TwinningStub;
 
     impl FaultTolerance for TwinningStub {
         fn name(&self) -> &'static str {
             "twinning-stub"
         }
-        fn needs_home_write_twins(&self) -> bool {
+        fn logs_home_diffs_durably(&self) -> bool {
             true
         }
     }
 
-    /// A recovery fetch serviced while the home has an *open* interval
-    /// on the page must return the last committed state (the
-    /// interval-open twin), never the live frame: the open-interval
-    /// words are in no version the replaying peer can have required,
-    /// and their extent depends on real scheduling. Pre-fix, the home
-    /// served the live frame whenever its version was dominated by
-    /// `required`, leaking the in-progress write below (0xA2) into the
-    /// peer's replay.
-    #[test]
-    fn recovery_fetch_of_a_dirty_home_page_serves_the_committed_state() {
+    /// A logger stub whose homes retain the pages they serve (like
+    /// single-failure CCL) and that logs nothing.
+    struct RetainingStub;
+
+    impl FaultTolerance for RetainingStub {
+        fn name(&self) -> &'static str {
+            "retaining-stub"
+        }
+        fn retains_served_pages(&self) -> bool {
+            true
+        }
+    }
+
+    /// Node 0 commits 0xA1 on its page 0, node 1 fetches it, and node 0
+    /// then opens a new interval on the page with 0xA2. While that
+    /// interval is open, node 1 asks — as a replaying node would — for
+    /// the page as of its clock, twice, the second time naming what the
+    /// first answer said it now holds. Returns the two answers and the
+    /// twins node 0 made.
+    fn recovery_fetch_mid_interval(
+        ft: fn() -> Box<dyn FaultTolerance>,
+    ) -> (Vec<RecoveryImage>, u64) {
         let cfg = DsmConfig::new(2, 4).with_page_size(256);
-        let out = run_cluster(2, cfg.cost, move |ctx| {
+        let mut out = run_cluster(2, cfg.cost, move |ctx| {
             let me = ctx.id();
-            let mut node = HlrcNode::new(ctx, cfg, Box::new(TwinningStub));
+            let mut node = HlrcNode::new(ctx, cfg, ft());
             if me == 0 {
                 // Commit 0xA1 on the locally-homed page 0, then let
                 // node 1 install a copy (its fetch is serviced inside
@@ -1186,11 +1205,10 @@ mod tests {
                 node.write_u64(8, 0xA1);
                 node.barrier();
                 node.barrier();
-                // Open a new interval on the page: the first write
-                // snapshots the committed state into the twin.
+                // Open a new interval on the page.
                 node.write_u64(8, 0xA2);
                 // Signal node 1 that the interval is open, then serve
-                // its recovery fetch while still mid-interval.
+                // its recovery fetches while still mid-interval.
                 node.inner
                     .ctx
                     .send(
@@ -1200,37 +1218,96 @@ mod tests {
                         },
                     )
                     .expect("send go signal");
-                let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageRequest { .. }));
-                let done = node.inner.ctx.service_time(&env);
-                node.inner
-                    .serve_recovery_page(&env, done, false, true, false);
+                for _ in 0..2 {
+                    let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageRequest { .. }));
+                    let done = node.inner.ctx.service_time(&env);
+                    node.inner.serve_recovery_page(&env, done, false);
+                }
                 node.barrier();
-                (false, 0)
+                (Vec::new(), node.inner.ctx.stats.twins_created)
             } else {
                 node.barrier();
                 let committed = node.read_u64(8);
                 node.barrier();
                 let required = node.inner.vc.clone();
                 node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
-                node.inner
-                    .ctx
-                    .send(0, Msg::RecoveryPageRequest { page: 0, required })
-                    .expect("send recovery fetch");
-                let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { .. }));
-                let Msg::RecoveryPageReply { advanced, data, .. } = env.payload else {
-                    unreachable!()
-                };
-                let word = u64::from_le_bytes(data[8..16].try_into().unwrap());
+                let mut images = Vec::new();
+                let mut held = None;
+                for _ in 0..2 {
+                    let request = Msg::RecoveryPageRequest {
+                        page: 0,
+                        required: required.clone(),
+                        held,
+                    };
+                    node.inner
+                        .ctx
+                        .send(0, request)
+                        .expect("send recovery fetch");
+                    let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { .. }));
+                    let Msg::RecoveryPageReply { image, .. } = env.payload else {
+                        unreachable!()
+                    };
+                    if let RecoveryImage::Image { pos, .. } = &image {
+                        held = Some(*pos);
+                    }
+                    images.push(image);
+                }
                 node.barrier();
                 assert_eq!(committed, 0xA1);
-                (advanced, word)
+                (images, 0)
             }
         });
-        let (advanced, word) = out[1];
-        assert!(!advanced, "the home never closed the open interval");
-        assert_eq!(
-            word, 0xA1,
-            "recovery fetch leaked the home's open-interval write"
-        );
+        let (images, _) = out.pop().expect("node 1");
+        let (_, twins) = out.pop().expect("node 0");
+        (images, twins)
+    }
+
+    fn word(data: &[u8]) -> u64 {
+        u64::from_le_bytes(data[8..16].try_into().unwrap())
+    }
+
+    /// A recovery fetch serviced while the home has an *open* interval
+    /// on the page must return the last committed state (the
+    /// interval-open twin), never the live frame: the open-interval
+    /// words are in no version the replaying peer can have required,
+    /// and their extent depends on real scheduling. Pre-fix, the home
+    /// served the live frame whenever its version was dominated by
+    /// `required`, leaking the in-progress write (0xA2) into the peer's
+    /// replay.
+    #[test]
+    fn recovery_fetch_of_a_dirty_home_page_serves_the_committed_state() {
+        let (images, twins) = recovery_fetch_mid_interval(|| Box::new(TwinningStub));
+        assert_eq!(twins, 2, "a durably logging home twins every home write");
+        for image in images {
+            let RecoveryImage::Current { data, .. } = image else {
+                panic!("the home never closed the open interval: {image:?}");
+            };
+            assert_eq!(
+                word(&data),
+                0xA1,
+                "recovery fetch leaked the home's open-interval write"
+            );
+        }
+    }
+
+    /// The same fetch at a home that retains what it serves: no twin
+    /// was ever made, and the answer is the buffer node 1 was sent when
+    /// it fetched the page — 0xA1, not the live 0xA2. Asked again by a
+    /// requester that holds that image, the home sends an empty delta.
+    #[test]
+    fn recovery_fetch_of_a_dirty_home_page_serves_the_image_it_retained() {
+        let (images, twins) = recovery_fetch_mid_interval(|| Box::new(RetainingStub));
+        assert_eq!(twins, 0, "a home that retains served pages twins nothing");
+        let RecoveryImage::Image { pos, data } = &images[0] else {
+            panic!("expected the retained image, got {:?}", images[0]);
+        };
+        assert_eq!((*pos, word(data)), (1, 0xA1));
+        let RecoveryImage::Delta { pos, diff } = &images[1] else {
+            panic!(
+                "expected a delta against the held image, got {:?}",
+                images[1]
+            );
+        };
+        assert!(*pos == 1 && diff.is_empty());
     }
 }

@@ -1,9 +1,20 @@
 //! Per-node page table: the DSM's view of every shared page.
+//!
+//! Besides the coherence state proper, a home keeps two pieces of
+//! volatile directory state per page for its peers' recoveries: the
+//! copyset (who fetched it) and, under a protocol that retains served
+//! pages, the [`ServedLog`] (what they were sent). Neither prices
+//! anything: no clock is charged for keeping them.
 
-use pagemem::{BufferPool, PageDiff, PageFrame, PageId, PageState, Twin, VClock};
+use pagemem::{
+    BufferPool, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, Twin,
+    VClock,
+};
 use simnet::NodeId;
 
 use crate::config::DsmConfig;
+use crate::msg::RecoveryImage;
+use crate::served::ServedLog;
 
 /// A set of node ids, one bit each. Empty sets allocate nothing, so
 /// carrying one per page-table entry costs a `Vec` header.
@@ -53,9 +64,10 @@ pub struct PageEntry {
     /// Home-copy version: per-writer count of applied intervals.
     /// `Some` only at the home node.
     pub version: Option<VClock>,
-    /// Last checkpointed home copy (initially all zeros); the base from
-    /// which recovery reconstructs when the live copy has advanced.
-    /// `Some` only at the home node.
+    /// Last checkpointed home copy (initially all zeros): what a crash
+    /// of this node reverts the page to, the base a multi-failure
+    /// recovery patches with logged diffs, and image 0 of the served
+    /// log. `Some` only at the home node.
     pub base: Option<PageFrame>,
     /// Version of `base`.
     pub base_version: Option<VClock>,
@@ -70,6 +82,10 @@ pub struct PageEntry {
     /// — a copy cached before the checkpoint is re-touched after it
     /// without a new fetch.
     pub copyset: NodeSet,
+    /// Home-side: the page's write history and the reply buffers
+    /// retained from it since the last checkpoint. Empty unless the
+    /// table [retains served pages](PageTable::retain_served_pages).
+    pub served: ServedLog,
     /// Non-home side: this copy arrived as a prefetch prediction and has
     /// not been touched yet. Cleared (and counted as a hit) on first
     /// access; a prefetched copy invalidated while still flagged was a
@@ -80,15 +96,6 @@ pub struct PageEntry {
     /// damping), and a post-crash re-execution of the allocation phase
     /// must not clobber the migrated mapping.
     pub migrated: bool,
-}
-
-impl PageEntry {
-    /// Home-side: has any remote node ever fetched this page? Only such
-    /// pages can need recovery reconstruction, so only they pay the
-    /// home-write twin/diff cost under CCL.
-    pub fn remote_fetched(&self) -> bool {
-        !self.copyset.is_empty()
-    }
 }
 
 /// The full table for one node.
@@ -102,6 +109,12 @@ pub struct PageTable {
     /// pages homed here? False once a crash of this node or an adopted
     /// migration wiped or bypassed them.
     copysets_complete: bool,
+    /// Keep write histories and served images of the pages homed here
+    /// (see [`ServedLog`]).
+    retain_served: bool,
+    /// The served logs no longer reach back to the checkpoint base: a
+    /// crash of this node wiped them. Mended by the next checkpoint.
+    served_lost: bool,
 }
 
 impl PageTable {
@@ -123,6 +136,7 @@ impl PageTable {
                         base_version: Some(VClock::new(cfg.n_nodes)),
                         dirty: false,
                         copyset: NodeSet::default(),
+                        served: ServedLog::default(),
                         prefetched: false,
                         migrated: false,
                     }
@@ -137,6 +151,7 @@ impl PageTable {
                         base_version: None,
                         dirty: false,
                         copyset: NodeSet::default(),
+                        served: ServedLog::default(),
                         prefetched: false,
                         migrated: false,
                     }
@@ -149,7 +164,22 @@ impl PageTable {
             me,
             n_nodes: cfg.n_nodes,
             copysets_complete: true,
+            retain_served: false,
+            served_lost: false,
         }
+    }
+
+    /// From here on, keep the write history of every page homed here
+    /// and the buffer of every copy served of it. Set once, when the
+    /// node is built, from
+    /// [`FaultTolerance::retains_served_pages`](crate::FaultTolerance::retains_served_pages).
+    pub fn retain_served_pages(&mut self) {
+        self.retain_served = true;
+    }
+
+    /// Does this table retain served pages?
+    pub fn retains_served_pages(&self) -> bool {
+        self.retain_served
     }
 
     /// Page size in bytes.
@@ -253,15 +283,27 @@ impl PageTable {
     /// node's page size (undetectable without the page), so a corrupt
     /// flush or log record fails with a diagnosis instead of a slice
     /// panic deep in the copy loop.
-    pub fn apply_home_diff(&mut self, diff: &PageDiff, writer: pagemem::IntervalId) {
+    pub fn apply_home_diff(&mut self, diff: &PageDiff, writer: IntervalId) {
         let e = &mut self.entries[diff.page as usize];
         debug_assert_eq!(e.home, self.me, "diff flushed to a non-home node");
         diff.apply_checked(e.frame.as_mut().expect("home frame missing"))
             .expect("diff does not fit the home page");
+        self.note_home_write(diff.page, writer);
+    }
+
+    /// Interval `iv`'s writes to home page `page` are complete in its
+    /// frame — a writer's diff was applied, or this node closed an
+    /// interval of its own that dirtied the page: the version advances
+    /// and, when served pages are retained, so does the write history.
+    pub fn note_home_write(&mut self, page: PageId, iv: IntervalId) {
+        let e = &mut self.entries[page as usize];
         e.version
             .as_mut()
             .expect("home version missing")
-            .observe(writer);
+            .observe(iv);
+        if self.retain_served {
+            e.served.note_write(iv);
+        }
     }
 
     /// Reset all volatile state to the post-checkpoint image: home copies
@@ -269,12 +311,15 @@ impl PageTable {
     /// Stable storage (the disk) is *not* touched — that is the point.
     pub fn reset_to_base(&mut self) {
         // The copysets were volatile: what the cluster fetched from
-        // this home before the crash is no longer known.
+        // this home before the crash is no longer known, and neither is
+        // what it was sent.
         self.copysets_complete = false;
+        self.served_lost = true;
         for e in &mut self.entries {
             e.twin = None;
             e.dirty = false;
             e.copyset.clear();
+            e.served.clear();
             e.prefetched = false;
             if e.home == self.me {
                 let base = e.base.as_ref().expect("home base missing").clone();
@@ -289,12 +334,15 @@ impl PageTable {
     }
 
     /// Promote current home copies to be the new checkpoint base
-    /// (called when a checkpoint is taken).
+    /// (called when a checkpoint is taken). The served logs restart
+    /// from it: see [`ServedLog::truncate_at_checkpoint`].
     pub fn promote_base(&mut self) {
+        self.served_lost = false;
         for e in &mut self.entries {
             if e.home == self.me {
                 e.base = e.frame.clone();
                 e.base_version = e.version.clone();
+                e.served.truncate_at_checkpoint();
             }
         }
     }
@@ -329,6 +377,7 @@ impl PageTable {
         e.twin = None;
         e.dirty = false;
         e.copyset.clear();
+        e.served.clear();
         e.prefetched = false;
     }
 
@@ -348,6 +397,7 @@ impl PageTable {
         e.twin = None;
         e.dirty = false;
         e.copyset.clear();
+        e.served.clear();
         e.prefetched = false;
         // The retained frame is now a plain cached copy.
         e.state = PageState::ReadOnly;
@@ -358,7 +408,10 @@ impl PageTable {
     /// with a distinct `base_version`, so the checkpoint taken at this
     /// same barrier force-includes the page even if nobody writes it in
     /// between. The old home's copyset does not travel with the page,
-    /// so this home's copysets stop being complete.
+    /// so this home's copysets stop being complete; its served log does
+    /// not either, and need not: migrations commit at checkpoint
+    /// barriers, so the adopted image *is* the base the new log starts
+    /// from.
     pub fn adopt_home(&mut self, page: PageId, data: &[u8], version: VClock) {
         let n = self.n_nodes;
         self.copysets_complete = false;
@@ -374,6 +427,7 @@ impl PageTable {
         e.twin = None;
         e.dirty = false;
         e.copyset.clear();
+        e.served.clear();
         e.prefetched = false;
     }
 
@@ -388,41 +442,92 @@ impl PageTable {
         e.migrated = true;
     }
 
-    /// Record that `by` fetched a home page, promoting its current
-    /// contents to be the reconstruction base if this is the page's
-    /// first fetch and `track_home_writes` (CCL) is on: from here on the
-    /// home's own writes are captured as diffs, so "base + logged
-    /// diffs" can rebuild any later state of the page.
-    ///
-    /// With `stable_base` (multi-failure CCL) the base is *not*
-    /// promoted: home writes are twinned and logged from the first
-    /// interval, so the checkpoint image already reconstructs every
-    /// state — and, unlike the promoted base, it survives the home's
-    /// own crash (a re-promotion after `reset_to_base` would pin the
-    /// base at a late state that an earlier-replaying peer cannot
-    /// unwind).
-    pub fn note_remote_fetch(
-        &mut self,
-        page: PageId,
-        by: NodeId,
-        track_home_writes: bool,
-        stable_base: bool,
-    ) {
+    /// Record that `by` fetched home page `page` (demand fetch,
+    /// predicted extra or recovery fetch).
+    pub fn note_remote_fetch(&mut self, page: PageId, by: NodeId) {
         let e = &mut self.entries[page as usize];
         debug_assert_eq!(e.home, self.me);
-        let first = e.copyset.is_empty();
         e.copyset.insert(by);
-        if !first {
-            return;
+    }
+
+    /// Answer `by`'s fetch of home page `page`: the reply buffer and
+    /// the version it shows. A table that retains served pages keeps
+    /// the buffer and answers every fetch of one version with it.
+    pub fn serve_copy(&mut self, page: PageId, by: NodeId) -> (SharedBytes, VClock) {
+        self.note_remote_fetch(page, by);
+        let e = &mut self.entries[page as usize];
+        let frame = e.frame.as_ref().expect("home frame");
+        let data = if self.retain_served {
+            e.served.serve(frame)
+        } else {
+            SharedBytes::copy_of(frame.bytes())
+        };
+        (data, e.version.clone().expect("home version"))
+    }
+
+    /// The retained image, and its position, that a peer replaying at
+    /// clock `required` restores its copy of home page `page` from —
+    /// the selection rule of [`ServedLog::select`], with the live frame
+    /// admitted only while it is clean and not ahead of `required`.
+    /// `None` when no admissible image exists, or when a crash of this
+    /// home wiped the log.
+    pub fn recovery_image(
+        &mut self,
+        page: PageId,
+        required: &VClock,
+    ) -> Option<(u32, SharedBytes)> {
+        if self.served_lost {
+            return None;
         }
-        if track_home_writes && !stable_base {
-            e.base = e.frame.clone();
-            e.base_version = e.version.clone();
-            if e.dirty && e.twin.is_none() {
-                // Mid-interval promotion: capture only the writes that
-                // follow it (the earlier ones are in the base).
-                e.twin = Some(Twin::of(e.frame.as_ref().expect("home frame")));
-            }
+        let e = &mut self.entries[page as usize];
+        debug_assert_eq!(e.home, self.me);
+        let version = e.version.as_ref().expect("home version");
+        let live = (!e.dirty && version.dominated_by(required))
+            .then(|| e.frame.as_ref().expect("home frame"));
+        let base = e.base.as_ref().expect("home base");
+        e.served.select(required, base, live)
+    }
+
+    /// The whole answer to a peer replaying at clock `required` that
+    /// asks for home page `page` and says it still holds the image at
+    /// `held`: the image [`PageTable::recovery_image`] selects, as a
+    /// diff against the held one whenever that is smaller than the page
+    /// (nothing but an empty diff when they are the same image), else
+    /// whole. The home keeps no per-requester state — a `held` position
+    /// it no longer retains, or none, simply yields the whole page. The
+    /// diff rebuilds the selected image from the held *image* and from
+    /// nothing else: the requester's copy also holds the writes it has
+    /// re-executed since, and a word one of them changed and a later
+    /// writer changed back is equal in both images and so in no diff
+    /// between them. (A requester that wrote the page since is never
+    /// told "the same image": its interval is in the history past
+    /// `held` and `required` covers it, so the selection lies beyond.)
+    /// Also says whether two images had to be compared for the answer.
+    pub fn recovery_answer(
+        &mut self,
+        page: PageId,
+        required: &VClock,
+        held: Option<u32>,
+    ) -> (RecoveryImage, bool) {
+        let Some((pos, data)) = self.recovery_image(page, required) else {
+            return (RecoveryImage::Absent, false);
+        };
+        let served = &self.entries[page as usize].served;
+        let Some(old) = held.and_then(|h| served.image_at(h)) else {
+            return (RecoveryImage::Image { pos, data }, false);
+        };
+        if old.ptr_eq(&data) {
+            let diff = PageDiff {
+                page,
+                runs: Vec::new(),
+            };
+            return (RecoveryImage::Delta { pos, diff }, false);
+        }
+        let diff = PageDiff::between(page, old, &data);
+        if diff.encoded_size() < data.len() {
+            (RecoveryImage::Delta { pos, diff }, true)
+        } else {
+            (RecoveryImage::Image { pos, data }, true)
         }
     }
 
@@ -455,7 +560,6 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pagemem::IntervalId;
 
     fn cfg() -> DsmConfig {
         DsmConfig::new(2, 4).with_page_size(64)
@@ -576,11 +680,9 @@ mod tests {
     fn copyset_records_who_fetched_what() {
         let mut t = PageTable::new(&DsmConfig::new(4, 8).with_page_size(64), 0);
         assert!(t.copysets_complete());
-        assert!(!t.entry(0).remote_fetched());
-        t.note_remote_fetch(0, 2, true, false);
-        t.note_remote_fetch(1, 2, true, false);
-        t.note_remote_fetch(1, 3, true, false);
-        assert!(t.entry(0).remote_fetched() && t.entry(1).remote_fetched());
+        t.note_remote_fetch(0, 2);
+        t.note_remote_fetch(1, 2);
+        t.note_remote_fetch(1, 3);
         assert_eq!(t.held_by(2), vec![0, 1]);
         assert_eq!(t.held_by(3), vec![1]);
         assert!(t.held_by(1).is_empty());
@@ -592,25 +694,47 @@ mod tests {
     }
 
     #[test]
-    fn first_fetch_promotes_the_base_once() {
+    fn a_fetch_retains_its_buffer_and_leaves_the_base_alone() {
+        let iv = IntervalId { node: 0, seq: 0 };
         let mut t = PageTable::new(&cfg(), 0);
+        t.retain_served_pages();
         t.frame_mut(0).write_u64(0, 5);
-        t.note_remote_fetch(0, 1, true, false);
+        t.note_home_write(0, iv);
+        let (first, version) = t.serve_copy(0, 1);
+        assert!(version.covers(iv));
+        // The base stays the checkpoint image whoever fetches.
+        assert_eq!(t.entry(0).base.as_ref().unwrap().read_u64(0), 0);
+        // One version, one buffer; a new version, a new one.
+        assert!(t.serve_copy(0, 1).0.ptr_eq(&first));
         t.frame_mut(0).write_u64(0, 6);
-        // A later fetch joins the copyset without re-promoting.
-        t.note_remote_fetch(0, 1, true, false);
-        assert_eq!(t.entry(0).base.as_ref().unwrap().read_u64(0), 5);
+        t.note_home_write(0, IntervalId { node: 0, seq: 1 });
+        assert!(!t.serve_copy(0, 1).0.ptr_eq(&first));
+        assert_eq!(t.entry(0).served.images().len(), 2);
+        // A replay that saw only the first write gets the first buffer.
+        let (pos, image) = t.recovery_image(0, &version).expect("retained");
+        assert!(pos == 1 && image.ptr_eq(&first));
+        // A crashed home has nothing to select from until it checkpoints.
+        t.reset_to_base();
+        assert!(t.recovery_image(0, &version).is_none());
+        t.promote_base();
+        assert!(t.recovery_image(0, &version).is_some());
+
+        // A table that does not retain copies afresh and keeps nothing.
+        let mut plain = PageTable::new(&cfg(), 0);
+        plain.note_home_write(0, iv);
+        assert!(!plain.serve_copy(0, 1).0.ptr_eq(&plain.serve_copy(0, 1).0));
+        assert!(plain.entry(0).served.images().is_empty() && plain.entry(0).served.pos() == 0);
     }
 
     #[test]
     fn a_crash_or_an_adoption_makes_the_copysets_unknown() {
         let mut t = PageTable::new(&cfg(), 0);
-        t.note_remote_fetch(0, 1, false, false);
+        t.note_remote_fetch(0, 1);
         t.reset_to_base();
         assert!(!t.copysets_complete());
-        assert!(t.held_by(1).is_empty() && !t.entry(0).remote_fetched());
+        assert!(t.held_by(1).is_empty() && t.entry(0).copyset.is_empty());
         // Fetches after the wipe are recorded again.
-        t.note_remote_fetch(1, 1, false, false);
+        t.note_remote_fetch(1, 1);
         assert_eq!(t.held_by(1), vec![1]);
         assert!(!t.copysets_complete());
 

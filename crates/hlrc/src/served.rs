@@ -1,0 +1,229 @@
+//! The served-image log: what a home remembers of the copies it sent.
+//!
+//! Sender-based payload logging, applied to the one message CCL
+//! declines to log at the receiver — the page reply. The home already
+//! builds a reply buffer for every fetch; under a protocol that
+//! [retains served pages](crate::FaultTolerance::retains_served_pages)
+//! it keeps that buffer, one per distinct *(page, version served)*, and
+//! a recovering peer's remote copies are restored from these buffers
+//! instead of being reconstructed from diffs. Nothing is charged on any
+//! clock and nothing reaches a disk: like the copyset, this is state
+//! about a node kept *outside* that node, so the node's crash does not
+//! take it along (DESIGN.md §13, "Volatile directory state").
+//!
+//! Positions count writes since the last checkpoint: `pos` is the
+//! length of the write history when an image was taken, and the
+//! checkpoint base is the image at position 0.
+
+use pagemem::{IntervalId, PageFrame, SharedBytes, VClock};
+
+/// Write history and served images of one home page.
+#[derive(Debug, Clone, Default)]
+pub struct ServedLog {
+    /// One entry per interval whose writes to the page became complete
+    /// in the home frame — a remote diff applied, an own interval
+    /// closed — in that order, since the last checkpoint.
+    history: Vec<IntervalId>,
+    /// Retained reply buffers `(pos, image)`, ascending and distinct in
+    /// `pos`: the image holds every write of `history[..pos]` (and at
+    /// most a prefix of the home's then-open interval).
+    images: Vec<(u32, SharedBytes)>,
+}
+
+impl ServedLog {
+    /// Interval `iv`'s writes to the page are now complete in the frame.
+    pub fn note_write(&mut self, iv: IntervalId) {
+        self.history.push(iv);
+    }
+
+    /// The position an image taken now would get.
+    pub fn pos(&self) -> u32 {
+        self.history.len() as u32
+    }
+
+    /// Retained images, ascending in position.
+    pub fn images(&self) -> &[(u32, SharedBytes)] {
+        &self.images
+    }
+
+    /// The retained image taken at `pos`, if any.
+    pub fn image_at(&self, pos: u32) -> Option<&SharedBytes> {
+        self.images
+            .binary_search_by_key(&pos, |(p, _)| *p)
+            .ok()
+            .map(|i| &self.images[i].1)
+    }
+
+    /// The reply buffer for a fetch of the page as it stands in
+    /// `frame`: the buffer already retained at this position if there
+    /// is one (every fetch of one version is answered with one image),
+    /// else a fresh copy, retained.
+    pub fn serve(&mut self, frame: &PageFrame) -> SharedBytes {
+        let pos = self.pos();
+        if let Some((last, image)) = self.images.last() {
+            if *last == pos {
+                return image.clone();
+            }
+        }
+        let image = SharedBytes::copy_of(frame.bytes());
+        self.images.push((pos, image.clone()));
+        image
+    }
+
+    /// The least position an image may have to show every write
+    /// `required` covers: one past the last covered history entry.
+    pub fn horizon(&self, required: &VClock) -> u32 {
+        self.history
+            .iter()
+            .rposition(|iv| required.covers(*iv))
+            .map_or(0, |i| i as u32 + 1)
+    }
+
+    /// The image a peer replaying at clock `required` is restored
+    /// from: the **earliest** retained one at or past the horizon, the
+    /// checkpoint `base` standing in at position 0. When nothing was
+    /// retained there, `live` — the home frame, passed only while it is
+    /// clean and its version is dominated by `required`, i.e. while it
+    /// *is* the state at the horizon — is served and retained like any
+    /// fetch. `None`: no admissible image exists (no fetch was ever
+    /// answered at or past the horizon and the home has moved on), so
+    /// the peer held no copy there before its crash either.
+    ///
+    /// Earliest, because the image the peer originally received in the
+    /// interval it is replaying was taken at or past the same horizon
+    /// (diffs are acked before a release, so every covered write was in
+    /// the history by then): whatever an earlier image holds beyond the
+    /// covered writes the original held too, concurrent with the peer's
+    /// reads and so unread by a data-race-free program — while the
+    /// home's *later* writes, which the peer may have read the old
+    /// value of, are in no image at or before the original's position.
+    pub fn select(
+        &mut self,
+        required: &VClock,
+        base: &PageFrame,
+        live: Option<&PageFrame>,
+    ) -> Option<(u32, SharedBytes)> {
+        let horizon = self.horizon(required);
+        if horizon == 0 && self.images.first().is_none_or(|(pos, _)| *pos != 0) {
+            self.images
+                .insert(0, (0, SharedBytes::copy_of(base.bytes())));
+        }
+        let at = self.images.partition_point(|(pos, _)| *pos < horizon);
+        if at == self.images.len() {
+            let live = live?;
+            debug_assert_eq!(
+                horizon,
+                self.pos(),
+                "a dominated version covers the history"
+            );
+            self.serve(live);
+        }
+        let (pos, image) = &self.images[at];
+        Some((*pos, image.clone()))
+    }
+
+    /// A coordinated checkpoint was taken: every later replay starts
+    /// from it with a clock that covers the whole history, so no
+    /// horizon falls before its end and no image taken before it can be
+    /// selected again. Positions restart at the new base; an image
+    /// taken at the very end of the history equals that base and stays.
+    pub fn truncate_at_checkpoint(&mut self) {
+        let end = self.pos();
+        self.images.retain(|(pos, _)| *pos == end);
+        for (pos, _) in &mut self.images {
+            *pos = 0;
+        }
+        self.history.clear();
+    }
+
+    /// Forget everything (the home crashed, or the page left it).
+    pub fn clear(&mut self) {
+        self.history.clear();
+        self.images.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn iv(node: u32, seq: u32) -> IntervalId {
+        IntervalId { node, seq }
+    }
+
+    fn frame(v: u64) -> PageFrame {
+        let mut f = PageFrame::zeroed(64);
+        f.write_u64(0, v);
+        f
+    }
+
+    fn word(image: &SharedBytes) -> u64 {
+        u64::from_le_bytes(image[..8].try_into().unwrap())
+    }
+
+    #[test]
+    fn one_version_is_one_buffer() {
+        let mut log = ServedLog::default();
+        let first = log.serve(&frame(1));
+        for _ in 0..99 {
+            assert!(log.serve(&frame(1)).ptr_eq(&first));
+        }
+        assert_eq!(log.images().len(), 1);
+        log.note_write(iv(0, 0));
+        assert!(!log.serve(&frame(2)).ptr_eq(&first));
+        assert_eq!(log.images().len(), 2);
+    }
+
+    #[test]
+    fn the_earliest_image_past_the_horizon_is_chosen() {
+        let mut log = ServedLog::default();
+        let base = PageFrame::zeroed(64);
+        log.note_write(iv(0, 0));
+        log.serve(&frame(1)); // pos 1
+        log.note_write(iv(0, 1));
+        log.note_write(iv(0, 2));
+        log.serve(&frame(3)); // pos 3
+        let mut required = VClock::new(2);
+        // Nothing covered: the base, which becomes image 0.
+        let (pos, image) = log.select(&required, &base, None).unwrap();
+        assert_eq!((pos, word(&image)), (0, 0));
+        assert_eq!(log.images().len(), 3);
+        // Interval 0 covered: image 1, not the later image 3.
+        required.observe(iv(0, 0));
+        let (pos, image) = log.select(&required, &base, None).unwrap();
+        assert_eq!((pos, word(&image)), (1, 1));
+        // Interval 1 covered: nothing was served at position 2, the
+        // next one up is image 3 (its extra write is unread under DRF).
+        required.observe(iv(0, 1));
+        assert_eq!(log.select(&required, &base, None).unwrap().0, 3);
+        // A fourth write nobody fetched after: only the live frame can
+        // answer, and only if the caller vouches for it.
+        log.note_write(iv(1, 0));
+        required.observe(iv(1, 0));
+        assert!(log.select(&required, &base, None).is_none());
+        let (pos, image) = log.select(&required, &base, Some(&frame(4))).unwrap();
+        assert_eq!((pos, word(&image)), (4, 4));
+        assert!(log.image_at(4).is_some(), "a served live frame is retained");
+    }
+
+    #[test]
+    fn a_checkpoint_keeps_at_most_the_image_that_equals_the_base() {
+        let mut log = ServedLog::default();
+        log.serve(&frame(0));
+        log.note_write(iv(0, 0));
+        let newest = log.serve(&frame(1));
+        log.truncate_at_checkpoint();
+        assert_eq!(log.pos(), 0);
+        assert_eq!(log.images().len(), 1);
+        assert!(log.image_at(0).unwrap().ptr_eq(&newest));
+        // A write after the newest image: nothing survives, the base
+        // answers at position 0.
+        log.note_write(iv(0, 1));
+        log.truncate_at_checkpoint();
+        assert!(log.images().is_empty());
+        let mut required = VClock::new(1);
+        required.set(0, 2);
+        let (pos, image) = log.select(&required, &frame(2), None).unwrap();
+        assert_eq!((pos, word(&image)), (0, 2));
+    }
+}

@@ -7,8 +7,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use hlrc::{
-    decode_notices, encode_notices, kind_label, notices_size, Msg, WriteNotice, HEADER_BYTES,
-    MAX_NOTICES, MSG_KINDS,
+    decode_notices, encode_notices, kind_label, notices_size, Msg, RecoveryImage, WriteNotice,
+    HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
 use minicheck::{check, Rng};
 use pagemem::{
@@ -150,14 +150,32 @@ fn arb_msg(rng: &mut Rng) -> Msg {
         9 => Msg::RecoveryPageRequest {
             page: rng.u32_in(0, 1024),
             required: arb_vclock(rng),
+            held: rng.bool().then(|| rng.u32_any_width()),
         },
         10 => {
             let len = rng.usize_in(0, 256);
+            let image = match rng.u32_in(0, 5) {
+                0 => RecoveryImage::Current {
+                    data: rng.bytes(len).into(),
+                    version: arb_vclock(rng),
+                },
+                1 => RecoveryImage::Base {
+                    data: rng.bytes(len).into(),
+                    version: arb_vclock(rng),
+                },
+                2 => RecoveryImage::Image {
+                    pos: rng.u32_any_width(),
+                    data: rng.bytes(len).into(),
+                },
+                3 => RecoveryImage::Delta {
+                    pos: rng.u32_any_width(),
+                    diff: arb_diff(rng),
+                },
+                _ => RecoveryImage::Absent,
+            };
             Msg::RecoveryPageReply {
                 page: rng.u32_in(0, 1024),
-                advanced: rng.bool(),
-                data: rng.bytes(len).into(),
-                version: arb_vclock(rng),
+                image,
             }
         }
         11 => Msg::LoggedDiffRequest {
@@ -414,6 +432,45 @@ fn hostile_counts_return_errors() {
         ("PageRequestBatch extras", vec![&[15], &epoch, &HUGE_U32]),
         ("PageReplyBatch pages", vec![&[16], &epoch, &HUGE_U32]),
         ("RecoveryHelloReply held", vec![&[19], &[1], &HUGE_U32]),
+        ("RecoveryPageRequest clock", vec![&[9], &epoch, &HUGE_VAR]),
+        (
+            "RecoveryPageRequest held",
+            vec![&[9], &epoch, &empty_vc, &[0xFF; 5]],
+        ),
+        ("RecoveryPageReply kind", vec![&[10], &epoch, &[5]]),
+        (
+            "RecoveryPageReply copy",
+            vec![&[10], &epoch, &[1], &HUGE_U32],
+        ),
+        (
+            "RecoveryPageReply copy clock",
+            vec![&[10], &epoch, &[0], &[0; 4], &HUGE_VAR],
+        ),
+        (
+            "RecoveryPageReply image",
+            vec![&[10], &epoch, &[2], &[3], &HUGE_U32],
+        ),
+        (
+            "RecoveryPageReply delta runs",
+            vec![&[10], &epoch, &[3], &[3], &epoch, &[0xFF, 0xFF]],
+        ),
+        (
+            "RecoveryPageReply delta run",
+            vec![
+                &[10],
+                &epoch,
+                &[3],
+                &[3],
+                &epoch,
+                &[1, 0],
+                &[0; 4],
+                &HUGE_U32,
+            ],
+        ),
+        (
+            "RecoveryPageReply absent, then more",
+            vec![&[10], &epoch, &[4], &[0]],
+        ),
     ];
     for (what, parts) in cases {
         let bytes = parts.concat();

@@ -1,0 +1,445 @@
+//! Property tests for the served-image log: which retained reply buffer
+//! a home hands a replaying peer, and in what form.
+//!
+//! The model behind the first property: a three-node cluster seen from
+//! its home (node 0). Every write event puts a fresh non-zero value
+//! into a word of the page that no other event ever touches, so "image
+//! X holds interval I" is decidable from the bytes: all of I's words
+//! carry I's values.
+//!
+//! The last property needs the opposite: a handful of words that keep
+//! returning to values they had before, written by the requester too —
+//! the case in which the requester's own copy is no base for a delta.
+
+use std::cell::Cell;
+
+use hlrc::{DsmConfig, PageTable, RecoveryImage};
+use minicheck::{check, Rng};
+use pagemem::{DiffRun, Encode, IntervalId, PageDiff, PageFrame, SharedBytes, VClock};
+
+const CASES: u64 = 256;
+const NODES: usize = 3;
+const PAGE: usize = 512;
+const WORDS: usize = PAGE / 4;
+
+/// One history entry of the model: an interval and the `(word, value)`
+/// pairs it wrote.
+type Entry = (IntervalId, Vec<(usize, u32)>);
+
+/// What the test knows about one home page.
+#[derive(Default)]
+struct PageModel {
+    /// Completed writes since the last checkpoint, in apply order.
+    entries: Vec<Entry>,
+    /// Words the home wrote in its still-open interval.
+    open: Vec<(usize, u32)>,
+    /// Next never-written word.
+    next_word: usize,
+}
+
+fn holds(image: &[u8], writes: &[(usize, u32)]) -> bool {
+    writes.iter().all(|&(word, value)| {
+        u32::from_le_bytes(image[word * 4..word * 4 + 4].try_into().unwrap()) == value
+    })
+}
+
+/// A clock covering a random prefix of each node's intervals.
+fn arb_required(rng: &mut Rng, next_seq: &[u32; NODES]) -> VClock {
+    let mut vc = VClock::new(NODES);
+    for (node, &n) in next_seq.iter().enumerate() {
+        vc.set(node as u32, rng.u32_in(0, n + 1));
+    }
+    vc
+}
+
+struct Home {
+    table: PageTable,
+    pages: Vec<PageModel>,
+    next_seq: [u32; NODES],
+    next_value: u32,
+}
+
+impl Home {
+    fn new(n_pages: usize) -> Home {
+        // Pages `0..n_pages` are homed at node 0.
+        let cfg = DsmConfig::new(NODES, (NODES * n_pages) as u32).with_page_size(PAGE);
+        let mut table = PageTable::new(&cfg, 0);
+        table.retain_served_pages();
+        Home {
+            table,
+            pages: (0..n_pages).map(|_| PageModel::default()).collect(),
+            next_seq: [0; NODES],
+            next_value: 1,
+        }
+    }
+
+    fn fresh_write(&mut self, page: usize) -> Option<(usize, u32)> {
+        let m = &mut self.pages[page];
+        (m.next_word < WORDS).then(|| {
+            m.next_word += 1;
+            self.next_value += 1;
+            (m.next_word - 1, self.next_value)
+        })
+    }
+
+    /// The home writes one word of `page` in its open interval.
+    fn home_write(&mut self, page: usize) {
+        let Some((word, value)) = self.fresh_write(page) else {
+            return;
+        };
+        self.table.frame_mut(page as u32).write_u32(word * 4, value);
+        self.table.entry_mut(page as u32).dirty = true;
+        self.pages[page].open.push((word, value));
+    }
+
+    /// The home closes its interval: every dirty page gets one last
+    /// word (so no image taken while the interval was open can hold all
+    /// of it) and a history entry.
+    fn home_close(&mut self) {
+        let iv = IntervalId {
+            node: 0,
+            seq: self.next_seq[0],
+        };
+        let dirty = self.table.dirty_pages();
+        if dirty.is_empty() {
+            return;
+        }
+        self.next_seq[0] += 1;
+        for page in dirty {
+            self.home_write(page as usize);
+            self.table.entry_mut(page).dirty = false;
+            self.table.note_home_write(page, iv);
+            let m = &mut self.pages[page as usize];
+            let writes = std::mem::take(&mut m.open);
+            m.entries.push((iv, writes));
+        }
+    }
+
+    /// Remote `writer` flushes a one-word diff of `page`.
+    fn remote_diff(&mut self, page: usize, writer: usize) {
+        let Some((word, value)) = self.fresh_write(page) else {
+            return;
+        };
+        let iv = IntervalId {
+            node: writer as u32,
+            seq: self.next_seq[writer],
+        };
+        self.next_seq[writer] += 1;
+        let diff = PageDiff {
+            page: page as u32,
+            runs: vec![DiffRun {
+                offset: (word * 4) as u32,
+                data: value.to_le_bytes().to_vec(),
+            }],
+        };
+        self.table.apply_home_diff(&diff, iv);
+        self.pages[page].entries.push((iv, vec![(word, value)]));
+    }
+
+    /// A barrier-aligned checkpoint: intervals closed, base promoted.
+    fn checkpoint(&mut self) {
+        self.home_close();
+        self.table.promote_base();
+        let all = {
+            let mut vc = VClock::new(NODES);
+            for (node, &n) in self.next_seq.iter().enumerate() {
+                vc.set(node as u32, n);
+            }
+            vc
+        };
+        for (p, m) in self.pages.iter_mut().enumerate() {
+            m.entries.clear();
+            let page = p as u32;
+            assert!(
+                self.table.entry(page).served.images().len() <= 1,
+                "a checkpoint keeps at most one image a page"
+            );
+            // A replay from this checkpoint asks at its clock first —
+            // the copy cached before it and re-touched after it.
+            let (pos, image) = self
+                .table
+                .recovery_image(page, &all)
+                .expect("the checkpoint state is always restorable");
+            assert_eq!(pos, 0);
+            assert_eq!(&image[..], self.table.frame(page).bytes());
+        }
+    }
+
+    /// The selection rule, checked against the model for one request.
+    fn check_selection(&mut self, page: usize, required: &VClock) -> Option<u32> {
+        let before: Vec<(u32, SharedBytes)> =
+            self.table.entry(page as u32).served.images().to_vec();
+        let (pos, image) = self.table.recovery_image(page as u32, required)?;
+        let covered: Vec<&Entry> = self.pages[page]
+            .entries
+            .iter()
+            .filter(|(iv, _)| required.covers(*iv))
+            .collect();
+        for (iv, writes) in &covered {
+            assert!(
+                holds(&image, writes),
+                "image {pos} of page {page} misses covered interval {iv}"
+            );
+        }
+        for (earlier, old) in before.iter().filter(|(p, _)| *p < pos) {
+            assert!(
+                covered.iter().any(|(_, writes)| !holds(old, writes)),
+                "image {earlier} of page {page} already held every covered write, \
+                 yet the later image {pos} was chosen"
+            );
+        }
+        Some(pos)
+    }
+}
+
+#[test]
+fn the_selected_image_is_the_earliest_that_holds_every_covered_write() {
+    check("served_selection", CASES, |rng| {
+        let n_pages = rng.usize_in(2, 4);
+        let mut home = Home::new(n_pages);
+        for _ in 0..rng.usize_in(5, 60) {
+            let page = rng.usize_in(0, n_pages);
+            match rng.u32_in(0, 12) {
+                0..=2 => home.home_write(page),
+                3..=4 => home.home_close(),
+                5..=6 => home.remote_diff(page, rng.usize_in(1, NODES)),
+                7..=9 => {
+                    // Every fetch of one version is one buffer.
+                    let by = rng.usize_in(1, NODES);
+                    let kept = home.table.entry(page as u32).served.images().len();
+                    let (first, _) = home.table.serve_copy(page as u32, by);
+                    for _ in 0..100 {
+                        assert!(home.table.serve_copy(page as u32, by).0.ptr_eq(&first));
+                    }
+                    assert!(home.table.entry(page as u32).served.images().len() <= kept + 1);
+                }
+                10 => home.checkpoint(),
+                _ => {
+                    let required = arb_required(rng, &home.next_seq);
+                    let chosen = home.check_selection(page, &required);
+                    // A clock that covers more never selects an earlier
+                    // image.
+                    let mut more = arb_required(rng, &home.next_seq);
+                    more.join(&required);
+                    let later = home.check_selection(page, &more);
+                    if let (Some(pos), Some(later)) = (chosen, later) {
+                        assert!(
+                            later >= pos,
+                            "{more:?} chose {later}, {required:?} chose {pos}"
+                        );
+                    }
+                }
+            }
+        }
+        // However the run ended, every page still answers consistently.
+        for page in 0..n_pages {
+            let required = arb_required(rng, &home.next_seq);
+            home.check_selection(page, &required);
+        }
+    });
+}
+
+/// A page image that differs from `from` in about `density` per mille
+/// of its words.
+fn mutate(rng: &mut Rng, from: &[u8], density: u64) -> PageFrame {
+    let mut frame = PageFrame::from_bytes(from);
+    for word in 0..WORDS {
+        if rng.below(1000) < density {
+            frame.write_u32(word * 4, rng.next_u64() as u32 | 1);
+        }
+    }
+    frame
+}
+
+#[test]
+fn a_delta_rebuilds_the_image_and_is_sent_only_when_smaller_than_the_page() {
+    let (deltas, wholes) = (Cell::new(0u32), Cell::new(0u32));
+    check("served_delta", CASES, |rng| {
+        let cfg = DsmConfig::new(2, 2).with_page_size(PAGE);
+        let mut table = PageTable::new(&cfg, 0);
+        table.retain_served_pages();
+        // A few versions of page 0, from a word here and there to a
+        // rewrite of everything, each fetched once.
+        let mut required = VClock::new(2);
+        let mut clocks = Vec::new();
+        for seq in 0..rng.u32_in(2, 7) {
+            let density = *rng.pick(&[5, 50, 400, 1000]);
+            let next = mutate(rng, table.frame(0).bytes(), density);
+            table.frame_mut(0).copy_from(&next);
+            let iv = IntervalId { node: 0, seq };
+            table.note_home_write(0, iv);
+            table.serve_copy(0, 1);
+            required.observe(iv);
+            clocks.push(required.clone());
+        }
+        let images: Vec<(u32, SharedBytes)> = table.entry(0).served.images().to_vec();
+        for (_, a) in &images {
+            for (_, b) in &images {
+                let mut rebuilt = PageFrame::from_bytes(a);
+                PageDiff::between(0, a, b).apply(&mut rebuilt);
+                assert_eq!(rebuilt.bytes(), &b[..]);
+            }
+        }
+        for required in &clocks {
+            let (chosen, whole) = table.recovery_image(0, required).expect("retained");
+            // No held image, or one the home does not retain: the page.
+            for held in [None, Some(1000)] {
+                let (answer, compared) = table.recovery_answer(0, required, held);
+                assert!(!compared);
+                assert_eq!(
+                    answer,
+                    RecoveryImage::Image {
+                        pos: chosen,
+                        data: whole.clone()
+                    }
+                );
+            }
+            for (held, old) in &images {
+                let (answer, compared) = table.recovery_answer(0, required, Some(*held));
+                assert_eq!(compared, *held != chosen);
+                match answer {
+                    RecoveryImage::Delta { pos, diff } => {
+                        assert_eq!(pos, chosen);
+                        assert!(diff.encoded_size() < PAGE, "a delta larger than the page");
+                        assert!(*held != chosen || diff.is_empty());
+                        let mut copy = PageFrame::from_bytes(old);
+                        diff.apply_checked(&mut copy).expect("delta fits the page");
+                        assert_eq!(copy.bytes(), &whole[..]);
+                        deltas.set(deltas.get() + u32::from(!diff.is_empty()));
+                    }
+                    RecoveryImage::Image { pos, data } => {
+                        assert_eq!(pos, chosen);
+                        assert!(data.ptr_eq(&whole));
+                        assert!(
+                            PageDiff::between(0, old, &whole).encoded_size() >= PAGE,
+                            "a whole page sent where the delta was smaller"
+                        );
+                        wholes.set(wholes.get() + 1);
+                    }
+                    other => panic!("unexpected answer {other:?}"),
+                }
+            }
+        }
+    });
+    assert!(
+        deltas.get() > 100 && wholes.get() > 100,
+        "the generator must reach both answers: {} deltas, {} whole pages",
+        deltas.get(),
+        wholes.get()
+    );
+}
+
+/// The requester's side of one page, as `ftlog::ccl` keeps it while it
+/// replays: the image it was last restored from, and its copy — that
+/// image plus whatever it re-executed since.
+struct Held {
+    pos: u32,
+    image: Vec<u8>,
+    copy: PageFrame,
+}
+
+#[test]
+fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
+    const HOT: usize = 6;
+    let (patched_wrong, stands) = (Cell::new(0u32), Cell::new(0u32));
+    check("served_requester_writes", CASES, |rng| {
+        let cfg = DsmConfig::new(NODES, NODES as u32).with_page_size(PAGE);
+        let mut table = PageTable::new(&cfg, 0);
+        table.retain_served_pages();
+        let mut next_seq = [0u32; NODES];
+        let mut interval = |node: usize| {
+            next_seq[node] += 1;
+            IntervalId {
+                node: node as u32,
+                seq: next_seq[node] - 1,
+            }
+        };
+        // Every clock here covers every interval so far, as one handed
+        // out by a barrier does.
+        let mut known = VClock::new(NODES);
+        let mut held: Option<Held> = None;
+        for _ in 0..rng.usize_in(10, 60) {
+            // A few hot words and three values: words return to what
+            // they were all the time.
+            let writes: Vec<(usize, u32)> = (0..rng.usize_in(1, 4))
+                .map(|_| (rng.usize_in(0, HOT), rng.u32_in(0, 3)))
+                .collect();
+            match rng.u32_in(0, 6) {
+                // The home writes and closes an interval of its own.
+                0 => {
+                    for &(word, value) in &writes {
+                        table.frame_mut(0).write_u32(word * 4, value);
+                    }
+                    let iv = interval(0);
+                    table.note_home_write(0, iv);
+                    known.observe(iv);
+                }
+                // The requester (1) or the third node writes its copy
+                // and flushes the words that changed.
+                1..=3 => {
+                    let writer = if rng.bool() { 1 } else { 2 };
+                    let base = match (&mut held, writer) {
+                        (Some(h), 1) => &mut h.copy,
+                        (None, 1) => continue,
+                        _ => &mut PageFrame::from_bytes(table.frame(0).bytes()),
+                    };
+                    let twin = base.clone();
+                    for &(word, value) in &writes {
+                        base.write_u32(word * 4, value);
+                    }
+                    let diff = PageDiff::between(0, twin.bytes(), base.bytes());
+                    if !diff.is_empty() {
+                        let iv = interval(writer);
+                        table.apply_home_diff(&diff, iv);
+                        known.observe(iv);
+                    }
+                }
+                // Somebody else fetches: an image in between.
+                4 => drop(table.serve_copy(0, 2)),
+                // A replayed sync of the requester names the page.
+                _ => {
+                    let (chosen, whole) = table.recovery_image(0, &known).expect("clean home");
+                    assert_eq!(&whole[..], table.frame(0).bytes());
+                    let (answer, _) =
+                        table.recovery_answer(0, &known, held.as_ref().map(|h| h.pos));
+                    let restored = match (answer, held.take()) {
+                        (RecoveryImage::Image { data, .. }, _) => PageFrame::from_bytes(&data),
+                        (RecoveryImage::Delta { pos, diff }, Some(h)) if pos == h.pos => {
+                            // "The image you hold": only ever said to a
+                            // requester that has not written since.
+                            assert!(diff.is_empty());
+                            stands.set(stands.get() + 1);
+                            h.copy
+                        }
+                        (RecoveryImage::Delta { diff, .. }, Some(h)) => {
+                            // Patching the copy instead is wrong as soon
+                            // as an own write was written back.
+                            let mut patched = h.copy;
+                            diff.apply(&mut patched);
+                            if patched.bytes() != &whole[..] {
+                                patched_wrong.set(patched_wrong.get() + 1);
+                            }
+                            let mut image = PageFrame::from_bytes(&h.image);
+                            diff.apply(&mut image);
+                            image
+                        }
+                        (other, _) => panic!("unexpected answer {other:?}"),
+                    };
+                    assert_eq!(restored.bytes(), &whole[..]);
+                    held = Some(Held {
+                        pos: chosen,
+                        image: whole.to_vec(),
+                        copy: restored,
+                    });
+                }
+            }
+        }
+    });
+    assert!(
+        patched_wrong.get() > 20 && stands.get() > 20,
+        "the generator must reach both cases: {} copies a delta would have left stale, \
+         {} left standing",
+        patched_wrong.get(),
+        stands.get()
+    );
+}

@@ -2,7 +2,7 @@
 //! cluster: these exercise the actual message exchanges (fetches, diff
 //! flushes, notices) across real threads.
 
-use hlrc::{CoherenceProtocol, DsmConfig, HlrcNode, Msg, NoLogging};
+use hlrc::{CoherenceProtocol, DsmConfig, FaultTolerance, HlrcNode, Msg, NoLogging, RecoveryImage};
 use pagemem::{IntervalId, VClock};
 use simnet::{run_cluster, SimDuration, SimTime};
 
@@ -399,7 +399,12 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             node.wait_for(|m| matches!(m, Msg::PageReply { page: 1, .. }));
             node.wait_for(|m| matches!(m, Msg::PageReplyBatch { after: 1, .. }));
             let required = node.inner.vc.clone();
-            ask(&mut node, Msg::RecoveryPageRequest { page: 3, required });
+            let request = Msg::RecoveryPageRequest {
+                page: 3,
+                required,
+                held: None,
+            };
+            ask(&mut node, request);
             node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { page: 3, .. }));
             let mut replies = Vec::new();
             let mut hello = |node: &mut HlrcNode| {
@@ -421,6 +426,106 @@ fn homes_remember_who_fetched_what_until_they_crash() {
     assert_eq!(got[0], vec![(all.clone(), true)], "home's own view");
     assert_eq!(got[1][0], (all, true), "hello reply before the crash");
     assert_eq!(got[1][1], (vec![], false), "hello reply after the crash");
+}
+
+/// A logging layer that logs nothing but makes homes retain the pages
+/// they serve, as single-failure CCL does.
+struct Retaining;
+
+impl FaultTolerance for Retaining {
+    fn name(&self) -> &'static str {
+        "retaining"
+    }
+    fn retains_served_pages(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
+    // Node 0 commits 0xA1 to its page 0 and node 1 fetches it. Node 1
+    // then asks as a replaying node would: at a clock that covers
+    // nothing (the checkpoint base, image 0), and at a clock that
+    // covers the write while it holds image 0 (the buffer it was sent,
+    // as a one-word diff). After node 0 itself crashed the served log
+    // is gone, and it must say so rather than hand out its base.
+    let cfg = small_cfg(2, 4); // pages 0..2 homed at node 0
+    let go = Msg::DiffAck {
+        writer: IntervalId { node: 1, seq: 0 },
+    };
+    let got = run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
+        let mut node = HlrcNode::new(ctx, cfg, Box::new(Retaining));
+        if node.inner.me() == 0 {
+            node.write_u64(8, 0xA1);
+            node.barrier(); // serves node 1's requests while gathering
+            node.crash_and_reset(SimDuration::ZERO);
+            node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
+            Vec::new()
+        } else {
+            let ask = |node: &mut HlrcNode, required: VClock, held| {
+                let request = Msg::RecoveryPageRequest {
+                    page: 0,
+                    required,
+                    held,
+                };
+                node.inner.ctx.send(0, request).expect("send");
+                let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { .. }));
+                let Msg::RecoveryPageReply { image, .. } = env.payload else {
+                    unreachable!()
+                };
+                image
+            };
+            node.inner
+                .ctx
+                .send(0, Msg::PageRequest { page: 0 })
+                .expect("send");
+            let fetched = node.wait_for(|m| matches!(m, Msg::PageReply { .. }));
+            let Msg::PageReply { data, .. } = fetched.payload else {
+                unreachable!()
+            };
+            let mut written = VClock::new(2);
+            written.observe(IntervalId { node: 0, seq: 0 });
+            let mut answers = vec![
+                RecoveryImage::Image { pos: 1, data },
+                ask(&mut node, VClock::new(2), None),
+                ask(&mut node, written.clone(), Some(0)),
+                ask(&mut node, written.clone(), None),
+            ];
+            node.barrier();
+            answers.push(ask(&mut node, written, None));
+            node.inner.ctx.send(0, go.clone()).expect("send");
+            answers
+        }
+    });
+    let answers = &got[1];
+    let RecoveryImage::Image { data: sent, .. } = &answers[0] else {
+        unreachable!()
+    };
+    assert_eq!(
+        answers[1],
+        RecoveryImage::Image {
+            pos: 0,
+            data: vec![0; 256].into()
+        },
+        "nothing covered: the checkpoint base"
+    );
+    let RecoveryImage::Delta { pos: 1, diff } = &answers[2] else {
+        panic!("expected a delta to image 1, got {:?}", answers[2]);
+    };
+    let mut copy = pagemem::PageFrame::zeroed(256);
+    diff.apply(&mut copy);
+    assert_eq!(
+        copy.bytes(),
+        &sent[..],
+        "the delta leads to the buffer sent"
+    );
+    assert_eq!(diff.payload_bytes(), 4, "one 4-byte diff word changed");
+    assert_eq!(&answers[3], &answers[0], "no held image: the whole buffer");
+    assert_eq!(
+        answers[4],
+        RecoveryImage::Absent,
+        "a crashed home retains nothing"
+    );
 }
 
 /// The epoch fence. Node 1 sends node 2 (manager of lock 2) a request

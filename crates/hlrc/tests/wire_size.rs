@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use hlrc::homeless::HMsg;
-use hlrc::{Msg, WriteNotice, HEADER_BYTES};
+use hlrc::{Msg, RecoveryImage, WriteNotice, HEADER_BYTES};
 use pagemem::{Encode, IntervalId, PageDiff, PageFrame, Twin, VClock};
 use simnet::WireSized;
 
@@ -215,20 +215,63 @@ fn msg_recovery_hello_reply() {
 
 #[test]
 fn msg_recovery_page_request() {
-    check(&Msg::RecoveryPageRequest {
+    let request = |held| Msg::RecoveryPageRequest {
         page: 11,
         required: vc(),
-    });
+        held,
+    };
+    for held in [None, Some(3), Some(200), Some(70_000)] {
+        check(&request(held));
+    }
+    // A request that names no held image is the clock and nothing else:
+    // the multi-failure path sends the bytes it always sent.
+    assert_eq!(request(None).encoded_size(), 1 + 4 + vc().encoded_size());
+    assert_eq!(
+        request(Some(200)).encoded_size(),
+        request(None).encoded_size() + 2
+    );
 }
 
 #[test]
 fn msg_recovery_page_reply() {
-    check(&Msg::RecoveryPageReply {
-        page: 11,
-        advanced: true,
-        data: vec![1; 256].into(),
-        version: vc(),
-    });
+    let data: pagemem::SharedBytes = vec![1; 256].into();
+    let reply = |image| Msg::RecoveryPageReply { page: 11, image };
+    let copies = [
+        RecoveryImage::Current {
+            data: data.clone(),
+            version: vc(),
+        },
+        RecoveryImage::Base {
+            data: data.clone(),
+            version: vc(),
+        },
+    ];
+    for image in copies {
+        let m = reply(image);
+        check(&m);
+        // Tag, page, kind, counted contents, clock — as with the flag
+        // byte the kind replaced.
+        assert_eq!(m.encoded_size(), 1 + 4 + 1 + 4 + 256 + vc().encoded_size());
+    }
+    for pos in [0, 200, 70_000] {
+        check(&reply(RecoveryImage::Image {
+            pos,
+            data: data.clone(),
+        }));
+        check(&reply(RecoveryImage::Delta { pos, diff: diff() }));
+    }
+    check(&reply(RecoveryImage::Absent));
+    assert_eq!(reply(RecoveryImage::Absent).encoded_size(), 1 + 4 + 1);
+    // "The same image" is a delta with no runs: a dozen bytes on the
+    // wire, not a page.
+    let same = RecoveryImage::Delta {
+        pos: 3,
+        diff: PageDiff {
+            page: 11,
+            runs: Vec::new(),
+        },
+    };
+    assert_eq!(reply(same).encoded_size(), 1 + 4 + 1 + 1 + 6);
 }
 
 #[test]

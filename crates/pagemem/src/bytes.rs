@@ -39,6 +39,12 @@ impl SharedBytes {
     pub fn as_slice(&self) -> &[u8] {
         &self.0
     }
+
+    /// Do the two handles share one allocation (not merely equal
+    /// contents)?
+    pub fn ptr_eq(&self, other: &SharedBytes) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl From<Vec<u8>> for SharedBytes {

@@ -118,9 +118,16 @@ impl PageDiff {
     /// Panics if the twin and page sizes differ or are not multiples of
     /// the diff word.
     pub fn create(page: PageId, twin: &Twin, current: &PageFrame) -> PageDiff {
-        Self::build(page, twin, current, |new, start, end| {
-            new[start..end].to_vec()
-        })
+        Self::between(page, twin.bytes(), current.bytes())
+    }
+
+    /// The diff that turns the page image `old` into `new` — for
+    /// images that are not frames, such as two retained reply buffers.
+    ///
+    /// # Panics
+    /// As [`PageDiff::create`].
+    pub fn between(page: PageId, old: &[u8], new: &[u8]) -> PageDiff {
+        Self::build(page, old, new, |new, start, end| new[start..end].to_vec())
     }
 
     /// [`PageDiff::create`], drawing run buffers from `pool` so diff
@@ -132,7 +139,7 @@ impl PageDiff {
         current: &PageFrame,
         pool: &mut BufferPool,
     ) -> PageDiff {
-        Self::build(page, twin, current, |new, start, end| {
+        Self::build(page, twin.bytes(), current.bytes(), |new, start, end| {
             let mut buf = pool.take_buf(end - start);
             buf.extend_from_slice(&new[start..end]);
             buf
@@ -144,12 +151,10 @@ impl PageDiff {
     /// kernel.
     fn build<F: FnMut(&[u8], usize, usize) -> Vec<u8>>(
         page: PageId,
-        twin: &Twin,
-        current: &PageFrame,
+        old: &[u8],
+        new: &[u8],
         mut make_run: F,
     ) -> PageDiff {
-        let old = twin.bytes();
-        let new = current.bytes();
         assert_eq!(old.len(), new.len(), "twin/page size mismatch");
         assert_eq!(new.len() % DIFF_WORD, 0, "page not word-divisible");
 

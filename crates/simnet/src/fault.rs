@@ -376,12 +376,6 @@ impl DiskFaultPlan {
         }
     }
 
-    /// Add latent bit rot to this plan.
-    pub fn with_bit_rot(mut self, per_mille: u16) -> DiskFaultPlan {
-        self.corrupt_per_mille = per_mille;
-        self
-    }
-
     /// Bound the device's total capacity in bytes.
     pub fn with_capacity(mut self, bytes: u64) -> DiskFaultPlan {
         self.capacity_bytes = Some(bytes);

@@ -159,3 +159,88 @@ fn log_device_full_pauses_then_cadence_resumes() {
         "logging never resumed after the cadence truncation"
     );
 }
+
+/// A copy cached *before* a cadence checkpoint and re-touched after it
+/// comes back after a crash. Node 1 fetches page P (homed at node 0) in
+/// round 1, writes a word of its own into it, and from then on only
+/// re-reads it: no notice names P to node 1 again before the
+/// checkpoint, so no replayed sync restores it — the first replayed
+/// read faults, and the home must still have the page as it stood at
+/// the checkpoint. It does: the
+/// checkpoint truncated the served images (the newest one predates node
+/// 1's own diff), and the checkpoint base answers at position 0.
+///
+/// CCL only, against its own fault-free run: ML cannot replay this
+/// program — the reply it logged for P went with the log the checkpoint
+/// truncated, so the re-touch finds no record ("ML replay drift").
+#[test]
+fn a_copy_cached_before_a_checkpoint_is_restored_after_a_crash() {
+    const ROUNDS: u64 = 8;
+    let program = |dsm: &mut Dsm| -> u64 {
+        let p = dsm.alloc_at::<u64>(dsm.page_size() / 8, 0);
+        let (start, mut sum) = match dsm.restored_state() {
+            Some(blob) => (
+                u64::from_le_bytes(blob[..8].try_into().unwrap()),
+                u64::from_le_bytes(blob[8..].try_into().unwrap()),
+            ),
+            None => (0, 0),
+        };
+        for round in start..ROUNDS {
+            match (round, dsm.me()) {
+                // Nodes 1 and 2 flush equally large diffs of P, so no
+                // writer dominates and the page stays homed at node 0.
+                (0, 0) => dsm.write(&p, 0, 7),
+                (0, 2) => dsm.write(&p, 2, 5),
+                // After the checkpoint the home moves on: while node 1
+                // replays rounds 4 and 5, the live frame already says 8.
+                (5, 0) => dsm.write(&p, 0, 8),
+                (1, 1) => {
+                    sum += dsm.read(&p, 0) + dsm.read(&p, 2);
+                    dsm.write(&p, 1, 9);
+                }
+                (_, 1) if round >= 2 => {
+                    sum = sum * 31 + dsm.read(&p, 0) + dsm.read(&p, 1) + dsm.read(&p, 2);
+                }
+                _ => {}
+            }
+            let mut blob = (round + 1).to_le_bytes().to_vec();
+            blob.extend_from_slice(&sum.to_le_bytes());
+            dsm.set_checkpoint_state(&blob);
+            dsm.barrier();
+        }
+        sum
+    };
+    let cadence = spec(Protocol::Ccl).with_checkpoint_cadence(4);
+    let clean = run_program(cadence.clone(), program);
+    let out = run_program(cadence.with_crash(CrashPlan::new(1, 6)), program);
+    assert_eq!(clean.total_stats().home_migrations, 0);
+    assert!(out.recovery_time().is_some(), "no recovery happened");
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    // Restored by the replay — at the fault, and again at the replayed
+    // barrier whose notice names the home's round-5 write — and never
+    // fetched live again.
+    let victim = &out.nodes[1];
+    let crashed = victim.crashed_at.expect("crash was not injected");
+    let refetched = victim
+        .trace
+        .iter()
+        .any(|ev| matches!(ev.kind, TraceKind::PageFetch { page: 0, .. }) && ev.at > crashed);
+    assert!(!refetched, "P was fetched live instead of restored");
+    let recovery_replies = out.nodes[0]
+        .trace
+        .iter()
+        .filter(|ev| {
+            matches!(
+                ev.kind,
+                TraceKind::MsgSend {
+                    to: 1,
+                    msg: "RecoveryPageReply",
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(recovery_replies, 2);
+}

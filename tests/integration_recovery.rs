@@ -214,10 +214,13 @@ fn tag(label: &str) -> usize {
 #[test]
 fn ccl_recovery_fetches_no_more_than_the_victim_held() {
     // Replay is deterministic, so the victim re-touches exactly what it
-    // fetched before the crash; its homes told it what that was. The
-    // recovery fetches are therefore bounded by the pre-crash fetches
-    // (demand pages plus predicted extras), however many pages the
-    // cluster wrote meanwhile.
+    // fetched before the crash; its homes told it what that was. Every
+    // replayed sync restores the held pages its notices name — one
+    // request each, resident or not, since a copy is brought up to date
+    // from its home's served images, not patched with diffs — so the
+    // recovery fetches are bounded by the pages held (demand pages plus
+    // predicted extras) times the syncs replayed, however many pages
+    // the cluster wrote meanwhile.
     let app = App::Shallow;
     let s = spec(app, 4, Protocol::Ccl).with_crash(CrashPlan::new(1, 5));
     let out = run_program(s, move |dsm| app.run_tiny(dsm));
@@ -235,13 +238,23 @@ fn ccl_recovery_fetches_no_more_than_the_victim_held() {
             _ => {}
         }
     }
+    let replayed = victim
+        .trace
+        .iter()
+        .filter(|ev| matches!(ev.kind, TraceKind::RecoveryReplay { .. }))
+        .count() as u64;
     let fetched = victim.stats.msgs_by_kind[tag("RecoveryPageRequest")];
     assert!(fetched > 0, "recovery prefetched nothing");
     assert!(
-        fetched <= demand.len() as u64 + predicted,
-        "{fetched} recovery fetches for {} demand + {predicted} predicted pre-crash fetches",
+        fetched <= (demand.len() as u64 + predicted) * replayed,
+        "{fetched} recovery fetches for {} demand + {predicted} predicted pre-crash fetches \
+         over {replayed} replayed syncs",
         demand.len()
     );
+    // One wave per sync: nothing is patched from logged diffs, and with
+    // no diff in the run nothing is fetched from a log at all.
+    assert_eq!(out.total_stats().diffs_created, 0);
+    assert_eq!(victim.stats.msgs_by_kind[tag("LoggedDiffRequest")], 0);
     // Every peer was greeted once and answered once.
     assert_eq!(victim.stats.msgs_by_kind[tag("RecoveryHello")], 3);
     assert_eq!(out.total_stats().msgs_by_kind[tag("RecoveryHelloReply")], 3);
@@ -256,10 +269,12 @@ fn ccl_recovery_fetches_no_more_than_the_victim_held() {
 fn a_page_the_victim_never_held_is_left_alone_until_it_faults_live() {
     // Page X (page 0) is written every round but the victim first reads
     // it *after* its crash point; page Y (page 1) it reads every round.
-    // Recovery must restore Y and never touch X; the later read of X is
-    // an ordinary live fetch. (X and Y live at different homes: a
-    // speculative extra is a same-home page, so a fault on Y cannot
-    // fetch X alongside it — and a fetched page is a held page.)
+    // Recovery must restore Y — once per replayed barrier that names
+    // it, each time from what its home served before the crash — and
+    // never ask for X; the later read of X is an ordinary live fetch.
+    // (X and Y live at different homes: a speculative extra is a
+    // same-home page, so a fault on Y cannot fetch X alongside it — and
+    // a fetched page is a held page.)
     const X: u32 = 0;
     let program = |dsm: &mut ccl_core::Dsm| {
         let words = dsm.page_size() / 8;
@@ -296,11 +311,15 @@ fn a_page_the_victim_never_held_is_left_alone_until_it_faults_live() {
     }
     let victim = &out.nodes[1];
     let exit = victim.recovery_exit.expect("recovery never completed");
-    assert_eq!(
-        victim.stats.msgs_by_kind[tag("RecoveryPageRequest")],
-        1,
-        "recovery should restore Y and nothing else"
+    let asked = victim.stats.msgs_by_kind[tag("RecoveryPageRequest")];
+    let replayed_barriers = 6;
+    assert!(
+        (1..=replayed_barriers).contains(&asked),
+        "{asked} recovery fetches for one held page over {replayed_barriers} barriers"
     );
+    let answered = |home: usize| out.nodes[home].stats.msgs_by_kind[tag("RecoveryPageReply")];
+    assert_eq!(answered(2), asked, "every recovery fetch went to Y's home");
+    assert_eq!(answered(0), 0, "X's home was asked for a page");
     let x_fetches: Vec<_> = victim
         .trace
         .iter()
@@ -376,6 +395,225 @@ fn survivor_log_is_read_once_and_never_served_before_it_is_in_memory() {
         "a warm request paid a disk access: {:?}",
         second.saturating_since(asked)
     );
+}
+
+// ------------------------------------------------------------
+// Served images: what the home-write twins used to guarantee
+// ------------------------------------------------------------
+
+/// Fold a sequence of values read into a digest that depends on each
+/// value and on their order.
+fn fold(digest: u64, v: u64) -> u64 {
+    digest.wrapping_mul(1_000_003).wrapping_add(v)
+}
+
+#[test]
+fn a_replayed_read_never_sees_the_homes_later_write() {
+    // The future-write hazard. Node 0 rewrites word W of its own page
+    // every round; node 1 reads W every round and fails after round 5
+    // of 8. While it replays, node 0 is parked one barrier ahead with
+    // round 6 already in W — a value node 1's replayed reads of rounds
+    // 1..=5 must never see. No diff of W exists anywhere (a home write
+    // makes none): each round's value comes back from the reply buffer
+    // node 0 retained when node 1 first fetched it. ML, which replays
+    // the replies it logged itself, is the oracle.
+    const W: usize = 3;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let p = dsm.alloc_at::<u64>(words, 0);
+        let mut seen = 0u64;
+        for round in 1..=8u64 {
+            if dsm.me() == 0 {
+                dsm.write(&p, W, round);
+            }
+            dsm.barrier();
+            if dsm.me() == 1 {
+                seen = fold(seen, dsm.read(&p, W));
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let rounds_in_order = (1..=8).fold(0, fold);
+    for protocol in [Protocol::Ml, Protocol::Ccl] {
+        let base = ClusterSpec::new(3, 8)
+            .with_page_size(256)
+            .with_protocol(protocol);
+        let clean = run_program(base.clone(), program);
+        let out = run_program(base.with_crash(CrashPlan::new(1, 10)), program);
+        assert_eq!(clean.nodes[1].result, rounds_in_order);
+        assert_eq!(
+            out.nodes[1].result, rounds_in_order,
+            "{protocol:?}: a replayed read saw another round's value"
+        );
+        assert!(out.recovery_time().is_some(), "crash was not injected");
+        if protocol == Protocol::Ccl {
+            // Restored from node 0's served images, with no twin made
+            // and no logged diff to fetch.
+            assert_eq!(out.total_stats().twins_created, 0);
+            assert!(out.nodes[0].stats.msgs_by_kind[tag("RecoveryPageReply")] >= 5);
+            assert_eq!(out.total_stats().msgs_by_kind[tag("LoggedDiffRequest")], 0);
+        }
+    }
+}
+
+#[test]
+fn ccl_pays_nothing_for_a_home_write() {
+    // Every node rewrites its own block every round and reads its
+    // neighbour's: all writes are home writes that someone fetched.
+    // HLRC makes no twin and no diff for them, and neither does CCL —
+    // what it logs is a barrier record of a few bytes per round.
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let (me, n) = (dsm.me(), dsm.nodes());
+        let grid = dsm.alloc_blocked::<u64>(n * 4 * words);
+        let mut sum = 0u64;
+        for round in 0..8u64 {
+            for i in 0..4 * words {
+                dsm.write(&grid, me * 4 * words + i, round * 1000 + i as u64);
+            }
+            dsm.charge_flops(2_000_000);
+            dsm.barrier();
+            for i in 0..4 * words {
+                sum = fold(sum, dsm.read(&grid, ((me + 1) % n) * 4 * words + i));
+            }
+            dsm.barrier();
+        }
+        sum
+    };
+    let run = |protocol| {
+        let spec = ClusterSpec::new(4, 24).with_protocol(protocol);
+        run_program(spec, program)
+    };
+    let (none, ccl) = (run(Protocol::None), run(Protocol::Ccl));
+    for (a, b) in none.nodes.iter().zip(&ccl.nodes) {
+        assert_eq!(a.result, b.result);
+    }
+    assert_eq!(none.total_stats().twins_created, 0);
+    assert_eq!(ccl.total_stats().twins_created, 0);
+    assert_eq!(ccl.total_stats().diffs_created, 0);
+    assert!(
+        ccl.total_stats().page_fetches > 0,
+        "nobody read a home write"
+    );
+    let (none_ns, ccl_ns) = (none.exec_time().as_nanos(), ccl.exec_time().as_nanos());
+    assert!(
+        ccl_ns >= none_ns && (ccl_ns - none_ns) * 1000 < none_ns,
+        "CCL took {ccl_ns} ns against {none_ns} ns without logging"
+    );
+}
+
+#[test]
+fn small_writes_get_small_recovery_replies() {
+    // A lock-protected counter in word 0 of a page whose home also
+    // writes word 1 of it, every round. The failed node's replayed
+    // acquires restore the page each time a holder before it wrote it:
+    // the first answer is the page, every later one a diff against the
+    // image the node already holds — a few words, not 4 KB.
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let c = dsm.alloc_at::<u64>(words, 0);
+        for round in 0..6u64 {
+            if dsm.me() == 0 {
+                dsm.write(&c, 1, round);
+            }
+            dsm.acquire(1);
+            let v = dsm.read(&c, 0);
+            dsm.write(&c, 0, v + 1);
+            dsm.release(1);
+            dsm.barrier();
+        }
+        dsm.read(&c, 0)
+    };
+    for protocol in [Protocol::Ml, Protocol::Ccl] {
+        let spec = ClusterSpec::new(4, 8)
+            .with_protocol(protocol)
+            .with_crash(CrashPlan::new(1, 5));
+        let page = spec.page_size as u64;
+        let out = run_program(spec, program);
+        assert!(out.recovery_time().is_some(), "crash was not injected");
+        assert_eq!(
+            out.nodes.iter().map(|n| n.result).collect::<Vec<_>>(),
+            vec![24; 4],
+            "{protocol:?}: lost or doubled increments"
+        );
+        if protocol == Protocol::Ccl {
+            let home = &out.nodes[0].stats;
+            let replies = home.msgs_by_kind[tag("RecoveryPageReply")];
+            let bytes = home.bytes_by_kind[tag("RecoveryPageReply")];
+            assert!(replies >= 4, "only {replies} recovery replies");
+            assert!(
+                bytes < replies * page / 2,
+                "{replies} recovery replies took {bytes} bytes"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_word_written_back_to_its_old_value_is_restored() {
+    // Node 1 finds a flag clear under a lock, sets it and fails later;
+    // node 2 clears it again each round and, if `stamp`, writes the
+    // round into the word next to it. When node 1 replays, the image it
+    // is brought up to date *to* has the flag exactly as the image it
+    // was restored *from* had it — a diff between the two images does
+    // not mention the flag (and without the stamp is empty), while node
+    // 1's own copy holds the 1 it re-executed. Whatever the home sends
+    // must still leave the flag clear. ML is the oracle.
+    fn program(dsm: &mut ccl_core::Dsm, stamp: bool) -> u64 {
+        let words = dsm.page_size() / 8;
+        let p = dsm.alloc_at::<u64>(words, 0);
+        let mut seen = 0u64;
+        for round in 1..=6u64 {
+            if dsm.me() == 1 {
+                dsm.acquire(1);
+                seen = fold(seen, dsm.read(&p, 0));
+                dsm.write(&p, 0, 1);
+                dsm.release(1);
+            }
+            dsm.barrier();
+            if dsm.me() == 2 {
+                dsm.acquire(1);
+                seen = fold(seen, dsm.read(&p, 0));
+                dsm.write(&p, 0, 0);
+                if stamp {
+                    dsm.write(&p, 1, round);
+                }
+                dsm.release(1);
+            }
+            dsm.barrier();
+        }
+        seen
+    }
+    let always = |v| (0..6).fold(0, |d, _| fold(d, v));
+    for (protocol, stamp) in [
+        (Protocol::Ml, true),
+        (Protocol::Ccl, true),
+        (Protocol::Ccl, false),
+    ] {
+        let spec = ClusterSpec::new(3, 8)
+            .with_protocol(protocol)
+            .with_crash(CrashPlan::new(1, 9));
+        let page = spec.page_size as u64;
+        let out = run_program(spec, move |dsm| program(dsm, stamp));
+        assert!(out.recovery_time().is_some(), "crash was not injected");
+        assert_eq!(
+            (out.nodes[1].result, out.nodes[2].result),
+            (always(0), always(1)),
+            "{protocol:?}, stamp {stamp}: a replayed read saw a flag its last writer had cleared"
+        );
+        if protocol == Protocol::Ccl {
+            // And it took less than whole pages to get that right.
+            let home = &out.nodes[0].stats;
+            let replies = home.msgs_by_kind[tag("RecoveryPageReply")];
+            let bytes = home.bytes_by_kind[tag("RecoveryPageReply")];
+            assert!(replies >= 4, "only {replies} recovery replies");
+            assert!(
+                bytes < replies * page / 2,
+                "{replies} recovery replies took {bytes} bytes"
+            );
+        }
+    }
 }
 
 // ------------------------------------------------------------
