@@ -17,11 +17,15 @@
 //! Recovery opens with a one-round-trip *handshake*: the recovering
 //! node sends [`Msg::RecoveryHello`] to every peer before it even scans
 //! its own log. Each peer answers with the pages homed there that this
-//! node ever fetched (homes keep a per-page copyset, see
-//! [`hlrc::PageTable::held_by`]) and starts reading its own log back
-//! into memory, so the logged-diff requests that follow find it warm.
-//! Replay is deterministic, so the *held* pages are exactly the remote
-//! pages this node will touch again.
+//! node ever touched a copy of — faulted on, or reported the first use
+//! of after being shipped it on a prediction; homes keep a per-page
+//! copyset, see [`hlrc::PageTable::held_by`] — and starts reading its
+//! own log back into memory, so the logged-diff requests that follow
+//! find it warm. Replay is deterministic, so the *held* pages are
+//! exactly the remote pages this node will touch again. (While every
+//! predicted copy a home shipped counted as held that sentence was
+//! false; now at most a first use whose report had not left at the
+//! crash is missing, and it takes the on-demand path below.)
 //!
 //! Replay then walks the sync events of the (small) local log. At the
 //! beginning of each interval it sends **one** wave of requests: for
@@ -1165,15 +1169,17 @@ impl FaultTolerance for CclLogger {
         page: PageId,
         _write: bool,
     ) -> RecoveryStep {
-        // First-touch pages have no notice and therefore were not
-        // prefetched; restore on demand.
+        // A page no replayed notice named (first touch), or one this
+        // node used as a predicted copy without living to tell its
+        // home, was not restored ahead of time; restore on demand.
         if self.durable_home_diffs {
             self.prefetch_pages(inner, &[page]);
         } else {
             self.restore_wave(inner, &Wants::new(), &[page]);
             // Replay is deterministic: a page it touches here was
-            // fetched here before the crash, and that fetch left an
-            // image at its home. None means replay left the logged run.
+            // shipped here before the crash — as a demand page or as a
+            // prediction — and every shipped copy left an image at its
+            // home. None means replay left the logged run.
             assert!(
                 inner.pages.entry(page).frame.is_some(),
                 "CCL replay drift: node {} touched page {page} at {:?}, \

@@ -10,8 +10,13 @@
 //! extra stall. A node whose logging protocol records page contents
 //! ([`crate::FaultTolerance::logs_page_contents`]) never predicts: it
 //! sends the bare [`Msg::PageRequest`], served as a batch of none.
+//!
+//! The home's copyset (what it tells a recovering peer it held) records
+//! pages a node *touched*, not pages it was shipped: the demand page of
+//! every request, and the extras the requester reports it has since
+//! first touched — a list riding its next request to the same home.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pagemem::{PageId, PageState};
 use simnet::{CoherenceProtocol, Envelope, NodeId, SimTime, TraceKind};
@@ -35,11 +40,12 @@ pub struct PrefetchState {
     /// Two consecutive faults agreed on `stride` (two-miss confirmation
     /// before any stride prediction is issued).
     confirmed: bool,
-    /// Pages invalidated by the most recent notice batch that
-    /// invalidated anything: the write-notice sets already carried by
-    /// lock grants and barrier releases are a free predictor of what
-    /// will fault next (the invalidated copies are what this node was
-    /// actively reading).
+    /// Remote pages named by the most recent notice batch that named
+    /// any: the write-notice sets already carried by lock grants and
+    /// barrier releases are a free predictor of what will fault next.
+    /// Every remote page a fresh notice names is here, whether this
+    /// node held a copy of it or not — the set is what the cluster
+    /// wrote, not what this node was reading.
     recent_invalidated: BTreeSet<PageId>,
     /// Trailing prefetch batches not yet arrived, keyed by the demand
     /// page whose request issued them: `(demand page, sync_events at
@@ -48,13 +54,21 @@ pub struct PrefetchState {
     /// requested under, so a batch that crosses a synchronization
     /// operation is dropped, never installed stale.
     in_flight: Vec<(PageId, u64, Vec<PageId>)>,
+    /// Predicted copies first touched since this node last asked their
+    /// home for anything, by home: the next request to that home names
+    /// them (see [`Msg::PageRequestBatch`]), so its copyset records
+    /// them as held. Volatile like the rest — a crash before that
+    /// request loses the report, and recovery restores such a page on
+    /// demand instead of ahead of time.
+    unreported_hits: BTreeMap<NodeId, BTreeSet<PageId>>,
     /// The page a demand fetch is currently blocked on, if any: an
     /// in-flight batch that carries it counts it as wasted instead of
-    /// installing it mid-wait. No protocol needs this any more (it
-    /// protected ML's one-reply-record-per-fault log when ML still
-    /// speculated); it stays only because dropping it moves a golden —
-    /// Shallow/CCL `prefetch.wasted` 5 725 → 5 637. The next PR that
-    /// re-blesses anyway may delete it.
+    /// installing it mid-wait, where the demand reply would overwrite
+    /// the copy and the prediction would be counted neither hit nor
+    /// wasted. It protects that accounting and nothing else: without
+    /// it no clock, log byte or digest moves, but `prefetch_wasted`
+    /// loses exactly those predictions (616 of 25 592 on 3D-FFT, 88 of
+    /// 5 725 on Shallow, 889 of 3 073 on the multi-writer kernel).
     demand: Option<PageId>,
 }
 
@@ -96,6 +110,24 @@ impl PrefetchState {
     pub(crate) fn note_invalidated(&mut self, pages: BTreeSet<PageId>) {
         self.recent_invalidated = pages;
     }
+
+    /// The predicted copy of `page`, homed at `home`, was just touched
+    /// for the first time: owe `home` a report.
+    pub(crate) fn note_hit(&mut self, home: NodeId, page: PageId) {
+        self.unreported_hits.entry(home).or_default().insert(page);
+    }
+
+    /// The first touches `home` has not been told of, ascending; they
+    /// count as reported from here on.
+    fn take_hits(&mut self, home: NodeId) -> Vec<PageId> {
+        let hits = self.unreported_hits.remove(&home).unwrap_or_default();
+        hits.into_iter().collect()
+    }
+
+    /// How many first touches are still owed to their homes.
+    pub fn unreported_hits(&self) -> usize {
+        self.unreported_hits.values().map(BTreeSet::len).sum()
+    }
 }
 
 impl HlrcNode {
@@ -125,7 +157,8 @@ impl HlrcNode {
         // A speculating node always speaks the batch dialect, extras or
         // not; the two requests differ in size, hence in arrival time.
         let request = if speculate {
-            Msg::PageRequestBatch { page, extras }
+            let hits = self.inner.prefetch.take_hits(home);
+            Msg::PageRequestBatch { page, extras, hits }
         } else {
             Msg::PageRequest { page }
         };
@@ -265,18 +298,32 @@ impl HlrcNode {
     /// from an earlier fetch of the same version
     /// ([`crate::PageTable::serve_copy`]): the copy is priced either
     /// way.
+    ///
+    /// The copyset learns what `src` touches, not what it is shipped:
+    /// the demand page, and each of `hits` — extras of earlier requests
+    /// that `src` reports it has since first touched. An extra shipped
+    /// here is noted when, and if, it comes back as a hit. A hit on a
+    /// page no longer homed here (it migrated since) is ignored: the
+    /// new home answers a recovering peer "incomplete" anyway.
     pub(crate) fn serve_pages(
         &mut self,
         src: NodeId,
         page: PageId,
         extras: &[PageId],
+        hits: &[PageId],
         done: SimTime,
     ) {
         let copy_of = |inner: &mut NodeInner, p: PageId| -> PageCopy {
             debug_assert!(inner.pages.is_home(p), "page request at non-home");
-            let (data, version) = inner.pages.serve_copy(p, src);
+            let (data, version) = inner.pages.serve_copy(p);
             (p, data, version)
         };
+        self.inner.pages.note_remote_fetch(page, src);
+        for &hit in hits {
+            if self.inner.pages.is_home(hit) {
+                self.inner.pages.note_remote_fetch(hit, src);
+            }
+        }
         let (_, data, version) = copy_of(&mut self.inner, page);
         let demand_cost = self.inner.ctx.cost.cpu.copy(data.len());
         let reply = Msg::PageReply {

@@ -47,7 +47,7 @@ impl NodeInner {
     pub(crate) fn stalls_on_migration(&self, msg: &Msg) -> bool {
         match msg {
             Msg::PageRequest { page } => self.pending_migration(*page),
-            Msg::PageRequestBatch { page, extras } => {
+            Msg::PageRequestBatch { page, extras, .. } => {
                 self.pending_migration(*page) || extras.iter().any(|p| self.pending_migration(*p))
             }
             Msg::DiffFlush { diffs, .. } => diffs.iter().any(|d| self.pending_migration(d.page)),

@@ -336,6 +336,52 @@ pub(crate) fn decode_ids(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError>
     Ok(v)
 }
 
+/// The one walk behind the encoding and the size of a strictly
+/// ascending page list: `var(count)`, then each id as the distance from
+/// the one before it (the first from 0). Neighbouring pages cost a byte
+/// each where the fixed-width list spent four.
+fn put_ascending(out: &mut impl VarSink, pages: &[PageId]) {
+    out.var(pages.len() as u32);
+    let mut prev = 0;
+    for (i, &page) in pages.iter().enumerate() {
+        assert!(i == 0 || page > prev, "page list is not strictly ascending");
+        out.var(page - prev);
+        prev = page;
+    }
+}
+
+/// Exact encoded size of a [`put_ascending`] list.
+fn ascending_size(pages: &[PageId]) -> usize {
+    let mut count = VarCount(0);
+    put_ascending(&mut count, pages);
+    count.0
+}
+
+/// Decode a list written by [`put_ascending`]. Nothing is trusted: the
+/// count allocates no more than the remaining input could hold (an id
+/// takes at least a byte), and a distance of zero or one that carries
+/// the id past `u32::MAX` is [`CodecError::Invalid`].
+fn decode_ascending(r: &mut ByteReader<'_>) -> Result<Vec<PageId>, CodecError> {
+    let invalid = |reason| CodecError::Invalid {
+        context: "ascending page list",
+        reason,
+    };
+    let n = r.get_var()? as usize;
+    let mut out = Vec::with_capacity(r.capacity_for(n, 1));
+    let mut prev: PageId = 0;
+    for i in 0..n {
+        let step = r.get_var()?;
+        if i > 0 && step == 0 {
+            return Err(invalid("pages do not ascend"));
+        }
+        prev = prev
+            .checked_add(step)
+            .ok_or_else(|| invalid("page id passes the last page id"))?;
+        out.push(prev);
+    }
+    Ok(out)
+}
+
 fn encode_migrations(w: &mut ByteWriter, migrations: &[HomeMigration]) {
     w.put_u32(migrations.len() as u32);
     for (page, to) in migrations {
@@ -532,11 +578,23 @@ pub enum Msg {
     /// [`Msg::PageReply`], so the demand stall never grows with the
     /// prediction depth) plus any prefetch candidates predicted from the
     /// access history (answered with a trailing [`Msg::PageReplyBatch`]).
+    /// It also carries the requester's report of which earlier extras
+    /// from this home it has since touched: the home's copyset records
+    /// what a node *used*, and only the node knows that.
+    ///
+    /// Wire layout: `tag(15) u32(page) ascending(extras)
+    /// ascending(hits)`, each list `var(count)` then every id as the
+    /// `var` distance from its predecessor (the first from 0): 7 bytes
+    /// with both lists empty, about 17 with eight extras.
     PageRequestBatch {
         /// The faulting page the requester is blocked on.
         page: PageId,
-        /// Predicted same-home pages, sorted ascending.
+        /// Predicted same-home pages, strictly ascending.
         extras: Vec<PageId>,
+        /// Extras of earlier requests to this home that the requester
+        /// first touched since its last request to it, strictly
+        /// ascending. Served nothing; noted in the copyset.
+        hits: Vec<PageId>,
     },
     /// Home's trailing reply to a [`Msg::PageRequestBatch`] with
     /// predicted extras: their copies and versions, in request order.
@@ -565,12 +623,15 @@ pub enum Msg {
     /// your log ready — my logged-diff requests are coming".
     RecoveryHello,
     /// Reply to [`Msg::RecoveryHello`]: the pages homed at the replier
-    /// that the recovering node ever fetched. Replay is deterministic,
-    /// so these are exactly the remote pages it will touch again.
+    /// that the recovering node ever touched a copy of, as far as it
+    /// told the replier (a demand fetch tells; the first use of a
+    /// predicted copy is told by the next [`Msg::PageRequestBatch`]).
+    /// Replay is deterministic, so these are the remote pages it will
+    /// touch again.
     RecoveryHelloReply {
-        /// Pages homed at the replier that the sender fetched, ascending.
+        /// Pages homed at the replier that the sender touched, ascending.
         held: Vec<PageId>,
-        /// False when the replier's fetch records were wiped (its own
+        /// False when the replier's copysets were wiped (its own
         /// crash) or bypassed (an adopted migration): `held` may then
         /// miss pages, and the sender must treat every page homed at
         /// the replier as held.
@@ -764,13 +825,11 @@ impl Encode for Msg {
                     encode_migrations(w, migrations);
                 }
             }
-            Msg::PageRequestBatch { page, extras } => {
+            Msg::PageRequestBatch { page, extras, hits } => {
                 w.put_u8(15);
                 w.put_u32(*page);
-                w.put_u32(extras.len() as u32);
-                for p in extras {
-                    w.put_u32(*p);
-                }
+                put_ascending(w, extras);
+                put_ascending(w, hits);
             }
             Msg::PageReplyBatch { after, pages } => {
                 w.put_u8(16);
@@ -857,7 +916,9 @@ impl Encode for Msg {
                         })
                         .sum::<usize>()
             }
-            Msg::PageRequestBatch { extras, .. } => 1 + 4 + 4 + 4 * extras.len(),
+            Msg::PageRequestBatch { extras, hits, .. } => {
+                1 + 4 + ascending_size(extras) + ascending_size(hits)
+            }
             Msg::PageReplyBatch { pages, .. } => {
                 1 + 4
                     + 4
@@ -962,7 +1023,8 @@ impl Decode for Msg {
             }
             15 => Msg::PageRequestBatch {
                 page: r.get_u32()?,
-                extras: decode_ids(r)?,
+                extras: decode_ascending(r)?,
+                hits: decode_ascending(r)?,
             },
             16 => {
                 let after = r.get_u32()?;
@@ -1137,6 +1199,12 @@ mod tests {
         roundtrip(Msg::PageRequestBatch {
             page: 3,
             extras: vec![4, 9],
+            hits: vec![],
+        });
+        roundtrip(Msg::PageRequestBatch {
+            page: 3,
+            extras: vec![],
+            hits: vec![0, 300, u32::MAX],
         });
         roundtrip(Msg::PageReplyBatch {
             after: 3,
@@ -1159,6 +1227,44 @@ mod tests {
             held: vec![],
             complete: false,
         });
+    }
+
+    #[test]
+    fn page_request_lists_are_distances_and_hostile_ones_are_errors() {
+        let m = Msg::PageRequestBatch {
+            page: 7,
+            extras: vec![71, 135, 199],
+            hits: vec![9],
+        };
+        // Tag, page, then per list a count and each id's distance from
+        // the one before (the first from 0).
+        assert_eq!(
+            m.encode_to_vec(),
+            [15, 7, 0, 0, 0, 3, 71, 64, 64, 1, 9],
+            "layout"
+        );
+        let list = |bytes: &[u8]| decode_ascending(&mut ByteReader::new(bytes));
+        assert_eq!(list(&[0]), Ok(vec![]));
+        assert_eq!(list(&[3, 0, 1, 1]), Ok(vec![0, 1, 2]));
+        // A count the input cannot back allocates nothing and fails at
+        // the first missing id.
+        let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        assert!(matches!(list(&huge), Err(CodecError::Truncated { .. })));
+        assert!(matches!(list(&[2, 5]), Err(CodecError::Truncated { .. })));
+        let invalid = |bytes: &[u8]| matches!(list(bytes), Err(CodecError::Invalid { .. }));
+        assert!(invalid(&[2, 5, 0]), "a repeated page");
+        assert!(invalid(&[2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]), "overflow");
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn an_unsorted_page_list_is_never_encoded() {
+        Msg::PageRequestBatch {
+            page: 0,
+            extras: vec![9, 4],
+            hits: vec![],
+        }
+        .encode_to_vec();
     }
 
     #[test]
@@ -1187,6 +1293,7 @@ mod tests {
             Msg::PageRequestBatch {
                 page: 0,
                 extras: vec![1],
+                hits: vec![],
             },
             Msg::PageReplyBatch {
                 after: 0,

@@ -256,8 +256,12 @@ impl HlrcNode {
         }
         if self.inner.pages.entry(page).prefetched {
             // First touch of a predicted copy: the fetch round trip this
-            // access would have paid was hidden entirely.
-            self.inner.pages.entry_mut(page).prefetched = false;
+            // access would have paid was hidden entirely. Its home is
+            // told with the next request that goes there anyway.
+            let e = self.inner.pages.entry_mut(page);
+            e.prefetched = false;
+            let home = e.home;
+            self.inner.prefetch.note_hit(home, page);
             self.inner.ctx.stats.prefetch_hits += 1;
             self.inner.ctx.trace(TraceKind::PrefetchHit { page });
         }
@@ -833,10 +837,11 @@ impl NodeInner {
     }
 
     /// Answer a [`Msg::RecoveryHello`], finishing service at `done`:
-    /// tell the recovering peer which pages homed here it ever fetched
-    /// (its replay will touch exactly those again), and whether that
-    /// record is complete. Read-only on volatile directory state, so a
-    /// home that is itself replaying can answer.
+    /// tell the recovering peer which pages homed here it ever touched
+    /// a copy of, as far as it said (its replay will touch exactly
+    /// those again, and at most a few it had not reported yet), and
+    /// whether that record is complete. Read-only on volatile directory
+    /// state, so a home that is itself replaying can answer.
     pub fn serve_recovery_hello(&mut self, env: &Envelope<Msg>, done: SimTime) {
         let reply = Msg::RecoveryHelloReply {
             held: self.pages.held_by(env.src),
@@ -1021,9 +1026,9 @@ impl CoherenceProtocol<Msg> for HlrcNode {
         let handler = self.inner.ctx.cost.cpu.message_handler;
         let done = self.inner.ctx.async_service_base(&env, deferred) + handler;
         match &env.payload {
-            Msg::PageRequest { page } => self.serve_pages(env.src, *page, &[], done),
-            Msg::PageRequestBatch { page, extras } => {
-                self.serve_pages(env.src, *page, extras, done)
+            Msg::PageRequest { page } => self.serve_pages(env.src, *page, &[], &[], done),
+            Msg::PageRequestBatch { page, extras, hits } => {
+                self.serve_pages(env.src, *page, extras, hits, done)
             }
             Msg::PageReplyBatch { .. } => self.install_prefetch_batch(env),
             Msg::HomeMigrate { .. } => self.adopt_migrated(env),

@@ -2,9 +2,9 @@
 //!
 //! Besides the coherence state proper, a home keeps two pieces of
 //! volatile directory state per page for its peers' recoveries: the
-//! copyset (who fetched it) and, under a protocol that retains served
-//! pages, the [`ServedLog`] (what they were sent). Neither prices
-//! anything: no clock is charged for keeping them.
+//! copyset (who touched a copy of it) and, under a protocol that
+//! retains served pages, the [`ServedLog`] (what anyone was sent).
+//! Neither prices anything: no clock is charged for keeping them.
 
 use pagemem::{
     BufferPool, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, Twin,
@@ -73,14 +73,18 @@ pub struct PageEntry {
     pub base_version: Option<VClock>,
     /// Written during the current interval?
     pub dirty: bool,
-    /// Home-side: the nodes that ever fetched this page (demand fetch,
-    /// batched prediction or recovery fetch). Volatile directory state
-    /// kept *outside* the fetching node, so that node's crash does not
-    /// orphan it: replay is deterministic, so a recovering node touches
-    /// exactly the pages it fetched before, and its homes can tell it
-    /// which (see [`PageTable::held_by`]). Never cleared at a checkpoint
-    /// — a copy cached before the checkpoint is re-touched after it
-    /// without a new fetch.
+    /// Home-side: the nodes that ever *touched* a copy of this page —
+    /// faulted on it (demand fetch), reported the first touch of a
+    /// predicted copy, or restored it while recovering. A predicted
+    /// copy that was shipped and never reported is not here: most are
+    /// never read. Volatile directory state kept *outside* the touching
+    /// node, so that node's crash does not orphan it: replay is
+    /// deterministic, so a recovering node touches exactly the pages it
+    /// touched before, and its homes can tell it which (see
+    /// [`PageTable::held_by`]) — all but a first touch whose report had
+    /// not left yet, which replay restores when it faults on it. Never
+    /// cleared at a checkpoint — a copy cached before the checkpoint is
+    /// re-touched after it without a new fetch.
     pub copyset: NodeSet,
     /// Home-side: the page's write history and the reply buffers
     /// retained from it since the last checkpoint. Empty unless the
@@ -105,9 +109,9 @@ pub struct PageTable {
     page_size: usize,
     me: NodeId,
     n_nodes: usize,
-    /// Do the copysets record every fetch the cluster ever made of the
-    /// pages homed here? False once a crash of this node or an adopted
-    /// migration wiped or bypassed them.
+    /// Do the copysets record every touch the cluster ever told this
+    /// home of? False once a crash of this node or an adopted migration
+    /// wiped or bypassed them.
     copysets_complete: bool,
     /// Keep write histories and served images of the pages homed here
     /// (see [`ServedLog`]).
@@ -442,19 +446,24 @@ impl PageTable {
         e.migrated = true;
     }
 
-    /// Record that `by` fetched home page `page` (demand fetch,
-    /// predicted extra or recovery fetch).
+    /// Record that `by` touched a copy of home page `page`: it faulted
+    /// on the page, reported the first touch of a predicted copy of it,
+    /// or restored it while recovering. Shipping a predicted copy is
+    /// not a touch.
     pub fn note_remote_fetch(&mut self, page: PageId, by: NodeId) {
         let e = &mut self.entries[page as usize];
         debug_assert_eq!(e.home, self.me);
         e.copyset.insert(by);
     }
 
-    /// Answer `by`'s fetch of home page `page`: the reply buffer and
-    /// the version it shows. A table that retains served pages keeps
-    /// the buffer and answers every fetch of one version with it.
-    pub fn serve_copy(&mut self, page: PageId, by: NodeId) -> (SharedBytes, VClock) {
-        self.note_remote_fetch(page, by);
+    /// A copy of home page `page` to ship — demand page or predicted
+    /// extra alike: the reply buffer and the version it shows. A table
+    /// that retains served pages keeps the buffer and answers every
+    /// fetch of one version with it; an extra's buffer is retained like
+    /// any other, since a peer that touched it and crashed before
+    /// saying so restores it from that image. Who the copy goes to is
+    /// not recorded here (see [`PageTable::note_remote_fetch`]).
+    pub fn serve_copy(&mut self, page: PageId) -> (SharedBytes, VClock) {
         let e = &mut self.entries[page as usize];
         let frame = e.frame.as_ref().expect("home frame");
         let data = if self.retain_served {
@@ -531,10 +540,10 @@ impl PageTable {
         }
     }
 
-    /// The pages homed here that `node` ever fetched, ascending — the
-    /// home's half of the recovery handshake. Fetches made before a
-    /// wipe are missing from it when [`PageTable::copysets_complete`]
-    /// is false.
+    /// The pages homed here that `node` ever touched a copy of, as far
+    /// as it said, ascending — the home's half of the recovery
+    /// handshake. Touches noted before a wipe are missing from it when
+    /// [`PageTable::copysets_complete`] is false.
     pub fn held_by(&self, node: NodeId) -> Vec<PageId> {
         self.iter()
             .filter(|(_, e)| e.home == self.me && e.copyset.contains(node))
@@ -542,8 +551,8 @@ impl PageTable {
             .collect()
     }
 
-    /// Whether the copysets of the pages homed here record every fetch
-    /// since the run began (see [`PageTable::held_by`]).
+    /// Whether the copysets of the pages homed here record every touch
+    /// noted since the run began (see [`PageTable::held_by`]).
     pub fn copysets_complete(&self) -> bool {
         self.copysets_complete
     }
@@ -700,15 +709,15 @@ mod tests {
         t.retain_served_pages();
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, iv);
-        let (first, version) = t.serve_copy(0, 1);
+        let (first, version) = t.serve_copy(0);
         assert!(version.covers(iv));
         // The base stays the checkpoint image whoever fetches.
         assert_eq!(t.entry(0).base.as_ref().unwrap().read_u64(0), 0);
         // One version, one buffer; a new version, a new one.
-        assert!(t.serve_copy(0, 1).0.ptr_eq(&first));
+        assert!(t.serve_copy(0).0.ptr_eq(&first));
         t.frame_mut(0).write_u64(0, 6);
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        assert!(!t.serve_copy(0, 1).0.ptr_eq(&first));
+        assert!(!t.serve_copy(0).0.ptr_eq(&first));
         assert_eq!(t.entry(0).served.images().len(), 2);
         // A replay that saw only the first write gets the first buffer.
         let (pos, image) = t.recovery_image(0, &version).expect("retained");
@@ -722,7 +731,7 @@ mod tests {
         // A table that does not retain copies afresh and keeps nothing.
         let mut plain = PageTable::new(&cfg(), 0);
         plain.note_home_write(0, iv);
-        assert!(!plain.serve_copy(0, 1).0.ptr_eq(&plain.serve_copy(0, 1).0));
+        assert!(!plain.serve_copy(0).0.ptr_eq(&plain.serve_copy(0).0));
         assert!(plain.entry(0).served.images().is_empty() && plain.entry(0).served.pos() == 0);
     }
 

@@ -91,6 +91,23 @@ fn arb_migrations(rng: &mut Rng) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// A strictly ascending page list of up to `max` ids: neighbours,
+/// strides, ids of every width, and now and then one ending at
+/// `u32::MAX`.
+fn arb_ascending(rng: &mut Rng, max: usize) -> Vec<u32> {
+    let mut out: Vec<u32> = (0..rng.usize_in(0, max + 1))
+        .map(|_| match rng.u32_in(0, 4) {
+            0 => rng.u32_in(0, 128),
+            1 => rng.u32_in(0, 16_384),
+            2 => u32::MAX - rng.u32_in(0, 4),
+            _ => rng.u32_any_width(),
+        })
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 fn arb_page_copies(rng: &mut Rng) -> Vec<hlrc::PageCopy> {
     (0..rng.usize_in(0, 8))
         .map(|_| {
@@ -205,9 +222,8 @@ fn arb_msg(rng: &mut Rng) -> Msg {
         },
         15 => Msg::PageRequestBatch {
             page: rng.u32_in(0, 1024),
-            extras: (0..rng.usize_in(0, 8))
-                .map(|_| rng.u32_in(0, 1024))
-                .collect(),
+            extras: arb_ascending(rng, 8),
+            hits: arb_ascending(rng, 24),
         },
         16 => Msg::PageReplyBatch {
             after: rng.u32_in(0, 1024),
@@ -391,6 +407,44 @@ fn malformed_notice_lists_are_rejected() {
     ));
 }
 
+/// The two page lists of a fetch request survive the wire exactly, and
+/// a malformed one is an error of the right kind — the request is the
+/// one message every fault sends, to a home that must outlive it.
+#[test]
+fn page_request_lists_roundtrip_and_malformed_ones_are_rejected() {
+    check("page_request_lists_roundtrip", 4 * CASES, |rng| {
+        let msg = Msg::PageRequestBatch {
+            page: rng.u32_any_width(),
+            extras: arb_ascending(rng, 8),
+            hits: arb_ascending(rng, 64),
+        };
+        let bytes = msg.encode_to_vec();
+        assert_eq!(msg.encoded_size(), bytes.len());
+        assert_eq!(Msg::decode_from_slice(&bytes).unwrap(), msg);
+    });
+    // After the tag and the page: the extras list, then the hit list.
+    let request = |lists: &[u8]| Msg::decode_from_slice(&[&[15, 7, 0, 0, 0], lists].concat());
+    assert!(request(&[0, 0]).is_ok());
+    assert!(request(&[2, 5, 1, 1, 0]).is_ok());
+    let invalid = |lists: &[u8]| matches!(request(lists), Err(CodecError::Invalid { .. }));
+    let truncated = |lists: &[u8]| matches!(request(lists), Err(CodecError::Truncated { .. }));
+    assert!(truncated(&[3, 1, 1]), "count larger than the input");
+    assert!(truncated(&[1, 9]), "no hit list");
+    assert!(truncated(&[1, 0x80]), "id cut inside its varint");
+    assert!(invalid(&[1, 0x80, 0x00, 0]), "overlong varint");
+    assert!(invalid(&[2, 5, 0, 0]), "pages do not ascend");
+    assert!(
+        invalid(&[2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0]),
+        "second id past u32::MAX"
+    );
+    assert!(
+        invalid(&[0, 2, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 2]),
+        "hit past u32::MAX"
+    );
+    // u32::MAX itself is an id like any other.
+    assert!(request(&[0, 2, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 1]).is_ok());
+}
+
 /// Every counted field of every message, set to `u32::MAX` with nothing
 /// behind it, is an error — not an allocation of that size. (The first
 /// case is the input that aborted the fixed-width decoder with "memory
@@ -429,7 +483,14 @@ fn hostile_counts_return_errors() {
         ("LoggedDiffRequest seqs", vec![&[11], &epoch, &HUGE_U32]),
         ("LoggedDiffReply diffs", vec![&[12], &epoch, &HUGE_U32]),
         ("ReleaseHistoryReply releases", vec![&[14], &HUGE_U32]),
-        ("PageRequestBatch extras", vec![&[15], &epoch, &HUGE_U32]),
+        (
+            "PageRequestBatch extras",
+            vec![&[15], &epoch, &HUGE_VAR, &[0]],
+        ),
+        (
+            "PageRequestBatch hits",
+            vec![&[15], &epoch, &[0], &HUGE_VAR],
+        ),
         ("PageReplyBatch pages", vec![&[16], &epoch, &HUGE_U32]),
         ("RecoveryHelloReply held", vec![&[19], &[1], &HUGE_U32]),
         ("RecoveryPageRequest clock", vec![&[9], &epoch, &HUGE_VAR]),

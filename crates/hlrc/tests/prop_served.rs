@@ -205,11 +205,10 @@ fn the_selected_image_is_the_earliest_that_holds_every_covered_write() {
                 5..=6 => home.remote_diff(page, rng.usize_in(1, NODES)),
                 7..=9 => {
                     // Every fetch of one version is one buffer.
-                    let by = rng.usize_in(1, NODES);
                     let kept = home.table.entry(page as u32).served.images().len();
-                    let (first, _) = home.table.serve_copy(page as u32, by);
+                    let (first, _) = home.table.serve_copy(page as u32);
                     for _ in 0..100 {
-                        assert!(home.table.serve_copy(page as u32, by).0.ptr_eq(&first));
+                        assert!(home.table.serve_copy(page as u32).0.ptr_eq(&first));
                     }
                     assert!(home.table.entry(page as u32).served.images().len() <= kept + 1);
                 }
@@ -268,7 +267,7 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_smaller_than_the_page() {
             table.frame_mut(0).copy_from(&next);
             let iv = IntervalId { node: 0, seq };
             table.note_home_write(0, iv);
-            table.serve_copy(0, 1);
+            table.serve_copy(0);
             required.observe(iv);
             clocks.push(required.clone());
         }
@@ -395,7 +394,7 @@ fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
                     }
                 }
                 // Somebody else fetches: an image in between.
-                4 => drop(table.serve_copy(0, 2)),
+                4 => drop(table.serve_copy(0)),
                 // A replayed sync of the requester names the page.
                 _ => {
                     let (chosen, whole) = table.recovery_image(0, &known).expect("clean home");

@@ -367,12 +367,15 @@ fn empty_intervals_produce_no_notices() {
 
 #[test]
 fn homes_remember_who_fetched_what_until_they_crash() {
-    // Node 1 fetches pages homed at node 0 in every way the protocol
-    // offers — demand request, batched demand page plus a predicted
-    // extra, recovery fetch — and then says hello as a recovering node
-    // would: node 0 must list all four pages. After node 0 itself
-    // crashes, its copysets are gone and it must say so.
-    let cfg = small_cfg(2, 8); // pages 0..4 homed at node 0
+    // Node 1 gets pages homed at node 0 in every way the protocol
+    // offers — demand request, batched demand page with two predicted
+    // extras, recovery fetch — and says hello as a recovering node
+    // would. A demand page is always held and so is a recovery fetch;
+    // an extra is held only once node 1 has reported touching it, on a
+    // later request, and the one it never reports never is. (A report
+    // naming a page node 0 is not home of is ignored.) After node 0
+    // itself crashes, its copysets are gone and it must say so.
+    let cfg = small_cfg(2, 12); // pages 0..6 homed at node 0
     let go = Msg::DiffAck {
         writer: IntervalId { node: 1, seq: 0 },
     };
@@ -387,25 +390,6 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             vec![(held, complete)]
         } else {
             let ask = |node: &mut HlrcNode, m: Msg| node.inner.ctx.send(0, m).expect("send");
-            ask(&mut node, Msg::PageRequest { page: 0 });
-            node.wait_for(|m| matches!(m, Msg::PageReply { page: 0, .. }));
-            ask(
-                &mut node,
-                Msg::PageRequestBatch {
-                    page: 1,
-                    extras: vec![2],
-                },
-            );
-            node.wait_for(|m| matches!(m, Msg::PageReply { page: 1, .. }));
-            node.wait_for(|m| matches!(m, Msg::PageReplyBatch { after: 1, .. }));
-            let required = node.inner.vc.clone();
-            let request = Msg::RecoveryPageRequest {
-                page: 3,
-                required,
-                held: None,
-            };
-            ask(&mut node, request);
-            node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { page: 3, .. }));
             let mut replies = Vec::new();
             let mut hello = |node: &mut HlrcNode| {
                 ask(node, Msg::RecoveryHello);
@@ -415,6 +399,43 @@ fn homes_remember_who_fetched_what_until_they_crash() {
                 };
                 replies.push((held, complete));
             };
+            ask(&mut node, Msg::PageRequest { page: 0 });
+            node.wait_for(|m| matches!(m, Msg::PageReply { page: 0, .. }));
+            ask(
+                &mut node,
+                Msg::PageRequestBatch {
+                    page: 1,
+                    extras: vec![2, 4],
+                    hits: vec![],
+                },
+            );
+            node.wait_for(|m| matches!(m, Msg::PageReply { page: 1, .. }));
+            let env = node.wait_for(|m| matches!(m, Msg::PageReplyBatch { after: 1, .. }));
+            let Msg::PageReplyBatch { pages, .. } = env.payload else {
+                unreachable!()
+            };
+            let shipped: Vec<u32> = pages.iter().map(|(p, _, _)| *p).collect();
+            assert_eq!(shipped, vec![2, 4], "both extras were shipped");
+            hello(&mut node);
+            // The next fault at node 0 carries the report: node 1 has
+            // touched extra 2 (and names page 9, homed at itself).
+            ask(
+                &mut node,
+                Msg::PageRequestBatch {
+                    page: 1,
+                    extras: vec![],
+                    hits: vec![2, 9],
+                },
+            );
+            node.wait_for(|m| matches!(m, Msg::PageReply { page: 1, .. }));
+            let required = node.inner.vc.clone();
+            let request = Msg::RecoveryPageRequest {
+                page: 3,
+                required,
+                held: None,
+            };
+            ask(&mut node, request);
+            node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { page: 3, .. }));
             hello(&mut node);
             node.barrier();
             hello(&mut node);
@@ -422,10 +443,62 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             replies
         }
     });
-    let all = vec![0, 1, 2, 3];
-    assert_eq!(got[0], vec![(all.clone(), true)], "home's own view");
-    assert_eq!(got[1][0], (all, true), "hello reply before the crash");
-    assert_eq!(got[1][1], (vec![], false), "hello reply after the crash");
+    let touched = vec![0, 1, 2, 3];
+    assert_eq!(got[0], vec![(touched.clone(), true)], "home's own view");
+    assert_eq!(
+        got[1][0],
+        (vec![0, 1], true),
+        "before any extra is reported"
+    );
+    assert_eq!(got[1][1], (touched, true), "hello reply before the crash");
+    assert_eq!(got[1][2], (vec![], false), "hello reply after the crash");
+}
+
+#[test]
+fn a_used_prediction_is_reported_with_the_next_fault_at_its_home() {
+    // The requester's half, on the real fetch path. Node 1 faults on
+    // page 0 and is shipped page 1 with it; the copy installs while it
+    // waits for page 8 from another home; reading page 1 then costs no
+    // fetch and leaves one first touch owed to node 0. Across a barrier
+    // nothing tells node 0, which lists page 0 alone; node 1's next
+    // fault at node 0 (page 2) carries the report, and the list grows
+    // by both pages.
+    let cfg = small_cfg(3, 12); // four pages each: 0.. at node 0, 8.. at node 2
+    let got = spawn(cfg, |mut node| {
+        let me = node.inner.me();
+        match me {
+            0 => {
+                node.write_u64(0, 1);
+                node.write_u64(256, 2);
+            }
+            2 => node.write_u64(8 * 256, 3),
+            _ => {}
+        }
+        node.barrier();
+        let mut owed = Vec::new();
+        if me == 1 {
+            let sum = node.read_u64(0) + node.read_u64(8 * 256);
+            let fetches = node.inner.ctx.stats.page_fetches;
+            owed.push(node.inner.prefetch.unreported_hits());
+            assert_eq!(sum + node.read_u64(256), 6);
+            assert_eq!(
+                node.inner.ctx.stats.page_fetches, fetches,
+                "page 1 was fetched"
+            );
+            owed.push(node.inner.prefetch.unreported_hits());
+        }
+        node.barrier();
+        let before = node.inner.pages.held_by(1);
+        if me == 1 {
+            node.read_u64(2 * 256);
+            owed.push(node.inner.prefetch.unreported_hits());
+        }
+        node.barrier();
+        (owed, before, node.inner.pages.held_by(1))
+    });
+    assert_eq!(got[1].0, vec![0, 1, 0], "first touches owed by node 1");
+    assert_eq!((&got[0].1, &got[0].2), (&vec![0], &vec![0, 1, 2]));
+    assert_eq!((&got[2].1, &got[2].2), (&vec![8], &vec![8]));
 }
 
 /// A logging layer that logs nothing but makes homes retain the pages

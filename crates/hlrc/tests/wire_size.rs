@@ -160,10 +160,32 @@ fn msg_barrier_release() {
 
 #[test]
 fn msg_page_request_batch() {
-    check(&Msg::PageRequestBatch {
+    let request = |extras: Vec<u32>, hits: Vec<u32>| Msg::PageRequestBatch {
         page: 7,
-        extras: vec![8, 9, 12],
-    });
+        extras,
+        hits,
+    };
+    for (extras, hits) in [
+        (vec![], vec![]),
+        (vec![8, 9, 12], vec![]),
+        (vec![], vec![3]),
+        (vec![200, 20_000, 3_000_000], vec![0, u32::MAX]),
+    ] {
+        check(&request(extras, hits));
+    }
+    // Tag, page, and two lists of a count and one distance per id: what
+    // rides every fault costs less with the report than it did without.
+    assert_eq!(request(vec![], vec![]).encoded_size(), 1 + 4 + 1 + 1);
+    assert_eq!(
+        request(vec![8, 9, 12], vec![3, 300]).encoded_size(),
+        1 + 4 + (1 + 3) + (1 + 1 + 2)
+    );
+    // Budgets (fixed-width lists: 41 bytes and 9, with no report): a
+    // full batch of extras at 3D-FFT's page ids and strides, and the
+    // request most faults send.
+    let full: Vec<u32> = (1..=8).map(|k| 7 + 64 * k).collect();
+    assert!(request(full, vec![]).encoded_size() <= 20);
+    assert!(request(vec![], vec![]).encoded_size() <= 7);
 }
 
 #[test]

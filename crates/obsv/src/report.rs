@@ -262,6 +262,9 @@ pub struct RecoveryRecord {
     pub ccl_phases_ns: [u64; 3],
     /// Hashes of the `[ml, ccl]` crash runs' full blame documents.
     pub blame_fp: [u64; 2],
+    /// Requests CCL recovery sent: `RecoveryPageRequest` +
+    /// `LoggedDiffRequest` (the benchmark's `ftlog.recovery_msgs`).
+    pub ccl_requests: u64,
 }
 
 /// One application's slice of the report.
@@ -313,14 +316,15 @@ fn record(scale: Scale, app: App, protocol: Protocol) -> Result<RunRecord, Strin
 }
 
 /// What the report keeps from one crash run: recovery time, its
-/// `[compute, wait, disk]` split at the failed node, and the hash of
-/// the run's blame document.
+/// `[compute, wait, disk]` split at the failed node, the hash of the
+/// run's blame document, and how many pages and logged diffs recovery
+/// asked its peers for.
 fn crash_record(
     scale: Scale,
     app: App,
     protocol: Protocol,
     at: u64,
-) -> Result<(u64, [u64; 3], u64), String> {
+) -> Result<(u64, [u64; 3], u64, u64), String> {
     let out = scale.run_with_crash(app, protocol, at);
     let label = format!("{}/{}/crash", app.name(), protocol.label());
     let analysis = checked_analysis(&label, &out)?;
@@ -330,10 +334,21 @@ fn crash_record(
         .iter()
         .find_map(|n| n.recovery_phases)
         .expect("crash run recorded its recovery phases");
+    let sent = out.total_stats().msgs_by_kind;
+    let requests = (0..ccl_core::MSG_KINDS)
+        .filter(|&k| {
+            matches!(
+                ccl_core::kind_label(k),
+                "RecoveryPageRequest" | "LoggedDiffRequest"
+            )
+        })
+        .map(|k| sent[k])
+        .sum();
     Ok((
         total.as_nanos(),
         [p.compute.as_nanos(), p.wait.as_nanos(), p.disk.as_nanos()],
         blame_fingerprint(&analysis, &label),
+        requests,
     ))
 }
 
@@ -350,8 +365,9 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
             .collect::<Result<Vec<_>, _>>()?;
         let none = &runs[0];
         let at = ccl_bench::crash_point(none.barriers_node1, CRASH_FRACTION);
-        let (ml_ns, _, ml_fp) = crash_record(scale, app, Protocol::Ml, at)?;
-        let (ccl_ns, ccl_phases_ns, ccl_fp) = crash_record(scale, app, Protocol::Ccl, at)?;
+        let (ml_ns, _, ml_fp, _) = crash_record(scale, app, Protocol::Ml, at)?;
+        let (ccl_ns, ccl_phases_ns, ccl_fp, ccl_requests) =
+            crash_record(scale, app, Protocol::Ccl, at)?;
         let recovery = RecoveryRecord {
             crash_after_barriers: at,
             reexec_ns: (none.exec_ns as f64 * CRASH_FRACTION) as u64,
@@ -359,6 +375,7 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
             ccl_ns,
             ccl_phases_ns,
             blame_fp: [ml_fp, ccl_fp],
+            ccl_requests,
         };
         apps.push(AppReport {
             app,
@@ -459,6 +476,7 @@ pub fn report_json(report: &Report) -> Json {
         rec.set("ccl_compute_ns", Json::from_u64(compute));
         rec.set("ccl_wait_ns", Json::from_u64(wait));
         rec.set("ccl_disk_ns", Json::from_u64(disk));
+        rec.set("ccl_requests", Json::from_u64(a.recovery.ccl_requests));
         let [ml_fp, ccl_fp] = a.recovery.blame_fp;
         let mut fps = Json::obj();
         fps.set("ml", Json::from_hex(ml_fp));
@@ -869,6 +887,7 @@ mod tests {
                     ccl_ns: 400_000,
                     ccl_phases_ns: [300_000, 90_000, 10_000],
                     blame_fp: [0x1111, 0x2222],
+                    ccl_requests: 40,
                 },
             })
             .collect();
@@ -1037,6 +1056,33 @@ mod tests {
             }
             let parts = ns("ccl_compute_ns") + ns("ccl_wait_ns") + ns("ccl_disk_ns");
             assert_eq!(parts, ccl, "{}: CCL recovery phases leak", app.name());
+        }
+    }
+
+    /// Recovery restores what the victim touched, not what it was
+    /// shipped: the requests CCL recovery sends on the committed reports
+    /// stay at or below what they were when every predicted copy ever
+    /// served counted as held (paper scale 4 902 / 518 / 630 / 103,
+    /// smoke 144 / 94 / 102 / 53) — and 3D-FFT's, 92 % of whose
+    /// predictions are never read, under 1 500. A change that lets
+    /// speculation back into the copysets fails here.
+    #[test]
+    fn committed_recovery_asks_only_for_what_the_victim_touched() {
+        let at_most = [
+            (Scale::Paper, [1500.0, 518.0, 630.0, 103.0]),
+            (Scale::Smoke, [144.0, 94.0, 102.0, 53.0]),
+        ];
+        for (scale, at_most) in at_most {
+            let doc = committed(scale);
+            for (app, at_most) in App::ALL.into_iter().zip(at_most) {
+                let asked = num(&doc, &["apps", app.name(), "recovery", "ccl_requests"]);
+                assert!(
+                    0.0 < asked && asked <= at_most,
+                    "{}/{}: {asked} recovery requests, at most {at_most} allowed",
+                    scale.label(),
+                    app.name()
+                );
+            }
         }
     }
 

@@ -211,15 +211,57 @@ fn tag(label: &str) -> usize {
         .expect("known message kind")
 }
 
+/// The remote pages `node` touched before `until`, from its trace: the
+/// pages it faulted on and fetched, and the predicted copies it went
+/// on to use. (A predicted copy it never used is not among them.)
+fn touched_before(
+    node: &ccl_core::NodeOutput<u64>,
+    until: ccl_core::SimTime,
+) -> std::collections::BTreeSet<u32> {
+    node.trace
+        .iter()
+        .filter(|ev| ev.at <= until)
+        .filter_map(|ev| match ev.kind {
+            TraceKind::PageFetch { page, .. } | TraceKind::PrefetchHit { page } => Some(page),
+            _ => None,
+        })
+        .collect()
+}
+
+/// How many pages `home` told `victim` it held: the length of the list
+/// in the one hello reply it sent, from the reply's size on the wire.
+fn pages_in_hello_reply(home: &ccl_core::NodeOutput<u64>, victim: usize) -> u64 {
+    let sizes: Vec<u32> = home
+        .trace
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            TraceKind::MsgSend {
+                to,
+                msg: "RecoveryHelloReply",
+                bytes,
+                ..
+            } if to == victim => Some(bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sizes.len(), 1, "node {} hello replies", home.node);
+    let empty = hlrc::Msg::RecoveryHelloReply {
+        held: Vec::new(),
+        complete: true,
+    };
+    u64::from(sizes[0] - simnet::WireSized::wire_size(&empty) as u32) / 4
+}
+
 #[test]
 fn ccl_recovery_fetches_no_more_than_the_victim_held() {
     // Replay is deterministic, so the victim re-touches exactly what it
-    // fetched before the crash; its homes told it what that was. Every
+    // touched before the crash; its homes told it what that was. Every
     // replayed sync restores the held pages its notices name — one
     // request each, resident or not, since a copy is brought up to date
     // from its home's served images, not patched with diffs — so the
-    // recovery fetches are bounded by the pages held (demand pages plus
-    // predicted extras) times the syncs replayed, however many pages
+    // recovery fetches are bounded by the pages it touched (demand
+    // pages plus the predicted copies it used — not the predictions it
+    // was merely shipped) times the syncs replayed, however many pages
     // the cluster wrote meanwhile.
     let app = App::Shallow;
     let s = spec(app, 4, Protocol::Ccl).with_crash(CrashPlan::new(1, 5));
@@ -227,17 +269,20 @@ fn ccl_recovery_fetches_no_more_than_the_victim_held() {
     assert!(out.nodes.iter().all(|n| n.result == app.tiny_reference()));
     let victim = &out.nodes[1];
     let crashed = victim.crashed_at.expect("crash was not injected");
-    let mut demand = std::collections::BTreeSet::new();
-    let mut predicted = 0u64;
-    for ev in victim.trace.iter().filter(|ev| ev.at <= crashed) {
-        match ev.kind {
-            TraceKind::PageFetch { page, .. } => {
-                demand.insert(page);
-            }
-            TraceKind::PrefetchIssued { count, .. } => predicted += u64::from(count),
-            _ => {}
-        }
-    }
+    let touched = touched_before(victim, crashed).len() as u64;
+    let predicted: u64 = victim
+        .trace
+        .iter()
+        .filter(|ev| ev.at <= crashed)
+        .filter_map(|ev| match ev.kind {
+            TraceKind::PrefetchIssued { count, .. } => Some(u64::from(count)),
+            _ => None,
+        })
+        .sum();
+    assert!(
+        predicted > touched,
+        "the bound below is no tighter than counting every shipped copy"
+    );
     let replayed = victim
         .trace
         .iter()
@@ -246,10 +291,9 @@ fn ccl_recovery_fetches_no_more_than_the_victim_held() {
     let fetched = victim.stats.msgs_by_kind[tag("RecoveryPageRequest")];
     assert!(fetched > 0, "recovery prefetched nothing");
     assert!(
-        fetched <= (demand.len() as u64 + predicted) * replayed,
-        "{fetched} recovery fetches for {} demand + {predicted} predicted pre-crash fetches \
-         over {replayed} replayed syncs",
-        demand.len()
+        fetched <= touched * replayed,
+        "{fetched} recovery fetches for {touched} pages touched before the crash \
+         over {replayed} replayed syncs"
     );
     // One wave per sync: nothing is patched from logged diffs, and with
     // no diff in the run nothing is fetched from a log at all.
@@ -263,6 +307,298 @@ fn ccl_recovery_fetches_no_more_than_the_victim_held() {
     for n in out.nodes.iter().filter(|n| n.node != 1) {
         assert_eq!(n.disk.reads, 1, "node {} log scans", n.node);
     }
+}
+
+#[test]
+fn homes_list_as_held_only_what_the_victim_touched() {
+    // held ⊆ touched, home by home: no hello reply lists more pages
+    // than the victim demand-fetched from that home or first touched
+    // as predicted copies of its pages before the crash — and the
+    // demand pages, which need no report, are all there. (A page's
+    // home is whoever any node ever fetched it from, these programs
+    // migrate nothing; a used prediction nobody ever faulted on could
+    // be anyone's and counts for every home, but only once in the
+    // total.)
+    for (app, after) in [(App::Fft3d, 3), (App::Shallow, 5)] {
+        let s = spec(app, 4, Protocol::Ccl).with_crash(CrashPlan::new(1, after));
+        let out = run_program(s, move |dsm| app.run_tiny(dsm));
+        assert!(out.nodes.iter().all(|n| n.result == app.tiny_reference()));
+        let victim = &out.nodes[1];
+        let crashed = victim.crashed_at.expect("crash was not injected");
+        let mut home_of = std::collections::BTreeMap::new();
+        for ev in out.nodes.iter().flat_map(|n| &n.trace) {
+            if let TraceKind::PageFetch { page, from, .. } = ev.kind {
+                home_of.insert(page, from);
+            }
+        }
+        let touched = touched_before(victim, crashed);
+        let hits = victim
+            .trace
+            .iter()
+            .filter(|ev| ev.at <= crashed && matches!(ev.kind, TraceKind::PrefetchHit { .. }))
+            .count();
+        assert!(hits > 0, "{}: no predicted copy was ever used", app.name());
+        let mut listed = 0;
+        for home in out.nodes.iter().filter(|n| n.node != 1) {
+            let demand = victim
+                .trace
+                .iter()
+                .filter(|ev| ev.at <= crashed)
+                .filter_map(|ev| match ev.kind {
+                    TraceKind::PageFetch { page, from, .. } if from == home.node => Some(page),
+                    _ => None,
+                })
+                .collect::<std::collections::BTreeSet<u32>>()
+                .len() as u64;
+            let touched_here = touched
+                .iter()
+                .filter(|p| home_of.get(p).is_none_or(|h| *h == home.node))
+                .count() as u64;
+            let held = pages_in_hello_reply(home, 1);
+            assert!(
+                (demand..=touched_here).contains(&held),
+                "{}: node {} lists {held} pages; the victim demand-fetched {demand} \
+                 and touched {touched_here} of its pages",
+                app.name(),
+                home.node
+            );
+            listed += held;
+        }
+        assert!(
+            (1..=touched.len() as u64).contains(&listed),
+            "{}: {listed} pages listed in all, {} touched",
+            app.name(),
+            touched.len()
+        );
+    }
+}
+
+#[test]
+fn a_first_touch_the_home_never_heard_of_is_restored_when_replay_faults_on_it() {
+    // The unreported hit. Node 0 writes its pages X and Y once; node 1
+    // faults on Y and is shipped X alongside it (the notice-set
+    // predictor), fetches Z from node 2 (the wait in which the trailing
+    // copy of X installs), and then reads X — a first touch of a
+    // predicted copy, to be reported with node 1's next request to
+    // node 0. There is none: from then on it reads only Z, and fails.
+    // Node 0 therefore lists Y and not X; the replayed barrier restores
+    // Y and Z ahead of time, the replayed read of X faults, and that
+    // one fault asks node 0 for X — which it has, because it retains
+    // the image of every copy it ships, touched or not. ML, which
+    // replays what it logged itself, is the oracle.
+    const Y: u32 = 0;
+    const X: u32 = 1;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let ys = dsm.alloc_at::<u64>(words, 0);
+        let xs = dsm.alloc_at::<u64>(words, 0);
+        let zs = dsm.alloc_at::<u64>(words, 2);
+        let mut seen = 0u64;
+        for round in 0..6u64 {
+            match dsm.me() {
+                0 if round == 0 => {
+                    dsm.write(&ys, 0, 11);
+                    dsm.write(&xs, 0, 22);
+                }
+                2 => dsm.write(&zs, 0, 100 + round),
+                _ => {}
+            }
+            dsm.barrier();
+            if dsm.me() == 1 {
+                if round == 0 {
+                    seen = fold(seen, dsm.read(&ys, 0));
+                }
+                seen = fold(seen, dsm.read(&zs, 0));
+                if round == 0 {
+                    seen = fold(seen, dsm.read(&xs, 0));
+                }
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let mut digests = Vec::new();
+    for protocol in [Protocol::Ml, Protocol::Ccl] {
+        let base = ClusterSpec::new(3, 8)
+            .with_page_size(256)
+            .with_protocol(protocol);
+        let clean = run_program(base.clone(), program);
+        let out = run_program(base.with_crash(CrashPlan::new(1, 8)), program);
+        assert!(out.recovery_time().is_some(), "crash was not injected");
+        for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+            assert_eq!(a.result, b.result, "{protocol:?}: node {} diverged", a.node);
+        }
+        digests.push(out.nodes[1].result);
+        if protocol != Protocol::Ccl {
+            continue;
+        }
+        let victim = &out.nodes[1];
+        let crashed = victim.crashed_at.expect("crash time");
+        let exit = victim.recovery_exit.expect("recovery never completed");
+        // Before the crash: X arrived as a prediction, was used, and
+        // node 0 was never asked for anything again.
+        let at = |kind: &dyn Fn(&TraceKind) -> bool| -> Vec<ccl_core::SimTime> {
+            victim
+                .trace
+                .iter()
+                .filter(|ev| kind(&ev.kind))
+                .map(|ev| ev.at)
+                .collect()
+        };
+        let hit = at(&|k| matches!(k, TraceKind::PrefetchHit { page: X }));
+        assert!(
+            hit.len() == 1 && hit[0] < crashed,
+            "X was not a used prediction"
+        );
+        let asked_node_0 = at(&|k| matches!(k, TraceKind::PageFetch { from: 0, .. }));
+        assert!(
+            asked_node_0.iter().all(|t| *t < hit[0] || *t > exit),
+            "the first touch of X was reported after all"
+        );
+        assert!(
+            at(&|k| matches!(k, TraceKind::PageFetch { page: X, .. })).is_empty(),
+            "X was demand-fetched"
+        );
+        // The hello reply lists Y alone.
+        assert_eq!(pages_in_hello_reply(&out.nodes[0], 1), 1);
+        // Replay faulted on X, once, and on nothing else homed at node
+        // 0: Y came back with the replayed barrier's wave.
+        let faults = |page| {
+            at(&|k| *k == TraceKind::ReadFault { page })
+                .iter()
+                .filter(|t| **t >= crashed && **t <= exit)
+                .count()
+        };
+        assert_eq!((faults(X), faults(Y)), (1, 0));
+        // So node 0 answered two recovery fetches: Y's and X's.
+        assert_eq!(
+            out.nodes[0].stats.msgs_by_kind[tag("RecoveryPageReply")],
+            2,
+            "one for Y ahead of time, exactly one for X on demand"
+        );
+    }
+    assert_eq!(digests[0], digests[1], "CCL and ML disagree");
+}
+
+#[test]
+fn a_report_for_a_page_that_migrated_away_is_ignored() {
+    // Node 1 uses a predicted copy of P while node 0 is P's home; at
+    // the next checkpoint barrier P migrates to node 2, its only remote
+    // writer. Node 1's next request to node 0 still carries the report
+    // — for a page node 0 no longer answers for. It must be dropped,
+    // not noted (and not trip anything): node 2 took P over without a
+    // copyset and says so, which is what keeps recovery correct. Node 1
+    // then fails and recovers from the checkpoint; ML is the oracle.
+    const P: u32 = 1;
+    const Q: u32 = 2;
+    const ROUNDS: u64 = 8;
+    let program = |dsm: &mut ccl_core::Dsm| -> u64 {
+        let words = dsm.page_size() / 8;
+        let rs = dsm.alloc_at::<u64>(words, 0);
+        let ps = dsm.alloc_at::<u64>(words, 0);
+        let qs = dsm.alloc_at::<u64>(words, 0);
+        let ss = dsm.alloc_at::<u64>(words, 2);
+        let (start, mut seen) = match dsm.restored_state() {
+            Some(blob) => (
+                u64::from_le_bytes(blob[..8].try_into().unwrap()),
+                u64::from_le_bytes(blob[8..].try_into().unwrap()),
+            ),
+            None => (0, 0),
+        };
+        for round in start..ROUNDS {
+            match (round, dsm.me()) {
+                // Node 2 is P's one remote writer: the home moves to it
+                // at the checkpoint barrier that ends round 3.
+                (1, 2) => dsm.write(&ps, 2, 5),
+                (2, 0) => {
+                    dsm.write(&rs, 0, 7);
+                    dsm.write(&ps, 0, 8);
+                }
+                (2, 2) => dsm.write(&ss, 0, 9),
+                // Fault on R (P rides along), fetch S (P installs),
+                // use P: a first touch node 0 has yet to hear of.
+                (3, 1) => {
+                    for h in [&rs, &ss, &ps] {
+                        seen = fold(seen, dsm.read(h, 0));
+                    }
+                }
+                // After the migration: the next request to node 0.
+                (4, 0) => dsm.write(&qs, 0, 10),
+                (5, 1) => seen = fold(seen, dsm.read(&qs, 0)),
+                // And P keeps working at its new home.
+                (6, 2) => dsm.write(&ps, 2, 12),
+                (7, 1) => seen = fold(seen, dsm.read(&ps, 2)),
+                _ => {}
+            }
+            let mut blob = (round + 1).to_le_bytes().to_vec();
+            blob.extend_from_slice(&seen.to_le_bytes());
+            dsm.set_checkpoint_state(&blob);
+            dsm.barrier();
+        }
+        seen
+    };
+    let mut digests = Vec::new();
+    for protocol in [Protocol::Ml, Protocol::Ccl] {
+        let base = ClusterSpec::new(3, 8)
+            .with_page_size(256)
+            .with_protocol(protocol)
+            .with_checkpoint_cadence(4);
+        let clean = run_program(base.clone(), program);
+        let out = run_program(base.with_crash(CrashPlan::new(1, 6)), program);
+        assert!(out.recovery_time().is_some(), "crash was not injected");
+        for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+            assert_eq!(a.result, b.result, "{protocol:?}: node {} diverged", a.node);
+        }
+        digests.push(out.nodes[1].result);
+        assert_eq!(out.total_stats().home_migrations, 1, "{protocol:?}");
+        if protocol != Protocol::Ccl {
+            continue;
+        }
+        let moved = out.nodes[0]
+            .trace
+            .iter()
+            .find(|ev| {
+                ev.kind
+                    == TraceKind::HomeMigrated {
+                        page: P,
+                        from: 0,
+                        to: 2,
+                    }
+            })
+            .expect("P never migrated")
+            .at;
+        let victim = &out.nodes[1];
+        let crashed = victim.crashed_at.expect("crash time");
+        let hit = victim
+            .trace
+            .iter()
+            .find(|ev| ev.kind == TraceKind::PrefetchHit { page: P })
+            .expect("P was not a used prediction");
+        assert!(hit.at < moved);
+        // The request for Q left after the migration and before the
+        // crash, and it is exactly as long as one that reports P.
+        let report = hlrc::Msg::PageRequestBatch {
+            page: Q,
+            extras: vec![],
+            hits: vec![P],
+        };
+        let sent: Vec<_> = victim
+            .trace
+            .iter()
+            .filter(|ev| ev.at > moved && ev.at < crashed)
+            .filter_map(|ev| match ev.kind {
+                TraceKind::MsgSend {
+                    to: 0,
+                    msg: "PageRequestBatch",
+                    bytes,
+                    ..
+                } => Some(bytes as usize),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, vec![simnet::WireSized::wire_size(&report)]);
+    }
+    assert_eq!(digests[0], digests[1], "CCL and ML disagree");
 }
 
 #[test]
