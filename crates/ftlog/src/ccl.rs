@@ -17,15 +17,12 @@
 //! Recovery opens with a one-round-trip *handshake*: the recovering
 //! node sends [`Msg::RecoveryHello`] to every peer before it even scans
 //! its own log. Each peer answers with the pages homed there that this
-//! node ever touched a copy of — faulted on, or reported the first use
-//! of after being shipped it on a prediction; homes keep a per-page
-//! copyset, see [`hlrc::PageTable::held_by`] — and starts reading its
-//! own log back into memory, so the logged-diff requests that follow
-//! find it warm. Replay is deterministic, so the *held* pages are
-//! exactly the remote pages this node will touch again. (While every
-//! predicted copy a home shipped counted as held that sentence was
-//! false; now at most a first use whose report had not left at the
-//! crash is missing, and it takes the on-demand path below.)
+//! node ever touched a copy of (homes keep a per-page copyset, see
+//! [`hlrc::PageTable::held_by`]) and starts reading its own log back
+//! into memory, so the logged-diff requests that follow find it warm.
+//! Replay is deterministic, so the *held* pages are exactly the remote
+//! pages this node will touch again (but for a first use whose report
+//! had not left at the crash: the on-demand path below).
 //!
 //! Replay then walks the sync events of the (small) local log. At the
 //! beginning of each interval it sends **one** wave of requests: for
@@ -38,29 +35,30 @@
 //! image that shows everything the replayed clock covers: whole, or as
 //! a diff against the image this node's copy was last restored from
 //! when that is smaller (the node keeps that image: a copy it has
-//! written since is no base for such a diff). The page reply is the
-//! one message CCL does not log at the receiver; it is logged at the
-//! sender instead, in volatile memory, which a peer's recovery implies
-//! survived. Page faults during replay are thereby (almost entirely)
-//! eliminated, and pages this node never held are never requested,
-//! never resident and never patched: recovery moves the replayed
-//! working set, not the cluster's write set. The held-set filter is an
-//! optimization only — a fault on a page it skipped restores on demand
+//! written since is no base for such a diff). The page reply, the one
+//! message CCL does not log at the receiver, is logged at the sender
+//! instead, in volatile memory. Page faults during replay are thereby
+//! (almost entirely) eliminated, and pages this node never held are
+//! never requested: recovery moves the replayed working set, not the
+//! cluster's write set. The held-set filter is an optimization only — a
+//! fault on a page it skipped restores on demand
 //! ([`FaultTolerance::recovery_fault`]) — so a home whose copysets were
 //! wiped by its own crash or bypassed by a migration simply answers
 //! "incomplete" and all its pages count as held.
 //!
-//! Under a multi-failure spec ([`CclLogger::with_durable_home_diffs`])
-//! a home may not survive, so nothing volatile is relied on: homes
-//! twin and log their own writes too, resident copies are patched with
-//! each interval's logged diffs, and a copy whose home has advanced is
-//! rebuilt from the home's checkpoint base plus logged diffs.
+//! The one thing a served-image log does not survive is its home's own
+//! crash, and what went with it is re-derivable: replay is deterministic
+//! and the remote writers' diffs sit in their stable logs. A recovering
+//! home that may be asked again ([`CclLogger::with_served_log_rebuild`])
+//! re-forms its served logs as it replays — the write history by walking
+//! it again, the images by keeping each home frame before it changes, a
+//! page copy apiece ([`hlrc::PageTable::rebuild_served_logs`]) — and a
+//! fetch for a write it has not re-reached waits at the home until it
+//! has. Nothing else here knows how many failures there are.
 //!
-//! Recovery fetches stay one message per page (and per writer): every
-//! message is priced on its own link, so a wave of parallel requests
-//! already costs one round trip, while merging the replies would
-//! serialize their bytes into one long transfer. The cost that matters
-//! is volume, which the held-set filter cuts.
+//! Recovery fetches stay one message per page (and per writer): messages
+//! are priced on their own links, so a wave already costs one round trip
+//! (DESIGN.md §13); what matters is volume, which the held filter cuts.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -68,7 +66,7 @@ use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryImage, RecoveryStep, SyncKind
 use pagemem::{
     Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
 };
-use simnet::{Envelope, LogObj, SimDuration, SimTime, TraceKind};
+use simnet::{Envelope, LogObj, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
 use crate::log_record::{CclRecord, SyncTag};
@@ -91,24 +89,27 @@ struct CclReplay {
     /// charging).
     records: Vec<(CclRecord, usize)>,
     cursor: usize,
-    /// Multi-failure mode: every write notice encountered so far, in
-    /// replay order — received ones from `Sync` records and this node's
-    /// own (derived from its `Diffs` records). Reconstruction from a
-    /// checkpoint base applies diffs in this order.
-    notices_seen: Vec<WriteNotice>,
-    /// Multi-failure mode: own logged diffs passed by the cursor,
-    /// (page, interval seq) → diff.
-    own_diffs: HashMap<(PageId, u32), PageDiff>,
-    /// Single-failure mode: the served image each resident remote copy
-    /// was last restored from and its position in the home's log (an
-    /// entry goes when its copy does). The position is what the next
-    /// request for the page names, so the home can answer with a diff;
-    /// the image — the reply buffer, kept instead of freed — is what
-    /// that diff is applied to. The copy itself will not do once this
-    /// node has written it: it then also holds re-executed writes, and
-    /// a word one of them changed and a later writer changed back is
-    /// in no diff between two images.
+    /// The served image each resident remote copy was last restored
+    /// from and its position in the home's log (an entry goes when its
+    /// copy does — or its home, see [`CclLogger::forget_images_of`]).
+    /// The position is what the next request for the page names, so the
+    /// home can answer with a diff; the image — the reply buffer, kept
+    /// instead of freed — is what that diff is applied to. The copy
+    /// itself will not do once this node has written it: a word a
+    /// re-executed write changed and a later writer changed back is in
+    /// no diff between two images.
     restored: HashMap<PageId, (u32, SharedBytes)>,
+    /// The home half of the fetch wave in flight, until it is applied.
+    updates: Option<HomeUpdates>,
+}
+
+/// The recorded incoming updates of one replayed interval on their way
+/// back into this node's home copies: writers per page in record order,
+/// their logged diffs as far as they are in, and the replies to come.
+struct HomeUpdates {
+    wants: Wants,
+    found: Found,
+    outstanding: usize,
 }
 
 /// Victim side of the recovery handshake: which remote pages the
@@ -116,9 +117,9 @@ struct CclReplay {
 #[derive(Default)]
 struct HeldPages {
     /// Hello replies not yet received. Carried across crashes: a reply
-    /// to an earlier recovery's hello is consumed like any other (its
-    /// list is at worst short, and the filter it feeds cannot affect
-    /// correctness), so none is ever left in flight at recovery exit.
+    /// to an earlier recovery's hello is consumed like any other (the
+    /// filter it feeds cannot affect correctness), so none is ever left
+    /// in flight at recovery exit.
     pending: usize,
     /// Indexed by page: some home listed it as fetched by this node.
     pages: Vec<bool>,
@@ -132,20 +133,14 @@ pub struct CclLogger {
     /// Overlap the log flush with the diff round-trip (the paper's
     /// latency-tolerance technique). `false` gives the ablation variant.
     overlap: bool,
-    /// Prefetch noticed pages at each replayed interval (the paper's
-    /// recovery optimization). `false` leaves faults to reconstruct
-    /// on demand (ablation A2).
+    /// Restore noticed pages at each replayed interval (the paper's
+    /// recovery optimization). `false` leaves it to faults (ablation A2).
     prefetch: bool,
     /// The stable stream and its device state. CCL issues flushes and
-    /// lets them drain in the background (the paper's latency-tolerance
-    /// technique); a later flush queues behind an unfinished one.
+    /// lets them drain in the background; a later flush queues behind
+    /// an unfinished one.
     log: StableLog,
     staged: Vec<CclRecord>,
-    /// Multi-failure mode: volatile copy of this node's home-write
-    /// diffs, keyed by (page, own interval seq), for the ones a peer
-    /// asks for before they are in the log image (or that a refused
-    /// flush kept out of it).
-    home_diff_cache: HashMap<(PageId, u32), PageDiff>,
     replay: Option<CclReplay>,
     restored_app: Option<Vec<u8>>,
     /// Survivor-side in-memory image of the logged diffs, loaded with a
@@ -157,23 +152,17 @@ pub struct CclLogger {
     serve_ready_at: SimTime,
     /// What the recovery handshake told this (recovering) node.
     held: HeldPages,
-    /// Twin home writes and log their diffs (as ordinary `Diffs`
-    /// records) instead of retaining served pages. Single-failure CCL
-    /// restores a peer's copies from what this home served — a peer's
-    /// recovery implies this node survived — but under a multi-failure
-    /// spec that assumption breaks, so the runner enables this mode
-    /// when more than one crash is scheduled.
-    durable_home_diffs: bool,
-    /// Set by [`CclLogger::begin_recovery`] when the salvage scan found
-    /// the log damaged (or gone): replay could not reconstruct every
-    /// update the cluster saw this node apply, so
+    /// When this node recovers, re-form the served-image logs its crash
+    /// wiped (see [`CclLogger::with_served_log_rebuild`]).
+    rebuild_served_logs: bool,
+    /// The salvage scan found the log damaged (or gone): replay cannot
+    /// reconstruct every update the cluster saw this node apply, so
     /// [`FaultTolerance::finish_recovery`] must repair the home copies
     /// before any deferred peer request is served.
     needs_repair: bool,
-    /// Release history fetched once from the barrier manager at
+    /// Release history fetched from the barrier manager at
     /// [`CclLogger::begin_recovery`] (to synthesize lost barrier `Sync`
-    /// records) and reused by the home-repair wave at recovery exit, so
-    /// a damaged-log recovery costs a single history round trip.
+    /// records), kept for the home-repair wave: one round trip for both.
     saved_releases: Option<Vec<hlrc::EpochRelease>>,
 }
 
@@ -185,13 +174,12 @@ impl CclLogger {
             prefetch: true,
             log: StableLog::new(CCL_STREAM),
             staged: Vec::new(),
-            home_diff_cache: HashMap::new(),
             replay: None,
             restored_app: None,
             serve_cache: None,
             serve_ready_at: SimTime::ZERO,
             held: HeldPages::default(),
-            durable_home_diffs: false,
+            rebuild_served_logs: false,
             needs_repair: false,
             saved_releases: None,
         }
@@ -215,11 +203,14 @@ impl CclLogger {
         }
     }
 
-    /// Multi-failure variant: home-write diffs go to the stable log
-    /// too, as ordinary `Diffs` records, and recovery relies on no
-    /// peer's volatile memory.
-    pub fn with_durable_home_diffs(mut self) -> CclLogger {
-        self.durable_home_diffs = true;
+    /// A node that recovers re-forms its served-image logs by its own
+    /// replay instead of answering "absent" until the next checkpoint:
+    /// what a peer that crashes after it, or alongside it, needs of it.
+    /// Failure-free execution is untouched; recovery pays a page copy
+    /// (12.3 µs at 4 KiB) per home page and replayed write to it — the
+    /// image the live path had for free in the reply buffer.
+    pub fn with_served_log_rebuild(mut self) -> CclLogger {
+        self.rebuild_served_logs = true;
         self
     }
 
@@ -227,8 +218,7 @@ impl CclLogger {
         if !self.log.accepting() {
             return;
         }
-        // The exact framed size mirror: Table 2 log bytes include the
-        // on-disk header overhead without a second encode pass.
+        // Table 2 log bytes include the on-disk header overhead.
         let bytes = frame::framed_size(rec.encoded_size());
         trace_ccl_append(inner, &rec, bytes as u64);
         self.staged.push(rec);
@@ -236,8 +226,8 @@ impl CclLogger {
 
     /// Encode and write the staged records through the OS cache,
     /// returning `(cpu_copy_cost, device_drain_time)` of a successful
-    /// flush. The futile access that discovers a dead or full device
-    /// is charged here; callers account only for successful flushes.
+    /// flush. The futile access that finds a dead or full device is
+    /// charged here.
     fn flush_staged(&mut self, inner: &mut NodeInner) -> (SimDuration, SimDuration) {
         let mut records = Vec::with_capacity(self.staged.len());
         let mut served: Vec<((PageId, u32), PageDiff)> = Vec::new();
@@ -257,9 +247,8 @@ impl CclLogger {
                 (SimDuration::ZERO, SimDuration::ZERO)
             }
             Written::Persisted { cpu, drain } => {
-                // Now that the write is known durable, keep the
-                // survivor-side serve cache coherent incrementally
-                // instead of rebuilding it from disk.
+                // Known durable: keep the survivor-side serve cache
+                // coherent incrementally instead of re-reading the disk.
                 if let Some(cache) = self.serve_cache.as_mut() {
                     cache.extend(served);
                 }
@@ -269,10 +258,9 @@ impl CclLogger {
     }
 
     /// Block until a message matching `pred` arrives, deferring other
-    /// traffic — except recovery-class requests from peers, which are
-    /// answered on the spot from stable state. Two nodes recovering
-    /// concurrently block in each other's fetch waves; deferring each
-    /// other's requests here would deadlock the pair.
+    /// traffic — except recovery-class requests from peers, answered on
+    /// the spot. Two nodes recovering concurrently block in each other's
+    /// fetch waves; deferring those requests would deadlock the pair.
     fn recovery_wait<F: Fn(&Msg) -> bool>(
         &mut self,
         inner: &mut NodeInner,
@@ -285,15 +273,65 @@ impl CclLogger {
                 return env;
             }
             if env.payload.is_recovery_request() {
-                // Whatever this node's own replay has reached, its
-                // frames are not a state a peer may be handed: serve
-                // as mid-replay, from the base.
+                if matches!(env.payload, Msg::RecoveryHello) {
+                    self.forget_images_of(inner, env.src);
+                }
                 let done = inner.ctx.service_time(&env);
-                inner.serve_recovery_request(self, &env, done, true);
+                inner.serve_recovery_request(self, &env, done);
+                self.settle_parked(inner, env.arrive_at);
             } else if let Msg::RecoveryHelloReply { .. } = &env.payload {
                 self.note_hello_reply(inner, &env);
             } else {
                 inner.ctx.defer(env);
+            }
+        }
+    }
+
+    /// `home` says it crashed: the logs it rebuilds may hold, at a
+    /// position this node remembers, another image than the one it was
+    /// sent (or none), and a delta against that would corrupt the copy
+    /// silently. The next request there names no held image.
+    fn forget_images_of(&mut self, inner: &NodeInner, home: NodeId) {
+        if let Some(replay) = self.replay.as_mut() {
+            replay
+                .restored
+                .retain(|page, _| inner.pages.entry(*page).home != home);
+        }
+    }
+
+    /// A peer's fetch is parked here until this replay re-reaches a
+    /// write (`NodeInner::serve_recovery_page`). If the wave in flight
+    /// has its diffs in, apply its updates now, not after its page
+    /// replies: the peer may be a home one of those is due from,
+    /// replaying too and waiting for this answer first. With nothing
+    /// parked — always, unless two nodes recover at once — a wave runs
+    /// exactly as it otherwise would.
+    fn settle_parked(&mut self, inner: &mut NodeInner, not_before: SimTime) {
+        if !inner.has_parked_fetches() {
+            return;
+        }
+        let updates = self.replay.as_ref().and_then(|r| r.updates.as_ref());
+        if updates.is_some_and(|u| u.outstanding == 0) {
+            self.apply_home_updates(inner);
+        }
+        inner.serve_parked_fetches(not_before);
+    }
+
+    /// Re-apply the wave's recorded updates to this node's home copies,
+    /// in record order (once: early for a parked fetch, or at its end).
+    fn apply_home_updates(&mut self, inner: &mut NodeInner) {
+        let Some(updates) = self.replay.as_mut().and_then(|r| r.updates.take()) else {
+            return;
+        };
+        for (page, writers) in &updates.wants {
+            for iv in writers {
+                if let Some(d) = updates.found.get(&(*page, *iv)) {
+                    inner.ctx.charge_copy(d.payload_bytes());
+                    inner.apply_home_diff(d, *iv);
+                } else {
+                    // Lost by its writer's log: nothing may wait for it.
+                    inner.pages.entry_mut(*page).served.unexpect(*iv);
+                }
             }
         }
     }
@@ -321,12 +359,6 @@ impl CclLogger {
         }
     }
 
-    /// Did this node hold a copy of (remote) `page` before the crash, as
-    /// far as the surviving homes can tell?
-    fn is_held(&self, inner: &NodeInner, page: PageId) -> bool {
-        self.held.pages[page as usize] || self.held.whole_homes[inner.pages.entry(page).home]
-    }
-
     /// Survivor side: read the whole log back into memory with one
     /// sequential scan starting at `at`, unless it already is there.
     /// Logged diffs are served from the image once the read completes.
@@ -337,10 +369,9 @@ impl CclLogger {
         let mut cache: HashMap<(PageId, u32), PageDiff> = HashMap::new();
         let mut total = 0usize;
         // The survivor's own log can carry latent bit rot too: the
-        // scan serves only the verified prefix — a miss falls back
-        // to the volatile caches, and a diff lost to rot is treated
-        // like a silently empty one (the recovering peer's digest
-        // check remains the arbiter).
+        // scan serves only the verified prefix, and a diff lost to rot
+        // is treated like a silently empty one (the recovering peer's
+        // digest check remains the arbiter).
         let s = frame::salvage(inner.ctx.disk.peek_stream(CCL_STREAM));
         if !s.is_clean() {
             inner
@@ -363,29 +394,15 @@ impl CclLogger {
     }
 
     /// Ask for the logged diffs of every `(page, intervals)` entry of
-    /// `wants`: one request per page and remote writer, all in flight
-    /// at once. This node's own diffs come from the local log (already
-    /// read while the replay cursor passed them) straight into `found`.
+    /// `wants`: one request per page and writer, all in flight at once.
     /// Returns how many replies to expect.
-    fn request_logged_diffs(
-        &mut self,
-        inner: &mut NodeInner,
-        wants: &Wants,
-        found: &mut Found,
-    ) -> usize {
-        let me = inner.me() as u32;
-        let own_diffs = self.replay.as_ref().map(|r| &r.own_diffs);
+    fn request_logged_diffs(&mut self, inner: &mut NodeInner, wants: &Wants) -> usize {
         let mut outstanding = 0usize;
         for (page, ivs) in wants {
             let mut per_writer: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for iv in ivs {
-                if iv.node == me {
-                    if let Some(d) = own_diffs.and_then(|own| own.get(&(*page, iv.seq))) {
-                        found.insert((*page, *iv), d.clone());
-                    }
-                } else {
-                    per_writer.entry(iv.node).or_default().push(iv.seq);
-                }
+                debug_assert_ne!(iv.node as usize, inner.me(), "update from this node");
+                per_writer.entry(iv.node).or_default().push(iv.seq);
             }
             for (writer, seqs) in per_writer {
                 inner
@@ -399,19 +416,6 @@ impl CclLogger {
             }
         }
         outstanding
-    }
-
-    /// Fetch logged diffs for every `(page, intervals)` entry — from the
-    /// writers' stable logs over the network and from this node's own
-    /// log locally — with all remote requests issued in parallel.
-    fn fetch_logged_diffs(&mut self, inner: &mut NodeInner, wants: &Wants) -> Found {
-        let mut found = Found::new();
-        let outstanding = self.request_logged_diffs(inner, wants, &mut found);
-        for _ in 0..outstanding {
-            let env = self.recovery_wait(inner, |m| matches!(m, Msg::LoggedDiffReply { .. }));
-            absorb_logged_diffs(inner, env.payload, &mut found);
-        }
-        found
     }
 
     /// Ask the home of each of `pages` for the page as the interval now
@@ -431,63 +435,37 @@ impl CclLogger {
         }
     }
 
-    /// Keep of `pages` those this node has resident or held before the
-    /// crash — replay touches no other — waiting out the handshake
-    /// first if any of them is not resident.
-    fn retain_held(&mut self, inner: &mut NodeInner, pages: &mut Vec<PageId>) {
-        let resident = |inner: &NodeInner, p: PageId| inner.pages.entry(p).frame.is_some();
-        if pages.iter().any(|p| !resident(inner, *p)) {
-            self.await_hello_replies(inner);
-            pages.retain(|p| resident(inner, *p) || self.is_held(inner, *p));
-        }
-    }
-
     /// Take in one home's answer about `page`: install the image,
     /// rebuild it from the held one and the delta, or drop the copy no
-    /// image covers. A multi-failure home that has advanced answers
-    /// with its checkpoint base instead, which is handed back for the
-    /// caller to patch with logged diffs.
-    fn absorb_page_reply(
-        &mut self,
-        inner: &mut NodeInner,
-        page: PageId,
-        image: RecoveryImage,
-    ) -> Option<(SharedBytes, VClock)> {
+    /// image covers.
+    fn absorb_page_reply(&mut self, inner: &mut NodeInner, page: PageId, image: RecoveryImage) {
         let restored = &mut self.replay.as_mut().expect("not in recovery").restored;
-        let install = |inner: &mut NodeInner, data: &[u8]| {
-            inner.ctx.charge_copy(data.len());
-            inner
-                .pages
-                .install_copy(page, data, PageState::ReadOnly, &mut inner.pool);
-        };
         match image {
-            RecoveryImage::Current { data, .. } => install(inner, &data),
-            RecoveryImage::Base { data, version } => {
-                inner.ctx.charge_copy(data.len());
-                return Some((data, version));
-            }
             RecoveryImage::Image { pos, data } => {
-                install(inner, &data);
+                inner.ctx.charge_copy(data.len());
+                inner
+                    .pages
+                    .install_copy(page, &data, PageState::ReadOnly, &mut inner.pool);
                 restored.insert(page, (pos, data));
             }
-            RecoveryImage::Delta { pos, diff } => {
-                let (at, held) = restored.get(&page).expect("delta against no held image");
+            RecoveryImage::Delta { pos, diff } if restored.contains_key(&page) => {
+                let (at, held) = &restored[&page];
                 if *at == pos {
                     // Still the image this node holds, so it has not
                     // written the page since either: the copy stands.
                     debug_assert!(diff.is_empty());
-                    return None;
+                    return;
                 }
                 inner.ctx.charge_copy(diff.encoded_size());
                 inner.ctx.charge_copy(diff.payload_bytes());
                 let mut image = PageFrame::from_bytes(held);
                 diff.apply_checked(&mut image)
                     .expect("delta does not fit the page");
-                // A copy this node has not written since is the held
-                // image, and patching it in place was all of the work.
-                // One it has written is replaced by the rebuilt image:
-                // a page copy more. (A node knows which from its write
-                // detection; the bytes say the same and need no flag.)
+                // A copy not written since is the held image: patching
+                // it in place was all of the work. A written one is
+                // replaced by the rebuilt image, a page copy more (a
+                // node knows which from its write detection; the bytes
+                // say the same).
                 let copy = inner.pages.frame(page).bytes();
                 if copy != &held[..] {
                     inner.ctx.charge_copy(image.bytes().len());
@@ -497,24 +475,32 @@ impl CclLogger {
                     .install_copy(page, image.bytes(), PageState::ReadOnly, &mut inner.pool);
                 restored.insert(page, (pos, SharedBytes::copy_of(image.bytes())));
             }
-            RecoveryImage::Absent => {
+            // No image covers the page — or a delta against an image
+            // forgotten since it was named (`forget_images_of`): the
+            // copy goes, and a fault on it restores it whole.
+            RecoveryImage::Delta { .. } | RecoveryImage::Absent => {
                 inner.pages.invalidate(page, &mut inner.pool);
                 restored.remove(&page);
             }
         }
-        None
     }
 
-    /// Single-failure mode, one wave per replayed interval: the logged
-    /// diffs of `home_wants` (the recorded updates of this node's home
-    /// copies) from their writers' logs and the images of the remote
-    /// `pages` from their homes' served logs, all requests in flight at
-    /// once; then the home-copy updates are applied in record order.
-    fn restore_wave(&mut self, inner: &mut NodeInner, home_wants: &Wants, pages: &[PageId]) {
-        let mut found = Found::new();
-        let diffs = self.request_logged_diffs(inner, home_wants, &mut found);
+    /// One wave per replayed interval, and one per page replay faults
+    /// on: the logged diffs of `home_wants` (the recorded updates of
+    /// this node's home copies) from their writers' logs and the images
+    /// of the remote `pages` from their homes' served logs, all in
+    /// flight at once; then the updates are applied in record order. On
+    /// its way in and out it looks at the recovery fetches parked here.
+    fn restore_wave(&mut self, inner: &mut NodeInner, home_wants: Wants, pages: &[PageId]) {
+        inner.serve_parked_fetches(inner.ctx.now());
+        let outstanding = self.request_logged_diffs(inner, &home_wants);
         self.request_pages(inner, pages);
-        for _ in 0..diffs + pages.len() {
+        self.replay.as_mut().expect("not in recovery").updates = Some(HomeUpdates {
+            wants: home_wants,
+            found: Found::new(),
+            outstanding,
+        });
+        for _ in 0..outstanding + pages.len() {
             let env = self.recovery_wait(inner, |m| {
                 matches!(
                     m,
@@ -523,39 +509,40 @@ impl CclLogger {
             });
             match env.payload {
                 Msg::RecoveryPageReply { page, image } => {
-                    let base = self.absorb_page_reply(inner, page, image);
-                    debug_assert!(base.is_none(), "a home that retains pages sent its base");
+                    self.absorb_page_reply(inner, page, image)
                 }
-                reply => absorb_logged_diffs(inner, reply, &mut found),
+                reply => {
+                    let replay = self.replay.as_mut().expect("not in recovery");
+                    let updates = replay.updates.as_mut().expect("updates applied early");
+                    absorb_logged_diffs(inner, reply, &mut updates.found);
+                    updates.outstanding -= 1;
+                    self.settle_parked(inner, inner.ctx.now());
+                }
             }
         }
-        apply_home_updates(inner, home_wants, &found);
+        self.apply_home_updates(inner);
+        inner.serve_parked_fetches(inner.ctx.now());
     }
 
     /// Home-repair wave, run once at recovery exit when the salvage
     /// scan found the log damaged. A torn or rotten tail may have taken
     /// `Updates` records with it — updates this home *applied and
-    /// acked* before the crash, which replay therefore could not
-    /// reconstruct, leaving the home copies stale. The writers' own
-    /// stable logs still hold those diffs (a CCL ack never releases
-    /// them), so the lost updates are recoverable: replay the barrier
-    /// manager's retained release history against the restored home
-    /// versions, refetch every uncovered foreign interval from its
-    /// writer's log, and re-apply in history order (each writer's
-    /// notices are causally ordered there, and concurrent writers touch
-    /// disjoint words under DRF, so that order is a valid
-    /// linearization). A crashed manager answers with an empty history
-    /// and the wave degrades to a no-op — single-failure best effort,
-    /// like the rest of the recovery path.
+    /// acked* before the crash, which replay could not reconstruct. The
+    /// writers' stable logs still hold those diffs (a CCL ack never
+    /// releases them): replay the barrier manager's release history
+    /// against the restored home versions, refetch every uncovered
+    /// foreign interval from its writer's log, and re-apply in history
+    /// order (causal per writer, and concurrent writers touch disjoint
+    /// words under DRF, so a valid linearization). A crashed manager
+    /// answers with an empty history and the wave degrades to a no-op.
     fn repair_home_pages(&mut self, inner: &mut NodeInner) {
         let me = inner.me();
         // `begin_recovery` usually fetched the history already.
         let releases = self.saved_releases.take().unwrap_or_else(|| {
             fetch_release_history(inner, |inner, is_reply| self.recovery_wait(inner, is_reply))
         });
-        // Foreign-interval notices naming pages homed here that the
-        // restored home version does not cover: exactly the updates the
-        // damaged log lost.
+        // Foreign notices naming pages homed here that the restored home
+        // version does not cover: exactly what the damaged log lost.
         let mut missing: Vec<WriteNotice> = Vec::new();
         for (_epoch, _vc, notices, _migrations) in &releases {
             for n in notices {
@@ -585,17 +572,20 @@ impl CclLogger {
         for n in &missing {
             wants.entry(n.page).or_default().push(n.interval);
         }
-        let fetched = self.fetch_logged_diffs(inner, &wants);
+        let mut fetched = Found::new();
+        for _ in 0..self.request_logged_diffs(inner, &wants) {
+            let env = self.recovery_wait(inner, |m| matches!(m, Msg::LoggedDiffReply { .. }));
+            absorb_logged_diffs(inner, env.payload, &mut fetched);
+        }
         let mut applied = 0u32;
         for n in &missing {
             if let Some(d) = fetched.get(&(n.page, n.interval)) {
                 inner.ctx.charge_copy(d.payload_bytes());
-                inner.pages.apply_home_diff(d, n.interval);
+                inner.apply_home_diff(d, n.interval);
                 applied += 1;
             } else {
-                // A miss in the writer's log means the interval's diff
-                // for this page was silently empty: observe it so the
-                // version honestly names what the copy contains.
+                // A miss in the writer's log: the diff was silently
+                // empty. Observe it so the version names what the copy has.
                 inner
                     .pages
                     .entry_mut(n.page)
@@ -611,152 +601,18 @@ impl CclLogger {
         });
     }
 
-    /// Multi-failure mode: reconstruct remote copies of `pages` (paper:
-    /// "prefetching data according to the future shared memory access
-    /// patterns"): one recovery-page round trip per page, issued in
-    /// parallel, plus logged-diff fetches for the copies whose home has
-    /// advanced.
-    fn prefetch_pages(&mut self, inner: &mut NodeInner, pages: &[PageId]) {
-        if pages.is_empty() {
-            return;
-        }
-        self.request_pages(inner, pages);
-        let mut advanced: Vec<(PageId, SharedBytes, VClock)> = Vec::new();
-        for _ in 0..pages.len() {
-            let env = self.recovery_wait(
-                inner,
-                |m| matches!(m, Msg::RecoveryPageReply { page, .. } if pages.contains(page)),
-            );
-            if let Msg::RecoveryPageReply { page, image } = env.payload {
-                if let Some((base, version)) = self.absorb_page_reply(inner, page, image) {
-                    advanced.push((page, base, version));
-                }
-            }
-        }
-        // Homes that ran ahead: patch their checkpoint base with the
-        // logged diffs named by the notices replayed so far — one
-        // parallel fetch wave for all of them.
-        if advanced.is_empty() {
-            return;
-        }
-        let mut wants = Wants::new();
-        {
-            let replay = self.replay.as_ref().expect("reconstruct outside recovery");
-            for (page, _, base_version) in &advanced {
-                let ivs: Vec<IntervalId> = replay
-                    .notices_seen
-                    .iter()
-                    .filter(|n| n.page == *page && !base_version.covers(n.interval))
-                    .map(|n| n.interval)
-                    .collect();
-                wants.insert(*page, ivs);
-            }
-        }
-        let diffs = self.fetch_logged_diffs(inner, &wants);
-        for (page, base, _) in advanced {
-            let mut frame = PageFrame::from_bytes(&base);
-            for iv in &wants[&page] {
-                if let Some(d) = diffs.get(&(page, *iv)) {
-                    inner.ctx.charge_copy(d.payload_bytes());
-                    d.apply(&mut frame);
-                }
-            }
-            inner
-                .pages
-                .install_copy(page, frame.bytes(), PageState::ReadOnly, &mut inner.pool);
-        }
-    }
-
-    /// Multi-failure mode, the remote half of a replayed sync. During
-    /// recovery no copy is invalidated (the paper: the scheme "obviates
-    /// the need of memory invalidation"): instead, every *cached* copy
-    /// named by a notice is patched in place with that interval's
-    /// logged diff, fetched from the writer's log together with the
-    /// interval's home-copy updates — incremental and issued in
-    /// parallel, so each diff crosses the network exactly once over the
-    /// whole replay. Held pages named by notices but not yet resident
-    /// are then reconstructed, in a second wave.
-    fn patch_and_reconstruct(
-        &mut self,
-        inner: &mut NodeInner,
-        home_wants: &Wants,
-        remote: &[WriteNotice],
-    ) {
-        let mut wants = Wants::new();
-        let mut first_touch: Vec<PageId> = Vec::new();
-        for n in remote {
-            if inner.pages.entry(n.page).frame.is_some() {
-                wants.entry(n.page).or_default().push(n.interval);
-            } else {
-                first_touch.push(n.page);
-            }
-        }
-        // One combined fetch wave: this interval's home-copy updates
-        // plus the patches for every resident remote copy.
-        let mut combined = home_wants.clone();
-        for (p, ivs) in &wants {
-            combined.entry(*p).or_default().extend(ivs.iter().copied());
-        }
-        let diffs = self.fetch_logged_diffs(inner, &combined);
-        apply_home_updates(inner, home_wants, &diffs);
-        for (page, ivs) in &wants {
-            for iv in ivs {
-                if let Some(d) = diffs.get(&(*page, *iv)) {
-                    inner.ctx.charge_copy(d.payload_bytes());
-                    let frame = inner
-                        .pages
-                        .entry_mut(*page)
-                        .frame
-                        .as_mut()
-                        .expect("patched page lost its frame");
-                    d.apply(frame);
-                }
-            }
-        }
-        // The access pattern is known: replay touches exactly the pages
-        // this node held before the crash, so only those are fetched.
-        first_touch.sort_unstable();
-        first_touch.dedup();
-        first_touch.retain(|p| inner.pages.entry(*p).frame.is_none());
-        self.retain_held(inner, &mut first_touch);
-        self.prefetch_pages(inner, &first_touch);
-    }
-
-    /// Single-failure mode, both halves of a replayed sync in one wave
-    /// ([`CclLogger::restore_wave`]): the home-copy updates, and the
-    /// image of every held remote page a notice names — resident or
-    /// not, since an image is what the resident copy is brought up to
-    /// date from as well. A page the homes do not list as held was not
-    /// cached before the crash and is not restored now.
-    fn restore_noticed(
-        &mut self,
-        inner: &mut NodeInner,
-        home_wants: &Wants,
-        remote: &[WriteNotice],
-    ) {
-        let mut pages: Vec<PageId> = remote.iter().map(|n| n.page).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        self.retain_held(inner, &mut pages);
-        self.restore_wave(inner, home_wants, &pages);
-    }
-
-    /// Walk the log to the next `Sync` record, applying update records
-    /// and indexing own diffs along the way; then apply the sync's
-    /// notices and prefetch the named pages.
+    /// Walk the log to the next `Sync` record, collecting update records
+    /// along the way; then apply the sync's notices and restore the
+    /// pages they name.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncTag) -> RecoveryStep {
         // Phase 1: scan records for this step (one sequential disk read),
-        // collecting the recorded home-copy updates of the interval;
-        // they are fetched together with what the remote copies need
-        // below, in a single parallel wave.
+        // collecting the recorded home-copy updates of the interval.
         let mut batch_bytes = 0usize;
         let mut home_wants = Wants::new();
         let mut sync: Option<(Vec<WriteNotice>, VClock)> = None;
         let mut drift = false;
-        let durable = self.durable_home_diffs;
         {
             let replay = self.replay.as_mut().expect("not in recovery");
-            let me = inner.me() as u32;
             while let Some((rec, size)) = replay.records.get(replay.cursor) {
                 batch_bytes += size;
                 replay.cursor += 1;
@@ -766,29 +622,18 @@ impl CclLogger {
                             home_wants.entry(*p).or_default().push(*writer);
                         }
                     }
-                    // Only reconstruction from a checkpoint base needs
-                    // this node's own diffs again.
-                    CclRecord::Diffs { .. } if !durable => {}
-                    CclRecord::Diffs { interval, diffs } => {
-                        debug_assert_eq!(interval.node, me, "foreign diffs in own log");
-                        for d in diffs {
-                            replay.notices_seen.push(WriteNotice {
-                                page: d.page,
-                                interval: *interval,
-                            });
-                            replay.own_diffs.insert((d.page, interval.seq), d.clone());
-                        }
-                    }
+                    // Replay needs none of this node's own diffs again:
+                    // they are for the peers (`serve_logged_diffs`).
+                    CclRecord::Diffs { .. } => {}
                     CclRecord::Sync { tag, notices, vc } => {
                         if *tag != expected {
-                            // A real log record disagreeing with the
-                            // re-executed sync sequence is a logic bug —
-                            // but a *synthesized* barrier record (size 0)
-                            // can land here legitimately: mid-log damage
-                            // may have discarded acquire records below
-                            // the synthesized horizon. Abandon the rest
-                            // of the replay and re-execute live; the
-                            // home-repair wave still runs at exit.
+                            // A real record disagreeing with the
+                            // re-executed sync sequence is a logic bug;
+                            // a *synthesized* barrier record (size 0) can
+                            // land here legitimately: mid-log damage may
+                            // have discarded acquire records below the
+                            // synthesized horizon. Abandon the replay and
+                            // re-execute live; home repair runs at exit.
                             assert_eq!(*size, 0, "CCL replay drift at {expected:?}");
                             drift = true;
                             break;
@@ -825,10 +670,6 @@ impl CclLogger {
         inner.close_interval();
         let me = inner.me() as u32;
         let fresh = inner.admit_notices(&notices, &vc);
-        if durable {
-            let replay = self.replay.as_mut().expect("not in recovery");
-            replay.notices_seen.extend(fresh.iter().copied());
-        }
         if let SyncTag::Barrier(_) = expected {
             inner.close_barrier_epoch();
         }
@@ -846,11 +687,24 @@ impl CclLogger {
                 restored.remove(&n.page);
             }
         }
-        if durable {
-            self.patch_and_reconstruct(inner, &home_wants, &remote);
-        } else {
-            self.restore_noticed(inner, &home_wants, &remote);
+        // One wave: the home-copy updates, and the image of every held
+        // remote page a notice names — resident or not, an image is what
+        // a resident copy is brought up to date from as well. Replay
+        // touches no page neither resident nor held (the handshake is
+        // waited out if that matters): none is restored.
+        let mut pages: Vec<PageId> = remote.iter().map(|n| n.page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let resident = |inner: &NodeInner, p: PageId| inner.pages.entry(p).frame.is_some();
+        if pages.iter().any(|p| !resident(inner, *p)) {
+            self.await_hello_replies(inner);
+            let held = &self.held;
+            pages.retain(|&p| {
+                let e = inner.pages.entry(p);
+                e.frame.is_some() || held.pages[p as usize] || held.whole_homes[e.home]
+            });
         }
+        self.restore_wave(inner, home_wants, &pages);
 
         inner.ctx.trace(TraceKind::RecoveryReplay {
             notices: fresh.len() as u32,
@@ -876,19 +730,6 @@ fn absorb_logged_diffs(inner: &mut NodeInner, reply: Msg, found: &mut Found) {
     for (iv, d) in diffs {
         inner.ctx.charge_copy(d.encoded_size());
         found.insert((page, iv), d);
-    }
-}
-
-/// Re-apply the recorded incoming updates of one replayed interval to
-/// this node's home copies, in record order.
-fn apply_home_updates(inner: &mut NodeInner, home_wants: &Wants, found: &Found) {
-    for (page, writers) in home_wants {
-        for iv in writers {
-            if let Some(d) = found.get(&(*page, *iv)) {
-                inner.ctx.charge_copy(d.payload_bytes());
-                inner.pages.apply_home_diff(d, *iv);
-            }
-        }
     }
 }
 
@@ -933,11 +774,7 @@ impl FaultTolerance for CclLogger {
     }
 
     fn retains_served_pages(&self) -> bool {
-        !self.durable_home_diffs
-    }
-
-    fn logs_home_diffs_durably(&self) -> bool {
-        self.durable_home_diffs
+        true
     }
 
     fn on_notices(
@@ -961,9 +798,8 @@ impl FaultTolerance for CclLogger {
         );
         // Flush at barrier completion so a barrier-aligned crash finds
         // the episode's notices on disk (lock-acquire notices keep the
-        // paper's schedule: flushed at the subsequent release). The
-        // access is asynchronous: the disk drains it while the node
-        // computes; it is durable long before the next barrier.
+        // paper's schedule: flushed at the subsequent release) —
+        // asynchronously, durable long before the next barrier.
         if matches!(kind, SyncKind::Barrier(_)) {
             let (cpu, drain) = self.flush_staged(inner);
             if drain > SimDuration::ZERO {
@@ -1010,26 +846,6 @@ impl FaultTolerance for CclLogger {
         }
     }
 
-    fn on_home_diffs(&mut self, inner: &mut NodeInner, interval: IntervalId, diffs: &[PageDiff]) {
-        debug_assert!(self.durable_home_diffs, "home writes twinned for nothing");
-        for d in diffs {
-            self.home_diff_cache
-                .insert((d.page, interval.seq), d.clone());
-        }
-        if !diffs.is_empty() {
-            // A recovering peer cannot assume this writer survived, so
-            // its home-write diffs must reach stable storage like
-            // remote-write diffs do.
-            self.stage(
-                inner,
-                CclRecord::Diffs {
-                    interval,
-                    diffs: diffs.to_vec(),
-                },
-            );
-        }
-    }
-
     fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
         let (cpu, drain) = self.flush_staged(inner);
         if drain == SimDuration::ZERO {
@@ -1038,14 +854,12 @@ impl FaultTolerance for CclLogger {
         if self.overlap {
             // Asynchronous write-behind: the device drains the flush
             // while the node waits for its diff acks and computes on
-            // (the paper's latency-tolerance technique). The visible
-            // cost is the write() copy plus backpressure when the
-            // previous flush has not finished draining.
+            // (the paper's latency-tolerance technique). Visible: the
+            // write() copy, plus backpressure from an undrained flush.
             cpu + self.log.write_behind(inner, drain)
         } else {
             // Ablation A1: write-through — the flush seeks and drains
-            // synchronously on the critical path before the node may
-            // proceed (no write-behind, no overlap).
+            // synchronously on the critical path.
             cpu + inner.ctx.disk.model().access_latency + drain
         }
     }
@@ -1072,18 +886,15 @@ impl FaultTolerance for CclLogger {
             }
         }
         self.staged.clear();
-        self.home_diff_cache.clear();
         let s = self.log.salvage(inner);
         self.restored_app = s.app;
         // Any lost record may be an `Updates` the cluster already saw
-        // this home apply (the writer's ack released nothing — its own
-        // stable log still has the diff). Schedule the home-repair wave
-        // that refetches those updates before going live.
+        // this home apply (its writer's stable log still has the diff):
+        // schedule the home-repair wave that refetches them.
         self.needs_repair = s.lost_tail || s.meta_rot;
-        // The salvage scan CRC-verified every surviving payload, so a
+        // The salvage scan CRC-verified every surviving payload: a
         // decode failure here would be a logic bug, not damage. Replay
-        // read charging covers what the device transfers: the framed
-        // record, header included.
+        // read charging covers the framed record, header included.
         let mut records: Vec<(CclRecord, usize)> = s
             .payloads
             .iter()
@@ -1092,11 +903,22 @@ impl FaultTolerance for CclLogger {
                 (rec, frame::framed_size(payload.len()))
             })
             .collect();
+        if self.rebuild_served_logs && !records.is_empty() {
+            // Before anything here waits, hence serves: what this replay
+            // will bring back into the home copies, so a peer's fetch
+            // can tell what it must wait for.
+            let updates = records.iter().filter_map(|(rec, _)| match rec {
+                CclRecord::Updates { writer, pages } => Some((writer, pages)),
+                _ => None,
+            });
+            inner.pages.rebuild_served_logs(
+                updates.flat_map(|(writer, pages)| pages.iter().map(|page| (*page, *writer))),
+            );
+        }
         // Replay to the cluster-visible horizon, not just to the end of
         // a prefix that lost its tail (see `lost_releases`): the writes
-        // the live re-execution would redo are this node's own,
-        // refetchable from nobody. Synthesized records carry size 0:
-        // nothing is read from disk for them.
+        // a live re-execution would redo are refetchable from nobody.
+        // Synthesized records carry size 0: nothing is read for them.
         self.saved_releases = None;
         if s.lost_tail && !s.meta_rot {
             let releases =
@@ -1111,9 +933,8 @@ impl FaultTolerance for CclLogger {
                     _ => None,
                 })
                 .max();
-            // Migrations in the history are deliberately dropped here:
-            // the home mapping is checkpoint state (restored by
-            // `restore_meta`, never replayed from the log), so the
+            // Migrations in the history are dropped here: the home
+            // mapping is checkpoint state (`restore_meta`), so the
             // synthesized records — like real `Sync` records — carry
             // only notices and the clock.
             for (epoch, vc, notices, _migrations) in lost_releases(inner, &releases, last_logged) {
@@ -1126,17 +947,13 @@ impl FaultTolerance for CclLogger {
             }
             self.saved_releases = Some(releases);
         }
-        self.replay = Some(CclReplay {
+        // Nothing was ever logged: crash before the first flush.
+        self.replay = (!records.is_empty()).then(|| CclReplay {
             records,
             cursor: 0,
-            notices_seen: Vec::new(),
-            own_diffs: HashMap::new(),
             restored: HashMap::new(),
+            updates: None,
         });
-        if self.replay.as_ref().is_some_and(|r| r.records.is_empty()) {
-            // Nothing was ever logged (crash before the first flush).
-            self.replay = None;
-        }
     }
 
     fn restored_app_state(&mut self) -> Option<Vec<u8>> {
@@ -1146,7 +963,6 @@ impl FaultTolerance for CclLogger {
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
         if self.log.truncate_at_checkpoint(inner) {
             self.staged.clear();
-            self.home_diff_cache.clear();
             self.serve_cache = None;
         }
     }
@@ -1172,22 +988,17 @@ impl FaultTolerance for CclLogger {
         // A page no replayed notice named (first touch), or one this
         // node used as a predicted copy without living to tell its
         // home, was not restored ahead of time; restore on demand.
-        if self.durable_home_diffs {
-            self.prefetch_pages(inner, &[page]);
-        } else {
-            self.restore_wave(inner, &Wants::new(), &[page]);
-            // Replay is deterministic: a page it touches here was
-            // shipped here before the crash — as a demand page or as a
-            // prediction — and every shipped copy left an image at its
-            // home. None means replay left the logged run.
-            assert!(
-                inner.pages.entry(page).frame.is_some(),
-                "CCL replay drift: node {} touched page {page} at {:?}, \
-                 where its home retains no image of it",
-                inner.me(),
-                inner.vc
-            );
-        }
+        self.restore_wave(inner, Wants::new(), &[page]);
+        // Replay is deterministic: a page it touches was shipped here
+        // before the crash, and every shipped copy left an image at its
+        // home. None means replay left the logged run.
+        assert!(
+            inner.pages.entry(page).frame.is_some(),
+            "CCL replay drift: node {} touched page {page} at {:?}, \
+             where its home retains no image of it",
+            inner.me(),
+            inner.vc
+        );
         RecoveryStep::Replayed
     }
 
@@ -1209,20 +1020,16 @@ impl FaultTolerance for CclLogger {
             return;
         };
         let me = inner.me() as u32;
-        // The requester's hello normally warmed the cache long ago; if
-        // a checkpoint dropped it since, this request starts the read.
+        // The requester's hello normally warmed the cache long ago; if a
+        // checkpoint dropped it since, this request starts the read.
         let arrived = inner.ctx.service_time(env);
         self.warm_serve_cache(inner, arrived);
         let cache = self.serve_cache.as_ref().expect("just warmed");
         let mut out: Vec<(IntervalId, PageDiff)> = Vec::new();
         for &seq in seqs {
-            // Diffs come from the (cached) stable log; multi-failure
-            // home-write diffs not yet in that image from the volatile
-            // home cache. A miss in both means a silent write whose
-            // diff was empty.
+            // Diffs come from the (cached) stable log; a miss means a
+            // silent write whose diff was empty.
             if let Some(d) = cache.get(&(*page, seq)) {
-                out.push((IntervalId { node: me, seq }, d.clone()));
-            } else if let Some(d) = self.home_diff_cache.get(&(*page, seq)) {
                 out.push((IntervalId { node: me, seq }, d.clone()));
             }
         }

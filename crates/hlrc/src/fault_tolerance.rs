@@ -7,8 +7,9 @@
 //! flush, and how they drive recovery. The coherence code has no
 //! per-protocol branch and no knob that stands in for one: where a
 //! protocol needs the substrate to behave differently (retain the pages
-//! it serves, twin and log home writes, fetch without speculating) it
-//! says so through a hook here, next to the reason. Implementations
+//! it serves, fetch without speculating) it says so through a hook
+//! here, next to the reason — a constant of the protocol, not a mode of
+//! it. Implementations
 //! live in the `ftlog` crate; [`NoLogging`] (the paper's "None"
 //! baseline) lives here.
 
@@ -51,27 +52,17 @@ pub trait FaultTolerance: Send {
     /// Whether a home keeps, in volatile memory, the reply buffer of
     /// every page copy it serves (one per distinct version served, see
     /// [`crate::ServedLog`]) so that a recovering peer's remote copies
-    /// can be restored from them. CCL under the single-failure model
-    /// needs this: it does not log the page replies a node receives,
-    /// and a home's own writes to its pages produce no diffs in HLRC,
-    /// so the states a peer fetched are reconstructible from nowhere
-    /// else — and a peer's recovery implies this home survived, so
-    /// volatile is enough. Costs nothing on any clock: the buffer was
-    /// built for the reply anyway. ML replays the page contents it
-    /// logged itself and does not need it.
+    /// can be restored from them. CCL needs this: it does not log the
+    /// page replies a node receives, and a home's own writes to its
+    /// pages produce no diffs in HLRC, so the states a peer fetched are
+    /// reconstructible from nowhere else. Volatile is enough while the
+    /// home survives, which a peer's recovery implies under the
+    /// single-failure model; a home that crashed can re-form the log by
+    /// its own replay ([`crate::PageTable::rebuild_served_logs`]).
+    /// Costs nothing on any clock: the buffer was built for the reply
+    /// anyway. ML replays the page contents it logged itself and does
+    /// not need it.
     fn retains_served_pages(&self) -> bool {
-        false
-    }
-
-    /// Whether the home twins its *own* writes to home pages and logs
-    /// the resulting diffs to stable storage, from the very first
-    /// interval (multi-failure CCL). With more than one failure a
-    /// recovering peer can no longer assume the home survived with its
-    /// volatile served pages, so every state of a home page must be
-    /// rebuildable as "checkpoint base + logged diffs", the home's own
-    /// writes included — at the price of a twin and a diff per home
-    /// write, which the single-failure protocol does not pay.
-    fn logs_home_diffs_durably(&self) -> bool {
         false
     }
 
@@ -115,11 +106,6 @@ pub trait FaultTolerance: Send {
         diffs: &[PageDiff],
     ) {
     }
-
-    /// Diffs of this node's *own writes to its own home pages* (only
-    /// produced when [`FaultTolerance::logs_home_diffs_durably`] is
-    /// true), to be logged like the diffs it flushes to other homes.
-    fn on_home_diffs(&mut self, inner: &mut NodeInner, interval: IntervalId, diffs: &[PageDiff]) {}
 
     /// Stable-storage flush charged *before* the node sends its
     /// end-of-interval messages (ML flushes its volatile log here, fully

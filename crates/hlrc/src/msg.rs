@@ -60,37 +60,18 @@ pub type PageCopy = (PageId, SharedBytes, VClock);
 /// home migrations committed at that release)`.
 pub type EpochRelease = (u32, VClock, Vec<WriteNotice>, Vec<HomeMigration>);
 
-/// What a [`Msg::RecoveryPageReply`] carries. Two families, selected by
-/// what the home keeps: `Current`/`Base` from a home whose protocol
-/// logs home-write diffs durably (multi-failure CCL, which rebuilds
-/// from the checkpoint base plus logged diffs), `Image`/`Delta`/`Absent`
-/// from a home that retains the pages it served.
+/// What a [`Msg::RecoveryPageReply`] carries: the home's answer from its
+/// served-image log (see [`crate::ServedLog`]).
 ///
-/// Wire layout, after the one-byte kind (`0..=4` in declaration order;
-/// `Current` and `Base` are the `false`/`true` of the flag byte this
-/// field used to be, so those replies keep their bytes):
-/// `Current`/`Base`: `bytes(data) vc(version)`; `Image`: `var(pos)
-/// bytes(data)`; `Delta`: `var(pos) diff`; `Absent`: nothing.
+/// Wire layout, after the one-byte kind (`2..=4` in declaration order —
+/// `0` and `1` were the two replies of a home that logged its own
+/// writes' diffs instead of retaining images, and decode as errors):
+/// `Image`: `var(pos) bytes(data)`; `Delta`: `var(pos) diff`; `Absent`:
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryImage {
-    /// The home copy has not advanced past the requested clock: its
-    /// committed contents and their version.
-    Current {
-        /// Page contents.
-        data: SharedBytes,
-        /// Version of `data`.
-        version: VClock,
-    },
-    /// The home copy has advanced: the checkpoint base, which the
-    /// requester patches with logged diffs.
-    Base {
-        /// Checkpoint base contents.
-        data: SharedBytes,
-        /// Version of the base.
-        version: VClock,
-    },
-    /// The retained image at position `pos` of the page's served log
-    /// (see [`crate::ServedLog`]), whole.
+    /// The retained image at position `pos` of the page's served log,
+    /// whole.
     Image {
         /// Position of the image.
         pos: u32,
@@ -117,11 +98,6 @@ pub enum RecoveryImage {
 impl Encode for RecoveryImage {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
-            RecoveryImage::Current { data, version } | RecoveryImage::Base { data, version } => {
-                w.put_u8(u8::from(matches!(self, RecoveryImage::Base { .. })));
-                w.put_bytes(data);
-                version.encode(w);
-            }
             RecoveryImage::Image { pos, data } => {
                 w.put_u8(2);
                 w.put_var(*pos);
@@ -138,9 +114,6 @@ impl Encode for RecoveryImage {
 
     fn encoded_size(&self) -> usize {
         1 + match self {
-            RecoveryImage::Current { data, version } | RecoveryImage::Base { data, version } => {
-                4 + data.len() + version.encoded_size()
-            }
             RecoveryImage::Image { pos, data } => var_size(*pos) + 4 + data.len(),
             RecoveryImage::Delta { pos, diff } => var_size(*pos) + diff.encoded_size(),
             RecoveryImage::Absent => 0,
@@ -151,15 +124,6 @@ impl Encode for RecoveryImage {
 impl Decode for RecoveryImage {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.get_u8()? {
-            kind @ (0 | 1) => {
-                let data = r.get_bytes()?.into();
-                let version = VClock::decode(r)?;
-                if kind == 0 {
-                    RecoveryImage::Current { data, version }
-                } else {
-                    RecoveryImage::Base { data, version }
-                }
-            }
             2 => RecoveryImage::Image {
                 pos: r.get_var()?,
                 data: r.get_bytes()?.into(),
@@ -668,9 +632,10 @@ impl Msg {
 
     /// A recovering peer's request — the one class a node must keep
     /// answering while it replays its own log. Each is served from
-    /// stable state (the checkpoint base, the stable log, the barrier
-    /// manager's release history) or from directory state (the
-    /// copysets; a wiped served log answers "absent"), never from
+    /// stable state (the stable log, the barrier manager's release
+    /// history) or from directory state (the copysets; the served log —
+    /// a wiped one answers "absent", one being rebuilt answers once
+    /// replay has re-reached the writes asked for), never from
     /// half-restored frames; deferring them would deadlock two nodes
     /// recovering at once.
     pub fn is_recovery_request(&self) -> bool {
@@ -1161,14 +1126,6 @@ mod tests {
             });
         }
         for image in [
-            RecoveryImage::Current {
-                data: vec![2; 64].into(),
-                version: vc.clone(),
-            },
-            RecoveryImage::Base {
-                data: vec![2; 64].into(),
-                version: vc.clone(),
-            },
             RecoveryImage::Image {
                 pos: 300,
                 data: vec![2; 64].into(),

@@ -4,7 +4,9 @@
 //! volatile directory state per page for its peers' recoveries: the
 //! copyset (who touched a copy of it) and, under a protocol that
 //! retains served pages, the [`ServedLog`] (what anyone was sent).
-//! Neither prices anything: no clock is charged for keeping them.
+//! Neither prices anything: no clock is charged for keeping them — only
+//! for getting the served logs *back* after this node's own crash
+//! ([`PageTable::rebuild_served_logs`]).
 
 use pagemem::{
     BufferPool, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, Twin,
@@ -65,9 +67,8 @@ pub struct PageEntry {
     /// `Some` only at the home node.
     pub version: Option<VClock>,
     /// Last checkpointed home copy (initially all zeros): what a crash
-    /// of this node reverts the page to, the base a multi-failure
-    /// recovery patches with logged diffs, and image 0 of the served
-    /// log. `Some` only at the home node.
+    /// of this node reverts the page to, and image 0 of the served log.
+    /// `Some` only at the home node.
     pub base: Option<PageFrame>,
     /// Version of `base`.
     pub base_version: Option<VClock>,
@@ -102,6 +103,19 @@ pub struct PageEntry {
     pub migrated: bool,
 }
 
+/// How far back the served logs of the pages homed here reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ServedLogs {
+    /// To the checkpoint base.
+    Whole,
+    /// A crash of this node wiped them: every recovery fetch is answered
+    /// "absent" until the next checkpoint.
+    Lost,
+    /// A crash wiped them and this node's replay is re-forming them
+    /// ([`PageTable::rebuild_served_logs`]): whole up to what it re-reached.
+    Rebuilding,
+}
+
 /// The full table for one node.
 #[derive(Debug)]
 pub struct PageTable {
@@ -116,9 +130,8 @@ pub struct PageTable {
     /// Keep write histories and served images of the pages homed here
     /// (see [`ServedLog`]).
     retain_served: bool,
-    /// The served logs no longer reach back to the checkpoint base: a
-    /// crash of this node wiped them. Mended by the next checkpoint.
-    served_lost: bool,
+    /// See [`ServedLogs`].
+    served_logs: ServedLogs,
 }
 
 impl PageTable {
@@ -169,7 +182,7 @@ impl PageTable {
             n_nodes: cfg.n_nodes,
             copysets_complete: true,
             retain_served: false,
-            served_lost: false,
+            served_logs: ServedLogs::Whole,
         }
     }
 
@@ -179,11 +192,6 @@ impl PageTable {
     /// [`FaultTolerance::retains_served_pages`](crate::FaultTolerance::retains_served_pages).
     pub fn retain_served_pages(&mut self) {
         self.retain_served = true;
-    }
-
-    /// Does this table retain served pages?
-    pub fn retains_served_pages(&self) -> bool {
-        self.retain_served
     }
 
     /// Page size in bytes.
@@ -310,6 +318,63 @@ impl PageTable {
         }
     }
 
+    /// This node crashed and is about to replay its log from the
+    /// checkpoint base: re-form the served logs the crash wiped, instead
+    /// of answering "absent" until the next checkpoint. Replay walks the
+    /// same write history — its own intervals as it closes them, and the
+    /// `updates` (page, remote interval) its log recorded as it applies
+    /// their diffs again — so the histories come back by themselves; the
+    /// images do because every frame is [retained](Self::retain_before_write)
+    /// before it changes; a request for a write not yet re-reached
+    /// [waits](Self::awaits_rebuild).
+    pub fn rebuild_served_logs(&mut self, updates: impl Iterator<Item = (PageId, IntervalId)>) {
+        debug_assert!(self.retain_served, "nothing was retained to rebuild");
+        self.served_logs = ServedLogs::Rebuilding;
+        for (page, iv) in updates {
+            self.entries[page as usize].served.expect_write(iv);
+        }
+    }
+
+    /// The frame of home page `page` is about to change. While the
+    /// served logs are being rebuilt, keep the image at the position it
+    /// leaves; true when that took a page copy (charged by the caller).
+    pub fn retain_before_write(&mut self, page: PageId) -> bool {
+        if self.served_logs != ServedLogs::Rebuilding {
+            return false;
+        }
+        let e = &mut self.entries[page as usize];
+        e.served.retain(e.frame.as_ref().expect("home frame"))
+    }
+
+    /// Must a recovery fetch of home page `page` at clock `required`
+    /// wait for this node's replay? While the rebuilt log lacks a write
+    /// `required` covers: an interval of this node's own beyond the
+    /// `closed` ones it has closed again (which pages it wrote is in no
+    /// log, so any counts), or a recorded update of the page not yet
+    /// applied again.
+    pub fn awaits_rebuild(&self, page: PageId, required: &VClock, closed: u32) -> bool {
+        self.served_logs == ServedLogs::Rebuilding
+            && (required.get(self.me as u32) > closed
+                || self.entries[page as usize].served.awaits(required))
+    }
+
+    /// Replay is over: the rebuilt logs are whole again, once the state
+    /// replay ended in is retained too (the next change of these frames
+    /// is a live one, which retains nothing). Returns how many page
+    /// copies that took, for the caller to charge.
+    pub fn finish_served_rebuild(&mut self) -> usize {
+        if self.served_logs != ServedLogs::Rebuilding {
+            return 0;
+        }
+        self.served_logs = ServedLogs::Whole;
+        let mut copies = 0;
+        for e in self.entries.iter_mut().filter(|e| e.home == self.me) {
+            let changed = e.served.pos() > 0;
+            copies += usize::from(changed && e.served.retain(e.frame.as_ref().expect("frame")));
+        }
+        copies
+    }
+
     /// Reset all volatile state to the post-checkpoint image: home copies
     /// revert to their checkpoint base, remote copies are dropped.
     /// Stable storage (the disk) is *not* touched — that is the point.
@@ -318,7 +383,7 @@ impl PageTable {
         // this home before the crash is no longer known, and neither is
         // what it was sent.
         self.copysets_complete = false;
-        self.served_lost = true;
+        self.served_logs = ServedLogs::Lost;
         for e in &mut self.entries {
             e.twin = None;
             e.dirty = false;
@@ -341,7 +406,7 @@ impl PageTable {
     /// (called when a checkpoint is taken). The served logs restart
     /// from it: see [`ServedLog::truncate_at_checkpoint`].
     pub fn promote_base(&mut self) {
-        self.served_lost = false;
+        self.served_logs = ServedLogs::Whole;
         for e in &mut self.entries {
             if e.home == self.me {
                 e.base = e.frame.clone();
@@ -479,19 +544,24 @@ impl PageTable {
     /// the selection rule of [`ServedLog::select`], with the live frame
     /// admitted only while it is clean and not ahead of `required`.
     /// `None` when no admissible image exists, or when a crash of this
-    /// home wiped the log.
+    /// home wiped the log for good.
+    ///
+    /// A log being rebuilt has an image at every position replay has
+    /// left, so the selection falls through to the live frame only at
+    /// the current one, where a clean frame *is* the image.
     pub fn recovery_image(
         &mut self,
         page: PageId,
         required: &VClock,
     ) -> Option<(u32, SharedBytes)> {
-        if self.served_lost {
+        if self.served_logs == ServedLogs::Lost {
             return None;
         }
+        let rebuilding = self.served_logs == ServedLogs::Rebuilding;
         let e = &mut self.entries[page as usize];
         debug_assert_eq!(e.home, self.me);
         let version = e.version.as_ref().expect("home version");
-        let live = (!e.dirty && version.dominated_by(required))
+        let live = (!e.dirty && (rebuilding || version.dominated_by(required)))
             .then(|| e.frame.as_ref().expect("home frame"));
         let base = e.base.as_ref().expect("home base");
         e.served.select(required, base, live)
@@ -503,7 +573,9 @@ impl PageTable {
     /// diff against the held one whenever that is smaller than the page
     /// (nothing but an empty diff when they are the same image), else
     /// whole. The home keeps no per-requester state — a `held` position
-    /// it no longer retains, or none, simply yields the whole page. The
+    /// it no longer retains, one it has sent to nobody since it crashed
+    /// (the requester means the previous incarnation's image), or none,
+    /// simply yields the whole page. The
     /// diff rebuilds the selected image from the held *image* and from
     /// nothing else: the requester's copy also holds the writes it has
     /// re-executed since, and a word one of them changed and a later

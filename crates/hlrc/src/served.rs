@@ -11,6 +11,14 @@
 //! about a node kept *outside* that node, so the node's crash does not
 //! take it along (DESIGN.md §13, "Volatile directory state").
 //!
+//! The home's *own* crash does take it along, and a home that may be
+//! asked again rebuilds it by its own replay: the write history re-forms
+//! as replay closes the home's intervals and re-applies the recorded
+//! updates, and before a frame changes the home [retains](ServedLog::retain)
+//! the image it leaves — a page copy, charged, which the live path gets
+//! free with the reply buffer. A request for a write replay has not
+//! re-reached [waits](ServedLog::awaits).
+//!
 //! Positions count writes since the last checkpoint: `pos` is the
 //! length of the write history when an image was taken, and the
 //! checkpoint base is the image at position 0.
@@ -28,12 +36,52 @@ pub struct ServedLog {
     /// `pos`: the image holds every write of `history[..pos]` (and at
     /// most a prefix of the home's then-open interval).
     images: Vec<(u32, SharedBytes)>,
+    /// Rebuild: the remote intervals this home's log records as applied
+    /// to the page and its replay has yet to apply again.
+    expected: Vec<IntervalId>,
+    /// Rebuild: positions of images retained by replay and sent to
+    /// nobody since. A peer that names one as held means the previous
+    /// incarnation's image there, which may have been another.
+    unsent: Vec<u32>,
 }
 
 impl ServedLog {
     /// Interval `iv`'s writes to the page are now complete in the frame.
     pub fn note_write(&mut self, iv: IntervalId) {
         self.history.push(iv);
+        self.unexpect(iv);
+    }
+
+    /// Rebuild: `iv`'s diff is applied again — or lost by its writer's log.
+    pub fn unexpect(&mut self, iv: IntervalId) {
+        if let Some(i) = self.expected.iter().position(|e| *e == iv) {
+            self.expected.swap_remove(i);
+        }
+    }
+
+    /// Rebuild: this home's log says it applied `iv`'s diff; replay will.
+    pub fn expect_write(&mut self, iv: IntervalId) {
+        self.expected.push(iv);
+    }
+
+    /// Rebuild: does `required` cover a write replay has yet to re-apply?
+    /// No image shows the page as of `required` until it has.
+    pub fn awaits(&self, required: &VClock) -> bool {
+        self.expected.iter().any(|iv| required.covers(*iv))
+    }
+
+    /// Rebuild: `frame` is about to change (or replay is over, and its
+    /// next change a live one) — keep the image at the current position
+    /// if none is there. True when a copy was made, for the caller to
+    /// charge: this one is no reply buffer.
+    pub fn retain(&mut self, frame: &PageFrame) -> bool {
+        let before = self.images.len();
+        self.serve(frame);
+        let copied = self.images.len() > before;
+        if copied {
+            self.unsent.push(self.pos());
+        }
+        copied
     }
 
     /// The position an image taken now would get.
@@ -46,12 +94,12 @@ impl ServedLog {
         &self.images
     }
 
-    /// The retained image taken at `pos`, if any.
+    /// The retained image taken at `pos` — the base of a delta for a
+    /// peer that says it holds it — if any, and if this incarnation of
+    /// the home ever sent it.
     pub fn image_at(&self, pos: u32) -> Option<&SharedBytes> {
-        self.images
-            .binary_search_by_key(&pos, |(p, _)| *p)
-            .ok()
-            .map(|i| &self.images[i].1)
+        let at = self.images.binary_search_by_key(&pos, |(p, _)| *p).ok()?;
+        (!self.unsent.contains(&pos)).then(|| &self.images[at].1)
     }
 
     /// The reply buffer for a fetch of the page as it stands in
@@ -119,6 +167,7 @@ impl ServedLog {
             self.serve(live);
         }
         let (pos, image) = &self.images[at];
+        self.unsent.retain(|p| p != pos);
         Some((*pos, image.clone()))
     }
 
@@ -134,12 +183,13 @@ impl ServedLog {
             *pos = 0;
         }
         self.history.clear();
+        // Position 0 is the base in every incarnation.
+        self.unsent.clear();
     }
 
     /// Forget everything (the home crashed, or the page left it).
     pub fn clear(&mut self) {
-        self.history.clear();
-        self.images.clear();
+        *self = ServedLog::default();
     }
 }
 

@@ -171,20 +171,12 @@ fn arb_msg(rng: &mut Rng) -> Msg {
         },
         10 => {
             let len = rng.usize_in(0, 256);
-            let image = match rng.u32_in(0, 5) {
-                0 => RecoveryImage::Current {
-                    data: rng.bytes(len).into(),
-                    version: arb_vclock(rng),
-                },
-                1 => RecoveryImage::Base {
-                    data: rng.bytes(len).into(),
-                    version: arb_vclock(rng),
-                },
-                2 => RecoveryImage::Image {
+            let image = match rng.u32_in(0, 3) {
+                0 => RecoveryImage::Image {
                     pos: rng.u32_any_width(),
                     data: rng.bytes(len).into(),
                 },
-                3 => RecoveryImage::Delta {
+                1 => RecoveryImage::Delta {
                     pos: rng.u32_any_width(),
                     diff: arb_diff(rng),
                 },
@@ -499,13 +491,15 @@ fn hostile_counts_return_errors() {
             vec![&[9], &epoch, &empty_vc, &[0xFF; 5]],
         ),
         ("RecoveryPageReply kind", vec![&[10], &epoch, &[5]]),
+        // The two retired kinds (a committed copy, a checkpoint base),
+        // well-formed as they used to be: 4 counted bytes and a clock.
         (
-            "RecoveryPageReply copy",
-            vec![&[10], &epoch, &[1], &HUGE_U32],
+            "RecoveryPageReply retired kind 0",
+            vec![&[10], &epoch, &[0], &[4, 0, 0, 0], &epoch, &empty_vc],
         ),
         (
-            "RecoveryPageReply copy clock",
-            vec![&[10], &epoch, &[0], &[0; 4], &HUGE_VAR],
+            "RecoveryPageReply retired kind 1",
+            vec![&[10], &epoch, &[1], &[4, 0, 0, 0], &epoch, &empty_vc],
         ),
         (
             "RecoveryPageReply image",

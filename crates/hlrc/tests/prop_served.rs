@@ -7,6 +7,10 @@
 //! X holds interval I" is decidable from the bytes: all of I's words
 //! carry I's values.
 //!
+//! The second property wipes that home and rebuilds its logs the way a
+//! replay does — each window's own interval first, then the window's
+//! recorded updates — and holds the rebuilt logs to the same invariant.
+//!
 //! The last property needs the opposite: a handful of words that keep
 //! returning to values they had before, written by the requester too —
 //! the case in which the requester's own copy is no base for a delta.
@@ -52,11 +56,24 @@ fn arb_required(rng: &mut Rng, next_seq: &[u32; NODES]) -> VClock {
     vc
 }
 
+/// What the home did since the last checkpoint, as its replay sees it:
+/// its own writes, the ends of its intervals (each one a sync, hence a
+/// window of its log) and the diffs it applied — the `Updates` records.
+#[derive(Clone, Copy)]
+enum Op {
+    Write(u32, usize, u32),
+    Close(IntervalId),
+    Diff(u32, IntervalId, usize, u32),
+}
+
 struct Home {
     table: PageTable,
     pages: Vec<PageModel>,
     next_seq: [u32; NODES],
     next_value: u32,
+    ops: Vec<Op>,
+    /// The home's own intervals at the last checkpoint.
+    base_seq: u32,
 }
 
 impl Home {
@@ -70,6 +87,8 @@ impl Home {
             pages: (0..n_pages).map(|_| PageModel::default()).collect(),
             next_seq: [0; NODES],
             next_value: 1,
+            ops: Vec::new(),
+            base_seq: 0,
         }
     }
 
@@ -90,6 +109,7 @@ impl Home {
         self.table.frame_mut(page as u32).write_u32(word * 4, value);
         self.table.entry_mut(page as u32).dirty = true;
         self.pages[page].open.push((word, value));
+        self.ops.push(Op::Write(page as u32, word, value));
     }
 
     /// The home closes its interval: every dirty page gets one last
@@ -101,12 +121,15 @@ impl Home {
             seq: self.next_seq[0],
         };
         let dirty = self.table.dirty_pages();
+        for &page in &dirty {
+            self.home_write(page as usize);
+        }
+        self.ops.push(Op::Close(iv));
         if dirty.is_empty() {
             return;
         }
         self.next_seq[0] += 1;
         for page in dirty {
-            self.home_write(page as usize);
             self.table.entry_mut(page).dirty = false;
             self.table.note_home_write(page, iv);
             let m = &mut self.pages[page as usize];
@@ -134,12 +157,15 @@ impl Home {
         };
         self.table.apply_home_diff(&diff, iv);
         self.pages[page].entries.push((iv, vec![(word, value)]));
+        self.ops.push(Op::Diff(page as u32, iv, word, value));
     }
 
     /// A barrier-aligned checkpoint: intervals closed, base promoted.
     fn checkpoint(&mut self) {
         self.home_close();
         self.table.promote_base();
+        self.ops.clear();
+        self.base_seq = self.next_seq[0];
         let all = {
             let mut vc = VClock::new(NODES);
             for (node, &n) in self.next_seq.iter().enumerate() {
@@ -236,6 +262,212 @@ fn the_selected_image_is_the_earliest_that_holds_every_covered_write() {
             home.check_selection(page, &required);
         }
     });
+}
+
+/// One write-history entry of a rebuilt log: the window of the home's
+/// log it was re-reached in, the interval, the words.
+type Rebuilt = (usize, IntervalId, Vec<(usize, u32)>);
+
+fn one_word_diff(page: u32, word: usize, value: u32) -> PageDiff {
+    PageDiff {
+        page,
+        runs: vec![DiffRun {
+            offset: (word * 4) as u32,
+            data: value.to_le_bytes().to_vec(),
+        }],
+    }
+}
+
+impl Home {
+    /// The write histories a replay of `ops` re-forms, per page: window
+    /// by window, the home's own interval first, then the updates in
+    /// record order — not the order they had live, where the updates of
+    /// a window arrived while its interval was open.
+    fn rebuilt_order(&self) -> Vec<Vec<Rebuilt>> {
+        let mut order: Vec<Vec<Rebuilt>> = vec![Vec::new(); self.pages.len()];
+        let mut own: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.pages.len()];
+        let mut updates: Vec<Op> = Vec::new();
+        let mut window = 0;
+        for op in &self.ops {
+            match *op {
+                Op::Write(page, word, value) => own[page as usize].push((word, value)),
+                Op::Diff(..) => updates.push(*op),
+                Op::Close(iv) => {
+                    for (page, writes) in own.iter_mut().enumerate() {
+                        if !writes.is_empty() {
+                            order[page].push((window, iv, std::mem::take(writes)));
+                        }
+                    }
+                    for update in updates.drain(..) {
+                        let Op::Diff(page, iv, word, value) = update else {
+                            unreachable!()
+                        };
+                        order[page as usize].push((window, iv, vec![(word, value)]));
+                    }
+                    window += 1;
+                }
+            }
+        }
+        order
+    }
+
+    /// The selection invariant against a rebuilt log, for the requests
+    /// the home would not park: the selected image holds every write
+    /// `required` covers, and no write of a window after the last one
+    /// that holds a covered write — those are the home's *later* writes,
+    /// which the requester may have read the old value of. (An uncovered
+    /// write of that window or an earlier one is concurrent with the
+    /// requester, hence unread.)
+    fn check_rebuilt(
+        &mut self,
+        order: &[Vec<Rebuilt>],
+        closed: u32,
+        requests: &[(u32, VClock)],
+    ) -> Result<(), String> {
+        for (page, required) in requests {
+            if self.table.awaits_rebuild(*page, required, closed) {
+                continue;
+            }
+            let Some((pos, image)) = self.table.recovery_image(*page, required) else {
+                return Err(format!("page {page} absent at {required:?}"));
+            };
+            let entries = &order[*page as usize];
+            let last = entries
+                .iter()
+                .filter(|(_, iv, _)| required.covers(*iv))
+                .map(|(window, ..)| *window)
+                .max();
+            for (window, iv, writes) in entries {
+                if required.covers(*iv) {
+                    if !holds(&image, writes) {
+                        return Err(format!("image {pos} of page {page} misses covered {iv}"));
+                    }
+                } else if last.is_none_or(|w| *window > w)
+                    && writes.iter().any(|w| holds(&image, &[*w]))
+                {
+                    return Err(format!("image {pos} of page {page} holds the later {iv}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Crash the home and rebuild its served logs by replaying `ops`,
+    /// checking `requests` after every step. `retain_after` is the
+    /// mutant: the image is kept after the frame changed, not before.
+    fn crash_and_rebuild(
+        &mut self,
+        requests: &[(u32, VClock)],
+        retain_after: bool,
+    ) -> Result<(), String> {
+        let order = self.rebuilt_order();
+        let ops = self.ops.clone();
+        self.table.reset_to_base();
+        self.table
+            .rebuild_served_logs(ops.iter().filter_map(|op| match op {
+                Op::Diff(page, iv, ..) => Some((*page, *iv)),
+                _ => None,
+            }));
+        let mut closed = self.base_seq;
+        let mut updates: Vec<Op> = Vec::new();
+        for op in &ops {
+            match *op {
+                Op::Write(page, word, value) => {
+                    let first = !self.table.entry(page).dirty;
+                    if first && !retain_after {
+                        self.table.retain_before_write(page);
+                    }
+                    self.table.frame_mut(page).write_u32(word * 4, value);
+                    if first && retain_after {
+                        self.table.retain_before_write(page);
+                    }
+                    self.table.entry_mut(page).dirty = true;
+                }
+                Op::Diff(..) => updates.push(*op),
+                Op::Close(iv) => {
+                    let dirty = self.table.dirty_pages();
+                    closed += u32::from(!dirty.is_empty());
+                    for page in dirty {
+                        self.table.entry_mut(page).dirty = false;
+                        self.table.note_home_write(page, iv);
+                    }
+                    self.check_rebuilt(&order, closed, requests)?;
+                    for update in updates.drain(..) {
+                        let Op::Diff(page, iv, word, value) = update else {
+                            unreachable!()
+                        };
+                        if !retain_after {
+                            self.table.retain_before_write(page);
+                        }
+                        self.table
+                            .apply_home_diff(&one_word_diff(page, word, value), iv);
+                        if retain_after {
+                            self.table.retain_before_write(page);
+                        }
+                        self.check_rebuilt(&order, closed, requests)?;
+                    }
+                }
+            }
+        }
+        self.table.finish_served_rebuild();
+        for (page, required) in requests {
+            assert!(!self.table.awaits_rebuild(*page, required, closed));
+        }
+        self.check_rebuilt(&order, closed, requests)
+    }
+}
+
+#[test]
+fn a_log_rebuilt_by_replay_selects_as_soundly_as_the_one_it_replaces() {
+    let caught = Cell::new(0u32);
+    check("served_rebuild", CASES, |rng| {
+        let n_pages = rng.usize_in(1, 3);
+        let mut home = Home::new(n_pages);
+        for _ in 0..rng.usize_in(5, 60) {
+            let page = rng.usize_in(0, n_pages);
+            match rng.u32_in(0, 10) {
+                0..=2 => home.home_write(page),
+                3..=4 => home.home_close(),
+                5..=7 => home.remote_diff(page, rng.usize_in(1, NODES)),
+                8 => drop(home.table.serve_copy(page as u32)),
+                _ => home.checkpoint(),
+            }
+        }
+        // The crash is barrier-aligned: no interval is open.
+        home.home_close();
+        let requests: Vec<(u32, VClock)> = (0..8)
+            .map(|_| {
+                let page = rng.usize_in(0, n_pages) as u32;
+                (page, arb_required(rng, &home.next_seq))
+            })
+            .collect();
+        if let Err(why) = home.crash_and_rebuild(&requests, false) {
+            panic!("{why}");
+        }
+        // A position whose image this incarnation has sent to nobody is
+        // no base for a delta, whatever the requester says it holds; once
+        // sent, it is.
+        home.crash_and_rebuild(&[], false)
+            .expect("nothing to check");
+        let (page, required) = &requests[0];
+        let (pos, _) = home.table.recovery_image(*page, required).expect("whole");
+        for held in (0..=home.table.entry(*page).served.pos()).filter(|h| *h != pos) {
+            let (answer, _) = home.table.recovery_answer(*page, required, Some(held));
+            assert!(
+                matches!(answer, RecoveryImage::Image { .. }),
+                "a delta against the unsent image {held}: {answer:?}"
+            );
+        }
+        let (answer, _) = home.table.recovery_answer(*page, required, Some(pos));
+        assert!(matches!(answer, RecoveryImage::Delta { diff, .. } if diff.is_empty()));
+        // Same run, same requests, images taken after the write.
+        caught.set(caught.get() + u32::from(home.crash_and_rebuild(&requests, true).is_err()));
+    });
+    assert!(
+        caught.get() > CASES as u32 / 4,
+        "retaining after the write must break the invariant: caught in {} of {CASES} runs",
+        caught.get()
+    );
 }
 
 /// A page image that differs from `from` in about `density` per mille

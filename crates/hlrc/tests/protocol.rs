@@ -502,7 +502,7 @@ fn a_used_prediction_is_reported_with_the_next_fault_at_its_home() {
 }
 
 /// A logging layer that logs nothing but makes homes retain the pages
-/// they serve, as single-failure CCL does.
+/// they serve, as CCL does.
 struct Retaining;
 
 impl FaultTolerance for Retaining {
@@ -598,6 +598,238 @@ fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
         answers[4],
         RecoveryImage::Absent,
         "a crashed home retains nothing"
+    );
+}
+
+/// A recovery fetch serviced while the home has an *open* interval on
+/// the page must not see the live frame: the open-interval words are in
+/// no version the replaying peer can have required, and their extent
+/// depends on real scheduling. No twin was ever made; the answer is the
+/// buffer node 1 was sent when it fetched the page — 0xA1, not the live
+/// 0xA2. Asked again by a requester that holds that image, the home
+/// sends an empty delta.
+#[test]
+fn recovery_fetch_of_a_dirty_home_page_serves_the_image_it_retained() {
+    let cfg = small_cfg(2, 4);
+    let mut out = run_cluster(2, cfg.cost, move |ctx| {
+        let mut node = HlrcNode::new(ctx, cfg, Box::new(Retaining));
+        if node.inner.me() == 0 {
+            // Commit 0xA1 on the locally-homed page 0, then let node 1
+            // install a copy (its fetch is serviced inside the barrier
+            // gather loops).
+            node.write_u64(8, 0xA1);
+            node.barrier();
+            node.barrier();
+            // Open a new interval on the page, say so, and serve node
+            // 1's recovery fetches while still mid-interval.
+            node.write_u64(8, 0xA2);
+            let go = Msg::DiffAck {
+                writer: IntervalId { node: 0, seq: 0 },
+            };
+            node.inner.ctx.send(1, go).expect("send go signal");
+            for _ in 0..2 {
+                let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageRequest { .. }));
+                let done = node.inner.ctx.service_time(&env);
+                node.inner.serve_recovery_page(&env, done);
+            }
+            node.barrier();
+            (Vec::new(), node.inner.ctx.stats.twins_created)
+        } else {
+            node.barrier();
+            assert_eq!(node.read_u64(8), 0xA1);
+            node.barrier();
+            let required = node.inner.vc.clone();
+            node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
+            // As a replaying node would: twice, the second time naming
+            // what the first answer said it now holds.
+            let mut images = Vec::new();
+            let mut held = None;
+            for _ in 0..2 {
+                let request = Msg::RecoveryPageRequest {
+                    page: 0,
+                    required: required.clone(),
+                    held,
+                };
+                node.inner.ctx.send(0, request).expect("send");
+                let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { .. }));
+                let Msg::RecoveryPageReply { image, .. } = env.payload else {
+                    unreachable!()
+                };
+                if let RecoveryImage::Image { pos, .. } = &image {
+                    held = Some(*pos);
+                }
+                images.push(image);
+            }
+            node.barrier();
+            (images, 0)
+        }
+    });
+    let (images, _) = out.pop().expect("node 1");
+    let (_, twins) = out.pop().expect("node 0");
+    assert_eq!(twins, 0, "a home that retains served pages twins nothing");
+    let RecoveryImage::Image { pos: 1, data } = &images[0] else {
+        panic!("expected the retained image, got {:?}", images[0]);
+    };
+    assert_eq!(u64::from_le_bytes(data[8..16].try_into().unwrap()), 0xA1);
+    assert!(
+        matches!(&images[1], RecoveryImage::Delta { pos: 1, diff } if diff.is_empty()),
+        "expected an empty delta against the held image, got {:?}",
+        images[1]
+    );
+}
+
+/// [`Retaining`], plus the one thing a CCL home that may be asked again
+/// does when it recovers: it rebuilds its served logs. The test below is
+/// the replay.
+struct Rebuilding {
+    replaying: bool,
+    updates: Vec<(u32, IntervalId)>,
+}
+
+impl FaultTolerance for Rebuilding {
+    fn name(&self) -> &'static str {
+        "rebuilding"
+    }
+    fn retains_served_pages(&self) -> bool {
+        true
+    }
+    fn begin_recovery(&mut self, inner: &mut hlrc::NodeInner) {
+        self.replaying = true;
+        inner
+            .pages
+            .rebuild_served_logs(self.updates.iter().copied());
+    }
+    fn in_recovery(&self) -> bool {
+        self.replaying
+    }
+    fn finish_recovery(&mut self, _inner: &mut hlrc::NodeInner) {
+        self.replaying = false;
+    }
+}
+
+#[test]
+fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
+    // Page 2 is homed at node 1. Live, node 0's diff (0xD1) reaches the
+    // home while the home's own interval is open with 0xA1 written and
+    // 0xB2 still to come, and node 0 is restored from the image at
+    // position 1: {A1, D1}. The home crashes and replays — its own
+    // interval first, then the recorded update — so its rebuilt image
+    // at position 1 is {A1, B2}. A request that still names position 1
+    // as held would get "D1" as the delta to position 2, and end up
+    // without B2. It must get the whole page; and while the home has
+    // not re-applied D1, no answer at all.
+    const PAGE2: usize = 2 * 256;
+    let cfg = small_cfg(2, 4);
+    let mark = |seq| Msg::DiffAck {
+        writer: IntervalId { node: 9, seq },
+    };
+    let is_mark =
+        |m: &Msg, n| matches!(m, Msg::DiffAck { writer } if writer.node == 9 && writer.seq == n);
+    let d1 = IntervalId { node: 0, seq: 0 };
+    let diff = || pagemem::PageDiff {
+        page: 2,
+        runs: vec![pagemem::DiffRun {
+            offset: 16,
+            data: 0xD1u64.to_le_bytes().to_vec(),
+        }],
+    };
+    let word = |data: &[u8], at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
+    let got = run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
+        let ft = Rebuilding {
+            replaying: false,
+            updates: vec![(2, d1)],
+        };
+        let mut node = HlrcNode::new(ctx, cfg, Box::new(ft));
+        let send = |node: &mut HlrcNode, to, msg| node.inner.ctx.send(to, msg).expect("send");
+        if node.inner.me() == 1 {
+            node.write_u64(PAGE2 + 8, 0xA1);
+            send(&mut node, 0, mark(0));
+            node.wait_for(|m| is_mark(m, 1)); // serves the flush and both fetches
+            node.write_u64(PAGE2 + 24, 0xB2);
+            node.barrier();
+            node.crash_and_reset(SimDuration::ZERO);
+            // Replay, by hand: the interval, then the update.
+            node.write_u64(PAGE2 + 8, 0xA1);
+            node.write_u64(PAGE2 + 24, 0xB2);
+            node.inner.close_interval();
+            send(&mut node, 0, mark(2));
+            node.wait_for(|m| is_mark(m, 3));
+            assert!(
+                node.inner.has_parked_fetches(),
+                "answered before D1 was back"
+            );
+            node.inner.apply_home_diff(&diff(), d1);
+            let now = node.inner.ctx.now();
+            node.inner.serve_parked_fetches(now);
+            assert!(!node.inner.has_parked_fetches());
+            node.barrier(); // leaves recovery; serves the last request
+            node.barrier();
+            Vec::new()
+        } else {
+            let ask = |node: &mut HlrcNode, required: &VClock, held| {
+                let request = Msg::RecoveryPageRequest {
+                    page: 2,
+                    required: required.clone(),
+                    held,
+                };
+                send(node, 1, request);
+            };
+            let answer = |node: &mut HlrcNode| {
+                let env = node.wait_for(|m| matches!(m, Msg::RecoveryPageReply { .. }));
+                let Msg::RecoveryPageReply { image, .. } = env.payload else {
+                    unreachable!()
+                };
+                image
+            };
+            node.wait_for(|m| is_mark(m, 0));
+            let flush = Msg::DiffFlush {
+                writer: d1,
+                diffs: vec![diff()],
+            };
+            send(&mut node, 1, flush);
+            node.wait_for(|m| matches!(m, Msg::DiffAck { writer } if *writer == d1));
+            send(&mut node, 1, Msg::PageRequest { page: 2 });
+            node.wait_for(|m| matches!(m, Msg::PageReply { .. }));
+            let mut required = VClock::new(2);
+            required.observe(d1);
+            ask(&mut node, &required, None);
+            let mut answers = vec![answer(&mut node)];
+            send(&mut node, 1, mark(1));
+            node.barrier();
+            node.wait_for(|m| is_mark(m, 2));
+            required.observe(IntervalId { node: 1, seq: 0 });
+            ask(&mut node, &required, Some(1));
+            send(&mut node, 1, mark(3));
+            answers.push(answer(&mut node));
+            ask(&mut node, &required, Some(2));
+            answers.push(answer(&mut node));
+            node.barrier();
+            answers
+        }
+    });
+    let answers = &got[0];
+    let RecoveryImage::Image { pos: 1, data } = &answers[0] else {
+        panic!("before the crash: {:?}", answers[0]);
+    };
+    assert_eq!(
+        (word(data, 8), word(data, 16), word(data, 24)),
+        (0xA1, 0xD1, 0)
+    );
+    let RecoveryImage::Image { pos: 2, data } = &answers[1] else {
+        panic!(
+            "a stale held position must yield the whole page, got {:?}",
+            answers[1]
+        );
+    };
+    assert_eq!(
+        (word(data, 8), word(data, 16), word(data, 24)),
+        (0xA1, 0xD1, 0xB2)
+    );
+    // Position 2 was sent by this incarnation: naming it is fine.
+    assert!(
+        matches!(&answers[2], RecoveryImage::Delta { pos: 2, diff } if diff.is_empty()),
+        "{:?}",
+        answers[2]
     );
 }
 

@@ -245,8 +245,7 @@ fn msg_recovery_page_request() {
     for held in [None, Some(3), Some(200), Some(70_000)] {
         check(&request(held));
     }
-    // A request that names no held image is the clock and nothing else:
-    // the multi-failure path sends the bytes it always sent.
+    // A request that names no held image is the clock and nothing else.
     assert_eq!(request(None).encoded_size(), 1 + 4 + vc().encoded_size());
     assert_eq!(
         request(Some(200)).encoded_size(),
@@ -258,29 +257,21 @@ fn msg_recovery_page_request() {
 fn msg_recovery_page_reply() {
     let data: pagemem::SharedBytes = vec![1; 256].into();
     let reply = |image| Msg::RecoveryPageReply { page: 11, image };
-    let copies = [
-        RecoveryImage::Current {
-            data: data.clone(),
-            version: vc(),
-        },
-        RecoveryImage::Base {
-            data: data.clone(),
-            version: vc(),
-        },
-    ];
-    for image in copies {
-        let m = reply(image);
-        check(&m);
-        // Tag, page, kind, counted contents, clock — as with the flag
-        // byte the kind replaced.
-        assert_eq!(m.encoded_size(), 1 + 4 + 1 + 4 + 256 + vc().encoded_size());
-    }
-    for pos in [0, 200, 70_000] {
-        check(&reply(RecoveryImage::Image {
+    // The sizes the three kinds have always had: tag, page, kind, then
+    // `var(pos)` and the counted contents or the diff.
+    for (pos, var) in [(0, 1), (200, 2), (70_000, 3)] {
+        let image = reply(RecoveryImage::Image {
             pos,
             data: data.clone(),
-        }));
-        check(&reply(RecoveryImage::Delta { pos, diff: diff() }));
+        });
+        check(&image);
+        assert_eq!(image.encoded_size(), 1 + 4 + 1 + var + 4 + 256);
+        let delta = reply(RecoveryImage::Delta { pos, diff: diff() });
+        check(&delta);
+        assert_eq!(
+            delta.encoded_size(),
+            1 + 4 + 1 + var + diff().encoded_size()
+        );
     }
     check(&reply(RecoveryImage::Absent));
     assert_eq!(reply(RecoveryImage::Absent).encoded_size(), 1 + 4 + 1);

@@ -8,7 +8,10 @@
 //! The fault-free matrix is then repeated under fixed chaos schedules
 //! (lossy network, a partition window, and — for the logging
 //! protocols — a mid-run crash) to show that determinism survives the
-//! reliable layer and recovery, not just the happy path.
+//! reliable layer and recovery, not just the happy path — and, under
+//! CCL, two crashes: one after the other (the second victim restores
+//! from a home that rebuilt its served logs) and both at once (two
+//! replaying homes serving each other).
 //!
 //! Usage: `detcheck [--paper] [--chaos N]`
 //!
@@ -162,6 +165,24 @@ fn main() {
                 });
             }
         }
+    }
+
+    // Two failures: the served-log rebuild, the parked fetches and the
+    // early update application only run here.
+    println!("== two-crash matrix ({}) ==", scale.label());
+    let app = App::Water;
+    for (name, second) in [
+        ("sequential", CrashPlan::new(2, 4)),
+        ("overlapping", CrashPlan::new(2, 2)),
+    ] {
+        let label = format!("{}/ccl/{name}", app.name());
+        failures += check_pair(&label, || {
+            let spec = scale
+                .spec(app, Protocol::Ccl)
+                .with_crash(CrashPlan::new(1, 2))
+                .with_crash(second);
+            scale.run_spec(app, spec)
+        });
     }
 
     // Stable-storage damage must be just as reproducible as network

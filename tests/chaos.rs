@@ -13,8 +13,8 @@ use std::cell::Cell;
 
 use ccl_apps::App;
 use ccl_core::{
-    run_program, ClusterSpec, CrashPlan, DiskFaultPlan, FaultPlan, Partition, Protocol, RunOutput,
-    SimDuration, SimTime, TraceKind,
+    run_program, ClusterSpec, CrashPlan, DiskFaultPlan, Dsm, FaultPlan, LogObj, Partition,
+    Protocol, RunOutput, SimDuration, SimTime, TraceKind,
 };
 use minicheck::{check, Rng};
 
@@ -57,14 +57,13 @@ fn random_faults(rng: &mut Rng) -> FaultPlan {
 /// and the end of its recovery, compute/wait/disk sum to the recovery
 /// window (`RunOutput::recovery_time` is the first such window).
 /// Failures name the fault seed for reproduction.
-fn check_phase_accounting(app: App, protocol: Protocol, seed: u64, out: &RunOutput<u64>) {
+fn check_phase_accounting(name: &str, protocol: Protocol, seed: u64, out: &RunOutput<u64>) {
     for n in &out.nodes {
         assert_eq!(
             n.phases.total().as_nanos(),
             n.finish.as_nanos(),
-            "{} under {:?}: node {} phase accounting leaks \
+            "{name} under {:?}: node {} phase accounting leaks \
              (fault seed {seed:#018x}): {:?} vs finish {:?}",
-            app.name(),
             protocol,
             n.node,
             n.phases,
@@ -75,9 +74,8 @@ fn check_phase_accounting(app: App, protocol: Protocol, seed: u64, out: &RunOutp
             assert_eq!(
                 window.total(),
                 exit.saturating_since(crashed),
-                "{} under {:?}: node {} recovery-window accounting leaks \
+                "{name} under {:?}: node {} recovery-window accounting leaks \
                  (fault seed {seed:#018x}): {window:?}",
-                app.name(),
                 protocol,
                 n.node
             );
@@ -85,26 +83,105 @@ fn check_phase_accounting(app: App, protocol: Protocol, seed: u64, out: &RunOutp
     }
 }
 
-/// Run `app` under `spec` and assert every node returns the serial
-/// reference digest **and** balances its phase accounting (see
-/// [`check_phase_accounting`]).
+/// Run `app` under `spec` and check it ([`Program::run_and_check`]).
 fn run_and_check(app: App, spec: ClusterSpec) -> RunOutput<u64> {
-    let protocol = spec.protocol;
-    let seed = spec.faults.seed;
-    let expect = app.tiny_reference();
-    let out = run_program(spec, move |dsm| app.run_tiny(dsm));
-    for n in &out.nodes {
-        assert_eq!(
-            n.result,
-            expect,
-            "{} under {:?} diverged on node {} (fault seed {seed:#018x})",
-            app.name(),
-            protocol,
-            n.node
-        );
+    Program::App(app).run_and_check(spec)
+}
+
+/// What a run executes: a shipped application's tiny instance, or the
+/// multi-writer kernel below.
+#[derive(Debug, Clone, Copy)]
+enum Program {
+    App(App),
+    MultiWriter,
+}
+
+const MW_PAGES: usize = 8;
+const MW_ROUNDS: usize = 4;
+
+/// The value word `idx` holds after `round`: never the round before's,
+/// so every written word lands in a diff.
+fn mw_value(round: usize, idx: usize) -> u64 {
+    ((round as u64 + 1) << 32) | idx as u64
+}
+
+/// Barrier-only multi-writer kernel (the shape of `benchmark/`'s
+/// `multiwriter-matrix`): every node writes a word stripe of every
+/// page, so each home applies a diff from every other node each round
+/// — the only shape with `Updates` records in a crashed home's log —
+/// then every node reads everything.
+fn multiwriter(dsm: &mut Dsm, words: usize) -> u64 {
+    let (me, nodes) = (dsm.me(), dsm.nodes());
+    let arr = dsm.alloc_blocked::<u64>(MW_PAGES * words);
+    let mut sum = 0u64;
+    for round in 0..MW_ROUNDS {
+        for idx in (0..MW_PAGES * words).filter(|idx| idx % nodes == me) {
+            dsm.write(&arr, idx, mw_value(round, idx));
+        }
+        dsm.barrier();
+        for idx in 0..MW_PAGES * words {
+            sum = sum.wrapping_mul(31).wrapping_add(dsm.read(&arr, idx));
+        }
+        dsm.barrier();
     }
-    check_phase_accounting(app, protocol, seed, &out);
-    out
+    sum
+}
+
+fn multiwriter_reference(words: usize) -> u64 {
+    let mut sum = 0u64;
+    for round in 0..MW_ROUNDS {
+        for idx in 0..MW_PAGES * words {
+            sum = sum.wrapping_mul(31).wrapping_add(mw_value(round, idx));
+        }
+    }
+    sum
+}
+
+impl Program {
+    fn name(self) -> &'static str {
+        match self {
+            Program::App(app) => app.name(),
+            Program::MultiWriter => "multiwriter",
+        }
+    }
+
+    fn tiny_spec(self, protocol: Protocol) -> ClusterSpec {
+        match self {
+            Program::App(app) => tiny_spec(app, protocol),
+            Program::MultiWriter => ClusterSpec::new(NODES, MW_PAGES as u32 + 4)
+                .with_page_size(256)
+                .with_protocol(protocol),
+        }
+    }
+
+    /// Run under `spec` and assert every node returns the serial
+    /// reference digest **and** balances its phase accounting (see
+    /// [`check_phase_accounting`]).
+    fn run_and_check(self, spec: ClusterSpec) -> RunOutput<u64> {
+        let protocol = spec.protocol;
+        let seed = spec.faults.seed;
+        let words = spec.page_size / 8;
+        let expect = match self {
+            Program::App(app) => app.tiny_reference(),
+            Program::MultiWriter => multiwriter_reference(words),
+        };
+        let out = run_program(spec, move |dsm| match self {
+            Program::App(app) => app.run_tiny(dsm),
+            Program::MultiWriter => multiwriter(dsm, words),
+        });
+        for n in &out.nodes {
+            assert_eq!(
+                n.result,
+                expect,
+                "{} under {:?} diverged on node {} (fault seed {seed:#018x})",
+                self.name(),
+                protocol,
+                n.node
+            );
+        }
+        check_phase_accounting(self.name(), protocol, seed, &out);
+        out
+    }
 }
 
 /// Like [`run_and_check`] but without the digest assertion: for fault
@@ -115,7 +192,7 @@ fn run_and_complete(app: App, spec: ClusterSpec) -> RunOutput<u64> {
     let protocol = spec.protocol;
     let seed = spec.faults.seed;
     let out = run_program(spec, move |dsm| app.run_tiny(dsm));
-    check_phase_accounting(app, protocol, seed, &out);
+    check_phase_accounting(app.name(), protocol, seed, &out);
     out
 }
 
@@ -239,18 +316,88 @@ fn crash_recovery_survives_lossy_network() {
     }
 }
 
-fn two_crashes(protocol: Protocol, first: CrashPlan, second: CrashPlan) -> RunOutput<u64> {
-    let app = App::Fft3d;
-    let spec = tiny_spec(app, protocol)
+/// `program` with two crashes, on a clean or faulty network: every node
+/// reaches the fault-free digest, exactly two recoveries ran, and a
+/// second run of the same spec is bit-identical.
+fn two_crashes_of(
+    program: Program,
+    protocol: Protocol,
+    [first, second]: [CrashPlan; 2],
+    faults: FaultPlan,
+) -> RunOutput<u64> {
+    let spec = program
+        .tiny_spec(protocol)
+        .with_faults(faults)
         .with_crash(first)
         .with_crash(second);
-    let out = run_and_check(app, spec);
-    assert_eq!(
-        count_recoveries(&out),
-        2,
-        "{protocol:?}: expected two recoveries for {first:?} + {second:?}"
+    let out = program.run_and_check(spec.clone());
+    let what = format!(
+        "{} under {protocol:?}, {first:?} + {second:?}",
+        program.name()
     );
+    assert_eq!(count_recoveries(&out), 2, "{what}: expected two recoveries");
+    let again = program.run_and_check(spec);
+    for (a, b) in out.nodes.iter().zip(&again.nodes) {
+        assert_eq!(
+            (a.finish, a.recovery_exit, a.log_bytes_on_disk, a.phases),
+            (b.finish, b.recovery_exit, b.log_bytes_on_disk, b.phases),
+            "{what}: node {} differs between two runs",
+            a.node
+        );
+    }
     out
+}
+
+fn two_crashes(protocol: Protocol, first: CrashPlan, second: CrashPlan) -> RunOutput<u64> {
+    two_crashes_of(
+        Program::App(App::Fft3d),
+        protocol,
+        [first, second],
+        FaultPlan::none(),
+    )
+}
+
+/// The three two-crash schedules: the second victim's recovery meets a
+/// home that crashed earlier; both recover at once and serve each other
+/// while replaying; one node fails again after its recovery completed.
+fn two_crash_schedules() -> [[CrashPlan; 2]; 3] {
+    [
+        [CrashPlan::new(1, 2), CrashPlan::new(2, 4)],
+        [CrashPlan::new(1, 3), CrashPlan::new(2, 3)],
+        [CrashPlan::new(1, 2), CrashPlan::new(1, 4)],
+    ]
+}
+
+/// Every schedule under CCL, clean and lossy, on a program whose
+/// crashed homes are written by themselves only (`Shallow`), by
+/// everyone (the multi-writer kernel: the rebuilt served log must wait
+/// for and re-apply recorded updates) or under locks (`Water`).
+fn two_crash_matrix(program: Program) {
+    for schedule in two_crash_schedules() {
+        for faults in [FaultPlan::none(), FaultPlan::lossy(0x2C4A_5E55, 20, 10)] {
+            two_crashes_of(program, Protocol::Ccl, schedule, faults);
+        }
+    }
+}
+
+#[test]
+fn two_crash_matrix_ccl_fft3d() {
+    two_crash_matrix(Program::App(App::Fft3d));
+}
+
+#[test]
+fn two_crash_matrix_ccl_shallow() {
+    two_crash_matrix(Program::App(App::Shallow));
+}
+
+#[test]
+fn two_crash_matrix_ccl_multiwriter() {
+    two_crash_matrix(Program::MultiWriter);
+}
+
+#[test]
+fn two_crash_matrix_ccl_water() {
+    two_crash_matrix(Program::App(App::Water));
 }
 
 #[test]
@@ -262,12 +409,21 @@ fn sequential_crashes_of_distinct_nodes_ml() {
 /// node 1 lost its copysets with the rest of its volatile state, so it
 /// can only answer "incomplete" (`hlrc`'s protocol tests pin that) and
 /// node 2 falls back to treating every page homed there as held — and
-/// still lands on the fault-free digest (`two_crashes` checks it).
+/// still lands on the fault-free digest (`two_crashes` checks it),
+/// because node 1 rebuilt its served-image logs while it replayed: it
+/// answers node 2's recovery fetches after its own crash with images.
+/// ("Absent" remains the answer for a page node 2 held but did not
+/// fetch again in the stretch it replays; had it been the answer for
+/// one node 2 then touches, the run would have died of "CCL replay
+/// drift".)
 #[test]
 fn sequential_crashes_of_distinct_nodes_ccl() {
     let out = two_crashes(Protocol::Ccl, CrashPlan::new(1, 2), CrashPlan::new(2, 4));
+    // An "absent" reply is its header, tag, page and kind.
+    let absent_bytes = hlrc::HEADER_BYTES as u32 + 6;
     let mut crashed = false;
     let mut answered_after_crash = false;
+    let mut images_after_crash = 0;
     for ev in &out.nodes[1].trace {
         match ev.kind {
             TraceKind::Crash => crashed = true,
@@ -276,6 +432,12 @@ fn sequential_crashes_of_distinct_nodes_ccl() {
                 msg: "RecoveryHelloReply",
                 ..
             } => answered_after_crash |= crashed,
+            TraceKind::MsgSend {
+                to: 2,
+                msg: "RecoveryPageReply",
+                bytes,
+                ..
+            } if crashed && bytes > absent_bytes => images_after_crash += 1,
             _ => {}
         }
     }
@@ -283,6 +445,98 @@ fn sequential_crashes_of_distinct_nodes_ccl() {
         answered_after_crash,
         "node 1 never answered node 2's hello after its own crash"
     );
+    assert!(
+        images_after_crash > 0,
+        "node 2 restored nothing from the home that crashed before it"
+    );
+}
+
+/// CCL's failure-free behaviour does not depend on how many crashes are
+/// scheduled: a home write is never twinned, nothing about it reaches
+/// the log, and up to the first crash a two-crash run is, event for
+/// event and nanosecond for nanosecond, the single-crash run.
+#[test]
+fn two_crash_runs_log_and_twin_like_any_other() {
+    let [sequential, ..] = two_crash_schedules();
+    for program in [
+        Program::App(App::Fft3d),
+        Program::App(App::Shallow),
+        Program::MultiWriter,
+    ] {
+        let spec = program.tiny_spec(Protocol::Ccl);
+        let two = program.run_and_check(
+            spec.clone()
+                .with_crash(sequential[0])
+                .with_crash(sequential[1]),
+        );
+        // (A node that replays a remote write twins it again and diffs
+        // nothing: its diff reached the home before the crash.)
+        let home_only = matches!(program, Program::App(_));
+        for n in two
+            .nodes
+            .iter()
+            .filter(|n| home_only || n.crashed_at.is_none())
+        {
+            assert_eq!(
+                n.stats.twins_created,
+                n.stats.diffs_created,
+                "{}: node {} twinned a page it did not diff",
+                program.name(),
+                n.node
+            );
+        }
+        let one = program.run_and_check(spec.with_crash(sequential[0]));
+        let crash = one.nodes[1].crashed_at.expect("node 1 crashed");
+        assert_eq!(
+            two.nodes[1]
+                .trace
+                .iter()
+                .find(|ev| ev.kind == TraceKind::Crash)
+                .map(|ev| ev.at),
+            Some(crash)
+        );
+        for (a, b) in one.nodes.iter().zip(&two.nodes) {
+            let before = |n: &ccl_core::NodeOutput<u64>| {
+                n.trace
+                    .iter()
+                    .take_while(|ev| ev.at < crash)
+                    .copied()
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                before(a),
+                before(b),
+                "{}: node {} differs before the first crash",
+                program.name(),
+                a.node
+            );
+        }
+    }
+    // 3D-FFT writes home pages only and applies no remote update: a log
+    // record that names a page can only be a diff of a home write.
+    let app = App::Fft3d;
+    let out = run_and_check(
+        app,
+        tiny_spec(app, Protocol::Ccl)
+            .with_crash(sequential[0])
+            .with_crash(sequential[1]),
+    );
+    for n in &out.nodes {
+        let paged = n.trace.iter().any(|ev| {
+            matches!(
+                ev.kind,
+                TraceKind::LogAppend {
+                    obj: LogObj::Page { .. },
+                    ..
+                }
+            )
+        });
+        assert!(
+            !paged,
+            "node {} logged a diff of its own home write",
+            n.node
+        );
+    }
 }
 
 /// Both nodes fail at the same barrier: their recoveries overlap, and

@@ -733,6 +733,98 @@ fn survivor_log_is_read_once_and_never_served_before_it_is_in_memory() {
     );
 }
 
+#[test]
+fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
+    // Node 1 replays three barriers, each naming page 0 of node 0,
+    // which is scripted. The first answer is an image at position 5.
+    // Into the second wave node 0 says hello — it crashed, and the log
+    // it rebuilds may hold another image at 5 — and then answers as its
+    // dead incarnation would have: "the image you hold stands". Node 1
+    // holds no such image any more, drops the copy instead of trusting
+    // it, and names no held image in the third wave.
+    use hlrc::{DsmConfig, HlrcNode, Msg, RecoveryImage, SyncKind, WriteNotice};
+    use pagemem::{IntervalId, PageDiff, VClock};
+    let cfg = DsmConfig::new(2, 4).with_page_size(256);
+    let held = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+        if ctx.id() == 1 {
+            let mut node = HlrcNode::new(ctx, cfg, Box::new(ftlog::CclLogger::new()));
+            let mut vc = VClock::new(2);
+            for epoch in 0..3 {
+                let interval = IntervalId {
+                    node: 0,
+                    seq: epoch,
+                };
+                vc.observe(interval);
+                let notice = WriteNotice { page: 0, interval };
+                node.ft
+                    .on_notices(&mut node.inner, SyncKind::Barrier(epoch), &[notice], &vc);
+            }
+            node.crash_and_reset(SimDuration::ZERO);
+            node.barrier();
+            assert!(node.inner.pages.entry(0).frame.is_some(), "restored");
+            node.barrier();
+            assert!(
+                node.inner.pages.entry(0).frame.is_none(),
+                "a delta against a forgotten image was trusted"
+            );
+            node.barrier();
+            assert!(!node.ft.in_recovery());
+            assert_eq!(node.inner.pages.frame(0).read_u64(0), 3);
+            Vec::new()
+        } else {
+            let mut ctx = ctx;
+            let image = |pos, v: u64| {
+                let mut data = vec![0u8; 256];
+                data[..8].copy_from_slice(&v.to_le_bytes());
+                RecoveryImage::Image {
+                    pos,
+                    data: data.into(),
+                }
+            };
+            let same = RecoveryImage::Delta {
+                pos: 5,
+                diff: PageDiff {
+                    page: 0,
+                    runs: Vec::new(),
+                },
+            };
+            let reply = |ctx: &mut simnet::NodeCtx<Msg>, msg| ctx.send(1, msg).expect("send");
+            let next = |ctx: &mut simnet::NodeCtx<Msg>| {
+                let env = ctx.recv().expect("node 1 is waiting");
+                ctx.absorb(&env);
+                env.payload
+            };
+            assert_eq!(next(&mut ctx), Msg::RecoveryHello);
+            let listed = Msg::RecoveryHelloReply {
+                held: vec![0],
+                complete: true,
+            };
+            reply(&mut ctx, listed);
+            let mut held = Vec::new();
+            for answers in [
+                vec![image(5, 1)],
+                vec![RecoveryImage::Absent, same], // the first stands for the hello
+                vec![image(1, 3)],
+            ] {
+                let Msg::RecoveryPageRequest { held: h, .. } = next(&mut ctx) else {
+                    panic!("expected a recovery fetch");
+                };
+                held.push(h);
+                for image in answers {
+                    if image == RecoveryImage::Absent {
+                        reply(&mut ctx, Msg::RecoveryHello);
+                    } else {
+                        reply(&mut ctx, Msg::RecoveryPageReply { page: 0, image });
+                    }
+                }
+            }
+            assert!(matches!(next(&mut ctx), Msg::RecoveryHelloReply { .. }));
+            held
+        }
+    });
+    assert_eq!(held[0], vec![None, Some(5), None]);
+}
+
 // ------------------------------------------------------------
 // Served images: what the home-write twins used to guarantee
 // ------------------------------------------------------------
