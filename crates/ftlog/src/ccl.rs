@@ -238,7 +238,7 @@ impl CclLogger {
                     served.extend(diffs.iter().map(|d| ((d.page, interval.seq), d.clone())));
                 }
             }
-            records.push(self.log.frame(&rec.encode_to_sized_vec()));
+            records.push(self.log.frame(&rec.encode_to_vec()));
         }
         match self.log.write(inner, records, self.overlap) {
             Written::Nothing => (SimDuration::ZERO, SimDuration::ZERO),

@@ -23,7 +23,7 @@
 
 use crate::frame::{self, FrameError};
 use hlrc::NodeInner;
-use pagemem::{ByteReader, ByteWriter, CodecError, Decode, Encode, VClock};
+use pagemem::{ByteReader, ByteWriter, CodecError, Decode, Encode, Sink, VClock};
 use simnet::{SimDuration, TraceKind};
 use std::collections::BTreeMap;
 
@@ -55,7 +55,7 @@ pub struct CheckpointMeta {
 }
 
 impl Encode for CheckpointMeta {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<S: Sink>(&self, w: &mut S) {
         self.vc.encode(w);
         w.put_u32(self.next_interval);
         w.put_u32(self.barrier_epoch);

@@ -13,10 +13,8 @@
 //! Traditional ML needs no record type of its own: it logs the raw
 //! encoded bytes of every incoming coherence message.
 
-use hlrc::{decode_notices, encode_notices, notices_size, WriteNotice};
-use pagemem::{
-    ByteReader, ByteWriter, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, VClock,
-};
+use hlrc::{decode_notices, encode_notices, WriteNotice};
+use pagemem::{ByteReader, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, Sink, VClock};
 
 /// Which synchronization operation a [`CclRecord::Sync`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +61,7 @@ pub enum CclRecord {
 }
 
 impl Encode for CclRecord {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<S: Sink>(&self, w: &mut S) {
         match self {
             CclRecord::Sync { tag, notices, vc } => {
                 match tag {
@@ -94,20 +92,6 @@ impl Encode for CclRecord {
                 for d in diffs {
                     d.encode(w);
                 }
-            }
-        }
-    }
-
-    /// Direct arithmetic mirror of `encode` — `stage` sizes every record
-    /// for the byte accounting, so this must not serialize.
-    fn encoded_size(&self) -> usize {
-        match self {
-            CclRecord::Sync { notices, vc, .. } => {
-                1 + 4 + notices_size(notices) + vc.encoded_size()
-            }
-            CclRecord::Updates { pages, .. } => 1 + 8 + 4 + 4 * pages.len(),
-            CclRecord::Diffs { diffs, .. } => {
-                1 + 8 + 4 + diffs.iter().map(Encode::encoded_size).sum::<usize>()
             }
         }
     }
@@ -176,7 +160,7 @@ mod tests {
 
     fn roundtrip(rec: CclRecord) {
         let bytes = rec.encode_to_vec();
-        assert_eq!(bytes.len(), rec.encoded_size(), "direct size drifted");
+        assert_eq!(rec.encoded_size(), bytes.len(), "the two sinks disagree");
         assert_eq!(CclRecord::decode_from_slice(&bytes).unwrap(), rec);
     }
 

@@ -308,10 +308,9 @@ impl FaultTolerance for MlLogger {
                 | Msg::HomeMigrate { .. }
         );
         if log_it {
-            // Sized encode: one exact allocation per record (`Msg` sizes
-            // itself by arithmetic, so this costs no pre-pass encode),
-            // wrapped in the checksummed frame it will persist under.
-            let record = self.log.frame(&msg.encode_to_sized_vec());
+            // The whole message, wrapped in the checksummed frame it
+            // will persist under.
+            let record = self.log.frame(&msg.encode_to_vec());
             trace_ml_append(inner, msg, record.len() as u64);
             self.staged.push(record);
         }
@@ -397,6 +396,20 @@ impl FaultTolerance for MlLogger {
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
         if self.log.truncate_at_checkpoint(inner) {
             self.staged.clear();
+            // The replies that installed the copies this node holds went
+            // with the log. Drop the copies too: the first touch after
+            // the cut refetches, and that reply is in the log a replay
+            // from this checkpoint reads.
+            let me = inner.me();
+            let cached: Vec<PageId> = inner
+                .pages
+                .iter()
+                .filter(|(_, e)| e.home != me && e.frame.is_some())
+                .map(|(page, _)| page)
+                .collect();
+            for page in cached {
+                inner.pages.invalidate(page, &mut inner.pool);
+            }
         }
     }
 

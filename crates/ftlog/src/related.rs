@@ -32,7 +32,7 @@
 //! log-volume comparison itself.)
 
 use hlrc::{FaultTolerance, Msg, NodeInner, SyncKind, WriteNotice};
-use pagemem::{ByteWriter, Encode, VClock};
+use pagemem::{ByteWriter, Encode, Sink, VClock};
 use simnet::SimDuration;
 
 use crate::stable_log::{StableLog, Written};

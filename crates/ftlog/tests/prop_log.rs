@@ -95,7 +95,7 @@ fn records_roundtrip() {
     check("records_roundtrip", CASES, |rng| {
         let rec = arb_record(rng);
         let bytes = rec.encode_to_vec();
-        assert_eq!(bytes.len(), rec.encoded_size(), "direct size drifted");
+        assert_eq!(rec.encoded_size(), bytes.len(), "the two sinks disagree");
         assert_eq!(CclRecord::decode_from_slice(&bytes).unwrap(), rec);
     });
 }

@@ -38,13 +38,13 @@
 use std::collections::HashMap;
 
 use pagemem::{
-    Access, BufferPool, ByteReader, ByteWriter, CodecError, Decode, Encode, Fault, IntervalId,
-    PageDiff, PageFrame, PageId, PageState, SharedBytes, Twin, VClock,
+    Access, BufferPool, ByteReader, CodecError, Decode, Encode, Fault, IntervalId, PageDiff,
+    PageFrame, PageId, PageState, SharedBytes, Sink, Twin, VClock,
 };
 use simnet::{CoherenceProtocol, Envelope, NodeCtx, NodeId, TraceKind, WireSized};
 
 use crate::config::DsmConfig;
-use crate::msg::{decode_ids, decode_notices, encode_notices, notices_size, WriteNotice};
+use crate::msg::{decode_ids, decode_notices, encode_notices, WriteNotice};
 use crate::sync::{BarrierMgr, LockTable, PendingAcquire};
 
 /// Messages of the homeless protocol.
@@ -125,25 +125,51 @@ pub enum HMsg {
     },
 }
 
-impl Encode for HMsg {
-    fn encode(&self, w: &mut ByteWriter) {
+impl HMsg {
+    /// The wire tag.
+    fn ordinal(&self) -> usize {
         match self {
-            HMsg::CopyRequest { page } => {
-                w.put_u8(0);
-                w.put_u32(*page);
-            }
+            HMsg::CopyRequest { .. } => 0,
+            HMsg::CopyReply { .. } => 1,
+            HMsg::DiffRequest { .. } => 2,
+            HMsg::DiffReply { .. } => 3,
+            HMsg::LockRequest { .. } => 4,
+            HMsg::LockGrant { .. } => 5,
+            HMsg::LockRelease { .. } => 6,
+            HMsg::BarrierArrive { .. } => 7,
+            HMsg::BarrierRelease { .. } => 8,
+        }
+    }
+}
+
+/// Label of each [`HMsg`] wire tag.
+const HMSG_LABELS: [&str; 9] = [
+    "CopyRequest",
+    "CopyReply",
+    "DiffRequest",
+    "DiffReply",
+    "LockRequest",
+    "LockGrant",
+    "LockRelease",
+    "BarrierArrive",
+    "BarrierRelease",
+];
+
+impl Encode for HMsg {
+    fn encode<S: Sink>(&self, w: &mut S) {
+        w.put_u8(self.ordinal() as u8);
+        match self {
+            HMsg::CopyRequest { page } => w.put_u32(*page),
             HMsg::CopyReply {
                 page,
                 data,
                 applied,
             } => {
-                w.put_u8(1);
                 w.put_u32(*page);
                 w.put_bytes(data);
                 applied.encode(w);
             }
             HMsg::DiffRequest { page, seqs } => {
-                w.put_u8(2);
                 w.put_u32(*page);
                 w.put_u32(seqs.len() as u32);
                 for s in seqs {
@@ -151,7 +177,6 @@ impl Encode for HMsg {
                 }
             }
             HMsg::DiffReply { page, diffs } => {
-                w.put_u8(3);
                 w.put_u32(*page);
                 w.put_u32(diffs.len() as u32);
                 for (iv, d) in diffs {
@@ -160,60 +185,19 @@ impl Encode for HMsg {
                 }
             }
             HMsg::LockRequest { lock, vc } => {
-                w.put_u8(4);
                 w.put_u32(*lock);
                 vc.encode(w);
             }
-            HMsg::LockGrant { lock, vc, notices } => {
-                w.put_u8(5);
-                w.put_u32(*lock);
-                vc.encode(w);
-                encode_notices(w, notices);
-            }
-            HMsg::LockRelease { lock, vc, notices } => {
-                w.put_u8(6);
+            HMsg::LockGrant { lock, vc, notices } | HMsg::LockRelease { lock, vc, notices } => {
                 w.put_u32(*lock);
                 vc.encode(w);
                 encode_notices(w, notices);
             }
-            HMsg::BarrierArrive { epoch, vc, notices } => {
-                w.put_u8(7);
+            HMsg::BarrierArrive { epoch, vc, notices }
+            | HMsg::BarrierRelease { epoch, vc, notices } => {
                 w.put_u32(*epoch);
                 vc.encode(w);
                 encode_notices(w, notices);
-            }
-            HMsg::BarrierRelease { epoch, vc, notices } => {
-                w.put_u8(8);
-                w.put_u32(*epoch);
-                vc.encode(w);
-                encode_notices(w, notices);
-            }
-        }
-    }
-
-    /// Direct arithmetic mirror of `encode` — `wire_size` runs on every
-    /// send and receive, so sizing must not serialize.
-    fn encoded_size(&self) -> usize {
-        match self {
-            HMsg::CopyRequest { .. } => 1 + 4,
-            HMsg::CopyReply { data, applied, .. } => {
-                1 + 4 + 4 + data.len() + applied.encoded_size()
-            }
-            HMsg::DiffRequest { seqs, .. } => 1 + 4 + 4 + 4 * seqs.len(),
-            HMsg::DiffReply { diffs, .. } => {
-                1 + 4
-                    + 4
-                    + diffs
-                        .iter()
-                        .map(|(_, d)| 8 + d.encoded_size())
-                        .sum::<usize>()
-            }
-            HMsg::LockRequest { vc, .. } => 1 + 4 + vc.encoded_size(),
-            HMsg::LockGrant { vc, notices: n, .. }
-            | HMsg::LockRelease { vc, notices: n, .. }
-            | HMsg::BarrierArrive { vc, notices: n, .. }
-            | HMsg::BarrierRelease { vc, notices: n, .. } => {
-                1 + 4 + vc.encoded_size() + notices_size(n)
             }
         }
     }
@@ -281,26 +265,8 @@ impl WireSized for HMsg {
         crate::msg::HEADER_BYTES + self.encoded_size()
     }
 
-    fn encoded_len(&self) -> Option<usize> {
-        Some(self.encoded_size())
-    }
-
-    fn header_len(&self) -> usize {
-        crate::msg::HEADER_BYTES
-    }
-
     fn msg_label(&self) -> &'static str {
-        match self {
-            HMsg::CopyRequest { .. } => "CopyRequest",
-            HMsg::CopyReply { .. } => "CopyReply",
-            HMsg::DiffRequest { .. } => "DiffRequest",
-            HMsg::DiffReply { .. } => "DiffReply",
-            HMsg::LockRequest { .. } => "LockRequest",
-            HMsg::LockGrant { .. } => "LockGrant",
-            HMsg::LockRelease { .. } => "LockRelease",
-            HMsg::BarrierArrive { .. } => "BarrierArrive",
-            HMsg::BarrierRelease { .. } => "BarrierRelease",
-        }
+        HMSG_LABELS[self.ordinal()]
     }
 }
 
@@ -996,7 +962,7 @@ mod tests {
             },
         ] {
             let bytes = msg.encode_to_vec();
-            assert_eq!(bytes.len(), msg.encoded_size(), "direct size drifted");
+            assert_eq!(msg.encoded_size(), bytes.len(), "the two sinks disagree");
             assert_eq!(HMsg::decode_from_slice(&bytes).unwrap(), msg);
         }
     }

@@ -35,8 +35,8 @@ pub use fetch::{PrefetchState, MAX_EXTRAS};
 pub use homeless::{HMsg, HomelessNode};
 pub use migrate::MigrationState;
 pub use msg::{
-    decode_notices, encode_notices, kind_label, notices_size, EpochRelease, HomeMigration, Msg,
-    PageCopy, RecoveryImage, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
+    decode_notices, encode_notices, kind_label, EpochRelease, HomeMigration, Msg, PageCopy,
+    RecoveryImage, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, OpenTwins};
 pub use page_table::{NodeSet, PageEntry, PageTable};

@@ -9,10 +9,8 @@
 
 use std::sync::Arc;
 
-use pagemem::codec::var_size;
 use pagemem::{
-    ByteReader, ByteWriter, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, SharedBytes,
-    VClock,
+    ByteReader, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, SharedBytes, Sink, VClock,
 };
 use simnet::WireSized;
 
@@ -96,7 +94,7 @@ pub enum RecoveryImage {
 }
 
 impl Encode for RecoveryImage {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<S: Sink>(&self, w: &mut S) {
         match self {
             RecoveryImage::Image { pos, data } => {
                 w.put_u8(2);
@@ -109,14 +107,6 @@ impl Encode for RecoveryImage {
                 diff.encode(w);
             }
             RecoveryImage::Absent => w.put_u8(4),
-        }
-    }
-
-    fn encoded_size(&self) -> usize {
-        1 + match self {
-            RecoveryImage::Image { pos, data } => var_size(*pos) + 4 + data.len(),
-            RecoveryImage::Delta { pos, diff } => var_size(*pos) + diff.encoded_size(),
-            RecoveryImage::Absent => 0,
         }
     }
 }
@@ -161,66 +151,13 @@ pub struct WriteNotice {
 /// pages). [`encode_notices`] refuses to produce a longer list.
 pub const MAX_NOTICES: usize = 1 << 20;
 
-/// Where the interval walk of a notice list puts its integers: into a
-/// buffer ([`encode_notices`]) or onto a byte count ([`notices_size`]).
-/// One walk feeding both is what keeps the size an exact mirror.
-trait VarSink {
-    fn var(&mut self, v: u32);
-}
-
-impl VarSink for ByteWriter {
-    fn var(&mut self, v: u32) {
-        self.put_var(v);
-    }
-}
-
-/// Counts the bytes [`ByteWriter::put_var`] would write.
-struct VarCount(usize);
-
-impl VarSink for VarCount {
-    fn var(&mut self, v: u32) {
-        self.0 += var_size(v);
-    }
-}
-
 /// Does a run of consecutive pages end between these two neighbours?
 fn run_breaks(pair: &[WriteNotice]) -> bool {
     pair[0].page.checked_add(1) != Some(pair[1].page)
 }
 
-/// The one walk behind [`encode_notices`] and [`notices_size`]; see the
-/// former for the layout.
-fn put_intervals(out: &mut impl VarSink, notices: &[WriteNotice]) {
-    assert!(
-        notices.len() <= MAX_NOTICES,
-        "notice list of {} exceeds the codec limit",
-        notices.len()
-    );
-    out.var(notices.len() as u32);
-    let mut rest = notices;
-    while let Some(first) = rest.first() {
-        let interval = first.interval;
-        let len = rest.iter().take_while(|n| n.interval == interval).count();
-        let (group, tail) = rest.split_at(len);
-        rest = tail;
-        out.var(interval.node);
-        out.var(interval.seq);
-        out.var(1 + group.windows(2).filter(|w| run_breaks(w)).count() as u32);
-        let mut start = 0;
-        for (k, w) in group.windows(2).enumerate() {
-            if run_breaks(w) {
-                out.var(group[start].page);
-                out.var((k + 1 - start) as u32);
-                start = k + 1;
-            }
-        }
-        out.var(group[start].page);
-        out.var((len - start) as u32);
-    }
-}
-
 /// Encode a write-notice list as interval records, all integers
-/// variable-length ([`ByteWriter::put_var`]):
+/// variable-length ([`Sink::put_var`]):
 ///
 /// ```text
 /// var(n_notices)
@@ -237,16 +174,33 @@ fn put_intervals(out: &mut impl VarSink, notices: &[WriteNotice]) {
 /// contiguous strip costs a handful of bytes however long the strip;
 /// the worst case, every notice its own group, is 5–8 bytes a notice at
 /// the id ranges any committed run reaches (12 fixed-width).
-pub fn encode_notices(w: &mut ByteWriter, notices: &[WriteNotice]) {
-    put_intervals(w, notices);
-}
-
-/// Exact encoded size of [`encode_notices`]`(notices)`, by the same
-/// walk, without allocating.
-pub fn notices_size(notices: &[WriteNotice]) -> usize {
-    let mut count = VarCount(0);
-    put_intervals(&mut count, notices);
-    count.0
+pub fn encode_notices<S: Sink>(w: &mut S, notices: &[WriteNotice]) {
+    assert!(
+        notices.len() <= MAX_NOTICES,
+        "notice list of {} exceeds the codec limit",
+        notices.len()
+    );
+    w.put_var(notices.len() as u32);
+    let mut rest = notices;
+    while let Some(first) = rest.first() {
+        let interval = first.interval;
+        let len = rest.iter().take_while(|n| n.interval == interval).count();
+        let (group, tail) = rest.split_at(len);
+        rest = tail;
+        w.put_var(interval.node);
+        w.put_var(interval.seq);
+        w.put_var(1 + group.windows(2).filter(|pair| run_breaks(pair)).count() as u32);
+        let mut start = 0;
+        for (k, pair) in group.windows(2).enumerate() {
+            if run_breaks(pair) {
+                w.put_var(group[start].page);
+                w.put_var((k + 1 - start) as u32);
+                start = k + 1;
+            }
+        }
+        w.put_var(group[start].page);
+        w.put_var((len - start) as u32);
+    }
 }
 
 /// Decode a list written by [`encode_notices`]. Counts are not trusted:
@@ -300,25 +254,17 @@ pub(crate) fn decode_ids(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError>
     Ok(v)
 }
 
-/// The one walk behind the encoding and the size of a strictly
-/// ascending page list: `var(count)`, then each id as the distance from
-/// the one before it (the first from 0). Neighbouring pages cost a byte
-/// each where the fixed-width list spent four.
-fn put_ascending(out: &mut impl VarSink, pages: &[PageId]) {
-    out.var(pages.len() as u32);
+/// A strictly ascending page list: `var(count)`, then each id as the
+/// distance from the one before it (the first from 0). Neighbouring
+/// pages cost a byte each where the fixed-width list spent four.
+fn put_ascending<S: Sink>(w: &mut S, pages: &[PageId]) {
+    w.put_var(pages.len() as u32);
     let mut prev = 0;
     for (i, &page) in pages.iter().enumerate() {
         assert!(i == 0 || page > prev, "page list is not strictly ascending");
-        out.var(page - prev);
+        w.put_var(page - prev);
         prev = page;
     }
-}
-
-/// Exact encoded size of a [`put_ascending`] list.
-fn ascending_size(pages: &[PageId]) -> usize {
-    let mut count = VarCount(0);
-    put_ascending(&mut count, pages);
-    count.0
 }
 
 /// Decode a list written by [`put_ascending`]. Nothing is trusted: the
@@ -346,7 +292,7 @@ fn decode_ascending(r: &mut ByteReader<'_>) -> Result<Vec<PageId>, CodecError> {
     Ok(out)
 }
 
-fn encode_migrations(w: &mut ByteWriter, migrations: &[HomeMigration]) {
+fn encode_migrations<S: Sink>(w: &mut S, migrations: &[HomeMigration]) {
     w.put_u32(migrations.len() as u32);
     for (page, to) in migrations {
         w.put_u32(*page);
@@ -365,11 +311,7 @@ fn decode_migrations(r: &mut ByteReader<'_>) -> Result<Vec<HomeMigration>, Codec
     Ok(v)
 }
 
-fn migrations_size(m: &[HomeMigration]) -> usize {
-    4 + 8 * m.len()
-}
-
-fn encode_diffs(w: &mut ByteWriter, diffs: &[PageDiff]) {
+fn encode_diffs<S: Sink>(w: &mut S, diffs: &[PageDiff]) {
     w.put_u32(diffs.len() as u32);
     for d in diffs {
         d.encode(w);
@@ -606,28 +548,7 @@ pub enum Msg {
 impl Msg {
     /// Short tag for diagnostics.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::PageRequest { .. } => "PageRequest",
-            Msg::PageReply { .. } => "PageReply",
-            Msg::DiffFlush { .. } => "DiffFlush",
-            Msg::DiffAck { .. } => "DiffAck",
-            Msg::LockRequest { .. } => "LockRequest",
-            Msg::LockGrant { .. } => "LockGrant",
-            Msg::LockRelease { .. } => "LockRelease",
-            Msg::BarrierArrive { .. } => "BarrierArrive",
-            Msg::BarrierRelease { .. } => "BarrierRelease",
-            Msg::RecoveryPageRequest { .. } => "RecoveryPageRequest",
-            Msg::RecoveryPageReply { .. } => "RecoveryPageReply",
-            Msg::LoggedDiffRequest { .. } => "LoggedDiffRequest",
-            Msg::LoggedDiffReply { .. } => "LoggedDiffReply",
-            Msg::ReleaseHistoryRequest => "ReleaseHistoryRequest",
-            Msg::ReleaseHistoryReply { .. } => "ReleaseHistoryReply",
-            Msg::PageRequestBatch { .. } => "PageRequestBatch",
-            Msg::PageReplyBatch { .. } => "PageReplyBatch",
-            Msg::HomeMigrate { .. } => "HomeMigrate",
-            Msg::RecoveryHello => "RecoveryHello",
-            Msg::RecoveryHelloReply { .. } => "RecoveryHelloReply",
-        }
+        kind_label(self.ordinal())
     }
 
     /// A recovering peer's request — the one class a node must keep
@@ -676,45 +597,35 @@ impl Msg {
 }
 
 impl Encode for Msg {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<S: Sink>(&self, w: &mut S) {
+        w.put_u8(self.ordinal() as u8);
         match self {
-            Msg::PageRequest { page } => {
-                w.put_u8(0);
-                w.put_u32(*page);
-            }
+            Msg::PageRequest { page } => w.put_u32(*page),
             Msg::PageReply {
                 page,
                 data,
                 version,
             } => {
-                w.put_u8(1);
                 w.put_u32(*page);
                 w.put_bytes(data);
                 version.encode(w);
             }
             Msg::DiffFlush { writer, diffs } => {
-                w.put_u8(2);
                 writer.encode(w);
                 encode_diffs(w, diffs);
             }
-            Msg::DiffAck { writer } => {
-                w.put_u8(3);
-                writer.encode(w);
-            }
+            Msg::DiffAck { writer } => writer.encode(w),
             Msg::LockRequest { lock, epoch, vc } => {
-                w.put_u8(4);
                 w.put_u32(*lock);
                 w.put_var(*epoch);
                 vc.encode(w);
             }
             Msg::LockGrant { lock, vc, notices } => {
-                w.put_u8(5);
                 w.put_u32(*lock);
                 vc.encode(w);
                 encode_notices(w, notices);
             }
             Msg::LockRelease { lock, vc, notices } => {
-                w.put_u8(6);
                 w.put_u32(*lock);
                 vc.encode(w);
                 encode_notices(w, notices);
@@ -725,7 +636,6 @@ impl Encode for Msg {
                 notices,
                 proposals,
             } => {
-                w.put_u8(7);
                 w.put_u32(*epoch);
                 vc.encode(w);
                 encode_notices(w, notices);
@@ -737,7 +647,6 @@ impl Encode for Msg {
                 notices,
                 migrations,
             } => {
-                w.put_u8(8);
                 w.put_u32(*epoch);
                 vc.encode(w);
                 encode_notices(w, notices);
@@ -748,7 +657,6 @@ impl Encode for Msg {
                 required,
                 held,
             } => {
-                w.put_u8(9);
                 w.put_u32(*page);
                 required.encode(w);
                 if let Some(pos) = held {
@@ -756,12 +664,10 @@ impl Encode for Msg {
                 }
             }
             Msg::RecoveryPageReply { page, image } => {
-                w.put_u8(10);
                 w.put_u32(*page);
                 image.encode(w);
             }
             Msg::LoggedDiffRequest { page, seqs } => {
-                w.put_u8(11);
                 w.put_u32(*page);
                 w.put_u32(seqs.len() as u32);
                 for s in seqs {
@@ -769,7 +675,6 @@ impl Encode for Msg {
                 }
             }
             Msg::LoggedDiffReply { page, diffs } => {
-                w.put_u8(12);
                 w.put_u32(*page);
                 w.put_u32(diffs.len() as u32);
                 for (iv, d) in diffs {
@@ -777,11 +682,8 @@ impl Encode for Msg {
                     d.encode(w);
                 }
             }
-            Msg::ReleaseHistoryRequest => {
-                w.put_u8(13);
-            }
+            Msg::ReleaseHistoryRequest | Msg::RecoveryHello => {}
             Msg::ReleaseHistoryReply { releases } => {
-                w.put_u8(14);
                 w.put_u32(releases.len() as u32);
                 for (epoch, vc, notices, migrations) in releases {
                     w.put_u32(*epoch);
@@ -791,13 +693,11 @@ impl Encode for Msg {
                 }
             }
             Msg::PageRequestBatch { page, extras, hits } => {
-                w.put_u8(15);
                 w.put_u32(*page);
                 put_ascending(w, extras);
                 put_ascending(w, hits);
             }
             Msg::PageReplyBatch { after, pages } => {
-                w.put_u8(16);
                 w.put_u32(*after);
                 w.put_u32(pages.len() as u32);
                 for (page, data, version) in pages {
@@ -811,92 +711,17 @@ impl Encode for Msg {
                 data,
                 version,
             } => {
-                w.put_u8(17);
                 w.put_u32(*page);
                 w.put_bytes(data);
                 version.encode(w);
             }
-            Msg::RecoveryHello => {
-                w.put_u8(18);
-            }
             Msg::RecoveryHelloReply { held, complete } => {
-                w.put_u8(19);
                 w.put_u8(u8::from(*complete));
                 w.put_u32(held.len() as u32);
                 for p in held {
                     w.put_u32(*p);
                 }
             }
-        }
-    }
-
-    /// Direct arithmetic mirror of [`Encode::encode`]. `wire_size` is
-    /// consulted on *every* send and receive for traffic accounting, so
-    /// sizing must not cost an encode; the per-variant wire-size tests
-    /// pin this arithmetic to the actual encoding.
-    fn encoded_size(&self) -> usize {
-        fn diffs(d: &[PageDiff]) -> usize {
-            4 + d.iter().map(Encode::encoded_size).sum::<usize>()
-        }
-        match self {
-            Msg::PageRequest { .. } => 1 + 4,
-            Msg::PageReply { data, version, .. } => 1 + 4 + 4 + data.len() + version.encoded_size(),
-            Msg::DiffFlush { diffs: d, .. } => 1 + 8 + diffs(d),
-            Msg::DiffAck { .. } => 1 + 8,
-            Msg::LockRequest { epoch, vc, .. } => 1 + 4 + var_size(*epoch) + vc.encoded_size(),
-            Msg::LockGrant { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices_size(n),
-            Msg::LockRelease { vc, notices: n, .. } => 1 + 4 + vc.encoded_size() + notices_size(n),
-            Msg::BarrierArrive {
-                vc,
-                notices: n,
-                proposals,
-                ..
-            } => 1 + 4 + vc.encoded_size() + notices_size(n) + migrations_size(proposals),
-            Msg::BarrierRelease {
-                vc,
-                notices: n,
-                migrations,
-                ..
-            } => 1 + 4 + vc.encoded_size() + notices_size(n) + migrations_size(migrations),
-            Msg::RecoveryPageRequest { required, held, .. } => {
-                1 + 4 + required.encoded_size() + held.map_or(0, var_size)
-            }
-            Msg::RecoveryPageReply { image, .. } => 1 + 4 + image.encoded_size(),
-            Msg::LoggedDiffRequest { seqs, .. } => 1 + 4 + 4 + 4 * seqs.len(),
-            Msg::LoggedDiffReply { diffs, .. } => {
-                1 + 4
-                    + 4
-                    + diffs
-                        .iter()
-                        .map(|(_, d)| 8 + d.encoded_size())
-                        .sum::<usize>()
-            }
-            Msg::ReleaseHistoryRequest => 1,
-            Msg::ReleaseHistoryReply { releases } => {
-                1 + 4
-                    + releases
-                        .iter()
-                        .map(|(_, vc, n, m)| {
-                            4 + vc.encoded_size() + notices_size(n) + migrations_size(m)
-                        })
-                        .sum::<usize>()
-            }
-            Msg::PageRequestBatch { extras, hits, .. } => {
-                1 + 4 + ascending_size(extras) + ascending_size(hits)
-            }
-            Msg::PageReplyBatch { pages, .. } => {
-                1 + 4
-                    + 4
-                    + pages
-                        .iter()
-                        .map(|(_, data, version)| 4 + 4 + data.len() + version.encoded_size())
-                        .sum::<usize>()
-            }
-            Msg::HomeMigrate { data, version, .. } => {
-                1 + 4 + 4 + data.len() + version.encoded_size()
-            }
-            Msg::RecoveryHello => 1,
-            Msg::RecoveryHelloReply { held, .. } => 1 + 1 + 4 + 4 * held.len(),
         }
     }
 }
@@ -1030,14 +855,6 @@ impl WireSized for Msg {
         HEADER_BYTES + self.encoded_size()
     }
 
-    fn encoded_len(&self) -> Option<usize> {
-        Some(self.encoded_size())
-    }
-
-    fn header_len(&self) -> usize {
-        HEADER_BYTES
-    }
-
     fn msg_label(&self) -> &'static str {
         self.kind()
     }
@@ -1064,7 +881,7 @@ mod tests {
         let bytes = m.encode_to_vec();
         let back = Msg::decode_from_slice(&bytes).unwrap();
         assert_eq!(back, m);
-        assert_eq!(m.encoded_size(), bytes.len(), "direct size drifted");
+        assert_eq!(m.encoded_size(), bytes.len(), "the two sinks disagree");
         assert_eq!(m.wire_size(), HEADER_BYTES + bytes.len());
     }
 
@@ -1270,7 +1087,12 @@ mod tests {
         for m in msgs {
             let bytes = m.encode_to_vec();
             assert_eq!(m.ordinal(), bytes[0] as usize, "ordinal is the wire tag");
-            assert_eq!(kind_label(m.ordinal()), m.kind());
+            let variant = format!("{m:?}");
+            assert!(
+                variant.starts_with(m.kind()),
+                "{} labels {variant}",
+                m.kind()
+            );
         }
         assert_eq!(kind_label(MSG_KINDS), "?");
     }

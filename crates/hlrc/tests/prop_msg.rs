@@ -7,12 +7,13 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use hlrc::{
-    decode_notices, encode_notices, kind_label, notices_size, Msg, RecoveryImage, WriteNotice,
-    HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
+    decode_notices, encode_notices, kind_label, Msg, RecoveryImage, WriteNotice, HEADER_BYTES,
+    MAX_NOTICES, MSG_KINDS,
 };
 use minicheck::{check, Rng};
 use pagemem::{
-    ByteReader, ByteWriter, CodecError, Decode, DiffRun, Encode, IntervalId, PageDiff, VClock,
+    ByteCount, ByteReader, ByteWriter, CodecError, Decode, DiffRun, Encode, IntervalId, PageDiff,
+    Sink, VClock,
 };
 use simnet::WireSized;
 
@@ -299,18 +300,25 @@ fn encoded(notices: &[WriteNotice]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// The list's encoded size: the same encoder, run into the counting sink.
+fn counted(notices: &[WriteNotice]) -> usize {
+    let mut n = ByteCount::default();
+    encode_notices(&mut n, notices);
+    n.bytes()
+}
+
 fn decoded(bytes: &[u8]) -> Result<Vec<WriteNotice>, CodecError> {
     decode_notices(&mut ByteReader::new(bytes))
 }
 
 /// The decoder reproduces the list exactly — order and duplicates
-/// included — and the size pass is the encoder's byte count.
+/// included — and the two sinks agree over the whole list.
 #[test]
 fn notice_lists_roundtrip_exactly() {
     check("notice_lists_roundtrip_exactly", 4 * CASES, |rng| {
         let list = arb_notices(rng);
         let bytes = encoded(&list);
-        assert_eq!(notices_size(&list), bytes.len());
+        assert_eq!(counted(&list), bytes.len(), "the two sinks disagree");
         let mut r = ByteReader::new(&bytes);
         assert_eq!(decode_notices(&mut r).unwrap(), list);
         assert!(r.is_exhausted());
@@ -345,12 +353,12 @@ fn coherence_metadata_is_small() {
         }
     }
     assert_eq!(release.len(), 8 * 66);
-    let size = notices_size(&release);
+    let size = counted(&release);
     assert!(size <= 200, "Shallow-shaped release takes {size} bytes");
 
     // An interval that dirtied one contiguous strip: count, group, run.
     let strip: Vec<_> = (100..166).map(|p| notice(p, 3, 9)).collect();
-    assert_eq!(notices_size(&strip), 1 + 3 + 2);
+    assert_eq!(counted(&strip), 1 + 3 + 2);
 
     // An 8-node clock early in a run: one byte per entry.
     let mut vc = VClock::new(8);
@@ -366,7 +374,7 @@ fn coherence_metadata_is_small() {
         let list: Vec<_> = (0..n as u32)
             .map(|i| notice(rng.u32_in(0, 16_384), i % 128, rng.u32_in(0, 16_384)))
             .collect();
-        assert!(notices_size(&list) <= 8 * n + 3);
+        assert!(counted(&list) <= 8 * n + 3);
     });
 }
 
@@ -411,7 +419,7 @@ fn page_request_lists_roundtrip_and_malformed_ones_are_rejected() {
             hits: arb_ascending(rng, 64),
         };
         let bytes = msg.encode_to_vec();
-        assert_eq!(msg.encoded_size(), bytes.len());
+        assert_eq!(msg.encoded_size(), bytes.len(), "the two sinks disagree");
         assert_eq!(Msg::decode_from_slice(&bytes).unwrap(), msg);
     });
     // After the tag and the page: the extras list, then the hit list.

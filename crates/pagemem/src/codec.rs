@@ -9,8 +9,13 @@
 //! strings. *Coherence metadata* — vector clocks and write-notice lists,
 //! which ride every lock, barrier and page message and are what CCL
 //! logs instead of page contents — uses LEB128 variable-length integers
-//! ([`ByteWriter::put_var`]): node ids, interval counts and page ids
-//! are small numbers, so a clock entry is usually one byte, not four.
+//! ([`Sink::put_var`]): node ids, interval counts and page ids are small
+//! numbers, so a clock entry is usually one byte, not four.
+//!
+//! A format is written down once, as its [`Encode::encode`] over a
+//! [`Sink`]. Run into a [`ByteWriter`] that description produces the
+//! bytes; run into a [`ByteCount`] it produces their number — which is
+//! every size the simulator charges, logs or reports.
 //!
 //! TreadMarks never shipped a write notice as a self-contained
 //! `(page, processor, interval)` triple either: it sent *interval
@@ -67,12 +72,12 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Longest encoding of a [`ByteWriter::put_var`] value: a `u32` in
-/// 7-bit groups.
+/// Longest encoding of a [`Sink::put_var`] value: a `u32` in 7-bit
+/// groups.
 pub const MAX_VAR_BYTES: usize = 5;
 
-/// Encoded size of `v` as a variable-length integer — the arithmetic
-/// mirror of [`ByteWriter::put_var`].
+/// Encoded size of `v` as a variable-length integer: what
+/// [`ByteCount::put_var`](Sink::put_var) adds.
 #[inline]
 // `u32::div_ceil` is a divide, a remainder and a branch; this form is a
 // multiply and a shift, and the size pass of a long notice list — five
@@ -85,7 +90,34 @@ pub const fn var_size(v: u32) -> usize {
     ((bits + 6) / 7) as usize
 }
 
-/// Append-only encoder.
+/// Where an encoder puts its fields: the seven primitives every wire
+/// and log format is built from.
+pub trait Sink {
+    /// One byte.
+    fn put_u8(&mut self, v: u8);
+
+    /// A little-endian u16.
+    fn put_u16(&mut self, v: u16);
+
+    /// A little-endian u32.
+    fn put_u32(&mut self, v: u32);
+
+    /// A little-endian u64.
+    fn put_u64(&mut self, v: u64);
+
+    /// A variable-length integer (LEB128): seven value bits per byte,
+    /// least significant group first, high bit set on every byte but
+    /// the last. One byte below 128, at most [`MAX_VAR_BYTES`].
+    fn put_var(&mut self, v: u32);
+
+    /// Length-prefixed (u32) byte string.
+    fn put_bytes(&mut self, v: &[u8]);
+
+    /// Raw bytes, no length prefix (fixed-size payloads like full pages).
+    fn put_raw(&mut self, v: &[u8]);
+}
+
+/// The sink that keeps the bytes: an append-only buffer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -104,9 +136,7 @@ impl ByteWriter {
         }
     }
 
-    /// Reserve room for at least `additional` more bytes (pre-sizing
-    /// from a direct [`Encode::encoded_size`] turns an encode into a
-    /// single allocation).
+    /// Reserve room for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
@@ -125,31 +155,26 @@ impl ByteWriter {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
+}
 
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
+impl Sink for ByteWriter {
+    fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Append a little-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
+    fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
+    fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
+    fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a variable-length integer (LEB128): seven value bits per
-    /// byte, least significant group first, high bit set on every byte
-    /// but the last. One byte below 128, at most [`MAX_VAR_BYTES`].
-    pub fn put_var(&mut self, mut v: u32) {
+    fn put_var(&mut self, mut v: u32) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
             v >>= 7;
@@ -157,15 +182,63 @@ impl ByteWriter {
         self.buf.push(v as u8);
     }
 
-    /// Length-prefixed (u32) byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
 
-    /// Raw bytes, no length prefix (fixed-size payloads like full pages).
-    pub fn put_raw(&mut self, v: &[u8]) {
+    fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+}
+
+/// The sink that keeps only how many bytes there were. It never reads a
+/// payload: sizing a message costs its fields, not its contents, and
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct ByteCount(usize);
+
+impl ByteCount {
+    /// Bytes a [`ByteWriter`] would hold after the same calls.
+    pub fn bytes(&self) -> usize {
+        self.0
+    }
+}
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn put_u16(&mut self, _: u16) {
+        self.0 += 2;
+    }
+
+    #[inline]
+    fn put_u32(&mut self, _: u32) {
+        self.0 += 4;
+    }
+
+    #[inline]
+    fn put_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+
+    #[inline]
+    fn put_var(&mut self, v: u32) {
+        self.0 += var_size(v);
+    }
+
+    #[inline]
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.0 += 4 + v.len();
+    }
+
+    #[inline]
+    fn put_raw(&mut self, v: &[u8]) {
+        self.0 += v.len();
     }
 }
 
@@ -224,8 +297,8 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a variable-length integer written by
-    /// [`ByteWriter::put_var`]. Only the canonical encoding is accepted:
+    /// Read a variable-length integer written by [`Sink::put_var`].
+    /// Only the canonical encoding is accepted:
     /// a value that overflows `u32` or carries a redundant trailing
     /// zero group (an *overlong* encoding) is rejected, so every value
     /// has exactly one byte string and [`var_size`] is exact.
@@ -278,31 +351,27 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Types encodable with the wire codec.
+///
+/// `encode` is the one description of a type's format. The bytes and
+/// their count are both read off it, so neither can drift from the
+/// other and nothing overrides the provided methods.
 pub trait Encode {
-    /// Encode `self` onto the writer.
-    fn encode(&self, w: &mut ByteWriter);
+    /// Put `self`'s fields, in wire order, into the sink.
+    fn encode<S: Sink>(&self, w: &mut S);
 
-    /// Convenience: encode into a fresh buffer.
+    /// The encoding, in a buffer allocated once at its exact size.
     fn encode_to_vec(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encode into a buffer pre-sized from [`Encode::encoded_size`],
-    /// so the encode performs exactly one allocation. Only worthwhile
-    /// on types that override `encoded_size` with a direct computation
-    /// (with the measuring default this encodes twice).
-    fn encode_to_sized_vec(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(self.encoded_size());
         self.encode(&mut w);
         w.into_bytes()
     }
 
-    /// Encoded size in bytes (defaults to encoding and measuring;
-    /// hot types override with a direct computation).
+    /// Encoded size in bytes: `encode` run into a [`ByteCount`]. No
+    /// buffer, no payload byte touched.
     fn encoded_size(&self) -> usize {
-        self.encode_to_vec().len()
+        let mut n = ByteCount::default();
+        self.encode(&mut n);
+        n.bytes()
     }
 }
 
@@ -395,6 +464,31 @@ mod tests {
     }
 
     #[test]
+    fn the_two_sinks_agree_on_every_primitive() {
+        // One call into each sink: the count must be the buffer's growth.
+        macro_rules! agree {
+            ($put:ident($v:expr)) => {{
+                let (mut w, mut n) = (ByteWriter::new(), ByteCount::default());
+                w.$put($v);
+                n.$put($v);
+                assert_eq!(n.bytes(), w.len(), "{}({:?})", stringify!($put), $v);
+            }};
+        }
+        agree!(put_u8(7));
+        agree!(put_u16(300));
+        agree!(put_u32(70_000));
+        agree!(put_u64(u64::MAX - 1));
+        for v in [0, 127, 128, 16_383, 16_384, 1 << 21, 1 << 28, u32::MAX] {
+            agree!(put_var(v));
+        }
+        for len in [0, 4096] {
+            let payload = vec![0xA5u8; len];
+            agree!(put_bytes(&payload[..]));
+            agree!(put_raw(&payload[..]));
+        }
+    }
+
+    #[test]
     fn capacity_is_capped_by_the_remaining_input() {
         let r = ByteReader::new(&[0; 10]);
         assert_eq!(r.capacity_for(3, 2), 3);
@@ -449,7 +543,7 @@ mod tests {
     struct Pair(u32, u64);
 
     impl Encode for Pair {
-        fn encode(&self, w: &mut ByteWriter) {
+        fn encode<S: Sink>(&self, w: &mut S) {
             w.put_u32(self.0);
             w.put_u64(self.1);
         }

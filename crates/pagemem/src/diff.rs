@@ -15,7 +15,7 @@
 //! doing per-word work only where runs start and end.
 
 use crate::addr::PageId;
-use crate::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+use crate::codec::{ByteReader, CodecError, Decode, Encode, Sink};
 use crate::page::PageFrame;
 use crate::pool::BufferPool;
 
@@ -339,22 +339,13 @@ impl PageDiff {
 }
 
 impl Encode for PageDiff {
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode<S: Sink>(&self, w: &mut S) {
         w.put_u32(self.page);
         w.put_u16(self.runs.len() as u16);
         for run in &self.runs {
             w.put_u32(run.offset);
             w.put_bytes(&run.data);
         }
-    }
-
-    fn encoded_size(&self) -> usize {
-        4 + 2
-            + self
-                .runs
-                .iter()
-                .map(|r| 4 + 4 + r.data.len())
-                .sum::<usize>()
     }
 }
 
@@ -402,6 +393,7 @@ impl Decode for PageDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ByteWriter;
 
     fn page_with(vals: &[(usize, u64)], size: usize) -> PageFrame {
         let mut p = PageFrame::zeroed(size);
@@ -563,7 +555,7 @@ mod tests {
         m.write_u32(100, 2);
         let d = PageDiff::create(17, &t, &m);
         let bytes = d.encode_to_vec();
-        assert_eq!(bytes.len(), d.encoded_size());
+        assert_eq!(d.encoded_size(), bytes.len(), "the two sinks disagree");
         assert_eq!(PageDiff::decode_from_slice(&bytes).unwrap(), d);
     }
 

@@ -33,7 +33,7 @@ mod vclock;
 
 pub use addr::{PageId, PageLayout};
 pub use bytes::SharedBytes;
-pub use codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+pub use codec::{ByteCount, ByteReader, ByteWriter, CodecError, Decode, Encode, Sink};
 pub use diff::{DiffRun, PageDiff, Twin, DIFF_WORD};
 pub use page::PageFrame;
 pub use pool::{BufferPool, PoolStats};

@@ -1,7 +1,7 @@
 //! Property tests for vector clocks and the wire codec.
 
 use minicheck::{check, Rng};
-use pagemem::{ByteReader, ByteWriter, Decode, Encode, IntervalId, VClock, VOrder};
+use pagemem::{ByteReader, ByteWriter, Decode, Encode, IntervalId, Sink, VClock, VOrder};
 
 const CASES: u64 = 256;
 
@@ -83,7 +83,7 @@ fn observe_covers() {
 
 /// Arbitrary clocks — any width up to 200 processes, entries from every
 /// size class of the variable-length encoding — survive the codec, and
-/// the direct size is the encoded length.
+/// the counting sink agrees with the buffer over the whole clock.
 #[test]
 fn vclock_codec_roundtrip() {
     check("vclock_codec_roundtrip", CASES, |rng| {
@@ -93,12 +93,12 @@ fn vclock_codec_roundtrip() {
             a.set(i as u32, rng.u32_any_width());
         }
         let bytes = a.encode_to_vec();
-        assert_eq!(bytes.len(), a.encoded_size());
+        assert_eq!(a.encoded_size(), bytes.len(), "the two sinks disagree");
         assert_eq!(VClock::decode_from_slice(&bytes).unwrap(), a);
     });
 }
 
-/// Variable-length integers round-trip and `var_size` mirrors them.
+/// Variable-length integers round-trip at the length `var_size` gives.
 #[test]
 fn var_codec_roundtrip() {
     check("var_codec_roundtrip", CASES, |rng| {

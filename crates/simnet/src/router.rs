@@ -132,29 +132,16 @@ const SPINS_BEFORE_PARK: usize = 3;
 /// are the byte counts the paper's log-size and traffic numbers reflect.
 ///
 /// `wire_size` is called on every send *and* receive (and again for
-/// every duplicated or retransmitted envelope), so implementations must
-/// be O(1) arithmetic over the message's logical contents — sum field
-/// sizes directly, never encode to a scratch buffer to measure it.
+/// every duplicated or retransmitted envelope), so it must cost the
+/// message's fields, not its contents, and allocate nothing. A payload
+/// with a real codec has its size counted by the encoder into a byte
+/// count (`pagemem::Encode::encoded_size`); never into a buffer.
 /// Logical size is deliberately decoupled from physical allocation:
 /// refcounted payloads shared across cloned envelopes still count their
 /// full byte length here.
 pub trait WireSized {
-    /// Encoded payload size in bytes.
+    /// Size on the wire in bytes: per-message header plus encoded body.
     fn wire_size(&self) -> usize;
-
-    /// Exact encoded body length, if this payload has a real codec
-    /// (`None` for abstract test payloads). When present, the engine's
-    /// send path asserts `wire_size == header_len + encoded_len` in
-    /// debug builds.
-    fn encoded_len(&self) -> Option<usize> {
-        None
-    }
-
-    /// Fixed per-message header bytes included in `wire_size` on top of
-    /// the encoded body.
-    fn header_len(&self) -> usize {
-        0
-    }
 
     /// Stable label naming this payload's message kind, recorded on the
     /// `MsgSend`/`MsgRecv` telemetry pair so exported traces can name

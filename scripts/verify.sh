@@ -25,6 +25,9 @@ echo "==> report (smoke + paper matrices vs their goldens, EXPERIMENTS.md tables
 echo "==> benchmark smoke (five workloads x five cells, one round, every output checked)"
 benchmark/run.sh --rounds 1 --trace 0 >/dev/null
 
+echo "==> benchmark crate's own tests (it compiles against the workspace's traits and messages)"
+CARGO_TARGET_DIR=benchmark/target cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

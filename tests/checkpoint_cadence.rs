@@ -170,9 +170,10 @@ fn log_device_full_pauses_then_cadence_resumes() {
 /// checkpoint truncated the served images (the newest one predates node
 /// 1's own diff), and the checkpoint base answers at position 0.
 ///
-/// CCL only, against its own fault-free run: ML cannot replay this
-/// program — the reply it logged for P went with the log the checkpoint
-/// truncated, so the re-touch finds no record ("ML replay drift").
+/// ML's logged reply for P went with the log the checkpoint truncated,
+/// so ML drops the copy at the cut: the round-4 read refetches, that
+/// reply is logged, and the replay finds it. Each protocol against its
+/// own fault-free run.
 #[test]
 fn a_copy_cached_before_a_checkpoint_is_restored_after_a_crash() {
     const ROUNDS: u64 = 8;
@@ -210,15 +211,20 @@ fn a_copy_cached_before_a_checkpoint_is_restored_after_a_crash() {
         }
         sum
     };
-    let cadence = spec(Protocol::Ccl).with_checkpoint_cadence(4);
-    let clean = run_program(cadence.clone(), program);
-    let out = run_program(cadence.with_crash(CrashPlan::new(1, 6)), program);
-    assert_eq!(clean.total_stats().home_migrations, 0);
-    assert!(out.recovery_time().is_some(), "no recovery happened");
-    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
-        assert_eq!(a.result, b.result, "node {} diverged", a.node);
-    }
-    // Restored by the replay — at the fault, and again at the replayed
+    let crashed_like_clean = |protocol| {
+        let cadence = spec(protocol).with_checkpoint_cadence(4);
+        let clean = run_program(cadence.clone(), program);
+        let out = run_program(cadence.with_crash(CrashPlan::new(1, 6)), program);
+        assert_eq!(clean.total_stats().home_migrations, 0);
+        assert!(out.recovery_time().is_some(), "no recovery happened");
+        for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+            assert_eq!(a.result, b.result, "{protocol:?}: node {} diverged", a.node);
+        }
+        out
+    };
+    crashed_like_clean(Protocol::Ml);
+    let out = crashed_like_clean(Protocol::Ccl);
+    // Under CCL, restored by the replay — at the fault, and again at the replayed
     // barrier whose notice names the home's round-5 write — and never
     // fetched live again.
     let victim = &out.nodes[1];
