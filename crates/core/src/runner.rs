@@ -460,12 +460,7 @@ mod tests {
 
     #[test]
     fn all_protocols_agree_on_results() {
-        for p in [
-            Protocol::None,
-            Protocol::Ml,
-            Protocol::Ccl,
-            Protocol::CclNoOverlap,
-        ] {
+        for p in Protocol::ALL {
             let out = run_program(tiny_spec(p), counter_program);
             assert!(
                 out.nodes.iter().all(|n| n.result == 4),
@@ -516,14 +511,9 @@ mod tests {
     /// under every protocol, crash or not.
     #[test]
     fn phase_breakdown_sums_to_finish_time() {
-        let mut specs = vec![
-            tiny_spec(Protocol::None),
-            tiny_spec(Protocol::Ml),
-            tiny_spec(Protocol::Ccl),
-            tiny_spec(Protocol::CclNoOverlap),
-            tiny_spec(Protocol::Ccl).with_crash(CrashPlan::new(1, 2)),
-            tiny_spec(Protocol::Ml).with_crash(CrashPlan::new(1, 2)),
-        ];
+        let mut specs = Protocol::ALL.map(tiny_spec).to_vec();
+        specs.push(tiny_spec(Protocol::Ccl).with_crash(CrashPlan::new(1, 2)));
+        specs.push(tiny_spec(Protocol::Ml).with_crash(CrashPlan::new(1, 2)));
         for spec in specs.drain(..) {
             let label = format!(
                 "{:?} crash={}",

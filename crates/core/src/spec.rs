@@ -3,8 +3,8 @@
 use hlrc::DsmConfig;
 use simnet::{CostModel, DiskFaultPlan, FaultPlan, NodeId, SimDuration};
 
-/// Which fault-tolerance protocol a run uses (the paper's three, plus
-/// the no-overlap CCL ablation).
+/// Which fault-tolerance protocol a run uses: the paper's three, the
+/// two CCL ablations, and the two related-work loggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// No logging — the paper's "None" baseline (re-execution on crash).
@@ -41,6 +41,17 @@ impl Protocol {
 
     /// All protocols the paper's tables compare.
     pub const TABLE2: [Protocol; 3] = [Protocol::None, Protocol::Ml, Protocol::Ccl];
+
+    /// Every protocol, [`Protocol::TABLE2`] first.
+    pub const ALL: [Protocol; 7] = [
+        Protocol::None,
+        Protocol::Ml,
+        Protocol::Ccl,
+        Protocol::CclNoOverlap,
+        Protocol::CclNoPrefetch,
+        Protocol::RecordsOnly,
+        Protocol::Rsl,
+    ];
 }
 
 /// Damage the crashing node's *last flushed log batch* at the moment
@@ -282,5 +293,6 @@ mod tests {
     #[test]
     fn table2_protocols() {
         assert_eq!(Protocol::TABLE2.map(|p| p.label()), ["none", "ml", "ccl"]);
+        assert_eq!(Protocol::ALL[..3], Protocol::TABLE2);
     }
 }

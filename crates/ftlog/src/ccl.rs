@@ -69,7 +69,7 @@ use pagemem::{
 use simnet::{Envelope, LogObj, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
-use crate::log_record::{CclRecord, SyncTag};
+use crate::log_record::CclRecord;
 use crate::recovery::fetch_release_history;
 use crate::stable_log::{lost_releases, trace_append_by_page, StableLog, Written};
 
@@ -604,7 +604,7 @@ impl CclLogger {
     /// Walk the log to the next `Sync` record, collecting update records
     /// along the way; then apply the sync's notices and restore the
     /// pages they name.
-    fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncTag) -> RecoveryStep {
+    fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncKind) -> RecoveryStep {
         // Phase 1: scan records for this step (one sequential disk read),
         // collecting the recorded home-copy updates of the interval.
         let mut batch_bytes = 0usize;
@@ -670,7 +670,7 @@ impl CclLogger {
         inner.close_interval();
         let me = inner.me() as u32;
         let fresh = inner.admit_notices(&notices, &vc);
-        if let SyncTag::Barrier(_) = expected {
+        if let SyncKind::Barrier(_) = expected {
             inner.close_barrier_epoch();
         }
         let mut remote: Vec<WriteNotice> = fresh
@@ -739,8 +739,8 @@ fn absorb_logged_diffs(inner: &mut NodeInner, reply: Msg, found: &mut Found) {
 fn trace_ccl_append(inner: &mut NodeInner, rec: &CclRecord, record_bytes: u64) {
     let obj = match rec {
         CclRecord::Sync { tag, .. } => match *tag {
-            SyncTag::Acquire(lock) => LogObj::Lock { lock },
-            SyncTag::Barrier(epoch) => LogObj::Barrier { epoch },
+            SyncKind::Acquire(lock) => LogObj::Lock { lock },
+            SyncKind::Barrier(epoch) => LogObj::Barrier { epoch },
         },
         CclRecord::Updates { pages, .. } => {
             // 4 encoded bytes per page id; the rest is record framing.
@@ -784,14 +784,10 @@ impl FaultTolerance for CclLogger {
         notices: &[WriteNotice],
         vc: &VClock,
     ) {
-        let tag = match kind {
-            SyncKind::Acquire(l) => SyncTag::Acquire(l),
-            SyncKind::Barrier(e) => SyncTag::Barrier(e),
-        };
         self.stage(
             inner,
             CclRecord::Sync {
-                tag,
+                tag: kind,
                 notices: notices.to_vec(),
                 vc: vc.clone(),
             },
@@ -927,7 +923,7 @@ impl FaultTolerance for CclLogger {
                 .iter()
                 .filter_map(|(rec, _)| match rec {
                     CclRecord::Sync {
-                        tag: SyncTag::Barrier(e),
+                        tag: SyncKind::Barrier(e),
                         ..
                     } => Some(*e),
                     _ => None,
@@ -939,7 +935,7 @@ impl FaultTolerance for CclLogger {
             // only notices and the clock.
             for (epoch, vc, notices, _migrations) in lost_releases(inner, &releases, last_logged) {
                 let sync = CclRecord::Sync {
-                    tag: SyncTag::Barrier(*epoch),
+                    tag: SyncKind::Barrier(*epoch),
                     notices: notices.clone(),
                     vc: vc.clone(),
                 };
@@ -971,20 +967,11 @@ impl FaultTolerance for CclLogger {
         self.replay.is_some()
     }
 
-    fn recovery_acquire(&mut self, inner: &mut NodeInner, lock: u32) -> RecoveryStep {
-        self.advance_to_sync(inner, SyncTag::Acquire(lock))
+    fn recovery_sync(&mut self, inner: &mut NodeInner, kind: SyncKind) -> RecoveryStep {
+        self.advance_to_sync(inner, kind)
     }
 
-    fn recovery_barrier(&mut self, inner: &mut NodeInner, epoch: u32) -> RecoveryStep {
-        self.advance_to_sync(inner, SyncTag::Barrier(epoch))
-    }
-
-    fn recovery_fault(
-        &mut self,
-        inner: &mut NodeInner,
-        page: PageId,
-        _write: bool,
-    ) -> RecoveryStep {
+    fn recovery_fault(&mut self, inner: &mut NodeInner, page: PageId) -> RecoveryStep {
         // A page no replayed notice named (first touch), or one this
         // node used as a predicted copy without living to tell its
         // home, was not restored ahead of time; restore on demand.

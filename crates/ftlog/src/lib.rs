@@ -44,7 +44,7 @@ pub use frame::{
     crc32, decode_frame, frame_record, framed_size, salvage, Frame, FrameError, Salvage,
     FRAME_HEADER_BYTES, FRAME_MAGIC,
 };
-pub use log_record::{CclRecord, SyncTag};
+pub use log_record::CclRecord;
 pub use ml::{MlLogger, ML_STREAM};
 pub use recovery::replay_apply_notices;
 pub use related::{RecordOnlyLogger, RslLogger, RECORDS_STREAM, RSL_STREAM};

@@ -13,17 +13,8 @@
 //! Traditional ML needs no record type of its own: it logs the raw
 //! encoded bytes of every incoming coherence message.
 
-use hlrc::{decode_notices, encode_notices, WriteNotice};
+use hlrc::{decode_notices, encode_notices, SyncKind, WriteNotice};
 use pagemem::{ByteReader, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, Sink, VClock};
-
-/// Which synchronization operation a [`CclRecord::Sync`] belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncTag {
-    /// Lock acquire of the given lock.
-    Acquire(u32),
-    /// Barrier episode with the given epoch.
-    Barrier(u32),
-}
 
 /// One record in the coherence-centric log.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +29,7 @@ pub enum CclRecord {
     /// grant or release carried them in.
     Sync {
         /// Which operation.
-        tag: SyncTag,
+        tag: SyncKind,
         /// The fresh write-invalidation notices received there.
         notices: Vec<WriteNotice>,
         /// The node's vector clock right after applying them.
@@ -65,11 +56,11 @@ impl Encode for CclRecord {
         match self {
             CclRecord::Sync { tag, notices, vc } => {
                 match tag {
-                    SyncTag::Acquire(l) => {
+                    SyncKind::Acquire(l) => {
                         w.put_u8(0);
                         w.put_u32(*l);
                     }
-                    SyncTag::Barrier(e) => {
+                    SyncKind::Barrier(e) => {
                         w.put_u8(1);
                         w.put_u32(*e);
                     }
@@ -104,9 +95,9 @@ impl Decode for CclRecord {
             0 | 1 => {
                 let id = r.get_u32()?;
                 let sync_tag = if tag == 0 {
-                    SyncTag::Acquire(id)
+                    SyncKind::Acquire(id)
                 } else {
-                    SyncTag::Barrier(id)
+                    SyncKind::Barrier(id)
                 };
                 let notices = decode_notices(r)?;
                 let vc = VClock::decode(r)?;
@@ -169,7 +160,7 @@ mod tests {
         let mut vc = VClock::new(4);
         vc.set(1, 5);
         roundtrip(CclRecord::Sync {
-            tag: SyncTag::Acquire(3),
+            tag: SyncKind::Acquire(3),
             notices: vec![WriteNotice {
                 page: 2,
                 interval: IntervalId { node: 1, seq: 4 },
@@ -177,7 +168,7 @@ mod tests {
             vc: vc.clone(),
         });
         roundtrip(CclRecord::Sync {
-            tag: SyncTag::Barrier(9),
+            tag: SyncKind::Barrier(9),
             notices: vec![],
             vc,
         });

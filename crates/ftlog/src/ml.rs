@@ -42,10 +42,8 @@ pub const ML_STREAM: &str = "ml.log";
 /// The operation replay is looking for the record of.
 #[derive(Debug, Clone, Copy)]
 enum Want {
-    /// The grant of this lock.
-    Acquire(u32),
-    /// The release of this barrier epoch.
-    Barrier(u32),
+    /// The grant of this lock, or the release of this barrier epoch.
+    Sync(SyncKind),
     /// The reply that satisfied a fault on this page.
     Fault(PageId),
 }
@@ -192,7 +190,7 @@ impl MlLogger {
                         vc,
                         notices,
                     },
-                    Want::Acquire(lock),
+                    Want::Sync(SyncKind::Acquire(lock)),
                 ) => {
                     assert_eq!(*l, lock, "ML replay drift: wrong lock grant");
                     inner.close_interval();
@@ -207,7 +205,7 @@ impl MlLogger {
                         notices,
                         migrations,
                     },
-                    Want::Barrier(epoch),
+                    Want::Sync(SyncKind::Barrier(epoch)),
                 ) => {
                     if *e != epoch && rec.synthesized {
                         return self.abandon_replay();
@@ -417,15 +415,11 @@ impl FaultTolerance for MlLogger {
         self.cursor.is_some()
     }
 
-    fn recovery_acquire(&mut self, inner: &mut NodeInner, lock: u32) -> RecoveryStep {
-        self.replay_to(inner, Want::Acquire(lock))
+    fn recovery_sync(&mut self, inner: &mut NodeInner, kind: SyncKind) -> RecoveryStep {
+        self.replay_to(inner, Want::Sync(kind))
     }
 
-    fn recovery_barrier(&mut self, inner: &mut NodeInner, epoch: u32) -> RecoveryStep {
-        self.replay_to(inner, Want::Barrier(epoch))
-    }
-
-    fn recovery_fault(&mut self, inner: &mut NodeInner, page: u32, _write: bool) -> RecoveryStep {
+    fn recovery_fault(&mut self, inner: &mut NodeInner, page: u32) -> RecoveryStep {
         self.replay_to(inner, Want::Fault(page))
     }
 }

@@ -28,8 +28,9 @@
 //! digests, logs smaller than ML's) and
 //! `related_work_recovery_is_rejected` (a crash under either is a loud
 //! error) — which is the paper's §5 argument as two executable checks.
-//! (`cargo bench -p ccl-bench --bench related_work` prints the
-//! log-volume comparison itself.)
+//! (`report` runs both on every application and renders the
+//! log-volume comparison itself into EXPERIMENTS.md §"Related-work
+//! logging protocols".)
 
 use hlrc::{FaultTolerance, Msg, NodeInner, SyncKind, WriteNotice};
 use pagemem::{ByteWriter, Encode, Sink, VClock};

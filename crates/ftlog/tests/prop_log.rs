@@ -1,8 +1,8 @@
 //! Property tests for the coherence-centric log record format and the
 //! framed stable-storage codec.
 
-use ftlog::{frame_record, salvage, CclRecord, SyncTag};
-use hlrc::WriteNotice;
+use ftlog::{frame_record, salvage, CclRecord};
+use hlrc::{SyncKind, WriteNotice};
 use minicheck::{check, Rng};
 use pagemem::{Decode, DiffRun, Encode, IntervalId, PageDiff, VClock};
 
@@ -67,9 +67,9 @@ fn arb_record(rng: &mut Rng) -> CclRecord {
     match rng.u32_in(0, 3) {
         0 => {
             let tag = if rng.bool() {
-                SyncTag::Acquire(rng.u32_in(0, 64))
+                SyncKind::Acquire(rng.u32_in(0, 64))
             } else {
-                SyncTag::Barrier(rng.u32_in(0, 1000))
+                SyncKind::Barrier(rng.u32_in(0, 1000))
             };
             CclRecord::Sync {
                 tag,
@@ -118,7 +118,7 @@ fn a_barrier_of_home_strips_logs_in_a_few_bytes_per_interval() {
         vc.set(node, 31);
     }
     let rec = CclRecord::Sync {
-        tag: SyncTag::Barrier(30),
+        tag: SyncKind::Barrier(30),
         notices,
         vc,
     };

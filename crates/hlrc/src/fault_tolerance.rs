@@ -155,20 +155,16 @@ pub trait FaultTolerance: Send {
         false
     }
 
-    /// Replay one lock acquire from the log.
-    fn recovery_acquire(&mut self, inner: &mut NodeInner, lock: u32) -> RecoveryStep {
-        RecoveryStep::LogExhausted
-    }
-
-    /// Replay one barrier episode from the log.
-    fn recovery_barrier(&mut self, inner: &mut NodeInner, epoch: u32) -> RecoveryStep {
+    /// Replay one synchronization operation — a lock acquire or a
+    /// barrier episode — from the log.
+    fn recovery_sync(&mut self, inner: &mut NodeInner, kind: SyncKind) -> RecoveryStep {
         RecoveryStep::LogExhausted
     }
 
     /// Service a page fault taken while replaying. Returns
     /// [`RecoveryStep::LogExhausted`] if the log ran out, in which case
     /// the driver leaves recovery and fetches live.
-    fn recovery_fault(&mut self, inner: &mut NodeInner, page: PageId, write: bool) -> RecoveryStep {
+    fn recovery_fault(&mut self, inner: &mut NodeInner, page: PageId) -> RecoveryStep {
         unreachable!("page fault in recovery without a recovery protocol")
     }
 

@@ -29,11 +29,12 @@
 //! [`HomelessNode`] through the same random data-race-free schedules
 //! and requires identical digests on every node — two independently
 //! written coherence protocols that must agree on what release
-//! consistency means. (`cargo bench -p ccl-bench --bench homeless`
-//! additionally prints the message-count and diff-retention comparison
-//! of the paper's §2.) A simplification pass may shrink it but must not
-//! merge it into `node.rs`: an oracle that shares logic with what it
-//! checks checks nothing.
+//! consistency means. (`report` additionally runs `ccl-bench`'s
+//! stripe+halo kernel on both protocols and gates the message-count and
+//! diff-retention comparison of the paper's §2 — EXPERIMENTS.md
+//! §"Home-based vs homeless LRC".) A simplification pass may shrink it
+//! but must not merge it into `node.rs`: an oracle that shares logic
+//! with what it checks checks nothing.
 
 use std::collections::HashMap;
 
@@ -695,11 +696,6 @@ impl HomelessNode {
     /// only expose the archive footprint.
     pub fn archive_footprint(&self) -> (usize, usize) {
         (self.archive.len(), self.archive_bytes)
-    }
-
-    /// No-op charge helper mirroring the HLRC-side API.
-    pub fn charge_flops(&mut self, n: u64) {
-        self.ctx.charge_flops(n);
     }
 }
 

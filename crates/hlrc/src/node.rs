@@ -296,9 +296,8 @@ impl HlrcNode {
                         self.inner.ctx.trace(TraceKind::WriteFault { page });
                     }
                 }
-                let write = access == Access::Write;
                 if matches!(fault, Fault::ReadMiss | Fault::WriteMiss)
-                    && !self.replayed(|ft, inner| ft.recovery_fault(inner, page, write))
+                    && !self.replayed(|ft, inner| ft.recovery_fault(inner, page))
                 {
                     self.fetch_page(page);
                 }
@@ -365,7 +364,7 @@ impl HlrcNode {
     /// Acquire a global lock.
     pub fn acquire(&mut self, lock: u32) {
         self.inner.sync_events += 1;
-        if self.replayed(|ft, inner| ft.recovery_acquire(inner, lock)) {
+        if self.replayed(|ft, inner| ft.recovery_sync(inner, SyncKind::Acquire(lock))) {
             self.inner.ctx.stats.lock_acquires += 1;
             return;
         }
@@ -438,7 +437,7 @@ impl HlrcNode {
         // A replayed barrier counts before the node can go live: the
         // deferred lock requests it then services are fenced by epoch.
         if self.replayed(|ft, inner| {
-            let step = ft.recovery_barrier(inner, epoch);
+            let step = ft.recovery_sync(inner, SyncKind::Barrier(epoch));
             if step == RecoveryStep::Replayed {
                 inner.barrier_epoch += 1;
             }

@@ -5,12 +5,12 @@
 //! $ cargo run --release -p obsv --bin blame -- --smoke    # tiny matrix
 //! ```
 //!
-//! Runs every application under every Table 2 protocol at the chosen
-//! scale, plus one mid-run crash per logging protocol, and renders the
-//! blame engine's analysis of each run: the virtual-time blame path
-//! (an exact partition of the makespan), the most-blamed coherence
-//! objects, the per-barrier straggler table, the per-object log-byte
-//! split, and the recovery window's share of the makespan.
+//! Runs every application under every failure-free protocol of the
+//! `report` matrix at the chosen scale, plus its mid-run crashes, and
+//! renders the blame engine's analysis of each run: the virtual-time
+//! blame path (an exact partition of the makespan), the most-blamed
+//! coherence objects, the per-barrier straggler table, the per-object
+//! log-byte split, and the recovery window's share of the makespan.
 //!
 //! Flags:
 //!
@@ -20,7 +20,8 @@
 //!   the blame path highlighted (open at <https://ui.perfetto.dev>).
 //!
 //! This is a diagnostic printer, not a gate: the `report` goldens pin
-//! a hash of each of these documents (`blame_fp`), and when one moves
+//! a hash of each of these documents (`blame_fp`; the 3D-FFT page-size
+//! sweep's too, which this command does not rerun), and when one moves
 //! this command shows the document behind it (`--out` at the parent and
 //! at the change, then diff). Every run still goes through
 //! `checked_analysis`: blame-path segment durations must sum to exactly
@@ -37,7 +38,7 @@ use ccl_apps::App;
 use ccl_core::Protocol;
 use obsv::blame::{blame_json, checked_analysis, Blame, SCHEMA};
 use obsv::json::Json;
-use obsv::report::{Scale, CRASH_FRACTION};
+use obsv::report::{failure_free, Scale, CRASHED, CRASH_FRACTION};
 
 struct Args {
     scale: Scale,
@@ -95,7 +96,7 @@ fn run() -> Result<(), String> {
         scale.label(),
         scale.nodes(),
         App::ALL.len(),
-        Protocol::TABLE2.len(),
+        failure_free().count(),
     );
 
     let mut doc = Json::obj();
@@ -106,7 +107,7 @@ fn run() -> Result<(), String> {
     println!("|---|---|---|---|---|---|---|");
     for app in App::ALL {
         let mut barriers = 0;
-        for protocol in Protocol::TABLE2 {
+        for protocol in failure_free() {
             let label = format!("{}/{}", app.name(), protocol.label());
             let out = scale.run(app, protocol);
             if protocol == Protocol::None {
@@ -116,10 +117,10 @@ fn run() -> Result<(), String> {
             summarize(&label, &blame);
             runs.set(&label, blame_json(&blame, &label));
         }
-        // One mid-run crash per logging protocol: the recovery
+        // One mid-run crash per `report` crash protocol: the recovery
         // window's share of the makespan is part of the blame story.
         let at = ccl_bench::crash_point(barriers, CRASH_FRACTION);
-        for protocol in [Protocol::Ml, Protocol::Ccl] {
+        for protocol in CRASHED {
             let label = format!("{}/{}/crash", app.name(), protocol.label());
             let out = scale.run_with_crash(app, protocol, at);
             let blame = checked_analysis(&label, &out)?;

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Runs the smoke matrix (4 nodes, ~0.1 s) and the paper matrix
-//! (8 nodes, ~4 s) and checks each against its committed golden —
+//! (8 nodes, ~9 s) and checks each against its committed golden —
 //! `crates/obsv/smoke_baseline.json` and `REPORT_paper.json` — field by
 //! field, exactly; then checks that the tables in `EXPERIMENTS.md`
 //! between the `<!-- report:* -->` markers are the ones the paper
@@ -30,7 +30,7 @@ use std::process::ExitCode;
 
 use ccl_apps::App;
 use ccl_core::Protocol;
-use obsv::report::{compare, report_json, splice_tables, Report, Scale};
+use obsv::report::{compare, failure_free, report_json, splice_tables, Report, Scale};
 
 struct Args {
     bless: bool,
@@ -68,11 +68,12 @@ fn gate_scale(
     failures: &mut Vec<String>,
 ) -> Result<Option<Report>, String> {
     eprintln!(
-        "collecting the {} matrix ({} nodes, {} apps x {} protocols + crash runs)...",
+        "collecting the {} matrix ({} nodes, {} apps x {} protocols + crash runs, \
+         page-size sweep, homeless kernel)...",
         scale.label(),
         scale.nodes(),
         App::ALL.len(),
-        Protocol::TABLE2.len(),
+        failure_free().count(),
     );
     let report = match obsv::collect(scale) {
         Ok(report) => report,

@@ -28,6 +28,9 @@ benchmark/run.sh --rounds 1 --trace 0 >/dev/null
 echo "==> benchmark crate's own tests (it compiles against the workspace's traits and messages)"
 CARGO_TARGET_DIR=benchmark/target cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark/Cargo.lock unchanged (the crate graph it records is frozen; --locked misses a pruned edge)"
+git diff --exit-code -- benchmark/Cargo.lock
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -83,15 +83,11 @@ fn logging_never_changes_results() {
     // The same program must produce the same digest regardless of the
     // logging protocol (logging is supposed to be transparent).
     for app in App::ALL {
-        let digests: Vec<u64> = [
-            Protocol::None,
-            Protocol::Ml,
-            Protocol::Ccl,
-            Protocol::CclNoOverlap,
-        ]
-        .iter()
-        .map(|&p| run_program(tiny_spec(app, 4, p), move |dsm| app.run_tiny(dsm)).nodes[0].result)
-        .collect();
+        let digests: Vec<u64> = Protocol::ALL
+            .map(|p| {
+                run_program(tiny_spec(app, 4, p), move |dsm| app.run_tiny(dsm)).nodes[0].result
+            })
+            .to_vec();
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
             "{}: digests differ across protocols: {digests:?}",
