@@ -10,6 +10,14 @@
 //! large (it contains whole pages), which is exactly the overhead the
 //! paper measures against CCL.
 //!
+//! A page copy is logged when it is *consumed*, not when it arrives: a
+//! demand reply at once, a predicted copy at its first touch, as the
+//! `PageReply` it arrived in (the fetch path hands it over there). The
+//! record lands where replay faults on the page, so replay reads it like
+//! any demand reply, and a prediction never read is never logged — ML
+//! fetches with the same predictors as every other protocol, and its
+//! log holds the pages this node read, however they travelled.
+//!
 //! ML-recovery replays the logged messages in receipt order: each page
 //! miss and each synchronization operation reads records from disk (one
 //! access per record — the "memory miss idle time" and "high disk access
@@ -286,13 +294,6 @@ impl FaultTolerance for MlLogger {
         "ml"
     }
 
-    /// ML's log is the content of every page copy this node installs,
-    /// written synchronously: a speculative copy costs it a page of
-    /// stable log whether or not it is ever read.
-    fn logs_page_contents(&self) -> bool {
-        true
-    }
-
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
         if !self.log.accepting() {
             return;
@@ -397,7 +398,9 @@ impl FaultTolerance for MlLogger {
             // The replies that installed the copies this node holds went
             // with the log. Drop the copies too: the first touch after
             // the cut refetches, and that reply is in the log a replay
-            // from this checkpoint reads.
+            // from this checkpoint reads. A predicted copy not touched
+            // yet has no frame and stays: its reply is logged at its
+            // first touch, after the cut.
             let me = inner.me();
             let cached: Vec<PageId> = inner
                 .pages

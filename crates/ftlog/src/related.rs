@@ -108,15 +108,6 @@ impl RecordOnlyLogger {
                 w.put_u8(4);
                 w.put_u32(*epoch);
             }
-            Msg::PageReplyBatch { pages, .. } => {
-                // One fixed-size record per batch: page ids only, never
-                // the contents — same economy as the single-reply case.
-                w.put_u8(5);
-                w.put_u16(pages.len() as u16);
-                for (page, _, _) in pages {
-                    w.put_u32(*page);
-                }
-            }
             _ => return None,
         }
         Some(w.into_bytes())
@@ -246,16 +237,13 @@ mod tests {
         })
         .unwrap();
         assert!(rec.len() < 16);
-        // A batched reply carrying two full pages still logs only ids.
-        let batch = RecordOnlyLogger::record_of(&Msg::PageReplyBatch {
+        // Predicted copies reach the logger one `PageReply` at a time,
+        // at their first touch; the batch they travelled in is no event.
+        assert!(RecordOnlyLogger::record_of(&Msg::PageReplyBatch {
             after: 2,
-            pages: vec![
-                (3, vec![0; 4096].into(), VClock::new(2)),
-                (4, vec![0; 4096].into(), VClock::new(2)),
-            ],
+            pages: vec![(3, vec![0; 4096].into(), VClock::new(2))],
         })
-        .unwrap();
-        assert!(batch.len() < 16);
+        .is_none());
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! flush, and how they drive recovery. The coherence code has no
 //! per-protocol branch and no knob that stands in for one: where a
 //! protocol needs the substrate to behave differently (retain the pages
-//! it serves, fetch without speculating) it says so through a hook
-//! here, next to the reason — a constant of the protocol, not a mode of
-//! it. Implementations
-//! live in the `ftlog` crate; [`NoLogging`] (the paper's "None"
-//! baseline) lives here.
+//! it serves) it says so through a hook here, next to the reason — a
+//! constant of the protocol, not a mode of it. Every protocol fetches
+//! the same way, predictions included: a predicted copy reaches
+//! [`FaultTolerance::on_incoming`] at its first touch, so what a
+//! protocol logs of the pages a node reads does not depend on how they
+//! travelled. Implementations live in the `ftlog` crate; [`NoLogging`]
+//! (the paper's "None" baseline) lives here.
 
 use pagemem::{IntervalId, PageDiff, PageId, VClock};
 use simnet::{Envelope, SimDuration, SimTime};
@@ -66,21 +68,13 @@ pub trait FaultTolerance: Send {
         false
     }
 
-    /// Whether this protocol logs the *contents* of every page copy the
-    /// node installs. Such a node fetches without speculating: a
-    /// predicted copy would be written to its stable log whether or not
-    /// it is ever read, which costs more than the hidden round trip
-    /// repays (ML on 3D-FFT at paper scale ran ~40 % slower with
-    /// prediction on). True only for ML; a protocol that keeps page
-    /// contents out of its log gets the predictors of `fetch.rs`.
-    fn logs_page_contents(&self) -> bool {
-        false
-    }
-
     // ---- failure-free logging ----
 
     /// An incoming coherence message relevant to replay was received:
-    /// page replies, diff flushes, lock grants, barrier releases.
+    /// page replies, diff flushes, lock grants, barrier releases. A
+    /// predicted copy's [`Msg::PageReply`] comes at its first touch —
+    /// one that is never touched never comes — so page replies arrive
+    /// here exactly where replay will fault on their pages.
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {}
 
     /// Write-invalidation notices were accepted at an acquire or barrier

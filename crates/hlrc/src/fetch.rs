@@ -1,15 +1,22 @@
 //! The page-fetch exchange, both ends: the faulting node's request,
 //! with its deterministic predictors, and the home's reply.
 //!
-//! There is one fetch path. A fault sends the home one request naming
-//! the faulting page plus up to [`MAX_EXTRAS`] predicted same-home
-//! pages; the home answers the demand page with an ordinary
-//! [`Msg::PageReply`] and ships the predicted copies in one trailing
-//! [`Msg::PageReplyBatch`] that installs asynchronously at the next
-//! inbox drain. A wrong prediction costs bytes on the wire, never an
-//! extra stall. A node whose logging protocol records page contents
-//! ([`crate::FaultTolerance::logs_page_contents`]) never predicts: it
-//! sends the bare [`Msg::PageRequest`], served as a batch of none.
+//! There is one fetch path, whatever the logging protocol. A fault
+//! sends the home one [`Msg::PageRequestBatch`] naming the faulting
+//! page plus up to [`MAX_EXTRAS`] predicted same-home pages; the home
+//! answers the demand page with an ordinary [`Msg::PageReply`] and
+//! ships the predicted copies in one trailing [`Msg::PageReplyBatch`]
+//! that installs asynchronously at the next inbox drain. A wrong
+//! prediction costs bytes on the wire, never an extra stall.
+//!
+//! A predicted copy is held as the buffer it was shipped in until its
+//! first touch, which copies it into a frame and hands the logging
+//! layer the [`Msg::PageReply`] it arrived as: a protocol that logs
+//! the page contents a node reads (ML) logs exactly the predictions
+//! that were used, at the point a demand reply would have been logged,
+//! and the ones never read cost it nothing. Nothing needs logging
+//! earlier — an untouched copy cannot change (a write traps first, a
+//! notice drops it).
 //!
 //! The home's copyset (what it tells a recovering peer it held) records
 //! pages a node *touched*, not pages it was shipped: the demand page of
@@ -136,12 +143,7 @@ impl HlrcNode {
         self.drain_stalled(self.inner.ctx.now());
         let home = self.inner.pages.entry(page).home;
         self.inner.ctx.stats.page_fetches += 1;
-        let speculate = !self.ft.logs_page_contents();
-        let extras = if speculate {
-            self.predict(page, home)
-        } else {
-            Vec::new()
-        };
+        let extras = self.predict(page, home);
         let asked_at = self.inner.ctx.now();
         if !extras.is_empty() {
             self.inner.ctx.stats.prefetch_issued += extras.len() as u64;
@@ -154,14 +156,8 @@ impl HlrcNode {
                 .in_flight
                 .push((page, self.inner.sync_events, extras.clone()));
         }
-        // A speculating node always speaks the batch dialect, extras or
-        // not; the two requests differ in size, hence in arrival time.
-        let request = if speculate {
-            let hits = self.inner.prefetch.take_hits(home);
-            Msg::PageRequestBatch { page, extras, hits }
-        } else {
-            Msg::PageRequest { page }
-        };
+        let hits = self.inner.prefetch.take_hits(home);
+        let request = Msg::PageRequestBatch { page, extras, hits };
         self.inner
             .ctx
             .send(home, request)
@@ -241,11 +237,13 @@ impl HlrcNode {
 
     /// Install a trailing prefetch batch (see [`Msg::PageReplyBatch`]):
     /// gate on the issue-time synchronization stamp, then install every
-    /// carried page that is still invalid, valid-until-invalidated.
+    /// carried page that is still invalid, valid-until-invalidated, as
+    /// the buffer it arrived in ([`crate::PageTable::install_predicted`]).
     /// Called from the asynchronous service path, so nothing here may
     /// block. Pages that went stale (a sync operation completed since
     /// the request) or valid (demand-fetched while the batch was in
-    /// flight) count as wasted predictions.
+    /// flight) count as wasted predictions. Nothing is logged here: a
+    /// copy reaches the logging layer at its first touch, if it has one.
     pub(crate) fn install_prefetch_batch(&mut self, env: Envelope<Msg>) {
         let Msg::PageReplyBatch { after, pages } = env.payload else {
             unreachable!()
@@ -257,7 +255,6 @@ impl HlrcNode {
             None => true,
             Some(stamp) => stamp != self.inner.sync_events,
         };
-        let mut install: Vec<PageCopy> = Vec::new();
         for (p, data, version) in pages {
             let e = self.inner.pages.entry(p);
             if stale
@@ -269,35 +266,17 @@ impl HlrcNode {
                 self.inner.ctx.trace(TraceKind::PrefetchWasted { page: p });
                 continue;
             }
-            install.push((p, data, version));
-        }
-        if install.is_empty() {
-            return;
-        }
-        // Tell the logging layer before installing (write-ahead, like
-        // every other incoming that mutates page state), with exactly
-        // the installed subset.
-        let logged = Msg::PageReplyBatch {
-            after,
-            pages: install.clone(),
-        };
-        self.ft.on_incoming(&mut self.inner, &logged);
-        for (p, data, _version) in install {
-            self.inner
-                .pages
-                .install_copy(p, &data, PageState::ReadOnly, &mut self.inner.pool);
-            self.inner.pages.entry_mut(p).prefetched = true;
+            self.inner.pages.install_predicted(p, data, version);
         }
     }
 
-    /// Home side, behind both request tags: answer `src`'s fetch of
-    /// `page`, finishing service at `done`. The demand reply's timing
-    /// never depends on how many `extras` ride along: their copies are
-    /// made once it is on the wire. Nor does any timing depend on
-    /// whether a copy is made afresh or is the buffer the home retained
-    /// from an earlier fetch of the same version
-    /// ([`crate::PageTable::serve_copy`]): the copy is priced either
-    /// way.
+    /// Home side: answer `src`'s fetch of `page`, finishing service at
+    /// `done`. The demand reply's timing never depends on how many
+    /// `extras` ride along: their copies are made once it is on the
+    /// wire. Nor does any timing depend on whether a copy is made
+    /// afresh or is the buffer an earlier fetch of the same clean
+    /// version was answered with ([`crate::PageTable::serve_copy`]):
+    /// the copy is priced either way.
     ///
     /// The copyset learns what `src` touches, not what it is shipped:
     /// the demand page, and each of `hits` — extras of earlier requests
@@ -313,9 +292,9 @@ impl HlrcNode {
         hits: &[PageId],
         done: SimTime,
     ) {
-        let copy_of = |inner: &mut NodeInner, p: PageId| -> PageCopy {
+        let copy_of = |inner: &mut NodeInner, p: PageId, predicted: bool| -> PageCopy {
             debug_assert!(inner.pages.is_home(p), "page request at non-home");
-            let (data, version) = inner.pages.serve_copy(p);
+            let (data, version) = inner.pages.serve_copy(p, predicted);
             (p, data, version)
         };
         self.inner.pages.note_remote_fetch(page, src);
@@ -324,7 +303,7 @@ impl HlrcNode {
                 self.inner.pages.note_remote_fetch(hit, src);
             }
         }
-        let (_, data, version) = copy_of(&mut self.inner, page);
+        let (_, data, version) = copy_of(&mut self.inner, page, false);
         let demand_cost = self.inner.ctx.cost.cpu.copy(data.len());
         let reply = Msg::PageReply {
             page,
@@ -340,7 +319,7 @@ impl HlrcNode {
         }
         let pages: Vec<PageCopy> = extras
             .iter()
-            .map(|&p| copy_of(&mut self.inner, p))
+            .map(|&p| copy_of(&mut self.inner, p, true))
             .collect();
         let total: usize = pages.iter().map(|(_, data, _)| data.len()).sum();
         let extras_cost = self.inner.ctx.cost.cpu.copy(total);

@@ -46,7 +46,6 @@ impl NodeInner {
     /// to serve yet.
     pub(crate) fn stalls_on_migration(&self, msg: &Msg) -> bool {
         match msg {
-            Msg::PageRequest { page } => self.pending_migration(*page),
             Msg::PageRequestBatch { page, extras, .. } => {
                 self.pending_migration(*page) || extras.iter().any(|p| self.pending_migration(*p))
             }

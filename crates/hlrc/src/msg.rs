@@ -17,14 +17,18 @@ use simnet::WireSized;
 /// Per-message header overhead on the wire (UDP/IP + DSM header).
 pub const HEADER_BYTES: usize = 32;
 
-/// Number of distinct [`Msg`] variants (wire tags `0..MSG_KINDS`).
-/// Per-variant traffic counters are indexed by the wire tag.
-pub const MSG_KINDS: usize = 20;
+/// Number of distinct [`Msg`] variants. Per-variant traffic counters
+/// are indexed by [`Msg::ordinal`], `0..MSG_KINDS`.
+pub const MSG_KINDS: usize = 19;
 
-/// Short label for a [`Msg`] wire tag, for traffic tables.
+/// Wire tag of the variant with ordinal 0; the rest follow in
+/// declaration order. Tag 0 was the bare page request of a node that
+/// fetched without predicting, and decodes as an error.
+const FIRST_TAG: u8 = 1;
+
+/// Short label for a [`Msg`] ordinal, for traffic tables.
 pub fn kind_label(ordinal: usize) -> &'static str {
     const LABELS: [&str; MSG_KINDS] = [
-        "PageRequest",
         "PageReply",
         "DiffFlush",
         "DiffAck",
@@ -333,11 +337,6 @@ fn decode_diffs(r: &mut ByteReader<'_>) -> Result<Vec<PageDiff>, CodecError> {
 /// One DSM protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Fetch an up-to-date copy of `page` from its home (read/write miss).
-    PageRequest {
-        /// Requested page.
-        page: PageId,
-    },
     /// Home's reply: the current home copy and its version timestamp.
     PageReply {
         /// The page.
@@ -569,38 +568,37 @@ impl Msg {
         )
     }
 
-    /// The wire tag, used to index per-variant traffic counters.
+    /// The variant's index in declaration order, used to index
+    /// per-variant traffic counters; its wire tag is one more.
     pub fn ordinal(&self) -> usize {
         match self {
-            Msg::PageRequest { .. } => 0,
-            Msg::PageReply { .. } => 1,
-            Msg::DiffFlush { .. } => 2,
-            Msg::DiffAck { .. } => 3,
-            Msg::LockRequest { .. } => 4,
-            Msg::LockGrant { .. } => 5,
-            Msg::LockRelease { .. } => 6,
-            Msg::BarrierArrive { .. } => 7,
-            Msg::BarrierRelease { .. } => 8,
-            Msg::RecoveryPageRequest { .. } => 9,
-            Msg::RecoveryPageReply { .. } => 10,
-            Msg::LoggedDiffRequest { .. } => 11,
-            Msg::LoggedDiffReply { .. } => 12,
-            Msg::ReleaseHistoryRequest => 13,
-            Msg::ReleaseHistoryReply { .. } => 14,
-            Msg::PageRequestBatch { .. } => 15,
-            Msg::PageReplyBatch { .. } => 16,
-            Msg::HomeMigrate { .. } => 17,
-            Msg::RecoveryHello => 18,
-            Msg::RecoveryHelloReply { .. } => 19,
+            Msg::PageReply { .. } => 0,
+            Msg::DiffFlush { .. } => 1,
+            Msg::DiffAck { .. } => 2,
+            Msg::LockRequest { .. } => 3,
+            Msg::LockGrant { .. } => 4,
+            Msg::LockRelease { .. } => 5,
+            Msg::BarrierArrive { .. } => 6,
+            Msg::BarrierRelease { .. } => 7,
+            Msg::RecoveryPageRequest { .. } => 8,
+            Msg::RecoveryPageReply { .. } => 9,
+            Msg::LoggedDiffRequest { .. } => 10,
+            Msg::LoggedDiffReply { .. } => 11,
+            Msg::ReleaseHistoryRequest => 12,
+            Msg::ReleaseHistoryReply { .. } => 13,
+            Msg::PageRequestBatch { .. } => 14,
+            Msg::PageReplyBatch { .. } => 15,
+            Msg::HomeMigrate { .. } => 16,
+            Msg::RecoveryHello => 17,
+            Msg::RecoveryHelloReply { .. } => 18,
         }
     }
 }
 
 impl Encode for Msg {
     fn encode<S: Sink>(&self, w: &mut S) {
-        w.put_u8(self.ordinal() as u8);
+        w.put_u8(FIRST_TAG + self.ordinal() as u8);
         match self {
-            Msg::PageRequest { page } => w.put_u32(*page),
             Msg::PageReply {
                 page,
                 data,
@@ -730,7 +728,6 @@ impl Decode for Msg {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let tag = r.get_u8()?;
         Ok(match tag {
-            0 => Msg::PageRequest { page: r.get_u32()? },
             1 => Msg::PageReply {
                 page: r.get_u32()?,
                 data: r.get_bytes()?.into(),
@@ -897,7 +894,6 @@ mod tests {
             page: 7,
             interval: iv,
         };
-        roundtrip(Msg::PageRequest { page: 3 });
         roundtrip(Msg::PageReply {
             page: 3,
             data: vec![1; 64].into(),
@@ -1063,7 +1059,11 @@ mod tests {
     fn ordinals_match_wire_tags_and_labels() {
         let vc = VClock::new(2);
         let msgs = [
-            Msg::PageRequest { page: 0 },
+            Msg::PageReply {
+                page: 0,
+                data: vec![0; 8].into(),
+                version: vc.clone(),
+            },
             Msg::PageRequestBatch {
                 page: 0,
                 extras: vec![1],
@@ -1086,7 +1086,7 @@ mod tests {
         ];
         for m in msgs {
             let bytes = m.encode_to_vec();
-            assert_eq!(m.ordinal(), bytes[0] as usize, "ordinal is the wire tag");
+            assert_eq!(m.ordinal() + 1, bytes[0] as usize, "the wire tag follows");
             let variant = format!("{m:?}");
             assert!(
                 variant.starts_with(m.kind()),
@@ -1121,7 +1121,7 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct() {
-        assert_eq!(Msg::PageRequest { page: 0 }.kind(), "PageRequest");
+        assert_eq!(Msg::RecoveryHello.kind(), "RecoveryHello");
         assert_eq!(
             Msg::DiffAck {
                 writer: IntervalId { node: 0, seq: 0 }

@@ -269,16 +269,23 @@ impl HlrcNode {
             }
             return;
         }
-        if self.inner.pages.entry(page).prefetched {
+        let inner = &mut self.inner;
+        if let Some((data, version)) = inner.pages.take_predicted(page, &mut inner.pool) {
             // First touch of a predicted copy: the fetch round trip this
             // access would have paid was hidden entirely. Its home is
-            // told with the next request that goes there anyway.
-            let e = self.inner.pages.entry_mut(page);
-            e.prefetched = false;
-            let home = e.home;
-            self.inner.prefetch.note_hit(home, page);
-            self.inner.ctx.stats.prefetch_hits += 1;
-            self.inner.ctx.trace(TraceKind::PrefetchHit { page });
+            // told with the next request that goes there anyway, and
+            // the logging layer now, with the reply the copy arrived as
+            // — where a demand fetch would have handed it over.
+            let home = inner.pages.entry(page).home;
+            inner.prefetch.note_hit(home, page);
+            inner.ctx.stats.prefetch_hits += 1;
+            inner.ctx.trace(TraceKind::PrefetchHit { page });
+            let reply = Msg::PageReply {
+                page,
+                data,
+                version,
+            };
+            self.ft.on_incoming(&mut self.inner, &reply);
         }
         let state = self.inner.pages.entry(page).state;
         match state.fault_for(access) {
@@ -669,7 +676,7 @@ impl HlrcNode {
                 "invalidation of a page with an open twin: intervals \
                  must be delimited before notices are applied"
             );
-            if self.inner.pages.entry(n.page).prefetched {
+            if self.inner.pages.entry(n.page).predicted.is_some() {
                 // Predicted copy invalidated before its first use:
                 // the prediction bought nothing but bytes.
                 self.inner.ctx.stats.prefetch_wasted += 1;
@@ -1003,7 +1010,6 @@ impl CoherenceProtocol<Msg> for HlrcNode {
         let handler = self.inner.ctx.cost.cpu.message_handler;
         let done = self.inner.ctx.async_service_base(&env, deferred) + handler;
         match &env.payload {
-            Msg::PageRequest { page } => self.serve_pages(env.src, *page, &[], &[], done),
             Msg::PageRequestBatch { page, extras, hits } => {
                 self.serve_pages(env.src, *page, extras, hits, done)
             }

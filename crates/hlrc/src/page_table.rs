@@ -10,7 +10,7 @@
 
 use pagemem::{
     BufferPool, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, Twin,
-    VClock,
+    VClock, WeakBytes,
 };
 use simnet::NodeId;
 
@@ -91,11 +91,21 @@ pub struct PageEntry {
     /// retained from it since the last checkpoint. Empty unless the
     /// table [retains served pages](PageTable::retain_served_pages).
     pub served: ServedLog,
+    /// Home-side, when served pages are not retained: the buffer of the
+    /// last clean predicted copy shipped, held by nobody here. While a
+    /// requester still holds it, every fetch of the same version is
+    /// answered with it (see [`PageTable::serve_copy`]); it is
+    /// forgotten when the version moves.
+    pub shipped: Option<WeakBytes>,
     /// Non-home side: this copy arrived as a prefetch prediction and has
-    /// not been touched yet. Cleared (and counted as a hit) on first
-    /// access; a prefetched copy invalidated while still flagged was a
-    /// wasted prediction.
-    pub prefetched: bool,
+    /// not been touched yet — the reply buffer it came in, as the home
+    /// shipped it, and its version. The entry is `ReadOnly` without a
+    /// frame; the first access copies the buffer into one (and counts a
+    /// hit, see [`PageTable::take_predicted`]). A predicted copy
+    /// invalidated untouched was a wasted prediction and never took a
+    /// frame. It cannot change before its first touch: a write traps
+    /// first, and a notice drops it.
+    pub predicted: Option<(SharedBytes, VClock)>,
     /// This page's home moved at a barrier (adaptive migration). A
     /// migrated page never migrates again (ping-pong
     /// damping), and a post-crash re-execution of the allocation phase
@@ -154,7 +164,8 @@ impl PageTable {
                         dirty: false,
                         copyset: NodeSet::default(),
                         served: ServedLog::default(),
-                        prefetched: false,
+                        shipped: None,
+                        predicted: None,
                         migrated: false,
                     }
                 } else {
@@ -169,7 +180,8 @@ impl PageTable {
                         dirty: false,
                         copyset: NodeSet::default(),
                         served: ServedLog::default(),
-                        prefetched: false,
+                        shipped: None,
+                        predicted: None,
                         migrated: false,
                     }
                 }
@@ -269,7 +281,35 @@ impl PageTable {
         debug_assert_ne!(e.home, self.me, "installing a copy of a home page");
         e.frame = Some(frame);
         e.state = state;
-        e.prefetched = false;
+    }
+
+    /// Install a predicted copy of invalid non-home page `page`: the
+    /// reply buffer itself, shared with the home and any other holder,
+    /// and no frame until [its first touch](Self::take_predicted).
+    pub fn install_predicted(&mut self, page: PageId, data: SharedBytes, version: VClock) {
+        let e = &mut self.entries[page as usize];
+        debug_assert!(
+            e.home != self.me && e.frame.is_none(),
+            "predicting a held page"
+        );
+        e.state = PageState::ReadOnly;
+        e.predicted = Some((data, version));
+    }
+
+    /// First touch of `page`: if it holds a predicted copy, copy the
+    /// buffer into a frame from `pool` and return the buffer and its
+    /// version — the reply the copy arrived as.
+    pub fn take_predicted(
+        &mut self,
+        page: PageId,
+        pool: &mut BufferPool,
+    ) -> Option<(SharedBytes, VClock)> {
+        let e = &mut self.entries[page as usize];
+        // Asked on every access: the common answer stores nothing.
+        e.predicted.as_ref()?;
+        let (data, version) = e.predicted.take()?;
+        e.frame = Some(pool.frame_from_bytes(&data));
+        Some((data, version))
     }
 
     /// Drop the local copy of a non-home page (write-invalidation),
@@ -285,7 +325,7 @@ impl PageTable {
         }
         e.state = PageState::Invalid;
         e.dirty = false;
-        e.prefetched = false;
+        e.predicted = None;
     }
 
     /// Apply a writer's diff to the home copy, bumping its version.
@@ -306,13 +346,15 @@ impl PageTable {
     /// Interval `iv`'s writes to home page `page` are complete in its
     /// frame — a writer's diff was applied, or this node closed an
     /// interval of its own that dirtied the page: the version advances
-    /// and, when served pages are retained, so does the write history.
+    /// and, when served pages are retained, so does the write history;
+    /// the last buffer shipped shows an older version now.
     pub fn note_home_write(&mut self, page: PageId, iv: IntervalId) {
         let e = &mut self.entries[page as usize];
         e.version
             .as_mut()
             .expect("home version missing")
             .observe(iv);
+        e.shipped = None;
         if self.retain_served {
             e.served.note_write(iv);
         }
@@ -389,7 +431,8 @@ impl PageTable {
             e.dirty = false;
             e.copyset.clear();
             e.served.clear();
-            e.prefetched = false;
+            e.shipped = None;
+            e.predicted = None;
             if e.home == self.me {
                 let base = e.base.as_ref().expect("home base missing").clone();
                 e.frame = Some(base);
@@ -447,7 +490,8 @@ impl PageTable {
         e.dirty = false;
         e.copyset.clear();
         e.served.clear();
-        e.prefetched = false;
+        e.shipped = None;
+        e.predicted = None;
     }
 
     /// Old home's side of a barrier-committed migration: hand the home
@@ -467,7 +511,7 @@ impl PageTable {
         e.dirty = false;
         e.copyset.clear();
         e.served.clear();
-        e.prefetched = false;
+        e.shipped = None;
         // The retained frame is now a plain cached copy.
         e.state = PageState::ReadOnly;
     }
@@ -497,7 +541,7 @@ impl PageTable {
         e.dirty = false;
         e.copyset.clear();
         e.served.clear();
-        e.prefetched = false;
+        e.predicted = None;
     }
 
     /// Bystander's side of a migration: update the mapping only. A
@@ -521,20 +565,39 @@ impl PageTable {
         e.copyset.insert(by);
     }
 
-    /// A copy of home page `page` to ship — demand page or predicted
-    /// extra alike: the reply buffer and the version it shows. A table
-    /// that retains served pages keeps the buffer and answers every
-    /// fetch of one version with it; an extra's buffer is retained like
-    /// any other, since a peer that touched it and crashed before
-    /// saying so restores it from that image. Who the copy goes to is
-    /// not recorded here (see [`PageTable::note_remote_fetch`]).
-    pub fn serve_copy(&mut self, page: PageId) -> (SharedBytes, VClock) {
+    /// A copy of home page `page` to ship — the demand page, or a
+    /// `predicted` extra: the reply buffer and the version it shows.
+    /// Fetches of one clean version share one buffer. A table that
+    /// retains served pages keeps it and answers every such fetch with
+    /// it; an extra's buffer is retained like any other, since a peer
+    /// that touched it and crashed before saying so restores it from
+    /// that image. Any other table names the buffer of a predicted
+    /// extra — which its requester holds as is until its first touch —
+    /// and answers with it while someone still holds it, copying afresh
+    /// once nobody does, once the version has moved, or while the frame
+    /// is dirty (a clean version is the one thing that pins the bytes).
+    /// A demand copy goes into a frame on arrival, so it is shared when
+    /// it can be and never named: the weak name would keep its
+    /// allocation alive with nobody to share it with (DESIGN.md §10).
+    /// Who the copy goes to is not recorded here (see
+    /// [`PageTable::note_remote_fetch`]).
+    pub fn serve_copy(&mut self, page: PageId, predicted: bool) -> (SharedBytes, VClock) {
         let e = &mut self.entries[page as usize];
         let frame = e.frame.as_ref().expect("home frame");
+        let clean = !e.dirty;
         let data = if self.retain_served {
             e.served.serve(frame)
+        } else if let Some(data) = e
+            .shipped
+            .as_ref()
+            .filter(|_| clean)
+            .and_then(WeakBytes::upgrade)
+        {
+            data
         } else {
-            SharedBytes::copy_of(frame.bytes())
+            let data = SharedBytes::copy_of(frame.bytes());
+            e.shipped = (clean && predicted).then(|| data.downgrade());
+            data
         };
         (data, e.version.clone().expect("home version"))
     }
@@ -781,15 +844,15 @@ mod tests {
         t.retain_served_pages();
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, iv);
-        let (first, version) = t.serve_copy(0);
+        let (first, version) = t.serve_copy(0, false);
         assert!(version.covers(iv));
         // The base stays the checkpoint image whoever fetches.
         assert_eq!(t.entry(0).base.as_ref().unwrap().read_u64(0), 0);
         // One version, one buffer; a new version, a new one.
-        assert!(t.serve_copy(0).0.ptr_eq(&first));
+        assert!(t.serve_copy(0, false).0.ptr_eq(&first));
         t.frame_mut(0).write_u64(0, 6);
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        assert!(!t.serve_copy(0).0.ptr_eq(&first));
+        assert!(!t.serve_copy(0, false).0.ptr_eq(&first));
         assert_eq!(t.entry(0).served.images().len(), 2);
         // A replay that saw only the first write gets the first buffer.
         let (pos, image) = t.recovery_image(0, &version).expect("retained");
@@ -799,12 +862,65 @@ mod tests {
         assert!(t.recovery_image(0, &version).is_none());
         t.promote_base();
         assert!(t.recovery_image(0, &version).is_some());
+    }
 
-        // A table that does not retain copies afresh and keeps nothing.
-        let mut plain = PageTable::new(&cfg(), 0);
-        plain.note_home_write(0, iv);
-        assert!(!plain.serve_copy(0).0.ptr_eq(&plain.serve_copy(0).0));
-        assert!(plain.entry(0).served.images().is_empty() && plain.entry(0).served.pos() == 0);
+    #[test]
+    fn a_home_that_retains_nothing_ships_one_buffer_per_clean_version() {
+        let extra = |t: &mut PageTable| t.serve_copy(0, true).0;
+        let demand = |t: &mut PageTable| t.serve_copy(0, false).0;
+        let mut t = PageTable::new(&cfg(), 0);
+        t.frame_mut(0).write_u64(0, 5);
+        t.note_home_write(0, IntervalId { node: 0, seq: 0 });
+        // While the first predicted copy is held, every fetch of the
+        // version shares it, demand or predicted.
+        let (first, version) = t.serve_copy(0, true);
+        assert_eq!(first.as_slice(), t.frame(0).bytes());
+        let (second, again) = t.serve_copy(0, false);
+        assert!(second.ptr_eq(&first) && again == version);
+        assert!(extra(&mut t).ptr_eq(&first));
+        assert!(t.entry(0).served.images().is_empty(), "nothing is retained");
+        // Once every holder dropped it, the next fetch copies afresh.
+        drop((first, second));
+        let held = extra(&mut t);
+        assert!(extra(&mut t).ptr_eq(&held));
+        // A demand copy is shared, never named: with nobody holding a
+        // predicted copy, two demand fetches copy twice.
+        drop(held);
+        let once = demand(&mut t);
+        assert!(!demand(&mut t).ptr_eq(&once) && t.entry(0).shipped.is_none());
+        // A dirty frame is copied each time, and nothing of it is kept.
+        let held = extra(&mut t);
+        t.entry_mut(0).dirty = true;
+        t.frame_mut(0).write_u64(0, 6);
+        let dirty = extra(&mut t);
+        assert!(!dirty.ptr_eq(&held) && !extra(&mut t).ptr_eq(&dirty));
+        // A moved version is copied afresh, and shared from then on.
+        t.entry_mut(0).dirty = false;
+        t.note_home_write(0, IntervalId { node: 0, seq: 1 });
+        let moved = extra(&mut t);
+        assert!(!moved.ptr_eq(&held) && extra(&mut t).ptr_eq(&moved));
+        assert_eq!(u64::from_le_bytes(moved[..8].try_into().unwrap()), 6);
+    }
+
+    #[test]
+    fn a_predicted_copy_takes_a_frame_only_at_its_first_touch() {
+        let mut t = PageTable::new(&cfg(), 0);
+        let mut pool = BufferPool::new(64);
+        let data = SharedBytes::copy_of(&[3u8; 64]);
+        t.install_predicted(2, data.clone(), VClock::new(2));
+        assert_eq!(t.entry(2).state, PageState::ReadOnly);
+        assert!(t.entry(2).frame.is_none(), "held as the shipped buffer");
+        // Invalidated untouched: no frame was ever drawn or recycled.
+        t.invalidate(2, &mut pool);
+        assert!(t.entry(2).predicted.is_none() && pool.idle_frames() == 0);
+        assert!(t.take_predicted(2, &mut pool).is_none());
+        // Touched: the buffer is copied into a private frame and handed
+        // back, with its version, as the reply it arrived in.
+        t.install_predicted(3, data.clone(), VClock::new(2));
+        let (reply, _) = t.take_predicted(3, &mut pool).expect("predicted");
+        assert!(reply.ptr_eq(&data));
+        assert_eq!(t.frame(3).bytes(), &[3u8; 64][..]);
+        assert!(t.take_predicted(3, &mut pool).is_none(), "touched once");
     }
 
     #[test]

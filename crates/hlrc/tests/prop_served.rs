@@ -232,9 +232,9 @@ fn the_selected_image_is_the_earliest_that_holds_every_covered_write() {
                 7..=9 => {
                     // Every fetch of one version is one buffer.
                     let kept = home.table.entry(page as u32).served.images().len();
-                    let (first, _) = home.table.serve_copy(page as u32);
+                    let (first, _) = home.table.serve_copy(page as u32, false);
                     for _ in 0..100 {
-                        assert!(home.table.serve_copy(page as u32).0.ptr_eq(&first));
+                        assert!(home.table.serve_copy(page as u32, false).0.ptr_eq(&first));
                     }
                     assert!(home.table.entry(page as u32).served.images().len() <= kept + 1);
                 }
@@ -429,7 +429,7 @@ fn a_log_rebuilt_by_replay_selects_as_soundly_as_the_one_it_replaces() {
                 0..=2 => home.home_write(page),
                 3..=4 => home.home_close(),
                 5..=7 => home.remote_diff(page, rng.usize_in(1, NODES)),
-                8 => drop(home.table.serve_copy(page as u32)),
+                8 => drop(home.table.serve_copy(page as u32, false)),
                 _ => home.checkpoint(),
             }
         }
@@ -499,7 +499,7 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_smaller_than_the_page() {
             table.frame_mut(0).copy_from(&next);
             let iv = IntervalId { node: 0, seq };
             table.note_home_write(0, iv);
-            table.serve_copy(0);
+            table.serve_copy(0, false);
             required.observe(iv);
             clocks.push(required.clone());
         }
@@ -626,7 +626,7 @@ fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
                     }
                 }
                 // Somebody else fetches: an image in between.
-                4 => drop(table.serve_copy(0)),
+                4 => drop(table.serve_copy(0, false)),
                 // A replayed sync of the requester names the page.
                 _ => {
                     let (chosen, whole) = table.recovery_image(0, &known).expect("clean home");

@@ -399,7 +399,14 @@ fn homes_remember_who_fetched_what_until_they_crash() {
                 };
                 replies.push((held, complete));
             };
-            ask(&mut node, Msg::PageRequest { page: 0 });
+            ask(
+                &mut node,
+                Msg::PageRequestBatch {
+                    page: 0,
+                    extras: vec![],
+                    hits: vec![],
+                },
+            );
             node.wait_for(|m| matches!(m, Msg::PageReply { page: 0, .. }));
             ask(
                 &mut node,
@@ -550,7 +557,14 @@ fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
             };
             node.inner
                 .ctx
-                .send(0, Msg::PageRequest { page: 0 })
+                .send(
+                    0,
+                    Msg::PageRequestBatch {
+                        page: 0,
+                        extras: vec![],
+                        hits: vec![],
+                    },
+                )
                 .expect("send");
             let fetched = node.wait_for(|m| matches!(m, Msg::PageReply { .. }));
             let Msg::PageReply { data, .. } = fetched.payload else {
@@ -788,7 +802,15 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
             };
             send(&mut node, 1, flush);
             node.wait_for(|m| matches!(m, Msg::DiffAck { writer } if *writer == d1));
-            send(&mut node, 1, Msg::PageRequest { page: 2 });
+            send(
+                &mut node,
+                1,
+                Msg::PageRequestBatch {
+                    page: 2,
+                    extras: vec![],
+                    hits: vec![],
+                },
+            );
             node.wait_for(|m| matches!(m, Msg::PageReply { .. }));
             let mut required = VClock::new(2);
             required.observe(d1);
@@ -841,9 +863,10 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
 /// If node 2 crashes at that barrier instead, the request survives the
 /// crash and is answered once node 2 is back at epoch 1.
 fn early_lock_request_waits_out_the_barrier(crash: bool) {
-    const LOCK_GRANT: usize = 5;
-    assert_eq!(hlrc::kind_label(LOCK_GRANT), "LockGrant");
-    let grants = |node: &HlrcNode| node.inner.ctx.stats.msgs_by_kind[LOCK_GRANT];
+    let lock_grant = (0..hlrc::MSG_KINDS)
+        .find(|&k| hlrc::kind_label(k) == "LockGrant")
+        .expect("a message kind");
+    let grants = move |node: &HlrcNode| node.inner.ctx.stats.msgs_by_kind[lock_grant];
     let cfg = small_cfg(3, 3);
     let times = spawn(cfg, move |mut node| match node.inner.me() {
         1 => {

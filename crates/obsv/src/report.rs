@@ -814,10 +814,9 @@ pub fn blame_markdown(report: &Report) -> String {
     s
 }
 
-/// The per-variant traffic Markdown table: how the fetch path's
-/// envelopes split between ML's non-speculating single-page request and
-/// the batched one, how the speculative copies fared, and each run's total
-/// message volume.
+/// The per-variant traffic Markdown table: how the fetch path's replies
+/// split between demand pages and trailing batches of predicted copies,
+/// how those copies fared, and each run's total message volume.
 pub fn traffic_markdown(report: &Report) -> String {
     let single = kind("PageReply");
     let batch = kind("PageReplyBatch");
@@ -1061,8 +1060,8 @@ mod tests {
             blame_fp: 0x0fed_cba9_8765_4321,
             traffic: {
                 let mut t = vec![(0u64, 0u64); ccl_core::MSG_KINDS];
-                t[1] = (40, 40 * 4096); // PageReply
-                t[16] = (10, 12 * 4096); // PageReplyBatch
+                t[kind("PageReply")] = (40, 40 * 4096);
+                t[kind("PageReplyBatch")] = (10, 12 * 4096);
                 t
             },
             prefetch: crate::blame::PrefetchSummary {
@@ -1492,6 +1491,26 @@ mod tests {
                 share < before,
                 "3D-FFT/{protocol}: page-wait share {share:.3} not below {before}"
             );
+        }
+    }
+
+    /// ML predicts like every other protocol and logs a predicted copy
+    /// at its first touch, as the reply it arrived in: exactly where a
+    /// non-predicting ML logged the demand reply for the same read. So
+    /// on the committed paper report its log is byte for byte what it
+    /// was when ML fetched one page per round trip (3D-FFT 40 739 312 B,
+    /// MG 7 544 224, Shallow 8 776 000, Water 1 946 828), and its
+    /// predictions were used. A change that logs copies as they are
+    /// installed, or logs a hit twice, moves a log here.
+    #[test]
+    fn committed_report_ml_logs_what_it_reads() {
+        let doc = committed(Scale::Paper);
+        let before = [40_739_312.0, 7_544_224.0, 8_776_000.0, 1_946_828.0];
+        for (app, before) in App::ALL.into_iter().zip(before) {
+            let ml = member(&doc, &["apps", app.name(), "runs", "ml"]);
+            assert_eq!(num(ml, &["log_bytes"]), before, "{}: ML log", app.name());
+            let hits = num(ml, &["prefetch", "hits"]);
+            assert!(hits > 0.0, "{}: ML used no prediction", app.name());
         }
     }
 

@@ -250,3 +250,70 @@ fn a_copy_cached_before_a_checkpoint_is_restored_after_a_crash() {
         .count();
     assert_eq!(recovery_replies, 2);
 }
+
+/// A copy *predicted* before an ML truncating checkpoint and first
+/// touched after it comes back after a crash. Node 1 faults on A0
+/// (homed at node 0) in round 1, and the notices of node 0's round-0
+/// writes predict A1..A3 along with it; the copies install while node 1
+/// waits for Q from node 2. The barrier-2 checkpoint truncates the log
+/// and drops the copies ML holds a logged reply for — not the predicted
+/// ones, which have no frame and no record yet. Node 1 first touches A1
+/// in round 2: its reply is logged then, after the cut, and the replay
+/// from the checkpoint finds it where it faults on A1.
+#[test]
+fn a_copy_predicted_before_an_ml_checkpoint_replays_after_it() {
+    const ROUNDS: u64 = 4;
+    const A1: u32 = 1;
+    let program = |dsm: &mut Dsm| -> u64 {
+        let words = dsm.page_size() / 8;
+        let a = dsm.alloc_at::<u64>(4 * words, 0); // pages 0..4
+        let q = dsm.alloc_at::<u64>(words, 2); // page 4
+        let (start, mut sum) = match dsm.restored_state() {
+            Some(blob) => (
+                u64::from_le_bytes(blob[..8].try_into().unwrap()),
+                u64::from_le_bytes(blob[8..].try_into().unwrap()),
+            ),
+            None => (0, 0),
+        };
+        for round in start..ROUNDS {
+            match (round, dsm.me()) {
+                (0, 0) => (0..4).for_each(|k| dsm.write(&a, k * words, 10 + k as u64)),
+                (0, 2) => dsm.write(&q, 0, 5),
+                (1, 1) => sum += dsm.read(&a, 0) + dsm.read(&q, 0),
+                (2, 1) => sum = sum * 31 + dsm.read(&a, words),
+                (3, 1) => sum = sum * 31 + dsm.read(&a, words + 1),
+                _ => {}
+            }
+            let mut blob = (round + 1).to_le_bytes().to_vec();
+            blob.extend_from_slice(&sum.to_le_bytes());
+            dsm.set_checkpoint_state(&blob);
+            dsm.barrier();
+        }
+        sum
+    };
+    let cadence = spec(Protocol::Ml).with_checkpoint_cadence(2);
+    let clean = run_program(cadence.clone(), program);
+    assert_eq!(clean.nodes[1].result, (15 * 31 + 11) * 31);
+    let out = run_program(cadence.with_crash(CrashPlan::new(1, 3)), program);
+    assert!(out.recovery_time().is_some(), "no recovery happened");
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    // Before the crash: predicted before the cut, first touched after.
+    let victim = &out.nodes[1];
+    let crashed = victim.crashed_at.expect("crash was not injected");
+    let first = |want: &dyn Fn(&TraceKind) -> bool| {
+        let ev = victim.trace.iter().find(|ev| want(&ev.kind));
+        ev.expect("no such event").at
+    };
+    let issued = first(&|k| matches!(k, TraceKind::PrefetchIssued { page: 0, .. }));
+    let cut = first(&|k| matches!(k, TraceKind::Checkpoint { .. }));
+    let hit = first(&|k| matches!(k, TraceKind::PrefetchHit { page: A1 }));
+    assert!(issued < cut && cut < hit && hit < crashed);
+    // After it: A1 came back from the log, not from its home.
+    let refetched = victim
+        .trace
+        .iter()
+        .any(|ev| matches!(ev.kind, TraceKind::PageFetch { page: A1, .. }) && ev.at > crashed);
+    assert!(!refetched, "A1 was fetched live instead of replayed");
+}

@@ -3,7 +3,10 @@
 //! measured on real application workloads.
 
 use ccl_apps::App;
-use ccl_core::{run_program, ClusterSpec, Protocol, RunOutput};
+use ccl_core::{
+    run_program, ClusterSpec, CrashPlan, LogObj, NodeOutput, Protocol, RunOutput, TraceEvent,
+    TraceKind,
+};
 
 fn run_app(app: App, protocol: Protocol) -> RunOutput<u64> {
     let page = 256;
@@ -30,6 +33,68 @@ fn ccl_log_is_fraction_of_ml_log() {
             ccl.total_log_bytes(),
             ml.total_log_bytes()
         );
+    }
+}
+
+/// ML logs a page copy where it is consumed: each demand reply, and
+/// each predicted copy at its first touch. On every node the page
+/// records are exactly the fetches plus the prediction hits, so a
+/// wasted prediction logs nothing; and a node that crashes after using
+/// predictions replays those records into the reference digest.
+#[test]
+fn ml_logs_the_pages_it_reads_not_the_ones_it_is_shipped() {
+    let app = App::Fft3d;
+    let page_records = |node: &NodeOutput<u64>| {
+        let page = |ev: &TraceEvent| {
+            matches!(
+                ev.kind,
+                TraceKind::LogAppend {
+                    obj: LogObj::Page { .. },
+                    ..
+                }
+            )
+        };
+        node.trace.iter().filter(|ev| page(ev)).count() as u64
+    };
+    let out = run_app(app, Protocol::Ml);
+    let total = out.total_stats();
+    // No diff is logged (they would be page records too), and some
+    // predictions were used and some wasted.
+    assert_eq!(total.diffs_created, 0);
+    assert!(total.prefetch_hits > 0 && total.prefetch_wasted > 0);
+    for node in &out.nodes {
+        let s = &node.stats;
+        assert_eq!(
+            page_records(node),
+            s.page_fetches + s.prefetch_hits,
+            "node {}: {} fetches, {} hits, {} wasted",
+            node.node,
+            s.page_fetches,
+            s.prefetch_hits,
+            s.prefetch_wasted
+        );
+    }
+
+    let victim = 1;
+    let spec = ClusterSpec::new(4, app.tiny_pages(256) + 4)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ml)
+        .with_crash(CrashPlan::new(victim, 4));
+    let out = run_program(spec, move |dsm| app.run_tiny(dsm));
+    let node = &out.nodes[victim];
+    let crashed = node.crashed_at.expect("the crash was injected");
+    let hits_before = node
+        .trace
+        .iter()
+        .filter(|ev| matches!(ev.kind, TraceKind::PrefetchHit { .. }) && ev.at < crashed)
+        .count();
+    assert!(
+        hits_before > 0,
+        "the victim used no prediction before the crash"
+    );
+    assert!(out.recovery_time().is_some());
+    for n in &out.nodes {
+        assert_eq!(n.result, app.tiny_reference(), "node {} diverged", n.node);
     }
 }
 
