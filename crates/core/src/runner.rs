@@ -149,7 +149,8 @@ impl<R> RunOutput<R> {
     /// Machine-readable run telemetry: per-node phase breakdown (all
     /// times in nanoseconds), trace-event counts, and the fault-
     /// injection knobs and counters, as a JSON string. Byte-stable
-    /// across same-spec runs; `detcheck` compares it.
+    /// across same-spec runs; the `report` goldens pin its hash
+    /// (`phases_fp`).
     pub fn phases_json(&self, label: &str) -> String {
         use std::fmt::Write;
         let total = self.total_stats();

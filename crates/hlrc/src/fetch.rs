@@ -36,8 +36,8 @@ pub const MAX_EXTRAS: usize = 8;
 
 /// Deterministic fetch-prediction state. Every input is a virtual-time
 /// protocol event (fault page ids, invalidation notices), so prediction
-/// is a pure function of the deterministic execution and `detcheck`'s
-/// bit-reproducibility proof covers prefetch-enabled runs.
+/// is a pure function of the deterministic execution and the `report`
+/// goldens' bit-reproducibility proof covers prefetch-enabled runs.
 #[derive(Debug, Default)]
 pub struct PrefetchState {
     /// Page of the previous demand fault.

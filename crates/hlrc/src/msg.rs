@@ -403,9 +403,10 @@ pub enum Msg {
         /// Notices the arriving node generated/learned since last barrier.
         notices: Vec<WriteNotice>,
         /// Home-migration proposals `(page, new_home)` this node wants
-        /// committed at this barrier (first-touch claims and adaptive
-        /// traffic-driven handoffs). The manager merges and rebroadcasts
-        /// the decided set on the release.
+        /// committed at this barrier: only at a checkpoint barrier, one
+        /// per home page whose diff traffic one remote writer dominates
+        /// (`MigrationState::migration_proposals`). The manager merges
+        /// and rebroadcasts the decided set on the release.
         proposals: Vec<HomeMigration>,
     },
     /// Barrier manager releases everyone with the merged notices.

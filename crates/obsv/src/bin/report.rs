@@ -1,16 +1,18 @@
-//! The paper-artifact report pipeline, as a command.
+//! The paper-artifact report pipeline, as a command — the one `obsv`
+//! binary.
 //!
 //! ```console
 //! $ cargo run --release -p obsv --bin report              # check
 //! $ cargo run --release -p obsv --bin report -- --bless   # after an intended change
 //! ```
 //!
-//! Runs the smoke matrix (4 nodes, ~0.1 s) and the paper matrix
-//! (8 nodes, ~9 s) and checks each against its committed golden —
-//! `crates/obsv/smoke_baseline.json` and `REPORT_paper.json` — field by
-//! field, exactly; then checks that the tables in `EXPERIMENTS.md`
-//! between the `<!-- report:* -->` markers are the ones the paper
-//! matrix renders. Without flags it writes nothing.
+//! Runs the smoke matrix (4 nodes, its chaos cells included, ~0.2 s)
+//! and the paper matrix (8 nodes, ~10 s) and checks each against its
+//! committed golden — `crates/obsv/smoke_baseline.json` and
+//! `REPORT_paper.json` — field by field, exactly; then checks that the
+//! tables in `EXPERIMENTS.md` between the `<!-- report:* -->` markers
+//! are the ones the paper matrix renders. Without flags it writes
+//! nothing.
 //!
 //! Flags:
 //!
@@ -18,12 +20,18 @@
 //!   tables from this run instead of checking them.
 //! * `--out PATH`     also write the paper-scale report document to
 //!   `PATH`.
+//! * `--blame DIR`    also write the full blame document of every run
+//!   to `DIR/smoke.json` and `DIR/paper.json`, keyed by the labels
+//!   whose `blame_fp` the goldens pin: when a hash moves, write them at
+//!   the parent and at the change, then diff.
 //! * `--trace PATH`   also export the paper-scale 3D-FFT/CCL run as a
-//!   Chrome-trace file loadable at <https://ui.perfetto.dev>.
+//!   Chrome-trace file loadable at <https://ui.perfetto.dev>, its blame
+//!   path highlighted.
 //!
 //! Exit status: 0 on success; 1 if a number, a key or a table differs
 //! (the first line names the first differing JSON path), a trace was
-//! truncated or a blame invariant broke; 2 on usage or I/O errors.
+//! truncated, a blame invariant broke or a run ended on the wrong
+//! digest; 2 on usage or I/O errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -35,6 +43,7 @@ use obsv::report::{compare, failure_free, report_json, splice_tables, Report, Sc
 struct Args {
     bless: bool,
     out: Option<PathBuf>,
+    blame: Option<PathBuf>,
     trace: Option<PathBuf>,
 }
 
@@ -42,14 +51,21 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         bless: false,
         out: None,
+        blame: None,
         trace: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut path = |flag: &str| {
+            it.next()
+                .map(PathBuf::from)
+                .ok_or(format!("{flag} needs a path"))
+        };
         match a.as_str() {
             "--bless" => args.bless = true,
-            "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
-            "--trace" => args.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a path")?)),
+            "--out" => args.out = Some(path("--out")?),
+            "--blame" => args.blame = Some(path("--blame")?),
+            "--trace" => args.trace = Some(path("--trace")?),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -61,15 +77,21 @@ fn write(path: &Path, content: &str) -> Result<(), String> {
 }
 
 /// Run the matrix at `scale` and check (or, with `bless`, rewrite) its
-/// golden. `None` if a run broke a blame invariant.
+/// golden, and write its blame documents if `--blame` asked for them.
+/// `None` if a run broke a blame invariant or ended on the wrong digest.
 fn gate_scale(
     scale: Scale,
-    bless: bool,
+    args: &Args,
     failures: &mut Vec<String>,
 ) -> Result<Option<Report>, String> {
+    let chaos = if scale == Scale::Smoke {
+        ", chaos cells"
+    } else {
+        ""
+    };
     eprintln!(
         "collecting the {} matrix ({} nodes, {} apps x {} protocols + crash runs, \
-         page-size sweep, homeless kernel)...",
+         page-size sweep, homeless kernel{chaos})...",
         scale.label(),
         scale.nodes(),
         App::ALL.len(),
@@ -85,7 +107,7 @@ fn gate_scale(
     let path = scale.golden_path();
     let file = path.file_name().unwrap_or_default().to_string_lossy();
     let doc = report_json(&report);
-    if bless {
+    if args.bless {
         write(&path, &doc.pretty())?;
         eprintln!("blessed {file}");
     } else {
@@ -94,6 +116,12 @@ fn gate_scale(
             eprintln!("the {} matrix matches {file}", scale.label());
         }
         failures.extend(violations.into_iter().map(|v| format!("{file}: {v}")));
+    }
+    if let Some(dir) = &args.blame {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+        let path = dir.join(format!("{}.json", scale.label()));
+        write(&path, &report.blame.pretty())?;
+        eprintln!("blame documents written to {}", path.display());
     }
     Ok(Some(report))
 }
@@ -121,8 +149,8 @@ fn gate_tables(report: &Report, bless: bool, failures: &mut Vec<String>) -> Resu
 fn run() -> Result<Vec<String>, String> {
     let args = parse_args()?;
     let mut failures = Vec::new();
-    gate_scale(Scale::Smoke, args.bless, &mut failures)?;
-    let Some(report) = gate_scale(Scale::Paper, args.bless, &mut failures)? else {
+    gate_scale(Scale::Smoke, &args, &mut failures)?;
+    let Some(report) = gate_scale(Scale::Paper, &args, &mut failures)? else {
         return Ok(failures);
     };
     gate_tables(&report, args.bless, &mut failures)?;

@@ -62,9 +62,9 @@
 //!
 //! Everything here is a pure function of the trace, and the trace is a
 //! pure function of the deterministic virtual-time schedule — so
-//! [`blame_json`] is byte-stable across runs: `detcheck` byte-compares
-//! it between same-spec runs, and the report goldens pin its hash per
-//! run (`blame_fp`).
+//! [`blame_json`] is byte-stable across runs: the report goldens pin
+//! its hash per run (`blame_fp`), chaos cells included, and `report
+//! --blame DIR` writes the documents themselves.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -18,9 +18,12 @@
 //!   Markdown for `EXPERIMENTS.md`, and compare the machine-readable
 //!   report with a committed golden, exactly.
 //!
-//! The `report` binary (`cargo run --release -p obsv --bin report`)
-//! checks both goldens and the tables; `blame` and `detcheck` are the
-//! diagnostic printer and the run-twice determinism check.
+//! The `report` binary (`cargo run --release -p obsv --bin report`) is
+//! the one command: it checks both goldens and the tables — the smoke
+//! golden's chaos, two-crash and torn/rotted-log cells are the
+//! determinism proof, run in tier-1 by `tests/determinism.rs` — and
+//! writes the full blame documents (`--blame DIR`) and a Chrome trace
+//! (`--trace PATH`) on request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,14 +2,15 @@
 //!
 //! One invocation runs the full evaluation matrix — every application
 //! under every protocol, the Figure 5 crash-recovery scenario with and
-//! without recovery prefetching, the 3D-FFT page-size sweep and the
-//! home-based-vs-homeless kernel — and turns the results into three
-//! artifacts:
+//! without recovery prefetching, the 3D-FFT page-size sweep, the
+//! home-based-vs-homeless kernel and, at smoke scale, the
+//! [`chaos_cells`] — and turns the results into three artifacts:
 //!
 //! 1. a machine-readable report document ([`report_json`]): digests,
-//!    times, log bytes, message counts, trace fingerprints, the blame
-//!    summary and a hash of the full blame document of every run,
-//!    crash runs included,
+//!    times, log bytes, message counts, trace and phase fingerprints,
+//!    the blame summary and a hash of the full blame document of every
+//!    run, crash runs included (the documents themselves are
+//!    [`Report::blame`]),
 //! 2. Markdown tables for the paper's Table 1 / Table 2 / Figure 4 /
 //!    Figure 5, the blame and traffic tables, and the ablation,
 //!    related-work and homeless tables, spliced into `EXPERIMENTS.md`
@@ -17,14 +18,18 @@
 //! 3. a regression verdict ([`compare`]) against a committed golden
 //!    document ([`Scale::golden_path`]): every field must match
 //!    exactly. The conservative virtual-time scheduler (DESIGN.md §12)
-//!    makes the whole matrix — Water's lock-heavy schedule and
-//!    crash-recovery timing included — a pure function of the spec.
+//!    makes the whole matrix — Water's lock-heavy schedule, lossy
+//!    networks and crash-recovery timing included — a pure function of
+//!    the spec, so this golden is also the determinism proof.
 
 use std::path::{Path, PathBuf};
 
 use ccl_apps::App;
 use ccl_bench::LrcRun;
-use ccl_core::{run_program, ClusterSpec, CrashPlan, NodeMetrics, Protocol, RunOutput};
+use ccl_core::{
+    run_program, ClusterSpec, CrashPlan, DiskFaultPlan, FaultPlan, NodeMetrics, Partition,
+    Protocol, RunOutput, SimDuration, SimTime,
+};
 
 use crate::blame::{blame_json, checked_analysis, Blame};
 use crate::json::Json;
@@ -90,8 +95,8 @@ impl Scale {
         }
     }
 
-    /// The cluster spec for `app` under `protocol` at this scale
-    /// (shared with the `detcheck` determinism gate).
+    /// The cluster spec for `app` under `protocol` at this scale; the
+    /// [`chaos_cells`] stack their faults on it.
     pub fn spec(self, app: App, protocol: Protocol) -> ClusterSpec {
         self.spec_at(app, protocol, self.page_size())
     }
@@ -120,18 +125,6 @@ impl Scale {
     pub fn run(self, app: App, protocol: Protocol) -> RunOutput<u64> {
         self.run_spec(app, self.spec(app, protocol))
     }
-
-    /// Run `app` under `protocol` with node 1 crashing after its
-    /// `after_barriers`-th barrier.
-    pub fn run_with_crash(
-        self,
-        app: App,
-        protocol: Protocol,
-        after_barriers: u64,
-    ) -> RunOutput<u64> {
-        let crash = CrashPlan::new(1, after_barriers);
-        self.run_spec(app, self.spec(app, protocol).with_crash(crash))
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -146,8 +139,10 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// including the `MsgSend`/`MsgRecv` causal edges. The conservative
 /// virtual-time scheduler delivers messages in `(arrival, src, seq)`
 /// order, so the full causal schedule is deterministic and the
-/// fingerprint pins it. Virtual times are excluded on purpose: this
-/// pins the *order* of events, `exec_ns` pins the times.
+/// fingerprint pins it. Only the events' `at` stamps are excluded: the
+/// kinds hash with their payloads, so the wait durations that
+/// `PageFetch`, `LockAcquire` and `FlushAckWait` carry (`wait_ns`) and
+/// `BarrierReleased`'s arrival spread (`spread_ns`) are pinned too.
 pub fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for n in &out.nodes {
@@ -158,15 +153,8 @@ pub fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
     h
 }
 
-/// FNV-1a over the rendered blame document of one run: pins the whole
-/// analysis — blame path, per-object costs, straggler table, log split,
-/// recovery windows — in one golden field. `blame` prints the document
-/// itself when a hash moves.
-fn blame_fingerprint(blame: &Blame, label: &str) -> u64 {
-    fnv1a(FNV_OFFSET, blame_json(blame, label).pretty().as_bytes())
-}
-
-/// Everything the report keeps from one failure-free run.
+/// Everything the report keeps from one run that is not a Figure 5
+/// crash run.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The protocol this run used.
@@ -191,11 +179,15 @@ pub struct RunRecord {
     pub trace_dropped: u64,
     /// Order fingerprint of the coherence-event schedule.
     pub trace_fp: u64,
+    /// FNV-1a of the run's `phases_json`: the fault counters, every
+    /// node's phase breakdown and recovery phases, the traffic.
+    pub phases_fp: u64,
     /// Cluster-merged histogram metrics.
     pub metrics: NodeMetrics,
     /// Compact blame-engine summary (see [`crate::blame`]).
     pub blame: BlameSummary,
-    /// Hash of the full blame document this summary condenses.
+    /// Hash of the full blame document this summary condenses (the
+    /// document itself is in [`Report::blame`]).
     pub blame_fp: u64,
     /// Per-wire-tag cluster traffic, `(msgs, bytes)` indexed by wire
     /// tag (see [`ccl_core::kind_label`]).
@@ -329,6 +321,104 @@ pub struct Report {
     /// `ccl-bench`'s stripe+halo kernel at this scale's node count,
     /// `[home-based, homeless]`.
     pub lrc: [LrcRun; 2],
+    /// The [`chaos_cells`] under their labels; smoke scale only (empty
+    /// at paper scale, where they would double `report`'s wall time).
+    pub chaos: Vec<(String, RunRecord)>,
+    /// The full blame document (schema [`crate::blame::SCHEMA`]) of
+    /// every run above, keyed by the label its `blame_fp` hashed —
+    /// what `report --blame` writes.
+    pub blame: Json,
+}
+
+/// One cell of the smoke golden's `chaos` object: an application run
+/// under a fault schedule that recovery must come through.
+#[derive(Debug, Clone)]
+pub struct ChaosCell {
+    /// `{app}/{protocol}/{schedule}`: the cell's key under `chaos`.
+    pub label: String,
+    /// The application.
+    pub app: App,
+    /// A [`Scale::spec`] with the cell's faults stacked on it.
+    pub spec: ClusterSpec,
+}
+
+impl ChaosCell {
+    /// Whether every node must end on the failure-free digest: on all
+    /// cells but the bit-rot ones, where recovery promises detection and
+    /// completion, not digest equality (DESIGN.md §13), so only
+    /// agreement between the nodes is required.
+    pub fn reaches_fault_free(&self) -> bool {
+        self.spec.failures.disk_faults.is_empty()
+    }
+}
+
+/// The fault schedules the smoke golden pins, in golden order:
+///
+/// * `chaos0` / `chaos1` — every application under None, ML and CCL on
+///   a lossy, duplicating network (plus a partition window in
+///   `chaos1`); under ML and CCL node 1 also crashes after barrier 3;
+/// * `Water/ccl/sequential` and `/overlapping` — two crashes, one after
+///   the other (the second victim restores from a home that rebuilt its
+///   served log) and both at once (two replaying homes serving each
+///   other);
+/// * `torn` / `rot` — every application under ML and CCL, node 1
+///   crashing after barrier 3 mid-flush (a torn or garbled log tail) or
+///   on a log device that rots bits.
+pub fn chaos_cells(scale: Scale) -> Vec<ChaosCell> {
+    let mut cells = Vec::new();
+    let mut cell = |label: String, app: App, spec: ClusterSpec| {
+        cells.push(ChaosCell { label, app, spec });
+    };
+    let partition_at = SimTime(400_000);
+    let plans = [
+        FaultPlan::lossy(0xDE7_0001, 25, 15),
+        FaultPlan::lossy(0xDE7_0002, 40, 10).with_partition(Partition {
+            a: 0,
+            b: 2,
+            from: partition_at,
+            until: partition_at + SimDuration::from_micros(600),
+        }),
+    ];
+    for (index, plan) in plans.into_iter().enumerate() {
+        for app in App::ALL {
+            for protocol in Protocol::TABLE2 {
+                let mut spec = scale.spec(app, protocol).with_faults(plan.clone());
+                if protocol != Protocol::None {
+                    spec = spec.with_crash(CrashPlan::new(1, 3));
+                }
+                let label = format!("{}/{}/chaos{index}", app.name(), protocol.label());
+                cell(label, app, spec);
+            }
+        }
+    }
+    let app = App::Water;
+    for (name, second) in [
+        ("sequential", CrashPlan::new(2, 4)),
+        ("overlapping", CrashPlan::new(2, 2)),
+    ] {
+        let spec = scale.spec(app, Protocol::Ccl);
+        let spec = spec.with_crash(CrashPlan::new(1, 2)).with_crash(second);
+        cell(format!("{}/ccl/{name}", app.name()), app, spec);
+    }
+    let mut seed = 0xD15C_C4A5_4ED0_u64;
+    for app in App::ALL {
+        for protocol in [Protocol::Ml, Protocol::Ccl] {
+            seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            let crash = CrashPlan::new(1, 3);
+            let label = |damage| format!("{}/{}/{damage}", app.name(), protocol.label());
+            let torn = if seed.is_multiple_of(2) {
+                crash.with_torn_tail(seed)
+            } else {
+                crash.with_garbled_tail(seed)
+            };
+            let spec = scale.spec(app, protocol);
+            cell(label("torn"), app, spec.with_crash(torn));
+            let rot = DiskFaultPlan::bit_rot(seed.rotate_left(17), 350);
+            let spec = scale.spec(app, protocol).with_disk_fault(1, rot);
+            cell(label("rot"), app, spec.with_crash(crash));
+        }
+    }
+    cells
 }
 
 /// `Err` naming `label` and the first node whose result is not
@@ -343,46 +433,104 @@ fn check_digests(label: &str, want: u64, got: impl IntoIterator<Item = u64>) -> 
     }
 }
 
-/// Run `spec` and keep what the report needs. Every node must end on
-/// `digest` — the failure-free None run's; `None` for that run itself,
-/// whose nodes must agree with its node 0.
-fn record(
+/// The matrix at one scale as it runs: every run's blame document, kept
+/// under its label.
+struct Matrix {
     scale: Scale,
-    app: App,
-    spec: ClusterSpec,
-    digest: Option<u64>,
-) -> Result<RunRecord, String> {
-    let protocol = spec.protocol;
-    let mut label = format!("{}/{}", app.name(), protocol.label());
-    if spec.page_size != scale.page_size() {
-        label += &format!("/{}B", spec.page_size);
+    blame: Json,
+}
+
+impl Matrix {
+    /// Run `spec` and check it: every node must end on `digest` — the
+    /// failure-free None run's; `None` where the nodes need only agree
+    /// with node 0 — and its blame analysis must be exact
+    /// ([`checked_analysis`]). Keeps the analysis's document under
+    /// `label`; returns the run, the analysis and the document's hash.
+    fn run(
+        &mut self,
+        label: &str,
+        app: App,
+        spec: ClusterSpec,
+        digest: Option<u64>,
+    ) -> Result<(RunOutput<u64>, Blame, u64), String> {
+        let out = self.scale.run_spec(app, spec);
+        let digest = digest.unwrap_or(out.nodes[0].result);
+        check_digests(label, digest, out.nodes.iter().map(|n| n.result))?;
+        let analysis = checked_analysis(label, &out)?;
+        let doc = blame_json(&analysis, label);
+        let blame_fp = fnv1a(FNV_OFFSET, doc.pretty().as_bytes());
+        self.blame.set(label, doc);
+        Ok((out, analysis, blame_fp))
     }
-    let out = scale.run_spec(app, spec);
-    let digest = digest.unwrap_or(out.nodes[0].result);
-    check_digests(&label, digest, out.nodes.iter().map(|n| n.result))?;
-    let analysis = checked_analysis(&label, &out)?;
-    let total = out.total_stats();
-    let traffic = (0..ccl_core::MSG_KINDS)
-        .map(|k| (total.msgs_by_kind[k], total.bytes_by_kind[k]))
-        .collect();
-    Ok(RunRecord {
-        protocol,
-        digest,
-        exec_ns: out.exec_time().as_nanos(),
-        log_bytes: total.log_bytes,
-        log_flushes: total.log_flushes,
-        msgs_sent: total.msgs_sent,
-        bytes_sent: total.bytes_sent,
-        barriers_node1: out.nodes[1].stats.barriers,
-        trace_events: out.nodes.iter().map(|n| n.trace.len() as u64).sum(),
-        trace_dropped: out.nodes.iter().map(|n| n.trace_dropped).sum(),
-        trace_fp: trace_fingerprint(&out),
-        metrics: out.total_metrics(),
-        blame: blame_summary(&analysis),
-        blame_fp: blame_fingerprint(&analysis, &label),
-        traffic,
-        prefetch: analysis.prefetch,
-    })
+
+    /// [`Matrix::run`] `spec` and keep what the report needs.
+    fn record(
+        &mut self,
+        label: &str,
+        app: App,
+        spec: ClusterSpec,
+        digest: Option<u64>,
+    ) -> Result<RunRecord, String> {
+        let protocol = spec.protocol;
+        let (out, analysis, blame_fp) = self.run(label, app, spec, digest)?;
+        let total = out.total_stats();
+        let traffic = (0..ccl_core::MSG_KINDS)
+            .map(|k| (total.msgs_by_kind[k], total.bytes_by_kind[k]))
+            .collect();
+        Ok(RunRecord {
+            protocol,
+            digest: out.nodes[0].result,
+            exec_ns: out.exec_time().as_nanos(),
+            log_bytes: total.log_bytes,
+            log_flushes: total.log_flushes,
+            msgs_sent: total.msgs_sent,
+            bytes_sent: total.bytes_sent,
+            barriers_node1: out.nodes[1].stats.barriers,
+            trace_events: out.nodes.iter().map(|n| n.trace.len() as u64).sum(),
+            trace_dropped: out.nodes.iter().map(|n| n.trace_dropped).sum(),
+            trace_fp: trace_fingerprint(&out),
+            phases_fp: fnv1a(FNV_OFFSET, out.phases_json(label).as_bytes()),
+            metrics: out.total_metrics(),
+            blame: blame_summary(&analysis),
+            blame_fp,
+            traffic,
+            prefetch: analysis.prefetch,
+        })
+    }
+
+    /// What the report keeps from one Figure 5 crash run: recovery
+    /// time, its `[compute, wait, disk]` split at the failed node, the
+    /// hash of the run's blame document, and how many pages and logged
+    /// diffs recovery asked its peers for. Every node must end on the
+    /// failure-free `digest`.
+    fn crash_record(
+        &mut self,
+        app: App,
+        protocol: Protocol,
+        at: u64,
+        digest: u64,
+    ) -> Result<(u64, [u64; 3], u64, u64), String> {
+        let label = format!("{}/{}/crash", app.name(), protocol.label());
+        let spec = self
+            .scale
+            .spec(app, protocol)
+            .with_crash(CrashPlan::new(1, at));
+        let (out, _, blame_fp) = self.run(&label, app, spec, Some(digest))?;
+        let total = out.recovery_time().expect("crash run completed recovery");
+        let p = out
+            .nodes
+            .iter()
+            .find_map(|n| n.recovery_phases)
+            .expect("crash run recorded its recovery phases");
+        let sent = out.total_stats().msgs_by_kind;
+        let requests = sent[kind("RecoveryPageRequest")] + sent[kind("LoggedDiffRequest")];
+        Ok((
+            total.as_nanos(),
+            [p.compute.as_nanos(), p.wait.as_nanos(), p.disk.as_nanos()],
+            blame_fp,
+            requests,
+        ))
+    }
 }
 
 /// The wire tag [`ccl_core::kind_label`] names `label`.
@@ -392,56 +540,31 @@ fn kind(label: &str) -> usize {
         .expect("known wire-tag label")
 }
 
-/// What the report keeps from one crash run: recovery time, its
-/// `[compute, wait, disk]` split at the failed node, the hash of the
-/// run's blame document, and how many pages and logged diffs recovery
-/// asked its peers for. Every node must end on the failure-free
-/// `digest`.
-fn crash_record(
-    scale: Scale,
-    app: App,
-    protocol: Protocol,
-    at: u64,
-    digest: u64,
-) -> Result<(u64, [u64; 3], u64, u64), String> {
-    let out = scale.run_with_crash(app, protocol, at);
-    let label = format!("{}/{}/crash", app.name(), protocol.label());
-    check_digests(&label, digest, out.nodes.iter().map(|n| n.result))?;
-    let analysis = checked_analysis(&label, &out)?;
-    let total = out.recovery_time().expect("crash run completed recovery");
-    let p = out
-        .nodes
-        .iter()
-        .find_map(|n| n.recovery_phases)
-        .expect("crash run recorded its recovery phases");
-    let sent = out.total_stats().msgs_by_kind;
-    let requests = sent[kind("RecoveryPageRequest")] + sent[kind("LoggedDiffRequest")];
-    Ok((
-        total.as_nanos(),
-        [p.compute.as_nanos(), p.wait.as_nanos(), p.disk.as_nanos()],
-        blame_fingerprint(&analysis, &label),
-        requests,
-    ))
-}
-
 /// Run the full matrix at `scale`: every application under every
 /// failure-free protocol, one crash of node 1 per [`CRASHED`] protocol,
-/// the 3D-FFT page-size sweep and the home-based-vs-homeless kernel.
-/// Every run's blame analysis is hard-checked for exactness
-/// ([`checked_analysis`]) and every node of every run must end on the
-/// failure-free digest; the first violation is the error.
+/// the 3D-FFT page-size sweep, the home-based-vs-homeless kernel and,
+/// at smoke scale, the [`chaos_cells`]. Every run's blame analysis is
+/// hard-checked for exactness ([`checked_analysis`]) and every node of
+/// every run must end on the failure-free digest (the bit-rot cells'
+/// nodes on one digest: [`ChaosCell::reaches_fault_free`]); the first
+/// violation is the error.
 pub fn collect(scale: Scale) -> Result<Report, String> {
+    let mut matrix = Matrix {
+        scale,
+        blame: Json::obj(),
+    };
     let mut apps = Vec::new();
     for app in App::ALL {
         let mut runs: Vec<RunRecord> = Vec::new();
         for p in failure_free() {
             let digest = runs.first().map(|none| none.digest);
-            runs.push(record(scale, app, scale.spec(app, p), digest)?);
+            let label = format!("{}/{}", app.name(), p.label());
+            runs.push(matrix.record(&label, app, scale.spec(app, p), digest)?);
         }
         let none = &runs[0];
         let digest = Some(none.digest);
         let at = ccl_bench::crash_point(none.barriers_node1, CRASH_FRACTION);
-        let [ml, ccl, no_prefetch] = CRASHED.map(|p| crash_record(scale, app, p, at, none.digest));
+        let [ml, ccl, no_prefetch] = CRASHED.map(|p| matrix.crash_record(app, p, at, none.digest));
         let ((ml_ns, _, ml_fp, _), (ccl_no_prefetch_ns, _, no_prefetch_fp, _)) =
             (ml?, no_prefetch?);
         let (ccl_ns, ccl_phases_ns, ccl_fp, ccl_requests) = ccl?;
@@ -459,8 +582,10 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
         if app == App::Fft3d {
             let base = scale.page_size();
             for page_size in [base / 4, base / 2, base * 2] {
-                let [ml, ccl] = [Protocol::Ml, Protocol::Ccl]
-                    .map(|p| record(scale, app, scale.spec_at(app, p, page_size), digest));
+                let [ml, ccl] = [Protocol::Ml, Protocol::Ccl].map(|p| {
+                    let label = format!("{}/{}/{page_size}B", app.name(), p.label());
+                    matrix.record(&label, app, scale.spec_at(app, p, page_size), digest)
+                });
                 page_sizes.push((page_size, [ml?, ccl?]));
             }
         }
@@ -475,7 +600,27 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
     if lrc[0].results != lrc[1].results {
         return Err("stripe+halo: the two LRC protocols disagree".into());
     }
-    Ok(Report { scale, apps, lrc })
+    let mut chaos = Vec::new();
+    if scale == Scale::Smoke {
+        for cell in chaos_cells(scale) {
+            let app = apps.iter().find(|a| a.app == cell.app);
+            let none = app.expect("every app ran").run(Protocol::None);
+            let digest = cell.reaches_fault_free().then_some(none.digest);
+            let run = matrix.record(&cell.label, cell.app, cell.spec, digest)?;
+            chaos.push((cell.label, run));
+        }
+    }
+    let mut blame = Json::obj();
+    blame.set("schema", Json::Str(crate::blame::SCHEMA.to_string()));
+    blame.set("scale", Json::Str(scale.label().to_string()));
+    blame.set("runs", matrix.blame);
+    Ok(Report {
+        scale,
+        apps,
+        lrc,
+        chaos,
+        blame,
+    })
 }
 
 fn hist_json(metrics: &NodeMetrics) -> Json {
@@ -505,6 +650,7 @@ fn run_json(r: &RunRecord) -> Json {
     j.set("trace_events", Json::from_u64(r.trace_events));
     j.set("trace_dropped", Json::from_u64(r.trace_dropped));
     j.set("trace_fp", Json::from_hex(r.trace_fp));
+    j.set("phases_fp", Json::from_hex(r.phases_fp));
     let b = &r.blame;
     let mut bj = Json::obj();
     bj.set("top_object", Json::Str(b.top_object.clone()));
@@ -615,6 +761,13 @@ pub fn report_json(report: &Report) -> Json {
         lrc.set(name, lrc_json(run));
     }
     doc.set("homeless", lrc);
+    if !report.chaos.is_empty() {
+        let mut chaos = Json::obj();
+        for (label, run) in &report.chaos {
+            chaos.set(label, run_json(run));
+        }
+        doc.set("chaos", chaos);
+    }
     doc
 }
 
@@ -1049,6 +1202,7 @@ mod tests {
             trace_events: 40,
             trace_dropped: 0,
             trace_fp: 0x1234_5678_9abc_def0,
+            phases_fp: 0x0123_4567_89ab_cdef,
             metrics: NodeMetrics::default(),
             blame: BlameSummary {
                 top_object: "barrier:3".to_string(),
@@ -1113,6 +1267,8 @@ mod tests {
             scale: Scale::Smoke,
             apps,
             lrc: [lrc(100, 0), lrc(130, 2048)],
+            chaos: Vec::new(),
+            blame: Json::obj(),
         }
     }
 
@@ -1349,12 +1505,48 @@ mod tests {
         }
     }
 
+    /// What every run record of a committed golden must show: no
+    /// truncated trace, ordered histograms, blame summaries that are
+    /// exact partitions of the run's time and log, and both fingerprints.
+    fn check_run_shape(at: &str, r: &Json) {
+        assert_eq!(num(r, &["trace_dropped"]), 0.0, "{at}: truncated trace");
+        for (metric, h) in r.get("hist").and_then(Json::as_obj).expect("hist") {
+            let q = |k| num(h, &[k]);
+            assert!(
+                q("min") <= q("p50") && q("p50") <= q("p99") && q("p99") <= q("max"),
+                "{at}: {metric} quantiles out of order"
+            );
+        }
+        let blame = |k| num(r, &["blame", k]);
+        let path = blame("cp_compute_ns")
+            + blame("cp_recovery_ns")
+            + blame("cp_wait_page_ns")
+            + blame("cp_wait_lock_ns")
+            + blame("cp_wait_barrier_ns")
+            + blame("cp_wait_flush_ns");
+        assert_eq!(path, num(r, &["exec_ns"]), "{at}: blame path leaks time");
+        let logged = blame("log_page_bytes")
+            + blame("log_lock_bytes")
+            + blame("log_barrier_bytes")
+            + blame("log_meta_bytes");
+        assert_eq!(
+            logged,
+            num(r, &["log_bytes"]),
+            "{at}: log split leaks bytes"
+        );
+        for fp in ["blame_fp", "phases_fp"] {
+            assert!(r.get(fp).and_then(Json::as_str).is_some(), "{at}: {fp}");
+        }
+    }
+
     /// The structural facts the paper's argument rests on, checked on
     /// both committed goldens: the full matrix is there, protocols and
     /// page sizes agree on every digest, None logs nothing, CCL logs
-    /// less than ML, no trace was truncated, histograms are ordered,
-    /// every recovery happened, the blame summaries are exact
-    /// partitions, and both LRC protocols computed the same kernel.
+    /// less than ML, every run record has the shape [`check_run_shape`]
+    /// asks for, every recovery happened, and both LRC protocols
+    /// computed the same kernel. The smoke golden also holds exactly the
+    /// [`chaos_cells`], each ending on its application's failure-free
+    /// digest unless it rotted bits; the paper golden holds none.
     #[test]
     fn committed_goldens_keep_their_shape() {
         for scale in [Scale::Smoke, Scale::Paper] {
@@ -1364,6 +1556,7 @@ mod tests {
             let apps = doc.get("apps").and_then(Json::as_obj).expect("apps");
             let names: Vec<&str> = apps.iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(names, App::ALL.map(App::name), "{}", scale.label());
+            let none_digest = |app: &str| member(&doc, &["apps", app, "runs", "none", "digest"]);
             for (name, app) in apps {
                 let at = format!("{}/{name}", scale.label());
                 let runs = app.get("runs").and_then(Json::as_obj).expect("runs");
@@ -1375,33 +1568,8 @@ mod tests {
                 let swept = swept.flat_map(|(_, r)| r.as_obj().expect("cells"));
                 for (p, r) in runs.iter().chain(swept) {
                     let at = format!("{at}/{p}");
-                    assert_eq!(r.get("digest"), run("none").get("digest"), "{at}: digest");
-                    assert_eq!(num(r, &["trace_dropped"]), 0.0, "{at}: truncated trace");
-                    for (metric, h) in r.get("hist").and_then(Json::as_obj).expect("hist") {
-                        let q = |k| num(h, &[k]);
-                        assert!(
-                            q("min") <= q("p50") && q("p50") <= q("p99") && q("p99") <= q("max"),
-                            "{at}: {metric} quantiles out of order"
-                        );
-                    }
-                    let blame = |k| num(r, &["blame", k]);
-                    let path = blame("cp_compute_ns")
-                        + blame("cp_recovery_ns")
-                        + blame("cp_wait_page_ns")
-                        + blame("cp_wait_lock_ns")
-                        + blame("cp_wait_barrier_ns")
-                        + blame("cp_wait_flush_ns");
-                    assert_eq!(path, num(r, &["exec_ns"]), "{at}: blame path leaks time");
-                    let logged = blame("log_page_bytes")
-                        + blame("log_lock_bytes")
-                        + blame("log_barrier_bytes")
-                        + blame("log_meta_bytes");
-                    assert_eq!(
-                        logged,
-                        num(r, &["log_bytes"]),
-                        "{at}: log split leaks bytes"
-                    );
-                    assert!(r.get("blame_fp").and_then(Json::as_str).is_some(), "{at}");
+                    assert_eq!(r.get("digest"), Some(none_digest(name)), "{at}: digest");
+                    check_run_shape(&at, r);
                 }
                 let log = |p| num(run(p), &["log_bytes"]);
                 assert_eq!(log("none"), 0.0, "{at}: None logged bytes");
@@ -1417,6 +1585,26 @@ mod tests {
             }
             let lrc = |p| member(&doc, &["homeless", p, "digest"]);
             assert_eq!(lrc("homeless"), lrc("home-based"), "{}", scale.label());
+
+            let chaos = doc.get("chaos").and_then(Json::as_obj);
+            if scale == Scale::Paper {
+                assert!(chaos.is_none(), "the paper golden holds no chaos cells");
+                continue;
+            }
+            let chaos = chaos.expect("the smoke golden holds the chaos cells");
+            let cells = chaos_cells(scale);
+            let labels = chaos.iter().map(|(label, _)| label);
+            assert!(labels.eq(cells.iter().map(|c| &c.label)), "chaos labels");
+            let rotted = cells.iter().filter(|c| !c.reaches_fault_free());
+            assert_eq!((cells.len(), rotted.count()), (42, 8));
+            for (cell, (_, r)) in cells.iter().zip(chaos) {
+                let at = format!("smoke/chaos/{}", cell.label);
+                check_run_shape(&at, r);
+                if cell.reaches_fault_free() {
+                    let want = Some(none_digest(cell.app.name()));
+                    assert_eq!(r.get("digest"), want, "{at}: digest");
+                }
+            }
         }
     }
 

@@ -96,7 +96,7 @@
 //! departure) covers the in-flight window. All of this changes *when*
 //! threads run, never *what* clears: the bound formula, the rank order,
 //! and the floor protocol are byte-for-byte the ones derived above, and
-//! `detcheck` holds the fabric to bit-identical digests.
+//! the `report` goldens hold the fabric to bit-identical digests.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};

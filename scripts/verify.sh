@@ -3,9 +3,12 @@
 #
 # Stage 2 is tier-1 and already covers the chaos matrix
 # (CHAOS_SCHEDULES defaults to 8), checkpoint cadence, the 64/128-node
-# scale tests, the smoke golden and the shape of both committed goldens;
-# the later stages add what only release binaries can do in reasonable
-# time.
+# scale tests, the smoke golden and the shape of both committed goldens.
+# Determinism is proven there: tests/determinism.rs reruns the smoke
+# matrix -- its 42 chaos, two-crash and torn/rotted-log cells included --
+# against crates/obsv/smoke_baseline.json and runs one cell of each kind
+# twice. The later stages add what only release binaries can do in
+# reasonable time.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,10 +19,7 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> detcheck (every app x protocol twice same-spec, byte-compared; fault-free, chaos, torn/rotted logs)"
-./target/release/detcheck --chaos 2
-
-echo "==> report (smoke + paper matrices vs their goldens, EXPERIMENTS.md tables; writes nothing)"
+echo "==> report (smoke + paper matrices, smoke chaos cells included, vs their goldens, EXPERIMENTS.md tables; writes nothing)"
 ./target/release/report
 
 echo "==> benchmark smoke (five workloads x five cells, one round, every output checked)"

@@ -8,40 +8,44 @@
 //! `REPORT_paper.json` — so any change to the hot path (diff kernel,
 //! buffer pooling, shared payloads, codec sizing, fetch hiding) that
 //! accidentally alters protocol behavior fails loudly instead of
-//! silently shifting the paper's tables. There is no second copy of
-//! any number here: an intended change is re-blessed once, with
-//! `report --bless`.
+//! silently shifting the paper's tables. The smoke golden includes the
+//! chaos cells (lossy networks, partitions, crashes, two crashes, torn
+//! and rotted logs), so this is also where recovery is proven to reach
+//! the fault-free digest reproducibly. There is no second copy of any
+//! number here: an intended change is re-blessed once, with `report
+//! --bless`.
 
 use ccl_apps::App;
-use ccl_core::Protocol;
-use obsv::report::{collect, compare, report_json, trace_fingerprint, Scale};
+use ccl_core::{ClusterSpec, Protocol};
+use obsv::report::{chaos_cells, collect, compare, report_json, trace_fingerprint, Scale};
 use obsv::Json;
 
 fn golden(scale: Scale) -> Json {
     scale.load_golden().expect("committed golden")
 }
 
-/// The whole smoke matrix — 12 failure-free runs, 8 crash runs, every
-/// field `report` emits — matches its golden exactly; and `report`'s
-/// verdict on a golden with one perturbed number names that number's
-/// path first.
+/// The whole smoke matrix — 24 failure-free runs, 12 crash runs, 6
+/// page-size runs and the 42 chaos cells, every field `report` emits —
+/// matches its golden exactly; and `report`'s verdict on a golden with
+/// one perturbed number, in a failure-free run or in a chaos cell,
+/// names that number's path and nothing else.
 #[test]
-fn fault_free_runs_match_goldens() {
+fn the_smoke_matrix_matches_its_golden() {
     let doc = report_json(&collect(Scale::Smoke).expect("blame invariants hold"));
     let golden = golden(Scale::Smoke);
     assert_eq!(compare(&doc, &golden), Vec::<String>::new());
 
-    let mut perturbed = golden.clone();
-    bump(
-        &mut perturbed,
-        &["apps", "3D-FFT", "runs", "ccl", "exec_ns"],
-    );
-    let violations = compare(&doc, &perturbed);
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert!(
-        violations[0].starts_with("apps.3D-FFT.runs.ccl.exec_ns: "),
-        "{violations:?}"
-    );
+    for path in [
+        &["apps", "3D-FFT", "runs", "ccl", "exec_ns"][..],
+        &["chaos", "Shallow/ccl/chaos1", "log_bytes"],
+    ] {
+        let mut perturbed = golden.clone();
+        bump(&mut perturbed, path);
+        let violations = compare(&doc, &perturbed);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        let named = format!("{}: ", path.join("."));
+        assert!(violations[0].starts_with(&named), "{violations:?}");
+    }
 }
 
 /// Add one to the number at `path` — a temporary, doctored copy of a
@@ -91,14 +95,39 @@ fn paper_scale_water_and_mg_match_goldens() {
     }
 }
 
-/// Same spec twice → byte-identical observables (run-to-run
-/// determinism, independent of the golden capture).
+/// Same spec twice in one process → byte-identical observables (every
+/// node's digest, time, log bytes, trace fingerprint, `phases_json` and
+/// blame document), independent of the golden capture: on one cell of
+/// each kind — failure-free, network chaos with a crash, two crashes, a
+/// torn log tail.
 #[test]
 fn repeated_runs_are_identical() {
-    let run = || Scale::Smoke.run(App::Fft3d, Protocol::Ccl);
-    let (a, b) = (run(), run());
-    assert_eq!(a.nodes[0].result, b.nodes[0].result);
-    assert_eq!(a.exec_time(), b.exec_time());
-    assert_eq!(a.total_log_bytes(), b.total_log_bytes());
-    assert_eq!(trace_fingerprint(&a), trace_fingerprint(&b));
+    let scale = Scale::Smoke;
+    let (app, protocol) = (App::Fft3d, Protocol::Ccl);
+    let mut runs = vec![("3D-FFT/ccl".to_string(), app, scale.spec(app, protocol))];
+    let mut cells = chaos_cells(scale);
+    for label in ["Shallow/ccl/chaos0", "Water/ccl/sequential", "MG/ml/torn"] {
+        let at = cells.iter().position(|c| c.label == label);
+        let cell = cells.swap_remove(at.unwrap_or_else(|| panic!("no chaos cell {label}")));
+        runs.push((cell.label, cell.app, cell.spec));
+    }
+    let observe = |label: &str, app: App, spec: ClusterSpec| {
+        let out = scale.run_spec(app, spec);
+        let digests: Vec<u64> = out.nodes.iter().map(|n| n.result).collect();
+        let blame = obsv::blame_json(&obsv::analyze(&out), label).pretty();
+        let times = (
+            out.exec_time(),
+            out.total_log_bytes(),
+            trace_fingerprint(&out),
+        );
+        (digests, times, out.phases_json(label), blame)
+    };
+    for (label, app, spec) in runs {
+        let a = observe(&label, app, spec.clone());
+        let b = observe(&label, app, spec);
+        assert_eq!(a.0, b.0, "{label}: digests");
+        assert_eq!(a.1, b.1, "{label}: exec time, log bytes, trace fingerprint");
+        assert!(a.2 == b.2, "{label}: phases_json differs");
+        assert!(a.3 == b.3, "{label}: blame document differs");
+    }
 }
