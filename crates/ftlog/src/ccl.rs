@@ -19,13 +19,14 @@
 //! its own log. Each peer answers with the pages homed there that this
 //! node ever touched a copy of (homes keep a per-page copyset, see
 //! [`hlrc::PageTable::held_by`]) and starts reading its own log back
-//! into memory, so the logged-diff requests that follow find it warm.
-//! Replay is deterministic, so the *held* pages are exactly the remote
-//! pages this node will touch again (but for a first use whose report
-//! had not left at the crash: the on-demand path below).
+//! into memory, serving each logged diff as soon as that sequential
+//! scan reaches it. Replay is deterministic, so the *held* pages are
+//! exactly the remote pages this node will touch again (but for a first
+//! use whose report had not left at the crash: the on-demand path
+//! below).
 //!
-//! Replay then walks the sync events of the (small) local log. At the
-//! beginning of each interval it sends **one** wave of requests: for
+//! Replay then walks the sync events of the (small) local log and
+//! restores in *waves*, every request of a wave in flight at once: for
 //! its home copies, the diffs named by the recorded incoming updates,
 //! fetched from the writers' stable logs (the paper's mechanism); for
 //! every held remote copy a logged notice names, a
@@ -37,14 +38,33 @@
 //! when that is smaller (the node keeps that image: a copy it has
 //! written since is no base for such a diff). The page reply, the one
 //! message CCL does not log at the receiver, is logged at the sender
-//! instead, in volatile memory. Page faults during replay are thereby
-//! (almost entirely) eliminated, and pages this node never held are
-//! never requested: recovery moves the replayed working set, not the
-//! cluster's write set. The held-set filter is an optimization only — a
-//! fault on a page it skipped restores on demand
-//! ([`FaultTolerance::recovery_fault`]) — so a home whose copysets were
-//! wiped by its own crash or bypassed by a migration simply answers
-//! "incomplete" and all its pages count as held.
+//! instead, in volatile memory.
+//!
+//! A replayed interval waits only for what its log could not announce:
+//!
+//! * the remote pages it writes are named by its own logged `Diffs`
+//!   records, and those not resident when it starts join the wave of
+//!   the sync that opens it — the request its first fault on each would
+//!   have sent, clock and all. The first replayed interval, which no
+//!   sync opens, gets a wave of its own before replay starts;
+//! * once a sync's wave is absorbed, the next sync's wave leaves, one
+//!   interval ahead: its logged-diff requests, and the page requests for
+//!   the resident copies its notices name. Those are the requests that
+//!   sync would send, but for this node's own clock entry, which the
+//!   interval in between moves — and which only the pages that interval
+//!   writes depend on, so those are asked at the sync. The replies are
+//!   kept unabsorbed until the sync: the interval in between may still
+//!   read the old copies.
+//!
+//! What is left is the first *read* of a page no notice names, restored
+//! on demand ([`FaultTolerance::recovery_fault`], a wave of one page),
+//! and the first restore of a held page no earlier interval touched.
+//! Pages this node never held are never requested: recovery moves the
+//! replayed working set, not the cluster's write set. The held-set
+//! filter is an optimization only — a fault on a page it skipped
+//! restores on demand — so a home whose copysets were wiped by its own
+//! crash or bypassed by a migration simply answers "incomplete" and all
+//! its pages count as held.
 //!
 //! The one thing a served-image log does not survive is its home's own
 //! crash, and what went with it is re-derivable: replay is deterministic
@@ -56,11 +76,12 @@
 //! fetch for a write it has not re-reached waits at the home until it
 //! has. Nothing else here knows how many failures there are.
 //!
-//! Recovery fetches stay one message per page (and per writer): messages
-//! are priced on their own links, so a wave already costs one round trip
-//! (DESIGN.md §13); what matters is volume, which the held filter cuts.
+//! Recovery fetches stay one message per page (and per writer), at most
+//! one in flight per page: messages are priced on their own links, so a
+//! wave already costs one round trip (DESIGN.md §13); what matters is
+//! volume, which the held filter cuts, and which waits are left.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryImage, RecoveryStep, SyncKind, WriteNotice};
 use pagemem::{
@@ -99,17 +120,105 @@ struct CclReplay {
     /// re-executed write changed and a later writer changed back is in
     /// no diff between two images.
     restored: HashMap<PageId, (u32, SharedBytes)>,
-    /// The home half of the fetch wave in flight, until it is applied.
-    updates: Option<HomeUpdates>,
+    /// The wave being waited out, until it is absorbed.
+    wave: Option<Wave>,
+    /// The next replayed sync's wave, sent one interval early, its
+    /// replies kept until that sync.
+    ahead: Option<Wave>,
 }
 
-/// The recorded incoming updates of one replayed interval on their way
-/// back into this node's home copies: writers per page in record order,
-/// their logged diffs as far as they are in, and the replies to come.
-struct HomeUpdates {
+/// One fetch wave: its requests and what came back of them.
+#[derive(Default)]
+struct Wave {
+    /// The recorded updates of this node's home copies it brings back:
+    /// writers per page, in record order.
     wants: Wants,
+    /// Their logged diffs, as far as they are in.
     found: Found,
-    outstanding: usize,
+    /// Logged-diff replies still to come.
+    diffs_due: usize,
+    /// The remote pages it asked their homes for.
+    asked: BTreeSet<PageId>,
+    /// Those whose answer is still to come.
+    pages_due: BTreeSet<PageId>,
+    /// Replies in and not absorbed yet: a wave sent ahead keeps them for
+    /// its sync.
+    kept: Vec<Msg>,
+    /// The clock a wave sent ahead asked at.
+    required: Option<VClock>,
+}
+
+impl Wave {
+    /// Replies still to come.
+    fn due(&self) -> usize {
+        self.diffs_due + self.pages_due.len()
+    }
+
+    /// Whether this wave awaits `reply`; if it does, it is in now.
+    fn receives(&mut self, reply: &Msg) -> bool {
+        match reply {
+            Msg::RecoveryPageReply { page, .. } => self.pages_due.remove(page),
+            Msg::LoggedDiffReply { .. } if self.diffs_due > 0 => {
+                self.diffs_due -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The log records of one replayed interval: from the cursor through
+/// the `Sync` record of the sync that ends it.
+struct Segment {
+    /// One past its last record.
+    end: usize,
+    /// Its framed size.
+    bytes: usize,
+    /// The recorded updates of this node's home copies in it.
+    wants: Wants,
+    /// The pages its own `Diffs` records are of: remote pages this node
+    /// writes in the interval.
+    written: BTreeSet<PageId>,
+    /// The `Sync` record ending it (none where the log runs out first)
+    /// and that record's size, 0 for a synthesized one.
+    sync: Option<(SyncKind, Vec<WriteNotice>, VClock, usize)>,
+}
+
+/// Read the segment of `records` that starts at `from`.
+fn segment(records: &[(CclRecord, usize)], from: usize) -> Segment {
+    let mut seg = Segment {
+        end: from,
+        bytes: 0,
+        wants: Wants::new(),
+        written: BTreeSet::new(),
+        sync: None,
+    };
+    while let Some((rec, size)) = records.get(seg.end) {
+        seg.bytes += size;
+        seg.end += 1;
+        match rec {
+            CclRecord::Updates { writer, pages } => {
+                for p in pages {
+                    seg.wants.entry(*p).or_default().push(*writer);
+                }
+            }
+            // Replay needs none of this node's own diffs again — they
+            // are for the peers (`serve_logged_diffs`) — only their pages.
+            CclRecord::Diffs { diffs, .. } => seg.written.extend(diffs.iter().map(|d| d.page)),
+            CclRecord::Sync { tag, notices, vc } => {
+                seg.sync = Some((*tag, notices.clone(), vc.clone(), *size));
+                break;
+            }
+        }
+    }
+    seg
+}
+
+fn is_fetch_reply(m: &Msg) -> bool {
+    matches!(
+        m,
+        Msg::LoggedDiffReply { .. } | Msg::RecoveryPageReply { .. }
+    )
 }
 
 /// Victim side of the recovery handshake: which remote pages the
@@ -133,8 +242,8 @@ pub struct CclLogger {
     /// Overlap the log flush with the diff round-trip (the paper's
     /// latency-tolerance technique). `false` gives the ablation variant.
     overlap: bool,
-    /// Restore noticed pages at each replayed interval (the paper's
-    /// recovery optimization). `false` leaves it to faults (ablation A2).
+    /// Restore pages ahead of replay (the paper's recovery
+    /// optimization). `false` leaves it to faults (ablation A2).
     prefetch: bool,
     /// The stable stream and its device state. CCL issues flushes and
     /// lets them drain in the background; a later flush queues behind
@@ -144,11 +253,12 @@ pub struct CclLogger {
     replay: Option<CclReplay>,
     restored_app: Option<Vec<u8>>,
     /// Survivor-side in-memory image of the logged diffs, loaded with a
-    /// single sequential log read when a recovering peer says hello;
-    /// its requests are then served at memory speed.
-    serve_cache: Option<HashMap<(PageId, u32), PageDiff>>,
-    /// When the log read that filled `serve_cache` completes: no logged
-    /// diff leaves this node earlier.
+    /// single sequential log read when a recovering peer says hello,
+    /// each with the time that read has it in memory; its requests are
+    /// then served at memory speed.
+    serve_cache: Option<HashMap<(PageId, u32), (PageDiff, SimTime)>>,
+    /// When the log read that filled `serve_cache` completes: no miss
+    /// is known earlier.
     serve_ready_at: SimTime,
     /// What the recovery handshake told this (recovering) node.
     held: HeldPages,
@@ -194,8 +304,9 @@ impl CclLogger {
         }
     }
 
-    /// Ablation variant: recovery reconstructs pages only on faults,
-    /// without the per-interval prefetch.
+    /// Ablation variant: recovery reconstructs pages only on faults:
+    /// no page is restored ahead of replay, and no wave leaves before
+    /// its sync.
     pub fn without_prefetch() -> CclLogger {
         CclLogger {
             prefetch: false,
@@ -250,7 +361,8 @@ impl CclLogger {
                 // Known durable: keep the survivor-side serve cache
                 // coherent incrementally instead of re-reading the disk.
                 if let Some(cache) = self.serve_cache.as_mut() {
-                    cache.extend(served);
+                    let ready = self.serve_ready_at;
+                    cache.extend(served.into_iter().map(|(key, d)| (key, (d, ready))));
                 }
                 (cpu, drain)
             }
@@ -259,8 +371,9 @@ impl CclLogger {
 
     /// Block until a message matching `pred` arrives, deferring other
     /// traffic — except recovery-class requests from peers, answered on
-    /// the spot. Two nodes recovering concurrently block in each other's
-    /// fetch waves; deferring those requests would deadlock the pair.
+    /// the spot, and replies to the wave sent ahead, kept for its sync.
+    /// Two nodes recovering concurrently block in each other's fetch
+    /// waves; deferring those requests would deadlock the pair.
     fn recovery_wait<F: Fn(&Msg) -> bool>(
         &mut self,
         inner: &mut NodeInner,
@@ -281,6 +394,8 @@ impl CclLogger {
                 self.settle_parked(inner, env.arrive_at);
             } else if let Msg::RecoveryHelloReply { .. } = &env.payload {
                 self.note_hello_reply(inner, &env);
+            } else if is_fetch_reply(&env.payload) {
+                self.take_reply(inner, env.payload);
             } else {
                 inner.ctx.defer(env);
             }
@@ -300,32 +415,35 @@ impl CclLogger {
     }
 
     /// A peer's fetch is parked here until this replay re-reaches a
-    /// write (`NodeInner::serve_recovery_page`). If the wave in flight
-    /// has its diffs in, apply its updates now, not after its page
-    /// replies: the peer may be a home one of those is due from,
-    /// replaying too and waiting for this answer first. With nothing
+    /// write (`NodeInner::serve_recovery_page`). If the wave being
+    /// waited out has its diffs in, apply its updates now, not after its
+    /// page replies: the peer may be a home one of those is due from,
+    /// replaying too and waiting for this answer first. The wave sent
+    /// ahead is never applied here — its sync has not come. With nothing
     /// parked — always, unless two nodes recover at once — a wave runs
     /// exactly as it otherwise would.
     fn settle_parked(&mut self, inner: &mut NodeInner, not_before: SimTime) {
         if !inner.has_parked_fetches() {
             return;
         }
-        let updates = self.replay.as_ref().and_then(|r| r.updates.as_ref());
-        if updates.is_some_and(|u| u.outstanding == 0) {
+        let wave = self.replay.as_ref().and_then(|r| r.wave.as_ref());
+        if wave.is_some_and(|w| w.diffs_due == 0) {
             self.apply_home_updates(inner);
         }
         inner.serve_parked_fetches(not_before);
     }
 
-    /// Re-apply the wave's recorded updates to this node's home copies,
-    /// in record order (once: early for a parked fetch, or at its end).
+    /// Re-apply the recorded updates of the wave being waited out to
+    /// this node's home copies, in record order (once: early for a
+    /// parked fetch, or at its end).
     fn apply_home_updates(&mut self, inner: &mut NodeInner) {
-        let Some(updates) = self.replay.as_mut().and_then(|r| r.updates.take()) else {
+        let Some(wave) = self.replay.as_mut().and_then(|r| r.wave.as_mut()) else {
             return;
         };
-        for (page, writers) in &updates.wants {
+        let (wants, found) = (std::mem::take(&mut wave.wants), &wave.found);
+        for (page, writers) in &wants {
             for iv in writers {
-                if let Some(d) = updates.found.get(&(*page, *iv)) {
+                if let Some(d) = found.get(&(*page, *iv)) {
                     inner.ctx.charge_copy(d.payload_bytes());
                     inner.apply_home_diff(d, *iv);
                 } else {
@@ -361,12 +479,12 @@ impl CclLogger {
 
     /// Survivor side: read the whole log back into memory with one
     /// sequential scan starting at `at`, unless it already is there.
-    /// Logged diffs are served from the image once the read completes.
+    /// Each logged diff is served once the scan has reached it.
     fn warm_serve_cache(&mut self, inner: &mut NodeInner, at: SimTime) {
         if self.serve_cache.is_some() {
             return;
         }
-        let mut cache: HashMap<(PageId, u32), PageDiff> = HashMap::new();
+        let mut cache = HashMap::new();
         let mut total = 0usize;
         // The survivor's own log can carry latent bit rot too: the
         // scan serves only the verified prefix, and a diff lost to rot
@@ -378,17 +496,19 @@ impl CclLogger {
                 .ctx
                 .trace(TraceKind::CrcMismatch { stream: CCL_STREAM });
         }
+        let model = inner.ctx.disk.model();
+        let start = at + model.access_latency;
         for payload in &s.payloads {
             total += frame::framed_size(payload.len());
             let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
             if let CclRecord::Diffs { interval, diffs } = rec {
+                let ready = start + model.drain_time(total);
                 for d in diffs {
-                    cache.insert((d.page, interval.seq), d);
+                    cache.insert((d.page, interval.seq), (d, ready));
                 }
             }
         }
-        let model = inner.ctx.disk.model();
-        self.serve_ready_at = at + model.access_latency + model.drain_time(total);
+        self.serve_ready_at = start + model.drain_time(total);
         let _ = inner.ctx.disk.read_cost(total); // counters
         self.serve_cache = Some(cache);
     }
@@ -418,20 +538,39 @@ impl CclLogger {
         outstanding
     }
 
-    /// Ask the home of each of `pages` for the page as the interval now
-    /// being replayed must see it, all requests in flight at once.
-    fn request_pages(&mut self, inner: &mut NodeInner, pages: &[PageId]) {
+    /// A wave that asks for the logged diffs of `wants`.
+    fn diffs_wave(&mut self, inner: &mut NodeInner, wants: Wants) -> Wave {
+        let diffs_due = self.request_logged_diffs(inner, &wants);
+        Wave {
+            wants,
+            diffs_due,
+            ..Wave::default()
+        }
+    }
+
+    /// Ask the home of each of `pages` for the page as a replay at clock
+    /// `required` must see it, all requests in flight at once, as part
+    /// of `wave`.
+    fn request_pages(
+        &self,
+        inner: &mut NodeInner,
+        wave: &mut Wave,
+        pages: &[PageId],
+        required: &VClock,
+    ) {
         let restored = &self.replay.as_ref().expect("not in recovery").restored;
         for &page in pages {
             let request = Msg::RecoveryPageRequest {
                 page,
-                required: inner.vc.clone(),
+                required: required.clone(),
                 held: restored.get(&page).map(|(pos, _)| *pos),
             };
             inner
                 .ctx
                 .send(inner.pages.entry(page).home, request)
                 .expect("send recovery page request");
+            wave.asked.insert(page);
+            wave.pages_due.insert(page);
         }
     }
 
@@ -485,43 +624,135 @@ impl CclLogger {
         }
     }
 
-    /// One wave per replayed interval, and one per page replay faults
-    /// on: the logged diffs of `home_wants` (the recorded updates of
-    /// this node's home copies) from their writers' logs and the images
-    /// of the remote `pages` from their homes' served logs, all in
-    /// flight at once; then the updates are applied in record order. On
-    /// its way in and out it looks at the recovery fetches parked here.
-    fn restore_wave(&mut self, inner: &mut NodeInner, home_wants: Wants, pages: &[PageId]) {
+    /// Absorb one reply into the wave being waited out: a page, or
+    /// logged diffs (which may settle a parked fetch).
+    fn absorb_reply(&mut self, inner: &mut NodeInner, reply: Msg) {
+        if let Msg::RecoveryPageReply { page, image } = reply {
+            return self.absorb_page_reply(inner, page, image);
+        }
+        let replay = self.replay.as_mut().expect("not in recovery");
+        let wave = replay.wave.as_mut().expect("no wave in flight");
+        absorb_logged_diffs(inner, reply, &mut wave.found);
+        self.settle_parked(inner, inner.ctx.now());
+    }
+
+    /// Take in a reply to one of this node's recovery fetches: the wave
+    /// being waited out absorbs it now; the wave sent ahead keeps it,
+    /// unabsorbed, for its sync.
+    fn take_reply(&mut self, inner: &mut NodeInner, reply: Msg) {
+        let replay = self
+            .replay
+            .as_mut()
+            .expect("a fetch reply outside recovery");
+        if replay.wave.as_mut().is_some_and(|w| w.receives(&reply)) {
+            return self.absorb_reply(inner, reply);
+        }
+        let ahead = replay.ahead.as_mut().expect("a fetch reply no wave awaits");
+        assert!(ahead.receives(&reply), "a {} no wave awaits", reply.kind());
+        ahead.kept.push(reply);
+    }
+
+    /// Run `wave` — a replayed sync's, that of the first replayed
+    /// interval, or one page replay faults on — with `pages` in it:
+    /// send what it has not asked yet, absorb what it kept, and wait
+    /// out the rest, counting a stall if any of it was not in yet. Then
+    /// its updates are applied in record order. On its way in and out
+    /// it looks at the recovery fetches parked here.
+    fn restore_wave(&mut self, inner: &mut NodeInner, mut wave: Wave, pages: &[PageId]) {
         inner.serve_parked_fetches(inner.ctx.now());
-        let outstanding = self.request_logged_diffs(inner, &home_wants);
-        self.request_pages(inner, pages);
-        self.replay.as_mut().expect("not in recovery").updates = Some(HomeUpdates {
-            wants: home_wants,
-            found: Found::new(),
-            outstanding,
-        });
-        for _ in 0..outstanding + pages.len() {
-            let env = self.recovery_wait(inner, |m| {
-                matches!(
-                    m,
-                    Msg::LoggedDiffReply { .. } | Msg::RecoveryPageReply { .. }
-                )
-            });
-            match env.payload {
-                Msg::RecoveryPageReply { page, image } => {
-                    self.absorb_page_reply(inner, page, image)
-                }
-                reply => {
-                    let replay = self.replay.as_mut().expect("not in recovery");
-                    let updates = replay.updates.as_mut().expect("updates applied early");
-                    absorb_logged_diffs(inner, reply, &mut updates.found);
-                    updates.outstanding -= 1;
-                    self.settle_parked(inner, inner.ctx.now());
-                }
-            }
+        let unasked: Vec<PageId> = pages
+            .iter()
+            .copied()
+            .filter(|p| !wave.asked.contains(p))
+            .collect();
+        let required = inner.vc.clone();
+        self.request_pages(inner, &mut wave, &unasked, &required);
+        let kept = std::mem::take(&mut wave.kept);
+        self.replay.as_mut().expect("not in recovery").wave = Some(wave);
+        for reply in kept {
+            self.absorb_reply(inner, reply);
+        }
+        let mut stalled = false;
+        while self
+            .replay
+            .as_ref()
+            .and_then(|r| r.wave.as_ref())
+            .is_some_and(|w| w.due() > 0)
+        {
+            let before = inner.ctx.now();
+            let env = self.recovery_wait(inner, is_fetch_reply);
+            stalled |= inner.ctx.now() > before;
+            self.take_reply(inner, env.payload);
+        }
+        if stalled {
+            inner.ctx.stats.recovery_stalls += 1;
         }
         self.apply_home_updates(inner);
+        self.replay.as_mut().expect("not in recovery").wave = None;
         inner.serve_parked_fetches(inner.ctx.now());
+    }
+
+    /// The wave of the sync replay has reached, whose recorded updates
+    /// are `wants`: the one sent ahead if there is one — asking for the
+    /// same diffs, at the same clock but for this node's own entry — or
+    /// a new one.
+    fn sync_wave(&mut self, inner: &mut NodeInner, wants: Wants) -> Wave {
+        let Some(ahead) = self.replay.as_mut().and_then(|r| r.ahead.take()) else {
+            return self.diffs_wave(inner, wants);
+        };
+        debug_assert_eq!(
+            ahead.wants, wants,
+            "the wave sent ahead asked for other diffs"
+        );
+        let me = inner.me() as u32;
+        let same_clock = |vc: &VClock| {
+            (0..inner.cfg.n_nodes as u32)
+                .filter(|&n| n != me)
+                .all(|n| vc.get(n) == inner.vc.get(n))
+        };
+        debug_assert!(
+            ahead.required.as_ref().is_some_and(same_clock),
+            "the wave sent ahead asked at another clock"
+        );
+        ahead
+    }
+
+    /// Send the wave of the sync ending `next` — the interval replay is
+    /// entering — now, one interval early: the logged diffs of the
+    /// updates it records, and the page requests that sync will make
+    /// for the copies resident now, but for the pages the interval
+    /// writes (their requests carry this node's own clock entry as the
+    /// interval leaves it). A resident copy stays resident through the
+    /// interval, so no fault asks for one of these pages meanwhile.
+    /// Nothing leaves when the log runs out first, or ends in a
+    /// synthesized sync record, where replay may be abandoned instead.
+    fn send_ahead(&mut self, inner: &mut NodeInner, next: Segment) {
+        let Some((_, notices, vc, _)) = next.sync.filter(|(.., size)| *size > 0) else {
+            return;
+        };
+        let (fresh, required) = inner.notices_admitted(&notices, &vc);
+        let me = inner.me() as u32;
+        let mut pages: Vec<PageId> = fresh
+            .iter()
+            .filter(|n| n.interval.node != me && !inner.pages.is_home(n.page))
+            .map(|n| n.page)
+            .filter(|p| inner.pages.entry(*p).frame.is_some() && !next.written.contains(p))
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let mut wave = self.diffs_wave(inner, next.wants);
+        self.request_pages(inner, &mut wave, &pages, &required);
+        wave.required = Some(required);
+        self.replay.as_mut().expect("not in recovery").ahead = Some(wave);
+    }
+
+    /// Replay is over — the log consumed, exhausted or abandoned.
+    fn end_replay(&mut self) {
+        let replay = self.replay.take();
+        debug_assert!(
+            replay.is_none_or(|r| r.ahead.is_none()),
+            "a wave sent ahead outlived its replay"
+        );
     }
 
     /// Home-repair wave, run once at recovery exit when the salvage
@@ -602,65 +833,40 @@ impl CclLogger {
     }
 
     /// Walk the log to the next `Sync` record, collecting update records
-    /// along the way; then apply the sync's notices and restore the
-    /// pages they name.
+    /// along the way; then apply the sync's notices, restore the pages
+    /// they name and those the next interval writes, and send the next
+    /// sync's wave ahead.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncKind) -> RecoveryStep {
         // Phase 1: scan records for this step (one sequential disk read),
         // collecting the recorded home-copy updates of the interval.
-        let mut batch_bytes = 0usize;
-        let mut home_wants = Wants::new();
-        let mut sync: Option<(Vec<WriteNotice>, VClock)> = None;
-        let mut drift = false;
-        {
-            let replay = self.replay.as_mut().expect("not in recovery");
-            while let Some((rec, size)) = replay.records.get(replay.cursor) {
-                batch_bytes += size;
-                replay.cursor += 1;
-                match rec {
-                    CclRecord::Updates { writer, pages } => {
-                        for p in pages {
-                            home_wants.entry(*p).or_default().push(*writer);
-                        }
-                    }
-                    // Replay needs none of this node's own diffs again:
-                    // they are for the peers (`serve_logged_diffs`).
-                    CclRecord::Diffs { .. } => {}
-                    CclRecord::Sync { tag, notices, vc } => {
-                        if *tag != expected {
-                            // A real record disagreeing with the
-                            // re-executed sync sequence is a logic bug;
-                            // a *synthesized* barrier record (size 0) can
-                            // land here legitimately: mid-log damage may
-                            // have discarded acquire records below the
-                            // synthesized horizon. Abandon the replay and
-                            // re-execute live; home repair runs at exit.
-                            assert_eq!(*size, 0, "CCL replay drift at {expected:?}");
-                            drift = true;
-                            break;
-                        }
-                        sync = Some((notices.clone(), vc.clone()));
-                        break;
-                    }
-                }
+        let replay = self.replay.as_mut().expect("not in recovery");
+        let seg = segment(&replay.records, replay.cursor);
+        replay.cursor = seg.end;
+        if let Some((tag, .., size)) = &seg.sync {
+            if *tag != expected {
+                // A real record disagreeing with the re-executed sync
+                // sequence is a logic bug; a *synthesized* barrier
+                // record (size 0) can land here legitimately: mid-log
+                // damage may have discarded acquire records below the
+                // synthesized horizon. Abandon the replay and re-execute
+                // live; home repair runs at exit.
+                assert_eq!(*size, 0, "CCL replay drift at {expected:?}");
+                self.end_replay();
+                return RecoveryStep::LogExhausted;
             }
         }
-        if drift {
-            self.replay = None;
-            return RecoveryStep::LogExhausted;
-        }
-        if batch_bytes > 0 {
+        if seg.bytes > 0 {
             // One sequential log read per replayed interval (bandwidth
             // plus a syscall, no seek: the log is scanned in order).
-            let _ = inner.ctx.disk.read_cost(batch_bytes); // counters
-            let cost =
-                inner.ctx.disk.model().drain_time(batch_bytes) + SimDuration::from_micros(20);
+            let _ = inner.ctx.disk.read_cost(seg.bytes); // counters
+            let cost = inner.ctx.disk.model().drain_time(seg.bytes) + SimDuration::from_micros(20);
             inner.ctx.charge_disk(cost);
         }
-        let Some((notices, vc)) = sync else {
+        let Some((_, notices, vc, _)) = seg.sync else {
             // Log exhausted: pre-crash state reached. (The cursor can
             // only run out at a step boundary because flushes cover
             // whole intervals.)
-            self.replay = None;
+            self.end_replay();
             return RecoveryStep::LogExhausted;
         };
 
@@ -704,7 +910,24 @@ impl CclLogger {
                 e.frame.is_some() || held.pages[p as usize] || held.whole_homes[e.home]
             });
         }
-        self.restore_wave(inner, home_wants, &pages);
+        // And the pages the interval this sync opens writes but does
+        // not hold: it would fault on each, asking at this very clock
+        // (this node wrote them, so no held filter applies).
+        let next = self.prefetch.then(|| {
+            let replay = self.replay.as_ref().expect("not in recovery");
+            segment(&replay.records, replay.cursor)
+        });
+        if let Some(next) = &next {
+            pages.extend(next.written.iter().filter(|&&p| !resident(inner, p)));
+            pages.sort_unstable();
+            pages.dedup();
+        }
+        let wave = self.sync_wave(inner, seg.wants);
+        debug_assert!(
+            wave.asked.iter().all(|p| pages.binary_search(p).is_ok()),
+            "the wave sent ahead asked for a page its sync does not want"
+        );
+        self.restore_wave(inner, wave, &pages);
 
         inner.ctx.trace(TraceKind::RecoveryReplay {
             notices: fresh.len() as u32,
@@ -715,7 +938,9 @@ impl CclLogger {
             .as_ref()
             .is_some_and(|r| r.cursor >= r.records.len())
         {
-            self.replay = None;
+            self.end_replay();
+        } else if let Some(next) = next {
+            self.send_ahead(inner, next);
         }
         RecoveryStep::Replayed
     }
@@ -881,6 +1106,11 @@ impl FaultTolerance for CclLogger {
                 self.held.pending += 1;
             }
         }
+        // A crash follows a barrier, and the one replayed barrier it can
+        // follow is the last one logged (an earlier count would have
+        // fired in the incarnation that wrote the log), where replay
+        // ends: no crash leaves a wave ahead in flight.
+        debug_assert!(self.replay.is_none(), "crashed in the middle of a replay");
         self.staged.clear();
         let s = self.log.salvage(inner);
         self.restored_app = s.app;
@@ -948,8 +1178,24 @@ impl FaultTolerance for CclLogger {
             records,
             cursor: 0,
             restored: HashMap::new(),
-            updates: None,
+            wave: None,
+            ahead: None,
         });
+        let Some(replay) = self.replay.as_ref().filter(|_| self.prefetch) else {
+            return;
+        };
+        // The first replayed interval has no sync to restore the pages
+        // it writes: they get a wave of their own before replay starts,
+        // and the first sync's wave leaves right after it.
+        let first = segment(&replay.records, 0);
+        let pages: Vec<PageId> = (first.written.iter())
+            .filter(|&&p| inner.pages.entry(p).frame.is_none())
+            .copied()
+            .collect();
+        if !pages.is_empty() {
+            self.restore_wave(inner, Wave::default(), &pages);
+        }
+        self.send_ahead(inner, first);
     }
 
     fn restored_app_state(&mut self) -> Option<Vec<u8>> {
@@ -975,7 +1221,7 @@ impl FaultTolerance for CclLogger {
         // A page no replayed notice named (first touch), or one this
         // node used as a predicted copy without living to tell its
         // home, was not restored ahead of time; restore on demand.
-        self.restore_wave(inner, Wants::new(), &[page]);
+        self.restore_wave(inner, Wave::default(), &[page]);
         // Replay is deterministic: a page it touches was shipped here
         // before the crash, and every shipped copy left an image at its
         // home. None means replay left the logged run.
@@ -1013,15 +1259,21 @@ impl FaultTolerance for CclLogger {
         self.warm_serve_cache(inner, arrived);
         let cache = self.serve_cache.as_ref().expect("just warmed");
         let mut out: Vec<(IntervalId, PageDiff)> = Vec::new();
+        let mut ready = arrived;
         for &seq in seqs {
-            // Diffs come from the (cached) stable log; a miss means a
-            // silent write whose diff was empty.
-            if let Some(d) = cache.get(&(*page, seq)) {
-                out.push((IntervalId { node: me, seq }, d.clone()));
+            // Diffs come from the (cached) stable log, each once the
+            // scan has read it; a miss means a silent write whose diff
+            // was empty, known only once the scan is through.
+            match cache.get(&(*page, seq)) {
+                Some((d, read)) => {
+                    out.push((IntervalId { node: me, seq }, d.clone()));
+                    ready = ready.max(*read);
+                }
+                None => ready = ready.max(self.serve_ready_at),
             }
         }
         let payload: usize = out.iter().map(|(_, d)| d.encoded_size()).sum();
-        let done = arrived.max(self.serve_ready_at) + inner.ctx.cost.cpu.copy(payload);
+        let done = ready + inner.ctx.cost.cpu.copy(payload);
         inner
             .ctx
             .send_from(

@@ -146,18 +146,30 @@ impl NodeInner {
     /// in it), and observing the interval at the first one must not
     /// mask its siblings.
     pub fn admit_notices(&mut self, notices: &[WriteNotice], vc_in: &VClock) -> Vec<WriteNotice> {
-        let vc_before = self.vc.clone();
+        let (fresh, vc) = self.notices_admitted(notices, vc_in);
+        self.history.extend_from_slice(&fresh);
+        self.vc = vc;
+        fresh
+    }
+
+    /// What [`NodeInner::admit_notices`] would admit now, and the clock
+    /// it would leave, without admitting anything.
+    pub fn notices_admitted(
+        &self,
+        notices: &[WriteNotice],
+        vc_in: &VClock,
+    ) -> (Vec<WriteNotice>, VClock) {
+        let mut vc = self.vc.clone();
         let mut fresh: Vec<WriteNotice> = Vec::new();
         for n in notices {
-            if vc_before.covers(n.interval) || fresh.contains(n) {
+            if self.vc.covers(n.interval) || fresh.contains(n) {
                 continue;
             }
             fresh.push(*n);
-            self.vc.observe(n.interval);
-            self.history.push(*n);
+            vc.observe(n.interval);
         }
-        self.vc.join(vc_in);
-        fresh
+        vc.join(vc_in);
+        (fresh, vc)
     }
 
     /// A barrier episode is complete, live or replayed: its merged

@@ -277,6 +277,10 @@ pub struct RecoveryRecord {
     /// Requests CCL recovery sent: `RecoveryPageRequest` +
     /// `LoggedDiffRequest` (the benchmark's `ftlog.recovery_msgs`).
     pub ccl_requests: u64,
+    /// The failed node's blocking waits in CCL recovery: fetch waves
+    /// whose replies were not all in when replay reached them
+    /// (`NodeStats::recovery_stalls`).
+    pub ccl_stalls: u64,
 }
 
 /// The protocols node 1 crashes under, once per application.
@@ -499,17 +503,17 @@ impl Matrix {
     }
 
     /// What the report keeps from one Figure 5 crash run: recovery
-    /// time, its `[compute, wait, disk]` split at the failed node, the
-    /// hash of the run's blame document, and how many pages and logged
-    /// diffs recovery asked its peers for. Every node must end on the
-    /// failure-free `digest`.
+    /// time, its `[compute, wait, disk]` split and its stalls at the
+    /// failed node, the hash of the run's blame document, and how many
+    /// pages and logged diffs recovery asked its peers for. Every node
+    /// must end on the failure-free `digest`.
     fn crash_record(
         &mut self,
         app: App,
         protocol: Protocol,
         at: u64,
         digest: u64,
-    ) -> Result<(u64, [u64; 3], u64, u64), String> {
+    ) -> Result<CrashRecord, String> {
         let label = format!("{}/{}/crash", app.name(), protocol.label());
         let spec = self
             .scale
@@ -517,20 +521,30 @@ impl Matrix {
             .with_crash(CrashPlan::new(1, at));
         let (out, _, blame_fp) = self.run(&label, app, spec, Some(digest))?;
         let total = out.recovery_time().expect("crash run completed recovery");
-        let p = out
+        let failed = out
             .nodes
             .iter()
-            .find_map(|n| n.recovery_phases)
+            .find(|n| n.recovery_phases.is_some())
             .expect("crash run recorded its recovery phases");
+        let p = failed.recovery_phases.expect("just found");
         let sent = out.total_stats().msgs_by_kind;
-        let requests = sent[kind("RecoveryPageRequest")] + sent[kind("LoggedDiffRequest")];
-        Ok((
-            total.as_nanos(),
-            [p.compute.as_nanos(), p.wait.as_nanos(), p.disk.as_nanos()],
+        Ok(CrashRecord {
+            ns: total.as_nanos(),
+            phases_ns: [p.compute.as_nanos(), p.wait.as_nanos(), p.disk.as_nanos()],
             blame_fp,
-            requests,
-        ))
+            requests: sent[kind("RecoveryPageRequest")] + sent[kind("LoggedDiffRequest")],
+            stalls: failed.stats.recovery_stalls,
+        })
     }
+}
+
+/// One Figure 5 crash run, as [`Matrix::crash_record`] keeps it.
+struct CrashRecord {
+    ns: u64,
+    phases_ns: [u64; 3],
+    blame_fp: u64,
+    requests: u64,
+    stalls: u64,
 }
 
 /// The wire tag [`ccl_core::kind_label`] names `label`.
@@ -565,18 +579,17 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
         let digest = Some(none.digest);
         let at = ccl_bench::crash_point(none.barriers_node1, CRASH_FRACTION);
         let [ml, ccl, no_prefetch] = CRASHED.map(|p| matrix.crash_record(app, p, at, none.digest));
-        let ((ml_ns, _, ml_fp, _), (ccl_no_prefetch_ns, _, no_prefetch_fp, _)) =
-            (ml?, no_prefetch?);
-        let (ccl_ns, ccl_phases_ns, ccl_fp, ccl_requests) = ccl?;
+        let (ml, ccl, no_prefetch) = (ml?, ccl?, no_prefetch?);
         let recovery = RecoveryRecord {
             crash_after_barriers: at,
             reexec_ns: (none.exec_ns as f64 * CRASH_FRACTION) as u64,
-            ml_ns,
-            ccl_ns,
-            ccl_no_prefetch_ns,
-            ccl_phases_ns,
-            blame_fp: [ml_fp, ccl_fp, no_prefetch_fp],
-            ccl_requests,
+            ml_ns: ml.ns,
+            ccl_ns: ccl.ns,
+            ccl_no_prefetch_ns: no_prefetch.ns,
+            ccl_phases_ns: ccl.phases_ns,
+            blame_fp: [ml.blame_fp, ccl.blame_fp, no_prefetch.blame_fp],
+            ccl_requests: ccl.requests,
+            ccl_stalls: ccl.stalls,
         };
         let mut page_sizes = Vec::new();
         if app == App::Fft3d {
@@ -736,6 +749,7 @@ pub fn report_json(report: &Report) -> Json {
         rec.set("ccl_wait_ns", Json::from_u64(wait));
         rec.set("ccl_disk_ns", Json::from_u64(disk));
         rec.set("ccl_requests", Json::from_u64(r.ccl_requests));
+        rec.set("ccl_stalls", Json::from_u64(r.ccl_stalls));
         let mut fps = Json::obj();
         for (p, fp) in CRASHED.iter().zip(r.blame_fp) {
             fps.set(p.label(), Json::from_hex(fp));
@@ -898,20 +912,21 @@ pub fn fig4_markdown(report: &Report) -> String {
 }
 
 /// The Figure 5 Markdown table (normalized recovery, paper columns),
-/// plus where the CCL recovery window went at the failed node.
+/// plus where the CCL recovery window went at the failed node and how
+/// many of its fetch waves it blocked on.
 pub fn fig5_markdown(report: &Report) -> String {
     let mut s = String::new();
     s.push_str(
         "| App | Re-execution | ML-recovery | CCL recovery | Paper ML | Paper CCL \
-         | CCL compute (ms) | CCL wait (ms) | CCL disk (ms) |\n",
+         | CCL compute (ms) | CCL wait (ms) | CCL disk (ms) | CCL stalls |\n",
     );
-    s.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    s.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
     for a in &report.apps {
         let base = a.recovery.reexec_ns as f64;
         let (pml, pccl) = paper_fig5(a.app);
         let [compute, wait, disk] = a.recovery.ccl_phases_ns.map(|ns| ns as f64 / 1e6);
         s.push_str(&format!(
-            "| {} | 100 | {:.1} | {:.1} | {:.0} | {:.0} | {:.1} | {:.1} | {:.1} |\n",
+            "| {} | 100 | {:.1} | {:.1} | {:.0} | {:.0} | {:.1} | {:.1} | {:.1} | {} |\n",
             a.app.name(),
             100.0 * a.recovery.ml_ns as f64 / base,
             100.0 * a.recovery.ccl_ns as f64 / base,
@@ -920,6 +935,7 @@ pub fn fig5_markdown(report: &Report) -> String {
             compute,
             wait,
             disk,
+            a.recovery.ccl_stalls,
         ));
     }
     s
@@ -1246,6 +1262,7 @@ mod tests {
                     ccl_phases_ns: [300_000, 90_000, 10_000],
                     blame_fp: [0x1111, 0x2222, 0x3333],
                     ccl_requests: 40,
+                    ccl_stalls: 3,
                 },
                 page_sizes: Vec::new(),
             })
@@ -1343,7 +1360,7 @@ mod tests {
         assert_eq!(f4.lines().count(), 2 + 4);
         assert!(f4.contains("| 3D-FFT | 100 | 120.0 | 105.0 | 124 | ~106 |"));
         let f5 = fig5_markdown(&report);
-        assert!(f5.contains("| Water | 100 | 66.7 | 53.3 | 43 | 38 | 0.3 | 0.1 | 0.0 |"));
+        assert!(f5.contains("| Water | 100 | 66.7 | 53.3 | 43 | 38 | 0.3 | 0.1 | 0.0 | 3 |"));
         let bl = blame_markdown(&report);
         assert_eq!(bl.lines().count(), 2 + 4 * 3);
         assert!(
@@ -1405,10 +1422,9 @@ mod tests {
     }
 
     /// The paper's headline, gated on the committed paper-scale report:
-    /// CCL recovery < ML recovery < re-execution on 3D-FFT, MG and
-    /// Shallow. On Water (98.6 % compute, one logged-diff round trip per
-    /// replayed acquire) both must beat re-execution; the CCL-vs-ML
-    /// residual is printed, not gated.
+    /// CCL recovery < ML recovery < re-execution on all four
+    /// applications — Water (98.6 % compute) included, since CCL
+    /// recovery waits on no round trip its log announces.
     #[test]
     fn committed_report_keeps_the_figure_5_ordering() {
         let doc = committed(Scale::Paper);
@@ -1420,19 +1436,7 @@ mod tests {
                 "{}: ML {ml} !< re-execution {reexec}",
                 app.name()
             );
-            assert!(
-                ccl < reexec,
-                "{}: CCL {ccl} !< re-execution {reexec}",
-                app.name()
-            );
-            if app == App::Water {
-                println!(
-                    "Water: ccl_ns - ml_ns = {:+.3} ms (not gated)",
-                    (ccl - ml) / 1e6
-                );
-            } else {
-                assert!(ccl < ml, "{}: CCL {ccl} !< ML {ml}", app.name());
-            }
+            assert!(ccl < ml, "{}: CCL {ccl} !< ML {ml}", app.name());
             let parts = ns("ccl_compute_ns") + ns("ccl_wait_ns") + ns("ccl_disk_ns");
             assert_eq!(parts, ccl, "{}: CCL recovery phases leak", app.name());
         }

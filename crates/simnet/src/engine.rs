@@ -596,6 +596,7 @@ impl PhaseBreakdown {
             dups_suppressed: _,
             sends_to_stopped: _,
             sched_stalls: _,
+            recovery_stalls: _,
         } = *stats;
         let hidden = disk_time_overlapped.min(wait_time);
         PhaseBreakdown {

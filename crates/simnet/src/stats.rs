@@ -69,6 +69,10 @@ pub struct NodeStats {
     /// depends on real thread interleaving, so it is reported alongside
     /// the deterministic counters but excluded from `phases_json`.
     pub sched_stalls: u64,
+    /// Recovery fetch waves — a replayed sync's, or the on-demand
+    /// restore of a page replay faulted on — whose replies were not all
+    /// in when replay reached them: the waits recovery could not hide.
+    pub recovery_stalls: u64,
     /// Virtual time spent in application compute charges.
     pub compute_time: SimDuration,
     /// Virtual time spent blocked on remote replies / synchronization.
@@ -113,6 +117,7 @@ impl NodeStats {
             dups_suppressed,
             sends_to_stopped,
             sched_stalls,
+            recovery_stalls,
             compute_time,
             wait_time,
             disk_time,
@@ -145,6 +150,7 @@ impl NodeStats {
         self.dups_suppressed += dups_suppressed;
         self.sends_to_stopped += sends_to_stopped;
         self.sched_stalls += sched_stalls;
+        self.recovery_stalls += recovery_stalls;
         self.compute_time += compute_time;
         self.wait_time += wait_time;
         self.disk_time += disk_time;
@@ -217,6 +223,7 @@ mod tests {
             home_migrations: base + 27,
             msgs_by_kind: std::array::from_fn(|i| base + 28 + i as u64),
             bytes_by_kind: std::array::from_fn(|i| base + 28 + TRAFFIC_KINDS as u64 + i as u64),
+            recovery_stalls: base + 28 + 2 * TRAFFIC_KINDS as u64,
         }
     }
 
@@ -252,6 +259,7 @@ mod tests {
             dups_suppressed,
             sends_to_stopped,
             sched_stalls,
+            recovery_stalls,
             compute_time,
             wait_time,
             disk_time,
@@ -291,6 +299,7 @@ mod tests {
                 expect(28 + TRAFFIC_KINDS as u64 + i as u64)
             );
         }
+        assert_eq!(recovery_stalls, expect(28 + 2 * TRAFFIC_KINDS as u64));
     }
 
     #[test]

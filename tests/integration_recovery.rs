@@ -734,6 +734,79 @@ fn survivor_log_is_read_once_and_never_served_before_it_is_in_memory() {
 }
 
 #[test]
+fn a_survivor_serves_a_logged_diff_as_its_scan_reaches_it_and_a_miss_after_the_scan() {
+    // Node 0 logs two diffs, a one-word one first and a whole-page one
+    // after it. Node 1 says hello and asks at once for the first — which
+    // must leave before the sequential scan the hello started has read
+    // the whole log — and for an interval node 0 never logged, which
+    // only the end of that scan can tell is a miss (a silently empty
+    // diff).
+    use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
+    use pagemem::{IntervalId, PageDiff, PageFrame, Twin};
+    let cfg = DsmConfig::new(2, 4).with_page_size(4096);
+    let disk = cfg.cost.disk;
+    let times = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+        let me = ctx.id();
+        let mut inner = NodeInner::new(ctx, cfg);
+        if me == 0 {
+            let mut ccl = ftlog::CclLogger::new();
+            let base = PageFrame::zeroed(4096);
+            let mut word = base.clone();
+            word.write_u64(8, 7);
+            let mut whole = base.clone();
+            for w in 0..512 {
+                whole.write_u64(8 * w, w as u64 + 1);
+            }
+            for (seq, frame) in [word, whole].iter().enumerate() {
+                let diff = PageDiff::create(2, &Twin::of(&base), frame);
+                let interval = IntervalId {
+                    node: 0,
+                    seq: seq as u32,
+                };
+                ccl.on_diffs_created(&mut inner, interval, &[diff]);
+            }
+            ccl.flush_after_send(&mut inner);
+            let hello = inner.ctx.recv().expect("hello");
+            assert_eq!(hello.payload, Msg::RecoveryHello);
+            let at = inner.ctx.service_time(&hello);
+            inner.serve_recovery_hello(&hello, at);
+            ccl.on_recovery_hello(&mut inner, at);
+            for _ in 0..2 {
+                let req = inner.ctx.recv().expect("logged diff request");
+                ccl.serve_logged_diffs(&mut inner, &req);
+            }
+            let log_bytes = inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM);
+            vec![at + disk.access_latency + disk.drain_time(log_bytes)]
+        } else {
+            inner.ctx.send(0, Msg::RecoveryHello).expect("send");
+            for seqs in [vec![0], vec![5]] {
+                let ask = Msg::LoggedDiffRequest { page: 2, seqs };
+                inner.ctx.send(0, ask).expect("send");
+            }
+            let reply = |inner: &mut NodeInner, hit: bool| {
+                let env = inner.ctx.wait_for_deferring(
+                    |m| matches!(m, Msg::LoggedDiffReply { diffs, .. } if diffs.is_empty() != hit),
+                );
+                env.sent_at
+            };
+            let first = reply(&mut inner, true);
+            let miss = reply(&mut inner, false);
+            vec![first, miss]
+        }
+    });
+    let scanned = times[0][0];
+    let (first, miss) = (times[1][0], times[1][1]);
+    assert!(
+        first < scanned,
+        "the first record left at {first:?}, not before the scan ended at {scanned:?}"
+    );
+    assert!(
+        miss >= scanned,
+        "a miss left at {miss:?}, before the scan ended at {scanned:?}"
+    );
+}
+
+#[test]
 fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
     // Node 1 replays three barriers, each naming page 0 of node 0,
     // which is scripted. The first answer is an image at position 5.
@@ -823,6 +896,153 @@ fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
         }
     });
     assert_eq!(held[0], vec![None, Some(5), None]);
+}
+
+// ------------------------------------------------------------
+// Waves: what replay still waits for
+// ------------------------------------------------------------
+
+#[test]
+fn the_pages_the_first_replayed_interval_writes_are_restored_in_one_wave() {
+    // Node 1 writes one word of each of six pages homed at nodes 0 and
+    // 2 every round, and fails. Its first replayed interval writes all
+    // six before any sync, so no notice names them: its own logged
+    // diffs do. Recovery asks for the six at one instant, before replay
+    // starts, and no write fault of the replay asks for anything.
+    const PER_HOME: usize = 3;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let a = dsm.alloc_at::<u64>(PER_HOME * words, 0);
+        let b = dsm.alloc_at::<u64>(PER_HOME * words, 2);
+        let mut seen = 0u64;
+        for round in 1..=4u64 {
+            if dsm.me() == 1 {
+                for p in 0..PER_HOME {
+                    dsm.write(&a, p * words + 1, round);
+                    dsm.write(&b, p * words + 1, 10 * round);
+                }
+            }
+            dsm.barrier();
+            if dsm.me() != 1 {
+                for p in 0..PER_HOME {
+                    seen = fold(seen, dsm.read(&a, p * words + 1));
+                    seen = fold(seen, dsm.read(&b, p * words + 1));
+                }
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ccl);
+    let clean = run_program(base.clone(), program);
+    let out = run_program(base.with_crash(CrashPlan::new(1, 6)), program);
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    let victim = &out.nodes[1];
+    // The recovery window up to the first replayed sync, in trace order.
+    let window: Vec<_> = victim
+        .trace
+        .iter()
+        .skip_while(|ev| ev.kind != TraceKind::Crash)
+        .take_while(|ev| !matches!(ev.kind, TraceKind::RecoveryReplay { .. }))
+        .collect();
+    let first_write = window
+        .iter()
+        .position(|ev| matches!(ev.kind, TraceKind::WriteFault { .. }))
+        .expect("the first replayed interval writes");
+    let asked = |events: &[&ccl_core::TraceEvent]| -> Vec<ccl_core::SimTime> {
+        events
+            .iter()
+            .filter(|ev| {
+                matches!(
+                    ev.kind,
+                    TraceKind::MsgSend {
+                        msg: "RecoveryPageRequest",
+                        ..
+                    }
+                )
+            })
+            .map(|ev| ev.at)
+            .collect()
+    };
+    let ahead = asked(&window[..first_write]);
+    assert_eq!(ahead.len(), 2 * PER_HOME, "pages restored before replay");
+    assert!(
+        ahead.iter().all(|t| *t == ahead[0]),
+        "the restores left at {ahead:?}, not at one instant"
+    );
+    assert_eq!(
+        asked(&window[first_write..]),
+        vec![],
+        "a write fault of the replay restored a page on demand"
+    );
+}
+
+#[test]
+fn a_wave_sent_ahead_is_absorbed_at_its_sync_not_when_it_arrives() {
+    // Node 2 rewrites, at the start of every round, the word of its
+    // page P that node 1 does *not* read that round (they alternate),
+    // and computes on. Node 1 fetches P mid-round, so the image it is
+    // sent in round r holds node 2's round-r value of the word node 1
+    // read in round r - 1 — unread, concurrent. Replaying round r, node
+    // 1 has the next barrier's wave in flight, and its answer for P is
+    // the image of round r + 1: the word node 1 reads in round r, with
+    // the value node 2 writes into it a round later. That answer
+    // arrives while round r's read of a fresh page Q_r waits on demand,
+    // and round r then reads P — which must still be the copy the last
+    // barrier restored.
+    const ROUNDS: u64 = 6;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let qs = dsm.alloc_at::<u64>(ROUNDS as usize * words, 0);
+        let p = dsm.alloc_at::<u64>(words, 2);
+        let mut seen = 0u64;
+        for round in 1..=ROUNDS {
+            let (write, read) = ((round % 2) as usize, (1 - round % 2) as usize);
+            match dsm.me() {
+                1 => {
+                    seen = fold(seen, dsm.read(&qs, (round as usize - 1) * words));
+                    dsm.charge_flops(100_000);
+                    seen = fold(seen, dsm.read(&p, read));
+                }
+                2 => {
+                    dsm.write(&p, write, round);
+                    dsm.charge_flops(1_000_000);
+                }
+                _ => {}
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ccl);
+    let clean = run_program(base.clone(), program);
+    let out = run_program(base.with_crash(CrashPlan::new(1, 5)), program);
+    assert!(out.recovery_time().is_some(), "crash was not injected");
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(
+            a.result, b.result,
+            "node {}: a replayed read saw the next barrier's image",
+            a.node
+        );
+    }
+    // The case the test is about happened: replay restored the Q pages
+    // on demand, with P's next wave in flight.
+    let victim = &out.nodes[1];
+    let crashed = victim.crashed_at.expect("crash time");
+    let exit = victim.recovery_exit.expect("recovery never completed");
+    let on_demand = victim
+        .trace
+        .iter()
+        .filter(|ev| ev.at >= crashed && ev.at <= exit)
+        .filter(|ev| matches!(ev.kind, TraceKind::ReadFault { .. }))
+        .count();
+    assert!(on_demand >= 4, "{on_demand} pages restored on demand");
 }
 
 // ------------------------------------------------------------
