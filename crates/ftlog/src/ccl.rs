@@ -9,10 +9,10 @@
 //! * the diffs this node itself produced at the end of each interval.
 //!
 //! Fetched page copies are **not** logged — they are reconstructible.
-//! The log flush is issued right after the diffs are sent to their home
-//! nodes, so the disk access overlaps the diff round-trips; only the
-//! residual (if the disk is slower than the network) lands on the
-//! critical path.
+//! The log is written right after the diffs are sent to their home
+//! nodes, so the write and the diff round trip overlap: the node pays
+//! only the part of its `write()` copy that outlasts the acks, and the
+//! device drains the batch in the background.
 //!
 //! Recovery opens with a one-round-trip *handshake*: the recovering
 //! node sends [`Msg::RecoveryHello`] to every peer before it even scans
@@ -239,8 +239,10 @@ struct HeldPages {
 
 /// Coherence-centric logging.
 pub struct CclLogger {
-    /// Overlap the log flush with the diff round-trip (the paper's
-    /// latency-tolerance technique). `false` gives the ablation variant.
+    /// Overlap the log write with the diff round trip and drain it in
+    /// the background (the paper's latency-tolerance technique): the
+    /// node pays the longer of write and acks. `false` gives ablation
+    /// A1, which writes through before the diffs leave and pays the sum.
     overlap: bool,
     /// Restore pages ahead of replay (the paper's recovery
     /// optimization). `false` leaves it to faults (ablation A2).
@@ -295,8 +297,9 @@ impl CclLogger {
         }
     }
 
-    /// Ablation variant: identical log contents, but the flush is
-    /// charged serially like ML's.
+    /// Ablation variant (A1): identical log contents, but each flush is
+    /// written through before the diffs leave, so the node pays the
+    /// write and the ack round trip in sequence, like ML.
     pub fn without_overlap() -> CclLogger {
         CclLogger {
             overlap: false,
@@ -366,6 +369,16 @@ impl CclLogger {
                 }
                 (cpu, drain)
             }
+        }
+    }
+
+    /// Ablation A1's flush: no latency tolerance anywhere — the staged
+    /// records are written through, seek and drain on the critical path.
+    fn write_through(&mut self, inner: &mut NodeInner) {
+        let (cpu, drain) = self.flush_staged(inner);
+        if drain > SimDuration::ZERO {
+            let d = cpu + inner.ctx.disk.model().access_latency + drain;
+            inner.ctx.charge_disk(d);
         }
     }
 
@@ -1022,20 +1035,17 @@ impl FaultTolerance for CclLogger {
         // paper's schedule: flushed at the subsequent release) —
         // asynchronously, durable long before the next barrier.
         if matches!(kind, SyncKind::Barrier(_)) {
-            let (cpu, drain) = self.flush_staged(inner);
-            if drain > SimDuration::ZERO {
-                if self.overlap {
-                    // Only the write() copy is paid here: the batch
-                    // joins the device queue and no backpressure is
-                    // charged at a barrier.
+            if self.overlap {
+                // Only the write() copy is paid here: the batch joins
+                // the device queue and no backpressure is charged at a
+                // barrier.
+                let (cpu, drain) = self.flush_staged(inner);
+                if drain > SimDuration::ZERO {
                     inner.ctx.charge_disk(cpu);
                     let _ = self.log.write_behind(inner, drain);
-                } else {
-                    // Ablation A1: no latency tolerance anywhere —
-                    // write-through with the full access cost.
-                    let d = cpu + inner.ctx.disk.model().access_latency + drain;
-                    inner.ctx.charge_disk(d);
                 }
+            } else {
+                self.write_through(inner);
             }
         }
     }
@@ -1065,24 +1075,27 @@ impl FaultTolerance for CclLogger {
                 },
             );
         }
+        if !self.overlap {
+            // A1 writes before the diffs leave: their ack round trip
+            // starts only once the write is through.
+            self.write_through(inner);
+        }
     }
 
     fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
+        if !self.overlap {
+            return SimDuration::ZERO; // written through before the sends
+        }
         let (cpu, drain) = self.flush_staged(inner);
         if drain == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
-        if self.overlap {
-            // Asynchronous write-behind: the device drains the flush
-            // while the node waits for its diff acks and computes on
-            // (the paper's latency-tolerance technique). Visible: the
-            // write() copy, plus backpressure from an undrained flush.
-            cpu + self.log.write_behind(inner, drain)
-        } else {
-            // Ablation A1: write-through — the flush seeks and drains
-            // synchronously on the critical path.
-            cpu + inner.ctx.disk.model().access_latency + drain
-        }
+        // Asynchronous write-behind: the write() copy overlaps the diff
+        // acks in flight, and the device drains the batch in the
+        // background while the node computes on (the paper's
+        // latency-tolerance technique). Visible: the copy, plus
+        // backpressure from an undrained flush.
+        cpu + self.log.write_behind(inner, drain)
     }
 
     fn begin_recovery(&mut self, inner: &mut NodeInner) {

@@ -109,9 +109,9 @@ pub trait FaultTolerance: Send {
     }
 
     /// Stable-storage flush issued *right after* the diffs are sent
-    /// (CCL flushes here, so the device drains while the diff acks are
-    /// in flight). Returns what remains visible on the critical path,
-    /// charged once the acks are in.
+    /// (CCL flushes here). Returns its visible cost, charged at once,
+    /// before the node waits for the diff acks: the write and the ack
+    /// round trip overlap, and the node pays only the longer of the two.
     fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
         SimDuration::ZERO
     }

@@ -587,8 +587,9 @@ impl HlrcNode {
     // ---------------------------------------------------------------
 
     /// Close the current interval: create diffs for dirtied pages, flush
-    /// them to their homes, wait for acks, and run the logging protocol's
-    /// flush hooks. No-op (except the ML flush) when nothing was written.
+    /// them to their homes, run the logging protocol's flush hooks (the
+    /// after-send one while the acks are in flight) and wait for the
+    /// acks. No-op (except the ML flush) when nothing was written.
     fn end_interval(&mut self) {
         self.pump();
         // ML flushes its volatile log of incoming messages before the
@@ -647,9 +648,14 @@ impl HlrcNode {
                 .ctx
                 .trace(TraceKind::DiffFlush { to: home, bytes });
         }
-        // CCL issues its log flush here so the disk access proceeds in
-        // parallel with the diff round-trips.
+        // CCL writes its log here, with the diffs already on the wire:
+        // the write and the ack round trip overlap, and the node resumes
+        // at the later of the two. The ack wait is measured from the end
+        // of the write, so it records only what the write did not cover.
         let post = self.ft.flush_after_send(&mut self.inner);
+        if post > SimDuration::ZERO {
+            self.inner.ctx.charge_disk(post);
+        }
         let t0 = self.inner.ctx.now();
         let mut pending = n_flushes;
         // Acks are absorbed in virtual arrival order, so the last one is
@@ -666,9 +672,6 @@ impl HlrcNode {
                 home,
                 wait_ns: waited.as_nanos(),
             });
-        }
-        if post > SimDuration::ZERO {
-            self.inner.ctx.charge_disk(post);
         }
     }
 

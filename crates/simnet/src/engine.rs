@@ -174,7 +174,8 @@ pub enum TraceKind {
     FlushAckWait {
         /// The home whose ack completed the wait.
         home: NodeId,
-        /// Virtual nanoseconds from first flush sent to last ack.
+        /// Virtual nanoseconds from the end of the interval's sends
+        /// (and of the log write issued with them) to the last ack.
         wait_ns: u64,
     },
     /// The node crashed (volatile state lost).

@@ -4,8 +4,8 @@
 
 use ccl_apps::App;
 use ccl_core::{
-    run_program, ClusterSpec, CrashPlan, LogObj, NodeOutput, Protocol, RunOutput, TraceEvent,
-    TraceKind,
+    run_program, ClusterSpec, CostModel, CrashPlan, LogObj, NodeOutput, Protocol, RunOutput,
+    SimDuration, SimTime, TraceEvent, TraceKind,
 };
 
 fn run_app(app: App, protocol: Protocol) -> RunOutput<u64> {
@@ -159,6 +159,108 @@ fn overlap_hides_ccl_disk_time() {
     );
     // Identical log contents either way.
     assert_eq!(with.total_log_bytes(), without.total_log_bytes());
+}
+
+/// What the writer of [`close_interval_with_remote_diffs`] did at the
+/// end of its interval.
+struct IntervalEnd {
+    /// When the interval was closed: the writer entered the barrier.
+    at: SimTime,
+    /// Its ack wait, as traced (`FlushAckWait`).
+    ack_wait: SimDuration,
+    /// The bytes it logged as it closed the interval (CCL only).
+    flushed: usize,
+}
+
+/// Node 1 of 8 writes `k` whole 4 KiB pages, homed round-robin on the
+/// other seven nodes, and closes the interval at a barrier: `k` remote
+/// diffs, one `DiffFlush` per home.
+fn close_interval_with_remote_diffs(protocol: Protocol, k: usize) -> IntervalEnd {
+    const WRITER: usize = 1;
+    let words = 4096 / 8;
+    let spec = ClusterSpec::new(8, k as u32).with_protocol(protocol);
+    let out = run_program(spec, move |dsm| {
+        let homes = (0..dsm.nodes()).filter(|&n| n != WRITER).cycle();
+        let pages: Vec<_> = homes
+            .take(k)
+            .map(|h| dsm.alloc_at::<u64>(words, h))
+            .collect();
+        if dsm.me() == WRITER {
+            for (i, page) in pages.iter().enumerate() {
+                let vals: Vec<u64> = (0..words as u64)
+                    .map(|w| ((i as u64) << 32) | (w + 1))
+                    .collect();
+                dsm.write_slice(page, 0, &vals);
+            }
+        }
+        dsm.barrier();
+        0u64
+    });
+    let trace = &out.nodes[WRITER].trace;
+    let enter = trace
+        .iter()
+        .position(|ev| matches!(ev.kind, TraceKind::BarrierEnter { .. }))
+        .expect("the writer entered the barrier");
+    let interval = &trace[..enter];
+    let ack_wait = interval
+        .iter()
+        .find_map(|ev| match ev.kind {
+            TraceKind::FlushAckWait { wait_ns, .. } => Some(SimDuration::from_nanos(wait_ns)),
+            _ => None,
+        })
+        .expect("the writer waited for its diff acks");
+    let flushed = interval
+        .iter()
+        .map(|ev| match ev.kind {
+            TraceKind::LogFlush { bytes, .. } => bytes as usize,
+            _ => 0,
+        })
+        .sum();
+    IntervalEnd {
+        at: trace[enter].at,
+        ack_wait,
+        flushed,
+    }
+}
+
+/// CCL writes its log while the diffs it just sent are acked: the
+/// writer resumes at the later of write and acks, i.e. None's time plus
+/// the part of the `write()` copy that outlasts the ack round trip.
+/// Ablation A1 writes through before the diffs leave, and pays the
+/// write-through and the round trip in sequence.
+#[test]
+fn ccl_log_write_overlaps_the_diff_round_trip() {
+    let disk = CostModel::default().disk;
+    for (k, write_is_hidden) in [(1, true), (28, false)] {
+        let none = close_interval_with_remote_diffs(Protocol::None, k);
+        let ccl = close_interval_with_remote_diffs(Protocol::Ccl, k);
+        let a1 = close_interval_with_remote_diffs(Protocol::CclNoOverlap, k);
+        assert_eq!(none.flushed, 0);
+        assert!(ccl.flushed > k * 4096, "k={k}: the diffs were not logged");
+        assert_eq!(a1.flushed, ccl.flushed, "k={k}: A1 logged other bytes");
+
+        let rtt = none.ack_wait;
+        let write = disk.buffered_write_cost(ccl.flushed);
+        assert_eq!(
+            write < rtt,
+            write_is_hidden,
+            "k={k}: write {write}, acks {rtt}"
+        );
+        let residual = write.saturating_sub(rtt);
+        assert_eq!(ccl.at, none.at + residual, "k={k}: CCL's end of interval");
+        assert_eq!(
+            ccl.ack_wait,
+            rtt.saturating_sub(write),
+            "k={k}: the trace must record only the ack wait the write left"
+        );
+
+        let write_through = write + disk.access_latency + disk.drain_time(a1.flushed);
+        assert_eq!(
+            a1.at,
+            none.at + write_through,
+            "k={k}: A1's end of interval"
+        );
+    }
 }
 
 #[test]
