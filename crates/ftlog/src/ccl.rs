@@ -40,13 +40,18 @@
 //! message CCL does not log at the receiver, is logged at the sender
 //! instead, in volatile memory.
 //!
-//! A replayed interval waits only for what its log could not announce:
+//! A replayed interval waits only for what its log could not announce,
+//! and pays neither trap nor twin for the remote pages its log names:
 //!
 //! * the remote pages it writes are named by its own logged `Diffs`
 //!   records, and those not resident when it starts join the wave of
 //!   the sync that opens it — the request its first fault on each would
 //!   have sent, clock and all. The first replayed interval, which no
-//!   sync opens, gets a wave of its own before replay starts;
+//!   sync opens, gets a wave of its own before replay starts. Once the
+//!   wave is in, those pages are opened for writing: the diffs they
+//!   would be twinned for already sit at their homes. A page written
+//!   back to the values it held (an empty diff) is in no record, and
+//!   traps and twins as it did live;
 //! * once a sync's wave is absorbed, the next sync's wave leaves, one
 //!   interval ahead: its logged-diff requests, and the page requests for
 //!   the resident copies its notices name. Those are the requests that
@@ -212,6 +217,24 @@ fn segment(records: &[(CclRecord, usize)], from: usize) -> Segment {
         }
     }
     seg
+}
+
+/// Open for writing the resident remote copies `next`'s own logged diffs
+/// name ([`hlrc::PageTable::open_logged_write`]): replay need not trap or
+/// twin to learn that the segment writes them. Only where a real `Sync`
+/// record closes the segment, as in [`CclLogger::send_ahead`]: at a
+/// synthesized one replay may be abandoned mid-interval, and the live
+/// interval end would find a written page without a twin.
+fn open_written(inner: &mut NodeInner, next: &Segment) {
+    if next.sync.as_ref().is_none_or(|(.., size)| *size == 0) {
+        return;
+    }
+    for &page in &next.written {
+        let e = inner.pages.entry(page);
+        if !inner.pages.is_home(page) && e.frame.is_some() && e.state == PageState::ReadOnly {
+            inner.pages.open_logged_write(page);
+        }
+    }
 }
 
 fn is_fetch_reply(m: &Msg) -> bool {
@@ -847,8 +870,8 @@ impl CclLogger {
 
     /// Walk the log to the next `Sync` record, collecting update records
     /// along the way; then apply the sync's notices, restore the pages
-    /// they name and those the next interval writes, and send the next
-    /// sync's wave ahead.
+    /// they name and those the next interval writes, open the latter for
+    /// writing, and send the next sync's wave ahead.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncKind) -> RecoveryStep {
         // Phase 1: scan records for this step (one sequential disk read),
         // collecting the recorded home-copy updates of the interval.
@@ -941,6 +964,9 @@ impl CclLogger {
             "the wave sent ahead asked for a page its sync does not want"
         );
         self.restore_wave(inner, wave, &pages);
+        if let Some(next) = &next {
+            open_written(inner, next);
+        }
 
         inner.ctx.trace(TraceKind::RecoveryReplay {
             notices: fresh.len() as u32,
@@ -1208,6 +1234,7 @@ impl FaultTolerance for CclLogger {
         if !pages.is_empty() {
             self.restore_wave(inner, Wave::default(), &pages);
         }
+        open_written(inner, &first);
         self.send_ahead(inner, first);
     }
 

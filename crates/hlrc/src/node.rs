@@ -301,6 +301,9 @@ impl HlrcNode {
         }
         let state = self.inner.pages.entry(page).state;
         match state.fault_for(access) {
+            // A copy replay opened for the write its log names
+            // (`PageTable::open_logged_write`) is booked at that write.
+            None if access == Access::Write => self.inner.pages.entry_mut(page).dirty = true,
             None => {}
             Some(fault) => {
                 let trap = self.inner.ctx.cost.cpu.fault_trap;

@@ -328,6 +328,32 @@ impl PageTable {
         e.predicted = None;
     }
 
+    /// Replay's log says the stretch up to the next sync writes the
+    /// resident copy of non-home page `page`: make it writable with no
+    /// write trap and no twin. Nothing is booked here — the first write
+    /// marks it dirty (see [`HlrcNode::ensure_access`]), so whichever
+    /// interval writes it books it, as a trapped write would have, with
+    /// a `None` twin that replay drops. Replay only: a live interval
+    /// diffs every remote page it writes against a twin.
+    ///
+    /// [`HlrcNode::ensure_access`]: crate::HlrcNode::ensure_access
+    pub fn open_logged_write(&mut self, page: PageId) {
+        let e = &mut self.entries[page as usize];
+        debug_assert!(
+            e.home != self.me
+                && e.frame.is_some()
+                && e.state == PageState::ReadOnly
+                && e.twin.is_none()
+                && !e.dirty,
+            "opening page {page} in state {:?} (home {}, twin {}, dirty {})",
+            e.state,
+            e.home,
+            e.twin.is_some(),
+            e.dirty
+        );
+        e.state = PageState::Writable;
+    }
+
     /// Apply a writer's diff to the home copy, bumping its version.
     ///
     /// The decoder already rejects structurally malformed diffs; the

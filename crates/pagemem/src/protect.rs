@@ -14,7 +14,9 @@ pub enum PageState {
     Invalid,
     /// Valid read-only copy (PROT_READ): writes fault (twin creation).
     ReadOnly,
-    /// Writable copy with a twin in place (PROT_READ|PROT_WRITE).
+    /// Writable copy (PROT_READ|PROT_WRITE): opened by a write fault,
+    /// with a twin in place — or, in log replay, opened ahead of a
+    /// write the log names, with none.
     Writable,
 }
 

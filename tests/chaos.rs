@@ -453,8 +453,9 @@ fn sequential_crashes_of_distinct_nodes_ccl() {
 
 /// CCL's failure-free behaviour does not depend on how many crashes are
 /// scheduled: a home write is never twinned, nothing about it reaches
-/// the log, and up to the first crash a two-crash run is, event for
-/// event and nanosecond for nanosecond, the single-crash run.
+/// the log, a replayed remote write is not twinned either, and up to
+/// the first crash a two-crash run is, event for event and nanosecond
+/// for nanosecond, the single-crash run.
 #[test]
 fn two_crash_runs_log_and_twin_like_any_other() {
     let [sequential, ..] = two_crash_schedules();
@@ -469,14 +470,9 @@ fn two_crash_runs_log_and_twin_like_any_other() {
                 .with_crash(sequential[0])
                 .with_crash(sequential[1]),
         );
-        // (A node that replays a remote write twins it again and diffs
-        // nothing: its diff reached the home before the crash.)
-        let home_only = matches!(program, Program::App(_));
-        for n in two
-            .nodes
-            .iter()
-            .filter(|n| home_only || n.crashed_at.is_none())
-        {
+        // Victims included: replay opens the remote pages its log says
+        // an interval writes, so it twins none of them again.
+        for n in &two.nodes {
             assert_eq!(
                 n.stats.twins_created,
                 n.stats.diffs_created,

@@ -2,6 +2,8 @@
 //! stable log, and the whole computation must still produce the exact
 //! failure-free result — the correctness gate of DESIGN.md.
 
+use std::collections::BTreeSet;
+
 use ccl_apps::App;
 use ccl_core::{
     kind_label, run_program, ClusterSpec, CrashPlan, Protocol, SimDuration, TraceKind, MSG_KINDS,
@@ -908,7 +910,8 @@ fn the_pages_the_first_replayed_interval_writes_are_restored_in_one_wave() {
     // 2 every round, and fails. Its first replayed interval writes all
     // six before any sync, so no notice names them: its own logged
     // diffs do. Recovery asks for the six at one instant, before replay
-    // starts, and no write fault of the replay asks for anything.
+    // starts, and opens them for writing: the interval takes no write
+    // fault on any of them.
     const PER_HOME: usize = 3;
     let program = |dsm: &mut ccl_core::Dsm| {
         let words = dsm.page_size() / 8;
@@ -941,43 +944,52 @@ fn the_pages_the_first_replayed_interval_writes_are_restored_in_one_wave() {
     for (a, b) in clean.nodes.iter().zip(&out.nodes) {
         assert_eq!(a.result, b.result, "node {} diverged", a.node);
     }
-    let victim = &out.nodes[1];
+    // The six pages: what the victim's fault-free run write-faults on.
+    let written: BTreeSet<u32> = clean.nodes[1]
+        .trace
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            TraceKind::WriteFault { page } => Some(page),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(written.len(), 2 * PER_HOME);
     // The recovery window up to the first replayed sync, in trace order.
-    let window: Vec<_> = victim
+    let window: Vec<_> = out.nodes[1]
         .trace
         .iter()
         .skip_while(|ev| ev.kind != TraceKind::Crash)
         .take_while(|ev| !matches!(ev.kind, TraceKind::RecoveryReplay { .. }))
         .collect();
-    let first_write = window
+    let asked: Vec<ccl_core::SimTime> = window
         .iter()
-        .position(|ev| matches!(ev.kind, TraceKind::WriteFault { .. }))
-        .expect("the first replayed interval writes");
-    let asked = |events: &[&ccl_core::TraceEvent]| -> Vec<ccl_core::SimTime> {
-        events
-            .iter()
-            .filter(|ev| {
-                matches!(
-                    ev.kind,
-                    TraceKind::MsgSend {
-                        msg: "RecoveryPageRequest",
-                        ..
-                    }
-                )
-            })
-            .map(|ev| ev.at)
-            .collect()
-    };
-    let ahead = asked(&window[..first_write]);
-    assert_eq!(ahead.len(), 2 * PER_HOME, "pages restored before replay");
+        .filter(|ev| {
+            matches!(
+                ev.kind,
+                TraceKind::MsgSend {
+                    msg: "RecoveryPageRequest",
+                    ..
+                }
+            )
+        })
+        .map(|ev| ev.at)
+        .collect();
+    assert_eq!(asked.len(), 2 * PER_HOME, "pages restored before replay");
     assert!(
-        ahead.iter().all(|t| *t == ahead[0]),
-        "the restores left at {ahead:?}, not at one instant"
+        asked.iter().all(|t| *t == asked[0]),
+        "the restores left at {asked:?}, not at one instant"
     );
+    let trapped: Vec<_> = window
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            TraceKind::WriteFault { page } if written.contains(&page) => Some(page),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        asked(&window[first_write..]),
+        trapped,
         vec![],
-        "a write fault of the replay restored a page on demand"
+        "the first replayed interval trapped on pages its log names"
     );
 }
 
@@ -1043,6 +1055,140 @@ fn a_wave_sent_ahead_is_absorbed_at_its_sync_not_when_it_arrives() {
         .filter(|ev| matches!(ev.kind, TraceKind::ReadFault { .. }))
         .count();
     assert!(on_demand >= 4, "{on_demand} pages restored on demand");
+}
+
+// ------------------------------------------------------------
+// Replayed writes: what the log lets replay skip
+// ------------------------------------------------------------
+
+/// The pages `victim` write-faults on between its crash and the end of
+/// its recovery, in trace order.
+fn replay_write_faults(victim: &ccl_core::NodeOutput<u64>) -> Vec<u32> {
+    victim
+        .trace
+        .iter()
+        .skip_while(|ev| ev.kind != TraceKind::Crash)
+        .take_while(|ev| ev.kind != TraceKind::RecoveryEnd)
+        .filter_map(|ev| match ev.kind {
+            TraceKind::WriteFault { page } => Some(page),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn replayed_writes_to_logged_pages_take_no_trap() {
+    // Every round node 1 takes lock 1 only to read page S (an interval
+    // that writes nothing, closed by the release), then writes one word
+    // of each of four pages homed at nodes 0 and 2, and a word of S with
+    // the value it already holds: an empty diff, so S is in no `Diffs`
+    // record. Replaying, node 1 opens the four pages at each acquire —
+    // its log names them — and the release in between books none of
+    // them: each is booked by the interval that writes it. S, which
+    // nothing in the log names, traps and is twinned as it was live,
+    // once per replayed round.
+    const PER_HOME: usize = 2;
+    const ROUNDS: u64 = 6;
+    // Pages are allocated in order from page 0: S follows the four.
+    const S: u32 = 2 * PER_HOME as u32;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let a = dsm.alloc_at::<u64>(PER_HOME * words, 0);
+        let b = dsm.alloc_at::<u64>(PER_HOME * words, 2);
+        let s = dsm.alloc_at::<u64>(words, 0);
+        let mut seen = 0u64;
+        for round in 1..=ROUNDS {
+            if dsm.me() == 1 {
+                dsm.acquire(1);
+                seen = fold(seen, dsm.read(&s, 0));
+                dsm.release(1);
+                for p in 0..PER_HOME {
+                    dsm.write(&a, p * words + 1, round);
+                    dsm.write(&b, p * words + 1, 10 * round);
+                }
+                dsm.write(&s, 0, 0);
+            }
+            dsm.barrier();
+            if dsm.me() != 1 {
+                for p in 0..PER_HOME {
+                    seen = fold(seen, dsm.read(&a, p * words + 1));
+                    seen = fold(seen, dsm.read(&b, p * words + 1));
+                }
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ccl);
+    let clean = run_program(base.clone(), program);
+    let out = run_program(base.with_crash(CrashPlan::new(1, 2 * ROUNDS - 2)), program);
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    let replayed = ROUNDS - 1;
+    let victim = &out.nodes[1];
+    assert_eq!(
+        replay_write_faults(victim),
+        vec![S; replayed as usize],
+        "replay trapped on a page its log names, or not on the silent one"
+    );
+    // Live, every twin is diffed; replay twinned S alone.
+    let stats = &victim.stats;
+    assert_eq!(stats.diffs_created, clean.nodes[1].stats.diffs_created);
+    assert_eq!(stats.twins_created - stats.diffs_created, replayed);
+}
+
+#[test]
+fn a_replay_that_may_be_abandoned_opens_nothing() {
+    // Every round node 1 writes page P, homed at node 0, then takes lock
+    // 1 and lets it go. The acquire flushes P's diff; its `Sync` record
+    // waits for the barrier's flush, and the crash after that barrier
+    // tears the whole batch away. The log now ends in P's diff, and the
+    // barrier record is synthesized from the manager's history. Replay
+    // meets it where it expected the acquire and goes live there: that
+    // interval end needs P's twin. So replay must not open P at the
+    // barrier before — the segment ends in a record that may abandon it
+    // — and P traps in the replayed round as it did live.
+    const ROUNDS: u64 = 4;
+    // A tear seed that keeps none of a two-record batch.
+    const TEAR_EVERYTHING: u64 = 2;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let p = dsm.alloc_at::<u64>(words, 0);
+        let mut seen = 0u64;
+        for round in 1..=ROUNDS {
+            if dsm.me() == 1 {
+                dsm.write(&p, 1, round);
+                dsm.acquire(1);
+                dsm.release(1);
+            }
+            dsm.barrier();
+            if dsm.me() != 1 {
+                seen = fold(seen, dsm.read(&p, 1));
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ccl);
+    let clean = run_program(base.clone(), program);
+    let crash = CrashPlan::new(1, 2 * ROUNDS - 3).with_torn_tail(TEAR_EVERYTHING);
+    let out = run_program(base.with_crash(crash), program);
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    let victim = &out.nodes[1];
+    assert_eq!(victim.disk.torn_records, 2, "the tear kept a sync record");
+    // P is page 0; the rounds before, which a real record closes, open it.
+    assert_eq!(
+        replay_write_faults(victim),
+        vec![0],
+        "replay opened P before a synthesized record, or trapped on it before a real one"
+    );
 }
 
 // ------------------------------------------------------------
