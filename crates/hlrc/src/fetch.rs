@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use pagemem::{PageId, PageState};
-use simnet::{CoherenceProtocol, Envelope, NodeId, SimTime, TraceKind};
+use simnet::{Envelope, NodeId, SimTime, TraceKind};
 
 use crate::msg::{Msg, PageCopy};
 use crate::node::{HlrcNode, NodeInner};

@@ -21,7 +21,6 @@
 mod config;
 mod fault_tolerance;
 mod fetch;
-pub mod homeless;
 mod migrate;
 mod msg;
 mod node;
@@ -32,7 +31,6 @@ mod sync;
 pub use config::DsmConfig;
 pub use fault_tolerance::{FaultTolerance, NoLogging, RecoveryStep, SyncKind};
 pub use fetch::{PrefetchState, MAX_EXTRAS};
-pub use homeless::{HMsg, HomelessNode};
 pub use migrate::MigrationState;
 pub use msg::{
     decode_notices, encode_notices, kind_label, EpochRelease, HomeMigration, Msg, PageCopy,
@@ -41,5 +39,4 @@ pub use msg::{
 pub use node::{HlrcNode, NodeInner, OpenTwins};
 pub use page_table::{NodeSet, PageEntry, PageTable};
 pub use served::ServedLog;
-pub use simnet::CoherenceProtocol;
 pub use sync::{BarrierMgr, LockState, LockTable, PendingAcquire};

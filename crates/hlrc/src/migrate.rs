@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use pagemem::{Encode, IntervalId, PageDiff, PageId, SharedBytes};
-use simnet::{CoherenceProtocol, Envelope, TraceKind};
+use simnet::{Envelope, TraceKind};
 
 use crate::msg::{HomeMigration, Msg};
 use crate::node::{HlrcNode, NodeInner};

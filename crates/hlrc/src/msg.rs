@@ -249,7 +249,7 @@ pub fn decode_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecE
 }
 
 /// A `u32`-counted list of `u32` ids (interval seqs, page ids).
-pub(crate) fn decode_ids(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError> {
+fn decode_ids(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError> {
     let n = r.get_u32()? as usize;
     let mut v = Vec::with_capacity(r.capacity_for(n, 4));
     for _ in 0..n {

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use pagemem::Encode;
 use pagemem::{Access, BufferPool, Fault, IntervalId, PageDiff, PageId, PageState, Twin, VClock};
-use simnet::{CoherenceProtocol, Envelope, NodeCtx, NodeId, SimDuration, SimTime, TraceKind};
+use simnet::{Envelope, NodeCtx, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::config::DsmConfig;
 use crate::fault_tolerance::{FaultTolerance, RecoveryStep, SyncKind};
@@ -983,31 +983,83 @@ impl NodeInner {
     }
 }
 
-/// The engine runs the HLRC node: the pump, the reply-while-blocked
-/// loop, and the crash/resume lifecycle come from
-/// [`CoherenceProtocol`]; this impl supplies only message service and
-/// the recovery deferral predicate.
-impl CoherenceProtocol<Msg> for HlrcNode {
-    fn ctx(&mut self) -> &mut NodeCtx<Msg> {
-        &mut self.inner.ctx
-    }
+impl HlrcNode {
+    // ---------------------------------------------------------------
+    // Message service: the node's outer loop
+    // ---------------------------------------------------------------
 
-    /// True while replaying from the log after a crash: serving a peer
-    /// from a half-restored memory image would hand out corrupt data.
-    fn deferring(&self) -> bool {
-        self.ft.in_recovery()
-    }
-
-    /// A recovering peer's requests are exempt from deferral (see
-    /// [`Msg::is_recovery_request`]).
+    /// True if `payload` must wait out this node's log replay instead
+    /// of being serviced: serving a peer from a half-restored memory
+    /// image would hand out corrupt data. A recovering peer's requests
+    /// are exempt (see [`Msg::is_recovery_request`]): two nodes
+    /// recovering at once must keep serving each other.
     fn must_defer(&self, payload: &Msg) -> bool {
         self.ft.in_recovery() && !payload.is_recovery_request()
+    }
+
+    /// Drain every message that has already arrived in virtual time,
+    /// servicing (or deferring) each. Called at fault/synchronization
+    /// points and whenever the node blocks. Bounded by the node's own
+    /// clock: the conservative scheduler only releases envelopes the
+    /// node could observe "now", so pumping never waits on peers that
+    /// are merely behind. [`NodeCtx::recv_arrived`] pulls whole batches
+    /// of admissible envelopes out of the sharded fabric under one lock
+    /// acquisition and replays them from a local buffer, so a busy
+    /// service pump costs one fabric visit per burst, not per message.
+    fn pump(&mut self) {
+        while let Some(env) = self.inner.ctx.recv_arrived() {
+            if self.must_defer(&env.payload) {
+                self.inner.ctx.defer(env);
+            } else {
+                self.service(env, false);
+            }
+        }
+    }
+
+    /// Block until a message matching `pred` arrives (absorbing its
+    /// arrival time as wait), servicing all other traffic
+    /// asynchronously — or deferring it during recovery.
+    pub fn wait_for<F: Fn(&Msg) -> bool>(&mut self, pred: F) -> Envelope<Msg> {
+        loop {
+            let env = self.inner.ctx.recv().expect("cluster channel closed");
+            if pred(&env.payload) {
+                self.inner.ctx.absorb(&env);
+                return env;
+            }
+            if self.must_defer(&env.payload) {
+                self.inner.ctx.defer(env);
+            } else {
+                self.service(env, false);
+            }
+        }
+    }
+
+    /// Service messages until `more` returns false. The barrier manager
+    /// uses this to gather arrivals: each incoming message is serviced
+    /// normally (updating manager state), and the loop exits once the
+    /// gather condition is met.
+    fn service_while<F: Fn(&Self) -> bool>(&mut self, more: F) {
+        while more(self) {
+            let env = self.inner.ctx.recv().expect("cluster channel closed");
+            self.service(env, false);
+        }
+    }
+
+    /// Log replay has finished: stamp the recovery end time, emit the
+    /// telemetry event, and service everything deferred while replaying
+    /// (in arrival order, timed from "now").
+    fn resume_live(&mut self) {
+        self.inner.ctx.mark_recovered();
+        for env in self.inner.ctx.take_deferred() {
+            self.service(env, true);
+        }
     }
 
     /// Service one asynchronous protocol message: a stall gate, then
     /// one handler per message kind. `deferred` marks messages replayed
     /// after recovery, whose service time is "now" rather than their
-    /// (long past) arrival time.
+    /// (long past) arrival time; reply timing is based on
+    /// [`NodeCtx::async_service_base`].
     fn service(&mut self, env: Envelope<Msg>, deferred: bool) {
         if !self.inner.in_barrier {
             // Out of the barrier: what the epoch fence held back goes
@@ -1051,9 +1103,7 @@ impl CoherenceProtocol<Msg> for HlrcNode {
             ),
         }
     }
-}
 
-impl HlrcNode {
     /// Home side of [`Msg::DiffFlush`]: apply the writer's diffs to the
     /// home copies and acknowledge. Takes the envelope by value so the
     /// run buffers of every applied diff can be recycled into the pool

@@ -1,47 +1,14 @@
-//! Engine-level equivalence and telemetry contracts.
+//! Coherence and telemetry contracts.
 //!
-//! Both coherence protocols run on the same `simnet::CoherenceProtocol`
-//! engine; for any race-free schedule they must compute the same
-//! application values, and the engine's trace stream must be
+//! For any race-free schedule HLRC must compute what a serial execution
+//! of the same schedule computes, and the trace stream must be
 //! time-ordered.
 
-use hlrc::homeless::HomelessNode;
-use hlrc::{CoherenceProtocol, DsmConfig, HlrcNode, NoLogging};
+use hlrc::{DsmConfig, HlrcNode, NoLogging};
 use minicheck::{check, Rng};
 use simnet::{run_cluster, SimTime};
 
 const PAGE: usize = 256;
-
-/// The operations a schedule needs, implemented by both protocols.
-trait Mem {
-    fn read(&mut self, addr: usize) -> u64;
-    fn write(&mut self, addr: usize, v: u64);
-    fn barrier(&mut self);
-}
-
-impl Mem for HlrcNode {
-    fn read(&mut self, addr: usize) -> u64 {
-        self.read_u64(addr)
-    }
-    fn write(&mut self, addr: usize, v: u64) {
-        self.write_u64(addr, v)
-    }
-    fn barrier(&mut self) {
-        HlrcNode::barrier(self)
-    }
-}
-
-impl Mem for HomelessNode {
-    fn read(&mut self, addr: usize) -> u64 {
-        self.read_u64(addr)
-    }
-    fn write(&mut self, addr: usize, v: u64) {
-        self.write_u64(addr, v)
-    }
-    fn barrier(&mut self) {
-        HomelessNode::barrier(self)
-    }
-}
 
 /// One pseudorandom, race-free barrier schedule: `rounds` rounds, each
 /// node writing words of its own stripe (word w belongs to node
@@ -62,29 +29,67 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fold(digest: u64, v: u64) -> u64 {
+    (digest ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
 impl Schedule {
-    fn run(&self, me: usize, node: &mut dyn Mem) -> u64 {
-        let words = self.pages as usize * PAGE / 8;
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    fn words(&self) -> usize {
+        self.pages as usize * PAGE / 8
+    }
+
+    /// The words node `me` writes in `round`, with their values. Race
+    /// free: each word has exactly one writer.
+    fn writes(&self, round: u64, me: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let words = self.words();
+        (0..mix(self.seed ^ round) % 6 + 1).filter_map(move |k| {
+            let w = mix(self.seed ^ (round << 24) ^ (me as u64 * 31) ^ k) as usize % words;
+            let w = w - (w % self.nodes) + me; // my stripe
+            (w < words).then(|| (w, mix(self.seed ^ round ^ w as u64)))
+        })
+    }
+
+    /// The seed-chosen words every node samples after `round`'s writes.
+    fn reads(&self, round: u64) -> impl Iterator<Item = usize> + '_ {
+        let words = self.words();
+        (0..mix(self.seed ^ round ^ 0xABCD) % 8 + 1)
+            .map(move |k| mix(self.seed ^ (round << 16) ^ (k * 7919)) as usize % words)
+    }
+
+    /// Node `me`'s digest when the schedule runs on HLRC.
+    fn run(&self, node: &mut HlrcNode) -> u64 {
+        let me = node.inner.me();
+        let mut digest = DIGEST_SEED;
         for round in 0..self.rounds as u64 {
-            // Race-free writes: each word has exactly one writer.
-            let writes = mix(self.seed ^ round) % 6 + 1;
-            for k in 0..writes {
-                let w = mix(self.seed ^ (round << 24) ^ (me as u64 * 31) ^ k) as usize % words;
-                let w = w - (w % self.nodes) + me; // my stripe
-                if w < words {
-                    node.write(w * 8, mix(self.seed ^ round ^ w as u64));
+            for (w, v) in self.writes(round, me) {
+                node.write_u64(w * 8, v);
+            }
+            node.barrier();
+            for w in self.reads(round) {
+                digest = fold(digest, node.read_u64(w * 8));
+            }
+            node.barrier();
+        }
+        digest
+    }
+
+    /// The specification: the digest of a serial execution, in which
+    /// every node's writes of a round land in one flat memory before
+    /// that round's reads.
+    fn serial(&self) -> u64 {
+        let mut mem = vec![0u64; self.words()];
+        let mut digest = DIGEST_SEED;
+        for round in 0..self.rounds as u64 {
+            for me in 0..self.nodes {
+                for (w, v) in self.writes(round, me) {
+                    mem[w] = v;
                 }
             }
-            node.barrier();
-            // Everyone samples the same seed-chosen words.
-            let reads = mix(self.seed ^ round ^ 0xABCD) % 8 + 1;
-            for k in 0..reads {
-                let w = mix(self.seed ^ (round << 16) ^ (k * 7919)) as usize % words;
-                let v = node.read(w * 8);
-                digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+            for w in self.reads(round) {
+                digest = fold(digest, mem[w]);
             }
-            node.barrier();
         }
         digest
     }
@@ -94,43 +99,34 @@ fn run_hlrc(s: Schedule) -> Vec<u64> {
     let cfg = DsmConfig::new(s.nodes, s.pages).with_page_size(PAGE);
     run_cluster(s.nodes, cfg.cost, move |ctx| {
         let mut node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
-        let me = node.inner.me();
-        let digest = s.run(me, &mut node);
+        let digest = s.run(&mut node);
         node.barrier();
         digest
     })
 }
 
-fn run_homeless(s: Schedule) -> Vec<u64> {
-    let cfg = DsmConfig::new(s.nodes, s.pages).with_page_size(PAGE);
-    run_cluster(s.nodes, cfg.cost, move |ctx| {
-        let mut node = HomelessNode::new(ctx, cfg);
-        let me = node.me();
-        let digest = s.run(me, &mut node);
-        node.barrier();
-        digest
-    })
-}
-
+/// Release consistency on a data-race-free program is sequential
+/// consistency: every node must read what the serial model reads.
 #[test]
-fn hlrc_and_homeless_agree_on_random_schedules() {
-    check("protocol-equivalence", 12, |rng: &mut Rng| {
+fn hlrc_matches_the_serial_model_on_random_schedules() {
+    check("serial-model", 12, |rng: &mut Rng| {
         let s = Schedule {
             seed: rng.next_u64(),
             nodes: rng.usize_in(2, 4),
             pages: rng.u32_in(2, 6),
             rounds: rng.u32_in(1, 4),
         };
-        let h = run_hlrc(s);
-        let l = run_homeless(s);
-        assert_eq!(
-            h, l,
-            "digest divergence between HLRC and homeless (seed {:#x}, \
-             {} nodes, {} pages, {} rounds)",
-            s.seed, s.nodes, s.pages, s.rounds
+        let want = s.serial();
+        let got = run_hlrc(s);
+        assert!(
+            got.iter().all(|&d| d == want),
+            "HLRC diverges from the serial model (seed {:#x}, {} nodes, {} pages, \
+             {} rounds): {got:#x?} vs {want:#x}",
+            s.seed,
+            s.nodes,
+            s.pages,
+            s.rounds
         );
-        // And every node agrees: the read set is identical everywhere.
-        assert!(h.windows(2).all(|w| w[0] == w[1]), "nodes disagree: {h:?}");
     });
 }
 
@@ -145,7 +141,7 @@ fn hlrc_trace_is_nondecreasing_in_virtual_time() {
         node.barrier();
         let _ = node.read_u64(256 + 8);
         node.barrier();
-        node.ctx().take_trace()
+        node.inner.ctx.take_trace()
     });
     for (node, trace) in traces.iter().enumerate() {
         assert!(!trace.is_empty(), "node {node} emitted no telemetry");

@@ -2,7 +2,7 @@
 //! cluster: these exercise the actual message exchanges (fetches, diff
 //! flushes, notices) across real threads.
 
-use hlrc::{CoherenceProtocol, DsmConfig, FaultTolerance, HlrcNode, Msg, NoLogging, RecoveryImage};
+use hlrc::{DsmConfig, FaultTolerance, HlrcNode, Msg, NoLogging, RecoveryImage};
 use pagemem::{IntervalId, VClock};
 use simnet::{run_cluster, SimDuration, SimTime};
 

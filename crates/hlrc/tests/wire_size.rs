@@ -8,12 +8,11 @@
 
 use std::sync::Arc;
 
-use hlrc::homeless::HMsg;
 use hlrc::{Msg, RecoveryImage, WriteNotice, HEADER_BYTES};
 use pagemem::{Encode, IntervalId, PageDiff, PageFrame, Twin, VClock};
 use simnet::WireSized;
 
-fn check<M: WireSized + Encode>(m: &M, body: usize) {
+fn check(m: &Msg, body: usize) {
     assert_eq!(m.encode_to_vec().len(), body, "encoded bytes moved");
     assert_eq!(m.wire_size(), HEADER_BYTES + body, "wire_size mismatch");
 }
@@ -62,8 +61,6 @@ fn diff() -> PageDiff {
     cur.write_u64(128, 77);
     PageDiff::create(3, &twin, &cur)
 }
-
-// ---------------------------------------------------------- Msg (HLRC)
 
 #[test]
 fn msg_page_reply() {
@@ -342,99 +339,5 @@ fn msg_logged_diff_reply() {
             diffs: vec![(IntervalId { node: 1, seq: 2 }, diff())],
         },
         47,
-    );
-}
-
-// ------------------------------------------------------ HMsg (homeless)
-
-#[test]
-fn hmsg_copy_request() {
-    check(&HMsg::CopyRequest { page: 7 }, 5);
-}
-
-#[test]
-fn hmsg_copy_reply() {
-    check(
-        &HMsg::CopyReply {
-            page: 7,
-            data: vec![0xcd; 256].into(),
-            applied: vc(),
-        },
-        273,
-    );
-}
-
-#[test]
-fn hmsg_diff_request() {
-    check(
-        &HMsg::DiffRequest {
-            page: 7,
-            seqs: vec![1, 4],
-        },
-        17,
-    );
-}
-
-#[test]
-fn hmsg_diff_reply() {
-    check(
-        &HMsg::DiffReply {
-            page: 7,
-            diffs: vec![(IntervalId { node: 1, seq: 4 }, diff())],
-        },
-        47,
-    );
-}
-
-#[test]
-fn hmsg_lock_request() {
-    check(&HMsg::LockRequest { lock: 2, vc: vc() }, 13);
-}
-
-#[test]
-fn hmsg_lock_grant() {
-    check(
-        &HMsg::LockGrant {
-            lock: 2,
-            vc: vc(),
-            notices: notices(),
-        },
-        39,
-    );
-}
-
-#[test]
-fn hmsg_lock_release() {
-    check(
-        &HMsg::LockRelease {
-            lock: 2,
-            vc: vc(),
-            notices: notices(),
-        },
-        39,
-    );
-}
-
-#[test]
-fn hmsg_barrier_arrive() {
-    check(
-        &HMsg::BarrierArrive {
-            epoch: 1,
-            vc: vc(),
-            notices: notices(),
-        },
-        39,
-    );
-}
-
-#[test]
-fn hmsg_barrier_release() {
-    check(
-        &HMsg::BarrierRelease {
-            epoch: 1,
-            vc: vc(),
-            notices: notices(),
-        },
-        39,
     );
 }

@@ -91,7 +91,7 @@ fn gate_scale(
     };
     eprintln!(
         "collecting the {} matrix ({} nodes, {} apps x {} protocols + crash runs, \
-         page-size sweep, homeless kernel{chaos})...",
+         page-size sweep{chaos})...",
         scale.label(),
         scale.nodes(),
         App::ALL.len(),

@@ -2,9 +2,9 @@
 //!
 //! One invocation runs the full evaluation matrix — every application
 //! under every protocol, the Figure 5 crash-recovery scenario with and
-//! without recovery prefetching, the 3D-FFT page-size sweep, the
-//! home-based-vs-homeless kernel and, at smoke scale, the
-//! [`chaos_cells`] — and turns the results into three artifacts:
+//! without recovery prefetching, the 3D-FFT page-size sweep and, at
+//! smoke scale, the [`chaos_cells`] — and turns the results into three
+//! artifacts:
 //!
 //! 1. a machine-readable report document ([`report_json`]): digests,
 //!    times, log bytes, message counts, trace and phase fingerprints,
@@ -12,9 +12,9 @@
 //!    run, crash runs included (the documents themselves are
 //!    [`Report::blame`]),
 //! 2. Markdown tables for the paper's Table 1 / Table 2 / Figure 4 /
-//!    Figure 5, the blame and traffic tables, and the ablation,
-//!    related-work and homeless tables, spliced into `EXPERIMENTS.md`
-//!    between `<!-- report:* -->` markers ([`splice_tables`]),
+//!    Figure 5, the blame and traffic tables, and the ablation and
+//!    related-work tables, spliced into `EXPERIMENTS.md` between
+//!    `<!-- report:* -->` markers ([`splice_tables`]),
 //! 3. a regression verdict ([`compare`]) against a committed golden
 //!    document ([`Scale::golden_path`]): every field must match
 //!    exactly. The conservative virtual-time scheduler (DESIGN.md §12)
@@ -25,7 +25,6 @@
 use std::path::{Path, PathBuf};
 
 use ccl_apps::App;
-use ccl_bench::LrcRun;
 use ccl_core::{
     run_program, ClusterSpec, CrashPlan, DiskFaultPlan, FaultPlan, NodeMetrics, Partition,
     Protocol, RunOutput, SimDuration, SimTime,
@@ -322,9 +321,6 @@ pub struct Report {
     pub scale: Scale,
     /// All four applications, in `App::ALL` order.
     pub apps: Vec<AppReport>,
-    /// `ccl-bench`'s stripe+halo kernel at this scale's node count,
-    /// `[home-based, homeless]`.
-    pub lrc: [LrcRun; 2],
     /// The [`chaos_cells`] under their labels; smoke scale only (empty
     /// at paper scale, where they would double `report`'s wall time).
     pub chaos: Vec<(String, RunRecord)>,
@@ -556,12 +552,11 @@ fn kind(label: &str) -> usize {
 
 /// Run the full matrix at `scale`: every application under every
 /// failure-free protocol, one crash of node 1 per [`CRASHED`] protocol,
-/// the 3D-FFT page-size sweep, the home-based-vs-homeless kernel and,
-/// at smoke scale, the [`chaos_cells`]. Every run's blame analysis is
-/// hard-checked for exactness ([`checked_analysis`]) and every node of
-/// every run must end on the failure-free digest (the bit-rot cells'
-/// nodes on one digest: [`ChaosCell::reaches_fault_free`]); the first
-/// violation is the error.
+/// the 3D-FFT page-size sweep and, at smoke scale, the [`chaos_cells`].
+/// Every run's blame analysis is hard-checked for exactness
+/// ([`checked_analysis`]) and every node of every run must end on the
+/// failure-free digest (the bit-rot cells' nodes on one digest:
+/// [`ChaosCell::reaches_fault_free`]); the first violation is the error.
 pub fn collect(scale: Scale) -> Result<Report, String> {
     let mut matrix = Matrix {
         scale,
@@ -609,10 +604,6 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
             page_sizes,
         });
     }
-    let lrc = [ccl_bench::home_based, ccl_bench::homeless].map(|run| run(scale.nodes()));
-    if lrc[0].results != lrc[1].results {
-        return Err("stripe+halo: the two LRC protocols disagree".into());
-    }
     let mut chaos = Vec::new();
     if scale == Scale::Smoke {
         for cell in chaos_cells(scale) {
@@ -630,7 +621,6 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
     Ok(Report {
         scale,
         apps,
-        lrc,
         chaos,
         blame,
     })
@@ -704,23 +694,6 @@ fn run_json(r: &RunRecord) -> Json {
     j
 }
 
-/// Names of the stripe+halo kernel's two protocols, in [`Report::lrc`]
-/// order.
-const LRC: [&str; 2] = ["home-based", "homeless"];
-
-fn lrc_json(run: &LrcRun) -> Json {
-    let mut j = Json::obj();
-    let results: Vec<u8> = run.results.iter().flat_map(|r| r.to_le_bytes()).collect();
-    j.set("digest", Json::from_hex(fnv1a(FNV_OFFSET, &results)));
-    j.set("exec_ns", Json::from_u64(run.exec.as_nanos()));
-    j.set("msgs_sent", Json::from_u64(run.stats.msgs_sent));
-    j.set("bytes_sent", Json::from_u64(run.stats.bytes_sent));
-    j.set("page_fetches", Json::from_u64(run.stats.page_fetches));
-    let retained = Json::from_u64(run.retained_diff_bytes);
-    j.set("retained_diff_bytes", retained);
-    j
-}
-
 /// Render the report as its JSON document. Object keys are semantic
 /// (application names, protocol labels) so golden-diff paths like
 /// `apps.Water.runs.ccl.exec_ns` stay stable as the matrix grows.
@@ -770,11 +743,6 @@ pub fn report_json(report: &Report) -> Json {
         apps.set(a.app.name(), entry);
     }
     doc.set("apps", apps);
-    let mut lrc = Json::obj();
-    for (name, run) in LRC.iter().zip(&report.lrc) {
-        lrc.set(name, lrc_json(run));
-    }
-    doc.set("homeless", lrc);
     if !report.chaos.is_empty() {
         let mut chaos = Json::obj();
         for (label, run) in &report.chaos {
@@ -1077,22 +1045,6 @@ pub fn related_markdown(report: &Report) -> String {
         + &log_rows(report, &protocols, true)
 }
 
-/// The home-based-vs-homeless Markdown table: the stripe+halo kernel
-/// under both LRC protocols.
-pub fn homeless_markdown(report: &Report) -> String {
-    let mut s = "| Protocol | Exec (s) | Messages | Sent (KB) | Fetches | Retained diffs (KB) |\n\
-                 |---|---|---|---|---|---|\n"
-        .to_string();
-    let kb = |bytes: u64| bytes as f64 / 1024.0;
-    for (name, run) in LRC.iter().zip(&report.lrc) {
-        let (exec, st) = (secs(run.exec.as_nanos()), &run.stats);
-        let (msgs, sent, fetches) = (st.msgs_sent, kb(st.bytes_sent), st.page_fetches);
-        let retained = kb(run.retained_diff_bytes);
-        s += &format!("| {name} | {exec} | {msgs} | {sent:.1} | {fetches} | {retained:.1} |\n");
-    }
-    s
-}
-
 /// Replace the block between `<!-- report:{name} -->` and
 /// `<!-- /report:{name} -->` in `doc` with `replacement`, keeping the
 /// markers. Errors if the markers are missing or out of order.
@@ -1120,7 +1072,9 @@ pub fn splice(doc: &str, name: &str, replacement: &str) -> Result<String, String
 /// Splice every report table into `doc` (the text of `EXPERIMENTS.md`)
 /// between its `<!-- report:* -->` markers. Returns the new text and
 /// the names of the blocks that changed: empty means the document
-/// already shows exactly what `report` measured.
+/// already shows exactly what `report` measured. Errors if a marker is
+/// missing, or if `doc` has a `<!-- report:NAME -->` block no table
+/// renders: nothing would ever check it.
 pub fn splice_tables(doc: &str, report: &Report) -> Result<(String, Vec<&'static str>), String> {
     let tables = [
         ("table1", table1_markdown(report)),
@@ -1131,8 +1085,18 @@ pub fn splice_tables(doc: &str, report: &Report) -> Result<(String, Vec<&'static
         ("traffic", traffic_markdown(report)),
         ("ablation", ablation_markdown(report)),
         ("related", related_markdown(report)),
-        ("homeless", homeless_markdown(report)),
     ];
+    let orphan = doc
+        .split("<!-- report:")
+        .skip(1)
+        .filter_map(|rest| Some(rest.split_once(" -->")?.0))
+        .filter(|name| name.chars().all(|c| c.is_ascii_alphanumeric()))
+        .find(|name| tables.iter().all(|(known, _)| known != name));
+    if let Some(name) = orphan {
+        return Err(format!(
+            "marker <!-- report:{name} --> names no report table"
+        ));
+    }
     let mut text = doc.to_string();
     let mut changed = Vec::new();
     for (name, table) in tables {
@@ -1203,7 +1167,6 @@ fn brief(j: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{NodeMetrics, NodeStats, SimTime};
 
     fn fake_report() -> Report {
         let run = |protocol, exec_ns, log_bytes, log_flushes| RunRecord {
@@ -1269,21 +1232,9 @@ mod tests {
             .collect();
         let swept = [Protocol::Ml, Protocol::Ccl].map(|p| run(p, 1, 512, 1));
         apps[0].page_sizes.push((512, swept)); // 3D-FFT
-        let lrc = |msgs_sent, retained_diff_bytes| LrcRun {
-            results: vec![7, 8],
-            exec: SimTime(2_000_000),
-            stats: NodeStats {
-                msgs_sent,
-                bytes_sent: 10 * 1024,
-                page_fetches: 40,
-                ..NodeStats::default()
-            },
-            retained_diff_bytes,
-        };
         Report {
             scale: Scale::Smoke,
             apps,
-            lrc: [lrc(100, 0), lrc(130, 2048)],
             chaos: Vec::new(),
             blame: Json::obj(),
         }
@@ -1383,9 +1334,6 @@ mod tests {
         let rel = related_markdown(&report);
         assert_eq!(rel.lines().count(), 2 + 4 * 4);
         assert!(rel.contains("| Water | RSL | 0.001 | 0.1 | 0.00 | 20 | no |"));
-        let hl = homeless_markdown(&report);
-        assert_eq!(hl.lines().count(), 2 + 2);
-        assert!(hl.contains("| homeless | 0.002 | 130 | 10.0 | 40 | 2.0 |"));
     }
 
     #[test]
@@ -1547,8 +1495,8 @@ mod tests {
     /// both committed goldens: the full matrix is there, protocols and
     /// page sizes agree on every digest, None logs nothing, CCL logs
     /// less than ML, every run record has the shape [`check_run_shape`]
-    /// asks for, every recovery happened, and both LRC protocols
-    /// computed the same kernel. The smoke golden also holds exactly the
+    /// asks for, and every recovery happened. The smoke golden also holds
+    /// exactly the
     /// [`chaos_cells`], each ending on its application's failure-free
     /// digest unless it rotted bits; the paper golden holds none.
     #[test]
@@ -1587,9 +1535,6 @@ mod tests {
                     assert!(fp.as_str().is_some(), "{at}: crash blame_fp.{p}");
                 }
             }
-            let lrc = |p| member(&doc, &["homeless", p, "digest"]);
-            assert_eq!(lrc("homeless"), lrc("home-based"), "{}", scale.label());
-
             let chaos = doc.get("chaos").and_then(Json::as_obj);
             if scale == Scale::Paper {
                 assert!(chaos.is_none(), "the paper golden holds no chaos cells");
@@ -1647,14 +1592,12 @@ mod tests {
         assert!(grows, "ML's log shrank as the page grew: {sizes:?}");
     }
 
-    /// The paper's §5 and §2 cases, gated on the committed paper report:
+    /// The paper's §5 case, gated on the committed paper report:
     /// records-only and RSL log less than ML on every application (they
     /// record what happened without the data — which is why they cannot
-    /// recover a home-based DSM), and on the stripe+halo kernel homeless
-    /// LRC sends more messages than home-based and retains diffs where
-    /// home-based retains none.
+    /// recover a home-based DSM).
     #[test]
-    fn committed_report_keeps_the_related_work_and_homeless_ordering() {
+    fn committed_report_keeps_the_related_work_ordering() {
         let doc = committed(Scale::Paper);
         for app in App::ALL {
             let log = |p| num(&doc, &["apps", app.name(), "runs", p, "log_bytes"]);
@@ -1662,10 +1605,6 @@ mod tests {
                 assert!(log(p) < log("ml"), "{}: {p} logs as much as ML", app.name());
             }
         }
-        let lrc = |p, key| num(&doc, &["homeless", p, key]);
-        assert!(lrc("homeless", "msgs_sent") > lrc("home-based", "msgs_sent"));
-        assert_eq!(lrc("home-based", "retained_diff_bytes"), 0.0);
-        assert!(lrc("homeless", "retained_diff_bytes") > 0.0);
     }
 
     /// Before the batched-prefetch path (DESIGN.md §15) 3D-FFT — the
@@ -1707,18 +1646,19 @@ mod tests {
     }
 
     /// `report` fails on table drift instead of rewriting: a document
-    /// whose tables were spliced from this report is clean, and one
-    /// doctored number is reported under its table's name.
+    /// whose tables were spliced from this report is clean, one doctored
+    /// number is reported under its table's name, and a marked block no
+    /// table renders is an error naming it.
     #[test]
     fn doctored_experiments_table_is_reported_as_drift() {
-        let mut doc = String::new();
-        let names = "table1 table2 fig4 fig5 blame traffic ablation related homeless";
+        let mut doc = "The `<!-- report:* -->` markers below.\n".to_string();
+        let names = "table1 table2 fig4 fig5 blame traffic ablation related";
         for name in names.split(' ') {
             doc += &format!("<!-- report:{name} -->\n<!-- /report:{name} -->\nprose\n");
         }
         let report = fake_report();
         let (spliced, changed) = splice_tables(&doc, &report).unwrap();
-        assert_eq!(changed.len(), 9);
+        assert_eq!(changed.len(), 8);
         assert_eq!(
             splice_tables(&spliced, &report).unwrap(),
             (spliced.clone(), vec![])
@@ -1729,6 +1669,11 @@ mod tests {
         assert_eq!(changed, ["fig4"]);
         assert_eq!(restored, spliced);
         assert!(splice_tables("no markers", &report).is_err());
+        let orphan = format!("{spliced}<!-- report:gone -->\n| stale |\n<!-- /report:gone -->\n");
+        assert_eq!(
+            splice_tables(&orphan, &report).unwrap_err(),
+            "marker <!-- report:gone --> names no report table"
+        );
     }
 
     #[test]

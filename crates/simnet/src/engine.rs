@@ -1,23 +1,13 @@
-//! Protocol-agnostic coherence engine.
+//! The structured run-telemetry stream.
 //!
-//! Every software-DSM node — home-based or homeless, logging or not —
-//! runs the same outer loop: drain the inbox and service peer requests
-//! whenever the application blocks, reply relative to request arrival
-//! (the "communication processor" of the paper's testbed), defer
-//! traffic while replaying a log after a crash, and charge every clock
-//! advance to an accounting category. [`CoherenceProtocol`] captures
-//! that loop once; the protocol crates implement only message service
-//! and state transitions.
-//!
-//! The engine also defines the structured run-telemetry stream: every
-//! coherence-relevant action emits a [`TraceEvent`] (page fault, fetch,
-//! diff flush, write notice, log append/flush, lock/barrier phase,
-//! crash/recovery step), and the per-node accounting rolls up into a
-//! [`PhaseBreakdown`] whose components sum exactly to the node's finish
-//! time.
+//! Every coherence-relevant action a DSM node takes emits a
+//! [`TraceEvent`] (page fault, fetch, diff flush, write notice, log
+//! append/flush, lock/barrier phase, crash/recovery step), and the
+//! per-node accounting — every clock advance is charged to one
+//! category — rolls up into a [`PhaseBreakdown`] whose components sum
+//! exactly to the node's finish time.
 
-use crate::node::NodeCtx;
-use crate::router::{Envelope, NodeId, WireSized};
+use crate::router::NodeId;
 use crate::stats::NodeStats;
 use crate::time::{SimDuration, SimTime};
 
@@ -87,7 +77,7 @@ pub enum TraceKind {
     },
     /// Diffs for one closed interval were flushed to a remote node.
     DiffFlush {
-        /// Destination (home in HLRC, requester in homeless LRC).
+        /// Destination: the home of the diffed pages.
         to: NodeId,
         /// Encoded diff payload bytes.
         bytes: u64,
@@ -224,7 +214,7 @@ pub enum TraceKind {
         seq: u64,
         /// Encoded wire bytes of the payload.
         bytes: u32,
-        /// Stable payload-kind label (see [`WireSized::msg_label`]).
+        /// Stable payload-kind label (see [`WireSized::msg_label`](crate::WireSized::msg_label)).
         msg: &'static str,
     },
     /// A protocol message was accepted at this node (duplicates are
@@ -235,7 +225,7 @@ pub enum TraceKind {
         from: NodeId,
         /// Per-link sequence number from the sender's reliable layer.
         seq: u64,
-        /// Stable payload-kind label (see [`WireSized::msg_label`]).
+        /// Stable payload-kind label (see [`WireSized::msg_label`](crate::WireSized::msg_label)).
         msg: &'static str,
     },
     /// The log device hit its capacity bound: the flush was refused and
@@ -611,99 +601,5 @@ impl PhaseBreakdown {
     /// Sum of all components (equals the node's finish time).
     pub fn total(&self) -> SimDuration {
         self.compute + self.wait + self.disk + self.hidden
-    }
-}
-
-/// A coherence protocol runnable by the engine.
-///
-/// Implementors provide protocol state behind [`ctx`](Self::ctx), the
-/// per-message service routine, and the deferral predicate; the engine
-/// provides the message pump, the reply-while-blocked receive loop, the
-/// service-while-gathering loop used by synchronization managers, and
-/// the crash/resume lifecycle.
-pub trait CoherenceProtocol<M: WireSized> {
-    /// The node's machine context (clock, endpoint, disk, stats, trace).
-    fn ctx(&mut self) -> &mut NodeCtx<M>;
-
-    /// Service one asynchronous protocol message. `deferred` marks
-    /// messages replayed after recovery, whose service time is "now"
-    /// rather than their (long past) arrival time; implementations
-    /// should base reply timing on
-    /// [`NodeCtx::async_service_base`].
-    fn service(&mut self, env: Envelope<M>, deferred: bool);
-
-    /// True while incoming traffic must be deferred instead of serviced
-    /// (log replay after a crash: serving a peer from a half-restored
-    /// memory image would hand out corrupt data).
-    fn deferring(&self) -> bool {
-        false
-    }
-
-    /// Per-message deferral predicate. Defaults to the blanket
-    /// [`deferring`](Self::deferring) flag; protocols that can serve a
-    /// subset of traffic from stable state even mid-replay (recovery
-    /// page and logged-diff requests, which must keep flowing when two
-    /// nodes recover concurrently) override this to let those messages
-    /// through.
-    fn must_defer(&self, _payload: &M) -> bool {
-        self.deferring()
-    }
-
-    /// Drain every message that has already arrived in virtual time,
-    /// servicing (or deferring) each. Called at fault/synchronization
-    /// points and whenever the node blocks. Bounded by the node's own
-    /// clock: the conservative scheduler only releases envelopes the
-    /// node could observe "now", so pumping never waits on peers that
-    /// are merely behind. [`NodeCtx::recv_arrived`] pulls whole batches
-    /// of admissible envelopes out of the sharded fabric under one lock
-    /// acquisition and replays them from a local buffer, so a busy
-    /// service pump costs one fabric visit per burst, not per message.
-    fn pump(&mut self) {
-        while let Some(env) = self.ctx().recv_arrived() {
-            if self.must_defer(&env.payload) {
-                self.ctx().defer(env);
-            } else {
-                self.service(env, false);
-            }
-        }
-    }
-
-    /// Block until a message matching `pred` arrives (absorbing its
-    /// arrival time as wait), servicing all other traffic
-    /// asynchronously — or deferring it during recovery.
-    fn wait_for<F: Fn(&M) -> bool>(&mut self, pred: F) -> Envelope<M> {
-        loop {
-            let env = self.ctx().recv().expect("cluster channel closed");
-            if pred(&env.payload) {
-                self.ctx().absorb(&env);
-                return env;
-            }
-            if self.must_defer(&env.payload) {
-                self.ctx().defer(env);
-            } else {
-                self.service(env, false);
-            }
-        }
-    }
-
-    /// Service messages until `more` returns false. Synchronization
-    /// managers use this to gather arrivals: each incoming message is
-    /// serviced normally (updating manager state), and the loop exits
-    /// once the gather condition is met.
-    fn service_while<F: Fn(&Self) -> bool>(&mut self, more: F) {
-        while more(self) {
-            let env = self.ctx().recv().expect("cluster channel closed");
-            self.service(env, false);
-        }
-    }
-
-    /// Log replay has finished: stamp the recovery end time, emit the
-    /// telemetry event, and service everything deferred while replaying
-    /// (in arrival order, timed from "now").
-    fn resume_live(&mut self) {
-        self.ctx().mark_recovered();
-        for env in self.ctx().take_deferred() {
-            self.service(env, true);
-        }
     }
 }

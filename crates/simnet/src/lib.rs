@@ -14,13 +14,14 @@
 //! * **simulated stable storage** ([`SimDisk`]) holding byte-exact log
 //!   and checkpoint streams that survive a simulated node crash;
 //! * **a node runtime** ([`NodeCtx`], [`run_cluster`]) running one OS
-//!   thread per DSM process;
-//! * **a coherence engine** ([`CoherenceProtocol`]) owning the message
-//!   pump, reply-while-blocked loop, crash/resume lifecycle, and the
-//!   structured telemetry stream ([`TraceEvent`], [`PhaseBreakdown`]).
+//!   thread per DSM process, with the receive, defer and crash/resume
+//!   primitives a protocol's service loop is built from;
+//! * **the structured telemetry stream** ([`TraceEvent`],
+//!   [`PhaseBreakdown`]).
 //!
 //! Higher layers (`hlrc`, `ftlog`, `ccl-core`) implement the actual DSM
-//! protocols on top of these primitives.
+//! protocols on top of these primitives; `hlrc::HlrcNode` owns the
+//! message pump and the reply-while-blocked loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +39,7 @@ mod time;
 mod trace;
 
 pub use disk::{DiskCounters, SimDisk};
-pub use engine::{CoherenceProtocol, LogObj, PhaseBreakdown, TraceEvent, TraceKind};
+pub use engine::{LogObj, PhaseBreakdown, TraceEvent, TraceKind};
 pub use error::{SimError, SimResult};
 pub use fault::{DiskFaultPlan, FaultPlan, Partition, SendFate, MAX_RETRANSMITS};
 pub use metrics::{Histogram, NodeMetrics, HIST_BINS};
