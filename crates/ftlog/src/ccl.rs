@@ -41,7 +41,8 @@
 //! instead, in volatile memory.
 //!
 //! A replayed interval waits only for what its log could not announce,
-//! and pays neither trap nor twin for the remote pages its log names:
+//! and pays no write trap for a page it is known to write — home or
+//! remote — nor a twin for a remote one:
 //!
 //! * the remote pages it writes are named by its own logged `Diffs`
 //!   records, and those not resident when it starts join the wave of
@@ -52,6 +53,17 @@
 //!   would be twinned for already sit at their homes. A page written
 //!   back to the values it held (an empty diff) is in no record, and
 //!   traps and twins as it did live;
+//! * the home pages it writes are in no log of its own — a home write
+//!   makes no diff, and the `Sync` records hold only the notices it
+//!   received — but every barrier arrival reported them to the barrier
+//!   manager, whose hello reply lists them back, interval by interval.
+//!   Where a sync opens the remote pages, it opens the home pages of
+//!   this node's intervals up to the one the next sync closes; each is
+//!   booked by the write that comes and write-protected again when its
+//!   interval ends. Nothing waits for that reply: if it is not in yet,
+//!   the first home write traps as it did live, and that trap waits for
+//!   it and opens the rest. A node with no list — the manager itself,
+//!   or one whose manager lost its history in a crash — traps at home;
 //! * once a sync's wave is absorbed, the next sync's wave leaves, one
 //!   interval ahead: its logged-diff requests, and the page requests for
 //!   the resident copies its notices name. Those are the requests that
@@ -130,6 +142,10 @@ struct CclReplay {
     /// The next replayed sync's wave, sent one interval early, its
     /// replies kept until that sync.
     ahead: Option<Wave>,
+    /// The segment being replayed closes this node's own intervals up to
+    /// this clock entry, and their home pages are not open yet: the
+    /// barrier manager's list was not in when replay entered it.
+    unopened: Option<u32>,
 }
 
 /// One fetch wave: its requests and what came back of them.
@@ -219,21 +235,13 @@ fn segment(records: &[(CclRecord, usize)], from: usize) -> Segment {
     seg
 }
 
-/// Open for writing the resident remote copies `next`'s own logged diffs
-/// name ([`hlrc::PageTable::open_logged_write`]): replay need not trap or
-/// twin to learn that the segment writes them. Only where a real `Sync`
-/// record closes the segment, as in [`CclLogger::send_ahead`]: at a
-/// synthesized one replay may be abandoned mid-interval, and the live
-/// interval end would find a written page without a twin.
-fn open_written(inner: &mut NodeInner, next: &Segment) {
-    if next.sync.as_ref().is_none_or(|(.., size)| *size == 0) {
-        return;
-    }
-    for &page in &next.written {
-        let e = inner.pages.entry(page);
-        if !inner.pages.is_home(page) && e.frame.is_some() && e.state == PageState::ReadOnly {
-            inner.pages.open_logged_write(page);
-        }
+/// Open `page` for the write replay knows is coming
+/// ([`hlrc::PageTable::open_logged_write`]), if it is resident,
+/// write-protected and not written yet in the open interval.
+fn open_for_write(inner: &mut NodeInner, page: PageId) {
+    let e = inner.pages.entry(page);
+    if e.frame.is_some() && e.state == PageState::ReadOnly && !e.dirty {
+        inner.pages.open_logged_write(page);
     }
 }
 
@@ -258,6 +266,14 @@ struct HeldPages {
     /// Indexed by node: that home's record is incomplete (or the home
     /// already stopped), so every page homed there counts as held.
     whole_homes: Vec<bool>,
+    /// The barrier manager's reply, and the list of this node's home
+    /// writes it carries, is still to come.
+    manager_due: bool,
+    /// From that list: the home pages each of this node's own intervals
+    /// wrote, by interval sequence number. Empty where nothing listed
+    /// them — this node is the manager, or a crash wiped the manager's
+    /// history — and then replay traps at home as the live run did.
+    home_writes: BTreeMap<u32, Vec<PageId>>,
 }
 
 /// Coherence-centric logging.
@@ -491,8 +507,17 @@ impl CclLogger {
     }
 
     /// Record one peer's answer to this node's [`Msg::RecoveryHello`].
+    /// The barrier manager's also lists this node's home writes: kept
+    /// where replay opens pages ([`CclLogger::open_written`]; not in
+    /// ablation A2), and the segment being replayed opens its home pages
+    /// as soon as they are in.
     fn note_hello_reply(&mut self, inner: &mut NodeInner, env: &Envelope<Msg>) {
-        let Msg::RecoveryHelloReply { held, complete } = &env.payload else {
+        let Msg::RecoveryHelloReply {
+            held,
+            complete,
+            home_writes,
+        } = &env.payload
+        else {
             return;
         };
         self.held.pending = self.held.pending.saturating_sub(1);
@@ -502,6 +527,65 @@ impl CclLogger {
         }
         if !complete {
             self.held.whole_homes[env.src] = true;
+        }
+        if env.src != inner.cfg.barrier_manager() || !self.prefetch {
+            return;
+        }
+        self.held.manager_due = false;
+        // A page id and an interval per notice.
+        inner.ctx.charge_copy(8 * home_writes.len());
+        for n in home_writes {
+            debug_assert_eq!(n.interval.node as usize, inner.me(), "another node's write");
+            let pages = self.held.home_writes.entry(n.interval.seq).or_default();
+            pages.push(n.page);
+        }
+        if let Some(closes) = self.replay.as_mut().and_then(|r| r.unopened.take()) {
+            self.open_home_writes(inner, closes);
+        }
+    }
+
+    /// Open for writing the pages `next` writes that replay knows of: the
+    /// resident remote copies its own logged diffs name, and the home
+    /// pages the barrier manager's list names for this node's intervals
+    /// up to the one `next`'s sync closes. Replay need not trap (or
+    /// twin) to learn that the segment writes them. Only where a real
+    /// `Sync` record closes the segment, as in [`CclLogger::send_ahead`]:
+    /// at a synthesized one replay may be abandoned mid-interval, and the
+    /// live interval end would find a written remote page without a twin.
+    /// Where the list is still to come the home pages wait for it — or
+    /// for the first home write that traps, which waits for it.
+    fn open_written(&mut self, inner: &mut NodeInner, next: &Segment) {
+        let Some((.., vc, size)) = &next.sync else {
+            return;
+        };
+        if *size == 0 {
+            return;
+        }
+        for &page in &next.written {
+            if !inner.pages.is_home(page) {
+                open_for_write(inner, page);
+            }
+        }
+        let closes = vc.get(inner.me() as u32);
+        if self.held.manager_due {
+            self.replay.as_mut().expect("not in recovery").unopened = Some(closes);
+        } else {
+            self.open_home_writes(inner, closes);
+        }
+    }
+
+    /// Open the home pages the barrier manager's list names for this
+    /// node's intervals from the open one up to (not including) `closes`.
+    fn open_home_writes(&self, inner: &mut NodeInner, closes: u32) {
+        if inner.next_interval >= closes {
+            return;
+        }
+        for (_, pages) in self.held.home_writes.range(inner.next_interval..closes) {
+            for &page in pages {
+                if inner.pages.is_home(page) {
+                    open_for_write(inner, page);
+                }
+            }
         }
     }
 
@@ -910,6 +994,18 @@ impl CclLogger {
         // notices, and bring this node's copies — home and remote — to
         // the state the next interval saw.
         inner.close_interval();
+        // Every page opened for the segment just replayed was written,
+        // hence booked and protected again: a page opened for a write
+        // that never came could not have been booked by any trap.
+        debug_assert!(
+            inner
+                .pages
+                .iter()
+                .all(|(_, e)| e.state != PageState::Writable),
+            "node {}: a page opened for the replayed interval is still open and unbooked",
+            inner.me()
+        );
+        self.replay.as_mut().expect("not in recovery").unopened = None;
         let me = inner.me() as u32;
         let fresh = inner.admit_notices(&notices, &vc);
         if let SyncKind::Barrier(_) = expected {
@@ -965,7 +1061,7 @@ impl CclLogger {
         );
         self.restore_wave(inner, wave, &pages);
         if let Some(next) = &next {
-            open_written(inner, next);
+            self.open_written(inner, next);
         }
 
         inner.ctx.trace(TraceKind::RecoveryReplay {
@@ -1132,6 +1228,8 @@ impl FaultTolerance for CclLogger {
         let me = inner.me();
         self.held.pages = vec![false; inner.pages.len()];
         self.held.whole_homes = vec![false; inner.cfg.n_nodes];
+        self.held.home_writes.clear();
+        self.held.manager_due = false;
         for peer in (0..inner.cfg.n_nodes).filter(|&p| p != me) {
             let stopped = inner.ctx.stats.sends_to_stopped;
             inner
@@ -1143,6 +1241,7 @@ impl FaultTolerance for CclLogger {
                 self.held.whole_homes[peer] = true;
             } else {
                 self.held.pending += 1;
+                self.held.manager_due |= self.prefetch && peer == inner.cfg.barrier_manager();
             }
         }
         // A crash follows a barrier, and the one replayed barrier it can
@@ -1219,6 +1318,7 @@ impl FaultTolerance for CclLogger {
             restored: HashMap::new(),
             wave: None,
             ahead: None,
+            unopened: None,
         });
         let Some(replay) = self.replay.as_ref().filter(|_| self.prefetch) else {
             return;
@@ -1234,7 +1334,7 @@ impl FaultTolerance for CclLogger {
         if !pages.is_empty() {
             self.restore_wave(inner, Wave::default(), &pages);
         }
-        open_written(inner, &first);
+        self.open_written(inner, &first);
         self.send_ahead(inner, first);
     }
 
@@ -1258,6 +1358,21 @@ impl FaultTolerance for CclLogger {
     }
 
     fn recovery_fault(&mut self, inner: &mut NodeInner, page: PageId) -> RecoveryStep {
+        if inner.pages.is_home(page) {
+            // A home write trapped where replay meant to open it: the
+            // barrier manager's list was not in. This trap is paid
+            // either way; wait here for the list, which opens the rest.
+            // Anywhere else it is a write no list names, and needs
+            // nothing.
+            while self.held.manager_due
+                && (self.replay.as_ref()).is_some_and(|r| r.unopened.is_some())
+            {
+                let env =
+                    self.recovery_wait(inner, |m| matches!(m, Msg::RecoveryHelloReply { .. }));
+                self.note_hello_reply(inner, &env);
+            }
+            return RecoveryStep::Replayed;
+        }
         // A page no replayed notice named (first touch), or one this
         // node used as a predicted copy without living to tell its
         // home, was not restored ahead of time; restore on demand.

@@ -423,6 +423,10 @@ impl FaultTolerance for MlLogger {
     }
 
     fn recovery_fault(&mut self, inner: &mut NodeInner, page: u32) -> RecoveryStep {
+        // A home write's detection trap: no logged reply stands for it.
+        if inner.pages.is_home(page) {
+            return RecoveryStep::Replayed;
+        }
         self.replay_to(inner, Want::Fault(page))
     }
 }

@@ -155,11 +155,17 @@ pub trait FaultTolerance: Send {
         RecoveryStep::LogExhausted
     }
 
-    /// Service a page fault taken while replaying. Returns
-    /// [`RecoveryStep::LogExhausted`] if the log ran out, in which case
-    /// the driver leaves recovery and fetches live.
+    /// Service a page fault taken while replaying: a miss on a remote
+    /// page, or the write-detection trap of a home page, which needs no
+    /// data (CCL may learn there which home pages to stop trapping on).
+    /// Returns [`RecoveryStep::LogExhausted`] if the log ran out, in
+    /// which case the node leaves recovery and fetches live.
     fn recovery_fault(&mut self, inner: &mut NodeInner, page: PageId) -> RecoveryStep {
-        unreachable!("page fault in recovery without a recovery protocol")
+        assert!(
+            inner.pages.is_home(page),
+            "page fault in recovery without a recovery protocol"
+        );
+        RecoveryStep::Replayed
     }
 
     /// Last step of recovery, run right before the node goes live and

@@ -26,6 +26,11 @@ pub const MSG_KINDS: usize = 19;
 /// fetched without predicting, and decodes as an error.
 const FIRST_TAG: u8 = 1;
 
+/// Flag bits of a [`Msg::RecoveryHelloReply`]: `complete`, and a
+/// `home_writes` list follows the page list.
+const HELLO_COMPLETE: u8 = 1;
+const HELLO_LISTED: u8 = 2;
+
 /// Short label for a [`Msg`] ordinal, for traffic tables.
 pub fn kind_label(ordinal: usize) -> &'static str {
     const LABELS: [&str; MSG_KINDS] = [
@@ -533,7 +538,17 @@ pub enum Msg {
     /// told the replier (a demand fetch tells; the first use of a
     /// predicted copy is told by the next [`Msg::PageRequestBatch`]).
     /// Replay is deterministic, so these are the remote pages it will
-    /// touch again.
+    /// touch again. The barrier manager's reply also names what the
+    /// recovering node's own intervals wrote of its *home* pages, read
+    /// from the release history every `BarrierArrive` fed: replay opens
+    /// those pages instead of trapping on them, as the node's own logged
+    /// diffs let it open its remote ones.
+    ///
+    /// Wire layout: `tag(19) u8(flags) u32(count) u32(page)…`, then, if
+    /// flag bit 1 is set, the notice list ([`encode_notices`]). Bit 0 is
+    /// `complete`; any other bit is an error. A list is sent only when
+    /// it is not empty, so every other reply keeps the layout it always
+    /// had: 38 + 4·pages bytes on the wire.
     RecoveryHelloReply {
         /// Pages homed at the replier that the sender touched, ascending.
         held: Vec<PageId>,
@@ -542,6 +557,11 @@ pub enum Msg {
         /// miss pages, and the sender must treat every page homed at
         /// the replier as held.
         complete: bool,
+        /// The write notices of the sender's own intervals for pages
+        /// homed at the sender, in release order. Empty from every peer
+        /// but the barrier manager, and from a manager whose history its
+        /// own crash wiped.
+        home_writes: Vec<WriteNotice>,
     },
 }
 
@@ -714,11 +734,19 @@ impl Encode for Msg {
                 w.put_bytes(data);
                 version.encode(w);
             }
-            Msg::RecoveryHelloReply { held, complete } => {
-                w.put_u8(u8::from(*complete));
+            Msg::RecoveryHelloReply {
+                held,
+                complete,
+                home_writes,
+            } => {
+                let listed = !home_writes.is_empty();
+                w.put_u8(u8::from(*complete) * HELLO_COMPLETE + u8::from(listed) * HELLO_LISTED);
                 w.put_u32(held.len() as u32);
                 for p in held {
                     w.put_u32(*p);
+                }
+                if listed {
+                    encode_notices(w, home_writes);
                 }
             }
         }
@@ -834,9 +862,29 @@ impl Decode for Msg {
             },
             18 => Msg::RecoveryHello,
             19 => {
-                let complete = r.get_u8()? != 0;
+                let invalid = |reason| CodecError::Invalid {
+                    context: "RecoveryHelloReply",
+                    reason,
+                };
+                let flags = r.get_u8()?;
+                if flags & !(HELLO_COMPLETE | HELLO_LISTED) != 0 {
+                    return Err(invalid("unknown flag bits"));
+                }
                 let held = decode_ids(r)?;
-                Msg::RecoveryHelloReply { held, complete }
+                let home_writes = if flags & HELLO_LISTED != 0 {
+                    let list = decode_notices(r)?;
+                    if list.is_empty() {
+                        return Err(invalid("an empty list is never sent"));
+                    }
+                    list
+                } else {
+                    Vec::new()
+                };
+                Msg::RecoveryHelloReply {
+                    held,
+                    complete: flags & HELLO_COMPLETE != 0,
+                    home_writes,
+                }
             }
             t => {
                 return Err(CodecError::BadTag {
@@ -993,10 +1041,17 @@ mod tests {
         roundtrip(Msg::RecoveryHelloReply {
             held: vec![2, 3, 17],
             complete: true,
+            home_writes: vec![],
         });
         roundtrip(Msg::RecoveryHelloReply {
             held: vec![],
             complete: false,
+            home_writes: vec![],
+        });
+        roundtrip(Msg::RecoveryHelloReply {
+            held: vec![4],
+            complete: true,
+            home_writes: vec![notice, notice],
         });
     }
 
@@ -1083,6 +1138,7 @@ mod tests {
             Msg::RecoveryHelloReply {
                 held: vec![1],
                 complete: true,
+                home_writes: vec![],
             },
         ];
         for m in msgs {

@@ -211,7 +211,7 @@ impl NodeInner {
     /// Close the open interval's books, if anything was written in it:
     /// number it, name it in the clock and in one notice per dirtied
     /// page, advance the version of the home pages among them and
-    /// write-protect the rest. Returns the interval and its
+    /// write-protect them all. Returns the interval and its
     /// [`OpenTwins`]. A live interval end diffs against those twins;
     /// replay drops them — the diffs the interval originally flushed
     /// are already part of the surviving homes' state, so only the
@@ -230,11 +230,12 @@ impl NodeInner {
             self.history.push(WriteNotice { page, interval: iv });
             let e = self.pages.entry_mut(page);
             e.dirty = false;
+            // Write detection re-arms: a home page is write-protected
+            // again too, once replay opened it.
+            e.state = PageState::ReadOnly;
             twins.push((page, e.twin.take()));
             if e.home == me {
                 self.pages.note_home_write(page, iv);
-            } else {
-                e.state = PageState::ReadOnly;
             }
         }
         Some((iv, twins))
@@ -270,12 +271,17 @@ impl HlrcNode {
         let me_home = self.inner.pages.is_home(page);
         if me_home {
             // Home copies never miss; the first write of an interval
-            // takes a cheap write-detection trap to produce a notice.
-            if access == Access::Write && !self.inner.pages.entry(page).dirty {
-                let trap = self.inner.ctx.cost.cpu.fault_trap;
-                self.inner.ctx.charge_overhead(trap);
-                self.inner.ctx.stats.write_faults += 1;
-                self.inner.ctx.trace(TraceKind::WriteFault { page });
+            // takes a cheap write-detection trap to produce a notice —
+            // unless replay opened the page for the write its barrier
+            // manager's history names (`PageTable::open_logged_write`):
+            // then that write books it. A trap taken in replay goes to
+            // the logging layer, which may learn of the pages to open.
+            let e = self.inner.pages.entry(page);
+            if access == Access::Write && !e.dirty {
+                if e.state != PageState::Writable {
+                    self.trap(Fault::WriteUpgrade, page);
+                    self.replayed(|ft, inner| ft.recovery_fault(inner, page));
+                }
                 self.inner.retain_before_home_write(page);
                 self.inner.pages.entry_mut(page).dirty = true;
             }
@@ -306,18 +312,7 @@ impl HlrcNode {
             None if access == Access::Write => self.inner.pages.entry_mut(page).dirty = true,
             None => {}
             Some(fault) => {
-                let trap = self.inner.ctx.cost.cpu.fault_trap;
-                self.inner.ctx.charge_overhead(trap);
-                match fault {
-                    Fault::ReadMiss => {
-                        self.inner.ctx.stats.read_faults += 1;
-                        self.inner.ctx.trace(TraceKind::ReadFault { page });
-                    }
-                    Fault::WriteMiss | Fault::WriteUpgrade => {
-                        self.inner.ctx.stats.write_faults += 1;
-                        self.inner.ctx.trace(TraceKind::WriteFault { page });
-                    }
-                }
+                self.trap(fault, page);
                 if matches!(fault, Fault::ReadMiss | Fault::WriteMiss)
                     && !self.replayed(|ft, inner| ft.recovery_fault(inner, page))
                 {
@@ -331,6 +326,23 @@ impl HlrcNode {
                     e.state = PageState::Writable;
                 }
             }
+        }
+    }
+
+    /// Take the page-protection trap for `fault` on `page`: its cost,
+    /// its counters (one inside the recovery window also counts in
+    /// `NodeStats::recovery_traps`) and its trace event.
+    fn trap(&mut self, fault: Fault, page: PageId) {
+        let replaying = self.ft.in_recovery();
+        let ctx = &mut self.inner.ctx;
+        ctx.charge_overhead(ctx.cost.cpu.fault_trap);
+        ctx.stats.recovery_traps += u64::from(replaying);
+        if fault == Fault::ReadMiss {
+            ctx.stats.read_faults += 1;
+            ctx.trace(TraceKind::ReadFault { page });
+        } else {
+            ctx.stats.write_faults += 1;
+            ctx.trace(TraceKind::WriteFault { page });
         }
     }
 
@@ -842,12 +854,22 @@ impl NodeInner {
     /// tell the recovering peer which pages homed here it ever touched
     /// a copy of, as far as it said (its replay will touch exactly
     /// those again, and at most a few it had not reported yet), and
-    /// whether that record is complete. Read-only on volatile directory
-    /// state, so a home that is itself replaying can answer.
+    /// whether that record is complete; the barrier manager also tells
+    /// it what its own intervals wrote of its home pages, from the
+    /// retained releases. Read-only on volatile directory state, so a
+    /// home that is itself replaying can answer.
     pub fn serve_recovery_hello(&mut self, env: &Envelope<Msg>, done: SimTime) {
+        let homed_there = |n: &WriteNotice| self.pages.entry(n.page).home == env.src;
+        let home_writes = match &self.barrier_mgr {
+            Some(mgr) => (mgr.notices_of(env.src as u32).into_iter())
+                .filter(homed_there)
+                .collect(),
+            None => Vec::new(),
+        };
         let reply = Msg::RecoveryHelloReply {
             held: self.pages.held_by(env.src),
             complete: self.pages.copysets_complete(),
+            home_writes,
         };
         let copy_cost = self.ctx.cost.cpu.copy(reply.encoded_size());
         self.ctx

@@ -57,7 +57,8 @@ pub struct PageEntry {
     /// The page's home node (static).
     pub home: NodeId,
     /// Local protection state. Home copies are born `ReadOnly` (write
-    /// detection re-armed each interval) and are never invalidated.
+    /// detection re-armed each interval; replay may open one ahead of a
+    /// write it knows of) and are never invalidated.
     pub state: PageState,
     /// Local frame, if a copy exists. Home copies always exist.
     pub frame: Option<PageFrame>,
@@ -328,23 +329,22 @@ impl PageTable {
         e.predicted = None;
     }
 
-    /// Replay's log says the stretch up to the next sync writes the
-    /// resident copy of non-home page `page`: make it writable with no
-    /// write trap and no twin. Nothing is booked here — the first write
-    /// marks it dirty (see [`HlrcNode::ensure_access`]), so whichever
-    /// interval writes it books it, as a trapped write would have, with
-    /// a `None` twin that replay drops. Replay only: a live interval
-    /// diffs every remote page it writes against a twin.
+    /// Replay knows the stretch up to the next sync writes `page` — a
+    /// resident remote copy its own logged diffs name, or a home page
+    /// the barrier manager's history names: make it writable with no
+    /// write trap (and, remote, no twin). Nothing is booked here — the
+    /// first write marks it dirty (see [`HlrcNode::ensure_access`]), so
+    /// whichever interval writes it books it, as a trapped write would
+    /// have (a remote page with a `None` twin that replay drops), and
+    /// that interval's end write-protects it again. Replay only: a live
+    /// interval diffs every remote page it writes against a twin, and
+    /// learns which home pages it wrote from their traps.
     ///
     /// [`HlrcNode::ensure_access`]: crate::HlrcNode::ensure_access
     pub fn open_logged_write(&mut self, page: PageId) {
         let e = &mut self.entries[page as usize];
         debug_assert!(
-            e.home != self.me
-                && e.frame.is_some()
-                && e.state == PageState::ReadOnly
-                && e.twin.is_none()
-                && !e.dirty,
+            e.frame.is_some() && e.state == PageState::ReadOnly && e.twin.is_none() && !e.dirty,
             "opening page {page} in state {:?} (home {}, twin {}, dirty {})",
             e.state,
             e.home,

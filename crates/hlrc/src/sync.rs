@@ -207,6 +207,19 @@ impl BarrierMgr {
         v
     }
 
+    /// Every retained notice of `node`'s own intervals, in ascending
+    /// epoch order and each release's merge order: what that node wrote,
+    /// as its barrier arrivals reported it.
+    pub fn notices_of(&self, node: u32) -> Vec<WriteNotice> {
+        let mut epochs: Vec<_> = self.released.iter().collect();
+        epochs.sort_unstable_by_key(|(e, _)| **e);
+        let notices = epochs.into_iter().flat_map(|(_, (_, n, _))| n.iter());
+        notices
+            .filter(|n| n.interval.node == node)
+            .copied()
+            .collect()
+    }
+
     /// Record one node's arrival. Returns true when everyone is in.
     pub fn arrive(
         &mut self,
@@ -360,6 +373,28 @@ mod tests {
         assert_eq!(&rn[..], &[notice(3, 1, 0)]);
         assert_eq!(&rm[..], &[(2, 1)]);
         assert!(b.past_release(1).is_none());
+    }
+
+    #[test]
+    fn a_nodes_own_notices_come_back_in_epoch_order() {
+        let mut b = BarrierMgr::new(2);
+        let vc = Arc::new(VClock::new(2));
+        let release = |notices: Vec<WriteNotice>| -> SharedRelease {
+            (Arc::clone(&vc), notices.into(), Vec::new().into())
+        };
+        let (vc2, n2, m2) = release(vec![notice(9, 1, 2), notice(4, 0, 5), notice(8, 1, 2)]);
+        b.record_released(2, vc2, n2, m2);
+        let (vc0, n0, m0) = release(vec![notice(1, 1, 0)]);
+        b.record_released(0, vc0, n0, m0);
+        assert_eq!(
+            b.notices_of(1),
+            vec![notice(1, 1, 0), notice(9, 1, 2), notice(8, 1, 2)]
+        );
+        assert_eq!(b.notices_of(0), vec![notice(4, 0, 5)]);
+        assert!(
+            BarrierMgr::new(2).notices_of(1).is_empty(),
+            "a wiped history"
+        );
     }
 
     #[test]

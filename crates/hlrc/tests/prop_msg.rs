@@ -234,6 +234,11 @@ fn arb_msg(rng: &mut Rng) -> Msg {
                 .map(|_| rng.u32_in(0, 1024))
                 .collect(),
             complete: rng.bool(),
+            home_writes: if rng.bool() {
+                arb_notices(rng)
+            } else {
+                Vec::new()
+            },
         },
     }
 }
@@ -504,6 +509,25 @@ fn hostile_counts_return_errors() {
         ),
         ("PageReplyBatch pages", vec![&[16], &epoch, &HUGE_U32]),
         ("RecoveryHelloReply held", vec![&[19], &[1], &HUGE_U32]),
+        (
+            "RecoveryHelloReply home writes",
+            vec![&[19], &[3], &[0; 4], &HUGE_VAR],
+        ),
+        // Flag bits past `complete` and the list: garbage, not a reply.
+        ("RecoveryHelloReply flag 4", vec![&[19], &[4], &[0; 4]]),
+        (
+            "RecoveryHelloReply flag 0x81",
+            vec![&[19], &[0x81], &[0; 4]],
+        ),
+        (
+            "RecoveryHelloReply flag 0xFF",
+            vec![&[19], &[0xFF], &[0; 4]],
+        ),
+        // The list flag with an empty list: never sent.
+        (
+            "RecoveryHelloReply empty list",
+            vec![&[19], &[2], &[0; 4], &[0]],
+        ),
         ("RecoveryPageRequest clock", vec![&[9], &epoch, &HUGE_VAR]),
         (
             "RecoveryPageRequest held",

@@ -394,7 +394,7 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             let mut hello = |node: &mut HlrcNode| {
                 ask(node, Msg::RecoveryHello);
                 let env = node.wait_for(|m| matches!(m, Msg::RecoveryHelloReply { .. }));
-                let Msg::RecoveryHelloReply { held, complete } = env.payload else {
+                let Msg::RecoveryHelloReply { held, complete, .. } = env.payload else {
                     unreachable!()
                 };
                 replies.push((held, complete));

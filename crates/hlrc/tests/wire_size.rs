@@ -253,20 +253,27 @@ fn msg_recovery_hello() {
 
 #[test]
 fn msg_recovery_hello_reply() {
-    check(
-        &Msg::RecoveryHelloReply {
-            held: vec![3, 4, 296],
-            complete: true,
-        },
-        18,
+    let reply = |held, complete, home_writes| Msg::RecoveryHelloReply {
+        held,
+        complete,
+        home_writes,
+    };
+    // Without a list, the bytes every hello reply has always had: tag,
+    // the `complete` byte, a counted list of 4-byte page ids.
+    let plain = reply(vec![3, 4, 296], true, vec![]);
+    check(&plain, 18);
+    assert_eq!(
+        plain.encode_to_vec(),
+        [19, 1, 3, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 40, 1, 0, 0]
     );
-    check(
-        &Msg::RecoveryHelloReply {
-            held: vec![],
-            complete: false,
-        },
-        6,
-    );
+    let empty = reply(vec![], false, vec![]);
+    check(&empty, 6);
+    assert_eq!(empty.encode_to_vec(), [19, 0, 0, 0, 0, 0]);
+    // The barrier manager's, with the requester's own home writes: flag
+    // bit 1, and the notice list after the pages.
+    let listed = reply(vec![3], true, notices());
+    check(&listed, 10 + 26);
+    assert_eq!(listed.encode_to_vec()[1], 0b11);
 }
 
 #[test]

@@ -280,6 +280,12 @@ pub struct RecoveryRecord {
     /// whose replies were not all in when replay reached them
     /// (`NodeStats::recovery_stalls`).
     pub ccl_stalls: u64,
+    /// The page-protection traps the failed node took in its CCL
+    /// recovery window (`NodeStats::recovery_traps`): what replay had to
+    /// trap to learn, read faults included.
+    pub ccl_traps: u64,
+    /// The same in its ML recovery window.
+    pub ml_traps: u64,
 }
 
 /// The protocols node 1 crashes under, once per application.
@@ -499,8 +505,8 @@ impl Matrix {
     }
 
     /// What the report keeps from one Figure 5 crash run: recovery
-    /// time, its `[compute, wait, disk]` split and its stalls at the
-    /// failed node, the hash of the run's blame document, and how many
+    /// time, its `[compute, wait, disk]` split, its stalls and its traps
+    /// at the failed node, the hash of the run's blame document, and how many
     /// pages and logged diffs recovery asked its peers for. Every node
     /// must end on the failure-free `digest`.
     fn crash_record(
@@ -530,6 +536,7 @@ impl Matrix {
             blame_fp,
             requests: sent[kind("RecoveryPageRequest")] + sent[kind("LoggedDiffRequest")],
             stalls: failed.stats.recovery_stalls,
+            traps: failed.stats.recovery_traps,
         })
     }
 }
@@ -541,6 +548,7 @@ struct CrashRecord {
     blame_fp: u64,
     requests: u64,
     stalls: u64,
+    traps: u64,
 }
 
 /// The wire tag [`ccl_core::kind_label`] names `label`.
@@ -585,6 +593,8 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
             blame_fp: [ml.blame_fp, ccl.blame_fp, no_prefetch.blame_fp],
             ccl_requests: ccl.requests,
             ccl_stalls: ccl.stalls,
+            ccl_traps: ccl.traps,
+            ml_traps: ml.traps,
         };
         let mut page_sizes = Vec::new();
         if app == App::Fft3d {
@@ -723,6 +733,8 @@ pub fn report_json(report: &Report) -> Json {
         rec.set("ccl_disk_ns", Json::from_u64(disk));
         rec.set("ccl_requests", Json::from_u64(r.ccl_requests));
         rec.set("ccl_stalls", Json::from_u64(r.ccl_stalls));
+        rec.set("ccl_traps", Json::from_u64(r.ccl_traps));
+        rec.set("ml_traps", Json::from_u64(r.ml_traps));
         let mut fps = Json::obj();
         for (p, fp) in CRASHED.iter().zip(r.blame_fp) {
             fps.set(p.label(), Json::from_hex(fp));
@@ -880,21 +892,21 @@ pub fn fig4_markdown(report: &Report) -> String {
 }
 
 /// The Figure 5 Markdown table (normalized recovery, paper columns),
-/// plus where the CCL recovery window went at the failed node and how
-/// many of its fetch waves it blocked on.
+/// plus where the CCL recovery window went at the failed node, how many
+/// of its fetch waves it blocked on and how many traps it took.
 pub fn fig5_markdown(report: &Report) -> String {
     let mut s = String::new();
     s.push_str(
         "| App | Re-execution | ML-recovery | CCL recovery | Paper ML | Paper CCL \
-         | CCL compute (ms) | CCL wait (ms) | CCL disk (ms) | CCL stalls |\n",
+         | CCL compute (ms) | CCL wait (ms) | CCL disk (ms) | CCL stalls | CCL traps |\n",
     );
-    s.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
+    s.push_str("|---|---|---|---|---|---|---|---|---|---|---|\n");
     for a in &report.apps {
         let base = a.recovery.reexec_ns as f64;
         let (pml, pccl) = paper_fig5(a.app);
         let [compute, wait, disk] = a.recovery.ccl_phases_ns.map(|ns| ns as f64 / 1e6);
         s.push_str(&format!(
-            "| {} | 100 | {:.1} | {:.1} | {:.0} | {:.0} | {:.1} | {:.1} | {:.1} | {} |\n",
+            "| {} | 100 | {:.1} | {:.1} | {:.0} | {:.0} | {:.1} | {:.1} | {:.1} | {} | {} |\n",
             a.app.name(),
             100.0 * a.recovery.ml_ns as f64 / base,
             100.0 * a.recovery.ccl_ns as f64 / base,
@@ -904,6 +916,7 @@ pub fn fig5_markdown(report: &Report) -> String {
             wait,
             disk,
             a.recovery.ccl_stalls,
+            a.recovery.ccl_traps,
         ));
     }
     s
@@ -1226,6 +1239,8 @@ mod tests {
                     blame_fp: [0x1111, 0x2222, 0x3333],
                     ccl_requests: 40,
                     ccl_stalls: 3,
+                    ccl_traps: 1,
+                    ml_traps: 12,
                 },
                 page_sizes: Vec::new(),
             })
@@ -1311,7 +1326,7 @@ mod tests {
         assert_eq!(f4.lines().count(), 2 + 4);
         assert!(f4.contains("| 3D-FFT | 100 | 120.0 | 105.0 | 124 | ~106 |"));
         let f5 = fig5_markdown(&report);
-        assert!(f5.contains("| Water | 100 | 66.7 | 53.3 | 43 | 38 | 0.3 | 0.1 | 0.0 | 3 |"));
+        assert!(f5.contains("| Water | 100 | 66.7 | 53.3 | 43 | 38 | 0.3 | 0.1 | 0.0 | 3 | 1 |"));
         let bl = blame_markdown(&report);
         assert_eq!(bl.lines().count(), 2 + 4 * 3);
         assert!(
@@ -1414,6 +1429,28 @@ mod tests {
                     app.name()
                 );
             }
+        }
+    }
+
+    /// Replay traps only where neither its log nor the barrier
+    /// manager's history tells it a write is coming, gated on the
+    /// committed paper report: at most the one home write that comes
+    /// before the manager's hello reply is in, plus each silent remote
+    /// write (an empty diff, in no log record) — none on 3D-FFT, MG and
+    /// Shallow, which write no remote page, two on Water. Before the
+    /// manager's list the victim trapped on its home pages in every
+    /// replayed interval: 832 / 675 / 2 032 / 14 traps.
+    #[test]
+    fn committed_report_keeps_replay_trap_free() {
+        let doc = committed(Scale::Paper);
+        let silent = [0.0, 0.0, 0.0, 2.0];
+        for (app, silent) in App::ALL.into_iter().zip(silent) {
+            let traps = num(&doc, &["apps", app.name(), "recovery", "ccl_traps"]);
+            assert!(
+                traps <= 1.0 + silent,
+                "{}: CCL replay trapped {traps} times",
+                app.name()
+            );
         }
     }
 

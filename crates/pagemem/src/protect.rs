@@ -16,7 +16,8 @@ pub enum PageState {
     ReadOnly,
     /// Writable copy (PROT_READ|PROT_WRITE): opened by a write fault,
     /// with a twin in place — or, in log replay, opened ahead of a
-    /// write the log names, with none.
+    /// write the log (or, for a home page, the barrier manager's
+    /// history) names, with none.
     Writable,
 }
 

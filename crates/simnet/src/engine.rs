@@ -588,6 +588,7 @@ impl PhaseBreakdown {
             sends_to_stopped: _,
             sched_stalls: _,
             recovery_stalls: _,
+            recovery_traps: _,
         } = *stats;
         let hidden = disk_time_overlapped.min(wait_time);
         PhaseBreakdown {

@@ -73,6 +73,11 @@ pub struct NodeStats {
     /// restore of a page replay faulted on — whose replies were not all
     /// in when replay reached them: the waits recovery could not hide.
     pub recovery_stalls: u64,
+    /// Page-protection traps — read and write faults — taken between
+    /// this node's crash and its recovery exit: what replay still had
+    /// to trap to learn, its log notwithstanding. Also counted in
+    /// `read_faults` / `write_faults`.
+    pub recovery_traps: u64,
     /// Virtual time spent in application compute charges.
     pub compute_time: SimDuration,
     /// Virtual time spent blocked on remote replies / synchronization.
@@ -118,6 +123,7 @@ impl NodeStats {
             sends_to_stopped,
             sched_stalls,
             recovery_stalls,
+            recovery_traps,
             compute_time,
             wait_time,
             disk_time,
@@ -151,6 +157,7 @@ impl NodeStats {
         self.sends_to_stopped += sends_to_stopped;
         self.sched_stalls += sched_stalls;
         self.recovery_stalls += recovery_stalls;
+        self.recovery_traps += recovery_traps;
         self.compute_time += compute_time;
         self.wait_time += wait_time;
         self.disk_time += disk_time;
@@ -224,6 +231,7 @@ mod tests {
             msgs_by_kind: std::array::from_fn(|i| base + 28 + i as u64),
             bytes_by_kind: std::array::from_fn(|i| base + 28 + TRAFFIC_KINDS as u64 + i as u64),
             recovery_stalls: base + 28 + 2 * TRAFFIC_KINDS as u64,
+            recovery_traps: base + 29 + 2 * TRAFFIC_KINDS as u64,
         }
     }
 
@@ -260,6 +268,7 @@ mod tests {
             sends_to_stopped,
             sched_stalls,
             recovery_stalls,
+            recovery_traps,
             compute_time,
             wait_time,
             disk_time,
@@ -300,6 +309,7 @@ mod tests {
             );
         }
         assert_eq!(recovery_stalls, expect(28 + 2 * TRAFFIC_KINDS as u64));
+        assert_eq!(recovery_traps, expect(29 + 2 * TRAFFIC_KINDS as u64));
     }
 
     #[test]

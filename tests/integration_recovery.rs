@@ -8,6 +8,8 @@ use ccl_apps::App;
 use ccl_core::{
     kind_label, run_program, ClusterSpec, CrashPlan, Protocol, SimDuration, TraceKind, MSG_KINDS,
 };
+use hlrc::WriteNotice;
+use pagemem::IntervalId;
 
 fn spec(app: App, nodes: usize, protocol: Protocol) -> ClusterSpec {
     let page = 256;
@@ -230,9 +232,51 @@ fn touched_before(
         .collect()
 }
 
+/// The write notices the barrier manager's hello reply lists for
+/// `victim`: what each of its intervals before the crash wrote of its
+/// own home pages, read off its trace. For a program that synchronizes
+/// at barriers only: an interval closes at each barrier after a write,
+/// each page it writes takes one write fault, and a page the victim
+/// writes without having fetched or used a predicted copy of it is
+/// homed at the victim.
+fn own_home_writes(victim: &ccl_core::NodeOutput<u64>) -> Vec<WriteNotice> {
+    let crashed = victim.crashed_at.expect("crash was not injected");
+    let fetched = touched_before(victim, crashed);
+    let mut interval = IntervalId {
+        node: victim.node as u32,
+        seq: 0,
+    };
+    let mut written = BTreeSet::new();
+    let mut out = Vec::new();
+    for ev in victim
+        .trace
+        .iter()
+        .take_while(|ev| ev.kind != TraceKind::Crash)
+    {
+        match ev.kind {
+            TraceKind::WriteFault { page } => {
+                written.insert(page);
+            }
+            TraceKind::BarrierEnter { .. } if !written.is_empty() => {
+                let home = written.iter().filter(|p| !fetched.contains(p));
+                out.extend(home.map(|&page| WriteNotice { page, interval }));
+                written.clear();
+                interval.seq += 1;
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 /// How many pages `home` told `victim` it held: the length of the list
-/// in the one hello reply it sent, from the reply's size on the wire.
-fn pages_in_hello_reply(home: &ccl_core::NodeOutput<u64>, victim: usize) -> u64 {
+/// in the one hello reply it sent, from the reply's size on the wire —
+/// less the `home_writes` it also carried (the barrier manager's).
+fn pages_in_hello_reply(
+    home: &ccl_core::NodeOutput<u64>,
+    victim: usize,
+    home_writes: Vec<WriteNotice>,
+) -> u64 {
     let sizes: Vec<u32> = home
         .trace
         .iter()
@@ -250,6 +294,7 @@ fn pages_in_hello_reply(home: &ccl_core::NodeOutput<u64>, victim: usize) -> u64 
     let empty = hlrc::Msg::RecoveryHelloReply {
         held: Vec::new(),
         complete: true,
+        home_writes,
     };
     u64::from(sizes[0] - simnet::WireSized::wire_size(&empty) as u32) / 4
 }
@@ -356,7 +401,13 @@ fn homes_list_as_held_only_what_the_victim_touched() {
                 .iter()
                 .filter(|p| home_of.get(p).is_none_or(|h| *h == home.node))
                 .count() as u64;
-            let held = pages_in_hello_reply(home, 1);
+            // The barrier manager also lists the victim's home writes.
+            let home_writes = match home.node {
+                0 => own_home_writes(victim),
+                _ => Vec::new(),
+            };
+            assert!(home.node != 0 || !home_writes.is_empty());
+            let held = pages_in_hello_reply(home, 1, home_writes);
             assert!(
                 (demand..=touched_here).contains(&held),
                 "{}: node {} lists {held} pages; the victim demand-fetched {demand} \
@@ -462,7 +513,10 @@ fn a_first_touch_the_home_never_heard_of_is_restored_when_replay_faults_on_it() 
             "X was demand-fetched"
         );
         // The hello reply lists Y alone.
-        assert_eq!(pages_in_hello_reply(&out.nodes[0], 1), 1);
+        assert_eq!(
+            pages_in_hello_reply(&out.nodes[0], 1, own_home_writes(victim)),
+            1
+        );
         // Replay faulted on X, once, and on nothing else homed at node
         // 0: Y came back with the replayed barrier's wave.
         let faults = |page| {
@@ -873,6 +927,7 @@ fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
             let listed = Msg::RecoveryHelloReply {
                 held: vec![0],
                 complete: true,
+                home_writes: vec![],
             };
             reply(&mut ctx, listed);
             let mut held = Vec::new();
@@ -1142,31 +1197,39 @@ fn replayed_writes_to_logged_pages_take_no_trap() {
 
 #[test]
 fn a_replay_that_may_be_abandoned_opens_nothing() {
-    // Every round node 1 writes page P, homed at node 0, then takes lock
-    // 1 and lets it go. The acquire flushes P's diff; its `Sync` record
-    // waits for the barrier's flush, and the crash after that barrier
-    // tears the whole batch away. The log now ends in P's diff, and the
-    // barrier record is synthesized from the manager's history. Replay
-    // meets it where it expected the acquire and goes live there: that
-    // interval end needs P's twin. So replay must not open P at the
-    // barrier before — the segment ends in a record that may abandon it
-    // — and P traps in the replayed round as it did live.
+    // Every round node 1 writes page P, homed at node 0, and page Q, its
+    // own, then takes lock 1 and lets it go. The acquire flushes P's
+    // diff; its `Sync` record waits for the barrier's flush, and the
+    // crash after that barrier tears the whole batch away. The log now
+    // ends in P's diff, and the barrier record is synthesized from the
+    // manager's history. Replay meets it where it expected the acquire
+    // and goes live there: that interval end needs P's twin. So replay
+    // must not open P at the barrier before — the segment ends in a
+    // record that may abandon it — and P traps in the replayed round as
+    // it did live. Nor Q, which the manager's list names just as the log
+    // names P: the rule is one for both.
     const ROUNDS: u64 = 4;
     // A tear seed that keeps none of a two-record batch.
     const TEAR_EVERYTHING: u64 = 2;
+    // Pages are allocated in order from page 0.
+    const P: u32 = 0;
+    const Q: u32 = 1;
     let program = |dsm: &mut ccl_core::Dsm| {
         let words = dsm.page_size() / 8;
         let p = dsm.alloc_at::<u64>(words, 0);
+        let q = dsm.alloc_at::<u64>(words, 1);
         let mut seen = 0u64;
         for round in 1..=ROUNDS {
             if dsm.me() == 1 {
                 dsm.write(&p, 1, round);
+                dsm.write(&q, 1, 10 * round);
                 dsm.acquire(1);
                 dsm.release(1);
             }
             dsm.barrier();
             if dsm.me() != 1 {
                 seen = fold(seen, dsm.read(&p, 1));
+                seen = fold(seen, dsm.read(&q, 1));
             }
             dsm.barrier();
         }
@@ -1183,12 +1246,148 @@ fn a_replay_that_may_be_abandoned_opens_nothing() {
     }
     let victim = &out.nodes[1];
     assert_eq!(victim.disk.torn_records, 2, "the tear kept a sync record");
-    // P is page 0; the rounds before, which a real record closes, open it.
+    // The rounds before, which a real record closes, open both pages
+    // (the manager's list came in with the release history the torn
+    // log made replay fetch first).
     assert_eq!(
         replay_write_faults(victim),
-        vec![0],
-        "replay opened P before a synthesized record, or trapped on it before a real one"
+        vec![P, Q],
+        "replay opened a page before a synthesized record, or trapped on one before a real one"
     );
+    assert_eq!(victim.stats.recovery_traps, 2);
+}
+
+/// Node 1's program for the replayed home-write tests: every round an
+/// empty critical section under lock 1, one word of each of `HOME` of
+/// its own pages, then under lock 2 a word of one more of its own pages
+/// — all read by the other nodes after the barrier. With `read_first`,
+/// each round starts with a read of a page of node 0 that nobody writes.
+fn home_writer(read_first: bool) -> impl Fn(&mut ccl_core::Dsm) -> u64 + Clone {
+    const HOME: usize = 4;
+    move |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let h = dsm.alloc_at::<u64>((HOME + 1) * words, 1);
+        let r = dsm.alloc_at::<u64>(words, 0);
+        let mut seen = 0u64;
+        for round in 1..=6u64 {
+            if dsm.me() == 1 {
+                if read_first {
+                    seen = fold(seen, dsm.read(&r, 0));
+                }
+                dsm.acquire(1);
+                dsm.release(1);
+                for p in 0..HOME {
+                    dsm.write(&h, p * words + 1, round);
+                }
+                dsm.acquire(2);
+                dsm.write(&h, HOME * words + 1, 10 * round);
+                dsm.release(2);
+            }
+            dsm.barrier();
+            if dsm.me() != 1 {
+                for p in 0..=HOME {
+                    seen = fold(seen, dsm.read(&h, p * words + 1));
+                }
+            }
+            dsm.barrier();
+        }
+        seen
+    }
+}
+
+#[test]
+fn replayed_home_writes_take_no_trap() {
+    // Node 1's own log names none of the home pages it writes (a home
+    // write makes no diff, and its `Sync` records hold only the notices
+    // it received); the barrier manager's release history does, and
+    // the manager's hello reply hands them over. Replay opens each page
+    // at the sync before the interval that writes it — the four after
+    // the empty critical section, whose release books none of them, and
+    // the fifth inside lock 2 — so the live run's five traps a round are
+    // gone. One is left when the first replayed home write comes before
+    // the manager's reply has been taken in: that trap is paid anyway,
+    // waits for the reply and opens the rest. Read a page of node 0
+    // first, and the restore of it takes the reply in before any home
+    // write: no trap at all but that read's.
+    const ROUNDS: u64 = 6;
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ccl);
+    for read_first in [false, true] {
+        let program = home_writer(read_first);
+        let clean = run_program(base.clone(), program.clone());
+        let out = run_program(
+            base.clone().with_crash(CrashPlan::new(1, 2 * ROUNDS - 2)),
+            program,
+        );
+        for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+            assert_eq!(a.result, b.result, "node {} diverged", a.node);
+        }
+        // Live, every round trapped on all five home pages.
+        assert_eq!(clean.nodes[1].stats.write_faults, 5 * ROUNDS);
+        let victim = &out.nodes[1];
+        let (traps, reads) = match read_first {
+            false => (vec![0], 0),
+            true => (vec![], 1),
+        };
+        assert_eq!(
+            replay_write_faults(victim),
+            traps,
+            "read first: {read_first}: replay trapped on a home page the manager listed"
+        );
+        assert_eq!(victim.stats.recovery_traps, traps.len() as u64 + reads);
+    }
+}
+
+#[test]
+fn a_victim_without_the_managers_list_traps_at_home() {
+    // The barrier manager itself fails: nobody holds a history of its
+    // writes to hand it (its own went with its volatile memory), so no
+    // hello reply lists any, and replay traps on each home page of each
+    // replayed interval exactly where the live run did — and still
+    // reaches the fault-free digest.
+    const ROUNDS: u64 = 6;
+    let program = |dsm: &mut ccl_core::Dsm| {
+        let words = dsm.page_size() / 8;
+        let h = dsm.alloc_at::<u64>(3 * words, 0);
+        let mut seen = 0u64;
+        for round in 1..=ROUNDS {
+            if dsm.me() == 0 {
+                for p in 0..3 {
+                    dsm.write(&h, p * words + 1, round + p as u64);
+                }
+            }
+            dsm.barrier();
+            if dsm.me() != 0 {
+                for p in 0..3 {
+                    seen = fold(seen, dsm.read(&h, p * words + 1));
+                }
+            }
+            dsm.barrier();
+        }
+        seen
+    };
+    let base = ClusterSpec::new(3, 8)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ccl);
+    let clean = run_program(base.clone(), program);
+    let out = run_program(base.with_crash(CrashPlan::new(0, 2 * ROUNDS - 2)), program);
+    for (a, b) in clean.nodes.iter().zip(&out.nodes) {
+        assert_eq!(a.result, b.result, "node {} diverged", a.node);
+    }
+    let victim = &out.nodes[0];
+    let live: Vec<u32> = victim
+        .trace
+        .iter()
+        .take_while(|ev| ev.kind != TraceKind::Crash)
+        .filter_map(|ev| match ev.kind {
+            TraceKind::WriteFault { page } => Some(page),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(live.len() as u64, 3 * (ROUNDS - 1));
+    assert_eq!(replay_write_faults(victim), live);
+    assert_eq!(victim.stats.recovery_traps, live.len() as u64);
 }
 
 // ------------------------------------------------------------
