@@ -975,13 +975,10 @@ impl CclLogger {
                 return RecoveryStep::LogExhausted;
             }
         }
-        if seg.bytes > 0 {
-            // One sequential log read per replayed interval (bandwidth
-            // plus a syscall, no seek: the log is scanned in order).
-            let _ = inner.ctx.disk.read_cost(seg.bytes); // counters
-            let cost = inner.ctx.disk.model().drain_time(seg.bytes) + SimDuration::from_micros(20);
-            inner.ctx.charge_disk(cost);
-        }
+        // One replay read per replayed interval: the log is scanned in
+        // order, so no seek.
+        let cost = inner.ctx.disk.replay_read(seg.bytes);
+        inner.ctx.charge_disk(cost);
         let Some((_, notices, vc, _)) = seg.sync else {
             // Log exhausted: pre-crash state reached. (The cursor can
             // only run out at a step boundary because flushes cover

@@ -20,8 +20,9 @@
 //!
 //! ML-recovery replays the logged messages in receipt order: each page
 //! miss and each synchronization operation reads records from disk (one
-//! access per record — the "memory miss idle time" and "high disk access
-//! latency" of §4.3), with no network traffic at all.
+//! read call per record, continuing the salvage scan — the "memory miss
+//! idle time" and "high disk access latency" of §4.3), with no network
+//! traffic at all.
 
 use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind};
 use pagemem::{Decode, Encode, PageId, PageState, VClock};
@@ -100,10 +101,9 @@ impl MlLogger {
         }
     }
 
-    /// Read and charge the next logged message, if any. Replay scans
-    /// the log in order, so the device cost is sequential-bandwidth
-    /// plus a per-record read()/decode overhead (~100 us on the era's
-    /// CPU), not a full seek per record.
+    /// Read and charge the next logged message, if any. Replay continues
+    /// the salvage scan in order, one read call per record: the call
+    /// plus bandwidth ([`simnet::SimDisk::replay_read`]), no seek.
     fn next_record(&mut self, inner: &mut NodeInner) -> Option<ReplayRecord> {
         let cursor = self.cursor.as_mut().expect("not in recovery");
         if *cursor >= self.log_valid {
@@ -117,15 +117,17 @@ impl MlLogger {
                 synthesized: true,
             });
         }
-        let (bytes, _) = inner.ctx.disk.read_record(ML_STREAM, *cursor)?;
+        // The salvage scan verified every frame up to `log_valid`, and
+        // nothing truncates the stream while replay runs.
+        let record = &inner.ctx.disk.peek_stream(ML_STREAM)[*cursor];
+        let payload = &record[frame::FRAME_HEADER_BYTES..];
+        let msg = Msg::decode_from_slice(payload).expect("verified ML log record");
+        let bytes = record.len();
         *cursor += 1;
-        let cost = inner.ctx.disk.model().drain_time(bytes.len()) + SimDuration::from_micros(100);
+        let cost = inner.ctx.disk.replay_read(bytes);
         inner.ctx.charge_disk(cost);
-        // The recovery scan verified every record up to `log_valid`, so
-        // both unwraps hold: damage was already cut at the salvage step.
-        let frame = frame::decode_frame(&bytes).expect("verified ML frame");
         Some(ReplayRecord {
-            msg: Msg::decode_from_slice(&frame.payload).expect("verified ML log record"),
+            msg,
             synthesized: false,
         })
     }
@@ -133,13 +135,10 @@ impl MlLogger {
     /// After a successful replay step, drop out of recovery eagerly if
     /// the whole verified log prefix (and every synthesized release) has
     /// been consumed (the pre-crash — or pre-damage — state is reached).
-    fn maybe_finish(&mut self, inner: &NodeInner) {
-        if let Some(cursor) = self.cursor {
-            let limit =
-                self.log_valid.min(inner.ctx.disk.record_count(ML_STREAM)) + self.synthesized.len();
-            if cursor >= limit {
-                self.cursor = None;
-            }
+    fn maybe_finish(&mut self) {
+        let limit = self.log_valid + self.synthesized.len();
+        if self.cursor.is_some_and(|cursor| cursor >= limit) {
+            self.cursor = None;
         }
     }
 
@@ -257,7 +256,7 @@ impl MlLogger {
             inner.ctx.trace(TraceKind::RecoveryReplay {
                 notices: notices as u32,
             });
-            self.maybe_finish(inner);
+            self.maybe_finish();
             return RecoveryStep::Replayed;
         }
     }
@@ -385,7 +384,7 @@ impl FaultTolerance for MlLogger {
             self.synthesized = lost.into_iter().map(synthesize).collect();
         }
         self.cursor = Some(0);
-        self.maybe_finish(inner);
+        self.maybe_finish();
     }
 
     fn restored_app_state(&mut self) -> Option<Vec<u8>> {

@@ -276,65 +276,37 @@ impl SimDisk {
             .map_or(0, |v| v.iter().map(|r| r.len()).sum())
     }
 
-    /// Read one record by index, charging one disk access.
+    /// A stream's records, without charging any access time.
     ///
-    /// Models the per-miss log reads of ML-recovery.
-    pub fn read_record(&mut self, stream: &str, index: usize) -> Option<(Vec<u8>, SimDuration)> {
-        let rec = self.streams.get(stream)?.get(index)?.clone();
-        self.counters.reads += 1;
-        self.counters.bytes_read += rec.len() as u64;
-        let cost = self.model.read_time(rec.len());
-        Some((rec, cost))
-    }
-
-    /// Read a contiguous range of records in a single sequential access.
-    ///
-    /// Models CCL-recovery's one-read-per-interval pattern.
-    pub fn read_range(
-        &mut self,
-        stream: &str,
-        range: std::ops::Range<usize>,
-    ) -> (Vec<Vec<u8>>, SimDuration) {
-        let recs: Vec<Vec<u8>> = self
-            .streams
-            .get(stream)
-            .map(|v| {
-                let end = range.end.min(v.len());
-                let start = range.start.min(end);
-                v[start..end].to_vec()
-            })
-            .unwrap_or_default();
-        if recs.is_empty() {
-            // Nothing to transfer: no access happened, no time passes
-            // (Table 2 read counts must not include empty probes).
-            return (recs, SimDuration::ZERO);
-        }
-        let bytes: usize = recs.iter().map(|r| r.len()).sum();
-        self.counters.reads += 1;
-        self.counters.bytes_read += bytes as u64;
-        (recs, self.model.read_time(bytes))
-    }
-
-    /// Inspect a stream's records without charging any access time.
-    ///
-    /// Recovery code uses this to rebuild in-memory indexes over its
-    /// stable log; the *time* of the corresponding reads is charged
-    /// explicitly (per replayed interval) with [`SimDisk::read_cost`],
-    /// matching the paper's per-interval log-read pattern.
+    /// Recovery scans and replays its stable log from here and charges
+    /// the reads it models explicitly: [`SimDisk::replay_read`] for each
+    /// read that continues the scan (one per ML record, one per replayed
+    /// CCL interval), [`SimDisk::read_cost`] for a cold read that seeks.
     pub fn peek_stream(&self, stream: &str) -> &[Vec<u8>] {
         self.streams.get(stream).map_or(&[], |v| v.as_slice())
     }
 
-    /// Cost of one sequential read of `bytes` (explicit charging
-    /// companion to [`SimDisk::peek_stream`]); counts as one access.
-    /// A zero-byte read is no access at all: free and uncounted.
+    /// Cost of one cold read of `bytes`, head positioning included
+    /// ([`DiskModel::read_time`]); counts as one access.
     pub fn read_cost(&mut self, bytes: usize) -> SimDuration {
+        self.read(bytes, DiskModel::read_time)
+    }
+
+    /// Cost of one replay read of `bytes`, a call plus bandwidth
+    /// ([`DiskModel::replay_read_time`]); counts as one access.
+    pub fn replay_read(&mut self, bytes: usize) -> SimDuration {
+        self.read(bytes, DiskModel::replay_read_time)
+    }
+
+    /// Count one read of `bytes` and price it by `time`. A zero-byte
+    /// read is no access: free and uncounted.
+    fn read(&mut self, bytes: usize, time: fn(&DiskModel, usize) -> SimDuration) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
         self.counters.reads += 1;
         self.counters.bytes_read += bytes as u64;
-        self.model.read_time(bytes)
+        time(&self.model, bytes)
     }
 
     /// Drop all records in `stream` (log truncation after a checkpoint).
@@ -413,8 +385,7 @@ mod tests {
         assert!(cost.as_nanos() > 0);
         assert_eq!(d.record_count("log"), 2);
         assert_eq!(d.stream_bytes("log"), 5);
-        let (rec, _) = d.read_record("log", 1).unwrap();
-        assert_eq!(rec, vec![4, 5]);
+        assert_eq!(d.peek_stream("log")[1], vec![4, 5]);
     }
 
     #[test]
@@ -436,25 +407,15 @@ mod tests {
         assert!(batch < individual);
     }
 
+    /// A replay read continues a scan: one call plus bandwidth, no seek.
     #[test]
-    fn read_range_is_sequential() {
+    fn replay_read_pays_one_call_plus_bandwidth() {
         let mut d = disk();
-        d.flush_records("log", (0..5).map(|i| vec![i as u8; 10]));
-        let (recs, cost) = d.read_range("log", 1..4);
-        assert_eq!(recs.len(), 3);
-        assert_eq!(recs[0], vec![1u8; 10]);
+        let call = DiskModel::READ_CALL + DiskModel::ULTRA5_LOCAL.drain_time(30);
+        assert_eq!(d.replay_read(30), call);
         assert_eq!(d.counters().reads, 1);
-        assert_eq!(cost, DiskModel::ULTRA5_LOCAL.read_time(30));
-    }
-
-    #[test]
-    fn read_range_clamps_out_of_bounds() {
-        let mut d = disk();
-        d.flush_records("log", vec![vec![9u8; 4]]);
-        let (recs, _) = d.read_range("log", 0..100);
-        assert_eq!(recs.len(), 1);
-        let (recs, _) = d.read_range("missing", 0..3);
-        assert!(recs.is_empty());
+        assert_eq!(d.counters().bytes_read, 30);
+        assert!(d.replay_read(30) < d.read_cost(30));
     }
 
     #[test]
@@ -463,13 +424,13 @@ mod tests {
         d.flush_records("log", vec![vec![1u8; 8]]);
         d.truncate("log");
         assert_eq!(d.record_count("log"), 0);
-        assert!(d.read_record("log", 0).is_none());
+        assert!(d.peek_stream("log").is_empty());
     }
 
     #[test]
     fn missing_record_returns_none() {
-        let mut d = disk();
-        assert!(d.read_record("nope", 0).is_none());
+        let d = disk();
+        assert!(d.peek_stream("nope").is_empty());
     }
 
     #[test]
@@ -496,8 +457,7 @@ mod tests {
         assert_eq!(d.record_count("log"), 1);
         assert_eq!(d.counters().failed_writes, 2);
         // Persisted prefix still readable (dead device, not media loss).
-        let (rec, _) = d.read_record("log", 0).unwrap();
-        assert_eq!(rec, vec![1u8; 8]);
+        assert_eq!(d.peek_stream("log"), [vec![1u8; 8]]);
     }
 
     #[test]
@@ -529,22 +489,18 @@ mod tests {
         assert_eq!(d.stream_names(), vec!["a"]);
     }
 
-    /// Read counters are exact: probing a missing or empty stream, or
-    /// charging a zero-byte read, is not a disk access (Table 2 read
-    /// counts must only reflect real transfers).
+    /// Read counters are exact: a zero-byte read, cold or replay, is
+    /// not a disk access (Table 2 read counts must only reflect real
+    /// transfers).
     #[test]
     fn empty_reads_are_not_accesses() {
         let mut d = disk();
-        let (recs, cost) = d.read_range("missing", 0..10);
-        assert!(recs.is_empty());
-        assert_eq!(cost, SimDuration::ZERO);
+        assert_eq!(d.replay_read(0), SimDuration::ZERO);
         assert_eq!(d.read_cost(0), SimDuration::ZERO);
-        d.flush_records("log", vec![vec![1u8; 4]]);
-        let (_, _) = d.read_range("log", 5..9); // clamped to empty
         assert_eq!(d.counters().reads, 0);
         assert_eq!(d.counters().bytes_read, 0);
         // A real transfer still counts exactly once.
-        let (_, _) = d.read_range("log", 0..1);
+        d.replay_read(4);
         assert_eq!(d.counters().reads, 1);
         assert_eq!(d.counters().bytes_read, 4);
     }

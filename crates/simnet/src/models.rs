@@ -54,6 +54,9 @@ pub struct DiskModel {
 }
 
 impl DiskModel {
+    /// One `read()` call that continues a sequential scan: no seek.
+    pub const READ_CALL: SimDuration = SimDuration::from_micros(20);
+
     /// A late-1990s local disk: ~8 ms per random access, ~16 MB/s
     /// sequential bandwidth (60 ns/byte), ~30 ns/byte for the buffered
     /// write() copy into the OS page cache.
@@ -69,7 +72,7 @@ impl DiskModel {
         self.access_latency + SimDuration::from_nanos(self.ns_per_byte.saturating_mul(bytes as u64))
     }
 
-    /// Time to read `bytes` in one access.
+    /// Time to read `bytes` in one access (a cold read: it seeks).
     #[inline]
     pub fn read_time(&self, bytes: usize) -> SimDuration {
         // Reads and writes cost the same at the device under this model.
@@ -89,6 +92,13 @@ impl DiskModel {
     #[inline]
     pub fn drain_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_nanos(self.ns_per_byte.saturating_mul(bytes as u64))
+    }
+
+    /// Time of one replay read of `bytes`: recovery continues the
+    /// salvage scan of its log, so a call plus bandwidth, never a seek.
+    #[inline]
+    pub fn replay_read_time(&self, bytes: usize) -> SimDuration {
+        Self::READ_CALL + self.drain_time(bytes)
     }
 }
 

@@ -124,6 +124,34 @@ fn ccl_recovery_reads_less_log_than_ml_recovery() {
 }
 
 #[test]
+fn every_replay_read_pays_one_call_plus_bandwidth() {
+    // ML reads its log one record per call, CCL one replayed interval
+    // per call, and both price a call by `DiskModel::replay_read_time`.
+    // With no checkpoint to restore and no damage to repair, the failed
+    // node's disk time in its recovery window is exactly the reads its
+    // crash added: one call each, plus bandwidth for their bytes.
+    let app = App::Water;
+    for protocol in [Protocol::Ml, Protocol::Ccl] {
+        let s = spec(app, 4, protocol);
+        let model = s.cost.disk;
+        let clean = run_program(s.clone(), move |dsm| app.run_tiny(dsm));
+        let crashed = s.with_crash(CrashPlan::new(1, 3));
+        let out = run_program(crashed, move |dsm| app.run_tiny(dsm));
+        let (before, after) = (clean.nodes[1].disk, out.nodes[1].disk);
+        let reads = after.reads - before.reads;
+        let bytes = after.bytes_read - before.bytes_read;
+        assert!(reads > 0, "{protocol:?}: replay read nothing");
+        let call = simnet::DiskModel::READ_CALL.as_nanos();
+        let expect = SimDuration::from_nanos(reads * call + bytes * model.ns_per_byte);
+        let window = out.nodes[1].recovery_phases.expect("recovery window");
+        assert_eq!(
+            window.disk, expect,
+            "{protocol:?}: {reads} reads of {bytes} bytes"
+        );
+    }
+}
+
+#[test]
 fn detection_delay_is_charged() {
     let app = App::Mg;
     let mut plan = CrashPlan::new(1, 3);
