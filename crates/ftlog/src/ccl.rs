@@ -25,11 +25,18 @@
 //! use whose report had not left at the crash: the on-demand path
 //! below).
 //!
-//! Replay then walks the sync events of the (small) local log and
-//! restores in *waves*, every request of a wave in flight at once: for
-//! its home copies, the diffs named by the recorded incoming updates,
-//! fetched from the writers' stable logs (the paper's mechanism); for
-//! every held remote copy a logged notice names, a
+//! Replay reads the (small) local log the way the peers read theirs: one
+//! sequential scan, started where the salvage left the head, drains it
+//! into memory ahead of replay, and each interval's records cost one
+//! read call that waits only for the bytes the scan has not reached.
+//! Replay pays for an interval's records where it first uses them, one
+//! interval before their sync (below).
+//!
+//! Replay then walks the sync events of the log and restores in
+//! *waves*, every request of a wave in flight at once: for its home
+//! copies, the diffs named by the recorded incoming updates, fetched
+//! from the writers' stable logs (the paper's mechanism); for every
+//! held remote copy a logged notice names, a
 //! [`Msg::RecoveryPageRequest`] to the page's home, which answers from
 //! its *served-image log* — the reply buffers it retained, one per
 //! version it ever served ([`hlrc::ServedLog`]) — with the earliest
@@ -104,7 +111,7 @@ use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryImage, RecoveryStep, SyncKind
 use pagemem::{
     Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
 };
-use simnet::{Envelope, LogObj, NodeId, SimDuration, SimTime, TraceKind};
+use simnet::{Envelope, LogObj, LogScan, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
 use crate::log_record::CclRecord;
@@ -123,10 +130,18 @@ type Found = HashMap<(PageId, IntervalId), PageDiff>;
 
 /// In-memory replay state (rebuilt from the stable log after a crash).
 struct CclReplay {
-    /// Decoded records with their encoded sizes (for per-interval read
-    /// charging).
+    /// Decoded records with their framed sizes (0 for a synthesized
+    /// one), which price their reads.
     records: Vec<(CclRecord, usize)>,
     cursor: usize,
+    /// The records before this one are read ([`CclReplay::read_through`]):
+    /// replay uses nothing of a record past it.
+    read_to: usize,
+    /// The scan replay reads from, started where the salvage left the
+    /// head: it drains the log into memory ahead of replay. None in
+    /// ablation A2, which reads nothing ahead: each of its reads starts
+    /// a scan of its own, a demand read.
+    scan: Option<LogScan>,
     /// The served image each resident remote copy was last restored
     /// from and its position in the home's log (an entry goes when its
     /// copy does — or its home, see [`CclLogger::forget_images_of`]).
@@ -169,6 +184,32 @@ struct Wave {
     required: Option<VClock>,
 }
 
+impl CclReplay {
+    /// Read the log through record `end` (exclusive), if replay has not
+    /// yet: one read call for the records from `read_to` on, charged as
+    /// disk, which waits for the scan to hold their last byte.
+    fn read_through(&mut self, inner: &mut NodeInner, end: usize) {
+        if end <= self.read_to {
+            return;
+        }
+        let bytes = self.records[self.read_to..end]
+            .iter()
+            .map(|(_, size)| size)
+            .sum();
+        let now = inner.ctx.now();
+        let mut own = inner.ctx.disk.warm_scan(now);
+        let scan = self.scan.as_mut().unwrap_or(&mut own);
+        let cost = inner.ctx.disk.scan_read(scan, bytes, now);
+        inner.ctx.charge_disk(cost);
+        self.read_to = end;
+    }
+
+    /// Whether replay has read all of `seg`, and may use it.
+    fn has_read(&self, seg: &Segment) -> bool {
+        seg.end <= self.read_to
+    }
+}
+
 impl Wave {
     /// Replies still to come.
     fn due(&self) -> usize {
@@ -193,8 +234,6 @@ impl Wave {
 struct Segment {
     /// One past its last record.
     end: usize,
-    /// Its framed size.
-    bytes: usize,
     /// The recorded updates of this node's home copies in it.
     wants: Wants,
     /// The pages its own `Diffs` records are of: remote pages this node
@@ -209,13 +248,11 @@ struct Segment {
 fn segment(records: &[(CclRecord, usize)], from: usize) -> Segment {
     let mut seg = Segment {
         end: from,
-        bytes: 0,
         wants: Wants::new(),
         written: BTreeSet::new(),
         sync: None,
     };
     while let Some((rec, size)) = records.get(seg.end) {
-        seg.bytes += size;
         seg.end += 1;
         match rec {
             CclRecord::Updates { writer, pages } => {
@@ -293,13 +330,13 @@ pub struct CclLogger {
     staged: Vec<CclRecord>,
     replay: Option<CclReplay>,
     restored_app: Option<Vec<u8>>,
-    /// Survivor-side in-memory image of the logged diffs, loaded with a
-    /// single sequential log read when a recovering peer says hello,
-    /// each with the time that read has it in memory; its requests are
-    /// then served at memory speed.
+    /// Survivor-side in-memory image of the logged diffs, loaded by one
+    /// cold scan of the log ([`simnet::SimDisk::cold_scan`]) when a
+    /// recovering peer says hello, each with the time the scan holds the
+    /// record carrying it; its requests are then served at memory speed.
     serve_cache: Option<HashMap<(PageId, u32), (PageDiff, SimTime)>>,
-    /// When the log read that filled `serve_cache` completes: no miss
-    /// is known earlier.
+    /// When the scan that filled `serve_cache` holds the whole log: no
+    /// miss is known earlier.
     serve_ready_at: SimTime,
     /// What the recovery handshake told this (recovering) node.
     held: HeldPages,
@@ -555,6 +592,10 @@ impl CclLogger {
     /// Where the list is still to come the home pages wait for it — or
     /// for the first home write that traps, which waits for it.
     fn open_written(&mut self, inner: &mut NodeInner, next: &Segment) {
+        debug_assert!(
+            self.replay.as_ref().is_some_and(|r| r.has_read(next)),
+            "replay used log records it has not read"
+        );
         let Some((.., vc, size)) = &next.sync else {
             return;
         };
@@ -598,14 +639,13 @@ impl CclLogger {
     }
 
     /// Survivor side: read the whole log back into memory with one
-    /// sequential scan starting at `at`, unless it already is there.
+    /// cold sequential scan issued at `at`, unless it already is there.
     /// Each logged diff is served once the scan has reached it.
     fn warm_serve_cache(&mut self, inner: &mut NodeInner, at: SimTime) {
         if self.serve_cache.is_some() {
             return;
         }
         let mut cache = HashMap::new();
-        let mut total = 0usize;
         // The survivor's own log can carry latent bit rot too: the
         // scan serves only the verified prefix, and a diff lost to rot
         // is treated like a silently empty one (the recovering peer's
@@ -616,20 +656,20 @@ impl CclLogger {
                 .ctx
                 .trace(TraceKind::CrcMismatch { stream: CCL_STREAM });
         }
-        let model = inner.ctx.disk.model();
-        let start = at + model.access_latency;
+        let framed = |payload: &Vec<u8>| frame::framed_size(payload.len());
+        let total = s.payloads.iter().map(framed).sum();
+        let scan = inner.ctx.disk.cold_scan(at, total);
+        let mut read = 0usize;
         for payload in &s.payloads {
-            total += frame::framed_size(payload.len());
+            read += framed(payload);
             let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
             if let CclRecord::Diffs { interval, diffs } = rec {
-                let ready = start + model.drain_time(total);
                 for d in diffs {
-                    cache.insert((d.page, interval.seq), (d, ready));
+                    cache.insert((d.page, interval.seq), (d, scan.ready_at(read)));
                 }
             }
         }
-        self.serve_ready_at = start + model.drain_time(total);
-        let _ = inner.ctx.disk.read_cost(total); // counters
+        self.serve_ready_at = scan.ready_at(total);
         self.serve_cache = Some(cache);
     }
 
@@ -847,6 +887,10 @@ impl CclLogger {
     /// Nothing leaves when the log runs out first, or ends in a
     /// synthesized sync record, where replay may be abandoned instead.
     fn send_ahead(&mut self, inner: &mut NodeInner, next: Segment) {
+        debug_assert!(
+            self.replay.as_ref().is_some_and(|r| r.has_read(&next)),
+            "replay used log records it has not read"
+        );
         let Some((_, notices, vc, _)) = next.sync.filter(|(.., size)| *size > 0) else {
             return;
         };
@@ -957,10 +1001,13 @@ impl CclLogger {
     /// they name and those the next interval writes, open the latter for
     /// writing, and send the next sync's wave ahead.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncKind) -> RecoveryStep {
-        // Phase 1: scan records for this step (one sequential disk read),
-        // collecting the recorded home-copy updates of the interval.
+        // Phase 1: the records of this step, collecting the recorded
+        // home-copy updates of the interval. The peek at the previous
+        // sync read them already, unless this is the first sync of a
+        // replay without read-ahead (ablation A2).
         let replay = self.replay.as_mut().expect("not in recovery");
         let seg = segment(&replay.records, replay.cursor);
+        replay.read_through(inner, seg.end);
         replay.cursor = seg.end;
         if let Some((tag, .., size)) = &seg.sync {
             if *tag != expected {
@@ -975,10 +1022,6 @@ impl CclLogger {
                 return RecoveryStep::LogExhausted;
             }
         }
-        // One replay read per replayed interval: the log is scanned in
-        // order, so no seek.
-        let cost = inner.ctx.disk.replay_read(seg.bytes);
-        inner.ctx.charge_disk(cost);
         let Some((_, notices, vc, _)) = seg.sync else {
             // Log exhausted: pre-crash state reached. (The cursor can
             // only run out at a step boundary because flushes cover
@@ -1041,10 +1084,13 @@ impl CclLogger {
         }
         // And the pages the interval this sync opens writes but does
         // not hold: it would fault on each, asking at this very clock
-        // (this node wrote them, so no held filter applies).
+        // (this node wrote them, so no held filter applies). Its records
+        // are read here, one interval before its sync.
         let next = self.prefetch.then(|| {
-            let replay = self.replay.as_ref().expect("not in recovery");
-            segment(&replay.records, replay.cursor)
+            let replay = self.replay.as_mut().expect("not in recovery");
+            let next = segment(&replay.records, replay.cursor);
+            replay.read_through(inner, next.end);
+            next
         });
         if let Some(next) = &next {
             pages.extend(next.written.iter().filter(|&&p| !resident(inner, p)));
@@ -1256,7 +1302,7 @@ impl FaultTolerance for CclLogger {
         // The salvage scan CRC-verified every surviving payload: a
         // decode failure here would be a logic bug, not damage. Replay
         // read charging covers the framed record, header included.
-        let mut records: Vec<(CclRecord, usize)> = s
+        let records: Vec<(CclRecord, usize)> = s
             .payloads
             .iter()
             .map(|payload| {
@@ -1264,11 +1310,28 @@ impl FaultTolerance for CclLogger {
                 (rec, frame::framed_size(payload.len()))
             })
             .collect();
-        if self.rebuild_served_logs && !records.is_empty() {
+        // Replay reads on where the salvage scan left the head: from
+        // here on, the log drains into memory ahead of replay, and each
+        // read waits only for what the scan has not reached yet.
+        let mut replay = CclReplay {
+            records,
+            cursor: 0,
+            read_to: 0,
+            scan: self
+                .prefetch
+                .then(|| inner.ctx.disk.warm_scan(inner.ctx.now())),
+            restored: HashMap::new(),
+            wave: None,
+            ahead: None,
+            unopened: None,
+        };
+        if self.rebuild_served_logs && !replay.records.is_empty() {
             // Before anything here waits, hence serves: what this replay
             // will bring back into the home copies, so a peer's fetch
-            // can tell what it must wait for.
-            let updates = records.iter().filter_map(|(rec, _)| match rec {
+            // can tell what it must wait for. That is every `Updates`
+            // record of the log, read through to its end first.
+            replay.read_through(inner, replay.records.len());
+            let updates = replay.records.iter().filter_map(|(rec, _)| match rec {
                 CclRecord::Updates { writer, pages } => Some((writer, pages)),
                 _ => None,
             });
@@ -1284,8 +1347,7 @@ impl FaultTolerance for CclLogger {
         if s.lost_tail && !s.meta_rot {
             let releases =
                 fetch_release_history(inner, |inner, is_reply| self.recovery_wait(inner, is_reply));
-            let last_logged = records
-                .iter()
+            let last_logged = (replay.records.iter())
                 .filter_map(|(rec, _)| match rec {
                     CclRecord::Sync {
                         tag: SyncKind::Barrier(e),
@@ -1304,26 +1366,20 @@ impl FaultTolerance for CclLogger {
                     notices: notices.clone(),
                     vc: vc.clone(),
                 };
-                records.push((sync, 0));
+                replay.records.push((sync, 0));
             }
             self.saved_releases = Some(releases);
         }
         // Nothing was ever logged: crash before the first flush.
-        self.replay = (!records.is_empty()).then(|| CclReplay {
-            records,
-            cursor: 0,
-            restored: HashMap::new(),
-            wave: None,
-            ahead: None,
-            unopened: None,
-        });
-        let Some(replay) = self.replay.as_ref().filter(|_| self.prefetch) else {
+        self.replay = (!replay.records.is_empty()).then_some(replay);
+        let Some(replay) = self.replay.as_mut().filter(|_| self.prefetch) else {
             return;
         };
         // The first replayed interval has no sync to restore the pages
         // it writes: they get a wave of their own before replay starts,
         // and the first sync's wave leaves right after it.
         let first = segment(&replay.records, 0);
+        replay.read_through(inner, first.end);
         let pages: Vec<PageId> = (first.written.iter())
             .filter(|&&p| inner.pages.entry(p).frame.is_none())
             .copied()
@@ -1437,5 +1493,61 @@ impl FaultTolerance for CclLogger {
                 },
             )
             .expect("send logged diff reply");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hlrc::DsmConfig;
+    use pagemem::Twin;
+    use simnet::{run_cluster, CostModel};
+
+    /// A survivor's scan is cold: it serves each logged diff once the
+    /// scan holds the record carrying it, at `at + access_latency +
+    /// drain_time(prefix)`, and knows a miss once it holds the whole log
+    /// — the prices of the one cold read it replaced.
+    #[test]
+    fn a_survivors_cold_scan_serves_each_diff_at_the_cold_read_price() {
+        let cfg = DsmConfig::new(1, 2).with_page_size(64);
+        run_cluster::<Msg, _, _>(1, CostModel::default(), move |ctx| {
+            let mut inner = NodeInner::new(ctx, cfg);
+            let mut ccl = CclLogger::new();
+            let base = PageFrame::zeroed(64);
+            let diff = |page: PageId, word: usize| {
+                let mut frame = base.clone();
+                frame.write_u64(8 * word, word as u64 + 1);
+                PageDiff::create(page, &Twin::of(&base), &frame)
+            };
+            let iv = |seq| IntervalId { node: 0, seq };
+            ccl.on_diffs_created(&mut inner, iv(0), &[diff(0, 1)]);
+            ccl.on_updates_applied(&mut inner, IntervalId { node: 1, seq: 0 }, &[1]);
+            ccl.on_diffs_created(&mut inner, iv(1), &[diff(0, 2), diff(1, 7)]);
+            ccl.flush_after_send(&mut inner);
+            let records = inner.ctx.disk.peek_stream(CCL_STREAM).to_vec();
+
+            let at = SimTime::ZERO + SimDuration::from_micros(123);
+            ccl.warm_serve_cache(&mut inner, at);
+            let model = inner.ctx.disk.model();
+            let cold = |prefix: usize| at + model.access_latency + model.drain_time(prefix);
+            let cache = ccl.serve_cache.as_ref().expect("warmed");
+            let (mut prefix, mut served) = (0, 0);
+            for record in &records {
+                prefix += record.len();
+                let payload = frame::decode_frame(record).expect("own frame").payload;
+                if let CclRecord::Diffs { interval, diffs } =
+                    CclRecord::decode_from_slice(&payload).expect("own record")
+                {
+                    for d in diffs {
+                        assert_eq!(cache[&(d.page, interval.seq)].1, cold(prefix));
+                        served += 1;
+                    }
+                }
+            }
+            assert_eq!(served, 3);
+            assert_eq!(ccl.serve_ready_at, cold(prefix));
+            let counters = inner.ctx.disk.counters();
+            assert_eq!((counters.reads, counters.bytes_read), (1, prefix as u64));
+        });
     }
 }

@@ -1402,11 +1402,11 @@ mod tests {
     /// The paper's headline, gated on the committed paper-scale report:
     /// CCL recovery < ML recovery < re-execution on 3D-FFT, MG and
     /// Shallow. On Water both beat re-execution and tie within 0.5 % of
-    /// it (ML ends 0.31 % earlier): its two windows are almost all
-    /// replayed arithmetic, and CCL's waits for the waves it can only
-    /// send at a sync (ROADMAP item 14) now outweigh ML's record reads,
-    /// each priced as one replay read. Each window's compute, wait and
-    /// disk sum to it.
+    /// it (ML ends 1.59 ms, 0.13 %, earlier; 3.82 ms before CCL read its
+    /// log as one scan): its two windows are almost all replayed
+    /// arithmetic, and CCL's waits for the waves it can only send at a
+    /// sync (ROADMAP item 14) still outweigh ML's record reads. Each
+    /// window's compute, wait and disk sum to it.
     #[test]
     fn committed_report_keeps_the_figure_5_ordering() {
         let doc = committed(Scale::Paper);

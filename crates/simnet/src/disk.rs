@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use crate::fault::{DiskFaultPlan, SplitMix64};
 use crate::models::DiskModel;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// Aggregate disk counters (reported in Table 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,6 +51,28 @@ pub struct SimDisk {
     /// The most recent successful flush: `(stream, first record index)`.
     /// A mid-flush crash tears into exactly this batch.
     last_flush: Option<(String, usize)>,
+}
+
+/// One sequential scan of a stream from its first byte: started at one
+/// instant, it drains at the device's bandwidth, so its first `n` bytes
+/// are in memory at [`LogScan::ready_at`]`(n)` — after one seek first if
+/// the scan is cold. Made by [`SimDisk::warm_scan`] or
+/// [`SimDisk::cold_scan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogScan {
+    start: SimTime,
+    /// The head positioning a cold scan pays once; zero for a warm one.
+    seek: SimDuration,
+    model: DiskModel,
+    /// Bytes handed out by reads so far.
+    read: usize,
+}
+
+impl LogScan {
+    /// When the scan holds its first `bytes` bytes.
+    pub fn ready_at(&self, bytes: usize) -> SimTime {
+        self.start + self.seek + self.model.drain_time(bytes)
+    }
 }
 
 #[derive(Debug)]
@@ -279,11 +301,50 @@ impl SimDisk {
     /// A stream's records, without charging any access time.
     ///
     /// Recovery scans and replays its stable log from here and charges
-    /// the reads it models explicitly: [`SimDisk::replay_read`] for each
-    /// read that continues the scan (one per ML record, one per replayed
-    /// CCL interval), [`SimDisk::read_cost`] for a cold read that seeks.
+    /// the reads it models explicitly: [`SimDisk::replay_read`] for an
+    /// ML record read on demand, [`SimDisk::scan_read`] for each interval
+    /// a CCL replay reads from its [`LogScan`], [`SimDisk::cold_scan`]
+    /// for a survivor's whole-log scan, [`SimDisk::read_cost`] for a
+    /// checkpoint.
     pub fn peek_stream(&self, stream: &str) -> &[Vec<u8>] {
         self.streams.get(stream).map_or(&[], |v| v.as_slice())
+    }
+
+    /// A sequential scan that continues where the head already is, from
+    /// `at` on: no seek. Nothing is counted until it is read
+    /// ([`SimDisk::scan_read`]).
+    pub fn warm_scan(&self, at: SimTime) -> LogScan {
+        LogScan {
+            start: at,
+            seek: SimDuration::ZERO,
+            model: self.model,
+            read: 0,
+        }
+    }
+
+    /// A cold scan issued at `at`: one access that seeks once, then
+    /// drains `bytes` into memory at the device's bandwidth. Counted
+    /// here, whole; a zero-byte scan is no access.
+    pub fn cold_scan(&mut self, at: SimTime, bytes: usize) -> LogScan {
+        self.count_read(bytes);
+        LogScan {
+            start: at,
+            seek: self.model.access_latency,
+            model: self.model,
+            read: bytes,
+        }
+    }
+
+    /// One `read()` call for the next `bytes` of `scan`, issued at
+    /// `now`: [`DiskModel::READ_CALL`] plus the wait until the scan
+    /// holds the last of them. Counts as one access; a zero-byte read
+    /// is free and uncounted.
+    pub fn scan_read(&mut self, scan: &mut LogScan, bytes: usize, now: SimTime) -> SimDuration {
+        if !self.count_read(bytes) {
+            return SimDuration::ZERO;
+        }
+        scan.read += bytes;
+        DiskModel::READ_CALL + scan.ready_at(scan.read).saturating_since(now)
     }
 
     /// Cost of one cold read of `bytes`, head positioning included
@@ -292,7 +353,7 @@ impl SimDisk {
         self.read(bytes, DiskModel::read_time)
     }
 
-    /// Cost of one replay read of `bytes`, a call plus bandwidth
+    /// Cost of one ML demand read of `bytes`, a call plus bandwidth
     /// ([`DiskModel::replay_read_time`]); counts as one access.
     pub fn replay_read(&mut self, bytes: usize) -> SimDuration {
         self.read(bytes, DiskModel::replay_read_time)
@@ -301,12 +362,21 @@ impl SimDisk {
     /// Count one read of `bytes` and price it by `time`. A zero-byte
     /// read is no access: free and uncounted.
     fn read(&mut self, bytes: usize, time: fn(&DiskModel, usize) -> SimDuration) -> SimDuration {
-        if bytes == 0 {
+        if !self.count_read(bytes) {
             return SimDuration::ZERO;
+        }
+        time(&self.model, bytes)
+    }
+
+    /// Count one read access of `bytes`, unless it is empty; returns
+    /// whether it counted.
+    fn count_read(&mut self, bytes: usize) -> bool {
+        if bytes == 0 {
+            return false;
         }
         self.counters.reads += 1;
         self.counters.bytes_read += bytes as u64;
-        time(&self.model, bytes)
+        true
     }
 
     /// Drop all records in `stream` (log truncation after a checkpoint).
@@ -416,6 +486,80 @@ mod tests {
         assert_eq!(d.counters().reads, 1);
         assert_eq!(d.counters().bytes_read, 30);
         assert!(d.replay_read(30) < d.read_cost(30));
+    }
+
+    const T0: SimTime = SimTime::ZERO;
+
+    fn at(ns: u64) -> SimTime {
+        T0 + SimDuration::from_nanos(ns)
+    }
+
+    /// A read the scan has not reached yet pays the call and the wait
+    /// for its last byte: at the scan's start, the whole drain.
+    #[test]
+    fn a_scan_read_before_the_scan_arrives_pays_the_wait() {
+        let mut d = disk();
+        let model = DiskModel::ULTRA5_LOCAL;
+        let mut scan = d.warm_scan(T0);
+        let first = DiskModel::READ_CALL + model.drain_time(100);
+        assert_eq!(d.scan_read(&mut scan, 100, T0), first);
+        // Halfway through the next 100 bytes' drain: half of it is left.
+        let now = scan.ready_at(150);
+        let rest = DiskModel::READ_CALL + model.drain_time(50);
+        assert_eq!(d.scan_read(&mut scan, 100, now), rest);
+        assert_eq!(d.counters().reads, 2);
+        assert_eq!(d.counters().bytes_read, 200);
+    }
+
+    /// A read of bytes the scan already holds pays only the call.
+    #[test]
+    fn a_scan_read_after_the_scan_arrives_pays_only_the_call() {
+        let mut d = disk();
+        let mut scan = d.warm_scan(at(1_000));
+        let later = scan.ready_at(300) + SimDuration::from_micros(5);
+        assert_eq!(d.scan_read(&mut scan, 300, later), DiskModel::READ_CALL);
+        assert_eq!(d.scan_read(&mut scan, 0, later), SimDuration::ZERO);
+        assert_eq!(d.counters().reads, 1);
+        assert_eq!(d.counters().bytes_read, 300);
+    }
+
+    /// A cold scan seeks once: every prefix is in memory one
+    /// `access_latency` after the warm scan would have it, and the scan
+    /// is one access of all its bytes.
+    #[test]
+    fn a_cold_scan_pays_access_latency_once() {
+        let mut d = disk();
+        let model = DiskModel::ULTRA5_LOCAL;
+        let warm = d.warm_scan(at(7));
+        let cold = d.cold_scan(at(7), 4096);
+        for n in [0, 1, 100, 4096] {
+            assert_eq!(
+                cold.ready_at(n),
+                at(7) + model.access_latency + model.drain_time(n)
+            );
+            assert_eq!(cold.ready_at(n), warm.ready_at(n) + model.access_latency);
+        }
+        // The whole scan costs what one cold read of it does.
+        assert_eq!(
+            cold.ready_at(4096).saturating_since(at(7)),
+            model.read_time(4096)
+        );
+        assert_eq!(d.counters().reads, 1);
+        assert_eq!(d.counters().bytes_read, 4096);
+    }
+
+    /// An empty read of either kind of scan is no access.
+    #[test]
+    fn a_zero_byte_scan_read_is_free_and_not_counted() {
+        let mut d = disk();
+        let mut scan = d.warm_scan(T0);
+        assert_eq!(d.scan_read(&mut scan, 0, T0), SimDuration::ZERO);
+        let cold = d.cold_scan(T0, 0);
+        assert_eq!(
+            cold.ready_at(0),
+            T0 + DiskModel::ULTRA5_LOCAL.access_latency
+        );
+        assert_eq!(d.counters(), DiskCounters::default());
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl DiskModel {
         SimDuration::from_nanos(self.ns_per_byte.saturating_mul(bytes as u64))
     }
 
-    /// Time of one replay read of `bytes`: recovery continues the
+    /// Time of one ML demand read of `bytes`: recovery continues the
     /// salvage scan of its log, so a call plus bandwidth, never a seek.
     #[inline]
     pub fn replay_read_time(&self, bytes: usize) -> SimDuration {

@@ -123,32 +123,54 @@ fn ccl_recovery_reads_less_log_than_ml_recovery() {
     assert!(ccl.recovery_time().unwrap().as_secs_f64() < ccl.exec_time().as_secs_f64());
 }
 
-#[test]
-fn every_replay_read_pays_one_call_plus_bandwidth() {
-    // ML reads its log one record per call, CCL one replayed interval
-    // per call, and both price a call by `DiskModel::replay_read_time`.
-    // With no checkpoint to restore and no damage to repair, the failed
-    // node's disk time in its recovery window is exactly the reads its
-    // crash added: one call each, plus bandwidth for their bytes.
+/// The failed node's replay reads in Water's crash run under
+/// `protocol`: (reads, bytes read, disk time of its recovery window),
+/// its reads and bytes counted against the fault-free run. With no
+/// checkpoint to restore and no damage to repair, the window's disk
+/// time is those reads' alone.
+fn replay_reads(protocol: Protocol) -> (u64, u64, SimDuration) {
     let app = App::Water;
-    for protocol in [Protocol::Ml, Protocol::Ccl] {
-        let s = spec(app, 4, protocol);
-        let model = s.cost.disk;
-        let clean = run_program(s.clone(), move |dsm| app.run_tiny(dsm));
-        let crashed = s.with_crash(CrashPlan::new(1, 3));
-        let out = run_program(crashed, move |dsm| app.run_tiny(dsm));
-        let (before, after) = (clean.nodes[1].disk, out.nodes[1].disk);
-        let reads = after.reads - before.reads;
-        let bytes = after.bytes_read - before.bytes_read;
-        assert!(reads > 0, "{protocol:?}: replay read nothing");
-        let call = simnet::DiskModel::READ_CALL.as_nanos();
-        let expect = SimDuration::from_nanos(reads * call + bytes * model.ns_per_byte);
-        let window = out.nodes[1].recovery_phases.expect("recovery window");
-        assert_eq!(
-            window.disk, expect,
-            "{protocol:?}: {reads} reads of {bytes} bytes"
-        );
-    }
+    let s = spec(app, 4, protocol);
+    let clean = run_program(s.clone(), move |dsm| app.run_tiny(dsm));
+    let crashed = s.with_crash(CrashPlan::new(1, 3));
+    let out = run_program(crashed, move |dsm| app.run_tiny(dsm));
+    let (before, after) = (clean.nodes[1].disk, out.nodes[1].disk);
+    let reads = after.reads - before.reads;
+    let bytes = after.bytes_read - before.bytes_read;
+    assert!(reads > 0, "{protocol:?}: replay read nothing");
+    let window = out.nodes[1].recovery_phases.expect("recovery window");
+    (reads, bytes, window.disk)
+}
+
+#[test]
+fn every_ml_replay_read_pays_one_call_plus_bandwidth() {
+    // ML reads its log on demand, one record per call, each priced by
+    // `DiskModel::replay_read_time`: one call plus bandwidth.
+    let (reads, bytes, disk) = replay_reads(Protocol::Ml);
+    let model = spec(App::Water, 4, Protocol::Ml).cost.disk;
+    let call = simnet::DiskModel::READ_CALL.as_nanos();
+    let expect = SimDuration::from_nanos(reads * call + bytes * model.ns_per_byte);
+    assert_eq!(disk, expect, "{reads} reads of {bytes} bytes");
+}
+
+#[test]
+fn ccl_replay_reads_wait_only_for_what_the_scan_has_not_reached() {
+    // CCL reads its log one replayed interval per call, from the scan
+    // the salvage started: each call pays `READ_CALL` and waits only for
+    // the bytes the scan does not hold yet. Every call is paid, and the
+    // reads as a whole beat what demand reads of the same bytes cost.
+    let (reads, bytes, disk) = replay_reads(Protocol::Ccl);
+    let model = spec(App::Water, 4, Protocol::Ccl).cost.disk;
+    let calls = simnet::DiskModel::READ_CALL.times(reads);
+    let demand = calls + SimDuration::from_nanos(bytes * model.ns_per_byte);
+    assert!(
+        disk >= calls,
+        "{reads} reads of {bytes} bytes took {disk:?}"
+    );
+    assert!(
+        disk < demand,
+        "{reads} reads of {bytes} bytes took {disk:?}, demand reads {demand:?}"
+    );
 }
 
 #[test]
