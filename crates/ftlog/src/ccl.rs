@@ -14,28 +14,33 @@
 //! only the part of its `write()` copy that outlasts the acks, and the
 //! device drains the batch in the background.
 //!
+//! A node keeps each diff it logs in memory, from the flush that
+//! persists it until the checkpoint that truncates its log, and serves
+//! a peer's [`Msg::LoggedDiffRequest`] from there: a writer that lives
+//! reads nothing back. Only a crash wipes them, and the salvaged log
+//! brings them back (below).
+//!
 //! Recovery opens with a one-round-trip *handshake*: the recovering
 //! node sends [`Msg::RecoveryHello`] to every peer before it even scans
 //! its own log. Each peer answers with the pages homed there that this
 //! node ever touched a copy of (homes keep a per-page copyset, see
-//! [`hlrc::PageTable::held_by`]) and starts reading its own log back
-//! into memory, serving each logged diff as soon as that sequential
-//! scan reaches it. Replay is deterministic, so the *held* pages are
-//! exactly the remote pages this node will touch again (but for a first
-//! use whose report had not left at the crash: the on-demand path
-//! below).
+//! [`hlrc::PageTable::held_by`]). Replay is deterministic, so the
+//! *held* pages are exactly the remote pages this node will touch again
+//! (but for a first use whose report had not left at the crash: the
+//! on-demand path below).
 //!
-//! Replay reads the (small) local log the way the peers read theirs: one
-//! sequential scan, started where the salvage left the head, drains it
-//! into memory ahead of replay, and each interval's records cost one
-//! read call that waits only for the bytes the scan has not reached.
-//! Replay pays for an interval's records where it first uses them, one
-//! interval before their sync (below).
+//! Replay reads the (small) local log as one sequential scan, started
+//! where the salvage left the head, that drains it into memory ahead of
+//! replay; each interval's records cost one read call that waits only
+//! for the bytes the scan has not reached. Replay pays for an
+//! interval's records where it first uses them, one interval before
+//! their sync (below). The same scan brings back the diffs this node
+//! served: each is served again once the scan holds its record.
 //!
 //! Replay then walks the sync events of the log and restores in
 //! *waves*, every request of a wave in flight at once: for its home
 //! copies, the diffs named by the recorded incoming updates, fetched
-//! from the writers' stable logs (the paper's mechanism); for every
+//! from what their writers logged (the paper's mechanism); for every
 //! held remote copy a logged notice names, a
 //! [`Msg::RecoveryPageRequest`] to the page's home, which answers from
 //! its *served-image log* — the reply buffers it retained, one per
@@ -330,14 +335,17 @@ pub struct CclLogger {
     staged: Vec<CclRecord>,
     replay: Option<CclReplay>,
     restored_app: Option<Vec<u8>>,
-    /// Survivor-side in-memory image of the logged diffs, loaded by one
-    /// cold scan of the log ([`simnet::SimDisk::cold_scan`]) when a
-    /// recovering peer says hello, each with the time the scan holds the
-    /// record carrying it; its requests are then served at memory speed.
-    serve_cache: Option<HashMap<(PageId, u32), (PageDiff, SimTime)>>,
-    /// When the scan that filled `serve_cache` holds the whole log: no
-    /// miss is known earlier.
-    serve_ready_at: SimTime,
+    /// The logged diffs this node serves, each with the time it is in
+    /// memory: exactly the `Diffs` records of its stable log. Each is
+    /// kept from the flush that persists it until the checkpoint that
+    /// truncates the log, so a writer that lives serves from the memory
+    /// that made it. A crash wipes them, and the salvaged log refills
+    /// them, each once the scan started at the salvage holds its record
+    /// ([`FaultTolerance::begin_recovery`]).
+    serve_cache: HashMap<(PageId, u32), (PageDiff, SimTime)>,
+    /// No miss is known before this: the end of the scan that refilled
+    /// `serve_cache` after a crash.
+    misses_known_at: SimTime,
     /// What the recovery handshake told this (recovering) node.
     held: HeldPages,
     /// When this node recovers, re-form the served-image logs its crash
@@ -364,8 +372,8 @@ impl CclLogger {
             staged: Vec::new(),
             replay: None,
             restored_app: None,
-            serve_cache: None,
-            serve_ready_at: SimTime::ZERO,
+            serve_cache: HashMap::new(),
+            misses_known_at: SimTime::ZERO,
             held: HeldPages::default(),
             rebuild_served_logs: false,
             needs_repair: false,
@@ -421,14 +429,11 @@ impl CclLogger {
     fn flush_staged(&mut self, inner: &mut NodeInner) -> (SimDuration, SimDuration) {
         let mut records = Vec::with_capacity(self.staged.len());
         let mut served: Vec<((PageId, u32), PageDiff)> = Vec::new();
-        let serving = self.serve_cache.is_some();
         for rec in self.staged.drain(..) {
-            if let CclRecord::Diffs { interval, diffs } = &rec {
-                if serving {
-                    served.extend(diffs.iter().map(|d| ((d.page, interval.seq), d.clone())));
-                }
-            }
             records.push(self.log.frame(&rec.encode_to_vec()));
+            if let CclRecord::Diffs { interval, diffs } = rec {
+                served.extend(diffs.into_iter().map(|d| ((d.page, interval.seq), d)));
+            }
         }
         match self.log.write(inner, records, self.overlap) {
             Written::Nothing => (SimDuration::ZERO, SimDuration::ZERO),
@@ -437,12 +442,11 @@ impl CclLogger {
                 (SimDuration::ZERO, SimDuration::ZERO)
             }
             Written::Persisted { cpu, drain } => {
-                // Known durable: keep the survivor-side serve cache
-                // coherent incrementally instead of re-reading the disk.
-                if let Some(cache) = self.serve_cache.as_mut() {
-                    let ready = self.serve_ready_at;
-                    cache.extend(served.into_iter().map(|(key, d)| (key, (d, ready))));
-                }
+                // In the log now, so served from here on: the memory
+                // that made them keeps them until the checkpoint.
+                let now = inner.ctx.now();
+                let served = served.into_iter().map(|(key, d)| (key, (d, now)));
+                self.serve_cache.extend(served);
                 (cpu, drain)
             }
         }
@@ -636,41 +640,6 @@ impl CclLogger {
             let env = self.recovery_wait(inner, |m| matches!(m, Msg::RecoveryHelloReply { .. }));
             self.note_hello_reply(inner, &env);
         }
-    }
-
-    /// Survivor side: read the whole log back into memory with one
-    /// cold sequential scan issued at `at`, unless it already is there.
-    /// Each logged diff is served once the scan has reached it.
-    fn warm_serve_cache(&mut self, inner: &mut NodeInner, at: SimTime) {
-        if self.serve_cache.is_some() {
-            return;
-        }
-        let mut cache = HashMap::new();
-        // The survivor's own log can carry latent bit rot too: the
-        // scan serves only the verified prefix, and a diff lost to rot
-        // is treated like a silently empty one (the recovering peer's
-        // digest check remains the arbiter).
-        let s = frame::salvage(inner.ctx.disk.peek_stream(CCL_STREAM));
-        if !s.is_clean() {
-            inner
-                .ctx
-                .trace(TraceKind::CrcMismatch { stream: CCL_STREAM });
-        }
-        let framed = |payload: &Vec<u8>| frame::framed_size(payload.len());
-        let total = s.payloads.iter().map(framed).sum();
-        let scan = inner.ctx.disk.cold_scan(at, total);
-        let mut read = 0usize;
-        for payload in &s.payloads {
-            read += framed(payload);
-            let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
-            if let CclRecord::Diffs { interval, diffs } = rec {
-                for d in diffs {
-                    cache.insert((d.page, interval.seq), (d, scan.ready_at(read)));
-                }
-            }
-        }
-        self.serve_ready_at = scan.ready_at(total);
-        self.serve_cache = Some(cache);
     }
 
     /// Ask for the logged diffs of every `(page, intervals)` entry of
@@ -1265,9 +1234,9 @@ impl FaultTolerance for CclLogger {
 
     fn begin_recovery(&mut self, inner: &mut NodeInner) {
         inner.ctx.trace(TraceKind::RecoveryBegin);
-        // Handshake first: the round trip, and the survivors' log
-        // reads it triggers, overlap this node's own salvage scan. The
-        // replies are collected by `recovery_wait` as they arrive.
+        // Handshake first: its round trip overlaps this node's own
+        // salvage scan. The replies are collected by `recovery_wait` as
+        // they arrive.
         let me = inner.me();
         self.held.pages = vec![false; inner.pages.len()];
         self.held.whole_homes = vec![false; inner.cfg.n_nodes];
@@ -1313,13 +1282,27 @@ impl FaultTolerance for CclLogger {
         // Replay reads on where the salvage scan left the head: from
         // here on, the log drains into memory ahead of replay, and each
         // read waits only for what the scan has not reached yet.
+        let scan = inner.ctx.disk.warm_scan(inner.ctx.now());
+        // The crash wiped the diffs this node served: the same scan
+        // brings each back, and a miss is known once it holds the log.
+        self.serve_cache.clear();
+        let mut prefix = 0;
+        for (rec, size) in &records {
+            prefix += size;
+            if let CclRecord::Diffs { interval, diffs } = rec {
+                for d in diffs {
+                    let key = (d.page, interval.seq);
+                    self.serve_cache
+                        .insert(key, (d.clone(), scan.ready_at(prefix)));
+                }
+            }
+        }
+        self.misses_known_at = scan.ready_at(prefix);
         let mut replay = CclReplay {
             records,
             cursor: 0,
             read_to: 0,
-            scan: self
-                .prefetch
-                .then(|| inner.ctx.disk.warm_scan(inner.ctx.now())),
+            scan: self.prefetch.then_some(scan),
             restored: HashMap::new(),
             wave: None,
             ahead: None,
@@ -1398,7 +1381,7 @@ impl FaultTolerance for CclLogger {
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
         if self.log.truncate_at_checkpoint(inner) {
             self.staged.clear();
-            self.serve_cache = None;
+            self.serve_cache.clear();
         }
     }
 
@@ -1452,32 +1435,23 @@ impl FaultTolerance for CclLogger {
         }
     }
 
-    fn on_recovery_hello(&mut self, inner: &mut NodeInner, at: SimTime) {
-        self.warm_serve_cache(inner, at);
-    }
-
     fn serve_logged_diffs(&mut self, inner: &mut NodeInner, env: &Envelope<Msg>) {
         let Msg::LoggedDiffRequest { page, seqs } = &env.payload else {
             return;
         };
         let me = inner.me() as u32;
-        // The requester's hello normally warmed the cache long ago; if a
-        // checkpoint dropped it since, this request starts the read.
         let arrived = inner.ctx.service_time(env);
-        self.warm_serve_cache(inner, arrived);
-        let cache = self.serve_cache.as_ref().expect("just warmed");
         let mut out: Vec<(IntervalId, PageDiff)> = Vec::new();
         let mut ready = arrived;
         for &seq in seqs {
-            // Diffs come from the (cached) stable log, each once the
-            // scan has read it; a miss means a silent write whose diff
-            // was empty, known only once the scan is through.
-            match cache.get(&(*page, seq)) {
-                Some((d, read)) => {
+            // Each diff once it is in memory; a miss means a silent
+            // write whose diff was empty, known once the whole log is.
+            match self.serve_cache.get(&(*page, seq)) {
+                Some((d, at)) => {
                     out.push((IntervalId { node: me, seq }, d.clone()));
-                    ready = ready.max(*read);
+                    ready = ready.max(*at);
                 }
-                None => ready = ready.max(self.serve_ready_at),
+                None => ready = ready.max(self.misses_known_at),
             }
         }
         let payload: usize = out.iter().map(|(_, d)| d.encoded_size()).sum();
@@ -1503,12 +1477,13 @@ mod tests {
     use pagemem::Twin;
     use simnet::{run_cluster, CostModel};
 
-    /// A survivor's scan is cold: it serves each logged diff once the
-    /// scan holds the record carrying it, at `at + access_latency +
-    /// drain_time(prefix)`, and knows a miss once it holds the whole log
-    /// — the prices of the one cold read it replaced.
+    /// A writer whose crash wiped the diffs it served gets them back from
+    /// its salvaged log: each once the scan replay reads from holds the
+    /// record carrying it, at `scan.ready_at(prefix)`, and a miss once
+    /// that scan holds the whole log. Refilling counts no read of its
+    /// own: the scan is replay's.
     #[test]
-    fn a_survivors_cold_scan_serves_each_diff_at_the_cold_read_price() {
+    fn a_recovered_writer_serves_each_diff_as_its_scan_reaches_it() {
         let cfg = DsmConfig::new(1, 2).with_page_size(64);
         run_cluster::<Msg, _, _>(1, CostModel::default(), move |ctx| {
             let mut inner = NodeInner::new(ctx, cfg);
@@ -1526,11 +1501,8 @@ mod tests {
             ccl.flush_after_send(&mut inner);
             let records = inner.ctx.disk.peek_stream(CCL_STREAM).to_vec();
 
-            let at = SimTime::ZERO + SimDuration::from_micros(123);
-            ccl.warm_serve_cache(&mut inner, at);
-            let model = inner.ctx.disk.model();
-            let cold = |prefix: usize| at + model.access_latency + model.drain_time(prefix);
-            let cache = ccl.serve_cache.as_ref().expect("warmed");
+            ccl.begin_recovery(&mut inner);
+            let scan = (ccl.replay.as_ref().and_then(|r| r.scan)).expect("replay scans");
             let (mut prefix, mut served) = (0, 0);
             for record in &records {
                 prefix += record.len();
@@ -1539,13 +1511,15 @@ mod tests {
                     CclRecord::decode_from_slice(&payload).expect("own record")
                 {
                     for d in diffs {
-                        assert_eq!(cache[&(d.page, interval.seq)].1, cold(prefix));
+                        let (kept, ready) = &ccl.serve_cache[&(d.page, interval.seq)];
+                        assert_eq!((kept, *ready), (&d, scan.ready_at(prefix)));
                         served += 1;
                     }
                 }
             }
-            assert_eq!(served, 3);
-            assert_eq!(ccl.serve_ready_at, cold(prefix));
+            assert_eq!((ccl.serve_cache.len(), served), (3, 3));
+            assert_eq!(ccl.misses_known_at, scan.ready_at(prefix));
+            // Replay read the only segment at recovery start, once.
             let counters = inner.ctx.disk.counters();
             assert_eq!((counters.reads, counters.bytes_read), (1, prefix as u64));
         });

@@ -16,7 +16,7 @@
 //! (the paper's "None" baseline) lives here.
 
 use pagemem::{IntervalId, PageDiff, PageId, VClock};
-use simnet::{Envelope, SimDuration, SimTime};
+use simnet::{Envelope, SimDuration};
 
 use crate::msg::{Msg, WriteNotice};
 use crate::node::NodeInner;
@@ -176,12 +176,6 @@ pub trait FaultTolerance: Send {
     /// writers' stable logs) — after this returns, served pages must be
     /// current.
     fn finish_recovery(&mut self, inner: &mut NodeInner) {}
-
-    /// A peer announced (with [`Msg::RecoveryHello`], serviced at `at`)
-    /// that it is recovering: its logged-diff requests are about to
-    /// arrive. A protocol that serves them from stable storage starts
-    /// reading its log back now, off the peer's critical path.
-    fn on_recovery_hello(&mut self, inner: &mut NodeInner, at: SimTime) {}
 
     /// Serve a surviving peer's request for logged diffs (the recovering
     /// node reconstructs remote copies from writers' stable logs).

@@ -766,10 +766,7 @@ impl NodeInner {
             Msg::RecoveryPageRequest { .. } => self.serve_recovery_page(env, done),
             Msg::LoggedDiffRequest { .. } => ft.serve_logged_diffs(self, env),
             Msg::ReleaseHistoryRequest => self.serve_release_history(env, done),
-            Msg::RecoveryHello => {
-                self.serve_recovery_hello(env, done);
-                ft.on_recovery_hello(self, done);
-            }
+            Msg::RecoveryHello => self.serve_recovery_hello(env, done),
             other => unreachable!("{} is not a recovery request", other.kind()),
         }
     }

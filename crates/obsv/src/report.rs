@@ -1400,12 +1400,7 @@ mod tests {
     }
 
     /// The paper's headline, gated on the committed paper-scale report:
-    /// CCL recovery < ML recovery < re-execution on 3D-FFT, MG and
-    /// Shallow. On Water both beat re-execution and tie within 0.5 % of
-    /// it (ML ends 1.59 ms, 0.13 %, earlier; 3.82 ms before CCL read its
-    /// log as one scan): its two windows are almost all replayed
-    /// arithmetic, and CCL's waits for the waves it can only send at a
-    /// sync (ROADMAP item 14) still outweigh ML's record reads. Each
+    /// CCL recovery < ML recovery < re-execution on all four apps. Each
     /// window's compute, wait and disk sum to it.
     #[test]
     fn committed_report_keeps_the_figure_5_ordering() {
@@ -1415,15 +1410,7 @@ mod tests {
             let ns = |key: &str| num(&doc, &["apps", name, "recovery", key]);
             let (reexec, ml, ccl) = (ns("reexec_ns"), ns("ml_ns"), ns("ccl_ns"));
             assert!(ml < reexec, "{name}: ML {ml} !< re-execution {reexec}");
-            assert!(ccl < reexec, "{name}: CCL {ccl} !< re-execution {reexec}");
-            if app == App::Water {
-                assert!(
-                    (ccl - ml).abs() <= 0.005 * reexec,
-                    "{name}: CCL {ccl} vs ML {ml}"
-                );
-            } else {
-                assert!(ccl < ml, "{name}: CCL {ccl} !< ML {ml}");
-            }
+            assert!(ccl < ml, "{name}: CCL {ccl} !< ML {ml}");
             for (p, total) in [("ml", ml), ("ccl", ccl)] {
                 let phase = |k: &str| ns(&format!("{p}_{k}_ns"));
                 let parts = phase("compute") + phase("wait") + phase("disk");

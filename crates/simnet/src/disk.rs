@@ -53,16 +53,13 @@ pub struct SimDisk {
     last_flush: Option<(String, usize)>,
 }
 
-/// One sequential scan of a stream from its first byte: started at one
-/// instant, it drains at the device's bandwidth, so its first `n` bytes
-/// are in memory at [`LogScan::ready_at`]`(n)` — after one seek first if
-/// the scan is cold. Made by [`SimDisk::warm_scan`] or
-/// [`SimDisk::cold_scan`].
+/// One sequential scan of a stream from its first byte, continuing
+/// where the head already is: started at one instant, it drains at the
+/// device's bandwidth, so its first `n` bytes are in memory at
+/// [`LogScan::ready_at`]`(n)`. Made by [`SimDisk::warm_scan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogScan {
     start: SimTime,
-    /// The head positioning a cold scan pays once; zero for a warm one.
-    seek: SimDuration,
     model: DiskModel,
     /// Bytes handed out by reads so far.
     read: usize,
@@ -71,7 +68,7 @@ pub struct LogScan {
 impl LogScan {
     /// When the scan holds its first `bytes` bytes.
     pub fn ready_at(&self, bytes: usize) -> SimTime {
-        self.start + self.seek + self.model.drain_time(bytes)
+        self.start + self.model.drain_time(bytes)
     }
 }
 
@@ -303,9 +300,8 @@ impl SimDisk {
     /// Recovery scans and replays its stable log from here and charges
     /// the reads it models explicitly: [`SimDisk::replay_read`] for an
     /// ML record read on demand, [`SimDisk::scan_read`] for each interval
-    /// a CCL replay reads from its [`LogScan`], [`SimDisk::cold_scan`]
-    /// for a survivor's whole-log scan, [`SimDisk::read_cost`] for a
-    /// checkpoint.
+    /// a CCL replay reads from its [`LogScan`], [`SimDisk::read_cost`]
+    /// for a checkpoint.
     pub fn peek_stream(&self, stream: &str) -> &[Vec<u8>] {
         self.streams.get(stream).map_or(&[], |v| v.as_slice())
     }
@@ -316,22 +312,8 @@ impl SimDisk {
     pub fn warm_scan(&self, at: SimTime) -> LogScan {
         LogScan {
             start: at,
-            seek: SimDuration::ZERO,
             model: self.model,
             read: 0,
-        }
-    }
-
-    /// A cold scan issued at `at`: one access that seeks once, then
-    /// drains `bytes` into memory at the device's bandwidth. Counted
-    /// here, whole; a zero-byte scan is no access.
-    pub fn cold_scan(&mut self, at: SimTime, bytes: usize) -> LogScan {
-        self.count_read(bytes);
-        LogScan {
-            start: at,
-            seek: self.model.access_latency,
-            model: self.model,
-            read: bytes,
         }
     }
 
@@ -523,42 +505,12 @@ mod tests {
         assert_eq!(d.counters().bytes_read, 300);
     }
 
-    /// A cold scan seeks once: every prefix is in memory one
-    /// `access_latency` after the warm scan would have it, and the scan
-    /// is one access of all its bytes.
-    #[test]
-    fn a_cold_scan_pays_access_latency_once() {
-        let mut d = disk();
-        let model = DiskModel::ULTRA5_LOCAL;
-        let warm = d.warm_scan(at(7));
-        let cold = d.cold_scan(at(7), 4096);
-        for n in [0, 1, 100, 4096] {
-            assert_eq!(
-                cold.ready_at(n),
-                at(7) + model.access_latency + model.drain_time(n)
-            );
-            assert_eq!(cold.ready_at(n), warm.ready_at(n) + model.access_latency);
-        }
-        // The whole scan costs what one cold read of it does.
-        assert_eq!(
-            cold.ready_at(4096).saturating_since(at(7)),
-            model.read_time(4096)
-        );
-        assert_eq!(d.counters().reads, 1);
-        assert_eq!(d.counters().bytes_read, 4096);
-    }
-
-    /// An empty read of either kind of scan is no access.
+    /// An empty scan read is no access.
     #[test]
     fn a_zero_byte_scan_read_is_free_and_not_counted() {
         let mut d = disk();
         let mut scan = d.warm_scan(T0);
         assert_eq!(d.scan_read(&mut scan, 0, T0), SimDuration::ZERO);
-        let cold = d.cold_scan(T0, 0);
-        assert_eq!(
-            cold.ready_at(0),
-            T0 + DiskModel::ULTRA5_LOCAL.access_latency
-        );
         assert_eq!(d.counters(), DiskCounters::default());
     }
 

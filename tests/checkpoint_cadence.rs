@@ -317,3 +317,92 @@ fn a_copy_predicted_before_an_ml_checkpoint_replays_after_it() {
         .any(|ev| matches!(ev.kind, TraceKind::PageFetch { page: A1, .. }) && ev.at > crashed);
     assert!(!refetched, "A1 was fetched live instead of replayed");
 }
+
+/// A CCL writer serves exactly the logged diffs its stable log holds:
+/// it keeps each in memory from the flush that persists it, drops them
+/// all at the checkpoint that truncates the log, and keeps none of a
+/// flush the device refused. Three nodes each write a word of every
+/// page, so each logs diffs every round; node 1's device fills between
+/// checkpoints, each of which lets it log again, and it ends paused. At
+/// the end every node asks the next one for every diff it could have
+/// logged: the answers are that node's salvaged `Diffs` records, diff
+/// for diff.
+#[test]
+fn a_ccl_writer_serves_exactly_the_diffs_its_log_holds() {
+    use std::collections::BTreeMap;
+
+    use ftlog::{CclLogger, CclRecord, CCL_STREAM};
+    use hlrc::{DsmConfig, HlrcNode, Msg};
+    use pagemem::{Decode, PageDiff};
+
+    const PAGES: u32 = 6;
+    const PAGE_SIZE: usize = 256;
+    const ROUNDS: u32 = 12;
+    const CADENCE: u32 = 5;
+    const CAPACITY: u64 = 800;
+    let n = NODES as usize;
+    let cfg = DsmConfig::new(n, PAGES).with_page_size(PAGE_SIZE);
+    type Diffs = BTreeMap<(u32, u32), PageDiff>;
+    let out: Vec<(Diffs, Diffs, u64)> =
+        simnet::run_cluster::<Msg, _, _>(n, cfg.cost, move |mut ctx| {
+            let me = ctx.id();
+            if me == 1 {
+                ctx.disk
+                    .set_faults(DiskFaultPlan::none().with_capacity(CAPACITY));
+            }
+            let mut node = HlrcNode::new(ctx, cfg, Box::new(CclLogger::new()));
+            for round in 1..=ROUNDS {
+                for page in 0..PAGES as usize {
+                    node.write_u64(page * PAGE_SIZE + 8 * me, u64::from(round));
+                }
+                node.barrier();
+                if round % CADENCE == 0 {
+                    let d = ftlog::take_checkpoint(&mut node.inner, &[]);
+                    node.inner.ctx.charge_disk(d);
+                    node.ft.on_checkpoint(&mut node.inner);
+                }
+            }
+            let writer = (me + 1) % n;
+            for page in 0..PAGES {
+                let seqs = (0..2 * ROUNDS).collect();
+                let ask = Msg::LoggedDiffRequest { page, seqs };
+                node.inner.ctx.send(writer, ask).expect("send");
+            }
+            let mut served = Diffs::new();
+            for _ in 0..PAGES {
+                let env = node.wait_for(|m| matches!(m, Msg::LoggedDiffReply { .. }));
+                let Msg::LoggedDiffReply { page, diffs } = env.payload else {
+                    unreachable!("waited for a logged diff reply")
+                };
+                served.extend(diffs.into_iter().map(|(iv, d)| ((page, iv.seq), d)));
+            }
+            // Keep serving until every node has its answers.
+            node.barrier();
+            let disk = &node.inner.ctx.disk;
+            let mut logged = Diffs::new();
+            for payload in ftlog::salvage(disk.peek_stream(CCL_STREAM)).payloads {
+                let record = CclRecord::decode_from_slice(&payload).expect("verified record");
+                if let CclRecord::Diffs { interval, diffs } = record {
+                    logged.extend(diffs.into_iter().map(|d| ((d.page, interval.seq), d)));
+                }
+            }
+            (served, logged, disk.counters().full_writes)
+        });
+    for (me, (served, ..)) in out.iter().enumerate() {
+        let writer = (me + 1) % n;
+        let logged = &out[writer].1;
+        assert!(
+            !logged.is_empty(),
+            "node {writer} logged no diff after the checkpoint"
+        );
+        assert_eq!(
+            served, logged,
+            "node {writer} serves other diffs than it logged"
+        );
+    }
+    assert!(out[1].2 > 1, "node 1's device filled at most once");
+    assert!(
+        out[1].1.len() < out[0].1.len(),
+        "node 1's device did not fill after the last checkpoint"
+    );
+}

@@ -9,7 +9,7 @@ use ccl_core::{
     kind_label, run_program, ClusterSpec, CrashPlan, Protocol, SimDuration, TraceKind, MSG_KINDS,
 };
 use hlrc::WriteNotice;
-use pagemem::IntervalId;
+use pagemem::{Encode, IntervalId};
 
 fn spec(app: App, nodes: usize, protocol: Protocol) -> ClusterSpec {
     let page = 256;
@@ -255,7 +255,7 @@ fn recovery_steps_are_traced_between_crash_and_exit() {
 }
 
 // ------------------------------------------------------------
-// Recovery handshake: held-set filter and warm survivor logs
+// Recovery handshake: held-set filter and served logged diffs
 // ------------------------------------------------------------
 
 /// Wire tag of a message kind, by its label.
@@ -399,10 +399,9 @@ fn ccl_recovery_fetches_no_more_than_the_victim_held() {
     // Every peer was greeted once and answered once.
     assert_eq!(victim.stats.msgs_by_kind[tag("RecoveryHello")], 3);
     assert_eq!(out.total_stats().msgs_by_kind[tag("RecoveryHelloReply")], 3);
-    // Each survivor read its log back once, however many logged-diff
-    // requests it then served from memory.
+    // No survivor read its log back: each serves from memory.
     for n in out.nodes.iter().filter(|n| n.node != 1) {
-        assert_eq!(n.disk.reads, 1, "node {} log scans", n.node);
+        assert_eq!(n.disk.reads, 0, "node {} log reads", n.node);
     }
 }
 
@@ -774,97 +773,35 @@ fn a_page_the_victim_never_held_is_left_alone_until_it_faults_live() {
     );
 }
 
-#[test]
-fn survivor_log_is_read_once_and_never_served_before_it_is_in_memory() {
-    // Node 0 logs one diff; node 1 plays a recovering peer. Its first
-    // logged-diff request lands while the log read its hello started is
-    // still in progress and must wait for it; a later one is answered
-    // at memory speed. The log is read exactly once.
-    use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
-    use pagemem::{IntervalId, PageDiff, PageFrame, Twin};
-    let cfg = DsmConfig::new(2, 4).with_page_size(256);
-    let disk = cfg.cost.disk;
-    let times = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
-        let me = ctx.id();
-        let mut inner = NodeInner::new(ctx, cfg);
-        if me == 0 {
-            let mut ccl = ftlog::CclLogger::new();
-            let base = PageFrame::zeroed(256);
-            let mut written = base.clone();
-            written.write_u64(8, 7);
-            let diff = PageDiff::create(2, &Twin::of(&base), &written);
-            ccl.on_diffs_created(&mut inner, IntervalId { node: 0, seq: 0 }, &[diff]);
-            ccl.flush_after_send(&mut inner);
-            let hello = inner.ctx.recv().expect("hello");
-            assert_eq!(hello.payload, Msg::RecoveryHello);
-            let at = inner.ctx.service_time(&hello);
-            inner.serve_recovery_hello(&hello, at);
-            ccl.on_recovery_hello(&mut inner, at);
-            for _ in 0..2 {
-                let req = inner.ctx.recv().expect("logged diff request");
-                ccl.serve_logged_diffs(&mut inner, &req);
-            }
-            assert_eq!(inner.ctx.disk.counters().reads, 1, "one log scan");
-            let log_bytes = inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM);
-            let ready = at + disk.access_latency + disk.drain_time(log_bytes);
-            vec![ready]
-        } else {
-            let ask = Msg::LoggedDiffRequest {
-                page: 2,
-                seqs: vec![0],
-            };
-            inner.ctx.send(0, Msg::RecoveryHello).expect("send");
-            inner.ctx.send(0, ask.clone()).expect("send");
-            let is_diffs =
-                |m: &Msg| matches!(m, Msg::LoggedDiffReply { diffs, .. } if diffs.len() == 1);
-            let first = inner.ctx.wait_for_deferring(is_diffs);
-            // Long after the read completed:
-            inner.ctx.charge_wait(SimDuration::from_millis(50));
-            let asked = inner.ctx.now();
-            inner.ctx.send(0, ask).expect("send");
-            let second = inner.ctx.wait_for_deferring(is_diffs);
-            vec![first.arrive_at, asked, second.arrive_at]
-        }
-    });
-    let ready = times[0][0];
-    let (first, asked, second) = (times[1][0], times[1][1], times[1][2]);
-    assert!(
-        first >= ready,
-        "diff served at {first:?}, before the log was in memory at {ready:?}"
-    );
-    assert!(
-        second.saturating_since(asked) < disk.access_latency,
-        "a warm request paid a disk access: {:?}",
-        second.saturating_since(asked)
-    );
+/// Two diffs of page 0 for intervals 0 and 1 of node 0: a one-word one
+/// and a whole-page one.
+fn word_and_page_diffs(page_size: usize) -> [pagemem::PageDiff; 2] {
+    use pagemem::{PageDiff, PageFrame, Twin};
+    let base = PageFrame::zeroed(page_size);
+    let mut word = base.clone();
+    word.write_u64(8, 7);
+    let mut whole = base.clone();
+    for w in 0..page_size / 8 {
+        whole.write_u64(8 * w, w as u64 + 1);
+    }
+    [word, whole].map(|frame| PageDiff::create(0, &Twin::of(&base), &frame))
 }
 
 #[test]
-fn a_survivor_serves_a_logged_diff_as_its_scan_reaches_it_and_a_miss_after_the_scan() {
-    // Node 0 logs two diffs, a one-word one first and a whole-page one
-    // after it. Node 1 says hello and asks at once for the first — which
-    // must leave before the sequential scan the hello started has read
-    // the whole log — and for an interval node 0 never logged, which
-    // only the end of that scan can tell is a miss (a silently empty
-    // diff).
+fn a_surviving_writer_serves_logged_diffs_from_the_memory_that_made_them() {
+    // Node 0 logs two diffs. Node 1 says hello and asks at once for the
+    // whole-page one and for an interval node 0 never logged (a silent
+    // write, whose diff was empty). A writer that lives keeps what it
+    // logged until the checkpoint: both answers leave at arrival +
+    // handler + the copy of what they carry, and its disk is never read.
     use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
-    use pagemem::{IntervalId, PageDiff, PageFrame, Twin};
     let cfg = DsmConfig::new(2, 4).with_page_size(4096);
-    let disk = cfg.cost.disk;
     let times = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
         let me = ctx.id();
         let mut inner = NodeInner::new(ctx, cfg);
         if me == 0 {
             let mut ccl = ftlog::CclLogger::new();
-            let base = PageFrame::zeroed(4096);
-            let mut word = base.clone();
-            word.write_u64(8, 7);
-            let mut whole = base.clone();
-            for w in 0..512 {
-                whole.write_u64(8 * w, w as u64 + 1);
-            }
-            for (seq, frame) in [word, whole].iter().enumerate() {
-                let diff = PageDiff::create(2, &Twin::of(&base), frame);
+            for (seq, diff) in word_and_page_diffs(4096).into_iter().enumerate() {
                 let interval = IntervalId {
                     node: 0,
                     seq: seq as u32,
@@ -872,44 +809,128 @@ fn a_survivor_serves_a_logged_diff_as_its_scan_reaches_it_and_a_miss_after_the_s
                 ccl.on_diffs_created(&mut inner, interval, &[diff]);
             }
             ccl.flush_after_send(&mut inner);
-            let hello = inner.ctx.recv().expect("hello");
-            assert_eq!(hello.payload, Msg::RecoveryHello);
-            let at = inner.ctx.service_time(&hello);
-            inner.serve_recovery_hello(&hello, at);
-            ccl.on_recovery_hello(&mut inner, at);
-            for _ in 0..2 {
-                let req = inner.ctx.recv().expect("logged diff request");
-                ccl.serve_logged_diffs(&mut inner, &req);
+            let [_, whole] = word_and_page_diffs(4096);
+            let mut expected = Vec::new();
+            for carried in [None, Some(whole.encoded_size()), Some(0)] {
+                let env = inner.ctx.recv().expect("hello or logged diff request");
+                let done = inner.ctx.service_time(&env);
+                inner.serve_recovery_request(&mut ccl, &env, done);
+                if let Some(bytes) = carried {
+                    expected.push(done + inner.ctx.cost.cpu.copy(bytes));
+                }
             }
-            let log_bytes = inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM);
-            vec![at + disk.access_latency + disk.drain_time(log_bytes)]
+            assert_eq!(
+                inner.ctx.disk.counters().reads,
+                0,
+                "a survivor read its log"
+            );
+            expected
         } else {
             inner.ctx.send(0, Msg::RecoveryHello).expect("send");
-            for seqs in [vec![0], vec![5]] {
-                let ask = Msg::LoggedDiffRequest { page: 2, seqs };
+            for seqs in [vec![1], vec![5]] {
+                let ask = Msg::LoggedDiffRequest { page: 0, seqs };
                 inner.ctx.send(0, ask).expect("send");
             }
-            let reply = |inner: &mut NodeInner, hit: bool| {
-                let env = inner.ctx.wait_for_deferring(
-                    |m| matches!(m, Msg::LoggedDiffReply { diffs, .. } if diffs.is_empty() != hit),
-                );
-                env.sent_at
-            };
-            let first = reply(&mut inner, true);
-            let miss = reply(&mut inner, false);
-            vec![first, miss]
+            // Both replies, the hit's first.
+            let is_reply = |m: &Msg| matches!(m, Msg::LoggedDiffReply { .. });
+            let mut replies: Vec<_> = (0..2)
+                .map(|_| {
+                    let env = inner.ctx.wait_for_deferring(is_reply);
+                    let Msg::LoggedDiffReply { diffs, .. } = env.payload else {
+                        unreachable!("waited for a logged diff reply")
+                    };
+                    (diffs.is_empty(), env.sent_at)
+                })
+                .collect();
+            replies.sort();
+            assert!(!replies[0].0, "the hit missed");
+            assert!(replies[1].0, "the miss hit");
+            replies.into_iter().map(|(_, at)| at).collect()
         }
     });
-    let scanned = times[0][0];
-    let (first, miss) = (times[1][0], times[1][1]);
-    assert!(
-        first < scanned,
-        "the first record left at {first:?}, not before the scan ended at {scanned:?}"
+    assert_eq!(
+        times[1], times[0],
+        "served at other times than arrival + handler + copy"
     );
-    assert!(
-        miss >= scanned,
-        "a miss left at {miss:?}, before the scan ended at {scanned:?}"
-    );
+}
+
+#[test]
+fn a_writer_that_crashed_serves_only_what_its_salvage_kept() {
+    // Node 0 logs interval 0's diff, then interval 1's in a flush of its
+    // own, and serves interval 0 to node 1 from memory. Then it crashes
+    // mid-flush: the second record is torn off. The crash wiped the
+    // diffs it served, and its salvaged log brings back only the first,
+    // once the scan started at the salvage holds it; interval 1 is a
+    // miss now, known once that scan holds the whole salvaged log.
+    use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
+    let cfg = DsmConfig::new(2, 4).with_page_size(256);
+    let disk = cfg.cost.disk;
+    let out = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+        let me = ctx.id();
+        let mut inner = NodeInner::new(ctx, cfg);
+        if me == 0 {
+            let mut ccl = ftlog::CclLogger::new();
+            for (seq, diff) in word_and_page_diffs(256).into_iter().enumerate() {
+                let interval = IntervalId {
+                    node: 0,
+                    seq: seq as u32,
+                };
+                ccl.on_diffs_created(&mut inner, interval, &[diff]);
+                ccl.flush_after_send(&mut inner);
+            }
+            let kept = inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM)
+                - inner.ctx.disk.peek_stream(ftlog::CCL_STREAM)[1].len();
+            let env = inner.ctx.recv().expect("logged diff request");
+            ccl.serve_logged_diffs(&mut inner, &env);
+            // Long after node 1's next requests arrive.
+            inner.ctx.charge_wait(SimDuration::from_millis(50));
+            let crashed = inner.ctx.now();
+            assert!(inner.ctx.disk.tear_last_flush(7, false));
+            ccl.begin_recovery(&mut inner);
+            for _ in 0..2 {
+                let env = inner.ctx.recv().expect("logged diff request");
+                ccl.serve_logged_diffs(&mut inner, &env);
+            }
+            vec![(crashed + disk.drain_time(kept), 0)]
+        } else {
+            let ask = |inner: &mut NodeInner, seq: u32| {
+                let ask = Msg::LoggedDiffRequest {
+                    page: 0,
+                    seqs: vec![seq],
+                };
+                inner.ctx.send(0, ask).expect("send");
+            };
+            let is_reply = |m: &Msg| matches!(m, Msg::LoggedDiffReply { .. });
+            ask(&mut inner, 0);
+            let served = inner.ctx.wait_for_deferring(is_reply);
+            assert!(
+                matches!(&served.payload, Msg::LoggedDiffReply { diffs, .. } if diffs.len() == 1)
+            );
+            ask(&mut inner, 1);
+            ask(&mut inner, 0);
+            // Both replies, by the diffs they carry: the miss first.
+            let mut replies: Vec<_> = (0..2)
+                .map(|_| {
+                    let env = inner.ctx.wait_for_deferring(is_reply);
+                    let Msg::LoggedDiffReply { diffs, .. } = env.payload else {
+                        unreachable!("waited for a logged diff reply")
+                    };
+                    (env.sent_at, diffs.len())
+                })
+                .collect();
+            replies.sort_by_key(|&(_, carried)| carried);
+            replies
+        }
+    });
+    let scanned = out[0][0].0;
+    let carried: Vec<usize> = out[1].iter().map(|&(_, n)| n).collect();
+    assert_eq!(carried, [0, 1], "not one miss (the cut diff) and one hit");
+    for (sent, _) in &out[1] {
+        assert!(
+            *sent >= scanned,
+            "an answer left at {sent:?}, before the scan held the log at {scanned:?}"
+        );
+    }
 }
 
 #[test]
