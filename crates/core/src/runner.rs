@@ -370,8 +370,6 @@ where
             Protocol::Ccl => Box::new(ftlog::CclLogger::new()),
             Protocol::CclNoOverlap => Box::new(ftlog::CclLogger::without_overlap()),
             Protocol::CclNoPrefetch => Box::new(ftlog::CclLogger::without_prefetch()),
-            Protocol::RecordsOnly => Box::new(ftlog::RecordOnlyLogger::new()),
-            Protocol::Rsl => Box::new(ftlog::RslLogger::new()),
         };
         let node = HlrcNode::new(ctx, cfg, ft);
         let mut dsm = Dsm::new(
@@ -486,24 +484,20 @@ mod tests {
         );
     }
 
+    /// Every protocol the runner can select recovers a crashed node to
+    /// the fault-free result.
     #[test]
-    fn crash_recovery_preserves_results_ccl() {
-        let spec = tiny_spec(Protocol::Ccl).with_crash(CrashPlan::new(1, 2));
-        let out = run_program(spec, counter_program);
-        assert!(
-            out.nodes.iter().all(|n| n.result == 4),
-            "{:?}",
-            out.nodes.iter().map(|n| n.result).collect::<Vec<_>>()
-        );
-        assert!(out.recovery_time().is_some());
-    }
-
-    #[test]
-    fn crash_recovery_preserves_results_ml() {
-        let spec = tiny_spec(Protocol::Ml).with_crash(CrashPlan::new(1, 2));
-        let out = run_program(spec, counter_program);
-        assert!(out.nodes.iter().all(|n| n.result == 4));
-        assert!(out.recovery_time().is_some());
+    fn crash_recovery_preserves_results() {
+        for protocol in Protocol::ALL {
+            let spec = tiny_spec(protocol).with_crash(CrashPlan::new(1, 2));
+            let out = run_program(spec, counter_program);
+            assert!(
+                out.nodes.iter().all(|n| n.result == 4),
+                "{protocol:?}: {:?}",
+                out.nodes.iter().map(|n| n.result).collect::<Vec<_>>()
+            );
+            assert!(out.recovery_time().is_some(), "{protocol:?}");
+        }
     }
 
     /// The accounting invariant behind the phase breakdown: every clock

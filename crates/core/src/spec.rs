@@ -3,8 +3,8 @@
 use hlrc::DsmConfig;
 use simnet::{CostModel, DiskFaultPlan, FaultPlan, NodeId, SimDuration};
 
-/// Which fault-tolerance protocol a run uses: the paper's three, the
-/// two CCL ablations, and the two related-work loggers.
+/// Which fault-tolerance protocol a run uses: the paper's three and the
+/// two CCL ablations. Every one of them can crash and recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// No logging — the paper's "None" baseline (re-execution on crash).
@@ -17,12 +17,6 @@ pub enum Protocol {
     CclNoOverlap,
     /// CCL with recovery prefetching disabled (ablation A2).
     CclNoPrefetch,
-    /// Related work (§5): Suri et al.'s records-only logging.
-    /// Logging comparison only — cannot recover a home-based DSM.
-    RecordsOnly,
-    /// Related work (§5): Park & Yeom's reduced-stable logging.
-    /// Logging comparison only — cannot recover a home-based DSM.
-    Rsl,
 }
 
 impl Protocol {
@@ -34,8 +28,6 @@ impl Protocol {
             Protocol::Ccl => "ccl",
             Protocol::CclNoOverlap => "ccl-no-overlap",
             Protocol::CclNoPrefetch => "ccl-no-prefetch",
-            Protocol::RecordsOnly => "records-only",
-            Protocol::Rsl => "rsl",
         }
     }
 
@@ -43,14 +35,12 @@ impl Protocol {
     pub const TABLE2: [Protocol; 3] = [Protocol::None, Protocol::Ml, Protocol::Ccl];
 
     /// Every protocol, [`Protocol::TABLE2`] first.
-    pub const ALL: [Protocol; 7] = [
+    pub const ALL: [Protocol; 5] = [
         Protocol::None,
         Protocol::Ml,
         Protocol::Ccl,
         Protocol::CclNoOverlap,
         Protocol::CclNoPrefetch,
-        Protocol::RecordsOnly,
-        Protocol::Rsl,
     ];
 }
 

@@ -1137,14 +1137,6 @@ impl Default for CclLogger {
 }
 
 impl FaultTolerance for CclLogger {
-    fn name(&self) -> &'static str {
-        match (self.overlap, self.prefetch) {
-            (true, true) => "ccl",
-            (false, _) => "ccl-no-overlap",
-            (true, false) => "ccl-no-prefetch",
-        }
-    }
-
     fn retains_served_pages(&self) -> bool {
         true
     }

@@ -33,7 +33,6 @@ pub mod frame;
 mod log_record;
 mod ml;
 mod recovery;
-pub mod related;
 mod stable_log;
 
 pub use ccl::{CclLogger, CCL_STREAM};
@@ -47,5 +46,4 @@ pub use frame::{
 pub use log_record::CclRecord;
 pub use ml::{MlLogger, ML_STREAM};
 pub use recovery::replay_apply_notices;
-pub use related::{RecordOnlyLogger, RslLogger, RECORDS_STREAM, RSL_STREAM};
 pub use stable_log::{lost_releases, Salvaged, StableLog, Written};

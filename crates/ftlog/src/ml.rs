@@ -289,10 +289,6 @@ impl Default for MlLogger {
 }
 
 impl FaultTolerance for MlLogger {
-    fn name(&self) -> &'static str {
-        "ml"
-    }
-
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
         if !self.log.accepting() {
             return;

@@ -1,12 +1,12 @@
 //! One stable log stream and the state machine of the device under it.
 //!
-//! ML, CCL and the related-work comparators log different things at
-//! different moments, but what can happen to a flush — and what a
-//! recovery scan may find where the flush went — is a property of the
-//! device, so it lives here once. [`StableLog`] owns the stream name,
-//! the frame epoch and sequence, the two ways logging stops
-//! (`degraded`, `paused_full`) and the write-behind queue, and keeps
-//! the invariants every recovery argument leans on:
+//! ML and CCL log different things at different moments, but what can
+//! happen to a flush — and what a recovery scan may find where the
+//! flush went — is a property of the device, so it lives here once.
+//! [`StableLog`] owns the stream name, the frame epoch and sequence, the
+//! two ways logging stops (`degraded`, `paused_full`) and the
+//! write-behind queue, and keeps the invariants every recovery argument
+//! leans on:
 //!
 //! * **a refused batch is dropped whole and logging pauses** — until
 //!   [`StableLog::truncate_at_checkpoint`] reopens a full device (a

@@ -48,9 +48,6 @@ pub enum RecoveryStep {
 /// estimates.
 #[allow(unused_variables)]
 pub trait FaultTolerance: Send {
-    /// Protocol name for reports ("none", "ml", "ccl", ...).
-    fn name(&self) -> &'static str;
-
     /// Whether a home keeps, in volatile memory, the reply buffer of
     /// every page copy it serves (one per distinct version served, see
     /// [`crate::ServedLog`]) so that a recovering peer's remote copies
@@ -201,11 +198,7 @@ pub trait FaultTolerance: Send {
 #[derive(Debug, Default)]
 pub struct NoLogging;
 
-impl FaultTolerance for NoLogging {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-}
+impl FaultTolerance for NoLogging {}
 
 #[cfg(test)]
 mod tests {
@@ -213,8 +206,6 @@ mod tests {
 
     #[test]
     fn no_logging_defaults() {
-        let ft = NoLogging;
-        assert_eq!(ft.name(), "none");
-        assert!(!ft.in_recovery());
+        assert!(!NoLogging.in_recovery());
     }
 }

@@ -513,9 +513,6 @@ fn a_used_prediction_is_reported_with_the_next_fault_at_its_home() {
 struct Retaining;
 
 impl FaultTolerance for Retaining {
-    fn name(&self) -> &'static str {
-        "retaining"
-    }
     fn retains_served_pages(&self) -> bool {
         true
     }
@@ -701,9 +698,6 @@ struct Rebuilding {
 }
 
 impl FaultTolerance for Rebuilding {
-    fn name(&self) -> &'static str {
-        "rebuilding"
-    }
     fn retains_served_pages(&self) -> bool {
         true
     }

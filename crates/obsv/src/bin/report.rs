@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Runs the smoke matrix (4 nodes, its chaos cells included, ~0.2 s)
-//! and the paper matrix (8 nodes, ~10 s) and checks each against its
+//! and the paper matrix (8 nodes, ~15 s) and checks each against its
 //! committed golden — `crates/obsv/smoke_baseline.json` and
 //! `REPORT_paper.json` — field by field, exactly; then checks that the
 //! tables in `EXPERIMENTS.md` between the `<!-- report:* -->` markers

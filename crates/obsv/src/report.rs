@@ -12,9 +12,9 @@
 //!    run, crash runs included (the documents themselves are
 //!    [`Report::blame`]),
 //! 2. Markdown tables for the paper's Table 1 / Table 2 / Figure 4 /
-//!    Figure 5, the blame and traffic tables, and the ablation and
-//!    related-work tables, spliced into `EXPERIMENTS.md` between
-//!    `<!-- report:* -->` markers ([`splice_tables`]),
+//!    Figure 5, the blame and traffic tables, and the ablation table,
+//!    spliced into `EXPERIMENTS.md` between `<!-- report:* -->`
+//!    markers ([`splice_tables`]),
 //! 3. a regression verdict ([`compare`]) against a committed golden
 //!    document ([`Scale::golden_path`]): every field must match
 //!    exactly. The conservative virtual-time scheduler (DESIGN.md §12)
@@ -805,42 +805,12 @@ fn protocol_display(p: Protocol) -> &'static str {
         Protocol::None => "None",
         Protocol::Ml => "ML",
         Protocol::Ccl => "CCL",
-        Protocol::Rsl => "RSL",
         other => other.label(),
     }
 }
 
 fn mb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Table 2's columns for `protocols` on every application, one row
-/// each; with `recovers`, also whether the protocol can recover a
-/// home-based DSM at all (paper §5: records-only and RSL cannot).
-fn log_rows(report: &Report, protocols: &[Protocol], recovers: bool) -> String {
-    let mut s = String::new();
-    for a in &report.apps {
-        for &p in protocols {
-            let r = a.run(p);
-            let mean = match r.log_flushes {
-                0 => "—".to_string(),
-                n => format!("{:.1}", r.log_bytes as f64 / n as f64 / 1024.0),
-            };
-            let total = match r.log_bytes {
-                0 => "0".to_string(),
-                bytes => mb(bytes),
-            };
-            let (name, exec, flushes) = (a.app.name(), secs(r.exec_ns), r.log_flushes);
-            let p_name = protocol_display(p);
-            s += &format!("| {name} | {p_name} | {exec} | {mean} | {total} | {flushes} |");
-            if recovers {
-                let can = matches!(p, Protocol::Ml | Protocol::Ccl);
-                s += if can { " yes |" } else { " no |" };
-            }
-            s.push('\n');
-        }
-    }
-    s
 }
 
 /// The Table 1 Markdown table: each application's paper-scale data
@@ -869,10 +839,26 @@ pub fn table1_markdown(report: &Report) -> String {
 
 /// The Table 2 Markdown table (all apps, Table 2 columns).
 pub fn table2_markdown(report: &Report) -> String {
-    "| App | Protocol | Exec (s) | Mean log (KB) | Total log (MB) | Flushes |\n\
-     |---|---|---|---|---|---|\n"
-        .to_string()
-        + &log_rows(report, &Protocol::TABLE2, false)
+    let mut s = "| App | Protocol | Exec (s) | Mean log (KB) | Total log (MB) | Flushes |\n\
+                 |---|---|---|---|---|---|\n"
+        .to_string();
+    for a in &report.apps {
+        for p in Protocol::TABLE2 {
+            let r = a.run(p);
+            let mean = match r.log_flushes {
+                0 => "—".to_string(),
+                n => format!("{:.1}", r.log_bytes as f64 / n as f64 / 1024.0),
+            };
+            let total = match r.log_bytes {
+                0 => "0".to_string(),
+                bytes => mb(bytes),
+            };
+            let (name, exec, flushes) = (a.app.name(), secs(r.exec_ns), r.log_flushes);
+            let p_name = protocol_display(p);
+            s += &format!("| {name} | {p_name} | {exec} | {mean} | {total} | {flushes} |\n");
+        }
+    }
+    s
 }
 
 /// The Figure 4 Markdown table (normalized execution, paper columns).
@@ -1055,21 +1041,6 @@ pub fn ablation_markdown(report: &Report) -> String {
     s
 }
 
-/// The related-work Markdown table (paper §5): Table 2's columns for
-/// ML, records-only, RSL and CCL.
-pub fn related_markdown(report: &Report) -> String {
-    let protocols = [
-        Protocol::Ml,
-        Protocol::RecordsOnly,
-        Protocol::Rsl,
-        Protocol::Ccl,
-    ];
-    "| App | Protocol | Exec (s) | Mean log (KB) | Total log (MB) | Flushes | Recovers |\n\
-     |---|---|---|---|---|---|---|\n"
-        .to_string()
-        + &log_rows(report, &protocols, true)
-}
-
 /// Replace the block between `<!-- report:{name} -->` and
 /// `<!-- /report:{name} -->` in `doc` with `replacement`, keeping the
 /// markers. Errors if the markers are missing or out of order.
@@ -1109,7 +1080,6 @@ pub fn splice_tables(doc: &str, report: &Report) -> Result<(String, Vec<&'static
         ("blame", blame_markdown(report)),
         ("traffic", traffic_markdown(report)),
         ("ablation", ablation_markdown(report)),
-        ("related", related_markdown(report)),
     ];
     let orphan = doc
         .split("<!-- report:")
@@ -1238,8 +1208,6 @@ mod tests {
                     run(Protocol::Ml, 1_200_000, 90_000, 30),
                     run(Protocol::Ccl, 1_050_000, 9_000, 20),
                     run(Protocol::CclNoOverlap, 1_400_000, 9_000, 20),
-                    run(Protocol::RecordsOnly, 1_060_000, 3_000, 20),
-                    run(Protocol::Rsl, 1_055_000, 2_000, 20),
                 ],
                 recovery: RecoveryRecord {
                     crash_after_barriers: 6,
@@ -1361,9 +1329,6 @@ mod tests {
         assert_eq!(ab.lines().count(), 2 + 4 + 1 + 2 + 2, "{ab}");
         assert!(ab.contains("| MG | 0.001 | 0.001 | 25.0% | 0.000 | 0.001 | 50.0% |"));
         assert!(ab.contains("| 3D-FFT | 256 | 0.09 | 0.01 | 10.00% |"));
-        let rel = related_markdown(&report);
-        assert_eq!(rel.lines().count(), 2 + 4 * 4);
-        assert!(rel.contains("| Water | RSL | 0.001 | 0.1 | 0.00 | 20 | no |"));
     }
 
     #[test]
@@ -1643,21 +1608,6 @@ mod tests {
         assert!(grows, "ML's log shrank as the page grew: {sizes:?}");
     }
 
-    /// The paper's §5 case, gated on the committed paper report:
-    /// records-only and RSL log less than ML on every application (they
-    /// record what happened without the data — which is why they cannot
-    /// recover a home-based DSM).
-    #[test]
-    fn committed_report_keeps_the_related_work_ordering() {
-        let doc = committed(Scale::Paper);
-        for app in App::ALL {
-            let log = |p| num(&doc, &["apps", app.name(), "runs", p, "log_bytes"]);
-            for p in ["records-only", "rsl"] {
-                assert!(log(p) < log("ml"), "{}: {p} logs as much as ML", app.name());
-            }
-        }
-    }
-
     /// Before the batched-prefetch path (DESIGN.md §15) 3D-FFT — the
     /// most remote-data-bound application — spent 58.3 % (None) and
     /// 56.8 % (CCL) of its blame path waiting on page fetches. A
@@ -1703,13 +1653,13 @@ mod tests {
     #[test]
     fn doctored_experiments_table_is_reported_as_drift() {
         let mut doc = "The `<!-- report:* -->` markers below.\n".to_string();
-        let names = "table1 table2 fig4 fig5 blame traffic ablation related";
+        let names = "table1 table2 fig4 fig5 blame traffic ablation";
         for name in names.split(' ') {
             doc += &format!("<!-- report:{name} -->\n<!-- /report:{name} -->\nprose\n");
         }
         let report = fake_report();
         let (spliced, changed) = splice_tables(&doc, &report).unwrap();
-        assert_eq!(changed.len(), 8);
+        assert_eq!(changed.len(), 7);
         assert_eq!(
             splice_tables(&spliced, &report).unwrap(),
             (spliced.clone(), vec![])

@@ -304,46 +304,3 @@ fn water_locks_generate_lock_traffic_in_logs() {
     assert!(total.lock_acquires > 0, "water must use locks");
     assert!(total.log_bytes > 0);
 }
-
-#[test]
-fn related_work_protocols_log_but_cannot_recover() {
-    // §5 of the paper: the home-less-DSM logging protocols produce
-    // small logs, but those logs cannot rebuild a home-based memory
-    // image. We check both halves: log sizes sit between None and ML,
-    // and attempting recovery is a hard error rather than silent
-    // corruption.
-    let app = App::Shallow;
-    let ml = run_app(app, Protocol::Ml);
-    for p in [Protocol::RecordsOnly, Protocol::Rsl] {
-        let out = run_app(app, p);
-        assert!(out.total_log_bytes() > 0, "{p:?} must log something");
-        assert!(
-            out.total_log_bytes() < ml.total_log_bytes(),
-            "{p:?} log should be smaller than ML's"
-        );
-        // Results unaffected by the logging protocol.
-        assert_eq!(out.nodes[0].result, ml.nodes[0].result);
-    }
-}
-
-#[test]
-fn related_work_recovery_is_rejected() {
-    // A crash under records-only/RSL must fail loudly (unimplemented),
-    // not silently produce a wrong memory image. Single-node cluster so
-    // the panic propagates cleanly out of the runner.
-    for p in [Protocol::RecordsOnly, Protocol::Rsl] {
-        let spec = ClusterSpec::new(1, 4)
-            .with_page_size(256)
-            .with_protocol(p)
-            .with_crash(ccl_core::CrashPlan::new(0, 1));
-        let res = std::panic::catch_unwind(|| {
-            run_program(spec, |dsm| {
-                let a = dsm.alloc::<u64>(4);
-                dsm.write(&a, 0, 1);
-                dsm.barrier(); // crash fires here; recovery must refuse
-                dsm.read(&a, 0)
-            })
-        });
-        assert!(res.is_err(), "{p:?} recovery must be rejected");
-    }
-}
