@@ -368,8 +368,6 @@ where
                 Box::new(ftlog::CclLogger::new().with_served_log_rebuild())
             }
             Protocol::Ccl => Box::new(ftlog::CclLogger::new()),
-            Protocol::CclNoOverlap => Box::new(ftlog::CclLogger::without_overlap()),
-            Protocol::CclNoPrefetch => Box::new(ftlog::CclLogger::without_prefetch()),
         };
         let node = HlrcNode::new(ctx, cfg, ft);
         let mut dsm = Dsm::new(

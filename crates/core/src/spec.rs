@@ -3,8 +3,8 @@
 use hlrc::DsmConfig;
 use simnet::{CostModel, DiskFaultPlan, FaultPlan, NodeId, SimDuration};
 
-/// Which fault-tolerance protocol a run uses: the paper's three and the
-/// two CCL ablations. Every one of them can crash and recover.
+/// Which fault-tolerance protocol a run uses: the paper's three. Every
+/// one of them can crash and recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// No logging — the paper's "None" baseline (re-execution on crash).
@@ -13,10 +13,6 @@ pub enum Protocol {
     Ml,
     /// Coherence-centric logging (§3.2).
     Ccl,
-    /// CCL with the flush/communication overlap disabled (ablation A1).
-    CclNoOverlap,
-    /// CCL with recovery prefetching disabled (ablation A2).
-    CclNoPrefetch,
 }
 
 impl Protocol {
@@ -26,22 +22,11 @@ impl Protocol {
             Protocol::None => "none",
             Protocol::Ml => "ml",
             Protocol::Ccl => "ccl",
-            Protocol::CclNoOverlap => "ccl-no-overlap",
-            Protocol::CclNoPrefetch => "ccl-no-prefetch",
         }
     }
 
-    /// All protocols the paper's tables compare.
-    pub const TABLE2: [Protocol; 3] = [Protocol::None, Protocol::Ml, Protocol::Ccl];
-
-    /// Every protocol, [`Protocol::TABLE2`] first.
-    pub const ALL: [Protocol; 5] = [
-        Protocol::None,
-        Protocol::Ml,
-        Protocol::Ccl,
-        Protocol::CclNoOverlap,
-        Protocol::CclNoPrefetch,
-    ];
+    /// Every protocol, in the order the paper's tables compare them.
+    pub const ALL: [Protocol; 3] = [Protocol::None, Protocol::Ml, Protocol::Ccl];
 }
 
 /// Damage the crashing node's *last flushed log batch* at the moment
@@ -282,7 +267,6 @@ mod tests {
 
     #[test]
     fn table2_protocols() {
-        assert_eq!(Protocol::TABLE2.map(|p| p.label()), ["none", "ml", "ccl"]);
-        assert_eq!(Protocol::ALL[..3], Protocol::TABLE2);
+        assert_eq!(Protocol::ALL.map(|p| p.label()), ["none", "ml", "ccl"]);
     }
 }

@@ -143,10 +143,8 @@ struct CclReplay {
     /// replay uses nothing of a record past it.
     read_to: usize,
     /// The scan replay reads from, started where the salvage left the
-    /// head: it drains the log into memory ahead of replay. None in
-    /// ablation A2, which reads nothing ahead: each of its reads starts
-    /// a scan of its own, a demand read.
-    scan: Option<LogScan>,
+    /// head: it drains the log into memory ahead of replay.
+    scan: LogScan,
     /// The served image each resident remote copy was last restored
     /// from and its position in the home's log (an entry goes when its
     /// copy does — or its home, see [`CclLogger::forget_images_of`]).
@@ -202,9 +200,7 @@ impl CclReplay {
             .map(|(_, size)| size)
             .sum();
         let now = inner.ctx.now();
-        let mut own = inner.ctx.disk.warm_scan(now);
-        let scan = self.scan.as_mut().unwrap_or(&mut own);
-        let cost = inner.ctx.disk.scan_read(scan, bytes, now);
+        let cost = inner.ctx.disk.scan_read(&mut self.scan, bytes, now);
         inner.ctx.charge_disk(cost);
         self.read_to = end;
     }
@@ -320,14 +316,6 @@ struct HeldPages {
 
 /// Coherence-centric logging.
 pub struct CclLogger {
-    /// Overlap the log write with the diff round trip and drain it in
-    /// the background (the paper's latency-tolerance technique): the
-    /// node pays the longer of write and acks. `false` gives ablation
-    /// A1, which writes through before the diffs leave and pays the sum.
-    overlap: bool,
-    /// Restore pages ahead of replay (the paper's recovery
-    /// optimization). `false` leaves it to faults (ablation A2).
-    prefetch: bool,
     /// The stable stream and its device state. CCL issues flushes and
     /// lets them drain in the background; a later flush queues behind
     /// an unfinished one.
@@ -366,8 +354,6 @@ impl CclLogger {
     /// CCL as published (flush overlapped with communication).
     pub fn new() -> CclLogger {
         CclLogger {
-            overlap: true,
-            prefetch: true,
             log: StableLog::new(CCL_STREAM),
             staged: Vec::new(),
             replay: None,
@@ -378,26 +364,6 @@ impl CclLogger {
             rebuild_served_logs: false,
             needs_repair: false,
             saved_releases: None,
-        }
-    }
-
-    /// Ablation variant (A1): identical log contents, but each flush is
-    /// written through before the diffs leave, so the node pays the
-    /// write and the ack round trip in sequence, like ML.
-    pub fn without_overlap() -> CclLogger {
-        CclLogger {
-            overlap: false,
-            ..CclLogger::new()
-        }
-    }
-
-    /// Ablation variant: recovery reconstructs pages only on faults:
-    /// no page is restored ahead of replay, and no wave leaves before
-    /// its sync.
-    pub fn without_prefetch() -> CclLogger {
-        CclLogger {
-            prefetch: false,
-            ..CclLogger::new()
         }
     }
 
@@ -435,7 +401,7 @@ impl CclLogger {
                 served.extend(diffs.into_iter().map(|d| ((d.page, interval.seq), d)));
             }
         }
-        match self.log.write(inner, records, self.overlap) {
+        match self.log.write(inner, records, true) {
             Written::Nothing => (SimDuration::ZERO, SimDuration::ZERO),
             Written::Refused { futile } => {
                 inner.ctx.charge_disk(futile);
@@ -449,16 +415,6 @@ impl CclLogger {
                 self.serve_cache.extend(served);
                 (cpu, drain)
             }
-        }
-    }
-
-    /// Ablation A1's flush: no latency tolerance anywhere — the staged
-    /// records are written through, seek and drain on the critical path.
-    fn write_through(&mut self, inner: &mut NodeInner) {
-        let (cpu, drain) = self.flush_staged(inner);
-        if drain > SimDuration::ZERO {
-            let d = cpu + inner.ctx.disk.model().access_latency + drain;
-            inner.ctx.charge_disk(d);
         }
     }
 
@@ -549,9 +505,9 @@ impl CclLogger {
 
     /// Record one peer's answer to this node's [`Msg::RecoveryHello`].
     /// The barrier manager's also lists this node's home writes: kept
-    /// where replay opens pages ([`CclLogger::open_written`]; not in
-    /// ablation A2), and the segment being replayed opens its home pages
-    /// as soon as they are in.
+    /// where replay opens pages ([`CclLogger::open_written`]), and the
+    /// segment being replayed opens its home pages as soon as they are
+    /// in.
     fn note_hello_reply(&mut self, inner: &mut NodeInner, env: &Envelope<Msg>) {
         let Msg::RecoveryHelloReply {
             held,
@@ -569,7 +525,7 @@ impl CclLogger {
         if !complete {
             self.held.whole_homes[env.src] = true;
         }
-        if env.src != inner.cfg.barrier_manager() || !self.prefetch {
+        if env.src != inner.cfg.barrier_manager() {
             return;
         }
         self.held.manager_due = false;
@@ -971,12 +927,14 @@ impl CclLogger {
     /// writing, and send the next sync's wave ahead.
     fn advance_to_sync(&mut self, inner: &mut NodeInner, expected: SyncKind) -> RecoveryStep {
         // Phase 1: the records of this step, collecting the recorded
-        // home-copy updates of the interval. The peek at the previous
-        // sync read them already, unless this is the first sync of a
-        // replay without read-ahead (ablation A2).
+        // home-copy updates of the interval. The peek one sync earlier
+        // (or at recovery start, for the first) read them already.
         let replay = self.replay.as_mut().expect("not in recovery");
         let seg = segment(&replay.records, replay.cursor);
-        replay.read_through(inner, seg.end);
+        debug_assert!(
+            replay.has_read(&seg),
+            "replay used log records it has not read"
+        );
         replay.cursor = seg.end;
         if let Some((tag, .., size)) = &seg.sync {
             if *tag != expected {
@@ -1020,26 +978,16 @@ impl CclLogger {
         if let SyncKind::Barrier(_) = expected {
             inner.close_barrier_epoch();
         }
-        let mut remote: Vec<WriteNotice> = fresh
-            .iter()
-            .filter(|n| n.interval.node != me && !inner.pages.is_home(n.page))
-            .copied()
-            .collect();
-        if !self.prefetch {
-            // Ablation A2: fall back to invalidation + on-demand
-            // restoration at the next fault.
-            let restored = &mut self.replay.as_mut().expect("not in recovery").restored;
-            for n in remote.drain(..) {
-                inner.pages.invalidate(n.page, &mut inner.pool);
-                restored.remove(&n.page);
-            }
-        }
         // One wave: the home-copy updates, and the image of every held
         // remote page a notice names — resident or not, an image is what
         // a resident copy is brought up to date from as well. Replay
         // touches no page neither resident nor held (the handshake is
         // waited out if that matters): none is restored.
-        let mut pages: Vec<PageId> = remote.iter().map(|n| n.page).collect();
+        let mut pages: Vec<PageId> = fresh
+            .iter()
+            .filter(|n| n.interval.node != me && !inner.pages.is_home(n.page))
+            .map(|n| n.page)
+            .collect();
         pages.sort_unstable();
         pages.dedup();
         let resident = |inner: &NodeInner, p: PageId| inner.pages.entry(p).frame.is_some();
@@ -1055,26 +1003,19 @@ impl CclLogger {
         // not hold: it would fault on each, asking at this very clock
         // (this node wrote them, so no held filter applies). Its records
         // are read here, one interval before its sync.
-        let next = self.prefetch.then(|| {
-            let replay = self.replay.as_mut().expect("not in recovery");
-            let next = segment(&replay.records, replay.cursor);
-            replay.read_through(inner, next.end);
-            next
-        });
-        if let Some(next) = &next {
-            pages.extend(next.written.iter().filter(|&&p| !resident(inner, p)));
-            pages.sort_unstable();
-            pages.dedup();
-        }
+        let replay = self.replay.as_mut().expect("not in recovery");
+        let next = segment(&replay.records, replay.cursor);
+        replay.read_through(inner, next.end);
+        pages.extend(next.written.iter().filter(|&&p| !resident(inner, p)));
+        pages.sort_unstable();
+        pages.dedup();
         let wave = self.sync_wave(inner, seg.wants);
         debug_assert!(
             wave.asked.iter().all(|p| pages.binary_search(p).is_ok()),
             "the wave sent ahead asked for a page its sync does not want"
         );
         self.restore_wave(inner, wave, &pages);
-        if let Some(next) = &next {
-            self.open_written(inner, next);
-        }
+        self.open_written(inner, &next);
 
         inner.ctx.trace(TraceKind::RecoveryReplay {
             notices: fresh.len() as u32,
@@ -1086,7 +1027,7 @@ impl CclLogger {
             .is_some_and(|r| r.cursor >= r.records.len())
         {
             self.end_replay();
-        } else if let Some(next) = next {
+        } else {
             self.send_ahead(inner, next);
         }
         RecoveryStep::Replayed
@@ -1161,17 +1102,12 @@ impl FaultTolerance for CclLogger {
         // paper's schedule: flushed at the subsequent release) —
         // asynchronously, durable long before the next barrier.
         if matches!(kind, SyncKind::Barrier(_)) {
-            if self.overlap {
-                // Only the write() copy is paid here: the batch joins
-                // the device queue and no backpressure is charged at a
-                // barrier.
-                let (cpu, drain) = self.flush_staged(inner);
-                if drain > SimDuration::ZERO {
-                    inner.ctx.charge_disk(cpu);
-                    let _ = self.log.write_behind(inner, drain);
-                }
-            } else {
-                self.write_through(inner);
+            // Only the write() copy is paid here: the batch joins the
+            // device queue and no backpressure is charged at a barrier.
+            let (cpu, drain) = self.flush_staged(inner);
+            if drain > SimDuration::ZERO {
+                inner.ctx.charge_disk(cpu);
+                let _ = self.log.write_behind(inner, drain);
             }
         }
     }
@@ -1201,17 +1137,9 @@ impl FaultTolerance for CclLogger {
                 },
             );
         }
-        if !self.overlap {
-            // A1 writes before the diffs leave: their ack round trip
-            // starts only once the write is through.
-            self.write_through(inner);
-        }
     }
 
     fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
-        if !self.overlap {
-            return SimDuration::ZERO; // written through before the sends
-        }
         let (cpu, drain) = self.flush_staged(inner);
         if drain == SimDuration::ZERO {
             return SimDuration::ZERO;
@@ -1245,7 +1173,7 @@ impl FaultTolerance for CclLogger {
                 self.held.whole_homes[peer] = true;
             } else {
                 self.held.pending += 1;
-                self.held.manager_due |= self.prefetch && peer == inner.cfg.barrier_manager();
+                self.held.manager_due |= peer == inner.cfg.barrier_manager();
             }
         }
         // A crash follows a barrier, and the one replayed barrier it can
@@ -1294,7 +1222,7 @@ impl FaultTolerance for CclLogger {
             records,
             cursor: 0,
             read_to: 0,
-            scan: self.prefetch.then_some(scan),
+            scan,
             restored: HashMap::new(),
             wave: None,
             ahead: None,
@@ -1347,7 +1275,7 @@ impl FaultTolerance for CclLogger {
         }
         // Nothing was ever logged: crash before the first flush.
         self.replay = (!replay.records.is_empty()).then_some(replay);
-        let Some(replay) = self.replay.as_mut().filter(|_| self.prefetch) else {
+        let Some(replay) = self.replay.as_mut() else {
             return;
         };
         // The first replayed interval has no sync to restore the pages
@@ -1494,7 +1422,7 @@ mod tests {
             let records = inner.ctx.disk.peek_stream(CCL_STREAM).to_vec();
 
             ccl.begin_recovery(&mut inner);
-            let scan = (ccl.replay.as_ref().and_then(|r| r.scan)).expect("replay scans");
+            let scan = ccl.replay.as_ref().expect("replay scans").scan;
             let (mut prefix, mut served) = (0, 0);
             for record in &records {
                 prefix += record.len();

@@ -13,7 +13,7 @@
 //!   with the diff round-trip; recover by per-interval prefetching that
 //!   rebuilds home copies from writers' logs and reconstructs remote
 //!   copies from checkpoint bases plus logged diffs, eliminating page
-//!   faults. `CclLogger::without_overlap()` is the serial-flush ablation.
+//!   faults.
 //! * [`StableLog`] — the one owner of a log stream's device state
 //!   machine (refused and lost flushes, the write-behind queue, the
 //!   salvage scan, checkpoint truncation). The protocols above differ

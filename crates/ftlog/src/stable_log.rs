@@ -19,9 +19,10 @@
 //!
 //! Where the protocols *behave* differently the difference is the
 //! caller's: who pays for the futile access that discovered a dead
-//! device ([`Written::Refused`] hands the cost back), and whether a
-//! persisted batch drains behind the node's back
-//! ([`StableLog::write_behind`]) or is waited for.
+//! device ([`Written::Refused`] hands the cost back), and what the
+//! `write()` copy of a persisted batch overlaps — nothing under ML, the
+//! diff acks under CCL — before the device drains it behind the node's
+//! back ([`StableLog::write_behind`]).
 
 use hlrc::{EpochRelease, NodeInner};
 use pagemem::PageId;

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Runs the smoke matrix (4 nodes, its chaos cells included, ~0.2 s)
-//! and the paper matrix (8 nodes, ~15 s) and checks each against its
+//! and the paper matrix (8 nodes, ~13 s) and checks each against its
 //! committed golden — `crates/obsv/smoke_baseline.json` and
 //! `REPORT_paper.json` — field by field, exactly; then checks that the
 //! tables in `EXPERIMENTS.md` between the `<!-- report:* -->` markers
@@ -38,7 +38,7 @@ use std::process::ExitCode;
 
 use ccl_apps::App;
 use ccl_core::Protocol;
-use obsv::report::{compare, failure_free, report_json, splice_tables, Report, Scale};
+use obsv::report::{compare, report_json, splice_tables, Report, Scale};
 
 struct Args {
     bless: bool,
@@ -95,7 +95,7 @@ fn gate_scale(
         scale.label(),
         scale.nodes(),
         App::ALL.len(),
-        failure_free().count(),
+        Protocol::ALL.len(),
     );
     let report = match obsv::collect(scale) {
         Ok(report) => report,

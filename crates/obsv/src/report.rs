@@ -1,10 +1,9 @@
 //! The paper-artifact report pipeline.
 //!
 //! One invocation runs the full evaluation matrix — every application
-//! under every protocol, the Figure 5 crash-recovery scenario with and
-//! without recovery prefetching, the 3D-FFT page-size sweep and, at
-//! smoke scale, the [`chaos_cells`] — and turns the results into three
-//! artifacts:
+//! under every protocol, the Figure 5 crash-recovery scenario under ML
+//! and CCL, the 3D-FFT page-size sweep and, at smoke scale, the
+//! [`chaos_cells`] — and turns the results into three artifacts:
 //!
 //! 1. a machine-readable report document ([`report_json`]): digests,
 //!    times, log bytes, message counts, trace and phase fingerprints,
@@ -265,8 +264,6 @@ pub struct RecoveryRecord {
     pub ml_ns: u64,
     /// CCL recovery time (ns).
     pub ccl_ns: u64,
-    /// CCL recovery time without recovery prefetching (ns): ablation A2.
-    pub ccl_no_prefetch_ns: u64,
     /// Where the ML recovery window went, `[compute, wait, disk]` ns at
     /// the failed node; sums to `ml_ns`.
     pub ml_phases_ns: [u64; 3],
@@ -275,7 +272,7 @@ pub struct RecoveryRecord {
     pub ccl_phases_ns: [u64; 3],
     /// Hashes of the crash runs' full blame documents, in [`CRASHED`]
     /// order.
-    pub blame_fp: [u64; 3],
+    pub blame_fp: [u64; 2],
     /// Requests CCL recovery sent: `RecoveryPageRequest` +
     /// `LoggedDiffRequest` (the benchmark's `ftlog.recovery_msgs`).
     pub ccl_requests: u64,
@@ -292,21 +289,14 @@ pub struct RecoveryRecord {
 }
 
 /// The protocols node 1 crashes under, once per application.
-pub const CRASHED: [Protocol; 3] = [Protocol::Ml, Protocol::Ccl, Protocol::CclNoPrefetch];
-
-/// The protocols every application runs under failure-free, Table 2's
-/// three first: all but `ccl-no-prefetch`, whose failure-free run is
-/// CCL's own (prefetching is a recovery mechanism).
-pub fn failure_free() -> impl Iterator<Item = Protocol> {
-    (Protocol::ALL.into_iter()).filter(|&p| p != Protocol::CclNoPrefetch)
-}
+pub const CRASHED: [Protocol; 2] = [Protocol::Ml, Protocol::Ccl];
 
 /// One application's slice of the report.
 #[derive(Debug, Clone)]
 pub struct AppReport {
     /// The application.
     pub app: App,
-    /// One failure-free record per protocol, Table 2's three first.
+    /// One failure-free record per protocol, in [`Protocol::ALL`] order.
     pub runs: Vec<RunRecord>,
     /// The crash-recovery scenario.
     pub recovery: RecoveryRecord,
@@ -390,7 +380,7 @@ pub fn chaos_cells(scale: Scale) -> Vec<ChaosCell> {
     ];
     for (index, plan) in plans.into_iter().enumerate() {
         for app in App::ALL {
-            for protocol in Protocol::TABLE2 {
+            for protocol in Protocol::ALL {
                 let mut spec = scale.spec(app, protocol).with_faults(plan.clone());
                 if protocol != Protocol::None {
                     spec = spec.with_crash(CrashPlan::new(1, 3));
@@ -576,7 +566,7 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
     let mut apps = Vec::new();
     for app in App::ALL {
         let mut runs: Vec<RunRecord> = Vec::new();
-        for p in failure_free() {
+        for p in Protocol::ALL {
             let digest = runs.first().map(|none| none.digest);
             let label = format!("{}/{}", app.name(), p.label());
             runs.push(matrix.record(&label, app, scale.spec(app, p), digest)?);
@@ -584,17 +574,16 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
         let none = &runs[0];
         let digest = Some(none.digest);
         let at = ccl_bench::crash_point(none.barriers_node1, CRASH_FRACTION);
-        let [ml, ccl, no_prefetch] = CRASHED.map(|p| matrix.crash_record(app, p, at, none.digest));
-        let (ml, ccl, no_prefetch) = (ml?, ccl?, no_prefetch?);
+        let [ml, ccl] = CRASHED.map(|p| matrix.crash_record(app, p, at, none.digest));
+        let (ml, ccl) = (ml?, ccl?);
         let recovery = RecoveryRecord {
             crash_after_barriers: at,
             reexec_ns: (none.exec_ns as f64 * CRASH_FRACTION) as u64,
             ml_ns: ml.ns,
             ccl_ns: ccl.ns,
-            ccl_no_prefetch_ns: no_prefetch.ns,
             ml_phases_ns: ml.phases_ns,
             ccl_phases_ns: ccl.phases_ns,
-            blame_fp: [ml.blame_fp, ccl.blame_fp, no_prefetch.blame_fp],
+            blame_fp: [ml.blame_fp, ccl.blame_fp],
             ccl_requests: ccl.requests,
             ccl_stalls: ccl.stalls,
             ccl_traps: ccl.traps,
@@ -730,7 +719,6 @@ pub fn report_json(report: &Report) -> Json {
         rec.set("reexec_ns", Json::from_u64(r.reexec_ns));
         rec.set("ml_ns", Json::from_u64(r.ml_ns));
         rec.set("ccl_ns", Json::from_u64(r.ccl_ns));
-        rec.set("ccl_no_prefetch_ns", Json::from_u64(r.ccl_no_prefetch_ns));
         for (p, [compute, wait, disk]) in [("ccl", r.ccl_phases_ns), ("ml", r.ml_phases_ns)] {
             rec.set(&format!("{p}_compute_ns"), Json::from_u64(compute));
             rec.set(&format!("{p}_wait_ns"), Json::from_u64(wait));
@@ -805,7 +793,6 @@ fn protocol_display(p: Protocol) -> &'static str {
         Protocol::None => "None",
         Protocol::Ml => "ML",
         Protocol::Ccl => "CCL",
-        other => other.label(),
     }
 }
 
@@ -843,7 +830,7 @@ pub fn table2_markdown(report: &Report) -> String {
                  |---|---|---|---|---|---|\n"
         .to_string();
     for a in &report.apps {
-        for p in Protocol::TABLE2 {
+        for p in Protocol::ALL {
             let r = a.run(p);
             let mean = match r.log_flushes {
                 0 => "—".to_string(),
@@ -931,7 +918,7 @@ pub fn blame_markdown(report: &Report) -> String {
     );
     s.push_str("|---|---|---|---|---|---|---|---|---|\n");
     for a in &report.apps {
-        for r in Protocol::TABLE2.map(|p| a.run(p)) {
+        for r in Protocol::ALL.map(|p| a.run(p)) {
             let b = &r.blame;
             let pct = |ns: u64| format!("{:.1}%", 100.0 * ns as f64 / r.exec_ns as f64);
             let kb = |bytes: u64| format!("{:.1}", bytes as f64 / 1024.0);
@@ -976,7 +963,7 @@ pub fn traffic_markdown(report: &Report) -> String {
     );
     s.push_str("|---|---|---|---|---|---|---|---|---|\n");
     for a in &report.apps {
-        for r in Protocol::TABLE2.map(|p| a.run(p)) {
+        for r in Protocol::ALL.map(|p| a.run(p)) {
             let batches = r.traffic[batch].0;
             let per_batch = if batches == 0 {
                 "—".to_string()
@@ -1007,25 +994,12 @@ pub fn traffic_markdown(report: &Report) -> String {
     s
 }
 
-/// The ablation Markdown tables: per application, CCL with and
-/// without the flush/communication overlap (A1, failure-free exec) and
-/// with and without recovery prefetching (A2, Figure 5's crash); then
-/// the swept application's log size at each page size (A3).
+/// The ablation Markdown table (A3): the swept application's log size
+/// at each page size.
 pub fn ablation_markdown(report: &Report) -> String {
-    let mut s = "| App | CCL exec (s) | No-overlap exec (s) | Overlap saves | CCL recovery (s) \
-                 | No-prefetch recovery (s) | Prefetch saves |\n|---|---|---|---|---|---|---|\n"
-        .to_string();
-    let ablated = |with: u64, without: u64| {
-        let saves = 100.0 * (without as f64 - with as f64) / without as f64;
-        format!("{} | {} | {saves:.1}%", secs(with), secs(without))
-    };
-    for a in &report.apps {
-        let exec = |p| a.run(p).exec_ns;
-        let overlap = ablated(exec(Protocol::Ccl), exec(Protocol::CclNoOverlap));
-        let prefetch = ablated(a.recovery.ccl_ns, a.recovery.ccl_no_prefetch_ns);
-        s += &format!("| {} | {overlap} | {prefetch} |\n", a.app.name());
-    }
-    s += "\n| App | Page size (B) | ML log (MB) | CCL log (MB) | CCL/ML |\n|---|---|---|---|---|\n";
+    let mut s =
+        "| App | Page size (B) | ML log (MB) | CCL log (MB) | CCL/ML |\n|---|---|---|---|---|\n"
+            .to_string();
     for a in report.apps.iter().filter(|a| !a.page_sizes.is_empty()) {
         let mut rows = a.page_sizes.clone();
         let base = [Protocol::Ml, Protocol::Ccl].map(|p| a.run(p).clone());
@@ -1207,17 +1181,15 @@ mod tests {
                     run(Protocol::None, 1_000_000, 0, 0),
                     run(Protocol::Ml, 1_200_000, 90_000, 30),
                     run(Protocol::Ccl, 1_050_000, 9_000, 20),
-                    run(Protocol::CclNoOverlap, 1_400_000, 9_000, 20),
                 ],
                 recovery: RecoveryRecord {
                     crash_after_barriers: 6,
                     reexec_ns: 750_000,
                     ml_ns: 500_000,
                     ccl_ns: 400_000,
-                    ccl_no_prefetch_ns: 800_000,
                     ml_phases_ns: [400_000, 20_000, 80_000],
                     ccl_phases_ns: [300_000, 90_000, 10_000],
-                    blame_fp: [0x1111, 0x2222, 0x3333],
+                    blame_fp: [0x1111, 0x2222],
                     ccl_requests: 40,
                     ccl_stalls: 3,
                     ccl_traps: 1,
@@ -1324,10 +1296,9 @@ mod tests {
         assert_eq!(tr.lines().count(), 2 + 4 * 3);
         // 10 batches carrying 10 demand pages + 20 prefetched extras.
         assert!(tr.contains("| 40 | 10 | 3.00 | 20 / 15 / 3 | 0 |"), "{tr}");
-        // Per app, then one A3 row per page size, the unswept one included.
+        // One A3 row per page size, the unswept one included.
         let ab = ablation_markdown(&report);
-        assert_eq!(ab.lines().count(), 2 + 4 + 1 + 2 + 2, "{ab}");
-        assert!(ab.contains("| MG | 0.001 | 0.001 | 25.0% | 0.000 | 0.001 | 50.0% |"));
+        assert_eq!(ab.lines().count(), 2 + 2, "{ab}");
         assert!(ab.contains("| 3D-FFT | 256 | 0.09 | 0.01 | 10.00% |"));
     }
 
@@ -1346,7 +1317,7 @@ mod tests {
             Some(&Json::from_hex(0x0fed_cba9_8765_4321))
         );
         let crash_fps = member(&doc, &["apps", "Water", "recovery", "blame_fp"]);
-        for (p, fp) in [("ml", 0x1111), ("ccl", 0x2222), ("ccl-no-prefetch", 0x3333)] {
+        for (p, fp) in [("ml", 0x1111), ("ccl", 0x2222)] {
             assert_eq!(crash_fps.get(p), Some(&Json::from_hex(fp)), "{p}");
         }
     }
@@ -1357,10 +1328,10 @@ mod tests {
     fn a_diverged_run_is_reported_by_name() {
         assert_eq!(check_digests("3D-FFT/ccl/crash", 7, [7, 7, 7]), Ok(()));
         assert_eq!(check_digests("3D-FFT/ccl/crash", 7, []), Ok(()));
-        let err = check_digests("3D-FFT/ccl-no-prefetch/crash", 7, [7, 9, 8]);
+        let err = check_digests("3D-FFT/ml/crash", 7, [7, 9, 8]);
         assert_eq!(
             err.unwrap_err(),
-            "3D-FFT/ccl-no-prefetch/crash: node 1 ended on 0x9, not on 0x7"
+            "3D-FFT/ml/crash: node 1 ended on 0x9, not on 0x7"
         );
     }
 
@@ -1529,7 +1500,7 @@ mod tests {
                 let at = format!("{}/{name}", scale.label());
                 let runs = app.get("runs").and_then(Json::as_obj).expect("runs");
                 let protocols = runs.iter().map(|(k, _)| k.as_str());
-                assert!(protocols.eq(failure_free().map(Protocol::label)), "{at}");
+                assert!(protocols.eq(Protocol::ALL.map(Protocol::label)), "{at}");
                 let run = |p| member(app, &["runs", p]);
                 let sizes = app.get("page_sizes").and_then(Json::as_obj);
                 let swept = sizes.unwrap_or_default().iter();
@@ -1543,7 +1514,7 @@ mod tests {
                 assert_eq!(log("none"), 0.0, "{at}: None logged bytes");
                 assert!(0.0 < log("ccl") && log("ccl") < log("ml"), "{at}: CCL log");
                 let rec = app.get("recovery").expect("recovery");
-                for key in ["ml_ns", "ccl_ns", "ccl_no_prefetch_ns"] {
+                for key in ["ml_ns", "ccl_ns"] {
                     assert!(num(rec, &[key]) > 0.0, "{at}: recovery.{key}");
                 }
                 for p in CRASHED.map(Protocol::label) {
@@ -1573,26 +1544,14 @@ mod tests {
         }
     }
 
-    /// The paper's two CCL design choices, gated on the committed paper
-    /// report for all four applications: overlapping the log flush with
-    /// the diff round trip makes CCL faster (A1), and prefetching during
-    /// recovery makes its recovery faster (A2). A3: ML's log never
+    /// Ablation A3, gated on the committed paper report: ML's log never
     /// shrinks as the page grows (it logs whole fetched pages) while
-    /// CCL's stays within 1 % of it at every size. A3 holds at paper
+    /// CCL's stays within 1 % of it at every size. It holds at paper
     /// scale only: at smoke scale ML's log falls from 75 792 to 63 412 B
     /// between 64 B and 128 B pages.
     #[test]
-    fn committed_report_keeps_the_ablation_ordering() {
+    fn committed_report_keeps_the_page_size_ordering() {
         let doc = committed(Scale::Paper);
-        for app in App::ALL {
-            let get = |path: &[&str]| num(member(&doc, &["apps", app.name()]), path);
-            let exec = |p| get(&["runs", p, "exec_ns"]);
-            let (ccl, without) = (exec("ccl"), exec("ccl-no-overlap"));
-            assert!(ccl < without, "{}: A1 {ccl} !< {without}", app.name());
-            let recovery = |key| get(&["recovery", key]);
-            let (ccl, without) = (recovery("ccl_ns"), recovery("ccl_no_prefetch_ns"));
-            assert!(ccl < without, "{}: A2 {ccl} !< {without}", app.name());
-        }
         let fft = member(&doc, &["apps", "3D-FFT"]);
         let logs = |runs: &Json| ["ml", "ccl"].map(|p| num(runs, &[p, "log_bytes"]));
         let mut sizes = vec![(Scale::Paper.page_size(), logs(member(fft, &["runs"])))];

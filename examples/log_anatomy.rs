@@ -35,7 +35,7 @@ fn main() {
         "protocol", "log bytes", "flushes", "mean flush B", "exec"
     );
     println!("{:-<84}", "");
-    for protocol in Protocol::TABLE2 {
+    for protocol in Protocol::ALL {
         let spec = ClusterSpec::new(4, 8).with_protocol(protocol);
         let out = run_program(spec, exchange);
         assert!(out.nodes.windows(2).all(|w| w[0].result == w[1].result));

@@ -253,7 +253,7 @@ fn message_faults_preserve_digests_ccl() {
 #[test]
 fn fault_free_plan_leaves_runs_untouched() {
     let app = App::Fft3d;
-    for protocol in Protocol::TABLE2 {
+    for protocol in Protocol::ALL {
         let a = run_and_check(app, tiny_spec(app, protocol));
         let b = run_and_check(app, tiny_spec(app, protocol));
         assert_eq!(
@@ -285,7 +285,7 @@ fn fault_free_plan_leaves_runs_untouched() {
 #[test]
 fn phase_accounting_balances_across_the_matrix() {
     for app in App::ALL {
-        for protocol in Protocol::TABLE2 {
+        for protocol in Protocol::ALL {
             run_and_check(app, tiny_spec(app, protocol));
             let mut faulty =
                 tiny_spec(app, protocol).with_faults(FaultPlan::lossy(0xFA57_AC1D, 15, 10));

@@ -73,7 +73,7 @@ fn bump(j: &mut Json, path: &[&str]) {
 fn paper_scale_water_and_mg_match_goldens() {
     let golden = golden(Scale::Paper);
     for app in [App::Mg, App::Water] {
-        for protocol in Protocol::TABLE2 {
+        for protocol in Protocol::ALL {
             let label = format!("{}/{}", app.name(), protocol.label());
             let want = golden
                 .get("apps")

@@ -146,19 +146,11 @@ fn no_logging_baseline_is_fastest() {
 
 #[test]
 fn overlap_hides_ccl_disk_time() {
-    // With overlap, part of CCL's disk time disappears behind the diff
-    // round-trips; without it, everything lands on the critical path.
-    let app = App::Fft3d;
-    let with = run_app(app, Protocol::Ccl);
-    let without = run_app(app, Protocol::CclNoOverlap);
-    let hidden = with.total_stats().disk_time_overlapped;
+    // Part of CCL's disk time disappears behind the diff round trips.
+    let hidden = run_app(App::Fft3d, Protocol::Ccl)
+        .total_stats()
+        .disk_time_overlapped;
     assert!(hidden.as_nanos() > 0, "no disk time was overlapped at all");
-    assert!(
-        with.exec_time() <= without.exec_time(),
-        "overlap must not slow execution down"
-    );
-    // Identical log contents either way.
-    assert_eq!(with.total_log_bytes(), without.total_log_bytes());
 }
 
 /// What the writer of [`close_interval_with_remote_diffs`] did at the
@@ -226,18 +218,14 @@ fn close_interval_with_remote_diffs(protocol: Protocol, k: usize) -> IntervalEnd
 /// CCL writes its log while the diffs it just sent are acked: the
 /// writer resumes at the later of write and acks, i.e. None's time plus
 /// the part of the `write()` copy that outlasts the ack round trip.
-/// Ablation A1 writes through before the diffs leave, and pays the
-/// write-through and the round trip in sequence.
 #[test]
 fn ccl_log_write_overlaps_the_diff_round_trip() {
     let disk = CostModel::default().disk;
     for (k, write_is_hidden) in [(1, true), (28, false)] {
         let none = close_interval_with_remote_diffs(Protocol::None, k);
         let ccl = close_interval_with_remote_diffs(Protocol::Ccl, k);
-        let a1 = close_interval_with_remote_diffs(Protocol::CclNoOverlap, k);
         assert_eq!(none.flushed, 0);
         assert!(ccl.flushed > k * 4096, "k={k}: the diffs were not logged");
-        assert_eq!(a1.flushed, ccl.flushed, "k={k}: A1 logged other bytes");
 
         let rtt = none.ack_wait;
         let write = disk.buffered_write_cost(ccl.flushed);
@@ -252,13 +240,6 @@ fn ccl_log_write_overlaps_the_diff_round_trip() {
             ccl.ack_wait,
             rtt.saturating_sub(write),
             "k={k}: the trace must record only the ack wait the write left"
-        );
-
-        let write_through = write + disk.access_latency + disk.drain_time(a1.flushed);
-        assert_eq!(
-            a1.at,
-            none.at + write_through,
-            "k={k}: A1's end of interval"
         );
     }
 }

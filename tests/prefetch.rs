@@ -50,7 +50,7 @@ fn fetch_hiding_is_digest_transparent_fault_free() {
     let batch = kind("PageRequestBatch");
     for app in App::ALL {
         let reference = app.tiny_reference();
-        for protocol in Protocol::TABLE2 {
+        for protocol in Protocol::ALL {
             let label = format!("{}/{protocol:?}", app.name());
             let out = run_program(tiny_spec(app, protocol), move |dsm| app.run_tiny(dsm));
             for n in &out.nodes {
@@ -125,11 +125,11 @@ fn random_schedules_agree_with_the_serial_reference() {
         }
     }
 
-    let predicted = Protocol::TABLE2.map(|_| Cell::new(0u64));
+    let predicted = Protocol::ALL.map(|_| Cell::new(0u64));
     check("prefetch-schedules", CASES, |rng| {
         let schedule = arb_schedule(rng);
         let want = serial(&schedule);
-        for (protocol, predicted) in Protocol::TABLE2.into_iter().zip(&predicted) {
+        for (protocol, predicted) in Protocol::ALL.into_iter().zip(&predicted) {
             let spec = ClusterSpec::new(NODES, 8)
                 .with_page_size(PAGE)
                 .with_protocol(protocol);
@@ -144,7 +144,7 @@ fn random_schedules_agree_with_the_serial_reference() {
             predicted.set(predicted.get() + out.total_stats().prefetch_issued);
         }
     });
-    for (protocol, predicted) in Protocol::TABLE2.into_iter().zip(&predicted) {
+    for (protocol, predicted) in Protocol::ALL.into_iter().zip(&predicted) {
         assert!(predicted.get() > 0, "{protocol:?}: never predicted");
     }
 }
