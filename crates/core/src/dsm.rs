@@ -296,8 +296,7 @@ impl Dsm {
 
     pub(crate) fn handle_crash(&mut self) {
         let delay = std::mem::replace(&mut self.pending_detection, SimDuration::ZERO);
-        self.node.crash_and_reset(delay);
-        self.restored = self.node.ft.restored_app_state();
+        self.restored = self.node.crash_and_reset(delay);
         self.alloc_cursor = 0;
         self.barriers_done = 0;
         // The re-run sets its own restart blob; don't let the dead

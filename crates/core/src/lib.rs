@@ -33,7 +33,7 @@ mod shared;
 mod spec;
 
 pub use dsm::Dsm;
-pub use runner::{run_program, FaultSummary, NodeOutput, RunOutput};
+pub use runner::{run_program, NodeOutput, RunOutput};
 pub use shared::{ArrayHandle, SharedVal, ELEM_BYTES};
 pub use spec::{ClusterSpec, CrashPlan, FailureSpec, Protocol};
 

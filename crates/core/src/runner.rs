@@ -13,26 +13,6 @@ use simnet::{
 use crate::dsm::{CrashToken, Dsm};
 use crate::spec::{ClusterSpec, Protocol};
 
-/// Fault-injection knobs of a run, echoed into the output so results
-/// are reproducible from the telemetry alone.
-#[derive(Debug, Clone, Default)]
-pub struct FaultSummary {
-    /// Message-fault PRNG seed.
-    pub seed: u64,
-    /// Per-message drop probability, in permille.
-    pub drop_per_mille: u16,
-    /// Per-message duplication probability, in permille.
-    pub dup_per_mille: u16,
-    /// Maximum delivery jitter, in nanoseconds.
-    pub jitter_max_ns: u64,
-    /// Number of scheduled link partitions.
-    pub partitions: usize,
-    /// Number of scheduled crash events.
-    pub crashes: usize,
-    /// Number of nodes with a disk-fault schedule.
-    pub disk_fault_nodes: usize,
-}
-
 /// Per-node outcome of a cluster run.
 #[derive(Debug, Clone)]
 pub struct NodeOutput<R> {
@@ -76,8 +56,6 @@ pub struct NodeOutput<R> {
 pub struct RunOutput<R> {
     /// Per-node outputs, in node order.
     pub nodes: Vec<NodeOutput<R>>,
-    /// The fault-injection knobs this run was launched with.
-    pub faults: FaultSummary,
 }
 
 impl<R> RunOutput<R> {
@@ -144,165 +122,6 @@ impl<R> RunOutput<R> {
             })
             .map(|n| n.node)
             .collect()
-    }
-
-    /// Machine-readable run telemetry: per-node phase breakdown (all
-    /// times in nanoseconds), trace-event counts, and the fault-
-    /// injection knobs and counters, as a JSON string. Byte-stable
-    /// across same-spec runs; the `report` goldens pin its hash
-    /// (`phases_fp`).
-    pub fn phases_json(&self, label: &str) -> String {
-        use std::fmt::Write;
-        let total = self.total_stats();
-        let disk = self.nodes.iter().fold(DiskCounters::default(), |mut d, n| {
-            d.write_retries += n.disk.write_retries;
-            d.failed_writes += n.disk.failed_writes;
-            d.full_writes += n.disk.full_writes;
-            d.torn_records += n.disk.torn_records;
-            d.corrupted_records += n.disk.corrupted_records;
-            d
-        });
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"run\":\"{label}\",\"exec_time_ns\":{},",
-            self.exec_time().as_nanos()
-        );
-        let _ = write!(
-            s,
-            "\"faults\":{{\"seed\":{},\"drop_per_mille\":{},\"dup_per_mille\":{},\
-             \"jitter_max_ns\":{},\"partitions\":{},\"crashes\":{},\
-             \"disk_fault_nodes\":{},\"timeouts\":{},\"retransmits\":{},\
-             \"dups_suppressed\":{},\"sends_to_stopped\":{},\
-             \"write_retries\":{},\"failed_writes\":{},\"full_writes\":{},\
-             \"torn_records\":{},\"corrupted_records\":{}}},\"nodes\":[",
-            self.faults.seed,
-            self.faults.drop_per_mille,
-            self.faults.dup_per_mille,
-            self.faults.jitter_max_ns,
-            self.faults.partitions,
-            self.faults.crashes,
-            self.faults.disk_fault_nodes,
-            total.timeouts,
-            total.retransmits,
-            total.dups_suppressed,
-            total.sends_to_stopped,
-            disk.write_retries,
-            disk.failed_writes,
-            disk.full_writes,
-            disk.torn_records,
-            disk.corrupted_records,
-        );
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let p = n.phases;
-            let _ = write!(
-                s,
-                "{{\"node\":{},\"finish_ns\":{},\"compute_ns\":{},\"wait_ns\":{},\
-                 \"disk_ns\":{},\"hidden_ns\":{},\"events\":{}",
-                n.node,
-                n.finish.as_nanos(),
-                p.compute.as_nanos(),
-                p.wait.as_nanos(),
-                p.disk.as_nanos(),
-                p.hidden.as_nanos(),
-                n.trace.len()
-            );
-            if let Some(r) = n.recovery_phases {
-                let _ = write!(
-                    s,
-                    ",\"recovery_phases\":{{\"compute_ns\":{},\"wait_ns\":{},\"disk_ns\":{}}}",
-                    r.compute.as_nanos(),
-                    r.wait.as_nanos(),
-                    r.disk.as_nanos(),
-                );
-            }
-            s.push('}');
-        }
-        // Cluster-wide per-variant traffic: one entry per wire tag, in
-        // tag order, plus the prefetch/migration effectiveness counters.
-        s.push_str("],\"traffic\":{");
-        for k in 0..hlrc::MSG_KINDS {
-            if k > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{}\":{{\"msgs\":{},\"bytes\":{}}}",
-                hlrc::kind_label(k),
-                total.msgs_by_kind[k],
-                total.bytes_by_kind[k],
-            );
-        }
-        let _ = write!(
-            s,
-            "}},\"prefetch\":{{\"issued\":{},\"hits\":{},\"wasted\":{},\
-             \"home_migrations\":{}}},",
-            total.prefetch_issued,
-            total.prefetch_hits,
-            total.prefetch_wasted,
-            total.home_migrations,
-        );
-        s.push_str("\"hist\":{");
-        let metrics = self.total_metrics();
-        for (i, (name, h)) in metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-            );
-        }
-        s.push_str("}}");
-        s
-    }
-
-    /// Physical-layer scheduler telemetry as a JSON string: per-node
-    /// watermark-stall counts and park-duration (wall-clock ns)
-    /// summaries from the conservative virtual-time scheduler. Kept out
-    /// of [`phases_json`](Self::phases_json) on purpose — stalls and
-    /// park times depend on real thread interleaving, so two
-    /// bit-identical runs may differ here; keeping it separate records
-    /// the overhead without breaking the byte-for-byte determinism
-    /// contract on the main telemetry.
-    pub fn sched_json(&self, label: &str) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"run\":\"{label}\",\"sched_stalls_total\":{},\"nodes\":[",
-            self.total_stats().sched_stalls
-        );
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let park = &n.metrics.park_ns;
-            let _ = write!(
-                s,
-                "{{\"node\":{},\"sched_stalls\":{},\"park_ns\":{{\"count\":{},\
-                 \"sum\":{},\"p50\":{},\"p99\":{},\"max\":{}}}}}",
-                n.node,
-                n.stats.sched_stalls,
-                park.count(),
-                park.sum(),
-                park.quantile(0.5),
-                park.quantile(0.99),
-                park.max()
-            );
-        }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -418,18 +237,7 @@ where
             recovery_phases: inner.ctx.recovery_phases,
         }
     });
-    RunOutput {
-        nodes: results,
-        faults: FaultSummary {
-            seed: spec.faults.seed,
-            drop_per_mille: spec.faults.drop_per_mille,
-            dup_per_mille: spec.faults.dup_per_mille,
-            jitter_max_ns: spec.faults.jitter_max.as_nanos(),
-            partitions: spec.faults.partitions.len(),
-            crashes: spec.failures.crashes.len(),
-            disk_fault_nodes: spec.failures.disk_faults.len(),
-        },
-    }
+    RunOutput { nodes: results }
 }
 
 #[cfg(test)]

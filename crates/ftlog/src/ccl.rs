@@ -322,7 +322,6 @@ pub struct CclLogger {
     log: StableLog,
     staged: Vec<CclRecord>,
     replay: Option<CclReplay>,
-    restored_app: Option<Vec<u8>>,
     /// The logged diffs this node serves, each with the time it is in
     /// memory: exactly the `Diffs` records of its stable log. Each is
     /// kept from the flush that persists it until the checkpoint that
@@ -357,7 +356,6 @@ impl CclLogger {
             log: StableLog::new(CCL_STREAM),
             staged: Vec::new(),
             replay: None,
-            restored_app: None,
             serve_cache: HashMap::new(),
             misses_known_at: SimTime::ZERO,
             held: HeldPages::default(),
@@ -1152,7 +1150,7 @@ impl FaultTolerance for CclLogger {
         cpu + self.log.write_behind(inner, drain)
     }
 
-    fn begin_recovery(&mut self, inner: &mut NodeInner) {
+    fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         inner.ctx.trace(TraceKind::RecoveryBegin);
         // Handshake first: its round trip overlaps this node's own
         // salvage scan. The replies are collected by `recovery_wait` as
@@ -1183,7 +1181,6 @@ impl FaultTolerance for CclLogger {
         debug_assert!(self.replay.is_none(), "crashed in the middle of a replay");
         self.staged.clear();
         let s = self.log.salvage(inner);
-        self.restored_app = s.app;
         // Any lost record may be an `Updates` the cluster already saw
         // this home apply (its writer's stable log still has the diff):
         // schedule the home-repair wave that refetches them.
@@ -1276,7 +1273,7 @@ impl FaultTolerance for CclLogger {
         // Nothing was ever logged: crash before the first flush.
         self.replay = (!replay.records.is_empty()).then_some(replay);
         let Some(replay) = self.replay.as_mut() else {
-            return;
+            return s.app;
         };
         // The first replayed interval has no sync to restore the pages
         // it writes: they get a wave of their own before replay starts,
@@ -1292,10 +1289,7 @@ impl FaultTolerance for CclLogger {
         }
         self.open_written(inner, &first);
         self.send_ahead(inner, first);
-    }
-
-    fn restored_app_state(&mut self) -> Option<Vec<u8>> {
-        self.restored_app.take()
+        s.app
     }
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {

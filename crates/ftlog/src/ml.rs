@@ -64,7 +64,6 @@ pub struct MlLogger {
     /// Framed records not yet flushed.
     staged: Vec<Vec<u8>>,
     cursor: Option<usize>,
-    restored_app: Option<Vec<u8>>,
     /// Verified-prefix length established by the last recovery scan
     /// (replay never reads past it, even if a failed device refused
     /// the repair truncation).
@@ -81,7 +80,6 @@ impl MlLogger {
             log: StableLog::new(ML_STREAM),
             staged: Vec::new(),
             cursor: None,
-            restored_app: None,
             log_valid: 0,
             synthesized: Vec::new(),
         }
@@ -102,8 +100,9 @@ impl MlLogger {
     }
 
     /// Read and charge the next logged message, if any. Replay continues
-    /// the salvage scan in order, one read call per record: the call
-    /// plus bandwidth ([`simnet::SimDisk::replay_read`]), no seek.
+    /// the salvage scan in order, one read call per record on a scan
+    /// that starts at the call ([`simnet::SimDisk::scan_read`]): the
+    /// call plus bandwidth, no seek, and no read-ahead.
     fn next_record(&mut self, inner: &mut NodeInner) -> Option<ReplayRecord> {
         let cursor = self.cursor.as_mut().expect("not in recovery");
         if *cursor >= self.log_valid {
@@ -124,7 +123,9 @@ impl MlLogger {
         let msg = Msg::decode_from_slice(payload).expect("verified ML log record");
         let bytes = record.len();
         *cursor += 1;
-        let cost = inner.ctx.disk.replay_read(bytes);
+        let now = inner.ctx.now();
+        let mut scan = inner.ctx.disk.warm_scan(now);
+        let cost = inner.ctx.disk.scan_read(&mut scan, bytes, now);
         inner.ctx.charge_disk(cost);
         Some(ReplayRecord {
             msg,
@@ -346,13 +347,12 @@ impl FaultTolerance for MlLogger {
         self.flush_staged(inner)
     }
 
-    fn begin_recovery(&mut self, inner: &mut NodeInner) {
+    fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         inner.ctx.trace(TraceKind::RecoveryBegin);
         self.staged.clear();
         self.synthesized.clear();
         let s = self.log.salvage(inner);
         self.log_valid = s.payloads.len();
-        self.restored_app = s.app;
         // Replay to the cluster-visible horizon, not just to the end of
         // a prefix that lost its tail (see `lost_releases`).
         if s.lost_tail && !s.meta_rot {
@@ -381,10 +381,7 @@ impl FaultTolerance for MlLogger {
         }
         self.cursor = Some(0);
         self.maybe_finish();
-    }
-
-    fn restored_app_state(&mut self) -> Option<Vec<u8>> {
-        self.restored_app.take()
+        s.app
     }
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {

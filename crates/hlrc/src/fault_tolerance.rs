@@ -132,12 +132,9 @@ pub trait FaultTolerance: Send {
 
     /// Transition into recovery after a crash: rebuild replay state from
     /// stable storage. Called once, right after the volatile state was
-    /// reset to the last checkpoint image.
-    fn begin_recovery(&mut self, inner: &mut NodeInner) {}
-
-    /// Application state restored from the last checkpoint, if any
-    /// (consumed once by the program runner after a crash).
-    fn restored_app_state(&mut self) -> Option<Vec<u8>> {
+    /// reset to the last checkpoint image. Returns the application blob
+    /// of that checkpoint, if there is one.
+    fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         None
     }
 

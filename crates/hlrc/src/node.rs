@@ -1164,8 +1164,9 @@ impl HlrcNode {
     /// `detection`: volatile state (page frames, clocks, manager
     /// tables) reverts to the last checkpoint image; stable storage
     /// survives. The fault-tolerance layer then prepares replay. The
-    /// caller restarts the application program.
-    pub fn crash_and_reset(&mut self, detection: SimDuration) {
+    /// caller restarts the application program, from the returned
+    /// application blob of the last checkpoint if there is one.
+    pub fn crash_and_reset(&mut self, detection: SimDuration) -> Option<Vec<u8>> {
         let n = self.inner.cfg.n_nodes;
         self.inner.ctx.mark_crashed(detection);
         self.inner.pages.reset_to_base();
@@ -1188,7 +1189,7 @@ impl HlrcNode {
         for env in std::mem::take(&mut self.inner.stalled_requests) {
             self.inner.ctx.defer(env);
         }
-        self.ft.begin_recovery(&mut self.inner);
+        let app = self.ft.begin_recovery(&mut self.inner);
         if !self.ft.in_recovery() {
             // Nothing to replay — no protocol log, an empty log, or a
             // failed log device (degraded recovery). Live re-execution
@@ -1196,6 +1197,7 @@ impl HlrcNode {
             // this stamp `recovery_exit` would never be set.
             self.exit_recovery();
         }
+        app
     }
 
     /// Leave recovery: give the fault-tolerance layer its last word

@@ -701,11 +701,12 @@ impl FaultTolerance for Rebuilding {
     fn retains_served_pages(&self) -> bool {
         true
     }
-    fn begin_recovery(&mut self, inner: &mut hlrc::NodeInner) {
+    fn begin_recovery(&mut self, inner: &mut hlrc::NodeInner) -> Option<Vec<u8>> {
         self.replaying = true;
         inner
             .pages
             .rebuild_served_logs(self.updates.iter().copied());
+        None
     }
     fn in_recovery(&self) -> bool {
         self.replaying

@@ -22,8 +22,10 @@
 //!   `PATH`.
 //! * `--blame DIR`    also write the full blame document of every run
 //!   to `DIR/smoke.json` and `DIR/paper.json`, keyed by the labels
-//!   whose `blame_fp` the goldens pin: when a hash moves, write them at
-//!   the parent and at the change, then diff.
+//!   whose `blame_fp` the goldens pin, and the phases document behind
+//!   every `phases_fp` to `DIR/smoke.phases.json` and
+//!   `DIR/paper.phases.json`, keyed by the same labels: when a hash
+//!   moves, write them at the parent and at the change, then diff.
 //! * `--trace PATH`   also export the paper-scale 3D-FFT/CCL run as a
 //!   Chrome-trace file loadable at <https://ui.perfetto.dev>, its blame
 //!   path highlighted.
@@ -77,7 +79,8 @@ fn write(path: &Path, content: &str) -> Result<(), String> {
 }
 
 /// Run the matrix at `scale` and check (or, with `bless`, rewrite) its
-/// golden, and write its blame documents if `--blame` asked for them.
+/// golden, and write its blame and phases documents if `--blame` asked
+/// for them.
 /// `None` if a run broke a blame invariant or ended on the wrong digest.
 fn gate_scale(
     scale: Scale,
@@ -121,7 +124,13 @@ fn gate_scale(
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         let path = dir.join(format!("{}.json", scale.label()));
         write(&path, &report.blame.pretty())?;
-        eprintln!("blame documents written to {}", path.display());
+        let phases = dir.join(format!("{}.phases.json", scale.label()));
+        write(&phases, &report.phases.pretty())?;
+        eprintln!(
+            "blame and phases documents written to {} and {}",
+            path.display(),
+            phases.display()
+        );
     }
     Ok(Some(report))
 }

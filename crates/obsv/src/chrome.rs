@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 use ccl_core::{LogObj, NodeOutput, RunOutput, TraceKind};
 
 use crate::blame::{Blame, BlameObj, SegmentKind};
+use crate::json::quoted;
 
 /// Identity of one message envelope, shared by its send and receive
 /// halves: per-link sequence numbers make `(src, dst, seq)` unique.
@@ -35,10 +36,6 @@ fn flow_id(src: usize, dst: usize, seq: u64) -> String {
 
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn push_event(out: &mut String, first: &mut bool, body: &str) {
@@ -148,9 +145,9 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
                     first,
                     &format!(
                         "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":0,\
-                         \"name\":\"{}\",\"cat\":\"msg\",\"args\":{{\"to\":{to},\
+                         \"name\":{},\"cat\":\"msg\",\"args\":{{\"to\":{to},\
                          \"seq\":{seq},\"bytes\":{bytes}}}}}",
-                        esc(msg)
+                        quoted(msg)
                     ),
                 );
                 push_event(
@@ -158,8 +155,8 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
                     first,
                     &format!(
                         "{{\"ph\":\"s\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"id\":\"{id}\",\"name\":\"{}\",\"cat\":\"msg\"}}",
-                        esc(msg)
+                         \"id\":\"{id}\",\"name\":{},\"cat\":\"msg\"}}",
+                        quoted(msg)
                     ),
                 );
             }
@@ -170,9 +167,9 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
                     first,
                     &format!(
                         "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":0,\
-                         \"name\":\"{}\",\"cat\":\"msg\",\"args\":{{\"from\":{from},\
+                         \"name\":{},\"cat\":\"msg\",\"args\":{{\"from\":{from},\
                          \"seq\":{seq}}}}}",
-                        esc(msg)
+                        quoted(msg)
                     ),
                 );
                 push_event(
@@ -180,8 +177,8 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
                     first,
                     &format!(
                         "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"id\":\"{id}\",\"name\":\"{}\",\"cat\":\"msg\"}}",
-                        esc(msg)
+                         \"id\":\"{id}\",\"name\":{},\"cat\":\"msg\"}}",
+                        quoted(msg)
                     ),
                 );
             }
@@ -225,7 +222,7 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
             | TraceKind::PrefetchWasted { .. }
             | TraceKind::HomeMigrated { .. }) => {
                 let object = match event_object(&kind) {
-                    Some(obj) => format!(",\"object\":\"{}\"", esc(&obj.key())),
+                    Some(obj) => format!(",\"object\":{}", quoted(&obj.key())),
                     None => String::new(),
                 };
                 push_event(
@@ -233,10 +230,10 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
                     first,
                     &format!(
                         "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"name\":\"{}\",\"cat\":\"coherence\",\
-                         \"args\":{{\"detail\":\"{}\"{object}}}}}",
-                        esc(kind.label()),
-                        esc(&format!("{kind:?}")),
+                         \"name\":{},\"cat\":\"coherence\",\
+                         \"args\":{{\"detail\":{}{object}}}}}",
+                        quoted(kind.label()),
+                        quoted(&format!("{kind:?}")),
                     ),
                 );
             }
@@ -290,8 +287,8 @@ fn blame_events(out: &mut String, first: &mut bool, blame: &Blame) {
             SegmentKind::Wait { obj, causer } => (
                 format!("wait {}", obj.key()),
                 format!(
-                    ",\"object\":\"{}\",\"class\":\"{}\",\"causer\":{causer}",
-                    esc(&obj.key()),
+                    ",\"object\":{},\"class\":\"{}\",\"causer\":{causer}",
+                    quoted(&obj.key()),
                     obj.class()
                 ),
             ),
@@ -301,11 +298,11 @@ fn blame_events(out: &mut String, first: &mut bool, blame: &Blame) {
             first,
             &format!(
                 "{{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"cat\":\"blame\",\
+                 \"name\":{},\"cat\":\"blame\",\
                  \"args\":{{\"node\":{}{extra}}}}}",
                 us(seg.start_ns),
                 us(seg.dur_ns()),
-                esc(&name),
+                quoted(&name),
                 seg.node,
             ),
         );
@@ -328,9 +325,9 @@ fn render<R>(run: &RunOutput<R>, label: &str, blame: Option<&Blame>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"label\":\"{}\",\
+        "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"label\":{},\
          \"process_name\":\"ccl-dsm cluster\"}},\"traceEvents\":[",
-        esc(label)
+        quoted(label)
     );
     let mut first = true;
     for n in &run.nodes {
@@ -412,6 +409,22 @@ mod tests {
                 assert_eq!(dst, tid, "flow {id} landed on the wrong thread");
             }
         }
+    }
+
+    /// A label with a quote, a newline and a tab is escaped in the
+    /// text, the document is valid JSON, and the label reads back
+    /// unchanged.
+    #[test]
+    fn a_label_with_control_characters_round_trips() {
+        let label = "a\"b\nc\td";
+        let text = chrome_trace(&tiny_run(), label);
+        assert!(
+            text.contains(r#""label":"a\"b\nc\td""#),
+            "escaped in the text"
+        );
+        let doc = json::parse(&text).expect("valid JSON");
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("label").unwrap().as_str(), Some(label));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The container has no registry access, so the report pipeline cannot
 //! use serde; this module is the small, dependency-free subset it needs:
 //! an ordered object model (so emitted files diff stably), a pretty
-//! writer, and a recursive-descent parser for reading goldens back.
+//! and a compact writer, and a recursive-descent parser for reading
+//! goldens back.
 //!
 //! Precision rule: every number is carried as `f64`, which is exact for
 //! integers below 2^53 — all counters in the report fit. Fields that do
@@ -99,12 +100,22 @@ impl Json {
     /// Serialize with 2-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    /// Serialize with no whitespace: the pretty text without its
+    /// newlines, indentation and the space after each colon.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// `depth` is the indentation level, `None` for compact text.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -120,12 +131,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                newline(out, depth);
                 out.push(']');
             }
             Json::Obj(members) => {
@@ -138,23 +147,25 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
+                    newline(out, inner);
                     write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                newline(out, depth);
                 out.push('}');
             }
         }
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// A newline and `depth` indents in pretty text; nothing in compact.
+fn newline(out: &mut String, depth: Option<usize>) {
+    if let Some(depth) = depth {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -165,6 +176,13 @@ fn write_num(out: &mut String, n: f64) {
         // Shortest round-trip float formatting (Rust's default).
         let _ = write!(out, "{n}");
     }
+}
+
+/// `s` as a JSON string literal, quotes included.
+pub(crate) fn quoted(s: &str) -> String {
+    let mut out = String::new();
+    write_str(&mut out, s);
+    out
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -335,6 +353,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => {
+                return Err(format!("raw control character in string at byte {}", *pos));
+            }
             Some(_) => {
                 // Consume one UTF-8 scalar (multi-byte sequences pass
                 // through unchanged).
@@ -369,6 +390,9 @@ mod tests {
         let text = doc.pretty();
         let back = parse(&text).unwrap();
         assert_eq!(back, doc);
+        let compact = r#"{"schema":"ccl-report/v1","count":42,"digest":"0x360c9ba06b0461e6","list":[1.5,true,null]}"#;
+        assert_eq!(doc.compact(), compact);
+        assert_eq!(parse(compact).unwrap(), doc);
     }
 
     #[test]
@@ -399,6 +423,9 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("nope").is_err());
+        // RFC 8259: a control character inside a string is escaped.
+        assert!(parse("\"a\nb\"").is_err());
+        assert!(parse("{\"k\": \"\t\"}").is_err());
     }
 
     #[test]

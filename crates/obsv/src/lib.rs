@@ -22,8 +22,8 @@
 //! the one command: it checks both goldens and the tables — the smoke
 //! golden's chaos, two-crash and torn/rotted-log cells are the
 //! determinism proof, run in tier-1 by `tests/determinism.rs` — and
-//! writes the full blame documents (`--blame DIR`) and a Chrome trace
-//! (`--trace PATH`) on request.
+//! writes the full blame and phases documents (`--blame DIR`) and a
+//! Chrome trace (`--trace PATH`) on request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,4 +36,4 @@ pub mod report;
 pub use blame::{analyze, blame_json, checked_analysis, Blame, BlameObj};
 pub use chrome::chrome_trace;
 pub use json::Json;
-pub use report::{collect, compare, report_json, trace_fingerprint, Report, Scale};
+pub use report::{collect, compare, phases_json, report_json, trace_fingerprint, Report, Scale};

@@ -25,8 +25,8 @@ use std::path::{Path, PathBuf};
 
 use ccl_apps::App;
 use ccl_core::{
-    run_program, ClusterSpec, CrashPlan, DiskFaultPlan, FaultPlan, NodeMetrics, Partition,
-    Protocol, RunOutput, SimDuration, SimTime,
+    run_program, ClusterSpec, CrashPlan, DiskCounters, DiskFaultPlan, FaultPlan, NodeMetrics,
+    Partition, Protocol, RunOutput, SimDuration, SimTime,
 };
 
 use crate::blame::{blame_json, checked_analysis, Blame};
@@ -151,6 +151,81 @@ pub fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
     h
 }
 
+/// The run's phases document: the fault plan of `spec` and the fault
+/// counters, every node's phase breakdown (nanoseconds) and recovery
+/// phases, the cluster traffic per wire tag (zeros included), the
+/// prefetch counters and the histograms. The goldens pin the FNV-1a of
+/// its [`Json::compact`] text as `phases_fp`; `report --blame DIR`
+/// writes it out. Byte-stable across same-spec runs, so wall-clock
+/// scheduler telemetry (`sched_stalls`, `park_ns`) stays out. Numbers
+/// follow the [`crate::json`] precision rule: a fault seed above 2^53
+/// is rounded.
+pub fn phases_json<R>(out: &RunOutput<R>, spec: &ClusterSpec, label: &str) -> Json {
+    let num = Json::from_u64;
+    let total = out.total_stats();
+    let disk = |f: fn(&DiskCounters) -> u64| num(out.nodes.iter().map(|n| f(&n.disk)).sum());
+    let mut doc = Json::obj();
+    doc.set("run", Json::Str(label.to_string()));
+    doc.set("exec_time_ns", num(out.exec_time().as_nanos()));
+    let plan = &spec.faults;
+    let mut f = Json::obj();
+    f.set("seed", num(plan.seed));
+    f.set("drop_per_mille", num(plan.drop_per_mille.into()));
+    f.set("dup_per_mille", num(plan.dup_per_mille.into()));
+    f.set("jitter_max_ns", num(plan.jitter_max.as_nanos()));
+    f.set("partitions", num(plan.partitions.len() as u64));
+    f.set("crashes", num(spec.failures.crashes.len() as u64));
+    f.set(
+        "disk_fault_nodes",
+        num(spec.failures.disk_faults.len() as u64),
+    );
+    f.set("timeouts", num(total.timeouts));
+    f.set("retransmits", num(total.retransmits));
+    f.set("dups_suppressed", num(total.dups_suppressed));
+    f.set("sends_to_stopped", num(total.sends_to_stopped));
+    f.set("write_retries", disk(|d| d.write_retries));
+    f.set("failed_writes", disk(|d| d.failed_writes));
+    f.set("full_writes", disk(|d| d.full_writes));
+    f.set("torn_records", disk(|d| d.torn_records));
+    f.set("corrupted_records", disk(|d| d.corrupted_records));
+    doc.set("faults", f);
+    let nodes = out.nodes.iter().map(|n| {
+        let mut j = Json::obj();
+        j.set("node", num(n.node as u64));
+        j.set("finish_ns", num(n.finish.as_nanos()));
+        j.set("compute_ns", num(n.phases.compute.as_nanos()));
+        j.set("wait_ns", num(n.phases.wait.as_nanos()));
+        j.set("disk_ns", num(n.phases.disk.as_nanos()));
+        j.set("hidden_ns", num(n.phases.hidden.as_nanos()));
+        j.set("events", num(n.trace.len() as u64));
+        if let Some(r) = n.recovery_phases {
+            let mut rj = Json::obj();
+            rj.set("compute_ns", num(r.compute.as_nanos()));
+            rj.set("wait_ns", num(r.wait.as_nanos()));
+            rj.set("disk_ns", num(r.disk.as_nanos()));
+            j.set("recovery_phases", rj);
+        }
+        j
+    });
+    doc.set("nodes", Json::Arr(nodes.collect()));
+    let mut traffic = Json::obj();
+    for k in 0..ccl_core::MSG_KINDS {
+        let mut t = Json::obj();
+        t.set("msgs", num(total.msgs_by_kind[k]));
+        t.set("bytes", num(total.bytes_by_kind[k]));
+        traffic.set(ccl_core::kind_label(k), t);
+    }
+    doc.set("traffic", traffic);
+    let mut pf = Json::obj();
+    pf.set("issued", num(total.prefetch_issued));
+    pf.set("hits", num(total.prefetch_hits));
+    pf.set("wasted", num(total.prefetch_wasted));
+    pf.set("home_migrations", num(total.home_migrations));
+    doc.set("prefetch", pf);
+    doc.set("hist", hist_json(&out.total_metrics()));
+    doc
+}
+
 /// Everything the report keeps from one run that is not a Figure 5
 /// crash run.
 #[derive(Debug, Clone)]
@@ -177,8 +252,9 @@ pub struct RunRecord {
     pub trace_dropped: u64,
     /// Order fingerprint of the coherence-event schedule.
     pub trace_fp: u64,
-    /// FNV-1a of the run's `phases_json`: the fault counters, every
-    /// node's phase breakdown and recovery phases, the traffic.
+    /// FNV-1a of the compact text of the run's [`phases_json`]: the
+    /// fault counters, every node's phase breakdown and recovery
+    /// phases, the traffic.
     pub phases_fp: u64,
     /// Cluster-merged histogram metrics.
     pub metrics: NodeMetrics,
@@ -327,6 +403,10 @@ pub struct Report {
     /// every run above, keyed by the label its `blame_fp` hashed —
     /// what `report --blame` writes.
     pub blame: Json,
+    /// The [`phases_json`] document of every run that has a
+    /// `phases_fp`, keyed by the same labels — what `report --blame`
+    /// writes next to the blame documents.
+    pub phases: Json,
 }
 
 /// One cell of the smoke golden's `chaos` object: an application run
@@ -432,11 +512,12 @@ fn check_digests(label: &str, want: u64, got: impl IntoIterator<Item = u64>) -> 
     }
 }
 
-/// The matrix at one scale as it runs: every run's blame document, kept
-/// under its label.
+/// The matrix at one scale as it runs: every run's blame document and
+/// every recorded run's phases document, kept under its label.
 struct Matrix {
     scale: Scale,
     blame: Json,
+    phases: Json,
 }
 
 impl Matrix {
@@ -471,7 +552,10 @@ impl Matrix {
         digest: Option<u64>,
     ) -> Result<RunRecord, String> {
         let protocol = spec.protocol;
-        let (out, analysis, blame_fp) = self.run(label, app, spec, digest)?;
+        let (out, analysis, blame_fp) = self.run(label, app, spec.clone(), digest)?;
+        let phases = phases_json(&out, &spec, label);
+        let phases_fp = fnv1a(FNV_OFFSET, phases.compact().as_bytes());
+        self.phases.set(label, phases);
         let total = out.total_stats();
         let traffic = (0..ccl_core::MSG_KINDS)
             .map(|k| (total.msgs_by_kind[k], total.bytes_by_kind[k]))
@@ -488,7 +572,7 @@ impl Matrix {
             trace_events: out.nodes.iter().map(|n| n.trace.len() as u64).sum(),
             trace_dropped: out.nodes.iter().map(|n| n.trace_dropped).sum(),
             trace_fp: trace_fingerprint(&out),
-            phases_fp: fnv1a(FNV_OFFSET, out.phases_json(label).as_bytes()),
+            phases_fp,
             metrics: out.total_metrics(),
             blame: blame_summary(&analysis),
             blame_fp,
@@ -562,6 +646,7 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
     let mut matrix = Matrix {
         scale,
         blame: Json::obj(),
+        phases: Json::obj(),
     };
     let mut apps = Vec::new();
     for app in App::ALL {
@@ -621,11 +706,15 @@ pub fn collect(scale: Scale) -> Result<Report, String> {
     blame.set("schema", Json::Str(crate::blame::SCHEMA.to_string()));
     blame.set("scale", Json::Str(scale.label().to_string()));
     blame.set("runs", matrix.blame);
+    let mut phases = Json::obj();
+    phases.set("scale", Json::Str(scale.label().to_string()));
+    phases.set("runs", matrix.phases);
     Ok(Report {
         scale,
         apps,
         chaos,
         blame,
+        phases,
     })
 }
 
@@ -1205,6 +1294,7 @@ mod tests {
             apps,
             chaos: Vec::new(),
             blame: Json::obj(),
+            phases: Json::obj(),
         }
     }
 
@@ -1634,6 +1724,28 @@ mod tests {
             splice_tables(&orphan, &report).unwrap_err(),
             "marker <!-- report:gone --> names no report table"
         );
+    }
+
+    /// The golden `phases_fp` is the FNV-1a of the compact text of
+    /// [`phases_json`]: one smoke chaos cell, a lossy network with a
+    /// crash, hashes to its committed value.
+    #[test]
+    fn phases_fp_hashes_the_compact_phases_document() {
+        let label = "Shallow/ccl/chaos0";
+        let cell = chaos_cells(Scale::Smoke)
+            .into_iter()
+            .find(|c| c.label == label)
+            .expect("a chaos cell under this label");
+        let out = Scale::Smoke.run_spec(cell.app, cell.spec.clone());
+        let doc = phases_json(&out, &cell.spec, label);
+        let nodes = doc.get("nodes").and_then(Json::as_arr).unwrap();
+        assert!(nodes.iter().any(|n| n.get("recovery_phases").is_some()));
+        let traffic = doc.get("traffic").and_then(Json::as_obj).unwrap();
+        assert_eq!(traffic.len(), ccl_core::MSG_KINDS, "zeros included");
+        let golden = committed(Scale::Smoke);
+        let golden = member(&golden, &["chaos", label, "phases_fp"]).as_str();
+        let fp = fnv1a(FNV_OFFSET, doc.compact().as_bytes());
+        assert_eq!(golden.and_then(crate::json::hex_to_u64), Some(fp));
     }
 
     #[test]

@@ -298,10 +298,9 @@ impl SimDisk {
     /// A stream's records, without charging any access time.
     ///
     /// Recovery scans and replays its stable log from here and charges
-    /// the reads it models explicitly: [`SimDisk::replay_read`] for an
-    /// ML record read on demand, [`SimDisk::scan_read`] for each interval
-    /// a CCL replay reads from its [`LogScan`], [`SimDisk::read_cost`]
-    /// for a checkpoint.
+    /// the reads it models explicitly: [`SimDisk::scan_read`] for each
+    /// record an ML replay reads and each interval a CCL replay reads
+    /// from a [`LogScan`], [`SimDisk::read_cost`] for a checkpoint.
     pub fn peek_stream(&self, stream: &str) -> &[Vec<u8>] {
         self.streams.get(stream).map_or(&[], |v| v.as_slice())
     }
@@ -330,24 +329,13 @@ impl SimDisk {
     }
 
     /// Cost of one cold read of `bytes`, head positioning included
-    /// ([`DiskModel::read_time`]); counts as one access.
+    /// ([`DiskModel::read_time`]); counts as one access, and a
+    /// zero-byte read is free and uncounted.
     pub fn read_cost(&mut self, bytes: usize) -> SimDuration {
-        self.read(bytes, DiskModel::read_time)
-    }
-
-    /// Cost of one ML demand read of `bytes`, a call plus bandwidth
-    /// ([`DiskModel::replay_read_time`]); counts as one access.
-    pub fn replay_read(&mut self, bytes: usize) -> SimDuration {
-        self.read(bytes, DiskModel::replay_read_time)
-    }
-
-    /// Count one read of `bytes` and price it by `time`. A zero-byte
-    /// read is no access: free and uncounted.
-    fn read(&mut self, bytes: usize, time: fn(&DiskModel, usize) -> SimDuration) -> SimDuration {
         if !self.count_read(bytes) {
             return SimDuration::ZERO;
         }
-        time(&self.model, bytes)
+        self.model.read_time(bytes)
     }
 
     /// Count one read access of `bytes`, unless it is empty; returns
@@ -459,15 +447,16 @@ mod tests {
         assert!(batch < individual);
     }
 
-    /// A replay read continues a scan: one call plus bandwidth, no seek.
+    /// A replay read continues a scan: read from a fresh one, it pays
+    /// one call plus bandwidth, no seek.
     #[test]
     fn replay_read_pays_one_call_plus_bandwidth() {
         let mut d = disk();
         let call = DiskModel::READ_CALL + DiskModel::ULTRA5_LOCAL.drain_time(30);
-        assert_eq!(d.replay_read(30), call);
+        assert_eq!(d.scan_read(&mut d.warm_scan(T0), 30, T0), call);
         assert_eq!(d.counters().reads, 1);
         assert_eq!(d.counters().bytes_read, 30);
-        assert!(d.replay_read(30) < d.read_cost(30));
+        assert!(d.scan_read(&mut d.warm_scan(T0), 30, T0) < d.read_cost(30));
     }
 
     const T0: SimTime = SimTime::ZERO;
@@ -591,12 +580,12 @@ mod tests {
     #[test]
     fn empty_reads_are_not_accesses() {
         let mut d = disk();
-        assert_eq!(d.replay_read(0), SimDuration::ZERO);
+        assert_eq!(d.scan_read(&mut d.warm_scan(T0), 0, T0), SimDuration::ZERO);
         assert_eq!(d.read_cost(0), SimDuration::ZERO);
         assert_eq!(d.counters().reads, 0);
         assert_eq!(d.counters().bytes_read, 0);
         // A real transfer still counts exactly once.
-        d.replay_read(4);
+        d.read_cost(4);
         assert_eq!(d.counters().reads, 1);
         assert_eq!(d.counters().bytes_read, 4);
     }

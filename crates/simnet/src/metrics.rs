@@ -190,7 +190,7 @@ pub struct NodeMetrics {
     /// `sched_stalls`: two identical runs may park differently, so this
     /// histogram is deliberately absent from [`NodeMetrics::iter`] (the
     /// deterministic exporter surface) and flows out only through the
-    /// scheduler-health exports (`sched_json`, trace counter tracks).
+    /// Chrome trace's scheduler counter track.
     pub park_ns: Histogram,
 }
 
@@ -218,7 +218,7 @@ impl NodeMetrics {
     /// The registry as `(name, histogram)` pairs, in a fixed order the
     /// exporters key on. `park_ns` is intentionally excluded: it is
     /// wall-clock (nondeterministic) data, and this iterator feeds the
-    /// byte-stable `phases_json` export.
+    /// byte-stable phases document the report hashes.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         let NodeMetrics {
             flush_bytes,

@@ -93,13 +93,6 @@ impl DiskModel {
     pub fn drain_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_nanos(self.ns_per_byte.saturating_mul(bytes as u64))
     }
-
-    /// Time of one ML demand read of `bytes`: recovery continues the
-    /// salvage scan of its log, so a call plus bandwidth, never a seek.
-    #[inline]
-    pub fn replay_read_time(&self, bytes: usize) -> SimDuration {
-        Self::READ_CALL + self.drain_time(bytes)
-    }
 }
 
 /// Processor-side cost model.

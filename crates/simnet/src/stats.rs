@@ -67,7 +67,8 @@ pub struct NodeStats {
     /// Times a receive parked waiting for the conservative scheduler's
     /// watermark bound to clear. Physical-layer telemetry: the count
     /// depends on real thread interleaving, so it is reported alongside
-    /// the deterministic counters but excluded from `phases_json`.
+    /// the deterministic counters but excluded from the byte-stable
+    /// phases document the report hashes.
     pub sched_stalls: u64,
     /// Recovery fetch waves — a replayed sync's, or the on-demand
     /// restore of a page replay faulted on — whose replies were not all

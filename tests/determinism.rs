@@ -96,8 +96,8 @@ fn paper_scale_water_and_mg_match_goldens() {
 }
 
 /// Same spec twice in one process → byte-identical observables (every
-/// node's digest, time, log bytes, trace fingerprint, `phases_json` and
-/// blame document), independent of the golden capture: on one cell of
+/// node's digest, time, log bytes, trace fingerprint, phases document
+/// and blame document), independent of the golden capture: on one cell of
 /// each kind — failure-free, network chaos with a crash, two crashes, a
 /// torn log tail.
 #[test]
@@ -111,8 +111,8 @@ fn repeated_runs_are_identical() {
         let cell = cells.swap_remove(at.unwrap_or_else(|| panic!("no chaos cell {label}")));
         runs.push((cell.label, cell.app, cell.spec));
     }
-    let observe = |label: &str, app: App, spec: ClusterSpec| {
-        let out = scale.run_spec(app, spec);
+    let observe = |label: &str, app: App, spec: &ClusterSpec| {
+        let out = scale.run_spec(app, spec.clone());
         let digests: Vec<u64> = out.nodes.iter().map(|n| n.result).collect();
         let blame = obsv::blame_json(&obsv::analyze(&out), label).pretty();
         let times = (
@@ -120,14 +120,15 @@ fn repeated_runs_are_identical() {
             out.total_log_bytes(),
             trace_fingerprint(&out),
         );
-        (digests, times, out.phases_json(label), blame)
+        let phases = obsv::phases_json(&out, spec, label).compact();
+        (digests, times, phases, blame)
     };
     for (label, app, spec) in runs {
-        let a = observe(&label, app, spec.clone());
-        let b = observe(&label, app, spec);
+        let a = observe(&label, app, &spec);
+        let b = observe(&label, app, &spec);
         assert_eq!(a.0, b.0, "{label}: digests");
         assert_eq!(a.1, b.1, "{label}: exec time, log bytes, trace fingerprint");
-        assert!(a.2 == b.2, "{label}: phases_json differs");
+        assert!(a.2 == b.2, "{label}: phases document differs");
         assert!(a.3 == b.3, "{label}: blame document differs");
     }
 }

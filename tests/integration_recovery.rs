@@ -144,8 +144,8 @@ fn replay_reads(protocol: Protocol) -> (u64, u64, SimDuration) {
 
 #[test]
 fn every_ml_replay_read_pays_one_call_plus_bandwidth() {
-    // ML reads its log on demand, one record per call, each priced by
-    // `DiskModel::replay_read_time`: one call plus bandwidth.
+    // ML reads its log on demand, one record per call, each on a scan
+    // that starts at the call: one call plus bandwidth.
     let (reads, bytes, disk) = replay_reads(Protocol::Ml);
     let model = spec(App::Water, 4, Protocol::Ml).cost.disk;
     let call = simnet::DiskModel::READ_CALL.as_nanos();
