@@ -113,6 +113,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryImage, RecoveryStep, SyncKind, WriteNotice};
+use pagemem::codec::var_size;
 use pagemem::{
     Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
 };
@@ -1054,8 +1055,13 @@ fn trace_ccl_append(inner: &mut NodeInner, rec: &CclRecord, record_bytes: u64) {
             SyncKind::Barrier(epoch) => LogObj::Barrier { epoch },
         },
         CclRecord::Updates { pages, .. } => {
-            // 4 encoded bytes per page id; the rest is record framing.
-            let shares = pages.iter().map(|&page| (page, 4));
+            // Each page id's distance from the one before it; the rest
+            // is record framing.
+            let prev = std::iter::once(0).chain(pages.iter().copied());
+            let shares = pages
+                .iter()
+                .zip(prev)
+                .map(|(&page, prev)| (page, var_size(page - prev) as u64));
             return trace_append_by_page(inner, record_bytes, shares);
         }
         CclRecord::Diffs { diffs, .. } => {

@@ -13,7 +13,10 @@
 //! Traditional ML needs no record type of its own: it logs the raw
 //! encoded bytes of every incoming coherence message.
 
-use hlrc::{decode_notices, encode_notices, SyncKind, WriteNotice};
+use hlrc::{
+    decode_ascending, decode_diffs, decode_notices, encode_diffs, encode_notices, put_ascending,
+    SyncKind, WriteNotice,
+};
 use pagemem::{ByteReader, CodecError, Decode, Encode, IntervalId, PageDiff, PageId, Sink, VClock};
 
 /// One record in the coherence-centric log.
@@ -36,6 +39,10 @@ pub enum CclRecord {
         vc: VClock,
     },
     /// A writer's flushed diffs were applied to local home copies.
+    ///
+    /// Byte layout: `tag(2)`, the writer's interval, then the pages as
+    /// an ascending list ([`hlrc::put_ascending`]: `var(n)`, then each
+    /// page as `var(distance from the one before)`, the first from 0).
     Updates {
         /// The writer's interval.
         writer: IntervalId,
@@ -43,6 +50,12 @@ pub enum CclRecord {
         pages: Vec<PageId>,
     },
     /// Diffs this node created at the end of `interval`.
+    ///
+    /// Byte layout: `tag(3)`, the interval, then the diffs as a
+    /// [`Msg::DiffFlush`](hlrc::Msg::DiffFlush) carries them
+    /// ([`hlrc::encode_diffs`]: `var(n)`, then per diff `u32(page)
+    /// var(n_runs)` and per run `var(words since the previous run's
+    /// end) var(length in words)` and the run's bytes).
     Diffs {
         /// The closed interval.
         interval: IntervalId,
@@ -71,18 +84,12 @@ impl Encode for CclRecord {
             CclRecord::Updates { writer, pages } => {
                 w.put_u8(2);
                 writer.encode(w);
-                w.put_u32(pages.len() as u32);
-                for p in pages {
-                    w.put_u32(*p);
-                }
+                put_ascending(w, pages);
             }
             CclRecord::Diffs { interval, diffs } => {
                 w.put_u8(3);
                 interval.encode(w);
-                w.put_u32(diffs.len() as u32);
-                for d in diffs {
-                    d.encode(w);
-                }
+                encode_diffs(w, diffs);
             }
         }
     }
@@ -109,21 +116,12 @@ impl Decode for CclRecord {
             }
             2 => {
                 let writer = IntervalId::decode(r)?;
-                let n = r.get_u32()? as usize;
-                let mut pages = Vec::with_capacity(r.capacity_for(n, 4));
-                for _ in 0..n {
-                    pages.push(r.get_u32()?);
-                }
+                let pages = decode_ascending(r)?;
                 CclRecord::Updates { writer, pages }
             }
             3 => {
                 let interval = IntervalId::decode(r)?;
-                let n = r.get_u32()? as usize;
-                // A diff is at least its page id and run count.
-                let mut diffs = Vec::with_capacity(r.capacity_for(n, 4 + 2));
-                for _ in 0..n {
-                    diffs.push(PageDiff::decode(r)?);
-                }
+                let diffs = decode_diffs(r)?;
                 CclRecord::Diffs { interval, diffs }
             }
             t => {

@@ -33,8 +33,9 @@ pub use fault_tolerance::{FaultTolerance, NoLogging, RecoveryStep, SyncKind};
 pub use fetch::{PrefetchState, MAX_EXTRAS};
 pub use migrate::MigrationState;
 pub use msg::{
-    decode_notices, encode_notices, kind_label, EpochRelease, HomeMigration, Msg, PageCopy,
-    RecoveryImage, WriteNotice, HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
+    decode_ascending, decode_diffs, decode_notices, encode_diffs, encode_notices, kind_label,
+    put_ascending, EpochRelease, HomeMigration, Msg, PageCopy, RecoveryImage, WriteNotice,
+    HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, OpenTwins};
 pub use page_table::{NodeSet, PageEntry, PageTable};

@@ -86,8 +86,9 @@ pub enum RecoveryImage {
         data: SharedBytes,
     },
     /// The retained image at `pos` as a diff against the image the
-    /// request said the requester still holds — sent when that is
-    /// smaller than the page; empty when they are the same image (`pos`
+    /// request said the requester still holds — sent when copying it
+    /// in and then its payload costs the requester less than the page;
+    /// empty when they are the same image (`pos`
     /// is the held position). To be applied to that image, which the
     /// requester keeps for the purpose, not to its copy.
     Delta {
@@ -266,7 +267,7 @@ fn decode_ids(r: &mut ByteReader<'_>) -> Result<Vec<u32>, CodecError> {
 /// A strictly ascending page list: `var(count)`, then each id as the
 /// distance from the one before it (the first from 0). Neighbouring
 /// pages cost a byte each where the fixed-width list spent four.
-fn put_ascending<S: Sink>(w: &mut S, pages: &[PageId]) {
+pub fn put_ascending<S: Sink>(w: &mut S, pages: &[PageId]) {
     w.put_var(pages.len() as u32);
     let mut prev = 0;
     for (i, &page) in pages.iter().enumerate() {
@@ -280,7 +281,7 @@ fn put_ascending<S: Sink>(w: &mut S, pages: &[PageId]) {
 /// count allocates no more than the remaining input could hold (an id
 /// takes at least a byte), and a distance of zero or one that carries
 /// the id past `u32::MAX` is [`CodecError::Invalid`].
-fn decode_ascending(r: &mut ByteReader<'_>) -> Result<Vec<PageId>, CodecError> {
+pub fn decode_ascending(r: &mut ByteReader<'_>) -> Result<Vec<PageId>, CodecError> {
     let invalid = |reason| CodecError::Invalid {
         context: "ascending page list",
         reason,
@@ -320,18 +321,22 @@ fn decode_migrations(r: &mut ByteReader<'_>) -> Result<Vec<HomeMigration>, Codec
     Ok(v)
 }
 
-fn encode_diffs<S: Sink>(w: &mut S, diffs: &[PageDiff]) {
-    w.put_u32(diffs.len() as u32);
+/// A list of diffs, as a [`Msg::DiffFlush`] ships it and CCL logs it:
+/// `var(count)`, then each [`PageDiff`] in its own encoding.
+pub fn encode_diffs<S: Sink>(w: &mut S, diffs: &[PageDiff]) {
+    w.put_var(diffs.len() as u32);
     for d in diffs {
         d.encode(w);
     }
 }
 
 /// Smallest encoded [`PageDiff`]: page id and run count, no runs.
-const MIN_DIFF_BYTES: usize = 4 + 2;
+const MIN_DIFF_BYTES: usize = 4 + 1;
 
-fn decode_diffs(r: &mut ByteReader<'_>) -> Result<Vec<PageDiff>, CodecError> {
-    let n = r.get_u32()? as usize;
+/// Decode a list written by [`encode_diffs`]; the count allocates no
+/// more than the remaining input could hold.
+pub fn decode_diffs(r: &mut ByteReader<'_>) -> Result<Vec<PageDiff>, CodecError> {
+    let n = r.get_var()? as usize;
     let mut v = Vec::with_capacity(r.capacity_for(n, MIN_DIFF_BYTES));
     for _ in 0..n {
         v.push(PageDiff::decode(r)?);

@@ -659,13 +659,14 @@ impl PageTable {
     /// The whole answer to a peer replaying at clock `required` that
     /// asks for home page `page` and says it still holds the image at
     /// `held`: the image [`PageTable::recovery_image`] selects, as a
-    /// diff against the held one whenever that is smaller than the page
-    /// (nothing but an empty diff when they are the same image), else
-    /// whole. The home keeps no per-requester state — a `held` position
-    /// it no longer retains, one it has sent to nobody since it crashed
-    /// (the requester means the previous incarnation's image), or none,
-    /// simply yields the whole page. The
-    /// diff rebuilds the selected image from the held *image* and from
+    /// diff against the held one whenever taking it in costs the
+    /// requester less copying than the page (its encoding plus its
+    /// payload, the two copies the requester makes, under the page
+    /// size; nothing but an empty diff when they are the same image),
+    /// else whole. The home keeps no per-requester state — a `held`
+    /// position it no longer retains, one it has sent to nobody since
+    /// it crashed (the requester means the previous incarnation's
+    /// image), or none, simply yields the whole page. The diff rebuilds the selected image from the held *image* and from
     /// nothing else: the requester's copy also holds the writes it has
     /// re-executed since, and a word one of them changed and a later
     /// writer changed back is equal in both images and so in no diff
@@ -694,7 +695,7 @@ impl PageTable {
             return (RecoveryImage::Delta { pos, diff }, false);
         }
         let diff = PageDiff::between(page, old, &data);
-        if diff.encoded_size() < data.len() {
+        if diff.encoded_size() + diff.payload_bytes() < data.len() {
             (RecoveryImage::Delta { pos, diff }, true)
         } else {
             (RecoveryImage::Image { pos, data }, true)

@@ -495,7 +495,7 @@ fn hostile_counts_return_errors() {
         ),
         ("LockRequest clock", vec![&[4], &epoch, &[0], &HUGE_VAR]),
         ("PageReply data", vec![&[1], &epoch, &HUGE_U32]),
-        ("DiffFlush diffs", vec![&[2], &epoch, &epoch, &HUGE_U32]),
+        ("DiffFlush diffs", vec![&[2], &epoch, &epoch, &HUGE_VAR]),
         ("LoggedDiffRequest seqs", vec![&[11], &epoch, &HUGE_U32]),
         ("LoggedDiffReply diffs", vec![&[12], &epoch, &HUGE_U32]),
         ("ReleaseHistoryReply releases", vec![&[14], &HUGE_U32]),
@@ -550,7 +550,7 @@ fn hostile_counts_return_errors() {
         ),
         (
             "RecoveryPageReply delta runs",
-            vec![&[10], &epoch, &[3], &[3], &epoch, &[0xFF, 0xFF]],
+            vec![&[10], &epoch, &[3], &[3], &epoch, &HUGE_VAR],
         ),
         (
             "RecoveryPageReply delta run",
@@ -560,9 +560,9 @@ fn hostile_counts_return_errors() {
                 &[3],
                 &[3],
                 &epoch,
+                // One run, no gap, 2^30 - 1 words and none of them here.
                 &[1, 0],
-                &[0; 4],
-                &HUGE_U32,
+                &[0xFF, 0xFF, 0xFF, 0x03],
             ],
         ),
         (

@@ -483,7 +483,7 @@ fn mutate(rng: &mut Rng, from: &[u8], density: u64) -> PageFrame {
 }
 
 #[test]
-fn a_delta_rebuilds_the_image_and_is_sent_only_when_smaller_than_the_page() {
+fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_the_page() {
     let (deltas, wholes) = (Cell::new(0u32), Cell::new(0u32));
     check("served_delta", CASES, |rng| {
         let cfg = DsmConfig::new(2, 2).with_page_size(PAGE);
@@ -531,7 +531,9 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_smaller_than_the_page() {
                 match answer {
                     RecoveryImage::Delta { pos, diff } => {
                         assert_eq!(pos, chosen);
-                        assert!(diff.encoded_size() < PAGE, "a delta larger than the page");
+                        // The requester copies the delta, then its payload.
+                        let copied = diff.encoded_size() + diff.payload_bytes();
+                        assert!(copied < PAGE, "a delta that copies more than the page");
                         assert!(*held != chosen || diff.is_empty());
                         let mut copy = PageFrame::from_bytes(old);
                         diff.apply_checked(&mut copy).expect("delta fits the page");
@@ -541,9 +543,10 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_smaller_than_the_page() {
                     RecoveryImage::Image { pos, data } => {
                         assert_eq!(pos, chosen);
                         assert!(data.ptr_eq(&whole));
+                        let diff = PageDiff::between(0, old, &whole);
                         assert!(
-                            PageDiff::between(0, old, &whole).encoded_size() >= PAGE,
-                            "a whole page sent where the delta was smaller"
+                            diff.encoded_size() + diff.payload_bytes() >= PAGE,
+                            "a whole page sent where the delta copies less"
                         );
                         wholes.set(wholes.get() + 1);
                     }

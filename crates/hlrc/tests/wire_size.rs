@@ -53,6 +53,7 @@ fn notices() -> Vec<WriteNotice> {
     .to_vec()
 }
 
+/// Two one-word runs, words 2 and 32 of a 256-byte page.
 fn diff() -> PageDiff {
     let base = PageFrame::zeroed(256);
     let twin = Twin::of(&base);
@@ -61,6 +62,10 @@ fn diff() -> PageDiff {
     cur.write_u64(128, 77);
     PageDiff::create(3, &twin, &cur)
 }
+
+/// [`diff`] encoded: page, run count, then per run a byte of gap and a
+/// byte of length in words (gaps 2 and 29) and its word.
+const DIFF_BYTES: usize = 4 + 1 + 2 * (1 + 1 + 4);
 
 #[test]
 fn msg_page_reply() {
@@ -81,7 +86,8 @@ fn msg_diff_flush() {
             writer: IntervalId { node: 2, seq: 9 },
             diffs: vec![diff()],
         },
-        43,
+        // Tag, writer, diff count.
+        1 + 8 + 1 + DIFF_BYTES,
     );
 }
 
@@ -312,11 +318,11 @@ fn msg_recovery_page_reply() {
         });
         check(&image, 1 + 4 + 1 + var + 4 + 256);
         let delta = reply(RecoveryImage::Delta { pos, diff: diff() });
-        check(&delta, 1 + 4 + 1 + var + 30);
+        check(&delta, 1 + 4 + 1 + var + DIFF_BYTES);
     }
     check(&reply(RecoveryImage::Absent), 1 + 4 + 1);
     // "The same image" is a delta with no runs: a dozen bytes on the
-    // wire, not a page.
+    // wire, not a page; its diff is a page id and a zero run count.
     let same = RecoveryImage::Delta {
         pos: 3,
         diff: PageDiff {
@@ -324,7 +330,7 @@ fn msg_recovery_page_reply() {
             runs: Vec::new(),
         },
     };
-    assert_eq!(reply(same).encoded_size(), 1 + 4 + 1 + 1 + 6);
+    assert_eq!(reply(same).encoded_size(), 1 + 4 + 1 + 1 + 4 + 1);
 }
 
 #[test]
@@ -345,6 +351,7 @@ fn msg_logged_diff_reply() {
             page: 11,
             diffs: vec![(IntervalId { node: 1, seq: 2 }, diff())],
         },
-        47,
+        // Tag, page, u32 count, the diff's interval.
+        1 + 4 + 4 + 8 + DIFF_BYTES,
     );
 }

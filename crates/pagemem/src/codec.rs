@@ -4,13 +4,14 @@
 //! this codec, so the byte counts the experiments report (log sizes,
 //! traffic) are the bytes a real implementation would move.
 //!
-//! Two integer forms. Page payloads, diffs and the fields around them
-//! use little-endian fixed-width integers and length-prefixed byte
-//! strings. *Coherence metadata* — vector clocks and write-notice lists,
-//! which ride every lock, barrier and page message and are what CCL
-//! logs instead of page contents — uses LEB128 variable-length integers
-//! ([`Sink::put_var`]): node ids, interval counts and page ids are small
-//! numbers, so a clock entry is usually one byte, not four.
+//! Two integer forms. Page payloads and the fields around them use
+//! little-endian fixed-width integers and length-prefixed byte strings.
+//! *Coherence metadata* — vector clocks and write-notice lists, which
+//! ride every lock, barrier and page message and are what CCL logs
+//! instead of page contents — and the run headers of a diff use LEB128
+//! variable-length integers ([`Sink::put_var`]): node ids, interval
+//! counts, page ids and word positions within a page are small numbers,
+//! so a clock entry is usually one byte, not four.
 //!
 //! A format is written down once, as its [`Encode::encode`] over a
 //! [`Sink`]. Run into a [`ByteWriter`] that description produces the
@@ -90,14 +91,11 @@ pub const fn var_size(v: u32) -> usize {
     ((bits + 6) / 7) as usize
 }
 
-/// Where an encoder puts its fields: the seven primitives every wire
+/// Where an encoder puts its fields: the six primitives every wire
 /// and log format is built from.
 pub trait Sink {
     /// One byte.
     fn put_u8(&mut self, v: u8);
-
-    /// A little-endian u16.
-    fn put_u16(&mut self, v: u16);
 
     /// A little-endian u32.
     fn put_u32(&mut self, v: u32);
@@ -162,10 +160,6 @@ impl Sink for ByteWriter {
         self.buf.push(v);
     }
 
-    fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -209,11 +203,6 @@ impl Sink for ByteCount {
     #[inline]
     fn put_u8(&mut self, _: u8) {
         self.0 += 1;
-    }
-
-    #[inline]
-    fn put_u16(&mut self, _: u16) {
-        self.0 += 2;
     }
 
     #[inline]
@@ -280,11 +269,6 @@ impl<'a> ByteReader<'a> {
     /// Read one byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian u16.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Read a little-endian u32.
@@ -402,13 +386,11 @@ mod tests {
     fn scalar_roundtrips() {
         let mut w = ByteWriter::new();
         w.put_u8(7);
-        w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(u64::MAX - 1);
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 300);
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert!(r.is_exhausted());
@@ -475,7 +457,6 @@ mod tests {
             }};
         }
         agree!(put_u8(7));
-        agree!(put_u16(300));
         agree!(put_u32(70_000));
         agree!(put_u64(u64::MAX - 1));
         for v in [0, 127, 128, 16_383, 16_384, 1 << 21, 1 << 28, u32::MAX] {

@@ -13,6 +13,20 @@
 //! boundary. The boundaries are bit-identical to the word-at-a-time
 //! reference implementation ([`PageDiff::create_reference`]) while
 //! doing per-word work only where runs start and end.
+//!
+//! # Encoding
+//!
+//! `u32(page) var(n)`, then per run `var(gap) var(words) data`: `gap`
+//! is the number of unchanged words between the previous run's end (the
+//! page start, for the first run) and this run, `words` the run's length
+//! in words, and `data` its `4 · words` bytes, raw. Positions and
+//! lengths are counted in diff words, one byte each below 128 words and
+//! two below 16 384: a run header on a 4 KiB page (1 024 words) is 2 to
+//! 4 bytes, 2 for the short, close runs of scattered writes.
+//! Runs are ascending and disjoint by construction: the layout cannot
+//! express a misaligned, overlapping or out-of-order run, so the
+//! decoder has only a zero-length run, a run past the last `u32` offset
+//! and short input to reject.
 
 use crate::addr::PageId;
 use crate::codec::{ByteReader, CodecError, Decode, Encode, Sink};
@@ -341,50 +355,51 @@ impl PageDiff {
 impl Encode for PageDiff {
     fn encode<S: Sink>(&self, w: &mut S) {
         w.put_u32(self.page);
-        w.put_u16(self.runs.len() as u16);
+        w.put_var(self.runs.len() as u32);
+        let mut end = 0;
         for run in &self.runs {
-            w.put_u32(run.offset);
-            w.put_bytes(&run.data);
+            debug_assert!(run.offset >= end, "runs overlap or are out of order");
+            debug_assert!(!run.data.is_empty() && run.data.len().is_multiple_of(DIFF_WORD));
+            w.put_var((run.offset - end) / DIFF_WORD as u32);
+            w.put_var((run.data.len() / DIFF_WORD) as u32);
+            w.put_raw(&run.data);
+            end = run.offset + run.data.len() as u32;
         }
     }
 }
 
 impl Decode for PageDiff {
-    /// Decode, rejecting structurally malformed diffs: runs must be
-    /// word-aligned, non-empty word-multiples, and strictly ascending
-    /// without overlap — exactly the invariants [`PageDiff::create`]
-    /// guarantees. (Out-of-page offsets are caught by
+    /// Decode, rejecting what [`PageDiff::create`] never makes: a run of
+    /// no words, and a run that ends past the last `u32` byte offset.
+    /// (A run past the end of the page is caught by
     /// [`PageDiff::apply_checked`], since the page size is not known
     /// here.)
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let invalid = |reason| CodecError::Invalid {
+            context: "DiffRun",
+            reason,
+        };
         let page = r.get_u32()?;
-        let n = r.get_u16()? as usize;
-        // A run is an offset, a length and at least one word.
-        let mut runs = Vec::with_capacity(r.capacity_for(n, 4 + 4 + DIFF_WORD));
-        let mut prev_end = 0u64;
-        for i in 0..n {
-            let offset = r.get_u32()?;
-            let data = r.get_bytes()?;
-            if !(offset as usize).is_multiple_of(DIFF_WORD) {
-                return Err(CodecError::Invalid {
-                    context: "DiffRun",
-                    reason: "offset not word-aligned",
-                });
+        let n = r.get_var()? as usize;
+        // A run is a gap, a length and at least one word.
+        let mut runs = Vec::with_capacity(r.capacity_for(n, 1 + 1 + DIFF_WORD));
+        let mut end = 0u64;
+        for _ in 0..n {
+            let gap = u64::from(r.get_var()?);
+            let words = u64::from(r.get_var()?);
+            if words == 0 {
+                return Err(invalid("zero-length run"));
             }
-            if data.is_empty() || !data.len().is_multiple_of(DIFF_WORD) {
-                return Err(CodecError::Invalid {
-                    context: "DiffRun",
-                    reason: "length empty or not a word multiple",
-                });
+            let offset = end + gap * DIFF_WORD as u64;
+            end = offset + words * DIFF_WORD as u64;
+            if end > u64::from(u32::MAX) {
+                return Err(invalid("run ends past the last u32 offset"));
             }
-            if i > 0 && (offset as u64) < prev_end {
-                return Err(CodecError::Invalid {
-                    context: "DiffRun",
-                    reason: "runs overlap or are out of order",
-                });
-            }
-            prev_end = offset as u64 + data.len() as u64;
-            runs.push(DiffRun { offset, data });
+            let data = r.get_raw((words as usize) * DIFF_WORD)?.to_vec();
+            runs.push(DiffRun {
+                offset: offset as u32,
+                data,
+            });
         }
         Ok(PageDiff { page, runs })
     }
@@ -556,65 +571,108 @@ mod tests {
         let d = PageDiff::create(17, &t, &m);
         let bytes = d.encode_to_vec();
         assert_eq!(d.encoded_size(), bytes.len(), "the two sinks disagree");
+        // Page and run count; word 2 (the low half of the u64 at 8)
+        // two words in; word 25 after 22 unchanged ones: each run
+        // header is a byte of gap and one of length.
+        assert_eq!(bytes.len(), 4 + 1 + (1 + 1 + 4) + (1 + 1 + 4));
         assert_eq!(PageDiff::decode_from_slice(&bytes).unwrap(), d);
     }
 
-    fn encode_runs(runs: &[(u32, &[u8])]) -> Vec<u8> {
+    /// A diff of page 0 written field by field: per run its gap and
+    /// length in words, then `data` (whatever its length).
+    fn encode_runs(n: u32, runs: &[(u32, u32, &[u8])]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(0); // page
-        w.put_u16(runs.len() as u16);
-        for (off, data) in runs {
-            w.put_u32(*off);
-            w.put_bytes(data);
+        w.put_var(n);
+        for (gap, words, data) in runs {
+            w.put_var(*gap);
+            w.put_var(*words);
+            w.put_raw(data);
         }
         w.into_bytes()
     }
 
     #[test]
-    fn decode_rejects_unaligned_offset() {
-        let bytes = encode_runs(&[(2, &[1, 2, 3, 4])]);
-        assert!(matches!(
-            PageDiff::decode_from_slice(&bytes),
-            Err(CodecError::Invalid {
-                reason: "offset not word-aligned",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_non_word_multiple_length() {
-        let bytes = encode_runs(&[(0, &[1, 2, 3])]);
-        assert!(matches!(
-            PageDiff::decode_from_slice(&bytes),
-            Err(CodecError::Invalid { .. })
-        ));
-        let empty = encode_runs(&[(0, &[])]);
-        assert!(matches!(
-            PageDiff::decode_from_slice(&empty),
-            Err(CodecError::Invalid { .. })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_overlapping_or_unordered_runs() {
-        let overlap = encode_runs(&[(0, &[0; 8]), (4, &[0; 4])]);
-        assert!(matches!(
-            PageDiff::decode_from_slice(&overlap),
-            Err(CodecError::Invalid {
-                reason: "runs overlap or are out of order",
-                ..
-            })
-        ));
-        let unordered = encode_runs(&[(32, &[0; 4]), (0, &[0; 4])]);
-        assert!(matches!(
-            PageDiff::decode_from_slice(&unordered),
-            Err(CodecError::Invalid { .. })
-        ));
-        // Adjacent (touching, not overlapping) runs remain decodable:
-        // they cannot come from `create`, but they are applyable.
-        let adjacent = encode_runs(&[(0, &[0; 4]), (4, &[0; 4])]);
+    fn runs_are_placed_by_their_gaps_in_words() {
+        let bytes = encode_runs(2, &[(1, 1, &[1; 4]), (2, 2, &[2; 8])]);
+        let d = PageDiff::decode_from_slice(&bytes).unwrap();
+        assert_eq!(d.runs.len(), 2);
+        assert_eq!((d.runs[0].offset, d.runs[0].data.len()), (4, 4));
+        // The first run ends at byte 8; a gap of two words puts the
+        // second at 16.
+        assert_eq!((d.runs[1].offset, d.runs[1].data.len()), (16, 8));
+        // Adjacent runs (gap 0) cannot come from `create`, but they
+        // are applyable and decode.
+        let adjacent = encode_runs(2, &[(0, 1, &[0; 4]), (0, 1, &[0; 4])]);
         assert!(PageDiff::decode_from_slice(&adjacent).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_a_zero_length_run() {
+        let bytes = encode_runs(1, &[(0, 0, &[])]);
+        assert!(matches!(
+            PageDiff::decode_from_slice(&bytes),
+            Err(CodecError::Invalid {
+                reason: "zero-length run",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_a_run_that_ends_past_the_last_u32_offset() {
+        // 2^30 - 1 words of gap and one word of run end at 2^32 bytes.
+        let past = encode_runs(1, &[((1 << 30) - 1, 1, &[0; 4])]);
+        assert!(matches!(
+            PageDiff::decode_from_slice(&past),
+            Err(CodecError::Invalid {
+                reason: "run ends past the last u32 offset",
+                ..
+            })
+        ));
+        // One word less ends at the last offset a run can reach.
+        let last = encode_runs(1, &[((1 << 30) - 2, 1, &[0; 4])]);
+        let d = PageDiff::decode_from_slice(&last).unwrap();
+        assert_eq!(d.runs[0].offset, u32::MAX - 7);
+    }
+
+    #[test]
+    fn decode_rejects_truncated_run_data() {
+        let bytes = encode_runs(1, &[(0, 2, &[0; 4])]);
+        assert!(matches!(
+            PageDiff::decode_from_slice(&bytes),
+            Err(CodecError::Truncated {
+                needed: 8,
+                remaining: 4
+            })
+        ));
+    }
+
+    #[test]
+    fn a_run_count_beyond_the_input_is_truncated_not_allocated() {
+        // Four billion runs announced, one present: capacity comes from
+        // the six bytes left, not from the count.
+        let bytes = encode_runs(u32::MAX, &[(0, 1, &[0; 4])]);
+        assert!(matches!(
+            PageDiff::decode_from_slice(&bytes),
+            Err(CodecError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn a_diff_of_more_than_65_535_runs_roundtrips() {
+        // Every other word of a 1 MiB frame: 131 072 one-word runs.
+        let base = PageFrame::zeroed(1 << 20);
+        let t = Twin::of(&base);
+        let mut m = base.clone();
+        for at in (0..m.len()).step_by(2 * DIFF_WORD) {
+            m.write_u32(at, 1);
+        }
+        let d = PageDiff::create(5, &t, &m);
+        assert_eq!(d.runs.len(), 131_072);
+        let bytes = d.encode_to_vec();
+        assert_eq!(d.encoded_size(), bytes.len());
+        assert_eq!(PageDiff::decode_from_slice(&bytes).unwrap(), d);
     }
 
     #[test]

@@ -96,6 +96,46 @@ fn diff_codec_roundtrip() {
     });
 }
 
+/// Every shape of change a 4 KiB page sees — scattered words, 64-byte
+/// blocks, the whole page, the last word alone — encodes to exactly
+/// `encoded_size()` bytes and decodes to the same diff: gaps and
+/// lengths counted in words place each run where `create` found it.
+#[test]
+fn diff_codec_roundtrips_every_change_shape() {
+    const PAGE_4K: usize = 4096;
+    check("diff_codec_roundtrips_every_change_shape", CASES, |rng| {
+        let twin_frame = PageFrame::from_bytes(&rng.bytes(PAGE_4K));
+        let mut current = twin_frame.clone();
+        let mut flip = |at: usize| {
+            let w = &mut current.bytes_mut()[at..at + DIFF_WORD];
+            w[0] ^= 0xFF;
+        };
+        let shape = rng.usize_in(0, 4);
+        match shape {
+            0 => {
+                for _ in 0..rng.usize_in(1, 512) {
+                    flip(rng.usize_in(0, PAGE_4K / DIFF_WORD) * DIFF_WORD);
+                }
+            }
+            1 => {
+                for _ in 0..rng.usize_in(1, 16) {
+                    let block = rng.usize_in(0, PAGE_4K / 64) * 64;
+                    (block..block + 64).step_by(DIFF_WORD).for_each(&mut flip);
+                }
+            }
+            2 => (0..PAGE_4K).step_by(DIFF_WORD).for_each(&mut flip),
+            _ => flip(PAGE_4K - DIFF_WORD),
+        }
+        let twin = Twin::of(&twin_frame);
+        let diff = PageDiff::create(rng.next_u64() as u32, &twin, &current);
+        assert!(!diff.is_empty());
+
+        let bytes = diff.encode_to_vec();
+        assert_eq!(diff.encoded_size(), bytes.len(), "shape {shape}");
+        assert_eq!(PageDiff::decode_from_slice(&bytes).unwrap(), diff);
+    });
+}
+
 /// Applying a diff twice is idempotent (recovery may replay).
 #[test]
 fn diff_apply_idempotent() {

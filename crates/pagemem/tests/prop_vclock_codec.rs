@@ -147,7 +147,7 @@ fn writer_reader_roundtrip() {
                 let v = rng.next_u64();
                 let v = match kind {
                     0 => v & 0xFF,
-                    1 => v & 0xFFFF,
+                    1 => v & 0xFFFF_FFFF,
                     2 => v & 0xFFFF_FFFF,
                     _ => v,
                 };
@@ -161,7 +161,7 @@ fn writer_reader_roundtrip() {
         for &(kind, v) in &items {
             match kind {
                 0 => w.put_u8(v as u8),
-                1 => w.put_u16(v as u16),
+                1 => w.put_var(v as u32),
                 2 => w.put_u32(v as u32),
                 _ => w.put_u64(v),
             }
@@ -172,7 +172,7 @@ fn writer_reader_roundtrip() {
         for &(kind, v) in &items {
             let got = match kind {
                 0 => r.get_u8().unwrap() as u64,
-                1 => r.get_u16().unwrap() as u64,
+                1 => r.get_var().unwrap() as u64,
                 2 => r.get_u32().unwrap() as u64,
                 _ => r.get_u64().unwrap(),
             };

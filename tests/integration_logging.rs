@@ -179,8 +179,9 @@ fn close_interval_with_remote_diffs(protocol: Protocol, k: usize) -> IntervalEnd
             .collect();
         if dsm.me() == WRITER {
             for (i, page) in pages.iter().enumerate() {
+                // Both halves nonzero: every word of the page changes.
                 let vals: Vec<u64> = (0..words as u64)
-                    .map(|w| ((i as u64) << 32) | (w + 1))
+                    .map(|w| ((i as u64 + 1) << 32) | (w + 1))
                     .collect();
                 dsm.write_slice(page, 0, &vals);
             }
