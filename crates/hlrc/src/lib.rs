@@ -40,4 +40,4 @@ pub use msg::{
 pub use node::{HlrcNode, NodeInner, OpenTwins};
 pub use page_table::{NodeSet, PageEntry, PageTable};
 pub use served::ServedLog;
-pub use sync::{BarrierMgr, LockState, LockTable, PendingAcquire};
+pub use sync::{BarrierMgr, LockState, LockTable, NoticeUnion, PendingAcquire};

@@ -26,7 +26,7 @@ use crate::fetch::PrefetchState;
 use crate::migrate::MigrationState;
 use crate::msg::{EpochRelease, HomeMigration, Msg, RecoveryImage, WriteNotice};
 use crate::page_table::PageTable;
-use crate::sync::{BarrierMgr, LockTable, PendingAcquire};
+use crate::sync::{BarrierMgr, LockTable, NoticeUnion, PendingAcquire};
 
 /// The pages an interval dirtied, each with the twin it had open.
 pub type OpenTwins = Vec<(PageId, Option<Twin>)>;
@@ -159,17 +159,14 @@ impl NodeInner {
         notices: &[WriteNotice],
         vc_in: &VClock,
     ) -> (Vec<WriteNotice>, VClock) {
+        let mut fresh = NoticeUnion::default();
+        fresh.merge(notices.iter().filter(|n| !self.vc.covers(n.interval)));
         let mut vc = self.vc.clone();
-        let mut fresh: Vec<WriteNotice> = Vec::new();
-        for n in notices {
-            if self.vc.covers(n.interval) || fresh.contains(n) {
-                continue;
-            }
-            fresh.push(*n);
+        for n in fresh.as_slice() {
             vc.observe(n.interval);
         }
         vc.join(vc_in);
-        (fresh, vc)
+        (fresh.take(), vc)
     }
 
     /// A barrier episode is complete, live or replayed: its merged
@@ -565,7 +562,7 @@ impl HlrcNode {
         // One shared snapshot: the release history, every broadcast
         // copy, and the manager's own release all alias it.
         let merged_vc = Arc::new(mgr.merged_vc.clone());
-        let merged_notices: Arc<[WriteNotice]> = std::mem::take(&mut mgr.merged_notices).into();
+        let merged_notices: Arc<[WriteNotice]> = mgr.merged_notices.take().into();
         let migrations: Arc<[HomeMigration]> = mgr.decided_migrations().into();
         mgr.record_released(
             epoch,

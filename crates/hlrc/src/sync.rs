@@ -4,13 +4,45 @@
 //! the barrier manager is node 0. Managers service requests inside
 //! their asynchronous message handler.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use pagemem::VClock;
 use simnet::{NodeId, SimTime};
 
 use crate::msg::{EpochRelease, HomeMigration, WriteNotice};
+
+/// A notice list merged without duplicates: the first occurrence of
+/// each notice keeps its place, later ones are dropped. A set index
+/// beside the list makes a merge linear in what it adds; the list is
+/// exactly the one a `Vec::contains` scan would build.
+#[derive(Debug, Default)]
+pub struct NoticeUnion {
+    list: Vec<WriteNotice>,
+    index: HashSet<WriteNotice>,
+}
+
+impl NoticeUnion {
+    /// Append each notice not already present, in the given order.
+    pub fn merge<'a>(&mut self, notices: impl IntoIterator<Item = &'a WriteNotice>) {
+        for n in notices {
+            if self.index.insert(*n) {
+                self.list.push(*n);
+            }
+        }
+    }
+
+    /// The merged notices, in first-occurrence order.
+    pub fn as_slice(&self) -> &[WriteNotice] {
+        &self.list
+    }
+
+    /// Move the merged list out, leaving the union empty.
+    pub fn take(&mut self) -> Vec<WriteNotice> {
+        self.index.clear();
+        std::mem::take(&mut self.list)
+    }
+}
 
 /// A queued lock request.
 #[derive(Debug, Clone)]
@@ -33,7 +65,7 @@ pub struct LockState {
     /// The lock's timestamp: joined clocks of every releaser so far.
     pub vc: VClock,
     /// Notices carried along the lock's release chain.
-    pub notices: Vec<WriteNotice>,
+    pub notices: NoticeUnion,
     /// FIFO of waiting acquirers.
     pub queue: VecDeque<PendingAcquire>,
     /// The most recent grantee, if any grant has happened — the node a
@@ -48,7 +80,7 @@ impl LockState {
             held: false,
             last_release: SimTime::ZERO,
             vc: VClock::new(n_nodes),
-            notices: Vec::new(),
+            notices: NoticeUnion::default(),
             queue: VecDeque::new(),
             last_granted: None,
         }
@@ -66,6 +98,7 @@ impl LockState {
     /// Notices the acquirer (with clock `vc`) has not yet seen.
     pub fn notices_for(&self, vc: &VClock) -> Vec<WriteNotice> {
         self.notices
+            .as_slice()
             .iter()
             .filter(|n| !vc.covers(n.interval))
             .copied()
@@ -75,11 +108,7 @@ impl LockState {
     /// Record a release: merge the releaser's clock and fresh notices.
     pub fn record_release(&mut self, vc: &VClock, notices: &[WriteNotice], at: SimTime) {
         self.vc.join(vc);
-        for n in notices {
-            if !self.notices.contains(n) {
-                self.notices.push(*n);
-            }
-        }
+        self.notices.merge(notices);
         self.held = false;
         self.last_release = self.last_release.max(at);
     }
@@ -132,8 +161,8 @@ pub struct BarrierMgr {
     pub straggler: NodeId,
     /// Join of all arrivals' clocks.
     pub merged_vc: VClock,
-    /// Union of all arrivals' notices.
-    pub merged_notices: Vec<WriteNotice>,
+    /// Union of all arrivals' notices, in arrival order.
+    pub merged_notices: NoticeUnion,
     /// Union of all arrivals' home-migration proposals. Only a page's
     /// current home proposes to move it, so no two arrivals name the
     /// same page.
@@ -164,7 +193,7 @@ impl BarrierMgr {
             earliest_arrival: SimTime::ZERO,
             straggler: 0,
             merged_vc: VClock::new(n_nodes),
-            merged_notices: Vec::new(),
+            merged_notices: NoticeUnion::default(),
             merged_proposals: Vec::new(),
             released: HashMap::new(),
         }
@@ -242,11 +271,7 @@ impl BarrierMgr {
         }
         self.latest_arrival = self.latest_arrival.max(at);
         self.merged_vc.join(vc);
-        for n in notices {
-            if !self.merged_notices.contains(n) {
-                self.merged_notices.push(*n);
-            }
-        }
+        self.merged_notices.merge(notices);
         self.merged_proposals.extend_from_slice(proposals);
         self.arrived_count == self.n_nodes
     }
@@ -267,7 +292,7 @@ impl BarrierMgr {
         self.latest_arrival = SimTime::ZERO;
         self.earliest_arrival = SimTime::ZERO;
         self.straggler = 0;
-        self.merged_notices.clear();
+        self.merged_notices.take();
         self.merged_proposals.clear();
         // merged_vc persists monotonically across episodes.
     }
@@ -314,7 +339,7 @@ mod tests {
         let vc = VClock::new(2);
         st.record_release(&vc, &[notice(1, 0, 0), notice(1, 0, 0)], SimTime(1));
         st.record_release(&vc, &[notice(1, 0, 0)], SimTime(2));
-        assert_eq!(st.notices.len(), 1);
+        assert_eq!(st.notices.as_slice(), &[notice(1, 0, 0)]);
     }
 
     #[test]
@@ -339,7 +364,10 @@ mod tests {
             SimTime(20)
         ));
         assert_eq!(b.latest_arrival, SimTime(30));
-        assert_eq!(b.merged_notices.len(), 2);
+        assert_eq!(
+            b.merged_notices.as_slice(),
+            &[notice(4, 0, 0), notice(5, 1, 0)]
+        );
         assert_eq!(b.arrived_count(), 3);
     }
 
@@ -352,7 +380,7 @@ mod tests {
         b.arrive(1, &vc, &[notice(0, 0, 4)], &[], SimTime(6));
         b.reset();
         assert_eq!(b.arrived_count(), 0);
-        assert!(b.merged_notices.is_empty());
+        assert!(b.merged_notices.as_slice().is_empty());
         assert_eq!(b.merged_vc.get(0), 5, "vc is monotone across episodes");
     }
 
