@@ -27,7 +27,8 @@ pub enum CclRecord {
     /// Byte layout: `tag(0 acquire | 1 barrier) u32(lock | epoch)`, the
     /// notice list as interval records ([`hlrc::encode_notices`]:
     /// `var(n)`, then per interval `var(node) var(seq) var(n_runs)` and
-    /// per run of consecutive pages `var(start) var(len)`), then the
+    /// per run of consecutive pages `var(start) var(len)`, where
+    /// `n_runs = 0` repeats the runs of the interval before), then the
     /// clock (`var(len)`, `var(count)` per process) — the same bytes the
     /// grant or release carried them in.
     Sync {
@@ -40,7 +41,8 @@ pub enum CclRecord {
     },
     /// A writer's flushed diffs were applied to local home copies.
     ///
-    /// Byte layout: `tag(2)`, the writer's interval, then the pages as
+    /// Byte layout: `tag(2)`, the writer's interval (`var(node)
+    /// var(seq)`), then the pages as
     /// an ascending list ([`hlrc::put_ascending`]: `var(n)`, then each
     /// page as `var(distance from the one before)`, the first from 0).
     Updates {
@@ -51,7 +53,8 @@ pub enum CclRecord {
     },
     /// Diffs this node created at the end of `interval`.
     ///
-    /// Byte layout: `tag(3)`, the interval, then the diffs as a
+    /// Byte layout: `tag(3)`, the interval (`var(node) var(seq)`), then
+    /// the diffs as a
     /// [`Msg::DiffFlush`](hlrc::Msg::DiffFlush) carries them
     /// ([`hlrc::encode_diffs`]: `var(n)`, then per diff `u32(page)
     /// var(n_runs)` and per run `var(words since the previous run's

@@ -166,6 +166,12 @@ fn run_breaks(pair: &[WriteNotice]) -> bool {
     pair[0].page.checked_add(1) != Some(pair[1].page)
 }
 
+/// Do two groups name the same pages in the same order (and so the
+/// same runs)?
+fn same_pages(a: &[WriteNotice], b: &[WriteNotice]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.page == y.page)
+}
+
 /// Encode a write-notice list as interval records, all integers
 /// variable-length ([`Sink::put_var`]):
 ///
@@ -177,13 +183,21 @@ fn run_breaks(pair: &[WriteNotice]) -> bool {
 ///         var(start_page) var(len)
 /// ```
 ///
+/// A group whose pages are those of the group just before it, in the
+/// same order, is written `var(node) var(seq) var(0)`: `n_runs = 0`
+/// means "the runs of the group before", and is invalid for the first
+/// group.
+///
 /// The list is walked in its given order and [`decode_notices`]
 /// reproduces it exactly, duplicates and unsorted pages included: the
 /// order of a merged list is the manager's causal merge order, which
 /// `ReleaseHistoryReply` consumers replay. An interval that dirtied one
-/// contiguous strip costs a handful of bytes however long the strip;
-/// the worst case, every notice its own group, is 5–8 bytes a notice at
-/// the id ranges any committed run reaches (12 fixed-width).
+/// contiguous strip costs a handful of bytes however long the strip,
+/// and writers that dirtied the same pages one after another — every
+/// writer of one shared page, as a lock's grants carry them — cost
+/// their interval id and one byte each. The worst case, every notice
+/// its own group of a new page, is 5–8 bytes a notice at the id ranges
+/// any committed run reaches (12 fixed-width).
 pub fn encode_notices<S: Sink>(w: &mut S, notices: &[WriteNotice]) {
     assert!(
         notices.len() <= MAX_NOTICES,
@@ -191,6 +205,7 @@ pub fn encode_notices<S: Sink>(w: &mut S, notices: &[WriteNotice]) {
         notices.len()
     );
     w.put_var(notices.len() as u32);
+    let mut prev: &[WriteNotice] = &[];
     let mut rest = notices;
     while let Some(first) = rest.first() {
         let interval = first.interval;
@@ -199,24 +214,30 @@ pub fn encode_notices<S: Sink>(w: &mut S, notices: &[WriteNotice]) {
         rest = tail;
         w.put_var(interval.node);
         w.put_var(interval.seq);
-        w.put_var(1 + group.windows(2).filter(|pair| run_breaks(pair)).count() as u32);
-        let mut start = 0;
-        for (k, pair) in group.windows(2).enumerate() {
-            if run_breaks(pair) {
-                w.put_var(group[start].page);
-                w.put_var((k + 1 - start) as u32);
-                start = k + 1;
+        if same_pages(group, prev) {
+            w.put_var(0);
+        } else {
+            w.put_var(1 + group.windows(2).filter(|pair| run_breaks(pair)).count() as u32);
+            let mut start = 0;
+            for (k, pair) in group.windows(2).enumerate() {
+                if run_breaks(pair) {
+                    w.put_var(group[start].page);
+                    w.put_var((k + 1 - start) as u32);
+                    start = k + 1;
+                }
             }
+            w.put_var(group[start].page);
+            w.put_var((len - start) as u32);
         }
-        w.put_var(group[start].page);
-        w.put_var((len - start) as u32);
+        prev = group;
     }
 }
 
 /// Decode a list written by [`encode_notices`]. Counts are not trusted:
-/// a list longer than [`MAX_NOTICES`], an empty group, a zero-length
-/// run, a run past the last page id and runs that overshoot
-/// `n_notices` are all [`CodecError::Invalid`].
+/// a list longer than [`MAX_NOTICES`], a first group that repeats the
+/// runs of none, a zero-length run, a run past the last page id and
+/// runs (or a repeat) that overshoot `n_notices` are all
+/// [`CodecError::Invalid`].
 pub fn decode_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecError> {
     let invalid = |reason| CodecError::Invalid {
         context: "notice list",
@@ -226,15 +247,27 @@ pub fn decode_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecE
     if n > MAX_NOTICES {
         return Err(invalid("more notices than any list holds"));
     }
-    let mut out = Vec::with_capacity(r.capacity_for(n, 1));
+    let mut out: Vec<WriteNotice> = Vec::with_capacity(r.capacity_for(n, 1));
+    // Where the group before this one lies in `out`.
+    let mut prev = 0..0;
     while out.len() < n {
         let interval = IntervalId {
             node: r.get_var()?,
             seq: r.get_var()?,
         };
         let n_runs = r.get_var()?;
+        let group = out.len();
         if n_runs == 0 {
-            return Err(invalid("empty interval group"));
+            if prev.is_empty() {
+                return Err(invalid("the first group repeats no runs"));
+            }
+            if prev.len() > n - group {
+                return Err(invalid("runs overshoot the notice count"));
+            }
+            for k in prev {
+                let page = out[k].page;
+                out.push(WriteNotice { page, interval });
+            }
         }
         for _ in 0..n_runs {
             let start = r.get_var()?;
@@ -250,6 +283,7 @@ pub fn decode_notices(r: &mut ByteReader<'_>) -> Result<Vec<WriteNotice>, CodecE
             };
             out.extend((start..=last).map(|page| WriteNotice { page, interval }));
         }
+        prev = group..out.len();
     }
     Ok(out)
 }
@@ -821,7 +855,7 @@ impl Decode for Msg {
             12 => {
                 let page = r.get_u32()?;
                 let n = r.get_u32()? as usize;
-                let mut diffs = Vec::with_capacity(r.capacity_for(n, 8 + MIN_DIFF_BYTES));
+                let mut diffs = Vec::with_capacity(r.capacity_for(n, 2 + MIN_DIFF_BYTES));
                 for _ in 0..n {
                     let iv = IntervalId::decode(r)?;
                     let d = PageDiff::decode(r)?;

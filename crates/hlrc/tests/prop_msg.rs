@@ -39,30 +39,38 @@ fn arb_vclock(rng: &mut Rng) -> VClock {
     c
 }
 
-/// A notice list built from the shapes the run-length form must carry
-/// through unchanged: ascending strips, descending strips, one page
-/// repeated, scattered pages, page ids up against `u32::MAX`, and a few
-/// intervals drawn again and again (so `A B A` interleavings occur).
+/// One interval's pages in a shape the run-length form must carry
+/// through unchanged: an ascending strip, a descending strip, one page
+/// repeated, or scattered pages, now and then up against `u32::MAX`.
+fn arb_pages(rng: &mut Rng) -> Vec<u32> {
+    let start = match rng.u32_in(0, 3) {
+        0 => u32::MAX - rng.u32_in(0, 12),
+        1 => rng.u32_in(0, 128),
+        _ => rng.u32_any_width(),
+    };
+    let shape = rng.u32_in(0, 4);
+    (0..rng.u32_in(1, 12))
+        .map(|i| match shape {
+            0 => start.saturating_add(i),
+            1 => start.saturating_sub(i),
+            2 => start,
+            _ => rng.u32_any_width(),
+        })
+        .collect()
+}
+
+/// A notice list of groups, each a few intervals' pick of a few page
+/// sets: neighbouring groups often name the same pages (the repeat
+/// form), sometimes share an interval (and merge into one group), and
+/// `A B A` interleavings occur.
 fn arb_notices(rng: &mut Rng) -> Vec<WriteNotice> {
     let intervals: Vec<IntervalId> = (0..rng.usize_in(1, 4)).map(|_| arb_interval(rng)).collect();
+    let page_sets: Vec<Vec<u32>> = (0..rng.usize_in(1, 3)).map(|_| arb_pages(rng)).collect();
     let mut out = Vec::new();
     for _ in 0..rng.usize_in(0, 6) {
         let interval = *rng.pick(&intervals);
-        let start = match rng.u32_in(0, 3) {
-            0 => u32::MAX - rng.u32_in(0, 12),
-            1 => rng.u32_in(0, 128),
-            _ => rng.u32_any_width(),
-        };
-        let shape = rng.u32_in(0, 4);
-        for i in 0..rng.u32_in(1, 12) {
-            let page = match shape {
-                0 => start.saturating_add(i),
-                1 => start.saturating_sub(i),
-                2 => start,
-                _ => rng.u32_any_width(),
-            };
-            out.push(WriteNotice { page, interval });
-        }
+        let pages = rng.pick(&page_sets);
+        out.extend(pages.iter().map(|&page| WriteNotice { page, interval }));
     }
     out
 }
@@ -354,6 +362,18 @@ fn notice_lists_roundtrip_exactly() {
     ] {
         assert_eq!(decoded(&encoded(&list)).unwrap(), list);
     }
+    // A repeat: the second group names the first one's pages as
+    // `n_runs = 0`, and the third, after it, the same again.
+    let list = vec![
+        notice(5, 0, 0),
+        notice(6, 0, 0),
+        notice(5, 1, 0),
+        notice(6, 1, 0),
+        notice(5, 2, 7),
+        notice(6, 2, 7),
+    ];
+    assert_eq!(encoded(&list), [6, 0, 0, 1, 5, 2, 1, 0, 0, 2, 7, 0]);
+    assert_eq!(decoded(&encoded(&list)).unwrap(), list);
 }
 
 /// Byte budgets, in the spirit of `update_records_are_small`.
@@ -383,6 +403,21 @@ fn coherence_metadata_is_small() {
     }
     assert_eq!(vc.encoded_size(), 9);
 
+    // A 128-node lock grant: 64 writers, one interval each, all of them
+    // of the one page the counters share. Each writer after the first
+    // costs its node, its seq and the repeat byte.
+    check("a_shared_page_grant_is_3_bytes_a_writer", CASES, |rng| {
+        let page = rng.u32_in(0, 128);
+        let mut writers: Vec<u32> = (0..128).collect();
+        let list: Vec<_> = (0..64)
+            .map(|_| {
+                let node = writers.swap_remove(rng.usize_in(0, writers.len()));
+                notice(page, node, rng.u32_in(0, 128))
+            })
+            .collect();
+        assert!(counted(&list) <= 3 * list.len() + 5);
+    });
+
     // The worst case, every notice its own group, at the id ranges a
     // committed run reaches.
     check("isolated_notices_stay_under_8_bytes", CASES, |rng| {
@@ -397,8 +432,14 @@ fn coherence_metadata_is_small() {
 #[test]
 fn malformed_notice_lists_are_rejected() {
     let invalid = |bytes: &[u8]| matches!(decoded(bytes), Err(CodecError::Invalid { .. }));
-    // n = 1, group (node 0, seq 0) with no runs.
-    assert!(invalid(&[1, 0, 0, 0]), "empty group");
+    // n = 1, group (node 0, seq 0) repeating the runs of a group
+    // before it, and there is none.
+    assert!(invalid(&[1, 0, 0, 0]), "a first group repeats nothing");
+    // n = 3, a run of 2, then a repeat of it: 4 notices.
+    assert!(
+        invalid(&[3, 0, 0, 1, 5, 2, 1, 0, 0]),
+        "repeat overshoots the count"
+    );
     // n = 1, one run of length 0.
     assert!(invalid(&[1, 0, 0, 1, 5, 0]), "zero-length run");
     // n = 2, one run of length 3.
@@ -495,7 +536,7 @@ fn hostile_counts_return_errors() {
         ),
         ("LockRequest clock", vec![&[4], &epoch, &[0], &HUGE_VAR]),
         ("PageReply data", vec![&[1], &epoch, &HUGE_U32]),
-        ("DiffFlush diffs", vec![&[2], &epoch, &epoch, &HUGE_VAR]),
+        ("DiffFlush diffs", vec![&[2], &[7, 0], &HUGE_VAR]),
         ("LoggedDiffRequest seqs", vec![&[11], &epoch, &HUGE_U32]),
         ("LoggedDiffReply diffs", vec![&[12], &epoch, &HUGE_U32]),
         ("ReleaseHistoryReply releases", vec![&[14], &HUGE_U32]),

@@ -816,7 +816,11 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
             node.wait_for(|m| is_mark(m, 2));
             required.observe(IntervalId { node: 1, seq: 0 });
             ask(&mut node, &required, Some(1));
-            send(&mut node, 1, mark(3));
+            // The mark must reach the home after the request. Arrival
+            // goes by departure and size, and the mark is the smaller
+            // message, so it leaves later.
+            let later = node.inner.ctx.now() + SimDuration::from_micros(10);
+            node.inner.ctx.send_from(later, 1, mark(3)).expect("send");
             answers.push(answer(&mut node));
             ask(&mut node, &required, Some(2));
             answers.push(answer(&mut node));

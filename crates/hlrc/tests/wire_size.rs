@@ -29,29 +29,40 @@ fn vc() -> VClock {
     v
 }
 
+/// [`vc`] encoded: its length, then each entry as a varint (0, 4, 201,
+/// 70 001).
+const VC_BYTES: usize = 1 + 1 + 1 + 2 + 3;
+
 /// A list with everything the interval-record encoding distinguishes: a
-/// strip of consecutive pages, an isolated page, a second interval, a
-/// return to the first one, a duplicate, and multi-byte ids.
+/// strip of consecutive pages, an isolated page, a second interval
+/// naming the same pages (a repeat), a third, a return to the first
+/// one, a duplicate, and multi-byte ids.
 fn notices() -> Vec<WriteNotice> {
     let a = IntervalId { node: 1, seq: 3 };
-    let b = IntervalId {
+    let b = IntervalId { node: 3, seq: 200 };
+    let c = IntervalId {
         node: 2,
         seq: 70_000,
     };
-    [
-        (5, a),
-        (6, a),
-        (7, a),
-        (8, a),
-        (40, a),
-        (20_000, a),
-        (9, b),
-        (4, a),
-        (4, a),
-    ]
-    .map(|(page, interval)| WriteNotice { page, interval })
-    .to_vec()
+    let strip: &[u32] = &[5, 6, 7, 8, 40, 20_000];
+    let mut list = Vec::new();
+    for (pages, interval) in [(strip, a), (strip, b), (&[9], c), (&[4, 4], a)] {
+        list.extend(pages.iter().map(|&page| WriteNotice { page, interval }));
+    }
+    list
 }
+
+/// [`notices`] encoded: the count, then per group its interval (node,
+/// seq) and run count, and per run its start and length.
+const NOTICE_BYTES: usize = 1
+    // a: 5..=8, 40, 20 000 in three runs.
+    + (1 + 1 + 1) + (1 + 1) + (1 + 1) + (3 + 1)
+    // b: the runs of the group before, `n_runs = 0` and nothing else.
+    + (1 + 2 + 1)
+    // c: one page.
+    + (1 + 3 + 1) + (1 + 1)
+    // a again: 4 twice is two runs, not a repeat of c's.
+    + (1 + 1 + 1) + 2 * (1 + 1);
 
 /// Two one-word runs, words 2 and 32 of a 256-byte page.
 fn diff() -> PageDiff {
@@ -86,8 +97,8 @@ fn msg_diff_flush() {
             writer: IntervalId { node: 2, seq: 9 },
             diffs: vec![diff()],
         },
-        // Tag, writer, diff count.
-        1 + 8 + 1 + DIFF_BYTES,
+        // Tag, writer (node, seq), diff count.
+        1 + (1 + 1) + 1 + DIFF_BYTES,
     );
 }
 
@@ -97,7 +108,8 @@ fn msg_diff_ack() {
         &Msg::DiffAck {
             writer: IntervalId { node: 2, seq: 9 },
         },
-        9,
+        // Tag, writer (node, seq).
+        1 + (1 + 1),
     );
 }
 
@@ -138,7 +150,8 @@ fn msg_lock_grant() {
             vc: Arc::new(vc()),
             notices: notices(),
         },
-        39,
+        // Tag, lock, clock, notices.
+        1 + 4 + VC_BYTES + NOTICE_BYTES,
     );
 }
 
@@ -150,7 +163,7 @@ fn msg_lock_release() {
             vc: vc(),
             notices: notices(),
         },
-        39,
+        1 + 4 + VC_BYTES + NOTICE_BYTES,
     );
 }
 
@@ -163,7 +176,8 @@ fn msg_barrier_arrive() {
             notices: notices(),
             proposals: vec![(7, 2), (296, 0)],
         },
-        59,
+        // Tag, epoch, clock, notices, a u32 count and two (page, home).
+        1 + 4 + VC_BYTES + NOTICE_BYTES + 4 + 2 * 8,
     );
 }
 
@@ -176,7 +190,7 @@ fn msg_barrier_release() {
             notices: notices().into(),
             migrations: vec![(7, 2)].into(),
         },
-        51,
+        1 + 4 + VC_BYTES + NOTICE_BYTES + 4 + 8,
     );
 }
 
@@ -236,7 +250,9 @@ fn msg_release_history_reply() {
                 (1, vc(), vec![], vec![(5, 1)]),
             ],
         },
-        72,
+        // Tag, a u32 count, then per release its epoch, clock, notices
+        // and migrations.
+        1 + 4 + (4 + VC_BYTES + NOTICE_BYTES + 4) + (4 + VC_BYTES + 1 + 4 + 8),
     );
 }
 
@@ -278,7 +294,7 @@ fn msg_recovery_hello_reply() {
     // The barrier manager's, with the requester's own home writes: flag
     // bit 1, and the notice list after the pages.
     let listed = reply(vec![3], true, notices());
-    check(&listed, 10 + 26);
+    check(&listed, 10 + NOTICE_BYTES);
     assert_eq!(listed.encode_to_vec()[1], 0b11);
 }
 
@@ -351,7 +367,7 @@ fn msg_logged_diff_reply() {
             page: 11,
             diffs: vec![(IntervalId { node: 1, seq: 2 }, diff())],
         },
-        // Tag, page, u32 count, the diff's interval.
-        1 + 4 + 4 + 8 + DIFF_BYTES,
+        // Tag, page, u32 count, the diff's interval (node, seq).
+        1 + 4 + 4 + (1 + 1) + DIFF_BYTES,
     );
 }

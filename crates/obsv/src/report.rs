@@ -1681,21 +1681,26 @@ mod tests {
     /// on the committed paper report its log is byte for byte what it
     /// was when ML fetched one page per round trip (3D-FFT 40 739 312 B,
     /// MG 7 544 224, Shallow 8 776 000, Water 1 946 828 less what its
-    /// logged `DiffFlush` records shed when diffs took word-granular
-    /// run headers), and its predictions were used. A change that logs
+    /// logged coherence messages shed when diffs took word-granular run
+    /// headers, interval ids became varints and notice lists began to
+    /// name a repeated page set once), and its predictions were used. A change that logs
     /// copies as they are installed, or logs a hit twice, moves a log
     /// here.
     #[test]
     fn committed_report_ml_logs_what_it_reads() {
         let doc = committed(Scale::Paper);
         // Each of Water's `DiffFlush` messages is logged once, at its
-        // home: the log shrank by what its `DiffFlush` traffic did.
-        let water_flush_shrink = 361_096.0 - 287_959.0;
+        // home, and each `LockGrant` at its acquirer: the log shrank by
+        // what that traffic did. Each `BarrierRelease` is logged at all
+        // 8 nodes but sent to 7 (the manager logs its own unsent).
+        let water_flush_shrink = 361_096.0 - 286_519.0;
+        let water_grant_shrink = 10_512.0 - 9_896.0;
+        let water_release_shrink = (14_609.0 - 13_489.0) / 7.0 * 8.0;
         let before = [
             40_739_312.0,
             7_544_224.0,
             8_776_000.0,
-            1_946_828.0 - water_flush_shrink,
+            1_946_828.0 - water_flush_shrink - water_grant_shrink - water_release_shrink,
         ];
         for (app, before) in App::ALL.into_iter().zip(before) {
             let ml = member(&doc, &["apps", app.name(), "runs", "ml"]);

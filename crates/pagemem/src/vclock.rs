@@ -28,18 +28,20 @@ impl fmt::Display for IntervalId {
     }
 }
 
+/// `var(node) var(seq)` ([`Sink::put_var`]): two bytes for any node
+/// below 128 in its first 128 intervals.
 impl Encode for IntervalId {
     fn encode<S: Sink>(&self, w: &mut S) {
-        w.put_u32(self.node);
-        w.put_u32(self.seq);
+        w.put_var(self.node);
+        w.put_var(self.seq);
     }
 }
 
 impl Decode for IntervalId {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(IntervalId {
-            node: r.get_u32()?,
-            seq: r.get_u32()?,
+            node: r.get_var()?,
+            seq: r.get_var()?,
         })
     }
 }
@@ -250,7 +252,7 @@ mod tests {
 
         let iv = IntervalId { node: 3, seq: 11 };
         let bytes = iv.encode_to_vec();
-        assert_eq!(bytes.len(), 8);
+        assert_eq!(bytes, [3, 11], "one byte per small id");
         assert_eq!(IntervalId::decode_from_slice(&bytes).unwrap(), iv);
     }
 
