@@ -4,7 +4,8 @@
 use ftlog::{frame_record, salvage, CclRecord};
 use hlrc::{SyncKind, WriteNotice};
 use minicheck::{check, Rng};
-use pagemem::{Decode, DiffRun, Encode, IntervalId, PageDiff, VClock};
+use pagemem::codec::var_size;
+use pagemem::{CodecError, Decode, DiffRun, Encode, IntervalId, PageDiff, VClock};
 
 const CASES: u64 = 192;
 
@@ -139,22 +140,35 @@ fn a_barrier_of_home_strips_logs_in_a_few_bytes_per_interval() {
 }
 
 /// Every counted field of every record, set to `u32::MAX` with nothing
-/// behind it, is an error, not an allocation of that size.
+/// behind it, is an error, not an allocation of that size. Each case is
+/// the bytes before the count and the bytes after it: with a zero count
+/// the same bytes decode, so the error comes from the count and not from
+/// a misread field before it or from bytes left over.
 #[test]
 fn hostile_counts_return_errors() {
     const HUGE_VAR: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
-    let id = [3u8, 0, 0, 0];
-    let cases: Vec<(&str, Vec<&[u8]>)> = vec![
-        ("Sync notices", vec![&[1], &id, &HUGE_VAR]),
-        ("Sync clock", vec![&[1], &id, &[0], &HUGE_VAR]),
-        ("Updates pages", vec![&[2], &id, &id, &HUGE_VAR]),
-        ("Diffs diffs", vec![&[3], &id, &id, &HUGE_VAR]),
+    // `Sync`: tag, epoch 3 as a `u32`. `Updates` and `Diffs`: tag,
+    // interval `var(node) var(seq)` = node 3, interval 0.
+    let cases: [(&str, &[u8], &[u8]); 4] = [
+        ("Sync notices", &[1, 3, 0, 0, 0], &[0]),
+        ("Sync clock", &[1, 3, 0, 0, 0, 0], &[]),
+        ("Updates pages", &[2, 3, 0], &[]),
+        ("Diffs diffs", &[3, 3, 0], &[]),
     ];
-    for (what, parts) in cases {
+    for (what, before, after) in cases {
+        let zero = [before, &[0], after].concat();
         assert!(
-            CclRecord::decode_from_slice(&parts.concat()).is_err(),
-            "{what}"
+            CclRecord::decode_from_slice(&zero).is_ok(),
+            "{what}: a zero count does not decode"
         );
+        let hostile = [before, &HUGE_VAR].concat();
+        match CclRecord::decode_from_slice(&hostile) {
+            Ok(rec) => panic!("{what}: decoded {rec:?}"),
+            Err(CodecError::Truncated { needed: 0, .. }) => {
+                panic!("{what}: failed on bytes left over, not on the count")
+            }
+            Err(_) => {}
+        }
     }
 }
 
@@ -168,8 +182,9 @@ fn update_records_stay_small() {
         let pages = arb_pages(rng, 64);
         let n = pages.len();
         let rec = CclRecord::Updates { writer, pages };
-        // Tag, writer, count.
-        assert!(rec.encoded_size() <= 1 + 8 + 1 + 2 * n);
+        // Tag, writer (`var(node) var(seq)`), count (n < 128).
+        let writer_bytes = var_size(writer.node) + var_size(writer.seq);
+        assert!(rec.encoded_size() <= 1 + writer_bytes + 1 + 2 * n);
     });
 }
 
