@@ -151,39 +151,25 @@ impl Dsm {
         self.node.write_u64(h.addr(i), v.to_bits());
     }
 
-    /// Read `out.len()` elements starting at `start` (page-batched).
+    /// Read `out.len()` elements starting at `start`, one access check
+    /// and one copy per page.
     pub fn read_slice<T: SharedVal>(&mut self, h: &ArrayHandle<T>, start: usize, out: &mut [T]) {
-        let layout = self.node.inner.cfg.layout;
-        let mut i = 0;
-        while i < out.len() {
-            let addr = h.addr(start + i);
-            let page = layout.page_of(addr);
-            let off = layout.offset_of(addr);
-            let in_page = ((layout.page_size() - off) / ELEM_BYTES).min(out.len() - i);
+        for (page, off, run) in h.page_runs(self.node.inner.cfg.layout, start, out.len()) {
             self.node.ensure_access(page, Access::Read);
-            let frame = self.node.frame(page);
-            for k in 0..in_page {
-                out[i + k] = T::from_bits(frame.read_u64(off + k * ELEM_BYTES));
+            let words = self.node.frame(page).read_u64_run(off, run.len());
+            for (dst, w) in out[run].iter_mut().zip(words) {
+                *dst = T::from_bits(w);
             }
-            i += in_page;
         }
     }
 
-    /// Write `src.len()` elements starting at `start` (page-batched).
+    /// Write `src.len()` elements starting at `start`, one access check
+    /// and one copy per page.
     pub fn write_slice<T: SharedVal>(&mut self, h: &ArrayHandle<T>, start: usize, src: &[T]) {
-        let layout = self.node.inner.cfg.layout;
-        let mut i = 0;
-        while i < src.len() {
-            let addr = h.addr(start + i);
-            let page = layout.page_of(addr);
-            let off = layout.offset_of(addr);
-            let in_page = ((layout.page_size() - off) / ELEM_BYTES).min(src.len() - i);
+        for (page, off, run) in h.page_runs(self.node.inner.cfg.layout, start, src.len()) {
             self.node.ensure_access(page, Access::Write);
-            let frame = self.node.frame_mut(page);
-            for k in 0..in_page {
-                frame.write_u64(off + k * ELEM_BYTES, src[i + k].to_bits());
-            }
-            i += in_page;
+            let words = src[run].iter().map(|v| v.to_bits());
+            self.node.frame_mut(page).write_u64_run(off, words);
         }
     }
 

@@ -263,8 +263,20 @@ impl HlrcNode {
 
     /// Make `page` accessible with `access`, running the fault handler
     /// if the protection state requires it. This is the software stand-in
-    /// for the mprotect/SIGSEGV trap (see DESIGN.md).
+    /// for the mprotect/SIGSEGV trap (see DESIGN.md §10): an access the
+    /// handler would leave unchanged
+    /// ([`PageTable::access_changes_nothing`]) returns before it, as an
+    /// MMU passes a permitted access without a trap.
+    #[inline]
     pub fn ensure_access(&mut self, page: PageId, access: Access) {
+        if !self.inner.pages.access_changes_nothing(page, access) {
+            self.fault_handler(page, access);
+        }
+    }
+
+    /// The body of [`HlrcNode::ensure_access`] for an access that may
+    /// trap, fetch or book a write. It charges only where it traps.
+    fn fault_handler(&mut self, page: PageId, access: Access) {
         let me_home = self.inner.pages.is_home(page);
         if me_home {
             // Home copies never miss; the first write of an interval
@@ -344,11 +356,13 @@ impl HlrcNode {
     }
 
     /// Read access to the frame of `page` (after `ensure_access`).
+    #[inline]
     pub fn frame(&self, page: PageId) -> &pagemem::PageFrame {
         self.inner.pages.frame(page)
     }
 
     /// Write access to the frame of `page` (after `ensure_access`).
+    #[inline]
     pub fn frame_mut(&mut self, page: PageId) -> &mut pagemem::PageFrame {
         debug_assert!(
             self.inner.pages.is_home(page)
@@ -360,6 +374,7 @@ impl HlrcNode {
 
     /// Convenience scalar accessors (examples and tests; applications
     /// use the typed views in `ccl-core`).
+    #[inline]
     pub fn read_u64(&mut self, addr: usize) -> u64 {
         let (p, off) = self.locate(addr);
         self.ensure_access(p, Access::Read);
@@ -367,6 +382,7 @@ impl HlrcNode {
     }
 
     /// Write a u64 at byte address `addr` in the shared space.
+    #[inline]
     pub fn write_u64(&mut self, addr: usize, v: u64) {
         let (p, off) = self.locate(addr);
         self.ensure_access(p, Access::Write);
@@ -383,6 +399,7 @@ impl HlrcNode {
         self.write_u64(addr, v.to_bits());
     }
 
+    #[inline]
     fn locate(&self, addr: usize) -> (PageId, usize) {
         let l = self.inner.cfg.layout;
         (l.page_of(addr), l.offset_of(addr))
@@ -1230,5 +1247,96 @@ impl HlrcNode {
             self.exit_recovery();
         }
         step == RecoveryStep::Replayed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use minicheck::{check, Rng};
+    use pagemem::{PageFrame, SharedBytes};
+    use simnet::{run_cluster, NodeStats};
+
+    use super::*;
+    use crate::NoLogging;
+
+    const PAGE: usize = 64;
+
+    /// One drawn access: to a page homed here or not, whose entry is set
+    /// to `state`, dirty or not, with or without a predicted copy.
+    #[derive(Debug, Clone, Copy)]
+    struct Draw {
+        home: bool,
+        state: PageState,
+        dirty: bool,
+        predicted: bool,
+        access: Access,
+        fill: u8,
+    }
+
+    fn arb_draw(rng: &mut Rng) -> Draw {
+        Draw {
+            home: rng.bool(),
+            state: *rng.pick(&[PageState::Invalid, PageState::ReadOnly, PageState::Writable]),
+            dirty: rng.bool(),
+            predicted: rng.bool(),
+            access: *rng.pick(&[Access::Read, Access::Write]),
+            fill: rng.byte(),
+        }
+    }
+
+    /// Everything of node `node` an access may change: the entry of
+    /// `page` (and its frame's bytes), the clock, the counters and the
+    /// length of the trace.
+    fn observe(
+        node: &HlrcNode,
+        page: PageId,
+    ) -> (String, Option<Vec<u8>>, SimTime, NodeStats, usize) {
+        let e = node.inner.pages.entry(page);
+        (
+            format!("{e:?}"),
+            e.frame.as_ref().map(|f| f.bytes().to_vec()),
+            node.inner.ctx.now(),
+            node.inner.ctx.stats,
+            node.inner.ctx.trace_events().len(),
+        )
+    }
+
+    /// The early return of `ensure_access` skips only what the fault
+    /// handler would not have done anyway: wherever the predicate admits
+    /// an access, running the handler leaves the node as it was.
+    #[test]
+    fn the_access_predicate_admits_only_accesses_that_change_nothing() {
+        check("access-predicate", 24, |rng: &mut Rng| {
+            let draws: Vec<Draw> = (0..32).map(|_| arb_draw(rng)).collect();
+            let cfg = DsmConfig::new(2, 4).with_page_size(PAGE);
+            let admitted = run_cluster(2, cfg.cost, |ctx| {
+                let mut node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
+                if node.inner.me() != 0 {
+                    return 0;
+                }
+                let mut admitted = 0;
+                for d in &draws {
+                    // Pages 0-1 are homed here, 2-3 at node 1.
+                    let page = if d.home { 0 } else { 2 };
+                    let e = node.inner.pages.entry_mut(page);
+                    e.state = d.state;
+                    e.dirty = d.dirty;
+                    let resident = d.home || (d.state != PageState::Invalid && !d.predicted);
+                    e.frame = resident.then(|| PageFrame::from_bytes(&[d.fill; PAGE]));
+                    e.predicted = d
+                        .predicted
+                        .then(|| (SharedBytes::copy_of(&[d.fill; PAGE]), VClock::new(2)));
+                    if !node.inner.pages.access_changes_nothing(page, d.access) {
+                        continue;
+                    }
+                    admitted += 1;
+                    let before = observe(&node, page);
+                    node.fault_handler(page, d.access);
+                    assert_eq!(observe(&node, page), before, "{d:?} changed the node");
+                }
+                admitted
+            });
+            assert!(admitted[0] > 0, "no draw was admitted: {draws:?}");
+        });
     }
 }

@@ -38,16 +38,18 @@ impl PageLayout {
         self.page_size
     }
 
-    /// Page containing byte address `addr`.
+    /// Page containing byte address `addr`. The page size is a power
+    /// of two, so this is a shift, not a division: it runs on every
+    /// shared access.
     #[inline]
     pub fn page_of(&self, addr: usize) -> PageId {
-        (addr / self.page_size) as PageId
+        (addr >> self.page_size.trailing_zeros()) as PageId
     }
 
     /// Offset of byte address `addr` within its page.
     #[inline]
     pub fn offset_of(&self, addr: usize) -> usize {
-        addr % self.page_size
+        addr & (self.page_size - 1)
     }
 
     /// First byte address of `page`.

@@ -95,6 +95,28 @@ impl PageFrame {
         self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    /// The `n` consecutive little-endian u64 words from the naturally
+    /// aligned `offset` on: one bounds and alignment check for the run.
+    #[inline]
+    pub fn read_u64_run(&self, offset: usize, n: usize) -> impl Iterator<Item = u64> + '_ {
+        self.check_aligned(offset, 8);
+        self.data[offset..offset + 8 * n]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+    }
+
+    /// Write `words` as consecutive little-endian u64 words from the
+    /// naturally aligned `offset` on: one bounds and alignment check for
+    /// the run.
+    #[inline]
+    pub fn write_u64_run(&mut self, offset: usize, words: impl ExactSizeIterator<Item = u64>) {
+        self.check_aligned(offset, 8);
+        let run = &mut self.data[offset..offset + 8 * words.len()];
+        for (dst, w) in run.chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
     #[inline]
     /// Read an f64 (as stored little-endian bits).
     pub fn read_f64(&self, offset: usize) -> f64 {
@@ -150,6 +172,22 @@ mod tests {
         assert_eq!(p.read_f64(16), -3.25);
         p.write_u32(4, 77);
         assert_eq!(p.read_u32(4), 77);
+    }
+
+    #[test]
+    fn runs_match_the_word_accessors() {
+        let mut p = PageFrame::zeroed(64);
+        p.write_u64_run(16, [1u64, 2, 3].into_iter());
+        assert_eq!((p.read_u64(16), p.read_u64(24), p.read_u64(32)), (1, 2, 3));
+        p.write_u64(40, 4);
+        assert!(p.read_u64_run(24, 3).eq([2, 3, 4]));
+        assert_eq!(p.read_u64_run(56, 0).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned")]
+    fn misaligned_run_panics() {
+        PageFrame::zeroed(64).read_u64_run(4, 2).count();
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Cross-crate coherence integration through the public API: sharing
 //! patterns the applications rely on, exercised directly.
 
-use ccl_core::{run_program, ClusterSpec, Protocol};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use ccl_core::{run_program, ClusterSpec, Dsm, Protocol};
 
 fn spec(nodes: usize) -> ClusterSpec {
     ClusterSpec::new(nodes, 32).with_page_size(256)
@@ -127,6 +129,37 @@ fn slice_ops_match_scalar_ops() {
         buf == scalar && buf[4] == 2.0
     });
     assert!(out.nodes.iter().all(|n| n.result));
+}
+
+/// Run `f` on a one-node cluster and re-raise its panic here, where
+/// `#[should_panic]` reads the message.
+fn on_one_node(f: impl Fn(&mut Dsm) + Send + Sync) {
+    let out = run_program(spec(1), |dsm| {
+        catch_unwind(AssertUnwindSafe(|| f(dsm))).err()
+    });
+    if let Some(payload) = out.nodes.into_iter().next().and_then(|n| n.result) {
+        resume_unwind(payload);
+    }
+}
+
+#[test]
+#[should_panic(expected = "range 8..12 out of bounds (len 10)")]
+fn read_slice_past_the_end_panics() {
+    // The last two elements share the array's only page with its
+    // padding: the bound is the array's, not the page's.
+    on_one_node(|dsm| {
+        let a = dsm.alloc::<f64>(10);
+        dsm.read_slice(&a, 8, &mut [0.0; 4]);
+    });
+}
+
+#[test]
+#[should_panic(expected = "range 9..11 out of bounds (len 10)")]
+fn write_slice_past_the_end_panics() {
+    on_one_node(|dsm| {
+        let a = dsm.alloc::<u64>(10);
+        dsm.write_slice(&a, 9, &[1, 2]);
+    });
 }
 
 #[test]
