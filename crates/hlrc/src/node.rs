@@ -1034,9 +1034,9 @@ impl HlrcNode {
     /// servicing (or deferring) each. Called at fault/synchronization
     /// points and whenever the node blocks. Bounded by the node's own
     /// clock: the conservative scheduler only releases envelopes the
-    /// node could observe "now", so pumping never waits on peers that
-    /// are merely behind. [`NodeCtx::recv_arrived`] pulls whole batches
-    /// of admissible envelopes out of the sharded fabric under one lock
+    /// node could observe "now", and waits only until it can tell what
+    /// has arrived by then. [`NodeCtx::recv_arrived`] pulls whole batches
+    /// of admissible envelopes out of the fabric under one lock
     /// acquisition and replays them from a local buffer, so a busy
     /// service pump costs one fabric visit per burst, not per message.
     fn pump(&mut self) {

@@ -75,7 +75,7 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
             n.trace_dropped,
         ),
     );
-    // Scheduler-health counter track: watermark stalls next to the
+    // Scheduler-health counter track: window stalls next to the
     // compute/wait/disk phases, so physical scheduler overhead is
     // visible in the same UI as the virtual-time story. Counters are
     // cumulative per node (0 at start, the final count at finish), and

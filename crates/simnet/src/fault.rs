@@ -212,13 +212,12 @@ impl SeenSeqs {
 /// Per-node fault-injection state: the plan plus one PRNG stream and
 /// one sequence counter per directed link.
 ///
-/// This state rides the sharded fabric's send fast path: allocation of
-/// a link's next sequence number and the fate roll are node-private
-/// (each node owns its outgoing `FaultState`), so injecting faults
-/// adds no shared-lock traffic — a send still touches only the
-/// destination's inbox shard. Suppression on the receive side sees
-/// the rank-ordered delivery stream, which is why [`SeenSeqs`] is an
-/// exact set rather than a watermark.
+/// Allocation of a link's next sequence number and the fate roll are
+/// node-private (each node owns its outgoing `FaultState`), so
+/// injecting faults adds nothing to the fabric's one lock hold per
+/// send. Suppression on the receive side sees the rank-ordered
+/// delivery stream, which is why [`SeenSeqs`] is an exact set rather
+/// than a watermark.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,

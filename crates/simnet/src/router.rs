@@ -7,100 +7,54 @@
 //! paper's Ethernet cluster. Virtual arrival times are stamped by the
 //! sender from the [`NetworkModel`](crate::NetworkModel).
 //!
-//! # Virtual-time-ordered delivery
+//! # Windowed conservative scheduling
 //!
-//! Before this layer existed as a scheduler, each inbox was a physical
-//! FIFO: two concurrent senders raced real thread scheduling for the
-//! delivery order, so lock-grant order — and with it Water's virtual
-//! execution time — drifted run to run. The fabric instead delivers each
-//! node's messages strictly in `(arrive_at, src, seq)` order, holding a
-//! candidate back until no peer can still produce an earlier-ranked
-//! message. Delivery order then depends only on virtual time, which the
-//! cost model computes deterministically, and every run is
-//! bit-reproducible.
+//! Each node's messages are delivered strictly in `(arrive_at, src,
+//! seq)` order, a candidate held back until no peer can still produce
+//! an earlier-ranked one, so delivery order (and with it lock-grant
+//! order) depends only on virtual time, not on thread scheduling.
 //!
-//! The "can still produce" test is a conservative-PDES watermark scheme:
+//! Every node is running its program, blocked in [`Endpoint::recv`],
+//! blocked polling at its clock `t` ([`Endpoint::recv_upto_batch`]), or
+//! retired. A blocked node's **next event** `E(i)` is its inbox head's
+//! arrival time — for a poller, the earlier of that and `t` — and `+∞`
+//! for an empty inbox in `recv`. While no node runs, all of them are
+//! exact, and they bound everything still to come:
 //!
-//! * Every endpoint publishes a **floor** — a lower bound on the virtual
-//!   departure time of anything it may still send. A node parked in a
-//!   blocking receive publishes [`Watermark::Idle`] (it cannot send at
-//!   all until its next delivery); a node polling its inbox mid-run
-//!   publishes its clock; a node that just took a delivery publishes
-//!   that delivery's arrival time, because asynchronous handlers reply
-//!   relative to *request arrival*, which may lag its own clock.
-//! * A peer's future sends therefore depart no earlier than
-//!   `local(i) = min(floor(i), min-rank of i's own inbox)`: program
-//!   sends are covered by the floor, service replies by the inbox term.
-//!   Reactions to messages *not yet delivered anywhere* are covered by
-//!   one cascade step: any future arrival departs at or after the
-//!   global minimum `M1 = min over live i of local(i)` and crosses the
-//!   wire, so it lands at or after `M1 + L`, where the lookahead `L` is
-//!   the network's base latency (every cross-node transfer costs at
-//!   least `L`).
-//! * A candidate with rank `(t, s, q)` at receiver `j` is deliverable
-//!   once, for every live peer `i != j`,
-//!   `min(local(i), M1 + L) + L` exceeds `t` — or equals it with
-//!   `i >= s`, because a message from `i` arriving exactly at `t` would
-//!   still rank after the candidate on the source tie-break (same-source
-//!   messages carry strictly increasing sequence numbers).
+//! * a node sends only after its next event (a poller not before its
+//!   clock, a handler relative to the arrival it serves), so every
+//!   future send departs at or after `M1 = min over i of E(i)`;
+//! * every cross-node transfer costs at least the lookahead `L` (the
+//!   network's base latency), so every new arrival lands at or after
+//!   `M1 + L`, and node `i` next sends at or after `min(E(i), M1 + L)`;
+//! * so nothing from a peer can ever reach node `j` before its **window
+//!   bound** `B(j) = min(min over live i ≠ j of E(i), M1 + L) + L`.
 //!
-//! Liveness: the scheme cannot deadlock while any node is running,
-//! because the node holding the global minimum always clears its own
-//! bound (`M1 + 2L > M1` strictly, `L > 0`), and nodes blocked in a
-//! receive publish `Idle`, excluding themselves from every bound.
-//! Retired endpoints (clean exit or panic) drop out of the bound
-//! entirely. A cluster-wide quiescence with a pending candidate would
-//! be a protocol bug; a watchdog turns that state into a loud panic with
-//! a floor dump instead of a silent hang.
+//! When the last running node blocks, the scheduler *opens a window*:
+//! it stores every bound and resumes each node whose next event lies
+//! below its own. The resumed nodes run in parallel. A fabric call
+//! carries on without a hand-off while its next event is below its
+//! bound (a poll drains every head at or before `t` that is) and blocks
+//! otherwise; the last to block opens the next window. A send that puts
+//! a blocked node's head below its bound resumes it — only raw envelopes
+//! can, since an engine send lands at or past every open bound.
 //!
-//! Ties beyond `(arrive_at, src, seq)` cannot occur in engine traffic
-//! (the reliable layer stamps strictly increasing per-link sequence
-//! numbers); raw unsequenced envelopes (`seq == 0`, unit tests only)
-//! fall back to per-inbox push order.
+//! Liveness: the node holding `M1` always clears its own bound
+//! (`B ≥ M1 + L > M1`, `L > 0`). If no node has a next event, a node
+//! with no live peer gets [`SimError::Disconnected`]; otherwise the
+//! cluster is deadlocked, and every blocked call panics at once.
 //!
-//! # Sharded implementation
-//!
-//! The scheme above is a *virtual-time* contract; this section is about
-//! its physical cost. A first implementation kept the whole fabric
-//! behind one `Mutex` + one `Condvar`: every send, receive, and poll
-//! from all N node threads serialized on a single lock, every
-//! admissibility check rescanned all N nodes, and every state change
-//! woke the entire cluster. The current implementation shards that
-//! state without moving a single virtual-time observable:
-//!
-//! * **Per-node inbox shards.** Each node's heap lives in its own
-//!   [`Shard`] behind its own mutex. `send(i → j)` touches only shard
-//!   `j`; concurrent sends to different destinations do not contend.
-//! * **Shared watermark table.** Floors, inbox-head ranks, and liveness
-//!   live in one small [`WmTable`] (a second, short-hold lock). A
-//!   tournament [`MinTree`] over `local(i)` makes both `M1` and
-//!   `min over i != j of local(i)` O(log N) reads, so the admissibility
-//!   check is O(1)-ish per candidate instead of an O(N) rescan — with a
-//!   rare exact O(N) pass only on a bound/candidate tie.
-//! * **Targeted wakeups.** A parked receiver registers what it is
-//!   waiting for ([`ParkWait`]): a first arrival, or the conservative
-//!   bound reaching its head candidate's rank. State changes wake only
-//!   the nodes whose wait condition is now (conservatively) met, on
-//!   per-node [`WaitCell`]s, instead of broadcasting to the cluster.
-//! * **Batch draining.** [`Endpoint::recv_upto_batch`] pops every
-//!   already-admissible message under one lock acquisition, pinning the
-//!   floor at the *first* popped rank so the batch promise stays valid
-//!   for replies to earlier messages in the batch.
-//!
-//! Lock order is `shard[j] → wm → cell[k]`, each strictly after the
-//! previous, at most one shard held at a time; `wm.heads[j]` is written
-//! only while holding shard `j`, which serializes sender pushes against
-//! receiver pops. A sender keeps holding shard `dst` across the `wm`
-//! update, so a message is never visible in a heap before its head rank
-//! is visible in the table, and the sender's own floor (≤ the message's
-//! departure) covers the in-flight window. All of this changes *when*
-//! threads run, never *what* clears: the bound formula, the rank order,
-//! and the floor protocol are byte-for-byte the ones derived above, and
-//! the `report` goldens hold the fabric to bit-identical digests.
+//! The scheduler decides only *when* threads run, never *what* is
+//! deliverable: each node receives the rank order of everything that
+//! will ever reach it, and a poll reports "nothing more by `t`" exactly
+//! when that is true. Engine traffic never ties on the rank (per-link
+//! sequence numbers increase strictly); raw unsequenced envelopes
+//! (`seq == 0`, unit tests only) fall back to push order.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::error::{SimError, SimResult};
 use crate::metrics::Histogram;
@@ -108,22 +62,6 @@ use crate::time::{SimDuration, SimTime};
 
 /// Index of a node (process) in the cluster: `0..n_nodes`.
 pub type NodeId = usize;
-
-/// How long the fabric lets a node wait without *any* scheduler
-/// progress before declaring a watermark deadlock (a protocol bug, not
-/// a slow peer: every legal wait is bounded by peers reaching their
-/// next scheduler interaction).
-const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(60);
-
-/// How many times a blocked receive re-checks its candidate (yielding
-/// the CPU between checks) before committing to a condvar park. Most
-/// waits are short — the watermark movement that releases the head
-/// candidate is already in flight on another core — so a couple of
-/// yields converts them into deliveries without the park/wake futex
-/// round-trip, and without registering in the stall telemetry (the
-/// call never slept). Purely physical: the admissibility predicate is
-/// evaluated identically either way.
-const SPINS_BEFORE_PARK: usize = 3;
 
 /// Types that know their encoded wire size, used to charge transfer time.
 ///
@@ -192,42 +130,27 @@ pub struct Envelope<M> {
 /// is a final physical tie-break reachable only by unsequenced raw
 /// envelopes — engine traffic never ties on the first three keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Rank {
+struct Rank {
     /// Virtual arrival time.
-    pub at: SimTime,
+    at: SimTime,
     /// Sending node.
-    pub src: NodeId,
+    src: NodeId,
     /// Per-link sequence number (0 for raw envelopes).
-    pub seq: u64,
+    seq: u64,
     /// Inbox insertion order (raw-envelope FIFO tie-break only).
     push: u64,
 }
 
-/// A published lower bound on a node's future send departures.
+/// What a node is doing, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Watermark {
-    /// The node may still send, but not before this virtual time.
-    Promise(SimTime),
-    /// The node is parked in a blocking receive: it cannot send
-    /// anything until its next delivery (equivalent to a promise of
-    /// infinity; its inbox term still bounds its reply departures).
-    Idle,
-}
-
-impl Watermark {
-    fn as_time(self) -> SimTime {
-        match self {
-            Watermark::Promise(t) => t,
-            Watermark::Idle => SimTime::MAX,
-        }
-    }
-}
-
-/// Whether a node still participates in the delivery bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Liveness {
-    /// Running: its floor and inbox constrain every peer's deliveries.
-    Live,
+enum State {
+    /// Running its program, outside any fabric call.
+    Running,
+    /// Blocked in [`Endpoint::recv`]: its next event is its inbox head.
+    Recv,
+    /// Blocked in [`Endpoint::recv_upto_batch`] at this clock: its next
+    /// event is the earlier of its inbox head and the clock.
+    Poll(SimTime),
     /// Finished its program and retired cleanly; sends to it yield
     /// [`SimError::PeerStopped`].
     Stopped,
@@ -236,367 +159,133 @@ enum Liveness {
     Dead,
 }
 
-/// Inbox entry: rank + envelope. Ordered by rank alone.
-struct Pending<M> {
-    rank: Rank,
-    env: Envelope<M>,
-}
-
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the minimum rank.
-        other.rank.cmp(&self.rank)
-    }
-}
-
-/// Pad a shard to its own cache lines so neighboring shard locks don't
-/// false-share.
-#[repr(align(128))]
-struct Align128<T>(T);
-
-/// One node's inbox shard: everything a sender to this node must touch.
-/// Liveness is duplicated here (authoritative copy for the send-path
-/// error check) so the common send never takes the watermark lock.
-struct Shard<M> {
-    heap: BinaryHeap<Pending<M>>,
-    live: Liveness,
+/// Everything the scheduler decides on, behind the fabric's one lock.
+struct Sched<M> {
+    /// Each node's pending envelopes, in rank order.
+    inbox: Vec<VecDeque<(Rank, Envelope<M>)>>,
+    state: Vec<State>,
+    /// Each node's window bound: no peer can deliver to it below this.
+    bound: Vec<SimTime>,
+    /// Nodes in [`State::Running`].
+    running: usize,
+    /// Nodes not yet retired.
+    live: usize,
+    /// Envelopes pushed so far (the raw-envelope tie-break).
     pushes: u64,
+    /// Set once no node can ever act again: the per-node state every
+    /// blocked call panics with.
+    deadlock: Option<String>,
 }
 
-impl<M> Shard<M> {
-    fn new() -> Shard<M> {
-        Shard {
-            heap: BinaryHeap::new(),
-            live: Liveness::Live,
-            pushes: 0,
+impl<M> Sched<M> {
+    /// Can node `j` act on an event at `t` now: is `t` below its window
+    /// bound, or has `j` no live peer left?
+    fn clears(&self, j: NodeId, t: SimTime) -> bool {
+        t < self.bound[j] || self.live == 1
+    }
+
+    /// Node `j`'s next event if it is blocked (`SimTime::MAX` for none,
+    /// and for a running or retired node).
+    fn next_event(&self, j: NodeId) -> SimTime {
+        let head = self.inbox[j].front().map_or(SimTime::MAX, |p| p.0.at);
+        match self.state[j] {
+            State::Recv => head,
+            State::Poll(t) => head.min(t),
+            _ => SimTime::MAX,
         }
     }
 
-    fn head_at(&self) -> SimTime {
-        self.heap.peek().map_or(SimTime::MAX, |p| p.rank.at)
-    }
-}
-
-/// What a parked receiver is waiting for, so wakeups can be targeted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ParkWait {
-    /// Empty inbox in a blocking receive: only a first arrival (or a
-    /// peer retiring toward the all-retired disconnect) matters.
-    Arrival,
-    /// Waiting for the conservative bound to reach this virtual time —
-    /// the head candidate's rank, or the poll horizon in `recv_upto`.
-    Bound(SimTime),
-}
-
-/// Flat-array tournament tree maintaining the minimum of `n` leaves
-/// with O(log n) point updates, O(1) global min, and O(log n)
-/// min-excluding-one-leaf (fold the sibling values on the leaf-to-root
-/// path).
-struct MinTree {
-    cap: usize,
-    v: Vec<u64>,
-}
-
-impl MinTree {
-    fn new(n: usize) -> MinTree {
-        let cap = n.next_power_of_two().max(1);
-        MinTree {
-            cap,
-            v: vec![u64::MAX; 2 * cap],
-        }
-    }
-
-    fn leaf(&self, i: usize) -> u64 {
-        self.v[self.cap + i]
-    }
-
-    fn set(&mut self, i: usize, val: u64) {
-        let mut x = self.cap + i;
-        if self.v[x] == val {
-            return;
-        }
-        self.v[x] = val;
-        x >>= 1;
-        while x >= 1 {
-            let m = self.v[2 * x].min(self.v[2 * x + 1]);
-            if self.v[x] == m {
-                break;
-            }
-            self.v[x] = m;
-            x >>= 1;
-        }
-    }
-
-    fn min(&self) -> u64 {
-        self.v[1]
-    }
-
-    fn min_excluding(&self, i: usize) -> u64 {
-        let mut x = self.cap + i;
-        let mut m = u64::MAX;
-        while x > 1 {
-            m = m.min(self.v[x ^ 1]);
-            x >>= 1;
-        }
-        m
-    }
-}
-
-/// The shared watermark table: the scheduler-global state every
-/// admissibility decision reads. Kept deliberately small — floors,
-/// cached inbox-head ranks, liveness, the min-tree over `local(i)`, and
-/// the park registry — so the lock is held for microseconds.
-struct WmTable {
-    floors: Vec<Watermark>,
-    /// Cached min arrival rank of each node's inbox heap (`SimTime::MAX`
-    /// when empty): the inbox term of `local(i)`. Written only while
-    /// holding that node's shard lock, which serializes sender pushes
-    /// against receiver pops.
-    heads: Vec<SimTime>,
-    live: Vec<Liveness>,
-    live_count: usize,
-    /// `tree.leaf(i) == local(i)` for live nodes, `u64::MAX` otherwise.
-    tree: MinTree,
-    parked: Vec<Option<ParkWait>>,
-    parked_count: usize,
-    /// Reusable wake-list buffer (avoids an allocation per scan).
-    scratch: Vec<NodeId>,
-}
-
-impl WmTable {
-    fn new(n: usize) -> WmTable {
-        let mut wm = WmTable {
-            // Nothing has run yet: a fresh node may send at any time.
-            floors: vec![Watermark::Promise(SimTime::ZERO); n],
-            heads: vec![SimTime::MAX; n],
-            live: vec![Liveness::Live; n],
-            live_count: n,
-            tree: MinTree::new(n),
-            parked: vec![None; n],
-            parked_count: 0,
-            scratch: Vec::new(),
-        };
-        for i in 0..n {
-            wm.refresh(i);
-        }
-        wm
-    }
-
-    /// Earliest possible departure of node `i`'s next send: program
-    /// sends respect the floor, service replies depart no earlier than
-    /// the arrival of the inbox message that triggers them.
-    fn local_of(&self, i: NodeId) -> SimTime {
-        self.floors[i].as_time().min(self.heads[i])
-    }
-
-    /// Recompute node `i`'s min-tree leaf from its floor/head/liveness.
-    fn refresh(&mut self, i: NodeId) {
-        let leaf = if self.live[i] == Liveness::Live {
-            self.local_of(i).0
-        } else {
-            u64::MAX
-        };
-        self.tree.set(i, leaf);
-    }
-
-    /// How many *other* live nodes constrain node `j`.
-    fn live_peers(&self, j: NodeId) -> usize {
-        self.live_count - usize::from(self.live[j] == Liveness::Live)
-    }
-
-    /// Is a candidate with rank `(t, s)` at receiver `j` safe to
-    /// deliver — i.e. can no live peer still produce an earlier-ranked
-    /// message for `j`? See the module docs for the bound derivation.
-    /// With `s == usize::MAX` this degenerates to "no live peer can
-    /// reach `j` at or before `t` at all" (the pump's stop condition).
-    ///
-    /// Incremental form of the per-peer loop: the minimum peer bound is
-    /// `min(min over live i != j of local(i), M1 + L) + L`, both terms
-    /// O(log N) from the min-tree. Strictly above `t` means every peer
-    /// bound is; strictly below means some peer bound is. Only an exact
-    /// tie (engine traffic cannot tie, so raw-envelope tests and the
-    /// occasional bound collision only) falls back to the O(N) scan to
-    /// apply the `i >= s` source tie-break per peer.
-    fn clears(&self, j: NodeId, t: SimTime, s: NodeId, lookahead: SimDuration) -> bool {
-        if self.live_peers(j) == 0 {
-            return true;
-        }
-        let horizon = SimTime(self.tree.min()) + lookahead;
-        let b = SimTime(self.tree.min_excluding(j)).min(horizon) + lookahead;
-        if b != t {
-            return b > t;
-        }
-        if s == usize::MAX {
+    /// Resume node `j` if it is blocked and its next event clears.
+    fn resume_if_due(&mut self, j: NodeId, wake: &[Condvar]) -> bool {
+        let blocked = matches!(self.state[j], State::Recv | State::Poll(_));
+        if !blocked || !self.clears(j, self.next_event(j)) {
             return false;
         }
-        for (i, &live) in self.live.iter().enumerate() {
-            if i == j || live != Liveness::Live {
-                continue;
-            }
-            let bound = self.local_of(i).min(horizon) + lookahead;
-            let ok = bound > t || (bound == t && i >= s);
-            if !ok {
-                return false;
-            }
-        }
+        self.state[j] = State::Running;
+        self.running += 1;
+        wake[j].notify_one();
         true
     }
 
-    /// Which parked nodes' wait conditions are (conservatively) met,
-    /// given the current table — the targeted replacement for a
-    /// cluster-wide broadcast. `Bound(t)` waiters wake once the minimum
-    /// peer bound reaches `t` (ties may still fail the exact source
-    /// check; the woken node re-evaluates and re-parks). `Arrival`
-    /// waiters are woken directly by sends and liveness changes, never
-    /// by floor movement.
-    fn due_wakes(&self, skip: NodeId, lookahead: SimDuration, out: &mut Vec<NodeId>) {
-        let horizon = SimTime(self.tree.min()) + lookahead;
-        for (k, w) in self.parked.iter().enumerate() {
-            let t = match w {
-                Some(ParkWait::Bound(t)) if k != skip => *t,
-                _ => continue,
-            };
-            let b = SimTime(self.tree.min_excluding(k)).min(horizon) + lookahead;
-            if b >= t {
-                out.push(k);
+    /// Open a window: no node is running, so compute every blocked
+    /// node's bound from the exact next events and resume each node
+    /// whose next event lies below its bound. If none can act, flag the
+    /// deadlock and wake everyone to report it.
+    fn open_window(&mut self, lookahead: SimDuration, wake: &[Condvar]) {
+        debug_assert_eq!(self.running, 0);
+        let n = self.state.len();
+        // The lowest next event `m1` (at node `arg`), and the lowest
+        // among the others `m2`: `min over i ≠ j` is `m2` for `arg`,
+        // `m1` for everyone else.
+        let (mut m1, mut arg, mut m2) = (SimTime::MAX, n, SimTime::MAX);
+        for j in 0..n {
+            let e = self.next_event(j);
+            if e < m1 {
+                (m2, m1, arg) = (m1, e, j);
+            } else if e < m2 {
+                m2 = e;
             }
         }
-    }
-
-    /// Wake the parked nodes whose bound-wait became satisfiable, if
-    /// node `j`'s `local()` rose across this critical section (from
-    /// `before`, its leaf at entry). Falls (sends, deliveries at the
-    /// old floor) can only tighten peer bounds and never unblock
-    /// anyone, so they skip the scan entirely. `j` itself is excluded:
-    /// its own bound tie would otherwise wake it right back up.
-    fn scan_if_raised(
-        &mut self,
-        j: NodeId,
-        before: u64,
-        lookahead: SimDuration,
-        cells: &[WaitCell],
-    ) {
-        if self.parked_count == 0 || self.tree.leaf(j) <= before {
-            return;
+        let horizon = m1 + lookahead;
+        let mut resumed = false;
+        for j in 0..n {
+            let others = if j == arg { m2 } else { m1 };
+            self.bound[j] = others.min(horizon) + lookahead;
+            resumed |= self.resume_if_due(j, wake);
         }
-        let mut wake = std::mem::take(&mut self.scratch);
-        self.due_wakes(j, lookahead, &mut wake);
-        for k in wake.drain(..) {
-            self.unpark(k, cells);
-        }
-        self.scratch = wake;
-    }
-
-    /// Register node `j` as parked; returns the wake-seq ticket to wait
-    /// on. Reading the ticket under the `wm` lock is what makes the
-    /// park race-free: wakers bump it only while holding `wm`, so any
-    /// wake decided after this call is observed by the waiter.
-    fn park(&mut self, j: NodeId, wait: ParkWait, cells: &[WaitCell]) -> u64 {
-        if self.parked[j].is_none() {
-            self.parked_count += 1;
-        }
-        self.parked[j] = Some(wait);
-        *cells[j].seq.lock().unwrap()
-    }
-
-    fn unpark(&mut self, k: NodeId, cells: &[WaitCell]) {
-        if self.parked[k].take().is_some() {
-            self.parked_count -= 1;
-            let mut g = cells[k].seq.lock().unwrap();
-            *g = g.wrapping_add(1);
-            drop(g);
-            cells[k].cv.notify_one();
+        if !resumed && self.live > 0 {
+            self.deadlock = Some(self.dump());
+            wake.iter().for_each(Condvar::notify_one);
         }
     }
 
-    fn unpark_all(&mut self, cells: &[WaitCell]) {
-        for k in 0..self.parked.len() {
-            self.unpark(k, cells);
-        }
-    }
-}
-
-/// One node's wakeup channel: a wake sequence number and its condvar.
-/// The seq is bumped (under `wm` + this leaf lock) on every targeted
-/// wake, so a parked thread can detect wakes decided between releasing
-/// `wm` and entering the wait.
-struct WaitCell {
-    seq: Mutex<u64>,
-    cv: Condvar,
-}
-
-/// The shared interconnect: per-node inbox shards plus the shared
-/// watermark table the conservative scheduler runs on.
-struct Fabric<M> {
-    shards: Vec<Align128<Mutex<Shard<M>>>>,
-    wm: Mutex<WmTable>,
-    cells: Vec<WaitCell>,
-    /// Bumped on every scheduler mutation; the deadlock watchdog fires
-    /// only when a full timeout passes with no change anywhere.
-    version: AtomicU64,
-    /// Minimum virtual latency of any cross-node transfer (conservative
-    /// lookahead `L`).
-    lookahead: SimDuration,
-}
-
-impl<M> Fabric<M> {
-    fn shard(&self, j: NodeId) -> &Mutex<Shard<M>> {
-        &self.shards[j].0
-    }
-
-    fn touch(&self) {
-        self.version.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Human-readable scheduler snapshot for the deadlock watchdog.
-    /// Called with no locks held; shards are `try_lock`ed because a
-    /// panicking watchdog must not deadlock against a stuck holder.
+    /// Per-node scheduler state, for the deadlock panic.
     fn dump(&self) -> String {
         use std::fmt::Write;
-        let wm = self.wm.lock().unwrap();
         let mut s = String::new();
-        for i in 0..wm.floors.len() {
-            let inbox = match self.shard(i).try_lock() {
-                Ok(sh) => {
-                    let head = sh
-                        .heap
-                        .peek()
-                        .map_or("-".to_string(), |p| format!("{:?}", p.rank));
-                    format!("inbox_len={} inbox_head={head}", sh.heap.len())
-                }
-                Err(_) => "inbox=<locked>".to_string(),
-            };
+        for (j, state) in self.state.iter().enumerate() {
+            let head = self.inbox[j]
+                .front()
+                .map_or("-".to_string(), |p| format!("{:?}", p.0));
             let _ = write!(
                 s,
-                "\n  node {i}: {:?} floor={:?} head_at={:?} parked={:?} {inbox}",
-                wm.live[i], wm.floors[i], wm.heads[i], wm.parked[i]
+                "\n  node {j}: {state:?} bound={:?} inbox_len={} inbox_head={head}",
+                self.bound[j],
+                self.inbox[j].len()
             );
         }
         s
     }
 }
 
+/// The shared interconnect: every inbox and the scheduler state behind
+/// one lock, and one wake-up condvar per node.
+struct Fabric<M> {
+    sched: Mutex<Sched<M>>,
+    wake: Vec<Condvar>,
+    /// Minimum virtual latency of any cross-node transfer (conservative
+    /// lookahead `L`).
+    lookahead: SimDuration,
+}
+
+/// No thread panics holding the fabric lock: a deadlock panics only
+/// after releasing it.
+const UNPOISONED: &str = "no thread panics holding the fabric lock";
+
+impl<M> Fabric<M> {
+    fn lock(&self) -> MutexGuard<'_, Sched<M>> {
+        self.sched.lock().expect(UNPOISONED)
+    }
+}
+
 /// One node's attachment to the cluster interconnect.
 pub struct Endpoint<M> {
     id: NodeId,
-    n_nodes: usize,
     fabric: Arc<Fabric<M>>,
-    /// Receive calls that had to park at least once waiting for peer
-    /// watermarks to advance (physical-layer telemetry; never part of
-    /// the deterministic virtual-time surface).
+    /// Fabric calls that had to wait for a window (physical-layer
+    /// telemetry; never part of the deterministic virtual-time surface).
     stalls: AtomicU64,
-    /// Wall-clock nanoseconds spent parked, one sample per park
+    /// Wall-clock nanoseconds spent waiting, one sample per wait
     /// (physical-layer telemetry, same caveat as `stalls`).
     park_hist: Mutex<Histogram>,
 }
@@ -604,26 +293,22 @@ pub struct Endpoint<M> {
 impl<M> Drop for Endpoint<M> {
     fn drop(&mut self) {
         // A panicking node does not count as a clean exit: sends to it
-        // must keep surfacing as `Disconnected` (a real bug). Either
-        // way the node stops constraining peer deliveries, so every
-        // parked receiver must re-evaluate its bound.
+        // must keep surfacing as `Disconnected` (a real bug). Either way
+        // it stops bounding its peers, and if it was the last running
+        // node the next window opens. `Drop` must not panic, and no
+        // update under the lock leaves the state invalid.
         let fabric = &*self.fabric;
-        let mode = if std::thread::panicking() {
-            Liveness::Dead
+        let mut g = fabric.sched.lock().unwrap_or_else(PoisonError::into_inner);
+        g.state[self.id] = if std::thread::panicking() {
+            State::Dead
         } else {
-            Liveness::Stopped
+            State::Stopped
         };
-        let mut sh = fabric.shard(self.id).lock().unwrap();
-        sh.live = mode;
-        drop(sh);
-        let mut wm = fabric.wm.lock().unwrap();
-        wm.live[self.id] = mode;
-        wm.live_count -= 1;
-        wm.refresh(self.id);
-        fabric.touch();
-        // Retirement relaxes every bound and feeds the all-retired
-        // disconnect: the one event that still wakes the whole cluster.
-        wm.unpark_all(&fabric.cells);
+        g.running -= 1;
+        g.live -= 1;
+        if g.running == 0 && g.deadlock.is_none() {
+            g.open_window(fabric.lookahead, &fabric.wake);
+        }
     }
 }
 
@@ -635,22 +320,21 @@ impl<M> Endpoint<M> {
 
     /// Cluster size.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.fabric.wake.len()
     }
 
-    /// Receive calls so far that parked on the watermark scheme, reset
-    /// to zero. Physical-layer overhead telemetry: two identical runs
-    /// may stall differently without any virtual-time observable
-    /// changing.
+    /// Fabric calls so far that waited for a window, reset to zero.
+    /// Physical-layer overhead telemetry: two identical runs may stall
+    /// differently without any virtual-time observable changing.
     pub fn take_stalls(&self) -> u64 {
         self.stalls.swap(0, Ordering::Relaxed)
     }
 
-    /// Wall-clock park durations (ns) recorded since the last call,
+    /// Wall-clock wait durations (ns) recorded since the last call,
     /// reset to empty. Physical-layer telemetry, like
     /// [`take_stalls`](Endpoint::take_stalls).
     pub fn take_park_hist(&self) -> Histogram {
-        std::mem::take(&mut *self.park_hist.lock().unwrap())
+        std::mem::take(&mut *self.park_hist.lock().expect("unshared"))
     }
 
     /// Deliver an envelope to its destination's inbox.
@@ -660,286 +344,110 @@ impl<M> Endpoint<M> {
     /// injection — the sender counts and drops the message); a
     /// destination that vanished any other way is a torn-down cluster
     /// and yields [`SimError::Disconnected`].
-    ///
-    /// Fast path: only the destination's shard lock. The watermark
-    /// table is touched only when the push changes the destination's
-    /// head-of-line rank (it can only lower `local(dst)`, so no other
-    /// node's wait can become satisfiable — no wake scan). The shard
-    /// lock is held across the table update so the message is never
-    /// visible in the heap before its head rank is visible to
-    /// admissibility checks.
     pub fn send(&self, env: Envelope<M>) -> SimResult<()> {
         let dst = env.dst;
-        if dst >= self.n_nodes {
+        if dst >= self.n_nodes() {
             return Err(SimError::UnknownNode(dst));
         }
         let fabric = &*self.fabric;
-        let mut sh = fabric.shard(dst).lock().unwrap();
-        match sh.live {
-            Liveness::Stopped => return Err(SimError::PeerStopped(dst)),
-            Liveness::Dead => return Err(SimError::Disconnected),
-            Liveness::Live => {}
+        let mut g = fabric.lock();
+        match g.state[dst] {
+            State::Stopped => return Err(SimError::PeerStopped(dst)),
+            State::Dead => return Err(SimError::Disconnected),
+            _ => {}
         }
-        let push = sh.pushes;
-        sh.pushes += 1;
         let rank = Rank {
             at: env.arrive_at,
             src: env.src,
             seq: env.seq,
-            push,
+            push: g.pushes,
         };
-        let head_changed = sh.heap.peek().is_none_or(|p| rank < p.rank);
-        sh.heap.push(Pending { rank, env });
-        fabric.touch();
-        if head_changed {
-            let mut wm = fabric.wm.lock().unwrap();
-            if rank.at < wm.heads[dst] {
-                wm.heads[dst] = rank.at;
-                wm.refresh(dst);
-            }
-            // Wake dst on *any* head rank change, including an
-            // equal-arrival (src, seq) change: the source tie-break
-            // `i >= s` is easier for a smaller source, so a parked dst
-            // could clear the new head even where the old one stalled.
-            wm.unpark(dst, &fabric.cells);
-        }
-        drop(sh);
+        g.pushes += 1;
+        let inbox = &mut g.inbox[dst];
+        inbox.insert(inbox.partition_point(|p| p.0 < rank), (rank, env));
+        g.resume_if_due(dst, &fabric.wake);
         Ok(())
     }
 
     /// Block until the earliest-ranked envelope in this node's inbox is
-    /// safe to deliver, then deliver it. While parked the node
-    /// publishes `Watermark::Idle`; on delivery it publishes the
-    /// arrival time (asynchronous service replies depart relative to
-    /// request arrival, which may lag the node's own clock).
+    /// safe to deliver, then deliver it.
     ///
     /// Errs with [`SimError::Disconnected`] only when the inbox is
     /// empty and every peer has retired — nothing can ever arrive.
     pub fn recv(&self) -> SimResult<Envelope<M>> {
-        let fabric = &*self.fabric;
-        let mut stalled = false;
-        let mut spins = 0usize;
+        let mut g = self.fabric.lock();
         loop {
-            let mut sh = fabric.shard(self.id).lock().unwrap();
-            let mut wm = fabric.wm.lock().unwrap();
-            let before = wm.tree.leaf(self.id);
-            if wm.floors[self.id] != Watermark::Idle {
-                wm.floors[self.id] = Watermark::Idle;
-                wm.refresh(self.id);
-                fabric.touch();
-            }
-            if let Some(rank) = sh.heap.peek().map(|p| p.rank) {
-                if wm.clears(self.id, rank.at, rank.src, fabric.lookahead) {
-                    let p = sh.heap.pop().expect("peeked");
-                    wm.heads[self.id] = sh.head_at();
-                    wm.floors[self.id] = Watermark::Promise(rank.at);
-                    wm.refresh(self.id);
-                    fabric.touch();
-                    wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-                    drop(wm);
-                    drop(sh);
-                    if stalled {
-                        self.stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(p.env);
+            match g.inbox[self.id].front().map(|p| p.0.at) {
+                Some(at) if g.clears(self.id, at) => {
+                    return Ok(g.inbox[self.id].pop_front().expect("peeked").1);
                 }
-                wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-                if spins < SPINS_BEFORE_PARK {
-                    spins += 1;
-                    drop(wm);
-                    drop(sh);
-                    std::thread::yield_now();
-                    continue;
-                }
-                let seen = wm.park(self.id, ParkWait::Bound(rank.at), &fabric.cells);
-                drop(wm);
-                drop(sh);
-                stalled = true;
-                spins = 0;
-                self.wait(seen);
-            } else {
-                if wm.live_peers(self.id) == 0 {
-                    return Err(SimError::Disconnected);
-                }
-                wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-                if spins < SPINS_BEFORE_PARK {
-                    spins += 1;
-                    drop(wm);
-                    drop(sh);
-                    std::thread::yield_now();
-                    continue;
-                }
-                let seen = wm.park(self.id, ParkWait::Arrival, &fabric.cells);
-                drop(wm);
-                drop(sh);
-                stalled = true;
-                spins = 0;
-                self.wait(seen);
+                None if g.live == 1 => return Err(SimError::Disconnected),
+                _ => g = self.block(g, State::Recv),
             }
         }
     }
 
-    /// Deliver the earliest-ranked envelope with `arrive_at <= upto`,
-    /// or return `None` once no live peer can produce one (the engine's
-    /// pump: "service everything that has arrived by now"). Blocks only
-    /// as long as the answer is genuinely unknown — until peer
-    /// watermarks either release the head-of-line candidate or prove
-    /// that nothing can arrive at or before `upto`.
-    pub fn recv_upto(&self, upto: SimTime) -> Option<Envelope<M>> {
-        let mut out = Vec::new();
-        self.recv_upto_inner(upto, 1, &mut out);
-        out.pop()
-    }
-
-    /// Batch form of [`recv_upto`](Endpoint::recv_upto): drain *every*
-    /// already-admissible envelope with `arrive_at <= upto` under one
-    /// lock acquisition, appending them (in delivery order) to `out`.
-    /// Returns how many were delivered; `0` means the drained condition
-    /// — no live peer can produce an arrival at or before `upto`.
+    /// Drain *every* deliverable envelope with `arrive_at <= upto`,
+    /// appending them (in delivery order) to `out`, and return how many
+    /// were delivered (the engine's pump: "service everything that has
+    /// arrived by now"). `0` means drained: no peer can still produce
+    /// an arrival at or before `upto`. Blocks only as long as the
+    /// answer is unknown — until a window bound either admits the head
+    /// or passes `upto`.
     ///
-    /// The batch promise: after popping the first envelope at rank
-    /// `t1`, the floor is pinned at `Promise(t1)` (not at the last
-    /// popped rank) while later candidates are evaluated, because the
-    /// caller may reply to *any* batched message and those replies
-    /// depart no earlier than `t1`. Under that floor, `local(self) =
-    /// t1` participates in every bound, so a candidate `t2` clearing
-    /// here also cleared in the one-message-per-call schedule: any
-    /// response chain through a peer lands at or after `t1 + 2L ≥` the
-    /// bound that admitted `t2`, and the caller's own loopback sends
-    /// depart at or after its clock (`≥ upto ≥ t2`), so nothing the
-    /// batch delays can ever rank before a batched envelope. Same
-    /// deliveries, same order, one lock hold.
+    /// Every envelope in one batch lies below the window bound, so
+    /// nothing a peer can still send ranks before it; the caller's own
+    /// loopback sends depart at or after its clock (`≥ upto`). The
+    /// batch is therefore exactly the rank-order prefix that the
+    /// one-message-per-call pump would deliver.
     pub fn recv_upto_batch(&self, upto: SimTime, out: &mut Vec<Envelope<M>>) -> usize {
-        self.recv_upto_inner(upto, usize::MAX, out)
-    }
-
-    fn recv_upto_inner(&self, upto: SimTime, max: usize, out: &mut Vec<Envelope<M>>) -> usize {
-        let fabric = &*self.fabric;
-        let mut stalled = false;
-        let mut spins = 0usize;
-        let delivered = loop {
-            let mut sh = fabric.shard(self.id).lock().unwrap();
-            let mut wm = fabric.wm.lock().unwrap();
-            let before = wm.tree.leaf(self.id);
-            // While polling, the node promises not to send before its
-            // own clock (`upto`); program execution resumes from there.
-            if wm.floors[self.id] != Watermark::Promise(upto) {
-                wm.floors[self.id] = Watermark::Promise(upto);
-                wm.refresh(self.id);
-                fabric.touch();
-            }
-            let mut delivered = 0usize;
-            while delivered < max {
-                let head = sh.heap.peek().map(|p| p.rank);
-                let Some(rank) = head.filter(|r| r.at <= upto) else {
-                    break;
-                };
-                if !wm.clears(self.id, rank.at, rank.src, fabric.lookahead) {
+        let mut g = self.fabric.lock();
+        loop {
+            let mut delivered = 0;
+            while let Some(at) = g.inbox[self.id].front().map(|p| p.0.at) {
+                if at > upto || !g.clears(self.id, at) {
                     break;
                 }
-                let p = sh.heap.pop().expect("peeked");
-                if delivered == 0 {
-                    wm.floors[self.id] = Watermark::Promise(rank.at);
-                }
-                wm.heads[self.id] = sh.head_at();
-                wm.refresh(self.id);
-                out.push(p.env);
+                out.push(g.inbox[self.id].pop_front().expect("peeked").1);
                 delivered += 1;
             }
-            if delivered > 0 {
-                fabric.touch();
-                wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-                break delivered;
+            if delivered > 0 || g.clears(self.id, upto) {
+                return delivered;
             }
-            if wm.clears(self.id, upto, usize::MAX, fabric.lookahead) {
-                // Every live peer's bound strictly exceeds `upto`:
-                // nothing more can arrive by now.
-                wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-                break 0;
-            }
-            wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-            if spins < SPINS_BEFORE_PARK {
-                spins += 1;
-                drop(wm);
-                drop(sh);
-                std::thread::yield_now();
-                continue;
-            }
-            let wait = match sh.heap.peek().map(|p| p.rank.at) {
-                Some(t) if t <= upto => ParkWait::Bound(t),
-                _ => ParkWait::Bound(upto),
-            };
-            let seen = wm.park(self.id, wait, &fabric.cells);
-            drop(wm);
-            drop(sh);
-            stalled = true;
-            spins = 0;
-            self.wait(seen);
-        };
-        if stalled {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
+            g = self.block(g, State::Poll(upto));
         }
-        delivered
     }
 
-    /// Non-blocking inbox poll: the head-of-line envelope, if it is
-    /// already safe to deliver.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
+    /// Block in `state` until the scheduler resumes this node. If this
+    /// was the last running node, open the next window first. Panics
+    /// with every node's state if the cluster is deadlocked.
+    fn block<'a>(&self, mut g: MutexGuard<'a, Sched<M>>, state: State) -> MutexGuard<'a, Sched<M>> {
         let fabric = &*self.fabric;
-        let mut sh = fabric.shard(self.id).lock().unwrap();
-        let rank = sh.heap.peek().map(|p| p.rank)?;
-        let mut wm = fabric.wm.lock().unwrap();
-        if !wm.clears(self.id, rank.at, rank.src, fabric.lookahead) {
-            return None;
+        let t0 = Instant::now();
+        g.state[self.id] = state;
+        g.running -= 1;
+        if g.running == 0 {
+            g.open_window(fabric.lookahead, &fabric.wake);
         }
-        let before = wm.tree.leaf(self.id);
-        let p = sh.heap.pop().expect("peeked");
-        wm.heads[self.id] = sh.head_at();
-        wm.floors[self.id] = Watermark::Promise(rank.at);
-        wm.refresh(self.id);
-        fabric.touch();
-        wm.scan_if_raised(self.id, before, fabric.lookahead, &fabric.cells);
-        drop(wm);
-        drop(sh);
-        Some(p.env)
-    }
-
-    /// Wait on this node's wake cell until a targeted wake arrives
-    /// (seq moves past `seen`), recording the park duration. The
-    /// deadlock watchdog rides along: a full timeout during which the
-    /// *whole fabric's* version never moved means the cluster is
-    /// quiescent with an undeliverable candidate — a protocol bug
-    /// worth a loud dump, not a hang.
-    fn wait(&self, seen: u64) {
-        let fabric = &*self.fabric;
-        let cell = &fabric.cells[self.id];
-        let t0 = std::time::Instant::now();
-        let mut v0 = fabric.version.load(Ordering::Relaxed);
-        let mut g = cell.seq.lock().unwrap();
-        while *g == seen {
-            let (ng, to) = cell.cv.wait_timeout(g, WATCHDOG).unwrap();
-            g = ng;
-            if to.timed_out() && *g == seen {
-                let v = fabric.version.load(Ordering::Relaxed);
-                if v == v0 {
-                    // Drop the cell guard before dumping: `dump` takes
-                    // the wm lock, which wakers hold while bumping
-                    // cells — never hold a cell across that.
-                    drop(g);
-                    panic!(
-                        "watermark deadlock: node {} made no progress for {:?};\
-                         scheduler state:{}",
-                        self.id,
-                        WATCHDOG,
-                        fabric.dump()
-                    );
-                }
-                v0 = v;
+        while g.state[self.id] != State::Running {
+            if let Some(dump) = g.deadlock.clone() {
+                // Leave as a running node, so that this endpoint's
+                // `Drop` retires it like any other.
+                g.state[self.id] = State::Running;
+                g.running += 1;
+                drop(g);
+                panic!(
+                    "fabric deadlock: every live node is blocked and none has a next event \
+                     (node {} was in {state:?}); scheduler state:{dump}",
+                    self.id
+                );
             }
+            g = fabric.wake[self.id].wait(g).expect(UNPOISONED);
         }
-        drop(g);
+        self.stalls.fetch_add(1, Ordering::Relaxed);
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.park_hist.lock().unwrap().record(ns);
+        self.park_hist.lock().expect("unshared").record(ns);
+        g
     }
 }
 
@@ -948,22 +456,29 @@ impl<M> Endpoint<M> {
 /// cross-node transfer. [`run_cluster`](crate::run_cluster) passes the
 /// network model's base latency.
 pub fn make_endpoints_with_lookahead<M>(n: usize, lookahead: SimDuration) -> Vec<Endpoint<M>> {
+    assert!(
+        lookahead > SimDuration::ZERO,
+        "no progress without lookahead"
+    );
+    // Every node starts running at virtual time 0, so the first window's
+    // bound is `min(0, 0 + L) + L = L` for everyone.
+    let sched = Sched {
+        inbox: (0..n).map(|_| VecDeque::new()).collect(),
+        state: vec![State::Running; n],
+        bound: vec![SimTime::ZERO + lookahead; n],
+        running: n,
+        live: n,
+        pushes: 0,
+        deadlock: None,
+    };
     let fabric = Arc::new(Fabric {
-        shards: (0..n).map(|_| Align128(Mutex::new(Shard::new()))).collect(),
-        wm: Mutex::new(WmTable::new(n)),
-        cells: (0..n)
-            .map(|_| WaitCell {
-                seq: Mutex::new(0),
-                cv: Condvar::new(),
-            })
-            .collect(),
-        version: AtomicU64::new(0),
+        sched: Mutex::new(sched),
+        wake: (0..n).map(|_| Condvar::new()).collect(),
         lookahead,
     });
     (0..n)
         .map(|id| Endpoint {
             id,
-            n_nodes: n,
             fabric: Arc::clone(&fabric),
             stalls: AtomicU64::new(0),
             park_hist: Mutex::new(Histogram::new()),
@@ -973,10 +488,10 @@ pub fn make_endpoints_with_lookahead<M>(n: usize, lookahead: SimDuration) -> Vec
 
 /// Build fully connected endpoints for an `n`-node cluster.
 ///
-/// Uses an effectively unbounded lookahead, under which the bound check
-/// always clears and delivery degenerates to pure rank order over
-/// whatever is queued — the right semantics for raw envelopes with
-/// hand-stamped times and no cost model. Engine clusters go through
+/// Uses an effectively unbounded lookahead, under which every bound
+/// lies far past any hand-stamped time and delivery degenerates to pure
+/// rank order over whatever is queued — the right semantics for raw
+/// envelopes with no cost model. Engine clusters go through
 /// `make_endpoints_with_lookahead` with the real network latency.
 pub fn make_endpoints<M>(n: usize) -> Vec<Endpoint<M>> {
     make_endpoints_with_lookahead(n, SimDuration::from_secs(1 << 20))
@@ -985,6 +500,7 @@ pub fn make_endpoints<M>(n: usize) -> Vec<Endpoint<M>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Ping(u32);
@@ -1031,11 +547,13 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_nonblocking() {
+    fn poll_is_nonblocking() {
         let eps = make_endpoints::<Ping>(2);
-        assert!(eps[1].try_recv().is_none());
+        let mut out = Vec::new();
+        assert_eq!(eps[1].recv_upto_batch(SimTime(100), &mut out), 0);
         eps[0].send(env(0, 1, Ping(3))).unwrap();
-        assert_eq!(eps[1].try_recv().unwrap().payload, Ping(3));
+        assert_eq!(eps[1].recv_upto_batch(SimTime(100), &mut out), 1);
+        assert_eq!(out[0].payload, Ping(3));
     }
 
     #[test]
@@ -1090,6 +608,25 @@ mod tests {
         });
     }
 
+    /// A raw envelope below a blocked receiver's bound resumes it at
+    /// once, while its sender keeps running and no window can open.
+    #[test]
+    fn a_send_below_the_bound_resumes_a_blocked_receiver() {
+        let mut eps = make_endpoints::<Ping>(2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        let (ack, acked) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                a.send(env(0, 1, Ping(42))).unwrap();
+                let got = acked.recv_timeout(std::time::Duration::from_secs(10));
+                assert!(got.is_ok(), "the receiver waited for a window");
+            });
+            assert_eq!(b.recv().unwrap().payload, Ping(42));
+            ack.send(()).unwrap();
+        });
+    }
+
     /// The tentpole property at transport level: queued envelopes leave
     /// the inbox in `(arrive_at, src, seq)` order regardless of the
     /// physical order they were pushed in.
@@ -1115,10 +652,10 @@ mod tests {
         }
     }
 
-    /// A candidate must wait for a peer whose floor still allows an
-    /// earlier-ranked send, and clear once that peer goes idle.
+    /// A head at or past its node's window bound must wait until the
+    /// lagging peer blocks and the next window admits it.
     #[test]
-    fn candidate_blocks_on_lagging_watermark() {
+    fn head_past_its_bound_waits_until_the_lagging_peer_blocks() {
         let lookahead = SimDuration::from_nanos(10);
         let mut eps = make_endpoints_with_lookahead::<Ping>(3, lookahead);
         let c = eps.pop().unwrap();
@@ -1134,20 +671,29 @@ mod tests {
         })
         .unwrap();
         drop(b); // node 1 retires: only node 0 constrains node 2 now
-                 // Node 0's floor is still Promise(0): it could send something
-                 // arriving at 0 + 2*10 = 20 < 100, so node 2 must wait.
-        assert!(c.try_recv().is_none(), "cleared through a lagging peer");
+        let a_blocking = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                // Node 0 parks in a blocking receive: floor goes Idle,
-                // its empty inbox stops constraining node 2, and the
-                // candidate clears.
+                // Node 0 is still running at virtual time 0, so it could
+                // send something arriving at 10 < 100: node 2's first
+                // bound is 10, and its head must wait for node 0. The
+                // pass never depends on the sleep; it only gives a
+                // scheduler that ignored the bound time to deliver early.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                a_blocking.store(true, Ordering::SeqCst);
+                // Node 0 blocks on an empty inbox: the window opens with
+                // node 2's bound at min(∞, 100 + 10) + 10 = 120.
                 let got = a.recv();
-                // Woken by node 2's sentinel below.
+                // Resumed once node 2 retires and it has no live peer.
                 assert_eq!(got.unwrap().payload, Ping(55));
             });
             let got = c.recv().unwrap();
+            assert!(
+                a_blocking.load(Ordering::SeqCst),
+                "delivered past the bound of a running peer"
+            );
             assert_eq!(got.payload, Ping(9));
+            assert_eq!(c.take_stalls(), 1, "one call waited for one window");
             c.send(Envelope {
                 src: 2,
                 dst: 0,
@@ -1157,8 +703,48 @@ mod tests {
                 payload: Ping(55),
             })
             .unwrap();
-            drop(c); // node 2 retires so its floor stops gating node 0
+            drop(c); // node 2 retires, so node 0 is the last live node
         });
+    }
+
+    /// The cascade term of the bound: a node resumed while its only
+    /// peer idles on an empty inbox may still make that peer answer it,
+    /// so its bound stops at `M1 + 2L` and a later head waits for the
+    /// answer instead of overtaking it.
+    #[test]
+    fn a_reply_to_a_request_sent_inside_a_window_is_not_overtaken() {
+        let mut eps = make_endpoints_with_lookahead::<Ping>(2, SimDuration::from_nanos(10));
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        let stamped = |src: NodeId, dst: NodeId, at: u64, p: Ping| Envelope {
+            src,
+            dst,
+            sent_at: SimTime(at - 10),
+            arrive_at: SimTime(at),
+            seq: 1,
+            payload: p,
+        };
+        a.send(stamped(0, 0, 1_000, Ping(2))).unwrap();
+        let mut out = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                // Node 1 idles on an empty inbox until node 0 asks, and
+                // answers from the request's arrival.
+                let req = b.recv().unwrap();
+                b.send(stamped(1, 0, req.arrive_at.0 + 10, Ping(1)))
+                    .unwrap();
+            });
+            // Returns once node 1 idles too: the window gives node 0 the
+            // bound min(∞, 20 + 10) + 10 = 40, and nothing arrives by 20.
+            assert_eq!(a.recv_upto_batch(SimTime(20), &mut out), 0);
+            a.send(stamped(0, 1, 30, Ping(0))).unwrap();
+            assert!(a.recv_upto_batch(SimTime(2_000), &mut out) > 0);
+            while out.len() < 2 {
+                out.push(a.recv().unwrap());
+            }
+        });
+        let got: Vec<u32> = out.iter().map(|e| e.payload.0).collect();
+        assert_eq!(got, vec![1, 2], "the self-sent head overtook the reply");
     }
 
     /// The batch drain must deliver exactly the rank-order prefix the
@@ -1186,174 +772,207 @@ mod tests {
         out.clear();
         assert_eq!(eps[2].recv_upto_batch(SimTime(250), &mut out), 0);
         assert!(out.is_empty());
-        assert_eq!(eps[2].recv_upto(SimTime(300)).unwrap().payload, Ping(3));
+        assert_eq!(eps[2].recv_upto_batch(SimTime(300), &mut out), 1);
+        assert_eq!(out[0].payload, Ping(3));
     }
 
-    // ---- watermark-core invariants (satellite coverage) -------------
-
-    /// Brute-force recomputation of what the min-tree leaves must hold,
-    /// straight from the definition in the module docs.
-    fn assert_wm_matches_rescan(eps: &[Option<Endpoint<Ping>>]) {
-        let fabric = match eps.iter().flatten().next() {
-            Some(ep) => &ep.fabric,
-            None => return,
-        };
-        let n = fabric.shards.len();
-        // Lock order: shards strictly before wm (never hold two shards —
-        // this single-threaded checker takes them one at a time).
-        let heads: Vec<SimTime> = (0..n)
-            .map(|i| fabric.shard(i).lock().unwrap().head_at())
-            .collect();
-        let wm = fabric.wm.lock().unwrap();
-        let mut expect = Vec::with_capacity(n);
-        for (i, &head) in heads.iter().enumerate() {
-            assert_eq!(
-                wm.heads[i], head,
-                "cached head of node {i} diverged from its heap"
-            );
-            let leaf = if wm.live[i] == Liveness::Live {
-                wm.floors[i].as_time().min(head).0
-            } else {
-                u64::MAX
-            };
-            assert_eq!(wm.tree.leaf(i), leaf, "stale leaf for node {i}");
-            expect.push(leaf);
-        }
-        let brute_min = expect.iter().copied().min().unwrap_or(u64::MAX);
-        assert_eq!(wm.tree.min(), brute_min, "incremental global min drifted");
-        for j in 0..n {
-            let brute = expect
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != j)
-                .map(|(_, &v)| v)
-                .min()
-                .unwrap_or(u64::MAX);
-            assert_eq!(
-                wm.tree.min_excluding(j),
-                brute,
-                "min_excluding({j}) drifted"
-            );
-        }
-        assert_eq!(
-            wm.live_count,
-            wm.live.iter().filter(|&&l| l == Liveness::Live).count(),
-            "live_count drifted"
-        );
+    /// One step of a random raw-envelope program (see
+    /// `random_programs_deliver_in_rank_order_and_reproducibly`).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Advance the node's clock.
+        Compute(u64),
+        /// Send from the clock to `dst`, `extra` ns slower than the
+        /// fastest transfer; `reply` asks the receiver to answer.
+        Send {
+            dst: NodeId,
+            extra: u64,
+            reply: bool,
+        },
+        /// Drain everything that has arrived by the clock.
+        Poll,
     }
 
-    /// Satellite property: under random send / receive / retire / crash
-    /// interleavings, the incrementally maintained global minimum (and
-    /// every min-excluding-one read) always equals a from-scratch O(N)
-    /// recomputation.
-    #[test]
-    fn incremental_min_matches_rescan_under_random_ops() {
-        minicheck::check("wm_incremental_min", 64, |rng| {
-            let n = rng.usize_in(2, 9);
-            let lookahead = SimDuration::from_nanos(rng.u64_in(1, 1_000));
-            let mut eps: Vec<Option<Endpoint<Ping>>> =
-                make_endpoints_with_lookahead::<Ping>(n, lookahead)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-            let mut seq = vec![vec![0u64; n]; n];
-            for _ in 0..48 {
-                let src = rng.usize_in(0, n - 1);
-                let dst = rng.usize_in(0, n - 1);
-                match rng.u64_in(0, 9) {
-                    // Weighted toward sends so inboxes actually fill.
-                    0..=4 => {
-                        if let Some(ep) = &eps[src] {
-                            seq[src][dst] += 1;
-                            let at = rng.u64_in(1, 1 << 20);
-                            let _ = ep.send(Envelope {
-                                src,
-                                dst,
-                                sent_at: SimTime(at.saturating_sub(1)),
-                                arrive_at: SimTime(at),
-                                seq: seq[src][dst],
-                                payload: Ping(at as u32),
-                            });
-                        }
+    /// A delivery as `(arrive_at, src, seq, payload)`.
+    type Delivery = (u64, NodeId, u64, u32);
+
+    /// A node running one program the way the engine drives its
+    /// endpoint: sends depart at its clock, or at the arrival of the
+    /// request a reply answers; every transfer costs at least the
+    /// lookahead, a loopback at least 1 ns.
+    struct Proc<'a> {
+        ep: &'a Endpoint<Ping>,
+        lookahead: u64,
+        clock: u64,
+        seq: Vec<u64>,
+        /// Every delivery, in order.
+        log: Vec<Delivery>,
+        /// The log's length and the clock at the end of each poll.
+        polls: Vec<(usize, u64)>,
+    }
+
+    impl Proc<'_> {
+        fn send(&mut self, from: u64, dst: NodeId, extra: u64, payload: u32) {
+            let src = self.ep.id();
+            self.seq[dst] += 1;
+            let wire = if dst == src { 1 } else { self.lookahead };
+            self.ep
+                .send(Envelope {
+                    src,
+                    dst,
+                    sent_at: SimTime(from),
+                    arrive_at: SimTime(from + wire + extra),
+                    seq: self.seq[dst],
+                    payload: Ping(payload),
+                })
+                .expect("a node retires only after everything it expects");
+        }
+
+        fn take(&mut self, env: Envelope<Ping>) {
+            let at = env.arrive_at.0;
+            self.log.push((at, env.src, env.seq, env.payload.0));
+            if env.payload.0 == 1 {
+                // A reply departs at the request's arrival, a loopback
+                // one not before the clock (the batch promise).
+                let from = if env.src == self.ep.id() {
+                    at.max(self.clock)
+                } else {
+                    at
+                };
+                self.send(from, env.src, 0, 0);
+            }
+        }
+
+        fn run(mut self, program: &[Op], expect: usize) -> (Vec<Delivery>, Vec<(usize, u64)>) {
+            let mut out = Vec::new();
+            for &op in program {
+                match op {
+                    Op::Compute(d) => self.clock += d,
+                    Op::Send { dst, extra, reply } => {
+                        self.send(self.clock, dst, extra, u32::from(reply));
                     }
-                    5..=7 => {
-                        if let Some(ep) = &eps[dst] {
-                            let _ = ep.try_recv();
-                        }
-                    }
-                    8 => {
-                        // Retire (clean stop) — keep at least one node.
-                        if eps.iter().flatten().count() > 1 {
-                            drop(eps[dst].take());
-                        }
-                    }
-                    _ => {
-                        // Crash: drop the endpoint mid-unwind, the way
-                        // a panicking node retires.
-                        if eps.iter().flatten().count() > 1 {
-                            if let Some(ep) = eps[dst].take() {
-                                let hook = std::panic::take_hook();
-                                std::panic::set_hook(Box::new(|_| {}));
-                                let r = std::panic::catch_unwind(move || {
-                                    let _hold = ep;
-                                    panic!("crash");
-                                });
-                                std::panic::set_hook(hook);
-                                assert!(r.is_err());
+                    Op::Poll => {
+                        while self.ep.recv_upto_batch(SimTime(self.clock), &mut out) > 0 {
+                            for env in out.drain(..) {
+                                self.take(env);
                             }
                         }
+                        self.polls.push((self.log.len(), self.clock));
                     }
                 }
-                assert_wm_matches_rescan(&eps);
             }
+            while self.log.len() < expect {
+                let env = self.ep.recv().expect("an expected message");
+                self.clock = self.clock.max(env.arrive_at.0);
+                self.take(env);
+            }
+            (self.log, self.polls)
+        }
+    }
+
+    /// Random raw-envelope programs on 2–5 node threads with a real
+    /// lookahead: every inbox delivers in strict rank order, every poll
+    /// drains exactly what has arrived by its clock, and a second run
+    /// delivers the identical per-node sequences.
+    #[test]
+    fn random_programs_deliver_in_rank_order_and_reproducibly() {
+        minicheck::check("window_delivery", 48, |rng| {
+            let n = rng.usize_in(2, 6);
+            let lookahead = rng.u64_in(1, 1_000);
+            let mut expect = vec![0usize; n];
+            let programs: Vec<Vec<Op>> = (0..n)
+                .map(|src| {
+                    (0..rng.usize_in(4, 24))
+                        .map(|_| match rng.below(5) {
+                            0 => Op::Compute(rng.below(3 * lookahead)),
+                            1 => Op::Poll,
+                            _ => {
+                                let (dst, reply) = (rng.usize_in(0, n), rng.bool());
+                                expect[dst] += 1;
+                                expect[src] += usize::from(reply);
+                                Op::Send {
+                                    dst,
+                                    extra: rng.below(2 * lookahead),
+                                    reply,
+                                }
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let run = || {
+                let eps = make_endpoints_with_lookahead::<Ping>(n, SimDuration(lookahead));
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = eps
+                        .into_iter()
+                        .map(|ep| {
+                            let (program, expect) = (&programs[ep.id()], expect[ep.id()]);
+                            s.spawn(move || {
+                                let proc = Proc {
+                                    ep: &ep,
+                                    lookahead,
+                                    clock: 0,
+                                    seq: vec![0; n],
+                                    log: Vec::new(),
+                                    polls: Vec::new(),
+                                };
+                                proc.run(program, expect)
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap())
+                        .collect::<Vec<_>>()
+                })
+            };
+            let first = run();
+            for (j, (log, polls)) in first.iter().enumerate() {
+                assert_eq!(log.len(), expect[j], "node {j} delivery count");
+                for w in log.windows(2) {
+                    let (a, b) = ((w[0].0, w[0].1, w[0].2), (w[1].0, w[1].1, w[1].2));
+                    assert!(a < b, "node {j} delivered {b:?} after {a:?}");
+                }
+                for &(len, clock) in polls {
+                    assert!(
+                        log[len..].iter().all(|d| d.0 > clock),
+                        "node {j}: a poll at {clock} missed an arrival by then"
+                    );
+                }
+            }
+            assert_eq!(run(), first, "a second run delivered differently");
         });
     }
 
-    /// Satellite unit test: a floor move produces wakeups *only* for
-    /// parked nodes whose head candidate now clears (conservatively) —
-    /// not a cluster-wide broadcast.
+    /// Live nodes all blocked in `recv` on empty inboxes can never be
+    /// resumed: every one of them panics at once, naming each node's
+    /// state, instead of hanging.
     #[test]
-    fn floor_move_wakes_only_clearable_parks() {
-        let lookahead = SimDuration::from_nanos(10);
-        let eps = make_endpoints_with_lookahead::<Ping>(4, lookahead);
-        let fabric = &eps[0].fabric;
-        let mut wm = fabric.wm.lock().unwrap();
-        // Node 1 parked on a near candidate, node 2 on a far one, node
-        // 3 parked on an empty inbox (Arrival).
-        wm.park(1, ParkWait::Bound(SimTime(25)), &fabric.cells);
-        wm.park(2, ParkWait::Bound(SimTime(1_000)), &fabric.cells);
-        wm.park(3, ParkWait::Arrival, &fabric.cells);
-        // Node 0 raises its floor to 10: every peer bound becomes
-        // min(local, M1+L) + L = min over {10,...} + 10 = 20 < 25 — no
-        // one wakes yet.
-        wm.floors[0] = Watermark::Promise(SimTime(10));
-        for i in 1..4 {
-            wm.floors[i] = Watermark::Idle;
+    fn blocked_live_nodes_with_empty_inboxes_panic_at_once() {
+        let mut eps = make_endpoints_with_lookahead::<Ping>(4, SimDuration::from_nanos(10));
+        drop(eps.pop()); // node 3 retires cleanly first
+        let t0 = std::time::Instant::now();
+        let messages: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = eps
+                .into_iter()
+                .map(|ep| s.spawn(move || ep.recv().map(|_| ())))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    let payload = h.join().expect_err("a deadlocked recv must panic");
+                    *payload.downcast::<String>().expect("a formatted panic")
+                })
+                .collect()
+        });
+        let took = t0.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+        for m in &messages {
+            assert!(m.contains("deadlock"), "{m}");
+            for j in 0..3 {
+                assert!(m.contains(&format!("node {j}: Recv ")), "{m}");
+            }
+            assert!(m.contains("node 3: Stopped "), "{m}");
         }
-        for i in 0..4 {
-            wm.refresh(i);
-        }
-        let mut due = Vec::new();
-        wm.due_wakes(0, lookahead, &mut due);
-        assert_eq!(due, Vec::<NodeId>::new(), "bound 20 must wake nobody");
-        // Floor to 15: bound 25 reaches node 1's candidate exactly —
-        // wake it (the exact source tie-break happens on re-check).
-        // Node 2 (candidate 1000) and node 3 (Arrival) stay parked.
-        wm.floors[0] = Watermark::Promise(SimTime(15));
-        wm.refresh(0);
-        due.clear();
-        wm.due_wakes(0, lookahead, &mut due);
-        assert_eq!(due, vec![1], "only the clearable park wakes");
-        // A raise past everything still leaves Arrival parks alone:
-        // floor movement cannot fill an empty inbox.
-        wm.floors[0] = Watermark::Promise(SimTime(10_000));
-        wm.refresh(0);
-        due.clear();
-        wm.due_wakes(0, lookahead, &mut due);
-        assert_eq!(due, vec![1, 2], "arrival park must not wake on floors");
-        // Drain the park registry so Drop's unpark_all bookkeeping
-        // stays balanced.
-        wm.unpark_all(&fabric.cells);
-        drop(wm);
     }
 }

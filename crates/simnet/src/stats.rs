@@ -64,8 +64,9 @@ pub struct NodeStats {
     /// Sends addressed to a peer that had already finished its program
     /// (tolerated under failure injection, not an error).
     pub sends_to_stopped: u64,
-    /// Times a receive parked waiting for the conservative scheduler's
-    /// watermark bound to clear. Physical-layer telemetry: the count
+    /// Fabric calls (receives and polls) that had to wait for the
+    /// conservative scheduler's next window instead of carrying on
+    /// within the current one. Physical-layer telemetry: the count
     /// depends on real thread interleaving, so it is reported alongside
     /// the deterministic counters but excluded from the byte-stable
     /// phases document the report hashes.

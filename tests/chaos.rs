@@ -6,8 +6,8 @@
 //! Schedules are drawn from `minicheck` streams, so every failure
 //! reports a seed that reproduces the exact schedule via
 //! `minicheck::check_seed`. The number of random schedules per property
-//! is `CHAOS_SCHEDULES` (default 8); `scripts/verify.sh` runs a bounded
-//! smoke pass with a smaller value.
+//! is `CHAOS_SCHEDULES` (default 8); `scripts/verify.sh` runs this file
+//! only through its `cargo test -q --workspace` stage, at that default.
 
 use std::cell::Cell;
 

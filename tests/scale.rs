@@ -1,23 +1,21 @@
 //! 64- and 128-node scale smoke tests for the conservative
 //! virtual-time scheduler.
 //!
-//! The watermark scheme's delivery condition quantifies over every
-//! live peer, so its failure mode is a cycle of nodes each waiting for
-//! another's watermark to advance — a risk that grows with cluster
-//! size and synchronization density, not workload size. These tests run
-//! a lock- and barrier-heavy program on clusters eight and sixteen
-//! times the paper's 8-node configuration to show the scheme stays
-//! live well past the scale every other test exercises. (The router's
-//! 60s watchdog turns a genuine scheduler deadlock into a panic with a
-//! full floor/heap dump, so a regression fails loudly here instead of
-//! hanging CI.)
+//! Every scheduler window waits for all running node threads to block,
+//! and every window bound quantifies over every live peer, so the cost
+//! and the liveness risk both grow with cluster size and
+//! synchronization density, not workload size. These tests run a lock-
+//! and barrier-heavy program on clusters eight and sixteen times the
+//! paper's 8-node configuration to show the scheduler stays live well
+//! past the scale every other test exercises. (A genuine scheduler
+//! deadlock — every live node blocked with nothing left to deliver —
+//! panics at once with every node's state and bound, so a regression
+//! fails loudly here instead of hanging CI.)
 //!
-//! The 128-node tier became affordable with the sharded scheduler:
-//! under the original single-mutex fabric the same workload took ~7.6 s
-//! *per run* in release (and far longer in debug), so the smoke stopped
-//! at 64. `scripts/verify.sh` additionally runs both tiers in release
-//! under a wall-clock ceiling, catching gross scheduler perf
-//! regressions alongside liveness.
+//! `scripts/verify.sh` runs both tiers only through its `cargo test -q
+//! --workspace` stage, in the default debug profile and with no
+//! wall-clock ceiling; the benchmark's `scale-128` workload is where
+//! the 128-node host time is watched.
 
 use ccl_core::{run_program, ClusterSpec, CrashPlan, Protocol, RunOutput};
 
@@ -26,7 +24,7 @@ const LOCKS: u32 = 8;
 
 /// Every node alternates contended lock work (all nodes hammer 8
 /// locks, incrementing shared counters) with full-cluster barriers —
-/// the pattern that maximizes simultaneous watermark waits.
+/// the pattern that maximizes simultaneous scheduler waits.
 fn spec(nodes: usize, protocol: Protocol) -> ClusterSpec {
     ClusterSpec::new(nodes, 16)
         .with_page_size(256)
