@@ -3,7 +3,7 @@
 use std::marker::PhantomData;
 use std::panic::panic_any;
 
-use hlrc::HlrcNode;
+use hlrc::{FaultTolerance, HlrcNode};
 use pagemem::Access;
 use simnet::{NodeId, SimDuration};
 
@@ -25,7 +25,7 @@ pub struct Dsm {
     /// Which of `crashes` have already fired (each fires once).
     fired: Vec<bool>,
     /// Detection delay of the crash currently unwinding, consumed by
-    /// [`Dsm::handle_crash`].
+    /// [`Dsm::restart`].
     pending_detection: SimDuration,
     barriers_done: u64,
     restored: Option<Vec<u8>>,
@@ -280,14 +280,26 @@ impl Dsm {
     // Runner plumbing
     // ------------------------------------------------------------
 
-    pub(crate) fn handle_crash(&mut self) {
-        let delay = std::mem::replace(&mut self.pending_detection, SimDuration::ZERO);
-        self.restored = self.node.crash_and_reset(delay);
-        self.alloc_cursor = 0;
-        self.barriers_done = 0;
-        // The re-run sets its own restart blob; don't let the dead
-        // incarnation's blob leak into the next cadence checkpoint.
-        self.ckpt_state.clear();
+    /// The program unwound from an injected crash: restart the node with
+    /// the fault-tolerance layer `ft`, built fresh ([`HlrcNode::restart`]),
+    /// and build the handle the program re-runs on, as [`Dsm::new`]
+    /// builds one. The handle keeps only the crash schedule (which
+    /// events already fired) and the checkpoint cadence.
+    pub(crate) fn restart(self, ft: Box<dyn FaultTolerance>) -> Dsm {
+        let Dsm {
+            node,
+            crashes,
+            fired,
+            pending_detection,
+            checkpoint_every,
+            ..
+        } = self;
+        let (node, restored) = node.restart(pending_detection, ft);
+        Dsm {
+            fired,
+            restored,
+            ..Dsm::new(node, crashes, checkpoint_every)
+        }
     }
 }
 

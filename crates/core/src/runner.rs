@@ -149,11 +149,13 @@ fn silence_crash_token_panics() {
 /// reachable until all protocol traffic has drained.
 ///
 /// With a [`crate::CrashPlan`], the failed node's program unwinds at the
-/// crash point, its volatile state is wiped, and the program re-runs
-/// from the start: with ML/CCL the re-run replays from the stable log
-/// (fast, no synchronization waits) until the log is exhausted, then
-/// resumes live execution; with `Protocol::None` the re-run is a plain
-/// re-execution.
+/// crash point, the node is rebuilt from what a crash keeps (its
+/// machine, the page→home map, its peers' unconsumed requests and the
+/// crash schedule; see [`hlrc::NodeInner::restart`]), and the program
+/// re-runs from the start: with ML/CCL the re-run replays from the
+/// stable log (fast, no synchronization waits) until the log is
+/// exhausted, then resumes live execution; with `Protocol::None` the
+/// re-run is a plain re-execution.
 pub fn run_program<R, F>(spec: ClusterSpec, program: F) -> RunOutput<R>
 where
     R: Send,
@@ -180,64 +182,81 @@ where
         if let Some((_, plan)) = spec.failures.disk_faults.iter().find(|(n, _)| *n == id) {
             ctx.disk.set_faults(*plan);
         }
-        let ft: Box<dyn hlrc::FaultTolerance> = match spec.protocol {
-            Protocol::None => Box::new(NoLogging),
-            Protocol::Ml => Box::new(ftlog::MlLogger::new()),
-            Protocol::Ccl if multi_crash => {
-                Box::new(ftlog::CclLogger::new().with_served_log_rebuild())
+        // The node's fault-tolerance layer, built at start and again at
+        // every crash: a restarted node keeps none of the dead one's.
+        let protocol = || -> Box<dyn hlrc::FaultTolerance> {
+            match spec.protocol {
+                Protocol::None => Box::new(NoLogging),
+                Protocol::Ml => Box::new(ftlog::MlLogger::new()),
+                Protocol::Ccl if multi_crash => {
+                    Box::new(ftlog::CclLogger::new().with_served_log_rebuild())
+                }
+                Protocol::Ccl => Box::new(ftlog::CclLogger::new()),
             }
-            Protocol::Ccl => Box::new(ftlog::CclLogger::new()),
         };
-        let node = HlrcNode::new(ctx, cfg, ft);
+        let node = HlrcNode::new(ctx, cfg, protocol());
         let mut dsm = Dsm::new(
             node,
             spec.failures.crashes.clone(),
             spec.checkpoint_every_barriers,
         );
-        let crashes_here = spec.failures.crashes.iter().any(|c| c.node == id);
-        let result = if crashes_here {
-            // Each scheduled crash event fires once; re-run the program
-            // after every unwind until it completes (multiple events at
-            // this node mean multiple recoveries, possibly with another
-            // node's recovery in flight).
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| program(&mut dsm))) {
-                    Ok(r) => break r,
-                    Err(payload) => {
-                        if payload.downcast_ref::<CrashToken>().is_none() {
-                            std::panic::resume_unwind(payload);
-                        }
-                        dsm.handle_crash();
-                    }
-                }
-            }
-        } else {
-            program(&mut dsm)
-        };
-        // Implicit final barrier: keeps managers and homes reachable
-        // until every node has finished all its protocol traffic.
-        dsm.barrier();
-        let inner = &mut dsm.node.inner;
-        let log_bytes_on_disk = (inner.ctx.disk.stream_bytes(ftlog::ML_STREAM)
-            + inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM))
-            as u64;
-        NodeOutput {
-            node: id,
-            result,
-            stats: inner.ctx.stats,
-            disk: inner.ctx.disk.counters(),
-            log_bytes_on_disk,
-            finish: inner.ctx.now(),
-            phases: inner.ctx.stats.phases(),
-            trace: inner.ctx.take_trace(),
-            trace_dropped: inner.ctx.trace_dropped(),
-            metrics: inner.ctx.metrics.clone(),
-            crashed_at: inner.ctx.crashed_at,
-            recovery_exit: inner.ctx.recovery_exit,
-            recovery_phases: inner.ctx.recovery_phases,
+        if spec.failures.crashes.iter().any(|c| c.node == id) {
+            return run_through_crashes(dsm, program, protocol);
         }
+        let result = program(&mut dsm);
+        finish(&mut dsm, result)
     });
     RunOutput { nodes: results }
+}
+
+/// Run `program` on a node with crash events scheduled. Each fires
+/// once; the program re-runs on the restarted node after every unwind
+/// until it completes (several events at this node mean several
+/// recoveries, possibly with another node's recovery in flight). Out of
+/// line, so the whole nodes a restart moves take stack in no other
+/// node's thread.
+#[inline(never)]
+fn run_through_crashes<R>(
+    mut dsm: Dsm,
+    program: &impl Fn(&mut Dsm) -> R,
+    protocol: impl Fn() -> Box<dyn hlrc::FaultTolerance>,
+) -> NodeOutput<R> {
+    loop {
+        match catch_unwind(AssertUnwindSafe(|| program(&mut dsm))) {
+            Ok(result) => return finish(&mut dsm, result),
+            Err(payload) => {
+                if payload.downcast_ref::<CrashToken>().is_none() {
+                    std::panic::resume_unwind(payload);
+                }
+                dsm = dsm.restart(protocol());
+            }
+        }
+    }
+}
+
+/// The program returned `result` on `dsm`'s node: run the implicit final
+/// barrier, which keeps managers and homes reachable until every node
+/// has finished all its protocol traffic, and collect the node's output.
+fn finish<R>(dsm: &mut Dsm, result: R) -> NodeOutput<R> {
+    dsm.barrier();
+    let inner = &mut dsm.node.inner;
+    let log_bytes_on_disk = (inner.ctx.disk.stream_bytes(ftlog::ML_STREAM)
+        + inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM)) as u64;
+    NodeOutput {
+        node: inner.me(),
+        result,
+        stats: inner.ctx.stats,
+        disk: inner.ctx.disk.counters(),
+        log_bytes_on_disk,
+        finish: inner.ctx.now(),
+        phases: inner.ctx.stats.phases(),
+        trace: inner.ctx.take_trace(),
+        trace_dropped: inner.ctx.trace_dropped(),
+        metrics: inner.ctx.metrics.clone(),
+        crashed_at: inner.ctx.crashed_at,
+        recovery_exit: inner.ctx.recovery_exit,
+        recovery_phases: inner.ctx.recovery_phases,
+    }
 }
 
 #[cfg(test)]

@@ -112,7 +112,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryImage, RecoveryStep, SyncKind, WriteNotice};
+use hlrc::{
+    FaultTolerance, Msg, NodeInner, NodeSet, RecoveryImage, RecoveryStep, SyncKind, WriteNotice,
+};
 use pagemem::codec::var_size;
 use pagemem::{
     Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
@@ -295,16 +297,15 @@ fn is_fetch_reply(m: &Msg) -> bool {
 /// surviving homes say this node held before the crash.
 #[derive(Default)]
 struct HeldPages {
-    /// Hello replies not yet received. Carried across crashes: a reply
-    /// to an earlier recovery's hello is consumed like any other (the
-    /// filter it feeds cannot affect correctness), so none is ever left
-    /// in flight at recovery exit.
+    /// Hello replies not yet received. None is left in flight at
+    /// recovery exit ([`FaultTolerance::finish_recovery`] waits for
+    /// them), so none at any crash point either.
     pending: usize,
-    /// Indexed by page: some home listed it as fetched by this node.
-    pages: Vec<bool>,
-    /// Indexed by node: that home's record is incomplete (or the home
-    /// already stopped), so every page homed there counts as held.
-    whole_homes: Vec<bool>,
+    /// The pages some home listed as fetched by this node.
+    pages: BTreeSet<PageId>,
+    /// The homes whose record is incomplete (or that already stopped),
+    /// so every page homed there counts as held.
+    whole_homes: NodeSet,
     /// The barrier manager's reply, and the list of this node's home
     /// writes it carries, is still to come.
     manager_due: bool,
@@ -317,9 +318,8 @@ struct HeldPages {
 
 /// Coherence-centric logging.
 pub struct CclLogger {
-    /// The stable stream and its device state. CCL issues flushes and
-    /// lets them drain in the background; a later flush queues behind
-    /// an unfinished one.
+    /// The stable stream. CCL issues flushes and lets them drain in the
+    /// background; a later flush queues behind an unfinished one.
     log: StableLog,
     staged: Vec<CclRecord>,
     replay: Option<CclReplay>,
@@ -327,11 +327,12 @@ pub struct CclLogger {
     /// memory: exactly the `Diffs` records of its stable log. Each is
     /// kept from the flush that persists it until the checkpoint that
     /// truncates the log, so a writer that lives serves from the memory
-    /// that made it. A crash wipes them, and the salvaged log refills
-    /// them, each once the scan started at the salvage holds its record
+    /// that made it. A crash drops them with the logger; the one the
+    /// node restarts with fills its own from the salvaged log, each diff
+    /// once the scan started at the salvage holds its record
     /// ([`FaultTolerance::begin_recovery`]).
     serve_cache: HashMap<(PageId, u32), (PageDiff, SimTime)>,
-    /// No miss is known before this: the end of the scan that refilled
+    /// No miss is known before this: the end of the scan that filled
     /// `serve_cache` after a crash.
     misses_known_at: SimTime,
     /// What the recovery handshake told this (recovering) node.
@@ -518,11 +519,9 @@ impl CclLogger {
         };
         self.held.pending = self.held.pending.saturating_sub(1);
         inner.ctx.charge_copy(4 * held.len());
-        for &p in held {
-            self.held.pages[p as usize] = true;
-        }
+        self.held.pages.extend(held);
         if !complete {
-            self.held.whole_homes[env.src] = true;
+            self.held.whole_homes.insert(env.src);
         }
         if env.src != inner.cfg.barrier_manager() {
             return;
@@ -995,7 +994,7 @@ impl CclLogger {
             let held = &self.held;
             pages.retain(|&p| {
                 let e = inner.pages.entry(p);
-                e.frame.is_some() || held.pages[p as usize] || held.whole_homes[e.home]
+                e.frame.is_some() || held.pages.contains(&p) || held.whole_homes.contains(e.home)
             });
         }
         // And the pages the interval this sync opens writes but does
@@ -1111,7 +1110,7 @@ impl FaultTolerance for CclLogger {
             let (cpu, drain) = self.flush_staged(inner);
             if drain > SimDuration::ZERO {
                 inner.ctx.charge_disk(cpu);
-                let _ = self.log.write_behind(inner, drain);
+                let _ = StableLog::write_behind(inner, drain);
             }
         }
     }
@@ -1153,7 +1152,7 @@ impl FaultTolerance for CclLogger {
         // background while the node computes on (the paper's
         // latency-tolerance technique). Visible: the copy, plus
         // backpressure from an undrained flush.
-        cpu + self.log.write_behind(inner, drain)
+        cpu + StableLog::write_behind(inner, drain)
     }
 
     fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
@@ -1162,10 +1161,6 @@ impl FaultTolerance for CclLogger {
         // salvage scan. The replies are collected by `recovery_wait` as
         // they arrive.
         let me = inner.me();
-        self.held.pages = vec![false; inner.pages.len()];
-        self.held.whole_homes = vec![false; inner.cfg.n_nodes];
-        self.held.home_writes.clear();
-        self.held.manager_due = false;
         for peer in (0..inner.cfg.n_nodes).filter(|&p| p != me) {
             let stopped = inner.ctx.stats.sends_to_stopped;
             inner
@@ -1174,18 +1169,12 @@ impl FaultTolerance for CclLogger {
                 .expect("send recovery hello");
             if inner.ctx.stats.sends_to_stopped > stopped {
                 // A finished peer answers nothing: assume the worst.
-                self.held.whole_homes[peer] = true;
+                self.held.whole_homes.insert(peer);
             } else {
                 self.held.pending += 1;
                 self.held.manager_due |= peer == inner.cfg.barrier_manager();
             }
         }
-        // A crash follows a barrier, and the one replayed barrier it can
-        // follow is the last one logged (an earlier count would have
-        // fired in the incarnation that wrote the log), where replay
-        // ends: no crash leaves a wave ahead in flight.
-        debug_assert!(self.replay.is_none(), "crashed in the middle of a replay");
-        self.staged.clear();
         let s = self.log.salvage(inner);
         // Any lost record may be an `Updates` the cluster already saw
         // this home apply (its writer's stable log still has the diff):
@@ -1208,7 +1197,6 @@ impl FaultTolerance for CclLogger {
         let scan = inner.ctx.disk.warm_scan(inner.ctx.now());
         // The crash wiped the diffs this node served: the same scan
         // brings each back, and a miss is known once it holds the log.
-        self.serve_cache.clear();
         let mut prefix = 0;
         for (rec, size) in &records {
             prefix += size;
@@ -1249,7 +1237,6 @@ impl FaultTolerance for CclLogger {
         // a prefix that lost its tail (see `lost_releases`): the writes
         // a live re-execution would redo are refetchable from nobody.
         // Synthesized records carry size 0: nothing is read for them.
-        self.saved_releases = None;
         if s.lost_tail && !s.meta_rot {
             let releases =
                 fetch_release_history(inner, |inner, is_reply| self.recovery_wait(inner, is_reply));
@@ -1421,6 +1408,10 @@ mod tests {
             ccl.flush_after_send(&mut inner);
             let records = inner.ctx.disk.peek_stream(CCL_STREAM).to_vec();
 
+            // The crash: node and logger restart with nothing but the disk.
+            drop(ccl);
+            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut ccl = CclLogger::new();
             ccl.begin_recovery(&mut inner);
             let scan = ccl.replay.as_ref().expect("replay scans").scan;
             let (mut prefix, mut served) = (0, 0);

@@ -4,9 +4,14 @@
 //! state (vector clock, interval counter, barrier epoch), and an opaque
 //! application-state blob. The first checkpoint writes every home page;
 //! subsequent checkpoints are incremental — only pages whose version
-//! advanced since the last checkpoint are written, and images that a
-//! newer checkpoint supersedes are compacted away so `CKPT_PAGES` holds
-//! at most one image per home page.
+//! advanced since the last checkpoint, or whose image did not survive on
+//! disk, are written, and images that a newer checkpoint supersedes are
+//! compacted away so `CKPT_PAGES` holds exactly one image per home page.
+//!
+//! A crash keeps nothing of a node's memory but the page→home map
+//! ([`hlrc::NodeInner::restart`]), so [`restore_meta`] reads the whole
+//! checkpoint back from disk: the metadata record, then every home
+//! page's image and version, each read charged.
 //!
 //! Checkpoints must be **coordinated at a barrier** (all nodes
 //! checkpoint at the same episode, holding no locks): that is what makes
@@ -94,7 +99,7 @@ impl Decode for CheckpointMeta {
     }
 }
 
-/// Why a persisted checkpoint record could not be restored.
+/// Why a persisted checkpoint could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
     /// The record's frame failed verification (torn tail, bit rot).
@@ -103,6 +108,10 @@ pub enum RestoreError {
     /// or a version skew, never silent corruption — the CRC rules that
     /// out).
     Codec(CodecError),
+    /// A page homed here has no image in the checkpoint: a damaged
+    /// `CKPT_PAGES` record cut it, with every image after it, off the
+    /// salvaged prefix.
+    MissingPage(u32),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -110,6 +119,7 @@ impl std::fmt::Display for RestoreError {
         match self {
             RestoreError::Frame(e) => write!(f, "checkpoint frame damaged: {e}"),
             RestoreError::Codec(e) => write!(f, "checkpoint payload undecodable: {e:?}"),
+            RestoreError::MissingPage(p) => write!(f, "checkpoint holds no image of page {p}"),
         }
     }
 }
@@ -120,6 +130,12 @@ fn payload_page(payload: &[u8]) -> Option<u32> {
     r.get_u32().ok()
 }
 
+/// A whole `CKPT_PAGES` payload: page id, version and page bytes.
+fn decode_image(payload: &[u8]) -> Result<(u32, VClock, Vec<u8>), CodecError> {
+    let mut r = ByteReader::new(payload);
+    Ok((r.get_u32()?, VClock::decode(&mut r)?, r.get_bytes()?))
+}
+
 /// Take a checkpoint of `inner` (call right after a barrier, with no
 /// locks held). Returns the stable-storage write time; the caller
 /// decides how to charge it.
@@ -128,7 +144,11 @@ fn payload_page(payload: &[u8]) -> Option<u32> {
 /// newer one of the same page are dropped, so the stream is bounded by
 /// one image per home page no matter how many checkpoints are taken.
 /// Only the newly written images are charged — retained ones are
-/// already on the platter.
+/// already on the platter. A home page is written when its version
+/// moved past the base, or when no image of it survives on disk: the
+/// salvage keeps only the prefix before a damaged record, and an
+/// unchanged page whose image went with the rest of that stream would
+/// otherwise never be written again.
 pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     // A permanently failed device cannot persist a checkpoint; taking
     // one anyway would desynchronize the in-memory base image from
@@ -136,26 +156,8 @@ pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     if inner.ctx.disk.has_failed() {
         return inner.ctx.disk.model().write_time(0);
     }
-    let me = inner.me();
-    // Incremental page set: anything whose version moved past the base.
-    let mut new_pages: Vec<(u32, Vec<u8>)> = Vec::new();
-    for (p, e) in inner.pages.iter() {
-        if e.home != me {
-            continue;
-        }
-        let version = e.version.as_ref().expect("home version");
-        let base_version = e.base_version.as_ref().expect("base version");
-        if version == base_version && inner.ctx.disk.record_count(CKPT_PAGES) > 0 {
-            continue; // unchanged since last checkpoint (and not the first)
-        }
-        let mut w = ByteWriter::new();
-        w.put_u32(p);
-        version.encode(&mut w);
-        w.put_bytes(e.frame.as_ref().expect("home frame").bytes());
-        new_pages.push((p, w.into_bytes()));
-    }
     // Salvage the current page stream and keep the latest surviving
-    // image per page, minus the pages this checkpoint rewrites.
+    // image per page.
     let prior_records = inner.ctx.disk.record_count(CKPT_PAGES);
     let old = frame::salvage(inner.ctx.disk.peek_stream(CKPT_PAGES));
     if !old.is_clean() {
@@ -169,8 +171,24 @@ pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
             retained.insert(p, payload); // later images supersede earlier
         }
     }
-    for (p, _) in &new_pages {
-        retained.remove(p);
+    // Incremental page set: anything whose version moved past the base
+    // or whose image is gone. The images these replace are dropped.
+    let me = inner.me();
+    let mut new_pages: Vec<(u32, Vec<u8>)> = Vec::new();
+    for (p, e) in inner.pages.iter() {
+        if e.home != me {
+            continue;
+        }
+        let version = e.version.as_ref().expect("home version");
+        if Some(version) == e.base_version.as_ref() && retained.contains_key(&p) {
+            continue; // unchanged since the last checkpoint, image intact
+        }
+        retained.remove(&p);
+        let mut w = ByteWriter::new();
+        w.put_u32(p);
+        version.encode(&mut w);
+        w.put_bytes(e.frame.as_ref().expect("home frame").bytes());
+        new_pages.push((p, w.into_bytes()));
     }
     // Every prior record either survives in `retained` or is dropped:
     // superseded by a newer image, replaced by this checkpoint, or
@@ -232,11 +250,17 @@ fn meta_epoch(inner: &NodeInner) -> u32 {
         .map_or(0, |f| f.epoch)
 }
 
-/// Restore checkpointed protocol state into `inner` (after a crash and
-/// `reset_to_base`). Returns the saved application blob, `Ok(None)` if
-/// no checkpoint was ever taken, or a [`RestoreError`] if the persisted
-/// record is damaged — the caller degrades to re-execution instead of
-/// trusting (or panicking on) rotten state.
+/// Restore the persisted checkpoint into `inner`, a node restarted
+/// after a crash ([`hlrc::NodeInner::restart`]) that kept nothing of its
+/// memory but the page→home map: first the metadata record (protocol
+/// state, migrated mappings), then every home page's image and version
+/// from `CKPT_PAGES`, each read charged. Returns the saved application
+/// blob, `Ok(None)` if no checkpoint was ever taken (the node restarts
+/// from the initial state, the implicit epoch-zero checkpoint), or a
+/// [`RestoreError`] if the checkpoint is damaged — the caller degrades
+/// to re-execution instead of trusting (or panicking on) rotten state.
+/// No frame and no protocol state is applied unless every home page
+/// has its image.
 pub fn restore_meta(inner: &mut NodeInner) -> Result<Option<Vec<u8>>, RestoreError> {
     let Some(bytes) = inner.ctx.disk.peek_stream(CKPT_META).first().cloned() else {
         return Ok(None);
@@ -245,33 +269,56 @@ pub fn restore_meta(inner: &mut NodeInner) -> Result<Option<Vec<u8>>, RestoreErr
     inner.ctx.charge_disk(cost);
     let frame = frame::decode_frame(&bytes).map_err(RestoreError::Frame)?;
     let meta = CheckpointMeta::decode_from_slice(&frame.payload).map_err(RestoreError::Codec)?;
+    let images = read_page_images(inner)?;
+    // Re-apply the checkpointed home migrations. The page→home map a
+    // crash keeps already holds them (migrations commit only at
+    // checkpoint barriers), so each is normally an idempotent skip; the
+    // explicit list is what makes the checkpoint self-describing.
+    for &(page, to) in &meta.home_overrides {
+        inner.pages.pin_home(page, to as usize);
+    }
+    let me = inner.me();
+    if let Some((page, _)) =
+        (inner.pages.iter()).find(|(p, e)| e.home == me && !images.contains_key(p))
+    {
+        return Err(RestoreError::MissingPage(page));
+    }
+    for (page, (version, data)) in images {
+        if inner.pages.is_home(page) {
+            inner.pages.restore_home(page, &data, version);
+        }
+    }
     inner.vc = meta.vc;
     inner.next_interval = meta.next_interval;
     inner.barrier_epoch = meta.barrier_epoch;
     inner.last_barrier_vc = meta.last_barrier_vc;
-    // Re-apply the checkpointed home migrations. The in-memory page
-    // table survives `reset_to_base` with its mapping intact, so each
-    // entry is normally an idempotent skip — the explicit list is what
-    // makes the checkpoint self-describing (and keeps recovery honest
-    // if the mapping ever stops being memory-resident).
-    let me = inner.me();
-    for &(page, to) in &meta.home_overrides {
-        let to = to as usize;
-        if inner.pages.entry(page).home == to {
-            continue;
-        }
-        debug_assert_ne!(
-            to, me,
-            "an adopted home must survive restart with its frame"
-        );
-        inner.pages.note_migrated(page, to);
-    }
     Ok(Some(meta.app_state))
+}
+
+/// Read `CKPT_PAGES` back: the salvaged prefix, one read call per image
+/// on one sequential scan started right after the metadata read
+/// ([`simnet::SimDisk::scan_read`]), each image decoded to its page,
+/// version and bytes.
+fn read_page_images(
+    inner: &mut NodeInner,
+) -> Result<BTreeMap<u32, (VClock, Vec<u8>)>, RestoreError> {
+    let salvaged = frame::salvage(inner.ctx.disk.peek_stream(CKPT_PAGES));
+    let mut scan = inner.ctx.disk.warm_scan(inner.ctx.now());
+    let mut images = BTreeMap::new();
+    for payload in salvaged.payloads {
+        let now = inner.ctx.now();
+        let cost = (inner.ctx.disk).scan_read(&mut scan, frame::framed_size(payload.len()), now);
+        inner.ctx.charge_disk(cost);
+        let (page, version, data) = decode_image(&payload).map_err(RestoreError::Codec)?;
+        images.insert(page, (version, data));
+    }
+    Ok(images)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FRAME_HEADER_BYTES;
     use hlrc::DsmConfig;
     use pagemem::IntervalId;
     use simnet::{run_cluster, CostModel};
@@ -311,21 +358,86 @@ mod tests {
 
             let d = take_checkpoint(&mut inner, b"iter=5");
             assert!(d > SimDuration::ZERO);
+            let images = inner.ctx.disk.peek_stream(CKPT_PAGES).to_vec();
+            assert_eq!(images.len(), 2, "one image per home page");
+            // A write after the checkpoint, which the crash loses.
+            inner.pages.frame_mut(0).write_u64(0, 43);
 
-            // Crash: wipe volatile state; base now carries the image.
-            inner.pages.reset_to_base();
-            inner.vc = VClock::new(1);
-            inner.next_interval = 0;
-            inner.barrier_epoch = 0;
-
+            // Crash: the restarted node knows nothing the disk does not.
+            let mut inner = inner.restart(SimDuration::ZERO);
+            assert_eq!(inner.pages.frame(0).read_u64(0), 0);
+            assert_eq!((inner.next_interval, inner.barrier_epoch), (0, 0));
+            let before = inner.ctx.disk.counters();
             let app = restore_meta(&mut inner)
-                .expect("meta intact")
+                .expect("checkpoint intact")
                 .expect("checkpoint exists");
             assert_eq!(app, b"iter=5");
             assert_eq!(inner.next_interval, 1);
             assert_eq!(inner.barrier_epoch, 2);
             assert!(inner.vc.covers(IntervalId { node: 0, seq: 0 }));
+            let e = inner.pages.entry(0);
             assert_eq!(inner.pages.frame(0).read_u64(0), 42);
+            assert_eq!(e.base.as_ref().unwrap().read_u64(0), 42);
+            assert!(e
+                .version
+                .as_ref()
+                .unwrap()
+                .covers(IntervalId { node: 0, seq: 0 }));
+            assert_eq!(e.base_version, e.version);
+            // One read for the metadata, one per image.
+            let after = inner.ctx.disk.counters();
+            let meta = inner.ctx.disk.stream_bytes(CKPT_META);
+            let pages: usize = images.iter().map(Vec::len).sum();
+            assert_eq!(after.reads - before.reads, 3);
+            assert_eq!(after.bytes_read - before.bytes_read, (meta + pages) as u64);
+        });
+    }
+
+    /// A damaged `CKPT_PAGES` record costs the salvage every image from
+    /// it on. The next checkpoint writes each of those pages again,
+    /// changed or not, so the stream is back to one image per home page,
+    /// and a restore brings every page back; a restore that finds a home
+    /// page without an image is an error, not a zeroed page.
+    #[test]
+    fn a_damaged_image_is_written_again_at_the_next_checkpoint() {
+        let cfg = DsmConfig::new(1, 4).with_page_size(64);
+        run_cluster::<hlrc::Msg, _, _>(1, CostModel::default(), move |ctx| {
+            let mut inner = NodeInner::new(ctx, cfg);
+            let write = |inner: &mut NodeInner, page: u32, seq: u32| {
+                inner.pages.frame_mut(page).write_u64(0, u64::from(seq) + 1);
+                inner
+                    .pages
+                    .note_home_write(page, IntervalId { node: 0, seq });
+            };
+            let garble = |inner: &mut NodeInner| {
+                let mut records = inner.ctx.disk.peek_stream(CKPT_PAGES).to_vec();
+                records[1][FRAME_HEADER_BYTES] ^= 0x01;
+                inner.ctx.disk.rewrite_stream(CKPT_PAGES, records, 0);
+            };
+            for page in 0..4 {
+                write(&mut inner, page, page);
+            }
+            take_checkpoint(&mut inner, b"");
+            garble(&mut inner);
+            write(&mut inner, 3, 4);
+            take_checkpoint(&mut inner, b"");
+            let images: Vec<u32> = frame::salvage(inner.ctx.disk.peek_stream(CKPT_PAGES))
+                .payloads
+                .iter()
+                .filter_map(|p| payload_page(p))
+                .collect();
+            assert_eq!(images, [0, 1, 2, 3], "one image per home page");
+
+            let mut inner = inner.restart(SimDuration::ZERO);
+            assert!(restore_meta(&mut inner).expect("restores").is_some());
+            let words: Vec<u64> = (0..4).map(|p| inner.pages.frame(p).read_u64(0)).collect();
+            assert_eq!(words, [1, 2, 3, 5]);
+
+            garble(&mut inner);
+            let mut inner = inner.restart(SimDuration::ZERO);
+            assert_eq!(restore_meta(&mut inner), Err(RestoreError::MissingPage(1)));
+            assert_eq!(inner.pages.frame(0).read_u64(0), 0, "nothing applied");
+            assert_eq!(inner.next_interval, 0, "nothing applied");
         });
     }
 

@@ -95,7 +95,7 @@ impl MlLogger {
         match self.log.write(inner, staged, false) {
             Written::Nothing => SimDuration::ZERO,
             Written::Refused { futile } => futile,
-            Written::Persisted { cpu, drain } => cpu + self.log.write_behind(inner, drain),
+            Written::Persisted { cpu, drain } => cpu + StableLog::write_behind(inner, drain),
         }
     }
 
@@ -172,12 +172,12 @@ impl MlLogger {
                     }
                     continue;
                 }
-                // A logged in-migration. Home mappings and checkpoint
-                // bases survive a crash (the checkpoint taken at the
-                // migration's own barrier covered the adopted page), so
-                // replay normally finds the adoption already reflected
-                // in the restored page table and only consumes the
-                // record; a still-premigration mapping adopts now.
+                // A logged in-migration. The home map survives a crash,
+                // and the checkpoint taken at the migration's own
+                // barrier holds the adopted page's image, so replay
+                // normally finds the adoption already reflected in the
+                // restored page table and only consumes the record; a
+                // still-premigration mapping adopts now.
                 (
                     Msg::HomeMigrate {
                         page,
@@ -223,7 +223,7 @@ impl MlLogger {
                     // their homes from before the crash).
                     inner.close_interval();
                     // Migrations before notices, as live execution does.
-                    // Mappings survive the crash, so these are normally
+                    // The home map survives the crash, so these are normally
                     // no-ops; in-migrations are absorbed from their own
                     // `HomeMigrate` records as replay reaches them.
                     let me = inner.me();
@@ -349,8 +349,6 @@ impl FaultTolerance for MlLogger {
 
     fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         inner.ctx.trace(TraceKind::RecoveryBegin);
-        self.staged.clear();
-        self.synthesized.clear();
         let s = self.log.salvage(inner);
         self.log_valid = s.payloads.len();
         // Replay to the cluster-visible horizon, not just to the end of

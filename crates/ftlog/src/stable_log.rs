@@ -3,10 +3,10 @@
 //! ML and CCL log different things at different moments, but what can
 //! happen to a flush — and what a recovery scan may find where the
 //! flush went — is a property of the device, so it lives here once.
-//! [`StableLog`] owns the stream name, the frame epoch and sequence, the
-//! two ways logging stops (`degraded`, `paused_full`) and the
-//! write-behind queue, and keeps the invariants every recovery argument
-//! leans on:
+//! [`StableLog`] owns the stream name, the frame epoch and sequence and
+//! the two ways logging stops (`degraded`, `paused_full`), queues
+//! batches on the device's write-behind queue, and keeps the invariants
+//! every recovery argument leans on:
 //!
 //! * **a refused batch is dropped whole and logging pauses** — until
 //!   [`StableLog::truncate_at_checkpoint`] reopens a full device (a
@@ -26,7 +26,7 @@
 
 use hlrc::{EpochRelease, NodeInner};
 use pagemem::PageId;
-use simnet::{LogObj, SimDuration, SimTime, TraceKind};
+use simnet::{LogObj, SimDuration, TraceKind};
 
 use crate::checkpoint::{self, CKPT_META};
 use crate::frame;
@@ -84,10 +84,10 @@ pub struct StableLog {
     /// The device is at capacity: the last flush was refused and
     /// logging is paused until a checkpoint truncates the log. In both
     /// states a crash replays the persisted prefix, then re-executes
-    /// live (degraded recovery).
+    /// live (degraded recovery). Both are read back from the device by
+    /// the recovery scan ([`StableLog::salvage`]): a restarted node
+    /// knows its disk's state from its disk.
     paused_full: bool,
-    /// When the device finishes draining the batches queued so far.
-    disk_free_at: SimTime,
 }
 
 impl StableLog {
@@ -99,7 +99,6 @@ impl StableLog {
             next_seq: 0,
             degraded: false,
             paused_full: false,
-            disk_free_at: SimTime::ZERO,
         }
     }
 
@@ -167,15 +166,13 @@ impl StableLog {
     }
 
     /// Queue a persisted batch's `drain` behind whatever the device is
-    /// still draining and let it proceed in the background. Returns the
-    /// backpressure: how long the node would have to stall for the
-    /// device to take the batch now.
-    pub fn write_behind(&mut self, inner: &mut NodeInner, drain: SimDuration) -> SimDuration {
-        let now = inner.ctx.now();
-        let backpressure = self.disk_free_at.saturating_since(now);
-        self.disk_free_at = now.max(self.disk_free_at) + drain;
+    /// still draining ([`simnet::SimDisk::write_behind`]) and let it
+    /// proceed in the background. Returns the backpressure: how long the
+    /// node would have to stall for the device to take the batch now.
+    pub fn write_behind(inner: &mut NodeInner, drain: SimDuration) -> SimDuration {
         inner.ctx.stats.disk_time_overlapped += drain;
-        backpressure
+        let now = inner.ctx.now();
+        inner.ctx.disk.write_behind(now, drain)
     }
 
     /// Recovery scan, run once after a crash: verify every frame, adopt
@@ -183,11 +180,12 @@ impl StableLog {
     /// tail off the stable stream so later appends stay contiguous,
     /// then restore the checkpoint the log begins at.
     pub fn salvage(&mut self, inner: &mut NodeInner) -> Salvaged {
-        if !self.accepting() || inner.ctx.disk.has_failed() {
+        self.degraded = inner.ctx.disk.has_failed();
+        self.paused_full = inner.ctx.disk.is_full();
+        if !self.accepting() {
             // The log device died (or filled) before the crash. Replay
             // whatever prefix made it to stable storage; the tail of
             // the pre-crash execution is simply re-executed live.
-            self.degraded = self.degraded || inner.ctx.disk.has_failed();
             inner.ctx.trace(TraceKind::RecoveryDegraded);
         }
         let stream = self.stream;
@@ -325,7 +323,7 @@ mod tests {
     use crate::{CclLogger, CclRecord, MlLogger, CCL_STREAM, ML_STREAM};
     use hlrc::{DsmConfig, FaultTolerance, Msg};
     use pagemem::{Encode, IntervalId};
-    use simnet::{run_cluster, CostModel, DiskFaultPlan};
+    use simnet::{run_cluster, CostModel, DiskFaultPlan, SimTime};
 
     const STREAM: &str = "test.log";
     /// Framed size of one test record (32 payload bytes).
@@ -393,8 +391,8 @@ mod tests {
             // Write-behind: the first batch drains in the background,
             // the next one queues behind it.
             let drain = inner.ctx.disk.model().drain_time(2 * REC);
-            assert_eq!(log.write_behind(inner, drain), SimDuration::ZERO);
-            assert_eq!(log.write_behind(inner, drain), drain);
+            assert_eq!(StableLog::write_behind(inner, drain), SimDuration::ZERO);
+            assert_eq!(StableLog::write_behind(inner, drain), drain);
             assert_eq!(inner.ctx.stats.disk_time_overlapped, drain + drain);
         });
     }

@@ -130,10 +130,12 @@ pub trait FaultTolerance: Send {
 
     // ---- crash recovery ----
 
-    /// Transition into recovery after a crash: rebuild replay state from
-    /// stable storage. Called once, right after the volatile state was
-    /// reset to the last checkpoint image. Returns the application blob
-    /// of that checkpoint, if there is one.
+    /// Transition into recovery after a crash: restore the last
+    /// checkpoint and build replay state from stable storage. Called
+    /// once, on the layer built fresh for the restarted node
+    /// ([`crate::HlrcNode::restart`]), whose protocol state holds nothing
+    /// but the page→home map. Returns the application blob of that
+    /// checkpoint, if there is one.
     fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         None
     }

@@ -80,19 +80,60 @@ pub struct NodeInner {
     stalled_requests: Vec<Envelope<Msg>>,
     /// Recovery fetches that wait for this node's own replay to
     /// re-reach a write they cover (see
-    /// [`PageTable::awaits_rebuild`]), in arrival order. Not touched by
-    /// a crash: a second one only makes them wait for the next replay.
+    /// [`PageTable::awaits_rebuild`]), in arrival order. Empty whenever
+    /// this node is live, so at every crash point.
     parked_fetches: Vec<Envelope<Msg>>,
 }
 
 impl NodeInner {
     /// Build the protocol state for the node owning `ctx`.
+    #[inline(always)]
     pub fn new(ctx: NodeCtx<Msg>, cfg: DsmConfig) -> NodeInner {
+        let pages = PageTable::new(&cfg, ctx.id());
+        NodeInner::with_pages(ctx, cfg, pages)
+    }
+
+    /// Simulate a crash of this node, noticed by the cluster after
+    /// `detection`, and build the protocol state it restarts with, as
+    /// [`NodeInner::new`] builds it, from what a crash keeps (DESIGN.md
+    /// §13, "What a crash keeps"). What recovery needs of the past it
+    /// reads back from the disk.
+    pub fn restart(self, detection: SimDuration) -> NodeInner {
+        let (mut ctx, cfg, homes) = self.into_kept();
+        ctx.mark_crashed(detection);
+        let pages = PageTable::restarted(&cfg, ctx.id(), homes);
+        NodeInner::with_pages(ctx, cfg, pages)
+    }
+
+    /// What a crash keeps of this node: the machine (clock, disk,
+    /// endpoint, stats, trace) with the requests peers sent that this
+    /// node had not consumed yet deferred there (the senders' only
+    /// copy), the configuration and the page→home map. The rest is
+    /// dropped on return, before anything is rebuilt.
+    fn into_kept(mut self) -> (NodeCtx<Msg>, DsmConfig, Vec<(NodeId, bool)>) {
+        // Parked fetches wait for a replay, and a crash fires only once
+        // replay is over.
+        debug_assert!(
+            self.parked_fetches.is_empty(),
+            "crashed with recovery fetches parked"
+        );
+        for env in std::mem::take(&mut self.stalled_requests) {
+            self.ctx.defer(env);
+        }
+        (self.ctx, self.cfg, self.pages.home_map())
+    }
+
+    /// The protocol state of a node that knows nothing but `pages`.
+    /// Inlined, like the constructors that call it: a node is some 6 KB,
+    /// and every by-value hop at construction would deepen the peak
+    /// stack of every node thread by a copy of it.
+    #[inline(always)]
+    fn with_pages(ctx: NodeCtx<Msg>, cfg: DsmConfig, pages: PageTable) -> NodeInner {
         let me = ctx.id();
         let n = cfg.n_nodes;
         assert_eq!(ctx.n_nodes(), n, "cluster size mismatch");
         NodeInner {
-            pages: PageTable::new(&cfg, me),
+            pages,
             vc: VClock::new(n),
             next_interval: 0,
             history: Vec::new(),
@@ -249,8 +290,15 @@ pub struct HlrcNode {
 
 impl HlrcNode {
     /// Create the node with the given fault-tolerance protocol.
+    #[inline(always)]
     pub fn new(ctx: NodeCtx<Msg>, cfg: DsmConfig, ft: Box<dyn FaultTolerance>) -> HlrcNode {
-        let mut inner = NodeInner::new(ctx, cfg);
+        HlrcNode::with_inner(NodeInner::new(ctx, cfg), ft)
+    }
+
+    /// Couple freshly built protocol state with `ft` (inlined for the
+    /// reason [`NodeInner::with_pages`] is).
+    #[inline(always)]
+    fn with_inner(mut inner: NodeInner, ft: Box<dyn FaultTolerance>) -> HlrcNode {
         if ft.retains_served_pages() {
             inner.pages.retain_served_pages();
         }
@@ -1175,43 +1223,32 @@ impl HlrcNode {
     // ---------------------------------------------------------------
 
     /// Simulate a crash of this node, noticed by the cluster after
-    /// `detection`: volatile state (page frames, clocks, manager
-    /// tables) reverts to the last checkpoint image; stable storage
-    /// survives. The fault-tolerance layer then prepares replay. The
-    /// caller restarts the application program, from the returned
+    /// `detection`, and restart it with the fault-tolerance layer `ft`,
+    /// built fresh: the dying layer and every volatile byte go, the
+    /// protocol state is rebuilt ([`NodeInner::restart`]), and `ft`
+    /// recovers from stable storage. The caller restarts the
+    /// application program on the returned node, from the returned
     /// application blob of the last checkpoint if there is one.
-    pub fn crash_and_reset(&mut self, detection: SimDuration) -> Option<Vec<u8>> {
-        let n = self.inner.cfg.n_nodes;
-        self.inner.ctx.mark_crashed(detection);
-        self.inner.pages.reset_to_base();
-        self.inner.vc = VClock::new(n);
-        self.inner.next_interval = 0;
-        self.inner.history.clear();
-        self.inner.last_barrier_vc = VClock::new(n);
-        self.inner.locks.clear();
-        if let Some(mgr) = self.inner.barrier_mgr.as_mut() {
-            *mgr = BarrierMgr::new(n);
-        }
-        self.inner.lock_grant_vcs.clear();
-        self.inner.barrier_epoch = 0;
-        self.inner.sync_events = 0;
-        self.inner.prefetch = PrefetchState::default();
-        self.inner.migration = MigrationState::default();
-        self.inner.in_barrier = false;
-        // Stalled requests are the senders' only copy: they wait out
-        // the replay with the rest of the deferred traffic.
-        for env in std::mem::take(&mut self.inner.stalled_requests) {
-            self.inner.ctx.defer(env);
-        }
-        let app = self.ft.begin_recovery(&mut self.inner);
-        if !self.ft.in_recovery() {
+    pub fn restart(
+        self,
+        detection: SimDuration,
+        ft: Box<dyn FaultTolerance>,
+    ) -> (HlrcNode, Option<Vec<u8>>) {
+        let HlrcNode { inner, ft: dying } = self;
+        // A crash fires after a barrier, and a replayed barrier it can
+        // follow is the last one logged, where replay ends.
+        debug_assert!(!dying.in_recovery(), "crashed in the middle of a replay");
+        drop(dying);
+        let mut node = HlrcNode::with_inner(inner.restart(detection), ft);
+        let app = node.ft.begin_recovery(&mut node.inner);
+        if !node.ft.in_recovery() {
             // Nothing to replay — no protocol log, an empty log, or a
             // failed log device (degraded recovery). Live re-execution
             // starts right away, so recovery formally ends here; without
             // this stamp `recovery_exit` would never be set.
-            self.exit_recovery();
+            node.exit_recovery();
         }
-        app
+        (node, app)
     }
 
     /// Leave recovery: give the fault-tolerance layer its last word

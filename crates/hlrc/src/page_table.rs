@@ -67,9 +67,10 @@ pub struct PageEntry {
     /// Home-copy version: per-writer count of applied intervals.
     /// `Some` only at the home node.
     pub version: Option<VClock>,
-    /// Last checkpointed home copy (initially all zeros): what a crash
-    /// of this node reverts the page to, and image 0 of the served log.
-    /// `Some` only at the home node.
+    /// Last checkpointed home copy (initially all zeros): image 0 of
+    /// the served log, and what the next incremental checkpoint
+    /// compares against. A crash does not keep it; the restart reads the
+    /// checkpoint image back from disk. `Some` only at the home node.
     pub base: Option<PageFrame>,
     /// Version of `base`.
     pub base_version: Option<VClock>,
@@ -114,6 +115,35 @@ pub struct PageEntry {
     pub migrated: bool,
 }
 
+impl PageEntry {
+    /// Page `home`'s entry as node `me` first holds it: a home copy
+    /// zeroed at version zero, or no copy at all.
+    fn fresh(home: NodeId, me: NodeId, n_nodes: usize, page_size: usize) -> PageEntry {
+        let at_home = home == me;
+        let zeroed = || PageFrame::zeroed(page_size);
+        let version_zero = || VClock::new(n_nodes);
+        PageEntry {
+            home,
+            state: if at_home {
+                PageState::ReadOnly
+            } else {
+                PageState::Invalid
+            },
+            frame: at_home.then(zeroed),
+            twin: None,
+            version: at_home.then(version_zero),
+            base: at_home.then(zeroed),
+            base_version: at_home.then(version_zero),
+            dirty: false,
+            copyset: NodeSet::default(),
+            served: ServedLog::default(),
+            shipped: None,
+            predicted: None,
+            migrated: false,
+        }
+    }
+}
+
 /// How far back the served logs of the pages homed here reach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServedLogs {
@@ -149,47 +179,37 @@ impl PageTable {
     /// Build the table for node `me`: home pages get zeroed frames and
     /// zeroed version clocks; remote pages start `Invalid` with no frame.
     pub fn new(cfg: &DsmConfig, me: NodeId) -> PageTable {
-        let page_size = cfg.layout.page_size();
-        let entries = (0..cfg.n_pages)
-            .map(|p| {
-                let home = cfg.home_of(p);
-                if home == me {
-                    PageEntry {
-                        home,
-                        state: PageState::ReadOnly,
-                        frame: Some(PageFrame::zeroed(page_size)),
-                        twin: None,
-                        version: Some(VClock::new(cfg.n_nodes)),
-                        base: Some(PageFrame::zeroed(page_size)),
-                        base_version: Some(VClock::new(cfg.n_nodes)),
-                        dirty: false,
-                        copyset: NodeSet::default(),
-                        served: ServedLog::default(),
-                        shipped: None,
-                        predicted: None,
-                        migrated: false,
-                    }
-                } else {
-                    PageEntry {
-                        home,
-                        state: PageState::Invalid,
-                        frame: None,
-                        twin: None,
-                        version: None,
-                        base: None,
-                        base_version: None,
-                        dirty: false,
-                        copyset: NodeSet::default(),
-                        served: ServedLog::default(),
-                        shipped: None,
-                        predicted: None,
-                        migrated: false,
-                    }
-                }
-            })
-            .collect();
+        let homes = (0..cfg.n_pages).map(|p| (cfg.home_of(p), false));
+        PageTable::of(cfg, me, homes)
+    }
+
+    /// The table of node `me` restarting after a crash, built as
+    /// [`PageTable::new`] builds one, from the one thing the crash kept
+    /// of the old table: its [`home_map`](Self::home_map). Home pages
+    /// are zeroed at version zero until the checkpoint restore fills
+    /// them in ([`PageTable::restore_home`]). The directory is marked
+    /// lost, which is what a restarted node knows: neither what the
+    /// cluster fetched from this home before the crash nor what it was
+    /// sent.
+    pub fn restarted(cfg: &DsmConfig, me: NodeId, homes: Vec<(NodeId, bool)>) -> PageTable {
+        debug_assert_eq!(homes.len(), cfg.n_pages as usize);
         PageTable {
-            entries,
+            copysets_complete: false,
+            served_logs: ServedLogs::Lost,
+            ..PageTable::of(cfg, me, homes.into_iter())
+        }
+    }
+
+    /// A table of fresh entries over `homes`: each page's home, and
+    /// whether a migration pinned it there.
+    fn of(cfg: &DsmConfig, me: NodeId, homes: impl Iterator<Item = (NodeId, bool)>) -> PageTable {
+        let page_size = cfg.layout.page_size();
+        let entries = homes.map(|(home, migrated)| PageEntry {
+            migrated,
+            ..PageEntry::fresh(home, me, cfg.n_nodes, page_size)
+        });
+        PageTable {
+            entries: entries.collect(),
             page_size,
             me,
             n_nodes: cfg.n_nodes,
@@ -197,6 +217,15 @@ impl PageTable {
             retain_served: false,
             served_logs: ServedLogs::Whole,
         }
+    }
+
+    /// The page→home map: each page's home, and whether a migration
+    /// pinned it there. The program's allocation, identical on every
+    /// node, and all a crash of this node keeps of the table: recovery
+    /// routes its first requests by it before the re-run program
+    /// allocates again.
+    pub fn home_map(&self) -> Vec<(NodeId, bool)> {
+        self.entries.iter().map(|e| (e.home, e.migrated)).collect()
     }
 
     /// From here on, keep the write history of every page homed here
@@ -469,34 +498,6 @@ impl PageTable {
         copies
     }
 
-    /// Reset all volatile state to the post-checkpoint image: home copies
-    /// revert to their checkpoint base, remote copies are dropped.
-    /// Stable storage (the disk) is *not* touched — that is the point.
-    pub fn reset_to_base(&mut self) {
-        // The copysets were volatile: what the cluster fetched from
-        // this home before the crash is no longer known, and neither is
-        // what it was sent.
-        self.copysets_complete = false;
-        self.served_logs = ServedLogs::Lost;
-        for e in &mut self.entries {
-            e.twin = None;
-            e.dirty = false;
-            e.copyset.clear();
-            e.served.clear();
-            e.shipped = None;
-            e.predicted = None;
-            if e.home == self.me {
-                let base = e.base.as_ref().expect("home base missing").clone();
-                e.frame = Some(base);
-                e.version = e.base_version.clone();
-                e.state = PageState::ReadOnly;
-            } else {
-                e.frame = None;
-                e.state = PageState::Invalid;
-            }
-        }
-    }
-
     /// Promote current home copies to be the new checkpoint base
     /// (called when a checkpoint is taken). The served logs restart
     /// from it: see [`ServedLog::truncate_at_checkpoint`].
@@ -511,39 +512,45 @@ impl PageTable {
         }
     }
 
+    /// Restore home page `page` from its checkpoint image after a
+    /// restart: frame and base both become `data`, at `version`.
+    pub fn restore_home(&mut self, page: PageId, data: &[u8], version: VClock) {
+        let e = &mut self.entries[page as usize];
+        debug_assert_eq!(e.home, self.me, "restoring a page not homed here");
+        e.frame = Some(PageFrame::from_bytes(data));
+        e.base = Some(PageFrame::from_bytes(data));
+        e.version = Some(version.clone());
+        e.base_version = Some(version);
+    }
+
     /// Reassign `page`'s home (explicit data distribution, as the
     /// paper-era applications do). Must be called identically on every
     /// node before the page is first accessed; idempotent, so a
     /// post-crash re-execution of the allocation phase is harmless.
     pub fn set_home(&mut self, page: PageId, home: NodeId) {
-        let n = self.n_nodes;
-        let e = &mut self.entries[page as usize];
+        let e = &self.entries[page as usize];
         // A migrated mapping outranks the static assignment: a crashed
         // node re-executing its allocation phase must keep routing to
         // the migrated home, not the allocation-time one.
         if e.home == home || e.migrated {
             return;
         }
-        e.home = home;
-        if home == self.me {
-            e.state = PageState::ReadOnly;
-            e.frame = Some(PageFrame::zeroed(self.page_size));
-            e.version = Some(VClock::new(n));
-            e.base = Some(PageFrame::zeroed(self.page_size));
-            e.base_version = Some(VClock::new(n));
-        } else {
-            e.state = PageState::Invalid;
-            e.frame = None;
-            e.version = None;
-            e.base = None;
-            e.base_version = None;
+        self.rehome(page, home);
+    }
+
+    /// A checkpoint says a migration moved `page` to `home`: pin the
+    /// mapping there. A page this makes homed here starts as a fresh
+    /// home copy, for the checkpoint restore to fill in.
+    pub fn pin_home(&mut self, page: PageId, home: NodeId) {
+        if self.entries[page as usize].home != home {
+            self.rehome(page, home);
         }
-        e.twin = None;
-        e.dirty = false;
-        e.copyset.clear();
-        e.served.clear();
-        e.shipped = None;
-        e.predicted = None;
+        self.entries[page as usize].migrated = true;
+    }
+
+    /// Make `page` a fresh entry homed at `home`.
+    fn rehome(&mut self, page: PageId, home: NodeId) {
+        self.entries[page as usize] = PageEntry::fresh(home, self.me, self.n_nodes, self.page_size);
     }
 
     /// Old home's side of a barrier-committed migration: hand the home
@@ -804,23 +811,56 @@ mod tests {
     }
 
     #[test]
-    fn reset_to_base_restores_checkpoint_image() {
-        let mut t = PageTable::new(&cfg(), 0);
+    fn a_restarted_table_keeps_only_the_home_map() {
+        let cfg = cfg();
+        let mut t = PageTable::new(&cfg, 0);
+        t.set_home(1, 1);
+        t.set_home(3, 0);
+        t.note_migrated(2, 1);
         t.frame_mut(0).write_u64(0, 99);
-        t.install_copy(2, &[1u8; 64], PageState::ReadOnly, &mut BufferPool::new(64));
-        t.reset_to_base();
-        assert_eq!(t.frame(0).read_u64(0), 0, "home copy back to base");
-        assert!(t.entry(2).frame.is_none(), "remote copies dropped");
+        t.promote_base();
+        t.install_copy(1, &[1u8; 64], PageState::ReadOnly, &mut BufferPool::new(64));
+        let homes = t.home_map();
+        assert_eq!(homes, [(0, false), (1, false), (1, true), (0, false)]);
+        let r = PageTable::restarted(&cfg, 0, homes);
+        assert_eq!(r.home_map(), t.home_map());
+        // Home copies start over from zero, checkpoint base included:
+        // the restart reads the image back from disk.
+        for page in [0, 3] {
+            let e = r.entry(page);
+            assert_eq!(e.frame.as_ref().unwrap().read_u64(0), 0);
+            assert_eq!(e.base.as_ref().unwrap().read_u64(0), 0);
+            assert_eq!(e.version, Some(VClock::new(2)));
+        }
+        assert!(r.entry(1).frame.is_none(), "remote copies dropped");
+        assert_eq!(r.entry(1).state, PageState::Invalid);
+        // A migration pins the mapping through the re-run allocation.
+        let mut r = r;
+        r.set_home(2, 0);
+        assert_eq!(r.entry(2).home, 1);
+        // The restore fills a home copy in from its checkpoint image.
+        let mut v = VClock::new(2);
+        v.set(1, 4);
+        r.restore_home(0, &[7u8; 64], v.clone());
+        assert_eq!(r.frame(0).bytes(), &[7u8; 64][..]);
+        assert_eq!(r.entry(0).base.as_ref().unwrap().bytes(), &[7u8; 64][..]);
+        assert_eq!(
+            (&r.entry(0).version, &r.entry(0).base_version),
+            (&Some(v.clone()), &Some(v))
+        );
     }
 
     #[test]
     fn promote_base_captures_current_state() {
         let mut t = PageTable::new(&cfg(), 0);
         t.frame_mut(0).write_u64(0, 42);
+        t.note_home_write(0, IntervalId { node: 0, seq: 0 });
         t.promote_base();
         t.frame_mut(0).write_u64(0, 77);
-        t.reset_to_base();
-        assert_eq!(t.frame(0).read_u64(0), 42);
+        let e = t.entry(0);
+        assert_eq!(e.base.as_ref().unwrap().read_u64(0), 42);
+        assert_eq!(e.base_version, e.version);
+        assert_eq!(t.frame(0).read_u64(0), 77);
     }
 
     #[test]
@@ -911,7 +951,8 @@ mod tests {
         let (pos, image) = t.recovery_image(0, &version).expect("retained");
         assert!(pos == 1 && image.ptr_eq(&first));
         // A crashed home has nothing to select from until it checkpoints.
-        t.reset_to_base();
+        let mut t = PageTable::restarted(&cfg(), 0, t.home_map());
+        t.retain_served_pages();
         assert!(t.recovery_image(0, &version).is_none());
         t.promote_base();
         assert!(t.recovery_image(0, &version).is_some());
@@ -980,7 +1021,7 @@ mod tests {
     fn a_crash_or_an_adoption_makes_the_copysets_unknown() {
         let mut t = PageTable::new(&cfg(), 0);
         t.note_remote_fetch(0, 1);
-        t.reset_to_base();
+        let mut t = PageTable::restarted(&cfg(), 0, t.home_map());
         assert!(!t.copysets_complete());
         assert!(t.held_by(1).is_empty() && t.entry(0).copyset.is_empty());
         // Fetches after the wipe are recorded again.

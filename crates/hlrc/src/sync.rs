@@ -135,11 +135,6 @@ impl LockTable {
         let n = self.n_nodes;
         self.locks.entry(lock).or_insert_with(|| LockState::new(n))
     }
-
-    /// Drop all state (crash of the manager wipes volatile memory).
-    pub fn clear(&mut self) {
-        self.locks.clear();
-    }
 }
 
 /// Barrier-manager state for the current episode.
@@ -340,14 +335,6 @@ mod tests {
         st.record_release(&vc, &[notice(1, 0, 0), notice(1, 0, 0)], SimTime(1));
         st.record_release(&vc, &[notice(1, 0, 0)], SimTime(2));
         assert_eq!(st.notices.as_slice(), &[notice(1, 0, 0)]);
-    }
-
-    #[test]
-    fn lock_clear_wipes_state() {
-        let mut t = LockTable::new(2);
-        t.state_mut(0).held = true;
-        t.clear();
-        assert!(!t.state_mut(0).held);
     }
 
     #[test]

@@ -67,6 +67,7 @@ enum Op {
 }
 
 struct Home {
+    cfg: DsmConfig,
     table: PageTable,
     pages: Vec<PageModel>,
     next_seq: [u32; NODES],
@@ -83,6 +84,7 @@ impl Home {
         let mut table = PageTable::new(&cfg, 0);
         table.retain_served_pages();
         Home {
+            cfg,
             table,
             pages: (0..n_pages).map(|_| PageModel::default()).collect(),
             next_seq: [0; NODES],
@@ -362,7 +364,16 @@ impl Home {
     ) -> Result<(), String> {
         let order = self.rebuilt_order();
         let ops = self.ops.clone();
-        self.table.reset_to_base();
+        // The crash: the table restarts from the home map, and the
+        // checkpoint restore brings every home page's base back.
+        let images: Vec<_> = (self.table.iter())
+            .filter_map(|(p, e)| Some((p, e.base.clone()?, e.base_version.clone()?)))
+            .collect();
+        self.table = PageTable::restarted(&self.cfg, 0, self.table.home_map());
+        self.table.retain_served_pages();
+        for (page, base, version) in images {
+            self.table.restore_home(page, base.bytes(), version);
+        }
         self.table
             .rebuild_served_logs(ops.iter().filter_map(|op| match op {
                 Op::Diff(page, iv, ..) => Some((*page, *iv)),

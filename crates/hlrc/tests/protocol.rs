@@ -384,7 +384,7 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             node.barrier(); // serves node 1's requests while gathering
             let held = node.inner.pages.held_by(1);
             let complete = node.inner.pages.copysets_complete();
-            node.crash_and_reset(SimDuration::ZERO);
+            let (mut node, _) = node.restart(SimDuration::ZERO, Box::new(NoLogging));
             // Serve the post-crash hello until node 1 releases us.
             node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
             vec![(held, complete)]
@@ -535,7 +535,7 @@ fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
         if node.inner.me() == 0 {
             node.write_u64(8, 0xA1);
             node.barrier(); // serves node 1's requests while gathering
-            node.crash_and_reset(SimDuration::ZERO);
+            let (mut node, _) = node.restart(SimDuration::ZERO, Box::new(Retaining));
             node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
             Vec::new()
         } else {
@@ -743,12 +743,14 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
         }],
     };
     let word = |data: &[u8], at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
-    let got = run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
-        let ft = Rebuilding {
+    let rebuilding = move || {
+        Box::new(Rebuilding {
             replaying: false,
             updates: vec![(2, d1)],
-        };
-        let mut node = HlrcNode::new(ctx, cfg, Box::new(ft));
+        })
+    };
+    let got = run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
+        let mut node = HlrcNode::new(ctx, cfg, rebuilding());
         let send = |node: &mut HlrcNode, to, msg| node.inner.ctx.send(to, msg).expect("send");
         if node.inner.me() == 1 {
             node.write_u64(PAGE2 + 8, 0xA1);
@@ -756,7 +758,7 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
             node.wait_for(|m| is_mark(m, 1)); // serves the flush and both fetches
             node.write_u64(PAGE2 + 24, 0xB2);
             node.barrier();
-            node.crash_and_reset(SimDuration::ZERO);
+            let (mut node, _) = node.restart(SimDuration::ZERO, rebuilding());
             // Replay, by hand: the interval, then the update.
             node.write_u64(PAGE2 + 8, 0xA1);
             node.write_u64(PAGE2 + 24, 0xB2);
@@ -895,7 +897,7 @@ fn early_lock_request_waits_out_the_barrier(crash: bool) {
             if crash {
                 // No log: the restart re-executes barrier 0, which the
                 // manager answers from its release history.
-                node.crash_and_reset(SimDuration::ZERO);
+                node = node.restart(SimDuration::ZERO, Box::new(NoLogging)).0;
                 assert_eq!(grants(&node), 0, "granted at epoch 0 after the crash");
                 node.barrier();
             }

@@ -51,6 +51,10 @@ pub struct SimDisk {
     /// The most recent successful flush: `(stream, first record index)`.
     /// A mid-flush crash tears into exactly this batch.
     last_flush: Option<(String, usize)>,
+    /// When the device finishes draining the batches queued behind the
+    /// node's back so far ([`SimDisk::write_behind`]). The queue is the
+    /// device's: it drains on through a crash of its node.
+    free_at: SimTime,
 }
 
 /// One sequential scan of a stream from its first byte, continuing
@@ -90,6 +94,7 @@ impl SimDisk {
             failed: false,
             full: false,
             last_flush: None,
+            free_at: SimTime::ZERO,
         }
     }
 
@@ -244,6 +249,16 @@ impl SimDisk {
             cost += self.model.write_time(bytes);
         }
         cost
+    }
+
+    /// Queue a batch the OS cache took at `now` behind whatever the
+    /// device is still draining, `drain` long, and let it proceed in the
+    /// background. Returns the backpressure: how long a writer would
+    /// stall for the device to take the batch now.
+    pub fn write_behind(&mut self, now: SimTime, drain: SimDuration) -> SimDuration {
+        let backpressure = self.free_at.saturating_since(now);
+        self.free_at = now.max(self.free_at) + drain;
+        backpressure
     }
 
     /// Tear into the most recent successful flush, as a crash landing

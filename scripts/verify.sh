@@ -19,6 +19,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> shipped examples in release (each asserts its digests; crash_and_recover that ML and CCL recovery reproduce the failure-free one)"
+for example in quickstart weather_shallow molecular_water crash_and_recover log_anatomy; do
+    cargo run -q --release --example "$example" >/dev/null
+done
+
 echo "==> report (smoke + paper matrices, smoke chaos cells included, vs their goldens, EXPERIMENTS.md tables; writes nothing)"
 ./target/release/report
 

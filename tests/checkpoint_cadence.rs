@@ -406,3 +406,185 @@ fn a_ccl_writer_serves_exactly_the_diffs_its_log_holds() {
         "node 1's device did not fill after the last checkpoint"
     );
 }
+
+/// Reading the checkpoint back is as deterministic as the rest of a
+/// run: one cadence-plus-crash spec, run twice, gives bit-identical
+/// digests, execution time, recovery exit and disk counters.
+#[test]
+fn a_cadence_crash_run_reads_its_checkpoint_back_deterministically() {
+    for p in [Protocol::Ml, Protocol::Ccl] {
+        let spec = spec(p)
+            .with_checkpoint_cadence(5)
+            .with_crash(CrashPlan::new(1, 17));
+        let a = run_program(spec.clone(), program);
+        let b = run_program(spec, program);
+        assert_correct("cadence+crash", &a);
+        assert!(a.nodes[1].disk.reads > 0, "{p:?}: nothing read back");
+        assert_eq!(a.exec_time(), b.exec_time(), "{p:?}");
+        for (x, y) in a.nodes.iter().zip(&b.nodes) {
+            let node = x.node;
+            assert_eq!(x.result, y.result, "{p:?}: node {node}");
+            assert_eq!(x.recovery_exit, y.recovery_exit, "{p:?}: node {node}");
+            assert_eq!(x.disk, y.disk, "{p:?}: node {node}");
+        }
+    }
+}
+
+/// What node 1 of [`hand_run`] saw of its checkpoint and its restart.
+#[derive(Debug, Default)]
+struct Restart {
+    /// The pages `CKPT_PAGES` holds an image of after the checkpoint
+    /// that follows the garble (all of them when nothing was garbled).
+    imaged: Vec<u32>,
+    /// Its home frames as the last checkpoint before the crash took
+    /// them, and as the restart left them.
+    checkpointed: Vec<Vec<u8>>,
+    restored: Vec<Vec<u8>>,
+    /// Records and bytes of `ckpt.meta` and `ckpt.pages` at the crash.
+    ckpt_records: u64,
+    ckpt_bytes: u64,
+    /// Disk reads, and bytes read, between the crash and the return of
+    /// the restart.
+    reads: u64,
+    bytes_read: u64,
+}
+
+/// Nine pages on three nodes, node `k` homing pages `3k..3k + 3`. Each
+/// round node `k` writes a word of its first home page, a word of the
+/// second home page of the next node (a diff) and reads the first home
+/// page of the node after that (a fetch); nobody writes a third home
+/// page. Every node checkpoints after every second barrier. With
+/// `garble`, node 1 damages the second record of its `CKPT_PAGES` right
+/// after the first checkpoint; with `crash`, it crashes after barrier 5
+/// and restarts as the runner restarts it. Driven by hand so the test
+/// can look at the disk and the page table where the runner cannot.
+/// Returns every node's digest of all nine pages, and node 1's
+/// [`Restart`].
+fn hand_run(protocol: Protocol, garble: bool, crash: bool) -> Vec<(u64, Restart)> {
+    use ftlog::{CclLogger, MlLogger, CKPT_META, CKPT_PAGES};
+    use hlrc::{DsmConfig, FaultTolerance, HlrcNode};
+    use simnet::SimDuration;
+
+    const HOMED: usize = 3;
+    const PAGE_SIZE: usize = 256;
+    const ROUNDS: u64 = 8;
+    let n = NODES as usize;
+    let cfg = DsmConfig::new(n, (n * HOMED) as u32).with_page_size(PAGE_SIZE);
+    let logger = move || -> Box<dyn FaultTolerance> {
+        match protocol {
+            Protocol::Ml => Box::new(MlLogger::new()),
+            Protocol::Ccl => Box::new(CclLogger::new()),
+            Protocol::None => unreachable!("no checkpoint to restore"),
+        }
+    };
+    let word = |page: usize, word: usize| page * PAGE_SIZE + 8 * word;
+    simnet::run_cluster::<hlrc::Msg, _, _>(n, cfg.cost, move |ctx| {
+        let me = ctx.id();
+        let homes = |k: usize| HOMED * (k % n);
+        let frames = |node: &HlrcNode| -> Vec<Vec<u8>> {
+            (homes(me)..homes(me) + HOMED)
+                .map(|p| node.frame(p as u32).bytes().to_vec())
+                .collect()
+        };
+        let mut node = HlrcNode::new(ctx, cfg, logger());
+        let mut seen = Restart::default();
+        let mut round = 0;
+        while round < ROUNDS {
+            let value = round + 1;
+            node.write_u64(word(homes(me), round as usize), value);
+            node.write_u64(word(homes(me + 1) + 1, me), value);
+            let _ = node.read_u64(word(homes(me + 2), 0));
+            node.barrier();
+            round += 1;
+            if round % 2 == 0 && !node.ft.in_recovery() {
+                let d = ftlog::take_checkpoint(&mut node.inner, &round.to_le_bytes());
+                node.inner.ctx.charge_disk(d);
+                node.ft.on_checkpoint(&mut node.inner);
+                let disk = &mut node.inner.ctx.disk;
+                if me == 1 && round == 2 && garble {
+                    let mut records = disk.peek_stream(CKPT_PAGES).to_vec();
+                    records[1][ftlog::FRAME_HEADER_BYTES] ^= 0x01;
+                    disk.rewrite_stream(CKPT_PAGES, records, 0);
+                }
+                if me == 1 && round == 4 {
+                    let salvaged = ftlog::salvage(disk.peek_stream(CKPT_PAGES));
+                    let page = |p: &Vec<u8>| u32::from_le_bytes(p[..4].try_into().unwrap());
+                    seen.imaged = salvaged.payloads.iter().map(page).collect();
+                    seen.imaged.sort_unstable();
+                    seen.ckpt_records =
+                        (disk.record_count(CKPT_META) + disk.record_count(CKPT_PAGES)) as u64;
+                    seen.ckpt_bytes =
+                        (disk.stream_bytes(CKPT_META) + disk.stream_bytes(CKPT_PAGES)) as u64;
+                    seen.checkpointed = frames(&node);
+                }
+            }
+            if me == 1 && round == 5 && crash && seen.restored.is_empty() {
+                let before = node.inner.ctx.disk.counters();
+                let (restarted, blob) = node.restart(SimDuration::ZERO, logger());
+                node = restarted;
+                let after = node.inner.ctx.disk.counters();
+                seen.reads = after.reads - before.reads;
+                seen.bytes_read = after.bytes_read - before.bytes_read;
+                seen.restored = frames(&node);
+                round =
+                    u64::from_le_bytes(blob.expect("the checkpoint restores").try_into().unwrap());
+            }
+        }
+        node.barrier();
+        let digest = (0..n * HOMED)
+            .flat_map(|p| (0..ROUNDS as usize).map(move |w| word(p, w)))
+            .fold(0u64, |h, addr| {
+                h.wrapping_mul(31).wrapping_add(node.read_u64(addr))
+            });
+        node.barrier();
+        (digest, seen)
+    })
+}
+
+/// A crash after a checkpoint restores the home frames from the disk,
+/// not from memory: right after the restart they equal the checkpoint's
+/// images (which differ from the initial ones), the restart read every
+/// image back, and the run reaches the fault-free digest.
+#[test]
+fn a_restart_reads_its_home_frames_back_from_the_checkpoint() {
+    for p in [Protocol::Ml, Protocol::Ccl] {
+        let clean = hand_run(p, false, false);
+        let crashed = hand_run(p, false, true);
+        let digests = |out: &[(u64, Restart)]| out.iter().map(|(d, _)| *d).collect::<Vec<_>>();
+        assert_eq!(digests(&crashed), digests(&clean), "{p:?}");
+        let seen = &crashed[1].1;
+        assert_eq!(seen.imaged, [3, 4, 5], "{p:?}");
+        assert_eq!(seen.restored, seen.checkpointed, "{p:?}");
+        let zero = vec![0u8; 256];
+        assert!(seen.checkpointed[..2].iter().all(|f| *f != zero), "{p:?}");
+        assert!(seen.reads >= seen.ckpt_records, "{p:?}: {seen:?}");
+        assert!(seen.bytes_read >= seen.ckpt_bytes, "{p:?}: {seen:?}");
+        if p == Protocol::Ml {
+            // ML reads its log at replay, not at the restart: what the
+            // restart read is the checkpoint, record for record.
+            assert_eq!(
+                (seen.reads, seen.bytes_read),
+                (seen.ckpt_records, seen.ckpt_bytes)
+            );
+        }
+    }
+}
+
+/// A damaged `CKPT_PAGES` record costs the salvage every image after it
+/// too, among them that of a page nobody writes again. The next
+/// checkpoint writes every page without an image, so the stream is back
+/// to one image per home page, and a crash after it restores them all
+/// and reaches the fault-free digest.
+#[test]
+fn a_checkpoint_rewrites_the_images_a_damaged_record_cost() {
+    for p in [Protocol::Ml, Protocol::Ccl] {
+        let clean = hand_run(p, false, false);
+        let crashed = hand_run(p, true, true);
+        let seen = &crashed[1].1;
+        assert_eq!(seen.imaged, [3, 4, 5], "{p:?}: one image per home page");
+        assert_eq!(seen.restored, seen.checkpointed, "{p:?}");
+        for (a, b) in clean.iter().zip(&crashed) {
+            assert_eq!(a.0, b.0, "{p:?}");
+        }
+    }
+}

@@ -886,6 +886,11 @@ fn a_writer_that_crashed_serves_only_what_its_salvage_kept() {
             inner.ctx.charge_wait(SimDuration::from_millis(50));
             let crashed = inner.ctx.now();
             assert!(inner.ctx.disk.tear_last_flush(7, false));
+            // The crash: node and logger restart with nothing but the
+            // disk, as the runner restarts them.
+            drop(ccl);
+            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut ccl = ftlog::CclLogger::new();
             ccl.begin_recovery(&mut inner);
             for _ in 0..2 {
                 let env = inner.ctx.recv().expect("logged diff request");
@@ -959,7 +964,8 @@ fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
                 node.ft
                     .on_notices(&mut node.inner, SyncKind::Barrier(epoch), &[notice], &vc);
             }
-            node.crash_and_reset(SimDuration::ZERO);
+            let ccl = Box::new(ftlog::CclLogger::new());
+            let (mut node, _) = node.restart(SimDuration::ZERO, ccl);
             node.barrier();
             assert!(node.inner.pages.entry(0).frame.is_some(), "restored");
             node.barrier();
