@@ -197,9 +197,7 @@ impl ClusterSpec {
 
     /// The derived HLRC configuration.
     pub fn dsm_config(&self) -> DsmConfig {
-        DsmConfig::new(self.nodes, self.shared_pages)
-            .with_page_size(self.page_size)
-            .with_cost(self.cost)
+        DsmConfig::new(self.nodes, self.shared_pages).with_page_size(self.page_size)
     }
 }
 

@@ -224,8 +224,6 @@ pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     }
     inner.ctx.trace(TraceKind::Checkpoint {
         bytes: (meta_record.len() + new_bytes) as u64,
-    });
-    inner.ctx.trace(TraceKind::CheckpointTaken {
         pages: new_pages.len() as u32,
         compacted: compacted as u32,
     });
@@ -319,7 +317,7 @@ fn read_page_images(
 mod tests {
     use super::*;
     use crate::frame::FRAME_HEADER_BYTES;
-    use hlrc::DsmConfig;
+    use hlrc::{DsmConfig, ServedLog};
     use pagemem::IntervalId;
     use simnet::{run_cluster, CostModel};
 
@@ -360,11 +358,17 @@ mod tests {
             assert!(d > SimDuration::ZERO);
             let images = inner.ctx.disk.peek_stream(CKPT_PAGES).to_vec();
             assert_eq!(images.len(), 2, "one image per home page");
+            // A node that retains no served pages (ML, None) keeps no
+            // image of its checkpoint in memory: the disk has it.
+            assert_eq!(inner.pages.entry(0).served, ServedLog::default());
             // A write after the checkpoint, which the crash loses.
             inner.pages.frame_mut(0).write_u64(0, 43);
 
             // Crash: the restarted node knows nothing the disk does not.
+            // Restarted as a CCL node, it keeps the restored image as
+            // image 0 of the served log it rebuilds.
             let mut inner = inner.restart(SimDuration::ZERO);
+            inner.pages.retain_served_pages();
             assert_eq!(inner.pages.frame(0).read_u64(0), 0);
             assert_eq!((inner.next_interval, inner.barrier_epoch), (0, 0));
             let before = inner.ctx.disk.counters();
@@ -377,13 +381,17 @@ mod tests {
             assert!(inner.vc.covers(IntervalId { node: 0, seq: 0 }));
             let e = inner.pages.entry(0);
             assert_eq!(inner.pages.frame(0).read_u64(0), 42);
-            assert_eq!(e.base.as_ref().unwrap().read_u64(0), 42);
             assert!(e
                 .version
                 .as_ref()
                 .unwrap()
                 .covers(IntervalId { node: 0, seq: 0 }));
             assert_eq!(e.base_version, e.version);
+            inner.pages.rebuild_served_logs(std::iter::empty());
+            let (pos, base) = (inner.pages)
+                .recovery_image(0, &VClock::new(1))
+                .expect("image 0");
+            assert_eq!((pos, &base[..8]), (0, &42u64.to_le_bytes()[..]));
             // One read for the metadata, one per image.
             let after = inner.ctx.disk.counters();
             let meta = inner.ctx.disk.stream_bytes(CKPT_META);

@@ -45,5 +45,4 @@ pub use frame::{
 };
 pub use log_record::CclRecord;
 pub use ml::{MlLogger, ML_STREAM};
-pub use recovery::replay_apply_notices;
 pub use stable_log::{lost_releases, Salvaged, StableLog, Written};

@@ -24,7 +24,7 @@
 //! idle time" and "high disk access latency" of §4.3), with no network
 //! traffic at all.
 
-use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind};
+use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind, WriteNotice};
 use pagemem::{Decode, Encode, PageId, PageState, VClock};
 use simnet::{LogObj, SimDuration, TraceKind};
 
@@ -42,7 +42,7 @@ struct ReplayRecord {
 }
 
 use crate::frame;
-use crate::recovery::{fetch_release_history, replay_apply_notices};
+use crate::recovery::fetch_release_history;
 use crate::stable_log::{lost_releases, trace_append_by_page, StableLog, Written};
 
 /// Stable-storage stream holding the ML log.
@@ -83,6 +83,17 @@ impl MlLogger {
             log_valid: 0,
             synthesized: Vec::new(),
         }
+    }
+
+    /// Stage `msg` whole, wrapped in the checksummed frame it will
+    /// persist under.
+    fn stage(&mut self, inner: &mut NodeInner, msg: &Msg) {
+        if !self.log.accepting() {
+            return;
+        }
+        let record = self.log.frame(&msg.encode_to_vec());
+        trace_ml_append(inner, msg, record.len() as u64);
+        self.staged.push(record);
     }
 
     /// Write the staged log through the OS cache. Returns the critical-
@@ -168,7 +179,7 @@ impl MlLogger {
                     let payload: usize = diffs.iter().map(|d| d.encoded_size()).sum();
                     inner.ctx.charge_copy(payload);
                     for d in diffs {
-                        inner.pages.apply_home_diff(d, *writer);
+                        inner.apply_home_diff(d, *writer);
                     }
                     continue;
                 }
@@ -202,7 +213,10 @@ impl MlLogger {
                 ) => {
                     assert_eq!(*l, lock, "ML replay drift: wrong lock grant");
                     inner.close_interval();
-                    replay_apply_notices(inner, notices, vc);
+                    let fresh = inner.replay_sync(SyncKind::Acquire(lock), notices, vc);
+                    invalidate_named(inner, &fresh);
+                    // The grant logged the lock's own clock, which the
+                    // next release measures its notices against.
                     inner.lock_grant_vcs.insert(lock, vc.clone());
                     notices.len()
                 }
@@ -233,8 +247,8 @@ impl MlLogger {
                             inner.pages.note_migrated(page, to);
                         }
                     }
-                    replay_apply_notices(inner, notices, vc);
-                    inner.close_barrier_epoch();
+                    let fresh = inner.replay_sync(SyncKind::Barrier(epoch), notices, vc);
+                    invalidate_named(inner, &fresh);
                     notices.len()
                 }
                 (Msg::PageReply { page: p, data, .. }, Want::Fault(page)) => {
@@ -259,6 +273,17 @@ impl MlLogger {
             });
             self.maybe_finish();
             return RecoveryStep::Replayed;
+        }
+    }
+}
+
+/// Drop the remote copies that replayed notices `fresh` name: replay
+/// re-reads each from its logged reply at the next fault on it.
+pub(crate) fn invalidate_named(inner: &mut NodeInner, fresh: &[WriteNotice]) {
+    let me = inner.me() as u32;
+    for n in fresh {
+        if n.interval.node != me && !inner.pages.is_home(n.page) {
+            inner.pages.invalidate(n.page, &mut inner.pool);
         }
     }
 }
@@ -291,31 +316,33 @@ impl Default for MlLogger {
 
 impl FaultTolerance for MlLogger {
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
-        if !self.log.accepting() {
-            return;
-        }
         let log_it = matches!(
             msg,
             Msg::PageReply { .. }
-                | Msg::DiffFlush { .. }
                 | Msg::LockGrant { .. }
                 | Msg::BarrierRelease { .. }
                 | Msg::HomeMigrate { .. }
         );
         if log_it {
-            // The whole message, wrapped in the checksummed frame it
-            // will persist under.
-            let record = self.log.frame(&msg.encode_to_vec());
-            trace_ml_append(inner, msg, record.len() as u64);
-            self.staged.push(record);
+            self.stage(inner, msg);
         }
+    }
+
+    fn on_diff_flush(&mut self, inner: &mut NodeInner, flush: &Msg) -> SimDuration {
+        // Receiver-based pessimistic logging: once the home acks a diff
+        // flush the writer discards its copy, leaving this log as the
+        // update's only surviving record. The frame must be durable
+        // before the ack goes out, or a crash tearing the final flush
+        // would silently lose an update the cluster already acted on.
+        self.stage(inner, flush);
+        self.flush_staged(inner)
     }
 
     fn on_notices(
         &mut self,
         inner: &mut NodeInner,
         kind: SyncKind,
-        _notices: &[hlrc::WriteNotice],
+        _notices: &[WriteNotice],
         _vc: &VClock,
     ) {
         // Flush at barrier completion so a barrier-aligned crash finds a
@@ -333,17 +360,6 @@ impl FaultTolerance for MlLogger {
     fn flush_before_send(&mut self, inner: &mut NodeInner) -> SimDuration {
         // The whole volatile log goes to disk before the node sends its
         // end-of-interval messages: no overlap, full critical path.
-        self.flush_staged(inner)
-    }
-
-    fn flush_before_ack(&mut self, inner: &mut NodeInner) -> SimDuration {
-        // Receiver-based pessimistic logging: once the home acks a diff
-        // flush the writer discards its copy, leaving this log as the
-        // update's only surviving record. The staged frame must be
-        // durable before the ack goes out, or a crash tearing the final
-        // flush would silently lose an update the cluster already acted
-        // on. (CCL does not need this gate — the writer's own stable
-        // log keeps the diff and recovery refetches it from there.)
         self.flush_staged(inner)
     }
 
@@ -418,5 +434,83 @@ impl FaultTolerance for MlLogger {
             return RecoveryStep::Replayed;
         }
         self.replay_to(inner, Want::Fault(page))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hlrc::DsmConfig;
+    use pagemem::{IntervalId, PageDiff, PageFrame, Twin};
+    use simnet::{run_cluster, CostModel};
+
+    /// A home meets a diff flush once: ML logs the whole message and
+    /// makes it durable before the ack may leave, so the write-ahead
+    /// wait it returns is the flush of that very frame.
+    #[test]
+    fn a_diff_flush_is_logged_whole_and_durable_before_its_ack() {
+        let cfg = DsmConfig::new(1, 2).with_page_size(64);
+        run_cluster::<Msg, _, _>(1, CostModel::default(), move |ctx| {
+            let mut inner = NodeInner::new(ctx, cfg);
+            let mut ml = MlLogger::new();
+            let base = PageFrame::zeroed(64);
+            let mut written = base.clone();
+            written.write_u64(8, 7);
+            let flush = Msg::DiffFlush {
+                writer: IntervalId { node: 1, seq: 0 },
+                diffs: vec![PageDiff::create(1, &Twin::of(&base), &written)],
+            };
+            let wait = ml.on_diff_flush(&mut inner, &flush);
+            assert!(wait > SimDuration::ZERO, "no write-ahead flush");
+            let log = inner.ctx.disk.peek_stream(ML_STREAM);
+            assert_eq!(log.len(), 1, "the frame is on disk, nothing else");
+            let payload = frame::decode_frame(&log[0]).expect("own frame").payload;
+            assert_eq!(Msg::decode_from_slice(&payload).expect("own record"), flush);
+        });
+    }
+
+    /// Only ML restores a replayed acquire's grant clock: its log holds
+    /// the lock's own clock, which the next release measures its notices
+    /// against. The node's merged clock in its place would cover this
+    /// node's own interval, and the release would drop its notice though
+    /// the lock's chain has not seen it.
+    #[test]
+    fn a_replayed_acquire_restores_the_lock_clock_its_grant_logged() {
+        let cfg = DsmConfig::new(2, 4).with_page_size(64);
+        run_cluster::<Msg, _, _>(2, CostModel::default(), move |ctx| {
+            if ctx.id() != 1 {
+                return;
+            }
+            let mut inner = NodeInner::new(ctx, cfg);
+            let mut ml = MlLogger::new();
+            let theirs = IntervalId { node: 0, seq: 0 };
+            let mut lock_vc = VClock::new(2);
+            lock_vc.observe(theirs);
+            let grant = Msg::LockGrant {
+                lock: 3,
+                vc: lock_vc.clone().into(),
+                notices: vec![WriteNotice {
+                    page: 0,
+                    interval: theirs,
+                }],
+            };
+            ml.on_incoming(&mut inner, &grant);
+            ml.flush_before_send(&mut inner);
+
+            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut ml = MlLogger::new();
+            ml.begin_recovery(&mut inner);
+            // Replay closes an interval that wrote home page 2 first.
+            inner.pages.entry_mut(2).dirty = true;
+            let step = ml.recovery_sync(&mut inner, SyncKind::Acquire(3));
+            assert_eq!(step, RecoveryStep::Replayed);
+            assert_eq!(*inner.lock_grant_vcs[&3], lock_vc);
+            let mine = IntervalId { node: 1, seq: 0 };
+            assert!(inner.vc.covers(mine) && inner.vc.covers(theirs));
+            assert!(
+                !inner.lock_grant_vcs[&3].covers(mine),
+                "the release sends it"
+            );
+        });
     }
 }

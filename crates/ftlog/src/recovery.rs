@@ -1,30 +1,7 @@
 //! Shared replay helpers used by both ML- and CCL-recovery.
 
-use hlrc::{EpochRelease, Msg, NodeInner, WriteNotice};
-use pagemem::VClock;
+use hlrc::{EpochRelease, Msg, NodeInner};
 use simnet::Envelope;
-
-/// Re-apply a synchronization operation's notices during replay: admit
-/// them ([`NodeInner::admit_notices`], the rule live execution uses) and
-/// invalidate the remote copies the fresh ones name — the recovery-mode
-/// twin of the driver's failure-free notice processing, without
-/// logging hooks or prefetch accounting.
-///
-/// Returns the notices that were fresh (not yet covered).
-pub fn replay_apply_notices(
-    inner: &mut NodeInner,
-    notices: &[WriteNotice],
-    vc_in: &VClock,
-) -> Vec<WriteNotice> {
-    let me = inner.me() as u32;
-    let fresh = inner.admit_notices(notices, vc_in);
-    for n in &fresh {
-        if n.interval.node != me && !inner.pages.is_home(n.page) {
-            inner.pages.invalidate(n.page, &mut inner.pool);
-        }
-    }
-    fresh
-}
 
 /// The barrier manager's retained release history: read locally when
 /// this node *is* the manager, requested over the network otherwise,
@@ -54,10 +31,15 @@ pub(crate) fn fetch_release_history(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlrc::DsmConfig;
-    use pagemem::{IntervalId, PageState};
+    use crate::ml::invalidate_named;
+    use hlrc::{DsmConfig, SyncKind, WriteNotice};
+    use pagemem::{IntervalId, PageState, VClock};
     use simnet::{run_cluster, CostModel};
 
+    /// A replayed barrier, booked by `NodeInner::replay_sync` and
+    /// invalidated the way ML replay does: the fresh notice drops the
+    /// stale copy, the clock covers it, the episode is closed and
+    /// counted — and the same notices again admit nothing.
     #[test]
     fn replay_notices_invalidate_and_merge() {
         let cfg = DsmConfig::new(2, 4).with_page_size(64);
@@ -73,27 +55,24 @@ mod tests {
             let iv = IntervalId { node: 1, seq: 0 };
             let mut vc_in = VClock::new(2);
             vc_in.observe(iv);
-            let fresh = replay_apply_notices(
-                &mut inner,
-                &[WriteNotice {
-                    page: 2,
-                    interval: iv,
-                }],
-                &vc_in,
-            );
+            let notices = [WriteNotice {
+                page: 2,
+                interval: iv,
+            }];
+            let fresh = inner.replay_sync(SyncKind::Barrier(0), &notices, &vc_in);
+            invalidate_named(&mut inner, &fresh);
             assert_eq!(fresh.len(), 1);
             assert_eq!(inner.pages.entry(2).state, PageState::Invalid);
             assert!(inner.vc.covers(iv));
+            assert_eq!(inner.barrier_epoch, 1);
+            assert_eq!(inner.last_barrier_vc, vc_in);
+            assert!(inner.history.is_empty(), "the closed episode covers it");
             // Replaying the same notices again is a no-op.
-            let again = replay_apply_notices(
-                &mut inner,
-                &[WriteNotice {
-                    page: 2,
-                    interval: iv,
-                }],
-                &vc_in,
-            );
+            let again = inner.replay_sync(SyncKind::Acquire(0), &notices, &vc_in);
             assert!(again.is_empty());
+            assert_eq!(inner.barrier_epoch, 1, "an acquire is no episode");
+            // Nor does it restore a grant clock: only ML's log holds one.
+            assert!(inner.lock_grant_vcs.is_empty());
         });
     }
 }

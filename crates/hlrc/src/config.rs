@@ -1,7 +1,7 @@
 //! DSM cluster configuration.
 
 use pagemem::{PageId, PageLayout};
-use simnet::{CostModel, NodeId};
+use simnet::NodeId;
 
 /// Static configuration of one DSM cluster run.
 #[derive(Debug, Clone, Copy)]
@@ -12,8 +12,6 @@ pub struct DsmConfig {
     pub layout: PageLayout,
     /// Size of the shared address space, in pages.
     pub n_pages: u32,
-    /// Hardware cost model.
-    pub cost: CostModel,
 }
 
 impl DsmConfig {
@@ -23,19 +21,12 @@ impl DsmConfig {
             n_nodes,
             layout: PageLayout::OS_4K,
             n_pages,
-            cost: CostModel::ULTRA5_CLUSTER,
         }
     }
 
     /// Override the page size (tests use small pages).
     pub fn with_page_size(mut self, bytes: usize) -> DsmConfig {
         self.layout = PageLayout::new(bytes);
-        self
-    }
-
-    /// Override the hardware cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> DsmConfig {
-        self.cost = cost;
         self
     }
 

@@ -12,8 +12,12 @@
 //! the same way, predictions included: a predicted copy reaches
 //! [`FaultTolerance::on_incoming`] at its first touch, so what a
 //! protocol logs of the pages a node reads does not depend on how they
-//! travelled. Implementations live in the `ftlog` crate; [`NoLogging`]
-//! (the paper's "None" baseline) lives here.
+//! travelled. Each event crosses into this layer once: a home meets a
+//! writer's diff flush through [`FaultTolerance::on_diff_flush`] alone,
+//! before it applies the diffs, and what a protocol records of the
+//! flush and whether the ack waits for a disk write is its whole answer
+//! there. Implementations live in the `ftlog` crate; [`NoLogging`] (the
+//! paper's "None" baseline) lives here.
 
 use pagemem::{IntervalId, PageDiff, PageId, VClock};
 use simnet::{Envelope, SimDuration};
@@ -68,7 +72,8 @@ pub trait FaultTolerance: Send {
     // ---- failure-free logging ----
 
     /// An incoming coherence message relevant to replay was received:
-    /// page replies, diff flushes, lock grants, barrier releases. A
+    /// page replies, lock grants, barrier releases, in-migrations (a
+    /// home's diff flushes go to [`FaultTolerance::on_diff_flush`]). A
     /// predicted copy's [`Msg::PageReply`] comes at its first touch —
     /// one that is never touched never comes — so page replies arrive
     /// here exactly where replay will fault on their pages.
@@ -85,9 +90,20 @@ pub trait FaultTolerance: Send {
     ) {
     }
 
-    /// This (home) node applied a writer's flushed diffs to its home
-    /// copies — the "record of incoming updates" event of the paper.
-    fn on_updates_applied(&mut self, inner: &mut NodeInner, writer: IntervalId, pages: &[PageId]) {}
+    /// This (home) node is about to apply a writer's [`Msg::DiffFlush`]
+    /// to its home copies — the "record of incoming updates" event of
+    /// the paper. Called once per flush, before the diffs are applied.
+    /// Returns the stable-storage flush the home charges before it
+    /// acknowledges: the ack releases the writer's only other copy of
+    /// the diffs, so a protocol whose log is the *sole* recovery source
+    /// for the update (ML, which logs the whole message) makes the
+    /// record durable first — a crash tearing the final flush then only
+    /// ever loses records no peer acted on. CCL records the writer and
+    /// the pages and returns zero: the writer's own stable log keeps the
+    /// diffs, and recovery refetches them from there.
+    fn on_diff_flush(&mut self, inner: &mut NodeInner, flush: &Msg) -> SimDuration {
+        SimDuration::ZERO
+    }
 
     /// This node created `diffs` at the end of interval `interval`.
     fn on_diffs_created(
@@ -110,17 +126,6 @@ pub trait FaultTolerance: Send {
     /// before the node waits for the diff acks: the write and the ack
     /// round trip overlap, and the node pays only the longer of the two.
     fn flush_after_send(&mut self, inner: &mut NodeInner) -> SimDuration {
-        SimDuration::ZERO
-    }
-
-    /// Write-ahead gate before the home acknowledges an applied diff
-    /// flush. The ack releases the writer's only other copy of the
-    /// diff, so a protocol whose log is the *sole* recovery source for
-    /// the update (ML) must make the staged record durable first — a
-    /// crash tearing the final flush then only ever loses records no
-    /// peer acted on. CCL skips this: the writer's own stable log
-    /// keeps the diff, and recovery refetches it from there.
-    fn flush_before_ack(&mut self, inner: &mut NodeInner) -> SimDuration {
         SimDuration::ZERO
     }
 

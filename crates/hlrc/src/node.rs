@@ -62,8 +62,10 @@ pub struct NodeInner {
     pub pool: BufferPool,
     /// This node's next barrier episode.
     pub barrier_epoch: u32,
-    /// Completed synchronization operations (failure injection hooks
-    /// count these).
+    /// Synchronization operations entered so far. Only the prefetch
+    /// staleness stamp reads it: a trailing prediction batch issued at
+    /// another count crossed a synchronization operation and is dropped
+    /// (see [`PrefetchState`]).
     pub sync_events: u64,
     /// Deterministic fetch-prediction state (see [`PrefetchState`]).
     pub prefetch: PrefetchState,
@@ -217,6 +219,30 @@ impl NodeInner {
         self.last_barrier_vc = self.vc.clone();
         self.history
             .retain(|n| !self.last_barrier_vc.covers(n.interval));
+    }
+
+    /// Book one synchronization operation replay reproduced from its
+    /// log, whatever the log: admit the logged notices and clock
+    /// ([`NodeInner::admit_notices`]) and, for a barrier, close the
+    /// episode and count it — before the node can go live, since the
+    /// deferred lock requests it then services are fenced by epoch.
+    /// Returns the fresh notices; what to do to the pages they name is
+    /// the logging layer's. A replayed acquire's grant clock is not
+    /// set here: only a log that holds the lock's clock can restore
+    /// it, and the node's own merged clock in its place would make the
+    /// next release drop notices the lock's chain has not seen.
+    pub fn replay_sync(
+        &mut self,
+        kind: SyncKind,
+        notices: &[WriteNotice],
+        vc: &VClock,
+    ) -> Vec<WriteNotice> {
+        let fresh = self.admit_notices(notices, vc);
+        if let SyncKind::Barrier(_) = kind {
+            self.close_barrier_epoch();
+            self.barrier_epoch += 1;
+        }
+        fresh
     }
 
     /// Snapshot the resident frame of `page` as the twin its
@@ -437,16 +463,6 @@ impl HlrcNode {
         self.frame_mut(p).write_u64(off, v);
     }
 
-    /// Read an f64 at byte address `addr`.
-    pub fn read_f64(&mut self, addr: usize) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write an f64 at byte address `addr`.
-    pub fn write_f64(&mut self, addr: usize, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
     #[inline]
     fn locate(&self, addr: usize) -> (PageId, usize) {
         let l = self.inner.cfg.layout;
@@ -530,15 +546,7 @@ impl HlrcNode {
     pub fn barrier(&mut self) {
         self.inner.sync_events += 1;
         let epoch = self.inner.barrier_epoch;
-        // A replayed barrier counts before the node can go live: the
-        // deferred lock requests it then services are fenced by epoch.
-        if self.replayed(|ft, inner| {
-            let step = ft.recovery_sync(inner, SyncKind::Barrier(epoch));
-            if step == RecoveryStep::Replayed {
-                inner.barrier_epoch += 1;
-            }
-            step
-        }) {
+        if self.replayed(|ft, inner| ft.recovery_sync(inner, SyncKind::Barrier(epoch))) {
             self.inner.ctx.stats.barriers += 1;
             return;
         }
@@ -1190,27 +1198,22 @@ impl HlrcNode {
     /// run buffers of every applied diff can be recycled into the pool
     /// instead of freed.
     fn serve_diff_flush(&mut self, env: Envelope<Msg>, done: SimTime) {
-        self.ft.on_incoming(&mut self.inner, &env.payload);
+        // The logging layer records the flush, and the ack waits for
+        // whatever write-ahead flush it asks for (see
+        // [`FaultTolerance::on_diff_flush`]).
+        let wal = self.ft.on_diff_flush(&mut self.inner, &env.payload);
+        if wal > SimDuration::ZERO {
+            self.inner.ctx.charge_disk(wal);
+        }
         let Msg::DiffFlush { writer, diffs } = env.payload else {
             unreachable!()
         };
         self.inner.note_diff_traffic(writer, &diffs);
         let payload: usize = diffs.iter().map(|d| d.encoded_size()).sum();
         let copy_cost = self.inner.ctx.cost.cpu.copy(payload);
-        let mut pages = Vec::with_capacity(diffs.len());
         for d in diffs {
             self.inner.apply_home_diff(&d, writer);
-            pages.push(d.page);
             self.inner.pool.recycle_diff(d);
-        }
-        self.ft.on_updates_applied(&mut self.inner, writer, &pages);
-        // Write-ahead gate: the ack tells the writer it may discard
-        // its diff, so a protocol whose log is the only remaining
-        // copy must persist the staged record first (see
-        // [`FaultTolerance::flush_before_ack`]).
-        let wal = self.ft.flush_before_ack(&mut self.inner);
-        if wal > SimDuration::ZERO {
-            self.inner.ctx.charge_disk(wal);
         }
         self.inner
             .ctx
@@ -1291,7 +1294,7 @@ impl HlrcNode {
 mod tests {
     use minicheck::{check, Rng};
     use pagemem::{PageFrame, SharedBytes};
-    use simnet::{run_cluster, NodeStats};
+    use simnet::{run_cluster, CostModel, NodeStats};
 
     use super::*;
     use crate::NoLogging;
@@ -1346,7 +1349,7 @@ mod tests {
         check("access-predicate", 24, |rng: &mut Rng| {
             let draws: Vec<Draw> = (0..32).map(|_| arb_draw(rng)).collect();
             let cfg = DsmConfig::new(2, 4).with_page_size(PAGE);
-            let admitted = run_cluster(2, cfg.cost, |ctx| {
+            let admitted = run_cluster(2, CostModel::default(), |ctx| {
                 let mut node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
                 if node.inner.me() != 0 {
                     return 0;

@@ -67,12 +67,11 @@ pub struct PageEntry {
     /// Home-copy version: per-writer count of applied intervals.
     /// `Some` only at the home node.
     pub version: Option<VClock>,
-    /// Last checkpointed home copy (initially all zeros): image 0 of
-    /// the served log, and what the next incremental checkpoint
-    /// compares against. A crash does not keep it; the restart reads the
-    /// checkpoint image back from disk. `Some` only at the home node.
-    pub base: Option<PageFrame>,
-    /// Version of `base`.
+    /// Version of the home copy at the last checkpoint (zero before
+    /// one): the next incremental checkpoint writes the page only if
+    /// `version` moved past it. The checkpointed bytes are on disk, and
+    /// in memory only as image 0 of a retaining table's `served` log.
+    /// `Some` only at the home node.
     pub base_version: Option<VClock>,
     /// Written during the current interval?
     pub dirty: bool,
@@ -132,7 +131,6 @@ impl PageEntry {
             frame: at_home.then(zeroed),
             twin: None,
             version: at_home.then(version_zero),
-            base: at_home.then(zeroed),
             base_version: at_home.then(version_zero),
             dirty: false,
             copyset: NodeSet::default(),
@@ -505,22 +503,27 @@ impl PageTable {
         self.served_logs = ServedLogs::Whole;
         for e in &mut self.entries {
             if e.home == self.me {
-                e.base = e.frame.clone();
                 e.base_version = e.version.clone();
-                e.served.truncate_at_checkpoint();
+                if self.retain_served {
+                    e.served
+                        .truncate_at_checkpoint(e.frame.as_ref().expect("home frame"));
+                }
             }
         }
     }
 
     /// Restore home page `page` from its checkpoint image after a
-    /// restart: frame and base both become `data`, at `version`.
+    /// restart: the frame becomes `data`, at `version`, and so does
+    /// image 0 of its served log, where one is kept.
     pub fn restore_home(&mut self, page: PageId, data: &[u8], version: VClock) {
         let e = &mut self.entries[page as usize];
         debug_assert_eq!(e.home, self.me, "restoring a page not homed here");
         e.frame = Some(PageFrame::from_bytes(data));
-        e.base = Some(PageFrame::from_bytes(data));
         e.version = Some(version.clone());
         e.base_version = Some(version);
+        if self.retain_served {
+            e.served.start_from(SharedBytes::copy_of(data));
+        }
     }
 
     /// Reassign `page`'s home (explicit data distribution, as the
@@ -564,7 +567,6 @@ impl PageTable {
         e.home = to;
         e.migrated = true;
         e.version = None;
-        e.base = None;
         e.base_version = None;
         e.twin = None;
         e.dirty = false;
@@ -592,7 +594,6 @@ impl PageTable {
         e.home = self.me;
         e.migrated = true;
         e.frame = Some(PageFrame::from_bytes(data));
-        e.base = Some(PageFrame::from_bytes(data));
         e.version = Some(version);
         e.base_version = Some(VClock::new(n));
         e.state = PageState::ReadOnly;
@@ -600,6 +601,9 @@ impl PageTable {
         e.dirty = false;
         e.copyset.clear();
         e.served.clear();
+        if self.retain_served {
+            e.served.start_from(SharedBytes::copy_of(data));
+        }
         e.predicted = None;
     }
 
@@ -685,8 +689,7 @@ impl PageTable {
         let version = e.version.as_ref().expect("home version");
         let live = (!e.dirty && (rebuilding || version.dominated_by(required)))
             .then(|| e.frame.as_ref().expect("home frame"));
-        let base = e.base.as_ref().expect("home base");
-        e.served.select(required, base, live)
+        e.served.select(required, live, self.page_size)
     }
 
     /// The whole answer to a peer replaying at clock `required` that
@@ -822,20 +825,24 @@ mod tests {
         t.install_copy(1, &[1u8; 64], PageState::ReadOnly, &mut BufferPool::new(64));
         let homes = t.home_map();
         assert_eq!(homes, [(0, false), (1, false), (1, true), (0, false)]);
-        let r = PageTable::restarted(&cfg, 0, homes);
+        let mut r = PageTable::restarted(&cfg, 0, homes);
         assert_eq!(r.home_map(), t.home_map());
         // Home copies start over from zero, checkpoint base included:
-        // the restart reads the image back from disk.
+        // the restart reads the image back from disk. A table retaining
+        // served pages shows the base as image 0 while it rebuilds.
+        r.retain_served_pages();
+        r.rebuild_served_logs(std::iter::empty());
+        let horizon_0 = VClock::new(2);
         for page in [0, 3] {
             let e = r.entry(page);
             assert_eq!(e.frame.as_ref().unwrap().read_u64(0), 0);
-            assert_eq!(e.base.as_ref().unwrap().read_u64(0), 0);
             assert_eq!(e.version, Some(VClock::new(2)));
+            let (pos, image) = r.recovery_image(page, &horizon_0).expect("base");
+            assert_eq!((pos, &image[..]), (0, &[0u8; 64][..]));
         }
         assert!(r.entry(1).frame.is_none(), "remote copies dropped");
         assert_eq!(r.entry(1).state, PageState::Invalid);
         // A migration pins the mapping through the re-run allocation.
-        let mut r = r;
         r.set_home(2, 0);
         assert_eq!(r.entry(2).home, 1);
         // The restore fills a home copy in from its checkpoint image.
@@ -843,7 +850,8 @@ mod tests {
         v.set(1, 4);
         r.restore_home(0, &[7u8; 64], v.clone());
         assert_eq!(r.frame(0).bytes(), &[7u8; 64][..]);
-        assert_eq!(r.entry(0).base.as_ref().unwrap().bytes(), &[7u8; 64][..]);
+        let (pos, image) = r.recovery_image(0, &horizon_0).expect("base");
+        assert_eq!((pos, &image[..]), (0, &[7u8; 64][..]));
         assert_eq!(
             (&r.entry(0).version, &r.entry(0).base_version),
             (&Some(v.clone()), &Some(v))
@@ -853,14 +861,27 @@ mod tests {
     #[test]
     fn promote_base_captures_current_state() {
         let mut t = PageTable::new(&cfg(), 0);
+        t.retain_served_pages();
         t.frame_mut(0).write_u64(0, 42);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
         t.promote_base();
         t.frame_mut(0).write_u64(0, 77);
         let e = t.entry(0);
-        assert_eq!(e.base.as_ref().unwrap().read_u64(0), 42);
         assert_eq!(e.base_version, e.version);
+        let (pos, image) = t.recovery_image(0, &VClock::new(2)).expect("base");
+        assert_eq!(
+            (pos, u64::from_le_bytes(image[..8].try_into().unwrap())),
+            (0, 42)
+        );
         assert_eq!(t.frame(0).read_u64(0), 77);
+        // A table that retains no served pages keeps no image of the
+        // checkpoint in memory: the disk has it.
+        let mut t = PageTable::new(&cfg(), 0);
+        t.frame_mut(0).write_u64(0, 42);
+        t.note_home_write(0, IntervalId { node: 0, seq: 0 });
+        t.promote_base();
+        assert_eq!(t.entry(0).served, ServedLog::default());
+        assert_eq!(t.entry(0).base_version, t.entry(0).version);
     }
 
     #[test]
@@ -880,7 +901,7 @@ mod tests {
         assert_eq!(old.frame(1).read_u64(0), 7);
         assert_eq!(old.entry(1).state, PageState::ReadOnly);
         // ...but no home-side metadata.
-        assert!(old.entry(1).version.is_none() && old.entry(1).base.is_none());
+        assert!(old.entry(1).version.is_none() && old.entry(1).base_version.is_none());
 
         new.adopt_home(1, &data, v.clone());
         assert!(new.is_home(1));
@@ -939,14 +960,20 @@ mod tests {
         t.note_home_write(0, iv);
         let (first, version) = t.serve_copy(0, false);
         assert!(version.covers(iv));
-        // The base stays the checkpoint image whoever fetches.
-        assert_eq!(t.entry(0).base.as_ref().unwrap().read_u64(0), 0);
+        // The base stays the checkpoint image whoever fetches: image 0,
+        // selected at horizon 0, is the zeroed page and no buffer served.
+        let (pos, base) = t.recovery_image(0, &VClock::new(2)).expect("base");
+        assert!(pos == 0 && base[..] == [0u8; 64][..] && !base.ptr_eq(&first));
         // One version, one buffer; a new version, a new one.
         assert!(t.serve_copy(0, false).0.ptr_eq(&first));
         t.frame_mut(0).write_u64(0, 6);
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
         assert!(!t.serve_copy(0, false).0.ptr_eq(&first));
-        assert_eq!(t.entry(0).served.images().len(), 2);
+        assert_eq!(
+            t.entry(0).served.images().len(),
+            3,
+            "the base and two versions"
+        );
         // A replay that saw only the first write gets the first buffer.
         let (pos, image) = t.recovery_image(0, &version).expect("retained");
         assert!(pos == 1 && image.ptr_eq(&first));

@@ -21,12 +21,14 @@
 //!
 //! Positions count writes since the last checkpoint: `pos` is the
 //! length of the write history when an image was taken, and the
-//! checkpoint base is the image at position 0.
+//! checkpoint base is the image at position 0. The log keeps that image
+//! itself (see [`ServedLog::select`]); nothing else in memory holds a
+//! home page's checkpoint state.
 
 use pagemem::{IntervalId, PageFrame, SharedBytes, VClock};
 
 /// Write history and served images of one home page.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServedLog {
     /// One entry per interval whose writes to the page became complete
     /// in the home frame — a remote diff applied, an own interval
@@ -43,6 +45,13 @@ pub struct ServedLog {
     /// nobody since. A peer that names one as held means the previous
     /// incarnation's image there, which may have been another.
     unsent: Vec<u32>,
+    /// Image 0 while it is not in `images`: `None` (the zeroed page)
+    /// until a checkpoint, the checkpoint frame after one, the restored
+    /// image after a restart. It joins `images` only when
+    /// [`ServedLog::select`] first needs it: in `images` before, a
+    /// restarted home would answer a peer naming position 0 with a
+    /// delta against an image it never sent.
+    base: Option<SharedBytes>,
 }
 
 impl ServedLog {
@@ -129,7 +138,8 @@ impl ServedLog {
 
     /// The image a peer replaying at clock `required` is restored
     /// from: the **earliest** retained one at or past the horizon, the
-    /// checkpoint `base` standing in at position 0. When nothing was
+    /// checkpoint base standing in at position 0 (a zeroed page of
+    /// `page_size` bytes before any checkpoint). When nothing was
     /// retained there, `live` — the home frame, passed only while it is
     /// clean and its version is dominated by `required`, i.e. while it
     /// *is* the state at the horizon — is served and retained like any
@@ -148,13 +158,13 @@ impl ServedLog {
     pub fn select(
         &mut self,
         required: &VClock,
-        base: &PageFrame,
         live: Option<&PageFrame>,
+        page_size: usize,
     ) -> Option<(u32, SharedBytes)> {
         let horizon = self.horizon(required);
         if horizon == 0 && self.images.first().is_none_or(|(pos, _)| *pos != 0) {
-            self.images
-                .insert(0, (0, SharedBytes::copy_of(base.bytes())));
+            let base = (self.base.clone()).unwrap_or_else(|| SharedBytes::from(vec![0; page_size]));
+            self.images.insert(0, (0, base));
         }
         let at = self.images.partition_point(|(pos, _)| *pos < horizon);
         if at == self.images.len() {
@@ -171,20 +181,35 @@ impl ServedLog {
         Some((*pos, image.clone()))
     }
 
-    /// A coordinated checkpoint was taken: every later replay starts
-    /// from it with a clock that covers the whole history, so no
-    /// horizon falls before its end and no image taken before it can be
-    /// selected again. Positions restart at the new base; an image
-    /// taken at the very end of the history equals that base and stays.
-    pub fn truncate_at_checkpoint(&mut self) {
+    /// A coordinated checkpoint of `frame` was taken: every later
+    /// replay starts from it with a clock that covers the whole history,
+    /// so no horizon falls before its end and no image taken before it
+    /// can be selected again. Positions restart at the new base, `frame`;
+    /// an image taken at the very end of the history equals it and
+    /// stays, as the base.
+    pub fn truncate_at_checkpoint(&mut self, frame: &PageFrame) {
         let end = self.pos();
         self.images.retain(|(pos, _)| *pos == end);
         for (pos, _) in &mut self.images {
             *pos = 0;
         }
+        let base = match self.images.first() {
+            Some((_, image)) => image.clone(),
+            None => SharedBytes::copy_of(frame.bytes()),
+        };
+        self.base = Some(base);
         self.history.clear();
         // Position 0 is the base in every incarnation.
         self.unsent.clear();
+    }
+
+    /// Start over from `image` at position 0: the checkpoint image a
+    /// restart restored, or the home copy a migration adopted.
+    pub fn start_from(&mut self, image: SharedBytes) {
+        *self = ServedLog {
+            base: Some(image),
+            ..ServedLog::default()
+        };
     }
 
     /// Forget everything (the home crashed, or the page left it).
@@ -227,7 +252,6 @@ mod tests {
     #[test]
     fn the_earliest_image_past_the_horizon_is_chosen() {
         let mut log = ServedLog::default();
-        let base = PageFrame::zeroed(64);
         log.note_write(iv(0, 0));
         log.serve(&frame(1)); // pos 1
         log.note_write(iv(0, 1));
@@ -235,23 +259,23 @@ mod tests {
         log.serve(&frame(3)); // pos 3
         let mut required = VClock::new(2);
         // Nothing covered: the base, which becomes image 0.
-        let (pos, image) = log.select(&required, &base, None).unwrap();
+        let (pos, image) = log.select(&required, None, 64).unwrap();
         assert_eq!((pos, word(&image)), (0, 0));
         assert_eq!(log.images().len(), 3);
         // Interval 0 covered: image 1, not the later image 3.
         required.observe(iv(0, 0));
-        let (pos, image) = log.select(&required, &base, None).unwrap();
+        let (pos, image) = log.select(&required, None, 64).unwrap();
         assert_eq!((pos, word(&image)), (1, 1));
         // Interval 1 covered: nothing was served at position 2, the
         // next one up is image 3 (its extra write is unread under DRF).
         required.observe(iv(0, 1));
-        assert_eq!(log.select(&required, &base, None).unwrap().0, 3);
+        assert_eq!(log.select(&required, None, 64).unwrap().0, 3);
         // A fourth write nobody fetched after: only the live frame can
         // answer, and only if the caller vouches for it.
         log.note_write(iv(1, 0));
         required.observe(iv(1, 0));
-        assert!(log.select(&required, &base, None).is_none());
-        let (pos, image) = log.select(&required, &base, Some(&frame(4))).unwrap();
+        assert!(log.select(&required, None, 64).is_none());
+        let (pos, image) = log.select(&required, Some(&frame(4)), 64).unwrap();
         assert_eq!((pos, word(&image)), (4, 4));
         assert!(log.image_at(4).is_some(), "a served live frame is retained");
     }
@@ -262,18 +286,21 @@ mod tests {
         log.serve(&frame(0));
         log.note_write(iv(0, 0));
         let newest = log.serve(&frame(1));
-        log.truncate_at_checkpoint();
+        log.truncate_at_checkpoint(&frame(1));
         assert_eq!(log.pos(), 0);
         assert_eq!(log.images().len(), 1);
         assert!(log.image_at(0).unwrap().ptr_eq(&newest));
         // A write after the newest image: nothing survives, the base
         // answers at position 0.
         log.note_write(iv(0, 1));
-        log.truncate_at_checkpoint();
-        assert!(log.images().is_empty());
+        log.truncate_at_checkpoint(&frame(2));
+        assert!(
+            log.images().is_empty(),
+            "the base joins the images when selected"
+        );
         let mut required = VClock::new(1);
         required.set(0, 2);
-        let (pos, image) = log.select(&required, &frame(2), None).unwrap();
+        let (pos, image) = log.select(&required, None, 64).unwrap();
         assert_eq!((pos, word(&image)), (0, 2));
     }
 }

@@ -6,7 +6,7 @@
 
 use hlrc::{DsmConfig, HlrcNode, NoLogging};
 use minicheck::{check, Rng};
-use simnet::{run_cluster, SimTime};
+use simnet::{run_cluster, CostModel, SimTime};
 
 const PAGE: usize = 256;
 
@@ -97,7 +97,7 @@ impl Schedule {
 
 fn run_hlrc(s: Schedule) -> Vec<u64> {
     let cfg = DsmConfig::new(s.nodes, s.pages).with_page_size(PAGE);
-    run_cluster(s.nodes, cfg.cost, move |ctx| {
+    run_cluster(s.nodes, CostModel::default(), move |ctx| {
         let mut node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
         let digest = s.run(&mut node);
         node.barrier();
@@ -133,7 +133,7 @@ fn hlrc_matches_the_serial_model_on_random_schedules() {
 #[test]
 fn hlrc_trace_is_nondecreasing_in_virtual_time() {
     let cfg = DsmConfig::new(3, 3).with_page_size(PAGE);
-    let traces = run_cluster(3, cfg.cost, move |ctx| {
+    let traces = run_cluster(3, CostModel::default(), move |ctx| {
         let mut node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
         if node.inner.me() == 0 {
             node.write_u64(256 + 8, 17); // remote page: fault + fetch + diff

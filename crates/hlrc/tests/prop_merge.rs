@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use hlrc::{BarrierMgr, DsmConfig, LockTable, Msg, NodeInner, WriteNotice};
 use minicheck::{check, Rng};
 use pagemem::{IntervalId, VClock};
-use simnet::{run_cluster, SimTime};
+use simnet::{run_cluster, CostModel, SimTime};
 
 const CASES: u64 = 256;
 const NODES: usize = 4;
@@ -94,7 +94,7 @@ fn a_lock_chain_merges_like_the_contains_scan() {
 #[test]
 fn a_receiver_admits_like_the_contains_scan() {
     let cfg = DsmConfig::new(NODES, 4).with_page_size(64);
-    run_cluster::<Msg, _, _>(NODES, cfg.cost, move |ctx| {
+    run_cluster::<Msg, _, _>(NODES, CostModel::default(), move |ctx| {
         if ctx.id() != 0 {
             return;
         }

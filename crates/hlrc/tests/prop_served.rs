@@ -75,6 +75,9 @@ struct Home {
     ops: Vec<Op>,
     /// The home's own intervals at the last checkpoint.
     base_seq: u32,
+    /// Each page's checkpoint image and version, as a disk would hold
+    /// them: the zeroed page at version zero before any checkpoint.
+    checkpointed: Vec<(Vec<u8>, VClock)>,
 }
 
 impl Home {
@@ -91,6 +94,7 @@ impl Home {
             next_value: 1,
             ops: Vec::new(),
             base_seq: 0,
+            checkpointed: vec![(vec![0; PAGE], VClock::new(NODES)); n_pages],
         }
     }
 
@@ -166,6 +170,11 @@ impl Home {
     fn checkpoint(&mut self) {
         self.home_close();
         self.table.promote_base();
+        for (p, image) in self.checkpointed.iter_mut().enumerate() {
+            let e = self.table.entry(p as u32);
+            let version = e.version.clone().expect("home version");
+            *image = (self.table.frame(p as u32).bytes().to_vec(), version);
+        }
         self.ops.clear();
         self.base_seq = self.next_seq[0];
         let all = {
@@ -366,13 +375,10 @@ impl Home {
         let ops = self.ops.clone();
         // The crash: the table restarts from the home map, and the
         // checkpoint restore brings every home page's base back.
-        let images: Vec<_> = (self.table.iter())
-            .filter_map(|(p, e)| Some((p, e.base.clone()?, e.base_version.clone()?)))
-            .collect();
         self.table = PageTable::restarted(&self.cfg, 0, self.table.home_map());
         self.table.retain_served_pages();
-        for (page, base, version) in images {
-            self.table.restore_home(page, base.bytes(), version);
+        for (page, (image, version)) in self.checkpointed.iter().enumerate() {
+            self.table.restore_home(page as u32, image, version.clone());
         }
         self.table
             .rebuild_served_logs(ops.iter().filter_map(|op| match op {

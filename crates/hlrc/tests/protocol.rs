@@ -4,14 +4,14 @@
 
 use hlrc::{DsmConfig, FaultTolerance, HlrcNode, Msg, NoLogging, RecoveryImage};
 use pagemem::{IntervalId, VClock};
-use simnet::{run_cluster, SimDuration, SimTime};
+use simnet::{run_cluster, CostModel, SimDuration, SimTime};
 
 fn spawn<F, R>(cfg: DsmConfig, f: F) -> Vec<R>
 where
     F: Fn(HlrcNode) -> R + Send + Sync,
     R: Send,
 {
-    run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
+    run_cluster(cfg.n_nodes, CostModel::default(), move |ctx| {
         let node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
         f(node)
     })
@@ -530,7 +530,7 @@ fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
     let go = Msg::DiffAck {
         writer: IntervalId { node: 1, seq: 0 },
     };
-    let got = run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
+    let got = run_cluster(cfg.n_nodes, CostModel::default(), move |ctx| {
         let mut node = HlrcNode::new(ctx, cfg, Box::new(Retaining));
         if node.inner.me() == 0 {
             node.write_u64(8, 0xA1);
@@ -622,7 +622,7 @@ fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
 #[test]
 fn recovery_fetch_of_a_dirty_home_page_serves_the_image_it_retained() {
     let cfg = small_cfg(2, 4);
-    let mut out = run_cluster(2, cfg.cost, move |ctx| {
+    let mut out = run_cluster(2, CostModel::default(), move |ctx| {
         let mut node = HlrcNode::new(ctx, cfg, Box::new(Retaining));
         if node.inner.me() == 0 {
             // Commit 0xA1 on the locally-homed page 0, then let node 1
@@ -749,7 +749,7 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
             updates: vec![(2, d1)],
         })
     };
-    let got = run_cluster(cfg.n_nodes, cfg.cost, move |ctx| {
+    let got = run_cluster(cfg.n_nodes, CostModel::default(), move |ctx| {
         let mut node = HlrcNode::new(ctx, cfg, rebuilding());
         let send = |node: &mut HlrcNode, to, msg| node.inner.ctx.send(to, msg).expect("send");
         if node.inner.me() == 1 {

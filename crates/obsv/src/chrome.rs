@@ -214,7 +214,6 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
             | TraceKind::TornTailDetected { .. }
             | TraceKind::CrcMismatch { .. }
             | TraceKind::LogTruncated { .. }
-            | TraceKind::CheckpointTaken { .. }
             | TraceKind::HomeRepair { .. }
             | TraceKind::SyncSynthesized { .. }
             | TraceKind::PrefetchIssued { .. }

@@ -153,44 +153,24 @@ impl SimDisk {
     /// Returns the virtual time the access takes. The caller decides how
     /// that time lands on its clock: ML adds it to the critical path,
     /// CCL overlaps it with coherence communication.
-    /// With an armed fault schedule a write may cost a retry
-    /// (transient) or be lost entirely once the device has failed
-    /// permanently; callers poll [`SimDisk::has_failed`] after
-    /// flushing to detect degradation.
+    /// With an armed fault schedule a write may be refused by the
+    /// capacity bound, cost a retry (transient) or be lost entirely once
+    /// the device has failed permanently; callers poll
+    /// [`SimDisk::has_failed`] after flushing to detect degradation.
     pub fn flush_records<I>(&mut self, stream: &str, records: I) -> SimDuration
     where
         I: IntoIterator<Item = Vec<u8>>,
     {
-        if self.faults.is_some() || self.failed {
-            return self.flush_records_faulty(stream, records.into_iter().collect());
-        }
-        let dst = self.streams.entry(stream.to_string()).or_default();
-        let first = dst.len();
-        let mut bytes = 0usize;
-        for r in records {
-            bytes += r.len();
-            dst.push(r);
-        }
-        self.last_flush = Some((stream.to_string(), first));
-        self.counters.writes += 1;
-        self.counters.bytes_written += bytes as u64;
-        self.model.write_time(bytes)
-    }
-
-    /// Fault-judged write path: consult the schedule, then persist (or
-    /// lose) the batch.
-    fn flush_records_faulty(&mut self, stream: &str, records: Vec<Vec<u8>>) -> SimDuration {
-        let bytes: usize = records.iter().map(|r| r.len()).sum();
-        // Capacity bound: a flush that would overflow is refused whole
-        // (nothing persists) and the device reports itself full until a
-        // truncation frees space. The caller pays one futile access
-        // discovering ENOSPC.
+        let mut records: Vec<Vec<u8>> = records.into_iter().collect();
+        let bytes: usize = records.iter().map(Vec::len).sum();
         if !self.failed {
-            let used = self.used_bytes();
+            // Capacity bound: a flush that would overflow is refused
+            // whole (nothing persists) and the device reports itself
+            // full until a truncation frees space. The caller pays one
+            // futile access discovering ENOSPC. Only a bounded device
+            // counts what it holds.
             if let Some(cap) = self.faults.as_ref().and_then(|st| st.plan.capacity_bytes) {
-                if used + bytes as u64 > cap {
-                    self.full = true;
-                }
+                self.full |= self.used_bytes() + bytes as u64 > cap;
             }
             if self.full {
                 self.counters.full_writes += 1;
@@ -198,17 +178,24 @@ impl SimDisk {
             }
         }
         let mut retried = false;
-        if !self.failed {
-            if let Some(st) = self.faults.as_mut() {
-                st.writes_judged += 1;
-                if st.plan.fail_after_writes == Some(st.writes_judged) {
-                    self.failed = true;
-                }
-                if !self.failed
-                    && st.plan.transient_per_mille > 0
-                    && st.rng.below(1000) < st.plan.transient_per_mille as u64
-                {
-                    retried = true;
+        if let Some(st) = self.faults.as_mut().filter(|_| !self.failed) {
+            st.writes_judged += 1;
+            self.failed = st.plan.fail_after_writes == Some(st.writes_judged);
+            retried = !self.failed
+                && st.plan.transient_per_mille > 0
+                && st.rng.below(1000) < st.plan.transient_per_mille as u64;
+            // Latent bit rot is injected while the record is persisted
+            // (deterministic regardless of read order); like real media
+            // decay it is only *detected* when a recovery scan verifies
+            // the record's frame CRC.
+            let per_mille = st.plan.corrupt_per_mille;
+            if !self.failed && per_mille > 0 {
+                for r in &mut records {
+                    if st.rng.below(1000) < per_mille as u64 && !r.is_empty() {
+                        let bit = st.rng.below(r.len() as u64 * 8) as usize;
+                        r[bit / 8] ^= 1 << (bit % 8);
+                        self.counters.corrupted_records += 1;
+                    }
                 }
             }
         }
@@ -219,28 +206,8 @@ impl SimDisk {
             return self.model.write_time(0);
         }
         let dst = self.streams.entry(stream.to_string()).or_default();
-        let first = dst.len();
-        // Latent bit rot is injected while the record is persisted
-        // (deterministic regardless of read order); like real media
-        // decay it is only *detected* when a recovery scan verifies
-        // the record's frame CRC.
-        let faults = self.faults.as_mut();
-        let mut corrupted = 0u64;
-        if let Some(st) = faults {
-            let per_mille = st.plan.corrupt_per_mille;
-            for mut r in records {
-                if per_mille > 0 && st.rng.below(1000) < per_mille as u64 && !r.is_empty() {
-                    let bit = st.rng.below(r.len() as u64 * 8) as usize;
-                    r[bit / 8] ^= 1 << (bit % 8);
-                    corrupted += 1;
-                }
-                dst.push(r);
-            }
-        } else {
-            dst.extend(records);
-        }
-        self.counters.corrupted_records += corrupted;
-        self.last_flush = Some((stream.to_string(), first));
+        self.last_flush = Some((stream.to_string(), dst.len()));
+        dst.extend(records);
         self.counters.writes += 1;
         self.counters.bytes_written += bytes as u64;
         let mut cost = self.model.write_time(bytes);

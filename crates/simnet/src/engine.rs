@@ -105,10 +105,15 @@ pub enum TraceKind {
         /// behind).
         overlapped: bool,
     },
-    /// A checkpoint was written to stable storage.
+    /// A coordinated checkpoint was written to stable storage, with
+    /// its compaction effect.
     Checkpoint {
         /// Bytes written.
         bytes: u64,
+        /// Page images written by this checkpoint.
+        pages: u32,
+        /// Superseded page images dropped from `CKPT_PAGES`.
+        compacted: u32,
     },
     /// A lock was acquired (notices from the grant already applied).
     LockAcquire {
@@ -255,13 +260,6 @@ pub enum TraceKind {
         /// Records surviving the cut.
         records: u32,
     },
-    /// A coordinated checkpoint completed, with its compaction effect.
-    CheckpointTaken {
-        /// Page images written by this checkpoint.
-        pages: u32,
-        /// Superseded page images dropped from `CKPT_PAGES`.
-        compacted: u32,
-    },
     /// A recovering home whose log was damaged refetched the updates
     /// its pages were missing from the surviving writers' stable logs.
     HomeRepair {
@@ -344,7 +342,6 @@ impl TraceKind {
             TraceKind::TornTailDetected { .. } => "torn_tail_detected",
             TraceKind::CrcMismatch { .. } => "crc_mismatch",
             TraceKind::LogTruncated { .. } => "log_truncated",
-            TraceKind::CheckpointTaken { .. } => "checkpoint_taken",
             TraceKind::HomeRepair { .. } => "home_repair",
             TraceKind::SyncSynthesized { .. } => "sync_synthesized",
             TraceKind::PrefetchIssued { .. } => "prefetch_issued",
@@ -382,7 +379,11 @@ mod tests {
                 bytes: 8,
                 overlapped: false,
             },
-            TraceKind::Checkpoint { bytes: 8 },
+            TraceKind::Checkpoint {
+                bytes: 8,
+                pages: 1,
+                compacted: 1,
+            },
             TraceKind::LockAcquire {
                 lock: 1,
                 wait_ns: 1,
@@ -435,10 +436,6 @@ mod tests {
                 stream: "s",
                 records: 1,
             },
-            TraceKind::CheckpointTaken {
-                pages: 1,
-                compacted: 1,
-            },
             TraceKind::HomeRepair {
                 notices: 1,
                 diffs: 1,
@@ -487,13 +484,12 @@ mod tests {
             TraceKind::TornTailDetected { .. } => 27,
             TraceKind::CrcMismatch { .. } => 28,
             TraceKind::LogTruncated { .. } => 29,
-            TraceKind::CheckpointTaken { .. } => 30,
-            TraceKind::HomeRepair { .. } => 31,
-            TraceKind::SyncSynthesized { .. } => 32,
-            TraceKind::PrefetchIssued { .. } => 33,
-            TraceKind::PrefetchHit { .. } => 34,
-            TraceKind::PrefetchWasted { .. } => 35,
-            TraceKind::HomeMigrated { .. } => 36,
+            TraceKind::HomeRepair { .. } => 30,
+            TraceKind::SyncSynthesized { .. } => 31,
+            TraceKind::PrefetchIssued { .. } => 32,
+            TraceKind::PrefetchHit { .. } => 33,
+            TraceKind::PrefetchWasted { .. } => 34,
+            TraceKind::HomeMigrated { .. } => 35,
         }
     }
 

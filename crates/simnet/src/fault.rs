@@ -101,14 +101,15 @@ pub struct FaultPlan {
     pub dup_per_mille: u16,
     /// Maximum uniform extra delay added to each delivery (0 = none).
     pub jitter_max: SimDuration,
-    /// Base retransmission timeout charged per dropped attempt
-    /// (doubling per attempt, capped at 2^6 x).
-    pub rto: SimDuration,
     /// Link partitions over virtual-time windows.
     pub partitions: Vec<Partition>,
 }
 
 impl FaultPlan {
+    /// Base retransmission timeout charged per dropped attempt
+    /// (doubling per attempt, capped at 2^6 x).
+    pub const RTO: SimDuration = SimDuration::from_micros(500);
+
     /// A fault-free plan: every judgment short-circuits at zero cost.
     pub fn none() -> FaultPlan {
         FaultPlan {
@@ -116,7 +117,6 @@ impl FaultPlan {
             drop_per_mille: 0,
             dup_per_mille: 0,
             jitter_max: SimDuration::ZERO,
-            rto: SimDuration::from_micros(500),
             partitions: Vec::new(),
         }
     }
@@ -129,7 +129,6 @@ impl FaultPlan {
             drop_per_mille,
             dup_per_mille,
             jitter_max: SimDuration::from_micros(200),
-            rto: SimDuration::from_micros(500),
             partitions: Vec::new(),
         }
     }
@@ -282,8 +281,7 @@ impl FaultState {
         if let Some(until) = self.plan.partitioned_until(me, dst, sent_at) {
             let blocked = until - sent_at;
             fate.delay += blocked;
-            let rto = self.plan.rto.as_nanos().max(1);
-            let expiries = blocked.as_nanos().div_ceil(rto);
+            let expiries = blocked.as_nanos().div_ceil(FaultPlan::RTO.as_nanos());
             fate.attempts += (expiries.min(MAX_RETRANSMITS as u64)) as u32;
         }
 
@@ -293,7 +291,7 @@ impl FaultState {
                 && rng.below(1000) < self.plan.drop_per_mille as u64
             {
                 let exp = fate.attempts.min(MAX_BACKOFF_EXP);
-                fate.delay += SimDuration(self.plan.rto.as_nanos() << exp);
+                fate.delay += SimDuration(FaultPlan::RTO.as_nanos() << exp);
                 fate.attempts += 1;
             }
         }
@@ -443,11 +441,10 @@ mod tests {
             drop_per_mille: 1000,
             ..FaultPlan::lossy(1, 1000, 0)
         };
-        let rto = plan.rto;
         let mut st = FaultState::new(0, 2, plan);
         let fate = st.judge(0, 1, SimTime::ZERO);
         assert_eq!(fate.attempts, MAX_RETRANSMITS);
-        assert!(fate.delay >= rto);
+        assert!(fate.delay >= FaultPlan::RTO);
     }
 
     #[test]

@@ -178,13 +178,9 @@ impl<M: WireSized> NodeCtx<M> {
                     env?
                 }
             };
-            if self.faults.is_duplicate(env.src, env.seq) {
-                self.stats.dups_suppressed += 1;
-                self.trace(TraceKind::DupSuppressed { from: env.src });
-                continue;
+            if let Some(env) = self.admit(env) {
+                return Ok(env);
             }
-            self.accept(&env);
-            return Ok(env);
         }
     }
 
@@ -212,31 +208,23 @@ impl<M: WireSized> NodeCtx<M> {
                     self.arrived.pop_front().expect("nonempty batch")
                 }
             };
-            if self.faults.is_duplicate(env.src, env.seq) {
-                self.stats.dups_suppressed += 1;
-                self.trace(TraceKind::DupSuppressed { from: env.src });
-                continue;
+            if let Some(env) = self.admit(env) {
+                return Some(env);
             }
-            self.accept(&env);
-            return Some(env);
         }
     }
 
-    /// Fold the endpoint's physical-layer scheduler telemetry (stall
-    /// count, park durations) into this node's stats after a fabric
-    /// call. A call that never parked has nothing to drain.
-    fn drain_sched_telemetry(&mut self) {
-        let stalls = self.ep.take_stalls();
-        if stalls > 0 {
-            self.stats.sched_stalls += stalls;
-            self.metrics.park_ns.merge(&self.ep.take_park_hist());
+    /// The one receive step after a delivery leaves the fabric: suppress
+    /// a duplicate (by sequence number, invisibly to the protocol), or
+    /// accept the envelope — traffic counters plus the `MsgRecv` half of
+    /// its causal edge, keyed by the same `(src, dst, seq)` triple the
+    /// sender stamped.
+    fn admit(&mut self, env: Envelope<M>) -> Option<Envelope<M>> {
+        if self.faults.is_duplicate(env.src, env.seq) {
+            self.stats.dups_suppressed += 1;
+            self.trace(TraceKind::DupSuppressed { from: env.src });
+            return None;
         }
-    }
-
-    /// Account an accepted (non-duplicate) delivery: traffic counters
-    /// plus the `MsgRecv` half of the envelope's causal edge, keyed by
-    /// the same `(src, dst, seq)` triple the sender stamped.
-    fn accept(&mut self, env: &Envelope<M>) {
         let rank = (env.arrive_at, env.src, env.seq);
         debug_assert!(
             rank >= self.last_rank,
@@ -253,6 +241,18 @@ impl<M: WireSized> NodeCtx<M> {
             seq: env.seq,
             msg: env.payload.msg_label(),
         });
+        Some(env)
+    }
+
+    /// Fold the endpoint's physical-layer scheduler telemetry (stall
+    /// count, park durations) into this node's stats after a fabric
+    /// call. A call that never parked has nothing to drain.
+    fn drain_sched_telemetry(&mut self) {
+        let stalls = self.ep.take_stalls();
+        if stalls > 0 {
+            self.stats.sched_stalls += stalls;
+            self.metrics.park_ns.merge(&self.ep.take_park_hist());
+        }
     }
 
     /// Absorb a synchronously awaited message: the node was blocked, so

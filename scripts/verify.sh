@@ -27,8 +27,13 @@ done
 echo "==> report (smoke + paper matrices, smoke chaos cells included, vs their goldens, EXPERIMENTS.md tables; writes nothing)"
 ./target/release/report
 
-echo "==> benchmark smoke (five workloads x five cells, one round, every output checked)"
-benchmark/run.sh --rounds 1 --trace 0 >/dev/null
+echo "==> benchmark smoke (five workloads x five cells, one round, every output checked; a paper workload that disagrees with REPORT_paper.json fails it)"
+bench_out=$(benchmark/run.sh --rounds 1 --trace 0)
+printf '%s\n' "$bench_out"
+if printf '%s\n' "$bench_out" | grep -q '^# WARNING consistency:'; then
+    echo "verify: the benchmark disagrees with REPORT_paper.json (the WARNING lines above)" >&2
+    exit 1
+fi
 
 echo "==> benchmark crate's own tests (it compiles against the workspace's traits and messages)"
 CARGO_TARGET_DIR=benchmark/target cargo test -q --release --offline --manifest-path benchmark/Cargo.toml

@@ -344,7 +344,7 @@ fn a_ccl_writer_serves_exactly_the_diffs_its_log_holds() {
     let cfg = DsmConfig::new(n, PAGES).with_page_size(PAGE_SIZE);
     type Diffs = BTreeMap<(u32, u32), PageDiff>;
     let out: Vec<(Diffs, Diffs, u64)> =
-        simnet::run_cluster::<Msg, _, _>(n, cfg.cost, move |mut ctx| {
+        simnet::run_cluster::<Msg, _, _>(n, simnet::CostModel::default(), move |mut ctx| {
             let me = ctx.id();
             if me == 1 {
                 ctx.disk
@@ -478,7 +478,7 @@ fn hand_run(protocol: Protocol, garble: bool, crash: bool) -> Vec<(u64, Restart)
         }
     };
     let word = |page: usize, word: usize| page * PAGE_SIZE + 8 * word;
-    simnet::run_cluster::<hlrc::Msg, _, _>(n, cfg.cost, move |ctx| {
+    simnet::run_cluster::<hlrc::Msg, _, _>(n, simnet::CostModel::default(), move |ctx| {
         let me = ctx.id();
         let homes = |k: usize| HOMED * (k % n);
         let frames = |node: &HlrcNode| -> Vec<Vec<u8>> {

@@ -129,7 +129,7 @@ fn checkpoint_truncates_log_and_shortens_replay() {
     let victim = &with.nodes[1];
     let checkpoint_bytes: u64 = (victim.trace.iter())
         .filter_map(|ev| match ev.kind {
-            TraceKind::Checkpoint { bytes } => Some(bytes),
+            TraceKind::Checkpoint { bytes, .. } => Some(bytes),
             _ => None,
         })
         .sum();

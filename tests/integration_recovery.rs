@@ -796,7 +796,7 @@ fn a_surviving_writer_serves_logged_diffs_from_the_memory_that_made_them() {
     // handler + the copy of what they carry, and its disk is never read.
     use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
     let cfg = DsmConfig::new(2, 4).with_page_size(4096);
-    let times = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+    let times = simnet::run_cluster::<Msg, _, _>(2, simnet::CostModel::default(), move |ctx| {
         let me = ctx.id();
         let mut inner = NodeInner::new(ctx, cfg);
         if me == 0 {
@@ -864,8 +864,8 @@ fn a_writer_that_crashed_serves_only_what_its_salvage_kept() {
     // miss now, known once that scan holds the whole salvaged log.
     use hlrc::{DsmConfig, FaultTolerance, Msg, NodeInner};
     let cfg = DsmConfig::new(2, 4).with_page_size(256);
-    let disk = cfg.cost.disk;
-    let out = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+    let disk = simnet::CostModel::default().disk;
+    let out = simnet::run_cluster::<Msg, _, _>(2, simnet::CostModel::default(), move |ctx| {
         let me = ctx.id();
         let mut inner = NodeInner::new(ctx, cfg);
         if me == 0 {
@@ -950,7 +950,7 @@ fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
     use hlrc::{DsmConfig, HlrcNode, Msg, RecoveryImage, SyncKind, WriteNotice};
     use pagemem::{IntervalId, PageDiff, VClock};
     let cfg = DsmConfig::new(2, 4).with_page_size(256);
-    let held = simnet::run_cluster::<Msg, _, _>(2, cfg.cost, move |ctx| {
+    let held = simnet::run_cluster::<Msg, _, _>(2, simnet::CostModel::default(), move |ctx| {
         if ctx.id() == 1 {
             let mut node = HlrcNode::new(ctx, cfg, Box::new(ftlog::CclLogger::new()));
             let mut vc = VClock::new(2);
