@@ -6,6 +6,12 @@
 //! SplitMix64 generator and all order-sensitive accumulations use
 //! fixed-point integers.
 
+/// `K` zeroed rows of `n` elements: the buffers of a loop that moves
+/// whole rows through `Dsm::read_slice` / `Dsm::write_slice`.
+pub fn row_buffers<const K: usize>(n: usize) -> [Vec<f64>; K] {
+    std::array::from_fn(|_| vec![0.0; n])
+}
+
 /// Deterministic 64-bit generator (SplitMix64) for reproducible
 /// application data.
 #[derive(Debug, Clone)]

@@ -5,11 +5,13 @@
 //! by z-planes, so each node's plane slab is homed locally and the
 //! 7-point stencil fetches only the two halo planes from neighbours —
 //! the paper's classic nearest-neighbour sharing pattern, with barriers
-//! separating every sweep.
+//! separating every sweep. Every loop moves whole x-rows through
+//! `Dsm::read_slice` / `Dsm::write_slice`, issuing the row calls in the
+//! order a per-element loop first touches each row (DESIGN.md §10).
 
 use ccl_core::{ArrayHandle, Dsm};
 
-use crate::common::{Checksum, SplitMix64};
+use crate::common::{row_buffers, Checksum, SplitMix64};
 
 /// MG problem configuration.
 #[derive(Debug, Clone, Copy)]
@@ -101,26 +103,30 @@ fn sweep(dsm: &mut Dsm, lv: &Level, src: bool, me: usize, nodes: usize) {
         (&lv.tmp, &lv.u)
     };
     let (zlo, zhi) = my_planes(n, me, nodes);
+    let [mut c, mut s, mut nn, mut d, mut up, mut f, mut out, zeros] = row_buffers(n);
     for z in zlo..zhi {
         for y in 0..n {
-            for x in 0..n {
-                let i = idx(n, x, y, z);
-                let interior = x > 0 && x < n - 1 && y > 0 && y < n - 1 && z > 0 && z < n - 1;
-                if !interior {
-                    dsm.write(to, i, 0.0);
-                    continue;
-                }
-                let u = dsm.read(from, i);
-                let nb = dsm.read(from, idx(n, x - 1, y, z))
-                    + dsm.read(from, idx(n, x + 1, y, z))
-                    + dsm.read(from, idx(n, x, y - 1, z))
-                    + dsm.read(from, idx(n, x, y + 1, z))
-                    + dsm.read(from, idx(n, x, y, z - 1))
-                    + dsm.read(from, idx(n, x, y, z + 1));
-                let f = dsm.read(&lv.f, i);
-                let r = f - (6.0 * u - nb);
-                dsm.write(to, i, u + OMEGA * r / 6.0);
+            let i = idx(n, 0, y, z);
+            if !(y > 0 && y < n - 1 && z > 0 && z < n - 1) {
+                dsm.write_slice(to, i, &zeros);
+                continue;
             }
+            // The boundary point x = 0 is the row's first touch.
+            dsm.write(to, i, 0.0);
+            dsm.read_slice(from, i, &mut c);
+            dsm.read_slice(from, idx(n, 0, y - 1, z), &mut s);
+            dsm.read_slice(from, idx(n, 0, y + 1, z), &mut nn);
+            dsm.read_slice(from, idx(n, 0, y, z - 1), &mut d);
+            dsm.read_slice(from, idx(n, 0, y, z + 1), &mut up);
+            dsm.read_slice(&lv.f, i, &mut f);
+            for x in 1..n - 1 {
+                let u = c[x];
+                let nb = c[x - 1] + c[x + 1] + s[x] + nn[x] + d[x] + up[x];
+                let r = f[x] - (6.0 * u - nb);
+                out[x] = u + OMEGA * r / 6.0;
+            }
+            // `out[n - 1]` stays the zero of the other boundary point.
+            dsm.write_slice(to, i + 1, &out[1..]);
         }
         dsm.charge_flops(12 * n as u64 * n as u64);
     }
@@ -139,27 +145,34 @@ fn restrict(dsm: &mut Dsm, fine: &Level, coarse: &Level, me: usize, nodes: usize
     let nc = coarse.n;
     let nf = fine.n;
     let (zlo, zhi) = my_planes(nc, me, nodes);
+    let [mut c, mut s, mut nn, mut d, mut up, mut f] = row_buffers(nf);
+    let [mut r, zeros] = row_buffers(nc);
     for zc in zlo..zhi {
         for yc in 0..nc {
-            for xc in 0..nc {
-                let (x, y, z) = (xc * 2, yc * 2, zc * 2);
-                let interior = x > 0 && x < nf - 1 && y > 0 && y < nf - 1 && z > 0 && z < nf - 1;
-                let r = if interior {
-                    let i = idx(nf, x, y, z);
-                    let u = dsm.read(&fine.u, i);
-                    let nb = dsm.read(&fine.u, idx(nf, x - 1, y, z))
-                        + dsm.read(&fine.u, idx(nf, x + 1, y, z))
-                        + dsm.read(&fine.u, idx(nf, x, y - 1, z))
-                        + dsm.read(&fine.u, idx(nf, x, y + 1, z))
-                        + dsm.read(&fine.u, idx(nf, x, y, z - 1))
-                        + dsm.read(&fine.u, idx(nf, x, y, z + 1));
-                    dsm.read(&fine.f, i) - (6.0 * u - nb)
-                } else {
-                    0.0
-                };
-                dsm.write(&coarse.f, idx(nc, xc, yc, zc), r);
-                dsm.write(&coarse.u, idx(nc, xc, yc, zc), 0.0);
+            let (y, z) = (yc * 2, zc * 2);
+            let ci = idx(nc, 0, yc, zc);
+            if !(y > 0 && y < nf - 1 && z > 0 && z < nf - 1) {
+                dsm.write_slice(&coarse.f, ci, &zeros);
+                dsm.write_slice(&coarse.u, ci, &zeros);
+                continue;
             }
+            // The boundary point xc = 0 is both coarse rows' first touch.
+            dsm.write(&coarse.f, ci, 0.0);
+            dsm.write_slice(&coarse.u, ci, &zeros);
+            let i = idx(nf, 0, y, z);
+            dsm.read_slice(&fine.u, i, &mut c);
+            dsm.read_slice(&fine.u, idx(nf, 0, y - 1, z), &mut s);
+            dsm.read_slice(&fine.u, idx(nf, 0, y + 1, z), &mut nn);
+            dsm.read_slice(&fine.u, idx(nf, 0, y, z - 1), &mut d);
+            dsm.read_slice(&fine.u, idx(nf, 0, y, z + 1), &mut up);
+            dsm.read_slice(&fine.f, i, &mut f);
+            for (xc, rc) in r.iter_mut().enumerate().skip(1) {
+                let x = xc * 2;
+                let u = c[x];
+                let nb = c[x - 1] + c[x + 1] + s[x] + nn[x] + d[x] + up[x];
+                *rc = f[x] - (6.0 * u - nb);
+            }
+            dsm.write_slice(&coarse.f, ci + 1, &r[1..]);
         }
         dsm.charge_flops(12 * nc as u64 * nc as u64);
     }
@@ -172,22 +185,25 @@ fn prolongate(dsm: &mut Dsm, coarse: &Level, fine: &Level, me: usize, nodes: usi
     let nf = fine.n;
     let nc = coarse.n;
     let (zlo, zhi) = my_planes(nf, me, nodes);
+    let [mut corr] = row_buffers(nc);
+    let [mut u] = row_buffers(nf);
     for z in zlo..zhi {
         for y in 0..nf {
+            let c = idx(nc, 0, (y / 2).min(nc - 1), (z / 2).min(nc - 1));
+            dsm.read_slice(&coarse.u, c, &mut corr);
+            // A fine row whose coarse row is all zero is not touched.
+            if corr.iter().all(|&k| k == 0.0) {
+                continue;
+            }
+            let i = idx(nf, 0, y, z);
+            dsm.read_slice(&fine.u, i, &mut u);
             for x in 0..nf {
-                let c = idx(
-                    nc,
-                    (x / 2).min(nc - 1),
-                    (y / 2).min(nc - 1),
-                    (z / 2).min(nc - 1),
-                );
-                let corr = dsm.read(&coarse.u, c);
-                if corr != 0.0 {
-                    let i = idx(nf, x, y, z);
-                    let u = dsm.read(&fine.u, i);
-                    dsm.write(&fine.u, i, u + corr);
+                let k = corr[(x / 2).min(nc - 1)];
+                if k != 0.0 {
+                    u[x] += k;
                 }
             }
+            dsm.write_slice(&fine.u, i, &u);
         }
         dsm.charge_flops(2 * nf as u64 * nf as u64);
     }
@@ -211,12 +227,14 @@ pub fn run(dsm: &mut Dsm, cfg: &MgConfig) -> u64 {
     // Initialize the fine RHS (own planes).
     let n = cfg.n;
     let (zlo, zhi) = my_planes(n, me, nodes);
+    let [mut rhs, zeros] = row_buffers(n);
     for z in zlo..zhi {
         for y in 0..n {
-            for x in 0..n {
-                dsm.write(&levels[0].f, idx(n, x, y, z), rhs_value(n, x, y, z));
-                dsm.write(&levels[0].u, idx(n, x, y, z), 0.0);
+            for (x, v) in rhs.iter_mut().enumerate() {
+                *v = rhs_value(n, x, y, z);
             }
+            dsm.write_slice(&levels[0].f, idx(n, 0, y, z), &rhs);
+            dsm.write_slice(&levels[0].u, idx(n, 0, y, z), &zeros);
         }
     }
     dsm.barrier();

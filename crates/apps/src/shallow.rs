@@ -8,7 +8,7 @@
 
 use ccl_core::{ArrayHandle, Dsm};
 
-use crate::common::Checksum;
+use crate::common::{row_buffers, Checksum};
 
 /// Shallow-water problem configuration.
 #[derive(Debug, Clone, Copy)]
@@ -151,92 +151,106 @@ pub fn run(dsm: &mut Dsm, cfg: &ShallowConfig) -> u64 {
     let tdtsdx = DT / DX;
     let tdtsdy = DT / DY;
 
+    // Every phase moves whole rows: one access check per page, the row
+    // calls issued in the order a per-element loop first touches each
+    // row (DESIGN.md §10), the arithmetic in the per-element order.
+    let row = |y: usize| at(n, 0, y);
     for _step in 0..cfg.steps {
         // Phase 1: cu, cv, z, h.
+        let [mut p_c, mut p_s, mut u_c, mut u_s, mut v_c, mut v_n, mut cu, mut cv, mut z, mut h] =
+            row_buffers(n);
         for y in ylo..yhi {
+            let yn = wrap(n, y, 1);
+            let ys = wrap(n, y, -1);
+            dsm.read_slice(&g.p, row(y), &mut p_c);
+            dsm.read_slice(&g.p, row(ys), &mut p_s);
+            dsm.read_slice(&g.u, row(y), &mut u_c);
+            dsm.read_slice(&g.v, row(y), &mut v_c);
+            dsm.read_slice(&g.v, row(yn), &mut v_n);
+            for x in 0..n {
+                let xw = wrap(n, x, -1);
+                cu[x] = 0.5 * (p_c[x] + p_c[xw]) * u_c[x];
+                cv[x] = 0.5 * (p_c[x] + p_s[x]) * v_c[x];
+            }
+            dsm.write_slice(&g.cu, row(y), &cu);
+            dsm.write_slice(&g.cv, row(y), &cv);
+            dsm.read_slice(&g.u, row(ys), &mut u_s);
             for x in 0..n {
                 let xe = wrap(n, x, 1);
                 let xw = wrap(n, x, -1);
-                let yn = wrap(n, y, 1);
-                let ys = wrap(n, y, -1);
-                let p_c = dsm.read(&g.p, at(n, x, y));
-                let p_w = dsm.read(&g.p, at(n, xw, y));
-                let p_s = dsm.read(&g.p, at(n, x, ys));
-                let u_c = dsm.read(&g.u, at(n, x, y));
-                let u_e = dsm.read(&g.u, at(n, xe, y));
-                let v_c = dsm.read(&g.v, at(n, x, y));
-                let v_n = dsm.read(&g.v, at(n, x, yn));
-                dsm.write(&g.cu, at(n, x, y), 0.5 * (p_c + p_w) * u_c);
-                dsm.write(&g.cv, at(n, x, y), 0.5 * (p_c + p_s) * v_c);
-                let zval = (fsdx * (v_c - dsm.read(&g.v, at(n, xw, y)))
-                    - fsdy * (u_c - dsm.read(&g.u, at(n, x, ys))))
-                    / (p_w + p_c + p_s + dsm.read(&g.p, at(n, xw, ys)));
-                dsm.write(&g.z, at(n, x, y), zval);
-                let hval = p_c + 0.25 * (u_e * u_e + u_c * u_c + v_n * v_n + v_c * v_c);
-                dsm.write(&g.h, at(n, x, y), hval);
+                z[x] = (fsdx * (v_c[x] - v_c[xw]) - fsdy * (u_c[x] - u_s[x]))
+                    / (p_c[xw] + p_c[x] + p_s[x] + p_s[xw]);
+                h[x] = p_c[x]
+                    + 0.25
+                        * (u_c[xe] * u_c[xe] + u_c[x] * u_c[x] + v_n[x] * v_n[x] + v_c[x] * v_c[x]);
             }
+            dsm.write_slice(&g.z, row(y), &z);
+            dsm.write_slice(&g.h, row(y), &h);
             dsm.charge_flops(24 * n as u64);
         }
         dsm.barrier();
 
         // Phase 2: new generation from old + intermediates.
+        let [mut uold, mut vold, mut pold, mut unew, mut vnew, mut pnew] = row_buffers(n);
+        let [mut z_c, mut z_n, mut cu_c, mut cu_n, mut cv_c, mut cv_s, mut cv_n, mut h_c, mut h_n] =
+            row_buffers(n);
         for y in ylo..yhi {
+            let yn = wrap(n, y, 1);
+            let ys = wrap(n, y, -1);
+            dsm.read_slice(&g.uold, row(y), &mut uold);
+            dsm.read_slice(&g.z, row(y), &mut z_c);
+            dsm.read_slice(&g.cv, row(y), &mut cv_c);
+            dsm.read_slice(&g.cv, row(ys), &mut cv_s);
+            dsm.read_slice(&g.h, row(y), &mut h_c);
+            dsm.read_slice(&g.vold, row(y), &mut vold);
+            dsm.read_slice(&g.z, row(yn), &mut z_n);
+            dsm.read_slice(&g.cu, row(yn), &mut cu_n);
+            dsm.read_slice(&g.cu, row(y), &mut cu_c);
+            dsm.read_slice(&g.h, row(yn), &mut h_n);
+            dsm.read_slice(&g.pold, row(y), &mut pold);
+            dsm.read_slice(&g.cv, row(yn), &mut cv_n);
             for x in 0..n {
                 let xe = wrap(n, x, 1);
                 let xw = wrap(n, x, -1);
-                let yn = wrap(n, y, 1);
-                let ys = wrap(n, y, -1);
-                let unew = dsm.read(&g.uold, at(n, x, y))
-                    + tdts8
-                        * (dsm.read(&g.z, at(n, xe, y)) + dsm.read(&g.z, at(n, x, y)))
-                        * (dsm.read(&g.cv, at(n, xe, y))
-                            + dsm.read(&g.cv, at(n, xe, ys))
-                            + dsm.read(&g.cv, at(n, x, ys))
-                            + dsm.read(&g.cv, at(n, x, y)))
-                        / 4.0
-                    - tdtsdx * (dsm.read(&g.h, at(n, x, y)) - dsm.read(&g.h, at(n, xw, y)));
-                let vnew = dsm.read(&g.vold, at(n, x, y))
-                    - tdts8
-                        * (dsm.read(&g.z, at(n, x, yn)) + dsm.read(&g.z, at(n, x, y)))
-                        * (dsm.read(&g.cu, at(n, x, yn))
-                            + dsm.read(&g.cu, at(n, xw, yn))
-                            + dsm.read(&g.cu, at(n, xw, y))
-                            + dsm.read(&g.cu, at(n, x, y)))
-                        / 4.0
-                    - tdtsdy * (dsm.read(&g.h, at(n, x, yn)) - dsm.read(&g.h, at(n, x, y)));
-                let pnew = dsm.read(&g.pold, at(n, x, y))
-                    - tdtsdx * (dsm.read(&g.cu, at(n, xe, y)) - dsm.read(&g.cu, at(n, x, y)))
-                    - tdtsdy * (dsm.read(&g.cv, at(n, x, yn)) - dsm.read(&g.cv, at(n, x, y)));
-                dsm.write(&g.unew, at(n, x, y), unew);
-                dsm.write(&g.vnew, at(n, x, y), vnew);
-                dsm.write(&g.pnew, at(n, x, y), pnew);
+                unew[x] = uold[x]
+                    + tdts8 * (z_c[xe] + z_c[x]) * (cv_c[xe] + cv_s[xe] + cv_s[x] + cv_c[x]) / 4.0
+                    - tdtsdx * (h_c[x] - h_c[xw]);
+                vnew[x] = vold[x]
+                    - tdts8 * (z_n[x] + z_c[x]) * (cu_n[x] + cu_n[xw] + cu_c[xw] + cu_c[x]) / 4.0
+                    - tdtsdy * (h_n[x] - h_c[x]);
+                pnew[x] = pold[x] - tdtsdx * (cu_c[xe] - cu_c[x]) - tdtsdy * (cv_n[x] - cv_c[x]);
             }
+            dsm.write_slice(&g.unew, row(y), &unew);
+            dsm.write_slice(&g.vnew, row(y), &vnew);
+            dsm.write_slice(&g.pnew, row(y), &pnew);
             dsm.charge_flops(30 * n as u64);
         }
         dsm.barrier();
 
         // Phase 3: time smoothing and generation shift (row-local).
+        let [mut u, mut v, mut p, mut un, mut vn, mut pn, mut uo, mut vo, mut po] = row_buffers(n);
         for y in ylo..yhi {
+            let i = row(y);
+            dsm.read_slice(&g.u, i, &mut u);
+            dsm.read_slice(&g.v, i, &mut v);
+            dsm.read_slice(&g.p, i, &mut p);
+            dsm.read_slice(&g.unew, i, &mut un);
+            dsm.read_slice(&g.vnew, i, &mut vn);
+            dsm.read_slice(&g.pnew, i, &mut pn);
+            dsm.read_slice(&g.uold, i, &mut uo);
+            dsm.read_slice(&g.vold, i, &mut vo);
+            dsm.read_slice(&g.pold, i, &mut po);
             for x in 0..n {
-                let i = at(n, x, y);
-                let (uc, vc, pc) = (dsm.read(&g.u, i), dsm.read(&g.v, i), dsm.read(&g.p, i));
-                let (un, vn, pn) = (
-                    dsm.read(&g.unew, i),
-                    dsm.read(&g.vnew, i),
-                    dsm.read(&g.pnew, i),
-                );
-                let (uo, vo, po) = (
-                    dsm.read(&g.uold, i),
-                    dsm.read(&g.vold, i),
-                    dsm.read(&g.pold, i),
-                );
-                dsm.write(&g.uold, i, uc + ALPHA * (un - 2.0 * uc + uo));
-                dsm.write(&g.vold, i, vc + ALPHA * (vn - 2.0 * vc + vo));
-                dsm.write(&g.pold, i, pc + ALPHA * (pn - 2.0 * pc + po));
-                dsm.write(&g.u, i, un);
-                dsm.write(&g.v, i, vn);
-                dsm.write(&g.p, i, pn);
+                uo[x] = u[x] + ALPHA * (un[x] - 2.0 * u[x] + uo[x]);
+                vo[x] = v[x] + ALPHA * (vn[x] - 2.0 * v[x] + vo[x]);
+                po[x] = p[x] + ALPHA * (pn[x] - 2.0 * p[x] + po[x]);
             }
+            dsm.write_slice(&g.uold, i, &uo);
+            dsm.write_slice(&g.vold, i, &vo);
+            dsm.write_slice(&g.pold, i, &po);
+            dsm.write_slice(&g.u, i, &un);
+            dsm.write_slice(&g.v, i, &vn);
+            dsm.write_slice(&g.p, i, &pn);
             dsm.charge_flops(18 * n as u64);
         }
         dsm.barrier();

@@ -152,7 +152,8 @@ impl Dsm {
     }
 
     /// Read `out.len()` elements starting at `start`, one access check
-    /// and one copy per page.
+    /// and one copy per page: fault for fault what [`Dsm::read`] does
+    /// over the same range in address order.
     pub fn read_slice<T: SharedVal>(&mut self, h: &ArrayHandle<T>, start: usize, out: &mut [T]) {
         for (page, off, run) in h.page_runs(self.node.inner.cfg.layout, start, out.len()) {
             self.node.ensure_access(page, Access::Read);
@@ -164,7 +165,8 @@ impl Dsm {
     }
 
     /// Write `src.len()` elements starting at `start`, one access check
-    /// and one copy per page.
+    /// and one copy per page: fault for fault what [`Dsm::write`] does
+    /// over the same range in address order.
     pub fn write_slice<T: SharedVal>(&mut self, h: &ArrayHandle<T>, start: usize, src: &[T]) {
         for (page, off, run) in h.page_runs(self.node.inner.cfg.layout, start, src.len()) {
             self.node.ensure_access(page, Access::Write);
@@ -306,4 +308,255 @@ impl Dsm {
 enum AllocHomes {
     Fixed(NodeId),
     Blocked,
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use hlrc::PageEntry;
+    use minicheck::{check, Rng};
+    use pagemem::{PageFrame, PageState, Twin, VClock};
+    use simnet::SimTime;
+
+    use super::Dsm;
+    use crate::{run_program, ClusterSpec, Protocol};
+
+    /// Pages the measured range may span. Two primer pages follow them.
+    const SPAN: usize = 4;
+
+    /// What node 0's entry of a page is when the measured access
+    /// reaches it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Kind {
+        InvalidRemote,
+        ReadOnly,
+        WritableDirty,
+        HomeClean,
+        HomeDirty,
+        Predicted,
+    }
+
+    const KINDS: [Kind; 6] = [
+        Kind::InvalidRemote,
+        Kind::ReadOnly,
+        Kind::WritableDirty,
+        Kind::HomeClean,
+        Kind::HomeDirty,
+        Kind::Predicted,
+    ];
+
+    fn kind_of(e: &PageEntry) -> Kind {
+        match (e.home == 0, e.dirty, e.predicted.is_some(), e.state) {
+            (true, false, _, _) => Kind::HomeClean,
+            (true, true, _, _) => Kind::HomeDirty,
+            (false, _, true, _) => Kind::Predicted,
+            (false, _, false, PageState::Invalid) => Kind::InvalidRemote,
+            (false, _, false, PageState::ReadOnly) => Kind::ReadOnly,
+            (false, _, false, PageState::Writable) => Kind::WritableDirty,
+        }
+    }
+
+    /// Everything an access may read or change in a page entry.
+    #[derive(Debug, PartialEq)]
+    struct EntryState {
+        state: PageState,
+        dirty: bool,
+        frame: Option<PageFrame>,
+        twin: Option<Twin>,
+        version: Option<VClock>,
+        predicted: Option<VClock>,
+    }
+
+    impl EntryState {
+        fn of(e: &PageEntry) -> EntryState {
+            EntryState {
+                state: e.state,
+                dirty: e.dirty,
+                frame: e.frame.clone(),
+                twin: e.twin.clone(),
+                version: e.version.clone(),
+                predicted: e.predicted.as_ref().map(|(_, v)| v.clone()),
+            }
+        }
+    }
+
+    /// What node 0 saw of the measured access.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// The kinds of the spanned pages just before the access.
+        before: Vec<Kind>,
+        words: Vec<u64>,
+        now: SimTime,
+        entries: Vec<EntryState>,
+    }
+
+    #[derive(Clone, Debug)]
+    struct Case {
+        page_size: usize,
+        protocol: Protocol,
+        kinds: [Kind; SPAN],
+        /// Elements `start..start + len` of the array.
+        start: usize,
+        len: usize,
+        /// `Some(values)` writes them; `None` reads.
+        write: Option<Vec<u64>>,
+    }
+
+    impl Case {
+        fn per_page(&self) -> usize {
+            self.page_size / 8
+        }
+
+        /// The spanned pages, as indices into the array.
+        fn pages(&self) -> std::ops::Range<usize> {
+            let per = self.per_page();
+            self.start / per..(self.start + self.len - 1) / per + 1
+        }
+    }
+
+    fn arb_case(rng: &mut Rng) -> Case {
+        let page_size = 1 << rng.usize_in(6, 13);
+        let per = page_size / 8;
+        let crossings = rng.usize_in(0, SPAN);
+        let first = rng.usize_in(0, SPAN - crossings);
+        let last = first + crossings;
+        let start = first * per + rng.usize_in(0, per);
+        let end_lo = if crossings == 0 { start } else { last * per } + 1;
+        let end = rng.usize_in(end_lo, (last + 1) * per + 1);
+        let len = end - start;
+        let write = rng
+            .bool()
+            .then(|| (0..len).map(|_| rng.u64_in(1, u64::MAX)).collect());
+        Case {
+            page_size,
+            protocol: Protocol::ALL[rng.usize_in(0, 3)],
+            kinds: std::array::from_fn(|_| KINDS[rng.usize_in(0, KINDS.len())]),
+            start,
+            len,
+            write,
+        }
+    }
+
+    /// Two nodes: node 1 homes every page but the `HomeClean` /
+    /// `HomeDirty` ones, which node 0 homes. Node 0 puts each spanned
+    /// page into its drawn kind, then accesses the range either with
+    /// one slice call or with the per-element loop.
+    fn program(case: Case, sliced: bool) -> impl Fn(&mut Dsm) -> Option<Observed> + Send + Sync {
+        move |dsm: &mut Dsm| {
+            let per = case.per_page();
+            let (primer, second_primer) = (SPAN * per, (SPAN + 1) * per);
+            let a = dsm.alloc_at::<u64>((SPAN + 2) * per, 1);
+            let first_page = (a.base / case.page_size) as u32;
+            let page = |k: usize| first_page + k as u32;
+            for (k, kind) in case.kinds.iter().enumerate() {
+                if matches!(kind, Kind::HomeClean | Kind::HomeDirty) {
+                    dsm.node.inner.pages.set_home(page(k), 0);
+                }
+            }
+            let me = dsm.me();
+            // Interval 1: every home fills its pages.
+            for k in 0..SPAN + 2 {
+                if dsm.node.inner.pages.entry(page(k)).home == me {
+                    for i in k * per..(k + 1) * per {
+                        dsm.write(&a, i, (i as u64 + 1) * 0x9E37_79B9);
+                    }
+                }
+            }
+            dsm.barrier();
+            // Interval 2: node 1's notices name the pages node 0 will
+            // predict, and the primer it will fault on to predict them.
+            if me == 1 {
+                for (k, kind) in case.kinds.iter().enumerate() {
+                    if *kind == Kind::Predicted {
+                        dsm.write(&a, k * per, 7);
+                    }
+                }
+                dsm.write(&a, primer, 7);
+            }
+            dsm.barrier();
+            let observed = (me == 0).then(|| {
+                // The primer's fetch ships the predicted copies; the
+                // second primer's fetch waits while they install.
+                dsm.read(&a, primer);
+                dsm.read(&a, second_primer);
+                for (k, kind) in case.kinds.iter().enumerate() {
+                    match kind {
+                        Kind::ReadOnly => {
+                            dsm.read(&a, k * per);
+                        }
+                        Kind::WritableDirty | Kind::HomeDirty => dsm.write(&a, k * per, 9),
+                        _ => {}
+                    }
+                }
+                let pages = &dsm.node.inner.pages;
+                let before = case
+                    .pages()
+                    .map(|k| kind_of(pages.entry(page(k))))
+                    .collect();
+                let (start, len) = (case.start, case.len);
+                let mut words = vec![0; len];
+                match (&case.write, sliced) {
+                    (Some(src), true) => dsm.write_slice(&a, start, src),
+                    (Some(src), false) => {
+                        for (i, &v) in src.iter().enumerate() {
+                            dsm.write(&a, start + i, v);
+                        }
+                    }
+                    (None, true) => dsm.read_slice(&a, start, &mut words),
+                    (None, false) => {
+                        for (i, w) in words.iter_mut().enumerate() {
+                            *w = dsm.read(&a, start + i);
+                        }
+                    }
+                }
+                Observed {
+                    before,
+                    words,
+                    now: dsm.now(),
+                    entries: (0..SPAN + 2)
+                        .map(|k| EntryState::of(dsm.node.inner.pages.entry(page(k))))
+                        .collect(),
+                }
+            });
+            dsm.barrier();
+            observed
+        }
+    }
+
+    /// A slice call is the per-element loop over the same range, fault
+    /// for fault: the same words, clock, entries, counters and trace on
+    /// every node, from every kind of entry, across 0-3 page boundaries
+    /// and at page sizes from 64 B to 4 KiB. The kinds the cases put
+    /// the spanned pages in are counted; each must occur.
+    #[test]
+    fn a_slice_call_faults_like_the_per_element_loop() {
+        let seen: [AtomicUsize; 6] = Default::default();
+        check("a_slice_call_faults_like_the_per_element_loop", 48, |rng| {
+            let case = arb_case(rng);
+            let spec = ClusterSpec::new(2, SPAN as u32 + 2)
+                .with_page_size(case.page_size)
+                .with_protocol(case.protocol);
+            let each = run_program(spec.clone(), program(case.clone(), false));
+            let sliced = run_program(spec, program(case.clone(), true));
+            for (e, s) in each.nodes.iter().zip(&sliced.nodes) {
+                let who = format!("node {} of {case:?}", e.node);
+                assert_eq!(e.result, s.result, "{who}: what node 0 observed");
+                assert_eq!(e.stats, s.stats, "{who}: stats");
+                assert_eq!(e.trace, s.trace, "{who}: trace");
+                assert_eq!(e.finish, s.finish, "{who}: finish");
+            }
+            let observed = each.nodes[0].result.as_ref().expect("node 0 observes");
+            for kind in &observed.before {
+                let i = KINDS.iter().position(|k| k == kind).expect("a kind");
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        for (kind, n) in KINDS.iter().zip(&seen) {
+            assert!(
+                n.load(Ordering::Relaxed) > 0,
+                "no case reached a {kind:?} page"
+            );
+        }
+    }
 }

@@ -8,7 +8,8 @@
 # matrix -- its 42 chaos, two-crash and torn/rotted-log cells included --
 # against crates/obsv/smoke_baseline.json and runs one cell of each kind
 # twice. The later stages add what only release binaries can do in
-# reasonable time.
+# reasonable time. The tier-1 and report stages print their wall time
+# (whole seconds), so a host-time change shows on every run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,7 +18,9 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test -q"
+t0=$(date +%s)
 cargo test -q --workspace
+echo "verify: tier-1 tests took $(($(date +%s) - t0)) s wall"
 
 echo "==> shipped examples in release (each asserts its digests; crash_and_recover that ML and CCL recovery reproduce the failure-free one)"
 for example in quickstart weather_shallow molecular_water crash_and_recover log_anatomy; do
@@ -25,7 +28,9 @@ for example in quickstart weather_shallow molecular_water crash_and_recover log_
 done
 
 echo "==> report (smoke + paper matrices, smoke chaos cells included, vs their goldens, EXPERIMENTS.md tables; writes nothing)"
+t0=$(date +%s)
 ./target/release/report
+echo "verify: report took $(($(date +%s) - t0)) s wall"
 
 echo "==> benchmark smoke (five workloads x five cells, one round, every output checked; a paper workload that disagrees with REPORT_paper.json fails it)"
 bench_out=$(benchmark/run.sh --rounds 1 --trace 0)

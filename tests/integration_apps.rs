@@ -6,25 +6,33 @@ use ccl_apps::App;
 use ccl_core::{run_program, ClusterSpec, Protocol};
 
 fn tiny_spec(app: App, nodes: usize, protocol: Protocol) -> ClusterSpec {
-    let page = 256;
+    tiny_spec_at(app, nodes, protocol, 256)
+}
+
+fn tiny_spec_at(app: App, nodes: usize, protocol: Protocol, page: usize) -> ClusterSpec {
     ClusterSpec::new(nodes, app.tiny_pages(page) + 4)
         .with_page_size(page)
         .with_protocol(protocol)
 }
 
 fn check_app(app: App, nodes: usize, protocol: Protocol) {
+    check_app_at(app, nodes, protocol, 256);
+}
+
+fn check_app_at(app: App, nodes: usize, protocol: Protocol, page: usize) {
     let expect = app.tiny_reference();
-    let out = run_program(tiny_spec(app, nodes, protocol), move |dsm| {
+    let out = run_program(tiny_spec_at(app, nodes, protocol, page), move |dsm| {
         app.run_tiny(dsm)
     });
     for n in &out.nodes {
         assert_eq!(
             n.result,
             expect,
-            "{} with {:?} on {} nodes: node {} digest mismatch",
+            "{} with {:?} on {} nodes at {} B pages: node {} digest mismatch",
             app.name(),
             protocol,
             nodes,
+            page,
             n.node
         );
     }
@@ -48,6 +56,25 @@ fn shallow_matches_reference_no_logging() {
 #[test]
 fn water_matches_reference_no_logging() {
     check_app(App::Water, 4, Protocol::None);
+}
+
+/// Shallow and MG move whole grid rows, one access check per page. At
+/// these page sizes a row spans several pages (tiny Shallow's rows are
+/// 128 B, tiny MG's 64 B fine and 32 B coarse), so a row call no
+/// longer faults in the per-element loop's order — but the digest
+/// must still be the serial one.
+#[test]
+fn rows_that_straddle_pages_match_reference() {
+    for (app, page) in [
+        (App::Shallow, 32),
+        (App::Shallow, 64),
+        (App::Mg, 16),
+        (App::Mg, 32),
+    ] {
+        for protocol in [Protocol::None, Protocol::Ccl] {
+            check_app_at(app, 4, protocol, page);
+        }
+    }
 }
 
 #[test]
