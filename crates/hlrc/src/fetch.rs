@@ -190,8 +190,8 @@ impl HlrcNode {
     /// worth piggybacking on its request, all homed at `home` and
     /// currently invalid here: confirmed-stride projections first, then
     /// pages recently invalidated by write notices (likely to fault
-    /// again). Ascending and deduplicated — a pure function of
-    /// deterministic protocol state.
+    /// again), the scan stopping at the [`MAX_EXTRAS`]th. Ascending and
+    /// deduplicated — a pure function of deterministic protocol state.
     fn predict(&mut self, page: PageId, home: NodeId) -> Vec<PageId> {
         self.inner.prefetch.note_fault(page);
         // A fault on a page already predicted by an in-flight batch
@@ -226,10 +226,11 @@ impl HlrcNode {
                 want(p as PageId, &mut out);
             }
         }
-        if out.len() < MAX_EXTRAS {
-            for &p in &self.inner.prefetch.recent_invalidated {
-                want(p, &mut out);
+        for &p in &self.inner.prefetch.recent_invalidated {
+            if out.len() >= MAX_EXTRAS {
+                break;
             }
+            want(p, &mut out);
         }
         out.sort_unstable();
         out
@@ -331,5 +332,50 @@ impl HlrcNode {
                 Msg::PageReplyBatch { after: page, pages },
             )
             .expect("send page reply batch");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simnet::{run_cluster, CostModel};
+
+    use super::*;
+    use crate::{DsmConfig, NoLogging};
+
+    /// With more eligible pages than [`MAX_EXTRAS`], interleaved with
+    /// ineligible ones (homed elsewhere, valid here, already in flight),
+    /// `predict` picks the confirmed stride's eligible projections
+    /// first, then `recent_invalidated`'s in ascending order, and stops
+    /// at eight: the first eight eligible pages, returned ascending.
+    #[test]
+    fn predict_returns_the_first_eight_eligible_pages() {
+        let cfg = DsmConfig::new(3, 64).with_page_size(64);
+        let picked = run_cluster(3, CostModel::default(), |ctx| {
+            let mut node = HlrcNode::new(ctx, cfg, Box::new(NoLogging));
+            if node.inner.me() != 0 {
+                return Vec::new();
+            }
+            let pages = &mut node.inner.pages;
+            for p in 0..64 {
+                pages.set_home(p, 1);
+            }
+            for p in [2, 16, 28, 34, 41] {
+                pages.set_home(p, 2);
+            }
+            for p in [4, 22, 31, 43] {
+                pages.entry_mut(p).state = PageState::ReadOnly;
+            }
+            let prefetch = &mut node.inner.prefetch;
+            prefetch.in_flight.push((60, 0, vec![6, 25, 45]));
+            // Faults at 4 then 7 set the stride 3 that the fault at 10
+            // confirms: it projects 13, 16, ..., 34.
+            (prefetch.last_fault, prefetch.stride) = (Some(7), 3);
+            prefetch.recent_invalidated =
+                [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 40, 41, 42, 43, 44]
+                    .into_iter()
+                    .collect();
+            node.predict(10, 1)
+        });
+        assert_eq!(picked[0], vec![1, 3, 5, 8, 9, 11, 13, 19]);
     }
 }

@@ -38,6 +38,9 @@
 //! otherwise; the last to block opens the next window. A send that puts
 //! a blocked node's head below its bound resumes it — only raw envelopes
 //! can, since an engine send lands at or past every open bound.
+//! Resuming changes a node's state under the fabric lock; the resumed
+//! threads are notified only after it is dropped, and never by
+//! themselves.
 //!
 //! Liveness: the node holding `M1` always clears its own bound
 //! (`B ≥ M1 + L > M1`, `L > 0`). If no node has a next event, a node
@@ -195,23 +198,25 @@ impl<M> Sched<M> {
         }
     }
 
-    /// Resume node `j` if it is blocked and its next event clears.
-    fn resume_if_due(&mut self, j: NodeId, wake: &[Condvar]) -> bool {
+    /// Resume node `j` if it is blocked and its next event clears. Only
+    /// the state changes here; the caller wakes `j` once it has dropped
+    /// the lock ([`Fabric::notify`]).
+    fn resume_if_due(&mut self, j: NodeId) -> bool {
         let blocked = matches!(self.state[j], State::Recv | State::Poll(_));
         if !blocked || !self.clears(j, self.next_event(j)) {
             return false;
         }
         self.state[j] = State::Running;
         self.running += 1;
-        wake[j].notify_one();
         true
     }
 
     /// Open a window: no node is running, so compute every blocked
     /// node's bound from the exact next events and resume each node
     /// whose next event lies below its bound. If none can act, flag the
-    /// deadlock and wake everyone to report it.
-    fn open_window(&mut self, lookahead: SimDuration, wake: &[Condvar]) {
+    /// deadlock. Returns the nodes to wake: the resumed ones, or every
+    /// node to report the deadlock.
+    fn open_window(&mut self, lookahead: SimDuration) -> Vec<NodeId> {
         debug_assert_eq!(self.running, 0);
         let n = self.state.len();
         // The lowest next event `m1` (at node `arg`), and the lowest
@@ -227,16 +232,19 @@ impl<M> Sched<M> {
             }
         }
         let horizon = m1 + lookahead;
-        let mut resumed = false;
+        let mut resumed = Vec::new();
         for j in 0..n {
             let others = if j == arg { m2 } else { m1 };
             self.bound[j] = others.min(horizon) + lookahead;
-            resumed |= self.resume_if_due(j, wake);
+            if self.resume_if_due(j) {
+                resumed.push(j);
+            }
         }
-        if !resumed && self.live > 0 {
+        if resumed.is_empty() && self.live > 0 {
             self.deadlock = Some(self.dump());
-            wake.iter().for_each(Condvar::notify_one);
+            resumed = (0..n).collect();
         }
+        resumed
     }
 
     /// Per-node scheduler state, for the deadlock panic.
@@ -276,6 +284,17 @@ impl<M> Fabric<M> {
     fn lock(&self) -> MutexGuard<'_, Sched<M>> {
         self.sched.lock().expect(UNPOISONED)
     }
+
+    /// Wake `nodes`, all but `me`. Called after the lock is dropped, so
+    /// a woken thread does not block at once on the lock its waker
+    /// holds; no wake is lost, since a node checks its state under the
+    /// lock before it waits. The caller `me` never needs a notify: it
+    /// reads its own state before it waits.
+    fn notify(&self, nodes: &[NodeId], me: NodeId) {
+        for &j in nodes.iter().filter(|&&j| j != me) {
+            self.wake[j].notify_one();
+        }
+    }
 }
 
 /// One node's attachment to the cluster interconnect.
@@ -307,7 +326,9 @@ impl<M> Drop for Endpoint<M> {
         g.running -= 1;
         g.live -= 1;
         if g.running == 0 && g.deadlock.is_none() {
-            g.open_window(fabric.lookahead, &fabric.wake);
+            let woken = g.open_window(fabric.lookahead);
+            drop(g);
+            fabric.notify(&woken, self.id);
         }
     }
 }
@@ -365,7 +386,10 @@ impl<M> Endpoint<M> {
         g.pushes += 1;
         let inbox = &mut g.inbox[dst];
         inbox.insert(inbox.partition_point(|p| p.0 < rank), (rank, env));
-        g.resume_if_due(dst, &fabric.wake);
+        if g.resume_if_due(dst) {
+            drop(g);
+            fabric.wake[dst].notify_one();
+        }
         Ok(())
     }
 
@@ -421,13 +445,22 @@ impl<M> Endpoint<M> {
     /// Block in `state` until the scheduler resumes this node. If this
     /// was the last running node, open the next window first. Panics
     /// with every node's state if the cluster is deadlocked.
-    fn block<'a>(&self, mut g: MutexGuard<'a, Sched<M>>, state: State) -> MutexGuard<'a, Sched<M>> {
+    fn block<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, Sched<M>>,
+        state: State,
+    ) -> MutexGuard<'a, Sched<M>> {
         let fabric = &*self.fabric;
         let t0 = Instant::now();
         g.state[self.id] = state;
         g.running -= 1;
         if g.running == 0 {
-            g.open_window(fabric.lookahead, &fabric.wake);
+            let woken = g.open_window(fabric.lookahead);
+            if woken.iter().any(|&j| j != self.id) {
+                drop(g);
+                fabric.notify(&woken, self.id);
+                g = fabric.lock();
+            }
         }
         while g.state[self.id] != State::Running {
             if let Some(dump) = g.deadlock.clone() {
@@ -625,6 +658,51 @@ mod tests {
             assert_eq!(b.recv().unwrap().payload, Ping(42));
             ack.send(()).unwrap();
         });
+    }
+
+    /// A node that retires as the last running one opens a window, and
+    /// the peers it resumes are woken although it never blocks: both
+    /// blocked receivers return. A lost wake fails on the timeout
+    /// instead of hanging.
+    #[test]
+    fn a_retiring_nodes_window_wakes_its_peers() {
+        let mut eps = make_endpoints_with_lookahead::<Ping>(3, SimDuration::from_nanos(10));
+        let fabric = Arc::clone(&eps[0].fabric);
+        // Both heads arrive at 100, past every first bound (10): the
+        // receivers block until a window admits them.
+        for dst in [1, 2] {
+            eps[0].send(env(0, dst, Ping(dst as u32))).unwrap();
+        }
+        // Not scoped threads: a scope would hang joining a thread whose
+        // wake was lost, instead of failing.
+        let (done, got) = std::sync::mpsc::channel();
+        let receivers: Vec<_> = eps
+            .drain(1..)
+            .map(|ep| {
+                let done = done.clone();
+                std::thread::spawn(move || done.send(ep.recv().map(|e| e.payload)).unwrap())
+            })
+            .collect();
+        let t0 = std::time::Instant::now();
+        while fabric.lock().state[1..] != [State::Recv, State::Recv] {
+            assert!(t0.elapsed().as_secs() < 10, "the receivers never blocked");
+            std::thread::yield_now();
+        }
+        // Node 0 retires: the window bounds both at 100 + 10 + 10.
+        drop(eps);
+        let timeout = std::time::Duration::from_secs(10);
+        let mut payloads: Vec<u32> = (0..2)
+            .map(|_| {
+                got.recv_timeout(timeout)
+                    .expect("a resumed peer was never woken")
+            })
+            .map(|r| r.unwrap().0)
+            .collect();
+        payloads.sort_unstable();
+        assert_eq!(payloads, vec![1, 2]);
+        for r in receivers {
+            r.join().unwrap();
+        }
     }
 
     /// The tentpole property at transport level: queued envelopes leave

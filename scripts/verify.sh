@@ -8,8 +8,9 @@
 # matrix -- its 42 chaos, two-crash and torn/rotted-log cells included --
 # against crates/obsv/smoke_baseline.json and runs one cell of each kind
 # twice. The later stages add what only release binaries can do in
-# reasonable time. The tier-1 and report stages print their wall time
-# (whole seconds), so a host-time change shows on every run.
+# reasonable time. The tier-1, report and benchmark-smoke stages print
+# their wall time (whole seconds), so a host-time change shows on every
+# run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,8 +34,10 @@ t0=$(date +%s)
 echo "verify: report took $(($(date +%s) - t0)) s wall"
 
 echo "==> benchmark smoke (five workloads x five cells, one round, every output checked; a paper workload that disagrees with REPORT_paper.json fails it)"
+t0=$(date +%s)
 bench_out=$(benchmark/run.sh --rounds 1 --trace 0)
 printf '%s\n' "$bench_out"
+echo "verify: benchmark smoke took $(($(date +%s) - t0)) s wall"
 if printf '%s\n' "$bench_out" | grep -q '^# WARNING consistency:'; then
     echo "verify: the benchmark disagrees with REPORT_paper.json (the WARNING lines above)" >&2
     exit 1

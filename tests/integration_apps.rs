@@ -58,11 +58,13 @@ fn water_matches_reference_no_logging() {
     check_app(App::Water, 4, Protocol::None);
 }
 
-/// Shallow and MG move whole grid rows, one access check per page. At
-/// these page sizes a row spans several pages (tiny Shallow's rows are
-/// 128 B, tiny MG's 64 B fine and 32 B coarse), so a row call no
-/// longer faults in the per-element loop's order — but the digest
-/// must still be the serial one.
+/// Shallow and MG move whole grid rows and 3D-FFT whole z-runs, one
+/// access check per page. At these page sizes a row or run spans
+/// several pages (tiny Shallow's rows are 128 B, tiny MG's 64 B fine
+/// and 32 B coarse, tiny 3D-FFT's z-runs 64 B; at 64 B a z-run is
+/// exactly one page), so a slice call no longer faults in the
+/// per-element loop's order — but the digest must still be the serial
+/// one.
 #[test]
 fn rows_that_straddle_pages_match_reference() {
     for (app, page) in [
@@ -70,6 +72,9 @@ fn rows_that_straddle_pages_match_reference() {
         (App::Shallow, 64),
         (App::Mg, 16),
         (App::Mg, 32),
+        (App::Fft3d, 16),
+        (App::Fft3d, 32),
+        (App::Fft3d, 64),
     ] {
         for protocol in [Protocol::None, Protocol::Ccl] {
             check_app_at(app, 4, protocol, page);
