@@ -133,18 +133,21 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }
 
-/// FNV-1a over every node's trace event kinds, in node order —
-/// including the `MsgSend`/`MsgRecv` causal edges. The conservative
-/// virtual-time scheduler delivers messages in `(arrival, src, seq)`
-/// order, so the full causal schedule is deterministic and the
-/// fingerprint pins it. Only the events' `at` stamps are excluded: the
-/// kinds hash with their payloads, so the wait durations that
-/// `PageFetch`, `LockAcquire` and `FlushAckWait` carry (`wait_ns`) and
+/// FNV-1a over every node's trace events, in node order — each
+/// event's `at` stamp and its kind, including the `MsgSend`/`MsgRecv`
+/// causal edges. The conservative virtual-time scheduler delivers
+/// messages in `(arrival, src, seq)` order, so the full causal schedule
+/// is deterministic and the fingerprint pins it, with *when* each event
+/// happened: a change that only moves a home-page write trap relative
+/// to a charge (it sends nothing) moves the fingerprint. The kinds hash
+/// with their payloads, so the wait durations that `PageFetch`,
+/// `LockAcquire` and `FlushAckWait` carry (`wait_ns`) and
 /// `BarrierReleased`'s arrival spread (`spread_ns`) are pinned too.
 pub fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for n in &out.nodes {
         for ev in &n.trace {
+            h = fnv1a(h, &ev.at.as_nanos().to_le_bytes());
             h = fnv1a(h, format!("{:?}", ev.kind).as_bytes());
         }
     }
