@@ -249,6 +249,13 @@ impl Dsm {
         self.node.inner.ctx.now()
     }
 
+    /// This node's protocol state, read-only — its page table, stable
+    /// storage and counters — for a program that inspects what the
+    /// protocol did. Nothing is charged.
+    pub fn node(&self) -> &HlrcNode {
+        &self.node
+    }
+
     // ------------------------------------------------------------
     // Checkpointing
     // ------------------------------------------------------------

@@ -113,7 +113,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hlrc::{
-    FaultTolerance, Msg, NodeInner, NodeSet, RecoveryImage, RecoveryStep, SyncKind, WriteNotice,
+    FaultTolerance, Msg, NodeInner, NodeSet, RecoveryImage, RecoveryStep, ServedCopies, SyncKind,
+    WriteNotice,
 };
 use pagemem::codec::var_size;
 use pagemem::{
@@ -1080,8 +1081,8 @@ impl Default for CclLogger {
 }
 
 impl FaultTolerance for CclLogger {
-    fn retains_served_pages(&self) -> bool {
-        true
+    fn served_copies(&self) -> ServedCopies {
+        ServedCopies::Retain
     }
 
     fn on_notices(
@@ -1186,12 +1187,12 @@ impl FaultTolerance for CclLogger {
         // The salvage scan CRC-verified every surviving payload: a
         // decode failure here would be a logic bug, not damage. Replay
         // read charging covers the framed record, header included.
-        let records: Vec<(CclRecord, usize)> = s
-            .payloads
+        let records: Vec<(CclRecord, usize)> = inner.ctx.disk.peek_stream(CCL_STREAM)[..s.records]
             .iter()
-            .map(|payload| {
-                let rec = CclRecord::decode_from_slice(payload).expect("verified CCL log record");
-                (rec, frame::framed_size(payload.len()))
+            .map(|record| {
+                let payload = frame::payload(record);
+                let rec = CclRecord::decode_from_slice(&payload).expect("verified CCL log record");
+                (rec, record.len())
             })
             .collect();
         // Replay reads on where the salvage scan left the head: from

@@ -158,18 +158,19 @@ pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     }
     // Salvage the current page stream and keep the latest surviving
     // image per page.
-    let prior_records = inner.ctx.disk.record_count(CKPT_PAGES);
-    let old = frame::salvage(inner.ctx.disk.peek_stream(CKPT_PAGES));
+    let prior = inner.ctx.disk.peek_stream(CKPT_PAGES);
+    let prior_records = prior.len();
+    let old = frame::salvage(prior);
+    let mut retained: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+    for payload in old.payloads(prior) {
+        if let Some(p) = payload_page(&payload) {
+            retained.insert(p, payload.into_owned()); // later images supersede earlier
+        }
+    }
     if !old.is_clean() {
         inner
             .ctx
             .trace(TraceKind::CrcMismatch { stream: CKPT_PAGES });
-    }
-    let mut retained: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-    for payload in old.payloads {
-        if let Some(p) = payload_page(&payload) {
-            retained.insert(p, payload); // later images supersede earlier
-        }
     }
     // Incremental page set: anything whose version moved past the base
     // or whose image is gone. The images these replace are dropped.
@@ -260,12 +261,13 @@ fn meta_epoch(inner: &NodeInner) -> u32 {
 /// No frame and no protocol state is applied unless every home page
 /// has its image.
 pub fn restore_meta(inner: &mut NodeInner) -> Result<Option<Vec<u8>>, RestoreError> {
-    let Some(bytes) = inner.ctx.disk.peek_stream(CKPT_META).first().cloned() else {
+    let Some(record) = inner.ctx.disk.peek_stream(CKPT_META).first() else {
         return Ok(None);
     };
-    let cost = inner.ctx.disk.read_cost(bytes.len());
+    let (bytes, frame) = (record.len(), frame::decode_frame(record));
+    let cost = inner.ctx.disk.read_cost(bytes);
     inner.ctx.charge_disk(cost);
-    let frame = frame::decode_frame(&bytes).map_err(RestoreError::Frame)?;
+    let frame = frame.map_err(RestoreError::Frame)?;
     let meta = CheckpointMeta::decode_from_slice(&frame.payload).map_err(RestoreError::Codec)?;
     let images = read_page_images(inner)?;
     // Re-apply the checkpointed home migrations. The page→home map a
@@ -300,14 +302,18 @@ pub fn restore_meta(inner: &mut NodeInner) -> Result<Option<Vec<u8>>, RestoreErr
 fn read_page_images(
     inner: &mut NodeInner,
 ) -> Result<BTreeMap<u32, (VClock, Vec<u8>)>, RestoreError> {
-    let salvaged = frame::salvage(inner.ctx.disk.peek_stream(CKPT_PAGES));
+    let stream = inner.ctx.disk.peek_stream(CKPT_PAGES);
+    let salvaged = frame::salvage(stream);
+    let decoded: Vec<_> = (salvaged.payloads(stream))
+        .map(|payload| (frame::framed_size(payload.len()), decode_image(&payload)))
+        .collect();
     let mut scan = inner.ctx.disk.warm_scan(inner.ctx.now());
     let mut images = BTreeMap::new();
-    for payload in salvaged.payloads {
+    for (size, image) in decoded {
         let now = inner.ctx.now();
-        let cost = (inner.ctx.disk).scan_read(&mut scan, frame::framed_size(payload.len()), now);
+        let cost = (inner.ctx.disk).scan_read(&mut scan, size, now);
         inner.ctx.charge_disk(cost);
-        let (page, version, data) = decode_image(&payload).map_err(RestoreError::Codec)?;
+        let (page, version, data) = image.map_err(RestoreError::Codec)?;
         images.insert(page, (version, data));
     }
     Ok(images)
@@ -368,7 +374,7 @@ mod tests {
             // Restarted as a CCL node, it keeps the restored image as
             // image 0 of the served log it rebuilds.
             let mut inner = inner.restart(SimDuration::ZERO);
-            inner.pages.retain_served_pages();
+            inner.pages.keep_served_copies(hlrc::ServedCopies::Retain);
             assert_eq!(inner.pages.frame(0).read_u64(0), 0);
             assert_eq!((inner.next_interval, inner.barrier_epoch), (0, 0));
             let before = inner.ctx.disk.counters();
@@ -395,7 +401,7 @@ mod tests {
             // One read for the metadata, one per image.
             let after = inner.ctx.disk.counters();
             let meta = inner.ctx.disk.stream_bytes(CKPT_META);
-            let pages: usize = images.iter().map(Vec::len).sum();
+            let pages: usize = images.iter().map(|r| r.len()).sum();
             assert_eq!(after.reads - before.reads, 3);
             assert_eq!(after.bytes_read - before.bytes_read, (meta + pages) as u64);
         });
@@ -419,7 +425,7 @@ mod tests {
             };
             let garble = |inner: &mut NodeInner| {
                 let mut records = inner.ctx.disk.peek_stream(CKPT_PAGES).to_vec();
-                records[1][FRAME_HEADER_BYTES] ^= 0x01;
+                records[1].flat_mut()[FRAME_HEADER_BYTES] ^= 0x01;
                 inner.ctx.disk.rewrite_stream(CKPT_PAGES, records, 0);
             };
             for page in 0..4 {
@@ -429,10 +435,9 @@ mod tests {
             garble(&mut inner);
             write(&mut inner, 3, 4);
             take_checkpoint(&mut inner, b"");
-            let images: Vec<u32> = frame::salvage(inner.ctx.disk.peek_stream(CKPT_PAGES))
-                .payloads
-                .iter()
-                .filter_map(|p| payload_page(p))
+            let stream = inner.ctx.disk.peek_stream(CKPT_PAGES);
+            let images: Vec<u32> = (frame::salvage(stream).payloads(stream))
+                .filter_map(|p| payload_page(&p))
                 .collect();
             assert_eq!(images, [0, 1, 2, 3], "one image per home page");
 
@@ -530,7 +535,7 @@ mod tests {
             let mut inner = NodeInner::new(ctx, cfg);
             take_checkpoint(&mut inner, b"good");
             // Rot one payload bit of the persisted meta record.
-            let mut rec = inner.ctx.disk.peek_stream(CKPT_META)[0].clone();
+            let mut rec = inner.ctx.disk.peek_stream(CKPT_META)[0].to_vec();
             let last = rec.len() - 1;
             rec[last] ^= 0x10;
             inner.ctx.disk.truncate(CKPT_META);
@@ -538,7 +543,8 @@ mod tests {
             let err = restore_meta(&mut inner).unwrap_err();
             assert!(matches!(err, RestoreError::Frame(FrameError::CrcMismatch)));
             // A torn (truncated) meta record is also an error.
-            let short = inner.ctx.disk.peek_stream(CKPT_META)[0][..7].to_vec();
+            let mut short = inner.ctx.disk.peek_stream(CKPT_META)[0].to_vec();
+            short.truncate(7);
             inner.ctx.disk.truncate(CKPT_META);
             inner.ctx.disk.flush_records(CKPT_META, vec![short]);
             assert!(restore_meta(&mut inner).is_err());

@@ -40,8 +40,8 @@ pub use checkpoint::{
     restore_meta, take_checkpoint, CheckpointMeta, RestoreError, CKPT_META, CKPT_PAGES,
 };
 pub use frame::{
-    crc32, decode_frame, frame_record, framed_size, salvage, Frame, FrameError, Salvage,
-    FRAME_HEADER_BYTES, FRAME_MAGIC,
+    crc32, decode_frame, frame_record, frame_spliced, framed_size, salvage, Frame, FrameError,
+    Salvage, StoredBytes, FRAME_HEADER_BYTES, FRAME_MAGIC,
 };
 pub use log_record::CclRecord;
 pub use ml::{MlLogger, ML_STREAM};

@@ -24,9 +24,9 @@
 //! idle time" and "high disk access latency" of §4.3), with no network
 //! traffic at all.
 
-use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind, WriteNotice};
+use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, ServedCopies, SyncKind, WriteNotice};
 use pagemem::{Decode, Encode, PageId, PageState, VClock};
-use simnet::{LogObj, SimDuration, TraceKind};
+use simnet::{DiskRecord, LogObj, SimDuration, TraceKind};
 
 /// A record handed to replay: from the verified on-disk prefix, or
 /// synthesized from the barrier manager's release history when the log
@@ -61,8 +61,9 @@ enum Want {
 pub struct MlLogger {
     /// The stable stream and its device state.
     log: StableLog,
-    /// Framed records not yet flushed.
-    staged: Vec<Vec<u8>>,
+    /// Framed records not yet flushed. A page record shares the page
+    /// buffer of the reply it logs ([`StableLog::frame_spliced`]).
+    staged: Vec<DiskRecord>,
     cursor: Option<usize>,
     /// Verified-prefix length established by the last recovery scan
     /// (replay never reads past it, even if a failed device refused
@@ -86,12 +87,14 @@ impl MlLogger {
     }
 
     /// Stage `msg` whole, wrapped in the checksummed frame it will
-    /// persist under.
+    /// persist under. A page copy is not copied again: the record keeps
+    /// the buffer the home shipped, which every reader of that clean
+    /// version logs ([`hlrc::ServedCopies::Name`]).
     fn stage(&mut self, inner: &mut NodeInner, msg: &Msg) {
         if !self.log.accepting() {
             return;
         }
-        let record = self.log.frame(&msg.encode_to_vec());
+        let record = self.log.frame_spliced(msg);
         trace_ml_append(inner, msg, record.len() as u64);
         self.staged.push(record);
     }
@@ -130,8 +133,7 @@ impl MlLogger {
         // The salvage scan verified every frame up to `log_valid`, and
         // nothing truncates the stream while replay runs.
         let record = &inner.ctx.disk.peek_stream(ML_STREAM)[*cursor];
-        let payload = &record[frame::FRAME_HEADER_BYTES..];
-        let msg = Msg::decode_from_slice(payload).expect("verified ML log record");
+        let msg = Msg::decode_from_slice(&frame::payload(record)).expect("verified ML log record");
         let bytes = record.len();
         *cursor += 1;
         let now = inner.ctx.now();
@@ -315,6 +317,10 @@ impl Default for MlLogger {
 }
 
 impl FaultTolerance for MlLogger {
+    fn served_copies(&self) -> ServedCopies {
+        ServedCopies::Name
+    }
+
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
         let log_it = matches!(
             msg,
@@ -366,14 +372,15 @@ impl FaultTolerance for MlLogger {
     fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         inner.ctx.trace(TraceKind::RecoveryBegin);
         let s = self.log.salvage(inner);
-        self.log_valid = s.payloads.len();
+        self.log_valid = s.records;
         // Replay to the cluster-visible horizon, not just to the end of
-        // a prefix that lost its tail (see `lost_releases`).
+        // a prefix that lost its tail (see `lost_releases`). Only then
+        // are records read here, and only the barrier releases decoded.
         if s.lost_tail && !s.meta_rot {
-            let last_logged = s
-                .payloads
+            let last_logged = inner.ctx.disk.peek_stream(ML_STREAM)[..s.records]
                 .iter()
-                .filter_map(|p| match Msg::decode_from_slice(p) {
+                .filter(|r| Msg::encoded_kind(frame::payload_prefix(*r)) == "BarrierRelease")
+                .filter_map(|r| match Msg::decode_from_slice(&frame::payload(r)) {
                     Ok(Msg::BarrierRelease { epoch, .. }) => Some(epoch),
                     _ => None,
                 })

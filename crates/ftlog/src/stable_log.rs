@@ -25,8 +25,8 @@
 //! back ([`StableLog::write_behind`]).
 
 use hlrc::{EpochRelease, NodeInner};
-use pagemem::PageId;
-use simnet::{LogObj, SimDuration, TraceKind};
+use pagemem::{Encode, PageId};
+use simnet::{DiskRecord, LogObj, SimDuration, TraceKind};
 
 use crate::checkpoint::{self, CKPT_META};
 use crate::frame;
@@ -56,8 +56,9 @@ pub enum Written {
 /// What [`StableLog::salvage`] recovered.
 #[derive(Debug)]
 pub struct Salvaged {
-    /// Verified payloads of the adopted prefix, in order.
-    pub payloads: Vec<Vec<u8>>,
+    /// Records in the adopted prefix: the stream's first `records`
+    /// records, read back with [`frame::payload`].
+    pub records: usize,
     /// Application blob of the restored checkpoint, if there is one.
     pub app: Option<Vec<u8>>,
     /// The stream may be missing records the node logged before the
@@ -65,7 +66,7 @@ pub struct Salvaged {
     /// failed or filled.
     pub lost_tail: bool,
     /// The persisted checkpoint metadata was rotten: log and checkpoint
-    /// were both discarded (`payloads` is empty) and the node
+    /// were both discarded (`records` is 0) and the node
     /// re-executes from scratch.
     pub meta_rot: bool,
 }
@@ -116,19 +117,29 @@ impl StableLog {
         record
     }
 
+    /// Encode `payload` into the frame it will persist under, taking the
+    /// next sequence number; a buffer it shares is kept, not copied
+    /// ([`frame::frame_spliced`]).
+    pub fn frame_spliced(&mut self, payload: &impl Encode) -> DiskRecord {
+        let record = frame::frame_spliced(self.epoch, self.next_seq, payload);
+        self.next_seq += 1;
+        record
+    }
+
     /// Write one batch through the OS cache in a single access.
     /// `overlapped` only labels the `LogFlush` event. Time is reported,
     /// not charged: see [`Written`].
-    pub fn write(
+    pub fn write<R: Into<DiskRecord>>(
         &mut self,
         inner: &mut NodeInner,
-        records: Vec<Vec<u8>>,
+        records: Vec<R>,
         overlapped: bool,
     ) -> Written {
         if !self.accepting() || records.is_empty() {
             return Written::Nothing;
         }
-        let bytes: usize = records.iter().map(Vec::len).sum();
+        let records: Vec<DiskRecord> = records.into_iter().map(Into::into).collect();
+        let bytes: usize = records.iter().map(DiskRecord::len).sum();
         let retries_before = inner.ctx.disk.counters().write_retries;
         let _ = inner.ctx.disk.flush_records(self.stream, records);
         let futile = inner.ctx.disk.model().write_time(0);
@@ -192,8 +203,8 @@ impl StableLog {
         let s = frame::salvage(inner.ctx.disk.peek_stream(stream));
         let damaged = !s.is_clean();
         let lost_tail = damaged || !self.accepting();
-        let mut payloads = s.payloads;
-        let valid = payloads.len() as u32;
+        let mut records = s.valid;
+        let valid = records as u32;
         if damaged {
             if s.crc_mismatches > 0 {
                 inner.ctx.trace(TraceKind::CrcMismatch { stream });
@@ -203,7 +214,7 @@ impl StableLog {
                 salvaged: valid,
                 discarded: s.discarded,
             });
-            inner.ctx.disk.truncate_records(stream, payloads.len());
+            inner.ctx.disk.truncate_records(stream, records);
             inner.ctx.trace(TraceKind::LogTruncated {
                 stream,
                 records: valid,
@@ -224,12 +235,12 @@ impl StableLog {
             inner.ctx.trace(TraceKind::RecoveryDegraded);
             inner.ctx.disk.truncate(CKPT_META);
             inner.ctx.disk.truncate(stream);
-            payloads.clear();
+            records = 0;
             self.epoch += 1;
             self.next_seq = 0;
         }
         Salvaged {
-            payloads,
+            records,
             app: restored.unwrap_or(None),
             lost_tail,
             meta_rot,
@@ -433,7 +444,7 @@ mod tests {
                 // new epoch, numbered from zero.
                 assert_eq!(flush(&mut log, inner, 1), persisted(inner, 1, false));
                 let resumed = frame::salvage(inner.ctx.disk.peek_stream(STREAM));
-                assert_eq!((resumed.epoch, resumed.payloads.len()), (1, 1));
+                assert_eq!((resumed.epoch, resumed.valid), (1, 1));
             } else {
                 // The persisted prefix, the only recovery data left,
                 // survives the attempt.
@@ -474,8 +485,13 @@ mod tests {
             assert_eq!(s.lost_tail, kept < 5);
             assert!(!s.meta_rot && s.app.is_none());
             assert_eq!(inner.ctx.disk.record_count(STREAM), kept);
-            for (i, payload) in s.payloads.iter().enumerate() {
-                assert_eq!(payload[..], [i as u8; 32], "prefix is contiguous");
+            let prefix = &inner.ctx.disk.peek_stream(STREAM)[..s.records];
+            for (i, record) in prefix.iter().enumerate() {
+                assert_eq!(
+                    frame::payload(record)[..],
+                    [i as u8; 32],
+                    "prefix is contiguous"
+                );
             }
             let next = frame::decode_frame(&log.frame(b"next")).expect("own frame");
             assert_eq!((next.epoch, next.seq as usize), (1, kept));

@@ -227,15 +227,16 @@ fn salvage_is_full_decode_or_clean_prefix_cut() {
             None
         };
         let s = salvage(&records);
+        let salvaged: Vec<_> = s.payloads(&records).collect();
         match damaged {
             None => {
                 assert!(s.is_clean());
-                assert_eq!(s.payloads, payloads);
+                assert_eq!(salvaged, payloads);
             }
             Some(victim) => {
                 assert!(!s.is_clean());
-                assert_eq!(s.payloads.len(), victim);
-                assert_eq!(s.payloads, payloads[..victim].to_vec());
+                assert_eq!(s.valid, victim);
+                assert_eq!(salvaged, payloads[..victim]);
                 assert_eq!(s.discarded as usize, records.len() - victim);
                 assert_eq!(s.torn + s.crc_mismatches, 1);
             }

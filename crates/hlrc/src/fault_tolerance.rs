@@ -24,6 +24,7 @@ use simnet::{Envelope, SimDuration};
 
 use crate::msg::{Msg, WriteNotice};
 use crate::node::NodeInner;
+use crate::page_table::ServedCopies;
 
 /// Which synchronization operation produced an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,21 +53,27 @@ pub enum RecoveryStep {
 /// estimates.
 #[allow(unused_variables)]
 pub trait FaultTolerance: Send {
-    /// Whether a home keeps, in volatile memory, the reply buffer of
-    /// every page copy it serves (one per distinct version served, see
-    /// [`crate::ServedLog`]) so that a recovering peer's remote copies
-    /// can be restored from them. CCL needs this: it does not log the
-    /// page replies a node receives, and a home's own writes to its
-    /// pages produce no diffs in HLRC, so the states a peer fetched are
-    /// reconstructible from nowhere else. Volatile is enough while the
-    /// home survives, which a peer's recovery implies under the
-    /// single-failure model; a home that crashed can re-form the log by
-    /// its own replay ([`crate::PageTable::rebuild_served_logs`]).
-    /// Costs nothing on any clock: the buffer was built for the reply
-    /// anyway. ML replays the page contents it logged itself and does
-    /// not need it.
-    fn retains_served_pages(&self) -> bool {
-        false
+    /// What a home keeps of the page copies it serves — one answer of
+    /// three, a constant of the protocol ([`ServedCopies`]). None
+    /// forgets them ([`ServedCopies::Forget`], the default): only a
+    /// predicted extra, held as shipped until its first touch, is named.
+    /// ML names every clean copy ([`ServedCopies::Name`]): its receivers
+    /// log each reply with the buffer it came in, so every reader of one
+    /// clean version logs the same allocation, and the weak name keeps
+    /// nothing alive the logs would not. CCL retains them
+    /// ([`ServedCopies::Retain`]): the reply buffer of every version
+    /// served stays in volatile memory ([`crate::ServedLog`]) so that a
+    /// recovering peer's remote copies can be restored from them — CCL
+    /// does not log the page replies a node receives, and a home's own
+    /// writes to its pages produce no diffs in HLRC, so the states a
+    /// peer fetched are reconstructible from nowhere else. Volatile is
+    /// enough while the home survives, which a peer's recovery implies
+    /// under the single-failure model; a home that crashed can re-form
+    /// the log by its own replay
+    /// ([`crate::PageTable::rebuild_served_logs`]). No answer costs
+    /// anything on any clock: the buffer was built for the reply anyway.
+    fn served_copies(&self) -> ServedCopies {
+        ServedCopies::Forget
     }
 
     // ---- failure-free logging ----

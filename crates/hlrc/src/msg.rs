@@ -610,6 +610,16 @@ impl Msg {
         kind_label(self.ordinal())
     }
 
+    /// The [`Msg::kind`] of an encoded message, read from its tag byte
+    /// alone: nothing past the first byte is looked at. `"?"` for an
+    /// empty buffer or an unknown tag.
+    pub fn encoded_kind(bytes: &[u8]) -> &'static str {
+        match bytes.first() {
+            Some(&tag) if tag >= FIRST_TAG => kind_label((tag - FIRST_TAG) as usize),
+            _ => "?",
+        }
+    }
+
     /// A recovering peer's request — the one class a node must keep
     /// answering while it replays its own log. Each is served from
     /// stable state (the stable log, the barrier manager's release
@@ -665,7 +675,7 @@ impl Encode for Msg {
                 version,
             } => {
                 w.put_u32(*page);
-                w.put_bytes(data);
+                w.put_shared(data);
                 version.encode(w);
             }
             Msg::DiffFlush { writer, diffs } => {
@@ -770,7 +780,7 @@ impl Encode for Msg {
                 version,
             } => {
                 w.put_u32(*page);
-                w.put_bytes(data);
+                w.put_shared(data);
                 version.encode(w);
             }
             Msg::RecoveryHelloReply {

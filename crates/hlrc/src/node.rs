@@ -325,9 +325,7 @@ impl HlrcNode {
     /// reason [`NodeInner::with_pages`] is).
     #[inline(always)]
     fn with_inner(mut inner: NodeInner, ft: Box<dyn FaultTolerance>) -> HlrcNode {
-        if ft.retains_served_pages() {
-            inner.pages.retain_served_pages();
-        }
+        inner.pages.keep_served_copies(ft.served_copies());
         HlrcNode { inner, ft }
     }
 

@@ -90,13 +90,14 @@ pub struct PageEntry {
     pub copyset: NodeSet,
     /// Home-side: the page's write history and the reply buffers
     /// retained from it since the last checkpoint. Empty unless the
-    /// table [retains served pages](PageTable::retain_served_pages).
+    /// table [retains](ServedCopies::Retain) what it serves.
     pub served: ServedLog,
     /// Home-side, when served pages are not retained: the buffer of the
-    /// last clean predicted copy shipped, held by nobody here. While a
-    /// requester still holds it, every fetch of the same version is
-    /// answered with it (see [`PageTable::serve_copy`]); it is
-    /// forgotten when the version moves.
+    /// last clean copy shipped that the table names ([`ServedCopies`]),
+    /// held by nobody here. While a requester still holds it, every
+    /// fetch of the same version is answered with it (see
+    /// [`PageTable::serve_copy`]); it is forgotten when the version
+    /// moves, at a crash and at a migration.
     pub shipped: Option<WeakBytes>,
     /// Non-home side: this copy arrived as a prefetch prediction and has
     /// not been touched yet — the reply buffer it came in, as the home
@@ -155,6 +156,31 @@ enum ServedLogs {
     Rebuilding,
 }
 
+/// What a home keeps of the page copies it serves: the three answers of
+/// [`FaultTolerance::served_copies`](crate::FaultTolerance::served_copies).
+/// In every case fetches of one clean version share one buffer while
+/// the home still names it, and a buffer is never named while the frame
+/// is dirty: a clean version is the one thing that pins the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServedCopies {
+    /// Keep nothing that outlives the fetch. Only a predicted extra is
+    /// named, weakly: its requester holds it as shipped until its first
+    /// touch. A demand copy goes into a frame on arrival, so naming it
+    /// would keep an allocation alive with nobody to share it with
+    /// (DESIGN.md §10). The "None" baseline.
+    Forget,
+    /// Name every clean copy shipped, demand or predicted, weakly: the
+    /// receiver's log keeps the buffer anyway (ML logs each reply with
+    /// the buffer it came in), so every reader of one clean version logs
+    /// the same allocation and the name keeps nothing alive that would
+    /// otherwise be freed.
+    Name,
+    /// Keep the write history and the reply buffer of every version
+    /// served ([`ServedLog`]), to restore a recovering peer's copies
+    /// from (CCL).
+    Retain,
+}
+
 /// The full table for one node.
 #[derive(Debug)]
 pub struct PageTable {
@@ -166,9 +192,8 @@ pub struct PageTable {
     /// home of? False once a crash of this node or an adopted migration
     /// wiped or bypassed them.
     copysets_complete: bool,
-    /// Keep write histories and served images of the pages homed here
-    /// (see [`ServedLog`]).
-    retain_served: bool,
+    /// What this home keeps of the copies it serves.
+    served_copies: ServedCopies,
     /// See [`ServedLogs`].
     served_logs: ServedLogs,
 }
@@ -212,7 +237,7 @@ impl PageTable {
             me,
             n_nodes: cfg.n_nodes,
             copysets_complete: true,
-            retain_served: false,
+            served_copies: ServedCopies::Forget,
             served_logs: ServedLogs::Whole,
         }
     }
@@ -226,12 +251,11 @@ impl PageTable {
         self.entries.iter().map(|e| (e.home, e.migrated)).collect()
     }
 
-    /// From here on, keep the write history of every page homed here
-    /// and the buffer of every copy served of it. Set once, when the
-    /// node is built, from
-    /// [`FaultTolerance::retains_served_pages`](crate::FaultTolerance::retains_served_pages).
-    pub fn retain_served_pages(&mut self) {
-        self.retain_served = true;
+    /// From here on, keep `copies` of the pages served from here. Set
+    /// once, when the node is built, from
+    /// [`FaultTolerance::served_copies`](crate::FaultTolerance::served_copies).
+    pub fn keep_served_copies(&mut self, copies: ServedCopies) {
+        self.served_copies = copies;
     }
 
     /// Page size in bytes.
@@ -434,7 +458,7 @@ impl PageTable {
             .expect("home version missing")
             .observe(iv);
         e.shipped = None;
-        if self.retain_served {
+        if self.served_copies == ServedCopies::Retain {
             e.served.note_write(iv);
         }
     }
@@ -449,7 +473,10 @@ impl PageTable {
     /// before it changes; a request for a write not yet re-reached
     /// [waits](Self::awaits_rebuild).
     pub fn rebuild_served_logs(&mut self, updates: impl Iterator<Item = (PageId, IntervalId)>) {
-        debug_assert!(self.retain_served, "nothing was retained to rebuild");
+        debug_assert!(
+            self.served_copies == ServedCopies::Retain,
+            "nothing was retained to rebuild"
+        );
         self.served_logs = ServedLogs::Rebuilding;
         for (page, iv) in updates {
             self.entries[page as usize].served.expect_write(iv);
@@ -504,7 +531,7 @@ impl PageTable {
         for e in &mut self.entries {
             if e.home == self.me {
                 e.base_version = e.version.clone();
-                if self.retain_served {
+                if self.served_copies == ServedCopies::Retain {
                     e.served
                         .truncate_at_checkpoint(e.frame.as_ref().expect("home frame"));
                 }
@@ -521,7 +548,7 @@ impl PageTable {
         e.frame = Some(PageFrame::from_bytes(data));
         e.version = Some(version.clone());
         e.base_version = Some(version);
-        if self.retain_served {
+        if self.served_copies == ServedCopies::Retain {
             e.served.start_from(SharedBytes::copy_of(data));
         }
     }
@@ -601,7 +628,7 @@ impl PageTable {
         e.dirty = false;
         e.copyset.clear();
         e.served.clear();
-        if self.retain_served {
+        if self.served_copies == ServedCopies::Retain {
             e.served.start_from(SharedBytes::copy_of(data));
         }
         e.predicted = None;
@@ -631,24 +658,22 @@ impl PageTable {
     /// A copy of home page `page` to ship — the demand page, or a
     /// `predicted` extra: the reply buffer and the version it shows.
     /// Fetches of one clean version share one buffer. A table that
-    /// retains served pages keeps it and answers every such fetch with
-    /// it; an extra's buffer is retained like any other, since a peer
-    /// that touched it and crashed before saying so restores it from
-    /// that image. Any other table names the buffer of a predicted
-    /// extra — which its requester holds as is until its first touch —
-    /// and answers with it while someone still holds it, copying afresh
-    /// once nobody does, once the version has moved, or while the frame
-    /// is dirty (a clean version is the one thing that pins the bytes).
-    /// A demand copy goes into a frame on arrival, so it is shared when
-    /// it can be and never named: the weak name would keep its
-    /// allocation alive with nobody to share it with (DESIGN.md §10).
-    /// Who the copy goes to is not recorded here (see
+    /// [retains](ServedCopies::Retain) keeps it and answers every such
+    /// fetch with it; an extra's buffer is retained like any other,
+    /// since a peer that touched it and crashed before saying so
+    /// restores it from that image. Any other table names the buffer —
+    /// of every clean copy under [`ServedCopies::Name`], of a predicted
+    /// extra only under [`ServedCopies::Forget`] — and answers with it
+    /// while someone still holds it, copying afresh once nobody does,
+    /// once the version has moved, or while the frame is dirty. Who the
+    /// copy goes to is not recorded here (see
     /// [`PageTable::note_remote_fetch`]).
     pub fn serve_copy(&mut self, page: PageId, predicted: bool) -> (SharedBytes, VClock) {
+        let copies = self.served_copies;
         let e = &mut self.entries[page as usize];
         let frame = e.frame.as_ref().expect("home frame");
         let clean = !e.dirty;
-        let data = if self.retain_served {
+        let data = if copies == ServedCopies::Retain {
             e.served.serve(frame)
         } else if let Some(data) = e
             .shipped
@@ -659,7 +684,8 @@ impl PageTable {
             data
         } else {
             let data = SharedBytes::copy_of(frame.bytes());
-            e.shipped = (clean && predicted).then(|| data.downgrade());
+            let named = predicted || copies == ServedCopies::Name;
+            e.shipped = (clean && named).then(|| data.downgrade());
             data
         };
         (data, e.version.clone().expect("home version"))
@@ -830,7 +856,7 @@ mod tests {
         // Home copies start over from zero, checkpoint base included:
         // the restart reads the image back from disk. A table retaining
         // served pages shows the base as image 0 while it rebuilds.
-        r.retain_served_pages();
+        r.keep_served_copies(ServedCopies::Retain);
         r.rebuild_served_logs(std::iter::empty());
         let horizon_0 = VClock::new(2);
         for page in [0, 3] {
@@ -861,7 +887,7 @@ mod tests {
     #[test]
     fn promote_base_captures_current_state() {
         let mut t = PageTable::new(&cfg(), 0);
-        t.retain_served_pages();
+        t.keep_served_copies(ServedCopies::Retain);
         t.frame_mut(0).write_u64(0, 42);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
         t.promote_base();
@@ -955,7 +981,7 @@ mod tests {
     fn a_fetch_retains_its_buffer_and_leaves_the_base_alone() {
         let iv = IntervalId { node: 0, seq: 0 };
         let mut t = PageTable::new(&cfg(), 0);
-        t.retain_served_pages();
+        t.keep_served_copies(ServedCopies::Retain);
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, iv);
         let (first, version) = t.serve_copy(0, false);
@@ -979,7 +1005,7 @@ mod tests {
         assert!(pos == 1 && image.ptr_eq(&first));
         // A crashed home has nothing to select from until it checkpoints.
         let mut t = PageTable::restarted(&cfg(), 0, t.home_map());
-        t.retain_served_pages();
+        t.keep_served_copies(ServedCopies::Retain);
         assert!(t.recovery_image(0, &version).is_none());
         t.promote_base();
         assert!(t.recovery_image(0, &version).is_some());
@@ -1021,6 +1047,32 @@ mod tests {
         let moved = extra(&mut t);
         assert!(!moved.ptr_eq(&held) && extra(&mut t).ptr_eq(&moved));
         assert_eq!(u64::from_le_bytes(moved[..8].try_into().unwrap()), 6);
+    }
+
+    /// Under ML a home names every clean copy, demand ones included:
+    /// one clean version, one buffer, while anyone holds it. Nothing is
+    /// named while the frame is dirty, and a new version, a migration or
+    /// a crash drops the name.
+    #[test]
+    fn a_home_that_names_every_clean_copy_shares_demand_copies() {
+        let demand = |t: &mut PageTable| t.serve_copy(0, false).0;
+        let mut t = PageTable::new(&cfg(), 0);
+        t.keep_served_copies(ServedCopies::Name);
+        t.frame_mut(0).write_u64(0, 5);
+        t.note_home_write(0, IntervalId { node: 0, seq: 0 });
+        let held = demand(&mut t);
+        assert!(demand(&mut t).ptr_eq(&held), "a demand copy is named");
+        t.entry_mut(0).dirty = true;
+        let dirty = demand(&mut t);
+        assert!(!dirty.ptr_eq(&held) && !demand(&mut t).ptr_eq(&dirty));
+        t.entry_mut(0).dirty = false;
+        t.note_home_write(0, IntervalId { node: 0, seq: 1 });
+        let moved = demand(&mut t);
+        assert!(!moved.ptr_eq(&held) && t.entry(0).shipped.is_some());
+        let restarted = PageTable::restarted(&cfg(), 0, t.home_map());
+        assert!(restarted.entry(0).shipped.is_none(), "a crash forgets");
+        t.demote_home(0, 1);
+        assert!(t.entry(0).shipped.is_none(), "a migration forgets");
     }
 
     #[test]

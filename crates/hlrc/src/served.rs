@@ -3,7 +3,8 @@
 //! Sender-based payload logging, applied to the one message CCL
 //! declines to log at the receiver — the page reply. The home already
 //! builds a reply buffer for every fetch; under a protocol that
-//! [retains served pages](crate::FaultTolerance::retains_served_pages)
+//! [retains](crate::ServedCopies::Retain) what it serves
+//! ([`FaultTolerance::served_copies`](crate::FaultTolerance::served_copies))
 //! it keeps that buffer, one per distinct *(page, version served)*, and
 //! a recovering peer's remote copies are restored from these buffers
 //! instead of being reconstructed from diffs. Nothing is charged on any

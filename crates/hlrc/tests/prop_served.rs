@@ -17,7 +17,7 @@
 
 use std::cell::Cell;
 
-use hlrc::{DsmConfig, PageTable, RecoveryImage};
+use hlrc::{DsmConfig, PageTable, RecoveryImage, ServedCopies};
 use minicheck::{check, Rng};
 use pagemem::{DiffRun, Encode, IntervalId, PageDiff, PageFrame, SharedBytes, VClock};
 
@@ -85,7 +85,7 @@ impl Home {
         // Pages `0..n_pages` are homed at node 0.
         let cfg = DsmConfig::new(NODES, (NODES * n_pages) as u32).with_page_size(PAGE);
         let mut table = PageTable::new(&cfg, 0);
-        table.retain_served_pages();
+        table.keep_served_copies(ServedCopies::Retain);
         Home {
             cfg,
             table,
@@ -376,7 +376,7 @@ impl Home {
         // The crash: the table restarts from the home map, and the
         // checkpoint restore brings every home page's base back.
         self.table = PageTable::restarted(&self.cfg, 0, self.table.home_map());
-        self.table.retain_served_pages();
+        self.table.keep_served_copies(ServedCopies::Retain);
         for (page, (image, version)) in self.checkpointed.iter().enumerate() {
             self.table.restore_home(page as u32, image, version.clone());
         }
@@ -505,7 +505,7 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_t
     check("served_delta", CASES, |rng| {
         let cfg = DsmConfig::new(2, 2).with_page_size(PAGE);
         let mut table = PageTable::new(&cfg, 0);
-        table.retain_served_pages();
+        table.keep_served_copies(ServedCopies::Retain);
         // A few versions of page 0, from a word here and there to a
         // rewrite of everything, each fetched once.
         let mut required = VClock::new(2);
@@ -596,7 +596,7 @@ fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
     check("served_requester_writes", CASES, |rng| {
         let cfg = DsmConfig::new(NODES, NODES as u32).with_page_size(PAGE);
         let mut table = PageTable::new(&cfg, 0);
-        table.retain_served_pages();
+        table.keep_served_copies(ServedCopies::Retain);
         let mut next_seq = [0u32; NODES];
         let mut interval = |node: usize| {
             next_seq[node] += 1;

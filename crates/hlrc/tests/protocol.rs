@@ -2,7 +2,7 @@
 //! cluster: these exercise the actual message exchanges (fetches, diff
 //! flushes, notices) across real threads.
 
-use hlrc::{DsmConfig, FaultTolerance, HlrcNode, Msg, NoLogging, RecoveryImage};
+use hlrc::{DsmConfig, FaultTolerance, HlrcNode, Msg, NoLogging, RecoveryImage, ServedCopies};
 use pagemem::{IntervalId, VClock};
 use simnet::{run_cluster, CostModel, SimDuration, SimTime};
 
@@ -513,8 +513,8 @@ fn a_used_prediction_is_reported_with_the_next_fault_at_its_home() {
 struct Retaining;
 
 impl FaultTolerance for Retaining {
-    fn retains_served_pages(&self) -> bool {
-        true
+    fn served_copies(&self) -> ServedCopies {
+        ServedCopies::Retain
     }
 }
 
@@ -698,8 +698,8 @@ struct Rebuilding {
 }
 
 impl FaultTolerance for Rebuilding {
-    fn retains_served_pages(&self) -> bool {
-        true
+    fn served_copies(&self) -> ServedCopies {
+        ServedCopies::Retain
     }
     fn begin_recovery(&mut self, inner: &mut hlrc::NodeInner) -> Option<Vec<u8>> {
         self.replaying = true;

@@ -2,13 +2,16 @@
 //!
 //! Page-carrying messages used to own a fresh `Vec<u8>` copy of the
 //! page, which the simnet router then deep-copied again for duplicate
-//! deliveries and the loggers copied a third time into log records.
+//! deliveries and the loggers copied twice more into log records.
 //! [`SharedBytes`] is an in-tree `Bytes`-style wrapper (an `Arc<[u8]>`,
 //! no external deps): every clone is a reference-count bump, so one
-//! allocation is shared across the envelope, its duplicates, and the
-//! log append. Wire and log *accounting* always uses the logical
-//! length ([`SharedBytes::len`]), never the physical sharing, so
-//! reported byte counts are unchanged.
+//! allocation is shared across the envelope and its duplicates, and
+//! ML's log record of the copy keeps it too: the encoder hands it over
+//! through [`Sink::put_shared`](crate::Sink::put_shared) and the record
+//! holds it as its shared span (`simnet::DiskRecord`), not as a copy.
+//! Wire and log *accounting* always uses the logical length
+//! ([`SharedBytes::len`]), never the physical sharing, so reported byte
+//! counts are unchanged.
 //!
 //! A [`WeakBytes`] names a buffer without keeping it alive: whoever
 //! built it can hand the same allocation out again for as long as
@@ -68,6 +71,12 @@ impl WeakBytes {
     /// The buffer, if anyone still holds it.
     pub fn upgrade(&self) -> Option<SharedBytes> {
         self.0.upgrade().map(SharedBytes)
+    }
+}
+
+impl From<SharedBytes> for Arc<[u8]> {
+    fn from(v: SharedBytes) -> Arc<[u8]> {
+        v.0
     }
 }
 

@@ -28,6 +28,8 @@
 
 use std::fmt;
 
+use crate::SharedBytes;
+
 /// Errors raised while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -113,6 +115,14 @@ pub trait Sink {
 
     /// Raw bytes, no length prefix (fixed-size payloads like full pages).
     fn put_raw(&mut self, v: &[u8]);
+
+    /// A length-prefixed byte string the encoder holds as a shared
+    /// buffer: the same bytes as [`Sink::put_bytes`], and by default
+    /// that call. A sink that keeps what it is given may keep the buffer
+    /// itself instead of a copy of it.
+    fn put_shared(&mut self, v: &SharedBytes) {
+        self.put_bytes(v);
+    }
 }
 
 /// The sink that keeps the bytes: an append-only buffer.

@@ -5,8 +5,19 @@
 //! access through its [`DiskModel`]. Contents survive a simulated crash
 //! of the owning node — that is the whole point of stable storage — so
 //! the recovery protocols read back exactly the bytes that were flushed.
+//!
+//! A stored [`DiskRecord`] is its own bytes plus at most one *shared
+//! span*: a buffer the node already holds (a page copy as the home
+//! shipped it) spliced in by reference instead of copied. Its logical
+//! bytes are head ++ span ++ tail, and every length, capacity check,
+//! fault and read is defined on those; the sharing is invisible except
+//! to [`DiskRecord::shared`]. A fault that changes a record's bytes
+//! flattens that record first, so damage never reaches a buffer some
+//! other record (or node) shares.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use crate::fault::{DiskFaultPlan, SplitMix64};
 use crate::models::DiskModel;
@@ -35,11 +46,111 @@ pub struct DiskCounters {
     pub corrupted_records: u64,
 }
 
+/// One persisted record: `bytes`, with at most one shared span spliced
+/// in at `at`. Its logical bytes are `bytes[..at] ++ span ++ bytes[at..]`;
+/// equality, length and every fault are on those.
+#[derive(Clone, Default)]
+pub struct DiskRecord {
+    bytes: Vec<u8>,
+    span: Option<(usize, Arc<[u8]>)>,
+}
+
+impl DiskRecord {
+    /// A record whose logical bytes are `head ++ span ++ tail`, held as
+    /// `bytes` = head ++ tail with the span shared, not copied.
+    pub fn spliced(bytes: Vec<u8>, at: usize, span: Arc<[u8]>) -> DiskRecord {
+        assert!(at <= bytes.len(), "span offset past the record's bytes");
+        DiskRecord {
+            bytes,
+            span: Some((at, span)),
+        }
+    }
+
+    /// Logical length in bytes.
+    pub fn len(&self) -> usize {
+        self.bytes.len() + self.span.as_ref().map_or(0, |(_, s)| s.len())
+    }
+
+    /// Whether the record holds no bytes at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The logical bytes as head, span and tail (span and tail empty
+    /// for a flat record).
+    pub fn pieces(&self) -> [&[u8]; 3] {
+        match &self.span {
+            None => [&self.bytes, &[], &[]],
+            Some((at, span)) => [&self.bytes[..*at], span, &self.bytes[*at..]],
+        }
+    }
+
+    /// The shared span, if the record has one.
+    pub fn shared(&self) -> Option<&Arc<[u8]>> {
+        self.span.as_ref().map(|(_, span)| span)
+    }
+
+    /// The logical bytes, one at a time.
+    fn logical(&self) -> impl Iterator<Item = &u8> {
+        self.pieces().into_iter().flatten()
+    }
+
+    /// A private copy of the logical bytes.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.pieces().concat()
+    }
+
+    /// The logical bytes to change in place: a spliced record is made
+    /// flat first (its span copied), so no change reaches a shared
+    /// buffer.
+    pub fn flat_mut(&mut self) -> &mut Vec<u8> {
+        if self.span.is_some() {
+            self.bytes = self.to_vec();
+            self.span = None;
+        }
+        &mut self.bytes
+    }
+}
+
+impl From<Vec<u8>> for DiskRecord {
+    fn from(bytes: Vec<u8>) -> DiskRecord {
+        DiskRecord { bytes, span: None }
+    }
+}
+
+impl PartialEq for DiskRecord {
+    fn eq(&self, other: &DiskRecord) -> bool {
+        self.len() == other.len() && self.logical().eq(other.logical())
+    }
+}
+
+impl Eq for DiskRecord {}
+
+impl PartialEq<Vec<u8>> for DiskRecord {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.len() == other.len() && self.logical().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for DiskRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.span {
+            None => write!(f, "DiskRecord({:?})", self.bytes),
+            Some((at, span)) => write!(
+                f,
+                "DiskRecord({} bytes, {} shared at {at})",
+                self.len(),
+                span.len()
+            ),
+        }
+    }
+}
+
 /// A simulated local disk holding named append-only record streams.
 #[derive(Debug)]
 pub struct SimDisk {
     model: DiskModel,
-    streams: BTreeMap<String, Vec<Vec<u8>>>,
+    streams: BTreeMap<String, Vec<DiskRecord>>,
     counters: DiskCounters,
     /// Injected write-fault schedule, if any.
     faults: Option<DiskFaultState>,
@@ -159,10 +270,11 @@ impl SimDisk {
     /// [`SimDisk::has_failed`] after flushing to detect degradation.
     pub fn flush_records<I>(&mut self, stream: &str, records: I) -> SimDuration
     where
-        I: IntoIterator<Item = Vec<u8>>,
+        I: IntoIterator,
+        I::Item: Into<DiskRecord>,
     {
-        let mut records: Vec<Vec<u8>> = records.into_iter().collect();
-        let bytes: usize = records.iter().map(Vec::len).sum();
+        let mut records: Vec<DiskRecord> = records.into_iter().map(Into::into).collect();
+        let bytes: usize = records.iter().map(DiskRecord::len).sum();
         if !self.failed {
             // Capacity bound: a flush that would overflow is refused
             // whole (nothing persists) and the device reports itself
@@ -193,7 +305,7 @@ impl SimDisk {
                 for r in &mut records {
                     if st.rng.below(1000) < per_mille as u64 && !r.is_empty() {
                         let bit = st.rng.below(r.len() as u64 * 8) as usize;
-                        r[bit / 8] ^= 1 << (bit % 8);
+                        r.flat_mut()[bit / 8] ^= 1 << (bit % 8);
                         self.counters.corrupted_records += 1;
                     }
                 }
@@ -253,10 +365,10 @@ impl SimDisk {
         let victim = &mut v[first + keep];
         if garble && !victim.is_empty() {
             let bit = rng.below(victim.len() as u64 * 8) as usize;
-            victim[bit / 8] ^= 1 << (bit % 8);
+            victim.flat_mut()[bit / 8] ^= 1 << (bit % 8);
         } else {
             let torn_len = rng.below(victim.len().max(1) as u64) as usize;
-            victim.truncate(torn_len);
+            victim.flat_mut().truncate(torn_len);
         }
         v.truncate(first + keep + 1);
         self.counters.torn_records += (batch - keep) as u64;
@@ -283,7 +395,7 @@ impl SimDisk {
     /// the reads it models explicitly: [`SimDisk::scan_read`] for each
     /// record an ML replay reads and each interval a CCL replay reads
     /// from a [`LogScan`], [`SimDisk::read_cost`] for a checkpoint.
-    pub fn peek_stream(&self, stream: &str) -> &[Vec<u8>] {
+    pub fn peek_stream(&self, stream: &str) -> &[DiskRecord] {
         self.streams.get(stream).map_or(&[], |v| v.as_slice())
     }
 
@@ -364,16 +476,17 @@ impl SimDisk {
     /// access of `charged_bytes` — only the *new* bytes; retained
     /// records are already on the platter and move by rename. A failed
     /// device refuses and the caller pays one futile access.
-    pub fn rewrite_stream(
+    pub fn rewrite_stream<R: Into<DiskRecord>>(
         &mut self,
         stream: &str,
-        records: Vec<Vec<u8>>,
+        records: Vec<R>,
         charged_bytes: usize,
     ) -> SimDuration {
         if self.failed {
             self.counters.failed_writes += 1;
             return self.model.write_time(0);
         }
+        let records = records.into_iter().map(Into::into).collect();
         self.streams.insert(stream.to_string(), records);
         self.last_flush = None;
         self.counters.writes += 1;
@@ -629,7 +742,7 @@ mod tests {
         let mut d = disk();
         d.flush_records("log", vec![vec![0u8; 64]]);
         assert!(d.tear_last_flush(3, true));
-        let rec = &d.peek_stream("log")[0];
+        let rec = d.peek_stream("log")[0].to_vec();
         assert_eq!(rec.len(), 64, "garble keeps the length");
         let flipped: u32 = rec.iter().map(|b| b.count_ones()).sum();
         assert_eq!(flipped, 1, "exactly one bit differs");
@@ -642,7 +755,7 @@ mod tests {
         d.flush_records("log", vec![vec![0u8; 32], vec![0u8; 32]]);
         assert_eq!(d.counters().corrupted_records, 2);
         for rec in d.peek_stream("log") {
-            let flipped: u32 = rec.iter().map(|b| b.count_ones()).sum();
+            let flipped: u32 = rec.to_vec().iter().map(|b| b.count_ones()).sum();
             assert_eq!(flipped, 1);
         }
         let mut e = disk();

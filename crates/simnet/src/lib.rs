@@ -38,7 +38,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use disk::{DiskCounters, LogScan, SimDisk};
+pub use disk::{DiskCounters, DiskRecord, LogScan, SimDisk};
 pub use engine::{LogObj, PhaseBreakdown, TraceEvent, TraceKind};
 pub use error::{SimError, SimResult};
 pub use fault::{DiskFaultPlan, FaultPlan, Partition, SendFate, MAX_RETRANSMITS};

@@ -10,7 +10,8 @@
 # twice. The later stages add what only release binaries can do in
 # reasonable time. The tier-1, report and benchmark-smoke stages print
 # their wall time (whole seconds), so a host-time change shows on every
-# run.
+# run; the benchmark-smoke stage also prints each workload's peak_rss_mb,
+# so a memory regression does too.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,6 +39,8 @@ t0=$(date +%s)
 bench_out=$(benchmark/run.sh --rounds 1 --trace 0)
 printf '%s\n' "$bench_out"
 echo "verify: benchmark smoke took $(($(date +%s) - t0)) s wall"
+printf '%s\n' "$bench_out" | awk '$2 == "peak_rss_mb" { line = line " " $1 "=" $3 }
+    END { print "verify: benchmark smoke peak_rss_mb (MB):" line }'
 if printf '%s\n' "$bench_out" | grep -q '^# WARNING consistency:'; then
     echo "verify: the benchmark disagrees with REPORT_paper.json (the WARNING lines above)" >&2
     exit 1

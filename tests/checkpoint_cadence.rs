@@ -5,6 +5,8 @@
 //! condition into a graceful pause that the next checkpoint's log
 //! truncation un-wedges.
 
+use std::borrow::Cow;
+
 use ccl_core::{
     run_program, ClusterSpec, CrashPlan, DiskFaultPlan, Dsm, Protocol, RunOutput, TraceKind,
 };
@@ -380,7 +382,8 @@ fn a_ccl_writer_serves_exactly_the_diffs_its_log_holds() {
             node.barrier();
             let disk = &node.inner.ctx.disk;
             let mut logged = Diffs::new();
-            for payload in ftlog::salvage(disk.peek_stream(CCL_STREAM)).payloads {
+            let log = disk.peek_stream(CCL_STREAM);
+            for payload in ftlog::salvage(log).payloads(log) {
                 let record = CclRecord::decode_from_slice(&payload).expect("verified record");
                 if let CclRecord::Diffs { interval, diffs } = record {
                     logged.extend(diffs.into_iter().map(|d| ((d.page, interval.seq), d)));
@@ -503,13 +506,13 @@ fn hand_run(protocol: Protocol, garble: bool, crash: bool) -> Vec<(u64, Restart)
                 let disk = &mut node.inner.ctx.disk;
                 if me == 1 && round == 2 && garble {
                     let mut records = disk.peek_stream(CKPT_PAGES).to_vec();
-                    records[1][ftlog::FRAME_HEADER_BYTES] ^= 0x01;
+                    records[1].flat_mut()[ftlog::FRAME_HEADER_BYTES] ^= 0x01;
                     disk.rewrite_stream(CKPT_PAGES, records, 0);
                 }
                 if me == 1 && round == 4 {
-                    let salvaged = ftlog::salvage(disk.peek_stream(CKPT_PAGES));
-                    let page = |p: &Vec<u8>| u32::from_le_bytes(p[..4].try_into().unwrap());
-                    seen.imaged = salvaged.payloads.iter().map(page).collect();
+                    let images = disk.peek_stream(CKPT_PAGES);
+                    let page = |p: Cow<[u8]>| u32::from_le_bytes(p[..4].try_into().unwrap());
+                    seen.imaged = ftlog::salvage(images).payloads(images).map(page).collect();
                     seen.imaged.sort_unstable();
                     seen.ckpt_records =
                         (disk.record_count(CKPT_META) + disk.record_count(CKPT_PAGES)) as u64;

@@ -2,11 +2,16 @@
 //! rests on — log contents, sizes, flush counts, and the CCL overlap —
 //! measured on real application workloads.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use ccl_apps::App;
 use ccl_core::{
-    run_program, ClusterSpec, CostModel, CrashPlan, LogObj, NodeOutput, Protocol, RunOutput,
+    run_program, ClusterSpec, CostModel, CrashPlan, Dsm, LogObj, NodeOutput, Protocol, RunOutput,
     SimDuration, SimTime, TraceEvent, TraceKind,
 };
+use hlrc::Msg;
+use pagemem::{Decode, Encode};
 
 fn run_app(app: App, protocol: Protocol) -> RunOutput<u64> {
     let page = 256;
@@ -95,6 +100,113 @@ fn ml_logs_the_pages_it_reads_not_the_ones_it_is_shipped() {
     assert!(out.recovery_time().is_some());
     for n in &out.nodes {
         assert_eq!(n.result, app.tiny_reference(), "node {} diverged", n.node);
+    }
+}
+
+/// A page version: the page and its encoded version clock.
+type Version = (u32, Vec<u8>);
+
+/// The page records of this node's ML log, after a barrier flushed
+/// them: page, version and the buffer each record keeps the page in.
+fn logged_pages(dsm: &mut Dsm) -> Vec<(u32, Vec<u8>, Arc<[u8]>)> {
+    dsm.barrier();
+    let log = dsm.node().inner.ctx.disk.peek_stream(ftlog::ML_STREAM);
+    let page = |record: &simnet::DiskRecord| {
+        let payload = ftlog::frame::payload(record);
+        match Msg::decode_from_slice(&payload).expect("own record") {
+            Msg::PageReply { page, version, .. } => {
+                let buffer = record.shared().expect("a page record shares its buffer");
+                Some((page, version.encode_to_vec(), buffer.clone()))
+            }
+            _ => None,
+        }
+    };
+    log.iter().filter_map(page).collect()
+}
+
+/// ML keeps each page version once: a page record holds the buffer the
+/// home shipped, and under ML a home names every clean copy it ships,
+/// so every reader of one clean version logs the same allocation. On
+/// tiny 3D-FFT the distinct buffers across all nodes' ML logs are
+/// exactly the distinct (page, version) copies logged — homes never
+/// move here, so the page names its home — and each holds that
+/// version's bytes.
+#[test]
+fn ml_logs_each_clean_page_version_in_one_buffer() {
+    let app = App::Fft3d;
+    let spec = ClusterSpec::new(4, app.tiny_pages(256) + 4)
+        .with_page_size(256)
+        .with_protocol(Protocol::Ml);
+    let out = run_program(spec, move |dsm| {
+        app.run_tiny(dsm);
+        logged_pages(dsm)
+    });
+    assert_eq!(out.total_stats().home_migrations, 0);
+    let mut versions: BTreeMap<Version, Vec<Arc<[u8]>>> = BTreeMap::new();
+    let mut records = 0;
+    for node in &out.nodes {
+        for (page, version, buffer) in &node.result {
+            versions
+                .entry((*page, version.clone()))
+                .or_default()
+                .push(buffer.clone());
+            records += 1;
+        }
+    }
+    let mut buffers: Vec<*const u8> = versions.values().flatten().map(|b| b.as_ptr()).collect();
+    buffers.sort_unstable();
+    buffers.dedup();
+    assert_eq!(buffers.len(), versions.len(), "one buffer per version");
+    for (key, held) in &versions {
+        assert!(held.iter().all(|b| Arc::ptr_eq(b, &held[0])), "{key:?}");
+    }
+    assert!(
+        records > versions.len(),
+        "{records} records of {} versions: nothing shared",
+        versions.len()
+    );
+}
+
+/// A home names a demand copy only where the reader's log keeps it
+/// anyway. Node 1 reads one page homed at node 0 on demand: under ML
+/// node 0 names the buffer and it is the one node 1 logged; under None
+/// nothing is named — the name would keep the allocation alive with
+/// nobody to share it with (DESIGN.md §10: +4.1 MB on scale-128).
+#[test]
+fn a_home_names_a_demand_copy_only_under_ml() {
+    for protocol in [Protocol::None, Protocol::Ml] {
+        let spec = ClusterSpec::new(2, 2)
+            .with_page_size(256)
+            .with_protocol(protocol);
+        let out = run_program(spec, |dsm| {
+            let a = dsm.alloc_at::<u64>(32, 0);
+            dsm.barrier();
+            if dsm.me() == 1 {
+                dsm.read(&a, 0);
+                return logged_pages(dsm)
+                    .into_iter()
+                    .map(|(.., b)| Some(b))
+                    .collect();
+            }
+            dsm.barrier();
+            // Every name the home keeps, and the buffer if it still lives.
+            let pages = dsm.node().inner.pages.iter();
+            (pages.filter_map(|(_, e)| e.shipped.as_ref()))
+                .map(|weak| weak.upgrade().map(Arc::from))
+                .collect::<Vec<_>>()
+        });
+        let (named, logged) = (&out.nodes[0].result, &out.nodes[1].result);
+        if protocol == Protocol::None {
+            assert!(named.is_empty() && logged.is_empty(), "{named:?}");
+        } else {
+            let [Some(named)] = &named[..] else {
+                panic!("{named:?}: one live name expected")
+            };
+            let [Some(logged)] = &logged[..] else {
+                panic!("{logged:?}: one page record expected")
+            };
+            assert!(Arc::ptr_eq(named, logged), "one buffer, shared");
+        }
     }
 }
 
