@@ -322,7 +322,8 @@ pub struct CclLogger {
     /// The stable stream. CCL issues flushes and lets them drain in the
     /// background; a later flush queues behind an unfinished one.
     log: StableLog,
-    staged: Vec<CclRecord>,
+    /// The diffs staged since the last flush, served once it persists.
+    unflushed: Vec<((PageId, u32), PageDiff)>,
     replay: Option<CclReplay>,
     /// The logged diffs this node serves, each with the time it is in
     /// memory: exactly the `Diffs` records of its stable log. Each is
@@ -357,7 +358,7 @@ impl CclLogger {
     pub fn new() -> CclLogger {
         CclLogger {
             log: StableLog::new(CCL_STREAM),
-            staged: Vec::new(),
+            unflushed: Vec::new(),
             replay: None,
             serve_cache: HashMap::new(),
             misses_known_at: SimTime::ZERO,
@@ -380,29 +381,22 @@ impl CclLogger {
     }
 
     fn stage(&mut self, inner: &mut NodeInner, rec: CclRecord) {
-        if !self.log.accepting() {
-            return;
-        }
         // Table 2 log bytes include the on-disk header overhead.
-        let bytes = frame::framed_size(rec.encoded_size());
+        let Some(bytes) = self.log.stage(&rec) else {
+            return;
+        };
         trace_ccl_append(inner, &rec, bytes as u64);
-        self.staged.push(rec);
+        if let CclRecord::Diffs { interval, diffs } = rec {
+            (self.unflushed).extend(diffs.into_iter().map(|d| ((d.page, interval.seq), d)));
+        }
     }
 
-    /// Encode and write the staged records through the OS cache,
-    /// returning `(cpu_copy_cost, device_drain_time)` of a successful
-    /// flush. The futile access that finds a dead or full device is
-    /// charged here.
+    /// Write the staged records through the OS cache, returning
+    /// `(cpu_copy_cost, device_drain_time)` of a successful flush. The
+    /// futile access that finds a dead or full device is charged here.
     fn flush_staged(&mut self, inner: &mut NodeInner) -> (SimDuration, SimDuration) {
-        let mut records = Vec::with_capacity(self.staged.len());
-        let mut served: Vec<((PageId, u32), PageDiff)> = Vec::new();
-        for rec in self.staged.drain(..) {
-            records.push(self.log.frame(&rec.encode_to_vec()));
-            if let CclRecord::Diffs { interval, diffs } = rec {
-                served.extend(diffs.into_iter().map(|d| ((d.page, interval.seq), d)));
-            }
-        }
-        match self.log.write(inner, records, true) {
+        let served = std::mem::take(&mut self.unflushed);
+        match self.log.flush(inner, true) {
             Written::Nothing => (SimDuration::ZERO, SimDuration::ZERO),
             Written::Refused { futile } => {
                 inner.ctx.charge_disk(futile);
@@ -1291,7 +1285,7 @@ impl FaultTolerance for CclLogger {
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
         if self.log.truncate_at_checkpoint(inner) {
-            self.staged.clear();
+            self.unflushed.clear();
             self.serve_cache.clear();
         }
     }
@@ -1407,13 +1401,17 @@ mod tests {
                 diffs: diffs.to_vec(),
             };
             assert_eq!(ccl.on_diff_flush(&mut inner, &flush), SimDuration::ZERO);
-            let pages = vec![1, 2, 3];
-            assert_eq!(ccl.staged, [CclRecord::Updates { writer, pages }]);
             assert_eq!(
                 inner.ctx.disk.record_count(CCL_STREAM),
                 0,
                 "nothing flushed"
             );
+            ccl.flush_after_send(&mut inner);
+            let log = inner.ctx.disk.peek_stream(CCL_STREAM);
+            assert_eq!(log.len(), 1, "one record staged");
+            let rec = CclRecord::decode_from_slice(&frame::payload(&log[0]));
+            let pages = vec![1, 2, 3];
+            assert_eq!(rec, Ok(CclRecord::Updates { writer, pages }));
         });
     }
 
@@ -1454,9 +1452,8 @@ mod tests {
             let (mut prefix, mut served) = (0, 0);
             for record in &records {
                 prefix += record.len();
-                let payload = frame::decode_frame(record).expect("own frame").payload;
                 if let CclRecord::Diffs { interval, diffs } =
-                    CclRecord::decode_from_slice(&payload).expect("own record")
+                    CclRecord::decode_from_slice(&frame::payload(record)).expect("own record")
                 {
                     for d in diffs {
                         let (kept, ready) = &ccl.serve_cache[&(d.page, interval.seq)];

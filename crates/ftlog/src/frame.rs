@@ -25,12 +25,12 @@
 //! accounting and Table 2 log-byte totals include the header overhead
 //! without ever encoding twice.
 //!
-//! A record is verified on its logical bytes however it is stored
-//! ([`StoredBytes`]): flat, or — what [`frame_spliced`] builds for ML's
-//! page records — as head, a shared span and tail
-//! ([`simnet::DiskRecord`]), the CRC folded over the pieces in turn. The
-//! two forms of one record are byte-identical, so sizes, CRCs and every
-//! salvage result are too.
+//! One encoder, [`encode_record`], writes every record that reaches a
+//! disk, straight from its payload. A buffer the payload shares (ML's
+//! page records) stays the record's shared span ([`simnet::DiskRecord`]:
+//! head, span, tail). A record is verified on its logical bytes however
+//! it is stored ([`StoredBytes`]), so sizes, CRCs and salvage results
+//! are those of the flat [`frame_record`], the tests' reference.
 
 use std::borrow::Cow;
 
@@ -151,13 +151,13 @@ fn header(epoch: u32, seq: u32, payload: [&[u8]; 3]) -> [u8; FRAME_HEADER_BYTES]
 }
 
 /// Exact on-disk size of a framed record with a `payload_len`-byte
-/// payload (the `encoded_size` mirror of [`frame_record`]).
+/// payload (the `encoded_size` mirror of [`encode_record`]).
 pub fn framed_size(payload_len: usize) -> usize {
     payload_len + FRAME_HEADER_BYTES
 }
 
-/// Wrap `payload` in a frame for position `seq` of stream epoch
-/// `epoch`.
+/// Wrap the encoded `payload` in a flat frame for position `seq` of
+/// stream epoch `epoch`: the reference [`encode_record`] must equal.
 pub fn frame_record(epoch: u32, seq: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(framed_size(payload.len()));
     out.extend_from_slice(&header(epoch, seq, [payload, &[], &[]]));
@@ -170,7 +170,7 @@ pub fn frame_record(epoch: u32, seq: u32, payload: &[u8]) -> Vec<u8> {
 /// [`Sink::put_shared`] as the record's shared span instead of copying
 /// it (a later one is copied). The logical bytes are exactly
 /// `frame_record(epoch, seq, &payload.encode_to_vec())`.
-pub fn frame_spliced(epoch: u32, seq: u32, payload: &impl Encode) -> DiskRecord {
+pub fn encode_record(epoch: u32, seq: u32, payload: &impl Encode) -> DiskRecord {
     let mut size = Splice::new(ByteCount::default());
     payload.encode(&mut size);
     let mut w = Splice::new(ByteWriter::with_capacity(
@@ -190,6 +190,17 @@ pub fn frame_spliced(epoch: u32, seq: u32, payload: &impl Encode) -> DiskRecord 
     match w.span {
         None => DiskRecord::from(bytes),
         Some((at, span)) => DiskRecord::spliced(bytes, at, span.into()),
+    }
+}
+
+/// Bytes that encode as themselves, with no length prefix: a payload
+/// that is encoded already, such as a checkpoint image carried into a
+/// new epoch.
+pub struct Raw<'a>(pub &'a [u8]);
+
+impl Encode for Raw<'_> {
+    fn encode<S: Sink>(&self, w: &mut S) {
+        w.put_raw(self.0);
     }
 }
 
@@ -302,17 +313,6 @@ pub fn payload_prefix<R: StoredBytes>(record: &R) -> &[u8] {
     pieces.into_iter().find(|p| !p.is_empty()).unwrap_or(&[])
 }
 
-/// A successfully verified frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Stream epoch the record was written under.
-    pub epoch: u32,
-    /// Record position within the epoch.
-    pub seq: u32,
-    /// The verified payload bytes.
-    pub payload: Vec<u8>,
-}
-
 /// Why a frame failed verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
@@ -347,8 +347,9 @@ fn le_u32(b: &[u8]) -> u32 {
 }
 
 /// Verify one framed record in place: its `(epoch, seq)`, or why it
-/// failed.
-fn verify(pieces: [&[u8]; 3]) -> Result<(u32, u32), FrameError> {
+/// failed. [`payload`] reads a verified record's payload.
+pub fn verify<R: StoredBytes>(record: &R) -> Result<(u32, u32), FrameError> {
+    let pieces = record.pieces();
     let total: usize = pieces.iter().map(|p| p.len()).sum();
     if total < FRAME_HEADER_BYTES {
         return Err(FrameError::TooShort);
@@ -374,16 +375,6 @@ fn verify(pieces: [&[u8]; 3]) -> Result<(u32, u32), FrameError> {
         return Err(FrameError::CrcMismatch);
     }
     Ok((epoch, seq))
-}
-
-/// Verify and unwrap one framed record.
-pub fn decode_frame<R: StoredBytes>(record: &R) -> Result<Frame, FrameError> {
-    let (epoch, seq) = verify(record.pieces())?;
-    Ok(Frame {
-        epoch,
-        seq,
-        payload: payload(record).into_owned(),
-    })
 }
 
 /// The result of scanning a stable stream for its longest valid prefix.
@@ -441,7 +432,7 @@ pub fn salvage<R: StoredBytes>(records: &[R]) -> Salvage {
         discarded: 0,
     };
     for (i, rec) in records.iter().enumerate() {
-        match verify(rec.pieces()) {
+        match verify(rec) {
             Ok((epoch, seq)) => {
                 if i == 0 {
                     out.epoch = epoch;
@@ -501,20 +492,19 @@ mod tests {
 
     #[test]
     fn frame_roundtrips_and_sizes_match() {
-        let payload = b"hello stable storage".to_vec();
-        let rec = frame_record(3, 7, &payload);
-        assert_eq!(rec.len(), framed_size(payload.len()));
-        let frame = decode_frame(&rec).unwrap();
-        assert_eq!(frame.epoch, 3);
-        assert_eq!(frame.seq, 7);
-        assert_eq!(frame.payload, payload);
+        let bytes = b"hello stable storage".to_vec();
+        let rec = frame_record(3, 7, &bytes);
+        assert_eq!(rec.len(), framed_size(bytes.len()));
+        assert_eq!(verify(&rec), Ok((3, 7)));
+        assert_eq!(payload(&rec)[..], bytes[..]);
     }
 
     #[test]
     fn empty_payload_frames_cleanly() {
         let rec = frame_record(1, 0, &[]);
         assert_eq!(rec.len(), FRAME_HEADER_BYTES);
-        assert_eq!(decode_frame(&rec).unwrap().payload, Vec::<u8>::new());
+        assert_eq!(verify(&rec), Ok((1, 0)));
+        assert!(payload(&rec).is_empty());
     }
 
     #[test]
@@ -522,7 +512,7 @@ mod tests {
         let rec = frame_record(1, 0, b"payload bytes");
         for cut in 0..rec.len() {
             let torn = rec[..cut].to_vec();
-            let err = decode_frame(&torn).unwrap_err();
+            let err = verify(&torn).unwrap_err();
             assert!(
                 matches!(err, FrameError::TooShort | FrameError::BadLength),
                 "cut at {cut} gave {err:?}"
@@ -538,7 +528,7 @@ mod tests {
                 let mut bad = rec.clone();
                 bad[byte] ^= 1 << bit;
                 assert!(
-                    decode_frame(&bad).is_err(),
+                    verify(&bad).is_err(),
                     "flip at byte {byte} bit {bit} went undetected"
                 );
             }

@@ -14,9 +14,9 @@
 //!   rebuilds home copies from writers' logs and reconstructs remote
 //!   copies from checkpoint bases plus logged diffs, eliminating page
 //!   faults.
-//! * [`StableLog`] — the one owner of a log stream's device state
-//!   machine (refused and lost flushes, the write-behind queue, the
-//!   salvage scan, checkpoint truncation). The protocols above differ
+//! * [`StableLog`] — the one owner of a log stream's staged batch and
+//!   its device state machine (refused and lost flushes, the
+//!   write-behind queue, the salvage scan, checkpoint truncation). The protocols above differ
 //!   only in what they record, when they flush and how they replay;
 //!   what a device can do to a flush is the same under all of them.
 //! * [`checkpoint`] — coordinated incremental checkpoints with log
@@ -40,8 +40,8 @@ pub use checkpoint::{
     restore_meta, take_checkpoint, CheckpointMeta, RestoreError, CKPT_META, CKPT_PAGES,
 };
 pub use frame::{
-    crc32, decode_frame, frame_record, frame_spliced, framed_size, salvage, Frame, FrameError,
-    Salvage, StoredBytes, FRAME_HEADER_BYTES, FRAME_MAGIC,
+    crc32, encode_record, frame_record, framed_size, salvage, FrameError, Salvage, StoredBytes,
+    FRAME_HEADER_BYTES, FRAME_MAGIC,
 };
 pub use log_record::CclRecord;
 pub use ml::{MlLogger, ML_STREAM};

@@ -26,7 +26,7 @@
 
 use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, ServedCopies, SyncKind, WriteNotice};
 use pagemem::{Decode, Encode, PageId, PageState, VClock};
-use simnet::{DiskRecord, LogObj, SimDuration, TraceKind};
+use simnet::{LogObj, SimDuration, TraceKind};
 
 /// A record handed to replay: from the verified on-disk prefix, or
 /// synthesized from the barrier manager's release history when the log
@@ -59,11 +59,9 @@ enum Want {
 
 /// Traditional message logging.
 pub struct MlLogger {
-    /// The stable stream and its device state.
+    /// The stable stream, its staged batch and its device state. A
+    /// staged page record shares the page buffer of the reply it logs.
     log: StableLog,
-    /// Framed records not yet flushed. A page record shares the page
-    /// buffer of the reply it logs ([`StableLog::frame_spliced`]).
-    staged: Vec<DiskRecord>,
     cursor: Option<usize>,
     /// Verified-prefix length established by the last recovery scan
     /// (replay never reads past it, even if a failed device refused
@@ -79,7 +77,6 @@ impl MlLogger {
     pub fn new() -> MlLogger {
         MlLogger {
             log: StableLog::new(ML_STREAM),
-            staged: Vec::new(),
             cursor: None,
             log_valid: 0,
             synthesized: Vec::new(),
@@ -91,12 +88,9 @@ impl MlLogger {
     /// the buffer the home shipped, which every reader of that clean
     /// version logs ([`hlrc::ServedCopies::Name`]).
     fn stage(&mut self, inner: &mut NodeInner, msg: &Msg) {
-        if !self.log.accepting() {
-            return;
+        if let Some(bytes) = self.log.stage(msg) {
+            trace_ml_append(inner, msg, bytes as u64);
         }
-        let record = self.log.frame_spliced(msg);
-        trace_ml_append(inner, msg, record.len() as u64);
-        self.staged.push(record);
     }
 
     /// Write the staged log through the OS cache. Returns the critical-
@@ -105,8 +99,7 @@ impl MlLogger {
     /// proceeds in the background), or the one futile access that
     /// discovered a dead or full device.
     fn flush_staged(&mut self, inner: &mut NodeInner) -> SimDuration {
-        let staged = std::mem::take(&mut self.staged);
-        match self.log.write(inner, staged, false) {
+        match self.log.flush(inner, false) {
             Written::Nothing => SimDuration::ZERO,
             Written::Refused { futile } => futile,
             Written::Persisted { cpu, drain } => cpu + StableLog::write_behind(inner, drain),
@@ -407,7 +400,6 @@ impl FaultTolerance for MlLogger {
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
         if self.log.truncate_at_checkpoint(inner) {
-            self.staged.clear();
             // The replies that installed the copies this node holds went
             // with the log. Drop the copies too: the first touch after
             // the cut refetches, and that reply is in the log a replay
@@ -471,7 +463,8 @@ mod tests {
             assert!(wait > SimDuration::ZERO, "no write-ahead flush");
             let log = inner.ctx.disk.peek_stream(ML_STREAM);
             assert_eq!(log.len(), 1, "the frame is on disk, nothing else");
-            let payload = frame::decode_frame(&log[0]).expect("own frame").payload;
+            assert_eq!(frame::verify(&log[0]), Ok((0, 0)), "own frame");
+            let payload = frame::payload(&log[0]);
             assert_eq!(Msg::decode_from_slice(&payload).expect("own record"), flush);
         });
     }

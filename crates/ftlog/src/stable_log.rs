@@ -1,21 +1,26 @@
-//! One stable log stream and the state machine of the device under it.
+//! One stable log stream: the batch staged for its next flush, and the
+//! state machine of the device under it.
 //!
-//! ML and CCL log different things at different moments, but what can
-//! happen to a flush — and what a recovery scan may find where the
-//! flush went — is a property of the device, so it lives here once.
-//! [`StableLog`] owns the stream name, the frame epoch and sequence and
-//! the two ways logging stops (`degraded`, `paused_full`), queues
-//! batches on the device's write-behind queue, and keeps the invariants
-//! every recovery argument leans on:
+//! ML and CCL log different things at different moments, but how a
+//! record reaches the platter — framed once, when it is staged
+//! ([`frame::encode_record`]), and written with its batch in one access
+//! — and what can happen to a flush, and what a recovery scan may find
+//! where the flush went, are properties of the log and its device, so
+//! they live here once. [`StableLog`] owns the stream name, the frame
+//! epoch and sequence, the staged batch and the two ways logging stops
+//! (`degraded`, `paused_full`), queues batches on the device's
+//! write-behind queue, and keeps the invariants every recovery argument
+//! leans on:
 //!
-//! * **a refused batch is dropped whole and logging pauses** — until
-//!   [`StableLog::truncate_at_checkpoint`] reopens a full device (a
-//!   failed one never reopens);
+//! * **a refused batch is dropped whole and logging pauses** — nothing
+//!   is staged until [`StableLog::truncate_at_checkpoint`] reopens a
+//!   full device (a failed one never reopens);
 //! * **a salvaged prefix is contiguous in `(epoch, seq)`** — recovery
 //!   adopts the longest prefix whose frames verify and cuts the stream
 //!   there;
 //! * **nothing is appended after a gap** — frames are numbered from the
-//!   adopted prefix on, and a truncation opens a new epoch.
+//!   adopted prefix on, and a truncation opens a new epoch and drops
+//!   the batch staged in the old one.
 //!
 //! Where the protocols *behave* differently the difference is the
 //! caller's: who pays for the futile access that discovered a dead
@@ -31,11 +36,10 @@ use simnet::{DiskRecord, LogObj, SimDuration, TraceKind};
 use crate::checkpoint::{self, CKPT_META};
 use crate::frame;
 
-/// What became of one [`StableLog::write`].
+/// What became of one [`StableLog::flush`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Written {
-    /// Nothing reached the device: the batch was empty, or logging has
-    /// stopped and the batch was dropped.
+    /// Nothing reached the device: the batch was empty.
     Nothing,
     /// The device lost (permanent failure) or refused (`ENOSPC`) the
     /// batch, whole. `futile` is the one access that found out.
@@ -80,6 +84,8 @@ pub struct StableLog {
     epoch: u32,
     /// Frame sequence number of the next record.
     next_seq: u32,
+    /// Framed records not yet flushed, in stage order.
+    staged: Vec<DiskRecord>,
     /// The device failed permanently: logging has stopped for good.
     degraded: bool,
     /// The device is at capacity: the last flush was refused and
@@ -98,47 +104,40 @@ impl StableLog {
             stream,
             epoch: 0,
             next_seq: 0,
+            staged: Vec::new(),
             degraded: false,
             paused_full: false,
         }
     }
 
     /// Is the log still taking records? False once the device failed
-    /// or while it is full; callers stop staging.
-    pub fn accepting(&self) -> bool {
+    /// or while it is full: [`StableLog::stage`] takes nothing.
+    fn accepting(&self) -> bool {
         !self.degraded && !self.paused_full
     }
 
-    /// Wrap `payload` in the checksummed frame it will persist under,
-    /// taking the next sequence number.
-    pub fn frame(&mut self, payload: &[u8]) -> Vec<u8> {
-        let record = frame::frame_record(self.epoch, self.next_seq, payload);
+    /// Frame `payload` into the batch of the next flush, taking the next
+    /// sequence number; a buffer it shares is kept, not copied
+    /// ([`frame::encode_record`]). Returns the framed size, or `None`,
+    /// staging nothing, while logging is stopped.
+    pub fn stage(&mut self, payload: &impl Encode) -> Option<usize> {
+        if !self.accepting() {
+            return None;
+        }
+        let record = frame::encode_record(self.epoch, self.next_seq, payload);
         self.next_seq += 1;
-        record
+        self.staged.push(record);
+        self.staged.last().map(DiskRecord::len)
     }
 
-    /// Encode `payload` into the frame it will persist under, taking the
-    /// next sequence number; a buffer it shares is kept, not copied
-    /// ([`frame::frame_spliced`]).
-    pub fn frame_spliced(&mut self, payload: &impl Encode) -> DiskRecord {
-        let record = frame::frame_spliced(self.epoch, self.next_seq, payload);
-        self.next_seq += 1;
-        record
-    }
-
-    /// Write one batch through the OS cache in a single access.
+    /// Write the staged batch through the OS cache in a single access.
     /// `overlapped` only labels the `LogFlush` event. Time is reported,
     /// not charged: see [`Written`].
-    pub fn write<R: Into<DiskRecord>>(
-        &mut self,
-        inner: &mut NodeInner,
-        records: Vec<R>,
-        overlapped: bool,
-    ) -> Written {
-        if !self.accepting() || records.is_empty() {
+    pub fn flush(&mut self, inner: &mut NodeInner, overlapped: bool) -> Written {
+        let records = std::mem::take(&mut self.staged);
+        if records.is_empty() {
             return Written::Nothing;
         }
-        let records: Vec<DiskRecord> = records.into_iter().map(Into::into).collect();
         let bytes: usize = records.iter().map(DiskRecord::len).sum();
         let retries_before = inner.ctx.disk.counters().write_retries;
         let _ = inner.ctx.disk.flush_records(self.stream, records);
@@ -248,16 +247,17 @@ impl StableLog {
     }
 
     /// A checkpoint was taken: everything before it is no longer needed
-    /// for replay. Truncate the stream and open a fresh epoch, which
-    /// also resumes a log the full device had paused. Returns false,
-    /// touching nothing, when the device has failed — the checkpoint
-    /// could not be persisted either, and the existing prefix is still
-    /// the only recovery data.
+    /// for replay. Truncate the stream, drop the staged batch and open a
+    /// fresh epoch, which also resumes a log the full device had paused.
+    /// Returns false, touching nothing, when the device has failed — the
+    /// checkpoint could not be persisted either, and the existing prefix
+    /// is still the only recovery data.
     pub fn truncate_at_checkpoint(&mut self, inner: &mut NodeInner) -> bool {
         if inner.ctx.disk.has_failed() {
             return false;
         }
         inner.ctx.disk.truncate(self.stream);
+        self.staged.clear();
         self.epoch += 1;
         self.next_seq = 0;
         if self.paused_full && !inner.ctx.disk.is_full() {
@@ -331,6 +331,7 @@ pub(crate) fn trace_append_by_page(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Raw;
     use crate::{CclLogger, CclRecord, MlLogger, CCL_STREAM, ML_STREAM};
     use hlrc::{DsmConfig, FaultTolerance, Msg};
     use pagemem::{Encode, IntervalId};
@@ -348,15 +349,17 @@ mod tests {
         });
     }
 
-    /// `n` framed records, the `i`-th carrying 32 bytes of `i`.
-    fn batch(log: &mut StableLog, n: u8) -> Vec<Vec<u8>> {
-        (0..n).map(|i| log.frame(&[i; 32])).collect()
+    /// Stage `n` records, the `i`-th carrying 32 bytes of `i`.
+    fn stage(log: &mut StableLog, n: u8) {
+        for i in 0..n {
+            assert_eq!(log.stage(&Raw(&[i; 32])), Some(REC));
+        }
     }
 
-    /// Frame and write `n` records in one flush.
+    /// Stage `n` records and write them in one flush.
     fn flush(log: &mut StableLog, inner: &mut NodeInner, n: u8) -> Written {
-        let records = batch(log, n);
-        log.write(inner, records, false)
+        stage(log, n);
+        log.flush(inner, false)
     }
 
     /// The trace emitted since the last call.
@@ -432,9 +435,10 @@ mod tests {
             assert_eq!(inner.ctx.disk.record_count(STREAM), 2, "refused whole");
             assert_eq!(inner.ctx.stats.log_flushes, 1);
             assert_eq!(kinds(inner), [flushed(2), refusal]);
-            // Stopped: a later batch is dropped without touching the
-            // device, so nothing lands after the gap.
-            assert_eq!(flush(&mut log, inner, 1), Written::Nothing);
+            // Stopped: a later record is not staged and the device is
+            // not touched, so nothing lands after the gap.
+            assert_eq!(log.stage(&Raw(&[0; 32])), None);
+            assert_eq!(log.flush(inner, false), Written::Nothing);
             let counters = inner.ctx.disk.counters();
             assert_eq!(counters.full_writes + counters.failed_writes, 1);
             assert_eq!(log.truncate_at_checkpoint(inner), reopens);
@@ -449,7 +453,7 @@ mod tests {
                 // The persisted prefix, the only recovery data left,
                 // survives the attempt.
                 assert_eq!(inner.ctx.disk.record_count(STREAM), 2);
-                assert_eq!(flush(&mut log, inner, 1), Written::Nothing);
+                assert_eq!(log.stage(&Raw(&[0; 32])), None);
             }
         });
     }
@@ -466,19 +470,48 @@ mod tests {
         check_refused(plan, TraceKind::LogDeviceFailed, false);
     }
 
+    /// The batch is the log's: a refused flush drops all of it, staging
+    /// while logging is stopped takes nothing, not even a sequence
+    /// number, and a checkpoint drops what was staged before it, so
+    /// none of it reaches the new epoch.
+    #[test]
+    fn the_staged_batch_goes_with_a_refusal_and_with_a_checkpoint() {
+        on_node(|inner| {
+            let plan = DiskFaultPlan::none().with_capacity(3 * REC as u64);
+            inner.ctx.disk.set_faults(plan);
+            let mut log = StableLog::new(STREAM);
+            assert!(matches!(flush(&mut log, inner, 4), Written::Refused { .. }));
+            // Nothing of the refused batch is left to write again.
+            assert_eq!(log.flush(inner, false), Written::Nothing);
+            assert_eq!(inner.ctx.disk.counters().full_writes, 1);
+            let seq = log.next_seq;
+            assert_eq!(log.stage(&Raw(&[9; 32])), None);
+            assert_eq!(log.next_seq, seq, "a refused stage took a number");
+            // Reopened, two records are staged and a checkpoint comes
+            // before their flush: the next flush writes only what was
+            // staged after it, first in the new epoch.
+            assert!(log.truncate_at_checkpoint(inner));
+            stage(&mut log, 2);
+            assert!(log.truncate_at_checkpoint(inner));
+            assert_eq!(flush(&mut log, inner, 1), persisted(inner, 1, false));
+            let stream = inner.ctx.disk.peek_stream(STREAM);
+            assert_eq!(stream.len(), 1, "a staged record outlived its epoch");
+            assert_eq!(frame::verify(&stream[0]), Ok((2, 0)));
+        });
+    }
+
     /// Salvage a stream of five records in epoch 1 whose fourth was
-    /// rewritten by `damage`, with a log that knows nothing yet: expect
-    /// `kept` records adopted, `trace` emitted, and the next frame
-    /// stamped `(1, kept)`.
+    /// rewritten by `damage` before it was written, with a log that
+    /// knows nothing yet: expect `kept` records adopted, `trace`
+    /// emitted, and the next record appended as `(1, kept)`.
     fn check_salvage(damage: fn(&mut Vec<u8>), kept: usize, trace: &[TraceKind]) {
         let trace = trace.to_vec();
         on_node(move |inner| {
-            let mut writer = StableLog::new(STREAM);
-            assert!(writer.truncate_at_checkpoint(inner));
-            let mut records = batch(&mut writer, 5);
-            damage(&mut records[3]);
-            writer.write(inner, records, false);
-            inner.ctx.take_trace();
+            let mut records: Vec<DiskRecord> = (0..5)
+                .map(|i| frame::encode_record(1, u32::from(i), &Raw(&[i; 32])))
+                .collect();
+            damage(records[3].flat_mut());
+            inner.ctx.disk.flush_records(STREAM, records);
             let mut log = StableLog::new(STREAM);
             let s = log.salvage(inner);
             assert_eq!(kinds(inner), trace);
@@ -493,8 +526,10 @@ mod tests {
                     "prefix is contiguous"
                 );
             }
-            let next = frame::decode_frame(&log.frame(b"next")).expect("own frame");
-            assert_eq!((next.epoch, next.seq as usize), (1, kept));
+            log.stage(&Raw(b"next"));
+            assert!(matches!(log.flush(inner, false), Written::Persisted { .. }));
+            let next = &inner.ctx.disk.peek_stream(STREAM)[kept];
+            assert_eq!(frame::verify(next), Ok((1, kept as u32)));
         });
     }
 
@@ -547,8 +582,10 @@ mod tests {
             on_node(move |inner| {
                 for stream in [ML_STREAM, CCL_STREAM] {
                     let mut log = StableLog::new(stream);
-                    let records = (0..6).map(|_| log.frame(&payload)).collect();
-                    log.write(inner, records, false);
+                    for _ in 0..6 {
+                        log.stage(&Raw(&payload));
+                    }
+                    log.flush(inner, false);
                     assert!(inner.ctx.disk.tear_last_flush(0xC0FFEE, garble));
                 }
                 MlLogger::new().begin_recovery(inner);

@@ -1,15 +1,20 @@
-//! A spliced record — frame head, a page buffer shared with the reply
-//! it logs, tail — is stored differently from a flat one and must be
-//! indistinguishable from it everywhere else: same logical bytes, same
-//! CRC wherever the pieces split, same salvage, same decode, and damage
-//! that lands on it stays in the one log that holds it.
+//! Every record that reaches a disk is encoded straight into its frame
+//! ([`ftlog::encode_record`]). A spliced record — frame head, a page
+//! buffer shared with the reply it logs, tail — is stored differently
+//! from a flat one and must be indistinguishable from it everywhere
+//! else: same logical bytes, same CRC wherever the pieces split, same
+//! salvage, same decode, and damage that lands on it stays in the one
+//! log that holds it. Every other record, of every stream, is its flat
+//! frame outright.
 
 use std::sync::Arc;
 
-use ftlog::{decode_frame, frame_record, frame_spliced, salvage};
-use hlrc::{Msg, WriteNotice};
+use ftlog::checkpoint::PageImage;
+use ftlog::frame::{payload, verify, Raw};
+use ftlog::{encode_record, frame_record, salvage, CclRecord, CheckpointMeta};
+use hlrc::{Msg, SyncKind, WriteNotice};
 use minicheck::{check, Rng};
-use pagemem::{Decode, Encode, IntervalId, SharedBytes, VClock};
+use pagemem::{Decode, DiffRun, Encode, IntervalId, PageDiff, SharedBytes, VClock};
 use simnet::{DiskFaultPlan, DiskModel, DiskRecord, SimDisk};
 
 const CASES: u64 = 192;
@@ -34,20 +39,26 @@ fn arb_page(rng: &mut Rng) -> SharedBytes {
     rng.bytes(len).into()
 }
 
+fn arb_interval(rng: &mut Rng) -> IntervalId {
+    IntervalId {
+        node: rng.u32_in(0, 8),
+        seq: rng.u32_any_width(),
+    }
+}
+
+/// Notices of one writer's interval.
+fn notices(rng: &mut Rng) -> Vec<WriteNotice> {
+    let interval = arb_interval(rng);
+    (0..rng.usize_in(0, 6))
+        .map(|_| WriteNotice {
+            page: rng.u32_in(0, 512),
+            interval,
+        })
+        .collect()
+}
+
 /// Every kind ML logs: page copies (shared buffers) and the rest.
 fn arb_msg(rng: &mut Rng) -> Msg {
-    let notices = |rng: &mut Rng| -> Vec<WriteNotice> {
-        let node = rng.u32_in(0, 8);
-        (0..rng.usize_in(0, 6))
-            .map(|_| WriteNotice {
-                page: rng.u32_in(0, 512),
-                interval: IntervalId {
-                    node,
-                    seq: rng.u32_any_width(),
-                },
-            })
-            .collect()
-    };
     match rng.usize_in(0, 5) {
         0 | 1 => Msg::PageReply {
             page: rng.u32_any_width(),
@@ -73,6 +84,72 @@ fn arb_msg(rng: &mut Rng) -> Msg {
     }
 }
 
+/// A diff of word-aligned runs in order, as `PageDiff::create` makes.
+fn arb_diff(rng: &mut Rng) -> PageDiff {
+    let mut word = 0;
+    let runs = (0..rng.usize_in(0, 5))
+        .map(|_| {
+            word += rng.u32_in(0, 16);
+            let words = rng.u32_in(1, 5);
+            let offset = word * 4;
+            word += words;
+            DiffRun {
+                offset,
+                data: rng.bytes(words as usize * 4),
+            }
+        })
+        .collect();
+    PageDiff {
+        page: rng.u32_in(0, 1024),
+        runs,
+    }
+}
+
+/// Every kind CCL logs.
+fn arb_ccl_record(rng: &mut Rng) -> CclRecord {
+    match rng.usize_in(0, 3) {
+        0 => CclRecord::Sync {
+            tag: match rng.bool() {
+                true => SyncKind::Acquire(rng.u32_in(0, 64)),
+                false => SyncKind::Barrier(rng.u32_any_width()),
+            },
+            notices: notices(rng),
+            vc: arb_vclock(rng),
+        },
+        1 => {
+            let mut pages: Vec<u32> = (0..rng.usize_in(0, 12))
+                .map(|_| rng.u32_in(0, 1024))
+                .collect();
+            pages.sort_unstable();
+            pages.dedup();
+            CclRecord::Updates {
+                writer: arb_interval(rng),
+                pages,
+            }
+        }
+        _ => CclRecord::Diffs {
+            interval: arb_interval(rng),
+            diffs: (0..rng.usize_in(0, 4)).map(|_| arb_diff(rng)).collect(),
+        },
+    }
+}
+
+fn arb_meta(rng: &mut Rng) -> CheckpointMeta {
+    CheckpointMeta {
+        vc: arb_vclock(rng),
+        next_interval: rng.u32_any_width(),
+        barrier_epoch: rng.u32_any_width(),
+        last_barrier_vc: arb_vclock(rng),
+        app_state: {
+            let len = rng.usize_in(0, 40);
+            rng.bytes(len)
+        },
+        home_overrides: (0..rng.usize_in(0, 4))
+            .map(|_| (rng.u32_in(0, 512), rng.u32_in(0, 8)))
+            .collect(),
+    }
+}
+
 /// The page buffer `msg` carries, if any.
 fn page_of(msg: &Msg) -> Option<&SharedBytes> {
     match msg {
@@ -88,34 +165,79 @@ fn split(flat: &[u8], at: usize, span: usize) -> DiskRecord {
     DiskRecord::spliced(bytes, at, Arc::from(&flat[at..at + span]))
 }
 
-/// A spliced record is its flat frame byte for byte, keeps the page
-/// buffer itself rather than a copy, and verifies wherever the pieces
-/// split: each of the eight offsets mod 8 for either boundary, since
-/// the CRC folds eight bytes a step.
+/// A record framed by the encoder every stream writes with, its flat
+/// reference frame, and the page buffer it must share, if any.
+struct Framed {
+    kind: &'static str,
+    record: DiskRecord,
+    flat: Vec<u8>,
+    page: Option<SharedBytes>,
+}
+
+fn framed(kind: &'static str, epoch: u32, seq: u32, payload: &impl Encode) -> Framed {
+    Framed {
+        kind,
+        record: encode_record(epoch, seq, payload),
+        flat: frame_record(epoch, seq, &payload.encode_to_vec()),
+        page: None,
+    }
+}
+
+/// A payload of a stream other than ML's: a CCL record, checkpoint
+/// metadata, a new page image or a retained one carried into a new
+/// epoch.
+fn arb_other(rng: &mut Rng, epoch: u32, seq: u32) -> Framed {
+    let data = rng.bytes(300);
+    let data = &data[..rng.usize_in(0, 301)];
+    match rng.usize_in(0, 4) {
+        0 => framed("CclRecord", epoch, seq, &arb_ccl_record(rng)),
+        1 => framed("CheckpointMeta", epoch, seq, &arb_meta(rng)),
+        2 => {
+            let (page, version) = (rng.u32_any_width(), arb_vclock(rng));
+            framed("PageImage", epoch, seq, &PageImage(page, &version, data))
+        }
+        _ => framed("Raw", epoch, seq, &Raw(data)),
+    }
+}
+
+/// Every payload a stable stream holds is framed as its flat frame byte
+/// for byte: an ML message (which also decodes back), and one of every
+/// other stream's. ML's page copies keep the page buffer itself rather
+/// than a copy; nothing else shares a span. And the record verifies
+/// wherever the pieces split: each of the eight offsets mod 8 for
+/// either boundary, since the CRC folds eight bytes a step.
 #[test]
 fn a_spliced_record_is_its_flat_frame_byte_for_byte() {
     check("spliced-record-is-flat-frame", CASES, |rng| {
-        let msg = arb_msg(rng);
         let (epoch, seq) = (rng.u32_any_width(), rng.u32_any_width());
-        let flat = frame_record(epoch, seq, &msg.encode_to_vec());
-        let spliced = frame_spliced(epoch, seq, &msg);
-        assert_eq!(spliced, flat, "{}", msg.kind());
-        assert_eq!(spliced.len(), flat.len());
-        let frame = decode_frame(&flat).expect("own frame");
-        assert_eq!(decode_frame(&spliced), Ok(frame.clone()));
-        assert_eq!(Msg::decode_from_slice(&frame.payload).as_ref(), Ok(&msg));
-        match (page_of(&msg), spliced.shared()) {
-            (Some(data), Some(span)) => {
-                assert!(std::ptr::eq(data.as_ptr(), span.as_ptr()), "a copy");
+        let msg = arb_msg(rng);
+        let ml = Framed {
+            page: page_of(&msg).cloned(),
+            ..framed(msg.kind(), epoch, seq, &msg)
+        };
+        let decoded = Msg::decode_from_slice(&payload(&ml.record));
+        assert_eq!(decoded.as_ref(), Ok(&msg));
+        for f in [ml, arb_other(rng, epoch, seq)] {
+            let (kind, flat) = (f.kind, &f.flat);
+            assert_eq!(f.record, *flat, "{kind}");
+            assert_eq!(f.record.len(), flat.len());
+            assert_eq!(verify(flat), Ok((epoch, seq)));
+            assert_eq!(verify(&f.record), Ok((epoch, seq)));
+            assert_eq!(payload(&f.record), payload(flat));
+            match (&f.page, f.record.shared()) {
+                (Some(data), Some(span)) => {
+                    assert!(std::ptr::eq(data.as_ptr(), span.as_ptr()), "a copy");
+                }
+                (None, None) => {}
+                (page, span) => panic!("{kind}: page {page:?} but span {span:?}"),
             }
-            (None, None) => {}
-            (page, span) => panic!("page {page:?} but span {span:?}"),
-        }
-        for shift in 0..8 {
-            let at = (rng.usize_in(0, flat.len() + 1) & !7 | shift).min(flat.len());
-            let span = rng.usize_in(0, flat.len() - at + 1);
-            let resplit = split(&flat, at, span);
-            assert_eq!(decode_frame(&resplit), Ok(frame.clone()), "at {at}+{span}");
+            for shift in 0..8 {
+                let at = (rng.usize_in(0, flat.len() + 1) & !7 | shift).min(flat.len());
+                let span = rng.usize_in(0, flat.len() - at + 1);
+                let resplit = split(flat, at, span);
+                assert_eq!(verify(&resplit), Ok((epoch, seq)), "{kind} at {at}+{span}");
+                assert_eq!(payload(&resplit), payload(flat), "{kind} at {at}+{span}");
+            }
         }
     });
 }
@@ -145,7 +267,7 @@ fn salvage_reads_spliced_and_flat_streams_alike() {
         let mut spliced: Vec<DiskRecord> = Vec::new();
         for (seq, msg) in msgs.iter().enumerate() {
             flat.push(frame_record(epoch, seq as u32, &msg.encode_to_vec()));
-            spliced.push(frame_spliced(epoch, seq as u32, msg));
+            spliced.push(encode_record(epoch, seq as u32, msg));
         }
         if !msgs.is_empty() && rng.bool() {
             let victim = rng.usize_in(0, msgs.len());
@@ -183,7 +305,7 @@ fn damage_to_a_spliced_record_stays_in_its_own_log() {
     let log = |spliced: bool| -> Vec<DiskRecord> {
         (0..6u32)
             .map(|seq| match spliced {
-                true => frame_spliced(1, seq, &reply(seq)),
+                true => encode_record(1, seq, &reply(seq)),
                 false => frame_record(1, seq, &reply(seq).encode_to_vec()).into(),
             })
             .collect()

@@ -11,10 +11,18 @@
 # reasonable time. The tier-1, report and benchmark-smoke stages print
 # their wall time (whole seconds), so a host-time change shows on every
 # run; the benchmark-smoke stage also prints each workload's peak_rss_mb,
-# so a memory regression does too.
+# so a memory regression does too. The first line counts the non-test
+# source of crates/*/src (each file up to its first #[cfg(test)]), so a
+# subtraction shows on every run too.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { n++ }
+    END { print "verify: crates/*/src holds " n " non-test lines (each file up to its first #[cfg(test)])" }'
 
 echo "==> cargo build --release"
 cargo build --release --workspace

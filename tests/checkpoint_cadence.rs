@@ -162,6 +162,51 @@ fn log_device_full_pauses_then_cadence_resumes() {
     );
 }
 
+/// A home whose log device stopped before its crash — filled under a
+/// cadence, or failed — still recovers to the exact result under CCL:
+/// every home applies diffs its log never recorded while it was
+/// stopped, and each is still in its writer's log, where the
+/// home-repair wave refetches it. ML does not hold this (DESIGN.md §13):
+/// its home acks a flush it could not log, the writer drops the diffs,
+/// and after the crash the update is in no log. The crashes land
+/// between cadence barriers: a full device also refuses the checkpoint
+/// metadata record, which this does not cover.
+#[test]
+fn ccl_recovers_exactly_at_a_home_whose_log_device_stopped() {
+    let p = Protocol::Ccl;
+    let peak = (run_program(spec(p), program).nodes.iter())
+        .map(|n| n.log_bytes_on_disk)
+        .max()
+        .unwrap();
+    let full = |div| DiskFaultPlan::none().with_capacity(peak / div);
+    let cells = [
+        (8, full(2), 12),
+        (8, full(4), 19),
+        (5, full(3), 13),
+        (0, DiskFaultPlan::permanent_at(2), 12),
+        (0, DiskFaultPlan::permanent_at(5), 18),
+    ];
+    for (cadence, plan, crash) in cells {
+        let mut cell = spec(p)
+            .with_disk_fault(1, plan)
+            .with_crash(CrashPlan::new(1, crash));
+        if cadence > 0 {
+            cell = cell.with_checkpoint_cadence(cadence);
+        }
+        let label = format!("{plan:?}, cadence {cadence}, crash after barrier {crash}");
+        let out = run_program(cell, program);
+        assert_correct(&label, &out);
+        let at =
+            |stop: fn(&TraceKind) -> bool| out.nodes[1].trace.iter().position(|ev| stop(&ev.kind));
+        let stopped = at(|k| matches!(k, TraceKind::LogDeviceFull | TraceKind::LogDeviceFailed));
+        let crashed = at(|k| matches!(k, TraceKind::RecoveryBegin));
+        assert!(
+            matches!((stopped, crashed), (Some(s), Some(c)) if s < c),
+            "{label}: the log did not stop before the crash"
+        );
+    }
+}
+
 /// A copy cached *before* a cadence checkpoint and re-touched after it
 /// comes back after a crash. Node 1 fetches page P (homed at node 0) in
 /// round 1, writes a word of its own into it, and from then on only
