@@ -206,16 +206,14 @@ impl Dsm {
         }
         self.node.barrier();
         self.barriers_done += 1;
-        // Cadence checkpoint: every node reaches this barrier, so the
-        // cut is coordinated. Taken before any crash scheduled at the
-        // same barrier fires (the checkpoint completes, then the node
-        // dies), and suppressed during log replay — truncating the log
-        // being replayed would destroy it.
+        // Cadence checkpoint, the only trigger of one: every node
+        // reaches this barrier, so the cut is coordinated. Taken before
+        // any crash scheduled at the same barrier fires (the checkpoint
+        // completes, then the node dies), and suppressed during log
+        // replay — truncating the log being replayed would destroy it.
         if let Some(n) = self.checkpoint_every {
             if self.barriers_done.is_multiple_of(n) && !self.node.ft.in_recovery() {
-                let state = std::mem::take(&mut self.ckpt_state);
-                self.checkpoint(&state);
-                self.ckpt_state = state;
+                ftlog::checkpoint(&mut self.node, &self.ckpt_state);
             }
         }
         let me = self.me();
@@ -259,15 +257,6 @@ impl Dsm {
     // ------------------------------------------------------------
     // Checkpointing
     // ------------------------------------------------------------
-
-    /// Take a coordinated checkpoint (call right after a barrier on
-    /// every node, with no locks held). `app_state` is an opaque blob
-    /// returned by [`Dsm::restored_state`] after a crash.
-    pub fn checkpoint(&mut self, app_state: &[u8]) {
-        let d = ftlog::take_checkpoint(&mut self.node.inner, app_state);
-        self.node.inner.ctx.charge_disk(d);
-        self.node.ft.on_checkpoint(&mut self.node.inner);
-    }
 
     /// The application blob saved by the last checkpoint, present only
     /// when this program invocation is a post-crash restart. Consume it

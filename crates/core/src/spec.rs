@@ -136,8 +136,8 @@ pub struct ClusterSpec {
     /// Coordinated-checkpoint cadence: every node takes a checkpoint
     /// right after every `n`-th barrier (counted per program
     /// incarnation), truncating its ML/CCL logs and compacting the
-    /// checkpoint page stream. `None` means the application checkpoints
-    /// explicitly (or never).
+    /// checkpoint page stream. The cadence is the only way a run takes
+    /// a checkpoint: `None` means it takes none.
     pub checkpoint_every_barriers: Option<u64>,
 }
 

@@ -1284,10 +1284,9 @@ impl FaultTolerance for CclLogger {
     }
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
-        if self.log.truncate_at_checkpoint(inner) {
-            self.unflushed.clear();
-            self.serve_cache.clear();
-        }
+        self.log.truncate_at_checkpoint(inner);
+        self.unflushed.clear();
+        self.serve_cache.clear();
     }
 
     fn in_recovery(&self) -> bool {

@@ -19,16 +19,17 @@
 //! lets the logs be truncated safely. The paper's experiments take no
 //! checkpoints (recovery replays from the initial state, which this
 //! module models as the implicit epoch-zero checkpoint); a
-//! `ClusterSpec` checkpoint cadence takes real ones.
+//! `ClusterSpec` checkpoint cadence takes real ones through
+//! [`checkpoint`], which cuts a log only once its checkpoint is on disk.
 //!
 //! Both checkpoint streams use the [`crate::frame`] record format, each
-//! record encoded straight into its frame ([`frame::encode_record`]), so
-//! a garbled or torn checkpoint record degrades recovery (the node falls
-//! back to re-execution) instead of panicking — [`restore_meta`] returns
-//! a typed [`RestoreError`] on damage.
+//! record encoded straight into its frame ([`frame::encode_record`]),
+//! and are replaced whole. A garbled or torn checkpoint record degrades
+//! recovery (the node falls back to re-execution) instead of panicking
+//! — [`restore_meta`] returns a typed [`RestoreError`].
 
 use crate::frame::{self, FrameError, Raw};
-use hlrc::NodeInner;
+use hlrc::{HlrcNode, NodeInner};
 use pagemem::{ByteReader, CodecError, Decode, Encode, Sink, VClock};
 use simnet::{DiskRecord, SimDuration, TraceKind};
 use std::collections::BTreeMap;
@@ -148,9 +149,27 @@ fn decode_image(payload: &[u8]) -> Result<(u32, VClock, Vec<u8>), CodecError> {
     Ok((r.get_u32()?, VClock::decode(&mut r)?, r.get_bytes()?))
 }
 
-/// Take a checkpoint of `inner` (call right after a barrier, with no
-/// locks held). Returns the stable-storage write time; the caller
-/// decides how to charge it.
+/// Take a coordinated checkpoint of `node`, charge it, and only then
+/// cut its log ([`hlrc::FaultTolerance::on_checkpoint`]). The one
+/// checkpoint path: its caller is the cadence in `ccl_core::Dsm::barrier`
+/// (right after a barrier, no locks held, not while replaying). A
+/// failed device takes no checkpoint, so nothing is cut: the node pays
+/// the futile access that found out.
+pub fn checkpoint(node: &mut HlrcNode, app_state: &[u8]) {
+    let inner = &mut node.inner;
+    if inner.ctx.disk.has_failed() {
+        let futile = inner.ctx.disk.model().write_time(0);
+        inner.ctx.charge_disk(futile);
+        return;
+    }
+    let d = take_checkpoint(inner, app_state);
+    inner.ctx.charge_disk(d);
+    node.ft.on_checkpoint(inner);
+}
+
+/// Write the checkpoint of `inner` and return the write time. Both
+/// streams are replaced whole, which only a failed device refuses: a
+/// full one must take the checkpoint whose truncation frees it.
 ///
 /// `CKPT_PAGES` is compacted in the same access: images superseded by a
 /// newer one of the same page are dropped, so the stream is bounded by
@@ -161,13 +180,7 @@ fn decode_image(payload: &[u8]) -> Result<(u32, VClock, Vec<u8>), CodecError> {
 /// salvage keeps only the prefix before a damaged record, and an
 /// unchanged page whose image went with the rest of that stream would
 /// otherwise never be written again.
-pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
-    // A permanently failed device cannot persist a checkpoint; taking
-    // one anyway would desynchronize the in-memory base image from
-    // stable storage. The node pays one futile access discovering it.
-    if inner.ctx.disk.has_failed() {
-        return inner.ctx.disk.model().write_time(0);
-    }
+fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     // Salvage the current page stream and keep the latest surviving
     // image per page.
     let prior = inner.ctx.disk.peek_stream(CKPT_PAGES);
@@ -216,6 +229,7 @@ pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
         home_overrides,
     };
     let meta_record = frame::encode_record(epoch, 0, &meta);
+    let meta_bytes = meta_record.len();
     // The retained images, re-framed into the new epoch, then the new.
     let mut stream: Vec<DiskRecord> = Vec::with_capacity(retained.len() + fresh.len());
     for payload in retained.values() {
@@ -233,17 +247,17 @@ pub fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
             .trace(TraceKind::CrcMismatch { stream: CKPT_PAGES });
     }
     inner.ctx.trace(TraceKind::Checkpoint {
-        bytes: (meta_record.len() + new_bytes) as u64,
+        bytes: (meta_bytes + new_bytes) as u64,
         pages: fresh.len() as u32,
         compacted: compacted as u32,
     });
-    inner.ctx.disk.truncate(CKPT_META);
-    let d1 = inner.ctx.disk.flush_records(CKPT_META, vec![meta_record]);
-    let d2 = inner.ctx.disk.rewrite_stream(CKPT_PAGES, stream, new_bytes);
+    let disk = &mut inner.ctx.disk;
+    let d = disk.rewrite_stream(CKPT_META, vec![meta_record], meta_bytes)
+        + disk.rewrite_stream(CKPT_PAGES, stream, new_bytes);
     // The in-memory base copies become the stable checkpoint image the
     // recovery path restores from.
     inner.pages.promote_base();
-    d1 + d2
+    d
 }
 
 /// The epoch of the persisted checkpoint metadata (0 if none or

@@ -19,7 +19,7 @@
 //!   write-behind queue, the salvage scan, checkpoint truncation). The protocols above differ
 //!   only in what they record, when they flush and how they replay;
 //!   what a device can do to a flush is the same under all of them.
-//! * [`checkpoint`] — coordinated incremental checkpoints with log
+//! * [`checkpoint()`] — coordinated incremental checkpoints, then log
 //!   truncation.
 //!
 //! The "no logging" baseline is [`hlrc::NoLogging`].
@@ -37,7 +37,7 @@ mod stable_log;
 
 pub use ccl::{CclLogger, CCL_STREAM};
 pub use checkpoint::{
-    restore_meta, take_checkpoint, CheckpointMeta, RestoreError, CKPT_META, CKPT_PAGES,
+    checkpoint, restore_meta, CheckpointMeta, RestoreError, CKPT_META, CKPT_PAGES,
 };
 pub use frame::{
     crc32, encode_record, frame_record, framed_size, salvage, FrameError, Salvage, StoredBytes,

@@ -399,23 +399,22 @@ impl FaultTolerance for MlLogger {
     }
 
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {
-        if self.log.truncate_at_checkpoint(inner) {
-            // The replies that installed the copies this node holds went
-            // with the log. Drop the copies too: the first touch after
-            // the cut refetches, and that reply is in the log a replay
-            // from this checkpoint reads. A predicted copy not touched
-            // yet has no frame and stays: its reply is logged at its
-            // first touch, after the cut.
-            let me = inner.me();
-            let cached: Vec<PageId> = inner
-                .pages
-                .iter()
-                .filter(|(_, e)| e.home != me && e.frame.is_some())
-                .map(|(page, _)| page)
-                .collect();
-            for page in cached {
-                inner.pages.invalidate(page, &mut inner.pool);
-            }
+        self.log.truncate_at_checkpoint(inner);
+        // The replies that installed the copies this node holds went
+        // with the log. Drop the copies too: the first touch after the
+        // cut refetches, and that reply is in the log a replay from
+        // this checkpoint reads. A predicted copy not touched yet has
+        // no frame and stays: its reply is logged at its first touch,
+        // after the cut.
+        let me = inner.me();
+        let cached: Vec<PageId> = inner
+            .pages
+            .iter()
+            .filter(|(_, e)| e.home != me && e.frame.is_some())
+            .map(|(page, _)| page)
+            .collect();
+        for page in cached {
+            inner.pages.invalidate(page, &mut inner.pool);
         }
     }
 

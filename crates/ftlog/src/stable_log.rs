@@ -7,14 +7,14 @@
 //! — and what can happen to a flush, and what a recovery scan may find
 //! where the flush went, are properties of the log and its device, so
 //! they live here once. [`StableLog`] owns the stream name, the frame
-//! epoch and sequence, the staged batch and the two ways logging stops
-//! (`degraded`, `paused_full`), queues batches on the device's
-//! write-behind queue, and keeps the invariants every recovery argument
-//! leans on:
+//! epoch and sequence, the staged batch and whether logging has
+//! `stopped` (the device failed or filled), queues batches on the
+//! device's write-behind queue, and keeps the invariants every recovery
+//! argument leans on:
 //!
-//! * **a refused batch is dropped whole and logging pauses** — nothing
-//!   is staged until [`StableLog::truncate_at_checkpoint`] reopens a
-//!   full device (a failed one never reopens);
+//! * **a refused batch is dropped whole and logging stops** — nothing
+//!   is staged until a truncation leaves the device room (only after a
+//!   checkpoint is on it, so a failed device never reopens);
 //! * **a salvaged prefix is contiguous in `(epoch, seq)`** — recovery
 //!   adopts the longest prefix whose frames verify and cuts the stream
 //!   there;
@@ -86,15 +86,11 @@ pub struct StableLog {
     next_seq: u32,
     /// Framed records not yet flushed, in stage order.
     staged: Vec<DiskRecord>,
-    /// The device failed permanently: logging has stopped for good.
-    degraded: bool,
-    /// The device is at capacity: the last flush was refused and
-    /// logging is paused until a checkpoint truncates the log. In both
-    /// states a crash replays the persisted prefix, then re-executes
-    /// live (degraded recovery). Both are read back from the device by
-    /// the recovery scan ([`StableLog::salvage`]): a restarted node
-    /// knows its disk's state from its disk.
-    paused_full: bool,
+    /// The device failed, or is full until a checkpoint truncation frees
+    /// space. A crash replays the persisted prefix, then re-executes
+    /// live; the recovery scan ([`StableLog::salvage`]) reads the flag
+    /// back from the device.
+    stopped: bool,
 }
 
 impl StableLog {
@@ -105,15 +101,8 @@ impl StableLog {
             epoch: 0,
             next_seq: 0,
             staged: Vec::new(),
-            degraded: false,
-            paused_full: false,
+            stopped: false,
         }
-    }
-
-    /// Is the log still taking records? False once the device failed
-    /// or while it is full: [`StableLog::stage`] takes nothing.
-    fn accepting(&self) -> bool {
-        !self.degraded && !self.paused_full
     }
 
     /// Frame `payload` into the batch of the next flush, taking the next
@@ -121,7 +110,7 @@ impl StableLog {
     /// ([`frame::encode_record`]). Returns the framed size, or `None`,
     /// staging nothing, while logging is stopped.
     pub fn stage(&mut self, payload: &impl Encode) -> Option<usize> {
-        if !self.accepting() {
+        if self.stopped {
             return None;
         }
         let record = frame::encode_record(self.epoch, self.next_seq, payload);
@@ -145,16 +134,16 @@ impl StableLog {
         if inner.ctx.disk.has_failed() {
             // Permanent device failure: the batch is lost and logging
             // stops for good. The node keeps computing.
-            self.degraded = true;
+            self.stopped = true;
             inner.ctx.trace(TraceKind::LogDeviceFailed);
             return Written::Refused { futile };
         }
         if inner.ctx.disk.is_full() {
-            // ENOSPC: the batch was refused whole. Pause logging —
+            // ENOSPC: the batch was refused whole. Stop logging —
             // appending a later batch over the gap would poison replay
             // — until a coordinated checkpoint truncates the log and
             // frees the space.
-            self.paused_full = true;
+            self.stopped = true;
             inner.ctx.trace(TraceKind::LogDeviceFull);
             return Written::Refused { futile };
         }
@@ -190,9 +179,8 @@ impl StableLog {
     /// tail off the stable stream so later appends stay contiguous,
     /// then restore the checkpoint the log begins at.
     pub fn salvage(&mut self, inner: &mut NodeInner) -> Salvaged {
-        self.degraded = inner.ctx.disk.has_failed();
-        self.paused_full = inner.ctx.disk.is_full();
-        if !self.accepting() {
+        self.stopped = inner.ctx.disk.has_failed() || inner.ctx.disk.is_full();
+        if self.stopped {
             // The log device died (or filled) before the crash. Replay
             // whatever prefix made it to stable storage; the tail of
             // the pre-crash execution is simply re-executed live.
@@ -201,7 +189,7 @@ impl StableLog {
         let stream = self.stream;
         let s = frame::salvage(inner.ctx.disk.peek_stream(stream));
         let damaged = !s.is_clean();
-        let lost_tail = damaged || !self.accepting();
+        let lost_tail = damaged || self.stopped;
         let mut records = s.valid;
         let valid = records as u32;
         if damaged {
@@ -246,24 +234,15 @@ impl StableLog {
         }
     }
 
-    /// A checkpoint was taken: everything before it is no longer needed
-    /// for replay. Truncate the stream, drop the staged batch and open a
-    /// fresh epoch, which also resumes a log the full device had paused.
-    /// Returns false, touching nothing, when the device has failed — the
-    /// checkpoint could not be persisted either, and the existing prefix
-    /// is still the only recovery data.
-    pub fn truncate_at_checkpoint(&mut self, inner: &mut NodeInner) -> bool {
-        if inner.ctx.disk.has_failed() {
-            return false;
-        }
+    /// A checkpoint is on the device ([`crate::checkpoint()`]): truncate
+    /// the stream, drop the staged batch and open a fresh epoch, which
+    /// resumes a stopped log if the truncation left room.
+    pub fn truncate_at_checkpoint(&mut self, inner: &mut NodeInner) {
         inner.ctx.disk.truncate(self.stream);
         self.staged.clear();
         self.epoch += 1;
         self.next_seq = 0;
-        if self.paused_full && !inner.ctx.disk.is_full() {
-            self.paused_full = false;
-        }
-        true
+        self.stopped &= inner.ctx.disk.is_full();
     }
 }
 
@@ -333,26 +312,34 @@ mod tests {
     use super::*;
     use crate::frame::Raw;
     use crate::{CclLogger, CclRecord, MlLogger, CCL_STREAM, ML_STREAM};
-    use hlrc::{DsmConfig, FaultTolerance, Msg};
+    use hlrc::{DsmConfig, FaultTolerance, HlrcNode, Msg};
     use pagemem::{Encode, IntervalId};
     use simnet::{run_cluster, CostModel, DiskFaultPlan, SimTime};
+    use std::sync::{Arc, Mutex};
 
     const STREAM: &str = "test.log";
-    /// Framed size of one test record (32 payload bytes).
-    const REC: usize = 32 + frame::FRAME_HEADER_BYTES;
+    /// Payload bytes of one test record: two records outweigh the
+    /// checkpoint of a node of [`on_node`]'s shape (two 64-byte pages).
+    const PAYLOAD: usize = 128;
+    /// Framed size of one test record.
+    const REC: usize = PAYLOAD + frame::FRAME_HEADER_BYTES;
+
+    /// The shape of every test node: one node, two 64-byte pages.
+    fn config() -> DsmConfig {
+        DsmConfig::new(1, 2).with_page_size(64)
+    }
 
     /// Run `body` on the one node of a one-node cluster.
     fn on_node(body: impl Fn(&mut NodeInner) + Send + Sync) {
-        let cfg = DsmConfig::new(1, 2).with_page_size(64);
         run_cluster::<Msg, _, _>(1, CostModel::default(), move |ctx| {
-            body(&mut NodeInner::new(ctx, cfg));
+            body(&mut NodeInner::new(ctx, config()));
         });
     }
 
-    /// Stage `n` records, the `i`-th carrying 32 bytes of `i`.
+    /// Stage `n` records, the `i`-th carrying `PAYLOAD` bytes of `i`.
     fn stage(log: &mut StableLog, n: u8) {
         for i in 0..n {
-            assert_eq!(log.stage(&Raw(&[i; 32])), Some(REC));
+            assert_eq!(log.stage(&Raw(&[i; PAYLOAD])), Some(REC));
         }
     }
 
@@ -397,7 +384,7 @@ mod tests {
             assert_eq!(inner.ctx.disk.counters().write_retries, u64::from(retry));
             assert_eq!(inner.ctx.stats.log_flushes, 1);
             assert_eq!(inner.ctx.stats.log_bytes, 2 * REC as u64);
-            assert!(log.accepting());
+            assert!(!log.stopped);
             assert_eq!(kinds(inner), [flushed(2)]);
             // An empty batch is no access at all.
             assert_eq!(flush(&mut log, inner, 0), Written::Nothing);
@@ -421,39 +408,63 @@ mod tests {
         check_persisted(DiskFaultPlan::transient(1, 1000), true);
     }
 
+    /// The logging layer of a node whose one log is the test's: a
+    /// checkpoint cuts it, as both loggers' `on_checkpoint` cut theirs.
+    struct Cut(Arc<Mutex<StableLog>>);
+
+    impl FaultTolerance for Cut {
+        fn on_checkpoint(&mut self, inner: &mut NodeInner) {
+            self.0.lock().unwrap().truncate_at_checkpoint(inner);
+        }
+    }
+
     /// A device that takes one flush and refuses the next with
-    /// `refusal`: the batch is dropped whole, logging stops, and a
-    /// checkpoint `reopens` the log or does not.
+    /// `refusal`: the batch is dropped whole, logging stops, and the
+    /// checkpoint that follows, taken the one way ([`crate::checkpoint()`]),
+    /// `reopens` the log — or, on a failed device, persists nothing and
+    /// cuts nothing.
     fn check_refused(plan: DiskFaultPlan, refusal: TraceKind, reopens: bool) {
-        on_node(move |inner| {
-            inner.ctx.disk.set_faults(plan);
-            let mut log = StableLog::new(STREAM);
-            let futile = inner.ctx.disk.model().write_time(0);
-            assert_eq!(flush(&mut log, inner, 2), persisted(inner, 2, false));
-            assert_eq!(flush(&mut log, inner, 2), Written::Refused { futile });
-            assert!(!log.accepting());
-            assert_eq!(inner.ctx.disk.record_count(STREAM), 2, "refused whole");
-            assert_eq!(inner.ctx.stats.log_flushes, 1);
-            assert_eq!(kinds(inner), [flushed(2), refusal]);
-            // Stopped: a later record is not staged and the device is
-            // not touched, so nothing lands after the gap.
-            assert_eq!(log.stage(&Raw(&[0; 32])), None);
-            assert_eq!(log.flush(inner, false), Written::Nothing);
-            let counters = inner.ctx.disk.counters();
-            assert_eq!(counters.full_writes + counters.failed_writes, 1);
-            assert_eq!(log.truncate_at_checkpoint(inner), reopens);
-            assert_eq!(log.accepting(), reopens);
+        run_cluster::<Msg, _, _>(1, CostModel::default(), move |mut ctx| {
+            ctx.disk.set_faults(plan);
+            let shared = Arc::new(Mutex::new(StableLog::new(STREAM)));
+            let layer = Box::new(Cut(Arc::clone(&shared)));
+            let mut node = HlrcNode::new(ctx, config(), layer);
+            let futile = node.inner.ctx.disk.model().write_time(0);
+            {
+                let (inner, mut log) = (&mut node.inner, shared.lock().unwrap());
+                assert_eq!(flush(&mut log, inner, 2), persisted(inner, 2, false));
+                assert_eq!(flush(&mut log, inner, 2), Written::Refused { futile });
+                assert!(log.stopped);
+                assert_eq!(inner.ctx.disk.record_count(STREAM), 2, "refused whole");
+                assert_eq!(inner.ctx.stats.log_flushes, 1);
+                assert_eq!(kinds(inner), [flushed(2), refusal]);
+                // Stopped: a later record is not staged and the device
+                // is not touched, so nothing lands after the gap.
+                assert_eq!(log.stage(&Raw(&[0; PAYLOAD])), None);
+                assert_eq!(log.flush(inner, false), Written::Nothing);
+                let counters = inner.ctx.disk.counters();
+                assert_eq!(counters.full_writes + counters.failed_writes, 1);
+            }
+            let before = node.inner.ctx.now();
+            crate::checkpoint(&mut node, b"");
+            let (inner, mut log) = (&mut node.inner, shared.lock().unwrap());
+            assert_eq!(log.stopped, !reopens);
             if reopens {
-                // The truncation freed the space: logging resumes in a
+                // The checkpoint is on the device, whatever the bound,
+                // and the truncation left room: logging resumes in a
                 // new epoch, numbered from zero.
+                assert_eq!(inner.ctx.disk.record_count(CKPT_META), 1);
                 assert_eq!(flush(&mut log, inner, 1), persisted(inner, 1, false));
                 let resumed = frame::salvage(inner.ctx.disk.peek_stream(STREAM));
                 assert_eq!((resumed.epoch, resumed.valid), (1, 1));
             } else {
-                // The persisted prefix, the only recovery data left,
-                // survives the attempt.
+                // No checkpoint replaces the persisted prefix, the only
+                // recovery data left, so it survives; the node paid the
+                // one access that found the device dead.
+                assert_eq!(inner.ctx.now() - before, futile);
+                assert_eq!(inner.ctx.disk.record_count(CKPT_META), 0);
                 assert_eq!(inner.ctx.disk.record_count(STREAM), 2);
-                assert_eq!(log.stage(&Raw(&[0; 32])), None);
+                assert_eq!(log.stage(&Raw(&[0; PAYLOAD])), None);
             }
         });
     }
@@ -485,14 +496,15 @@ mod tests {
             assert_eq!(log.flush(inner, false), Written::Nothing);
             assert_eq!(inner.ctx.disk.counters().full_writes, 1);
             let seq = log.next_seq;
-            assert_eq!(log.stage(&Raw(&[9; 32])), None);
+            assert_eq!(log.stage(&Raw(&[9; PAYLOAD])), None);
             assert_eq!(log.next_seq, seq, "a refused stage took a number");
             // Reopened, two records are staged and a checkpoint comes
             // before their flush: the next flush writes only what was
             // staged after it, first in the new epoch.
-            assert!(log.truncate_at_checkpoint(inner));
+            log.truncate_at_checkpoint(inner);
+            assert!(!log.stopped, "the truncation left room");
             stage(&mut log, 2);
-            assert!(log.truncate_at_checkpoint(inner));
+            log.truncate_at_checkpoint(inner);
             assert_eq!(flush(&mut log, inner, 1), persisted(inner, 1, false));
             let stream = inner.ctx.disk.peek_stream(STREAM);
             assert_eq!(stream.len(), 1, "a staged record outlived its epoch");

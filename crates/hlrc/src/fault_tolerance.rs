@@ -136,8 +136,8 @@ pub trait FaultTolerance: Send {
         SimDuration::ZERO
     }
 
-    /// A checkpoint is being taken: persist whatever the protocol needs
-    /// and truncate obsolete logs.
+    /// A checkpoint is on the device (`ftlog::checkpoint` never calls
+    /// this when it is not): truncate the log it replaces.
     fn on_checkpoint(&mut self, inner: &mut NodeInner) {}
 
     // ---- crash recovery ----

@@ -8,9 +8,10 @@
 # matrix -- its 42 chaos, two-crash and torn/rotted-log cells included --
 # against crates/obsv/smoke_baseline.json and runs one cell of each kind
 # twice. The later stages add what only release binaries can do in
-# reasonable time. The tier-1, report and benchmark-smoke stages print
-# their wall time (whole seconds), so a host-time change shows on every
-# run; the benchmark-smoke stage also prints each workload's peak_rss_mb,
+# reasonable time. The tier-1 stage prints one line with its passed and
+# failed test counts (summed over every "test result:" line); the
+# tier-1, report and benchmark-smoke stages print their wall time
+# (whole seconds), so a host-time change shows on every run; the benchmark-smoke stage also prints each workload's peak_rss_mb,
 # so a memory regression does too. The first line counts the non-test
 # source of crates/*/src (each file up to its first #[cfg(test)]), so a
 # subtraction shows on every run too.
@@ -27,10 +28,18 @@ find crates/*/src -name '*.rs' | sort | xargs awk '
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (every test binary runs; a failure still fails the stage)"
 t0=$(date +%s)
-cargo test -q --workspace
+test_status=0
+test_out=$(cargo test -q --workspace --no-fail-fast 2>&1) || test_status=$?
+printf '%s\n' "$test_out"
+printf '%s\n' "$test_out" | awk '/^test result:/ { passed += $4; failed += $6 }
+    END { print "verify: tier-1 tests: " passed + 0 " passed, " failed + 0 " failed" }'
 echo "verify: tier-1 tests took $(($(date +%s) - t0)) s wall"
+if [ "$test_status" -ne 0 ]; then
+    echo "verify: tier-1 tests failed (exit $test_status)" >&2
+    exit "$test_status"
+fi
 
 echo "==> shipped examples in release (each asserts its digests; crash_and_recover that ML and CCL recovery reproduce the failure-free one)"
 for example in quickstart weather_shallow molecular_water crash_and_recover log_anatomy; do

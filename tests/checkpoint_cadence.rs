@@ -85,25 +85,35 @@ fn cadence_bounds_resident_log_bytes() {
 
 /// Crashing after a cadence cut restarts from the checkpoint blob and
 /// replays only the post-checkpoint log — even when the crash lands
-/// mid-flush and tears the final record batch.
+/// mid-flush and tears the final record batch (after barrier 17), and
+/// when it lands on a cadence barrier itself (15, 20): every node, the
+/// victim included, takes that barrier's checkpoint before the crash
+/// fires, so the victim restarts from the same cut as its survivors.
+/// (There the log was just cut, so the tear finds no batch to damage.)
 #[test]
 fn cadence_checkpoint_survives_torn_crash() {
     for p in [Protocol::Ml, Protocol::Ccl] {
-        let out = run_program(
-            spec(p)
-                .with_checkpoint_cadence(5)
-                .with_crash(CrashPlan::new(1, 17).with_torn_tail(0xCAD_E17)),
-            program,
-        );
-        assert_correct("cadence+torn crash", &out);
-        assert!(out.recovery_time().is_some(), "{p:?}: no recovery happened");
-        // The restart fast-forwarded: node 1 re-executed from round 15
-        // (the barrier-15 cut), not from round 0.
-        let replayed = out.nodes[1]
-            .trace
-            .iter()
-            .any(|ev| matches!(ev.kind, TraceKind::RecoveryBegin));
-        assert!(replayed, "{p:?}: node 1 never entered recovery");
+        for crash in [15, 17, 20] {
+            let out = run_program(
+                spec(p)
+                    .with_checkpoint_cadence(5)
+                    .with_crash(CrashPlan::new(1, crash).with_torn_tail(0xCAD_E17)),
+                program,
+            );
+            let label = format!("{p:?}: cadence 5, torn crash after barrier {crash}");
+            assert_correct(&label, &out);
+            assert!(
+                out.recovery_time().is_some(),
+                "{label}: no recovery happened"
+            );
+            // The restart fast-forwarded: node 1 re-executed from the
+            // last cut at or before its crash, not from round 0.
+            let replayed = out.nodes[1]
+                .trace
+                .iter()
+                .any(|ev| matches!(ev.kind, TraceKind::RecoveryBegin));
+            assert!(replayed, "{label}: node 1 never entered recovery");
+        }
     }
 }
 
@@ -168,9 +178,9 @@ fn log_device_full_pauses_then_cadence_resumes() {
 /// stopped, and each is still in its writer's log, where the
 /// home-repair wave refetches it. ML does not hold this (DESIGN.md §13):
 /// its home acks a flush it could not log, the writer drops the diffs,
-/// and after the crash the update is in no log. The crashes land
-/// between cadence barriers: a full device also refuses the checkpoint
-/// metadata record, which this does not cover.
+/// and after the crash the update is in no log. Two of the full-device
+/// crashes land on a cadence barrier (16 and 10): the checkpoint is on
+/// the device, whatever its bound, before the log it replaces is cut.
 #[test]
 fn ccl_recovers_exactly_at_a_home_whose_log_device_stopped() {
     let p = Protocol::Ccl;
@@ -183,6 +193,8 @@ fn ccl_recovers_exactly_at_a_home_whose_log_device_stopped() {
         (8, full(2), 12),
         (8, full(4), 19),
         (5, full(3), 13),
+        (8, full(3), 16),
+        (5, full(2), 10),
         (0, DiskFaultPlan::permanent_at(2), 12),
         (0, DiskFaultPlan::permanent_at(5), 18),
     ];
@@ -404,9 +416,7 @@ fn a_ccl_writer_serves_exactly_the_diffs_its_log_holds() {
                 }
                 node.barrier();
                 if round % CADENCE == 0 {
-                    let d = ftlog::take_checkpoint(&mut node.inner, &[]);
-                    node.inner.ctx.charge_disk(d);
-                    node.ft.on_checkpoint(&mut node.inner);
+                    ftlog::checkpoint(&mut node, &[]);
                 }
             }
             let writer = (me + 1) % n;
@@ -545,9 +555,7 @@ fn hand_run(protocol: Protocol, garble: bool, crash: bool) -> Vec<(u64, Restart)
             node.barrier();
             round += 1;
             if round % 2 == 0 && !node.ft.in_recovery() {
-                let d = ftlog::take_checkpoint(&mut node.inner, &round.to_le_bytes());
-                node.inner.ctx.charge_disk(d);
-                node.ft.on_checkpoint(&mut node.inner);
+                ftlog::checkpoint(&mut node, &round.to_le_bytes());
                 let disk = &mut node.inner.ctx.disk;
                 if me == 1 && round == 2 && garble {
                     let mut records = disk.peek_stream(CKPT_PAGES).to_vec();
