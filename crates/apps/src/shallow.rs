@@ -63,25 +63,34 @@ fn wrap(n: usize, i: usize, d: isize) -> usize {
 
 /// Initial stream-function-derived fields, identical on every node.
 pub fn initial_fields(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    initial_rows(n, 0, n)
+}
+
+/// Rows `ylo..yhi` of [`initial_fields`], `(yhi - ylo) * n` values each,
+/// bit for bit: the same per-element arithmetic over only the stream
+/// function rows `ylo..=yhi` that they read. A node builds just the rows
+/// it owns, so no node holds the whole grids.
+pub fn initial_rows(n: usize, ylo: usize, yhi: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let di = 2.0 * std::f64::consts::PI / n as f64;
     let dj = 2.0 * std::f64::consts::PI / n as f64;
-    let mut psi = vec![0.0; (n + 1) * (n + 1)];
-    for j in 0..=n {
+    let mut psi = vec![0.0; (yhi - ylo + 1) * (n + 1)];
+    for j in ylo..=yhi {
         for i in 0..=n {
-            psi[j * (n + 1) + i] =
+            psi[(j - ylo) * (n + 1) + i] =
                 A * ((i as f64 + 0.5) * di).sin() * ((j as f64 + 0.5) * dj).sin();
         }
     }
-    let mut u = vec![0.0; n * n];
-    let mut v = vec![0.0; n * n];
-    let mut p = vec![0.0; n * n];
-    for y in 0..n {
+    let mut u = vec![0.0; (yhi - ylo) * n];
+    let mut v = vec![0.0; (yhi - ylo) * n];
+    let mut p = vec![0.0; (yhi - ylo) * n];
+    for y in ylo..yhi {
+        let r = y - ylo;
         for x in 0..n {
-            u[at(n, x, y)] = -(psi[(y + 1) * (n + 1) + x] - psi[y * (n + 1) + x]) / DY;
-            v[at(n, x, y)] = (psi[y * (n + 1) + x + 1] - psi[y * (n + 1) + x]) / DX;
+            u[at(n, x, r)] = -(psi[(r + 1) * (n + 1) + x] - psi[r * (n + 1) + x]) / DY;
+            v[at(n, x, r)] = (psi[r * (n + 1) + x + 1] - psi[r * (n + 1) + x]) / DX;
             // Positive-definite pressure, as in the original kernel
             // (the z-field divides by a 4-point sum of p).
-            p[at(n, x, y)] =
+            p[at(n, x, r)] =
                 PCF * (((x as f64) * di).cos() + ((y as f64) * dj).cos()) * (EL / 1000.0)
                     + 50_000.0;
         }
@@ -132,17 +141,19 @@ pub fn run(dsm: &mut Dsm, cfg: &ShallowConfig) -> u64 {
     };
     let (ylo, yhi) = my_rows(n, me, nodes);
 
-    // Initialization: each node writes its rows of the identical field.
-    let (u0, v0, p0) = initial_fields(n);
+    // Initialization: each node writes its rows of the identical field,
+    // built from its rows alone and dropped before the first barrier.
+    let (u0, v0, p0) = initial_rows(n, ylo, yhi);
     for y in ylo..yhi {
-        let i = at(n, 0, y);
-        dsm.write_slice(&g.u, i, &u0[i..i + n]);
-        dsm.write_slice(&g.v, i, &v0[i..i + n]);
-        dsm.write_slice(&g.p, i, &p0[i..i + n]);
-        dsm.write_slice(&g.uold, i, &u0[i..i + n]);
-        dsm.write_slice(&g.vold, i, &v0[i..i + n]);
-        dsm.write_slice(&g.pold, i, &p0[i..i + n]);
+        let (i, r) = (at(n, 0, y), at(n, 0, y - ylo));
+        dsm.write_slice(&g.u, i, &u0[r..r + n]);
+        dsm.write_slice(&g.v, i, &v0[r..r + n]);
+        dsm.write_slice(&g.p, i, &p0[r..r + n]);
+        dsm.write_slice(&g.uold, i, &u0[r..r + n]);
+        dsm.write_slice(&g.vold, i, &v0[r..r + n]);
+        dsm.write_slice(&g.pold, i, &p0[r..r + n]);
     }
+    drop((u0, v0, p0));
     dsm.barrier();
 
     let fsdx = 4.0 / DX;
@@ -372,6 +383,32 @@ mod tests {
         assert!(u.iter().any(|&x| x != 0.0));
         assert!(v.iter().any(|&x| x != 0.0));
         assert!(p.iter().all(|&x| x.is_finite()));
+    }
+
+    /// Every node's rows of the initial field are the matching rows of
+    /// the whole field, bit for bit — empty ranges included (n = 16 on
+    /// 7 nodes leaves node 6 none).
+    #[test]
+    fn initial_rows_are_the_rows_of_initial_fields() {
+        for n in [16, 256] {
+            let (u, v, p) = initial_fields(n);
+            for nodes in 1..=8 {
+                for me in 0..nodes {
+                    let (ylo, yhi) = my_rows(n, me, nodes);
+                    let (ur, vr, pr) = initial_rows(n, ylo, yhi);
+                    let rows = ylo * n..yhi * n;
+                    for (whole, part) in [(&u, &ur), (&v, &vr), (&p, &pr)] {
+                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(part),
+                            bits(&whole[rows.clone()]),
+                            "n {n}, node {me}/{nodes}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(my_rows(16, 6, 7), (16, 16));
     }
 
     #[test]

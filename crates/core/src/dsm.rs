@@ -371,7 +371,7 @@ mod tests {
                 dirty: e.dirty,
                 frame: e.frame.clone(),
                 twin: e.twin.clone(),
-                version: e.version.clone(),
+                version: e.home_state.as_ref().map(|h| h.version.clone()),
                 predicted: e.predicted.as_ref().map(|(_, v)| v.clone()),
             }
         }

@@ -164,6 +164,18 @@ where
     if !spec.failures.crashes.is_empty() {
         silence_crash_token_panics();
     }
+    // A cadence barrier takes its checkpoint before a crash there fires,
+    // and the checkpoint just cut the log: a torn tail would find no
+    // flushed batch to tear and the crash would be a clean one.
+    if let Some(n) = spec.checkpoint_every_barriers {
+        for plan in &spec.failures.crashes {
+            assert!(
+                plan.torn_tail.is_none() || !plan.after_barriers.is_multiple_of(n),
+                "{plan:?} tears a log that checkpoint cadence {n} cuts at that \
+                 very barrier: there is no flushed batch left to tear"
+            );
+        }
+    }
     let cfg = spec.dsm_config();
     let program = &program;
     let spec = &spec;

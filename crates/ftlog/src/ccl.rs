@@ -492,7 +492,7 @@ impl CclLogger {
                     inner.apply_home_diff(d, *iv);
                 } else {
                     // Lost by its writer's log: nothing may wait for it.
-                    inner.pages.entry_mut(*page).served.unexpect(*iv);
+                    inner.pages.home_state_mut(*page).served.unexpect(*iv);
                 }
             }
         }
@@ -865,13 +865,7 @@ impl CclLogger {
                 {
                     continue;
                 }
-                let covered = inner
-                    .pages
-                    .entry(n.page)
-                    .version
-                    .as_ref()
-                    .expect("home version")
-                    .covers(n.interval);
+                let covered = inner.pages.home_state(n.page).version.covers(n.interval);
                 if !covered {
                     missing.push(*n);
                 }
@@ -901,10 +895,8 @@ impl CclLogger {
                 // empty. Observe it so the version names what the copy has.
                 inner
                     .pages
-                    .entry_mut(n.page)
+                    .home_state_mut(n.page)
                     .version
-                    .as_mut()
-                    .expect("home version")
                     .observe(n.interval);
             }
         }

@@ -193,19 +193,17 @@ fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     }
     // Incremental page set: anything whose version moved past the base
     // or whose image is gone. The images these replace are dropped.
-    let me = inner.me();
     let mut fresh = Vec::new();
     for (page, e) in inner.pages.iter() {
-        if e.home != me {
+        let Some(h) = e.home_state.as_deref() else {
             continue;
-        }
-        let version = e.version.as_ref().expect("home version");
-        if Some(version) == e.base_version.as_ref() && retained.contains_key(&page) {
+        };
+        if h.version == h.base_version && retained.contains_key(&page) {
             continue; // unchanged since the last checkpoint, image intact
         }
         retained.remove(&page);
         let data = e.frame.as_ref().expect("home frame").bytes();
-        fresh.push(PageImage(page, version, data));
+        fresh.push(PageImage(page, &h.version, data));
     }
     // Every prior record either survives in `retained` or is dropped:
     // superseded by a newer image, replaced by this checkpoint, or
@@ -378,10 +376,8 @@ mod tests {
             inner.pages.frame_mut(0).write_u64(0, 42);
             inner
                 .pages
-                .entry_mut(0)
+                .home_state_mut(0)
                 .version
-                .as_mut()
-                .unwrap()
                 .observe(IntervalId { node: 0, seq: 0 });
             inner.vc.observe(IntervalId { node: 0, seq: 0 });
             inner.next_interval = 1;
@@ -393,7 +389,7 @@ mod tests {
             assert_eq!(images.len(), 2, "one image per home page");
             // A node that retains no served pages (ML, None) keeps no
             // image of its checkpoint in memory: the disk has it.
-            assert_eq!(inner.pages.entry(0).served, ServedLog::default());
+            assert_eq!(inner.pages.home_state(0).served, ServedLog::default());
             // A write after the checkpoint, which the crash loses.
             inner.pages.frame_mut(0).write_u64(0, 43);
 
@@ -412,14 +408,10 @@ mod tests {
             assert_eq!(inner.next_interval, 1);
             assert_eq!(inner.barrier_epoch, 2);
             assert!(inner.vc.covers(IntervalId { node: 0, seq: 0 }));
-            let e = inner.pages.entry(0);
+            let h = inner.pages.home_state(0);
             assert_eq!(inner.pages.frame(0).read_u64(0), 42);
-            assert!(e
-                .version
-                .as_ref()
-                .unwrap()
-                .covers(IntervalId { node: 0, seq: 0 }));
-            assert_eq!(e.base_version, e.version);
+            assert!(h.version.covers(IntervalId { node: 0, seq: 0 }));
+            assert_eq!(h.base_version, h.version);
             inner.pages.rebuild_served_logs(std::iter::empty());
             let (pos, base) = (inner.pages)
                 .recovery_image(0, &VClock::new(1))
@@ -495,10 +487,8 @@ mod tests {
             inner.pages.frame_mut(1).write_u64(0, 9);
             inner
                 .pages
-                .entry_mut(1)
+                .home_state_mut(1)
                 .version
-                .as_mut()
-                .unwrap()
                 .observe(IntervalId { node: 0, seq: 0 });
             take_checkpoint(&mut inner, b"");
             assert_eq!(inner.ctx.disk.record_count(CKPT_PAGES), 4);
@@ -519,16 +509,10 @@ mod tests {
                 // Touch the same page every round: without compaction
                 // the stream would grow by one image per round.
                 inner.pages.frame_mut(2).write_u64(0, round);
-                inner
-                    .pages
-                    .entry_mut(2)
-                    .version
-                    .as_mut()
-                    .unwrap()
-                    .observe(IntervalId {
-                        node: 0,
-                        seq: round as u32,
-                    });
+                inner.pages.home_state_mut(2).version.observe(IntervalId {
+                    node: 0,
+                    seq: round as u32,
+                });
                 take_checkpoint(&mut inner, b"state");
                 assert_eq!(inner.ctx.disk.record_count(CKPT_PAGES), 4);
             }

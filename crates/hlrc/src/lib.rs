@@ -38,6 +38,6 @@ pub use msg::{
     HEADER_BYTES, MAX_NOTICES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, OpenTwins};
-pub use page_table::{NodeSet, PageEntry, PageTable, ServedCopies};
+pub use page_table::{HomeState, NodeSet, PageEntry, PageTable, ServedCopies};
 pub use served::ServedLog;
 pub use sync::{BarrierMgr, LockState, LockTable, NoticeUnion, PendingAcquire};

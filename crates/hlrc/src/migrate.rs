@@ -143,9 +143,9 @@ impl HlrcNode {
                 }
             } else if home == me {
                 let page_size = self.inner.pages.page_size();
-                let e = self.inner.pages.entry(page);
-                let data = SharedBytes::copy_of(e.frame.as_ref().expect("home frame").bytes());
-                let version = e.version.clone().expect("home version");
+                let pages = &self.inner.pages;
+                let data = SharedBytes::copy_of(pages.frame(page).bytes());
+                let version = pages.home_state(page).version.clone();
                 self.inner.ctx.charge_copy(page_size);
                 let handover = Msg::HomeMigrate {
                     page,

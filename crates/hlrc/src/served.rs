@@ -212,11 +212,6 @@ impl ServedLog {
             ..ServedLog::default()
         };
     }
-
-    /// Forget everything (the home crashed, or the page left it).
-    pub fn clear(&mut self) {
-        *self = ServedLog::default();
-    }
 }
 
 #[cfg(test)]

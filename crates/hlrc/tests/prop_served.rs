@@ -171,8 +171,7 @@ impl Home {
         self.home_close();
         self.table.promote_base();
         for (p, image) in self.checkpointed.iter_mut().enumerate() {
-            let e = self.table.entry(p as u32);
-            let version = e.version.clone().expect("home version");
+            let version = self.table.home_state(p as u32).version.clone();
             *image = (self.table.frame(p as u32).bytes().to_vec(), version);
         }
         self.ops.clear();
@@ -188,7 +187,7 @@ impl Home {
             m.entries.clear();
             let page = p as u32;
             assert!(
-                self.table.entry(page).served.images().len() <= 1,
+                self.table.home_state(page).served.images().len() <= 1,
                 "a checkpoint keeps at most one image a page"
             );
             // A replay from this checkpoint asks at its clock first —
@@ -205,7 +204,7 @@ impl Home {
     /// The selection rule, checked against the model for one request.
     fn check_selection(&mut self, page: usize, required: &VClock) -> Option<u32> {
         let before: Vec<(u32, SharedBytes)> =
-            self.table.entry(page as u32).served.images().to_vec();
+            self.table.home_state(page as u32).served.images().to_vec();
         let (pos, image) = self.table.recovery_image(page as u32, required)?;
         let covered: Vec<&Entry> = self.pages[page]
             .entries
@@ -242,12 +241,12 @@ fn the_selected_image_is_the_earliest_that_holds_every_covered_write() {
                 5..=6 => home.remote_diff(page, rng.usize_in(1, NODES)),
                 7..=9 => {
                     // Every fetch of one version is one buffer.
-                    let kept = home.table.entry(page as u32).served.images().len();
+                    let kept = home.table.home_state(page as u32).served.images().len();
                     let (first, _) = home.table.serve_copy(page as u32, false);
                     for _ in 0..100 {
                         assert!(home.table.serve_copy(page as u32, false).0.ptr_eq(&first));
                     }
-                    assert!(home.table.entry(page as u32).served.images().len() <= kept + 1);
+                    assert!(home.table.home_state(page as u32).served.images().len() <= kept + 1);
                 }
                 10 => home.checkpoint(),
                 _ => {
@@ -468,7 +467,7 @@ fn a_log_rebuilt_by_replay_selects_as_soundly_as_the_one_it_replaces() {
             .expect("nothing to check");
         let (page, required) = &requests[0];
         let (pos, _) = home.table.recovery_image(*page, required).expect("whole");
-        for held in (0..=home.table.entry(*page).served.pos()).filter(|h| *h != pos) {
+        for held in (0..=home.table.home_state(*page).served.pos()).filter(|h| *h != pos) {
             let (answer, _) = home.table.recovery_answer(*page, required, Some(held));
             assert!(
                 matches!(answer, RecoveryImage::Image { .. }),
@@ -520,7 +519,7 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_t
             required.observe(iv);
             clocks.push(required.clone());
         }
-        let images: Vec<(u32, SharedBytes)> = table.entry(0).served.images().to_vec();
+        let images: Vec<(u32, SharedBytes)> = table.home_state(0).served.images().to_vec();
         for (_, a) in &images {
             for (_, b) in &images {
                 let mut rebuilt = PageFrame::from_bytes(a);

@@ -89,19 +89,30 @@ fn cadence_bounds_resident_log_bytes() {
 /// when it lands on a cadence barrier itself (15, 20): every node, the
 /// victim included, takes that barrier's checkpoint before the crash
 /// fires, so the victim restarts from the same cut as its survivors.
-/// (There the log was just cut, so the tear finds no batch to damage.)
+/// (There the log was just cut, so the tear finds no batch to damage:
+/// those crashes are plain ones, and a torn one is refused, see
+/// [`a_torn_crash_on_a_cadence_barrier_is_refused`].)
 #[test]
 fn cadence_checkpoint_survives_torn_crash() {
     for p in [Protocol::Ml, Protocol::Ccl] {
         for crash in [15, 17, 20] {
-            let out = run_program(
-                spec(p)
-                    .with_checkpoint_cadence(5)
-                    .with_crash(CrashPlan::new(1, crash).with_torn_tail(0xCAD_E17)),
-                program,
-            );
-            let label = format!("{p:?}: cadence 5, torn crash after barrier {crash}");
+            let plan = CrashPlan::new(1, crash);
+            let torn = !crash.is_multiple_of(5);
+            let plan = if torn {
+                plan.with_torn_tail(0xCAD_E17)
+            } else {
+                plan
+            };
+            let out = run_program(spec(p).with_checkpoint_cadence(5).with_crash(plan), program);
+            let kind = if torn { "torn" } else { "plain" };
+            let label = format!("{p:?}: cadence 5, {kind} crash after barrier {crash}");
             assert_correct(&label, &out);
+            assert_eq!(
+                out.nodes[1].disk.torn_records > 0,
+                torn,
+                "{label}: torn records {}",
+                out.nodes[1].disk.torn_records
+            );
             assert!(
                 out.recovery_time().is_some(),
                 "{label}: no recovery happened"
@@ -115,6 +126,21 @@ fn cadence_checkpoint_survives_torn_crash() {
             assert!(replayed, "{label}: node 1 never entered recovery");
         }
     }
+}
+
+/// A torn tail on a cadence barrier would tear nothing — the checkpoint
+/// taken there just cut the log — so the run refuses it up front rather
+/// than run a clean crash that claims to be a torn one.
+#[test]
+#[should_panic(expected = "checkpoint cadence 5 cuts at that very barrier")]
+fn a_torn_crash_on_a_cadence_barrier_is_refused() {
+    let plan = CrashPlan::new(1, 15).with_garbled_tail(0xCAD_E17);
+    run_program(
+        spec(Protocol::Ccl)
+            .with_checkpoint_cadence(5)
+            .with_crash(plan),
+        program,
+    );
 }
 
 /// A capacity-bounded log device fills mid-run: logging pauses (traced

@@ -3,7 +3,7 @@
 //! references, on every node, under every logging protocol.
 
 use ccl_apps::App;
-use ccl_core::{run_program, ClusterSpec, Protocol};
+use ccl_core::{run_program, ClusterSpec, CrashPlan, Protocol};
 
 fn tiny_spec(app: App, nodes: usize, protocol: Protocol) -> ClusterSpec {
     tiny_spec_at(app, nodes, protocol, 256)
@@ -51,6 +51,29 @@ fn mg_matches_reference_no_logging() {
 #[test]
 fn shallow_matches_reference_no_logging() {
     check_app(App::Shallow, 4, Protocol::None);
+}
+
+/// Tiny Shallow (16 rows) on 7 nodes gives 3 rows a node, so node 6
+/// owns none: it builds an empty slice of the initial field, computes
+/// nothing and still takes part in every barrier. The run matches the
+/// serial reference under every protocol and across a crash of node 1.
+#[test]
+fn shallow_with_a_node_that_owns_no_rows_matches_reference() {
+    let app = App::Shallow;
+    for protocol in Protocol::ALL {
+        check_app(app, 7, protocol);
+    }
+    let spec = tiny_spec(app, 7, Protocol::Ccl).with_crash(CrashPlan::new(1, 5));
+    let out = run_program(spec, move |dsm| app.run_tiny(dsm));
+    assert!(out.recovery_time().is_some(), "node 1 recovered");
+    for n in &out.nodes {
+        assert_eq!(
+            n.result,
+            app.tiny_reference(),
+            "node {} after the crash",
+            n.node
+        );
+    }
 }
 
 #[test]

@@ -191,7 +191,7 @@ fn a_home_names_a_demand_copy_only_under_ml() {
             dsm.barrier();
             // Every name the home keeps, and the buffer if it still lives.
             let pages = dsm.node().inner.pages.iter();
-            (pages.filter_map(|(_, e)| e.shipped.as_ref()))
+            (pages.filter_map(|(_, e)| e.home_state.as_ref()?.shipped.as_ref()))
                 .map(|weak| weak.upgrade().map(Arc::from))
                 .collect::<Vec<_>>()
         });
