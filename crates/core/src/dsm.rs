@@ -20,10 +20,11 @@ pub(crate) struct CrashToken;
 pub struct Dsm {
     pub(crate) node: HlrcNode,
     alloc_cursor: usize,
-    /// Crash events scheduled for this node, in schedule order.
+    /// The cluster's crash events, in schedule order; only this
+    /// node's fire here.
     crashes: Vec<CrashPlan>,
     /// Which of `crashes` have already fired (each fires once).
-    fired: Vec<bool>,
+    pub(crate) fired: Vec<bool>,
     /// Detection delay of the crash currently unwinding, consumed by
     /// [`Dsm::restart`].
     pending_detection: SimDuration,
@@ -195,27 +196,7 @@ impl Dsm {
     /// zero again and a later crash event of the same node fires at its
     /// own barrier count of the re-run.
     pub fn barrier(&mut self) {
-        // Checkpoint barriers double as migration windows: proposals
-        // ride the barrier traffic and the migrated mapping is captured
-        // by the checkpoint taken right below, keeping migration and
-        // checkpoint atomic with respect to crashes (which fire last).
-        if let Some(n) = self.checkpoint_every {
-            if (self.barriers_done + 1).is_multiple_of(n) && !self.node.ft.in_recovery() {
-                self.node.inner.migration.window = true;
-            }
-        }
-        self.node.barrier();
-        self.barriers_done += 1;
-        // Cadence checkpoint, the only trigger of one: every node
-        // reaches this barrier, so the cut is coordinated. Taken before
-        // any crash scheduled at the same barrier fires (the checkpoint
-        // completes, then the node dies), and suppressed during log
-        // replay — truncating the log being replayed would destroy it.
-        if let Some(n) = self.checkpoint_every {
-            if self.barriers_done.is_multiple_of(n) && !self.node.ft.in_recovery() {
-                ftlog::checkpoint(&mut self.node, &self.ckpt_state);
-            }
-        }
+        self.barrier_without_crash();
         let me = self.me();
         for (i, plan) in self.crashes.iter().enumerate() {
             if !self.fired[i] && plan.node == me && self.barriers_done == plan.after_barriers {
@@ -232,6 +213,23 @@ impl Dsm {
                         .tear_last_flush(tear.seed, tear.garble);
                 }
                 panic_any(CrashToken);
+            }
+        }
+    }
+
+    /// [`Dsm::barrier`] without its crash point: the runner's implicit
+    /// final barrier, which runs outside the unwind a crash needs.
+    pub(crate) fn barrier_without_crash(&mut self) {
+        self.node.barrier();
+        self.barriers_done += 1;
+        // Cadence checkpoint, the only trigger of one: every node
+        // reaches this barrier, so the cut is coordinated. Taken before
+        // any crash scheduled at the same barrier fires (the checkpoint
+        // completes, then the node dies), and suppressed during log
+        // replay — truncating the log being replayed would destroy it.
+        if let Some(n) = self.checkpoint_every {
+            if self.barriers_done.is_multiple_of(n) && !self.node.ft.in_recovery() {
+                ftlog::checkpoint(&mut self.node, &self.ckpt_state);
             }
         }
     }

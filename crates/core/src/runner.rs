@@ -146,7 +146,8 @@ fn silence_crash_token_panics() {
 /// deterministic between synchronization events (fixed seeds, no wall
 /// clock) and must perform the same allocation sequence on every node.
 /// A final barrier is appended automatically so that every node stays
-/// reachable until all protocol traffic has drained.
+/// reachable until all protocol traffic has drained; no crash fires
+/// there.
 ///
 /// With a [`crate::CrashPlan`], the failed node's program unwinds at the
 /// crash point, the node is rebuilt from what a crash keeps (its
@@ -155,7 +156,10 @@ fn silence_crash_token_panics() {
 /// re-runs from the start: with ML/CCL the re-run replays from the
 /// stable log (fast, no synchronization waits) until the log is
 /// exhausted, then resumes live execution; with `Protocol::None` the
-/// re-run is a plain re-execution.
+/// re-run is a plain re-execution. A crash plan that never fired — its
+/// node is outside the cluster, or its barrier is not one the program
+/// reaches — fails the run once every node is done, and so does a
+/// disk-fault plan for a node outside the cluster, before it starts.
 pub fn run_program<R, F>(spec: ClusterSpec, program: F) -> RunOutput<R>
 where
     R: Send,
@@ -175,6 +179,13 @@ where
                  very barrier: there is no flushed batch left to tear"
             );
         }
+    }
+    for (node, plan) in &spec.failures.disk_faults {
+        assert!(
+            *node < spec.nodes,
+            "{plan:?} is planned for node {node} of a {}-node cluster",
+            spec.nodes
+        );
     }
     let cfg = spec.dsm_config();
     let program = &program;
@@ -218,7 +229,17 @@ where
         let result = program(&mut dsm);
         finish(&mut dsm, result)
     });
-    RunOutput { nodes: results }
+    let (nodes, fired): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    for (i, plan) in spec.failures.crashes.iter().enumerate() {
+        assert!(
+            fired.iter().any(|f| f[i]),
+            "{plan:?} never fired: its node must be one of the cluster's {}, and \
+             its barrier one the program reaches (counted from 1 in each run \
+             of the program; the runner's final barrier fires no crash)",
+            spec.nodes
+        );
+    }
+    RunOutput { nodes }
 }
 
 /// Run `program` on a node with crash events scheduled. Each fires
@@ -232,7 +253,7 @@ fn run_through_crashes<R>(
     mut dsm: Dsm,
     program: &impl Fn(&mut Dsm) -> R,
     protocol: impl Fn() -> Box<dyn hlrc::FaultTolerance>,
-) -> NodeOutput<R> {
+) -> (NodeOutput<R>, Vec<bool>) {
     loop {
         match catch_unwind(AssertUnwindSafe(|| program(&mut dsm))) {
             Ok(result) => return finish(&mut dsm, result),
@@ -248,13 +269,15 @@ fn run_through_crashes<R>(
 
 /// The program returned `result` on `dsm`'s node: run the implicit final
 /// barrier, which keeps managers and homes reachable until every node
-/// has finished all its protocol traffic, and collect the node's output.
-fn finish<R>(dsm: &mut Dsm, result: R) -> NodeOutput<R> {
-    dsm.barrier();
+/// has finished all its protocol traffic, and collect the node's output
+/// and which crash plans it fired.
+fn finish<R>(dsm: &mut Dsm, result: R) -> (NodeOutput<R>, Vec<bool>) {
+    dsm.barrier_without_crash();
+    let fired = std::mem::take(&mut dsm.fired);
     let inner = &mut dsm.node.inner;
     let log_bytes_on_disk = (inner.ctx.disk.stream_bytes(ftlog::ML_STREAM)
         + inner.ctx.disk.stream_bytes(ftlog::CCL_STREAM)) as u64;
-    NodeOutput {
+    let output = NodeOutput {
         node: inner.me(),
         result,
         stats: inner.ctx.stats,
@@ -268,7 +291,8 @@ fn finish<R>(dsm: &mut Dsm, result: R) -> NodeOutput<R> {
         crashed_at: inner.ctx.crashed_at,
         recovery_exit: inner.ctx.recovery_exit,
         recovery_phases: inner.ctx.recovery_phases,
-    }
+    };
+    (output, fired)
 }
 
 #[cfg(test)]

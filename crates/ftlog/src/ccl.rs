@@ -92,8 +92,7 @@
 //! replayed working set, not the cluster's write set. The held-set
 //! filter is an optimization only — a fault on a page it skipped
 //! restores on demand — so a home whose copysets were wiped by its own
-//! crash or bypassed by a migration simply answers "incomplete" and all
-//! its pages count as held.
+//! crash simply answers "incomplete" and all its pages count as held.
 //!
 //! The one thing a served-image log does not survive is its home's own
 //! crash, and what went with it is re-derivable: replay is deterministic
@@ -857,7 +856,7 @@ impl CclLogger {
         // Foreign notices naming pages homed here that the restored home
         // version does not cover: exactly what the damaged log lost.
         let mut missing: Vec<WriteNotice> = Vec::new();
-        for (_epoch, _vc, notices, _migrations) in &releases {
+        for (_, _, notices, _) in &releases {
             for n in notices {
                 if n.interval.node as usize == me
                     || !inner.pages.is_home(n.page)
@@ -1239,11 +1238,9 @@ impl FaultTolerance for CclLogger {
                     _ => None,
                 })
                 .max();
-            // Migrations in the history are dropped here: the home
-            // mapping is checkpoint state (`restore_meta`), so the
-            // synthesized records — like real `Sync` records — carry
+            // The synthesized records, like real `Sync` records, carry
             // only notices and the clock.
-            for (epoch, vc, notices, _migrations) in lost_releases(inner, &releases, last_logged) {
+            for (epoch, vc, notices, _) in lost_releases(inner, &releases, last_logged) {
                 let sync = CclRecord::Sync {
                     tag: SyncKind::Barrier(*epoch),
                     notices: notices.clone(),

@@ -52,13 +52,6 @@ pub struct CheckpointMeta {
     pub last_barrier_vc: VClock,
     /// Opaque application state (iteration counters etc.).
     pub app_state: Vec<u8>,
-    /// Every `(page, home)` mapping that differs from the allocation-time
-    /// assignment because of an adaptive migration. Migration is atomic
-    /// with the checkpoint (both happen at the same barrier), so this
-    /// list is exactly the mapping the checkpointed page images were
-    /// taken under — recovery must route fetches and logged-diff
-    /// requests against these homes, never the static layout.
-    pub home_overrides: Vec<(u32, u32)>,
 }
 
 impl Encode for CheckpointMeta {
@@ -68,11 +61,6 @@ impl Encode for CheckpointMeta {
         w.put_u32(self.barrier_epoch);
         self.last_barrier_vc.encode(w);
         w.put_bytes(&self.app_state);
-        w.put_u32(self.home_overrides.len() as u32);
-        for &(page, home) in &self.home_overrides {
-            w.put_u32(page);
-            w.put_u32(home);
-        }
     }
 }
 
@@ -83,20 +71,12 @@ impl Decode for CheckpointMeta {
         let barrier_epoch = r.get_u32()?;
         let last_barrier_vc = VClock::decode(r)?;
         let app_state = r.get_bytes()?;
-        let n = r.get_u32()? as usize;
-        let mut home_overrides = Vec::with_capacity(r.capacity_for(n, 8));
-        for _ in 0..n {
-            let page = r.get_u32()?;
-            let home = r.get_u32()?;
-            home_overrides.push((page, home));
-        }
         Ok(CheckpointMeta {
             vc,
             next_interval,
             barrier_epoch,
             last_barrier_vc,
             app_state,
-            home_overrides,
         })
     }
 }
@@ -210,21 +190,12 @@ fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
     // damaged beyond salvage.
     let compacted = prior.len() - retained.len();
     let epoch = old.epoch.max(meta_epoch(inner)) + 1;
-    // Persist every migrated mapping this node knows: page-table
-    // iteration order is page order, so the list is deterministic.
-    let home_overrides: Vec<(u32, u32)> = inner
-        .pages
-        .iter()
-        .filter(|(_, e)| e.migrated)
-        .map(|(p, e)| (p, e.home as u32))
-        .collect();
     let meta = CheckpointMeta {
         vc: inner.vc.clone(),
         next_interval: inner.next_interval,
         barrier_epoch: inner.barrier_epoch,
         last_barrier_vc: inner.last_barrier_vc.clone(),
         app_state: app_state.to_vec(),
-        home_overrides,
     };
     let meta_record = frame::encode_record(epoch, 0, &meta);
     let meta_bytes = meta_record.len();
@@ -273,7 +244,7 @@ fn meta_epoch(inner: &NodeInner) -> u32 {
 /// Restore the persisted checkpoint into `inner`, a node restarted
 /// after a crash ([`hlrc::NodeInner::restart`]) that kept nothing of its
 /// memory but the page→home map: first the metadata record (protocol
-/// state, migrated mappings), then every home page's image and version
+/// state), then every home page's image and version
 /// from `CKPT_PAGES`, each read charged. Returns the saved application
 /// blob, `Ok(None)` if no checkpoint was ever taken (the node restarts
 /// from the initial state, the implicit epoch-zero checkpoint), or a
@@ -295,13 +266,6 @@ pub fn restore_meta(inner: &mut NodeInner) -> Result<Option<Vec<u8>>, RestoreErr
     inner.ctx.charge_disk(cost);
     let meta = meta?;
     let images = read_page_images(inner)?;
-    // Re-apply the checkpointed home migrations. The page→home map a
-    // crash keeps already holds them (migrations commit only at
-    // checkpoint barriers), so each is normally an idempotent skip; the
-    // explicit list is what makes the checkpoint self-describing.
-    for &(page, to) in &meta.home_overrides {
-        inner.pages.pin_home(page, to as usize);
-    }
     let me = inner.me();
     if let Some((page, _)) =
         (inner.pages.iter()).find(|(p, e)| e.home == me && !images.contains_key(p))
@@ -362,7 +326,6 @@ mod tests {
             barrier_epoch: 3,
             last_barrier_vc: vc,
             app_state: vec![1, 2, 3],
-            home_overrides: vec![(7, 1), (296, 0)],
         };
         let bytes = meta.encode_to_vec();
         assert_eq!(CheckpointMeta::decode_from_slice(&bytes).unwrap(), meta);

@@ -160,7 +160,7 @@ impl MlLogger {
     }
 
     /// The one replay loop: read records in receipt order, applying
-    /// the asynchronous ones (diff flushes, in-migrations) as they come,
+    /// the asynchronous ones (diff flushes) as they come,
     /// until the record that satisfied `want` live — the lock grant, the
     /// barrier release or the page reply — and re-apply it.
     fn replay_to(&mut self, inner: &mut NodeInner, want: Want) -> RecoveryStep {
@@ -175,26 +175,6 @@ impl MlLogger {
                     inner.ctx.charge_copy(payload);
                     for d in diffs {
                         inner.apply_home_diff(d, *writer);
-                    }
-                    continue;
-                }
-                // A logged in-migration. The home map survives a crash,
-                // and the checkpoint taken at the migration's own
-                // barrier holds the adopted page's image, so replay
-                // normally finds the adoption already reflected in the
-                // restored page table and only consumes the record; a
-                // still-premigration mapping adopts now.
-                (
-                    Msg::HomeMigrate {
-                        page,
-                        data,
-                        version,
-                    },
-                    _,
-                ) => {
-                    if !inner.pages.is_home(*page) {
-                        inner.ctx.charge_copy(data.len());
-                        inner.pages.adopt_home(*page, data, version.clone());
                     }
                     continue;
                 }
@@ -220,7 +200,7 @@ impl MlLogger {
                         epoch: e,
                         vc,
                         notices,
-                        migrations,
+                        ..
                     },
                     Want::Sync(SyncKind::Barrier(epoch)),
                 ) => {
@@ -231,17 +211,6 @@ impl MlLogger {
                     // Close the interval locally (diffs are already at
                     // their homes from before the crash).
                     inner.close_interval();
-                    // Migrations before notices, as live execution does.
-                    // The home map survives the crash, so these are normally
-                    // no-ops; in-migrations are absorbed from their own
-                    // `HomeMigrate` records as replay reaches them.
-                    let me = inner.me();
-                    for &(page, to) in migrations.iter() {
-                        let to = to as usize;
-                        if to != me && inner.pages.entry(page).home != to {
-                            inner.pages.note_migrated(page, to);
-                        }
-                    }
                     let fresh = inner.replay_sync(SyncKind::Barrier(epoch), notices, vc);
                     invalidate_named(inner, &fresh);
                     notices.len()
@@ -288,7 +257,7 @@ pub(crate) fn invalidate_named(inner: &mut NodeInner, fresh: &[WriteNotice]) {
 /// pages, see [`trace_append_by_page`]).
 fn trace_ml_append(inner: &mut NodeInner, msg: &Msg, record_bytes: u64) {
     let obj = match msg {
-        Msg::PageReply { page, .. } | Msg::HomeMigrate { page, .. } => LogObj::Page { page: *page },
+        Msg::PageReply { page, .. } => LogObj::Page { page: *page },
         Msg::LockGrant { lock, .. } => LogObj::Lock { lock: *lock },
         Msg::BarrierRelease { epoch, .. } => LogObj::Barrier { epoch: *epoch },
         Msg::DiffFlush { diffs, .. } => {
@@ -317,10 +286,7 @@ impl FaultTolerance for MlLogger {
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
         let log_it = matches!(
             msg,
-            Msg::PageReply { .. }
-                | Msg::LockGrant { .. }
-                | Msg::BarrierRelease { .. }
-                | Msg::HomeMigrate { .. }
+            Msg::PageReply { .. } | Msg::LockGrant { .. } | Msg::BarrierRelease { .. }
         );
         if log_it {
             self.stage(inner, msg);
@@ -384,13 +350,12 @@ impl FaultTolerance for MlLogger {
                 inner.ctx.wait_for_deferring(is_reply)
             });
             let lost = lost_releases(inner, &releases, last_logged);
-            let synthesize =
-                |(epoch, vc, notices, migrations): &hlrc::EpochRelease| Msg::BarrierRelease {
-                    epoch: *epoch,
-                    vc: vc.clone().into(),
-                    notices: notices.as_slice().into(),
-                    migrations: migrations.as_slice().into(),
-                };
+            let synthesize = |(epoch, vc, notices, _): &hlrc::EpochRelease| Msg::BarrierRelease {
+                epoch: *epoch,
+                vc: vc.clone().into(),
+                notices: notices.as_slice().into(),
+                migrations: Vec::new().into(),
+            };
             self.synthesized = lost.into_iter().map(synthesize).collect();
         }
         self.cursor = Some(0);

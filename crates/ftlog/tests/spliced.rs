@@ -59,18 +59,13 @@ fn notices(rng: &mut Rng) -> Vec<WriteNotice> {
 
 /// Every kind ML logs: page copies (shared buffers) and the rest.
 fn arb_msg(rng: &mut Rng) -> Msg {
-    match rng.usize_in(0, 5) {
+    match rng.usize_in(0, 4) {
         0 | 1 => Msg::PageReply {
             page: rng.u32_any_width(),
             data: arb_page(rng),
             version: arb_vclock(rng),
         },
-        2 => Msg::HomeMigrate {
-            page: rng.u32_any_width(),
-            data: arb_page(rng),
-            version: arb_vclock(rng),
-        },
-        3 => Msg::LockGrant {
+        2 => Msg::LockGrant {
             lock: rng.u32_in(0, 64),
             vc: arb_vclock(rng).into(),
             notices: notices(rng),
@@ -144,16 +139,13 @@ fn arb_meta(rng: &mut Rng) -> CheckpointMeta {
             let len = rng.usize_in(0, 40);
             rng.bytes(len)
         },
-        home_overrides: (0..rng.usize_in(0, 4))
-            .map(|_| (rng.u32_in(0, 512), rng.u32_in(0, 8)))
-            .collect(),
     }
 }
 
 /// The page buffer `msg` carries, if any.
 fn page_of(msg: &Msg) -> Option<&SharedBytes> {
     match msg {
-        Msg::PageReply { data, .. } | Msg::HomeMigrate { data, .. } => Some(data),
+        Msg::PageReply { data, .. } => Some(data),
         _ => None,
     }
 }

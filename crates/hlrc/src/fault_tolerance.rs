@@ -79,8 +79,8 @@ pub trait FaultTolerance: Send {
     // ---- failure-free logging ----
 
     /// An incoming coherence message relevant to replay was received:
-    /// page replies, lock grants, barrier releases, in-migrations (a
-    /// home's diff flushes go to [`FaultTolerance::on_diff_flush`]). A
+    /// page replies, lock grants, barrier releases (a home's diff
+    /// flushes go to [`FaultTolerance::on_diff_flush`]). A
     /// predicted copy's [`Msg::PageReply`] comes at its first touch —
     /// one that is never touched never comes — so page replies arrive
     /// here exactly where replay will fault on their pages.

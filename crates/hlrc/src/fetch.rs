@@ -208,10 +208,7 @@ impl HlrcNode {
                 return;
             }
             let e = self.inner.pages.entry(p);
-            if e.home == home
-                && e.state == PageState::Invalid
-                && !self.inner.pending_migration(p)
-                && !self.inner.prefetch.in_flight(p)
+            if e.home == home && e.state == PageState::Invalid && !self.inner.prefetch.in_flight(p)
             {
                 out.push(p);
             }
@@ -258,11 +255,7 @@ impl HlrcNode {
         };
         for (p, data, version) in pages {
             let e = self.inner.pages.entry(p);
-            if stale
-                || e.state != PageState::Invalid
-                || self.inner.pending_migration(p)
-                || self.inner.prefetch.demand == Some(p)
-            {
+            if stale || e.state != PageState::Invalid || self.inner.prefetch.demand == Some(p) {
                 self.inner.ctx.stats.prefetch_wasted += 1;
                 self.inner.ctx.trace(TraceKind::PrefetchWasted { page: p });
                 continue;
@@ -282,9 +275,7 @@ impl HlrcNode {
     /// The copyset learns what `src` touches, not what it is shipped:
     /// the demand page, and each of `hits` — extras of earlier requests
     /// that `src` reports it has since first touched. An extra shipped
-    /// here is noted when, and if, it comes back as a hit. A hit on a
-    /// page no longer homed here (it migrated since) is ignored: the
-    /// new home answers a recovering peer "incomplete" anyway.
+    /// here is noted when, and if, it comes back as a hit.
     pub(crate) fn serve_pages(
         &mut self,
         src: NodeId,
@@ -300,9 +291,11 @@ impl HlrcNode {
         };
         self.inner.pages.note_remote_fetch(page, src);
         for &hit in hits {
-            if self.inner.pages.is_home(hit) {
-                self.inner.pages.note_remote_fetch(hit, src);
-            }
+            debug_assert!(
+                self.inner.pages.is_home(hit),
+                "hit on a page homed elsewhere"
+            );
+            self.inner.pages.note_remote_fetch(hit, src);
         }
         let (_, data, version) = copy_of(&mut self.inner, page, false);
         let demand_cost = self.inner.ctx.cost.cpu.copy(data.len());

@@ -21,7 +21,6 @@
 mod config;
 mod fault_tolerance;
 mod fetch;
-mod migrate;
 mod msg;
 mod node;
 mod page_table;
@@ -31,7 +30,6 @@ mod sync;
 pub use config::DsmConfig;
 pub use fault_tolerance::{FaultTolerance, NoLogging, RecoveryStep, SyncKind};
 pub use fetch::{PrefetchState, MAX_EXTRAS};
-pub use migrate::MigrationState;
 pub use msg::{
     decode_ascending, decode_diffs, decode_notices, encode_diffs, encode_notices, kind_label,
     put_ascending, EpochRelease, HomeMigration, Msg, PageCopy, RecoveryImage, WriteNotice,

@@ -19,7 +19,7 @@ pub const HEADER_BYTES: usize = 32;
 
 /// Number of distinct [`Msg`] variants. Per-variant traffic counters
 /// are indexed by [`Msg::ordinal`], `0..MSG_KINDS`.
-pub const MSG_KINDS: usize = 19;
+pub const MSG_KINDS: usize = 18;
 
 /// Wire tag of the variant with ordinal 0; the rest follow in
 /// declaration order. Tag 0 was the bare page request of a node that
@@ -50,21 +50,22 @@ pub fn kind_label(ordinal: usize) -> &'static str {
         "ReleaseHistoryReply",
         "PageRequestBatch",
         "PageReplyBatch",
-        "HomeMigrate",
         "RecoveryHello",
         "RecoveryHelloReply",
     ];
     LABELS.get(ordinal).copied().unwrap_or("?")
 }
 
-/// A home reassignment decided at a barrier: `(page, new_home)`.
+/// An entry of the home-migration lists the barrier messages still
+/// carry, always empty: `(page, new_home)`. Homes never move; the lists
+/// keep the wire and log bytes until ROADMAP item 10 drops them.
 pub type HomeMigration = (PageId, u32);
 
 /// One page copy inside a [`Msg::PageReplyBatch`].
 pub type PageCopy = (PageId, SharedBytes, VClock);
 
 /// One retained barrier release: `(epoch, merged clock, merged notices,
-/// home migrations committed at that release)`.
+/// an always-empty migration list kept until ROADMAP item 10)`.
 pub type EpochRelease = (u32, VClock, Vec<WriteNotice>, Vec<HomeMigration>);
 
 /// What a [`Msg::RecoveryPageReply`] carries: the home's answer from its
@@ -336,6 +337,8 @@ pub fn decode_ascending(r: &mut ByteReader<'_>) -> Result<Vec<PageId>, CodecErro
     Ok(out)
 }
 
+/// A kept home-migration list: `u32(count)` then `u32(page) u32(to)`
+/// each. Every list sent is empty; ROADMAP item 10 drops the count.
 fn encode_migrations<S: Sink>(w: &mut S, migrations: &[HomeMigration]) {
     w.put_u32(migrations.len() as u32);
     for (page, to) in migrations {
@@ -446,11 +449,8 @@ pub enum Msg {
         vc: VClock,
         /// Notices the arriving node generated/learned since last barrier.
         notices: Vec<WriteNotice>,
-        /// Home-migration proposals `(page, new_home)` this node wants
-        /// committed at this barrier: only at a checkpoint barrier, one
-        /// per home page whose diff traffic one remote writer dominates
-        /// (`MigrationState::migration_proposals`). The manager merges
-        /// and rebroadcasts the decided set on the release.
+        /// Always empty: its 4-byte count stays on the wire until
+        /// ROADMAP item 10 drops it.
         proposals: Vec<HomeMigration>,
     },
     /// Barrier manager releases everyone with the merged notices.
@@ -464,9 +464,8 @@ pub enum Msg {
         vc: Arc<VClock>,
         /// Union of all notices from this episode.
         notices: Arc<[WriteNotice]>,
-        /// Home migrations committed at this episode, sorted by page.
-        /// Every node applies the same list in the same order, so the
-        /// page-to-home mapping stays cluster-consistent.
+        /// Always empty: its 4-byte count stays on the wire and in ML's
+        /// log until ROADMAP item 10 drops it.
         migrations: Arc<[HomeMigration]>,
     },
     /// Recovery: fetch `page` as a replayed interval at clock
@@ -519,8 +518,8 @@ pub enum Msg {
     /// order is the manager's merge order, which respects causality —
     /// replaying it is a valid re-application order.
     ReleaseHistoryReply {
-        /// (epoch, merged clock, merged notices, migrations) per
-        /// completed episode.
+        /// (epoch, merged clock, merged notices, empty migration list)
+        /// per completed episode.
         releases: Vec<EpochRelease>,
     },
     /// Fetch up-to-date copies of several pages homed at one node with a
@@ -557,17 +556,6 @@ pub enum Msg {
         /// `(page, contents, version)` per predicted page.
         pages: Vec<PageCopy>,
     },
-    /// Old home hands a page's home role to the new home decided at a
-    /// barrier: the current home copy and its version move over; the old
-    /// home keeps a read-only cached copy.
-    HomeMigrate {
-        /// The migrating page.
-        page: PageId,
-        /// Home copy at the migration barrier.
-        data: SharedBytes,
-        /// Its version (per-writer applied interval counts).
-        version: VClock,
-    },
     /// Recovery handshake, sent by a node to every peer the moment it
     /// starts recovering: "tell me which of your pages I held, and get
     /// your log ready — my logged-diff requests are coming".
@@ -583,7 +571,7 @@ pub enum Msg {
     /// those pages instead of trapping on them, as the node's own logged
     /// diffs let it open its remote ones.
     ///
-    /// Wire layout: `tag(19) u8(flags) u32(count) u32(page)…`, then, if
+    /// Wire layout: `tag(18) u8(flags) u32(count) u32(page)…`, then, if
     /// flag bit 1 is set, the notice list ([`encode_notices`]). Bit 0 is
     /// `complete`; any other bit is an error. A list is sent only when
     /// it is not empty, so every other reply keeps the layout it always
@@ -592,9 +580,8 @@ pub enum Msg {
         /// Pages homed at the replier that the sender touched, ascending.
         held: Vec<PageId>,
         /// False when the replier's copysets were wiped (its own
-        /// crash) or bypassed (an adopted migration): `held` may then
-        /// miss pages, and the sender must treat every page homed at
-        /// the replier as held.
+        /// crash): `held` may then miss pages, and the sender must treat
+        /// every page homed at the replier as held.
         complete: bool,
         /// The write notices of the sender's own intervals for pages
         /// homed at the sender, in release order. Empty from every peer
@@ -658,9 +645,8 @@ impl Msg {
             Msg::ReleaseHistoryReply { .. } => 13,
             Msg::PageRequestBatch { .. } => 14,
             Msg::PageReplyBatch { .. } => 15,
-            Msg::HomeMigrate { .. } => 16,
-            Msg::RecoveryHello => 17,
-            Msg::RecoveryHelloReply { .. } => 18,
+            Msg::RecoveryHello => 16,
+            Msg::RecoveryHelloReply { .. } => 17,
         }
     }
 }
@@ -773,15 +759,6 @@ impl Encode for Msg {
                     w.put_bytes(data);
                     version.encode(w);
                 }
-            }
-            Msg::HomeMigrate {
-                page,
-                data,
-                version,
-            } => {
-                w.put_u32(*page);
-                w.put_shared(data);
-                version.encode(w);
             }
             Msg::RecoveryHelloReply {
                 held,
@@ -904,13 +881,8 @@ impl Decode for Msg {
                 }
                 Msg::PageReplyBatch { after, pages }
             }
-            17 => Msg::HomeMigrate {
-                page: r.get_u32()?,
-                data: r.get_bytes()?.into(),
-                version: VClock::decode(r)?,
-            },
-            18 => Msg::RecoveryHello,
-            19 => {
+            17 => Msg::RecoveryHello,
+            18 => {
                 let invalid = |reason| CodecError::Invalid {
                     context: "RecoveryHelloReply",
                     reason,
@@ -1081,11 +1053,6 @@ mod tests {
                 (9, vec![2; 64].into(), vc.clone()),
             ],
         });
-        roundtrip(Msg::HomeMigrate {
-            page: 11,
-            data: vec![5; 64].into(),
-            version: vc.clone(),
-        });
         roundtrip(Msg::RecoveryHello);
         roundtrip(Msg::RecoveryHelloReply {
             held: vec![2, 3, 17],
@@ -1177,11 +1144,6 @@ mod tests {
             Msg::PageReplyBatch {
                 after: 0,
                 pages: vec![],
-            },
-            Msg::HomeMigrate {
-                page: 0,
-                data: vec![0; 8].into(),
-                version: vc,
             },
             Msg::RecoveryHello,
             Msg::RecoveryHelloReply {

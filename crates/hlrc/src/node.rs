@@ -23,8 +23,7 @@ use simnet::{Envelope, NodeCtx, NodeId, SimDuration, SimTime, TraceKind};
 use crate::config::DsmConfig;
 use crate::fault_tolerance::{FaultTolerance, RecoveryStep, SyncKind};
 use crate::fetch::PrefetchState;
-use crate::migrate::MigrationState;
-use crate::msg::{EpochRelease, HomeMigration, Msg, RecoveryImage, WriteNotice};
+use crate::msg::{EpochRelease, Msg, RecoveryImage, WriteNotice};
 use crate::page_table::PageTable;
 use crate::sync::{BarrierMgr, LockTable, NoticeUnion, PendingAcquire};
 
@@ -69,15 +68,12 @@ pub struct NodeInner {
     pub sync_events: u64,
     /// Deterministic fetch-prediction state (see [`PrefetchState`]).
     pub prefetch: PrefetchState,
-    /// Adaptive home-migration state (see [`MigrationState`]).
-    pub migration: MigrationState,
     /// Inside a live `barrier()`: this episode is entered
     /// (`barrier_epoch` already counts it) but its release is not yet
     /// consumed.
     in_barrier: bool,
-    /// Requests this node may not consume yet, in arrival order: page
-    /// traffic stalled on a pending adoption, and lock requests from
-    /// an epoch this node has not reached (see
+    /// Requests this node may not consume yet, in arrival order: lock
+    /// requests from an epoch this node has not reached (see
     /// [`NodeInner::completed_barriers`]).
     stalled_requests: Vec<Envelope<Msg>>,
     /// Recovery fetches that wait for this node's own replay to
@@ -112,7 +108,7 @@ impl NodeInner {
     /// node had not consumed yet deferred there (the senders' only
     /// copy), the configuration and the page→home map. The rest is
     /// dropped on return, before anything is rebuilt.
-    fn into_kept(mut self) -> (NodeCtx<Msg>, DsmConfig, Vec<(NodeId, bool)>) {
+    fn into_kept(mut self) -> (NodeCtx<Msg>, DsmConfig, Vec<NodeId>) {
         // Parked fetches wait for a replay, and a crash fires only once
         // replay is over.
         debug_assert!(
@@ -147,7 +143,6 @@ impl NodeInner {
             barrier_epoch: 0,
             sync_events: 0,
             prefetch: PrefetchState::default(),
-            migration: MigrationState::default(),
             in_barrier: false,
             stalled_requests: Vec::new(),
             parked_fetches: Vec::new(),
@@ -560,16 +555,15 @@ impl HlrcNode {
             .filter(|n| !self.inner.last_barrier_vc.covers(n.interval))
             .copied()
             .collect();
-        let proposals = self.inner.migration_proposals();
         let mgr = self.inner.cfg.barrier_manager();
         let release = if self.inner.me() == mgr {
-            self.gather_and_release(epoch, &notices, &proposals)
+            self.gather_and_release(epoch, &notices)
         } else {
             let arrive = Msg::BarrierArrive {
                 epoch,
                 vc: self.inner.vc.clone(),
                 notices,
-                proposals,
+                proposals: Vec::new(),
             };
             self.inner
                 .ctx
@@ -581,18 +575,9 @@ impl HlrcNode {
         // The manager logs its (self-directed) release like everyone
         // else, so ML replay sees the same record stream.
         self.ft.on_incoming(&mut self.inner, &release);
-        let Msg::BarrierRelease {
-            vc,
-            notices,
-            migrations,
-            ..
-        } = release
-        else {
+        let Msg::BarrierRelease { vc, notices, .. } = release else {
             unreachable!("waited for a barrier release")
         };
-        // Migrations before notices: a new home must own the page
-        // before the notice loop decides what to invalidate.
-        self.apply_migrations(&migrations);
         self.apply_sync_notices(SyncKind::Barrier(epoch), &notices, &vc);
         self.inner.close_barrier_epoch();
         self.inner.ctx.stats.barriers += 1;
@@ -608,17 +593,12 @@ impl HlrcNode {
     /// arrival, service traffic until the whole cluster is in, then
     /// broadcast the merged release and wait out its departure. Returns
     /// the release, which the manager consumes like any member.
-    fn gather_and_release(
-        &mut self,
-        epoch: u32,
-        notices: &[WriteNotice],
-        proposals: &[HomeMigration],
-    ) -> Msg {
+    fn gather_and_release(&mut self, epoch: u32, notices: &[WriteNotice]) -> Msg {
         let me = self.inner.me();
         let now = self.inner.ctx.now();
         let vc = self.inner.vc.clone();
         let mgr = self.inner.barrier_mgr.as_mut().expect("manager state");
-        mgr.arrive(me, &vc, notices, proposals, now);
+        mgr.arrive(me, &vc, notices, now);
         self.service_while(|node| {
             node.inner
                 .barrier_mgr
@@ -634,13 +614,7 @@ impl HlrcNode {
         // copy, and the manager's own release all alias it.
         let merged_vc = Arc::new(mgr.merged_vc.clone());
         let merged_notices: Arc<[WriteNotice]> = mgr.merged_notices.take().into();
-        let migrations: Arc<[HomeMigration]> = mgr.decided_migrations().into();
-        mgr.record_released(
-            epoch,
-            Arc::clone(&merged_vc),
-            Arc::clone(&merged_notices),
-            Arc::clone(&migrations),
-        );
+        mgr.record_released(epoch, Arc::clone(&merged_vc), Arc::clone(&merged_notices));
         let straggler = mgr.straggler;
         let spread_ns = (mgr.latest_arrival - mgr.earliest_arrival).as_nanos();
         mgr.reset();
@@ -653,7 +627,7 @@ impl HlrcNode {
             epoch,
             vc: merged_vc,
             notices: merged_notices,
-            migrations,
+            migrations: Vec::new().into(),
         };
         for node in (0..self.inner.cfg.n_nodes).filter(|&n| n != me) {
             self.inner
@@ -1029,10 +1003,7 @@ impl NodeInner {
     /// Manager side of [`Msg::BarrierArrive`].
     fn serve_barrier_arrive(&mut self, env: &Envelope<Msg>, done: SimTime) {
         let Msg::BarrierArrive {
-            epoch,
-            vc,
-            notices,
-            proposals,
+            epoch, vc, notices, ..
         } = &env.payload
         else {
             return;
@@ -1046,12 +1017,12 @@ impl NodeInner {
         // A node re-executing after a degraded recovery arrives at
         // epochs the cluster already completed: answer from the
         // release history instead of gathering.
-        if let Some((rvc, rnotices, rmigrations)) = mgr.past_release(*epoch) {
+        if let Some((rvc, rnotices)) = mgr.past_release(*epoch) {
             let release = Msg::BarrierRelease {
                 epoch: *epoch,
                 vc: Arc::clone(rvc),
                 notices: Arc::clone(rnotices),
-                migrations: Arc::clone(rmigrations),
+                migrations: Vec::new().into(),
             };
             self.ctx
                 .send_from(done, env.src, release)
@@ -1066,7 +1037,7 @@ impl NodeInner {
             epoch,
             self.barrier_epoch
         );
-        mgr.arrive(env.src, vc, notices, proposals, env.arrive_at);
+        mgr.arrive(env.src, vc, notices, env.arrive_at);
     }
 }
 
@@ -1142,7 +1113,7 @@ impl HlrcNode {
         }
     }
 
-    /// Service one asynchronous protocol message: a stall gate, then
+    /// Service one asynchronous protocol message: the epoch fence, then
     /// one handler per message kind. `deferred` marks messages replayed
     /// after recovery, whose service time is "now" rather than their
     /// (long past) arrival time; reply timing is based on
@@ -1153,14 +1124,13 @@ impl HlrcNode {
             // first, it arrived first.
             self.drain_stalled(env.arrive_at);
         }
-        // Two kinds of traffic may not be consumed yet: anything
-        // touching a page mid-adoption, and a lock request from a node
-        // that already left a barrier this node is still inside (the
-        // epoch fence, see `NodeInner::completed_barriers`). Stalled
-        // envelopes are re-serviced by `drain_stalled`.
+        // A lock request from a node that already left a barrier this
+        // node is still inside may not be consumed yet (the epoch fence,
+        // see `NodeInner::completed_barriers`). Stalled envelopes are
+        // re-serviced by `drain_stalled`.
         let fenced = matches!(&env.payload, Msg::LockRequest { epoch, .. }
             if *epoch > self.inner.completed_barriers());
-        if fenced || self.inner.stalls_on_migration(&env.payload) {
+        if fenced {
             self.inner.stalled_requests.push(env);
             return;
         }
@@ -1171,7 +1141,6 @@ impl HlrcNode {
                 self.serve_pages(env.src, *page, extras, hits, done)
             }
             Msg::PageReplyBatch { .. } => self.install_prefetch_batch(env),
-            Msg::HomeMigrate { .. } => self.adopt_migrated(env),
             Msg::DiffFlush { .. } => self.serve_diff_flush(env, done),
             Msg::LockRequest { lock, vc, .. } => {
                 self.inner.serve_lock_request(&env, *lock, vc, done)
@@ -1206,7 +1175,6 @@ impl HlrcNode {
         let Msg::DiffFlush { writer, diffs } = env.payload else {
             unreachable!()
         };
-        self.inner.note_diff_traffic(writer, &diffs);
         let payload: usize = diffs.iter().map(|d| d.encoded_size()).sum();
         let copy_cost = self.inner.ctx.cost.cpu.copy(payload);
         for d in diffs {

@@ -73,13 +73,7 @@ pub struct PageEntry {
     /// frame. It cannot change before its first touch: a write traps
     /// first, and a notice drops it.
     pub predicted: Option<(SharedBytes, VClock)>,
-    /// This page's home moved at a barrier (adaptive migration). A
-    /// migrated page never migrates again (ping-pong
-    /// damping), and a post-crash re-execution of the allocation phase
-    /// must not clobber the migrated mapping.
-    pub migrated: bool,
     /// What the home keeps of the page: `Some` exactly at the home node.
-    /// A migration moves it from the old home to the new one.
     pub home_state: Option<Box<HomeState>>,
 }
 
@@ -116,8 +110,7 @@ pub struct HomeState {
     /// copy shipped that the table names ([`ServedCopies`]), held by
     /// nobody here. While a requester still holds it, every fetch of the
     /// same version is answered with it (see [`PageTable::serve_copy`]);
-    /// it is forgotten when the version moves, at a crash and at a
-    /// migration.
+    /// it is forgotten when the version moves and at a crash.
     pub shipped: Option<WeakBytes>,
 }
 
@@ -150,7 +143,6 @@ impl PageEntry {
             twin: None,
             dirty: false,
             predicted: None,
-            migrated: false,
             home_state: at_home.then(|| HomeState::at(VClock::new(n_nodes), VClock::new(n_nodes))),
         }
     }
@@ -202,8 +194,7 @@ pub struct PageTable {
     me: NodeId,
     n_nodes: usize,
     /// Do the copysets record every touch the cluster ever told this
-    /// home of? False once a crash of this node or an adopted migration
-    /// wiped or bypassed them.
+    /// home of? False once a crash of this node wiped them.
     copysets_complete: bool,
     /// What this home keeps of the copies it serves.
     served_copies: ServedCopies,
@@ -215,7 +206,7 @@ impl PageTable {
     /// Build the table for node `me`: home pages get zeroed frames and
     /// zeroed version clocks; remote pages start `Invalid` with no frame.
     pub fn new(cfg: &DsmConfig, me: NodeId) -> PageTable {
-        let homes = (0..cfg.n_pages).map(|p| (cfg.home_of(p), false));
+        let homes = (0..cfg.n_pages).map(|p| cfg.home_of(p));
         PageTable::of(cfg, me, homes)
     }
 
@@ -227,7 +218,7 @@ impl PageTable {
     /// lost, which is what a restarted node knows: neither what the
     /// cluster fetched from this home before the crash nor what it was
     /// sent.
-    pub fn restarted(cfg: &DsmConfig, me: NodeId, homes: Vec<(NodeId, bool)>) -> PageTable {
+    pub fn restarted(cfg: &DsmConfig, me: NodeId, homes: Vec<NodeId>) -> PageTable {
         debug_assert_eq!(homes.len(), cfg.n_pages as usize);
         PageTable {
             copysets_complete: false,
@@ -236,14 +227,10 @@ impl PageTable {
         }
     }
 
-    /// A table of fresh entries over `homes`: each page's home, and
-    /// whether a migration pinned it there.
-    fn of(cfg: &DsmConfig, me: NodeId, homes: impl Iterator<Item = (NodeId, bool)>) -> PageTable {
+    /// A table of fresh entries over `homes`, each page's home.
+    fn of(cfg: &DsmConfig, me: NodeId, homes: impl Iterator<Item = NodeId>) -> PageTable {
         let page_size = cfg.layout.page_size();
-        let entries = homes.map(|(home, migrated)| PageEntry {
-            migrated,
-            ..PageEntry::fresh(home, me, cfg.n_nodes, page_size)
-        });
+        let entries = homes.map(|home| PageEntry::fresh(home, me, cfg.n_nodes, page_size));
         PageTable {
             entries: entries.collect(),
             page_size,
@@ -255,13 +242,12 @@ impl PageTable {
         }
     }
 
-    /// The page→home map: each page's home, and whether a migration
-    /// pinned it there. The program's allocation, identical on every
-    /// node, and all a crash of this node keeps of the table: recovery
-    /// routes its first requests by it before the re-run program
-    /// allocates again.
-    pub fn home_map(&self) -> Vec<(NodeId, bool)> {
-        self.entries.iter().map(|e| (e.home, e.migrated)).collect()
+    /// The page→home map: each page's home. The program's allocation,
+    /// identical on every node, and all a crash of this node keeps of
+    /// the table: recovery routes its first requests by it before the
+    /// re-run program allocates again.
+    pub fn home_map(&self) -> Vec<NodeId> {
+        self.entries.iter().map(|e| e.home).collect()
     }
 
     /// From here on, keep `copies` of the pages served from here. Set
@@ -600,85 +586,10 @@ impl PageTable {
     /// node before the page is first accessed; idempotent, so a
     /// post-crash re-execution of the allocation phase is harmless.
     pub fn set_home(&mut self, page: PageId, home: NodeId) {
-        let e = &self.entries[page as usize];
-        // A migrated mapping outranks the static assignment: a crashed
-        // node re-executing its allocation phase must keep routing to
-        // the migrated home, not the allocation-time one.
-        if e.home == home || e.migrated {
-            return;
-        }
-        self.rehome(page, home);
-    }
-
-    /// A checkpoint says a migration moved `page` to `home`: pin the
-    /// mapping there. A page this makes homed here starts as a fresh
-    /// home copy, for the checkpoint restore to fill in.
-    pub fn pin_home(&mut self, page: PageId, home: NodeId) {
         if self.entries[page as usize].home != home {
-            self.rehome(page, home);
+            self.entries[page as usize] =
+                PageEntry::fresh(home, self.me, self.n_nodes, self.page_size);
         }
-        self.entries[page as usize].migrated = true;
-    }
-
-    /// Make `page` a fresh entry homed at `home`.
-    fn rehome(&mut self, page: PageId, home: NodeId) {
-        self.entries[page as usize] = PageEntry::fresh(home, self.me, self.n_nodes, self.page_size);
-    }
-
-    /// Old home's side of a barrier-committed migration: hand the home
-    /// role to `to`, keeping the final home copy as an ordinary cached
-    /// read-only replica (it stays valid until a later writer's notice
-    /// invalidates it).
-    pub fn demote_home(&mut self, page: PageId, to: NodeId) {
-        let e = &mut self.entries[page as usize];
-        debug_assert_eq!(e.home, self.me, "demoting a page not homed here");
-        debug_assert_ne!(to, self.me);
-        e.home = to;
-        e.migrated = true;
-        e.home_state = None;
-        e.twin = None;
-        e.dirty = false;
-        // The retained frame is now a plain cached copy.
-        e.state = PageState::ReadOnly;
-    }
-
-    /// New home's side of a migration: adopt the transferred home copy
-    /// and version. The checkpoint base is reset to the adopted image
-    /// with a distinct `base_version`, so the checkpoint taken at this
-    /// same barrier force-includes the page even if nobody writes it in
-    /// between. The old home's copyset does not travel with the page,
-    /// so this home's copysets stop being complete; its served log does
-    /// not either, and need not: migrations commit at checkpoint
-    /// barriers, so the adopted image *is* the base the new log starts
-    /// from.
-    pub fn adopt_home(&mut self, page: PageId, data: &[u8], version: VClock) {
-        let n = self.n_nodes;
-        self.copysets_complete = false;
-        let e = &mut self.entries[page as usize];
-        debug_assert_ne!(e.home, self.me, "adopting a page already homed here");
-        e.home = self.me;
-        e.migrated = true;
-        e.frame = Some(PageFrame::from_bytes(data));
-        let mut h = HomeState::at(version, VClock::new(n));
-        if self.served_copies == ServedCopies::Retain {
-            h.served.start_from(SharedBytes::copy_of(data));
-        }
-        e.home_state = Some(h);
-        e.state = PageState::ReadOnly;
-        e.twin = None;
-        e.dirty = false;
-        e.predicted = None;
-    }
-
-    /// Bystander's side of a migration: update the mapping only. A
-    /// cached copy, if any, stays valid — the contents did not change,
-    /// only the page's owner.
-    pub fn note_migrated(&mut self, page: PageId, to: NodeId) {
-        let e = &mut self.entries[page as usize];
-        debug_assert_ne!(e.home, self.me);
-        debug_assert_ne!(to, self.me);
-        e.home = to;
-        e.migrated = true;
     }
 
     /// Record that `by` touched a copy of home page `page`: it faulted
@@ -879,12 +790,11 @@ mod tests {
         let mut t = PageTable::new(&cfg, 0);
         t.set_home(1, 1);
         t.set_home(3, 0);
-        t.note_migrated(2, 1);
         t.frame_mut(0).write_u64(0, 99);
         t.promote_base();
         t.install_copy(1, &[1u8; 64], PageState::ReadOnly, &mut BufferPool::new(64));
         let homes = t.home_map();
-        assert_eq!(homes, [(0, false), (1, false), (1, true), (0, false)]);
+        assert_eq!(homes, [0, 1, 1, 0]);
         let mut r = PageTable::restarted(&cfg, 0, homes);
         assert_eq!(r.home_map(), t.home_map());
         // Home copies start over from zero, checkpoint base included:
@@ -901,9 +811,6 @@ mod tests {
         }
         assert!(r.entry(1).frame.is_none(), "remote copies dropped");
         assert_eq!(r.entry(1).state, PageState::Invalid);
-        // A migration pins the mapping through the re-run allocation.
-        r.set_home(2, 0);
-        assert_eq!(r.entry(2).home, 1);
         // The restore fills a home copy in from its checkpoint image.
         let mut v = VClock::new(2);
         v.set(1, 4);
@@ -913,6 +820,10 @@ mod tests {
         assert_eq!((pos, &image[..]), (0, &[7u8; 64][..]));
         let h = r.home_state(0);
         assert_eq!((&h.version, &h.base_version), (&v, &v));
+        // The re-run allocation names the homes the table already has
+        // and leaves a restored home copy alone.
+        r.set_home(0, 0);
+        assert_eq!(r.frame(0).bytes(), &[7u8; 64][..]);
     }
 
     #[test]
@@ -942,48 +853,11 @@ mod tests {
         assert_eq!(h.base_version, h.version);
     }
 
-    #[test]
-    fn migration_moves_the_home_role_and_pins_the_mapping() {
-        // Node 0 demotes page 1 to node 1; node 1 adopts it.
-        let mut old = PageTable::new(&cfg(), 0);
-        let mut new = PageTable::new(&cfg(), 1);
-        old.frame_mut(1).write_u64(0, 7);
-        let data: Vec<u8> = old.frame(1).bytes().to_vec();
-        let mut v = VClock::new(2);
-        v.set(0, 3);
-
-        old.demote_home(1, 1);
-        assert!(!old.is_home(1));
-        assert!(old.entry(1).migrated);
-        // Old home keeps a readable cached copy...
-        assert_eq!(old.frame(1).read_u64(0), 7);
-        assert_eq!(old.entry(1).state, PageState::ReadOnly);
-        // ...but no home state.
-        assert!(old.entry(1).home_state.is_none());
-
-        new.adopt_home(1, &data, v.clone());
-        assert!(new.is_home(1));
-        assert_eq!(new.frame(1).read_u64(0), 7);
-        assert_eq!(new.home_state(1).version, v);
-        // Distinct base version => the next checkpoint force-includes it.
-        assert_ne!(new.home_state(1).base_version, new.home_state(1).version);
-
-        // set_home (re-executed allocation) cannot clobber a migration.
-        old.set_home(1, 0);
-        assert!(!old.is_home(1));
-
-        // A bystander just updates its mapping.
-        let cfg4 = DsmConfig::new(4, 8).with_page_size(64);
-        let mut bys = PageTable::new(&cfg4, 3);
-        bys.note_migrated(0, 1);
-        assert_eq!(bys.entry(0).home, 1);
-        assert!(bys.entry(0).migrated);
-    }
-
     /// Every node holds an entry for every page, and only the home's
     /// holds home state: a home-only field belongs in [`HomeState`],
-    /// which the size bound below keeps out of every other entry. A
-    /// migration moves the state from the old home to the new one.
+    /// which the size bound below keeps out of every other entry. The
+    /// allocation puts it at each page's home, and a restart rebuilds it
+    /// there, at version zero.
     #[test]
     fn only_a_home_holds_home_state() {
         let cfg = cfg();
@@ -991,19 +865,20 @@ mod tests {
             t.iter()
                 .all(|(page, e)| e.home_state.is_some() == t.is_home(page))
         };
-        let mut old = PageTable::new(&cfg, 0);
-        let mut new = PageTable::new(&cfg, 1);
-        assert!(homed_exactly_here(&old) && homed_exactly_here(&new));
-        assert!(new.entry(1).home_state.is_none());
+        let mut node0 = PageTable::new(&cfg, 0);
+        let mut node1 = PageTable::new(&cfg, 1);
+        assert!(homed_exactly_here(&node0) && homed_exactly_here(&node1));
+        assert!(node1.entry(1).home_state.is_none());
+        node0.set_home(1, 1);
+        node1.set_home(1, 1);
+        assert!(node0.entry(1).home_state.is_none() && node1.is_home(1));
+        assert!(homed_exactly_here(&node0) && homed_exactly_here(&node1));
         let mut v = VClock::new(2);
         v.set(1, 2);
-        old.home_state_mut(1).version = v.clone();
-        old.demote_home(1, 1);
-        new.adopt_home(1, &[0u8; 64], v.clone());
-        assert!(old.entry(1).home_state.is_none() && new.home_state(1).version == v);
-        assert!(homed_exactly_here(&old) && homed_exactly_here(&new));
-        let restarted = PageTable::restarted(&cfg, 1, new.home_map());
+        node1.home_state_mut(1).version = v;
+        let restarted = PageTable::restarted(&cfg, 1, node1.home_map());
         assert!(homed_exactly_here(&restarted) && restarted.is_home(1));
+        assert_eq!(restarted.home_state(1).version, VClock::new(2));
         #[cfg(target_pointer_width = "64")]
         assert!(
             std::mem::size_of::<PageEntry>() <= 96,
@@ -1116,8 +991,8 @@ mod tests {
 
     /// Under ML a home names every clean copy, demand ones included:
     /// one clean version, one buffer, while anyone holds it. Nothing is
-    /// named while the frame is dirty, and a new version, a migration or
-    /// a crash drops the name.
+    /// named while the frame is dirty, and a new version or a crash drops
+    /// the name.
     #[test]
     fn a_home_that_names_every_clean_copy_shares_demand_copies() {
         let demand = |t: &mut PageTable| t.serve_copy(0, false).0;
@@ -1136,8 +1011,6 @@ mod tests {
         assert!(!moved.ptr_eq(&held) && t.home_state(0).shipped.is_some());
         let restarted = PageTable::restarted(&cfg(), 0, t.home_map());
         assert!(restarted.home_state(0).shipped.is_none(), "a crash forgets");
-        t.demote_home(0, 1);
-        assert!(t.entry(0).home_state.is_none(), "a migration forgets");
     }
 
     #[test]
@@ -1162,8 +1035,9 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_or_an_adoption_makes_the_copysets_unknown() {
+    fn a_crash_makes_the_copysets_unknown() {
         let mut t = PageTable::new(&cfg(), 0);
+        assert!(t.copysets_complete());
         t.note_remote_fetch(0, 1);
         let mut t = PageTable::restarted(&cfg(), 0, t.home_map());
         assert!(!t.copysets_complete());
@@ -1172,12 +1046,6 @@ mod tests {
         t.note_remote_fetch(1, 1);
         assert_eq!(t.held_by(1), vec![1]);
         assert!(!t.copysets_complete());
-
-        let mut new = PageTable::new(&cfg(), 1);
-        assert!(new.copysets_complete());
-        new.adopt_home(1, &[0u8; 64], VClock::new(2));
-        assert!(!new.copysets_complete());
-        assert!(new.held_by(0).is_empty());
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl ServedLog {
     }
 
     /// Start over from `image` at position 0: the checkpoint image a
-    /// restart restored, or the home copy a migration adopted.
+    /// restart restored.
     pub fn start_from(&mut self, image: SharedBytes) {
         *self = ServedLog {
             base: Some(image),

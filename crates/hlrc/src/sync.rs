@@ -10,7 +10,7 @@ use std::sync::Arc;
 use pagemem::VClock;
 use simnet::{NodeId, SimTime};
 
-use crate::msg::{EpochRelease, HomeMigration, WriteNotice};
+use crate::msg::{EpochRelease, WriteNotice};
 
 /// A notice list merged without duplicates: the first occurrence of
 /// each notice keeps its place, later ones are dropped. A set index
@@ -158,10 +158,6 @@ pub struct BarrierMgr {
     pub merged_vc: VClock,
     /// Union of all arrivals' notices, in arrival order.
     pub merged_notices: NoticeUnion,
-    /// Union of all arrivals' home-migration proposals. Only a page's
-    /// current home proposes to move it, so no two arrivals name the
-    /// same page.
-    pub merged_proposals: Vec<HomeMigration>,
     /// Snapshot of every completed episode's release, by epoch. A node
     /// re-executing after a degraded recovery (no usable log)
     /// re-arrives at epochs the cluster already finished; the manager
@@ -173,9 +169,8 @@ pub struct BarrierMgr {
 }
 
 /// One completed episode's release, `Arc`-shared between the manager's
-/// history and every broadcast envelope: merged clock, merged notices,
-/// committed home migrations.
-type SharedRelease = (Arc<VClock>, Arc<[WriteNotice]>, Arc<[HomeMigration]>);
+/// history and every broadcast envelope: merged clock, merged notices.
+type SharedRelease = (Arc<VClock>, Arc<[WriteNotice]>);
 
 impl BarrierMgr {
     /// Fresh manager state for an `n`-node cluster.
@@ -189,33 +184,22 @@ impl BarrierMgr {
             straggler: 0,
             merged_vc: VClock::new(n_nodes),
             merged_notices: NoticeUnion::default(),
-            merged_proposals: Vec::new(),
             released: HashMap::new(),
         }
     }
 
     /// Record a completed episode's release so stale re-arrivals can be
     /// answered later. Called by the manager right before `reset`.
-    pub fn record_released(
-        &mut self,
-        epoch: u32,
-        vc: Arc<VClock>,
-        notices: Arc<[WriteNotice]>,
-        migrations: Arc<[HomeMigration]>,
-    ) {
-        self.released.insert(epoch, (vc, notices, migrations));
+    pub fn record_released(&mut self, epoch: u32, vc: Arc<VClock>, notices: Arc<[WriteNotice]>) {
+        self.released.insert(epoch, (vc, notices));
     }
 
     /// The stored release for `epoch`, if that episode already
     /// completed (a stale re-arrival must be re-released, not
     /// gathered). Cloning the returned `Arc`s into a re-sent
     /// [`crate::Msg::BarrierRelease`] is free.
-    #[allow(clippy::type_complexity)]
-    pub fn past_release(
-        &self,
-        epoch: u32,
-    ) -> Option<(&Arc<VClock>, &Arc<[WriteNotice]>, &Arc<[HomeMigration]>)> {
-        self.released.get(&epoch).map(|(vc, n, m)| (vc, n, m))
+    pub fn past_release(&self, epoch: u32) -> Option<(&Arc<VClock>, &Arc<[WriteNotice]>)> {
+        self.released.get(&epoch).map(|(vc, n)| (vc, n))
     }
 
     /// Every retained release in ascending epoch order, for a
@@ -225,7 +209,7 @@ impl BarrierMgr {
         let mut v: Vec<_> = self
             .released
             .iter()
-            .map(|(e, (vc, n, m))| (*e, (**vc).clone(), n.to_vec(), m.to_vec()))
+            .map(|(e, (vc, n))| (*e, (**vc).clone(), n.to_vec(), Vec::new()))
             .collect();
         v.sort_unstable_by_key(|(e, ..)| *e);
         v
@@ -237,7 +221,7 @@ impl BarrierMgr {
     pub fn notices_of(&self, node: u32) -> Vec<WriteNotice> {
         let mut epochs: Vec<_> = self.released.iter().collect();
         epochs.sort_unstable_by_key(|(e, _)| **e);
-        let notices = epochs.into_iter().flat_map(|(_, (_, n, _))| n.iter());
+        let notices = epochs.into_iter().flat_map(|(_, (_, n))| n.iter());
         notices
             .filter(|n| n.interval.node == node)
             .copied()
@@ -250,7 +234,6 @@ impl BarrierMgr {
         node: NodeId,
         vc: &VClock,
         notices: &[WriteNotice],
-        proposals: &[HomeMigration],
         at: SimTime,
     ) -> bool {
         assert!(!self.arrived[node], "node {node} arrived twice at barrier");
@@ -267,17 +250,7 @@ impl BarrierMgr {
         self.latest_arrival = self.latest_arrival.max(at);
         self.merged_vc.join(vc);
         self.merged_notices.merge(notices);
-        self.merged_proposals.extend_from_slice(proposals);
         self.arrived_count == self.n_nodes
-    }
-
-    /// The decided migration set for this episode: merged proposals,
-    /// sorted by page. Every node applies this same list in this same
-    /// order, so the cluster-wide mapping stays consistent.
-    pub fn decided_migrations(&self) -> Vec<HomeMigration> {
-        let mut v = self.merged_proposals.clone();
-        v.sort_unstable();
-        v
     }
 
     /// Reset for the next episode.
@@ -288,7 +261,6 @@ impl BarrierMgr {
         self.earliest_arrival = SimTime::ZERO;
         self.straggler = 0;
         self.merged_notices.take();
-        self.merged_proposals.clear();
         // merged_vc persists monotonically across episodes.
     }
 
@@ -341,15 +313,9 @@ mod tests {
     fn barrier_completes_when_all_arrive() {
         let mut b = BarrierMgr::new(3);
         let vc = VClock::new(3);
-        assert!(!b.arrive(0, &vc, &[notice(4, 0, 0)], &[], SimTime(10)));
-        assert!(!b.arrive(2, &vc, &[], &[], SimTime(30)));
-        assert!(b.arrive(
-            1,
-            &vc,
-            &[notice(4, 0, 0), notice(5, 1, 0)],
-            &[],
-            SimTime(20)
-        ));
+        assert!(!b.arrive(0, &vc, &[notice(4, 0, 0)], SimTime(10)));
+        assert!(!b.arrive(2, &vc, &[], SimTime(30)));
+        assert!(b.arrive(1, &vc, &[notice(4, 0, 0), notice(5, 1, 0)], SimTime(20)));
         assert_eq!(b.latest_arrival, SimTime(30));
         assert_eq!(
             b.merged_notices.as_slice(),
@@ -363,8 +329,8 @@ mod tests {
         let mut b = BarrierMgr::new(2);
         let mut vc = VClock::new(2);
         vc.observe(IntervalId { node: 0, seq: 4 });
-        b.arrive(0, &vc, &[], &[], SimTime(5));
-        b.arrive(1, &vc, &[notice(0, 0, 4)], &[], SimTime(6));
+        b.arrive(0, &vc, &[], SimTime(5));
+        b.arrive(1, &vc, &[notice(0, 0, 4)], SimTime(6));
         b.reset();
         assert_eq!(b.arrived_count(), 0);
         assert!(b.merged_notices.as_slice().is_empty());
@@ -377,16 +343,10 @@ mod tests {
         let mut vc = VClock::new(2);
         vc.observe(IntervalId { node: 1, seq: 0 });
         assert!(b.past_release(0).is_none());
-        b.record_released(
-            0,
-            Arc::new(vc.clone()),
-            vec![notice(3, 1, 0)].into(),
-            vec![(2, 1)].into(),
-        );
-        let (rvc, rn, rm) = b.past_release(0).expect("epoch 0 released");
+        b.record_released(0, Arc::new(vc.clone()), vec![notice(3, 1, 0)].into());
+        let (rvc, rn) = b.past_release(0).expect("epoch 0 released");
         assert_eq!(rvc.get(1), 1);
         assert_eq!(&rn[..], &[notice(3, 1, 0)]);
-        assert_eq!(&rm[..], &[(2, 1)]);
         assert!(b.past_release(1).is_none());
     }
 
@@ -394,13 +354,12 @@ mod tests {
     fn a_nodes_own_notices_come_back_in_epoch_order() {
         let mut b = BarrierMgr::new(2);
         let vc = Arc::new(VClock::new(2));
-        let release = |notices: Vec<WriteNotice>| -> SharedRelease {
-            (Arc::clone(&vc), notices.into(), Vec::new().into())
-        };
-        let (vc2, n2, m2) = release(vec![notice(9, 1, 2), notice(4, 0, 5), notice(8, 1, 2)]);
-        b.record_released(2, vc2, n2, m2);
-        let (vc0, n0, m0) = release(vec![notice(1, 1, 0)]);
-        b.record_released(0, vc0, n0, m0);
+        let release =
+            |notices: Vec<WriteNotice>| -> SharedRelease { (Arc::clone(&vc), notices.into()) };
+        let (vc2, n2) = release(vec![notice(9, 1, 2), notice(4, 0, 5), notice(8, 1, 2)]);
+        b.record_released(2, vc2, n2);
+        let (vc0, n0) = release(vec![notice(1, 1, 0)]);
+        b.record_released(0, vc0, n0);
         assert_eq!(
             b.notices_of(1),
             vec![notice(1, 1, 0), notice(9, 1, 2), notice(8, 1, 2)]
@@ -410,20 +369,6 @@ mod tests {
             BarrierMgr::new(2).notices_of(1).is_empty(),
             "a wiped history"
         );
-    }
-
-    #[test]
-    fn migration_proposals_merge_deterministically() {
-        let mut b = BarrierMgr::new(3);
-        let vc = VClock::new(3);
-        // Each home proposes its own pages; the decided list is sorted
-        // by page whatever order the arrivals came in.
-        b.arrive(2, &vc, &[], &[(9, 0), (11, 1)], SimTime(5));
-        b.arrive(1, &vc, &[], &[(4, 2)], SimTime(6));
-        b.arrive(0, &vc, &[], &[], SimTime(7));
-        assert_eq!(b.decided_migrations(), vec![(4, 2), (9, 0), (11, 1)]);
-        b.reset();
-        assert!(b.decided_migrations().is_empty());
     }
 
     #[test]
@@ -441,9 +386,9 @@ mod tests {
     fn barrier_tracks_straggler_and_spread() {
         let mut b = BarrierMgr::new(3);
         let vc = VClock::new(3);
-        b.arrive(1, &vc, &[], &[], SimTime(40));
-        b.arrive(0, &vc, &[], &[], SimTime(10));
-        b.arrive(2, &vc, &[], &[], SimTime(40)); // tie: later arrival wins
+        b.arrive(1, &vc, &[], SimTime(40));
+        b.arrive(0, &vc, &[], SimTime(10));
+        b.arrive(2, &vc, &[], SimTime(40)); // tie: later arrival wins
         assert_eq!(b.straggler, 2);
         assert_eq!(b.earliest_arrival, SimTime(10));
         assert_eq!(b.latest_arrival, SimTime(40));
@@ -457,7 +402,7 @@ mod tests {
     fn double_arrival_panics() {
         let mut b = BarrierMgr::new(2);
         let vc = VClock::new(2);
-        b.arrive(0, &vc, &[], &[], SimTime(1));
-        b.arrive(0, &vc, &[], &[], SimTime(2));
+        b.arrive(0, &vc, &[], SimTime(1));
+        b.arrive(0, &vc, &[], SimTime(2));
     }
 }

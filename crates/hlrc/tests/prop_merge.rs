@@ -59,7 +59,7 @@ fn barrier_arrivals_merge_like_the_contains_scan() {
             for _ in 0..2 {
                 let lists: Vec<_> = (0..NODES).map(|_| arb_list(rng)).collect();
                 for (node, list) in lists.iter().enumerate() {
-                    mgr.arrive(node, &vc, list, &[], SimTime(node as u64));
+                    mgr.arrive(node, &vc, list, SimTime(node as u64));
                 }
                 assert_eq!(
                     mgr.merged_notices.as_slice(),

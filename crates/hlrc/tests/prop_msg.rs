@@ -228,15 +228,7 @@ fn arb_msg(rng: &mut Rng) -> Msg {
             after: rng.u32_in(0, 1024),
             pages: arb_page_copies(rng),
         },
-        17 => {
-            let len = rng.usize_in(0, 256);
-            Msg::HomeMigrate {
-                page: rng.u32_in(0, 1024),
-                data: rng.bytes(len).into(),
-                version: arb_vclock(rng),
-            }
-        }
-        18 => Msg::RecoveryHello,
+        17 => Msg::RecoveryHello,
         _ => Msg::RecoveryHelloReply {
             held: (0..rng.usize_in(0, 16))
                 .map(|_| rng.u32_in(0, 1024))
@@ -549,25 +541,25 @@ fn hostile_counts_return_errors() {
             vec![&[15], &epoch, &[0], &HUGE_VAR],
         ),
         ("PageReplyBatch pages", vec![&[16], &epoch, &HUGE_U32]),
-        ("RecoveryHelloReply held", vec![&[19], &[1], &HUGE_U32]),
+        ("RecoveryHelloReply held", vec![&[18], &[1], &HUGE_U32]),
         (
             "RecoveryHelloReply home writes",
-            vec![&[19], &[3], &[0; 4], &HUGE_VAR],
+            vec![&[18], &[3], &[0; 4], &HUGE_VAR],
         ),
         // Flag bits past `complete` and the list: garbage, not a reply.
-        ("RecoveryHelloReply flag 4", vec![&[19], &[4], &[0; 4]]),
+        ("RecoveryHelloReply flag 4", vec![&[18], &[4], &[0; 4]]),
         (
             "RecoveryHelloReply flag 0x81",
-            vec![&[19], &[0x81], &[0; 4]],
+            vec![&[18], &[0x81], &[0; 4]],
         ),
         (
             "RecoveryHelloReply flag 0xFF",
-            vec![&[19], &[0xFF], &[0; 4]],
+            vec![&[18], &[0xFF], &[0; 4]],
         ),
         // The list flag with an empty list: never sent.
         (
             "RecoveryHelloReply empty list",
-            vec![&[19], &[2], &[0; 4], &[0]],
+            vec![&[18], &[2], &[0; 4], &[0]],
         ),
         ("RecoveryPageRequest clock", vec![&[9], &epoch, &HUGE_VAR]),
         (

@@ -372,9 +372,8 @@ fn homes_remember_who_fetched_what_until_they_crash() {
     // extras, recovery fetch — and says hello as a recovering node
     // would. A demand page is always held and so is a recovery fetch;
     // an extra is held only once node 1 has reported touching it, on a
-    // later request, and the one it never reports never is. (A report
-    // naming a page node 0 is not home of is ignored.) After node 0
-    // itself crashes, its copysets are gone and it must say so.
+    // later request, and the one it never reports never is. After
+    // node 0 itself crashes, its copysets are gone and it must say so.
     let cfg = small_cfg(2, 12); // pages 0..6 homed at node 0
     let go = Msg::DiffAck {
         writer: IntervalId { node: 1, seq: 0 },
@@ -425,13 +424,13 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             assert_eq!(shipped, vec![2, 4], "both extras were shipped");
             hello(&mut node);
             // The next fault at node 0 carries the report: node 1 has
-            // touched extra 2 (and names page 9, homed at itself).
+            // touched extra 2.
             ask(
                 &mut node,
                 Msg::PageRequestBatch {
                     page: 1,
                     extras: vec![],
-                    hits: vec![2, 9],
+                    hits: vec![2],
                 },
             );
             node.wait_for(|m| matches!(m, Msg::PageReply { page: 1, .. }));

@@ -257,18 +257,6 @@ fn msg_release_history_reply() {
 }
 
 #[test]
-fn msg_home_migrate() {
-    check(
-        &Msg::HomeMigrate {
-            page: 296,
-            data: vec![0xee; 256].into(),
-            version: vc(),
-        },
-        273,
-    );
-}
-
-#[test]
 fn msg_recovery_hello() {
     check(&Msg::RecoveryHello, 1);
 }
@@ -286,11 +274,11 @@ fn msg_recovery_hello_reply() {
     check(&plain, 18);
     assert_eq!(
         plain.encode_to_vec(),
-        [19, 1, 3, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 40, 1, 0, 0]
+        [18, 1, 3, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 40, 1, 0, 0]
     );
     let empty = reply(vec![], false, vec![]);
     check(&empty, 6);
-    assert_eq!(empty.encode_to_vec(), [19, 0, 0, 0, 0, 0]);
+    assert_eq!(empty.encode_to_vec(), [18, 0, 0, 0, 0, 0]);
     // The barrier manager's, with the requester's own home writes: flag
     // bit 1, and the notice list after the pages.
     let listed = reply(vec![3], true, notices());

@@ -230,9 +230,8 @@ pub struct Blame {
     pub prefetch: PrefetchSummary,
 }
 
-/// How well the batched-prefetch and home-migration machinery worked:
-/// pages pulled in speculatively, how many later served a fault, how
-/// many were invalidated unused, and how many homes moved.
+/// How well the batched prefetch worked: pages pulled in speculatively,
+/// how many later served a fault, and how many were invalidated unused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefetchSummary {
     /// Extra pages carried by demand-fetch batches.
@@ -241,8 +240,6 @@ pub struct PrefetchSummary {
     pub hits: u64,
     /// Prefetched copies invalidated before any use.
     pub wasted: u64,
-    /// Home migrations committed at checkpoint barriers.
-    pub home_migrations: u64,
 }
 
 /// One wait span on a node's timeline, cause resolved.
@@ -645,7 +642,6 @@ pub fn analyze<R>(run: &RunOutput<R>) -> Blame {
                 issued: ts.prefetch_issued,
                 hits: ts.prefetch_hits,
                 wasted: ts.prefetch_wasted,
-                home_migrations: ts.home_migrations,
             }
         },
     }
@@ -781,10 +777,6 @@ pub fn blame_json(blame: &Blame, label: &str) -> Json {
     pf.set("issued", Json::from_u64(blame.prefetch.issued));
     pf.set("hits", Json::from_u64(blame.prefetch.hits));
     pf.set("wasted", Json::from_u64(blame.prefetch.wasted));
-    pf.set(
-        "home_migrations",
-        Json::from_u64(blame.prefetch.home_migrations),
-    );
     doc.set("prefetch", pf);
 
     let mut rec = Vec::new();

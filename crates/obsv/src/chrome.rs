@@ -218,8 +218,7 @@ fn node_events<R>(out: &mut String, first: &mut bool, n: &NodeOutput<R>) {
             | TraceKind::SyncSynthesized { .. }
             | TraceKind::PrefetchIssued { .. }
             | TraceKind::PrefetchHit { .. }
-            | TraceKind::PrefetchWasted { .. }
-            | TraceKind::HomeMigrated { .. }) => {
+            | TraceKind::PrefetchWasted { .. }) => {
                 let object = match event_object(&kind) {
                     Some(obj) => format!(",\"object\":{}", quoted(&obj.key())),
                     None => String::new(),
@@ -250,8 +249,7 @@ fn event_object(kind: &TraceKind) -> Option<BlameObj> {
         | TraceKind::PageFetch { page, .. }
         | TraceKind::PrefetchIssued { page, .. }
         | TraceKind::PrefetchHit { page }
-        | TraceKind::PrefetchWasted { page }
-        | TraceKind::HomeMigrated { page, .. } => Some(BlameObj::Page(page)),
+        | TraceKind::PrefetchWasted { page } => Some(BlameObj::Page(page)),
         TraceKind::LockAcquire { lock, .. }
         | TraceKind::LockRelease { lock }
         | TraceKind::LockGranted { lock, .. } => Some(BlameObj::Lock(lock)),

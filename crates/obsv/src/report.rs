@@ -223,7 +223,6 @@ pub fn phases_json<R>(out: &RunOutput<R>, spec: &ClusterSpec, label: &str) -> Js
     pf.set("issued", num(total.prefetch_issued));
     pf.set("hits", num(total.prefetch_hits));
     pf.set("wasted", num(total.prefetch_wasted));
-    pf.set("home_migrations", num(total.home_migrations));
     doc.set("prefetch", pf);
     doc.set("hist", hist_json(&out.total_metrics()));
     doc
@@ -780,10 +779,6 @@ fn run_json(r: &RunRecord) -> Json {
     pf.set("issued", Json::from_u64(r.prefetch.issued));
     pf.set("hits", Json::from_u64(r.prefetch.hits));
     pf.set("wasted", Json::from_u64(r.prefetch.wasted));
-    pf.set(
-        "home_migrations",
-        Json::from_u64(r.prefetch.home_migrations),
-    );
     j.set("prefetch", pf);
     j.set("hist", hist_json(&r.metrics));
     j
@@ -1047,13 +1042,12 @@ pub fn blame_markdown(report: &Report) -> String {
 pub fn traffic_markdown(report: &Report) -> String {
     let single = kind("PageReply");
     let batch = kind("PageReplyBatch");
-    let migrate = kind("HomeMigrate");
     let mut s = String::new();
     s.push_str(
         "| App | Protocol | Single fetches | Batched fetches | Pages/batch | \
-         Prefetch issued / hit / wasted | Home moves | Msgs | Sent (MB) |\n",
+         Prefetch issued / hit / wasted | Msgs | Sent (MB) |\n",
     );
-    s.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    s.push_str("|---|---|---|---|---|---|---|---|\n");
     for a in &report.apps {
         for r in Protocol::ALL.map(|p| a.run(p)) {
             let batches = r.traffic[batch].0;
@@ -1068,7 +1062,7 @@ pub fn traffic_markdown(report: &Report) -> String {
                 )
             };
             s.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} / {} / {} | {} | {} | {:.2} |\n",
+                "| {} | {} | {} | {} | {} | {} / {} / {} | {} | {:.2} |\n",
                 a.app.name(),
                 protocol_display(r.protocol),
                 r.traffic[single].0,
@@ -1077,7 +1071,6 @@ pub fn traffic_markdown(report: &Report) -> String {
                 r.prefetch.issued,
                 r.prefetch.hits,
                 r.prefetch.wasted,
-                r.traffic[migrate].0,
                 r.msgs_sent,
                 r.bytes_sent as f64 / (1024.0 * 1024.0),
             ));
@@ -1262,7 +1255,6 @@ mod tests {
                 issued: 20,
                 hits: 15,
                 wasted: 3,
-                home_migrations: 2,
             },
         };
         let mut apps: Vec<AppReport> = App::ALL
@@ -1388,7 +1380,10 @@ mod tests {
         let tr = traffic_markdown(&report);
         assert_eq!(tr.lines().count(), 2 + 4 * 3);
         // 10 batches carrying 10 demand pages + 20 prefetched extras.
-        assert!(tr.contains("| 40 | 10 | 3.00 | 20 / 15 / 3 | 0 |"), "{tr}");
+        assert!(
+            tr.contains("| 40 | 10 | 3.00 | 20 / 15 / 3 | 100 |"),
+            "{tr}"
+        );
         // One A3 row per page size, the unswept one included.
         let ab = ablation_markdown(&report);
         assert_eq!(ab.lines().count(), 2 + 2, "{ab}");

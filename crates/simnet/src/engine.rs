@@ -295,16 +295,6 @@ pub enum TraceKind {
         /// The invalidated predicted page.
         page: u32,
     },
-    /// A barrier-committed home migration was executed (emitted by the
-    /// old home as it hands the page over).
-    HomeMigrated {
-        /// The migrated page.
-        page: u32,
-        /// The old home (the emitting node).
-        from: NodeId,
-        /// The new home.
-        to: NodeId,
-    },
 }
 
 impl TraceKind {
@@ -347,7 +337,6 @@ impl TraceKind {
             TraceKind::PrefetchIssued { .. } => "prefetch_issued",
             TraceKind::PrefetchHit { .. } => "prefetch_hit",
             TraceKind::PrefetchWasted { .. } => "prefetch_wasted",
-            TraceKind::HomeMigrated { .. } => "home_migrated",
         }
     }
 }
@@ -444,11 +433,6 @@ mod tests {
             TraceKind::PrefetchIssued { page: 1, count: 1 },
             TraceKind::PrefetchHit { page: 1 },
             TraceKind::PrefetchWasted { page: 1 },
-            TraceKind::HomeMigrated {
-                page: 1,
-                from: 0,
-                to: 1,
-            },
         ]
     }
 
@@ -489,7 +473,6 @@ mod tests {
             TraceKind::PrefetchIssued { .. } => 32,
             TraceKind::PrefetchHit { .. } => 33,
             TraceKind::PrefetchWasted { .. } => 34,
-            TraceKind::HomeMigrated { .. } => 35,
         }
     }
 

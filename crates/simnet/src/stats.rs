@@ -34,8 +34,8 @@ pub struct NodeStats {
     pub prefetch_hits: u64,
     /// Predicted copies invalidated before first use (wasted bytes).
     pub prefetch_wasted: u64,
-    /// Barrier-committed home migrations executed by this node as the
-    /// old home.
+    /// Always 0: homes never move. Kept for the benchmark's
+    /// `hlrc.home_migrations` row until ROADMAP item 10 drops both.
     pub home_migrations: u64,
     /// Messages sent, bucketed by wire-kind ordinal.
     pub msgs_by_kind: [u64; TRAFFIC_KINDS],

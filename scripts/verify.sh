@@ -13,17 +13,19 @@
 # tier-1, report and benchmark-smoke stages print their wall time
 # (whole seconds), so a host-time change shows on every run; the benchmark-smoke stage also prints each workload's peak_rss_mb,
 # so a memory regression does too. The first line counts the non-test
-# source of crates/*/src (each file up to its first #[cfg(test)]), so a
-# subtraction shows on every run too.
+# source of crates/*/src (each file up to its first #[cfg(test)]) and
+# prints hlrc's MSG_KINDS, so a subtraction -- a deleted message kind
+# included -- shows on every run too.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-find crates/*/src -name '*.rs' | sort | xargs awk '
+msg_kinds=$(sed -n 's/^pub const MSG_KINDS: usize = \([0-9]*\);$/\1/p' crates/hlrc/src/msg.rs)
+find crates/*/src -name '*.rs' | sort | xargs awk -v kinds="$msg_kinds" '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests { n++ }
-    END { print "verify: crates/*/src holds " n " non-test lines (each file up to its first #[cfg(test)])" }'
+    END { print "verify: crates/*/src holds " n " non-test lines (each file up to its first #[cfg(test)]); MSG_KINDS = " kinds }'
 
 echo "==> cargo build --release"
 cargo build --release --workspace

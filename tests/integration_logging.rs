@@ -129,8 +129,8 @@ fn logged_pages(dsm: &mut Dsm) -> Vec<(u32, Vec<u8>, Arc<[u8]>)> {
 /// so every reader of one clean version logs the same allocation. On
 /// tiny 3D-FFT the distinct buffers across all nodes' ML logs are
 /// exactly the distinct (page, version) copies logged — homes never
-/// move here, so the page names its home — and each holds that
-/// version's bytes.
+/// move, so the page names its home — and each holds that version's
+/// bytes.
 #[test]
 fn ml_logs_each_clean_page_version_in_one_buffer() {
     let app = App::Fft3d;
@@ -141,7 +141,6 @@ fn ml_logs_each_clean_page_version_in_one_buffer() {
         app.run_tiny(dsm);
         logged_pages(dsm)
     });
-    assert_eq!(out.total_stats().home_migrations, 0);
     let mut versions: BTreeMap<Version, Vec<Arc<[u8]>>> = BTreeMap::new();
     let mut records = 0;
     for node in &out.nodes {

@@ -411,10 +411,9 @@ fn homes_list_as_held_only_what_the_victim_touched() {
     // than the victim demand-fetched from that home or first touched
     // as predicted copies of its pages before the crash — and the
     // demand pages, which need no report, are all there. (A page's
-    // home is whoever any node ever fetched it from, these programs
-    // migrate nothing; a used prediction nobody ever faulted on could
-    // be anyone's and counts for every home, but only once in the
-    // total.)
+    // home is whoever any node ever fetched it from; a used prediction
+    // nobody ever faulted on could be anyone's and counts for every
+    // home, but only once in the total.)
     for (app, after) in [(App::Fft3d, 3), (App::Shallow, 5)] {
         let s = spec(app, 4, Protocol::Ccl).with_crash(CrashPlan::new(1, after));
         let out = run_program(s, move |dsm| app.run_tiny(dsm));
@@ -586,14 +585,11 @@ fn a_first_touch_the_home_never_heard_of_is_restored_when_replay_faults_on_it() 
 }
 
 #[test]
-fn a_report_for_a_page_that_migrated_away_is_ignored() {
-    // Node 1 uses a predicted copy of P while node 0 is P's home; at
-    // the next checkpoint barrier P migrates to node 2, its only remote
-    // writer. Node 1's next request to node 0 still carries the report
-    // — for a page node 0 no longer answers for. It must be dropped,
-    // not noted (and not trip anything): node 2 took P over without a
-    // copyset and says so, which is what keeps recovery correct. Node 1
-    // then fails and recovers from the checkpoint; ML is the oracle.
+fn a_prediction_reported_after_a_checkpoint_recovers_like_ml() {
+    // Node 1 uses a predicted copy of P, homed at node 0, before the
+    // checkpoint barrier that ends round 3. Its next request to node 0
+    // comes after that checkpoint and carries the report. Node 1 then
+    // fails and recovers from the checkpoint; ML is the oracle.
     const P: u32 = 1;
     const Q: u32 = 2;
     const ROUNDS: u64 = 8;
@@ -612,8 +608,7 @@ fn a_report_for_a_page_that_migrated_away_is_ignored() {
         };
         for round in start..ROUNDS {
             match (round, dsm.me()) {
-                // Node 2 is P's one remote writer: the home moves to it
-                // at the checkpoint barrier that ends round 3.
+                // Node 2 is P's one remote writer.
                 (1, 2) => dsm.write(&ps, 2, 5),
                 (2, 0) => {
                     dsm.write(&rs, 0, 7);
@@ -627,10 +622,9 @@ fn a_report_for_a_page_that_migrated_away_is_ignored() {
                         seen = fold(seen, dsm.read(h, 0));
                     }
                 }
-                // After the migration: the next request to node 0.
+                // After the checkpoint: the next request to node 0.
                 (4, 0) => dsm.write(&qs, 0, 10),
                 (5, 1) => seen = fold(seen, dsm.read(&qs, 0)),
-                // And P keeps working at its new home.
                 (6, 2) => dsm.write(&ps, 2, 12),
                 (7, 1) => seen = fold(seen, dsm.read(&ps, 2)),
                 _ => {}
@@ -655,32 +649,24 @@ fn a_report_for_a_page_that_migrated_away_is_ignored() {
             assert_eq!(a.result, b.result, "{protocol:?}: node {} diverged", a.node);
         }
         digests.push(out.nodes[1].result);
-        assert_eq!(out.total_stats().home_migrations, 1, "{protocol:?}");
         if protocol != Protocol::Ccl {
             continue;
         }
-        let moved = out.nodes[0]
-            .trace
-            .iter()
-            .find(|ev| {
-                ev.kind
-                    == TraceKind::HomeMigrated {
-                        page: P,
-                        from: 0,
-                        to: 2,
-                    }
-            })
-            .expect("P never migrated")
-            .at;
         let victim = &out.nodes[1];
         let crashed = victim.crashed_at.expect("crash time");
+        let checkpointed = victim
+            .trace
+            .iter()
+            .find(|ev| matches!(ev.kind, TraceKind::Checkpoint { .. }))
+            .expect("no checkpoint")
+            .at;
         let hit = victim
             .trace
             .iter()
             .find(|ev| ev.kind == TraceKind::PrefetchHit { page: P })
             .expect("P was not a used prediction");
-        assert!(hit.at < moved);
-        // The request for Q left after the migration and before the
+        assert!(hit.at < checkpointed);
+        // The request for Q left after the checkpoint and before the
         // crash, and it is exactly as long as one that reports P.
         let report = hlrc::Msg::PageRequestBatch {
             page: Q,
@@ -690,7 +676,7 @@ fn a_report_for_a_page_that_migrated_away_is_ignored() {
         let sent: Vec<_> = victim
             .trace
             .iter()
-            .filter(|ev| ev.at > moved && ev.at < crashed)
+            .filter(|ev| ev.at > checkpointed && ev.at < crashed)
             .filter_map(|ev| match ev.kind {
                 TraceKind::MsgSend {
                     to: 0,
