@@ -43,5 +43,5 @@ pub use hlrc::{kind_label, MSG_KINDS};
 // Re-export the substrate types reports and benches need.
 pub use simnet::{
     recycle_trace_buffer, CostModel, DiskCounters, DiskFaultPlan, FaultPlan, Histogram, LogObj,
-    NodeMetrics, NodeStats, Partition, SimDuration, SimTime, TraceEvent, TraceKind,
+    NodeMetrics, NodeStats, Partition, SimDuration, SimTime, Trace, TraceEvent, TraceKind,
 };

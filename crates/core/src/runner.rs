@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use hlrc::{HlrcNode, Msg, NoLogging};
 use simnet::{
-    run_cluster, DiskCounters, NodeId, NodeMetrics, NodeStats, PhaseBreakdown, SimTime, TraceEvent,
+    run_cluster, DiskCounters, NodeId, NodeMetrics, NodeStats, PhaseBreakdown, SimTime, Trace,
     TraceKind,
 };
 
@@ -34,8 +34,8 @@ pub struct NodeOutput<R> {
     /// `finish`.
     pub phases: PhaseBreakdown,
     /// Structured telemetry stream, in nondecreasing virtual-time
-    /// order.
-    pub trace: Vec<TraceEvent>,
+    /// order, packed; iterating it yields `TraceEvent`s by value.
+    pub trace: Trace,
     /// Events dropped after the bounded trace sink filled (0 on every
     /// sized workload; nonzero means `trace` is a prefix).
     pub trace_dropped: u64,

@@ -21,6 +21,7 @@
 //!    networks and crash-recovery timing included — a pure function of
 //!    the spec, so this golden is also the determinism proof.
 
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use ccl_apps::App;
@@ -144,14 +145,25 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// `LockAcquire` and `FlushAckWait` carry (`wait_ns`) and
 /// `BarrierReleased`'s arrival spread (`spread_ns`) are pinned too.
 pub fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a(FNV_OFFSET);
     for n in &out.nodes {
         for ev in &n.trace {
-            h = fnv1a(h, &ev.at.as_nanos().to_le_bytes());
-            h = fnv1a(h, format!("{:?}", ev.kind).as_bytes());
+            h.0 = fnv1a(h.0, &ev.at.as_nanos().to_le_bytes());
+            write!(h, "{:?}", ev.kind).expect("hashing never fails");
         }
     }
-    h
+    h.0
+}
+
+/// FNV-1a state that `write!` feeds: the bytes hashed are the text
+/// `format!` would have built, without building it.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The run's phases document: the fault plan of `spec` and the fault

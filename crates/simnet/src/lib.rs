@@ -48,4 +48,4 @@ pub use node::{run_cluster, NodeCtx};
 pub use router::{make_endpoints, Endpoint, Envelope, NodeId, WireSized};
 pub use stats::{NodeStats, TRAFFIC_KINDS};
 pub use time::{SimDuration, SimTime};
-pub use trace::{recycle_trace_buffer, TraceSink, DEFAULT_TRACE_CAPACITY};
+pub use trace::{recycle_trace_buffer, Trace, TraceIter, DEFAULT_TRACE_CAPACITY};

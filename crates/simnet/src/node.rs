@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::thread;
 
 use crate::disk::SimDisk;
-use crate::engine::{PhaseBreakdown, TraceEvent, TraceKind};
+use crate::engine::{PhaseBreakdown, TraceKind};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::NodeMetrics;
@@ -17,7 +17,7 @@ use crate::models::CostModel;
 use crate::router::{make_endpoints_with_lookahead, Endpoint, Envelope, NodeId, WireSized};
 use crate::stats::NodeStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceSink;
+use crate::trace::{Trace, TraceSink};
 
 /// The local machine of one DSM process.
 pub struct NodeCtx<M> {
@@ -72,8 +72,9 @@ pub struct NodeCtx<M> {
 
 impl<M: WireSized> NodeCtx<M> {
     fn new(ep: Endpoint<M>, cost: CostModel) -> NodeCtx<M> {
+        let id = ep.id();
         NodeCtx {
-            id: ep.id(),
+            id,
             n_nodes: ep.n_nodes(),
             clock: SimTime::ZERO,
             cost,
@@ -85,7 +86,7 @@ impl<M: WireSized> NodeCtx<M> {
             deferred: Vec::new(),
             arrived: VecDeque::new(),
             batch: Vec::new(),
-            trace: TraceSink::default(),
+            trace: TraceSink::new(id),
             crashed_at: None,
             recovery_exit: None,
             crash_counters: [SimDuration::ZERO; 3],
@@ -305,21 +306,17 @@ impl<M: WireSized> NodeCtx<M> {
     /// Emit a telemetry event stamped with this node's current clock.
     /// Per-node streams are therefore nondecreasing in time.
     pub fn trace(&mut self, kind: TraceKind) {
-        self.trace.push(TraceEvent {
-            at: self.clock,
-            node: self.id,
-            kind,
-        });
+        self.trace.push(self.clock, kind);
     }
 
     /// The telemetry emitted so far.
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        self.trace.events()
+    pub fn trace_events(&self) -> &Trace {
+        self.trace.trace()
     }
 
     /// Take ownership of the telemetry stream (used when assembling the
     /// run output).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub fn take_trace(&mut self) -> Trace {
         self.trace.take()
     }
 

@@ -12,7 +12,9 @@
 # failed test counts (summed over every "test result:" line); the
 # tier-1, report and benchmark-smoke stages print their wall time
 # (whole seconds), so a host-time change shows on every run; the benchmark-smoke stage also prints each workload's peak_rss_mb,
-# so a memory regression does too. The first line counts the non-test
+# so a memory regression does too; a traced scale-128 round then prints
+# obsv.traced_peak_rss_mb and simnet.trace_events, so the traced path's
+# memory shows as well. The first line counts the non-test
 # source of crates/*/src (each file up to its first #[cfg(test)]) and
 # prints hlrc's MSG_KINDS, so a subtraction -- a deleted message kind
 # included -- shows on every run too.
@@ -64,6 +66,12 @@ if printf '%s\n' "$bench_out" | grep -q '^# WARNING consistency:'; then
     echo "verify: the benchmark disagrees with REPORT_paper.json (the WARNING lines above)" >&2
     exit 1
 fi
+
+echo "==> benchmark traced round on scale-128 (blame, Chrome export and fingerprint over 128 packed traces)"
+traced_out=$(benchmark/run.sh --workload scale-128 --rounds 1 --trace 1)
+printf '%s\n' "$traced_out"
+printf '%s\n' "$traced_out" | awk '$2 == "obsv.traced_peak_rss_mb" || $2 == "simnet.trace_events" { line = line " " $2 "=" $3 }
+    END { print "verify: scale-128 traced round:" line }'
 
 echo "==> benchmark crate's own tests (it compiles against the workspace's traits and messages)"
 CARGO_TARGET_DIR=benchmark/target cargo test -q --release --offline --manifest-path benchmark/Cargo.toml

@@ -496,7 +496,6 @@ fn two_crash_runs_log_and_twin_like_any_other() {
                 n.trace
                     .iter()
                     .take_while(|ev| ev.at < crash)
-                    .copied()
                     .collect::<Vec<_>>()
             };
             assert_eq!(

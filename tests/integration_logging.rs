@@ -300,7 +300,7 @@ fn close_interval_with_remote_diffs(protocol: Protocol, k: usize) -> IntervalEnd
         dsm.barrier();
         0u64
     });
-    let trace = &out.nodes[WRITER].trace;
+    let trace: Vec<_> = out.nodes[WRITER].trace.iter().collect();
     let enter = trace
         .iter()
         .position(|ev| matches!(ev.kind, TraceKind::BarrierEnter { .. }))

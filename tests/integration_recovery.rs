@@ -254,6 +254,23 @@ fn recovery_steps_are_traced_between_crash_and_exit() {
     }
 }
 
+/// The trace is kept packed (`simnet::Trace`): a crash run's events
+/// average at most 12 bytes each, not the 56 of a `TraceEvent`.
+#[test]
+fn a_crash_runs_trace_averages_at_most_12_bytes_an_event() {
+    let app = App::Fft3d;
+    let s = spec(app, 4, Protocol::Ccl).with_crash(CrashPlan::new(1, 3));
+    let out = run_program(s, move |dsm| app.run_tiny(dsm));
+    let events: usize = out.nodes.iter().map(|n| n.trace.len()).sum();
+    let bytes: usize = out.nodes.iter().map(|n| n.trace.encoded_len()).sum();
+    assert!(events > 1000, "only {events} events");
+    assert!(
+        bytes <= 12 * events,
+        "{bytes} B for {events} events: {:.1} B an event",
+        bytes as f64 / events as f64
+    );
+}
+
 // ------------------------------------------------------------
 // Recovery handshake: held-set filter and served logged diffs
 // ------------------------------------------------------------
