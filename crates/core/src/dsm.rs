@@ -357,6 +357,8 @@ mod tests {
         state: PageState,
         dirty: bool,
         frame: Option<PageFrame>,
+        /// Is the frame a shared buffer? (Frames compare by bytes.)
+        shared: Option<bool>,
         twin: Option<Twin>,
         version: Option<VClock>,
         predicted: Option<VClock>,
@@ -368,9 +370,10 @@ mod tests {
                 state: e.state,
                 dirty: e.dirty,
                 frame: e.frame.clone(),
+                shared: e.frame.as_ref().map(PageFrame::is_shared),
                 twin: e.twin.clone(),
                 version: e.home_state.as_ref().map(|h| h.version.clone()),
-                predicted: e.predicted.as_ref().map(|(_, v)| v.clone()),
+                predicted: e.predicted.clone(),
             }
         }
     }

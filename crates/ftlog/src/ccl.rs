@@ -116,9 +116,7 @@ use hlrc::{
     WriteNotice,
 };
 use pagemem::codec::var_size;
-use pagemem::{
-    Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
-};
+use pagemem::{Decode, Encode, IntervalId, PageDiff, PageId, PageState, SharedBytes, VClock};
 use simnet::{Envelope, LogObj, LogScan, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
@@ -281,7 +279,7 @@ fn segment(records: &[(CclRecord, usize)], from: usize) -> Segment {
 /// write-protected and not written yet in the open interval.
 fn open_for_write(inner: &mut NodeInner, page: PageId) {
     let e = inner.pages.entry(page);
-    if e.frame.is_some() && e.state == PageState::ReadOnly && !e.dirty {
+    if e.is_resident() && e.state == PageState::ReadOnly && !e.dirty {
         inner.pages.open_logged_write(page);
     }
 }
@@ -661,7 +659,7 @@ impl CclLogger {
                 inner.ctx.charge_copy(data.len());
                 inner
                     .pages
-                    .install_copy(page, &data, PageState::ReadOnly, &mut inner.pool);
+                    .install_copy(page, data.clone(), PageState::ReadOnly, &mut inner.pool);
                 restored.insert(page, (pos, data));
             }
             RecoveryImage::Delta { pos, diff } if restored.contains_key(&page) => {
@@ -674,7 +672,7 @@ impl CclLogger {
                 }
                 inner.ctx.charge_copy(diff.encoded_size());
                 inner.ctx.charge_copy(diff.payload_bytes());
-                let mut image = PageFrame::from_bytes(held);
+                let mut image = inner.pool.frame_from_bytes(held);
                 diff.apply_checked(&mut image)
                     .expect("delta does not fit the page");
                 // A copy not written since is the held image: patching
@@ -686,10 +684,12 @@ impl CclLogger {
                 if copy != &held[..] {
                     inner.ctx.charge_copy(image.bytes().len());
                 }
+                // The rebuilt image is held, and the copy is it, shared.
+                let image = inner.pool.share(&mut image);
                 inner
                     .pages
-                    .install_copy(page, image.bytes(), PageState::ReadOnly, &mut inner.pool);
-                restored.insert(page, (pos, SharedBytes::copy_of(image.bytes())));
+                    .install_copy(page, image.clone(), PageState::ReadOnly, &mut inner.pool);
+                restored.insert(page, (pos, image));
             }
             // No image covers the page — or a delta against an image
             // forgotten since it was named (`forget_images_of`): the
@@ -817,7 +817,7 @@ impl CclLogger {
             .iter()
             .filter(|n| n.interval.node != me && !inner.pages.is_home(n.page))
             .map(|n| n.page)
-            .filter(|p| inner.pages.entry(*p).frame.is_some() && !next.written.contains(p))
+            .filter(|p| inner.pages.entry(*p).is_resident() && !next.written.contains(p))
             .collect();
         pages.sort_unstable();
         pages.dedup();
@@ -973,13 +973,13 @@ impl CclLogger {
             .collect();
         pages.sort_unstable();
         pages.dedup();
-        let resident = |inner: &NodeInner, p: PageId| inner.pages.entry(p).frame.is_some();
+        let resident = |inner: &NodeInner, p: PageId| inner.pages.entry(p).is_resident();
         if pages.iter().any(|p| !resident(inner, *p)) {
             self.await_hello_replies(inner);
             let held = &self.held;
             pages.retain(|&p| {
                 let e = inner.pages.entry(p);
-                e.frame.is_some() || held.pages.contains(&p) || held.whole_homes.contains(e.home)
+                e.is_resident() || held.pages.contains(&p) || held.whole_homes.contains(e.home)
             });
         }
         // And the pages the interval this sync opens writes but does
@@ -1261,7 +1261,7 @@ impl FaultTolerance for CclLogger {
         let first = segment(&replay.records, 0);
         replay.read_through(inner, first.end);
         let pages: Vec<PageId> = (first.written.iter())
-            .filter(|&&p| inner.pages.entry(p).frame.is_none())
+            .filter(|&&p| !inner.pages.entry(p).is_resident())
             .copied()
             .collect();
         if !pages.is_empty() {
@@ -1310,7 +1310,7 @@ impl FaultTolerance for CclLogger {
         // before the crash, and every shipped copy left an image at its
         // home. None means replay left the logged run.
         assert!(
-            inner.pages.entry(page).frame.is_some(),
+            inner.pages.entry(page).is_resident(),
             "CCL replay drift: node {} touched page {page} at {:?}, \
              where its home retains no image of it",
             inner.me(),
@@ -1367,7 +1367,7 @@ impl FaultTolerance for CclLogger {
 mod tests {
     use super::*;
     use hlrc::DsmConfig;
-    use pagemem::Twin;
+    use pagemem::{PageFrame, Twin};
     use simnet::{run_cluster, CostModel};
 
     /// A home meets a diff flush once: CCL stages an `Updates` record of

@@ -225,7 +225,7 @@ fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
         + disk.rewrite_stream(CKPT_PAGES, stream, new_bytes);
     // The in-memory base copies become the stable checkpoint image the
     // recovery path restores from.
-    inner.pages.promote_base();
+    inner.pages.promote_base(&mut inner.pool);
     d
 }
 
@@ -377,7 +377,7 @@ mod tests {
             assert_eq!(h.base_version, h.version);
             inner.pages.rebuild_served_logs(std::iter::empty());
             let (pos, base) = (inner.pages)
-                .recovery_image(0, &VClock::new(1))
+                .recovery_image(0, &VClock::new(1), &mut inner.pool)
                 .expect("image 0");
             assert_eq!((pos, &base[..8]), (0, &42u64.to_le_bytes()[..]));
             // One read for the metadata, one per image.

@@ -24,7 +24,7 @@
 //! idle time" and "high disk access latency" of §4.3), with no network
 //! traffic at all.
 
-use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, ServedCopies, SyncKind, WriteNotice};
+use hlrc::{FaultTolerance, Msg, NodeInner, RecoveryStep, SyncKind, WriteNotice};
 use pagemem::{Decode, Encode, PageId, PageState, VClock};
 use simnet::{LogObj, SimDuration, TraceKind};
 
@@ -85,8 +85,9 @@ impl MlLogger {
 
     /// Stage `msg` whole, wrapped in the checksummed frame it will
     /// persist under. A page copy is not copied again: the record keeps
-    /// the buffer the home shipped, which every reader of that clean
-    /// version logs ([`hlrc::ServedCopies::Name`]).
+    /// the buffer the home shipped — the home frame's own while it is
+    /// clean, so every reader of that version logs it — and the reader's
+    /// frame shares it too until its first write.
     fn stage(&mut self, inner: &mut NodeInner, msg: &Msg) {
         if let Some(bytes) = self.log.stage(msg) {
             trace_ml_append(inner, msg, bytes as u64);
@@ -218,9 +219,12 @@ impl MlLogger {
                 (Msg::PageReply { page: p, data, .. }, Want::Fault(page)) => {
                     assert_eq!(*p, page, "ML replay drift: wrong page reply");
                     inner.ctx.charge_copy(data.len());
-                    inner
-                        .pages
-                        .install_copy(page, data, PageState::ReadOnly, &mut inner.pool);
+                    inner.pages.install_copy(
+                        page,
+                        data.clone(),
+                        PageState::ReadOnly,
+                        &mut inner.pool,
+                    );
                     0
                 }
                 (other, _) => {
@@ -279,10 +283,6 @@ impl Default for MlLogger {
 }
 
 impl FaultTolerance for MlLogger {
-    fn served_copies(&self) -> ServedCopies {
-        ServedCopies::Name
-    }
-
     fn on_incoming(&mut self, inner: &mut NodeInner, msg: &Msg) {
         let log_it = matches!(
             msg,
@@ -368,14 +368,14 @@ impl FaultTolerance for MlLogger {
         // The replies that installed the copies this node holds went
         // with the log. Drop the copies too: the first touch after the
         // cut refetches, and that reply is in the log a replay from
-        // this checkpoint reads. A predicted copy not touched yet has
-        // no frame and stays: its reply is logged at its first touch,
+        // this checkpoint reads. A predicted copy not touched yet is not
+        // resident and stays: its reply is logged at its first touch,
         // after the cut.
         let me = inner.me();
         let cached: Vec<PageId> = inner
             .pages
             .iter()
-            .filter(|(_, e)| e.home != me && e.frame.is_some())
+            .filter(|(_, e)| e.home != me && e.is_resident())
             .map(|(page, _)| page)
             .collect();
         for page in cached {

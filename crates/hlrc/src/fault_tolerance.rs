@@ -53,14 +53,12 @@ pub enum RecoveryStep {
 /// estimates.
 #[allow(unused_variables)]
 pub trait FaultTolerance: Send {
-    /// What a home keeps of the page copies it serves — one answer of
-    /// three, a constant of the protocol ([`ServedCopies`]). None
-    /// forgets them ([`ServedCopies::Forget`], the default): only a
-    /// predicted extra, held as shipped until its first touch, is named.
-    /// ML names every clean copy ([`ServedCopies::Name`]): its receivers
-    /// log each reply with the buffer it came in, so every reader of one
-    /// clean version logs the same allocation, and the weak name keeps
-    /// nothing alive the logs would not. CCL retains them
+    /// What a home keeps of the page copies it serves — retain them or
+    /// not, a constant of the protocol ([`ServedCopies`]). None and ML
+    /// keep nothing beyond the frame ([`ServedCopies::Forget`], the
+    /// default): every copy of a clean version is the home frame's
+    /// buffer anyway, so every ML reader of one clean version logs the
+    /// same allocation. CCL retains them
     /// ([`ServedCopies::Retain`]): the reply buffer of every version
     /// served stays in volatile memory ([`crate::ServedLog`]) so that a
     /// recovering peer's remote copies can be restored from them — CCL

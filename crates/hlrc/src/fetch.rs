@@ -9,8 +9,8 @@
 //! that installs asynchronously at the next inbox drain. A wrong
 //! prediction costs bytes on the wire, never an extra stall.
 //!
-//! A predicted copy is held as the buffer it was shipped in until its
-//! first touch, which copies it into a frame and hands the logging
+//! A predicted copy is held as the buffer it was shipped in, as every
+//! copy is until its first write; its first touch hands the logging
 //! layer the [`Msg::PageReply`] it arrived as: a protocol that logs
 //! the page contents a node reads (ML) logs exactly the predictions
 //! that were used, at the point a demand reply would have been logged,
@@ -182,7 +182,7 @@ impl HlrcNode {
         if let Msg::PageReply { data, .. } = env.payload {
             self.inner
                 .pages
-                .install_copy(page, &data, PageState::ReadOnly, &mut self.inner.pool);
+                .install_copy(page, data, PageState::ReadOnly, &mut self.inner.pool);
         }
     }
 
@@ -268,9 +268,9 @@ impl HlrcNode {
     /// `done`. The demand reply's timing never depends on how many
     /// `extras` ride along: their copies are made once it is on the
     /// wire. Nor does any timing depend on whether a copy is made
-    /// afresh or is the buffer an earlier fetch of the same clean
-    /// version was answered with ([`crate::PageTable::serve_copy`]):
-    /// the copy is priced either way.
+    /// afresh or is the buffer the clean frame already shares
+    /// ([`crate::PageTable::serve_copy`]): the copy is priced either
+    /// way.
     ///
     /// The copyset learns what `src` touches, not what it is shipped:
     /// the demand page, and each of `hits` — extras of earlier requests
@@ -284,9 +284,9 @@ impl HlrcNode {
         hits: &[PageId],
         done: SimTime,
     ) {
-        let copy_of = |inner: &mut NodeInner, p: PageId, predicted: bool| -> PageCopy {
+        let copy_of = |inner: &mut NodeInner, p: PageId| -> PageCopy {
             debug_assert!(inner.pages.is_home(p), "page request at non-home");
-            let (data, version) = inner.pages.serve_copy(p, predicted);
+            let (data, version) = inner.pages.serve_copy(p, &mut inner.pool);
             (p, data, version)
         };
         self.inner.pages.note_remote_fetch(page, src);
@@ -297,7 +297,7 @@ impl HlrcNode {
             );
             self.inner.pages.note_remote_fetch(hit, src);
         }
-        let (_, data, version) = copy_of(&mut self.inner, page, false);
+        let (_, data, version) = copy_of(&mut self.inner, page);
         let demand_cost = self.inner.ctx.cost.cpu.copy(data.len());
         let reply = Msg::PageReply {
             page,
@@ -313,7 +313,7 @@ impl HlrcNode {
         }
         let pages: Vec<PageCopy> = extras
             .iter()
-            .map(|&p| copy_of(&mut self.inner, p, true))
+            .map(|&p| copy_of(&mut self.inner, p))
             .collect();
         let total: usize = pages.iter().map(|(_, data, _)| data.len()).sum();
         let extras_cost = self.inner.ctx.cost.cpu.copy(total);

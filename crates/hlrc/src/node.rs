@@ -241,21 +241,24 @@ impl NodeInner {
     }
 
     /// Snapshot the resident frame of `page` as the twin its
-    /// end-of-interval diff will be taken against.
+    /// end-of-interval diff will be taken against, making the frame
+    /// private: a shared frame's buffer becomes the twin
+    /// ([`Twin::before_write`]).
     fn open_twin(&mut self, page: PageId) {
         self.ctx.charge_copy(self.pages.page_size());
         self.ctx.stats.twins_created += 1;
         let e = self.pages.entry_mut(page);
-        let frame = e.frame.as_ref().expect("twin of a page without a frame");
-        e.twin = Some(Twin::of_with(frame, &mut self.pool));
+        let frame = e.frame.as_mut().expect("twin of a page without a frame");
+        e.twin = Some(Twin::before_write(frame, &mut self.pool));
     }
 
-    /// The frame of home page `page` is about to change. A home that is
+    /// The frame of home page `page` is about to change, and turns
+    /// private ([`PageTable::before_home_write`]). A home that is
     /// rebuilding its served logs keeps the image it leaves behind — a
     /// page copy the live path never pays (there the image is the reply
     /// buffer), charged here.
     fn retain_before_home_write(&mut self, page: PageId) {
-        if self.pages.retain_before_write(page) {
+        if self.pages.before_home_write(page, &mut self.pool) {
             self.ctx.charge_copy(self.pages.page_size());
         }
     }
@@ -364,7 +367,7 @@ impl HlrcNode {
             return;
         }
         let inner = &mut self.inner;
-        if let Some((data, version)) = inner.pages.take_predicted(page, &mut inner.pool) {
+        if let Some((data, version)) = inner.pages.take_predicted(page) {
             // First touch of a predicted copy: the fetch round trip this
             // access would have paid was hidden entirely. Its home is
             // told with the next request that goes there anyway, and
@@ -384,8 +387,16 @@ impl HlrcNode {
         let state = self.inner.pages.entry(page).state;
         match state.fault_for(access) {
             // A copy replay opened for the write its log names
-            // (`PageTable::open_logged_write`) is booked at that write.
-            None if access == Access::Write => self.inner.pages.entry_mut(page).dirty = true,
+            // (`PageTable::open_logged_write`) is booked at that write,
+            // and turns private there, as a trapped write's does.
+            None if access == Access::Write => {
+                let inner = &mut self.inner;
+                let e = inner.pages.entry_mut(page);
+                inner
+                    .pool
+                    .make_private(e.frame.as_mut().expect("opened page"));
+                e.dirty = true;
+            }
             None => {}
             Some(fault) => {
                 self.trap(fault, page);
@@ -428,13 +439,19 @@ impl HlrcNode {
         self.inner.pages.frame(page)
     }
 
-    /// Write access to the frame of `page` (after `ensure_access`).
+    /// Write access to the frame of `page` (after `ensure_access`). The
+    /// write is booked, so the frame is private: a frame turns private
+    /// where its write is booked, never on this path.
     #[inline]
     pub fn frame_mut(&mut self, page: PageId) -> &mut pagemem::PageFrame {
+        let e = self.inner.pages.entry(page);
         debug_assert!(
-            self.inner.pages.is_home(page)
-                || self.inner.pages.entry(page).state == PageState::Writable,
+            self.inner.pages.is_home(page) || e.state == PageState::Writable,
             "write access without write permission on page {page}"
+        );
+        debug_assert!(
+            e.dirty && e.frame.as_ref().is_some_and(|f| !f.is_shared()),
+            "a written frame must be dirty and private (page {page})"
         );
         self.inner.pages.frame_mut(page)
     }
@@ -877,7 +894,9 @@ impl NodeInner {
         required: &VClock,
         held: Option<u32>,
     ) -> (RecoveryImage, SimDuration) {
-        let (image, compared) = self.pages.recovery_answer(page, required, held);
+        let (image, compared) = self
+            .pages
+            .recovery_answer(page, required, held, &mut self.pool);
         let cpu = self.ctx.cost.cpu;
         let mut cost = SimDuration::ZERO;
         if compared {
@@ -1231,7 +1250,7 @@ impl HlrcNode {
     fn exit_recovery(&mut self) {
         self.ft.finish_recovery(&mut self.inner);
         let inner = &mut self.inner;
-        let copies = inner.pages.finish_served_rebuild();
+        let copies = inner.pages.finish_served_rebuild(&mut inner.pool);
         inner.ctx.charge_copy(copies * inner.pages.page_size());
         inner.serve_parked_fetches(inner.ctx.now());
         self.resume_live();
@@ -1268,13 +1287,15 @@ mod tests {
     const PAGE: usize = 64;
 
     /// One drawn access: to a page homed here or not, whose entry is set
-    /// to `state`, dirty or not, with or without a predicted copy.
+    /// to `state`, dirty or not, with or without a predicted copy, its
+    /// frame — unless dirty, which is always private — shared or not.
     #[derive(Debug, Clone, Copy)]
     struct Draw {
         home: bool,
         state: PageState,
         dirty: bool,
         predicted: bool,
+        shared: bool,
         access: Access,
         fill: u8,
     }
@@ -1285,6 +1306,7 @@ mod tests {
             state: *rng.pick(&[PageState::Invalid, PageState::ReadOnly, PageState::Writable]),
             dirty: rng.bool(),
             predicted: rng.bool(),
+            shared: rng.bool(),
             access: *rng.pick(&[Access::Read, Access::Write]),
             fill: rng.byte(),
         }
@@ -1327,11 +1349,15 @@ mod tests {
                     let e = node.inner.pages.entry_mut(page);
                     e.state = d.state;
                     e.dirty = d.dirty;
-                    let resident = d.home || (d.state != PageState::Invalid && !d.predicted);
-                    e.frame = resident.then(|| PageFrame::from_bytes(&[d.fill; PAGE]));
-                    e.predicted = d
-                        .predicted
-                        .then(|| (SharedBytes::copy_of(&[d.fill; PAGE]), VClock::new(2)));
+                    let predicted = !d.home && d.predicted;
+                    let resident = d.home || (d.state != PageState::Invalid && !predicted);
+                    let shipped = SharedBytes::copy_of(&[d.fill; PAGE]);
+                    e.frame = if predicted || (resident && d.shared && !d.dirty) {
+                        Some(PageFrame::shared(shipped))
+                    } else {
+                        resident.then(|| PageFrame::from_bytes(&[d.fill; PAGE]))
+                    };
+                    e.predicted = predicted.then(|| VClock::new(2));
                     if !node.inner.pages.access_changes_nothing(page, d.access) {
                         continue;
                     }

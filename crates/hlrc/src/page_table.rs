@@ -11,7 +11,7 @@
 
 use pagemem::{
     Access, BufferPool, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes,
-    Twin, VClock, WeakBytes,
+    Twin, VClock,
 };
 use simnet::NodeId;
 
@@ -58,21 +58,30 @@ pub struct PageEntry {
     /// detection re-armed each interval; replay may open one ahead of a
     /// write it knows of) and are never invalidated.
     pub state: PageState,
-    /// Local frame, if a copy exists. Home copies always exist.
+    /// Local frame, if a copy exists. Home copies always exist. A copy
+    /// that came from its home — fetched, predicted, replayed from a
+    /// log or restored — is the buffer it was shipped in, shared, and a
+    /// clean home frame is the buffer it was last served as: a frame
+    /// turns private only where a write is booked
+    /// ([`HlrcNode::ensure_access`]) or a home applies a diff
+    /// ([`PageTable::before_home_write`]). A dirty frame is always
+    /// private.
+    ///
+    /// [`HlrcNode::ensure_access`]: crate::HlrcNode::ensure_access
     pub frame: Option<PageFrame>,
     /// Twin taken at the first write of the current interval (non-home).
     pub twin: Option<Twin>,
     /// Written during the current interval?
     pub dirty: bool,
     /// Non-home side: this copy arrived as a prefetch prediction and has
-    /// not been touched yet — the reply buffer it came in, as the home
-    /// shipped it, and its version. The entry is `ReadOnly` without a
-    /// frame; the first access copies the buffer into one (and counts a
-    /// hit, see [`PageTable::take_predicted`]). A predicted copy
-    /// invalidated untouched was a wasted prediction and never took a
+    /// not been touched yet — the version it was shipped at. Its frame
+    /// is the reply buffer it came in, as the home shipped it; the first
+    /// access hands both over as the reply (and counts a hit, see
+    /// [`PageTable::take_predicted`]). A predicted copy invalidated
+    /// untouched was a wasted prediction and never took a private
     /// frame. It cannot change before its first touch: a write traps
     /// first, and a notice drops it.
-    pub predicted: Option<(SharedBytes, VClock)>,
+    pub predicted: Option<VClock>,
     /// What the home keeps of the page: `Some` exactly at the home node.
     pub home_state: Option<Box<HomeState>>,
 }
@@ -106,12 +115,6 @@ pub struct HomeState {
     /// since the last checkpoint. Empty unless the table
     /// [retains](ServedCopies::Retain) what it serves.
     pub served: ServedLog,
-    /// When served pages are not retained: the buffer of the last clean
-    /// copy shipped that the table names ([`ServedCopies`]), held by
-    /// nobody here. While a requester still holds it, every fetch of the
-    /// same version is answered with it (see [`PageTable::serve_copy`]);
-    /// it is forgotten when the version moves and at a crash.
-    pub shipped: Option<WeakBytes>,
 }
 
 impl HomeState {
@@ -122,7 +125,6 @@ impl HomeState {
             base_version,
             copyset: NodeSet::default(),
             served: ServedLog::default(),
-            shipped: None,
         })
     }
 }
@@ -146,6 +148,25 @@ impl PageEntry {
             home_state: at_home.then(|| HomeState::at(VClock::new(n_nodes), VClock::new(n_nodes))),
         }
     }
+
+    /// Does this node hold a copy of the page it has touched: a frame
+    /// that is no predicted copy waiting for its first touch?
+    pub fn is_resident(&self) -> bool {
+        self.frame.is_some() && self.predicted.is_none()
+    }
+}
+
+/// The buffer a home serves or retains of its frame as it stands: a
+/// clean frame's own, which the frame shares from then on until it
+/// changes ([`BufferPool::share`]), so every copy of one clean version
+/// is one allocation; a dirty frame's copy, since the frame is still
+/// being written and stays private.
+fn image_of(frame: &mut PageFrame, dirty: bool, pool: &mut BufferPool) -> SharedBytes {
+    if dirty {
+        SharedBytes::copy_of(frame.bytes())
+    } else {
+        pool.share(frame)
+    }
 }
 
 /// How far back the served logs of the pages homed here reach.
@@ -161,25 +182,16 @@ enum ServedLogs {
     Rebuilding,
 }
 
-/// What a home keeps of the page copies it serves: the three answers of
+/// What a home keeps of the page copies it serves: the two answers of
 /// [`FaultTolerance::served_copies`](crate::FaultTolerance::served_copies).
-/// In every case fetches of one clean version share one buffer while
-/// the home still names it, and a buffer is never named while the frame
-/// is dirty: a clean version is the one thing that pins the bytes.
+/// Either way every copy of one clean version is the home frame's own
+/// buffer, shared until the frame next changes (see
+/// [`PageTable::serve_copy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedCopies {
-    /// Keep nothing that outlives the fetch. Only a predicted extra is
-    /// named, weakly: its requester holds it as shipped until its first
-    /// touch. A demand copy goes into a frame on arrival, so naming it
-    /// would keep an allocation alive with nobody to share it with
-    /// (DESIGN.md §10). The "None" baseline.
+    /// Keep nothing beyond the frame. The "None" baseline, and ML,
+    /// whose receivers log each reply with the buffer it came in.
     Forget,
-    /// Name every clean copy shipped, demand or predicted, weakly: the
-    /// receiver's log keeps the buffer anyway (ML logs each reply with
-    /// the buffer it came in), so every reader of one clean version logs
-    /// the same allocation and the name keeps nothing alive that would
-    /// otherwise be freed.
-    Name,
     /// Keep the write history and the reply buffer of every version
     /// served ([`ServedLog`]), to restore a recovering peer's copies
     /// from (CCL).
@@ -326,7 +338,7 @@ impl PageTable {
             .expect("access to page without a local copy")
     }
 
-    /// Mutable local frame of `page`.
+    /// Mutable local frame of `page`: writable only if it is private.
     #[inline]
     pub fn frame_mut(&mut self, page: PageId) -> &mut PageFrame {
         self.entries[page as usize]
@@ -364,26 +376,28 @@ impl PageTable {
             .collect()
     }
 
-    /// Install a fetched copy of a non-home page, drawing the frame
-    /// from `pool` (install/invalidate churn recycles one backing
-    /// store instead of allocating per miss).
+    /// Install a copy of non-home page `page` that came from its home:
+    /// the buffer it was shipped in becomes the frame, shared with the
+    /// home and any other holder until its first write. A private frame
+    /// it replaces goes back to `pool`.
     pub fn install_copy(
         &mut self,
         page: PageId,
-        data: &[u8],
+        data: SharedBytes,
         state: PageState,
         pool: &mut BufferPool,
     ) {
-        let frame = pool.frame_from_bytes(data);
         let e = &mut self.entries[page as usize];
         debug_assert_ne!(e.home, self.me, "installing a copy of a home page");
-        e.frame = Some(frame);
+        if let Some(old) = e.frame.replace(PageFrame::shared(data)) {
+            pool.recycle_frame(old);
+        }
         e.state = state;
     }
 
     /// Install a predicted copy of invalid non-home page `page`: the
     /// reply buffer itself, shared with the home and any other holder,
-    /// and no frame until [its first touch](Self::take_predicted).
+    /// and its version, until [its first touch](Self::take_predicted).
     pub fn install_predicted(&mut self, page: PageId, data: SharedBytes, version: VClock) {
         let e = &mut self.entries[page as usize];
         debug_assert!(
@@ -391,24 +405,21 @@ impl PageTable {
             "predicting a held page"
         );
         e.state = PageState::ReadOnly;
-        e.predicted = Some((data, version));
+        e.frame = Some(PageFrame::shared(data));
+        e.predicted = Some(version);
     }
 
-    /// First touch of `page`: if it holds a predicted copy, copy the
-    /// buffer into a frame from `pool` and return the buffer and its
-    /// version — the reply the copy arrived as.
-    pub fn take_predicted(
-        &mut self,
-        page: PageId,
-        pool: &mut BufferPool,
-    ) -> Option<(SharedBytes, VClock)> {
+    /// First touch of `page`: if it holds a predicted copy, it is one
+    /// no longer; return its buffer and version — the reply the copy
+    /// arrived as.
+    pub fn take_predicted(&mut self, page: PageId) -> Option<(SharedBytes, VClock)> {
         let e = &mut self.entries[page as usize];
         // Asked on every remote access that reaches the fault handler:
         // the common answer stores nothing.
-        e.predicted.as_ref()?;
-        let (data, version) = e.predicted.take()?;
-        e.frame = Some(pool.frame_from_bytes(&data));
-        Some((data, version))
+        let version = e.predicted.take()?;
+        let frame = e.frame.as_ref().and_then(PageFrame::as_shared);
+        let data = frame.expect("an untouched predicted copy is its reply buffer");
+        Some((data.clone(), version))
     }
 
     /// Drop the local copy of a non-home page (write-invalidation),
@@ -452,7 +463,8 @@ impl PageTable {
         e.state = PageState::Writable;
     }
 
-    /// Apply a writer's diff to the home copy, bumping its version.
+    /// Apply a writer's diff to the home copy, bumping its version. The
+    /// frame must be private ([`PageTable::before_home_write`]).
     ///
     /// The decoder already rejects structurally malformed diffs; the
     /// checked apply additionally catches runs that extend past this
@@ -470,13 +482,11 @@ impl PageTable {
     /// Interval `iv`'s writes to home page `page` are complete in its
     /// frame — a writer's diff was applied, or this node closed an
     /// interval of its own that dirtied the page: the version advances
-    /// and, when served pages are retained, so does the write history;
-    /// the last buffer shipped shows an older version now.
+    /// and, when served pages are retained, so does the write history.
     pub fn note_home_write(&mut self, page: PageId, iv: IntervalId) {
         let retain = self.served_copies == ServedCopies::Retain;
         let h = self.home_state_mut(page);
         h.version.observe(iv);
-        h.shipped = None;
         if retain {
             h.served.note_write(iv);
         }
@@ -488,7 +498,7 @@ impl PageTable {
     /// same write history — its own intervals as it closes them, and the
     /// `updates` (page, remote interval) its log recorded as it applies
     /// their diffs again — so the histories come back by themselves; the
-    /// images do because every frame is [retained](Self::retain_before_write)
+    /// images do because every frame is [retained](Self::before_home_write)
     /// before it changes; a request for a write not yet re-reached
     /// [waits](Self::awaits_rebuild).
     pub fn rebuild_served_logs(&mut self, updates: impl Iterator<Item = (PageId, IntervalId)>) {
@@ -502,16 +512,20 @@ impl PageTable {
         }
     }
 
-    /// The frame of home page `page` is about to change. While the
-    /// served logs are being rebuilt, keep the image at the position it
-    /// leaves; true when that took a page copy (charged by the caller).
-    pub fn retain_before_write(&mut self, page: PageId) -> bool {
-        if self.served_logs != ServedLogs::Rebuilding {
-            return false;
-        }
+    /// The frame of home page `page` is about to change — a write is
+    /// booked, or a diff applied. While the served logs are being
+    /// rebuilt, keep the image at the position it leaves; true when that
+    /// took an image (a page copy, charged by the caller). Then the
+    /// frame turns private, in a frame from `pool`, if it was the buffer
+    /// of a copy served: whoever holds that buffer keeps it unwritten.
+    pub fn before_home_write(&mut self, page: PageId, pool: &mut BufferPool) -> bool {
+        let rebuilding = self.served_logs == ServedLogs::Rebuilding;
         let e = &mut self.entries[page as usize];
+        let frame = e.frame.as_mut().expect("home frame");
         let h = e.home_state.as_deref_mut().expect("page not homed here");
-        h.served.retain(e.frame.as_ref().expect("home frame"))
+        let retained = rebuilding && h.served.retain(|| image_of(frame, e.dirty, pool));
+        pool.make_private(frame);
+        retained
     }
 
     /// Must a recovery fetch of home page `page` at clock `required`
@@ -530,7 +544,7 @@ impl PageTable {
     /// replay ended in is retained too (the next change of these frames
     /// is a live one, which retains nothing). Returns how many page
     /// copies that took, for the caller to charge.
-    pub fn finish_served_rebuild(&mut self) -> usize {
+    pub fn finish_served_rebuild(&mut self, pool: &mut BufferPool) -> usize {
         if self.served_logs != ServedLogs::Rebuilding {
             return 0;
         }
@@ -540,8 +554,9 @@ impl PageTable {
             let Some(h) = e.home_state.as_deref_mut() else {
                 continue;
             };
+            let frame = e.frame.as_mut().expect("home frame");
             let changed = h.served.pos() > 0;
-            copies += usize::from(changed && h.served.retain(e.frame.as_ref().expect("frame")));
+            copies += usize::from(changed && h.served.retain(|| image_of(frame, e.dirty, pool)));
         }
         copies
     }
@@ -549,7 +564,7 @@ impl PageTable {
     /// Promote current home copies to be the new checkpoint base
     /// (called when a checkpoint is taken). The served logs restart
     /// from it: see [`ServedLog::truncate_at_checkpoint`].
-    pub fn promote_base(&mut self) {
+    pub fn promote_base(&mut self, pool: &mut BufferPool) {
         self.served_logs = ServedLogs::Whole;
         for e in &mut self.entries {
             let Some(h) = e.home_state.as_deref_mut() else {
@@ -557,8 +572,9 @@ impl PageTable {
             };
             h.base_version = h.version.clone();
             if self.served_copies == ServedCopies::Retain {
+                let frame = e.frame.as_mut().expect("home frame");
                 h.served
-                    .truncate_at_checkpoint(e.frame.as_ref().expect("home frame"));
+                    .truncate_at_checkpoint(|| image_of(frame, e.dirty, pool));
             }
         }
     }
@@ -601,38 +617,27 @@ impl PageTable {
     }
 
     /// A copy of home page `page` to ship — the demand page, or a
-    /// `predicted` extra: the reply buffer and the version it shows.
-    /// Fetches of one clean version share one buffer. A table that
-    /// [retains](ServedCopies::Retain) keeps it and answers every such
-    /// fetch with it; an extra's buffer is retained like any other,
-    /// since a peer that touched it and crashed before saying so
-    /// restores it from that image. Any other table names the buffer —
-    /// of every clean copy under [`ServedCopies::Name`], of a predicted
-    /// extra only under [`ServedCopies::Forget`] — and answers with it
-    /// while someone still holds it, copying afresh once nobody does,
-    /// once the version has moved, or while the frame is dirty. Who the
-    /// copy goes to is not recorded here (see
+    /// predicted extra: the reply buffer and the version it shows. A
+    /// clean frame is served as its own buffer, which it shares from
+    /// then on, so every fetch of one clean version is answered with one
+    /// allocation, and the frame turns private again only when it next
+    /// changes ([`PageTable::before_home_write`]); a dirty frame is
+    /// copied each time. A table that [retains](ServedCopies::Retain)
+    /// keeps the buffer and answers every fetch at that position with
+    /// it; an extra's buffer is retained like any other, since a peer
+    /// that touched it and crashed before saying so restores it from
+    /// that image. Who the copy goes to is not recorded here (see
     /// [`PageTable::note_remote_fetch`]).
-    pub fn serve_copy(&mut self, page: PageId, predicted: bool) -> (SharedBytes, VClock) {
-        let copies = self.served_copies;
+    pub fn serve_copy(&mut self, page: PageId, pool: &mut BufferPool) -> (SharedBytes, VClock) {
+        let retain = self.served_copies == ServedCopies::Retain;
         let e = &mut self.entries[page as usize];
-        let frame = e.frame.as_ref().expect("home frame");
-        let clean = !e.dirty;
+        let frame = e.frame.as_mut().expect("home frame");
         let h = e.home_state.as_deref_mut().expect("page not homed here");
-        let data = if copies == ServedCopies::Retain {
-            h.served.serve(frame)
-        } else if let Some(data) = h
-            .shipped
-            .as_ref()
-            .filter(|_| clean)
-            .and_then(WeakBytes::upgrade)
-        {
-            data
+        let mut image = || image_of(frame, e.dirty, pool);
+        let data = if retain {
+            h.served.serve(image)
         } else {
-            let data = SharedBytes::copy_of(frame.bytes());
-            let named = predicted || copies == ServedCopies::Name;
-            h.shipped = (clean && named).then(|| data.downgrade());
-            data
+            image()
         };
         (data, h.version.clone())
     }
@@ -651,15 +656,17 @@ impl PageTable {
         &mut self,
         page: PageId,
         required: &VClock,
+        pool: &mut BufferPool,
     ) -> Option<(u32, SharedBytes)> {
         if self.served_logs == ServedLogs::Lost {
             return None;
         }
         let rebuilding = self.served_logs == ServedLogs::Rebuilding;
         let e = &mut self.entries[page as usize];
+        let frame = e.frame.as_mut().expect("home frame");
         let h = e.home_state.as_deref_mut().expect("page not homed here");
         let live = (!e.dirty && (rebuilding || h.version.dominated_by(required)))
-            .then(|| e.frame.as_ref().expect("home frame"));
+            .then_some(|| pool.share(frame));
         h.served.select(required, live, self.page_size)
     }
 
@@ -686,8 +693,9 @@ impl PageTable {
         page: PageId,
         required: &VClock,
         held: Option<u32>,
+        pool: &mut BufferPool,
     ) -> (RecoveryImage, bool) {
-        let Some((pos, data)) = self.recovery_image(page, required) else {
+        let Some((pos, data)) = self.recovery_image(page, required, pool) else {
             return (RecoveryImage::Absent, false);
         };
         let served = &self.home_state(page).served;
@@ -754,20 +762,37 @@ mod tests {
         assert!(t.entry(2).frame.is_none());
     }
 
+    fn word(image: &[u8]) -> u64 {
+        u64::from_le_bytes(image[..8].try_into().unwrap())
+    }
+
     #[test]
     fn install_and_invalidate_remote_copy() {
         let mut t = PageTable::new(&cfg(), 0);
         let mut pool = BufferPool::new(64);
-        t.install_copy(2, &[7u8; 64], PageState::ReadOnly, &mut pool);
+        let shipped = SharedBytes::copy_of(&[7u8; 64]);
+        t.install_copy(2, shipped.clone(), PageState::ReadOnly, &mut pool);
         assert_eq!(t.frame(2).bytes()[0], 7);
+        // The copy is the buffer it came in: no frame was drawn.
+        assert!(t.frame(2).as_shared().is_some_and(|b| b.ptr_eq(&shipped)));
+        assert_eq!(pool.stats().frame_misses, 0);
+        // A first write makes it private, in a frame from the pool; the
+        // invalidation returns that frame, and the next write reuses it.
+        pool.make_private(t.entry_mut(2).frame.as_mut().unwrap());
         t.invalidate(2, &mut pool);
         assert_eq!(t.entry(2).state, PageState::Invalid);
         assert!(t.entry(2).frame.is_none());
-        // The dropped frame went back to the pool and is reused whole.
         assert_eq!(pool.idle_frames(), 1);
-        t.install_copy(3, &[9u8; 64], PageState::ReadOnly, &mut pool);
+        t.install_copy(3, [9u8; 64].into(), PageState::ReadOnly, &mut pool);
+        assert_eq!(pool.idle_frames(), 1, "installing draws nothing");
+        pool.make_private(t.entry_mut(3).frame.as_mut().unwrap());
         assert_eq!(pool.idle_frames(), 0);
         assert_eq!(t.frame(3).bytes()[63], 9);
+        // Invalidating a copy never written returns nothing: its buffer
+        // is not the pool's.
+        t.install_copy(2, shipped, PageState::ReadOnly, &mut pool);
+        t.invalidate(2, &mut pool);
+        assert_eq!(pool.idle_frames(), 0);
     }
 
     #[test]
@@ -791,8 +816,9 @@ mod tests {
         t.set_home(1, 1);
         t.set_home(3, 0);
         t.frame_mut(0).write_u64(0, 99);
-        t.promote_base();
-        t.install_copy(1, &[1u8; 64], PageState::ReadOnly, &mut BufferPool::new(64));
+        let mut pool = BufferPool::new(64);
+        t.promote_base(&mut pool);
+        t.install_copy(1, [1u8; 64].into(), PageState::ReadOnly, &mut pool);
         let homes = t.home_map();
         assert_eq!(homes, [0, 1, 1, 0]);
         let mut r = PageTable::restarted(&cfg, 0, homes);
@@ -806,7 +832,7 @@ mod tests {
         for page in [0, 3] {
             assert_eq!(r.frame(page).read_u64(0), 0);
             assert_eq!(r.home_state(page).version, VClock::new(2));
-            let (pos, image) = r.recovery_image(page, &horizon_0).expect("base");
+            let (pos, image) = r.recovery_image(page, &horizon_0, &mut pool).expect("base");
             assert_eq!((pos, &image[..]), (0, &[0u8; 64][..]));
         }
         assert!(r.entry(1).frame.is_none(), "remote copies dropped");
@@ -816,7 +842,7 @@ mod tests {
         v.set(1, 4);
         r.restore_home(0, &[7u8; 64], v.clone());
         assert_eq!(r.frame(0).bytes(), &[7u8; 64][..]);
-        let (pos, image) = r.recovery_image(0, &horizon_0).expect("base");
+        let (pos, image) = r.recovery_image(0, &horizon_0, &mut pool).expect("base");
         assert_eq!((pos, &image[..]), (0, &[7u8; 64][..]));
         let h = r.home_state(0);
         assert_eq!((&h.version, &h.base_version), (&v, &v));
@@ -828,26 +854,29 @@ mod tests {
 
     #[test]
     fn promote_base_captures_current_state() {
+        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
         t.keep_served_copies(ServedCopies::Retain);
         t.frame_mut(0).write_u64(0, 42);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        t.promote_base();
+        t.promote_base(&mut pool);
+        // The base is the frame's buffer until the frame changes.
+        assert!(t.frame(0).is_shared());
+        t.before_home_write(0, &mut pool);
         t.frame_mut(0).write_u64(0, 77);
         let h = t.home_state(0);
         assert_eq!(h.base_version, h.version);
-        let (pos, image) = t.recovery_image(0, &VClock::new(2)).expect("base");
-        assert_eq!(
-            (pos, u64::from_le_bytes(image[..8].try_into().unwrap())),
-            (0, 42)
-        );
+        let (pos, image) = t
+            .recovery_image(0, &VClock::new(2), &mut pool)
+            .expect("base");
+        assert_eq!((pos, word(&image)), (0, 42));
         assert_eq!(t.frame(0).read_u64(0), 77);
         // A table that retains no served pages keeps no image of the
         // checkpoint in memory: the disk has it.
         let mut t = PageTable::new(&cfg(), 0);
         t.frame_mut(0).write_u64(0, 42);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        t.promote_base();
+        t.promote_base(&mut pool);
         let h = t.home_state(0);
         assert_eq!(h.served, ServedLog::default());
         assert_eq!(h.base_version, h.version);
@@ -909,7 +938,7 @@ mod tests {
         assert!(t.held_by(1).is_empty());
         // A checkpoint does not forget: a copy cached before it is
         // re-touched after it without a new fetch.
-        t.promote_base();
+        t.promote_base(&mut BufferPool::new(64));
         assert_eq!(t.held_by(2), vec![0, 1]);
         assert!(t.copysets_complete());
     }
@@ -917,121 +946,137 @@ mod tests {
     #[test]
     fn a_fetch_retains_its_buffer_and_leaves_the_base_alone() {
         let iv = IntervalId { node: 0, seq: 0 };
+        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
         t.keep_served_copies(ServedCopies::Retain);
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, iv);
-        let (first, version) = t.serve_copy(0, false);
+        let (first, version) = t.serve_copy(0, &mut pool);
         assert!(version.covers(iv));
+        // The retained image is the clean frame's own buffer.
+        assert!(t.frame(0).as_shared().is_some_and(|b| b.ptr_eq(&first)));
         // The base stays the checkpoint image whoever fetches: image 0,
         // selected at horizon 0, is the zeroed page and no buffer served.
-        let (pos, base) = t.recovery_image(0, &VClock::new(2)).expect("base");
+        let (pos, base) = t
+            .recovery_image(0, &VClock::new(2), &mut pool)
+            .expect("base");
         assert!(pos == 0 && base[..] == [0u8; 64][..] && !base.ptr_eq(&first));
-        // One version, one buffer; a new version, a new one.
-        assert!(t.serve_copy(0, false).0.ptr_eq(&first));
+        // One version, one buffer; a new version, a new one. The write
+        // makes the frame private first, and the image keeps its bytes.
+        assert!(t.serve_copy(0, &mut pool).0.ptr_eq(&first));
+        t.before_home_write(0, &mut pool);
         t.frame_mut(0).write_u64(0, 6);
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        assert!(!t.serve_copy(0, false).0.ptr_eq(&first));
+        assert!(!t.serve_copy(0, &mut pool).0.ptr_eq(&first));
+        assert_eq!(word(&first), 5);
         assert_eq!(
             t.home_state(0).served.images().len(),
             3,
             "the base and two versions"
         );
         // A replay that saw only the first write gets the first buffer.
-        let (pos, image) = t.recovery_image(0, &version).expect("retained");
+        let (pos, image) = t.recovery_image(0, &version, &mut pool).expect("retained");
         assert!(pos == 1 && image.ptr_eq(&first));
         // A crashed home has nothing to select from until it checkpoints.
         let mut t = PageTable::restarted(&cfg(), 0, t.home_map());
         t.keep_served_copies(ServedCopies::Retain);
-        assert!(t.recovery_image(0, &version).is_none());
-        t.promote_base();
-        assert!(t.recovery_image(0, &version).is_some());
+        assert!(t.recovery_image(0, &version, &mut pool).is_none());
+        t.promote_base(&mut pool);
+        assert!(t.recovery_image(0, &version, &mut pool).is_some());
     }
 
+    /// A home that retains nothing ships one buffer per clean version:
+    /// the frame's own, which it shares from the first fetch of the
+    /// version on, whether anyone still holds a copy or not. A dirty
+    /// frame is copied each time and stays private.
     #[test]
     fn a_home_that_retains_nothing_ships_one_buffer_per_clean_version() {
-        let extra = |t: &mut PageTable| t.serve_copy(0, true).0;
-        let demand = |t: &mut PageTable| t.serve_copy(0, false).0;
+        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        // While the first predicted copy is held, every fetch of the
-        // version shares it, demand or predicted.
-        let (first, version) = t.serve_copy(0, true);
-        assert_eq!(first.as_slice(), t.frame(0).bytes());
-        let (second, again) = t.serve_copy(0, false);
+        let (first, version) = t.serve_copy(0, &mut pool);
+        assert!(t.frame(0).as_shared().is_some_and(|b| b.ptr_eq(&first)));
+        let (second, again) = t.serve_copy(0, &mut pool);
         assert!(second.ptr_eq(&first) && again == version);
-        assert!(extra(&mut t).ptr_eq(&first));
         assert!(
             t.home_state(0).served.images().is_empty(),
             "nothing is retained"
         );
-        // Once every holder dropped it, the next fetch copies afresh.
+        // With every copy dropped, the frame still is the buffer.
         drop((first, second));
-        let held = extra(&mut t);
-        assert!(extra(&mut t).ptr_eq(&held));
-        // A demand copy is shared, never named: with nobody holding a
-        // predicted copy, two demand fetches copy twice.
-        drop(held);
-        let once = demand(&mut t);
-        assert!(!demand(&mut t).ptr_eq(&once) && t.home_state(0).shipped.is_none());
+        let held = t.serve_copy(0, &mut pool).0;
+        assert!(t.serve_copy(0, &mut pool).0.ptr_eq(&held));
         // A dirty frame is copied each time, and nothing of it is kept.
-        let held = extra(&mut t);
+        t.before_home_write(0, &mut pool);
         t.entry_mut(0).dirty = true;
         t.frame_mut(0).write_u64(0, 6);
-        let dirty = extra(&mut t);
-        assert!(!dirty.ptr_eq(&held) && !extra(&mut t).ptr_eq(&dirty));
-        // A moved version is copied afresh, and shared from then on.
+        let dirty = t.serve_copy(0, &mut pool).0;
+        assert!(!dirty.ptr_eq(&held) && !t.serve_copy(0, &mut pool).0.ptr_eq(&dirty));
+        assert!(!t.frame(0).is_shared());
+        assert_eq!((word(&held), word(&dirty)), (5, 6));
+        // A moved version is served as the frame again, and shared from
+        // then on.
         t.entry_mut(0).dirty = false;
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        let moved = extra(&mut t);
-        assert!(!moved.ptr_eq(&held) && extra(&mut t).ptr_eq(&moved));
-        assert_eq!(u64::from_le_bytes(moved[..8].try_into().unwrap()), 6);
+        let moved = t.serve_copy(0, &mut pool).0;
+        assert!(!moved.ptr_eq(&held) && t.serve_copy(0, &mut pool).0.ptr_eq(&moved));
+        assert_eq!(word(&moved), 6);
     }
 
-    /// Under ML a home names every clean copy, demand ones included:
-    /// one clean version, one buffer, while anyone holds it. Nothing is
-    /// named while the frame is dirty, and a new version or a crash drops
-    /// the name.
+    /// A home frame turns private before every change — a booked write,
+    /// an applied diff — drawing the frame from the pool its shared
+    /// buffer's predecessor went to, so no copy served before sees the
+    /// change. A home rebuilding its served logs first retains the image
+    /// the change leaves.
     #[test]
-    fn a_home_that_names_every_clean_copy_shares_demand_copies() {
-        let demand = |t: &mut PageTable| t.serve_copy(0, false).0;
+    fn a_home_frame_turns_private_before_it_changes() {
+        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
-        t.keep_served_copies(ServedCopies::Name);
-        t.frame_mut(0).write_u64(0, 5);
-        t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        let held = demand(&mut t);
-        assert!(demand(&mut t).ptr_eq(&held), "a demand copy is named");
-        t.entry_mut(0).dirty = true;
-        let dirty = demand(&mut t);
-        assert!(!dirty.ptr_eq(&held) && !demand(&mut t).ptr_eq(&dirty));
-        t.entry_mut(0).dirty = false;
-        t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        let moved = demand(&mut t);
-        assert!(!moved.ptr_eq(&held) && t.home_state(0).shipped.is_some());
-        let restarted = PageTable::restarted(&cfg(), 0, t.home_map());
-        assert!(restarted.home_state(0).shipped.is_none(), "a crash forgets");
+        let served = t.serve_copy(0, &mut pool).0;
+        assert_eq!(pool.idle_frames(), 1, "the private frame went to the pool");
+        let twin = Twin::of(&PageFrame::zeroed(64));
+        let mut written = PageFrame::zeroed(64);
+        written.write_u64(8, 3);
+        let diff = PageDiff::create(0, &twin, &written);
+        assert!(!t.before_home_write(0, &mut pool), "nothing to retain");
+        assert_eq!(pool.idle_frames(), 0, "and drawn back");
+        t.apply_home_diff(&diff, IntervalId { node: 1, seq: 0 });
+        assert_eq!((t.frame(0).read_u64(8), served[8]), (3, 0));
+        // A private frame stays as it is.
+        t.before_home_write(0, &mut pool);
+        assert!(!t.frame(0).is_shared() && pool.idle_frames() == 0);
+        // A crashed home that rebuilds its served logs keeps the image
+        // a change leaves: its frame's buffer, once per position.
+        let mut r = PageTable::restarted(&cfg(), 0, t.home_map());
+        r.keep_served_copies(ServedCopies::Retain);
+        r.rebuild_served_logs(std::iter::empty());
+        assert!(r.before_home_write(0, &mut pool), "an image retained");
+        assert!(!r.frame(0).is_shared());
+        assert_eq!(r.home_state(0).served.images().len(), 1);
+        assert!(!r.before_home_write(0, &mut pool), "one per position");
     }
 
     #[test]
-    fn a_predicted_copy_takes_a_frame_only_at_its_first_touch() {
+    fn a_predicted_copy_is_the_buffer_it_was_shipped_in() {
         let mut t = PageTable::new(&cfg(), 0);
         let mut pool = BufferPool::new(64);
         let data = SharedBytes::copy_of(&[3u8; 64]);
         t.install_predicted(2, data.clone(), VClock::new(2));
         assert_eq!(t.entry(2).state, PageState::ReadOnly);
-        assert!(t.entry(2).frame.is_none(), "held as the shipped buffer");
+        assert!(t.frame(2).as_shared().is_some_and(|b| b.ptr_eq(&data)));
+        assert!(!t.entry(2).is_resident(), "untouched");
         // Invalidated untouched: no frame was ever drawn or recycled.
         t.invalidate(2, &mut pool);
         assert!(t.entry(2).predicted.is_none() && pool.idle_frames() == 0);
-        assert!(t.take_predicted(2, &mut pool).is_none());
-        // Touched: the buffer is copied into a private frame and handed
-        // back, with its version, as the reply it arrived in.
+        assert!(t.take_predicted(2).is_none());
+        // Touched: the buffer is handed back, with its version, as the
+        // reply it arrived in, and stays the frame.
         t.install_predicted(3, data.clone(), VClock::new(2));
-        let (reply, _) = t.take_predicted(3, &mut pool).expect("predicted");
-        assert!(reply.ptr_eq(&data));
-        assert_eq!(t.frame(3).bytes(), &[3u8; 64][..]);
-        assert!(t.take_predicted(3, &mut pool).is_none(), "touched once");
+        let (reply, _) = t.take_predicted(3).expect("predicted");
+        assert!(reply.ptr_eq(&data) && t.entry(3).is_resident());
+        assert!(t.frame(3).as_shared().is_some_and(|b| b.ptr_eq(&data)));
+        assert!(t.take_predicted(3).is_none(), "touched once");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Sender-based payload logging, applied to the one message CCL
 //! declines to log at the receiver — the page reply. The home already
-//! builds a reply buffer for every fetch; under a protocol that
+//! has a reply buffer for every fetch — a clean frame's own, which the
+//! frame shares until it changes; under a protocol that
 //! [retains](crate::ServedCopies::Retain) what it serves
 //! ([`FaultTolerance::served_copies`](crate::FaultTolerance::served_copies))
 //! it keeps that buffer, one per distinct *(page, version served)*, and
@@ -17,7 +18,9 @@
 //! as replay closes the home's intervals and re-applies the recorded
 //! updates, and before a frame changes the home [retains](ServedLog::retain)
 //! the image it leaves — a page copy, charged, which the live path gets
-//! free with the reply buffer. A request for a write replay has not
+//! free with the reply buffer. Every image is handed in by the caller
+//! (the page table's `image_of`), and only when one is taken. A
+//! request for a write replay has not
 //! re-reached [waits](ServedLog::awaits).
 //!
 //! Positions count writes since the last checkpoint: `pos` is the
@@ -26,7 +29,7 @@
 //! itself (see [`ServedLog::select`]); nothing else in memory holds a
 //! home page's checkpoint state.
 
-use pagemem::{IntervalId, PageFrame, SharedBytes, VClock};
+use pagemem::{IntervalId, SharedBytes, VClock};
 
 /// Write history and served images of one home page.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -80,13 +83,13 @@ impl ServedLog {
         self.expected.iter().any(|iv| required.covers(*iv))
     }
 
-    /// Rebuild: `frame` is about to change (or replay is over, and its
-    /// next change a live one) — keep the image at the current position
-    /// if none is there. True when a copy was made, for the caller to
-    /// charge: this one is no reply buffer.
-    pub fn retain(&mut self, frame: &PageFrame) -> bool {
+    /// Rebuild: the frame is about to change (or replay is over, and its
+    /// next change a live one) — keep `image` of it at the current
+    /// position if none is there. True when an image was taken, for the
+    /// caller to charge as a page copy: this one is no reply buffer.
+    pub fn retain(&mut self, image: impl FnOnce() -> SharedBytes) -> bool {
         let before = self.images.len();
-        self.serve(frame);
+        self.serve(image);
         let copied = self.images.len() > before;
         if copied {
             self.unsent.push(self.pos());
@@ -112,18 +115,18 @@ impl ServedLog {
         (!self.unsent.contains(&pos)).then(|| &self.images[at].1)
     }
 
-    /// The reply buffer for a fetch of the page as it stands in
-    /// `frame`: the buffer already retained at this position if there
-    /// is one (every fetch of one version is answered with one image),
-    /// else a fresh copy, retained.
-    pub fn serve(&mut self, frame: &PageFrame) -> SharedBytes {
+    /// The reply buffer for a fetch of the page as it stands: the
+    /// buffer already retained at this position if there is one (every
+    /// fetch of one version is answered with one image), else `image`
+    /// of the frame, retained.
+    pub fn serve(&mut self, image: impl FnOnce() -> SharedBytes) -> SharedBytes {
         let pos = self.pos();
         if let Some((last, image)) = self.images.last() {
             if *last == pos {
                 return image.clone();
             }
         }
-        let image = SharedBytes::copy_of(frame.bytes());
+        let image = image();
         self.images.push((pos, image.clone()));
         image
     }
@@ -141,12 +144,13 @@ impl ServedLog {
     /// from: the **earliest** retained one at or past the horizon, the
     /// checkpoint base standing in at position 0 (a zeroed page of
     /// `page_size` bytes before any checkpoint). When nothing was
-    /// retained there, `live` — the home frame, passed only while it is
-    /// clean and its version is dominated by `required`, i.e. while it
-    /// *is* the state at the horizon — is served and retained like any
-    /// fetch. `None`: no admissible image exists (no fetch was ever
-    /// answered at or past the horizon and the home has moved on), so
-    /// the peer held no copy there before its crash either.
+    /// retained there, `live` — the home frame's image, passed only
+    /// while the frame is clean and its version is dominated by
+    /// `required`, i.e. while it *is* the state at the horizon — is
+    /// served and retained like any fetch. `None`: no admissible image
+    /// exists (no fetch was ever answered at or past the horizon and
+    /// the home has moved on), so the peer held no copy there before
+    /// its crash either.
     ///
     /// Earliest, because the image the peer originally received in the
     /// interval it is replaying was taken at or past the same horizon
@@ -159,7 +163,7 @@ impl ServedLog {
     pub fn select(
         &mut self,
         required: &VClock,
-        live: Option<&PageFrame>,
+        live: Option<impl FnOnce() -> SharedBytes>,
         page_size: usize,
     ) -> Option<(u32, SharedBytes)> {
         let horizon = self.horizon(required);
@@ -182,13 +186,13 @@ impl ServedLog {
         Some((*pos, image.clone()))
     }
 
-    /// A coordinated checkpoint of `frame` was taken: every later
+    /// A coordinated checkpoint of the frame was taken: every later
     /// replay starts from it with a clock that covers the whole history,
     /// so no horizon falls before its end and no image taken before it
-    /// can be selected again. Positions restart at the new base, `frame`;
-    /// an image taken at the very end of the history equals it and
-    /// stays, as the base.
-    pub fn truncate_at_checkpoint(&mut self, frame: &PageFrame) {
+    /// can be selected again. Positions restart at the new base, the
+    /// image `frame` gives of the frame; an image taken at the very end
+    /// of the history equals it and stays, as the base.
+    pub fn truncate_at_checkpoint(&mut self, frame: impl FnOnce() -> SharedBytes) {
         let end = self.pos();
         self.images.retain(|(pos, _)| *pos == end);
         for (pos, _) in &mut self.images {
@@ -196,7 +200,7 @@ impl ServedLog {
         }
         let base = match self.images.first() {
             Some((_, image)) => image.clone(),
-            None => SharedBytes::copy_of(frame.bytes()),
+            None => frame(),
         };
         self.base = Some(base);
         self.history.clear();
@@ -222,11 +226,15 @@ mod tests {
         IntervalId { node, seq }
     }
 
-    fn frame(v: u64) -> PageFrame {
-        let mut f = PageFrame::zeroed(64);
-        f.write_u64(0, v);
-        f
+    /// The image of a 64-byte page whose first word is `v`.
+    fn frame(v: u64) -> impl FnOnce() -> SharedBytes {
+        let mut page = vec![0u8; 64];
+        page[..8].copy_from_slice(&v.to_le_bytes());
+        move || page.into()
     }
+
+    /// No live frame to fall back on.
+    const NO_LIVE: Option<fn() -> SharedBytes> = None;
 
     fn word(image: &SharedBytes) -> u64 {
         u64::from_le_bytes(image[..8].try_into().unwrap())
@@ -235,13 +243,13 @@ mod tests {
     #[test]
     fn one_version_is_one_buffer() {
         let mut log = ServedLog::default();
-        let first = log.serve(&frame(1));
+        let first = log.serve(frame(1));
         for _ in 0..99 {
-            assert!(log.serve(&frame(1)).ptr_eq(&first));
+            assert!(log.serve(frame(1)).ptr_eq(&first));
         }
         assert_eq!(log.images().len(), 1);
         log.note_write(iv(0, 0));
-        assert!(!log.serve(&frame(2)).ptr_eq(&first));
+        assert!(!log.serve(frame(2)).ptr_eq(&first));
         assert_eq!(log.images().len(), 2);
     }
 
@@ -249,29 +257,29 @@ mod tests {
     fn the_earliest_image_past_the_horizon_is_chosen() {
         let mut log = ServedLog::default();
         log.note_write(iv(0, 0));
-        log.serve(&frame(1)); // pos 1
+        log.serve(frame(1)); // pos 1
         log.note_write(iv(0, 1));
         log.note_write(iv(0, 2));
-        log.serve(&frame(3)); // pos 3
+        log.serve(frame(3)); // pos 3
         let mut required = VClock::new(2);
         // Nothing covered: the base, which becomes image 0.
-        let (pos, image) = log.select(&required, None, 64).unwrap();
+        let (pos, image) = log.select(&required, NO_LIVE, 64).unwrap();
         assert_eq!((pos, word(&image)), (0, 0));
         assert_eq!(log.images().len(), 3);
         // Interval 0 covered: image 1, not the later image 3.
         required.observe(iv(0, 0));
-        let (pos, image) = log.select(&required, None, 64).unwrap();
+        let (pos, image) = log.select(&required, NO_LIVE, 64).unwrap();
         assert_eq!((pos, word(&image)), (1, 1));
         // Interval 1 covered: nothing was served at position 2, the
         // next one up is image 3 (its extra write is unread under DRF).
         required.observe(iv(0, 1));
-        assert_eq!(log.select(&required, None, 64).unwrap().0, 3);
+        assert_eq!(log.select(&required, NO_LIVE, 64).unwrap().0, 3);
         // A fourth write nobody fetched after: only the live frame can
         // answer, and only if the caller vouches for it.
         log.note_write(iv(1, 0));
         required.observe(iv(1, 0));
-        assert!(log.select(&required, None, 64).is_none());
-        let (pos, image) = log.select(&required, Some(&frame(4)), 64).unwrap();
+        assert!(log.select(&required, NO_LIVE, 64).is_none());
+        let (pos, image) = log.select(&required, Some(frame(4)), 64).unwrap();
         assert_eq!((pos, word(&image)), (4, 4));
         assert!(log.image_at(4).is_some(), "a served live frame is retained");
     }
@@ -279,24 +287,24 @@ mod tests {
     #[test]
     fn a_checkpoint_keeps_at_most_the_image_that_equals_the_base() {
         let mut log = ServedLog::default();
-        log.serve(&frame(0));
+        log.serve(frame(0));
         log.note_write(iv(0, 0));
-        let newest = log.serve(&frame(1));
-        log.truncate_at_checkpoint(&frame(1));
+        let newest = log.serve(frame(1));
+        log.truncate_at_checkpoint(frame(1));
         assert_eq!(log.pos(), 0);
         assert_eq!(log.images().len(), 1);
         assert!(log.image_at(0).unwrap().ptr_eq(&newest));
         // A write after the newest image: nothing survives, the base
         // answers at position 0.
         log.note_write(iv(0, 1));
-        log.truncate_at_checkpoint(&frame(2));
+        log.truncate_at_checkpoint(frame(2));
         assert!(
             log.images().is_empty(),
             "the base joins the images when selected"
         );
         let mut required = VClock::new(1);
         required.set(0, 2);
-        let (pos, image) = log.select(&required, None, 64).unwrap();
+        let (pos, image) = log.select(&required, NO_LIVE, 64).unwrap();
         assert_eq!((pos, word(&image)), (0, 2));
     }
 }

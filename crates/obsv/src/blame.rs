@@ -315,6 +315,7 @@ impl Blame {
 }
 
 /// Join tables built from manager-side trace events.
+#[derive(Default)]
 struct Joins {
     /// `(lock, grantee)` → holders, in grant order.
     grants: BTreeMap<(u32, usize), Vec<usize>>,
@@ -323,27 +324,20 @@ struct Joins {
     stragglers: BTreeMap<u32, (usize, u64)>,
 }
 
-fn build_joins<R>(run: &RunOutput<R>) -> Joins {
-    let mut grants: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
-    let mut stragglers = BTreeMap::new();
-    for n in &run.nodes {
-        for ev in &n.trace {
-            match ev.kind {
-                TraceKind::LockGranted { lock, to, holder } => {
-                    grants.entry((lock, to)).or_default().push(holder);
-                }
-                TraceKind::BarrierReleased {
-                    epoch,
-                    straggler,
-                    spread_ns,
-                } => {
-                    stragglers.insert(epoch, (straggler, spread_ns));
-                }
-                _ => {}
+impl Joins {
+    /// The cluster's tables from each node's, in node order: grants to
+    /// one grantee keep node-then-trace order, and the last release of
+    /// an epoch in that order wins.
+    fn merge(per_node: impl Iterator<Item = Joins>) -> Joins {
+        let mut all = Joins::default();
+        for node in per_node {
+            for (key, holders) in node.grants {
+                all.grants.entry(key).or_default().extend(holders);
             }
+            all.stragglers.extend(node.stragglers);
         }
+        all
     }
-    Joins { grants, stragglers }
 }
 
 fn obj_of_log(obj: LogObj) -> BlameObj {
@@ -355,18 +349,52 @@ fn obj_of_log(obj: LogObj) -> BlameObj {
     }
 }
 
-/// Per-node scan results: wait spans (end-sorted) and log attribution.
+/// A wait span's causer as another node's trace names it: the holder
+/// of the `k`th grant of `lock` to this node, or an epoch's straggler.
+/// Known once every trace is scanned ([`NodeScan::resolve`]).
+enum Cause {
+    Lock { lock: u32, k: usize },
+    Barrier(u32),
+}
+
+/// Per-node scan results: wait spans (end-sorted once resolved), log
+/// attribution, and the manager-side records the joins are built from.
 struct NodeScan {
     spans: Vec<WaitSpan>,
+    /// Spans whose causer the joins name, by index into `spans`.
+    unresolved: Vec<(usize, Cause)>,
+    /// The grants and barrier releases this node's trace records.
+    joins: Joins,
     /// Flushed bytes and record counts per object.
     flushed: BTreeMap<BlameObj, (u64, u64)>,
     unflushed_bytes: u64,
     replayed: u64,
 }
 
-fn scan_node<R>(n: &ccl_core::NodeOutput<R>, joins: &Joins) -> NodeScan {
+impl NodeScan {
+    /// Name the causer of every span node `me` could not name alone,
+    /// from the cluster's `joins` (a grant or release nobody recorded
+    /// blames `me`), then order the spans by end.
+    fn resolve(&mut self, me: usize, joins: &Joins) {
+        for (i, cause) in self.unresolved.drain(..) {
+            self.spans[i].causer = match cause {
+                Cause::Lock { lock, k } => joins.grants.get(&(lock, me)).and_then(|g| g.get(k)),
+                Cause::Barrier(epoch) => joins.stragglers.get(&epoch).map(|(s, _)| s),
+            }
+            .copied()
+            .unwrap_or(me);
+        }
+        self.spans.retain(|s| s.end > s.start);
+        self.spans.sort_by_key(|s| (s.end, s.start));
+    }
+}
+
+/// One pass over node `n`'s trace, which decodes each packed event once.
+fn scan_node<R>(n: &ccl_core::NodeOutput<R>) -> NodeScan {
     let me = n.node;
     let mut spans = Vec::new();
+    let mut unresolved = Vec::new();
+    let mut joins = Joins::default();
     let mut lock_seen: BTreeMap<u32, usize> = BTreeMap::new();
     let mut barrier_enter: BTreeMap<u32, u64> = BTreeMap::new();
     let mut pending: VecDeque<(u64, BlameObj)> = VecDeque::new();
@@ -389,22 +417,28 @@ fn scan_node<R>(n: &ccl_core::NodeOutput<R>, joins: &Joins) -> NodeScan {
                 });
             }
             TraceKind::LockAcquire { lock, wait_ns } => {
-                let k = lock_seen.entry(lock).or_insert(0);
-                let holder = joins
-                    .grants
-                    .get(&(lock, me))
-                    .and_then(|g| g.get(*k))
-                    .copied()
-                    .unwrap_or(me);
-                *k += 1;
+                let seen = lock_seen.entry(lock).or_insert(0);
+                let k = *seen;
+                *seen += 1;
                 if wait_ns > 0 {
+                    unresolved.push((spans.len(), Cause::Lock { lock, k }));
                     spans.push(WaitSpan {
                         start: at.saturating_sub(wait_ns),
                         end: at,
                         obj: BlameObj::Lock(lock),
-                        causer: holder,
+                        causer: me,
                     });
                 }
+            }
+            TraceKind::LockGranted { lock, to, holder } => {
+                joins.grants.entry((lock, to)).or_default().push(holder);
+            }
+            TraceKind::BarrierReleased {
+                epoch,
+                straggler,
+                spread_ns,
+            } => {
+                joins.stragglers.insert(epoch, (straggler, spread_ns));
             }
             TraceKind::FlushAckWait { home, wait_ns } if wait_ns > 0 => {
                 spans.push(WaitSpan {
@@ -420,13 +454,12 @@ fn scan_node<R>(n: &ccl_core::NodeOutput<R>, joins: &Joins) -> NodeScan {
             TraceKind::BarrierExit { epoch } => {
                 if let Some(enter) = barrier_enter.remove(&epoch) {
                     if at > enter {
-                        let (straggler, _) =
-                            joins.stragglers.get(&epoch).copied().unwrap_or((me, 0));
+                        unresolved.push((spans.len(), Cause::Barrier(epoch)));
                         spans.push(WaitSpan {
                             start: enter,
                             end: at,
                             obj: BlameObj::Barrier(epoch),
-                            causer: straggler,
+                            causer: me,
                         });
                     }
                 }
@@ -464,10 +497,10 @@ fn scan_node<R>(n: &ccl_core::NodeOutput<R>, joins: &Joins) -> NodeScan {
         }
     }
     unflushed += pending.drain(..).map(|(b, _)| b).sum::<u64>();
-    spans.retain(|s| s.end > s.start);
-    spans.sort_by_key(|s| (s.end, s.start));
     NodeScan {
         spans,
+        unresolved,
+        joins,
         flushed,
         unflushed_bytes: unflushed,
         replayed,
@@ -514,8 +547,11 @@ fn push_local(
 /// Analyze one run: reconstruct wait spans, walk the blame path,
 /// attribute log bytes. Pure function of the (deterministic) trace.
 pub fn analyze<R>(run: &RunOutput<R>) -> Blame {
-    let joins = build_joins(run);
-    let scans: Vec<NodeScan> = run.nodes.iter().map(|n| scan_node(n, &joins)).collect();
+    let mut scans: Vec<NodeScan> = run.nodes.iter().map(scan_node).collect();
+    let joins = Joins::merge(scans.iter_mut().map(|s| std::mem::take(&mut s.joins)));
+    for (n, scan) in run.nodes.iter().zip(&mut scans) {
+        scan.resolve(n.node, &joins);
+    }
     let windows: Vec<Option<(u64, u64)>> = run
         .nodes
         .iter()

@@ -11,17 +11,13 @@
 //! holds it as its shared span (`simnet::DiskRecord`), not as a copy.
 //! Wire and log *accounting* always uses the logical length
 //! ([`SharedBytes::len`]), never the physical sharing, so reported byte
-//! counts are unchanged.
-//!
-//! A [`WeakBytes`] names a buffer without keeping it alive: whoever
-//! built it can hand the same allocation out again for as long as
-//! someone else still holds it. (The allocation itself stays until the
-//! weak handle goes too; a home keeps at most one per page and drops it
-//! when the page's version moves.)
+//! counts are unchanged. A page frame can be such a buffer too
+//! ([`PageFrame::shared`](crate::PageFrame::shared)): a copy is held
+//! as the buffer it was shipped in until its first write.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Immutable, cheaply clonable byte string (`Arc<[u8]>` under the hood).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -53,24 +49,6 @@ impl SharedBytes {
     /// contents)?
     pub fn ptr_eq(&self, other: &SharedBytes) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// A handle on this allocation that does not keep it alive.
-    pub fn downgrade(&self) -> WeakBytes {
-        WeakBytes(Arc::downgrade(&self.0))
-    }
-}
-
-/// A [`SharedBytes`] allocation named without being held: it upgrades
-/// while any strong handle lives, and to nothing after the last one
-/// dropped.
-#[derive(Clone, Debug)]
-pub struct WeakBytes(Weak<[u8]>);
-
-impl WeakBytes {
-    /// The buffer, if anyone still holds it.
-    pub fn upgrade(&self) -> Option<SharedBytes> {
-        self.0.upgrade().map(SharedBytes)
     }
 }
 
@@ -127,16 +105,6 @@ mod tests {
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(&b[..], &[1, 2, 3]);
-    }
-
-    #[test]
-    fn a_weak_handle_lives_as_long_as_a_holder() {
-        let a: SharedBytes = vec![4u8; 8].into();
-        let weak = a.downgrade();
-        let b = weak.upgrade().expect("a holds it");
-        assert!(b.ptr_eq(&a));
-        drop((a, b));
-        assert!(weak.upgrade().is_none(), "nobody holds it");
     }
 
     #[test]

@@ -57,12 +57,18 @@ impl Twin {
         Twin { data: page.clone() }
     }
 
-    /// Snapshot `page`, drawing the backing store from `pool` so the
-    /// steady-state twin churn of an interval allocates nothing.
-    pub fn of_with(page: &PageFrame, pool: &mut BufferPool) -> Twin {
-        Twin {
-            data: pool.frame_copy_of(page),
-        }
+    /// Snapshot `page` at its first write, which this makes private
+    /// ([`BufferPool::make_private`]): the twin of a shared frame is the
+    /// buffer it shared, with no copy, and the frame a copy drawn from
+    /// `pool`; the twin of a private frame is a copy drawn from `pool`.
+    /// Either way one page is copied, into a recycled backing store, so
+    /// the steady-state twin churn of an interval allocates nothing.
+    pub fn before_write(page: &mut PageFrame, pool: &mut BufferPool) -> Twin {
+        let data = match pool.make_private(page) {
+            Some(shipped) => PageFrame::shared(shipped),
+            None => pool.frame_from_bytes(page.bytes()),
+        };
+        Twin { data }
     }
 
     /// The pristine bytes.
@@ -508,8 +514,8 @@ mod tests {
     #[test]
     fn pooled_create_matches_plain_create() {
         let mut pool = BufferPool::new(64);
-        let p = PageFrame::zeroed(64);
-        let t = Twin::of_with(&p, &mut pool);
+        let mut p = PageFrame::zeroed(64);
+        let t = Twin::before_write(&mut p, &mut pool);
         let mut p2 = p.clone();
         p2.write_u64(16, 77);
         p2.write_u32(40, 3);
@@ -518,6 +524,23 @@ mod tests {
         assert_eq!(plain, pooled);
         pool.recycle_frame(t.into_frame());
         assert_eq!(pool.idle_frames(), 1);
+    }
+
+    /// The twin of a shared frame is the buffer it shared: the frame
+    /// alone is copied, into a pooled frame, and the buffer's other
+    /// holders never see the write the twin is taken for.
+    #[test]
+    fn a_shared_frame_becomes_its_own_twin() {
+        let mut pool = BufferPool::new(64);
+        pool.recycle_frame(PageFrame::zeroed(64));
+        let shipped = crate::SharedBytes::copy_of(&[3u8; 64]);
+        let mut p = PageFrame::shared(shipped.clone());
+        let t = Twin::before_write(&mut p, &mut pool);
+        assert!(t.frame().as_shared().is_some_and(|b| b.ptr_eq(&shipped)));
+        assert!(!p.is_shared() && pool.idle_frames() == 0);
+        p.write_u32(8, 1);
+        assert_eq!(&shipped[..], t.bytes());
+        assert_eq!(PageDiff::create(0, &t, &p).runs.len(), 1);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   timestamps;
 //! * [`codec`] — the binary wire/log codec that makes every reported
 //!   byte count real;
-//! * [`BufferPool`]/[`SharedBytes`]/[`WeakBytes`] — hot-path memory
-//!   plumbing: per-node frame/buffer recycling and refcount-shared page
-//!   payloads (physical optimizations only; all reported byte counts
-//!   stay logical).
+//! * [`BufferPool`]/[`SharedBytes`] — hot-path memory plumbing:
+//!   per-node frame/buffer recycling and refcount-shared page payloads,
+//!   which a frame shares until its first write (physical optimizations
+//!   only; all reported byte counts stay logical).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +32,7 @@ mod protect;
 mod vclock;
 
 pub use addr::{PageId, PageLayout};
-pub use bytes::{SharedBytes, WeakBytes};
+pub use bytes::SharedBytes;
 pub use codec::{ByteCount, ByteReader, ByteWriter, CodecError, Decode, Encode, Sink};
 pub use diff::{DiffRun, PageDiff, Twin, DIFF_WORD};
 pub use page::PageFrame;

@@ -2,78 +2,130 @@
 
 use std::fmt;
 
+use crate::bytes::SharedBytes;
+
 /// One page's worth of bytes, with little-endian typed accessors.
+///
+/// A frame is *private* — a buffer of its own — or *shared*: the
+/// [`SharedBytes`] buffer the page was shipped in, held by whoever else
+/// holds that buffer too (a log record, a served image, the home's
+/// frame, other readers). Reads see either the same way. A shared frame
+/// is never written: [`PageFrame::bytes_mut`] panics on one, and the
+/// page table makes a frame private where a write is booked
+/// ([`crate::BufferPool::make_private`]), so no holder of a shared
+/// buffer ever sees a write. A clone is always private.
 ///
 /// All accesses are bounds-checked; typed accessors additionally require
 /// natural alignment of the offset, mirroring what real hardware would
 /// enforce on the paper's SPARC testbed.
-#[derive(Clone, PartialEq, Eq)]
 pub struct PageFrame {
-    data: Box<[u8]>,
+    data: Backing,
+}
+
+/// Where a frame's bytes live.
+enum Backing {
+    /// A buffer only this frame holds.
+    Private(Box<[u8]>),
+    /// A buffer this frame shares and never writes.
+    Shared(SharedBytes),
 }
 
 impl PageFrame {
     /// A zero-filled frame of `size` bytes.
     pub fn zeroed(size: usize) -> PageFrame {
-        PageFrame {
-            data: vec![0u8; size].into_boxed_slice(),
-        }
+        PageFrame::from_boxed(vec![0u8; size].into_boxed_slice())
     }
 
-    /// A frame initialized from existing bytes.
+    /// A private frame initialized from existing bytes.
     pub fn from_bytes(bytes: &[u8]) -> PageFrame {
+        PageFrame::from_boxed(bytes.into())
+    }
+
+    /// A frame that is the buffer `bytes` itself, shared and read-only
+    /// until it is made private.
+    pub fn shared(bytes: SharedBytes) -> PageFrame {
         PageFrame {
-            data: bytes.to_vec().into_boxed_slice(),
+            data: Backing::Shared(bytes),
         }
     }
 
-    /// A frame taking ownership of an existing backing store (the
-    /// pooling path — see [`crate::BufferPool`]).
-    pub fn from_boxed(data: Box<[u8]>) -> PageFrame {
-        PageFrame { data }
+    /// A private frame taking ownership of an existing backing store
+    /// (the pooling path — see [`crate::BufferPool`]).
+    pub(crate) fn from_boxed(data: Box<[u8]>) -> PageFrame {
+        PageFrame {
+            data: Backing::Private(data),
+        }
     }
 
-    /// Consume the frame, yielding its backing store for reuse.
-    pub fn into_boxed(self) -> Box<[u8]> {
-        self.data
+    /// Consume the frame, yielding its backing store for reuse, if it
+    /// is private.
+    pub(crate) fn into_boxed(self) -> Option<Box<[u8]>> {
+        match self.data {
+            Backing::Private(data) => Some(data),
+            Backing::Shared(_) => None,
+        }
+    }
+
+    /// The buffer this frame shares, if it is shared.
+    pub fn as_shared(&self) -> Option<&SharedBytes> {
+        match &self.data {
+            Backing::Private(_) => None,
+            Backing::Shared(bytes) => Some(bytes),
+        }
+    }
+
+    /// Is this frame a shared buffer (and so not writable)?
+    #[inline]
+    pub fn is_shared(&self) -> bool {
+        matches!(self.data, Backing::Shared(_))
     }
 
     #[inline]
     /// Size of the frame in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.bytes().len()
     }
 
     #[inline]
     /// Whether the frame holds zero bytes.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.bytes().is_empty()
     }
 
     #[inline]
     /// Read-only view of the frame's bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.data
+        match &self.data {
+            Backing::Private(data) => data,
+            Backing::Shared(bytes) => bytes,
+        }
     }
 
     #[inline]
     /// Mutable view of the frame's bytes.
+    ///
+    /// # Panics
+    /// Panics if the frame is shared: its other holders must never see
+    /// the write.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        match &mut self.data {
+            Backing::Private(data) => data,
+            Backing::Shared(_) => panic!("write to a shared page frame"),
+        }
     }
 
     /// Overwrite the whole frame from `src` (must be the same length).
     pub fn copy_from(&mut self, src: &PageFrame) {
         assert_eq!(self.len(), src.len(), "page size mismatch");
-        self.data.copy_from_slice(&src.data);
+        self.bytes_mut().copy_from_slice(src.bytes());
     }
 
     #[inline]
     fn check_aligned(&self, offset: usize, size: usize) {
         assert!(
-            offset + size <= self.data.len(),
+            offset + size <= self.len(),
             "access at {offset}+{size} beyond page of {}",
-            self.data.len()
+            self.len()
         );
         assert!(
             offset.is_multiple_of(size),
@@ -85,14 +137,14 @@ impl PageFrame {
     /// Read a little-endian u64 at a naturally aligned offset.
     pub fn read_u64(&self, offset: usize) -> u64 {
         self.check_aligned(offset, 8);
-        u64::from_le_bytes(self.data[offset..offset + 8].try_into().unwrap())
+        u64::from_le_bytes(self.bytes()[offset..offset + 8].try_into().unwrap())
     }
 
     #[inline]
     /// Write a little-endian u64 at a naturally aligned offset.
     pub fn write_u64(&mut self, offset: usize, v: u64) {
         self.check_aligned(offset, 8);
-        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+        self.bytes_mut()[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// The `n` consecutive little-endian u64 words from the naturally
@@ -100,7 +152,7 @@ impl PageFrame {
     #[inline]
     pub fn read_u64_run(&self, offset: usize, n: usize) -> impl Iterator<Item = u64> + '_ {
         self.check_aligned(offset, 8);
-        self.data[offset..offset + 8 * n]
+        self.bytes()[offset..offset + 8 * n]
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
     }
@@ -111,7 +163,7 @@ impl PageFrame {
     #[inline]
     pub fn write_u64_run(&mut self, offset: usize, words: impl ExactSizeIterator<Item = u64>) {
         self.check_aligned(offset, 8);
-        let run = &mut self.data[offset..offset + 8 * words.len()];
+        let run = &mut self.bytes_mut()[offset..offset + 8 * words.len()];
         for (dst, w) in run.chunks_exact_mut(8).zip(words) {
             dst.copy_from_slice(&w.to_le_bytes());
         }
@@ -133,21 +185,39 @@ impl PageFrame {
     /// Read a little-endian u32 at a naturally aligned offset.
     pub fn read_u32(&self, offset: usize) -> u32 {
         self.check_aligned(offset, 4);
-        u32::from_le_bytes(self.data[offset..offset + 4].try_into().unwrap())
+        u32::from_le_bytes(self.bytes()[offset..offset + 4].try_into().unwrap())
     }
 
     #[inline]
     /// Write a little-endian u32 at a naturally aligned offset.
     pub fn write_u32(&mut self, offset: usize, v: u32) {
         self.check_aligned(offset, 4);
-        self.data[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+        self.bytes_mut()[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
     }
 }
 
+/// A clone is a private copy, whatever the original is: writing it can
+/// touch no shared buffer.
+impl Clone for PageFrame {
+    fn clone(&self) -> PageFrame {
+        PageFrame::from_bytes(self.bytes())
+    }
+}
+
+/// Frames are equal when their bytes are, shared or not.
+impl PartialEq for PageFrame {
+    fn eq(&self, other: &PageFrame) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for PageFrame {}
+
 impl fmt::Debug for PageFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let nz = self.data.iter().filter(|&&b| b != 0).count();
-        write!(f, "PageFrame({} bytes, {} non-zero)", self.data.len(), nz)
+        let nz = self.bytes().iter().filter(|&&b| b != 0).count();
+        let shared = if self.is_shared() { ", shared" } else { "" };
+        write!(f, "PageFrame({} bytes, {nz} non-zero{shared})", self.len())
     }
 }
 
@@ -217,6 +287,25 @@ mod tests {
     fn out_of_bounds_panics() {
         let p = PageFrame::zeroed(8);
         p.read_u64(8);
+    }
+
+    #[test]
+    fn a_shared_frame_reads_its_buffer_and_clones_private() {
+        let buf = SharedBytes::copy_of(&[1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]);
+        let p = PageFrame::shared(buf.clone());
+        assert!(p.is_shared() && p.as_shared().unwrap().ptr_eq(&buf));
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 2));
+        let mut c = p.clone();
+        assert!(!c.is_shared() && c == p);
+        c.write_u64(0, 9);
+        assert_eq!((buf[0], p.read_u64(0)), (1, 1));
+        assert!(PageFrame::zeroed(8).as_shared().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "write to a shared page frame")]
+    fn writing_a_shared_frame_panics() {
+        PageFrame::shared(SharedBytes::copy_of(&[0; 8])).write_u64(0, 1);
     }
 
     #[test]

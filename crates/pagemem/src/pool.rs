@@ -1,13 +1,18 @@
 //! Per-node buffer pooling for the data-movement hot path.
 //!
-//! Twins, fetched page copies, and diff run payloads are created and
+//! Private page frames, twins and diff run payloads are created and
 //! dropped once per written page per interval; recycling their backing
-//! stores makes steady-state intervals allocate approximately zero.
+//! stores makes steady-state intervals allocate approximately zero. A
+//! copy that arrives from its home is held as the buffer it came in
+//! and takes a frame from here only at its first write
+//! ([`BufferPool::make_private`]), so the frames that write-invalidation
+//! returns here are the ones the next write trap draws.
 //! The pool is plain data owned by one node — no globals, no locks —
 //! so determinism and per-node accounting are untouched. Pooling is a
 //! *physical* optimization only: every reported byte count (wire, log)
 //! is computed from logical sizes and never sees the pool.
 
+use crate::bytes::SharedBytes;
 use crate::page::PageFrame;
 
 /// Most idle page frames retained per node. Sized generously above any
@@ -70,20 +75,9 @@ impl BufferPool {
         }
     }
 
-    /// A frame holding a copy of `src`, backed by a recycled buffer
-    /// when one is idle. Frames of a foreign size (never produced by
-    /// this node's page table) fall back to a plain clone.
-    pub fn frame_copy_of(&mut self, src: &PageFrame) -> PageFrame {
-        if src.len() != self.page_size {
-            return src.clone();
-        }
-        let mut b = self.take_backing();
-        b.copy_from_slice(src.bytes());
-        PageFrame::from_boxed(b)
-    }
-
-    /// A frame initialized from `bytes`, backed by a recycled buffer
-    /// when one is idle.
+    /// A private frame initialized from `bytes`, backed by a recycled
+    /// buffer when one is idle. Frames of a foreign size (never
+    /// produced by this node's page table) fall back to a plain copy.
     pub fn frame_from_bytes(&mut self, bytes: &[u8]) -> PageFrame {
         if bytes.len() != self.page_size {
             return PageFrame::from_bytes(bytes);
@@ -93,11 +87,38 @@ impl BufferPool {
         PageFrame::from_boxed(b)
     }
 
-    /// Return a dead frame's backing store to the free list. Foreign
-    /// sizes and overflow beyond the retention cap just drop.
+    /// The buffer `frame` shares, sharing it first if it is private:
+    /// the frame becomes a copy of itself in a shared buffer, and its
+    /// private backing store comes here. How a clean home frame is
+    /// served and retained — every copy of one version is its buffer.
+    pub fn share(&mut self, frame: &mut PageFrame) -> SharedBytes {
+        if let Some(bytes) = frame.as_shared() {
+            return bytes.clone();
+        }
+        let bytes = SharedBytes::copy_of(frame.bytes());
+        let private = std::mem::replace(frame, PageFrame::shared(bytes.clone()));
+        self.recycle_frame(private);
+        bytes
+    }
+
+    /// Make `frame` private, about to be written: a shared frame becomes
+    /// a copy in a frame from here, and the buffer it shared — which its
+    /// other holders keep, unwritten — is handed back. `None` when the
+    /// frame was private already.
+    pub fn make_private(&mut self, frame: &mut PageFrame) -> Option<SharedBytes> {
+        let bytes = frame.as_shared()?.clone();
+        *frame = self.frame_from_bytes(&bytes);
+        Some(bytes)
+    }
+
+    /// Return a dead frame's backing store to the free list. Shared
+    /// frames (their buffer is not this pool's), foreign sizes and
+    /// overflow beyond the retention cap just drop.
     pub fn recycle_frame(&mut self, frame: PageFrame) {
         if frame.len() == self.page_size && self.frames.len() < MAX_FRAMES {
-            self.frames.push(frame.into_boxed());
+            if let Some(b) = frame.into_boxed() {
+                self.frames.push(b);
+            }
         }
     }
 
@@ -154,9 +175,8 @@ mod tests {
     #[test]
     fn frames_recycle_and_are_reused() {
         let mut pool = BufferPool::new(64);
-        let src = PageFrame::from_bytes(&[7u8; 64]);
-        let a = pool.frame_copy_of(&src);
-        assert_eq!(a.bytes(), src.bytes());
+        let a = pool.frame_from_bytes(&[7u8; 64]);
+        assert_eq!(a.bytes(), &[7u8; 64]);
         assert_eq!(pool.stats().frame_misses, 1);
         pool.recycle_frame(a);
         assert_eq!(pool.idle_frames(), 1);
@@ -169,12 +189,33 @@ mod tests {
     #[test]
     fn foreign_sizes_bypass_the_pool() {
         let mut pool = BufferPool::new(64);
-        let odd = PageFrame::zeroed(32);
-        let copy = pool.frame_copy_of(&odd);
-        assert_eq!(copy.len(), 32);
-        pool.recycle_frame(copy);
+        let odd = pool.frame_from_bytes(&[1; 32]);
+        assert_eq!(odd.len(), 32);
+        pool.recycle_frame(odd);
         assert_eq!(pool.idle_frames(), 0);
         assert_eq!(pool.frame_from_bytes(&[1, 2, 3]).len(), 3);
+    }
+
+    /// Sharing a private frame gives its backing store to the pool, and
+    /// making it private again draws it back: the round trip allocates
+    /// one shared buffer and no frame. A shared frame shares as is, and
+    /// a private one stays private.
+    #[test]
+    fn sharing_returns_the_backing_store_and_unsharing_draws_it() {
+        let mut pool = BufferPool::new(64);
+        let mut frame = PageFrame::from_bytes(&[5u8; 64]);
+        let bytes = pool.share(&mut frame);
+        assert!(frame.as_shared().is_some_and(|b| b.ptr_eq(&bytes)));
+        assert!(pool.share(&mut frame).ptr_eq(&bytes));
+        assert_eq!(pool.idle_frames(), 1);
+        let shipped = pool.make_private(&mut frame).expect("was shared");
+        assert!(shipped.ptr_eq(&bytes) && !frame.is_shared());
+        assert_eq!((pool.idle_frames(), pool.stats().frame_hits), (0, 1));
+        frame.write_u64(0, 1);
+        assert_eq!(&bytes[..], &[5u8; 64][..], "the shared buffer is unwritten");
+        assert!(pool.make_private(&mut frame).is_none());
+        pool.recycle_frame(PageFrame::shared(bytes));
+        assert_eq!(pool.idle_frames(), 0, "a shared buffer is not the pool's");
     }
 
     #[test]

@@ -166,47 +166,150 @@ fn ml_logs_each_clean_page_version_in_one_buffer() {
     );
 }
 
-/// A home names a demand copy only where the reader's log keeps it
-/// anyway. Node 1 reads one page homed at node 0 on demand: under ML
-/// node 0 names the buffer and it is the one node 1 logged; under None
-/// nothing is named — the name would keep the allocation alive with
-/// nobody to share it with (DESIGN.md §10: +4.1 MB on scale-128).
+/// The buffer node `dsm`'s frame of page 0 shares, if it is shared.
+fn shared_frame(dsm: &Dsm) -> Option<Arc<[u8]>> {
+    let frame = dsm.node().inner.pages.entry(0).frame.as_ref()?;
+    frame.as_shared().map(|b| Arc::from(b.clone()))
+}
+
+/// The first word of a page buffer.
+fn first_word(page: &[u8]) -> u64 {
+    u64::from_le_bytes(page[..8].try_into().unwrap())
+}
+
+/// A home serves a clean page as its frame's own buffer, under every
+/// protocol, and the reader holds it as it came: node 1 reads page 0,
+/// homed at node 0, on demand, and node 1's copy, node 0's frame and —
+/// under ML — node 1's page record are one allocation. No second buffer
+/// holds the version anywhere.
 #[test]
-fn a_home_names_a_demand_copy_only_under_ml() {
-    for protocol in [Protocol::None, Protocol::Ml] {
+fn a_home_shares_a_clean_page_with_the_copies_it_serves() {
+    for protocol in Protocol::ALL {
         let spec = ClusterSpec::new(2, 2)
             .with_page_size(256)
             .with_protocol(protocol);
         let out = run_program(spec, |dsm| {
             let a = dsm.alloc_at::<u64>(32, 0);
-            dsm.barrier();
-            if dsm.me() == 1 {
-                dsm.read(&a, 0);
-                return logged_pages(dsm)
-                    .into_iter()
-                    .map(|(.., b)| Some(b))
-                    .collect();
+            if dsm.me() == 0 {
+                dsm.write(&a, 0, 5);
             }
             dsm.barrier();
-            // Every name the home keeps, and the buffer if it still lives.
-            let pages = dsm.node().inner.pages.iter();
-            (pages.filter_map(|(_, e)| e.home_state.as_ref()?.shipped.as_ref()))
-                .map(|weak| weak.upgrade().map(Arc::from))
-                .collect::<Vec<_>>()
+            if dsm.me() == 1 {
+                assert_eq!(dsm.read(&a, 0), 5);
+            }
+            let logged: Vec<_> = logged_pages(dsm).into_iter().map(|(.., b)| b).collect();
+            (shared_frame(dsm), logged)
         });
-        let (named, logged) = (&out.nodes[0].result, &out.nodes[1].result);
-        if protocol == Protocol::None {
-            assert!(named.is_empty() && logged.is_empty(), "{named:?}");
-        } else {
-            let [Some(named)] = &named[..] else {
-                panic!("{named:?}: one live name expected")
-            };
-            let [Some(logged)] = &logged[..] else {
-                panic!("{logged:?}: one page record expected")
-            };
-            assert!(Arc::ptr_eq(named, logged), "one buffer, shared");
+        let (home, _) = &out.nodes[0].result;
+        let (copy, logged) = &out.nodes[1].result;
+        let (Some(home), Some(copy)) = (home, copy) else {
+            panic!("{protocol:?}: home {home:?}, copy {copy:?}: both shared expected")
+        };
+        assert!(Arc::ptr_eq(home, copy), "{protocol:?}: one buffer");
+        assert_eq!(first_word(copy), 5);
+        match protocol {
+            Protocol::Ml => {
+                let [logged] = &logged[..] else {
+                    panic!("{logged:?}: one page record expected")
+                };
+                assert!(Arc::ptr_eq(logged, copy), "the record is the copy");
+            }
+            _ => assert!(logged.is_empty()),
         }
     }
+}
+
+/// What one node saw of a copy's first write (see
+/// [`first_write_after_a_shared_read`]).
+#[derive(Debug, Clone)]
+struct FirstWrite {
+    /// What the protocol keeps of the copy here: ML's page record at
+    /// the reader, CCL's served image at the home.
+    keeper: Option<Arc<[u8]>>,
+    /// The buffer the reader's read-only copy shared.
+    copy: Option<Arc<[u8]>>,
+    /// Is the reader's frame still shared right after its write?
+    shared_after_write: bool,
+}
+
+/// Node 1 reads page 0 (homed at node 0, whose first word is 5), then
+/// writes 99 into it; once the write reached the home, the keeper must
+/// still read 5. Each node reports what it saw.
+fn first_write_after_a_shared_read(protocol: Protocol) -> [FirstWrite; 2] {
+    let spec = ClusterSpec::new(2, 2)
+        .with_page_size(256)
+        .with_protocol(protocol);
+    let out = run_program(spec, move |dsm| {
+        let a = dsm.alloc_at::<u64>(32, 0);
+        let reader = dsm.me() == 1;
+        if !reader {
+            dsm.write(&a, 0, 5);
+        }
+        dsm.barrier();
+        if reader {
+            dsm.read(&a, 0);
+        }
+        // After this barrier, ML's record is on its stream, and CCL's
+        // image in the home's served log.
+        let logged = logged_pages(dsm);
+        let keeper = match (protocol, reader) {
+            (Protocol::Ml, true) => logged.into_iter().map(|(.., b)| b).next(),
+            (Protocol::Ccl, false) => {
+                let served = &dsm.node().inner.pages.home_state(0).served;
+                served.images().last().map(|(_, b)| Arc::from(b.clone()))
+            }
+            _ => None,
+        };
+        let copy = reader.then(|| shared_frame(dsm)).flatten();
+        if reader {
+            dsm.write(&a, 0, 99);
+        }
+        let shared_after_write = reader && shared_frame(dsm).is_some();
+        dsm.barrier();
+        assert_eq!(dsm.read(&a, 0), 99, "the write reached the home");
+        if let Some(keeper) = &keeper {
+            assert_eq!(first_word(keeper), 5, "the write reached the keeper");
+        }
+        FirstWrite {
+            keeper,
+            copy,
+            shared_after_write,
+        }
+    });
+    [0, 1].map(|n| out.nodes[n].result.clone())
+}
+
+/// Under ML a remote read-only copy is the buffer its page record keeps,
+/// and its first write leaves the record as it was logged: the write
+/// trap makes the copy private, the shared buffer becoming its twin.
+#[test]
+fn an_ml_page_record_is_the_copy_until_the_reader_writes() {
+    let [_, reader] = first_write_after_a_shared_read(Protocol::Ml);
+    let (Some(record), Some(copy)) = (&reader.keeper, &reader.copy) else {
+        panic!("{reader:?}: a page record and a shared copy expected")
+    };
+    assert!(Arc::ptr_eq(record, copy), "the copy is the record");
+    assert!(
+        !reader.shared_after_write,
+        "the write made the copy private"
+    );
+}
+
+/// Under CCL a remote read-only copy is the image the home's served log
+/// retains, and neither the reader's first write nor the home applying
+/// its diff reaches that image: a restore still finds the version the
+/// reader read.
+#[test]
+fn a_ccl_served_image_is_the_copy_until_the_reader_writes() {
+    let [home, reader] = first_write_after_a_shared_read(Protocol::Ccl);
+    let (Some(image), Some(copy)) = (&home.keeper, &reader.copy) else {
+        panic!("{home:?}, {reader:?}: a served image and a shared copy expected")
+    };
+    assert!(Arc::ptr_eq(image, copy), "the copy is the served image");
+    assert!(
+        !reader.shared_after_write,
+        "the write made the copy private"
+    );
 }
 
 #[test]
