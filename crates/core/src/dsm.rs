@@ -5,7 +5,7 @@ use std::panic::panic_any;
 
 use hlrc::{FaultTolerance, HlrcNode};
 use pagemem::Access;
-use simnet::{NodeId, SimDuration};
+use simnet::NodeId;
 
 use crate::shared::{ArrayHandle, SharedVal, ELEM_BYTES};
 use crate::spec::CrashPlan;
@@ -25,9 +25,6 @@ pub struct Dsm {
     crashes: Vec<CrashPlan>,
     /// Which of `crashes` have already fired (each fires once).
     pub(crate) fired: Vec<bool>,
-    /// Detection delay of the crash currently unwinding, consumed by
-    /// [`Dsm::restart`].
-    pending_detection: SimDuration,
     barriers_done: u64,
     restored: Option<Vec<u8>>,
     /// Coordinated-checkpoint cadence (every `n` barriers), if any.
@@ -49,7 +46,6 @@ impl Dsm {
             alloc_cursor: 0,
             crashes,
             fired,
-            pending_detection: SimDuration::ZERO,
             barriers_done: 0,
             restored: None,
             checkpoint_every,
@@ -201,7 +197,6 @@ impl Dsm {
         for (i, plan) in self.crashes.iter().enumerate() {
             if !self.fired[i] && plan.node == me && self.barriers_done == plan.after_barriers {
                 self.fired[i] = true;
-                self.pending_detection = plan.detection_delay;
                 if let Some(tear) = plan.torn_tail {
                     // The crash lands mid-flush: damage the last
                     // flushed log batch before the unwind, so recovery
@@ -286,11 +281,10 @@ impl Dsm {
             node,
             crashes,
             fired,
-            pending_detection,
             checkpoint_every,
             ..
         } = self;
-        let (node, restored) = node.restart(pending_detection, ft);
+        let (node, restored) = node.restart(ft);
         Dsm {
             fired,
             restored,

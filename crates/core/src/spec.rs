@@ -1,7 +1,7 @@
 //! Cluster run specification: protocol selection and failure injection.
 
 use hlrc::DsmConfig;
-use simnet::{CostModel, DiskFaultPlan, FaultPlan, NodeId, SimDuration};
+use simnet::{CostModel, DiskFaultPlan, FaultPlan, NodeId};
 
 /// Which fault-tolerance protocol a run uses: the paper's three. Every
 /// one of them can crash and recover.
@@ -52,28 +52,19 @@ pub struct CrashPlan {
     pub node: NodeId,
     /// Crash after this many completed barriers at that node (1-based).
     pub after_barriers: u64,
-    /// Failure-detection delay before recovery starts.
-    pub detection_delay: SimDuration,
     /// When set, the crash lands mid-flush: the last flushed log batch
     /// is torn at a seeded point instead of persisting whole.
     pub torn_tail: Option<TornTail>,
 }
 
 impl CrashPlan {
-    /// Crash `node` after `after_barriers` barriers, detected instantly.
+    /// Crash `node` after `after_barriers` barriers.
     pub fn new(node: NodeId, after_barriers: u64) -> CrashPlan {
         CrashPlan {
             node,
             after_barriers,
-            detection_delay: SimDuration::ZERO,
             torn_tail: None,
         }
-    }
-
-    /// Set the failure-detection delay.
-    pub fn with_detection_delay(mut self, d: SimDuration) -> CrashPlan {
-        self.detection_delay = d;
-        self
     }
 
     /// Make the crash land mid-flush: truncate the boundary record of
@@ -211,17 +202,13 @@ mod tests {
             .with_protocol(Protocol::Ccl)
             .with_page_size(512)
             .with_crash(CrashPlan::new(1, 3))
-            .with_crash(CrashPlan::new(2, 5).with_detection_delay(SimDuration::from_micros(50)))
+            .with_crash(CrashPlan::new(2, 5))
             .with_disk_fault(0, DiskFaultPlan::permanent_at(3))
             .with_faults(FaultPlan::lossy(7, 20, 5));
         assert_eq!(spec.protocol.label(), "ccl");
         assert_eq!(spec.page_size, 512);
         assert_eq!(spec.failures.crashes.len(), 2);
         assert_eq!(spec.failures.crashes[0].node, 1);
-        assert_eq!(
-            spec.failures.crashes[1].detection_delay,
-            SimDuration::from_micros(50)
-        );
         assert_eq!(spec.failures.disk_faults.len(), 1);
         assert!(!spec.faults.is_none());
         let cfg = spec.dsm_config();

@@ -116,7 +116,9 @@ use hlrc::{
     WriteNotice,
 };
 use pagemem::codec::var_size;
-use pagemem::{Decode, Encode, IntervalId, PageDiff, PageId, PageState, SharedBytes, VClock};
+use pagemem::{
+    Decode, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, VClock,
+};
 use simnet::{Envelope, LogObj, LogScan, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::frame;
@@ -659,7 +661,7 @@ impl CclLogger {
                 inner.ctx.charge_copy(data.len());
                 inner
                     .pages
-                    .install_copy(page, data.clone(), PageState::ReadOnly, &mut inner.pool);
+                    .install_copy(page, data.clone(), PageState::ReadOnly);
                 restored.insert(page, (pos, data));
             }
             RecoveryImage::Delta { pos, diff } if restored.contains_key(&page) => {
@@ -672,7 +674,7 @@ impl CclLogger {
                 }
                 inner.ctx.charge_copy(diff.encoded_size());
                 inner.ctx.charge_copy(diff.payload_bytes());
-                let mut image = inner.pool.frame_from_bytes(held);
+                let mut image = PageFrame::from_bytes(held);
                 diff.apply_checked(&mut image)
                     .expect("delta does not fit the page");
                 // A copy not written since is the held image: patching
@@ -685,17 +687,17 @@ impl CclLogger {
                     inner.ctx.charge_copy(image.bytes().len());
                 }
                 // The rebuilt image is held, and the copy is it, shared.
-                let image = inner.pool.share(&mut image);
+                let image = image.share();
                 inner
                     .pages
-                    .install_copy(page, image.clone(), PageState::ReadOnly, &mut inner.pool);
+                    .install_copy(page, image.clone(), PageState::ReadOnly);
                 restored.insert(page, (pos, image));
             }
             // No image covers the page — or a delta against an image
             // forgotten since it was named (`forget_images_of`): the
             // copy goes, and a fault on it restores it whole.
             RecoveryImage::Delta { .. } | RecoveryImage::Absent => {
-                inner.pages.invalidate(page, &mut inner.pool);
+                inner.pages.invalidate(page);
                 restored.remove(&page);
             }
         }
@@ -1433,7 +1435,7 @@ mod tests {
 
             // The crash: node and logger restart with nothing but the disk.
             drop(ccl);
-            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut inner = inner.restart();
             let mut ccl = CclLogger::new();
             ccl.begin_recovery(&mut inner);
             let scan = ccl.replay.as_ref().expect("replay scans").scan;

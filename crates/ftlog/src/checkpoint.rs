@@ -225,7 +225,7 @@ fn take_checkpoint(inner: &mut NodeInner, app_state: &[u8]) -> SimDuration {
         + disk.rewrite_stream(CKPT_PAGES, stream, new_bytes);
     // The in-memory base copies become the stable checkpoint image the
     // recovery path restores from.
-    inner.pages.promote_base(&mut inner.pool);
+    inner.pages.promote_base();
     d
 }
 
@@ -359,7 +359,7 @@ mod tests {
             // Crash: the restarted node knows nothing the disk does not.
             // Restarted as a CCL node, it keeps the restored image as
             // image 0 of the served log it rebuilds.
-            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut inner = inner.restart();
             inner.pages.keep_served_copies(hlrc::ServedCopies::Retain);
             assert_eq!(inner.pages.frame(0).read_u64(0), 0);
             assert_eq!((inner.next_interval, inner.barrier_epoch), (0, 0));
@@ -377,7 +377,7 @@ mod tests {
             assert_eq!(h.base_version, h.version);
             inner.pages.rebuild_served_logs(std::iter::empty());
             let (pos, base) = (inner.pages)
-                .recovery_image(0, &VClock::new(1), &mut inner.pool)
+                .recovery_image(0, &VClock::new(1))
                 .expect("image 0");
             assert_eq!((pos, &base[..8]), (0, &42u64.to_le_bytes()[..]));
             // One read for the metadata, one per image.
@@ -423,13 +423,13 @@ mod tests {
                 .collect();
             assert_eq!(images, [0, 1, 2, 3], "one image per home page");
 
-            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut inner = inner.restart();
             assert!(restore_meta(&mut inner).expect("restores").is_some());
             let words: Vec<u64> = (0..4).map(|p| inner.pages.frame(p).read_u64(0)).collect();
             assert_eq!(words, [1, 2, 3, 5]);
 
             garble(&mut inner);
-            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut inner = inner.restart();
             assert_eq!(restore_meta(&mut inner), Err(RestoreError::MissingPage(1)));
             assert_eq!(inner.pages.frame(0).read_u64(0), 0, "nothing applied");
             assert_eq!(inner.next_interval, 0, "nothing applied");

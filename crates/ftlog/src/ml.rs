@@ -219,12 +219,9 @@ impl MlLogger {
                 (Msg::PageReply { page: p, data, .. }, Want::Fault(page)) => {
                     assert_eq!(*p, page, "ML replay drift: wrong page reply");
                     inner.ctx.charge_copy(data.len());
-                    inner.pages.install_copy(
-                        page,
-                        data.clone(),
-                        PageState::ReadOnly,
-                        &mut inner.pool,
-                    );
+                    inner
+                        .pages
+                        .install_copy(page, data.clone(), PageState::ReadOnly);
                     0
                 }
                 (other, _) => {
@@ -251,7 +248,7 @@ pub(crate) fn invalidate_named(inner: &mut NodeInner, fresh: &[WriteNotice]) {
     let me = inner.me() as u32;
     for n in fresh {
         if n.interval.node != me && !inner.pages.is_home(n.page) {
-            inner.pages.invalidate(n.page, &mut inner.pool);
+            inner.pages.invalidate(n.page);
         }
     }
 }
@@ -299,6 +296,8 @@ impl FaultTolerance for MlLogger {
         // update's only surviving record. The frame must be durable
         // before the ack goes out, or a crash tearing the final flush
         // would silently lose an update the cluster already acted on.
+        // A stopped log takes nothing and the ack still goes out: a
+        // restart then fails by name (`begin_recovery`).
         self.stage(inner, flush);
         self.flush_staged(inner)
     }
@@ -331,6 +330,16 @@ impl FaultTolerance for MlLogger {
     fn begin_recovery(&mut self, inner: &mut NodeInner) -> Option<Vec<u8>> {
         inner.ctx.trace(TraceKind::RecoveryBegin);
         let s = self.log.salvage(inner);
+        // A stopped log took none of the flushes this home acked since:
+        // their writers dropped the diffs, and the updates are in no
+        // log. Replay cannot tell which, so the run fails here rather
+        // than finish with a wrong result (DESIGN.md §13).
+        assert!(
+            !s.stopped,
+            "ML log stopped before the crash: node {} acked diff flushes \
+             its log device did not take, and no log holds those updates",
+            inner.me()
+        );
         self.log_valid = s.records;
         // Replay to the cluster-visible horizon, not just to the end of
         // a prefix that lost its tail (see `lost_releases`). Only then
@@ -379,7 +388,7 @@ impl FaultTolerance for MlLogger {
             .map(|(page, _)| page)
             .collect();
         for page in cached {
-            inner.pages.invalidate(page, &mut inner.pool);
+            inner.pages.invalidate(page);
         }
     }
 
@@ -461,7 +470,7 @@ mod tests {
             ml.on_incoming(&mut inner, &grant);
             ml.flush_before_send(&mut inner);
 
-            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut inner = inner.restart();
             let mut ml = MlLogger::new();
             ml.begin_recovery(&mut inner);
             // Replay closes an interval that wrote home page 2 first.

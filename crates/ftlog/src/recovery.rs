@@ -51,7 +51,7 @@ mod tests {
             // Give node 0 a cached copy of remote page 2.
             inner
                 .pages
-                .install_copy(2, [1u8; 64].into(), PageState::ReadOnly, &mut inner.pool);
+                .install_copy(2, [1u8; 64].into(), PageState::ReadOnly);
             let iv = IntervalId { node: 1, seq: 0 };
             let mut vc_in = VClock::new(2);
             vc_in.observe(iv);

@@ -73,6 +73,9 @@ pub struct Salvaged {
     /// were both discarded (`records` is 0) and the node
     /// re-executes from scratch.
     pub meta_rot: bool,
+    /// The device had failed, or was full, when the node crashed:
+    /// logging had stopped, and whatever it refused since is in no log.
+    pub stopped: bool,
 }
 
 /// One append-only stable stream of a node's disk.
@@ -231,6 +234,7 @@ impl StableLog {
             app: restored.unwrap_or(None),
             lost_tail,
             meta_rot,
+            stopped: self.stopped,
         }
     }
 

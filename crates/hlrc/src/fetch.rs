@@ -182,7 +182,7 @@ impl HlrcNode {
         if let Msg::PageReply { data, .. } = env.payload {
             self.inner
                 .pages
-                .install_copy(page, data, PageState::ReadOnly, &mut self.inner.pool);
+                .install_copy(page, data, PageState::ReadOnly);
         }
     }
 
@@ -286,7 +286,7 @@ impl HlrcNode {
     ) {
         let copy_of = |inner: &mut NodeInner, p: PageId| -> PageCopy {
             debug_assert!(inner.pages.is_home(p), "page request at non-home");
-            let (data, version) = inner.pages.serve_copy(p, &mut inner.pool);
+            let (data, version) = inner.pages.serve_copy(p);
             (p, data, version)
         };
         self.inner.pages.note_remote_fetch(page, src);

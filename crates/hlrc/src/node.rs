@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use pagemem::Encode;
-use pagemem::{Access, BufferPool, Fault, IntervalId, PageDiff, PageId, PageState, Twin, VClock};
+use pagemem::{Access, Fault, IntervalId, PageDiff, PageId, PageState, Twin, VClock};
 use simnet::{Envelope, NodeCtx, NodeId, SimDuration, SimTime, TraceKind};
 
 use crate::config::DsmConfig;
@@ -55,10 +55,6 @@ pub struct NodeInner {
     /// (release sends only notices the manager cannot already know).
     /// Holds the grant message's `Arc` directly — no copy.
     pub lock_grant_vcs: HashMap<u32, Arc<VClock>>,
-    /// Free list recycling page frames (twins, fetched copies) and
-    /// diff-run buffers across intervals. Purely physical: no reported
-    /// metric observes it.
-    pub pool: BufferPool,
     /// This node's next barrier episode.
     pub barrier_epoch: u32,
     /// Synchronization operations entered so far. Only the prefetch
@@ -91,14 +87,13 @@ impl NodeInner {
         NodeInner::with_pages(ctx, cfg, pages)
     }
 
-    /// Simulate a crash of this node, noticed by the cluster after
-    /// `detection`, and build the protocol state it restarts with, as
-    /// [`NodeInner::new`] builds it, from what a crash keeps (DESIGN.md
-    /// §13, "What a crash keeps"). What recovery needs of the past it
-    /// reads back from the disk.
-    pub fn restart(self, detection: SimDuration) -> NodeInner {
+    /// Simulate a crash of this node, and build the protocol state it
+    /// restarts with, as [`NodeInner::new`] builds it, from what a crash
+    /// keeps (DESIGN.md §13, "What a crash keeps"). What recovery needs
+    /// of the past it reads back from the disk.
+    pub fn restart(self) -> NodeInner {
         let (mut ctx, cfg, homes) = self.into_kept();
-        ctx.mark_crashed(detection);
+        ctx.mark_crashed();
         let pages = PageTable::restarted(&cfg, ctx.id(), homes);
         NodeInner::with_pages(ctx, cfg, pages)
     }
@@ -139,7 +134,6 @@ impl NodeInner {
             locks: LockTable::new(n),
             barrier_mgr: (me == cfg.barrier_manager()).then(|| BarrierMgr::new(n)),
             lock_grant_vcs: HashMap::new(),
-            pool: BufferPool::new(cfg.layout.page_size()),
             barrier_epoch: 0,
             sync_events: 0,
             prefetch: PrefetchState::default(),
@@ -249,7 +243,7 @@ impl NodeInner {
         self.ctx.stats.twins_created += 1;
         let e = self.pages.entry_mut(page);
         let frame = e.frame.as_mut().expect("twin of a page without a frame");
-        e.twin = Some(Twin::before_write(frame, &mut self.pool));
+        e.twin = Some(Twin::before_write(frame));
     }
 
     /// The frame of home page `page` is about to change, and turns
@@ -258,7 +252,7 @@ impl NodeInner {
     /// page copy the live path never pays (there the image is the reply
     /// buffer), charged here.
     fn retain_before_home_write(&mut self, page: PageId) {
-        if self.pages.before_home_write(page, &mut self.pool) {
+        if self.pages.before_home_write(page) {
             self.ctx.charge_copy(self.pages.page_size());
         }
     }
@@ -390,11 +384,8 @@ impl HlrcNode {
             // (`PageTable::open_logged_write`) is booked at that write,
             // and turns private there, as a trapped write's does.
             None if access == Access::Write => {
-                let inner = &mut self.inner;
-                let e = inner.pages.entry_mut(page);
-                inner
-                    .pool
-                    .make_private(e.frame.as_mut().expect("opened page"));
+                let e = self.inner.pages.entry_mut(page);
+                e.frame.as_mut().expect("opened page").make_private();
                 e.dirty = true;
             }
             None => {}
@@ -692,8 +683,7 @@ impl HlrcNode {
                 continue;
             };
             let frame = e.frame.as_ref().expect("dirty page without frame");
-            let diff = PageDiff::create_in(p, &twin, frame, &mut inner.pool);
-            inner.pool.recycle_frame(twin.into_frame());
+            let diff = PageDiff::create(p, &twin, frame);
             // Word-compare of page against twin plus encoding.
             inner.ctx.charge_copy(2 * page_size);
             inner.ctx.stats.diffs_created += 1;
@@ -773,7 +763,7 @@ impl HlrcNode {
                     .ctx
                     .trace(TraceKind::PrefetchWasted { page: n.page });
             }
-            self.inner.pages.invalidate(n.page, &mut self.inner.pool);
+            self.inner.pages.invalidate(n.page);
             invalidated.insert(n.page);
         }
         if !invalidated.is_empty() {
@@ -894,9 +884,7 @@ impl NodeInner {
         required: &VClock,
         held: Option<u32>,
     ) -> (RecoveryImage, SimDuration) {
-        let (image, compared) = self
-            .pages
-            .recovery_answer(page, required, held, &mut self.pool);
+        let (image, compared) = self.pages.recovery_answer(page, required, held);
         let cpu = self.ctx.cost.cpu;
         let mut cost = SimDuration::ZERO;
         if compared {
@@ -1180,9 +1168,7 @@ impl HlrcNode {
     }
 
     /// Home side of [`Msg::DiffFlush`]: apply the writer's diffs to the
-    /// home copies and acknowledge. Takes the envelope by value so the
-    /// run buffers of every applied diff can be recycled into the pool
-    /// instead of freed.
+    /// home copies and acknowledge.
     fn serve_diff_flush(&mut self, env: Envelope<Msg>, done: SimTime) {
         // The logging layer records the flush, and the ack waits for
         // whatever write-ahead flush it asks for (see
@@ -1196,9 +1182,8 @@ impl HlrcNode {
         };
         let payload: usize = diffs.iter().map(|d| d.encoded_size()).sum();
         let copy_cost = self.inner.ctx.cost.cpu.copy(payload);
-        for d in diffs {
-            self.inner.apply_home_diff(&d, writer);
-            self.inner.pool.recycle_diff(d);
+        for d in &diffs {
+            self.inner.apply_home_diff(d, writer);
         }
         self.inner
             .ctx
@@ -1210,24 +1195,19 @@ impl HlrcNode {
     // Crash / recovery entry
     // ---------------------------------------------------------------
 
-    /// Simulate a crash of this node, noticed by the cluster after
-    /// `detection`, and restart it with the fault-tolerance layer `ft`,
-    /// built fresh: the dying layer and every volatile byte go, the
-    /// protocol state is rebuilt ([`NodeInner::restart`]), and `ft`
-    /// recovers from stable storage. The caller restarts the
+    /// Simulate a crash of this node, and restart it with the
+    /// fault-tolerance layer `ft`, built fresh: the dying layer and every
+    /// volatile byte go, the protocol state is rebuilt
+    /// ([`NodeInner::restart`]), and `ft` recovers from stable storage. The caller restarts the
     /// application program on the returned node, from the returned
     /// application blob of the last checkpoint if there is one.
-    pub fn restart(
-        self,
-        detection: SimDuration,
-        ft: Box<dyn FaultTolerance>,
-    ) -> (HlrcNode, Option<Vec<u8>>) {
+    pub fn restart(self, ft: Box<dyn FaultTolerance>) -> (HlrcNode, Option<Vec<u8>>) {
         let HlrcNode { inner, ft: dying } = self;
         // A crash fires after a barrier, and a replayed barrier it can
         // follow is the last one logged, where replay ends.
         debug_assert!(!dying.in_recovery(), "crashed in the middle of a replay");
         drop(dying);
-        let mut node = HlrcNode::with_inner(inner.restart(detection), ft);
+        let mut node = HlrcNode::with_inner(inner.restart(), ft);
         let app = node.ft.begin_recovery(&mut node.inner);
         if !node.ft.in_recovery() {
             // Nothing to replay — no protocol log, an empty log, or a
@@ -1250,7 +1230,7 @@ impl HlrcNode {
     fn exit_recovery(&mut self) {
         self.ft.finish_recovery(&mut self.inner);
         let inner = &mut self.inner;
-        let copies = inner.pages.finish_served_rebuild(&mut inner.pool);
+        let copies = inner.pages.finish_served_rebuild();
         inner.ctx.charge_copy(copies * inner.pages.page_size());
         inner.serve_parked_fetches(inner.ctx.now());
         self.resume_live();

@@ -10,8 +10,7 @@
 //! ([`PageTable::rebuild_served_logs`]).
 
 use pagemem::{
-    Access, BufferPool, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes,
-    Twin, VClock,
+    Access, Encode, IntervalId, PageDiff, PageFrame, PageId, PageState, SharedBytes, Twin, VClock,
 };
 use simnet::NodeId;
 
@@ -158,14 +157,14 @@ impl PageEntry {
 
 /// The buffer a home serves or retains of its frame as it stands: a
 /// clean frame's own, which the frame shares from then on until it
-/// changes ([`BufferPool::share`]), so every copy of one clean version
+/// changes ([`PageFrame::share`]), so every copy of one clean version
 /// is one allocation; a dirty frame's copy, since the frame is still
 /// being written and stays private.
-fn image_of(frame: &mut PageFrame, dirty: bool, pool: &mut BufferPool) -> SharedBytes {
+fn image_of(frame: &mut PageFrame, dirty: bool) -> SharedBytes {
     if dirty {
         SharedBytes::copy_of(frame.bytes())
     } else {
-        pool.share(frame)
+        frame.share()
     }
 }
 
@@ -378,20 +377,11 @@ impl PageTable {
 
     /// Install a copy of non-home page `page` that came from its home:
     /// the buffer it was shipped in becomes the frame, shared with the
-    /// home and any other holder until its first write. A private frame
-    /// it replaces goes back to `pool`.
-    pub fn install_copy(
-        &mut self,
-        page: PageId,
-        data: SharedBytes,
-        state: PageState,
-        pool: &mut BufferPool,
-    ) {
+    /// home and any other holder until its first write.
+    pub fn install_copy(&mut self, page: PageId, data: SharedBytes, state: PageState) {
         let e = &mut self.entries[page as usize];
         debug_assert_ne!(e.home, self.me, "installing a copy of a home page");
-        if let Some(old) = e.frame.replace(PageFrame::shared(data)) {
-            pool.recycle_frame(old);
-        }
+        e.frame = Some(PageFrame::shared(data));
         e.state = state;
     }
 
@@ -422,17 +412,13 @@ impl PageTable {
         Some((data.clone(), version))
     }
 
-    /// Drop the local copy of a non-home page (write-invalidation),
-    /// recycling its frame and twin into `pool`.
-    pub fn invalidate(&mut self, page: PageId, pool: &mut BufferPool) {
+    /// Drop the local copy of a non-home page (write-invalidation), and
+    /// its twin.
+    pub fn invalidate(&mut self, page: PageId) {
         let e = &mut self.entries[page as usize];
         debug_assert_ne!(e.home, self.me, "invalidating a home page");
-        if let Some(frame) = e.frame.take() {
-            pool.recycle_frame(frame);
-        }
-        if let Some(twin) = e.twin.take() {
-            pool.recycle_frame(twin.into_frame());
-        }
+        e.frame = None;
+        e.twin = None;
         e.state = PageState::Invalid;
         e.dirty = false;
         e.predicted = None;
@@ -516,15 +502,15 @@ impl PageTable {
     /// booked, or a diff applied. While the served logs are being
     /// rebuilt, keep the image at the position it leaves; true when that
     /// took an image (a page copy, charged by the caller). Then the
-    /// frame turns private, in a frame from `pool`, if it was the buffer
-    /// of a copy served: whoever holds that buffer keeps it unwritten.
-    pub fn before_home_write(&mut self, page: PageId, pool: &mut BufferPool) -> bool {
+    /// frame turns private if it was the buffer of a copy served:
+    /// whoever holds that buffer keeps it unwritten.
+    pub fn before_home_write(&mut self, page: PageId) -> bool {
         let rebuilding = self.served_logs == ServedLogs::Rebuilding;
         let e = &mut self.entries[page as usize];
         let frame = e.frame.as_mut().expect("home frame");
         let h = e.home_state.as_deref_mut().expect("page not homed here");
-        let retained = rebuilding && h.served.retain(|| image_of(frame, e.dirty, pool));
-        pool.make_private(frame);
+        let retained = rebuilding && h.served.retain(|| image_of(frame, e.dirty));
+        frame.make_private();
         retained
     }
 
@@ -544,7 +530,7 @@ impl PageTable {
     /// replay ended in is retained too (the next change of these frames
     /// is a live one, which retains nothing). Returns how many page
     /// copies that took, for the caller to charge.
-    pub fn finish_served_rebuild(&mut self, pool: &mut BufferPool) -> usize {
+    pub fn finish_served_rebuild(&mut self) -> usize {
         if self.served_logs != ServedLogs::Rebuilding {
             return 0;
         }
@@ -556,7 +542,7 @@ impl PageTable {
             };
             let frame = e.frame.as_mut().expect("home frame");
             let changed = h.served.pos() > 0;
-            copies += usize::from(changed && h.served.retain(|| image_of(frame, e.dirty, pool)));
+            copies += usize::from(changed && h.served.retain(|| image_of(frame, e.dirty)));
         }
         copies
     }
@@ -564,7 +550,7 @@ impl PageTable {
     /// Promote current home copies to be the new checkpoint base
     /// (called when a checkpoint is taken). The served logs restart
     /// from it: see [`ServedLog::truncate_at_checkpoint`].
-    pub fn promote_base(&mut self, pool: &mut BufferPool) {
+    pub fn promote_base(&mut self) {
         self.served_logs = ServedLogs::Whole;
         for e in &mut self.entries {
             let Some(h) = e.home_state.as_deref_mut() else {
@@ -573,8 +559,7 @@ impl PageTable {
             h.base_version = h.version.clone();
             if self.served_copies == ServedCopies::Retain {
                 let frame = e.frame.as_mut().expect("home frame");
-                h.served
-                    .truncate_at_checkpoint(|| image_of(frame, e.dirty, pool));
+                h.served.truncate_at_checkpoint(|| image_of(frame, e.dirty));
             }
         }
     }
@@ -628,12 +613,12 @@ impl PageTable {
     /// that touched it and crashed before saying so restores it from
     /// that image. Who the copy goes to is not recorded here (see
     /// [`PageTable::note_remote_fetch`]).
-    pub fn serve_copy(&mut self, page: PageId, pool: &mut BufferPool) -> (SharedBytes, VClock) {
+    pub fn serve_copy(&mut self, page: PageId) -> (SharedBytes, VClock) {
         let retain = self.served_copies == ServedCopies::Retain;
         let e = &mut self.entries[page as usize];
         let frame = e.frame.as_mut().expect("home frame");
         let h = e.home_state.as_deref_mut().expect("page not homed here");
-        let mut image = || image_of(frame, e.dirty, pool);
+        let mut image = || image_of(frame, e.dirty);
         let data = if retain {
             h.served.serve(image)
         } else {
@@ -656,7 +641,6 @@ impl PageTable {
         &mut self,
         page: PageId,
         required: &VClock,
-        pool: &mut BufferPool,
     ) -> Option<(u32, SharedBytes)> {
         if self.served_logs == ServedLogs::Lost {
             return None;
@@ -666,7 +650,7 @@ impl PageTable {
         let frame = e.frame.as_mut().expect("home frame");
         let h = e.home_state.as_deref_mut().expect("page not homed here");
         let live = (!e.dirty && (rebuilding || h.version.dominated_by(required)))
-            .then_some(|| pool.share(frame));
+            .then_some(|| frame.share());
         h.served.select(required, live, self.page_size)
     }
 
@@ -693,9 +677,8 @@ impl PageTable {
         page: PageId,
         required: &VClock,
         held: Option<u32>,
-        pool: &mut BufferPool,
     ) -> (RecoveryImage, bool) {
-        let Some((pos, data)) = self.recovery_image(page, required, pool) else {
+        let Some((pos, data)) = self.recovery_image(page, required) else {
             return (RecoveryImage::Absent, false);
         };
         let served = &self.home_state(page).served;
@@ -769,30 +752,24 @@ mod tests {
     #[test]
     fn install_and_invalidate_remote_copy() {
         let mut t = PageTable::new(&cfg(), 0);
-        let mut pool = BufferPool::new(64);
         let shipped = SharedBytes::copy_of(&[7u8; 64]);
-        t.install_copy(2, shipped.clone(), PageState::ReadOnly, &mut pool);
+        t.install_copy(2, shipped.clone(), PageState::ReadOnly);
         assert_eq!(t.frame(2).bytes()[0], 7);
-        // The copy is the buffer it came in: no frame was drawn.
+        // The copy is the buffer it came in: no frame was made.
         assert!(t.frame(2).as_shared().is_some_and(|b| b.ptr_eq(&shipped)));
-        assert_eq!(pool.stats().frame_misses, 0);
-        // A first write makes it private, in a frame from the pool; the
-        // invalidation returns that frame, and the next write reuses it.
-        pool.make_private(t.entry_mut(2).frame.as_mut().unwrap());
-        t.invalidate(2, &mut pool);
+        // A first write makes it private and hands back the buffer it
+        // shared, which the write never reaches.
+        let frame = t.entry_mut(2).frame.as_mut().unwrap();
+        assert!(frame.make_private().is_some_and(|b| b.ptr_eq(&shipped)));
+        frame.write_u64(0, 1);
+        assert!(!t.frame(2).is_shared() && shipped[0] == 7);
+        t.invalidate(2);
         assert_eq!(t.entry(2).state, PageState::Invalid);
         assert!(t.entry(2).frame.is_none());
-        assert_eq!(pool.idle_frames(), 1);
-        t.install_copy(3, [9u8; 64].into(), PageState::ReadOnly, &mut pool);
-        assert_eq!(pool.idle_frames(), 1, "installing draws nothing");
-        pool.make_private(t.entry_mut(3).frame.as_mut().unwrap());
-        assert_eq!(pool.idle_frames(), 0);
-        assert_eq!(t.frame(3).bytes()[63], 9);
-        // Invalidating a copy never written returns nothing: its buffer
-        // is not the pool's.
-        t.install_copy(2, shipped, PageState::ReadOnly, &mut pool);
-        t.invalidate(2, &mut pool);
-        assert_eq!(pool.idle_frames(), 0);
+        // The next copy of that buffer is the buffer again.
+        t.install_copy(3, shipped.clone(), PageState::ReadOnly);
+        assert!(t.frame(3).as_shared().is_some_and(|b| b.ptr_eq(&shipped)));
+        assert_eq!(t.frame(3).bytes()[63], 7);
     }
 
     #[test]
@@ -816,9 +793,8 @@ mod tests {
         t.set_home(1, 1);
         t.set_home(3, 0);
         t.frame_mut(0).write_u64(0, 99);
-        let mut pool = BufferPool::new(64);
-        t.promote_base(&mut pool);
-        t.install_copy(1, [1u8; 64].into(), PageState::ReadOnly, &mut pool);
+        t.promote_base();
+        t.install_copy(1, [1u8; 64].into(), PageState::ReadOnly);
         let homes = t.home_map();
         assert_eq!(homes, [0, 1, 1, 0]);
         let mut r = PageTable::restarted(&cfg, 0, homes);
@@ -832,7 +808,7 @@ mod tests {
         for page in [0, 3] {
             assert_eq!(r.frame(page).read_u64(0), 0);
             assert_eq!(r.home_state(page).version, VClock::new(2));
-            let (pos, image) = r.recovery_image(page, &horizon_0, &mut pool).expect("base");
+            let (pos, image) = r.recovery_image(page, &horizon_0).expect("base");
             assert_eq!((pos, &image[..]), (0, &[0u8; 64][..]));
         }
         assert!(r.entry(1).frame.is_none(), "remote copies dropped");
@@ -842,7 +818,7 @@ mod tests {
         v.set(1, 4);
         r.restore_home(0, &[7u8; 64], v.clone());
         assert_eq!(r.frame(0).bytes(), &[7u8; 64][..]);
-        let (pos, image) = r.recovery_image(0, &horizon_0, &mut pool).expect("base");
+        let (pos, image) = r.recovery_image(0, &horizon_0).expect("base");
         assert_eq!((pos, &image[..]), (0, &[7u8; 64][..]));
         let h = r.home_state(0);
         assert_eq!((&h.version, &h.base_version), (&v, &v));
@@ -854,21 +830,18 @@ mod tests {
 
     #[test]
     fn promote_base_captures_current_state() {
-        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
         t.keep_served_copies(ServedCopies::Retain);
         t.frame_mut(0).write_u64(0, 42);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        t.promote_base(&mut pool);
+        t.promote_base();
         // The base is the frame's buffer until the frame changes.
         assert!(t.frame(0).is_shared());
-        t.before_home_write(0, &mut pool);
+        t.before_home_write(0);
         t.frame_mut(0).write_u64(0, 77);
         let h = t.home_state(0);
         assert_eq!(h.base_version, h.version);
-        let (pos, image) = t
-            .recovery_image(0, &VClock::new(2), &mut pool)
-            .expect("base");
+        let (pos, image) = t.recovery_image(0, &VClock::new(2)).expect("base");
         assert_eq!((pos, word(&image)), (0, 42));
         assert_eq!(t.frame(0).read_u64(0), 77);
         // A table that retains no served pages keeps no image of the
@@ -876,7 +849,7 @@ mod tests {
         let mut t = PageTable::new(&cfg(), 0);
         t.frame_mut(0).write_u64(0, 42);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        t.promote_base(&mut pool);
+        t.promote_base();
         let h = t.home_state(0);
         assert_eq!(h.served, ServedLog::default());
         assert_eq!(h.base_version, h.version);
@@ -938,7 +911,7 @@ mod tests {
         assert!(t.held_by(1).is_empty());
         // A checkpoint does not forget: a copy cached before it is
         // re-touched after it without a new fetch.
-        t.promote_base(&mut BufferPool::new(64));
+        t.promote_base();
         assert_eq!(t.held_by(2), vec![0, 1]);
         assert!(t.copysets_complete());
     }
@@ -946,28 +919,25 @@ mod tests {
     #[test]
     fn a_fetch_retains_its_buffer_and_leaves_the_base_alone() {
         let iv = IntervalId { node: 0, seq: 0 };
-        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
         t.keep_served_copies(ServedCopies::Retain);
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, iv);
-        let (first, version) = t.serve_copy(0, &mut pool);
+        let (first, version) = t.serve_copy(0);
         assert!(version.covers(iv));
         // The retained image is the clean frame's own buffer.
         assert!(t.frame(0).as_shared().is_some_and(|b| b.ptr_eq(&first)));
         // The base stays the checkpoint image whoever fetches: image 0,
         // selected at horizon 0, is the zeroed page and no buffer served.
-        let (pos, base) = t
-            .recovery_image(0, &VClock::new(2), &mut pool)
-            .expect("base");
+        let (pos, base) = t.recovery_image(0, &VClock::new(2)).expect("base");
         assert!(pos == 0 && base[..] == [0u8; 64][..] && !base.ptr_eq(&first));
         // One version, one buffer; a new version, a new one. The write
         // makes the frame private first, and the image keeps its bytes.
-        assert!(t.serve_copy(0, &mut pool).0.ptr_eq(&first));
-        t.before_home_write(0, &mut pool);
+        assert!(t.serve_copy(0).0.ptr_eq(&first));
+        t.before_home_write(0);
         t.frame_mut(0).write_u64(0, 6);
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        assert!(!t.serve_copy(0, &mut pool).0.ptr_eq(&first));
+        assert!(!t.serve_copy(0).0.ptr_eq(&first));
         assert_eq!(word(&first), 5);
         assert_eq!(
             t.home_state(0).served.images().len(),
@@ -975,14 +945,14 @@ mod tests {
             "the base and two versions"
         );
         // A replay that saw only the first write gets the first buffer.
-        let (pos, image) = t.recovery_image(0, &version, &mut pool).expect("retained");
+        let (pos, image) = t.recovery_image(0, &version).expect("retained");
         assert!(pos == 1 && image.ptr_eq(&first));
         // A crashed home has nothing to select from until it checkpoints.
         let mut t = PageTable::restarted(&cfg(), 0, t.home_map());
         t.keep_served_copies(ServedCopies::Retain);
-        assert!(t.recovery_image(0, &version, &mut pool).is_none());
-        t.promote_base(&mut pool);
-        assert!(t.recovery_image(0, &version, &mut pool).is_some());
+        assert!(t.recovery_image(0, &version).is_none());
+        t.promote_base();
+        assert!(t.recovery_image(0, &version).is_some());
     }
 
     /// A home that retains nothing ships one buffer per clean version:
@@ -991,13 +961,12 @@ mod tests {
     /// frame is copied each time and stays private.
     #[test]
     fn a_home_that_retains_nothing_ships_one_buffer_per_clean_version() {
-        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
         t.frame_mut(0).write_u64(0, 5);
         t.note_home_write(0, IntervalId { node: 0, seq: 0 });
-        let (first, version) = t.serve_copy(0, &mut pool);
+        let (first, version) = t.serve_copy(0);
         assert!(t.frame(0).as_shared().is_some_and(|b| b.ptr_eq(&first)));
-        let (second, again) = t.serve_copy(0, &mut pool);
+        let (second, again) = t.serve_copy(0);
         assert!(second.ptr_eq(&first) && again == version);
         assert!(
             t.home_state(0).served.images().is_empty(),
@@ -1005,70 +974,66 @@ mod tests {
         );
         // With every copy dropped, the frame still is the buffer.
         drop((first, second));
-        let held = t.serve_copy(0, &mut pool).0;
-        assert!(t.serve_copy(0, &mut pool).0.ptr_eq(&held));
+        let held = t.serve_copy(0).0;
+        assert!(t.serve_copy(0).0.ptr_eq(&held));
         // A dirty frame is copied each time, and nothing of it is kept.
-        t.before_home_write(0, &mut pool);
+        t.before_home_write(0);
         t.entry_mut(0).dirty = true;
         t.frame_mut(0).write_u64(0, 6);
-        let dirty = t.serve_copy(0, &mut pool).0;
-        assert!(!dirty.ptr_eq(&held) && !t.serve_copy(0, &mut pool).0.ptr_eq(&dirty));
+        let dirty = t.serve_copy(0).0;
+        assert!(!dirty.ptr_eq(&held) && !t.serve_copy(0).0.ptr_eq(&dirty));
         assert!(!t.frame(0).is_shared());
         assert_eq!((word(&held), word(&dirty)), (5, 6));
         // A moved version is served as the frame again, and shared from
         // then on.
         t.entry_mut(0).dirty = false;
         t.note_home_write(0, IntervalId { node: 0, seq: 1 });
-        let moved = t.serve_copy(0, &mut pool).0;
-        assert!(!moved.ptr_eq(&held) && t.serve_copy(0, &mut pool).0.ptr_eq(&moved));
+        let moved = t.serve_copy(0).0;
+        assert!(!moved.ptr_eq(&held) && t.serve_copy(0).0.ptr_eq(&moved));
         assert_eq!(word(&moved), 6);
     }
 
     /// A home frame turns private before every change — a booked write,
-    /// an applied diff — drawing the frame from the pool its shared
-    /// buffer's predecessor went to, so no copy served before sees the
-    /// change. A home rebuilding its served logs first retains the image
+    /// an applied diff — so no copy served before sees the change. A home rebuilding its served logs first retains the image
     /// the change leaves.
     #[test]
     fn a_home_frame_turns_private_before_it_changes() {
-        let mut pool = BufferPool::new(64);
         let mut t = PageTable::new(&cfg(), 0);
-        let served = t.serve_copy(0, &mut pool).0;
-        assert_eq!(pool.idle_frames(), 1, "the private frame went to the pool");
+        let served = t.serve_copy(0).0;
+        assert!(t.frame(0).as_shared().is_some_and(|b| b.ptr_eq(&served)));
         let twin = Twin::of(&PageFrame::zeroed(64));
         let mut written = PageFrame::zeroed(64);
         written.write_u64(8, 3);
         let diff = PageDiff::create(0, &twin, &written);
-        assert!(!t.before_home_write(0, &mut pool), "nothing to retain");
-        assert_eq!(pool.idle_frames(), 0, "and drawn back");
+        assert!(!t.before_home_write(0), "nothing to retain");
+        assert!(!t.frame(0).is_shared(), "and private again");
         t.apply_home_diff(&diff, IntervalId { node: 1, seq: 0 });
         assert_eq!((t.frame(0).read_u64(8), served[8]), (3, 0));
         // A private frame stays as it is.
-        t.before_home_write(0, &mut pool);
-        assert!(!t.frame(0).is_shared() && pool.idle_frames() == 0);
+        t.before_home_write(0);
+        assert!(!t.frame(0).is_shared());
         // A crashed home that rebuilds its served logs keeps the image
         // a change leaves: its frame's buffer, once per position.
         let mut r = PageTable::restarted(&cfg(), 0, t.home_map());
         r.keep_served_copies(ServedCopies::Retain);
         r.rebuild_served_logs(std::iter::empty());
-        assert!(r.before_home_write(0, &mut pool), "an image retained");
+        assert!(r.before_home_write(0), "an image retained");
         assert!(!r.frame(0).is_shared());
         assert_eq!(r.home_state(0).served.images().len(), 1);
-        assert!(!r.before_home_write(0, &mut pool), "one per position");
+        assert!(!r.before_home_write(0), "one per position");
     }
 
     #[test]
     fn a_predicted_copy_is_the_buffer_it_was_shipped_in() {
         let mut t = PageTable::new(&cfg(), 0);
-        let mut pool = BufferPool::new(64);
         let data = SharedBytes::copy_of(&[3u8; 64]);
         t.install_predicted(2, data.clone(), VClock::new(2));
         assert_eq!(t.entry(2).state, PageState::ReadOnly);
         assert!(t.frame(2).as_shared().is_some_and(|b| b.ptr_eq(&data)));
         assert!(!t.entry(2).is_resident(), "untouched");
-        // Invalidated untouched: no frame was ever drawn or recycled.
-        t.invalidate(2, &mut pool);
-        assert!(t.entry(2).predicted.is_none() && pool.idle_frames() == 0);
+        // Invalidated untouched: it drops as the buffer it came in.
+        t.invalidate(2);
+        assert!(t.entry(2).predicted.is_none() && t.entry(2).frame.is_none());
         assert!(t.take_predicted(2).is_none());
         // Touched: the buffer is handed back, with its version, as the
         // reply it arrived in, and stays the frame.

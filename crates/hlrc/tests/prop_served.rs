@@ -19,7 +19,7 @@ use std::cell::Cell;
 
 use hlrc::{DsmConfig, PageTable, RecoveryImage, ServedCopies};
 use minicheck::{check, Rng};
-use pagemem::{BufferPool, DiffRun, Encode, IntervalId, PageDiff, PageFrame, SharedBytes, VClock};
+use pagemem::{DiffRun, Encode, IntervalId, PageDiff, PageFrame, SharedBytes, VClock};
 
 const CASES: u64 = 256;
 const NODES: usize = 3;
@@ -69,7 +69,6 @@ enum Op {
 struct Home {
     cfg: DsmConfig,
     table: PageTable,
-    pool: BufferPool,
     pages: Vec<PageModel>,
     next_seq: [u32; NODES],
     next_value: u32,
@@ -90,7 +89,6 @@ impl Home {
         Home {
             cfg,
             table,
-            pool: BufferPool::new(PAGE),
             pages: (0..n_pages).map(|_| PageModel::default()).collect(),
             next_seq: [0; NODES],
             next_value: 1,
@@ -116,7 +114,7 @@ impl Home {
         };
         // The interval's first write traps, and the frame turns private.
         if !self.table.entry(page as u32).dirty {
-            self.table.before_home_write(page as u32, &mut self.pool);
+            self.table.before_home_write(page as u32);
         }
         self.table.frame_mut(page as u32).write_u32(word * 4, value);
         self.table.entry_mut(page as u32).dirty = true;
@@ -167,7 +165,7 @@ impl Home {
                 data: value.to_le_bytes().to_vec(),
             }],
         };
-        self.table.before_home_write(page as u32, &mut self.pool);
+        self.table.before_home_write(page as u32);
         self.table.apply_home_diff(&diff, iv);
         self.pages[page].entries.push((iv, vec![(word, value)]));
         self.ops.push(Op::Diff(page as u32, iv, word, value));
@@ -176,7 +174,7 @@ impl Home {
     /// A barrier-aligned checkpoint: intervals closed, base promoted.
     fn checkpoint(&mut self) {
         self.home_close();
-        self.table.promote_base(&mut self.pool);
+        self.table.promote_base();
         for (p, image) in self.checkpointed.iter_mut().enumerate() {
             let version = self.table.home_state(p as u32).version.clone();
             *image = (self.table.frame(p as u32).bytes().to_vec(), version);
@@ -201,7 +199,7 @@ impl Home {
             // the copy cached before it and re-touched after it.
             let (pos, image) = self
                 .table
-                .recovery_image(page, &all, &mut self.pool)
+                .recovery_image(page, &all)
                 .expect("the checkpoint state is always restorable");
             assert_eq!(pos, 0);
             assert_eq!(&image[..], self.table.frame(page).bytes());
@@ -212,7 +210,7 @@ impl Home {
     fn check_selection(&mut self, page: usize, required: &VClock) -> Option<u32> {
         let before: Vec<(u32, SharedBytes)> =
             self.table.home_state(page as u32).served.images().to_vec();
-        let (pos, image) = (self.table).recovery_image(page as u32, required, &mut self.pool)?;
+        let (pos, image) = (self.table).recovery_image(page as u32, required)?;
         let covered: Vec<&Entry> = self.pages[page]
             .entries
             .iter()
@@ -249,9 +247,9 @@ fn the_selected_image_is_the_earliest_that_holds_every_covered_write() {
                 7..=9 => {
                     // Every fetch of one version is one buffer.
                     let kept = home.table.home_state(page as u32).served.images().len();
-                    let (first, _) = home.table.serve_copy(page as u32, &mut home.pool);
+                    let (first, _) = home.table.serve_copy(page as u32);
                     for _ in 0..100 {
-                        let again = home.table.serve_copy(page as u32, &mut home.pool).0;
+                        let again = home.table.serve_copy(page as u32).0;
                         assert!(again.ptr_eq(&first));
                     }
                     assert!(home.table.home_state(page as u32).served.images().len() <= kept + 1);
@@ -346,8 +344,7 @@ impl Home {
             if self.table.awaits_rebuild(*page, required, closed) {
                 continue;
             }
-            let Some((pos, image)) = self.table.recovery_image(*page, required, &mut self.pool)
-            else {
+            let Some((pos, image)) = self.table.recovery_image(*page, required) else {
                 return Err(format!("page {page} absent at {required:?}"));
             };
             let entries = &order[*page as usize];
@@ -405,7 +402,7 @@ impl Home {
                     }
                     self.table.frame_mut(page).write_u32(word * 4, value);
                     if first && retain_after {
-                        self.table.before_home_write(page, &mut self.pool);
+                        self.table.before_home_write(page);
                     }
                     self.table.entry_mut(page).dirty = true;
                 }
@@ -426,14 +423,14 @@ impl Home {
                         self.table
                             .apply_home_diff(&one_word_diff(page, word, value), iv);
                         if retain_after {
-                            self.table.before_home_write(page, &mut self.pool);
+                            self.table.before_home_write(page);
                         }
                         self.check_rebuilt(&order, closed, requests)?;
                     }
                 }
             }
         }
-        self.table.finish_served_rebuild(&mut self.pool);
+        self.table.finish_served_rebuild();
         for (page, required) in requests {
             assert!(!self.table.awaits_rebuild(*page, required, closed));
         }
@@ -445,9 +442,9 @@ impl Home {
     fn before_change(&mut self, page: u32, retain_after: bool) {
         if retain_after {
             let frame = self.table.entry_mut(page).frame.as_mut().unwrap();
-            self.pool.make_private(frame);
+            frame.make_private();
         } else {
-            self.table.before_home_write(page, &mut self.pool);
+            self.table.before_home_write(page);
         }
     }
 }
@@ -464,7 +461,7 @@ fn a_log_rebuilt_by_replay_selects_as_soundly_as_the_one_it_replaces() {
                 0..=2 => home.home_write(page),
                 3..=4 => home.home_close(),
                 5..=7 => home.remote_diff(page, rng.usize_in(1, NODES)),
-                8 => drop(home.table.serve_copy(page as u32, &mut home.pool)),
+                8 => drop(home.table.serve_copy(page as u32)),
                 _ => home.checkpoint(),
             }
         }
@@ -485,21 +482,15 @@ fn a_log_rebuilt_by_replay_selects_as_soundly_as_the_one_it_replaces() {
         home.crash_and_rebuild(&[], false)
             .expect("nothing to check");
         let (page, required) = &requests[0];
-        let pool = &mut home.pool;
-        let (pos, _) = home
-            .table
-            .recovery_image(*page, required, pool)
-            .expect("whole");
+        let (pos, _) = home.table.recovery_image(*page, required).expect("whole");
         for held in (0..=home.table.home_state(*page).served.pos()).filter(|h| *h != pos) {
-            let (answer, _) = home
-                .table
-                .recovery_answer(*page, required, Some(held), pool);
+            let (answer, _) = home.table.recovery_answer(*page, required, Some(held));
             assert!(
                 matches!(answer, RecoveryImage::Image { .. }),
                 "a delta against the unsent image {held}: {answer:?}"
             );
         }
-        let (answer, _) = home.table.recovery_answer(*page, required, Some(pos), pool);
+        let (answer, _) = home.table.recovery_answer(*page, required, Some(pos));
         assert!(matches!(answer, RecoveryImage::Delta { diff, .. } if diff.is_empty()));
         // Same run, same requests, images taken after the write.
         caught.set(caught.get() + u32::from(home.crash_and_rebuild(&requests, true).is_err()));
@@ -529,7 +520,6 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_t
     check("served_delta", CASES, |rng| {
         let cfg = DsmConfig::new(2, 2).with_page_size(PAGE);
         let mut table = PageTable::new(&cfg, 0);
-        let pool = &mut BufferPool::new(PAGE);
         table.keep_served_copies(ServedCopies::Retain);
         // A few versions of page 0, from a word here and there to a
         // rewrite of everything, each fetched once.
@@ -538,11 +528,11 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_t
         for seq in 0..rng.u32_in(2, 7) {
             let density = *rng.pick(&[5, 50, 400, 1000]);
             let next = mutate(rng, table.frame(0).bytes(), density);
-            table.before_home_write(0, pool);
+            table.before_home_write(0);
             table.frame_mut(0).copy_from(&next);
             let iv = IntervalId { node: 0, seq };
             table.note_home_write(0, iv);
-            table.serve_copy(0, pool);
+            table.serve_copy(0);
             required.observe(iv);
             clocks.push(required.clone());
         }
@@ -555,10 +545,10 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_t
             }
         }
         for required in &clocks {
-            let (chosen, whole) = table.recovery_image(0, required, pool).expect("retained");
+            let (chosen, whole) = table.recovery_image(0, required).expect("retained");
             // No held image, or one the home does not retain: the page.
             for held in [None, Some(1000)] {
-                let (answer, compared) = table.recovery_answer(0, required, held, pool);
+                let (answer, compared) = table.recovery_answer(0, required, held);
                 assert!(!compared);
                 assert_eq!(
                     answer,
@@ -569,7 +559,7 @@ fn a_delta_rebuilds_the_image_and_is_sent_only_when_it_costs_less_copying_than_t
                 );
             }
             for (held, old) in &images {
-                let (answer, compared) = table.recovery_answer(0, required, Some(*held), pool);
+                let (answer, compared) = table.recovery_answer(0, required, Some(*held));
                 assert_eq!(compared, *held != chosen);
                 match answer {
                     RecoveryImage::Delta { pos, diff } => {
@@ -622,7 +612,6 @@ fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
     check("served_requester_writes", CASES, |rng| {
         let cfg = DsmConfig::new(NODES, NODES as u32).with_page_size(PAGE);
         let mut table = PageTable::new(&cfg, 0);
-        let pool = &mut BufferPool::new(PAGE);
         table.keep_served_copies(ServedCopies::Retain);
         let mut next_seq = [0u32; NODES];
         let mut interval = |node: usize| {
@@ -645,7 +634,7 @@ fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
             match rng.u32_in(0, 6) {
                 // The home writes and closes an interval of its own.
                 0 => {
-                    table.before_home_write(0, pool);
+                    table.before_home_write(0);
                     for &(word, value) in &writes {
                         table.frame_mut(0).write_u32(word * 4, value);
                     }
@@ -669,20 +658,19 @@ fn an_answer_restores_a_copy_the_requester_wrote_from_the_image_it_held() {
                     let diff = PageDiff::between(0, twin.bytes(), base.bytes());
                     if !diff.is_empty() {
                         let iv = interval(writer);
-                        table.before_home_write(0, pool);
+                        table.before_home_write(0);
                         table.apply_home_diff(&diff, iv);
                         known.observe(iv);
                     }
                 }
                 // Somebody else fetches: an image in between.
-                4 => drop(table.serve_copy(0, pool)),
+                4 => drop(table.serve_copy(0)),
                 // A replayed sync of the requester names the page.
                 _ => {
-                    let (chosen, whole) =
-                        table.recovery_image(0, &known, pool).expect("clean home");
+                    let (chosen, whole) = table.recovery_image(0, &known).expect("clean home");
                     assert_eq!(&whole[..], table.frame(0).bytes());
                     let (answer, _) =
-                        table.recovery_answer(0, &known, held.as_ref().map(|h| h.pos), pool);
+                        table.recovery_answer(0, &known, held.as_ref().map(|h| h.pos));
                     let restored = match (answer, held.take()) {
                         (RecoveryImage::Image { data, .. }, _) => PageFrame::from_bytes(&data),
                         (RecoveryImage::Delta { pos, diff }, Some(h)) if pos == h.pos => {

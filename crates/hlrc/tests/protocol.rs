@@ -383,7 +383,7 @@ fn homes_remember_who_fetched_what_until_they_crash() {
             node.barrier(); // serves node 1's requests while gathering
             let held = node.inner.pages.held_by(1);
             let complete = node.inner.pages.copysets_complete();
-            let (mut node, _) = node.restart(SimDuration::ZERO, Box::new(NoLogging));
+            let (mut node, _) = node.restart(Box::new(NoLogging));
             // Serve the post-crash hello until node 1 releases us.
             node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
             vec![(held, complete)]
@@ -534,7 +534,7 @@ fn a_home_restores_a_peer_from_what_it_served_until_it_crashes() {
         if node.inner.me() == 0 {
             node.write_u64(8, 0xA1);
             node.barrier(); // serves node 1's requests while gathering
-            let (mut node, _) = node.restart(SimDuration::ZERO, Box::new(Retaining));
+            let (mut node, _) = node.restart(Box::new(Retaining));
             node.wait_for(|m| matches!(m, Msg::DiffAck { .. }));
             Vec::new()
         } else {
@@ -757,7 +757,7 @@ fn a_held_position_from_before_the_homes_crash_is_answered_with_a_whole_page() {
             node.wait_for(|m| is_mark(m, 1)); // serves the flush and both fetches
             node.write_u64(PAGE2 + 24, 0xB2);
             node.barrier();
-            let (mut node, _) = node.restart(SimDuration::ZERO, rebuilding());
+            let (mut node, _) = node.restart(rebuilding());
             // Replay, by hand: the interval, then the update.
             node.write_u64(PAGE2 + 8, 0xA1);
             node.write_u64(PAGE2 + 24, 0xB2);
@@ -896,7 +896,7 @@ fn early_lock_request_waits_out_the_barrier(crash: bool) {
             if crash {
                 // No log: the restart re-executes barrier 0, which the
                 // manager answers from its release history.
-                node = node.restart(SimDuration::ZERO, Box::new(NoLogging)).0;
+                node = node.restart(Box::new(NoLogging)).0;
                 assert_eq!(grants(&node), 0, "granted at epoch 0 after the crash");
                 node.barrier();
             }

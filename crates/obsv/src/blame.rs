@@ -340,12 +340,15 @@ impl Joins {
     }
 }
 
-fn obj_of_log(obj: LogObj) -> BlameObj {
-    match obj {
-        LogObj::Page { page } => BlameObj::Page(page),
-        LogObj::Lock { lock } => BlameObj::Lock(lock),
-        LogObj::Barrier { epoch } => BlameObj::Barrier(epoch),
-        LogObj::Meta => BlameObj::Meta,
+/// The object a log record is blamed on.
+impl From<LogObj> for BlameObj {
+    fn from(obj: LogObj) -> BlameObj {
+        match obj {
+            LogObj::Page { page } => BlameObj::Page(page),
+            LogObj::Lock { lock } => BlameObj::Lock(lock),
+            LogObj::Barrier { epoch } => BlameObj::Barrier(epoch),
+            LogObj::Meta => BlameObj::Meta,
+        }
     }
 }
 
@@ -465,7 +468,7 @@ fn scan_node<R>(n: &ccl_core::NodeOutput<R>) -> NodeScan {
                 }
             }
             TraceKind::LogAppend { bytes, obj } => {
-                pending.push_back((bytes, obj_of_log(obj)));
+                pending.push_back((bytes, obj.into()));
             }
             TraceKind::LogFlush { bytes, .. } => {
                 // Pop the appends this flush persisted (FIFO — staged

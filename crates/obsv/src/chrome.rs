@@ -23,7 +23,7 @@
 
 use std::fmt::Write as _;
 
-use ccl_core::{LogObj, NodeOutput, RunOutput, TraceKind};
+use ccl_core::{NodeOutput, RunOutput, TraceKind};
 
 use crate::blame::{Blame, BlameObj, SegmentKind};
 use crate::json::quoted;
@@ -257,12 +257,7 @@ fn event_object(kind: &TraceKind) -> Option<BlameObj> {
         | TraceKind::BarrierExit { epoch }
         | TraceKind::BarrierReleased { epoch, .. } => Some(BlameObj::Barrier(epoch)),
         TraceKind::FlushAckWait { home, .. } => Some(BlameObj::Flush(home)),
-        TraceKind::LogAppend { obj, .. } => Some(match obj {
-            LogObj::Page { page } => BlameObj::Page(page),
-            LogObj::Lock { lock } => BlameObj::Lock(lock),
-            LogObj::Barrier { epoch } => BlameObj::Barrier(epoch),
-            LogObj::Meta => BlameObj::Meta,
-        }),
+        TraceKind::LogAppend { obj, .. } => Some(obj.into()),
         _ => None,
     }
 }

@@ -31,7 +31,6 @@
 use crate::addr::PageId;
 use crate::codec::{ByteReader, CodecError, Decode, Encode, Sink};
 use crate::page::PageFrame;
-use crate::pool::BufferPool;
 
 /// Word granularity of diff comparison, in bytes.
 pub const DIFF_WORD: usize = 4;
@@ -58,15 +57,13 @@ impl Twin {
     }
 
     /// Snapshot `page` at its first write, which this makes private
-    /// ([`BufferPool::make_private`]): the twin of a shared frame is the
-    /// buffer it shared, with no copy, and the frame a copy drawn from
-    /// `pool`; the twin of a private frame is a copy drawn from `pool`.
-    /// Either way one page is copied, into a recycled backing store, so
-    /// the steady-state twin churn of an interval allocates nothing.
-    pub fn before_write(page: &mut PageFrame, pool: &mut BufferPool) -> Twin {
-        let data = match pool.make_private(page) {
+    /// ([`PageFrame::make_private`]): the twin of a shared frame is the
+    /// buffer it shared, with no copy, and the frame a private copy; the
+    /// twin of a private frame is a copy. Either way one page is copied.
+    pub fn before_write(page: &mut PageFrame) -> Twin {
+        let data = match page.make_private() {
             Some(shipped) => PageFrame::shared(shipped),
-            None => pool.frame_from_bytes(page.bytes()),
+            None => page.clone(),
         };
         Twin { data }
     }
@@ -79,12 +76,6 @@ impl Twin {
     /// The pristine page frame.
     pub fn frame(&self) -> &PageFrame {
         &self.data
-    }
-
-    /// Consume the twin, yielding its frame (for recycling into a
-    /// [`BufferPool`] once the diff has been taken).
-    pub fn into_frame(self) -> PageFrame {
-        self.data
     }
 }
 
@@ -147,34 +138,6 @@ impl PageDiff {
     /// # Panics
     /// As [`PageDiff::create`].
     pub fn between(page: PageId, old: &[u8], new: &[u8]) -> PageDiff {
-        Self::build(page, old, new, |new, start, end| new[start..end].to_vec())
-    }
-
-    /// [`PageDiff::create`], drawing run buffers from `pool` so diff
-    /// construction recycles the byte vectors of previously applied
-    /// diffs instead of allocating.
-    pub fn create_in(
-        page: PageId,
-        twin: &Twin,
-        current: &PageFrame,
-        pool: &mut BufferPool,
-    ) -> PageDiff {
-        Self::build(page, twin.bytes(), current.bytes(), |new, start, end| {
-            let mut buf = pool.take_buf(end - start);
-            buf.extend_from_slice(&new[start..end]);
-            buf
-        })
-    }
-
-    /// The chunked scan. `make_run` materializes `new[start..end]`;
-    /// factored out so the pooled and plain entry points share one
-    /// kernel.
-    fn build<F: FnMut(&[u8], usize, usize) -> Vec<u8>>(
-        page: PageId,
-        old: &[u8],
-        new: &[u8],
-        mut make_run: F,
-    ) -> PageDiff {
         assert_eq!(old.len(), new.len(), "twin/page size mismatch");
         assert_eq!(new.len() % DIFF_WORD, 0, "page not word-divisible");
 
@@ -203,7 +166,7 @@ impl PageDiff {
                     (true, true) => run_start = Some(at),
                     (true, false) => runs.push(DiffRun {
                         offset: at as u32,
-                        data: make_run(new, at, at + DIFF_WORD),
+                        data: new[at..at + DIFF_WORD].to_vec(),
                     }),
                     // The chunk differs, so at least one word changed.
                     (false, _) => run_start = Some(at + DIFF_WORD),
@@ -225,12 +188,12 @@ impl PageDiff {
                         // unchanged high word.
                         runs.push(DiffRun {
                             offset: start as u32,
-                            data: make_run(new, start, at + DIFF_WORD),
+                            data: new[start..at + DIFF_WORD].to_vec(),
                         });
                     } else {
                         runs.push(DiffRun {
                             offset: start as u32,
-                            data: make_run(new, start, at),
+                            data: new[start..at].to_vec(),
                         });
                         if w1 {
                             run_start = Some(at + DIFF_WORD);
@@ -250,7 +213,7 @@ impl PageDiff {
                 (false, Some(start)) => {
                     runs.push(DiffRun {
                         offset: start as u32,
-                        data: make_run(new, start, at),
+                        data: new[start..at].to_vec(),
                     });
                     run_start = None;
                 }
@@ -261,7 +224,7 @@ impl PageDiff {
         if let Some(start) = run_start {
             runs.push(DiffRun {
                 offset: start as u32,
-                data: make_run(new, start, len),
+                data: new[start..len].to_vec(),
             });
         }
         PageDiff { page, runs }
@@ -511,33 +474,16 @@ mod tests {
         assert_eq!(d.runs[0].data.len(), 4);
     }
 
-    #[test]
-    fn pooled_create_matches_plain_create() {
-        let mut pool = BufferPool::new(64);
-        let mut p = PageFrame::zeroed(64);
-        let t = Twin::before_write(&mut p, &mut pool);
-        let mut p2 = p.clone();
-        p2.write_u64(16, 77);
-        p2.write_u32(40, 3);
-        let plain = PageDiff::create(9, &t, &p2);
-        let pooled = PageDiff::create_in(9, &t, &p2, &mut pool);
-        assert_eq!(plain, pooled);
-        pool.recycle_frame(t.into_frame());
-        assert_eq!(pool.idle_frames(), 1);
-    }
-
     /// The twin of a shared frame is the buffer it shared: the frame
-    /// alone is copied, into a pooled frame, and the buffer's other
-    /// holders never see the write the twin is taken for.
+    /// alone is copied, and the buffer's other holders never see the
+    /// write the twin is taken for.
     #[test]
     fn a_shared_frame_becomes_its_own_twin() {
-        let mut pool = BufferPool::new(64);
-        pool.recycle_frame(PageFrame::zeroed(64));
         let shipped = crate::SharedBytes::copy_of(&[3u8; 64]);
         let mut p = PageFrame::shared(shipped.clone());
-        let t = Twin::before_write(&mut p, &mut pool);
+        let t = Twin::before_write(&mut p);
         assert!(t.frame().as_shared().is_some_and(|b| b.ptr_eq(&shipped)));
-        assert!(!p.is_shared() && pool.idle_frames() == 0);
+        assert!(!p.is_shared());
         p.write_u32(8, 1);
         assert_eq!(&shipped[..], t.bytes());
         assert_eq!(PageDiff::create(0, &t, &p).runs.len(), 1);

@@ -14,10 +14,10 @@
 //!   timestamps;
 //! * [`codec`] — the binary wire/log codec that makes every reported
 //!   byte count real;
-//! * [`BufferPool`]/[`SharedBytes`] — hot-path memory plumbing:
-//!   per-node frame/buffer recycling and refcount-shared page payloads,
-//!   which a frame shares until its first write (physical optimizations
-//!   only; all reported byte counts stay logical).
+//! * [`SharedBytes`] — refcount-shared page payloads, which a frame
+//!   shares until its first write (a physical optimization only; all
+//!   reported byte counts stay logical). Frames, twins and diff runs
+//!   come from the allocator and drop when they die.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@ mod bytes;
 pub mod codec;
 mod diff;
 mod page;
-mod pool;
 mod protect;
 mod vclock;
 
@@ -36,6 +35,5 @@ pub use bytes::SharedBytes;
 pub use codec::{ByteCount, ByteReader, ByteWriter, CodecError, Decode, Encode, Sink};
 pub use diff::{DiffRun, PageDiff, Twin, DIFF_WORD};
 pub use page::PageFrame;
-pub use pool::{BufferPool, PoolStats};
 pub use protect::{Access, Fault, PageState};
 pub use vclock::{IntervalId, VClock, VOrder};

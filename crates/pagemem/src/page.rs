@@ -12,8 +12,8 @@ use crate::bytes::SharedBytes;
 /// frame, other readers). Reads see either the same way. A shared frame
 /// is never written: [`PageFrame::bytes_mut`] panics on one, and the
 /// page table makes a frame private where a write is booked
-/// ([`crate::BufferPool::make_private`]), so no holder of a shared
-/// buffer ever sees a write. A clone is always private.
+/// ([`PageFrame::make_private`]), so no holder of a shared buffer ever
+/// sees a write. A clone is always private.
 ///
 /// All accesses are bounds-checked; typed accessors additionally require
 /// natural alignment of the offset, mirroring what real hardware would
@@ -33,12 +33,18 @@ enum Backing {
 impl PageFrame {
     /// A zero-filled frame of `size` bytes.
     pub fn zeroed(size: usize) -> PageFrame {
-        PageFrame::from_boxed(vec![0u8; size].into_boxed_slice())
+        PageFrame::private(vec![0u8; size].into_boxed_slice())
     }
 
     /// A private frame initialized from existing bytes.
     pub fn from_bytes(bytes: &[u8]) -> PageFrame {
-        PageFrame::from_boxed(bytes.into())
+        PageFrame::private(bytes.into())
+    }
+
+    fn private(data: Box<[u8]>) -> PageFrame {
+        PageFrame {
+            data: Backing::Private(data),
+        }
     }
 
     /// A frame that is the buffer `bytes` itself, shared and read-only
@@ -49,21 +55,27 @@ impl PageFrame {
         }
     }
 
-    /// A private frame taking ownership of an existing backing store
-    /// (the pooling path — see [`crate::BufferPool`]).
-    pub(crate) fn from_boxed(data: Box<[u8]>) -> PageFrame {
-        PageFrame {
-            data: Backing::Private(data),
+    /// The buffer this frame shares, sharing it first if it is private:
+    /// the frame becomes a copy of itself in a shared buffer, and its
+    /// private backing store drops. How a clean home frame is served
+    /// and retained — every copy of one version is its buffer.
+    pub fn share(&mut self) -> SharedBytes {
+        if let Some(bytes) = self.as_shared() {
+            return bytes.clone();
         }
+        let bytes = SharedBytes::copy_of(self.bytes());
+        self.data = Backing::Shared(bytes.clone());
+        bytes
     }
 
-    /// Consume the frame, yielding its backing store for reuse, if it
-    /// is private.
-    pub(crate) fn into_boxed(self) -> Option<Box<[u8]>> {
-        match self.data {
-            Backing::Private(data) => Some(data),
-            Backing::Shared(_) => None,
-        }
+    /// Make this frame private, about to be written: a shared frame
+    /// becomes a private copy, and the buffer it shared — which its
+    /// other holders keep, unwritten — is handed back. `None` when the
+    /// frame was private already.
+    pub fn make_private(&mut self) -> Option<SharedBytes> {
+        let bytes = self.as_shared()?.clone();
+        self.data = Backing::Private(bytes.as_slice().into());
+        Some(bytes)
     }
 
     /// The buffer this frame shares, if it is shared.
@@ -300,6 +312,23 @@ mod tests {
         c.write_u64(0, 9);
         assert_eq!((buf[0], p.read_u64(0)), (1, 1));
         assert!(PageFrame::zeroed(8).as_shared().is_none());
+    }
+
+    /// Sharing a private frame turns it into a copy of itself in one
+    /// shared buffer, and making it private again copies that buffer,
+    /// which stays unwritten. A shared frame shares as is, and a private
+    /// one stays private.
+    #[test]
+    fn share_and_make_private_round_trip() {
+        let mut frame = PageFrame::from_bytes(&[5u8; 64]);
+        let bytes = frame.share();
+        assert!(frame.as_shared().is_some_and(|b| b.ptr_eq(&bytes)));
+        assert!(frame.share().ptr_eq(&bytes));
+        let shipped = frame.make_private().expect("was shared");
+        assert!(shipped.ptr_eq(&bytes) && !frame.is_shared());
+        frame.write_u64(0, 1);
+        assert_eq!(&bytes[..], &[5u8; 64][..], "the shared buffer is unwritten");
+        assert!(frame.make_private().is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! coherence and recovery stack leans on.
 
 use minicheck::{check, Rng};
-use pagemem::{BufferPool, Decode, Encode, PageDiff, PageFrame, Twin, DIFF_WORD};
+use pagemem::{Decode, Encode, PageDiff, PageFrame, SharedBytes, Twin, DIFF_WORD};
 
 const PAGE: usize = 256;
 const CASES: u64 = 128;
@@ -184,12 +184,17 @@ fn chunked_kernel_matches_reference() {
         assert_eq!(fast, reference, "size={size} density={density}");
         assert_eq!(fast.encode_to_vec(), reference.encode_to_vec());
 
-        // The pooled entry point is equivalent too, warm or cold.
-        let mut pool = BufferPool::new(size);
-        let pooled_cold = PageDiff::create_in(7, &twin, &current, &mut pool);
-        pool.recycle_diff(pooled_cold);
-        let pooled_warm = PageDiff::create_in(7, &twin, &current, &mut pool);
-        assert_eq!(pooled_warm, reference);
+        // A twin booked at the first write of a shipped copy is the
+        // buffer the copy was shipped in, and diffs the same.
+        let shipped = SharedBytes::copy_of(&base);
+        let mut frame = PageFrame::shared(shipped.clone());
+        let booked = Twin::before_write(&mut frame);
+        assert!(booked
+            .frame()
+            .as_shared()
+            .is_some_and(|b| b.ptr_eq(&shipped)));
+        assert!(!frame.is_shared());
+        assert_eq!(PageDiff::create(7, &booked, &current), reference);
     });
 }
 

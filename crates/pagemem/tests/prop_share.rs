@@ -2,18 +2,18 @@
 //! buffer it was shipped in until a write is booked on it, and nobody
 //! else holding that buffer ever sees the write.
 //!
-//! A few frames and one pool run a random interleaving of what the
-//! page table does to them: a home serving a frame (sharing a clean
-//! one's buffer, copying a dirty one), holders cloning a served buffer,
-//! a buffer installed as a copy, writes — the first of an interval
-//! booked the way a write trap books it, through a twin or straight
-//! from the pool — interval ends, and frames recycled. After every step
+//! A few frames run a random interleaving of what the page table does
+//! to them: a home serving a frame (sharing a clean one's buffer,
+//! copying a dirty one), holders cloning a served buffer, a buffer
+//! installed as a copy, writes — the first of an interval booked the
+//! way a write trap books it, through a twin or by making the frame
+//! private — and interval ends. After every step
 //! each holder's buffer still reads what it read when it was taken,
 //! every dirty frame is private, and every frame reads what the model
 //! of its writes says.
 
 use minicheck::{check, Rng};
-use pagemem::{BufferPool, PageFrame, SharedBytes, Twin};
+use pagemem::{PageFrame, SharedBytes, Twin};
 
 const PAGE: usize = 64;
 const FRAMES: usize = 4;
@@ -61,14 +61,13 @@ fn random_page(rng: &mut Rng) -> Vec<u8> {
 #[test]
 fn no_holder_of_a_shared_buffer_sees_a_write_and_a_dirty_frame_is_private() {
     check("cow_frames", CASES, |rng| {
-        let mut pool = BufferPool::new(PAGE);
         let mut slots: Vec<Slot> = (0..FRAMES)
             .map(|_| Slot::of(PageFrame::from_bytes(&random_page(rng))))
             .collect();
         let mut held: Vec<Held> = Vec::new();
         for _ in 0..rng.usize_in(1, 80) {
             let i = rng.usize_in(0, FRAMES);
-            match rng.u32_in(0, 7) {
+            match rng.u32_in(0, 6) {
                 // Serve: a clean frame is shared as it stands, a dirty
                 // one copied.
                 0 => {
@@ -76,7 +75,7 @@ fn no_holder_of_a_shared_buffer_sees_a_write_and_a_dirty_frame_is_private() {
                     let bytes = if s.dirty {
                         SharedBytes::copy_of(s.frame.bytes())
                     } else {
-                        pool.share(&mut s.frame)
+                        s.frame.share()
                     };
                     held.push(Held::of(bytes));
                 }
@@ -90,19 +89,18 @@ fn no_holder_of_a_shared_buffer_sees_a_write_and_a_dirty_frame_is_private() {
                 // interval is writing.
                 2 if !held.is_empty() && !slots[i].dirty => {
                     let bytes = held[rng.usize_in(0, held.len())].bytes.clone();
-                    let old = std::mem::replace(&mut slots[i], Slot::of(PageFrame::shared(bytes)));
-                    pool.recycle_frame(old.frame);
+                    slots[i] = Slot::of(PageFrame::shared(bytes));
                 }
                 // A write: the interval's first is booked, as a remote
-                // write trap books it (twin) or a home's (pool copy).
+                // write trap books it (twin) or a home's (private copy).
                 3 | 4 => {
                     let s = &mut slots[i];
                     if !s.dirty {
                         if rng.bool() {
-                            let twin = Twin::before_write(&mut s.frame, &mut pool);
+                            let twin = Twin::before_write(&mut s.frame);
                             s.twin = Some((twin, s.model.clone()));
                         } else {
-                            pool.make_private(&mut s.frame);
+                            s.frame.make_private();
                         }
                         s.dirty = true;
                     }
@@ -112,21 +110,11 @@ fn no_holder_of_a_shared_buffer_sees_a_write_and_a_dirty_frame_is_private() {
                     s.model[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
                 }
                 // The interval ends: the twin is done with.
-                5 => {
+                _ => {
                     let s = &mut slots[i];
-                    if let Some((twin, _)) = s.twin.take() {
-                        pool.recycle_frame(twin.into_frame());
-                    }
+                    s.twin = None;
                     s.dirty = false;
                 }
-                // The copy is dropped and a fresh private one takes its
-                // place.
-                _ if !slots[i].dirty => {
-                    let fresh = pool.frame_from_bytes(&random_page(rng));
-                    let old = std::mem::replace(&mut slots[i], Slot::of(fresh));
-                    pool.recycle_frame(old.frame);
-                }
-                _ => {}
             }
             for h in &held {
                 assert_eq!(&h.bytes[..], &h.seen[..], "a holder saw a write");

@@ -131,13 +131,6 @@ impl<M: WireSized> NodeCtx<M> {
         self.clock += d;
     }
 
-    /// Advance the clock by a blocked interval of known length
-    /// (e.g. the crash-detection timeout), accounted as wait time.
-    pub fn charge_wait(&mut self, d: SimDuration) {
-        self.stats.wait_time += d;
-        self.clock += d;
-    }
-
     /// Move the clock forward to `t` (no-op if already past it) and
     /// account the jump as wait time.
     pub fn wait_until(&mut self, t: SimTime) {
@@ -335,17 +328,14 @@ impl<M: WireSized> NodeCtx<M> {
         ]
     }
 
-    /// Record a crash at the current virtual time, then sit out the
-    /// cluster's crash-detection timeout (blocked, not computing): the
-    /// recovery window opens at the crash, so it includes `detection`.
-    /// The telemetry survives (it models an external observer, not node
-    /// memory).
-    pub fn mark_crashed(&mut self, detection: SimDuration) {
+    /// Record a crash at the current virtual time: the recovery window
+    /// opens here. The telemetry survives (it models an external
+    /// observer, not node memory).
+    pub fn mark_crashed(&mut self) {
         self.crashed_at = Some(self.clock);
         self.recovery_exit = None;
         self.recovery_phases = None;
         self.crash_counters = self.time_counters();
-        self.charge_wait(detection);
         self.trace(TraceKind::Crash);
     }
 
@@ -457,7 +447,9 @@ impl<M: WireSized + Clone> NodeCtx<M> {
 }
 
 /// Spawn `n` node threads, run `f` on each, and collect the results in
-/// node order. Panics in a node propagate after all threads are joined.
+/// node order. A panic in a node propagates, with its own payload, after
+/// all threads are joined: the first node's to die, since its peers'
+/// panics (a deadlock, a send to the dead node) only follow from it.
 pub fn run_cluster<M, R, F>(n: usize, cost: CostModel, f: F) -> Vec<R>
 where
     M: WireSized + Send + 'static,
@@ -465,8 +457,9 @@ where
     F: Fn(NodeCtx<M>) -> R + Send + Sync,
 {
     let eps = make_endpoints_with_lookahead::<M>(n, cost.net.latency);
+    let first_death = eps.first().map(|ep| ep.first_death());
     let f = &f;
-    thread::scope(|s| {
+    let mut joined: Vec<thread::Result<R>> = thread::scope(|s| {
         let handles: Vec<_> = eps
             .into_iter()
             .map(|ep| {
@@ -474,11 +467,15 @@ where
                 s.spawn(move || f(ctx))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect()
-    })
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let cause = (first_death.and_then(|d| d.node()))
+        .filter(|&j| joined[j].is_err())
+        .or_else(|| joined.iter().position(thread::Result::is_err));
+    if let Some(Err(payload)) = cause.map(|j| joined.swap_remove(j)) {
+        std::panic::resume_unwind(payload);
+    }
+    joined.into_iter().map(Result::unwrap).collect()
 }
 
 #[cfg(test)]
@@ -528,6 +525,20 @@ mod tests {
         let expect = (m.net.transfer_time(64) + m.cpu.message_handler + m.net.transfer_time(4096))
             .as_nanos();
         assert_eq!(results[0], expect);
+    }
+
+    /// The panic that reaches the caller is the node's that died first,
+    /// not a peer's that only followed from it: here both peers then
+    /// block forever and panic on the deadlock, node 0 among them.
+    #[test]
+    #[should_panic(expected = "node 2 gives up")]
+    fn the_first_nodes_panic_propagates() {
+        run_cluster::<Blob, _, _>(3, CostModel::default(), |mut ctx| {
+            if ctx.id() == 2 {
+                panic!("node 2 gives up");
+            }
+            ctx.recv().unwrap();
+        });
     }
 
     #[test]

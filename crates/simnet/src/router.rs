@@ -178,6 +178,9 @@ struct Sched<M> {
     /// Set once no node can ever act again: the per-node state every
     /// blocked call panics with.
     deadlock: Option<String>,
+    /// The first node to retire panicking. Its peers panic only after it
+    /// retired (a deadlock, or a send to it), so its panic is the cause.
+    first_dead: Option<NodeId>,
 }
 
 impl<M> Sched<M> {
@@ -297,6 +300,18 @@ impl<M> Fabric<M> {
     }
 }
 
+/// Which node of a cluster died first, panicking: see
+/// [`Endpoint::first_death`].
+pub(crate) struct FirstDeath<M>(Arc<Fabric<M>>);
+
+impl<M> FirstDeath<M> {
+    /// The first node whose endpoint was dropped by a panicking thread.
+    pub(crate) fn node(&self) -> Option<NodeId> {
+        let g = self.0.sched.lock().unwrap_or_else(PoisonError::into_inner);
+        g.first_dead
+    }
+}
+
 /// One node's attachment to the cluster interconnect.
 pub struct Endpoint<M> {
     id: NodeId,
@@ -319,6 +334,7 @@ impl<M> Drop for Endpoint<M> {
         let fabric = &*self.fabric;
         let mut g = fabric.sched.lock().unwrap_or_else(PoisonError::into_inner);
         g.state[self.id] = if std::thread::panicking() {
+            g.first_dead.get_or_insert(self.id);
             State::Dead
         } else {
             State::Stopped
@@ -337,6 +353,12 @@ impl<M> Endpoint<M> {
     /// This endpoint's node id.
     pub fn id(&self) -> NodeId {
         self.id
+    }
+
+    /// A handle that outlives the endpoints and names the first node to
+    /// retire panicking ([`FirstDeath::node`]).
+    pub(crate) fn first_death(&self) -> FirstDeath<M> {
+        FirstDeath(Arc::clone(&self.fabric))
     }
 
     /// Cluster size.
@@ -503,6 +525,7 @@ pub fn make_endpoints_with_lookahead<M>(n: usize, lookahead: SimDuration) -> Vec
         live: n,
         pushes: 0,
         deadlock: None,
+        first_dead: None,
     };
     let fabric = Arc::new(Fabric {
         sched: Mutex::new(sched),

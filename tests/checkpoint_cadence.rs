@@ -259,7 +259,8 @@ fn log_device_full_pauses_then_cadence_resumes() {
 /// stopped, and each is still in its writer's log, where the
 /// home-repair wave refetches it. ML does not hold this (DESIGN.md §13):
 /// its home acks a flush it could not log, the writer drops the diffs,
-/// and after the crash the update is in no log. Two of the full-device
+/// and after the crash the update is in no log, so the restart fails
+/// ([`a_stopped_ml_log_fails_loudly_and_never_wrong`]). Two of the full-device
 /// crashes land on a cadence barrier (16 and 10): the checkpoint is on
 /// the device, whatever its bound, before the log it replaces is cut.
 #[test]
@@ -600,7 +601,6 @@ struct Restart {
 fn hand_run(protocol: Protocol, garble: bool, crash: bool) -> Vec<(u64, Restart)> {
     use ftlog::{CclLogger, MlLogger, CKPT_META, CKPT_PAGES};
     use hlrc::{DsmConfig, FaultTolerance, HlrcNode};
-    use simnet::SimDuration;
 
     const HOMED: usize = 3;
     const PAGE_SIZE: usize = 256;
@@ -655,7 +655,7 @@ fn hand_run(protocol: Protocol, garble: bool, crash: bool) -> Vec<(u64, Restart)
             }
             if me == 1 && round == 5 && crash && seen.restored.is_empty() {
                 let before = node.inner.ctx.disk.counters();
-                let (restarted, blob) = node.restart(SimDuration::ZERO, logger());
+                let (restarted, blob) = node.restart(logger());
                 node = restarted;
                 let after = node.inner.ctx.disk.counters();
                 seen.reads = after.reads - before.reads;
@@ -721,5 +721,71 @@ fn a_checkpoint_rewrites_the_images_a_damaged_record_cost() {
         for (a, b) in clean.iter().zip(&crashed) {
             assert_eq!(a.0, b.0, "{p:?}");
         }
+    }
+}
+
+/// Run `cell`, which either finishes with the fault-free result or fails
+/// with the named stopped-log error: true when it failed. Anything else
+/// fails the test.
+fn fails_on_a_stopped_log(label: &str, cell: ClusterSpec) -> bool {
+    let Err(payload) = std::panic::catch_unwind(|| {
+        assert_correct(label, &run_program(cell, program));
+    }) else {
+        return false;
+    };
+    let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(
+        message.starts_with("ML log stopped before the crash"),
+        "{label}: failed with something else: {message}"
+    );
+    true
+}
+
+/// The stopped-device matrix: node 1's log device capped at ML's peak
+/// /2, /3 or /4 under cadence 16, 8 or 5 with a crash after every
+/// barrier 6–23 (162 cells), or failed at its 2nd, 3rd, 5th or 10th
+/// write with a crash after barrier 6, 12, 18 or 23 (16 cells). An ML
+/// home acks a diff flush its stopped log did not take, so each ML cell
+/// ends exact or fails with the named error; none finishes wrong. The
+/// same cells under CCL end exact: every diff a stopped home applied is
+/// still in its writer's log.
+#[test]
+fn a_stopped_ml_log_fails_loudly_and_never_wrong() {
+    let peak = (run_program(spec(Protocol::Ml), program).nodes.iter())
+        .map(|n| n.log_bytes_on_disk)
+        .max()
+        .unwrap();
+    let mut cells = Vec::new();
+    for div in [2, 3, 4] {
+        for cadence in [16, 8, 5] {
+            for crash in 6..=23 {
+                let plan = DiskFaultPlan::none().with_capacity(peak / div);
+                cells.push((Some(cadence), plan, crash));
+            }
+        }
+    }
+    for at in [2, 3, 5, 10] {
+        for crash in [6, 12, 18, 23] {
+            cells.push((None, DiskFaultPlan::permanent_at(at), crash));
+        }
+    }
+    assert_eq!(cells.len(), 178);
+    for p in [Protocol::Ml, Protocol::Ccl] {
+        let mut stopped = 0;
+        for &(cadence, plan, crash) in &cells {
+            let mut cell = spec(p)
+                .with_disk_fault(1, plan)
+                .with_crash(CrashPlan::new(1, crash));
+            if let Some(n) = cadence {
+                cell = cell.with_checkpoint_cadence(n);
+            }
+            let label =
+                format!("{p:?}: {plan:?}, cadence {cadence:?}, crash after barrier {crash}");
+            if fails_on_a_stopped_log(&label, cell) {
+                assert_eq!(p, Protocol::Ml, "{label}: CCL failed");
+                stopped += 1;
+            }
+        }
+        eprintln!("{p:?}: {stopped} of {} cells failed loudly", cells.len());
     }
 }

@@ -174,52 +174,6 @@ fn ccl_replay_reads_wait_only_for_what_the_scan_has_not_reached() {
 }
 
 #[test]
-fn detection_delay_is_charged() {
-    let app = App::Mg;
-    let mut plan = CrashPlan::new(1, 3);
-    plan.detection_delay = SimDuration::from_millis(500);
-    let out = run_program(spec(app, 4, Protocol::Ccl).with_crash(plan), move |dsm| {
-        app.run_tiny(dsm)
-    });
-    let failed = &out.nodes[1];
-    let gap = failed
-        .recovery_exit
-        .unwrap()
-        .saturating_since(failed.crashed_at.unwrap());
-    assert!(gap >= SimDuration::from_millis(500));
-    assert!(out.nodes.iter().all(|n| n.result == app.tiny_reference()));
-}
-
-#[test]
-fn detection_delay_lands_in_the_wait_phase() {
-    // The crash-detection timeout is blocked time, not compute or disk:
-    // against the same crash with instant detection, the failed node's
-    // wait-phase bucket must grow by at least the configured delay.
-    // (Shallow is cycle-deterministic, so the two runs are comparable.)
-    let app = App::Shallow;
-    let delay = SimDuration::from_millis(200);
-    let run = |plan: CrashPlan| {
-        run_program(spec(app, 4, Protocol::Ccl).with_crash(plan), move |dsm| {
-            app.run_tiny(dsm)
-        })
-    };
-    let instant = run(CrashPlan::new(1, 3));
-    let delayed = run(CrashPlan::new(1, 3).with_detection_delay(delay));
-    assert!(delayed
-        .nodes
-        .iter()
-        .all(|n| n.result == app.tiny_reference()));
-    let base_wait = instant.nodes[1].phases.wait;
-    let slow_wait = delayed.nodes[1].phases.wait;
-    assert!(
-        slow_wait >= base_wait + delay,
-        "wait phase grew {:?} -> {:?}, expected at least +{delay:?}",
-        base_wait,
-        slow_wait
-    );
-}
-
-#[test]
 fn recovery_steps_are_traced_between_crash_and_exit() {
     // The telemetry contract of a crash run: the failed node's trace
     // carries the whole recovery arc — begin, per-episode replay steps,
@@ -886,13 +840,14 @@ fn a_writer_that_crashed_serves_only_what_its_salvage_kept() {
             let env = inner.ctx.recv().expect("logged diff request");
             ccl.serve_logged_diffs(&mut inner, &env);
             // Long after node 1's next requests arrive.
-            inner.ctx.charge_wait(SimDuration::from_millis(50));
+            let later = inner.ctx.now() + SimDuration::from_millis(50);
+            inner.ctx.wait_until(later);
             let crashed = inner.ctx.now();
             assert!(inner.ctx.disk.tear_last_flush(7, false));
             // The crash: node and logger restart with nothing but the
             // disk, as the runner restarts them.
             drop(ccl);
-            let mut inner = inner.restart(SimDuration::ZERO);
+            let mut inner = inner.restart();
             let mut ccl = ftlog::CclLogger::new();
             ccl.begin_recovery(&mut inner);
             for _ in 0..2 {
@@ -968,7 +923,7 @@ fn a_replaying_node_forgets_the_images_of_a_home_that_says_it_crashed() {
                     .on_notices(&mut node.inner, SyncKind::Barrier(epoch), &[notice], &vc);
             }
             let ccl = Box::new(ftlog::CclLogger::new());
-            let (mut node, _) = node.restart(SimDuration::ZERO, ccl);
+            let (mut node, _) = node.restart(ccl);
             node.barrier();
             assert!(node.inner.pages.entry(0).frame.is_some(), "restored");
             node.barrier();
